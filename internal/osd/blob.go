@@ -10,6 +10,7 @@
 package osd
 
 import (
+	"slices"
 	"sort"
 
 	"lwfs/internal/netsim"
@@ -20,9 +21,15 @@ import (
 // read back exactly, with zero-fill for holes; synthetic writes (size-only
 // payloads used by large-scale benchmarks) extend the logical size without
 // allocating memory.
+//
+// The extent list is kept sorted, non-overlapping and free of empty extents
+// in place: a write binary-searches the extents it touches and splices only
+// those. Extent bytes are private to the Blob (Write copies in, Read copies
+// out) and no two extents ever share a backing array, so an extent may be
+// overwritten and grown in place.
 type Blob struct {
 	size    int64
-	extents []extent // sorted by off, non-overlapping
+	extents []extent
 }
 
 type extent struct {
@@ -32,11 +39,27 @@ type extent struct {
 
 func (e extent) end() int64 { return e.off + int64(len(e.data)) }
 
+// Tail coalescing: an append of at most recordSize bytes that lands exactly
+// at the end of the last extent is copied into that extent while the two
+// together fit in chunkSize, so a log of small records costs one extent per
+// chunk, not one per record. Larger payloads — application data — stay
+// extents of their own and are copied once, never again to grow a chunk.
+const (
+	chunkSize  = 64 << 10
+	recordSize = 4 << 10
+)
+
 // Size returns the logical size (highest written offset + length).
 func (b *Blob) Size() int64 { return b.size }
 
 // HasRealData reports whether any real bytes are stored.
 func (b *Blob) HasRealData() bool { return len(b.extents) > 0 }
+
+// firstEndingAfter returns the index of the first extent whose end lies past
+// off — the first one a range starting at off can touch.
+func (b *Blob) firstEndingAfter(off int64) int {
+	return sort.Search(len(b.extents), func(i int) bool { return b.extents[i].end() > off })
+}
 
 // Write stores payload at off. If payload carries real bytes they become
 // readable; a synthetic payload only extends the logical size.
@@ -47,42 +70,57 @@ func (b *Blob) Write(off int64, payload netsim.Payload) {
 	if end := off + payload.Size; end > b.size {
 		b.size = end
 	}
-	if payload.Data == nil {
+	data := payload.Data
+	if len(data) == 0 {
 		return
 	}
-	data := make([]byte, len(payload.Data))
-	copy(data, payload.Data)
-	b.insert(extent{off: off, data: data})
-}
+	end := off + int64(len(data))
 
-// insert places e into the extent list, trimming or splitting any overlaps.
-func (b *Blob) insert(e extent) {
-	if len(e.data) == 0 {
+	// Tail: at or past the end of the last extent, nothing to search.
+	if n := len(b.extents); n == 0 || off >= b.extents[n-1].end() {
+		if n > 0 {
+			last := &b.extents[n-1]
+			if need := len(last.data) + len(data); off == last.end() && len(data) <= recordSize && need <= chunkSize {
+				if need > cap(last.data) {
+					grown := make([]byte, len(last.data), min(max(need, 2*cap(last.data)), chunkSize))
+					copy(grown, last.data)
+					last.data = grown
+				}
+				last.data = append(last.data, data...)
+				return
+			}
+		}
+		b.extents = append(b.extents, extent{off: off, data: slices.Clone(data)})
 		return
 	}
-	var out []extent
-	for _, x := range b.extents {
-		switch {
-		case x.end() <= e.off || x.off >= e.end():
-			out = append(out, x) // disjoint
-		case x.off < e.off && x.end() > e.end():
-			// e splits x into a head and a tail.
-			head := extent{off: x.off, data: x.data[:e.off-x.off]}
-			tail := extent{off: e.end(), data: x.data[e.end()-x.off:]}
-			out = append(out, head, tail)
-		case x.off < e.off:
-			// keep x's head
-			out = append(out, extent{off: x.off, data: x.data[:e.off-x.off]})
-		case x.end() > e.end():
-			// keep x's tail
-			out = append(out, extent{off: e.end(), data: x.data[e.end()-x.off:]})
-		default:
-			// fully covered: drop
+
+	// Not the tail, so some extent ends past off: lo is in range.
+	lo := b.firstEndingAfter(off)
+	if x := b.extents[lo]; x.off <= off && end <= x.end() {
+		// Inside one extent: overwrite in place. This is also why an extent
+		// is never split in two, so the head and the tail kept below always
+		// come from different extents and different backing arrays.
+		copy(x.data[off-x.off:], data)
+		return
+	}
+	// extents[lo:hi] are the extents [off, end) overlaps; what sticks out of
+	// the first and the last survives as a trimmed head and tail.
+	hi := lo + sort.Search(len(b.extents)-lo, func(i int) bool { return b.extents[lo+i].off >= end })
+	var pieces [3]extent
+	np := 0
+	if x := b.extents[lo]; x.off < off { // it ends past off, so it overlaps
+		pieces[np] = extent{off: x.off, data: x.data[:off-x.off]}
+		np++
+	}
+	pieces[np] = extent{off: off, data: slices.Clone(data)}
+	np++
+	if lo < hi {
+		if x := b.extents[hi-1]; x.end() > end {
+			pieces[np] = extent{off: end, data: x.data[end-x.off:]}
+			np++
 		}
 	}
-	out = append(out, e)
-	sort.Slice(out, func(i, j int) bool { return out[i].off < out[j].off })
-	b.extents = out
+	b.extents = slices.Replace(b.extents, lo, hi, pieces[:np]...)
 }
 
 // Read returns [off, off+length). If the blob holds any real bytes in the
@@ -99,17 +137,12 @@ func (b *Blob) Read(off, length int64) netsim.Payload {
 		return netsim.SyntheticPayload(length)
 	}
 	out := make([]byte, length)
-	for _, x := range b.extents {
-		if x.end() <= off || x.off >= off+length {
-			continue
+	end := off + length
+	for _, x := range b.extents[b.firstEndingAfter(off):] {
+		if x.off >= end {
+			break
 		}
-		lo, hi := x.off, x.end()
-		if lo < off {
-			lo = off
-		}
-		if hi > off+length {
-			hi = off + length
-		}
+		lo, hi := max(x.off, off), min(x.end(), end)
 		copy(out[lo-off:hi-off], x.data[lo-x.off:hi-x.off])
 	}
 	return netsim.Payload{Size: length, Data: out}
@@ -121,14 +154,12 @@ func (b *Blob) Truncate(size int64) {
 		panic("osd: negative truncate")
 	}
 	b.size = size
-	var out []extent
-	for _, x := range b.extents {
-		switch {
-		case x.end() <= size:
-			out = append(out, x)
-		case x.off < size:
-			out = append(out, extent{off: x.off, data: x.data[:size-x.off]})
-		}
+	keep := b.firstEndingAfter(size)
+	if keep < len(b.extents) && b.extents[keep].off < size {
+		x := &b.extents[keep]
+		x.data = x.data[:size-x.off]
+		keep++
 	}
-	b.extents = out
+	clear(b.extents[keep:]) // drop the references so the bytes can be collected
+	b.extents = b.extents[:keep]
 }

@@ -184,13 +184,14 @@ func (d *Device) Lookup(id ObjectID) (*Object, error) {
 // Write stores payload at offset off in object id, paying per-op overhead
 // plus size/bandwidth on the disk (write-through).
 func (d *Device) Write(p *sim.Proc, id ObjectID, off int64, payload netsim.Payload) error {
-	obj, ok := d.objects[id]
-	if !ok {
+	if _, ok := d.objects[id]; !ok {
 		return ErrNoObject
 	}
 	d.disk.Wait(p, d.params.PerOpOverhead+sim.Rate(payload.Size, d.params.BandwidthBps))
-	// Re-check: the object may have been removed while we were queued.
-	if _, ok := d.objects[id]; !ok {
+	// Re-fetch: the object may have been removed, or removed and re-created
+	// under the same ID, while we were queued.
+	obj, ok := d.objects[id]
+	if !ok {
 		return ErrNoObject
 	}
 	obj.Data.Write(off, payload)
@@ -213,7 +214,7 @@ func (d *Device) Read(p *sim.Proc, id ObjectID, off, length int64) (netsim.Paylo
 		length = obj.Data.Size() - off
 	}
 	d.disk.Wait(p, d.params.PerOpOverhead+sim.Rate(length, d.params.BandwidthBps))
-	if _, ok := d.objects[id]; !ok {
+	if obj, ok = d.objects[id]; !ok {
 		return netsim.Payload{}, ErrNoObject
 	}
 	d.reads++
@@ -259,12 +260,12 @@ func (d *Device) Remove(p *sim.Proc, id ObjectID) error {
 
 // Truncate sets the object's logical size, discarding data past it.
 func (d *Device) Truncate(p *sim.Proc, id ObjectID, size int64) error {
-	obj, ok := d.objects[id]
-	if !ok {
+	if _, ok := d.objects[id]; !ok {
 		return ErrNoObject
 	}
 	d.disk.Wait(p, d.params.PerOpOverhead)
-	if _, ok := d.objects[id]; !ok {
+	obj, ok := d.objects[id]
+	if !ok {
 		return ErrNoObject
 	}
 	obj.Data.Truncate(size)

@@ -170,6 +170,46 @@ func TestRemove(t *testing.T) {
 	})
 }
 
+// A write that passed its existence check and then queued on the disk behind
+// a remove and a re-create of the same ID must land in the live object, not
+// in the orphan it saw before the wait.
+func TestWriteQueuedAcrossRecreateLandsInLiveObject(t *testing.T) {
+	k := sim.NewKernel()
+	d := NewDevice(k, "osd0", testParams())
+	const id = 50
+	k.Spawn("setup", func(p *sim.Proc) {
+		if _, err := d.CreateWithID(p, id, 1); err != nil {
+			t.Error(err)
+		}
+	})
+	at := sim.Time(time.Millisecond)
+	k.SpawnAt(at, "remove", func(p *sim.Proc) {
+		if err := d.Remove(p, id); err != nil {
+			t.Error(err)
+		}
+	})
+	k.SpawnAt(at, "recreate", func(p *sim.Proc) {
+		if _, err := d.CreateWithID(p, id, 2); err != nil {
+			t.Error(err)
+		}
+	})
+	k.SpawnAt(at, "write", func(p *sim.Proc) {
+		if err := d.Write(p, id, 0, netsim.BytesPayload([]byte("live"))); err != nil {
+			t.Error(err)
+		}
+		got, err := d.Read(p, id, 0, 4)
+		if err != nil || string(got.Data) != "live" {
+			t.Errorf("read back %q, %v", got.Data, err)
+		}
+	})
+	if err := k.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	if obj, err := d.Lookup(id); err != nil || obj.Container != 2 || obj.Data.Size() != 4 {
+		t.Fatalf("live object: %+v, %v", obj, err)
+	}
+}
+
 func TestCreateWithID(t *testing.T) {
 	run(t, func(p *sim.Proc, d *Device) {
 		if _, err := d.CreateWithID(p, 100, 1); err != nil {
@@ -274,6 +314,7 @@ func TestBlobMatchesNaiveModel(t *testing.T) {
 			}
 			off := int64(o.Off % 1024)
 			b.Write(off, netsim.BytesPayload(o.Data))
+			checkInvariant(t, &b)
 			for i, c := range o.Data {
 				model[off+int64(i)] = c
 			}
@@ -321,12 +362,14 @@ func TestBlobTruncateProperty(t *testing.T) {
 			data := make([]byte, rng.Intn(100)+1)
 			rng.Read(data)
 			b.Write(off, netsim.BytesPayload(data))
+			checkInvariant(t, &b)
 			for j, c := range data {
 				model[off+int64(j)] = c
 			}
 		}
 		c := int64(cut % 700)
 		b.Truncate(c)
+		checkInvariant(t, &b)
 		if b.Size() != c {
 			return false
 		}

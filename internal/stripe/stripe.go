@@ -358,10 +358,17 @@ func (l Layout) Plan(off, length int64) []Request {
 
 // Gather assembles the payload for one write request from the file payload
 // starting at file offset off. Synthetic payloads (no backing bytes) stay
-// synthetic; sized ones are copied piece by piece into object order.
+// synthetic; sized ones are copied piece by piece into object order. A
+// request of one piece is already contiguous in the file, so it is returned
+// as a sub-slice of the caller's bytes, not a copy: the payload is only read
+// (servers copy on store) for as long as the write call blocks.
 func (r Request) Gather(off int64, payload netsim.Payload) netsim.Payload {
 	if payload.Data == nil {
 		return netsim.SyntheticPayload(r.Len)
+	}
+	if len(r.Pieces) == 1 {
+		pc := r.Pieces[0]
+		return netsim.BytesPayload(payload.Data[pc.FileOff-off : pc.FileOff-off+pc.Len])
 	}
 	buf := make([]byte, r.Len)
 	for _, pc := range r.Pieces {

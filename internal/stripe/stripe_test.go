@@ -216,6 +216,31 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 	}
 }
 
+// A request of one piece is contiguous in the file: Gather hands back the
+// caller's bytes themselves, not a copy.
+func TestGatherSinglePieceDoesNotCopy(t *testing.T) {
+	l := testLayout(3, 64)
+	data := make([]byte, 100)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	const off = 70 // [70,170): the tail of unit 1 and the head of unit 2
+	reqs := l.Plan(off, int64(len(data)))
+	if len(reqs) != 2 {
+		t.Fatalf("%d requests, want 2", len(reqs))
+	}
+	for _, r := range reqs {
+		if len(r.Pieces) != 1 {
+			t.Fatalf("request %+v: want one piece", r)
+		}
+		got := r.Gather(off, netsim.BytesPayload(data))
+		at := r.Pieces[0].FileOff - off
+		if got.Size != r.Len || int64(len(got.Data)) != r.Len || &got.Data[0] != &data[at] {
+			t.Fatalf("request %+v: gathered %d bytes, aliasing data[%d]: %v", r, len(got.Data), at, &got.Data[0] == &data[at])
+		}
+	}
+}
+
 func TestScatterShortObjectRead(t *testing.T) {
 	l := testLayout(2, 100)
 	reqs := l.Plan(0, 400) // two units per object

@@ -22,6 +22,8 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"lwfs/internal/metrics"
@@ -91,9 +93,15 @@ type JournalRecord struct {
 	Detail string
 }
 
-// encode renders a record as one journal line.
-func (r JournalRecord) encode() []byte {
-	return []byte(fmt.Sprintf("%d %s %s\n", uint64(r.Txn), r.Kind, r.Detail))
+// appendTo appends the record's journal line, "<txn> <kind> <detail>\n", to
+// buf. Kind holds no space; Detail may (naming logs raw paths).
+func (r JournalRecord) appendTo(buf []byte) []byte {
+	buf = strconv.AppendUint(buf, uint64(r.Txn), 10)
+	buf = append(buf, ' ')
+	buf = append(buf, r.Kind...)
+	buf = append(buf, ' ')
+	buf = append(buf, r.Detail...)
+	return append(buf, '\n')
 }
 
 // participant RPC bodies
@@ -107,6 +115,12 @@ type txnState struct {
 	onCommit []func(p *sim.Proc)
 	onAbort  []func(p *sim.Proc)
 }
+
+// release drops the callbacks of a transaction that reached a terminal
+// status: only the status is needed from then on (idempotent retries), and
+// the closures would otherwise pin whatever provisional objects they
+// captured for the life of the server.
+func (st *txnState) release() { st.onCommit, st.onAbort = nil, nil }
 
 // Participant is the server-side half of two-phase commit, colocated with a
 // durable service. It owns a journal object on the service's device.
@@ -225,7 +239,11 @@ func (pt *Participant) ensureJournal(p *sim.Proc) {
 // records.
 func (pt *Participant) appendJournal(p *sim.Proc, rec JournalRecord) error {
 	pt.ensureJournal(p)
-	data := rec.encode()
+	// The line is built on this process's stack: the device copies it on
+	// store, and a buffer shared by the participant would be overwritten by
+	// another service thread while this one waits for the disk.
+	var line [128]byte
+	data := rec.appendTo(line[:0])
 	off := pt.jOff
 	pt.jOff += int64(len(data))
 	return pt.dev.Write(p, pt.journal, off, netsim.BytesPayload(data))
@@ -306,6 +324,7 @@ func (pt *Participant) commit(p *sim.Proc, id ID) error {
 		fn(p)
 	}
 	st.status = StatusCommitted
+	st.release()
 	pt.commits.Inc()
 	return nil
 }
@@ -328,6 +347,7 @@ func (pt *Participant) abortLocal(p *sim.Proc, id ID, st *txnState) {
 		st.onAbort[i](p)
 	}
 	st.status = StatusAborted
+	st.release()
 	pt.aborts.Inc()
 }
 
@@ -378,12 +398,17 @@ func parseJournal(data []byte) []JournalRecord {
 		}
 		line := string(data[start:i])
 		start = i + 1
-		var id uint64
-		var kind, detail string
-		n, _ := fmt.Sscanf(line, "%d %s %s", &id, &kind, &detail)
-		if n >= 2 {
-			recs = append(recs, JournalRecord{Txn: ID(id), Kind: kind, Detail: detail})
+		// Only the first two spaces separate fields; Detail keeps its own.
+		idStr, rest, _ := strings.Cut(line, " ")
+		id, err := strconv.ParseUint(idStr, 10, 64)
+		if err != nil {
+			continue
 		}
+		kind, detail, _ := strings.Cut(rest, " ")
+		if kind == "" {
+			continue
+		}
+		recs = append(recs, JournalRecord{Txn: ID(id), Kind: kind, Detail: detail})
 	}
 	return recs
 }

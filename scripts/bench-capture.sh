@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# bench-capture.sh — run the simulator benchmarks and write BENCH_SIM.json:
-# ns/op and allocs/op per benchmark, plus derived events/sec for the kernel
-# dispatch path (the headline "how big a sweep can one wall-clock second
+# bench-capture.sh — run the simulator and storage-layer benchmarks (sim,
+# netsim, osd extent store, txn journal) and write BENCH_SIM.json: ns/op and
+# allocs/op per benchmark, plus derived events/sec for the kernel dispatch
+# path (the headline "how big a sweep can one wall-clock second
 # push through" number). CI runs this for a well-formedness check; run it
 # locally before and after kernel changes to compare.
 #
@@ -14,7 +15,7 @@ trap 'rm -f "$tmp"' EXIT
 # -benchtime default (1s) keeps numbers stable; override via BENCHTIME for
 # the CI smoke (the smoke job runs `go test -bench` directly instead).
 go test -bench . -benchmem -benchtime "${BENCHTIME:-1s}" -run '^$' \
-	./internal/sim/ ./internal/netsim/ | tee "$tmp" >&2
+	./internal/sim/ ./internal/netsim/ ./internal/osd/ ./internal/txn/ | tee "$tmp" >&2
 
 # Parse `BenchmarkName-N  iters  ns/op  B/op  allocs/op` lines into JSON.
 awk '
