@@ -1,389 +1,114 @@
-// Command lwfsbench regenerates every table and figure of the paper's
-// evaluation on the simulated cluster:
+// Command lwfsbench regenerates the tables and figures of the paper's
+// evaluation, and the extension experiments grown on top of them, on the
+// simulated cluster:
 //
-//	lwfsbench -experiment fig9              # Figure 9, all three panels
-//	lwfsbench -experiment fig10             # Figure 10 a/b/c
-//	lwfsbench -experiment table1            # Table 1
-//	lwfsbench -experiment table2            # Table 2 params vs measurement
-//	lwfsbench -experiment petaflop          # §4 scaling projection
-//	lwfsbench -experiment security          # §3.1 protocol microbenchmarks
-//	lwfsbench -experiment faults            # lossy-fabric degradation sweep
-//	lwfsbench -experiment burst             # burst-tier apparent vs durable sweep
-//	lwfsbench -experiment recovery          # journaled staging under buffer crash
-//	lwfsbench -experiment stripe            # striped-engine single-file bandwidth
-//	lwfsbench -experiment rebuild           # redundancy cost, degraded reads, rebuild
-//	lwfsbench -experiment qos               # multi-tenant fair-share and breaker sweep
-//	lwfsbench -experiment meta              # replicated-metadata cost and availability
-//	lwfsbench -experiment redstorm          # E22: sampled 100k-rank Red Storm burst sweep
-//	lwfsbench -experiment ckptinterval      # E23: apparent vs durable dump time -> affordable interval
-//	lwfsbench -experiment replay            # E24: recorded workload traces replayed through the fs.FS facade
-//	lwfsbench -experiment all
+//	lwfsbench -experiment <name>     # one experiment; -h lists them
+//	lwfsbench -experiment all        # every experiment, in table order
 //
-// The -metrics flag appends per-sweep-point registry snapshot deltas (RPC
-// rates, cache hit ratios, queue depths, drain backlog) to the burst,
-// recovery, rebuild, and meta experiments.
+// The experiments, their -quick presets and their reports live in one
+// table, figures.Experiments; this file is flag parsing plus a loop over it.
 //
-// -quick shrinks the sweeps (2 trials, fewer points, 64 MB/process) for a
+// -quick shrinks the sweeps (1–2 trials, fewer points, 64 MB/process) for a
 // fast smoke run; the defaults reproduce the paper's parameters (512
-// MB/process, ≥5 trials, 2–16 servers, up to 64 clients).
+// MB/process, ≥5 trials, 2–16 servers, up to 64 clients). -metrics appends
+// per-sweep-point registry snapshot deltas (RPC rates, cache hit ratios,
+// queue depths, drain backlog) to the experiments that capture them.
+//
+// The -quick output of every experiment is pinned byte for byte by
+// TestExperimentGoldens (testdata/golden; regenerate with
+// `go test ./cmd/lwfsbench -run Goldens -long -update`).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"lwfs/internal/figures"
-	"lwfs/internal/stats"
 )
 
-// renameSeries relabels a series for combined panels.
-func renameSeries(s stats.Series, name string) stats.Series {
-	s.Name = name
-	return s
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
+// run is the whole command: 0 on success, 1 when an experiment fails, 2 on a
+// bad command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	var names []string
+	help := "experiment to run: all, or one of"
+	for _, e := range figures.Experiments {
+		names = append(names, e.Name)
+		help += fmt.Sprintf("\n%-13s %s", e.Name, e.Doc)
+	}
+
+	fs := flag.NewFlagSet("lwfsbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		experiment = flag.String("experiment", "all", "fig9|fig10|table1|table2|petaflop|security|filtering|collective|faults|burst|recovery|stripe|rebuild|qos|meta|redstorm|ckptinterval|replay|all")
-		trials     = flag.Int("trials", 0, "trials per point (0 = paper default of 5)")
-		quick      = flag.Bool("quick", false, "small sweep for a fast smoke run")
-		servers    = flag.String("servers", "", "comma-separated server counts (default 2,4,8,16)")
-		clients    = flag.String("clients", "", "comma-separated client counts (default 1,2,4,8,16,32,48,64)")
-		bytesMB    = flag.Int64("mb-per-proc", 0, "MB written per process (0 = paper's 512)")
-		verbose    = flag.Bool("v", false, "progress output to stderr")
-		plot       = flag.Bool("plot", false, "render ASCII plots of the figure shapes")
-		metrics    = flag.Bool("metrics", false, "dump registry snapshot deltas per sweep point (burst, recovery, rebuild, meta)")
+		experiment = fs.String("experiment", "all", help)
+		trials     = fs.Int("trials", 0, "trials per point (0 = paper default of 5)")
+		quick      = fs.Bool("quick", false, "small sweep for a fast smoke run")
+		servers    = fs.String("servers", "", "comma-separated server counts (default 2,4,8,16)")
+		clients    = fs.String("clients", "", "comma-separated client counts (default 1,2,4,8,16,32,48,64)")
+		bytesMB    = fs.Int64("mb-per-proc", 0, "MB written per process (0 = paper's 512)")
+		verbose    = fs.Bool("v", false, "progress output to stderr")
+		plot       = fs.Bool("plot", false, "render ASCII plots of the figure shapes")
+		metrics    = fs.Bool("metrics", false, "dump registry snapshot deltas per sweep point")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
-	progress := func(format string, args ...interface{}) {}
-	if *verbose {
-		progress = func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+	env := figures.Env{Trials: *trials, Quick: *quick, BytesPerProc: *bytesMB << 20, Metrics: *metrics, Plot: *plot}
+	var err error
+	if env.Servers, err = parseInts(*servers); err == nil {
+		env.Clients, err = parseInts(*clients)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "lwfsbench: %v\n", err)
+		return 2
+	}
+
+	var todo []figures.Experiment
+	for _, e := range figures.Experiments {
+		if *experiment == "all" || *experiment == e.Name {
+			todo = append(todo, e)
 		}
 	}
-
-	f9 := figures.Fig9Opts{Trials: *trials, Progress: progress}
-	f10 := figures.Fig10Opts{Trials: *trials, Progress: progress}
-	if *quick {
-		f9.Servers = []int{2, 8, 16}
-		f9.Clients = []int{1, 4, 16, 48}
-		f9.Trials = 2
-		f9.BytesPerProc = 64 << 20
-		f10.Servers = f9.Servers
-		f10.Clients = f9.Clients
-		f10.Trials = 2
+	if len(todo) == 0 {
+		fmt.Fprintf(stderr, "lwfsbench: unknown experiment %q; want all or one of %s\n",
+			*experiment, strings.Join(names, ", "))
+		return 2
 	}
-	if *servers != "" {
-		f9.Servers = parseInts(*servers)
-		f10.Servers = f9.Servers
-	}
-	if *clients != "" {
-		f9.Clients = parseInts(*clients)
-		f10.Clients = f9.Clients
-	}
-	if *bytesMB != 0 {
-		f9.BytesPerProc = *bytesMB << 20
-	}
-
-	run := func(name string, fn func() error) {
-		if *experiment != "all" && *experiment != name {
-			return
-		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "lwfsbench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-
-	run("table1", func() error {
-		figures.Table1Render(os.Stdout)
-		return nil
-	})
-
-	run("table2", func() error {
-		res, err := figures.Table2()
-		if err != nil {
-			return err
-		}
-		res.Render(os.Stdout)
-		return nil
-	})
-
-	run("fig9", func() error {
-		for _, im := range []figures.Impl{figures.ImplPFSFile, figures.ImplPFSShared, figures.ImplLWFS} {
-			res, err := figures.Fig9(im, f9)
-			if err != nil {
-				return err
+	for _, e := range todo {
+		if *verbose {
+			env.Progress = func(format string, args ...interface{}) {
+				fmt.Fprintf(stderr, e.Name+": "+format+"\n", args...)
 			}
-			figures.RenderSeries(os.Stdout,
-				fmt.Sprintf("Figure 9: checkpoint throughput, %s", im),
-				"clients", "MB/s", res.Series)
-			if *plot {
-				fmt.Println()
-				stats.AsciiPlot(os.Stdout, fmt.Sprintf("Figure 9 (%s)", im), "clients", "MB/s", res.Series, false)
-			}
-			fmt.Println()
 		}
-		return nil
-	})
-
-	run("fig10", func() error {
-		lustre, err := figures.Fig10("lustre", f10)
-		if err != nil {
-			return err
+		if err := e.Run(env, stdout); err != nil {
+			fmt.Fprintf(stderr, "lwfsbench: %s: %v\n", e.Name, err)
+			return 1
 		}
-		lwfs, err := figures.Fig10("lwfs", f10)
-		if err != nil {
-			return err
-		}
-		// Panel (a): the largest-server-count series of both systems.
-		last := len(lustre.Series) - 1
-		figures.RenderSeries(os.Stdout,
-			"Figure 10a: LWFS object creation vs Lustre file creation (log scale in the paper)",
-			"clients", "ops/s",
-			[]stats.Series{renameSeries(lustre.Series[last], "Lustre"), renameSeries(lwfs.Series[last], "LWFS")})
-		fmt.Println()
-		figures.RenderSeries(os.Stdout, "Figure 10b: Lustre file creation", "clients", "ops/s", lustre.Series)
-		fmt.Println()
-		figures.RenderSeries(os.Stdout, "Figure 10c: LWFS object creation", "clients", "ops/s", lwfs.Series)
-		if *plot {
-			fmt.Println()
-			stats.AsciiPlot(os.Stdout, "Figure 10a (log y)", "clients", "ops/s",
-				[]stats.Series{renameSeries(lustre.Series[last], "Lustre"), renameSeries(lwfs.Series[last], "LWFS")}, true)
-		}
-		return nil
-	})
-
-	run("petaflop", func() error {
-		pr, err := figures.PetaflopProjection(400 << 20)
-		if err != nil {
-			return err
-		}
-		pr.Render(os.Stdout)
-		return nil
-	})
-
-	run("security", func() error {
-		res, err := figures.Security()
-		if err != nil {
-			return err
-		}
-		res.Render(os.Stdout)
-		return nil
-	})
-
-	run("filtering", func() error {
-		fmt.Println("# Remote filtering (§6): 1 GiB sharded over 8 servers")
-		ft, err := figures.ActiveStorageScan(true)
-		if err != nil {
-			return err
-		}
-		rt, err := figures.ActiveStorageScan(false)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("server-side filters  %v\nread-everything      %v\nspeedup              %.1fx\n",
-			ft, rt, rt.Seconds()/ft.Seconds())
-		return nil
-	})
-
-	run("faults", func() error {
-		fo := figures.FaultOpts{Trials: *trials, Progress: progress}
-		if *quick {
-			fo.Trials = 2
-			fo.DropProbs = []float64{0, 0.05}
-		}
-		res, err := figures.FaultSweep(fo)
-		if err != nil {
-			return err
-		}
-		res.Render(os.Stdout)
-		return nil
-	})
-
-	run("burst", func() error {
-		bo := figures.BurstOpts{Trials: *trials, Progress: progress, Metrics: *metrics}
-		if *quick {
-			bo.Trials = 2
-			bo.Buffers = []int{0, 2}
-			bo.DrainBWs = []float64{0}
-		}
-		res, err := figures.BurstSweep(bo)
-		if err != nil {
-			return err
-		}
-		res.Render(os.Stdout)
-		figures.RenderMetricsCaptures(os.Stdout, res.Captures)
-		return nil
-	})
-
-	run("recovery", func() error {
-		ro := figures.RecoveryOpts{Trials: *trials, Progress: progress, Metrics: *metrics}
-		if *quick {
-			ro.Trials = 2
-		}
-		res, err := figures.RecoverySweep(ro)
-		if err != nil {
-			return err
-		}
-		res.Render(os.Stdout)
-		figures.RenderMetricsCaptures(os.Stdout, res.Captures)
-		return nil
-	})
-
-	run("stripe", func() error {
-		so := figures.StripeOpts{Trials: *trials, Progress: progress}
-		if *quick {
-			so.Trials = 1
-			so.Servers = []int{1, 2, 4}
-			so.FileMB = 16
-		}
-		if *bytesMB != 0 {
-			so.FileMB = *bytesMB
-		}
-		res, err := figures.StripeSweep(so)
-		if err != nil {
-			return err
-		}
-		res.Render(os.Stdout)
-		return nil
-	})
-
-	run("rebuild", func() error {
-		ro := figures.RebuildOpts{Trials: *trials, Progress: progress, Metrics: *metrics}
-		if *quick {
-			ro.Trials = 1
-			ro.DataMB = 4
-			ro.Objects = []int{2, 4}
-		}
-		res, err := figures.RebuildSweep(ro)
-		if err != nil {
-			return err
-		}
-		res.Render(os.Stdout)
-		figures.RenderMetricsCaptures(os.Stdout, res.Captures)
-		return nil
-	})
-
-	run("meta", func() error {
-		mo := figures.MetaOpts{Trials: *trials, Progress: progress, Metrics: *metrics}
-		if *quick {
-			mo.Trials = 1
-			mo.FileKB = 128
-			mo.Files = []int{2, 4}
-		}
-		res, err := figures.MetaSweep(mo)
-		if err != nil {
-			return err
-		}
-		res.Render(os.Stdout)
-		figures.RenderMetricsCaptures(os.Stdout, res.Captures)
-		return nil
-	})
-
-	run("qos", func() error {
-		// The contention window must stay long enough for >=20 interactive
-		// samples, so -quick only cuts trials, not the workload.
-		qo := figures.QoSOpts{Trials: *trials, Progress: progress, Metrics: *metrics}
-		if *quick {
-			qo.Trials = 1
-		}
-		res, err := figures.QoSSweep(qo)
-		if err != nil {
-			return err
-		}
-		res.Render(os.Stdout)
-		figures.RenderMetricsCaptures(os.Stdout, res.Captures)
-		return nil
-	})
-
-	run("redstorm", func() error {
-		ro := figures.RedStormOpts{Progress: progress, Metrics: *metrics}
-		if *quick {
-			// The acceptance point is the 10k-exact sweep top; quick mode
-			// keeps it and drops the intermediate points.
-			ro.Exact = []int{1000, 10000}
-		}
-		if *clients != "" {
-			ro.Exact = parseInts(*clients)
-		}
-		if *bytesMB != 0 {
-			ro.BytesPerProc = *bytesMB << 20
-		}
-		res, err := figures.RedStormSweep(ro)
-		if err != nil {
-			return err
-		}
-		res.Render(os.Stdout)
-		figures.RenderMetricsCaptures(os.Stdout, res.Captures)
-		return nil
-	})
-
-	run("ckptinterval", func() error {
-		co := figures.CkptIntervalOpts{Progress: progress, Metrics: *metrics}
-		if *quick {
-			co.Procs = 1000
-		}
-		if *bytesMB != 0 {
-			co.BytesPerProc = *bytesMB << 20
-		}
-		res, err := figures.CkptIntervalRun(co)
-		if err != nil {
-			return err
-		}
-		res.Render(os.Stdout)
-		figures.RenderMetricsCaptures(os.Stdout, res.Captures)
-		return nil
-	})
-
-	run("replay", func() error {
-		ro := figures.ReplayOpts{Progress: progress, Metrics: *metrics}
-		if *quick {
-			ro.Concurrency = []int{1, 4, 16}
-			ro.Clones = 16
-		}
-		if *clients != "" {
-			ro.Concurrency = parseInts(*clients)
-		}
-		res, err := figures.ReplaySweep(ro)
-		if err != nil {
-			return err
-		}
-		res.Render(os.Stdout)
-		figures.RenderMetricsCaptures(os.Stdout, res.Captures)
-		return nil
-	})
-
-	run("collective", func() error {
-		fmt.Println("# Collective I/O (§6): 8 ranks, 512 interleaved 64 KiB records")
-		ct, err := figures.CollectiveVsIndependent(true)
-		if err != nil {
-			return err
-		}
-		it, err := figures.CollectiveVsIndependent(false)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("two-phase collective  %v\nindependent writes    %v\nspeedup               %.1fx\n",
-			ct, it, it.Seconds()/ct.Seconds())
-		return nil
-	})
+		fmt.Fprintln(stdout)
+	}
+	return 0
 }
 
-func parseInts(s string) []int {
+// parseInts reads a comma-separated list of integers; empty means unset.
+func parseInts(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lwfsbench: bad int %q\n", part)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad int %q", part)
 		}
 		out = append(out, n)
 	}
-	return out
+	return out, nil
 }

@@ -219,16 +219,6 @@ func Start(ep *portals.Endpoint, ac *authn.Client, cfg Config) *Service {
 // Node returns the node the service runs on.
 func (s *Service) Node() netsim.NodeID { return s.node }
 
-// Stats reports counters: capability verifications served, cache
-// registrations recorded, revocations processed, invalidation callbacks
-// sent.
-//
-// Deprecated: thin read of `authz.verifies|cache_regs|revocations|
-// invalidations`; prefer Registry.Snapshot().
-func (s *Service) Stats() (verifies, cacheRegs, revocations, invalidations int64) {
-	return s.verifies.Value(), s.cacheRegistrations.Value(), s.revocations.Value(), s.invalidationsSent.Value()
-}
-
 func (s *Service) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
 	p.Sleep(s.cfg.OpCost)
 	switch r := req.(type) {

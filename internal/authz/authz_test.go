@@ -319,7 +319,7 @@ func TestCredCachingReducesAuthnTraffic(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	_, verifies, _ := r.Authn.Stats()
+	verifies := r.Metric("authn.verifies")
 	// 1 identity check for the first authz request; the rest hit the cache.
 	if verifies != 1 {
 		t.Fatalf("authn verifies = %d, want 1", verifies)

@@ -42,7 +42,7 @@ func TestCredCacheTTLRechecksAuthn(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	_, verifies, _ := r.Authn.Stats()
+	verifies := r.Metric("authn.verifies")
 	if verifies < 2 {
 		t.Fatalf("authn verifies = %d; TTL recheck missing", verifies)
 	}
@@ -79,7 +79,7 @@ func TestRevokeIsIdempotent(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	_, _, revocations, _ := r.Authz.Stats()
+	revocations := r.Metric("authz.revocations")
 	if revocations != 1 {
 		t.Fatalf("revocations = %d, want 1 (second call found nothing)", revocations)
 	}

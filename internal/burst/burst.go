@@ -344,18 +344,9 @@ func (s *Server) RPCPort() portals.Index { return s.rpcPort }
 // Tgt returns the server's target descriptor.
 func (s *Server) Tgt() Target { return Target{Node: s.Node(), Port: s.rpcPort} }
 
-// Staged reports extents absorbed into the staging area.
-//
-// Deprecated: thin read of `burst.<node>.staged`; prefer Registry.Snapshot().
-func (s *Server) Staged() int64 { return s.staged.Value() }
-
 // Passthroughs reports writes that degraded to synchronous pass-through
 // because the staging window was full.
 func (s *Server) Passthroughs() int64 { return s.passthroughs.Value() }
-
-// StagedBytes and DrainedBytes report absorbed and drained volume.
-func (s *Server) StagedBytes() int64  { return s.stagedBytes.Value() }
-func (s *Server) DrainedBytes() int64 { return s.drainedBytes.Value() }
 
 // StageAvail reports the free staging window, bytes.
 func (s *Server) StageAvail() int64 { return s.stageAvail.Value() }

@@ -58,8 +58,8 @@ func yieldScenario(t *testing.T, noYield bool) int64 {
 		}
 	})
 	r.Run(t)
-	if bb.Passthroughs() != 1 || bb.Staged() != 4 {
-		t.Fatalf("passthroughs=%d staged=%d, want 1/4", bb.Passthroughs(), bb.Staged())
+	if staged := r.Metric("burst.*.staged"); bb.Passthroughs() != 1 || staged != 4 {
+		t.Fatalf("passthroughs=%d staged=%d, want 1/4", bb.Passthroughs(), staged)
 	}
 	return bb.DrainYields()
 }

@@ -28,6 +28,7 @@ type burstOutcome struct {
 	manifest   checkpoint.Manifest
 	data       [][]byte
 	restoreErr error
+	cl         *cluster.Cluster
 	l          *cluster.LWFS
 	log        *testrig.ChaosLog
 }
@@ -43,7 +44,7 @@ func runBurstCheckpoint(t *testing.T, spec cluster.Spec, cfg checkpoint.Config, 
 	l := cl.DeployLWFS()
 	cfg.Burst = l.BurstTargets()
 
-	out := burstOutcome{l: l}
+	out := burstOutcome{cl: cl, l: l}
 	if chaos != nil {
 		out.log = testrig.RunChaos(cl.K, chaos(l)...)
 	}
@@ -159,12 +160,13 @@ func TestBurstBackpressureDegradesToPassthrough(t *testing.T) {
 		t.Fatalf("restore: %v", out.restoreErr)
 	}
 	bb := out.l.Burst[0]
+	staged := testrig.Metric(out.cl.Metrics(), "burst.*.staged")
 	t.Logf("staged %d, passthroughs %d, apparent %v, durable %v",
-		bb.Staged(), bb.Passthroughs(), out.res.Elapsed, out.res.Durable)
+		staged, bb.Passthroughs(), out.res.Elapsed, out.res.Durable)
 	if bb.Passthroughs() == 0 {
 		t.Fatalf("no pass-throughs despite a 2 MB window and an 8 MB burst")
 	}
-	if bb.Staged() == 0 {
+	if staged == 0 {
 		t.Fatalf("nothing staged — scenario should mix staged and pass-through writes")
 	}
 	for rank, got := range out.data {

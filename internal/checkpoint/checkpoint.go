@@ -50,8 +50,8 @@ type Config struct {
 	// Breaker, when non-nil, arms every rank's client with a circuit
 	// breaker (core.Client.SetBreaker): a flapping server fast-fails
 	// instead of charging each retry a full timeout, and the failover
-	// walks (writeObjectFailover, CreateObjectFailover) order targets
-	// whose circuit is open last.
+	// walk (writeObjectFailover) orders targets whose circuit is open
+	// last.
 	Breaker *qos.BreakerPolicy
 	// PatternData dumps PatternFor(rank, BytesPerProc) bytes instead of
 	// metadata-only synthetic payloads, so a Restore pass can verify the

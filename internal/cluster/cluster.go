@@ -178,8 +178,7 @@ type Cluster struct {
 // on the cluster registers its counters, gauges and histograms here under
 // hierarchical names ("rpc.osd0.0.served", "burst.bb1.drain.backlog");
 // snapshots are stamped with the kernel's virtual time. This is the one
-// observability surface experiments should read — the per-service Stats()
-// accessors are deprecated thin reads of the same instruments.
+// observability surface: services keep no counter accessors beside it.
 func (c *Cluster) Metrics() *metrics.Registry { return c.Net.Metrics() }
 
 // New builds the nodes and network for a spec (no services yet).

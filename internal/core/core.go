@@ -132,7 +132,8 @@ func (c *Client) SetRetry(pol portals.RetryPolicy, seed int64) {
 // its circuit, and further attempts fast-fail with portals.ErrCircuitOpen
 // (which failover paths treat exactly like a timeout, minus the wait)
 // until a half-open probe succeeds. The per-target health it derives is
-// consulted by CreateObjectFailover and the stripe engine's degraded reads.
+// consulted by the checkpoint's failover walk and the stripe engine's
+// degraded reads.
 func (c *Client) SetBreaker(pol qos.BreakerPolicy) {
 	c.breaker = qos.NewBreakerFor(c.ep, pol)
 	c.caller.SetBreaker(c.breaker)
@@ -297,53 +298,6 @@ func (c *Client) CreateObjectTxn(p *sim.Proc, t storage.Target, caps CapSet, tx 
 // endpoint (the participant listens two portals above the RPC port).
 func TxnEndpointOf(t storage.Target) txn.Endpoint {
 	return txn.Endpoint{Node: t.Node, Port: t.Port + 2}
-}
-
-// CreateObjectFailover allocates an object on the first reachable storage
-// server, starting at preferred index `prefer` and walking the server list
-// round-robin. It is the client half of graceful degradation: when the
-// preferred server is crashed or partitioned, the create (after its retry
-// budget at each candidate) lands on a survivor, and the caller records the
-// actual placement. Inside a transaction, only the server that actually
-// holds the object is enlisted. It returns the object and the index of the
-// server that accepted it.
-func (c *Client) CreateObjectFailover(p *sim.Proc, prefer int, caps CapSet, tx *txn.Txn) (storage.ObjRef, int, error) {
-	n := len(c.sys.Storage)
-	// Walk round-robin from prefer, but with breaker health folded in:
-	// targets whose circuit is open go last, so a flapping server costs at
-	// worst one fast-fail instead of a head-of-line timeout every create.
-	order := make([]int, 0, n)
-	var down []int
-	for i := 0; i < n; i++ {
-		idx := (prefer + i) % n
-		if c.HealthOf(c.sys.Storage[idx]) == qos.Down {
-			down = append(down, idx)
-			continue
-		}
-		order = append(order, idx)
-	}
-	order = append(order, down...)
-	var lastErr error
-	for _, idx := range order {
-		t := c.sys.Storage[idx]
-		var ref storage.ObjRef
-		var err error
-		if tx != nil {
-			ref, err = c.CreateObjectTxn(p, t, caps, tx)
-		} else {
-			ref, err = c.CreateObject(p, t, caps)
-		}
-		if err == nil {
-			return ref, idx, nil
-		}
-		if !errors.Is(err, portals.ErrRPCTimeout) {
-			// A reachable server said no; failing over won't help, and the
-			// failure is that server's verdict, not an every-server outage.
-			return storage.ObjRef{}, -1, err
-		}
-		lastErr = err
-	}
-	return storage.ObjRef{}, -1, fmt.Errorf("core: create timed out on every server: %w", lastErr)
 }
 
 // Write stores payload at off in the object (server-directed pull).

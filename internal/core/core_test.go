@@ -14,6 +14,7 @@ import (
 	"lwfs/internal/osd"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
+	"lwfs/internal/testrig"
 	"lwfs/internal/txn"
 )
 
@@ -208,7 +209,7 @@ func TestScatterCapsBinomialTree(t *testing.T) {
 	}
 	// Scatter is O(n) messages along a tree, not a hot-spot broadcast:
 	// rank 0's node sent at most ceil(log2(n)) scatter messages.
-	sent, _, _, _ := cl.Net.Node(clients[0].Node()).Stats()
+	sent := testrig.Metric(cl.Metrics(), "net."+clients[0].Endpoint().NodeName()+".msgs_sent")
 	// rank0 also did login/container/caps RPCs (3) and two Puts per RPC is
 	// not possible — each RPC is 1 message out. Allow slack but catch a
 	// linear broadcast (which would be n-1 = 3 scatter sends + 3 RPCs).

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"lwfs/internal/authz"
 	"lwfs/internal/cluster"
+	"lwfs/internal/core"
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
@@ -21,9 +21,7 @@ func ActiveStorageScan(useFilter bool) (time.Duration, error) {
 	const shard = 128 << 20
 	spec := cluster.DevCluster().WithServers(8)
 	spec.ComputeNodes = 2
-	cl := cluster.New(spec)
-	cl.RegisterUser("u", "pw")
-	l := cl.DeployLWFS()
+	r := newRig(spec)
 	count := func(acc []byte, chunk netsim.Payload) []byte {
 		var n uint64
 		if len(acc) == 8 {
@@ -34,60 +32,53 @@ func ActiveStorageScan(useFilter bool) (time.Duration, error) {
 		binary.BigEndian.PutUint64(out, n)
 		return out
 	}
-	for _, srv := range l.Servers {
+	for _, srv := range r.l.Servers {
 		srv.RegisterFilter("count", count)
 	}
-	c := cl.NewClient(l, 0)
 	var elapsed time.Duration
-	var benchErr error
-	cl.Spawn("scan", func(p *sim.Proc) {
-		fail := func(stage string, err error) { benchErr = fmt.Errorf("%s: %w", stage, err) }
-		if err := c.Login(p, "u", "pw"); err != nil {
-			fail("login", err)
-			return
-		}
-		cid, _ := c.CreateContainer(p)
-		caps, err := c.GetCaps(p, cid, authz.AllOps...)
+	_, err := r.bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
+		caps, err := allCaps(p, c)
 		if err != nil {
-			fail("caps", err)
-			return
+			return err
 		}
-		refs := make([]storage.ObjRef, len(l.Servers))
-		for i := range l.Servers {
-			ref, err := c.CreateObject(p, c.Server(i), caps)
-			if err != nil {
-				fail("create", err)
-				return
+		refs := make([]storage.ObjRef, len(r.l.Servers))
+		for i := range refs {
+			if refs[i], err = c.CreateObject(p, c.Server(i), caps); err != nil {
+				return fmt.Errorf("create: %w", err)
 			}
-			refs[i] = ref
-			if _, err := c.Write(p, ref, caps, 0, netsim.SyntheticPayload(shard)); err != nil {
-				fail("write", err)
-				return
+			if _, err := c.Write(p, refs[i], caps, 0, netsim.SyntheticPayload(shard)); err != nil {
+				return fmt.Errorf("write: %w", err)
 			}
 		}
 		start := p.Now()
-		var wg sim.WaitGroup
-		wg.Add(len(refs))
-		for i := range refs {
-			ref := refs[i]
-			p.Kernel().Spawn(fmt.Sprintf("scan%d", i), func(q *sim.Proc) {
-				defer wg.Done()
-				if useFilter {
-					if _, err := c.Filter(q, ref, caps, 0, shard, "count", "", 64); err != nil {
-						fail("filter", err)
-					}
-				} else {
-					if _, err := c.Read(q, ref, caps, 0, shard); err != nil {
-						fail("read", err)
-					}
-				}
-			})
-		}
-		wg.Wait(p)
+		err = parallel(p, len(refs), func(q *sim.Proc, i int) error {
+			if useFilter {
+				_, err := c.Filter(q, refs[i], caps, 0, shard, "count", "", 64)
+				return err
+			}
+			_, err := c.Read(q, refs[i], caps, 0, shard)
+			return err
+		})
 		elapsed = p.Now().Sub(start)
+		return err
 	})
-	if err := cl.Run(); err != nil {
-		return 0, err
+	return elapsed, err
+}
+
+// parallel runs fn(0..n-1) in n spawned processes, waits for all of them and
+// returns the first error any reported.
+func parallel(p *sim.Proc, n int, fn func(q *sim.Proc, i int) error) error {
+	var wg sim.WaitGroup
+	var first error
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		p.Kernel().Spawn(fmt.Sprintf("par%d", i), func(q *sim.Proc) {
+			defer wg.Done()
+			if err := fn(q, i); err != nil && first == nil {
+				first = err
+			}
+		})
 	}
-	return elapsed, benchErr
+	wg.Wait(p)
+	return first
 }

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -40,24 +41,12 @@ type BurstOpts struct {
 }
 
 func (o *BurstOpts) defaults() {
-	if len(o.Buffers) == 0 {
-		o.Buffers = []int{0, 1, 2, 4}
-	}
-	if len(o.DrainBWs) == 0 {
-		o.DrainBWs = []float64{0, 48 * (1 << 20)}
-	}
-	if o.Procs == 0 {
-		o.Procs = 8
-	}
-	if o.Servers == 0 {
-		o.Servers = 4
-	}
-	if o.BytesPerProc == 0 {
-		o.BytesPerProc = 1 << 20
-	}
-	if o.Trials == 0 {
-		o.Trials = 3
-	}
+	defList(&o.Buffers, 0, 1, 2, 4)
+	defList(&o.DrainBWs, 0, 48*(1<<20))
+	def(&o.Procs, 8)
+	def(&o.Servers, 4)
+	def(&o.BytesPerProc, 1<<20)
+	def(&o.Trials, 3)
 }
 
 // BurstPoint is the sweep's measurement at one (buffer count, drain BW).
@@ -81,67 +70,61 @@ type BurstResult struct {
 // BurstSweep measures apparent vs durable checkpoint time at each point.
 func BurstSweep(opts BurstOpts) (BurstResult, error) {
 	opts.defaults()
-	res := BurstResult{Opts: opts}
+	var points []BurstPoint
 	for _, nb := range opts.Buffers {
 		bws := opts.DrainBWs
 		if nb == 0 {
 			bws = bws[:1] // no tier: the drain knob is meaningless
 		}
 		for _, bw := range bws {
-			point := BurstPoint{Buffers: nb, DrainBW: bw}
-			for trial := 0; trial < opts.Trials; trial++ {
-				spec := cluster.DevCluster().WithServers(opts.Servers)
-				spec.ComputeNodes = opts.Procs
-				spec.BurstNodes = nb
-				spec.Burst.DrainBW = bw
-
-				cl := cluster.New(spec)
-				cl.RegisterUser("app", "s3cret")
-				l := cl.DeployLWFS()
-				base := cl.Metrics().Snapshot()
-				cfg := checkpoint.Config{
-					Procs:        opts.Procs,
-					BytesPerProc: opts.BytesPerProc,
-					Seed:         int64(trial)*104729 + int64(nb)*131 + 17,
-					Burst:        l.BurstTargets(),
-				}
-				r, err := checkpoint.SetupLWFS(cl, l, cfg)
-				if err != nil {
-					return res, fmt.Errorf("burst n=%d trial=%d: %w", nb, trial, err)
-				}
-				if err := cl.Run(); err != nil {
-					return res, fmt.Errorf("burst n=%d trial=%d: %w", nb, trial, err)
-				}
-				if r.Aborted {
-					return res, fmt.Errorf("burst n=%d trial=%d: healthy run aborted", nb, trial)
-				}
-				point.Apparent.Add(float64(r.Elapsed) / float64(time.Millisecond))
-				point.Durable.Add(float64(r.Durable) / float64(time.Millisecond))
-				// Tier observables come from the registry, not per-server
-				// getters: the drain-latency histograms merge exactly and
-				// pass-through counts sum across buffers.
-				snap := cl.Metrics().Snapshot()
-				lat := snap.MergedHist("burst.*.drain.latency_ms")
-				if lat.N() > 0 {
-					point.DrainP50.Add(lat.Percentile(50))
-					point.DrainP99.Add(lat.Percentile(99))
-				}
-				point.Passthru.Add(snap.Sum("burst.*.passthroughs"))
-				if opts.Metrics && trial == opts.Trials-1 {
-					res.Captures = append(res.Captures, MetricsCapture{
-						Label: fmt.Sprintf("buffers=%d bw=%s", nb, bwLabel(bw)),
-						Base:  base, Final: snap,
-					})
-				}
-			}
-			if opts.Progress != nil {
-				opts.Progress("burst n=%d bw=%s: apparent %s ms, durable %s ms",
-					nb, bwLabel(bw), point.Apparent.String(), point.Durable.String())
-			}
-			res.Points = append(res.Points, point)
+			points = append(points, BurstPoint{Buffers: nb, DrainBW: bw})
 		}
 	}
-	return res, nil
+	points, caps, err := sweep(sweepCfg{opts.Trials, opts.Metrics, opts.Progress}, points, opts.trial)
+	return BurstResult{Opts: opts, Points: points, Captures: caps}, err
+}
+
+func (pt *BurstPoint) label() string {
+	return fmt.Sprintf("buffers=%d bw=%s", pt.Buffers, bwLabel(pt.DrainBW))
+}
+func (pt *BurstPoint) summary() string {
+	return fmt.Sprintf("apparent %s ms, durable %s ms", pt.Apparent.String(), pt.Durable.String())
+}
+
+func (opts BurstOpts) trial(pt *BurstPoint, trial int) ([]MetricsCapture, error) {
+	spec := cluster.DevCluster().WithServers(opts.Servers)
+	spec.ComputeNodes = opts.Procs
+	spec.BurstNodes = pt.Buffers
+	spec.Burst.DrainBW = pt.DrainBW
+	r := newRig(spec)
+	res, err := checkpoint.SetupLWFS(r.cl, r.l, checkpoint.Config{
+		Procs:        opts.Procs,
+		BytesPerProc: opts.BytesPerProc,
+		Seed:         int64(trial)*104729 + int64(pt.Buffers)*131 + 17,
+		Burst:        r.l.BurstTargets(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	mc, err := r.run()
+	if err != nil {
+		return nil, err
+	}
+	if res.Aborted {
+		return nil, errors.New("healthy run aborted")
+	}
+	pt.Apparent.Add(float64(res.Elapsed) / float64(time.Millisecond))
+	pt.Durable.Add(float64(res.Durable) / float64(time.Millisecond))
+	// Tier observables come from the registry, not per-server getters: the
+	// drain-latency histograms merge exactly and pass-through counts sum
+	// across buffers.
+	lat := mc.Final.MergedHist("burst.*.drain.latency_ms")
+	if lat.N() > 0 {
+		pt.DrainP50.Add(lat.Percentile(50))
+		pt.DrainP99.Add(lat.Percentile(99))
+	}
+	pt.Passthru.Add(mc.Final.Sum("burst.*.passthroughs"))
+	return one(mc), nil
 }
 
 func bwLabel(bw float64) string {
@@ -174,4 +157,5 @@ func (r BurstResult) Render(w io.Writer) {
 			ratio, p50, p99, pt.Passthru.Mean())
 	}
 	tw.Flush()
+	RenderMetricsCaptures(w, r.Captures)
 }

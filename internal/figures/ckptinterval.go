@@ -49,24 +49,12 @@ type CkptIntervalOpts struct {
 }
 
 func (o *CkptIntervalOpts) defaults() {
-	if o.Procs == 0 {
-		o.Procs = 2000
-	}
-	if o.TotalRanks == 0 {
-		o.TotalRanks = 100000
-	}
-	if o.BytesPerProc == 0 {
-		o.BytesPerProc = 4 << 20
-	}
-	if o.Buffers == 0 {
-		o.Buffers = 16
-	}
-	if len(o.MTBFs) == 0 {
-		o.MTBFs = []time.Duration{time.Hour, 4 * time.Hour, 24 * time.Hour}
-	}
-	if o.Seed == 0 {
-		o.Seed = 23
-	}
+	def(&o.Procs, 2000)
+	def(&o.TotalRanks, 100000)
+	def(&o.BytesPerProc, 4<<20)
+	def(&o.Buffers, 16)
+	defList(&o.MTBFs, time.Hour, 4*time.Hour, 24*time.Hour)
+	def(&o.Seed, 23)
 }
 
 // CkptIntervalArm is one measured dump configuration.
@@ -95,32 +83,29 @@ type CkptIntervalResult struct {
 	Captures []MetricsCapture
 }
 
-// CkptIntervalRun measures both arms and evaluates the interval model.
+// CkptIntervalRun measures both arms — each one Red Storm point — and
+// evaluates the interval model.
 func CkptIntervalRun(opts CkptIntervalOpts) (CkptIntervalResult, error) {
 	opts.defaults()
-	res := CkptIntervalResult{Opts: opts}
-	for _, staged := range []bool{false, true} {
-		rsOpts := RedStormOpts{
-			Exact:        []int{opts.Procs},
-			TotalRanks:   opts.TotalRanks,
-			BytesPerProc: opts.BytesPerProc,
-			Buffers:      opts.Buffers,
-			Seed:         opts.Seed,
-		}
-		pt, mc, err := redStormPoint(rsOpts, opts.Procs, staged)
-		if err != nil {
-			return res, fmt.Errorf("ckptinterval staged=%v: %w", staged, err)
-		}
-		arm := CkptIntervalArm{Staged: staged, Apparent: pt.Apparent, Durable: pt.Durable}
-		res.Arms = append(res.Arms, arm)
-		if opts.Metrics {
-			mc.Label = fmt.Sprintf("staged=%v", staged)
-			res.Captures = append(res.Captures, mc)
-		}
-		if opts.Progress != nil {
-			opts.Progress("ckptinterval staged=%v: t_a %v, t_d %v",
-				staged, arm.Apparent.Round(time.Millisecond), arm.Durable.Round(time.Millisecond))
-		}
+	rsOpts := RedStormOpts{
+		TotalRanks:   opts.TotalRanks,
+		BytesPerProc: opts.BytesPerProc,
+		Buffers:      opts.Buffers,
+		Seed:         opts.Seed,
+	}
+	arms, caps, err := sweep(sweepCfg{1, opts.Metrics, opts.Progress}, []CkptIntervalArm{{Staged: false}, {Staged: true}},
+		func(arm *CkptIntervalArm, _ int) ([]MetricsCapture, error) {
+			pt := RedStormPoint{Exact: opts.Procs, Staged: arm.Staged}
+			caps, err := rsOpts.dump(&pt, 0)
+			arm.Apparent, arm.Durable = pt.Apparent, pt.Durable
+			return caps, err
+		})
+	res := CkptIntervalResult{Opts: opts, Captures: caps}
+	if err != nil {
+		return res, err
+	}
+	res.Arms = arms
+	for _, arm := range arms {
 		for _, mtbf := range opts.MTBFs {
 			res.Rows = append(res.Rows, intervalRow(arm, mtbf))
 		}
@@ -128,11 +113,16 @@ func CkptIntervalRun(opts CkptIntervalOpts) (CkptIntervalResult, error) {
 	return res, nil
 }
 
+func (arm *CkptIntervalArm) label() string { return fmt.Sprintf("staged=%v", arm.Staged) }
+func (arm *CkptIntervalArm) summary() string {
+	return fmt.Sprintf("t_a %v, t_d %v", arm.Apparent.Round(time.Millisecond), arm.Durable.Round(time.Millisecond))
+}
+
 func intervalRow(arm CkptIntervalArm, mtbf time.Duration) CkptIntervalRow {
 	row := CkptIntervalRow{Arm: arm, MTBF: mtbf}
 	row.TauOpt = time.Duration(math.Sqrt(2 * float64(arm.Apparent) * float64(mtbf)))
 	row.TauFloor = arm.Durable - arm.Apparent
-	row.Tau = maxDur(row.TauOpt, row.TauFloor)
+	row.Tau = max(row.TauOpt, row.TauFloor)
 	row.DrainBound = row.TauFloor > row.TauOpt
 	ta, tau, m := float64(arm.Apparent), float64(row.Tau), float64(mtbf)
 	row.Efficiency = 1 - ta/tau - tau/(2*m)
@@ -172,4 +162,5 @@ func (r CkptIntervalResult) Render(w io.Writer) {
 			break
 		}
 	}
+	RenderMetricsCaptures(w, r.Captures)
 }

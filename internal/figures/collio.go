@@ -1,10 +1,8 @@
 package figures
 
 import (
-	"fmt"
 	"time"
 
-	"lwfs/internal/authz"
 	"lwfs/internal/cluster"
 	"lwfs/internal/collio"
 	"lwfs/internal/core"
@@ -21,26 +19,17 @@ func CollectiveVsIndependent(collective bool) (time.Duration, error) {
 	const recSize = int64(64) << 10
 	spec := cluster.DevCluster().WithServers(4)
 	spec.ComputeNodes = ranks
-	cl := cluster.New(spec)
-	cl.RegisterUser("mpi", "pw")
-	l := cl.DeployLWFS()
+	r := newRig(spec)
 	clients := make([]*core.Client, ranks)
-	for i := range clients {
-		clients[i] = cl.NewClient(l, i)
+	for i := 1; i < ranks; i++ {
+		clients[i] = r.cl.NewClient(r.l, i)
 	}
 	var elapsed time.Duration
-	var benchErr error
-	cl.Spawn("driver", func(p *sim.Proc) {
-		c := clients[0]
-		if err := c.Login(p, "mpi", "pw"); err != nil {
-			benchErr = err
-			return
-		}
-		cid, _ := c.CreateContainer(p)
-		caps, err := c.GetCaps(p, cid, authz.AllOps...)
+	_, err := r.bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
+		clients[0] = c
+		caps, err := allCaps(p, c)
 		if err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		for _, other := range clients[1:] {
 			other.SetCredential(c.Credential())
@@ -48,39 +37,24 @@ func CollectiveVsIndependent(collective bool) (time.Duration, error) {
 		job := collio.NewJob(clients, caps, 0)
 		ds, err := job.CreateDataset(p, records*recSize)
 		if err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		start := p.Now()
-		var wg sim.WaitGroup
-		wg.Add(ranks)
-		for i := 0; i < ranks; i++ {
-			i := i
-			p.Kernel().Spawn(fmt.Sprintf("rank%d", i), func(q *sim.Proc) {
-				defer wg.Done()
-				frags := make([]collio.Fragment, 0, records/ranks)
-				for rec := i; rec < records; rec += ranks {
-					frags = append(frags, collio.Fragment{
-						Off:     int64(rec) * recSize,
-						Payload: netsim.SyntheticPayload(recSize),
-					})
-				}
-				var werr error
-				if collective {
-					werr = job.Rank(i).CollectiveWrite(q, ds, frags)
-				} else {
-					werr = job.Rank(i).IndependentWrite(q, ds, frags)
-				}
-				if werr != nil && benchErr == nil {
-					benchErr = werr
-				}
-			})
-		}
-		wg.Wait(p)
+		err = parallel(p, ranks, func(q *sim.Proc, i int) error {
+			frags := make([]collio.Fragment, 0, records/ranks)
+			for rec := i; rec < records; rec += ranks {
+				frags = append(frags, collio.Fragment{
+					Off:     int64(rec) * recSize,
+					Payload: netsim.SyntheticPayload(recSize),
+				})
+			}
+			if collective {
+				return job.Rank(i).CollectiveWrite(q, ds, frags)
+			}
+			return job.Rank(i).IndependentWrite(q, ds, frags)
+		})
 		elapsed = p.Now().Sub(start)
+		return err
 	})
-	if err := cl.Run(); err != nil {
-		return 0, err
-	}
-	return elapsed, benchErr
+	return elapsed, err
 }

@@ -39,21 +39,11 @@ type FaultOpts struct {
 }
 
 func (o *FaultOpts) defaults() {
-	if len(o.DropProbs) == 0 {
-		o.DropProbs = []float64{0, 0.01, 0.05, 0.10}
-	}
-	if o.Procs == 0 {
-		o.Procs = 8
-	}
-	if o.Servers == 0 {
-		o.Servers = 4
-	}
-	if o.BytesPerProc == 0 {
-		o.BytesPerProc = 1 << 20
-	}
-	if o.Trials == 0 {
-		o.Trials = 3
-	}
+	defList(&o.DropProbs, 0, 0.01, 0.05, 0.10)
+	def(&o.Procs, 8)
+	def(&o.Servers, 4)
+	def(&o.BytesPerProc, 1<<20)
+	def(&o.Trials, 3)
 }
 
 // faultRetry is the client policy for lossy-fabric runs: the timeout covers
@@ -96,63 +86,66 @@ type FaultResult struct {
 // FaultSweep runs the checkpoint at each drop probability.
 func FaultSweep(opts FaultOpts) (FaultResult, error) {
 	opts.defaults()
-	res := FaultResult{Opts: opts}
-	for _, dp := range opts.DropProbs {
-		point := FaultPoint{DropProb: dp}
-		for trial := 0; trial < opts.Trials; trial++ {
-			spec := cluster.DevCluster().WithServers(opts.Servers)
-			spec.ComputeNodes = opts.Procs
-			cl := cluster.New(spec)
-			cl.RegisterUser("app", "s3cret")
-			l := cl.DeployLWFS()
-
-			seed := int64(trial)*104729 + int64(dp*1000) + 11
-			cl.Net.SetChaosSeed(seed)
-			// Arm the server side: authorization verifies ride the lossy
-			// links, and the server-directed write pulls re-request dropped
-			// chunks.
-			for i, srv := range l.Servers {
-				srv.AuthzClient().Caller().SetRetry(faultRetry, sim.NewRand(seed+int64(i)+100))
-			}
-			for i, ep := range cl.StorageN {
-				ep.SetGetRetry(faultGetRetry, sim.NewRand(seed+int64(i)+200))
-			}
-
-			var fault *netsim.Fault
-			if dp > 0 {
-				fault = cl.Net.InjectFault(netsim.FaultSpec{GroupA: cl.StorageNodeIDs(), DropProb: dp})
-			}
-
-			r, err := checkpoint.SetupLWFS(cl, l, checkpoint.Config{
-				Procs:        opts.Procs,
-				BytesPerProc: opts.BytesPerProc,
-				Seed:         seed,
-				Retry:        faultRetry,
-			})
-			if err != nil {
-				return res, fmt.Errorf("faults drop=%.2f trial=%d: %w", dp, trial, err)
-			}
-			if err := cl.Run(); err != nil {
-				return res, fmt.Errorf("faults drop=%.2f trial=%d: %w", dp, trial, err)
-			}
-			point.Elapsed.Add(float64(r.Elapsed) / float64(time.Millisecond))
-			var deduped int64
-			for _, srv := range l.Servers {
-				deduped += srv.Deduped()
-			}
-			point.Deduped.Add(float64(deduped))
-			if fault != nil {
-				point.Dropped.Add(float64(fault.Dropped()))
-			} else {
-				point.Dropped.Add(0)
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress("faults drop=%.2f: %s ms", dp, point.Elapsed.String())
-		}
-		res.Points = append(res.Points, point)
+	points := make([]FaultPoint, len(opts.DropProbs))
+	for i, dp := range opts.DropProbs {
+		points[i].DropProb = dp
 	}
-	return res, nil
+	points, _, err := sweep(sweepCfg{Trials: opts.Trials, Progress: opts.Progress}, points, opts.trial)
+	return FaultResult{Opts: opts, Points: points}, err
+}
+
+func (pt *FaultPoint) label() string   { return fmt.Sprintf("drop=%.2f", pt.DropProb) }
+func (pt *FaultPoint) summary() string { return pt.Elapsed.String() + " ms" }
+
+func (opts FaultOpts) trial(pt *FaultPoint, trial int) ([]MetricsCapture, error) {
+	spec := cluster.DevCluster().WithServers(opts.Servers)
+	spec.ComputeNodes = opts.Procs
+	r := newRig(spec)
+	cl, l := r.cl, r.l
+
+	seed := int64(trial)*104729 + int64(pt.DropProb*1000) + 11
+	cl.Net.SetChaosSeed(seed)
+	// Arm the server side: authorization verifies ride the lossy links, and
+	// the server-directed write pulls re-request dropped chunks.
+	for i, srv := range l.Servers {
+		srv.AuthzClient().Caller().SetRetry(faultRetry, sim.NewRand(seed+int64(i)+100))
+	}
+	for i, ep := range cl.StorageN {
+		ep.SetGetRetry(faultGetRetry, sim.NewRand(seed+int64(i)+200))
+	}
+
+	var fault *netsim.Fault
+	if pt.DropProb > 0 {
+		fault = cl.Net.InjectFault(netsim.FaultSpec{GroupA: cl.StorageNodeIDs(), DropProb: pt.DropProb})
+	}
+
+	res, err := checkpoint.SetupLWFS(cl, l, checkpoint.Config{
+		Procs:        opts.Procs,
+		BytesPerProc: opts.BytesPerProc,
+		Seed:         seed,
+		Retry:        faultRetry,
+	})
+	if err != nil {
+		return nil, err
+	}
+	mc, err := r.run()
+	if err != nil {
+		return nil, err
+	}
+	pt.Elapsed.Add(float64(res.Elapsed) / float64(time.Millisecond))
+	// Each storage server's own dedup counter, by exact name: rpc.*.deduped
+	// would also match the txn participants and capability-cache servers.
+	var deduped float64
+	for _, srv := range l.Servers {
+		deduped += mc.Final.Value("rpc." + srv.Device().Name() + ".deduped")
+	}
+	pt.Deduped.Add(deduped)
+	if fault != nil {
+		pt.Dropped.Add(float64(fault.Dropped()))
+	} else {
+		pt.Dropped.Add(0)
+	}
+	return nil, nil
 }
 
 // Render prints the sweep as a table, with slowdown relative to the clean

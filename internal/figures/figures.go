@@ -1,10 +1,17 @@
 // Package figures regenerates every table and figure of the paper's
 // evaluation (§2 Tables 1–2, §4 Figures 9–10, and the §4 petaflop
-// projection). Each experiment returns structured series suitable both for
-// the cmd/lwfsbench text reports and for assertions in tests and benches.
+// projection) and the extension experiments grown on top of them. Each
+// experiment returns structured results suitable both for the cmd/lwfsbench
+// text reports and for assertions in tests and benches.
 //
-// The experiment inventory and paper-vs-measured comparisons live in
-// EXPERIMENTS.md at the repository root.
+// Experiments (experiments.go) is the one table of them: name, description
+// and a Run that owns the -quick preset, the sweep call and the report.
+// harness.go holds what the drivers share — sweep, the points × trials
+// loop, and rig, the machine one trial runs on — so a driver file is its
+// point list, its per-trial body and its Render.
+//
+// The paper-vs-measured record lives in EXPERIMENTS.md at the repository
+// root; cmd/lwfsbench/testdata/golden pins every -quick report.
 package figures
 
 import (
@@ -83,27 +90,6 @@ type Fig9Opts struct {
 	Progress     func(format string, args ...interface{}) // optional
 }
 
-func (o *Fig9Opts) defaults() {
-	if len(o.Servers) == 0 {
-		o.Servers = DefaultServers
-	}
-	if len(o.Clients) == 0 {
-		o.Clients = DefaultClients
-	}
-	if o.Trials == 0 {
-		o.Trials = DefaultTrials
-	}
-	if o.BytesPerProc == 0 {
-		o.BytesPerProc = DefaultBytesPerProc
-	}
-}
-
-func (o *Fig9Opts) progress(format string, args ...interface{}) {
-	if o.Progress != nil {
-		o.Progress(format, args...)
-	}
-}
-
 // Fig9Result holds one implementation's panel of Figure 9: throughput
 // (MB/s) vs client processes, one series per server count.
 type Fig9Result struct {
@@ -113,30 +99,17 @@ type Fig9Result struct {
 
 // Fig9 regenerates one panel of Figure 9.
 func Fig9(im Impl, opts Fig9Opts) (Fig9Result, error) {
-	opts.defaults()
-	res := Fig9Result{Impl: im}
-	for _, servers := range opts.Servers {
-		spec := cluster.DevCluster().WithServers(servers)
-		series := stats.Series{Name: fmt.Sprintf("%d servers", servers)}
-		for _, clients := range opts.Clients {
-			var sample stats.Sample
-			for trial := 0; trial < opts.Trials; trial++ {
-				r, err := im.run(spec, checkpoint.Config{
-					Procs:        clients,
-					BytesPerProc: opts.BytesPerProc,
-					Seed:         int64(trial)*7919 + int64(clients),
-				})
-				if err != nil {
-					return res, fmt.Errorf("%s servers=%d clients=%d: %w", im, servers, clients, err)
-				}
-				sample.Add(r.ThroughputMBs())
-			}
-			opts.progress("fig9 %s servers=%d clients=%d: %s MB/s", im, servers, clients, sample.String())
-			series.Add(float64(clients), &sample)
-		}
-		res.Series = append(res.Series, series)
-	}
-	return res, nil
+	def(&opts.BytesPerProc, DefaultBytesPerProc)
+	series, err := seriesSweep(string(im), "MB/s", opts.Servers, opts.Clients, opts.Trials, opts.Progress,
+		func(spec cluster.Spec, clients, trial int) (float64, error) {
+			r, err := im.run(spec, checkpoint.Config{
+				Procs:        clients,
+				BytesPerProc: opts.BytesPerProc,
+				Seed:         int64(trial)*7919 + int64(clients),
+			})
+			return r.ThroughputMBs(), err
+		})
+	return Fig9Result{Impl: im, Series: series}, err
 }
 
 // Fig10Opts parameterize the Figure 10 create-throughput sweep.
@@ -146,21 +119,6 @@ type Fig10Opts struct {
 	Trials     int
 	OpsPerProc int
 	Progress   func(format string, args ...interface{})
-}
-
-func (o *Fig10Opts) defaults() {
-	if len(o.Servers) == 0 {
-		o.Servers = DefaultServers
-	}
-	if len(o.Clients) == 0 {
-		o.Clients = DefaultClients
-	}
-	if o.Trials == 0 {
-		o.Trials = DefaultTrials
-	}
-	if o.OpsPerProc == 0 {
-		o.OpsPerProc = 32
-	}
 }
 
 // Fig10Result holds the create-throughput series (ops/s vs clients) for one
@@ -173,38 +131,69 @@ type Fig10Result struct {
 
 // Fig10 regenerates the create-throughput panels.
 func Fig10(system string, opts Fig10Opts) (Fig10Result, error) {
-	opts.defaults()
-	res := Fig10Result{System: system}
-	for _, servers := range opts.Servers {
-		spec := cluster.DevCluster().WithServers(servers)
-		series := stats.Series{Name: fmt.Sprintf("%d servers", servers)}
-		for _, clients := range opts.Clients {
-			var sample stats.Sample
-			for trial := 0; trial < opts.Trials; trial++ {
-				seed := int64(trial)*104729 + int64(clients)
-				var r checkpoint.CreateResult
-				var err error
-				switch system {
-				case "lwfs":
-					r, err = checkpoint.RunCreateOnlyLWFS(spec, clients, opts.OpsPerProc, seed)
-				case "lustre":
-					r, err = checkpoint.RunCreateOnlyPFS(spec, clients, opts.OpsPerProc, seed)
-				default:
-					return res, fmt.Errorf("figures: unknown system %q", system)
-				}
-				if err != nil {
-					return res, fmt.Errorf("%s servers=%d clients=%d: %w", system, servers, clients, err)
-				}
-				sample.Add(r.OpsPerSec)
-			}
-			if opts.Progress != nil {
-				opts.Progress("fig10 %s servers=%d clients=%d: %s ops/s", system, servers, clients, sample.String())
-			}
-			series.Add(float64(clients), &sample)
-		}
-		res.Series = append(res.Series, series)
+	def(&opts.OpsPerProc, 32)
+	var create func(spec cluster.Spec, procs, opsPerProc int, seed int64) (checkpoint.CreateResult, error)
+	switch system {
+	case "lwfs":
+		create = checkpoint.RunCreateOnlyLWFS
+	case "lustre":
+		create = checkpoint.RunCreateOnlyPFS
+	default:
+		return Fig10Result{System: system}, fmt.Errorf("figures: unknown system %q", system)
 	}
-	return res, nil
+	series, err := seriesSweep(system, "ops/s", opts.Servers, opts.Clients, opts.Trials, opts.Progress,
+		func(spec cluster.Spec, clients, trial int) (float64, error) {
+			r, err := create(spec, clients, opts.OpsPerProc, int64(trial)*104729+int64(clients))
+			return r.OpsPerSec, err
+		})
+	return Fig10Result{System: system, Series: series}, err
+}
+
+// seriesPoint is one (server count, client count) point of Figure 9 or 10.
+type seriesPoint struct {
+	what, unit       string
+	servers, clients int
+	y                stats.Sample
+}
+
+func (pt *seriesPoint) label() string {
+	return fmt.Sprintf("%s servers=%d clients=%d", pt.what, pt.servers, pt.clients)
+}
+func (pt *seriesPoint) summary() string { return pt.y.String() + " " + pt.unit }
+
+// seriesSweep is the shape Figures 9 and 10 share: one series per server
+// count, one point per client count, measure's y value sampled over trials.
+// Empty sweep parameters take the paper's.
+func seriesSweep(what, unit string, servers, clients []int, trials int, progress func(string, ...interface{}),
+	measure func(spec cluster.Spec, clients, trial int) (float64, error)) ([]stats.Series, error) {
+	defList(&servers, DefaultServers...)
+	defList(&clients, DefaultClients...)
+	def(&trials, DefaultTrials)
+	var out []stats.Series
+	for _, n := range servers {
+		spec := cluster.DevCluster().WithServers(n)
+		points := make([]seriesPoint, len(clients))
+		for i, c := range clients {
+			points[i] = seriesPoint{what: what, unit: unit, servers: n, clients: c}
+		}
+		_, _, err := sweep(sweepCfg{Trials: trials, Progress: progress}, points,
+			func(pt *seriesPoint, trial int) ([]MetricsCapture, error) {
+				y, err := measure(spec, pt.clients, trial)
+				if err == nil {
+					pt.y.Add(y)
+				}
+				return nil, err
+			})
+		if err != nil {
+			return out, err
+		}
+		series := stats.Series{Name: fmt.Sprintf("%d servers", n)}
+		for i := range points {
+			series.Add(float64(points[i].clients), &points[i].y)
+		}
+		out = append(out, series)
+	}
+	return out, nil
 }
 
 // RenderSeries prints series as an aligned text table: one row per x, one

@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"lwfs/internal/core"
 	"lwfs/internal/lwfspfs"
 	"lwfs/internal/netsim"
 	"lwfs/internal/portals"
@@ -38,21 +39,11 @@ type MetaOpts struct {
 }
 
 func (o *MetaOpts) defaults() {
-	if o.Servers == 0 {
-		o.Servers = 6
-	}
-	if o.FileKB == 0 {
-		o.FileKB = 256
-	}
-	if len(o.Copies) == 0 {
-		o.Copies = []int{1, 2, 3}
-	}
-	if len(o.Files) == 0 {
-		o.Files = []int{4, 8}
-	}
-	if o.Trials == 0 {
-		o.Trials = 3
-	}
+	def(&o.Servers, 6)
+	def(&o.FileKB, 256)
+	defList(&o.Copies, 1, 2, 3)
+	defList(&o.Files, 4, 8)
+	def(&o.Trials, 3)
 }
 
 // MetaWritePoint is one mirror count's metadata write cost: transactional
@@ -116,206 +107,163 @@ func metaOptions(copies int) lwfspfs.Options {
 	}
 }
 
+// metaCopiesPoint is one mirror count's row in both the write-cost and the
+// open-latency table: one trial feeds both.
+type metaCopiesPoint struct {
+	w MetaWritePoint
+	o MetaOpenPoint
+}
+
 // MetaSweep measures every point.
-func MetaSweep(opts MetaOpts) (MetaResult, error) {
+func MetaSweep(opts MetaOpts) (res MetaResult, err error) {
 	opts.defaults()
-	res := MetaResult{Opts: opts}
+	res.Opts = opts
+	cfg := sweepCfg{opts.Trials, opts.Metrics, opts.Progress}
 
-	for _, m := range opts.Copies {
-		wp := MetaWritePoint{Copies: m}
-		op := MetaOpenPoint{Copies: m}
-		for trial := 0; trial < opts.Trials; trial++ {
-			out, mc, err := metaOpenTrial(opts, m, trial)
-			if err != nil {
-				return res, fmt.Errorf("meta copies=%d trial %d: %w", m, trial, err)
-			}
-			wp.CreateMs.Add(out.createMs)
-			wp.FlushMs.Add(out.flushMs)
-			op.HealthyMs.Add(out.healthyMs)
-			if out.unavailable {
-				op.Unavailable++
-			} else if m > 1 {
-				op.DegradedMs.Add(out.degradedMs)
-			}
-			if opts.Metrics && trial == opts.Trials-1 {
-				mc.Label = fmt.Sprintf("degraded-open copies=%d", m)
-				res.Captures = append(res.Captures, mc)
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress("meta copies=%d: create %s ms, flush %s ms, open %s ms, degraded %s ms (%d unavailable)",
-				m, wp.CreateMs.String(), wp.FlushMs.String(), op.HealthyMs.String(), op.DegradedMs.String(), op.Unavailable)
-		}
-		res.Writes = append(res.Writes, wp)
-		res.Opens = append(res.Opens, op)
+	byCopies := make([]metaCopiesPoint, len(opts.Copies))
+	for i, m := range opts.Copies {
+		byCopies[i] = metaCopiesPoint{MetaWritePoint{Copies: m}, MetaOpenPoint{Copies: m}}
+	}
+	_, res.Captures, err = sweep(cfg, byCopies, opts.openTrial)
+	for _, pt := range byCopies {
+		res.Writes = append(res.Writes, pt.w)
+		res.Opens = append(res.Opens, pt.o)
+	}
+	if err != nil {
+		return res, err
 	}
 
-	for _, n := range opts.Files {
-		pt := MetaRebuildPoint{Files: n}
-		for trial := 0; trial < opts.Trials; trial++ {
-			ms, rehomed, mc, err := metaRebuildTrial(opts, n, trial)
-			if err != nil {
-				return res, fmt.Errorf("meta rebuild files=%d trial %d: %w", n, trial, err)
-			}
-			pt.Ms.Add(ms)
-			pt.Rehomed.Add(rehomed)
-			if opts.Metrics && trial == opts.Trials-1 {
-				mc.Label = fmt.Sprintf("meta-rehome files=%d", n)
-				res.Captures = append(res.Captures, mc)
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress("meta rebuild files=%d: %s ms, %s mirrors re-homed", n, pt.Ms.String(), pt.Rehomed.String())
-		}
-		res.Rebuilds = append(res.Rebuilds, pt)
+	rehomes := make([]MetaRebuildPoint, len(opts.Files))
+	for i, n := range opts.Files {
+		rehomes[i].Files = n
 	}
-	return res, nil
+	var caps []MetricsCapture
+	res.Rebuilds, caps, err = sweep(cfg, rehomes, opts.rehomeTrial)
+	res.Captures = append(res.Captures, caps...)
+	return res, err
 }
 
-// metaTrialOut carries one combined write/open trial's measurements.
-type metaTrialOut struct {
-	createMs    float64
-	flushMs     float64
-	healthyMs   float64
-	degradedMs  float64
-	unavailable bool // single-record open failed after the mirror crash
+func (pt *metaCopiesPoint) label() string { return fmt.Sprintf("degraded-open copies=%d", pt.w.Copies) }
+func (pt *metaCopiesPoint) summary() string {
+	return fmt.Sprintf("create %s ms, flush %s ms, open %s ms, degraded %s ms (%d unavailable)", pt.w.CreateMs.String(),
+		pt.w.FlushMs.String(), pt.o.HealthyMs.String(), pt.o.DegradedMs.String(), pt.o.Unavailable)
 }
 
-// metaOpenTrial formats a mount with the given mirror count, then measures
+func (pt *MetaRebuildPoint) label() string { return fmt.Sprintf("meta-rehome files=%d", pt.Files) }
+func (pt *MetaRebuildPoint) summary() string {
+	return fmt.Sprintf("%s ms, %s mirrors re-homed", pt.Ms.String(), pt.Rehomed.String())
+}
+
+// openTrial formats a mount with the point's mirror count, then measures
 // create, a metadata flush (Close after a growing write), a healthy open,
 // and — after crashing the primary mirror's server — a degraded open. With
 // a single record the post-crash open fails by design; that is recorded,
 // not treated as an error.
-func metaOpenTrial(opts MetaOpts, copies, trial int) (metaTrialOut, MetricsCapture, error) {
-	cl, lw := rebuildCluster(opts.Servers)
-	c := cl.NewClient(lw, 0)
-	c.SetRetry(metaRetry, int64(trial)+41)
-	var mc MetricsCapture
-	mc.Base = cl.Metrics().Snapshot()
+func (opts MetaOpts) openTrial(pt *metaCopiesPoint, trial int) ([]MetricsCapture, error) {
+	r := newRig(onePerNode(opts.Servers))
+	copies := pt.w.Copies
 	bytes := opts.FileKB << 10
-	var out metaTrialOut
-	var trialErr error
-	cl.Spawn("bench", func(p *sim.Proc) {
-		if err := c.Login(p, "app", "s3cret"); err != nil {
-			trialErr = err
-			return
-		}
+	mc, err := r.bench(metaRetry, int64(trial)+41, func(p *sim.Proc, c *core.Client) error {
 		fs, err := lwfspfs.Format(p, c, fmt.Sprintf("/meta%d", trial), metaOptions(copies))
 		if err != nil {
-			trialErr = err
-			return
+			return err
 		}
 		path := fmt.Sprintf("/f-%d-%d.bin", copies, trial)
 		t0 := p.Now()
 		f, err := fs.Create(p, path)
 		if err != nil {
-			trialErr = err
-			return
+			return err
 		}
-		out.createMs = ms(p.Now().Sub(t0))
+		createMs := ms(p.Now().Sub(t0))
 		if _, err := f.WriteAt(p, 0, netsim.SyntheticPayload(bytes)); err != nil {
-			trialErr = err
-			return
+			return err
 		}
 		// A one-byte append: the data RPC is constant-cost, so what scales
 		// with the mirror count is the metadata flush every size-changing
 		// write pays.
 		t0 = p.Now()
 		if _, err := f.WriteAt(p, bytes, netsim.SyntheticPayload(1)); err != nil {
-			trialErr = err
-			return
+			return err
 		}
-		out.flushMs = ms(p.Now().Sub(t0))
+		flushMs := ms(p.Now().Sub(t0))
 		if err := f.Close(p); err != nil {
-			trialErr = err
-			return
+			return err
 		}
 
 		t0 = p.Now()
 		g, err := fs.Open(p, path)
 		if err != nil {
-			trialErr = fmt.Errorf("healthy open: %w", err)
-			return
+			return fmt.Errorf("healthy open: %w", err)
 		}
-		out.healthyMs = ms(p.Now().Sub(t0))
+		healthyMs := ms(p.Now().Sub(t0))
 
-		crashServer(lw, storage.TargetOf(g.MetaRefs()[0]))
+		crashServer(r.l, storage.TargetOf(g.MetaRefs()[0]))
 		t0 = p.Now()
-		if _, err := fs.Open(p, path); err != nil {
-			if copies == 1 {
-				out.unavailable = true
-				return
-			}
-			trialErr = fmt.Errorf("degraded open: %w", err)
-			return
+		_, err = fs.Open(p, path)
+		if err != nil && copies > 1 {
+			return fmt.Errorf("degraded open: %w", err)
 		}
-		out.degradedMs = ms(p.Now().Sub(t0))
+		pt.w.CreateMs.Add(createMs)
+		pt.w.FlushMs.Add(flushMs)
+		pt.o.HealthyMs.Add(healthyMs)
+		switch {
+		case err != nil:
+			pt.o.Unavailable++
+		case copies > 1:
+			pt.o.DegradedMs.Add(ms(p.Now().Sub(t0)))
+		}
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return out, mc, err
-	}
-	mc.Final = cl.Metrics().Snapshot()
-	return out, mc, trialErr
+	return one(mc), err
 }
 
-// metaRebuildTrial creates n files on a two-mirror mount, crashes the server
+// rehomeTrial creates n files on a two-mirror mount, crashes the server
 // hosting the first file's primary mirror, and times Rebuild sweeping every
 // file — re-homing lost metadata mirrors (and repairing any data copies the
 // dead server held) onto the survivors.
-func metaRebuildTrial(opts MetaOpts, n, trial int) (msTotal, rehomed float64, mc MetricsCapture, err error) {
-	cl, lw := rebuildCluster(opts.Servers)
-	c := cl.NewClient(lw, 0)
-	c.SetRetry(metaRetry, int64(trial)+53)
-	mc.Base = cl.Metrics().Snapshot()
+func (opts MetaOpts) rehomeTrial(pt *MetaRebuildPoint, trial int) ([]MetricsCapture, error) {
+	r := newRig(onePerNode(opts.Servers))
 	bytes := opts.FileKB << 10
-	var trialErr error
-	cl.Spawn("bench", func(p *sim.Proc) {
-		if err := c.Login(p, "app", "s3cret"); err != nil {
-			trialErr = err
-			return
-		}
+	var elapsed time.Duration
+	mc, err := r.bench(metaRetry, int64(trial)+53, func(p *sim.Proc, c *core.Client) error {
 		fs, err := lwfspfs.Format(p, c, fmt.Sprintf("/rehome%d", trial), metaOptions(2))
 		if err != nil {
-			trialErr = err
-			return
+			return err
 		}
 		var dead storage.Target
-		paths := make([]string, n)
+		paths := make([]string, pt.Files)
 		for i := range paths {
 			paths[i] = fmt.Sprintf("/f-%d-%d.bin", i, trial)
 			f, err := fs.Create(p, paths[i])
 			if err != nil {
-				trialErr = err
-				return
+				return err
 			}
 			if _, err := f.WriteAt(p, 0, netsim.SyntheticPayload(bytes)); err != nil {
-				trialErr = err
-				return
+				return err
 			}
 			if err := f.Close(p); err != nil {
-				trialErr = err
-				return
+				return err
 			}
 			if i == 0 {
 				dead = storage.TargetOf(f.MetaRefs()[0])
 			}
 		}
-		crashServer(lw, dead)
+		crashServer(r.l, dead)
 		t0 := p.Now()
 		for _, path := range paths {
 			if err := fs.Rebuild(p, path, dead, nil); err != nil {
-				trialErr = fmt.Errorf("rebuild %s: %w", path, err)
-				return
+				return fmt.Errorf("rebuild %s: %w", path, err)
 			}
 		}
-		msTotal = ms(p.Now().Sub(t0))
+		elapsed = p.Now().Sub(t0)
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return 0, 0, mc, err
+	if err != nil {
+		return nil, err
 	}
-	mc.Final = cl.Metrics().Snapshot()
-	rehomed = mc.Final.Sum("rebuild.meta_rehomed") - mc.Base.Sum("rebuild.meta_rehomed")
-	return msTotal, rehomed, mc, trialErr
+	pt.Ms.Add(ms(elapsed))
+	pt.Rehomed.Add(mc.Final.Sum("rebuild.meta_rehomed") - mc.Base.Sum("rebuild.meta_rehomed"))
+	return one(mc), nil
 }
 
 // ms converts a simulated duration to fractional milliseconds.
@@ -359,4 +307,5 @@ func (r MetaResult) Render(w io.Writer) {
 		fmt.Fprintf(tw, "%d\t%.1f ms\t%.1f\n", pt.Files, pt.Ms.Mean(), pt.Rehomed.Mean())
 	}
 	tw.Flush()
+	RenderMetricsCaptures(w, r.Captures)
 }

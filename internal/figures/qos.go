@@ -7,9 +7,9 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"lwfs/internal/authz"
 	"lwfs/internal/checkpoint"
 	"lwfs/internal/cluster"
+	"lwfs/internal/core"
 	"lwfs/internal/netsim"
 	"lwfs/internal/portals"
 	"lwfs/internal/qos"
@@ -54,27 +54,13 @@ type QoSOpts struct {
 }
 
 func (o *QoSOpts) defaults() {
-	if o.Procs == 0 {
-		o.Procs = 8
-	}
-	if o.Servers == 0 {
-		o.Servers = 2
-	}
-	if o.BytesPerProc == 0 {
-		o.BytesPerProc = 4 << 20
-	}
-	if o.StageCapacity == 0 {
-		o.StageCapacity = 8 << 20
-	}
-	if o.InteractiveSize == 0 {
-		o.InteractiveSize = 64 << 10
-	}
-	if o.InteractiveGap == 0 {
-		o.InteractiveGap = 2 * time.Millisecond
-	}
-	if o.Trials == 0 {
-		o.Trials = 3
-	}
+	def(&o.Procs, 8)
+	def(&o.Servers, 2)
+	def(&o.BytesPerProc, 4<<20)
+	def(&o.StageCapacity, 8<<20)
+	def(&o.InteractiveSize, 64<<10)
+	def(&o.InteractiveGap, 2*time.Millisecond)
+	def(&o.Trials, 3)
 }
 
 // QoSPoint is part A's measurement for one admission configuration.
@@ -102,53 +88,37 @@ type QoSResult struct {
 	Captures []MetricsCapture
 }
 
-// qosModes maps each part-A configuration onto the two knobs it flips.
-var qosModes = []struct {
-	name      string
-	admission bool // per-tenant DRR admission on storage + burst servers
-	yield     bool // drain workers yield to foreground pass-through
-}{
-	{"off", false, false},
-	{"fair", true, false},
-	{"fair+prio", true, true},
-}
-
-// QoSSweep measures E20.
-func QoSSweep(opts QoSOpts) (QoSResult, error) {
+// QoSSweep measures E20. Part A's three configurations flip two knobs:
+// per-tenant DRR admission on the storage and burst servers, and drain
+// workers yielding to foreground pass-through.
+func QoSSweep(opts QoSOpts) (res QoSResult, err error) {
 	opts.defaults()
-	res := QoSResult{Opts: opts}
-	for _, mode := range qosModes {
-		point := QoSPoint{Mode: mode.name}
-		for trial := 0; trial < opts.Trials; trial++ {
-			if err := qosFairTrial(&opts, mode.admission, mode.yield, trial, &point, &res); err != nil {
-				return res, fmt.Errorf("qos %s trial %d: %w", mode.name, trial, err)
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress("qos %-9s: interactive p50 %.2f ms p99 %.2f ms, durable %.0f ms",
-				mode.name, point.Lat.Percentile(50), point.Lat.Percentile(99), point.Durable.Mean())
-		}
-		res.Points = append(res.Points, point)
+	res.Opts = opts
+	cfg := sweepCfg{opts.Trials, opts.Metrics, opts.Progress}
+	modes := []QoSPoint{{Mode: "off"}, {Mode: "fair"}, {Mode: "fair+prio"}}
+	if res.Points, res.Captures, err = sweep(cfg, modes, opts.fairTrial); err != nil {
+		return res, err
 	}
-	for _, armed := range []bool{false, true} {
-		point := QoSBreakerPoint{Breaker: armed}
-		for trial := 0; trial < opts.Trials; trial++ {
-			if err := qosBreakerTrial(&opts, armed, trial, &point); err != nil {
-				return res, fmt.Errorf("qos breaker=%v trial %d: %w", armed, trial, err)
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress("qos breaker=%-5v: p50 %.2f ms p99 %.2f ms, %.0f full-timeout waits",
-				armed, point.Lat.Percentile(50), point.Lat.Percentile(99), point.Timeouts.Mean())
-		}
-		res.Breaker = append(res.Breaker, point)
-	}
-	return res, nil
+	res.Breaker, _, err = sweep(cfg, []QoSBreakerPoint{{Breaker: false}, {Breaker: true}}, opts.breakerTrial)
+	return res, err
 }
 
-// qosFairTrial runs one part-A trial: checkpoint through the burst tier
-// with an interactive tenant alongside.
-func qosFairTrial(opts *QoSOpts, admission, yield bool, trial int, point *QoSPoint, res *QoSResult) error {
+func (pt *QoSPoint) label() string { return "qos mode=" + pt.Mode }
+func (pt *QoSPoint) summary() string {
+	return fmt.Sprintf("interactive p50 %.2f ms p99 %.2f ms, durable %.0f ms",
+		pt.Lat.Percentile(50), pt.Lat.Percentile(99), pt.Durable.Mean())
+}
+
+func (pt *QoSBreakerPoint) label() string { return fmt.Sprintf("qos breaker=%v", pt.Breaker) }
+func (pt *QoSBreakerPoint) summary() string {
+	return fmt.Sprintf("p50 %.2f ms p99 %.2f ms, %.0f full-timeout waits",
+		pt.Lat.Percentile(50), pt.Lat.Percentile(99), pt.Timeouts.Mean())
+}
+
+// fairTrial runs one part-A trial: checkpoint through the burst tier with an
+// interactive tenant alongside.
+func (opts QoSOpts) fairTrial(pt *QoSPoint, trial int) ([]MetricsCapture, error) {
+	admission, yield := pt.Mode != "off", pt.Mode == "fair+prio"
 	spec := cluster.DevCluster().WithServers(opts.Servers)
 	spec.ComputeNodes = opts.Procs + 1 // last node hosts the interactive tenant
 	spec.BurstNodes = 1
@@ -162,22 +132,18 @@ func qosFairTrial(opts *QoSOpts, admission, yield bool, trial int, point *QoSPoi
 	if admission {
 		spec.QoS = &qos.Config{MaxQueue: 1024}
 	}
-
-	cl := cluster.New(spec)
-	cl.RegisterUser("app", "s3cret")
+	r := newRig(spec)
+	cl, l := r.cl, r.l
 	cl.RegisterUser("ia", "s3cret")
-	l := cl.DeployLWFS()
-	base := cl.Metrics().Snapshot()
 
-	ckCfg := checkpoint.Config{
+	ckRes, err := checkpoint.SetupLWFS(cl, l, checkpoint.Config{
 		Procs:        opts.Procs,
 		BytesPerProc: opts.BytesPerProc,
 		Seed:         int64(trial)*104729 + 17,
 		Burst:        l.BurstTargets(),
-	}
-	ckRes, err := checkpoint.SetupLWFS(cl, l, ckCfg)
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// The interactive tenant: its own container, steady small writes to
@@ -186,66 +152,43 @@ func qosFairTrial(opts *QoSOpts, admission, yield bool, trial int, point *QoSPoi
 	// if the checkpoint aborts).
 	var trialLat stats.Sample
 	var ierr error
-	cl.Spawn("interactive", func(p *sim.Proc) {
+	spawn(cl.K, "interactive", &ierr, func(p *sim.Proc) error {
 		c := cl.NewClient(l, opts.Procs)
-		if ierr = c.Login(p, "ia", "s3cret"); ierr != nil {
-			return
+		if err := c.Login(p, "ia", "s3cret"); err != nil {
+			return err
 		}
-		cid, err := c.CreateContainer(p)
+		ref, caps, err := writableObject(p, c, 0)
 		if err != nil {
-			ierr = err
-			return
-		}
-		caps, err := c.GetCaps(p, cid, authz.OpCreate, authz.OpWrite)
-		if err != nil {
-			ierr = err
-			return
-		}
-		ref, err := c.CreateObject(p, c.Server(0), caps)
-		if err != nil {
-			ierr = err
-			return
+			return err
 		}
 		for i := 0; i < 4000 && ckRes.Durable == 0; i++ {
 			start := p.Now()
 			if _, err := c.Write(p, ref, caps, 0, netsim.SyntheticPayload(opts.InteractiveSize)); err != nil {
-				ierr = err
-				return
+				return err
 			}
 			trialLat.Add(float64(p.Now().Sub(start)) / float64(time.Millisecond))
 			p.Sleep(opts.InteractiveGap)
 		}
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return err
+	mc, err := r.run()
+	if err != nil {
+		return nil, err
 	}
 	if ierr != nil {
-		return fmt.Errorf("interactive tenant: %w", ierr)
+		return nil, fmt.Errorf("interactive tenant: %w", ierr)
 	}
 	if ckRes.Aborted {
-		return errors.New("healthy checkpoint aborted")
+		return nil, errors.New("healthy checkpoint aborted")
 	}
 	if trialLat.N() < 20 {
-		return fmt.Errorf("only %d interactive samples overlapped the checkpoint", trialLat.N())
+		return nil, fmt.Errorf("only %d interactive samples overlapped the checkpoint", trialLat.N())
 	}
-	point.Lat.Merge(&trialLat)
-	point.Durable.Add(float64(ckRes.Durable) / float64(time.Millisecond))
-	snap := cl.Metrics().Snapshot()
-	point.Yields.Add(snap.Sum("burst.*.drain.yields"))
-	point.Shed.Add(snap.Sum("qos.*.shed"))
-	if opts.Metrics && trial == opts.Trials-1 {
-		mode := "off"
-		if admission {
-			mode = "fair"
-			if yield {
-				mode = "fair+prio"
-			}
-		}
-		res.Captures = append(res.Captures, MetricsCapture{
-			Label: "qos mode=" + mode, Base: base, Final: snap,
-		})
-	}
-	return nil
+	pt.Lat.Merge(&trialLat)
+	pt.Durable.Add(float64(ckRes.Durable) / float64(time.Millisecond))
+	pt.Yields.Add(mc.Final.Sum("burst.*.drain.yields"))
+	pt.Shed.Add(mc.Final.Sum("qos.*.shed"))
+	return one(mc), nil
 }
 
 // Part B's fixed script: the preferred server is down for this window while
@@ -264,18 +207,16 @@ var qosFlapRetry = portals.RetryPolicy{
 	Jitter:      100 * time.Microsecond,
 }
 
-// qosBreakerTrial runs one part-B trial: writes with manual failover while
+// breakerTrial runs one part-B trial: writes with manual failover while
 // server 0 is down for a 100 ms window.
-func qosBreakerTrial(opts *QoSOpts, armed bool, trial int, point *QoSBreakerPoint) error {
+func (opts QoSOpts) breakerTrial(pt *QoSBreakerPoint, trial int) ([]MetricsCapture, error) {
 	spec := cluster.DevCluster().WithServers(2)
 	spec.ComputeNodes = 1
-	cl := cluster.New(spec)
-	cl.RegisterUser("ia", "s3cret")
-	l := cl.DeployLWFS()
+	r := newRig(spec)
 
-	victim := l.Servers[0]
-	cl.K.SpawnAt(sim.Time(0).Add(qosCrashAt), "crash", func(p *sim.Proc) { victim.Crash() })
-	cl.K.SpawnAt(sim.Time(0).Add(qosRestartAt), "restart", func(p *sim.Proc) {
+	victim := r.l.Servers[0]
+	r.cl.K.SpawnAt(sim.Time(0).Add(qosCrashAt), "crash", func(p *sim.Proc) { victim.Crash() })
+	r.cl.K.SpawnAt(sim.Time(0).Add(qosRestartAt), "restart", func(p *sim.Proc) {
 		if _, err := victim.Restart(p); err != nil {
 			panic(err)
 		}
@@ -283,35 +224,17 @@ func qosBreakerTrial(opts *QoSOpts, armed bool, trial int, point *QoSBreakerPoin
 
 	var trialLat stats.Sample
 	var timeouts, fastFails int
-	var ierr error
-	cl.Spawn("interactive", func(p *sim.Proc) {
-		c := cl.NewClient(l, 0)
-		c.SetRetry(qosFlapRetry, int64(trial)*7919+1)
-		if armed {
+	_, err := r.bench(qosFlapRetry, int64(trial)*7919+1, func(p *sim.Proc, c *core.Client) error {
+		if pt.Breaker {
 			c.SetBreaker(qos.BreakerPolicy{Threshold: 2, Cooldown: 10 * time.Millisecond, MaxCooldown: 40 * time.Millisecond})
 		}
-		if ierr = c.Login(p, "ia", "s3cret"); ierr != nil {
-			return
-		}
-		cid, err := c.CreateContainer(p)
+		refA, caps, err := writableObject(p, c, 0)
 		if err != nil {
-			ierr = err
-			return
-		}
-		caps, err := c.GetCaps(p, cid, authz.OpCreate, authz.OpWrite)
-		if err != nil {
-			ierr = err
-			return
-		}
-		refA, err := c.CreateObject(p, c.Server(0), caps)
-		if err != nil {
-			ierr = err
-			return
+			return err
 		}
 		refB, err := c.CreateObject(p, c.Server(1), caps)
 		if err != nil {
-			ierr = err
-			return
+			return err
 		}
 		for i := 0; i < qosFlapIters; i++ {
 			start := p.Now()
@@ -324,28 +247,24 @@ func qosBreakerTrial(opts *QoSOpts, armed bool, trial int, point *QoSBreakerPoin
 				case errors.Is(err, portals.ErrRPCTimeout):
 					timeouts++
 				default:
-					ierr = err
-					return
+					return err
 				}
 				if _, err := c.Write(p, refB, caps, 0, netsim.SyntheticPayload(opts.InteractiveSize)); err != nil {
-					ierr = err
-					return
+					return err
 				}
 			}
 			trialLat.Add(float64(p.Now().Sub(start)) / float64(time.Millisecond))
 			p.Sleep(time.Millisecond)
 		}
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return err
+	if err != nil {
+		return nil, fmt.Errorf("interactive tenant: %w", err)
 	}
-	if ierr != nil {
-		return fmt.Errorf("interactive tenant: %w", ierr)
-	}
-	point.Lat.Merge(&trialLat)
-	point.Timeouts.Add(float64(timeouts))
-	point.FastFails.Add(float64(fastFails))
-	return nil
+	pt.Lat.Merge(&trialLat)
+	pt.Timeouts.Add(float64(timeouts))
+	pt.FastFails.Add(float64(fastFails))
+	return nil, nil
 }
 
 // Render prints both E20 tables; the off/fair+prio p99 ratio is the
@@ -379,4 +298,5 @@ func (r QoSResult) Render(w io.Writer) {
 			pt.Breaker, pt.Lat.Percentile(50), pt.Lat.Percentile(99), pt.Timeouts.Mean(), pt.FastFails.Mean())
 	}
 	tw.Flush()
+	RenderMetricsCaptures(w, r.Captures)
 }

@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"lwfs/internal/authz"
 	"lwfs/internal/cluster"
 	"lwfs/internal/core"
 	"lwfs/internal/netsim"
@@ -40,21 +39,11 @@ type RebuildOpts struct {
 }
 
 func (o *RebuildOpts) defaults() {
-	if o.Servers == 0 {
-		o.Servers = 4
-	}
-	if o.DataMB == 0 {
-		o.DataMB = 8
-	}
-	if o.Unit == 0 {
-		o.Unit = 256 << 10
-	}
-	if len(o.Objects) == 0 {
-		o.Objects = []int{4, 8, 16}
-	}
-	if o.Trials == 0 {
-		o.Trials = 3
-	}
+	def(&o.Servers, 4)
+	def(&o.DataMB, 8)
+	def(&o.Unit, 256<<10)
+	defList(&o.Objects, 4, 8, 16)
+	def(&o.Trials, 3)
 }
 
 // RebuildWritePoint is one scheme's full-stripe write bandwidth (logical
@@ -102,79 +91,49 @@ var rebuildRetry = portals.RetryPolicy{
 }
 
 // RebuildSweep measures every point.
-func RebuildSweep(opts RebuildOpts) (RebuildResult, error) {
+func RebuildSweep(opts RebuildOpts) (res RebuildResult, err error) {
 	opts.defaults()
-	res := RebuildResult{Opts: opts}
+	res.Opts = opts
+	cfg := sweepCfg{opts.Trials, opts.Metrics, opts.Progress}
 
-	schemes := []string{"raid0", "replica2", "parity"}
-	for _, scheme := range schemes {
-		pt := RebuildWritePoint{Scheme: scheme}
-		for trial := 0; trial < opts.Trials; trial++ {
-			mbs, _, err := rebuildWriteTrial(opts, scheme, trial)
-			if err != nil {
-				return res, fmt.Errorf("rebuild write %s trial %d: %w", scheme, trial, err)
-			}
-			pt.MBs.Add(mbs)
-		}
-		if opts.Progress != nil {
-			opts.Progress("rebuild write %s: %s MB/s", scheme, pt.MBs.String())
-		}
-		res.Writes = append(res.Writes, pt)
+	writes := []RebuildWritePoint{{Scheme: "raid0"}, {Scheme: "replica2"}, {Scheme: "parity"}}
+	if res.Writes, _, err = sweep(cfg, writes, opts.writeTrial); err != nil {
+		return res, err
 	}
-
-	for _, scheme := range []string{"replica2", "parity"} {
-		pt := RebuildReadPoint{Scheme: scheme}
-		for trial := 0; trial < opts.Trials; trial++ {
-			h, d, mc, err := rebuildReadTrial(opts, scheme, trial)
-			if err != nil {
-				return res, fmt.Errorf("degraded read %s trial %d: %w", scheme, trial, err)
-			}
-			pt.HealthyMs.Add(h)
-			pt.DegradedMs.Add(d)
-			if opts.Metrics && trial == opts.Trials-1 {
-				mc.Label = fmt.Sprintf("degraded-read scheme=%s", scheme)
-				res.Captures = append(res.Captures, mc)
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress("degraded read %s: healthy %s ms, degraded %s ms", scheme,
-				pt.HealthyMs.String(), pt.DegradedMs.String())
-		}
-		res.Reads = append(res.Reads, pt)
+	reads := []RebuildReadPoint{{Scheme: "replica2"}, {Scheme: "parity"}}
+	if res.Reads, res.Captures, err = sweep(cfg, reads, opts.readTrial); err != nil {
+		return res, err
 	}
-
-	for _, n := range opts.Objects {
-		pt := RebuildPoint{Objects: n}
-		for trial := 0; trial < opts.Trials; trial++ {
-			ms, mbs, mc, err := rebuildRepairTrial(opts, n, trial)
-			if err != nil {
-				return res, fmt.Errorf("rebuild objs=%d trial %d: %w", n, trial, err)
-			}
-			pt.Ms.Add(ms)
-			pt.RepairMBs.Add(mbs)
-			if opts.Metrics && trial == opts.Trials-1 {
-				mc.Label = fmt.Sprintf("rebuild objects=%d", n)
-				res.Captures = append(res.Captures, mc)
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress("rebuild objs=%d: %s ms, %s MB/s", n, pt.Ms.String(), pt.RepairMBs.String())
-		}
-		res.Rebuilds = append(res.Rebuilds, pt)
+	repairs := make([]RebuildPoint, len(opts.Objects))
+	for i, n := range opts.Objects {
+		repairs[i].Objects = n
 	}
-	return res, nil
+	var caps []MetricsCapture
+	res.Rebuilds, caps, err = sweep(cfg, repairs, opts.repairTrial)
+	res.Captures = append(res.Captures, caps...)
+	return res, err
 }
 
-// rebuildCluster builds a one-client cluster with one storage server per
-// node, so crashing a server removes a whole placement target.
-func rebuildCluster(servers int) (*cluster.Cluster, *cluster.LWFS) {
+func (pt *RebuildWritePoint) label() string   { return "write scheme=" + pt.Scheme }
+func (pt *RebuildWritePoint) summary() string { return pt.MBs.String() + " MB/s" }
+
+func (pt *RebuildReadPoint) label() string { return "degraded-read scheme=" + pt.Scheme }
+func (pt *RebuildReadPoint) summary() string {
+	return fmt.Sprintf("healthy %s ms, degraded %s ms", pt.HealthyMs.String(), pt.DegradedMs.String())
+}
+
+func (pt *RebuildPoint) label() string { return fmt.Sprintf("rebuild objects=%d", pt.Objects) }
+func (pt *RebuildPoint) summary() string {
+	return fmt.Sprintf("%s ms, %s MB/s", pt.Ms.String(), pt.RepairMBs.String())
+}
+
+// onePerNode is a one-client dev cluster with one storage server per node,
+// so crashing a server removes a whole placement target.
+func onePerNode(servers int) cluster.Spec {
 	spec := cluster.DevCluster()
 	spec.ComputeNodes = 1
 	spec.ServersPerNode = 1
-	spec = spec.WithServers(servers)
-	cl := cluster.New(spec)
-	cl.RegisterUser("app", "s3cret")
-	return cl, cl.DeployLWFS()
+	return spec.WithServers(servers)
 }
 
 // rebuildLayout creates one scheme layout of size bytes with its objects
@@ -209,159 +168,111 @@ func crashServer(l *cluster.LWFS, t storage.Target) {
 	}
 }
 
-// rebuildWriteTrial measures one full-stripe write's logical bandwidth.
-func rebuildWriteTrial(opts RebuildOpts, scheme string, trial int) (float64, MetricsCapture, error) {
-	cl, lw := rebuildCluster(opts.Servers)
-	c := cl.NewClient(lw, 0)
+// writeTrial measures one full-stripe write's logical bandwidth.
+func (opts RebuildOpts) writeTrial(pt *RebuildWritePoint, trial int) ([]MetricsCapture, error) {
 	bytes := opts.DataMB << 20
-	var mbs float64
-	var trialErr error
-	cl.Spawn("bench", func(p *sim.Proc) {
-		caps, err := rebuildLogin(p, c)
+	_, err := newRig(onePerNode(opts.Servers)).bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
+		caps, err := allCaps(p, c)
 		if err != nil {
-			trialErr = err
-			return
+			return err
 		}
-		l, err := rebuildLayout(p, c, caps, scheme, trial, opts.Unit, bytes)
+		l, err := rebuildLayout(p, c, caps, pt.Scheme, trial, opts.Unit, bytes)
 		if err != nil {
-			trialErr = err
-			return
+			return err
 		}
 		eng := stripe.NewEngine(c, caps, opts.Window)
 		t0 := p.Now()
 		if _, err := eng.WriteAt(p, l, 0, netsim.SyntheticPayload(bytes)); err != nil {
-			trialErr = err
-			return
+			return err
 		}
-		mbs = float64(bytes) / (1 << 20) / p.Now().Sub(t0).Seconds()
+		pt.MBs.Add(float64(bytes) / (1 << 20) / p.Now().Sub(t0).Seconds())
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return 0, MetricsCapture{}, err
-	}
-	return mbs, MetricsCapture{}, trialErr
+	return nil, err
 }
 
-// rebuildReadTrial measures one full read healthy, then crashes the server
-// behind the layout's second object and measures the degraded read.
-func rebuildReadTrial(opts RebuildOpts, scheme string, trial int) (healthyMs, degradedMs float64, mc MetricsCapture, err error) {
-	cl, lw := rebuildCluster(opts.Servers)
-	c := cl.NewClient(lw, 0)
-	c.SetRetry(rebuildRetry, int64(trial)+17)
-	mc.Base = cl.Metrics().Snapshot()
+// readTrial measures one full read healthy, then crashes the server behind
+// the layout's second object and measures the degraded read.
+func (opts RebuildOpts) readTrial(pt *RebuildReadPoint, trial int) ([]MetricsCapture, error) {
+	r := newRig(onePerNode(opts.Servers))
 	bytes := opts.DataMB << 20
-	var trialErr error
-	cl.Spawn("bench", func(p *sim.Proc) {
-		caps, lerr := rebuildLogin(p, c)
-		if lerr != nil {
-			trialErr = lerr
-			return
+	mc, err := r.bench(rebuildRetry, int64(trial)+17, func(p *sim.Proc, c *core.Client) error {
+		caps, err := allCaps(p, c)
+		if err != nil {
+			return err
 		}
-		l, lerr := rebuildLayout(p, c, caps, scheme, trial, opts.Unit, bytes)
-		if lerr != nil {
-			trialErr = lerr
-			return
+		l, err := rebuildLayout(p, c, caps, pt.Scheme, trial, opts.Unit, bytes)
+		if err != nil {
+			return err
 		}
 		eng := stripe.NewEngine(c, caps, opts.Window)
-		if _, lerr := eng.WriteAt(p, l, 0, netsim.SyntheticPayload(bytes)); lerr != nil {
-			trialErr = lerr
-			return
+		if _, err := eng.WriteAt(p, l, 0, netsim.SyntheticPayload(bytes)); err != nil {
+			return err
 		}
 		t0 := p.Now()
-		if _, lerr := eng.ReadAt(p, l, 0, bytes); lerr != nil {
-			trialErr = fmt.Errorf("healthy read: %w", lerr)
-			return
+		if _, err := eng.ReadAt(p, l, 0, bytes); err != nil {
+			return fmt.Errorf("healthy read: %w", err)
 		}
-		healthyMs = float64(p.Now().Sub(t0).Microseconds()) / 1000
-		crashServer(lw, storage.TargetOf(l.Objs[1]))
+		healthy := p.Now().Sub(t0)
+		crashServer(r.l, storage.TargetOf(l.Objs[1]))
 		t0 = p.Now()
-		if _, lerr := eng.ReadAt(p, l, 0, bytes); lerr != nil {
-			trialErr = fmt.Errorf("degraded read: %w", lerr)
-			return
+		if _, err := eng.ReadAt(p, l, 0, bytes); err != nil {
+			return fmt.Errorf("degraded read: %w", err)
 		}
-		degradedMs = float64(p.Now().Sub(t0).Microseconds()) / 1000
+		pt.HealthyMs.Add(ms(healthy))
+		pt.DegradedMs.Add(ms(p.Now().Sub(t0)))
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return 0, 0, mc, err
-	}
-	mc.Final = cl.Metrics().Snapshot()
-	return healthyMs, degradedMs, mc, trialErr
+	return one(mc), err
 }
 
-// rebuildRepairTrial writes n parity layouts, crashes one server, and times
-// a Rebuilder repairing every layout that lost an object to it.
-func rebuildRepairTrial(opts RebuildOpts, n, trial int) (ms, mbs float64, mc MetricsCapture, err error) {
-	cl, lw := rebuildCluster(opts.Servers)
-	c := cl.NewClient(lw, 0)
-	c.SetRetry(rebuildRetry, int64(trial)+29)
-	mc.Base = cl.Metrics().Snapshot()
+// repairTrial writes n parity layouts, crashes one server, and times a
+// Rebuilder repairing every layout that lost an object to it.
+func (opts RebuildOpts) repairTrial(pt *RebuildPoint, trial int) ([]MetricsCapture, error) {
+	r := newRig(onePerNode(opts.Servers))
 	bytes := opts.DataMB << 20
-	var trialErr error
-	cl.Spawn("bench", func(p *sim.Proc) {
-		caps, lerr := rebuildLogin(p, c)
-		if lerr != nil {
-			trialErr = lerr
-			return
+	mc, err := r.bench(rebuildRetry, int64(trial)+29, func(p *sim.Proc, c *core.Client) error {
+		caps, err := allCaps(p, c)
+		if err != nil {
+			return err
 		}
 		eng := stripe.NewEngine(c, caps, opts.Window)
-		layouts := make([]stripe.Layout, n)
+		layouts := make([]stripe.Layout, pt.Objects)
 		for i := range layouts {
-			l, lerr := rebuildLayout(p, c, caps, "parity", i, opts.Unit, bytes)
-			if lerr != nil {
-				trialErr = lerr
-				return
+			l, err := rebuildLayout(p, c, caps, "parity", i, opts.Unit, bytes)
+			if err != nil {
+				return err
 			}
-			if _, lerr := eng.WriteAt(p, l, 0, netsim.SyntheticPayload(bytes)); lerr != nil {
-				trialErr = lerr
-				return
+			if _, err := eng.WriteAt(p, l, 0, netsim.SyntheticPayload(bytes)); err != nil {
+				return err
 			}
 			layouts[i] = l
 		}
-		dead := storage.Target{Node: lw.Servers[0].Node(), Port: lw.Servers[0].RPCPort()}
-		crashServer(lw, dead)
+		dead := storage.Target{Node: r.l.Servers[0].Node(), Port: r.l.Servers[0].RPCPort()}
+		crashServer(r.l, dead)
 		rb := stripe.NewRebuilder(eng)
 		var rebuilt int64
 		t0 := p.Now()
 		for i, l := range layouts {
-			nl, lerr := rb.Rebuild(p, l, dead, c.Servers())
-			if lerr != nil {
-				trialErr = fmt.Errorf("layout %d: %w", i, lerr)
-				return
+			if _, err := rb.Rebuild(p, l, dead, c.Servers()); err != nil {
+				return fmt.Errorf("layout %d: %w", i, err)
 			}
 			for j := range l.Objs {
 				if storage.TargetOf(l.Objs[j]) == dead {
 					rebuilt += l.ObjectLength(j)
 				}
 			}
-			layouts[i] = nl
 		}
 		elapsed := p.Now().Sub(t0)
-		ms = float64(elapsed.Microseconds()) / 1000
+		var mbs float64
 		if elapsed > 0 {
 			mbs = float64(rebuilt) / (1 << 20) / elapsed.Seconds()
 		}
+		pt.Ms.Add(ms(elapsed))
+		pt.RepairMBs.Add(mbs)
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return 0, 0, mc, err
-	}
-	mc.Final = cl.Metrics().Snapshot()
-	return ms, mbs, mc, trialErr
-}
-
-// rebuildLogin logs the bench client in and returns an all-ops capability
-// set for a fresh container.
-func rebuildLogin(p *sim.Proc, c *core.Client) (core.CapSet, error) {
-	if err := c.Login(p, "app", "s3cret"); err != nil {
-		return core.CapSet{}, fmt.Errorf("login: %w", err)
-	}
-	cid, err := c.CreateContainer(p)
-	if err != nil {
-		return core.CapSet{}, fmt.Errorf("container: %w", err)
-	}
-	caps, err := c.GetCaps(p, cid, authz.AllOps...)
-	if err != nil {
-		return core.CapSet{}, fmt.Errorf("caps: %w", err)
-	}
-	return caps, nil
+	return one(mc), err
 }
 
 // Render prints the three tables.
@@ -407,4 +318,5 @@ func (r RebuildResult) Render(w io.Writer) {
 		fmt.Fprintf(tw, "%d\t%.1f ms\t%.0f MB/s\n", pt.Objects, pt.Ms.Mean(), pt.RepairMBs.Mean())
 	}
 	tw.Flush()
+	RenderMetricsCaptures(w, r.Captures)
 }

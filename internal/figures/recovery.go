@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -55,36 +56,18 @@ func journalMedium(name string, sync time.Duration) RecoveryMedium {
 }
 
 func (o *RecoveryOpts) defaults() {
-	if len(o.Media) == 0 {
-		o.Media = []RecoveryMedium{
-			{Name: "memory"},
-			journalMedium("journal-nvram", 5*time.Microsecond),
-			journalMedium("journal-ssd", 25*time.Microsecond),
-			journalMedium("journal-disk", 500*time.Microsecond),
-		}
-	}
-	if o.Procs == 0 {
-		o.Procs = 4
-	}
-	if o.Servers == 0 {
-		o.Servers = 2
-	}
-	if o.BytesPerProc == 0 {
-		o.BytesPerProc = 2 << 20
-	}
-	if o.DrainBW == 0 {
-		// ~2 s per rank at 2 MB: a wide mid-drain window to crash inside.
-		o.DrainBW = 1 << 20
-	}
-	if o.CrashAt == 0 {
-		o.CrashAt = 100 * time.Millisecond
-	}
-	if o.RestartAt == 0 {
-		o.RestartAt = 200 * time.Millisecond
-	}
-	if o.Trials == 0 {
-		o.Trials = 3
-	}
+	defList(&o.Media,
+		RecoveryMedium{Name: "memory"},
+		journalMedium("journal-nvram", 5*time.Microsecond),
+		journalMedium("journal-ssd", 25*time.Microsecond),
+		journalMedium("journal-disk", 500*time.Microsecond))
+	def(&o.Procs, 4)
+	def(&o.Servers, 2)
+	def(&o.BytesPerProc, 2<<20)
+	def(&o.DrainBW, 1<<20) // ~2 s per rank at 2 MB: a wide mid-drain window to crash inside
+	def(&o.CrashAt, 100*time.Millisecond)
+	def(&o.RestartAt, 200*time.Millisecond)
+	def(&o.Trials, 3)
 }
 
 // RecoveryPoint is one medium's measurements.
@@ -107,66 +90,45 @@ type RecoveryResult struct {
 // RecoverySweep measures healthy and crashed checkpoint runs per medium.
 func RecoverySweep(opts RecoveryOpts) (RecoveryResult, error) {
 	opts.defaults()
-	res := RecoveryResult{Opts: opts}
-	for _, med := range opts.Media {
-		point := RecoveryPoint{Medium: med}
-		for trial := 0; trial < opts.Trials; trial++ {
-			for _, crash := range []bool{false, true} {
-				r, mc, err := runRecoveryTrial(opts, med, trial, crash)
-				if err != nil {
-					return res, fmt.Errorf("recovery %s trial=%d crash=%v: %w", med.Name, trial, crash, err)
-				}
-				if opts.Metrics && trial == opts.Trials-1 {
-					mc.Label = fmt.Sprintf("medium=%s crash=%v", med.Name, crash)
-					res.Captures = append(res.Captures, mc)
-				}
-				switch {
-				case !crash:
-					if r.Aborted {
-						return res, fmt.Errorf("recovery %s trial=%d: healthy run aborted", med.Name, trial)
-					}
-					point.HealthyApparent.Add(float64(r.Elapsed) / float64(time.Millisecond))
-					point.HealthyDurable.Add(float64(r.Durable) / float64(time.Millisecond))
-				case r.Aborted:
-					point.Aborted++
-				default:
-					point.Recovered++
-					point.CrashDurable.Add(float64(r.Durable) / float64(time.Millisecond))
-				}
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress("recovery %s: healthy durable %s ms, crash %d recovered / %d aborted",
-				med.Name, point.HealthyDurable.String(), point.Recovered, point.Aborted)
-		}
-		res.Points = append(res.Points, point)
+	points := make([]RecoveryPoint, len(opts.Media))
+	for i, med := range opts.Media {
+		points[i].Medium = med
 	}
-	return res, nil
+	points, caps, err := sweep(sweepCfg{opts.Trials, opts.Metrics, opts.Progress}, points, opts.trial)
+	return RecoveryResult{Opts: opts, Points: points, Captures: caps}, err
 }
 
-func runRecoveryTrial(opts RecoveryOpts, med RecoveryMedium, trial int, crash bool) (checkpoint.Result, MetricsCapture, error) {
+func (pt *RecoveryPoint) label() string { return "medium=" + pt.Medium.Name }
+func (pt *RecoveryPoint) summary() string {
+	return fmt.Sprintf("healthy durable %s ms, crash %d recovered / %d aborted",
+		pt.HealthyDurable.String(), pt.Recovered, pt.Aborted)
+}
+
+// trial runs the checkpoint twice: healthy, then through the buffer crash.
+func (opts RecoveryOpts) trial(pt *RecoveryPoint, trial int) ([]MetricsCapture, error) {
+	var caps []MetricsCapture
+	for _, crash := range []bool{false, true} {
+		mc, err := opts.run(pt, trial, crash)
+		if err != nil {
+			return nil, fmt.Errorf("crash=%v: %w", crash, err)
+		}
+		mc.Label = fmt.Sprintf("%s crash=%v", pt.label(), crash)
+		caps = append(caps, mc)
+	}
+	return caps, nil
+}
+
+func (opts RecoveryOpts) run(pt *RecoveryPoint, trial int, crash bool) (MetricsCapture, error) {
 	spec := cluster.DevCluster().WithServers(opts.Servers)
 	spec.ComputeNodes = opts.Procs
 	spec.BurstNodes = 1
 	spec.Burst.DrainBW = opts.DrainBW
-	spec.BurstJournal = med.Journal
-	spec.BurstJournalDisk = med.Disk
-
-	cl := cluster.New(spec)
-	cl.RegisterUser("app", "s3cret")
-	l := cl.DeployLWFS()
-	mc := MetricsCapture{Base: cl.Metrics().Snapshot()}
-	cfg := checkpoint.Config{
-		Procs:           opts.Procs,
-		BytesPerProc:    opts.BytesPerProc,
-		Seed:            int64(trial)*104729 + 17,
-		Burst:           l.BurstTargets(),
-		DrainTimeout:    300 * time.Millisecond,
-		RecoveryTimeout: 120 * time.Second,
-	}
+	spec.BurstJournal = pt.Medium.Journal
+	spec.BurstJournalDisk = pt.Medium.Disk
+	r := newRig(spec)
 	if crash {
-		bb := l.Burst[0]
-		cl.Spawn("chaos", func(p *sim.Proc) {
+		bb := r.l.Burst[0]
+		r.cl.Spawn("chaos", func(p *sim.Proc) {
 			p.Sleep(opts.CrashAt)
 			bb.Crash()
 			p.Sleep(opts.RestartAt - opts.CrashAt)
@@ -175,15 +137,34 @@ func runRecoveryTrial(opts RecoveryOpts, med RecoveryMedium, trial int, crash bo
 			}
 		})
 	}
-	r, err := checkpoint.SetupLWFS(cl, l, cfg)
+	res, err := checkpoint.SetupLWFS(r.cl, r.l, checkpoint.Config{
+		Procs:           opts.Procs,
+		BytesPerProc:    opts.BytesPerProc,
+		Seed:            int64(trial)*104729 + 17,
+		Burst:           r.l.BurstTargets(),
+		DrainTimeout:    300 * time.Millisecond,
+		RecoveryTimeout: 120 * time.Second,
+	})
 	if err != nil {
-		return checkpoint.Result{}, mc, err
+		return MetricsCapture{}, err
 	}
-	if err := cl.Run(); err != nil {
-		return checkpoint.Result{}, mc, err
+	mc, err := r.run()
+	if err != nil {
+		return mc, err
 	}
-	mc.Final = cl.Metrics().Snapshot()
-	return *r, mc, nil
+	switch {
+	case !crash && res.Aborted:
+		return mc, errors.New("healthy run aborted")
+	case !crash:
+		pt.HealthyApparent.Add(float64(res.Elapsed) / float64(time.Millisecond))
+		pt.HealthyDurable.Add(float64(res.Durable) / float64(time.Millisecond))
+	case res.Aborted:
+		pt.Aborted++
+	default:
+		pt.Recovered++
+		pt.CrashDurable.Add(float64(res.Durable) / float64(time.Millisecond))
+	}
+	return mc, nil
 }
 
 // Render prints the sweep: the journal's healthy-path tax (apparent time vs
@@ -214,4 +195,5 @@ func (r RecoveryResult) Render(w io.Writer) {
 			outcome, crashDur, cost)
 	}
 	tw.Flush()
+	RenderMetricsCaptures(w, r.Captures)
 }

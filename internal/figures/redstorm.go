@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -44,21 +45,11 @@ type RedStormOpts struct {
 }
 
 func (o *RedStormOpts) defaults() {
-	if len(o.Exact) == 0 {
-		o.Exact = []int{1000, 2000, 5000, 10000}
-	}
-	if o.TotalRanks == 0 {
-		o.TotalRanks = 100000
-	}
-	if o.BytesPerProc == 0 {
-		o.BytesPerProc = 4 << 20
-	}
-	if o.Buffers == 0 {
-		o.Buffers = 16
-	}
-	if o.Seed == 0 {
-		o.Seed = 22
-	}
+	defList(&o.Exact, 1000, 2000, 5000, 10000)
+	def(&o.TotalRanks, 100000)
+	def(&o.BytesPerProc, 4<<20)
+	def(&o.Buffers, 16)
+	def(&o.Seed, 22)
 }
 
 // RedStormPoint is one (exact count, arm) measurement.
@@ -80,37 +71,34 @@ type RedStormResult struct {
 	Captures []MetricsCapture
 }
 
-// RedStormSweep runs E22.
+// RedStormSweep runs E22: every exact count, direct then staged.
 func RedStormSweep(opts RedStormOpts) (RedStormResult, error) {
 	opts.defaults()
-	res := RedStormResult{Opts: opts}
+	var points []RedStormPoint
 	for _, exact := range opts.Exact {
-		for _, staged := range []bool{false, true} {
-			pt, mc, err := redStormPoint(opts, exact, staged)
-			if err != nil {
-				return res, fmt.Errorf("redstorm exact=%d staged=%v: %w", exact, staged, err)
-			}
-			res.Points = append(res.Points, pt)
-			if opts.Metrics {
-				res.Captures = append(res.Captures, mc)
-			}
-			if opts.Progress != nil {
-				opts.Progress("redstorm exact=%d staged=%v: apparent %v, durable %v, ack path %s",
-					exact, staged, pt.Apparent.Round(time.Millisecond), pt.Durable.Round(time.Millisecond), pt.AckPath)
-			}
-		}
+		points = append(points, RedStormPoint{Exact: exact}, RedStormPoint{Exact: exact, Staged: true})
 	}
-	return res, nil
+	points, caps, err := sweep(sweepCfg{1, opts.Metrics, opts.Progress}, points, opts.dump)
+	return RedStormResult{Opts: opts, Points: points, Captures: caps}, err
 }
 
-func redStormPoint(opts RedStormOpts, exact int, staged bool) (RedStormPoint, MetricsCapture, error) {
-	pt := RedStormPoint{Exact: exact, Staged: staged}
+func (pt *RedStormPoint) label() string {
+	return fmt.Sprintf("exact=%d staged=%v", pt.Exact, pt.Staged)
+}
+func (pt *RedStormPoint) summary() string {
+	return fmt.Sprintf("apparent %v, durable %v, ack path %s",
+		pt.Apparent.Round(time.Millisecond), pt.Durable.Round(time.Millisecond), pt.AckPath)
+}
+
+// dump measures one sampled machine-size checkpoint into pt. There is one
+// per point: the machine is deterministic and minutes of host time.
+func (opts RedStormOpts) dump(pt *RedStormPoint, _ int) ([]MetricsCapture, error) {
 	spec := cluster.RedStorm()
 	// Only the exact ranks need compute nodes; shadow sources are added by
 	// DeploySampled as aggregate injectors.
-	spec.ComputeNodes = exact
+	spec.ComputeNodes = pt.Exact
 	sampled := &checkpoint.SampledRanks{TotalRanks: opts.TotalRanks}
-	if staged {
+	if pt.Staged {
 		spec.BurstNodes = opts.Buffers
 		// Provision the tier for the job, as a machine-scale deployment
 		// would: each buffer's staging window holds its share of the dump
@@ -124,85 +112,62 @@ func redStormPoint(opts RedStormOpts, exact int, staged bool) (RedStormPoint, Me
 		spec.Burst.DrainWorkers = 8
 		sampled.DrainsPerBuffer = 8
 	}
+	r := newRig(spec)
+	cl, l := r.cl, r.l
 	cfg := checkpoint.Config{
-		Procs:        exact,
+		Procs:        pt.Exact,
 		BytesPerProc: opts.BytesPerProc,
 		Seed:         opts.Seed,
 		DrainTimeout: -1, // a machine-size drain tail exceeds the 5s default
 		Sampled:      sampled,
+		Burst:        l.BurstTargets(),
 	}
-
-	cl := cluster.New(spec)
-	cl.RegisterUser("app", "s3cret")
-	l := cl.DeployLWFS()
-	cfg.Burst = l.BurstTargets()
-	base := cl.Metrics().Snapshot()
 	sl, err := checkpoint.DeploySampled(cl, l, cfg)
 	if err != nil {
-		return pt, MetricsCapture{}, err
+		return nil, err
 	}
-	r, err := checkpoint.SetupLWFS(cl, l, cfg)
+	res, err := checkpoint.SetupLWFS(cl, l, cfg)
 	if err != nil {
-		return pt, MetricsCapture{}, err
+		return nil, err
 	}
-	if err := cl.Run(); err != nil {
-		return pt, MetricsCapture{}, err
+	mc, err := r.run()
+	if err != nil {
+		return nil, err
 	}
-	if r.Aborted {
-		return pt, MetricsCapture{}, fmt.Errorf("healthy run aborted")
+	if res.Aborted {
+		return nil, errors.New("healthy run aborted")
 	}
 	if sl.Errs() != 0 || !sl.Complete() {
-		return pt, MetricsCapture{}, fmt.Errorf("shadow load unhealthy (%d errors)", sl.Errs())
+		return nil, fmt.Errorf("shadow load unhealthy (%d errors)", sl.Errs())
 	}
 
 	// Job-wide apparent/durable: slowest of the exact ranks and the shadow
 	// streams (shadow instants are absolute; dumps start jitter-close to 0).
-	pt.Apparent = maxDur(r.Elapsed, sl.ApparentEnd().Duration())
-	pt.Durable = maxDur(r.Durable, sl.DurableEnd().Duration())
-	if pt.Durable < pt.Apparent {
-		pt.Durable = pt.Apparent
-	}
+	pt.Apparent = max(res.Elapsed, sl.ApparentEnd().Duration())
+	pt.Durable = max(res.Durable, sl.DurableEnd().Duration(), pt.Apparent)
 
 	// Utilization of the candidate ack-path resources over the durable
 	// window: the I/O-node disks and NICs, and the buffer NICs.
 	window := pt.Durable.Seconds()
 	if window > 0 {
 		for _, s := range l.Servers {
-			pt.DiskBusy = maxF(pt.DiskBusy, s.Device().DiskBusy().Seconds()/window)
+			pt.DiskBusy = max(pt.DiskBusy, s.Device().DiskBusy().Seconds()/window)
 		}
 		for _, ep := range cl.StorageN {
-			pt.StorNIC = maxF(pt.StorNIC, cl.Net.Node(ep.Node()).IngressBusy().Seconds()/window)
+			pt.StorNIC = max(pt.StorNIC, cl.Net.Node(ep.Node()).IngressBusy().Seconds()/window)
 		}
 		// Buffer acks return before drains: utilization over the apparent
 		// window is what gates them.
 		appWindow := pt.Apparent.Seconds()
 		for _, ep := range cl.BurstN {
-			pt.BufNIC = maxF(pt.BufNIC, cl.Net.Node(ep.Node()).IngressBusy().Seconds()/appWindow)
+			pt.BufNIC = max(pt.BufNIC, cl.Net.Node(ep.Node()).IngressBusy().Seconds()/appWindow)
 		}
 	}
 	pt.AckPath = "disk"
-	if staged && pt.BufNIC > pt.DiskBusy {
+	if pt.Staged && pt.BufNIC > pt.DiskBusy {
 		pt.AckPath = "buffer NIC"
 	}
-	mc := MetricsCapture{
-		Label: fmt.Sprintf("exact=%d staged=%v", exact, staged),
-		Base:  base, Final: cl.Metrics().Snapshot(),
-	}
-	return pt, mc, nil
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	return one(mc), nil
 }
 
 // Render prints the sweep, flagging the ack-bottleneck crossover.
@@ -226,12 +191,14 @@ func (r RedStormResult) Render(w io.Writer) {
 	tw.Flush()
 	// Crossover note: the first staged point where the buffer NIC, not the
 	// disk, bounds the ack.
+	note := "# no staging crossover in this sweep: disks bound the ack everywhere (drain-limited staging windows)"
 	for _, pt := range r.Points {
 		if pt.Staged && pt.AckPath == "buffer NIC" {
-			fmt.Fprintf(w, "# staging crossover: from %d exact ranks the ack is buffer-NIC-bound (util %.2f vs disk %.2f) — buffer hardware, not the RAID, sets apparent checkpoint time\n",
+			note = fmt.Sprintf("# staging crossover: from %d exact ranks the ack is buffer-NIC-bound (util %.2f vs disk %.2f) — buffer hardware, not the RAID, sets apparent checkpoint time",
 				pt.Exact, pt.BufNIC, pt.DiskBusy)
-			return
+			break
 		}
 	}
-	fmt.Fprintln(w, "# no staging crossover in this sweep: disks bound the ack everywhere (drain-limited staging windows)")
+	fmt.Fprintln(w, note)
+	RenderMetricsCaptures(w, r.Captures)
 }

@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"lwfs/internal/cluster"
 	"lwfs/internal/core"
 	"lwfs/internal/lwfspfs"
 	"lwfs/internal/metrics"
@@ -40,21 +39,11 @@ type ReplayOpts struct {
 }
 
 func (o *ReplayOpts) defaults() {
-	if o.Servers == 0 {
-		o.Servers = 8
-	}
-	if len(o.Traces) == 0 {
-		o.Traces = trace.ExampleNames()
-	}
-	if len(o.Concurrency) == 0 {
-		o.Concurrency = []int{1, 4, 16, 64}
-	}
-	if o.Clones == 0 {
-		o.Clones = 64
-	}
-	if o.TickMs == 0 {
-		o.TickMs = 20
-	}
+	def(&o.Servers, 8)
+	defList(&o.Traces, trace.ExampleNames()...)
+	defList(&o.Concurrency, 1, 4, 16, 64)
+	def(&o.Clones, 64)
+	def(&o.TickMs, 20)
 }
 
 // ReplayPoint is one (trace, concurrency) measurement.
@@ -90,70 +79,55 @@ type ReplayResult struct {
 func ReplaySweep(opts ReplayOpts) (ReplayResult, error) {
 	opts.defaults()
 	res := ReplayResult{Opts: opts}
+	var points []ReplayPoint
 	for _, name := range opts.Traces {
-		tr, err := trace.Example(name)
-		if err != nil {
-			return res, err
-		}
 		for _, workers := range opts.Concurrency {
-			pt, mc, tl, err := replayTrial(opts, tr, name, workers)
-			if err != nil {
-				return res, fmt.Errorf("replay %s x%d: %w", name, workers, err)
-			}
-			res.Points = append(res.Points, pt)
-			if opts.Metrics {
-				mc.Label = fmt.Sprintf("replay %s x%d", name, workers)
-				res.Captures = append(res.Captures, mc)
-				if workers == opts.Concurrency[len(opts.Concurrency)-1] {
-					res.Timelines = append(res.Timelines, tl)
-				}
-			}
-			if opts.Progress != nil {
-				opts.Progress("replay %s x%d: %d ops, %.1f MB, %.1f MB/s, p99 %.2f ms",
-					name, workers, pt.Ops, pt.MB, pt.MBps, pt.P99Ms)
-			}
+			points = append(points, ReplayPoint{Trace: name, Workers: workers})
 		}
 	}
-	return res, nil
+	top := opts.Concurrency[len(opts.Concurrency)-1]
+	var err error
+	res.Points, res.Captures, err = sweep(sweepCfg{1, opts.Metrics, opts.Progress}, points,
+		func(pt *ReplayPoint, _ int) ([]MetricsCapture, error) {
+			mc, rec, err := replayTrial(opts, pt)
+			if opts.Metrics && pt.Workers == top {
+				res.Timelines = append(res.Timelines, ReplayTimeline{Trace: pt.Trace, Workers: pt.Workers, Rec: rec})
+			}
+			return one(mc), err
+		})
+	return res, err
 }
 
-// replayTrial replays tr once: a cluster with one compute node per worker,
-// a setup process that formats the shared mount, then the trace replayer
-// fanned out over per-worker clients. The metrics recorder ticks for the
-// duration and is stopped by the replay's completion hook — without that,
-// its pending tick would keep the kernel run from finishing.
-func replayTrial(opts ReplayOpts, tr *trace.Trace, name string, workers int) (ReplayPoint, MetricsCapture, ReplayTimeline, error) {
-	pt := ReplayPoint{Trace: name, Workers: workers}
-	spec := cluster.DevCluster()
-	spec.ComputeNodes = workers
-	spec.ServersPerNode = 1
-	spec = spec.WithServers(opts.Servers)
-	cl := cluster.New(spec)
-	cl.RegisterUser("app", "s3cret")
-	lw := cl.DeployLWFS()
+func (pt *ReplayPoint) label() string { return fmt.Sprintf("replay %s x%d", pt.Trace, pt.Workers) }
+func (pt *ReplayPoint) summary() string {
+	return fmt.Sprintf("%d ops, %.1f MB, %.1f MB/s, p99 %.2f ms", pt.Ops, pt.MB, pt.MBps, pt.P99Ms)
+}
 
-	clients := make([]*core.Client, workers)
-	for i := range clients {
-		clients[i] = cl.NewClient(lw, i)
+// replayTrial replays pt's trace once: a cluster with one compute node per
+// worker, the bench client formatting the shared mount, then the trace
+// replayer fanned out over per-worker clients. The metrics recorder ticks
+// for the duration and is stopped by the replay's completion hook — without
+// that, its pending tick would keep the kernel run from finishing.
+func replayTrial(opts ReplayOpts, pt *ReplayPoint) (MetricsCapture, *metrics.Recorder, error) {
+	tr, err := trace.Example(pt.Trace)
+	if err != nil {
+		return MetricsCapture{}, nil, err
 	}
-	setupC := cl.NewClient(lw, 0)
-
-	var mc MetricsCapture
-	mc.Base = cl.Metrics().Snapshot()
+	spec := onePerNode(opts.Servers)
+	spec.ComputeNodes = pt.Workers
+	r := newRig(spec)
+	cl := r.cl
+	clients := make([]*core.Client, pt.Workers)
+	for i := range clients {
+		clients[i] = cl.NewClient(r.l, i)
+	}
 	rec := metrics.NewRecorder(cl.Metrics(), time.Duration(opts.TickMs)*time.Millisecond)
-	tl := ReplayTimeline{Trace: name, Workers: workers, Rec: rec}
 
 	var res *trace.Result
-	var setupErr error
-	cl.Spawn("replay-setup", func(p *sim.Proc) {
-		if err := setupC.Login(p, "app", "s3cret"); err != nil {
-			setupErr = err
-			return
-		}
-		pfs, err := lwfspfs.Format(p, setupC, "/replay", lwfspfs.Options{StripeUnit: 64 << 10})
+	mc, err := r.bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
+		pfs, err := lwfspfs.Format(p, c, "/replay", lwfspfs.Options{StripeUnit: 64 << 10})
 		if err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		cid := pfs.Container()
 		// Workers mount in spawn order; each takes the next client. The
@@ -163,7 +137,7 @@ func replayTrial(opts ReplayOpts, tr *trace.Trace, name string, workers int) (Re
 		mount := func(wp *sim.Proc) (trace.Mount, error) {
 			c := clients[next]
 			next++
-			if err := c.Login(wp, "app", "s3cret"); err != nil {
+			if err := c.Login(wp, benchUser, benchSecret); err != nil {
 				return nil, err
 			}
 			wfs, err := lwfspfs.Mount(wp, c, "/replay", cid)
@@ -174,23 +148,19 @@ func replayTrial(opts ReplayOpts, tr *trace.Trace, name string, workers int) (Re
 		}
 		stopRec := rec.Start(cl.K)
 		res = trace.StartReplay(cl.K, tr, mount, trace.Options{
-			Concurrency: workers,
+			Concurrency: pt.Workers,
 			Clones:      opts.Clones,
 			Metrics:     cl.Metrics(),
 			OnDone:      func(*sim.Proc) { stopRec() },
 		})
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return pt, mc, tl, err
+	if err == nil {
+		err = res.Err()
 	}
-	if setupErr != nil {
-		return pt, mc, tl, setupErr
+	if err != nil {
+		return mc, rec, err
 	}
-	if err := res.Err(); err != nil {
-		return pt, mc, tl, err
-	}
-	mc.Final = cl.Metrics().Snapshot()
-
 	pt.Ops = res.Ops
 	pt.Errors = res.Errors
 	pt.MB = float64(res.Bytes) / 1e6
@@ -200,7 +170,7 @@ func replayTrial(opts ReplayOpts, tr *trace.Trace, name string, workers int) (Re
 		pt.OpsPerSec = float64(res.Ops) / secs
 	}
 	pt.P99Ms = res.OpMs.Percentile(99)
-	return pt, mc, tl, nil
+	return mc, rec, nil
 }
 
 // replayTimelinePatterns are the trajectories worth plotting: replay
@@ -234,4 +204,5 @@ func (r ReplayResult) Render(w io.Writer) {
 		fmt.Fprintf(w, "\n## %s x%d timeline\n", tl.Trace, tl.Workers)
 		tl.Rec.WriteColumns(w, replayTimelinePatterns...)
 	}
+	RenderMetricsCaptures(w, r.Captures)
 }

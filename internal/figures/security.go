@@ -8,6 +8,7 @@ import (
 
 	"lwfs/internal/authz"
 	"lwfs/internal/cluster"
+	"lwfs/internal/core"
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
 )
@@ -33,61 +34,42 @@ func Security() (SecurityResult, error) {
 	var out SecurityResult
 	spec := cluster.DevCluster().WithServers(2)
 	spec.ComputeNodes = 2
-	cl := cluster.New(spec)
-	cl.RegisterUser("app", "s3cret")
-	l := cl.DeployLWFS()
-	c := cl.NewClient(l, 0)
-	var benchErr error
-	cl.K.Spawn("bench", func(p *sim.Proc) {
-		fail := func(stage string, err error) {
-			benchErr = fmt.Errorf("%s: %w", stage, err)
-		}
-		if err := c.Login(p, "app", "s3cret"); err != nil {
-			fail("login", err)
-			return
-		}
+	_, err := newRig(spec).bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
 		cid, err := c.CreateContainer(p)
 		if err != nil {
-			fail("container", err)
-			return
+			return fmt.Errorf("container: %w", err)
 		}
 		t0 := p.Now()
 		caps, err := c.GetCaps(p, cid, authz.OpCreate, authz.OpWrite, authz.OpRead)
 		if err != nil {
-			fail("getcaps", err)
-			return
+			return fmt.Errorf("getcaps: %w", err)
 		}
 		out.GetCaps = p.Now().Sub(t0)
 
 		ref, err := c.CreateObject(p, c.Server(0), caps)
 		if err != nil {
-			fail("create", err)
-			return
+			return fmt.Errorf("create: %w", err)
 		}
 		const sz = 4096
 		t1 := p.Now()
 		if _, err := c.Write(p, ref, caps, 0, netsim.SyntheticPayload(sz)); err != nil {
-			fail("cold write", err)
-			return
+			return fmt.Errorf("cold write: %w", err)
 		}
 		out.ColdWrite = p.Now().Sub(t1)
 
 		t2 := p.Now()
 		if _, err := c.Write(p, ref, caps, sz, netsim.SyntheticPayload(sz)); err != nil {
-			fail("warm write", err)
-			return
+			return fmt.Errorf("warm write: %w", err)
 		}
 		out.WarmWrite = p.Now().Sub(t2)
 
 		// Warm the read path, then revoke write only.
 		if _, err := c.Read(p, ref, caps, 0, sz); err != nil {
-			fail("warm read", err)
-			return
+			return fmt.Errorf("warm read: %w", err)
 		}
 		t3 := p.Now()
 		if err := c.Revoke(p, authz.ContainerID(cid), authz.OpWrite); err != nil {
-			fail("revoke", err)
-			return
+			return fmt.Errorf("revoke: %w", err)
 		}
 		out.RevokeLatency = p.Now().Sub(t3)
 
@@ -95,11 +77,9 @@ func Security() (SecurityResult, error) {
 		out.WriteRevoked = werr != nil
 		_, rerr := c.Read(p, ref, caps, 0, sz)
 		out.ReadSurvives = rerr == nil
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return out, err
-	}
-	return out, benchErr
+	return out, err
 }
 
 // Render prints the security microbenchmark report.

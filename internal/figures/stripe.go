@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 
 	"lwfs/internal/cluster"
+	"lwfs/internal/core"
 	"lwfs/internal/lwfspfs"
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
@@ -31,18 +32,10 @@ type StripeOpts struct {
 }
 
 func (o *StripeOpts) defaults() {
-	if len(o.Servers) == 0 {
-		o.Servers = []int{1, 2, 4, 8, 16}
-	}
-	if len(o.Units) == 0 {
-		o.Units = []int64{1 << 20}
-	}
-	if o.FileMB == 0 {
-		o.FileMB = 64
-	}
-	if o.Trials == 0 {
-		o.Trials = 3
-	}
+	defList(&o.Servers, 1, 2, 4, 8, 16)
+	defList(&o.Units, 1<<20)
+	def(&o.FileMB, 64)
+	def(&o.Trials, 3)
 }
 
 // StripePoint is the measurement at one (server count, stripe unit):
@@ -70,106 +63,80 @@ type StripeResult struct {
 // StripeSweep measures both transfer paths at every point.
 func StripeSweep(opts StripeOpts) (StripeResult, error) {
 	opts.defaults()
-	res := StripeResult{Opts: opts}
+	var points []StripePoint
 	for _, servers := range opts.Servers {
 		for _, unit := range opts.Units {
-			point := StripePoint{Servers: servers, Unit: unit}
-			for trial := 0; trial < opts.Trials; trial++ {
-				for _, serial := range []bool{true, false} {
-					m, err := stripeTrial(servers, unit, opts.FileMB<<20, serial, opts.Window, trial)
-					if err != nil {
-						return res, fmt.Errorf("stripe servers=%d unit=%d serial=%v trial=%d: %w",
-							servers, unit, serial, trial, err)
-					}
-					if serial {
-						point.SerialWrite.Add(m.writeMBs)
-						point.SerialRead.Add(m.readMBs)
-						point.SerialRPCs = float64(m.rpcs)
-					} else {
-						point.ParallelWrite.Add(m.writeMBs)
-						point.ParallelRead.Add(m.readMBs)
-						point.ParallelRPCs = float64(m.rpcs)
-					}
-				}
-			}
-			if opts.Progress != nil {
-				opts.Progress("stripe servers=%d unit=%dKiB: write %s -> %s MB/s, read %s -> %s MB/s",
-					servers, unit>>10, point.SerialWrite.String(), point.ParallelWrite.String(),
-					point.SerialRead.String(), point.ParallelRead.String())
-			}
-			res.Points = append(res.Points, point)
+			points = append(points, StripePoint{Servers: servers, Unit: unit})
 		}
 	}
-	return res, nil
+	points, _, err := sweep(sweepCfg{Trials: opts.Trials, Progress: opts.Progress}, points, opts.trial)
+	return StripeResult{Opts: opts, Points: points}, err
 }
 
-// stripeMeasure is one trial's outcome for one path.
-type stripeMeasure struct {
-	writeMBs float64
-	readMBs  float64
-	rpcs     int64 // storage RPCs in one steady-state WriteAt
+func (pt *StripePoint) label() string {
+	return fmt.Sprintf("servers=%d unit=%dKiB", pt.Servers, pt.Unit>>10)
+}
+func (pt *StripePoint) summary() string {
+	return fmt.Sprintf("write %s -> %s MB/s, read %s -> %s MB/s", pt.SerialWrite.String(),
+		pt.ParallelWrite.String(), pt.SerialRead.String(), pt.ParallelRead.String())
 }
 
-func stripeTrial(servers int, unit, bytes int64, serial bool, window int, trial int) (stripeMeasure, error) {
-	var m stripeMeasure
-	spec := cluster.DevCluster().WithServers(servers)
+// trial measures the serial path, then the parallel engine.
+func (opts StripeOpts) trial(pt *StripePoint, trial int) ([]MetricsCapture, error) {
+	if err := opts.run(pt, trial, true); err != nil {
+		return nil, fmt.Errorf("serial: %w", err)
+	}
+	return nil, opts.run(pt, trial, false)
+}
+
+// run measures one path — steady-state write and read bandwidth and the
+// storage RPCs of one WriteAt — into the point's serial or parallel half.
+func (opts StripeOpts) run(pt *StripePoint, trial int, serial bool) error {
+	write, read, rpcs := &pt.ParallelWrite, &pt.ParallelRead, &pt.ParallelRPCs
+	if serial {
+		write, read, rpcs = &pt.SerialWrite, &pt.SerialRead, &pt.SerialRPCs
+	}
+	bytes := opts.FileMB << 20
+	spec := cluster.DevCluster().WithServers(pt.Servers)
 	spec.ComputeNodes = 1
-	cl := cluster.New(spec)
-	cl.RegisterUser("app", "s3cret")
-	l := cl.DeployLWFS()
-	c := cl.NewClient(l, 0)
+	r := newRig(spec)
 	// RPC counts come from the metrics registry, not per-server getters:
 	// during the measured steady-state window the only served RPCs are the
 	// storage data writes (caps cached, metadata write skipped, locks ride
 	// their own non-RPC protocol).
-	served := func() int64 {
-		return int64(cl.Metrics().Snapshot().Sum("rpc.*.served"))
-	}
-	var trialErr error
-	cl.Spawn("bench", func(p *sim.Proc) {
-		fail := func(stage string, err error) { trialErr = fmt.Errorf("%s: %w", stage, err) }
-		if err := c.Login(p, "app", "s3cret"); err != nil {
-			fail("login", err)
-			return
-		}
+	served := func() float64 { return r.cl.Metrics().Snapshot().Sum("rpc.*.served") }
+	_, err := r.bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
 		fs, err := lwfspfs.Format(p, c, "/stripe", lwfspfs.Options{
-			StripeUnit: unit, Serial: serial, Window: window,
+			StripeUnit: pt.Unit, Serial: serial, Window: opts.Window,
 		})
 		if err != nil {
-			fail("format", err)
-			return
+			return fmt.Errorf("format: %w", err)
 		}
 		f, err := fs.Create(p, fmt.Sprintf("/big%d", trial))
 		if err != nil {
-			fail("create", err)
-			return
+			return fmt.Errorf("create: %w", err)
 		}
 		// Priming write establishes the size so the measured passes are
 		// steady-state (no metadata RPC mixed into the measurement).
 		if _, err := f.WriteAt(p, 0, netsim.SyntheticPayload(bytes)); err != nil {
-			fail("prime", err)
-			return
+			return fmt.Errorf("prime: %w", err)
 		}
 		before := served()
 		t0 := p.Now()
 		if _, err := f.WriteAt(p, 0, netsim.SyntheticPayload(bytes)); err != nil {
-			fail("write", err)
-			return
+			return fmt.Errorf("write: %w", err)
 		}
 		elapsed := p.Now().Sub(t0)
-		m.rpcs = served() - before
-		m.writeMBs = float64(bytes) / (1 << 20) / elapsed.Seconds()
+		*rpcs = served() - before
+		write.Add(float64(bytes) / (1 << 20) / elapsed.Seconds())
 		t0 = p.Now()
 		if _, err := f.ReadAt(p, 0, bytes); err != nil {
-			fail("read", err)
-			return
+			return fmt.Errorf("read: %w", err)
 		}
-		m.readMBs = float64(bytes) / (1 << 20) / p.Now().Sub(t0).Seconds()
+		read.Add(float64(bytes) / (1 << 20) / p.Now().Sub(t0).Seconds())
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return m, err
-	}
-	return m, trialErr
+	return err
 }
 
 // Render prints the sweep: the speedup columns are the engine's payoff and

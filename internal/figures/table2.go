@@ -6,8 +6,8 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"lwfs/internal/authz"
 	"lwfs/internal/cluster"
+	"lwfs/internal/core"
 	"lwfs/internal/netsim"
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
@@ -46,19 +46,18 @@ func Table2() (Table2Result, error) {
 	const xfer = 1 << 30
 	b.Attach(5, 1, 0, &portals.MD{Payload: netsim.SyntheticPayload(xfer)})
 	var benchErr error
-	k.Spawn("bench", func(p *sim.Proc) {
+	spawn(k, "bench", &benchErr, func(p *sim.Proc) error {
 		rtt, err := a.Echo(p, b.Node())
 		if err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		res.MeasuredLatency = rtt / 2
 		start := p.Now()
 		if _, err := a.Get(p, b.Node(), 5, 1, 0, xfer); err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		res.MeasuredLinkBW = xfer / p.Now().Sub(start).Seconds()
+		return nil
 	})
 	if err := k.Run(sim.MaxTime); err != nil {
 		return res, err
@@ -69,45 +68,22 @@ func Table2() (Table2Result, error) {
 
 	// I/O-node RAID bandwidth through the full LWFS write path on a
 	// minimal Red-Storm-parameter cluster.
-	ioSpec := spec
-	ioSpec.ComputeNodes = 1
-	ioSpec.StorageNodes = 1
-	cl := cluster.New(ioSpec)
-	cl.RegisterUser("bench", "bench")
-	l := cl.DeployLWFS()
-	c := cl.NewClient(l, 0)
-	cl.K.Spawn("bench", func(p *sim.Proc) {
-		if err := c.Login(p, "bench", "bench"); err != nil {
-			benchErr = err
-			return
-		}
-		cid, err := c.CreateContainer(p)
+	spec.ComputeNodes = 1
+	spec.StorageNodes = 1
+	_, err := newRig(spec).bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
+		ref, caps, err := writableObject(p, c, 0)
 		if err != nil {
-			benchErr = err
-			return
-		}
-		caps, err := c.GetCaps(p, cid, authz.OpCreate, authz.OpWrite)
-		if err != nil {
-			benchErr = err
-			return
-		}
-		ref, err := c.CreateObject(p, c.Server(0), caps)
-		if err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		const size = 4 << 30
 		start := p.Now()
 		if _, err := c.Write(p, ref, caps, 0, netsim.SyntheticPayload(size)); err != nil {
-			benchErr = err
-			return
+			return err
 		}
 		res.MeasuredDiskBW = size / p.Now().Sub(start).Seconds()
+		return nil
 	})
-	if err := cl.Run(); err != nil {
-		return res, err
-	}
-	return res, benchErr
+	return res, err
 }
 
 // Render prints the configured-vs-measured comparison.

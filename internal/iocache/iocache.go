@@ -103,14 +103,6 @@ func NewReader(p *sim.Proc, c *core.Client, ref storage.ObjRef, caps core.CapSet
 // Size returns the object size observed at open.
 func (r *Reader) Size() int64 { return r.size }
 
-// Stats reports cache hits, misses, prefetched blocks and evictions.
-//
-// Deprecated: thin read of `iocache.<node>.r<N>.hits|misses|prefetches|
-// evictions`; prefer Registry.Snapshot().
-func (r *Reader) Stats() (hits, misses, prefetches, evictions int64) {
-	return r.hits.Value(), r.misses.Value(), r.prefetches.Value(), r.evictions.Value()
-}
-
 func (r *Reader) nblocks() int64 {
 	return (r.size + r.opts.BlockSize - 1) / r.opts.BlockSize
 }

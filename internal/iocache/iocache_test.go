@@ -14,6 +14,7 @@ import (
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
+	"lwfs/internal/testrig"
 )
 
 const kb = 1 << 10
@@ -70,6 +71,11 @@ func setup(t *testing.T, content []byte, size int64, fn func(r *rig, p *sim.Proc
 	return r
 }
 
+// metric reads one counter of the test's (only) reader from the registry.
+func (r *rig) metric(name string) int64 {
+	return testrig.Metric(r.cl.Metrics(), "iocache.*."+name)
+}
+
 func run(t *testing.T, r *rig) {
 	t.Helper()
 	if err := r.cl.Run(); err != nil {
@@ -124,7 +130,7 @@ func TestRereadHitsCache(t *testing.T) {
 		if cost := p.Now().Sub(t0); cost > time.Microsecond {
 			t.Errorf("cached re-read cost %v", cost)
 		}
-		hits, misses, _, _ := rd.Stats()
+		hits, misses := r.metric("hits"), r.metric("misses")
 		if misses != 2 || hits != 2 {
 			t.Errorf("hits=%d misses=%d", hits, misses)
 		}
@@ -174,14 +180,13 @@ func TestLRUEvictionBoundsCache(t *testing.T) {
 		for off := int64(0); off < 10*mb; off += mb {
 			rd.ReadAt(p, off, mb)
 		}
-		_, misses, _, evictions := rd.Stats()
+		misses, evictions := r.metric("misses"), r.metric("evictions")
 		if misses != 10 || evictions != 6 {
 			t.Errorf("misses=%d evictions=%d", misses, evictions)
 		}
 		// Oldest block is gone: re-reading it misses again.
 		rd.ReadAt(p, 0, mb)
-		_, misses, _, _ = rd.Stats()
-		if misses != 11 {
+		if misses = r.metric("misses"); misses != 11 {
 			t.Errorf("expected evicted block to miss: misses=%d", misses)
 		}
 	})

@@ -305,10 +305,6 @@ func (fs *FS) Container() authz.ContainerID { return fs.cid }
 // Root returns the mount directory.
 func (fs *FS) Root() string { return fs.root }
 
-// SetSerial toggles the legacy per-unit serial transfer path at runtime
-// (mounted file systems default to the parallel engine).
-func (fs *FS) SetSerial(on bool) { fs.opts.Serial = on }
-
 // full converts an FS-relative path to a naming-service path.
 func (fs *FS) full(path string) string {
 	if !strings.HasPrefix(path, "/") {

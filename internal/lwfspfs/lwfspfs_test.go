@@ -15,6 +15,7 @@ import (
 	"lwfs/internal/netsim"
 	"lwfs/internal/osd"
 	"lwfs/internal/sim"
+	"lwfs/internal/testrig"
 	"lwfs/internal/txn"
 )
 
@@ -351,7 +352,7 @@ func TestSteadyStateWriteSkipsMetadataRPC(t *testing.T) {
 	served := func() int64 {
 		var n int64
 		for _, srv := range l.Servers {
-			n += srv.Served()
+			n += testrig.Metric(cl.Metrics(), "rpc."+srv.Device().Name()+".served")
 		}
 		return n
 	}

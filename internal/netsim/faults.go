@@ -124,9 +124,6 @@ func (n *Network) Heal() {
 	n.fault = nil
 }
 
-// Faults returns the live fault rules (chaos harness introspection).
-func (n *Network) Faults() []*Fault { return n.rules }
-
 // SetChaosSeed seeds the generator behind probabilistic drops. Runs that
 // never install a fractional DropProb never consume randomness; runs that do
 // should set the seed explicitly (the default is seed 0).

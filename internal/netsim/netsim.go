@@ -233,22 +233,8 @@ func (n *Network) Nodes() []*Node { return n.nodes }
 // always bind handlers first).
 func (nd *Node) SetHandler(h Handler) { nd.handler = h }
 
-// Stats reports message and byte counters for a node.
-//
-// Deprecated: thin read of the `net.<name>.msgs_sent/msgs_received/
-// bytes_sent/bytes_received` registry instruments; prefer
-// Network.Metrics().Snapshot(). These count link-level messages (every
-// chunk, ack and header), a different unit from `rpc.<server>.served`,
-// which counts completed RPC requests.
-func (nd *Node) Stats() (sent, received, bytesSent, bytesReceived int64) {
-	return nd.sent.Value(), nd.received.Value(), nd.bytesSent.Value(), nd.bytesReceived.Value()
-}
-
 // IngressBusy reports the total time the node's ingress server was busy.
 func (nd *Node) IngressBusy() time.Duration { return nd.ingress.BusyTime() }
-
-// EgressBusy reports the total time the node's egress server was busy.
-func (nd *Node) EgressBusy() time.Duration { return nd.egress.BusyTime() }
 
 // Send transmits m asynchronously: the caller continues immediately and the
 // message is delivered to the destination handler after egress

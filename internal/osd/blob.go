@@ -52,9 +52,6 @@ const (
 // Size returns the logical size (highest written offset + length).
 func (b *Blob) Size() int64 { return b.size }
 
-// HasRealData reports whether any real bytes are stored.
-func (b *Blob) HasRealData() bool { return len(b.extents) > 0 }
-
 // firstEndingAfter returns the index of the first extent whose end lies past
 // off — the first one a range starting at off can touch.
 func (b *Blob) firstEndingAfter(off int64) int {

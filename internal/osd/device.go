@@ -112,9 +112,6 @@ func NewDevice(k *sim.Kernel, name string, params DiskParams) *Device {
 // Name returns the device name.
 func (d *Device) Name() string { return d.name }
 
-// Params returns the disk calibration.
-func (d *Device) Params() DiskParams { return d.params }
-
 // NumObjects reports the number of live objects.
 func (d *Device) NumObjects() int { return len(d.objects) }
 

@@ -65,14 +65,6 @@ func StartMDS(ep *portals.Endpoint, osts []OSTTarget, cfg Config) *MDS {
 // Node returns the MDS's node.
 func (m *MDS) Node() netsim.NodeID { return m.node }
 
-// Stats reports creates, opens, unlinks and stats served.
-//
-// Deprecated: thin read of `pfs.mds.creates|opens|unlinks|stats`; prefer
-// Registry.Snapshot().
-func (m *MDS) Stats() (creates, opens, unlinks, stats int64) {
-	return m.creates.Value(), m.opens.Value(), m.unlinks.Value(), m.stats.Value()
-}
-
 func (m *MDS) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
 	switch r := req.(type) {
 	case mdsCreateReq:

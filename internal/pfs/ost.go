@@ -80,12 +80,6 @@ func (o *OST) Target() OSTTarget { return OSTTarget{Node: o.ep.Node(), Port: o.p
 // Device exposes the backing device.
 func (o *OST) Device() *osd.Device { return o.dev }
 
-// LockSwitches reports extent-lock holder changes (revocation callbacks).
-//
-// Deprecated: thin read of `pfs.<dev>.lock_switches`; prefer
-// Registry.Snapshot().
-func (o *OST) LockSwitches() int64 { return o.lockSwitches.Value() }
-
 // ostContainer tags PFS backing objects on the shared device model.
 const ostContainer osd.ContainerID = 1 << 40
 

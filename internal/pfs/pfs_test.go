@@ -13,6 +13,7 @@ import (
 	"lwfs/internal/netsim"
 	"lwfs/internal/pfs"
 	"lwfs/internal/sim"
+	"lwfs/internal/testrig"
 )
 
 const mb = 1 << 20
@@ -142,8 +143,7 @@ func TestMDSSerializesCreates(t *testing.T) {
 	if last.Duration() < 8*1300*time.Microsecond {
 		t.Fatalf("creates overlapped at the MDS: finished at %v", last)
 	}
-	creates, _, _, _ := f.MDS.Stats()
-	if creates != int64(n) {
+	if creates := testrig.Metric(cl.Metrics(), "pfs.mds.creates"); creates != int64(n) {
 		t.Fatalf("creates = %d", creates)
 	}
 }
@@ -183,10 +183,7 @@ func TestSharedFileLockSwitches(t *testing.T) {
 		})
 	}
 	run(t, cl)
-	var switches int64
-	for _, ost := range f.OSTs {
-		switches += ost.LockSwitches()
-	}
+	switches := testrig.Metric(cl.Metrics(), "pfs.*.lock_switches")
 	// Interleaved shared writers must ping-pong extent locks heavily.
 	if switches < int64(nClients) {
 		t.Fatalf("lock switches = %d; shared-file contention not modeled", switches)

@@ -34,8 +34,8 @@ func TestServerCountersAndQueue(t *testing.T) {
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Served() != 3 {
-		t.Fatalf("served = %d", srv.Served())
+	if srv.served.Value() != 3 {
+		t.Fatalf("served = %d", srv.served.Value())
 	}
 	if maxQueue < 1 {
 		t.Fatalf("queue never built up behind the single worker")

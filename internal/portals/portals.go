@@ -155,7 +155,6 @@ type Endpoint struct {
 
 	dropped   *metrics.Counter
 	lateDrops *metrics.Counter
-	droppedAt map[Index]int64
 }
 
 // NextToken allocates an endpoint-unique token. All users of shared reply
@@ -213,22 +212,6 @@ func (ep *Endpoint) Metrics() *metrics.Registry { return ep.net.Metrics() }
 // Kernel returns the simulation kernel.
 func (ep *Endpoint) Kernel() *sim.Kernel { return ep.net.Kernel() }
 
-// Dropped reports messages that arrived with no matching match entry.
-//
-// Deprecated: thin read of `portals.<node>.no_match_drops`; prefer
-// Metrics().Snapshot().
-func (ep *Endpoint) Dropped() int64 { return ep.dropped.Value() }
-
-// DroppedAt reports no-match drops at one portal index.
-func (ep *Endpoint) DroppedAt(pt Index) int64 { return ep.droppedAt[pt] }
-
-// LateDrops reports messages dropped because they arrived after the
-// operation that posted their match entry had timed out.
-//
-// Deprecated: thin read of `portals.<node>.late_drops`; prefer
-// Metrics().Snapshot().
-func (ep *Endpoint) LateDrops() int64 { return ep.lateDrops.Value() }
-
 // SetGetRetry arms one-sided Gets with a retry policy: each attempt is
 // bounded by pol.Timeout and a lost request or reply is re-issued under a
 // fresh token, up to pol.MaxAttempts. Without it (the default) a Get whose
@@ -268,10 +251,6 @@ func (ep *Endpoint) dropNoMatch(pt Index, bits MatchBits) {
 		fn()
 	}
 	ep.dropped.Inc()
-	if ep.droppedAt == nil {
-		ep.droppedAt = make(map[Index]int64)
-	}
-	ep.droppedAt[pt]++
 }
 
 // Attach binds a match entry at portal index pt. Incoming operations match
@@ -305,17 +284,6 @@ func (ep *Endpoint) match(pt Index, bits MatchBits) *ME {
 // asynchronous: the caller continues immediately.
 func (ep *Endpoint) Put(target netsim.NodeID, pt Index, bits MatchBits, hdr interface{}, payload netsim.Payload) {
 	ep.net.Send(netsim.Message{
-		From: ep.node.ID,
-		To:   target,
-		Size: HeaderSize + payload.Size,
-		Body: putMsg{pt: pt, bits: bits, hdr: hdr, payload: payload},
-	})
-}
-
-// PutWait is Put, but blocks the calling process until the message has left
-// the local NIC (egress serialization complete).
-func (ep *Endpoint) PutWait(p *sim.Proc, target netsim.NodeID, pt Index, bits MatchBits, hdr interface{}, payload netsim.Payload) {
-	ep.net.SendWait(p, netsim.Message{
 		From: ep.node.ID,
 		To:   target,
 		Size: HeaderSize + payload.Size,

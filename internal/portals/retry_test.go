@@ -97,8 +97,8 @@ func TestServerDedupsSlowRequestRetries(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("non-idempotent handler ran %d times", calls)
 	}
-	if srv.Deduped() != 2 {
-		t.Fatalf("deduped = %d, want 2", srv.Deduped())
+	if srv.deduped.Value() != 2 {
+		t.Fatalf("deduped = %d, want 2", srv.deduped.Value())
 	}
 	// The first two attempts' replies eventually landed after their
 	// timeouts: dropped and counted, never delivered to a live call.
@@ -138,8 +138,8 @@ func TestLateReplyAfterCallTimeoutIsCountedNotDelivered(t *testing.T) {
 	if c.LateReplies() != 1 {
 		t.Fatalf("late replies = %d, want 1", c.LateReplies())
 	}
-	if r.eps[0].LateDrops() != 1 {
-		t.Fatalf("endpoint late drops = %d, want 1", r.eps[0].LateDrops())
+	if r.eps[0].lateDrops.Value() != 1 {
+		t.Fatalf("endpoint late drops = %d, want 1", r.eps[0].lateDrops.Value())
 	}
 }
 
@@ -163,7 +163,7 @@ func TestServerDownDiscardsAndRestartServes(t *testing.T) {
 	if err != nil || got.(string) != "ok" {
 		t.Fatalf("got %v, %v", got, err)
 	}
-	if srv.Discarded() == 0 {
+	if srv.discarded.Value() == 0 {
 		t.Fatal("expected discarded requests while down")
 	}
 }
@@ -189,8 +189,8 @@ func TestCrashSuppressesInFlightReply(t *testing.T) {
 	if !errors.Is(err, ErrRPCTimeout) {
 		t.Fatalf("err = %v, want timeout (reply suppressed)", err)
 	}
-	if srv.Served() != 0 {
-		t.Fatalf("served = %d, want 0", srv.Served())
+	if srv.served.Value() != 0 {
+		t.Fatalf("served = %d, want 0", srv.served.Value())
 	}
 }
 
@@ -282,7 +282,7 @@ func TestDedupEvictionSkipsInFlightEntries(t *testing.T) {
 	if calls["slow"] != 1 {
 		t.Fatalf("non-idempotent in-flight handler ran %d times after eviction pressure", calls["slow"])
 	}
-	if srv.Deduped() != 1 {
-		t.Fatalf("deduped = %d, want 1", srv.Deduped())
+	if srv.deduped.Value() != 1 {
+		t.Fatalf("deduped = %d, want 1", srv.deduped.Value())
 	}
 }

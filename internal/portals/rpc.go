@@ -49,8 +49,10 @@ type Handler func(p *sim.Proc, from netsim.NodeID, req interface{}) (resp interf
 
 // ErrOverload is the explicit shed verdict: an admission-controlled server
 // whose queue is full answers immediately with this error instead of letting
-// the request age into a timeout. Callers should back off and retry (Call
-// treats it as retryable); it is NOT a timeout — the server is alive.
+// the request age into a timeout. It is NOT a timeout — the server is alive
+// — so Call returns it at once, whatever retry policy is armed: backing off
+// and trying again is the caller's decision. Only an armed breaker takes
+// note, counting a shed toward opening the target's circuit.
 var ErrOverload = errors.New("portals: server overloaded, request shed")
 
 // ErrCircuitOpen is returned by a breaker-armed Caller without issuing the
@@ -229,24 +231,6 @@ func (s *Server) shedReply(epoch uint64, req rpcRequest, err error) {
 	s.shed.Inc()
 	s.ep.Put(req.From, replyPortal, MatchBits(req.Token), rpcResponse{Token: req.Token, Err: err}, netsim.Payload{})
 }
-
-// Served reports the number of requests completed.
-//
-// Deprecated: thin read of `rpc.<name>.served`; prefer
-// Endpoint.Metrics().Snapshot().
-func (s *Server) Served() int64 { return s.served.Value() }
-
-// Deduped reports retried requests answered without re-running the handler.
-//
-// Deprecated: thin read of `rpc.<name>.deduped`; prefer
-// Endpoint.Metrics().Snapshot().
-func (s *Server) Deduped() int64 { return s.deduped.Value() }
-
-// Discarded reports requests dropped because the server was down.
-//
-// Deprecated: thin read of `rpc.<name>.discarded`; prefer
-// Endpoint.Metrics().Snapshot().
-func (s *Server) Discarded() int64 { return s.discarded.Value() }
 
 // QueueLen reports requests waiting for a service thread (also exported as
 // the `rpc.<name>.queue_depth` gauge).

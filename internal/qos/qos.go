@@ -167,22 +167,6 @@ func NewAdmission(k *sim.Kernel, scope metrics.Scope, cfg Config) *Admission {
 	return a
 }
 
-// SetWeight adjusts a tenant's share weight at runtime (w <= 0 resets to 1).
-func (a *Admission) SetWeight(t Tenant, w float64) {
-	if a.cfg.Weights == nil {
-		a.cfg.Weights = make(map[Tenant]float64)
-	}
-	if w <= 0 {
-		w = 1
-	}
-	a.cfg.Weights[t] = w
-	for _, b := range a.bands {
-		if q, ok := b.tenants[t]; ok {
-			q.weight = w
-		}
-	}
-}
-
 func (a *Admission) weightOf(t Tenant) float64 {
 	if w, ok := a.cfg.Weights[t]; ok && w > 0 {
 		return w

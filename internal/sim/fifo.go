@@ -21,7 +21,6 @@ type FIFOServer struct {
 	name     string
 	nextFree Time
 
-	jobs      int64
 	busyAccum time.Duration
 }
 
@@ -45,7 +44,6 @@ func (s *FIFOServer) Schedule(service time.Duration, fn func()) Time {
 	}
 	finish := start.Add(service)
 	s.nextFree = finish
-	s.jobs++
 	s.busyAccum += service
 	if fn != nil {
 		s.k.At(finish, fn)
@@ -60,27 +58,8 @@ func (s *FIFOServer) Wait(p *Proc, service time.Duration) {
 	p.park()
 }
 
-// NextFree reports the instant at which the server drains its current queue.
-func (s *FIFOServer) NextFree() Time { return s.nextFree }
-
-// Jobs reports the number of jobs ever scheduled.
-func (s *FIFOServer) Jobs() int64 { return s.jobs }
-
 // BusyTime reports the total service time scheduled so far.
 func (s *FIFOServer) BusyTime() time.Duration { return s.busyAccum }
-
-// Utilization reports BusyTime divided by the elapsed virtual time
-// (0 if no time has passed).
-func (s *FIFOServer) Utilization() float64 {
-	if s.k.now == 0 {
-		return 0
-	}
-	u := float64(s.busyAccum) / float64(s.k.now)
-	if u > 1 {
-		u = 1 // queue still draining past "now"
-	}
-	return u
-}
 
 // Rate converts a size in bytes and a bandwidth in bytes/second into a
 // service duration. It is the standard helper for links and disks.

@@ -143,7 +143,6 @@ type Kernel struct {
 	// process goroutine holds it.
 	driver  chan struct{}
 	failure error
-	tracef  func(format string, args ...interface{})
 
 	nScheduled  uint64
 	nDispatched uint64
@@ -161,16 +160,6 @@ func NewKernel() *Kernel {
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// SetTrace installs a trace function that receives a line per significant
-// kernel action. Pass nil to disable tracing.
-func (k *Kernel) SetTrace(f func(format string, args ...interface{})) { k.tracef = f }
-
-func (k *Kernel) trace(format string, args ...interface{}) {
-	if k.tracef != nil {
-		k.tracef(format, args...)
-	}
-}
 
 // EventsScheduled reports the total number of events ever scheduled.
 func (k *Kernel) EventsScheduled() uint64 { return k.nScheduled }
@@ -499,10 +488,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// Yield lets every event scheduled at the current instant (so far) run
-// before the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // procLoop runs the dispatch loop on a process goroutine, converting a
 // panic inside an event callback into a simulation failure surfaced by Run.
 // (A panic in process code itself is caught by main's recover instead; this
@@ -658,11 +643,4 @@ func (k *Kernel) Run(limit Time) error {
 		return &DeadlockError{At: k.now, Blocked: names}
 	}
 	return nil
-}
-
-// MustRun is Run(MaxTime) but panics on error. Convenient in examples.
-func (k *Kernel) MustRun() {
-	if err := k.Run(MaxTime); err != nil {
-		panic(err)
-	}
 }

@@ -251,15 +251,6 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	p.park()
 }
 
-// TryAcquire claims n units if they are immediately available.
-func (r *Resource) TryAcquire(n int64) bool {
-	if len(r.waiters) == 0 && r.avail >= n {
-		r.take(n)
-		return true
-	}
-	return false
-}
-
 func (r *Resource) take(n int64) {
 	if r.avail == r.capacity {
 		r.busySince = r.k.now

@@ -3,6 +3,7 @@ package stdfs_test
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"io"
 	"io/fs"
 	"math/rand"
@@ -292,6 +293,43 @@ func TestRecorderIntegration(t *testing.T) {
 		last := evs[len(evs)-1]
 		if last.Op != trace.OpMkdir || last.Stream == tr.Events[0].Stream {
 			t.Fatalf("fork event = %+v, want fresh stream", last)
+		}
+	})
+}
+
+// WriteAt digests its bytes into a content seed only while a recorder is
+// attached (hashing 8 MiB costs more host time than simulating its write);
+// what a recorder sees is unchanged: the 64-bit FNV-1a of exactly the bytes
+// written, one event per write, nothing for writes made before it attached.
+func TestWriteAtSeedsOnlyWhileRecording(t *testing.T) {
+	withMount(t, lwfspfs.Options{}, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
+		f, err := x.Create("seeds.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := bytes.Repeat([]byte("lightweight i/o "), 512)
+		if _, err := f.WriteAt(payload, 0); err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder()
+		x.Record(rec)
+		if _, err := f.WriteAt(payload, int64(len(payload))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(payload[:100], 7); err != nil {
+			t.Fatal(err)
+		}
+
+		evs := rec.Trace().Events
+		if len(evs) != 2 {
+			t.Fatalf("recorded %d events, want the 2 writes made while attached: %+v", len(evs), evs)
+		}
+		for i, want := range [][]byte{payload, payload[:100]} {
+			h := fnv.New64a()
+			h.Write(want)
+			if evs[i].Op != trace.OpWrite || evs[i].Len != int64(len(want)) || evs[i].Seed != h.Sum64() {
+				t.Errorf("event %d = %+v, want a %d-byte write with seed %#x", i, evs[i], len(want), h.Sum64())
+			}
 		}
 	})
 }

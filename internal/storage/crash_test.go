@@ -66,7 +66,7 @@ func TestCrashRestartReplaysJournal(t *testing.T) {
 
 		// The restarted server serves fresh work; its capability cache is
 		// cold, so the create re-verifies with the authorization service.
-		_, missesBefore, _ := srv.CacheStats()
+		missesBefore := r.Metric("storage.*.cap_cache.misses")
 		ref2, err := sc.Create(p, tgt, s.caps[authz.OpCreate], s.cid)
 		if err != nil {
 			t.Fatalf("create after restart: %v", err)
@@ -74,8 +74,7 @@ func TestCrashRestartReplaysJournal(t *testing.T) {
 		if _, err := sc.Write(p, ref2, s.caps[authz.OpWrite], 0, netsim.SyntheticPayload(100)); err != nil {
 			t.Fatalf("write after restart: %v", err)
 		}
-		_, missesAfter, _ := srv.CacheStats()
-		if missesAfter <= missesBefore {
+		if missesAfter := r.Metric("storage.*.cap_cache.misses"); missesAfter <= missesBefore {
 			t.Fatal("capability cache survived the crash; it must restart cold")
 		}
 	})

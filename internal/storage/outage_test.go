@@ -79,7 +79,7 @@ func TestCapCacheSurvivesAuthzOutage(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	hits, misses, _ := srv.CacheStats()
+	hits, misses := r.Metric("storage.*.cap_cache.hits"), r.Metric("storage.*.cap_cache.misses")
 	if hits < 5 {
 		t.Fatalf("cache hits = %d; outage writes did not use the cache", hits)
 	}

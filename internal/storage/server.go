@@ -155,7 +155,7 @@ func Start(ep *portals.Endpoint, dev *osd.Device, az *authz.Client, rpcPort port
 func metricName(name string) string { return strings.ReplaceAll(name, "/", ".") }
 
 // Admission exposes the server's admission controller (nil without
-// Config.QoS) — tests and operators adjust tenant weights through it.
+// Config.QoS) — tests inspect its queue through it.
 func (s *Server) Admission() *qos.Admission { return s.adm }
 
 // Crash fail-stops the server process: in-flight requests die unanswered,
@@ -234,21 +234,6 @@ func (s *Server) Device() *osd.Device { return s.dev }
 // AuthzClient exposes the server's authorization-service client, so fault
 // harnesses can arm its caller with a retry policy.
 func (s *Server) AuthzClient() *authz.Client { return s.az }
-
-// CacheStats reports capability-cache hits, misses and invalidations.
-//
-// Deprecated: thin read of `storage.<dev>.cap_cache.hits|misses|invalidated`;
-// prefer Registry.Snapshot().
-func (s *Server) CacheStats() (hits, misses, invalidated int64) {
-	return s.cacheHits.Value(), s.cacheMisses.Value(), s.invalidated.Value()
-}
-
-// Served reports completed requests.
-func (s *Server) Served() int64 { return s.rpc.Served() }
-
-// Deduped reports retransmitted requests absorbed by the exactly-once
-// request-ID filter (each is a retry whose original still answered).
-func (s *Server) Deduped() int64 { return s.rpc.Deduped() }
 
 // request bodies
 

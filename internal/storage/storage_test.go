@@ -192,13 +192,12 @@ func TestCapCacheAmortizesVerification(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	hits, misses, _ := srv.CacheStats()
+	hits, misses := r.Metric("storage.*.cap_cache.hits"), r.Metric("storage.*.cap_cache.misses")
 	// One miss per distinct capability (create, write); the other 9 writes hit.
 	if misses != 2 || hits != 9 {
 		t.Fatalf("cache hits=%d misses=%d", hits, misses)
 	}
-	verifies, _, _, _ := r.Authz.Stats()
-	if verifies != 2 {
+	if verifies := r.Metric("authz.verifies"); verifies != 2 {
 		t.Fatalf("authz verifies = %d", verifies)
 	}
 }
@@ -238,8 +237,7 @@ func TestRevocationStopsWriterKeepsReader(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	_, _, invalidated := srv.CacheStats()
-	if invalidated != 1 {
+	if invalidated := r.Metric("storage.*.cap_cache.invalidated"); invalidated != 1 {
 		t.Fatalf("invalidated = %d, want 1", invalidated)
 	}
 }
@@ -426,7 +424,7 @@ func TestDisabledCapCacheVerifiesEveryRequest(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	hits, misses, _ := srv.CacheStats()
+	hits, misses := r.Metric("storage.*.cap_cache.hits"), r.Metric("storage.*.cap_cache.misses")
 	if hits != 0 || misses != 6 { // 1 create + 5 writes
 		t.Fatalf("hits=%d misses=%d", hits, misses)
 	}

@@ -64,9 +64,6 @@ func NewEngine(c *core.Client, caps core.CapSet, window int) *Engine {
 	}
 }
 
-// SetCaps replaces the capability set (after an explicit renewal).
-func (e *Engine) SetCaps(caps core.CapSet) { e.caps = caps }
-
 // Window reports the in-flight bound.
 func (e *Engine) Window() int { return e.window }
 

@@ -12,6 +12,7 @@ import (
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
 	"lwfs/internal/stripe"
+	"lwfs/internal/testrig"
 )
 
 func engineCluster(servers int) (*cluster.Cluster, *cluster.LWFS) {
@@ -101,7 +102,7 @@ func TestEngineOneRPCPerObject(t *testing.T) {
 		served := func() int64 {
 			var n int64
 			for _, s := range lw.Servers {
-				n += s.Served()
+				n += testrig.Metric(cl.Metrics(), "rpc."+s.Device().Name()+".served")
 			}
 			return n
 		}

@@ -11,6 +11,7 @@ import (
 
 	"lwfs/internal/authn"
 	"lwfs/internal/authz"
+	"lwfs/internal/metrics"
 	"lwfs/internal/netsim"
 	"lwfs/internal/osd"
 	"lwfs/internal/portals"
@@ -66,6 +67,18 @@ func New(nodes int) *Rig {
 	r.Authz = authz.Start(r.Eps[0], ac, authz.DefaultConfig())
 	return r
 }
+
+// Metric reads the registry the way tests assert on counters: the current
+// value of the named instrument, or the sum over every instrument a `*`
+// pattern matches ("rpc.osd1.served", "storage.*.cap_cache.misses"). The
+// registry is the one observability surface; services keep no accessors
+// beside it.
+func Metric(reg *metrics.Registry, pattern string) int64 {
+	return int64(reg.Snapshot().Sum(pattern))
+}
+
+// Metric reads the rig's registry; see the package-level Metric.
+func (r *Rig) Metric(pattern string) int64 { return Metric(r.Net.Metrics(), pattern) }
 
 // Caller returns a fresh RPC caller on node i.
 func (r *Rig) Caller(i int) *portals.Caller { return portals.NewCaller(r.Eps[i]) }

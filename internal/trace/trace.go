@@ -238,16 +238,6 @@ func Decode(r io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
-// DecodeFile reads and decodes a trace file.
-func DecodeFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Decode(f)
-}
-
 // Recorder accumulates events. Add is safe to call from any simulation
 // process; events arrive in execution order, which is time order. The zero
 // Recorder is NOT usable — call NewRecorder (streams need the counter).

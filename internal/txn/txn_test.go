@@ -232,7 +232,7 @@ func bootLocks(r *testrig.Rig, idx int) *txn.LockServer {
 
 func TestExclusiveLockMutualExclusion(t *testing.T) {
 	r := testrig.New(4)
-	ls := bootLocks(r, 1)
+	bootLocks(r, 1)
 	inside, maxInside := 0, 0
 	for i := 0; i < 2; i++ {
 		node := 2 + i
@@ -257,7 +257,7 @@ func TestExclusiveLockMutualExclusion(t *testing.T) {
 	if maxInside != 1 {
 		t.Fatalf("max concurrent exclusive holders = %d", maxInside)
 	}
-	grants, waits, _ := ls.Stats()
+	grants, waits := r.Metric("lock.grants"), r.Metric("lock.waits")
 	if grants != 2 || waits != 1 {
 		t.Fatalf("grants=%d waits=%d", grants, waits)
 	}
@@ -342,7 +342,7 @@ func TestTryLock(t *testing.T) {
 
 func TestLockTimeoutWithdraws(t *testing.T) {
 	r := testrig.New(4)
-	ls := bootLocks(r, 1)
+	bootLocks(r, 1)
 	a := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 40, 1)
 	b := txn.NewLockClient(r.Eps[3], r.Eps[1].Node(), 40, 1)
 	r.Go("a", func(p *sim.Proc) {
@@ -362,8 +362,7 @@ func TestLockTimeoutWithdraws(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	_, _, timeouts := ls.Stats()
-	if timeouts != 1 {
+	if timeouts := r.Metric("lock.timeouts"); timeouts != 1 {
 		t.Fatalf("timeouts = %d", timeouts)
 	}
 }
