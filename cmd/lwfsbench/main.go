@@ -14,21 +14,46 @@
 // per-sweep-point registry snapshot deltas (RPC rates, cache hit ratios,
 // queue depths, drain backlog) to the experiments that capture them.
 //
+// The harness observes itself: -cpuprofile and -memprofile bracket the
+// experiment loop with pprof profiles (the heap profile is taken after a
+// collection, so its in-use view is what the finished experiments still
+// hold), and -json logs one line per experiment with its host cost:
+//
+//	{"experiment":"fig10","wall_s":0.61,"alloc_bytes":69381912,"peak_rss_mb":41.9,"points":64}
+//
+// wall_s and alloc_bytes are the experiment's own; peak_rss_mb is the
+// process's high-water mark when it ended, so in an `all` run it only grows;
+// points counts the sweep points that reported.
+//
 // The -quick output of every experiment is pinned byte for byte by
 // TestExperimentGoldens (testdata/golden; regenerate with
 // `go test ./cmd/lwfsbench -run Goldens -long -update`).
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
+	"syscall"
+	"time"
 
 	"lwfs/internal/figures"
 )
+
+// cost is one experiment's line in the -json log.
+type cost struct {
+	Experiment string  `json:"experiment"`
+	WallS      float64 `json:"wall_s"`
+	AllocBytes uint64  `json:"alloc_bytes"`
+	PeakRSSMB  float64 `json:"peak_rss_mb"`
+	Points     int     `json:"points"`
+}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -54,6 +79,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		verbose    = fs.Bool("v", false, "progress output to stderr")
 		plot       = fs.Bool("plot", false, "render ASCII plots of the figure shapes")
 		metrics    = fs.Bool("metrics", false, "dump registry snapshot deltas per sweep point")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the experiment loop to `file`")
+		memprofile = fs.String("memprofile", "", "write a heap profile, taken after the experiment loop, to `file`")
+		jsonlog    = fs.String("json", "", "log one JSON line per experiment (wall_s, alloc_bytes, peak_rss_mb, points) to `file`")
 	)
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
@@ -82,19 +110,106 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*experiment, strings.Join(names, ", "))
 		return 2
 	}
+
+	// The harness's own files: a failure to write one fails the command,
+	// but never hides an experiment's failure.
+	code := 0
+	check := func(err error) {
+		if err != nil && code == 0 {
+			fmt.Fprintf(stderr, "lwfsbench: %v\n", err)
+			code = 1
+		}
+	}
+	finish, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		check(err)
+		return code
+	}
+	var log *os.File
+	if *jsonlog != "" {
+		if log, err = os.Create(*jsonlog); err != nil {
+			check(err)
+			todo = nil // nothing runs, but a started profile is still ended
+		}
+	}
+
 	for _, e := range todo {
-		if *verbose {
-			env.Progress = func(format string, args ...interface{}) {
+		c := cost{Experiment: e.Name}
+		env.Progress = func(format string, args ...interface{}) {
+			c.Points++
+			if *verbose {
 				fmt.Fprintf(stderr, e.Name+": "+format+"\n", args...)
 			}
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
 		if err := e.Run(env, stdout); err != nil {
-			fmt.Fprintf(stderr, "lwfsbench: %s: %v\n", e.Name, err)
-			return 1
+			check(fmt.Errorf("%s: %w", e.Name, err))
+			break
 		}
+		c.WallS = time.Since(start).Seconds()
+		runtime.ReadMemStats(&after)
+		c.AllocBytes = after.TotalAlloc - before.TotalAlloc
+		c.PeakRSSMB = peakRSSMB()
 		fmt.Fprintln(stdout)
+		if log != nil {
+			check(json.NewEncoder(log).Encode(c))
+		}
 	}
-	return 0
+
+	check(finish())
+	if log != nil {
+		check(log.Close())
+	}
+	return code
+}
+
+// startProfiles starts the CPU profile, if one is asked for, and returns the
+// function that ends it and then writes the heap profile, if one is asked
+// for: together they bracket the experiment loop.
+func startProfiles(cpu, mem string) (finish func() error, err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		if cpuFile, err = os.Create(cpu); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if mem == "" {
+			return nil
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // in-use is then what the finished experiments still hold
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
+}
+
+// peakRSSMB is getrusage's max resident set of this process (Linux: KiB),
+// the figure bench/ reports under the same name.
+func peakRSSMB() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return float64(ru.Maxrss) * 1024 / 1e6
 }
 
 // parseInts reads a comma-separated list of integers; empty means unset.

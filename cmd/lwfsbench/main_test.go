@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -122,5 +123,52 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 	if code := run([]string{"-clients", "1,x"}, &stdout, &stderr); code != 2 {
 		t.Errorf("bad -clients: exit %d, want 2", code)
+	}
+}
+
+// -json, -cpuprofile and -memprofile observe a run without changing what it
+// prints: one cost line per experiment, two non-empty profiles.
+func TestCostLogAndProfiles(t *testing.T) {
+	dir := t.TempDir()
+	log, cpu, mem := filepath.Join(dir, "cost.jsonl"), filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-experiment", "faults", "-quick", "-json", log, "-cpuprofile", cpu, "-memprofile", mem}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "faults.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("observing the run changed its report:\n%s", stdout.String())
+	}
+
+	raw, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c struct {
+		Experiment string   `json:"experiment"`
+		WallS      *float64 `json:"wall_s"`
+		AllocBytes *uint64  `json:"alloc_bytes"`
+		PeakRSSMB  *float64 `json:"peak_rss_mb"`
+		Points     *int     `json:"points"`
+	}
+	if err := json.Unmarshal(raw, &c); err != nil {
+		t.Fatalf("cost log is not one JSON object: %v\n%s", err, raw)
+	}
+	if c.Experiment != "faults" || c.WallS == nil || *c.WallS <= 0 || c.AllocBytes == nil || *c.AllocBytes == 0 ||
+		c.PeakRSSMB == nil || *c.PeakRSSMB <= 0 || c.Points == nil || *c.Points != 2 {
+		t.Errorf("cost line %s: want faults, positive wall_s, alloc_bytes and peak_rss_mb, and the 2 sweep points of -quick", raw)
+	}
+	for _, prof := range []string{cpu, mem} {
+		if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s: %v, want a non-empty file", filepath.Base(prof), err)
+		}
+	}
+
+	if code := run([]string{"-experiment", "table1", "-json", filepath.Join(dir, "no", "such", "dir")}, &stdout, &stderr); code != 1 {
+		t.Errorf("unwritable -json file: exit %d, want 1", code)
 	}
 }

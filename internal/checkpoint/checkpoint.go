@@ -201,6 +201,7 @@ func (r *Result) fold(t ProcTimes) {
 // one object-per-process checkpoint (Figure 8).
 func RunLWFS(spec cluster.Spec, cfg Config) (Result, error) {
 	cl := cluster.New(spec)
+	defer cl.Close()
 	cl.RegisterUser("app", "s3cret")
 	l := cl.DeployLWFS()
 	if len(cfg.Burst) == 0 {

@@ -18,6 +18,7 @@ import (
 // striped file through the centralized MDS, dumps, syncs and closes.
 func RunPFSFilePerProcess(spec cluster.Spec, cfg Config) (Result, error) {
 	cl := cluster.New(spec)
+	defer cl.Close()
 	f := cl.DeployPFS()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := Result{Procs: cfg.Procs, Bytes: int64(cfg.Procs) * cfg.BytesPerProc}
@@ -76,6 +77,7 @@ func RunPFSFilePerProcess(spec cluster.Spec, cfg Config) (Result, error) {
 // non-overlapping region — and paying the consistency machinery for it.
 func RunPFSShared(spec cluster.Spec, cfg Config) (Result, error) {
 	cl := cluster.New(spec)
+	defer cl.Close()
 	f := cl.DeployPFS()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := Result{Procs: cfg.Procs, Bytes: int64(cfg.Procs) * cfg.BytesPerProc}
@@ -158,6 +160,7 @@ type CreateResult struct {
 // written — Figure 10c.
 func RunCreateOnlyLWFS(spec cluster.Spec, procs, opsPerProc int, seed int64) (CreateResult, error) {
 	cl := cluster.New(spec)
+	defer cl.Close()
 	cl.RegisterUser("app", "s3cret")
 	l := cl.DeployLWFS()
 	done := sim.NewMailbox(cl.K, "done")
@@ -225,6 +228,7 @@ func RunCreateOnlyLWFS(spec cluster.Spec, procs, opsPerProc int, seed int64) (Cr
 // metadata throughput.
 func RunCreateOnlyPFS(spec cluster.Spec, procs, opsPerProc int, seed int64) (CreateResult, error) {
 	cl := cluster.New(spec)
+	defer cl.Close()
 	f := cl.DeployPFS()
 	done := sim.NewMailbox(cl.K, "done")
 	var last, first sim.Time

@@ -229,6 +229,7 @@ type shadowTarget struct {
 // cl.Run, alongside SetupLWFS, which drives the exact ranks:
 //
 //	cl := cluster.New(spec)
+//	defer cl.Close()
 //	cl.RegisterUser("app", "s3cret")
 //	l := cl.DeployLWFS()
 //	cfg.Burst = l.BurstTargets()
@@ -391,6 +392,7 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 // load's handle.
 func RunSampled(spec cluster.Spec, cfg Config) (Result, *SampledLoad, error) {
 	cl := cluster.New(spec)
+	defer cl.Close()
 	cl.RegisterUser("app", "s3cret")
 	l := cl.DeployLWFS()
 	if len(cfg.Burst) == 0 {

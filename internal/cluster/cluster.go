@@ -356,3 +356,11 @@ func (c *Cluster) Spawn(name string, fn func(p *sim.Proc)) { c.K.Spawn(name, fn)
 
 // Run drains the simulation.
 func (c *Cluster) Run() error { return c.K.Run(sim.MaxTime) }
+
+// Close ends the simulation (sim.Kernel.Shutdown): every service daemon and
+// client process still parked is retired, so the cluster holds no goroutine
+// and everything it built — object payloads included — is collectable once
+// the caller drops it. Registry snapshots, results and device state read
+// before or after Close are unaffected; only Run and Spawn stop working.
+// Whoever calls New calls Close.
+func (c *Cluster) Close() { c.K.Shutdown() }

@@ -1,10 +1,13 @@
 package cluster_test
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"lwfs/internal/authz"
 	"lwfs/internal/cluster"
+	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
 )
 
@@ -133,5 +136,88 @@ func TestMachineRatios(t *testing.T) {
 		if m.Ratio() <= 0 || m.ComputeNodes < m.IONodes {
 			t.Errorf("%s: implausible row %+v", m.Name, m)
 		}
+	}
+}
+
+// useCluster builds a dev cluster, writes 1 MiB of real bytes to an object on
+// each of its 16 storage servers and runs the simulation dry: every service
+// that takes part has started workers, and the devices hold 16 MiB.
+func useCluster(t *testing.T) *cluster.Cluster {
+	t.Helper()
+	cl := cluster.New(cluster.DevCluster())
+	cl.RegisterUser("u", "pw")
+	l := cl.DeployLWFS()
+	c := cl.NewClient(l, 0)
+	cl.Spawn("writer", func(p *sim.Proc) {
+		if err := c.Login(p, "u", "pw"); err != nil {
+			t.Errorf("login: %v", err)
+			return
+		}
+		cid, _ := c.CreateContainer(p)
+		caps, err := c.GetCaps(p, cid, authz.OpCreate, authz.OpWrite)
+		if err != nil {
+			t.Errorf("caps: %v", err)
+			return
+		}
+		for i := range c.Servers() {
+			ref, err := c.CreateObject(p, c.Server(i), caps)
+			if err != nil {
+				t.Errorf("create on server %d: %v", i, err)
+				return
+			}
+			if _, err := c.Write(p, ref, caps, 0, netsim.BytesPayload(make([]byte, 1<<20))); err != nil {
+				t.Errorf("write to server %d: %v", i, err)
+				return
+			}
+		}
+	})
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+func heapAfterGC() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// The lifecycle guard: a closed cluster owns no goroutine and keeps nothing
+// alive, so N clusters built, run and closed in one process cost what one
+// resident cluster costs — the property sweeps, seeds-per-process testers and
+// the benchmark's repetitions rely on.
+func TestClosedClustersLeaveNothingBehind(t *testing.T) {
+	goroutines, heap0 := runtime.NumGoroutine(), heapAfterGC()
+
+	resident := useCluster(t)
+	if n := runtime.NumGoroutine(); n <= goroutines {
+		t.Fatalf("a used cluster runs %d goroutines beside the test's %d: nothing to retire", n-goroutines, goroutines)
+	}
+	one := heapAfterGC() - heap0
+	if one < 16<<20 {
+		t.Fatalf("one resident cluster holds %d bytes, want at least the 16 MiB written", one)
+	}
+	resident.Close()
+	resident.Close() // closing twice is closing once
+	if err := resident.Run(); err == nil {
+		t.Error("Run on a closed cluster succeeded")
+	}
+
+	for i := 0; i < 20; i++ {
+		useCluster(t).Close()
+	}
+	after := heapAfterGC() - heap0
+	if after > one*3/2 {
+		t.Errorf("heap after 20 closed clusters is %d bytes over the start, one resident cluster is %d: want within 1.5x", after, one)
+	}
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > goroutines; i++ { // acknowledged goroutines finish dying
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > goroutines {
+		t.Errorf("%d goroutines after 21 closed clusters, want the %d from before", n, goroutines)
 	}
 }

@@ -163,35 +163,38 @@ func (pt *seriesPoint) summary() string { return pt.y.String() + " " + pt.unit }
 
 // seriesSweep is the shape Figures 9 and 10 share: one series per server
 // count, one point per client count, measure's y value sampled over trials.
-// Empty sweep parameters take the paper's.
+// The whole servers × clients grid is one sweep, so the few expensive
+// many-client points overlap with other series' cheap ones instead of each
+// ending its series alone. Empty sweep parameters take the paper's.
 func seriesSweep(what, unit string, servers, clients []int, trials int, progress func(string, ...interface{}),
 	measure func(spec cluster.Spec, clients, trial int) (float64, error)) ([]stats.Series, error) {
 	defList(&servers, DefaultServers...)
 	defList(&clients, DefaultClients...)
 	def(&trials, DefaultTrials)
-	var out []stats.Series
+	points := make([]seriesPoint, 0, len(servers)*len(clients))
 	for _, n := range servers {
-		spec := cluster.DevCluster().WithServers(n)
-		points := make([]seriesPoint, len(clients))
-		for i, c := range clients {
-			points[i] = seriesPoint{what: what, unit: unit, servers: n, clients: c}
+		for _, c := range clients {
+			points = append(points, seriesPoint{what: what, unit: unit, servers: n, clients: c})
 		}
-		_, _, err := sweep(sweepCfg{Trials: trials, Progress: progress}, points,
-			func(pt *seriesPoint, trial int) ([]MetricsCapture, error) {
-				y, err := measure(spec, pt.clients, trial)
-				if err == nil {
-					pt.y.Add(y)
-				}
-				return nil, err
-			})
-		if err != nil {
-			return out, err
+	}
+	_, _, err := sweep(sweepCfg{Trials: trials, Progress: progress}, points,
+		func(pt *seriesPoint, trial int) ([]MetricsCapture, error) {
+			y, err := measure(cluster.DevCluster().WithServers(pt.servers), pt.clients, trial)
+			if err == nil {
+				pt.y.Add(y)
+			}
+			return nil, err
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]stats.Series, len(servers))
+	for i, n := range servers {
+		out[i].Name = fmt.Sprintf("%d servers", n)
+		for j := range clients {
+			pt := &points[i*len(clients)+j]
+			out[i].Add(float64(pt.clients), &pt.y)
 		}
-		series := stats.Series{Name: fmt.Sprintf("%d servers", n)}
-		for i := range points {
-			series.Add(float64(points[i].clients), &points[i].y)
-		}
-		out = append(out, series)
 	}
 	return out, nil
 }

@@ -2,6 +2,9 @@ package figures
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"lwfs/internal/authz"
 	"lwfs/internal/cluster"
@@ -34,30 +37,79 @@ type point[P any] interface {
 	summary() string
 }
 
-// sweep runs body for every point × trial, in order; body accumulates its
-// measurements into the point. An error stops the sweep and is labelled
-// with the point and trial. A finished point reports one progress line.
-// With cfg.Metrics the captures returned by the last trial of each point
-// are kept; one without a label takes the point's.
+// sweep runs body for every point × trial; body accumulates its
+// measurements into the point. Points are independent machines, so they run
+// side by side on min(GOMAXPROCS, len(points)) goroutines, claimed in input
+// order; the trials of one point stay in order on one goroutine, and body
+// must write nothing but its own point. Everything the caller sees is in
+// input order and happens on the calling goroutine: a finished point reports
+// one progress line once every point before it has, and with cfg.Metrics the
+// captures returned by the last trial of each point are kept (one without a
+// label takes the point's). An error stops the sweep — points not yet claimed
+// never start — and the one returned is the lowest-index point's, labelled
+// with the point and trial.
 func sweep[P any, PP point[P]](cfg sweepCfg, points []P,
 	body func(pt *P, trial int) ([]MetricsCapture, error)) ([]P, []MetricsCapture, error) {
-	var kept []MetricsCapture
-	for i := range points {
-		pt := PP(&points[i])
+	type outcome struct {
+		caps []MetricsCapture
+		err  error
+		done chan struct{} // closed once caps and err are final
+	}
+	outcomes := make([]outcome, len(points))
+	for i := range outcomes {
+		outcomes[i].done = make(chan struct{})
+	}
+	var (
+		next   atomic.Int64 // index of the first unclaimed point
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	runPoint := func(i int) {
+		out := &outcomes[i]
+		defer close(out.done)
 		for trial := 0; trial < cfg.Trials; trial++ {
 			caps, err := body(&points[i], trial)
 			if err != nil {
-				return points, kept, fmt.Errorf("%s trial %d: %w", pt.label(), trial, err)
+				out.err = fmt.Errorf("%s trial %d: %w", PP(&points[i]).label(), trial, err)
+				failed.Store(true)
+				return
 			}
-			if !cfg.Metrics || trial != cfg.Trials-1 {
-				continue
+			if cfg.Metrics && trial == cfg.Trials-1 {
+				out.caps = caps
 			}
-			for _, mc := range caps {
-				if mc.Label == "" {
-					mc.Label = pt.label()
+		}
+	}
+	for w := min(runtime.GOMAXPROCS(0), len(points)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(points) {
+					return
 				}
-				kept = append(kept, mc)
+				runPoint(i)
 			}
+		}()
+	}
+	defer wg.Wait() // no body is still writing its point when sweep returns
+
+	// Points are claimed in index order, so every point before a failed one
+	// was claimed too and finishes: this loop meets the lowest-index error
+	// before it could wait on a point that never started.
+	var kept []MetricsCapture
+	for i := range points {
+		out := &outcomes[i]
+		<-out.done
+		if out.err != nil {
+			return points, kept, out.err
+		}
+		pt := PP(&points[i])
+		for _, mc := range out.caps {
+			if mc.Label == "" {
+				mc.Label = pt.label()
+			}
+			kept = append(kept, mc)
 		}
 		if cfg.Progress != nil {
 			cfg.Progress("%s: %s", pt.label(), pt.summary())
@@ -88,9 +140,11 @@ func newRig(spec cluster.Spec) *rig {
 	return &rig{cl: cl, l: l, base: cl.Metrics().Snapshot()}
 }
 
-// run drains the simulation and pairs the post-deploy snapshot with the
-// final one.
+// run drains the simulation, pairs the post-deploy snapshot with the final
+// one and closes the cluster: a rig runs once, and what a driver reads from
+// it afterwards (results, device and NIC busy time) outlives the kernel.
 func (r *rig) run() (MetricsCapture, error) {
+	defer r.cl.Close()
 	if err := r.cl.Run(); err != nil {
 		return MetricsCapture{}, err
 	}

@@ -3,8 +3,11 @@ package figures
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lwfs/internal/metrics"
 	"lwfs/internal/sim"
@@ -24,43 +27,79 @@ func stamped(trial int) MetricsCapture {
 	return MetricsCapture{Base: metrics.Snapshot{At: sim.Time(trial)}}
 }
 
+// goid is the calling goroutine's id, read off its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// procs sets GOMAXPROCS — sweep's worker count — for one test.
+func procs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// The sweep contract: points overlap, up to GOMAXPROCS of them, yet results,
+// captures and progress lines come back in input order, the trials of a point
+// run in order, and Progress is only ever called on the caller's goroutine.
 func TestSweepOrderCapturesAndProgress(t *testing.T) {
+	procs(t, 4)
+	caller := goid()
 	var progress []string
 	cfg := sweepCfg{Trials: 3, Metrics: true, Progress: func(format string, args ...interface{}) {
+		if id := goid(); id != caller {
+			t.Errorf("Progress called on goroutine %s, want the caller's %s", id, caller)
+		}
 		progress = append(progress, fmt.Sprintf(format, args...))
 	}}
-	var order []string
-	points, caps, err := sweep(cfg, []probePoint{{name: "a"}, {name: "b"}, {name: "c"}},
-		func(pt *probePoint, trial int) ([]MetricsCapture, error) {
-			order = append(order, fmt.Sprintf("%s%d", pt.name, trial))
-			pt.trials = append(pt.trials, trial)
-			labelled := stamped(trial)
-			labelled.Label = "own label"
-			return []MetricsCapture{stamped(trial), labelled}, nil
-		})
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	in := make([]probePoint, len(names))
+	for i, name := range names {
+		in[i].name = name
+	}
+	var running, peak atomic.Int32
+	points, caps, err := sweep(cfg, in, func(pt *probePoint, trial int) ([]MetricsCapture, error) {
+		n := running.Add(1)
+		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+		}
+		// Earlier points take longer, so points finish out of input order.
+		time.Sleep(time.Duration('g'-pt.name[0]) * time.Millisecond)
+		running.Add(-1)
+		pt.trials = append(pt.trials, trial)
+		labelled := stamped(trial)
+		labelled.Label = "own label"
+		return []MetricsCapture{stamped(trial), labelled}, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(order, " "); got != "a0 a1 a2 b0 b1 b2 c0 c1 c2" {
-		t.Errorf("ran %s: want points in input order, trials within each", got)
+	if peak.Load() < 2 || peak.Load() > 4 {
+		t.Errorf("at most %d points ran at once, want 2 to GOMAXPROCS = 4", peak.Load())
 	}
-	if len(points) != 3 || points[0].name != "a" || points[2].name != "c" || len(points[1].trials) != 3 {
-		t.Errorf("returned points %+v", points)
+	var wantProgress []string
+	for i, name := range names {
+		if points[i].name != name || fmt.Sprint(points[i].trials) != "[0 1 2]" {
+			t.Errorf("point %d is %+v, want %s with trials 0 1 2 in order", i, points[i], name)
+		}
+		wantProgress = append(wantProgress, "name="+name+": [0 1 2]")
 	}
-	if len(caps) != 6 {
+	if len(caps) != 2*len(names) {
 		t.Fatalf("kept %d captures, want the last trial's two per point", len(caps))
 	}
 	for i, mc := range caps {
 		if mc.Base.At != 2 {
 			t.Errorf("capture %d comes from trial %d, want only the last (2)", i, mc.Base.At)
 		}
+		want := "own label"
+		if i%2 == 0 {
+			want = "name=" + names[i/2] // an unlabelled capture takes its point's label
+		}
+		if mc.Label != want {
+			t.Errorf("capture %d labelled %q, want %q: captures follow input order", i, mc.Label, want)
+		}
 	}
-	if caps[2].Label != "name=b" || caps[3].Label != "own label" {
-		t.Errorf("labels %q, %q: an unlabelled capture takes the point's, a labelled one keeps its own",
-			caps[2].Label, caps[3].Label)
-	}
-	if want := []string{"name=a: [0 1 2]", "name=b: [0 1 2]", "name=c: [0 1 2]"}; fmt.Sprint(progress) != fmt.Sprint(want) {
-		t.Errorf("progress lines %q, want %q", progress, want)
+	if fmt.Sprint(progress) != fmt.Sprint(wantProgress) {
+		t.Errorf("progress lines %q, want %q", progress, wantProgress)
 	}
 
 	cfg.Metrics = false
@@ -71,20 +110,58 @@ func TestSweepOrderCapturesAndProgress(t *testing.T) {
 	}
 }
 
+// With two failing points the lower index is reported even when the higher
+// one fails first, and points nobody had claimed by then never start.
 func TestSweepErrorNamesPointAndTrial(t *testing.T) {
+	procs(t, 2)
 	boom := errors.New("boom")
-	points, _, err := sweep(sweepCfg{Trials: 2}, []probePoint{{name: "a"}, {name: "b"}, {name: "c"}},
+	eFailed := make(chan struct{})
+	var progress []string
+	points, _, err := sweep(sweepCfg{Trials: 2, Progress: func(format string, args ...interface{}) {
+		progress = append(progress, fmt.Sprintf(format, args...))
+	}}, []probePoint{{name: "a"}, {name: "b"}, {name: "c"}, {name: "d"}, {name: "e"}, {name: "f"}},
 		func(pt *probePoint, trial int) ([]MetricsCapture, error) {
 			pt.trials = append(pt.trials, trial)
-			if pt.name == "b" && trial == 1 {
+			switch {
+			case pt.name == "b" && trial == 1:
+				<-eFailed
 				return nil, boom
+			case pt.name == "e":
+				close(eFailed)
+				return nil, errors.New("later point, earlier failure")
 			}
 			return nil, nil
 		})
 	if !errors.Is(err, boom) || err.Error() != "name=b trial 1: boom" {
 		t.Fatalf("err = %v, want it to wrap boom and name point b, trial 1", err)
 	}
-	if len(points[2].trials) != 0 {
-		t.Errorf("sweep went on to point c after the error: %+v", points[2])
+	if len(points[5].trials) != 0 {
+		t.Errorf("sweep went on to point f after the errors: %+v", points[5])
+	}
+	if fmt.Sprint(progress) != "[name=a: [0 1]]" {
+		t.Errorf("progress lines %q, want only point a's: nothing is reported past a failed point", progress)
+	}
+}
+
+// A driver's report does not depend on how many points ran side by side.
+func TestSweepRenderIndependentOfGOMAXPROCS(t *testing.T) {
+	render := func(n int) string {
+		prev := runtime.GOMAXPROCS(n)
+		defer runtime.GOMAXPROCS(prev)
+		var sb strings.Builder
+		burst, err := BurstSweep(BurstOpts{Trials: 2, Buffers: []int{0, 1, 2}, DrainBWs: []float64{0}, Metrics: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		burst.Render(&sb)
+		fig10, err := Fig10("lwfs", Fig10Opts{Servers: []int{2, 8}, Clients: []int{1, 4, 16}, Trials: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		RenderSeries(&sb, "Figure 10c", "clients", "ops/s", fig10.Series)
+		return sb.String()
+	}
+	if one, four := render(1), render(4); one != four {
+		t.Errorf("report under GOMAXPROCS 1:\n%s\nunder GOMAXPROCS 4:\n%s", one, four)
 	}
 }

@@ -57,6 +57,9 @@ type ReplayPoint struct {
 	MBps      float64 // aggregate payload bandwidth
 	OpsPerSec float64 // aggregate op rate
 	P99Ms     float64 // per-op latency tail
+
+	// timeline, set on a point whose tick timeline is kept, records it.
+	timeline *metrics.Recorder
 }
 
 // ReplayTimeline is one point's metric trajectories: the periodic recorder
@@ -79,22 +82,28 @@ type ReplayResult struct {
 func ReplaySweep(opts ReplayOpts) (ReplayResult, error) {
 	opts.defaults()
 	res := ReplayResult{Opts: opts}
+	top := opts.Concurrency[len(opts.Concurrency)-1]
 	var points []ReplayPoint
 	for _, name := range opts.Traces {
 		for _, workers := range opts.Concurrency {
-			points = append(points, ReplayPoint{Trace: name, Workers: workers})
+			pt := ReplayPoint{Trace: name, Workers: workers}
+			if opts.Metrics && workers == top {
+				pt.timeline = metrics.NewRecorder(time.Duration(opts.TickMs)*time.Millisecond, replayTimelinePatterns...)
+			}
+			points = append(points, pt)
 		}
 	}
-	top := opts.Concurrency[len(opts.Concurrency)-1]
 	var err error
 	res.Points, res.Captures, err = sweep(sweepCfg{1, opts.Metrics, opts.Progress}, points,
 		func(pt *ReplayPoint, _ int) ([]MetricsCapture, error) {
-			mc, rec, err := replayTrial(opts, pt)
-			if opts.Metrics && pt.Workers == top {
-				res.Timelines = append(res.Timelines, ReplayTimeline{Trace: pt.Trace, Workers: pt.Workers, Rec: rec})
-			}
+			mc, err := replayTrial(opts, pt)
 			return one(mc), err
 		})
+	for _, pt := range res.Points {
+		if pt.timeline != nil {
+			res.Timelines = append(res.Timelines, ReplayTimeline{Trace: pt.Trace, Workers: pt.Workers, Rec: pt.timeline})
+		}
+	}
 	return res, err
 }
 
@@ -105,13 +114,14 @@ func (pt *ReplayPoint) summary() string {
 
 // replayTrial replays pt's trace once: a cluster with one compute node per
 // worker, the bench client formatting the shared mount, then the trace
-// replayer fanned out over per-worker clients. The metrics recorder ticks
-// for the duration and is stopped by the replay's completion hook — without
-// that, its pending tick would keep the kernel run from finishing.
-func replayTrial(opts ReplayOpts, pt *ReplayPoint) (MetricsCapture, *metrics.Recorder, error) {
+// replayer fanned out over per-worker clients. A point that keeps its
+// timeline ticks its recorder for the duration; the replay's completion hook
+// stops it — without that, its pending tick would keep the kernel run from
+// finishing.
+func replayTrial(opts ReplayOpts, pt *ReplayPoint) (MetricsCapture, error) {
 	tr, err := trace.Example(pt.Trace)
 	if err != nil {
-		return MetricsCapture{}, nil, err
+		return MetricsCapture{}, err
 	}
 	spec := onePerNode(opts.Servers)
 	spec.ComputeNodes = pt.Workers
@@ -121,7 +131,6 @@ func replayTrial(opts ReplayOpts, pt *ReplayPoint) (MetricsCapture, *metrics.Rec
 	for i := range clients {
 		clients[i] = cl.NewClient(r.l, i)
 	}
-	rec := metrics.NewRecorder(cl.Metrics(), time.Duration(opts.TickMs)*time.Millisecond)
 
 	var res *trace.Result
 	mc, err := r.bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
@@ -146,20 +155,19 @@ func replayTrial(opts ReplayOpts, pt *ReplayPoint) (MetricsCapture, *metrics.Rec
 			}
 			return stdfs.New(wp, wfs).ReplayMount(), nil
 		}
-		stopRec := rec.Start(cl.K)
-		res = trace.StartReplay(cl.K, tr, mount, trace.Options{
-			Concurrency: pt.Workers,
-			Clones:      opts.Clones,
-			Metrics:     cl.Metrics(),
-			OnDone:      func(*sim.Proc) { stopRec() },
-		})
+		ropts := trace.Options{Concurrency: pt.Workers, Clones: opts.Clones, Metrics: cl.Metrics()}
+		if pt.timeline != nil {
+			stop := pt.timeline.Start(cl.K, cl.Metrics())
+			ropts.OnDone = func(*sim.Proc) { stop() }
+		}
+		res = trace.StartReplay(cl.K, tr, mount, ropts)
 		return nil
 	})
 	if err == nil {
 		err = res.Err()
 	}
 	if err != nil {
-		return mc, rec, err
+		return mc, err
 	}
 	pt.Ops = res.Ops
 	pt.Errors = res.Errors
@@ -170,7 +178,7 @@ func replayTrial(opts ReplayOpts, pt *ReplayPoint) (MetricsCapture, *metrics.Rec
 		pt.OpsPerSec = float64(res.Ops) / secs
 	}
 	pt.P99Ms = res.OpMs.Percentile(99)
-	return mc, rec, nil
+	return mc, nil
 }
 
 // replayTimelinePatterns are the trajectories worth plotting: replay
@@ -202,7 +210,7 @@ func (r ReplayResult) Render(w io.Writer) {
 	}
 	for _, tl := range r.Timelines {
 		fmt.Fprintf(w, "\n## %s x%d timeline\n", tl.Trace, tl.Workers)
-		tl.Rec.WriteColumns(w, replayTimelinePatterns...)
+		tl.Rec.WriteColumns(w)
 	}
 	RenderMetricsCaptures(w, r.Captures)
 }

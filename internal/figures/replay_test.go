@@ -50,7 +50,7 @@ func TestReplaySweepScales(t *testing.T) {
 	if len(res.Timelines) != 1 || res.Timelines[0].Workers != 16 {
 		t.Fatalf("timelines = %+v", res.Timelines)
 	}
-	if ticks := res.Timelines[0].Rec.Points(); len(ticks) < 2 {
+	if ticks := res.Timelines[0].Rec.Times(); len(ticks) < 2 {
 		t.Fatalf("timeline captured %d ticks", len(ticks))
 	}
 

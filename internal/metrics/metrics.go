@@ -185,9 +185,10 @@ func (r *Registry) Now() sim.Time {
 	return r.now()
 }
 
-// NextID returns a small unique integer, for callers that need to register
-// per-instance instruments under distinct names (iocache readers, stripe
-// engines: "iocache.cn3.r7.hits").
+// NextID returns a small integer unique within the cluster, for callers that
+// need to register per-instance instruments under distinct names (iocache
+// readers: "iocache.cn3.r7.hits") or to tell their instances apart on the
+// wire (mpi communicators).
 func (r *Registry) NextID() int64 {
 	if r == nil {
 		return 0
@@ -335,6 +336,39 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Values[i] = v
 	}
 	return snap
+}
+
+// Sum adds up, as of now, every instrument whose name matches pattern
+// (MatchName syntax): counter totals, gauge levels, histogram observation
+// counts. It equals Snapshot().Sum(pattern) and copies no histogram.
+func (r *Registry) Sum(pattern string) float64 {
+	if r == nil {
+		return 0
+	}
+	segs := strings.Split(pattern, ".")
+	r.mu.Lock()
+	var ents []*entry
+	for n, e := range r.ents {
+		if matchSegs(segs, strings.Split(n, ".")) {
+			ents = append(ents, e)
+		}
+	}
+	r.mu.Unlock()
+
+	// Values are read outside the lock, as in Snapshot; they are whole
+	// numbers, so the map's iteration order cannot change the sum.
+	total := 0.0
+	for _, e := range ents {
+		switch e.kind {
+		case KindCounter:
+			total += float64(e.c.Value())
+		case KindGauge:
+			total += float64(e.g.Value())
+		case KindHistogram:
+			total += float64(e.h.N())
+		}
+	}
+	return total
 }
 
 // MatchName reports whether a dot-separated pattern matches a metric name.

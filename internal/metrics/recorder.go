@@ -9,46 +9,45 @@ import (
 	"lwfs/internal/sim"
 )
 
-// TickPoint is one periodic capture: the registry's full state at a
-// virtual instant.
-type TickPoint struct {
-	At   sim.Time
-	Snap Snapshot
-}
-
-// Recorder captures periodic registry snapshots on a virtual-time interval
-// — the time-series companion to the phase-endpoint MetricsCapture that
+// Recorder samples chosen registry columns on a virtual-time interval — the
+// time-series companion to the phase-endpoint MetricsCapture that
 // experiments already take. A replay (or any run) started under a Recorder
 // produces backlog-over-time trajectories: queue depths, drain backlogs
-// and op counters at every tick, not just their final values.
+// and op counters at every tick, not just their final values. A tick keeps
+// one number per pattern (Registry.Sum), never a snapshot: a whole-registry
+// copy per tick, histograms included, is what once made E24 cost gigabytes.
 //
 // Start schedules the ticker on the kernel; the returned stop function
-// takes one final snapshot and stops rescheduling. Stop must be called
+// takes one final sample and stops rescheduling. Stop must be called
 // when the workload completes (e.g. from a replay's OnDone hook) or the
 // pending tick event would keep the kernel's run from ever finishing. One
 // trailing tick may still fire after stop; it records nothing.
 type Recorder struct {
-	reg     *Registry
-	every   time.Duration
-	pts     []TickPoint
-	stopped bool
+	every    time.Duration
+	patterns []string
+	reg      *Registry
+	at       []sim.Time
+	rows     [][]float64 // rows[i][j] is Sum(patterns[j]) at at[i]
+	stopped  bool
 }
 
-// NewRecorder captures reg every interval (default 100ms when zero).
-func NewRecorder(reg *Registry, every time.Duration) *Recorder {
+// NewRecorder samples Sum(pattern) of every pattern each interval (default
+// 100ms when zero).
+func NewRecorder(every time.Duration, patterns ...string) *Recorder {
 	if every <= 0 {
 		every = 100 * time.Millisecond
 	}
-	return &Recorder{reg: reg, every: every}
+	return &Recorder{every: every, patterns: patterns}
 }
 
 // Interval reports the tick interval.
 func (r *Recorder) Interval() time.Duration { return r.every }
 
-// Start arms the ticker on k: the first capture lands one interval from
-// now. It returns the stop function; see the type comment for why stopping
-// matters.
-func (r *Recorder) Start(k *sim.Kernel) (stop func()) {
+// Start arms the ticker on k, sampling reg: the first sample lands one
+// interval from now. It returns the stop function; see the type comment for
+// why stopping matters.
+func (r *Recorder) Start(k *sim.Kernel, reg *Registry) (stop func()) {
+	r.reg = reg
 	var tick func()
 	tick = func() {
 		if r.stopped {
@@ -68,40 +67,48 @@ func (r *Recorder) Start(k *sim.Kernel) (stop func()) {
 }
 
 func (r *Recorder) capture() {
-	r.pts = append(r.pts, TickPoint{At: r.reg.Now(), Snap: r.reg.Snapshot()})
+	row := make([]float64, len(r.patterns))
+	for j, pat := range r.patterns {
+		row[j] = r.reg.Sum(pat)
+	}
+	r.at = append(r.at, r.reg.Now())
+	r.rows = append(r.rows, row)
 }
 
-// Points returns the captured series (shared slice; treat as read-only).
-func (r *Recorder) Points() []TickPoint { return r.pts }
+// Times returns the instant of every tick (shared slice; treat as
+// read-only).
+func (r *Recorder) Times() []sim.Time { return r.at }
 
-// Column evaluates Sum(pattern) at every tick — one metric's trajectory.
+// Column returns one recorded pattern's trajectory, a value per tick; nil
+// for a pattern the recorder was not created with.
 func (r *Recorder) Column(pattern string) []float64 {
-	out := make([]float64, len(r.pts))
-	for i, pt := range r.pts {
-		out[i] = pt.Snap.Sum(pattern)
+	for j, pat := range r.patterns {
+		if pat == pattern {
+			out := make([]float64, len(r.rows))
+			for i, row := range r.rows {
+				out[i] = row[j]
+			}
+			return out
+		}
 	}
-	return out
+	return nil
 }
 
 // WriteColumns renders the series as a table: one row per tick, one column
-// per pattern (each evaluated as Sum(pattern) — counters keep rising,
-// gauges show the level at that instant).
-func (r *Recorder) WriteColumns(w io.Writer, patterns ...string) {
-	fmt.Fprintf(w, "# metrics timeline: %d ticks every %v\n", len(r.pts), r.every)
+// per pattern (counters keep rising, gauges show the level at that
+// instant).
+func (r *Recorder) WriteColumns(w io.Writer) {
+	fmt.Fprintf(w, "# metrics timeline: %d ticks every %v\n", len(r.at), r.every)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "t_ms")
-	for _, pat := range patterns {
+	for _, pat := range r.patterns {
 		fmt.Fprintf(tw, "\t%s", pat)
 	}
 	fmt.Fprintln(tw)
-	cols := make([][]float64, len(patterns))
-	for i, pat := range patterns {
-		cols[i] = r.Column(pat)
-	}
-	for i, pt := range r.pts {
-		fmt.Fprintf(tw, "%.1f", float64(pt.At)/float64(time.Millisecond))
-		for _, col := range cols {
-			fmt.Fprintf(tw, "\t%s", fmtNum(col[i]))
+	for i, at := range r.at {
+		fmt.Fprintf(tw, "%.1f", float64(at)/float64(time.Millisecond))
+		for _, v := range r.rows[i] {
+			fmt.Fprintf(tw, "\t%s", fmtNum(v))
 		}
 		fmt.Fprintln(tw)
 	}

@@ -12,12 +12,12 @@ func TestRecorderTicksAndStops(t *testing.T) {
 	k := sim.NewKernel()
 	reg := NewRegistry(k.Now)
 	work := reg.Scope("work")
-	rec := NewRecorder(reg, 10*time.Millisecond)
+	rec := NewRecorder(10*time.Millisecond, "work.done", "work.*")
 	if rec.Interval() != 10*time.Millisecond {
 		t.Fatalf("interval = %v", rec.Interval())
 	}
 
-	stop := rec.Start(k)
+	stop := rec.Start(k, reg)
 	k.Spawn("load", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			work.Counter("done").Inc()
@@ -30,15 +30,15 @@ func TestRecorderTicksAndStops(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pts := rec.Points()
+	at := rec.Times()
 	// Five 10ms ticks land inside the 50ms workload, plus the final capture
 	// stop() takes.
-	if len(pts) < 5 || len(pts) > 7 {
-		t.Fatalf("captured %d ticks", len(pts))
+	if len(at) < 5 || len(at) > 7 {
+		t.Fatalf("captured %d ticks", len(at))
 	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].At < pts[i-1].At {
-			t.Fatalf("ticks out of order: %v then %v", pts[i-1].At, pts[i].At)
+	for i := 1; i < len(at); i++ {
+		if at[i] < at[i-1] {
+			t.Fatalf("ticks out of order: %v then %v", at[i-1], at[i])
 		}
 	}
 	col := rec.Column("work.done")
@@ -50,12 +50,20 @@ func TestRecorderTicksAndStops(t *testing.T) {
 	if last := col[len(col)-1]; last != 5 {
 		t.Fatalf("final counter column value = %v, want 5", last)
 	}
+	// A column is what a whole snapshot would have summed to: the pattern
+	// takes in the gauge (last set to 4) beside the counter.
+	if all := rec.Column("work.*"); all[len(all)-1] != reg.Snapshot().Sum("work.*") || all[len(all)-1] != 9 {
+		t.Fatalf("pattern column ends at %v, want the snapshot's sum 9", all[len(all)-1])
+	}
+	if rec.Column("work.depth") != nil {
+		t.Fatal("a pattern the recorder was not given has a column")
+	}
 	// Ticks after stop record nothing.
-	n := len(rec.Points())
+	n := len(rec.Times())
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Points()) != n {
+	if len(rec.Times()) != n {
 		t.Fatal("recorder kept capturing after stop")
 	}
 }
@@ -63,8 +71,8 @@ func TestRecorderTicksAndStops(t *testing.T) {
 func TestRecorderWriteColumns(t *testing.T) {
 	k := sim.NewKernel()
 	reg := NewRegistry(k.Now)
-	rec := NewRecorder(reg, 5*time.Millisecond)
-	stop := rec.Start(k)
+	rec := NewRecorder(5*time.Millisecond, "q.depth")
+	stop := rec.Start(k, reg)
 	k.Spawn("load", func(p *sim.Proc) {
 		reg.Scope("q").Gauge("depth").Set(3)
 		p.Sleep(12 * time.Millisecond)
@@ -75,7 +83,7 @@ func TestRecorderWriteColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	rec.WriteColumns(&sb, "q.depth")
+	rec.WriteColumns(&sb)
 	out := sb.String()
 	if !strings.Contains(out, "t_ms") || !strings.Contains(out, "q.depth") {
 		t.Fatalf("missing header:\n%s", out)
@@ -89,9 +97,7 @@ func TestRecorderWriteColumns(t *testing.T) {
 }
 
 func TestRecorderDefaultInterval(t *testing.T) {
-	k := sim.NewKernel()
-	reg := NewRegistry(k.Now)
-	if got := NewRecorder(reg, 0).Interval(); got != 100*time.Millisecond {
+	if got := NewRecorder(0).Interval(); got != 100*time.Millisecond {
 		t.Fatalf("default interval = %v", got)
 	}
 }

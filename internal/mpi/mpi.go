@@ -42,10 +42,6 @@ type Comm struct {
 	ranks []*Rank
 }
 
-// commSeq distinguishes communicators sharing endpoints (successive jobs,
-// sub-communicators): each gets its own match-bit slice.
-var commSeq uint64
-
 // Rank is one process's handle.
 type Rank struct {
 	comm    *Comm
@@ -58,10 +54,12 @@ type Rank struct {
 	collSeq int // collective sequence number (advances identically on all ranks)
 }
 
-// New builds a communicator: rank i talks through eps[i].
+// New builds a communicator: rank i talks through eps[i]. Its id, drawn from
+// the cluster the endpoints belong to, distinguishes communicators sharing
+// endpoints (successive jobs, sub-communicators): each gets its own
+// match-bit slice, and simulations side by side in one process share nothing.
 func New(eps []*portals.Endpoint) *Comm {
-	commSeq++
-	c := &Comm{id: commSeq}
+	c := &Comm{id: uint64(eps[0].Metrics().NextID())}
 	for i, ep := range eps {
 		r := &Rank{comm: c, id: i, ep: ep}
 		r.inbox = sim.NewMailbox(ep.Kernel(), fmt.Sprintf("mpi/comm%d-rank%d", c.id, i))

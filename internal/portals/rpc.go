@@ -3,6 +3,7 @@ package portals
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -78,10 +79,12 @@ type Delivery struct {
 // service threads (an admission controller). Submit is called on arrival: it
 // either queues the delivery or rejects it with an error (typically
 // ErrOverload) which is sent straight back to the caller without consuming a
-// service thread. Next blocks a service thread until a delivery is
-// dispatchable — the dispatcher picks the order (fair-share, priority). Len
-// reports queued deliveries; Clear discards them all (server crash) and
-// returns how many were dropped.
+// service thread. The server wakes one service thread per admitted delivery,
+// and that thread calls Next: the dispatcher picks which queued delivery it
+// gets (fair-share, priority), sleeping the thread only while everything
+// queued is rate-limited, and answers with the zero Delivery when the queue
+// was cleared in the meantime. Len reports queued deliveries; Clear discards
+// them all (server crash) and returns how many were dropped.
 type Dispatcher interface {
 	Submit(d Delivery) error
 	Next(p *sim.Proc) Delivery
@@ -114,6 +117,10 @@ const defaultDedupCap = 4096
 // storage server with several threads overlaps network pulls with disk
 // writes across requests.
 //
+// Service threads start on demand (startWorker): a server that never hears a
+// request owns no process and no goroutine, and one that only ever sees k
+// overlapping requests owns min(k, threads).
+//
 // Retried requests (nonzero ReqID) are deduplicated: a duplicate of a
 // request still executing waits for the original and returns its response;
 // a duplicate of a completed request returns the recorded response without
@@ -125,6 +132,10 @@ type Server struct {
 	name    string
 	q       *sim.Mailbox
 	handler Handler
+
+	threads int          // service concurrency: the most workers ever started
+	started int          // workers started so far
+	work    *sim.Mailbox // where idle workers wait: q itself, or tokens behind disp
 
 	inflight map[dedupKey]*sim.Future
 	order    []dedupKey // FIFO eviction of inflight
@@ -138,7 +149,8 @@ type Server struct {
 	epoch uint64
 
 	// disp, when set, reorders/limits requests between arrival and
-	// service (admission control). nil keeps the FIFO mailbox path.
+	// service (admission control): work then carries one token per admitted
+	// delivery. nil keeps the FIFO mailbox path.
 	disp Dispatcher
 
 	// Registered under `rpc.<name>.*` — these count *completed RPC
@@ -155,7 +167,7 @@ type Server struct {
 // "osd0.0/txn" registers under "rpc.osd0.0.txn.*".
 func metricName(name string) string { return strings.ReplaceAll(name, "/", ".") }
 
-// Serve attaches an RPC server at (ep, pt) with the given number of service
+// Serve attaches an RPC server at (ep, pt) served by up to threads service
 // processes. The server registers `rpc.<name>.served|deduped|discarded`
 // counters and a `rpc.<name>.queue_depth` gauge in the network's metrics
 // registry.
@@ -169,6 +181,7 @@ func Serve(ep *Endpoint, pt Index, name string, threads int, handler Handler) *S
 		ep: ep, pt: pt, name: name,
 		q:         sim.NewMailbox(k, name+"/rpcq"),
 		handler:   handler,
+		threads:   threads,
 		inflight:  make(map[dedupKey]*sim.Future),
 		dedupCap:  defaultDedupCap,
 		served:    scope.Counter("served"),
@@ -183,19 +196,34 @@ func Serve(ep *Endpoint, pt Index, name string, threads int, handler Handler) *S
 		}
 		return n
 	})
+	s.work = s.q
+	s.work.OnBacklog(s.startWorker)
 	ep.Attach(pt, 0, ^MatchBits(0), &MD{EQ: s.q})
-	for i := 0; i < threads; i++ {
-		k.SpawnDaemon(fmt.Sprintf("%s/worker%d", name, i), s.worker)
-	}
 	return s
 }
 
+// startWorker is the thread start rule, for both paths: it runs whenever work
+// is queued and no started worker is idle to take it (sim.Mailbox.OnBacklog),
+// and starts one more unless all threads already exist — a 1-thread server
+// still serializes. Workers never exit, so an idle one is always a waiter on
+// work; a busy or just-woken one is not, which is what lets k simultaneous
+// requests start k workers.
+func (s *Server) startWorker() {
+	if s.started == s.threads {
+		return
+	}
+	s.ep.Kernel().SpawnDaemon(s.name+"/worker"+strconv.Itoa(s.started), s.worker)
+	s.started++
+}
+
 // SetDispatcher installs an admission controller between request arrival and
-// the service threads. An intake daemon parses arrivals off the wire mailbox
-// and offers them to d.Submit; a rejection (ErrOverload) is answered
-// immediately with the error and zero payload — the caller learns "shed" at
-// network latency instead of aging into a timeout. Service threads then pull
-// work through d.Next in whatever order the dispatcher chooses.
+// the service threads. An intake daemon (started, like the workers, by the
+// first arrival) parses requests off the wire mailbox and offers them to
+// d.Submit; a rejection (ErrOverload) is answered immediately with the error
+// and zero payload — the caller learns "shed" at network latency instead of
+// aging into a timeout. Every admitted delivery puts one token on the work
+// mailbox; the service thread that takes it pulls a delivery through d.Next,
+// in whatever order the dispatcher chooses.
 //
 // Must be called once, before the simulation runs (servers are configured at
 // deploy time); installing a second dispatcher panics.
@@ -204,22 +232,31 @@ func (s *Server) SetDispatcher(d Dispatcher) {
 		panic(fmt.Sprintf("portals: server %q: dispatcher already set", s.name))
 	}
 	s.disp = d
-	s.ep.Kernel().SpawnDaemon(s.name+"/intake", func(p *sim.Proc) {
-		for {
-			ev := s.q.Recv(p).(*Event)
-			req, ok := ev.Hdr.(rpcRequest)
-			if !ok {
-				continue
-			}
-			if s.down {
-				s.discarded.Inc()
-				continue
-			}
-			if err := d.Submit(Delivery{From: req.From, Class: req.Class, Body: req.Body, req: req, valid: true}); err != nil {
-				s.shedReply(s.epoch, req, err)
-			}
-		}
+	s.work = sim.NewMailbox(s.ep.Kernel(), s.name+"/admitted")
+	s.work.OnBacklog(s.startWorker)
+	s.q.OnBacklog(func() {
+		s.q.OnBacklog(nil) // one intake, and from now on it is the receiver
+		s.ep.Kernel().SpawnDaemon(s.name+"/intake", s.runIntake)
 	})
+}
+
+func (s *Server) runIntake(p *sim.Proc) {
+	for {
+		ev := s.q.Recv(p).(*Event)
+		req, ok := ev.Hdr.(rpcRequest)
+		if !ok {
+			continue
+		}
+		if s.down {
+			s.discarded.Inc()
+			continue
+		}
+		if err := s.disp.Submit(Delivery{From: req.From, Class: req.Class, Body: req.Body, req: req, valid: true}); err != nil {
+			s.shedReply(s.epoch, req, err)
+			continue
+		}
+		s.work.Send(struct{}{})
+	}
 }
 
 // shedReply answers a rejected request with err and no payload. Sheds are
@@ -250,17 +287,23 @@ func (s *Server) SetDown(down bool) {
 		s.epoch++
 		s.inflight = make(map[dedupKey]*sim.Future)
 		s.order = nil
-		for {
-			if _, ok := s.q.TryRecv(); !ok {
-				break
-			}
-			s.discarded.Inc()
-		}
+		s.discarded.Add(int64(drain(s.q)))
 		if s.disp != nil {
 			s.discarded.Add(int64(s.disp.Clear()))
+			drain(s.work) // tokens of the deliveries just cleared
 		}
 	}
 	s.down = down
+}
+
+// drain empties a mailbox and reports how many messages it held.
+func drain(m *sim.Mailbox) (n int) {
+	for {
+		if _, ok := m.TryRecv(); !ok {
+			return n
+		}
+		n++
+	}
 }
 
 func (s *Server) reply(epoch uint64, req rpcRequest, body interface{}, err error) {
@@ -277,9 +320,10 @@ func (s *Server) worker(p *sim.Proc) {
 	for {
 		var req rpcRequest
 		if s.disp != nil {
+			s.work.Recv(p)
 			del := s.disp.Next(p)
 			if !del.valid {
-				continue
+				continue // the token outlived a Clear (SetDown raced a woken worker)
 			}
 			req = del.req
 		} else {

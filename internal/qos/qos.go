@@ -134,7 +134,6 @@ type Admission struct {
 	cfg   Config
 	scope metrics.Scope
 
-	wake   *sim.Mailbox // one token per queued delivery; workers block here
 	bands  [2]*band
 	queued int
 
@@ -153,7 +152,6 @@ func NewAdmission(k *sim.Kernel, scope metrics.Scope, cfg Config) *Admission {
 		k:     k,
 		cfg:   cfg.withDefaults(),
 		scope: scope,
-		wake:  sim.NewMailbox(k, "qos/wake"),
 
 		admitted:      scope.Counter("admitted"),
 		admittedBytes: scope.Counter("admitted_bytes"),
@@ -233,33 +231,26 @@ func (a *Admission) Submit(d portals.Delivery) error {
 	}
 	q.q = append(q.q, entry{d: d, cost: cost})
 	a.queued++
-	a.wake.Send(struct{}{})
 	return nil
 }
 
-// Next implements portals.Dispatcher: block until a delivery is
-// dispatchable under the fair-share and rate policy, and return it.
+// Next implements portals.Dispatcher: return the queued delivery the
+// fair-share and rate policy dispatches next, or the zero Delivery when
+// nothing is queued any more (Clear raced a sleeping worker).
 func (a *Admission) Next(p *sim.Proc) portals.Delivery {
-	for {
-		a.wake.Recv(p)
-		for {
-			if a.queued == 0 {
-				// Orphaned wake token (Clear raced a sleeping worker):
-				// nothing to dispatch, go back to waiting.
-				break
-			}
-			d, ok, wait := a.pick()
-			if ok {
-				return d
-			}
-			// Everything queued is rate-limited; sleep until the
-			// earliest bucket refills and retry with the same token.
-			if wait <= 0 {
-				wait = time.Millisecond
-			}
-			p.Sleep(wait)
+	for a.queued > 0 {
+		d, ok, wait := a.pick()
+		if ok {
+			return d
 		}
+		// Everything queued is rate-limited; sleep until the earliest
+		// bucket refills and retry.
+		if wait <= 0 {
+			wait = time.Millisecond
+		}
+		p.Sleep(wait)
 	}
+	return portals.Delivery{}
 }
 
 // pick runs one strict-priority + DRR selection pass. Returns the chosen
@@ -377,10 +368,5 @@ func (a *Admission) Clear() int {
 		a.bands[i] = &band{tenants: make(map[Tenant]*tq)}
 	}
 	a.queued = 0
-	for {
-		if _, ok := a.wake.TryRecv(); !ok {
-			break
-		}
-	}
 	return n
 }

@@ -36,8 +36,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"time"
@@ -140,9 +142,11 @@ type Kernel struct {
 	blockedDaemons int // of those, daemons (exempt from deadlock detection)
 
 	// driver wakes the Run caller when the dispatch loop winds down while a
-	// process goroutine holds it.
+	// process goroutine holds it, and acknowledges each process Shutdown
+	// retires.
 	driver  chan struct{}
 	failure error
+	dead    bool // Shutdown has run
 
 	nScheduled  uint64
 	nDispatched uint64
@@ -381,12 +385,13 @@ func (k *Kernel) afterCancelable(d time.Duration, fn func()) (cancel func()) {
 // kernel. All blocking methods (Sleep, Mailbox.Recv, Resource.Acquire, ...)
 // must be called from the process's own goroutine.
 type Proc struct {
-	k      *Kernel
-	name   string
-	fn     func(p *Proc)
-	resume chan struct{}
-	exited bool
-	daemon bool
+	k       *Kernel
+	name    string
+	fn      func(p *Proc)
+	resume  chan struct{}
+	started bool // its goroutine exists (the start event was dispatched)
+	exited  bool
+	daemon  bool
 
 	// Pooled waiter records: a process blocks on at most one thing at a
 	// time, so every Mailbox/Resource wait reuses these instead of
@@ -433,6 +438,8 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 
 // main is the body of a process goroutine: wait for the kernel's first
 // hand-off, run the user function, then pass the dispatch loop on and die.
+// A process retired by Shutdown unwinds through here too (runtime.Goexit
+// runs the defer with nothing to recover) and acknowledges instead.
 func (p *Proc) main() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -441,10 +448,25 @@ func (p *Proc) main() {
 			p.exited = true
 			delete(p.k.procs, p)
 		}
+		if p.k.dead {
+			p.k.driver <- struct{}{}
+			return
+		}
 		p.k.procLoop(p, true)
 	}()
 	<-p.resume
 	p.fn(p)
+}
+
+// await blocks a process goroutine that has given the baton away until it is
+// handed back. On a kernel shut down in the meantime the hand-off is
+// Shutdown's: the goroutine unwinds from here, running the process's deferred
+// calls, and never returns to user code.
+func (p *Proc) await() {
+	<-p.resume
+	if p.k.dead {
+		runtime.Goexit()
+	}
 }
 
 // failProc records a process panic so Run can surface it.
@@ -464,6 +486,9 @@ func (k *Kernel) failProc(p *Proc, r interface{}) {
 // timer event, a waiter registration, ...).
 func (p *Proc) park() {
 	k := p.k
+	if k.dead {
+		runtime.Goexit() // a deferred call of a retiring process tried to block
+	}
 	k.blocked++
 	if p.daemon {
 		k.blockedDaemons++
@@ -500,9 +525,9 @@ func (k *Kernel) procLoop(p *Proc, exiting bool) {
 				k.failure = fmt.Errorf("sim: event callback panicked at %v: %v\n%s",
 					k.now, r, debug.Stack())
 			}
-			k.driver <- struct{}{}
-			// The simulation is dead; so is this goroutine.
-			select {}
+			// The simulation has failed: no Run will dispatch again, so all
+			// that can still reach this goroutine is Shutdown.
+			k.windDown(p, exiting)
 		}
 	}()
 	k.loop(p, exiting)
@@ -519,7 +544,7 @@ func (k *Kernel) windDown(self *Proc, exiting bool) {
 		return // goroutine ends
 	}
 	// Stay parked: a later Run may still dispatch our resume event.
-	<-self.resume
+	self.await()
 }
 
 // loop is the dispatch loop. Exactly one goroutine runs it at a time — the
@@ -596,6 +621,7 @@ func (k *Kernel) loop(self *Proc, exiting bool) {
 				return // our own wake-up: keep the baton, continue user code
 			}
 		} else { // evStart
+			q.started = true
 			go q.main()
 		}
 		q.resume <- struct{}{}
@@ -605,7 +631,7 @@ func (k *Kernel) loop(self *Proc, exiting bool) {
 		if self == nil {
 			<-k.driver // the driver waits for wind-down
 		} else {
-			<-self.resume // wait for our own resume event
+			self.await() // wait for our own resume event
 		}
 		return
 	}
@@ -623,10 +649,45 @@ func (e *DeadlockError) Error() string {
 		e.At, len(e.Blocked), e.Blocked)
 }
 
+// ErrShutdown is returned by Run on a kernel that has been shut down.
+var ErrShutdown = errors.New("sim: kernel is shut down")
+
+// Shutdown ends the simulation for good: every process whose goroutine
+// exists is woken where it parked and unwinds from there — its deferred
+// calls run, nothing after the park does — and the pending events are
+// dropped. Shutdown returns once the last of those goroutines has
+// acknowledged, one at a time, so deferred calls still see a single logical
+// thread; processes that never started have no goroutine to retire. It must
+// not be called while Run is in progress, nor from inside the simulation.
+//
+// A dead kernel guarantees three things: it owns no goroutine, it no longer
+// references its processes or events (what they reached is garbage once the
+// caller lets go too), and Run returns ErrShutdown at once. Now and the
+// event counters keep their final values; scheduling on a dead kernel is
+// accepted and never dispatched. Shutdown on a dead kernel does nothing.
+func (k *Kernel) Shutdown() {
+	if k.dead {
+		return
+	}
+	k.dead = true
+	for p := range k.procs {
+		if p.started && !p.exited {
+			p.resume <- struct{}{}
+			<-k.driver
+		}
+	}
+	k.procs = make(map[*Proc]struct{})
+	k.slots, k.heap, k.ring = nil, nil, nil
+	k.free, k.tombs, k.rhead, k.rlen = -1, 0, 0, 0
+}
+
 // Run drains the event queue until it is empty or until limit is reached
 // (use MaxTime for no limit). It returns an error if any process panicked or
 // if the simulation deadlocked (blocked processes with no pending events).
 func (k *Kernel) Run(limit Time) error {
+	if k.dead {
+		return ErrShutdown
+	}
 	k.limit = limit
 	k.loop(nil, false)
 	if k.failure != nil {

@@ -25,6 +25,7 @@ type Mailbox struct {
 	head    int
 	n       int
 	waiters []*mboxWaiter
+	backlog func() // see OnBacklog
 }
 
 // mboxWaiter records one blocked receiver. Waiters are pooled per process
@@ -64,6 +65,14 @@ func NewMailbox(k *Kernel, name string) *Mailbox {
 
 // Name returns the mailbox's name.
 func (m *Mailbox) Name() string { return m.name }
+
+// OnBacklog registers fn to run, in the sender's context, every time Send
+// queues a message because no receiver is waiting. A service that starts its
+// receivers on demand spawns one from fn: the new process's start event takes
+// the place in the schedule that an idle receiver's resume would have had, so
+// starting receivers late leaves virtual time exactly as starting them early.
+// A nil fn removes the hook.
+func (m *Mailbox) OnBacklog(fn func()) { m.backlog = fn }
 
 // Len reports the number of queued (undelivered) messages.
 func (m *Mailbox) Len() int { return m.n }
@@ -134,6 +143,9 @@ func (m *Mailbox) Send(msg interface{}) {
 		return
 	}
 	m.push(msg)
+	if m.backlog != nil {
+		m.backlog()
+	}
 }
 
 // SendAfter enqueues msg d after the current instant (a one-way message
