@@ -74,8 +74,8 @@ var (
 	// never staged here at all. Either way the data's durability cannot be
 	// vouched for and the caller must treat the dump as aborted.
 	ErrLost = errors.New("burst: staged data lost (buffer crashed before drain?)")
-	// ErrDrainFailed is returned by DrainWait when a drain exhausted its
-	// retry budget against the backing storage server.
+	// ErrDrainFailed is returned by DrainWait when a drain's write to the
+	// backing storage server failed.
 	ErrDrainFailed = errors.New("burst: drain to storage failed")
 )
 
@@ -89,9 +89,6 @@ type Config struct {
 
 	DrainWorkers int     // concurrent drain streams (bounds in-flight RPCs)
 	DrainBW      float64 // drain pacing, bytes/s per worker (0 = unpaced)
-	// DrainRetry arms the drain path's storage RPCs; a lossy fabric between
-	// buffer and storage then costs drain latency, not staged data.
-	DrainRetry portals.RetryPolicy
 
 	// JournalRetain (journaled mode) is the size past which the journal is
 	// truncated at the next quiesce point (no staged extent un-drained).
@@ -238,7 +235,7 @@ type Server struct {
 // Start binds a memory-only burst server to ep's node at the given RPC
 // portal, with its capability-invalidation portal at port+1 and the
 // drain-wait portal at port+2. az verifies capabilities; drains go out
-// through a dedicated storage client armed with cfg.DrainRetry.
+// through a dedicated storage client.
 func Start(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, cfg Config) *Server {
 	return startServer(ep, az, rpcPort, cfg, nil)
 }
@@ -269,10 +266,6 @@ func startServer(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, 
 	caller := portals.NewCaller(ep)
 	caller.SetClass(qos.ClassBackground)
 	fgCaller := portals.NewCaller(ep)
-	if cfg.DrainRetry.Enabled() {
-		caller.SetRetry(cfg.DrainRetry, sim.NewRand(int64(ep.Node())))
-		fgCaller.SetRetry(cfg.DrainRetry, sim.NewRand(int64(ep.Node())+1))
-	}
 	s := &Server{
 		ep:           ep,
 		az:           az,

@@ -198,6 +198,62 @@ func TestCrashLosesStagedDataDetectably(t *testing.T) {
 	r.Run(t)
 }
 
+// TestStageRefusesRevokedCapability is the paper's §3.1 revocation property
+// on the staging tier: a buffer that has verified and cached a capability
+// must stop honouring it the moment the owner revokes it — the authorization
+// service calls the buffer's cache back — so the next stage with that
+// capability is refused up front and none of its bytes ever drain.
+func TestStageRefusesRevokedCapability(t *testing.T) {
+	r, srv, bb := boot(t, burst.DefaultConfig())
+	sc := storage.NewClient(r.Caller(3))
+	bc := burst.NewClient(r.Caller(3))
+	r.Go("client", func(p *sim.Proc) {
+		az := r.AuthzClient(3)
+		cred, err := r.AuthnClient(3).Login(p, "alice", testrig.Secret("alice"))
+		if err != nil {
+			t.Fatalf("login: %v", err)
+		}
+		cid, err := az.CreateContainer(p, cred)
+		if err != nil {
+			t.Fatalf("container: %v", err)
+		}
+		got, err := az.GetCaps(p, cred, cid, authz.OpCreate, authz.OpWrite)
+		if err != nil {
+			t.Fatalf("getcaps: %v", err)
+		}
+		create, write := got[0], got[1]
+		ref, err := sc.Create(p, storage.Target{Node: srv.Node(), Port: srv.RPCPort()}, create, cid)
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		// First stage: the buffer verifies the capability and caches it.
+		before := pattern(64 << 10)
+		if _, err := bc.StageWrite(p, bb.Tgt(), ref, write, 0, netsim.BytesPayload(before)); err != nil {
+			t.Fatalf("stage before revoke: %v", err)
+		}
+		if err := bc.DrainWait(p, bb.Tgt(), []storage.ObjRef{ref}, 0); err != nil {
+			t.Fatalf("drain wait: %v", err)
+		}
+
+		if err := az.Revoke(p, cred, cid, authz.OpWrite); err != nil {
+			t.Fatalf("revoke: %v", err)
+		}
+		after := bytes.Repeat([]byte{0xEE}, len(before))
+		if _, err := bc.StageWrite(p, bb.Tgt(), ref, write, 0, netsim.BytesPayload(after)); !errors.Is(err, burst.ErrCapRejected) {
+			t.Fatalf("stage with revoked capability: %v, want ErrCapRejected", err)
+		}
+		// Nothing of the refused write may reach storage, now or later.
+		p.Sleep(50 * time.Millisecond)
+		if obj, err := srv.Device().Lookup(ref.ID); err != nil || !bytes.Equal(obj.Data.Read(0, int64(len(before))).Data, before) {
+			t.Fatalf("object changed after a refused stage (err %v)", err)
+		}
+	})
+	r.Run(t)
+	if staged, drained := r.Metric("burst.*.staged"), r.Metric("burst.*.drained_bytes"); staged != 1 || drained != 64<<10 {
+		t.Errorf("staged=%d drained_bytes=%d, want 1 / %d: the refused write left a trace", staged, drained, 64<<10)
+	}
+}
+
 // TestStageRejectsWrongCapability: the staging path enforces authorization
 // like any other LWFS service — a read capability cannot stage writes.
 func TestStageRejectsWrongCapability(t *testing.T) {

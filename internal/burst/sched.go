@@ -135,7 +135,7 @@ func (s *Server) yieldToForeground(p *sim.Proc) {
 // drainWorker claims whole-destination batches and streams them to the
 // backing store. Each worker has at most one storage RPC in flight, so
 // DrainWorkers bounds the tier's drain concurrency; DrainBW paces the batch
-// to model a throttled drain link; DrainRetry rides out fabric loss.
+// to model a throttled drain link.
 func (s *Server) drainWorker(p *sim.Proc) {
 	for {
 		s.drainq.Recv(p)

@@ -27,7 +27,6 @@ import (
 	"lwfs/internal/core"
 	"lwfs/internal/netsim"
 	"lwfs/internal/portals"
-	"lwfs/internal/qos"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
 	"lwfs/internal/stripe"
@@ -47,12 +46,6 @@ type Config struct {
 	// of hanging the job. Timeout must comfortably cover one BytesPerProc
 	// write, or healthy writes will be misread as failures.
 	Retry portals.RetryPolicy
-	// Breaker, when non-nil, arms every rank's client with a circuit
-	// breaker (core.Client.SetBreaker): a flapping server fast-fails
-	// instead of charging each retry a full timeout, and the failover
-	// walk (writeObjectFailover) orders targets whose circuit is open
-	// last.
-	Breaker *qos.BreakerPolicy
 	// PatternData dumps PatternFor(rank, BytesPerProc) bytes instead of
 	// metadata-only synthetic payloads, so a Restore pass can verify the
 	// checkpoint content bit-exactly — even for objects that failover
@@ -253,9 +246,6 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			// decorrelating the ranks' backoff schedules.
 			clients[i].SetRetry(cfg.Retry, cfg.Seed+int64(i+1)*1000003)
 		}
-		if cfg.Breaker != nil {
-			clients[i].SetBreaker(*cfg.Breaker)
-		}
 		if len(cfg.Burst) > 0 {
 			// Shares the core client's caller, so staging rides the same
 			// retry policy (and the buffer's dedup keeps it exactly-once).
@@ -271,7 +261,6 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 	}
 	// Gather channel for the metadata phase (rank 0 collects ObjRefs).
 	gather := sim.NewMailbox(cl.K, "ckpt/gather")
-	done := sim.NewMailbox(cl.K, "ckpt/done")
 
 	// Rank 0: acquire credentials and capabilities once, scatter, then act
 	// as an ordinary writer plus the metadata/naming/commit tail.
@@ -287,7 +276,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 	}
 	shared := sim.NewMailbox(cl.K, "ckpt/share")
 
-	cl.K.Spawn("rank0", func(p *sim.Proc) {
+	rank0 := func(p *sim.Proc) {
 		c := clients[0]
 		if err := c.Login(p, "app", "s3cret"); err != nil {
 			panic(fmt.Sprintf("login: %v", err))
@@ -367,15 +356,15 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			if err := rehomeFailed(p, c, caps, h, refs, placement, cfg, &mdT); err != nil {
 				panic(fmt.Sprintf("re-home: %v", err))
 			}
-			mdRef, err := writeObjectFailover(p, c, caps, h, placement,
-				netsim.BytesPayload(EncodeMetadata(refs, cfg.BytesPerProc)), false, &mdT)
+			mdRefs, err := placeCopies(p, c, caps, h, placement,
+				netsim.BytesPayload(EncodeMetadata(refs, cfg.BytesPerProc)), 1, false, &mdT)
 			if err != nil {
 				panic(fmt.Sprintf("md object: %v", err))
 			}
 			// Only now, with every reference on a surviving server, drop the
 			// failed servers from the commit set.
-			sealTxn(h, refs, mdRef)
-			if err := c.CreateName(p, "/ckpt-0001", mdRef, tx); err != nil {
+			sealTxn(h, refs, mdRefs[0])
+			if err := c.CreateNameRefs(p, "/ckpt-0001", mdRefs, tx); err != nil {
 				panic(fmt.Sprintf("name: %v", err))
 			}
 			if err := tx.Commit(p); err != nil {
@@ -394,12 +383,13 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 		}
 		res.Durable = p.Now().Sub(start)
 		res.fold(t.t)
-		done.Send(struct{}{})
-	})
+	}
 
-	for i := 1; i < cfg.Procs; i++ {
-		i := i
-		cl.K.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+	spawnRanks(cl, cfg.Procs, func(i int) func(*sim.Proc) {
+		if i == 0 {
+			return rank0
+		}
+		return func(p *sim.Proc) {
 			c := clients[i]
 			sh := shared.Recv(p).(share)
 			if _, err := c.WaitCaps(p); err != nil {
@@ -411,13 +401,6 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			gather.Send(gatherMsg{rank: i, ref: t.ref, layout: t.l, err: t.err})
 			t.t.Total = p.Now().Sub(start)
 			res.fold(t.t)
-			done.Send(struct{}{})
-		})
-	}
-
-	cl.K.Spawn("drain", func(p *sim.Proc) {
-		for i := 0; i < cfg.Procs; i++ {
-			done.Recv(p)
 		}
 	})
 	return &res, nil
@@ -496,7 +479,6 @@ func dumpViaBurst(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSe
 	}
 	out.t.Write = p.Now().Sub(t1)
 	out.ref = ref
-	out.t.Total = p.Now().Sub(t0)
 	return out
 }
 
@@ -541,7 +523,7 @@ func waitDrains(p *sim.Proc, bc *burst.Client, refs []storage.ObjRef, cfg Config
 				}
 				break
 			}
-			if !errors.Is(err, portals.ErrRPCTimeout) || cfg.RecoveryTimeout <= 0 || p.Now() >= deadline {
+			if !portals.FailStop(err) || cfg.RecoveryTimeout <= 0 || p.Now() >= deadline {
 				return recovered, fmt.Errorf("checkpoint: drain wait on buffer %d: %w", bi, err)
 			}
 			retried = true
@@ -598,93 +580,67 @@ func dist(a, b netsim.NodeID) int {
 // with failover when the object's server dies mid-dump.
 func dumpLWFS(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, rank, placement int, cfg Config) dumpOut {
 	var out dumpOut
-	t0 := p.Now()
-	ref, err := writeObjectFailover(p, c, caps, h, rank+placement, payloadFor(rank, cfg), true, &out.t)
+	refs, err := placeCopies(p, c, caps, h, rank+placement, payloadFor(rank, cfg), 1, true, &out.t)
 	if err != nil {
 		panic(fmt.Sprintf("rank %d dump: %v", rank, err))
 	}
-	out.ref = ref
-	out.t.Total = p.Now().Sub(t0)
+	out.ref = refs[0]
 	return out
 }
 
-// writeObjectFailover creates an object at the preferred server, dumps
-// payload into it and (optionally) syncs — failing over to the next server
-// in the rotation when the one holding the object stops responding. Servers
-// already marked failed in the shared handle are skipped up front. A timeout
-// only *marks* the server failed; delisting it from the checkpoint
-// transaction is deferred to the commit tail (sealTxn), after rehomeFailed
-// has moved every affected rank's data off it. Delisting here would be
-// wrong: another rank may have completed its dump on that server before it
-// died, and a delisted server resolves its journaled provisional creates by
-// presumed abort on recovery — deleting data the manifest still references.
-// Without a retry policy (ISSUE: Retry disabled) there are no timeouts, so
-// the loop degenerates to the plain happy path.
-func writeObjectFailover(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, prefer int, payload netsim.Payload, doSync bool, t *ProcTimes) (storage.ObjRef, error) {
-	n := len(c.Servers())
-	// With a breaker armed, servers whose circuit is open go to the back
-	// of the rotation: they are still tried (a fast-fail costs nothing and
-	// the circuit may have healed), but never ahead of a healthy server.
-	order := make([]int, 0, n)
-	var downIdx []int
-	for i := 0; i < n; i++ {
-		if c.HealthOf(c.Server(prefer+i)) == qos.Down {
-			downIdx = append(downIdx, i)
-			continue
-		}
-		order = append(order, i)
-	}
-	order = append(order, downIdx...)
-	var lastErr error
-	for _, i := range order {
-		tgt := c.Server(prefer + i)
-		ep := core.TxnEndpointOf(tgt)
-		if h.failed[ep] {
-			continue
-		}
-		t0 := p.Now()
-		var ref storage.ObjRef
-		var err error
-		if h.tx != nil {
-			ref, err = c.CreateObjectTxn(p, tgt, caps, h.tx)
-		} else {
-			ref, err = c.CreateObject(p, tgt, caps)
-		}
-		if err != nil {
-			if !errors.Is(err, portals.ErrRPCTimeout) {
-				return storage.ObjRef{}, err
+// placeCopies is the checkpoint's one create-and-write walk: it creates an
+// object on up to m distinct servers, walking the rotation from prefer and
+// skipping servers already marked failed in the shared handle, dumps payload
+// into each and (optionally) syncs it, failing over (core.Walk) to the next
+// server when one stops responding. It returns the copies that landed — at
+// least one; fewer than m when the healthy pool ran out first (a manifest
+// replicates best-effort down to one mirror). A timeout only *marks* the
+// server failed; delisting it from the checkpoint transaction is deferred to
+// the commit tail (sealTxn), after rehomeFailed has moved every affected
+// rank's data off it. Delisting here would be wrong: another rank may have
+// completed its dump on that server before it died, and a delisted server
+// resolves its journaled provisional creates by presumed abort on recovery —
+// deleting data the manifest still references. Without a retry policy there
+// are no timeouts, so the walk degenerates to the plain happy path.
+func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, prefer int, payload netsim.Payload, m int, doSync bool, t *ProcTimes) ([]storage.ObjRef, error) {
+	used := make(map[storage.Target]bool, m)
+	refs := make([]storage.ObjRef, 0, m)
+	err := core.Walk(core.Rotate(c.Servers(), prefer), m,
+		func(tgt storage.Target) bool { return used[tgt] || h.failed[core.TxnEndpointOf(tgt)] }, nil,
+		func(tgt storage.Target) error {
+			t0 := p.Now()
+			ref, err := c.CreateObjectTxn(p, tgt, caps, h.tx)
+			if err != nil {
+				return err
 			}
-			h.markFailed(ep)
-			lastErr = err
-			continue
-		}
-		t.Create += p.Now().Sub(t0)
+			t.Create += p.Now().Sub(t0)
 
-		t1 := p.Now()
-		_, err = c.Write(p, ref, caps, 0, payload)
-		if err == nil {
+			// A server that accepted the create can still die before the
+			// dump is durable; the walk marks it and moves on all the same.
+			t1 := p.Now()
+			if _, err := c.Write(p, ref, caps, 0, payload); err != nil {
+				return err
+			}
 			t.Write += p.Now().Sub(t1)
-			if !doSync {
-				return ref, nil
-			}
-			t2 := p.Now()
-			if err = c.Sync(p, tgt, caps); err == nil {
+			if doSync {
+				t2 := p.Now()
+				if err := c.Sync(p, tgt, caps); err != nil {
+					return err
+				}
 				t.Sync += p.Now().Sub(t2)
-				return ref, nil
 			}
-		}
-		if !errors.Is(err, portals.ErrRPCTimeout) {
-			return storage.ObjRef{}, err
-		}
-		// The server accepted the create but died before the dump became
-		// durable: mark it and move on to the next server in the rotation.
-		h.markFailed(ep)
-		lastErr = err
+			used[tgt] = true
+			refs = append(refs, ref)
+			return nil
+		},
+		func(tgt storage.Target) { h.markFailed(core.TxnEndpointOf(tgt)) })
+	if len(refs) > 0 && errors.Is(err, core.ErrRanOut) {
+		return refs, nil
 	}
-	if lastErr == nil {
-		lastErr = portals.ErrRPCTimeout // every server was already marked failed
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: placing a copy: %w", err)
 	}
-	return storage.ObjRef{}, fmt.Errorf("checkpoint: dump failed on every server: %w", lastErr)
+	return refs, nil
 }
 
 // payloadFor builds rank's dump payload per the config: the verifiable
@@ -711,11 +667,11 @@ func rehomeFailed(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, r
 			if !h.failed[core.TxnEndpointOf(storage.TargetOf(ref))] {
 				continue
 			}
-			nref, err := writeObjectFailover(p, c, caps, h, rank+placement, payloadFor(rank, cfg), true, t)
+			nrefs, err := placeCopies(p, c, caps, h, rank+placement, payloadFor(rank, cfg), 1, true, t)
 			if err != nil {
 				return fmt.Errorf("re-homing rank %d: %w", rank, err)
 			}
-			refs[rank] = nref
+			refs[rank] = nrefs[0]
 			changed = true
 		}
 	}

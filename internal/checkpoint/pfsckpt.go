@@ -19,57 +19,13 @@ import (
 func RunPFSFilePerProcess(spec cluster.Spec, cfg Config) (Result, error) {
 	cl := cluster.New(spec)
 	defer cl.Close()
-	f := cl.DeployPFS()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	res := Result{Procs: cfg.Procs, Bytes: int64(cfg.Procs) * cfg.BytesPerProc}
-	done := sim.NewMailbox(cl.K, "ckpt/done")
-	for i := 0; i < cfg.Procs; i++ {
-		i := i
-		jitter := time.Duration(rng.Int63n(int64(cfg.jitter())))
-		c := cl.NewPFSClient(f, i)
-		cl.K.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
-			start := p.Now()
-			p.Sleep(jitter)
-			var t ProcTimes
-
-			t0 := p.Now()
-			file, err := c.Create(p, fmt.Sprintf("/ckpt/rank-%d", i), 0)
-			if err != nil {
-				panic(fmt.Sprintf("rank %d create: %v", i, err))
-			}
-			t.Create = p.Now().Sub(t0)
-
-			t1 := p.Now()
-			if _, err := file.Write(p, 0, netsim.SyntheticPayload(cfg.BytesPerProc)); err != nil {
-				panic(fmt.Sprintf("rank %d write: %v", i, err))
-			}
-			t.Write = p.Now().Sub(t1)
-
-			t2 := p.Now()
-			if err := file.Sync(p); err != nil {
-				panic(fmt.Sprintf("rank %d sync: %v", i, err))
-			}
-			t.Sync = p.Now().Sub(t2)
-
-			t3 := p.Now()
-			if err := file.Close(p); err != nil {
-				panic(fmt.Sprintf("rank %d close: %v", i, err))
-			}
-			t.Close = p.Now().Sub(t3)
-			t.Total = p.Now().Sub(start)
-			res.fold(t)
-			done.Send(struct{}{})
-		})
-	}
-	cl.K.Spawn("drain", func(p *sim.Proc) {
-		for i := 0; i < cfg.Procs; i++ {
-			done.Recv(p)
+	return runPFS(cl, cfg, func(p *sim.Proc, c *pfs.Client, rank int) (*pfs.File, int64) {
+		file, err := c.Create(p, fmt.Sprintf("/ckpt/rank-%d", rank), 0)
+		if err != nil {
+			panic(fmt.Sprintf("rank %d create: %v", rank, err))
 		}
+		return file, 0
 	})
-	if err := cl.Run(); err != nil {
-		return Result{}, err
-	}
-	return res, nil
 }
 
 // RunPFSShared builds a fresh cluster, deploys the baseline PFS and runs
@@ -78,44 +34,52 @@ func RunPFSFilePerProcess(spec cluster.Spec, cfg Config) (Result, error) {
 func RunPFSShared(spec cluster.Spec, cfg Config) (Result, error) {
 	cl := cluster.New(spec)
 	defer cl.Close()
+	created := sim.NewMailbox(cl.K, "ckpt/created")
+	return runPFS(cl, cfg, func(p *sim.Proc, c *pfs.Client, rank int) (*pfs.File, int64) {
+		var file *pfs.File
+		var err error
+		if rank == 0 {
+			file, err = c.Create(p, "/ckpt/shared", 0)
+			if err != nil {
+				panic(fmt.Sprintf("create: %v", err))
+			}
+			for j := 1; j < cfg.Procs; j++ {
+				created.Send(struct{}{})
+			}
+		} else {
+			created.Recv(p)
+			file, err = c.Open(p, "/ckpt/shared")
+			if err != nil {
+				panic(fmt.Sprintf("rank %d open: %v", rank, err))
+			}
+		}
+		file.SetShared(cfg.Procs > 1)
+		return file, int64(rank) * cfg.BytesPerProc
+	})
+}
+
+// runPFS is the body behind both PFS baselines: deploy the PFS on cl, start
+// one jittered process per rank that times open → write → sync → close, and
+// fold the phases into the Result. open gets a rank its file and the offset
+// its state goes at — the one thing the two baselines disagree on.
+func runPFS(cl *cluster.Cluster, cfg Config, open func(p *sim.Proc, c *pfs.Client, rank int) (*pfs.File, int64)) (Result, error) {
 	f := cl.DeployPFS()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := Result{Procs: cfg.Procs, Bytes: int64(cfg.Procs) * cfg.BytesPerProc}
-	done := sim.NewMailbox(cl.K, "ckpt/done")
-	created := sim.NewMailbox(cl.K, "ckpt/created")
-
-	for i := 0; i < cfg.Procs; i++ {
-		i := i
+	spawnRanks(cl, cfg.Procs, func(i int) func(*sim.Proc) {
 		jitter := time.Duration(rng.Int63n(int64(cfg.jitter())))
 		c := cl.NewPFSClient(f, i)
-		cl.K.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+		return func(p *sim.Proc) {
 			start := p.Now()
 			p.Sleep(jitter)
 			var t ProcTimes
-			var file *pfs.File
-			var err error
 
 			t0 := p.Now()
-			if i == 0 {
-				file, err = c.Create(p, "/ckpt/shared", 0)
-				if err != nil {
-					panic(fmt.Sprintf("create: %v", err))
-				}
-				for j := 1; j < cfg.Procs; j++ {
-					created.Send(struct{}{})
-				}
-			} else {
-				created.Recv(p)
-				file, err = c.Open(p, "/ckpt/shared")
-				if err != nil {
-					panic(fmt.Sprintf("rank %d open: %v", i, err))
-				}
-			}
-			file.SetShared(cfg.Procs > 1)
+			file, off := open(p, c, i)
 			t.Create = p.Now().Sub(t0)
 
 			t1 := p.Now()
-			if _, err := file.Write(p, int64(i)*cfg.BytesPerProc, netsim.SyntheticPayload(cfg.BytesPerProc)); err != nil {
+			if _, err := file.Write(p, off, netsim.SyntheticPayload(cfg.BytesPerProc)); err != nil {
 				panic(fmt.Sprintf("rank %d write: %v", i, err))
 			}
 			t.Write = p.Now().Sub(t1)
@@ -133,18 +97,31 @@ func RunPFSShared(spec cluster.Spec, cfg Config) (Result, error) {
 			t.Close = p.Now().Sub(t3)
 			t.Total = p.Now().Sub(start)
 			res.fold(t)
-			done.Send(struct{}{})
-		})
-	}
-	cl.K.Spawn("drain", func(p *sim.Proc) {
-		for i := 0; i < cfg.Procs; i++ {
-			done.Recv(p)
 		}
 	})
 	if err := cl.Run(); err != nil {
 		return Result{}, err
 	}
 	return res, nil
+}
+
+// spawnRanks is the frame every checkpoint driver shares: build each rank's
+// body in rank order (so per-rank clients and jitter draws keep their
+// order) and spawn it, then the drain that outlives the last rank.
+func spawnRanks(cl *cluster.Cluster, n int, rank func(i int) func(*sim.Proc)) {
+	done := sim.NewMailbox(cl.K, "ckpt/done")
+	for i := 0; i < n; i++ {
+		body := rank(i)
+		cl.K.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+			body(p)
+			done.Send(struct{}{})
+		})
+	}
+	cl.K.Spawn("drain", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			done.Recv(p)
+		}
+	})
 }
 
 // CreateResult is the outcome of a create-only microbenchmark (Figure 10).
@@ -163,19 +140,17 @@ func RunCreateOnlyLWFS(spec cluster.Spec, procs, opsPerProc int, seed int64) (Cr
 	defer cl.Close()
 	cl.RegisterUser("app", "s3cret")
 	l := cl.DeployLWFS()
-	done := sim.NewMailbox(cl.K, "done")
 	shared := sim.NewMailbox(cl.K, "caps")
-	var last sim.Time
-	var first sim.Time
-	rng := rand.New(rand.NewSource(seed))
-	placement := rng.Intn(1024)
-
-	for i := 0; i < procs; i++ {
-		i := i
+	placement := rand.New(rand.NewSource(seed)).Intn(1024)
+	return runCreateOnly(cl, procs, opsPerProc, func(i int) createRank {
 		c := cl.NewClient(l, i)
-		cl.K.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
-			var caps coreCaps
-			if i == 0 {
+		var caps core.CapSet
+		return createRank{
+			setup: func(p *sim.Proc) {
+				if i != 0 {
+					caps = shared.Recv(p).(core.CapSet)
+					return
+				}
 				if err := c.Login(p, "app", "s3cret"); err != nil {
 					panic(err)
 				}
@@ -183,44 +158,19 @@ func RunCreateOnlyLWFS(spec cluster.Spec, procs, opsPerProc int, seed int64) (Cr
 				if err != nil {
 					panic(err)
 				}
-				cs, err := c.GetCaps(p, cid, authz.OpCreate)
-				if err != nil {
+				if caps, err = c.GetCaps(p, cid, authz.OpCreate); err != nil {
 					panic(err)
 				}
-				caps = coreCaps{cs}
 				for j := 1; j < procs; j++ {
 					shared.Send(caps)
 				}
-			} else {
-				caps = shared.Recv(p).(coreCaps)
-			}
-			start := p.Now()
-			if first == 0 || start < first {
-				first = start
-			}
-			for op := 0; op < opsPerProc; op++ {
-				if _, err := c.CreateObject(p, c.Server(placement+i+op*procs), caps.CapSet); err != nil {
-					panic(fmt.Sprintf("rank %d create: %v", i, err))
-				}
-			}
-			if p.Now() > last {
-				last = p.Now()
-			}
-			done.Send(struct{}{})
-		})
-	}
-	cl.K.Spawn("drain", func(p *sim.Proc) {
-		for i := 0; i < procs; i++ {
-			done.Recv(p)
+			},
+			create: func(p *sim.Proc, op int) error {
+				_, err := c.CreateObject(p, c.Server(placement+i+op*procs), caps)
+				return err
+			},
 		}
 	})
-	if err := cl.Run(); err != nil {
-		return CreateResult{}, err
-	}
-	ops := procs * opsPerProc
-	elapsed := last.Sub(first)
-	return CreateResult{Procs: procs, Ops: ops, Elapsed: elapsed,
-		OpsPerSec: float64(ops) / elapsed.Seconds()}, nil
 }
 
 // RunCreateOnlyPFS measures parallel file creation through the centralized
@@ -230,30 +180,45 @@ func RunCreateOnlyPFS(spec cluster.Spec, procs, opsPerProc int, seed int64) (Cre
 	cl := cluster.New(spec)
 	defer cl.Close()
 	f := cl.DeployPFS()
-	done := sim.NewMailbox(cl.K, "done")
-	var last, first sim.Time
-	for i := 0; i < procs; i++ {
-		i := i
+	return runCreateOnly(cl, procs, opsPerProc, func(i int) createRank {
 		c := cl.NewPFSClient(f, i)
-		cl.K.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+		return createRank{create: func(p *sim.Proc, op int) error {
+			_, err := c.Create(p, fmt.Sprintf("/f-%d-%d", i, op), 0)
+			return err
+		}}
+	})
+}
+
+// createRank is one rank of a create-only run: setup (optional) runs
+// before the clock starts, create is the timed operation.
+type createRank struct {
+	setup  func(p *sim.Proc)
+	create func(p *sim.Proc, op int) error
+}
+
+// runCreateOnly is the rank frame both create-only drivers share: every
+// rank issues opsPerProc creates back to back, and the run is clocked from
+// the first rank's start to the last rank's finish.
+func runCreateOnly(cl *cluster.Cluster, procs, opsPerProc int, rank func(i int) createRank) (CreateResult, error) {
+	var first, last sim.Time
+	spawnRanks(cl, procs, func(i int) func(*sim.Proc) {
+		r := rank(i)
+		return func(p *sim.Proc) {
+			if r.setup != nil {
+				r.setup(p)
+			}
 			start := p.Now()
 			if first == 0 || start < first {
 				first = start
 			}
 			for op := 0; op < opsPerProc; op++ {
-				if _, err := c.Create(p, fmt.Sprintf("/f-%d-%d", i, op), 0); err != nil {
+				if err := r.create(p, op); err != nil {
 					panic(fmt.Sprintf("rank %d create: %v", i, err))
 				}
 			}
 			if p.Now() > last {
 				last = p.Now()
 			}
-			done.Send(struct{}{})
-		})
-	}
-	cl.K.Spawn("drain", func(p *sim.Proc) {
-		for i := 0; i < procs; i++ {
-			done.Recv(p)
 		}
 	})
 	if err := cl.Run(); err != nil {
@@ -264,6 +229,3 @@ func RunCreateOnlyPFS(spec cluster.Spec, procs, opsPerProc int, seed int64) (Cre
 	return CreateResult{Procs: procs, Ops: ops, Elapsed: elapsed,
 		OpsPerSec: float64(ops) / elapsed.Seconds()}, nil
 }
-
-// coreCaps wraps a CapSet for mailbox transport.
-type coreCaps struct{ CapSet core.CapSet }

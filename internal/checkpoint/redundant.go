@@ -22,10 +22,8 @@ import (
 // arm redundancy is measured against.
 type RedundantDump struct {
 	Scheme stripe.Scheme
-	Width  int   // data columns per rank (>= 1)
-	Copies int   // replica copies (Scheme Replica only; 0 = 2)
-	Unit   int64 // stripe unit, bytes (0 = 256 KiB)
-	Window int   // engine fan-out window (0 = 8)
+	Width  int // data columns per rank (>= 1)
+	Copies int // replica copies (Scheme Replica only; 0 = 2)
 
 	// MetaCopies is how many mirrors of the v2 manifest the commit writes
 	// (0 = 2, 1 = the legacy single manifest object). Every mirror that
@@ -52,19 +50,8 @@ func (r *RedundantDump) copies() int {
 	return r.Copies
 }
 
-func (r *RedundantDump) unit() int64 {
-	if r.Unit > 0 {
-		return r.Unit
-	}
-	return 256 << 10
-}
-
-func (r *RedundantDump) window() int {
-	if r.Window > 0 {
-		return r.Window
-	}
-	return 8
-}
+// redundantUnit is a redundant dump's stripe unit.
+const redundantUnit = 256 << 10
 
 // objects is the per-rank object count the scheme needs.
 func (r *RedundantDump) objects() int {
@@ -101,41 +88,37 @@ func dumpRedundant(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, 
 	t0 := p.Now()
 
 	// Placement: walk the server rotation from the rank's preferred slot,
-	// skipping servers already marked failed. The first pass insists on
-	// distinct servers (failure independence is the point); if the healthy
-	// pool is too small a second pass allows reuse — a degraded placement
-	// beats an aborted checkpoint, and the tail's recoverability check
-	// still guards the commit.
+	// skipping servers already marked failed. Distinct servers come first
+	// (failure independence is the point); if the healthy pool is too small
+	// the walk's second pass allows reuse — a degraded placement beats an
+	// aborted checkpoint, and the tail's recoverability check still guards
+	// the commit.
 	need := r.objects()
-	n := len(c.Servers())
 	used := make(map[storage.Target]bool)
 	objs := make([]storage.ObjRef, 0, need)
-	for pass := 0; pass < 2 && len(objs) < need; pass++ {
-		for i := 0; i < n && len(objs) < need; i++ {
-			tgt := c.Server(rank + placement + i)
-			if h.failed[core.TxnEndpointOf(tgt)] || (pass == 0 && used[tgt]) {
-				continue
-			}
+	err := core.Walk(core.Rotate(c.Servers(), rank+placement), need,
+		func(tgt storage.Target) bool { return h.failed[core.TxnEndpointOf(tgt)] },
+		func(tgt storage.Target) bool { return used[tgt] },
+		func(tgt storage.Target) error {
 			ref, err := c.CreateObjectTxn(p, tgt, caps, h.tx)
-			if err != nil {
-				if !errors.Is(err, portals.ErrRPCTimeout) {
-					out.err = fmt.Errorf("checkpoint: rank %d create: %w", rank, err)
-					return out
-				}
-				h.markFailed(core.TxnEndpointOf(tgt))
-				continue
+			if err == nil {
+				used[tgt] = true
+				objs = append(objs, ref)
 			}
-			used[tgt] = true
-			objs = append(objs, ref)
-		}
-	}
-	if len(objs) < need {
+			return err
+		},
+		func(tgt storage.Target) { h.markFailed(core.TxnEndpointOf(tgt)) })
+	if errors.Is(err, core.ErrRanOut) {
 		out.err = fmt.Errorf("checkpoint: rank %d: %d of %d objects placed before the healthy pool ran out", rank, len(objs), need)
+		return out
+	}
+	if err != nil {
+		out.err = fmt.Errorf("checkpoint: rank %d create: %w", rank, err)
 		return out
 	}
 	out.t.Create = p.Now().Sub(t0)
 
-	l := stripe.Layout{Size: cfg.BytesPerProc, Unit: r.unit(), Scheme: r.Scheme, Copies: r.copies(), Objs: objs}
+	l := stripe.Layout{Size: cfg.BytesPerProc, Unit: redundantUnit, Scheme: r.Scheme, Copies: r.copies(), Objs: objs}
 	if err := l.Validate(); err != nil {
 		out.err = err
 		return out
@@ -144,7 +127,7 @@ func dumpRedundant(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, 
 	out.ref = objs[0]
 
 	t1 := p.Now()
-	eng := stripe.NewEngine(c, caps, r.window())
+	eng := stripe.NewEngine(c, caps, stripe.DefaultWindow)
 	_, lost, err := eng.WriteAtTolerant(p, l, 0, payloadFor(rank, cfg))
 	for _, lt := range lost {
 		h.markFailed(core.TxnEndpointOf(lt))
@@ -164,7 +147,7 @@ func dumpRedundant(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, 
 			continue
 		}
 		if err := c.Sync(p, tg, caps); err != nil {
-			if !errors.Is(err, portals.ErrRPCTimeout) {
+			if !portals.FailStop(err) {
 				out.err = fmt.Errorf("checkpoint: rank %d sync: %w", rank, err)
 				return out
 			}
@@ -172,7 +155,6 @@ func dumpRedundant(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, 
 		}
 	}
 	out.t.Sync = p.Now().Sub(t2)
-	out.t.Total = p.Now().Sub(t0)
 	return out
 }
 
@@ -209,8 +191,8 @@ func redundantTail(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, 
 		}
 		return true
 	}
-	mdRefs, err := writeManifestMirrors(p, c, caps, h, placement,
-		netsim.BytesPayload(EncodeMetadataV2(layouts, cfg.BytesPerProc)), cfg.Redundant.metaCopies(), mdT)
+	mdRefs, err := placeCopies(p, c, caps, h, placement,
+		netsim.BytesPayload(EncodeMetadataV2(layouts, cfg.BytesPerProc)), cfg.Redundant.metaCopies(), false, mdT)
 	if err != nil {
 		panic(fmt.Sprintf("md object: %v", err))
 	}
@@ -221,68 +203,11 @@ func redundantTail(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, 
 	// mid-commit crash of a manifest server either aborts the transaction
 	// (no manifest) or leaves an entry whose mirrors all hold the same
 	// bytes (fully restorable) — never a half-published manifest.
-	if len(mdRefs) == 1 {
-		err = c.CreateName(p, "/ckpt-0001", mdRefs[0], h.tx)
-	} else {
-		err = c.CreateNameRefs(p, "/ckpt-0001", mdRefs, h.tx)
-	}
-	if err != nil {
+	if err := c.CreateNameRefs(p, "/ckpt-0001", mdRefs, h.tx); err != nil {
 		panic(fmt.Sprintf("name: %v", err))
 	}
 	if err := h.tx.Commit(p); err != nil {
 		panic(fmt.Sprintf("commit: %v", err))
 	}
 	return false
-}
-
-// writeManifestMirrors writes the manifest to up to m mirrors on distinct
-// healthy servers, walking the rotation from the placement slot. A server
-// that times out is marked failed (its copies are already being abandoned)
-// and the walk continues; the manifest replicates best-effort down to a
-// single surviving mirror, below which the dump cannot be published and the
-// caller panics exactly as the legacy single-object path did.
-func writeManifestMirrors(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, placement int, payload netsim.Payload, m int, mdT *ProcTimes) ([]storage.ObjRef, error) {
-	n := len(c.Servers())
-	used := make(map[storage.Target]bool, m)
-	refs := make([]storage.ObjRef, 0, m)
-	var lastErr error
-	for i := 0; i < n && len(refs) < m; i++ {
-		tgt := c.Server(placement + i)
-		if used[tgt] || h.failed[core.TxnEndpointOf(tgt)] {
-			continue
-		}
-		t0 := p.Now()
-		var ref storage.ObjRef
-		var err error
-		if h.tx != nil {
-			ref, err = c.CreateObjectTxn(p, tgt, caps, h.tx)
-		} else {
-			ref, err = c.CreateObject(p, tgt, caps)
-		}
-		if err != nil {
-			if !errors.Is(err, portals.ErrRPCTimeout) {
-				return nil, err
-			}
-			h.markFailed(core.TxnEndpointOf(tgt))
-			lastErr = err
-			continue
-		}
-		mdT.Create += p.Now().Sub(t0)
-		t1 := p.Now()
-		if _, err := c.Write(p, ref, caps, 0, payload); err != nil {
-			if !errors.Is(err, portals.ErrRPCTimeout) {
-				return nil, err
-			}
-			h.markFailed(core.TxnEndpointOf(tgt))
-			lastErr = err
-			continue
-		}
-		mdT.Write += p.Now().Sub(t1)
-		used[tgt] = true
-		refs = append(refs, ref)
-	}
-	if len(refs) == 0 {
-		return nil, fmt.Errorf("checkpoint: no healthy server for the manifest: %w", lastErr)
-	}
-	return refs, nil
 }

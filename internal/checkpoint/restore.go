@@ -188,34 +188,25 @@ func Restore(p *sim.Proc, c *core.Client, caps core.CapSet, path string) (Manife
 	return m, nil
 }
 
-// readManifest reads the manifest from the first reachable mirror (a
-// mirrored redundant dump records every manifest copy in the naming entry;
-// legacy checkpoints present exactly one ref). Only ErrRPCTimeout — a dead
-// manifest server — falls through to the next mirror: every committed
-// mirror holds identical bytes, while ErrNoObject on a live server means
-// the manifest was fenced by a presumed-abort deletion and stays hard, per
-// the same classification rule lwfspfs.Open applies. A read served by a
-// non-primary mirror is counted in ckpt.manifest.mirror_reads.
+// readManifest reads the manifest from the first reachable mirror
+// (core.ReadMirror; a mirrored redundant dump records every manifest copy in
+// the naming entry, legacy checkpoints present exactly one ref). A read
+// served by a non-primary mirror is counted in ckpt.manifest.mirror_reads.
 func readManifest(p *sim.Proc, c *core.Client, caps core.CapSet, refs []storage.ObjRef) (netsim.Payload, error) {
-	var lastErr error
-	for i, ref := range refs {
+	payload, skipped, err := core.ReadMirror(refs, func(ref storage.ObjRef) (netsim.Payload, error) {
 		st, err := c.Stat(p, ref, caps)
-		if err == nil {
-			var payload netsim.Payload
-			payload, err = c.Read(p, ref, caps, 0, st.Size)
-			if err == nil {
-				if i > 0 {
-					c.Endpoint().Metrics().Scope("ckpt").Scope("manifest").Counter("mirror_reads").Inc()
-				}
-				return payload, nil
-			}
-		}
-		if !errors.Is(err, portals.ErrRPCTimeout) {
+		if err != nil {
 			return netsim.Payload{}, err
 		}
-		lastErr = err
+		return c.Read(p, ref, caps, 0, st.Size)
+	})
+	if errors.Is(err, core.ErrRanOut) {
+		return netsim.Payload{}, fmt.Errorf("checkpoint: no manifest mirror reachable: %w", err)
 	}
-	return netsim.Payload{}, fmt.Errorf("checkpoint: no manifest mirror reachable: %w", lastErr)
+	if err == nil && skipped > 0 {
+		c.Endpoint().Metrics().Scope("ckpt").Scope("manifest").Counter("mirror_reads").Inc()
+	}
+	return payload, err
 }
 
 // restoreWindow bounds RestoreRead's fan-out for v2 layouts.

@@ -69,15 +69,16 @@ const shadowAckSize int64 = 32
 // shadowContainer tags shadow objects on storage devices.
 const shadowContainer osd.ContainerID = 0x5AD0
 
+// shadowSources is the number of aggregate injector nodes standing in for
+// the shadow ranks' compute nodes. Each gets NIC bandwidth scaled by the
+// ranks it represents.
+const shadowSources = 8
+
 // SampledRanks configures sampled-rank mode (Config.Sampled).
 type SampledRanks struct {
 	// TotalRanks is the full job size; TotalRanks-Procs ranks become
 	// shadow load. Must be >= Procs.
 	TotalRanks int
-	// Sources is the number of aggregate injector nodes standing in for
-	// the shadow ranks' compute nodes (default 8). Each gets NIC bandwidth
-	// scaled by the ranks it represents.
-	Sources int
 	// Streams is the number of concurrent shadow streams per target
 	// (storage server, or burst buffer in burst mode; default 2). Streams
 	// write their ranks sequentially with one chunk outstanding, so this
@@ -93,13 +94,6 @@ type SampledRanks struct {
 	// the staging ack backpressures (default: the cluster's
 	// Spec.Burst.StageCapacity). Only meaningful in burst mode.
 	Window int64
-}
-
-func (s *SampledRanks) sources() int {
-	if s.Sources > 0 {
-		return s.Sources
-	}
-	return 8
 }
 
 func (s *SampledRanks) streams() int {
@@ -329,10 +323,7 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 	// ranks, with NIC bandwidth scaled to match (the compute partition's
 	// aggregate egress must not be the bottleneck — on the real machine
 	// it never is; the I/O partition saturates first).
-	nsrc := sr.sources()
-	if nsrc > shadow {
-		nsrc = shadow
-	}
+	nsrc := min(shadowSources, shadow)
 	perSource := float64((shadow + nsrc - 1) / nsrc)
 	callers := make([]*portals.Caller, nsrc)
 	for i := 0; i < nsrc; i++ {

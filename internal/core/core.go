@@ -132,15 +132,11 @@ func (c *Client) SetRetry(pol portals.RetryPolicy, seed int64) {
 // its circuit, and further attempts fast-fail with portals.ErrCircuitOpen
 // (which failover paths treat exactly like a timeout, minus the wait)
 // until a half-open probe succeeds. The per-target health it derives is
-// consulted by the checkpoint's failover walk and the stripe engine's
-// degraded reads.
+// consulted by the stripe engine's degraded reads.
 func (c *Client) SetBreaker(pol qos.BreakerPolicy) {
 	c.breaker = qos.NewBreakerFor(c.ep, pol)
 	c.caller.SetBreaker(c.breaker)
 }
-
-// Breaker exposes the client's circuit breaker (nil unless SetBreaker ran).
-func (c *Client) Breaker() *qos.Breaker { return c.breaker }
 
 // HealthOf reports the client's local opinion of a storage target, derived
 // from its breaker history (Ok when no breaker is armed).
@@ -401,17 +397,9 @@ func (c *Client) EnlistNaming(tx *txn.Txn) {
 }
 
 // CreateName binds a path to an object reference, optionally inside a
-// transaction (CREATENAME).
+// transaction (CREATENAME): CreateNameRefs of one ref.
 func (c *Client) CreateName(p *sim.Proc, path string, ref storage.ObjRef, tx *txn.Txn) error {
-	if c.cred.Zero() {
-		return ErrNotLoggedIn
-	}
-	var id txn.ID
-	if tx != nil {
-		c.EnlistNaming(tx)
-		id = tx.ID
-	}
-	return c.nc.Create(p, c.cred, path, ref, id)
+	return c.CreateNameRefs(p, path, []storage.ObjRef{ref}, tx)
 }
 
 // CreateNameRefs binds a path to a set of mirrored object references,

@@ -1,0 +1,228 @@
+package core_test
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"lwfs/internal/core"
+	"lwfs/internal/netsim"
+	"lwfs/internal/osd"
+	"lwfs/internal/portals"
+	"lwfs/internal/storage"
+	"lwfs/internal/stripe"
+)
+
+// TestFailoverPredicate pins the rule: only the signature of a server that
+// stopped answering falls over; whatever a live server said stays hard.
+func TestFailoverPredicate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"timeout", portals.ErrRPCTimeout, true},
+		{"circuit open", portals.ErrCircuitOpen, true},
+		{"wrapped timeout", fmt.Errorf("stripe/read[3]: %w", portals.ErrRPCTimeout), true},
+		{"nil", nil, false},
+		{"overload", portals.ErrOverload, false},
+		{"no object", osd.ErrNoObject, false},
+		{"bad layout", stripe.ErrBadLayout, false},
+	} {
+		if got := portals.FailStop(tc.err); got != tc.want {
+			t.Errorf("FailStop(%s) = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestFailoverRotate(t *testing.T) {
+	s := []int{0, 1, 2, 3}
+	for start, want := range map[int][]int{0: {0, 1, 2, 3}, 1: {1, 2, 3, 0}, 4: {0, 1, 2, 3}, 7: {3, 0, 1, 2}} {
+		if got := core.Rotate(s, start); !reflect.DeepEqual(got, want) {
+			t.Errorf("Rotate(%d) = %v, want %v", start, got, want)
+		}
+	}
+	if got := core.Rotate([]int(nil), 3); len(got) != 0 {
+		t.Errorf("Rotate(nil) = %v", got)
+	}
+	if !reflect.DeepEqual(s, []int{0, 1, 2, 3}) {
+		t.Errorf("Rotate modified its input: %v", s)
+	}
+}
+
+// TestFailoverCandidateOrder: the order is "not avoided first, then
+// everyone, never the excluded", decided as the walk reaches a candidate.
+func TestFailoverCandidateOrder(t *testing.T) {
+	in := func(set ...string) func(string) bool {
+		return func(c string) bool { return slices.Contains(set, c) }
+	}
+	collect := func(cands []string, excluded, avoided func(string) bool, onVisit func(string)) (order []string, idx []int) {
+		for i, c := range core.Candidates(cands, excluded, avoided) {
+			order, idx = append(order, c), append(idx, i)
+			if onVisit != nil {
+				onVisit(c)
+			}
+		}
+		return order, idx
+	}
+	abcd := []string{"a", "b", "c", "d"}
+
+	t.Run("avoided come second, excluded never", func(t *testing.T) {
+		order, idx := collect(abcd, in("c"), in("a"), nil)
+		if want := []string{"b", "d", "a", "b", "d"}; !reflect.DeepEqual(order, want) {
+			t.Errorf("order = %v, want %v", order, want)
+		}
+		if want := []int{1, 3, 0, 1, 3}; !reflect.DeepEqual(idx, want) {
+			t.Errorf("indices = %v, want %v", idx, want)
+		}
+	})
+	t.Run("nil predicates exclude and avoid nothing", func(t *testing.T) {
+		order, _ := collect(abcd[:2], nil, nil, nil)
+		if want := []string{"a", "b", "a", "b"}; !reflect.DeepEqual(order, want) {
+			t.Errorf("order = %v, want %v", order, want)
+		}
+	})
+	t.Run("sets that change under the walk", func(t *testing.T) {
+		// The consumer uses b (so it becomes avoided) and sees c fail (so it
+		// becomes excluded) while the walk is running: the second pass
+		// offers b again — doubling up — and never c.
+		used, failed := map[string]bool{}, map[string]bool{}
+		order, _ := collect(abcd,
+			func(c string) bool { return failed[c] },
+			func(c string) bool { return used[c] },
+			func(c string) {
+				switch c {
+				case "b":
+					used[c] = true
+				case "c":
+					failed[c] = true
+				}
+			})
+		if want := []string{"a", "b", "c", "d", "a", "b", "d"}; !reflect.DeepEqual(order, want) {
+			t.Errorf("order = %v, want %v", order, want)
+		}
+	})
+	t.Run("stops when the consumer does", func(t *testing.T) {
+		n := 0
+		for range core.Candidates(abcd, nil, nil) {
+			if n++; n == 2 {
+				break
+			}
+		}
+		if n != 2 {
+			t.Errorf("visited %d candidates after break at 2", n)
+		}
+	})
+}
+
+// TestFailoverWalk: k successes end the walk; a fail-stop candidate is
+// reported once and not offered again; a hard error is returned as is and
+// ends the walk on the spot; running out is its own, recognisable error.
+func TestFailoverWalk(t *testing.T) {
+	timeout := fmt.Errorf("write: %w", portals.ErrRPCTimeout)
+	hard := fmt.Errorf("read: %w", osd.ErrNoObject)
+	for _, tc := range []struct {
+		name       string
+		k          int
+		excluded   string
+		avoided    string
+		outcome    map[string]error // per candidate; absent = success
+		wantTried  []string
+		wantFailed []string
+		wantErr    error // nil, hard (identity), or core.ErrRanOut (errors.Is)
+	}{
+		{name: "stops at k", k: 2,
+			wantTried: []string{"a", "b"}},
+		{name: "k of zero tries nothing", k: 0},
+		{name: "fail-stop moves on and is reported once", k: 2,
+			outcome:   map[string]error{"a": timeout, "c": portals.ErrCircuitOpen},
+			wantTried: []string{"a", "b", "c", "d"}, wantFailed: []string{"a", "c"}},
+		{name: "hard error untouched, nothing tried after it", k: 3,
+			outcome:   map[string]error{"a": timeout, "b": hard},
+			wantTried: []string{"a", "b"}, wantFailed: []string{"a"}, wantErr: hard},
+		{name: "avoided last, excluded never", k: 3, excluded: "b", avoided: "a",
+			wantTried: []string{"c", "d", "a"}},
+		{name: "second pass re-offers the used, not the failed", k: 5, avoided: "d",
+			outcome:   map[string]error{"b": timeout},
+			wantTried: []string{"a", "b", "c", "a", "c", "d"}, wantFailed: []string{"b"}},
+		{name: "ran out after failures wraps the last one", k: 1,
+			outcome:   map[string]error{"a": timeout, "b": timeout, "c": timeout, "d": timeout},
+			wantTried: []string{"a", "b", "c", "d"}, wantFailed: []string{"a", "b", "c", "d"}, wantErr: core.ErrRanOut},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var tried, failed []string
+			is := func(s string) func(string) bool { return func(c string) bool { return c == s } }
+			err := core.Walk([]string{"a", "b", "c", "d"}, tc.k, is(tc.excluded), is(tc.avoided),
+				func(c string) error {
+					tried = append(tried, c)
+					return tc.outcome[c]
+				},
+				func(c string) { failed = append(failed, c) })
+			if !reflect.DeepEqual(tried, tc.wantTried) {
+				t.Errorf("tried %v, want %v", tried, tc.wantTried)
+			}
+			if !reflect.DeepEqual(failed, tc.wantFailed) {
+				t.Errorf("failed %v, want %v", failed, tc.wantFailed)
+			}
+			switch {
+			case tc.wantErr == nil && err != nil:
+				t.Errorf("err = %v, want nil", err)
+			case tc.wantErr == hard && (err != hard || errors.Is(err, core.ErrRanOut)):
+				t.Errorf("err = %v, want the hard error itself", err)
+			case tc.wantErr == core.ErrRanOut && !(errors.Is(err, core.ErrRanOut) && portals.FailStop(err)):
+				t.Errorf("err = %v, want ErrRanOut wrapping the last fail-stop error", err)
+			}
+		})
+	}
+
+	t.Run("ran out with every candidate excluded", func(t *testing.T) {
+		err := core.Walk([]string{"a"}, 1, func(string) bool { return true }, nil,
+			func(string) error { t.Error("tried an excluded candidate"); return nil }, nil)
+		if !errors.Is(err, core.ErrRanOut) || portals.FailStop(err) {
+			t.Errorf("err = %v, want bare ErrRanOut", err)
+		}
+	})
+}
+
+// TestFailoverReadMirror: the first reachable mirror serves the read, the
+// count of dead mirrors before it comes back, and a hard error on a live
+// mirror is not masked by reading the next one.
+func TestFailoverReadMirror(t *testing.T) {
+	refs := []storage.ObjRef{{ID: 1}, {ID: 2}, {ID: 3}}
+	reader := func(outcome map[osd.ObjectID]error, tried *[]osd.ObjectID) func(storage.ObjRef) (netsim.Payload, error) {
+		return func(ref storage.ObjRef) (netsim.Payload, error) {
+			*tried = append(*tried, ref.ID)
+			if err := outcome[ref.ID]; err != nil {
+				return netsim.Payload{}, err
+			}
+			return netsim.BytesPayload([]byte{byte(ref.ID)}), nil
+		}
+	}
+
+	var tried []osd.ObjectID
+	pl, skipped, err := core.ReadMirror(refs, reader(map[osd.ObjectID]error{1: portals.ErrRPCTimeout}, &tried))
+	if err != nil || skipped != 1 || len(pl.Data) != 1 || pl.Data[0] != 2 {
+		t.Errorf("fallback: payload %v skipped %d err %v, want mirror 2 after 1 skip", pl.Data, skipped, err)
+	}
+	if want := []osd.ObjectID{1, 2}; !reflect.DeepEqual(tried, want) {
+		t.Errorf("fallback tried %v, want %v", tried, want)
+	}
+
+	tried = nil
+	_, _, err = core.ReadMirror(refs, reader(map[osd.ObjectID]error{1: portals.ErrRPCTimeout, 2: osd.ErrNoObject}, &tried))
+	if !errors.Is(err, osd.ErrNoObject) || errors.Is(err, core.ErrRanOut) {
+		t.Errorf("fenced mirror: err = %v, want ErrNoObject, hard", err)
+	}
+	if want := []osd.ObjectID{1, 2}; !reflect.DeepEqual(tried, want) {
+		t.Errorf("fenced mirror: tried %v, want %v (nothing after the hard error)", tried, want)
+	}
+
+	tried = nil
+	all := map[osd.ObjectID]error{1: portals.ErrRPCTimeout, 2: portals.ErrCircuitOpen, 3: portals.ErrRPCTimeout}
+	_, skipped, err = core.ReadMirror(refs, reader(all, &tried))
+	if !errors.Is(err, core.ErrRanOut) || !portals.FailStop(err) || skipped != 3 || len(tried) != 3 {
+		t.Errorf("all dead: err = %v skipped %d tried %v", err, skipped, tried)
+	}
+}

@@ -240,11 +240,11 @@ func (opts QoSOpts) breakerTrial(pt *QoSBreakerPoint, trial int) ([]MetricsCaptu
 			start := p.Now()
 			_, err := c.Write(p, refA, caps, 0, netsim.SyntheticPayload(opts.InteractiveSize))
 			if err != nil {
-				// ErrCircuitOpen wraps ErrRPCTimeout: test it first.
+				// A fast-fail is fail-stop too: test it first.
 				switch {
 				case errors.Is(err, portals.ErrCircuitOpen):
 					fastFails++
-				case errors.Is(err, portals.ErrRPCTimeout):
+				case portals.FailStop(err):
 					timeouts++
 				default:
 					return err

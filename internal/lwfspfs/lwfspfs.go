@@ -27,6 +27,7 @@ package lwfspfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"lwfs/internal/authz"
@@ -166,17 +167,6 @@ func (fs *FS) mirrorStart(n int) int {
 		return 0
 	}
 	return int(fs.c.Node()) % n
-}
-
-// rotateRefs returns refs rotated left by start (a copy; refs is shared
-// with the naming entry).
-func rotateRefs(refs []storage.ObjRef, start int) []storage.ObjRef {
-	if start == 0 {
-		return refs
-	}
-	out := make([]storage.ObjRef, 0, len(refs))
-	out = append(out, refs[start:]...)
-	return append(out, refs[:start]...)
 }
 
 // Format creates a new file system rooted at rootDir: a fresh container, a
@@ -429,14 +419,7 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 			return nil, err
 		}
 	}
-	var err error
-	if len(mdRefs) == 1 {
-		// Single-record files keep the legacy naming form.
-		err = fs.c.CreateName(p, fs.full(path), mdRefs[0], tx)
-	} else {
-		err = fs.c.CreateNameRefs(p, fs.full(path), mdRefs, tx)
-	}
-	if err != nil {
+	if err := fs.c.CreateNameRefs(p, fs.full(path), mdRefs, tx); err != nil {
 		tx.Abort(p) //nolint:errcheck
 		return nil, err
 	}
@@ -446,7 +429,7 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 	// The naming entry keeps placement order; the handle walks it rotated
 	// by this client's id, matching what the client's own Open would do, so
 	// MetaRefs()[0] is the same mirror either way a handle was obtained.
-	mdRefs = rotateRefs(mdRefs, fs.mirrorStart(len(mdRefs)))
+	mdRefs = core.Rotate(mdRefs, fs.mirrorStart(len(mdRefs)))
 	return &File{fs: fs, path: path, mdRefs: mdRefs,
 		stale: make([]bool, len(mdRefs)), l: l, mdLen: int64(len(enc))}, nil
 }
@@ -465,19 +448,17 @@ func (fs *FS) placeMeta(base int) []storage.Target {
 		// Legacy single-record placement: column 0's server.
 		return []storage.Target{fs.c.Server(base)}
 	}
-	n := len(fs.c.Servers())
 	col0 := fs.c.Server(base)
 	used := make(map[storage.Target]bool, m)
 	var out []storage.Target
-	for pass := 0; pass < 2 && len(out) < m; pass++ {
-		for j := 0; j < n && len(out) < m; j++ {
-			t := fs.c.Server(base + fs.opts.objectsPerFile() + j)
-			if used[t] || (pass == 0 && t == col0) {
-				continue
-			}
-			used[t] = true
-			out = append(out, t)
+	for _, t := range core.Candidates(core.Rotate(fs.c.Servers(), base+fs.opts.objectsPerFile()),
+		func(t storage.Target) bool { return used[t] },
+		func(t storage.Target) bool { return t == col0 }) {
+		if len(out) == m {
+			break
 		}
+		used[t] = true
+		out = append(out, t)
 	}
 	for len(out) < m { // cluster smaller than the mirror count
 		out = append(out, fs.c.Server(base+len(out)))
@@ -486,18 +467,17 @@ func (fs *FS) placeMeta(base int) []storage.Target {
 }
 
 // Open opens an existing file, reading its layout record from the first
-// reachable metadata mirror. The walk order is the naming entry's mirror
+// reachable metadata mirror (core.ReadMirror: only a fail-stop error falls
+// through to the next one). The walk order is the naming entry's mirror
 // list rotated by this client's id (mirrorStart), so healthy opens from a
 // population of clients spread across the mirror set instead of all landing
 // on entry slot 0; pfs.meta.open_slot.<n> counts which entry slot served
-// each multi-mirror open. Faults are classified before the fallback
-// lands: only ErrRPCTimeout — the fail-stop signature of a dead server —
-// falls through to the next mirror. ErrNoObject means the record was
-// fenced by a presumed-abort deletion on a live server, and a decode
-// failure (ErrBadLayout) means corruption; neither may be masked as
-// transience by reading another mirror (DESIGN.md §4.11). An open served
-// by a mirror later in the client's walk than its first choice is recorded
-// in pfs.meta.degraded_opens.
+// each multi-mirror open. ErrNoObject means the record was fenced by a
+// presumed-abort deletion on a live server, and a decode failure
+// (ErrBadLayout) means corruption; neither may be masked as transience by
+// reading another mirror (DESIGN.md §4.11). An open served by a mirror
+// later in the client's walk than its first choice is recorded in
+// pfs.meta.degraded_opens.
 func (fs *FS) Open(p *sim.Proc, path string) (*File, error) {
 	e, err := fs.c.Lookup(p, fs.full(path))
 	if err != nil {
@@ -505,43 +485,38 @@ func (fs *FS) Open(p *sim.Proc, path string) (*File, error) {
 	}
 	all := e.AllRefs()
 	start := fs.mirrorStart(len(all))
-	refs := rotateRefs(all, start)
-	var lastErr error
-	for i, ref := range refs {
-		payload, err := fs.c.Read(p, ref, fs.caps, 0, layoutWireMax)
-		if err != nil {
-			switch {
-			case errors.Is(err, portals.ErrRPCTimeout):
-				lastErr = err
-				continue
-			case errors.Is(err, osd.ErrNoObject):
-				return nil, fmt.Errorf("lwfspfs: metadata object fenced: %w", err)
-			default:
-				return nil, err
-			}
-		}
-		l, err := stripe.Decode(payload.Data)
-		if err != nil {
-			return nil, err
-		}
-		f := &File{fs: fs, path: path, mdRefs: refs,
-			stale: make([]bool, len(refs)), l: l, mdLen: int64(len(payload.Data))}
-		if len(all) > 1 {
-			fs.countOpenSlot((start + i) % len(all))
-		}
-		if i > 0 {
-			f.degraded = true
-			fs.degradedOpens.Inc()
-			// The skipped mirrors are unreachable; this handle never
-			// writes to them again — once their server restarts they hold
-			// an old record and must be re-homed by Rebuild, never re-read.
-			for j := 0; j < i; j++ {
-				f.stale[j] = true
-			}
-		}
-		return f, nil
+	refs := core.Rotate(all, start)
+	payload, skipped, err := core.ReadMirror(refs, func(ref storage.ObjRef) (netsim.Payload, error) {
+		return fs.c.Read(p, ref, fs.caps, 0, layoutWireMax)
+	})
+	switch {
+	case errors.Is(err, core.ErrRanOut):
+		return nil, fmt.Errorf("lwfspfs: no metadata mirror of %s reachable: %w", path, err)
+	case errors.Is(err, osd.ErrNoObject):
+		return nil, fmt.Errorf("lwfspfs: metadata object fenced: %w", err)
+	case err != nil:
+		return nil, err
 	}
-	return nil, fmt.Errorf("lwfspfs: no metadata mirror of %s reachable: %w", path, lastErr)
+	l, err := stripe.Decode(payload.Data)
+	if err != nil {
+		return nil, err
+	}
+	f := &File{fs: fs, path: path, mdRefs: refs,
+		stale: make([]bool, len(refs)), l: l, mdLen: int64(len(payload.Data))}
+	if len(all) > 1 {
+		fs.countOpenSlot((start + skipped) % len(all))
+	}
+	if skipped > 0 {
+		f.degraded = true
+		fs.degradedOpens.Inc()
+		// The skipped mirrors are unreachable; this handle never writes to
+		// them again — once their server restarts they hold an old record
+		// and must be re-homed by Rebuild, never re-read.
+		for j := 0; j < skipped; j++ {
+			f.stale[j] = true
+		}
+	}
+	return f, nil
 }
 
 // Remove unlinks a file and frees its objects.
@@ -620,11 +595,7 @@ func (f *File) rehomeMeta(p *sim.Proc, dead storage.Target, spares []storage.Tar
 		}
 		keep = append(keep, ref)
 	}
-	want := f.fs.opts.MetaCopies
-	if want < 1 {
-		want = 1
-	}
-	need := want - len(keep)
+	need := f.fs.opts.MetaCopies - len(keep)
 	if lost == 0 && need <= 0 {
 		return nil
 	}
@@ -639,34 +610,41 @@ func (f *File) rehomeMeta(p *sim.Proc, dead storage.Target, spares []storage.Tar
 	tx := f.fs.c.BeginTxn()
 	refs := append([]storage.ObjRef(nil), keep...)
 	enc := f.l.Encode()
-	// Prefer spares that host no surviving mirror; fall back to doubling up
-	// only when the cluster is too small for independence. A spare that
-	// times out is skipped — it may have died alongside dead.
-	for pass := 0; pass < 2 && need > 0; pass++ {
-		for _, t := range spares {
-			if need <= 0 {
-				break
-			}
-			if t == dead || (pass == 0 && used[t]) {
-				continue
-			}
+	// Prefer spares that host no surviving mirror; double up only when the
+	// cluster is too small for independence. A spare that stops answering —
+	// at the create, or between the create and the record write — is skipped
+	// (it may have died alongside dead) and delisted: it may already be
+	// enlisted, a dead participant would veto the commit, and its provisional
+	// object resolves by presumed abort. One that already holds a replacement
+	// of this re-home stays enlisted, so its failed prepare aborts the re-home
+	// loudly instead of committing a ref to an object the abort deletes.
+	err := core.Walk(spares, need,
+		func(t storage.Target) bool { return t == dead },
+		func(t storage.Target) bool { return used[t] },
+		func(t storage.Target) error {
 			ref, err := f.fs.c.CreateObjectTxn(p, t, f.fs.caps, tx)
 			if err != nil {
-				if errors.Is(err, portals.ErrRPCTimeout) {
-					continue
-				}
-				tx.Abort(p) //nolint:errcheck
 				return err
 			}
 			if _, err := f.fs.c.Write(p, ref, f.fs.caps, 0, netsim.BytesPayload(enc)); err != nil {
-				tx.Abort(p) //nolint:errcheck
 				return err
 			}
 			used[t] = true
 			refs = append(refs, ref)
-			need--
 			f.fs.metaRehomed.Inc()
-		}
+			return nil
+		},
+		func(t storage.Target) {
+			placed := func(r storage.ObjRef) bool { return storage.TargetOf(r) == t }
+			if !slices.ContainsFunc(refs[len(keep):], placed) {
+				tx.Delist(core.TxnEndpointOf(t))
+			}
+		})
+	// Running out of spares is not an error: the set is topped up as far
+	// as the live spares allow and the next Rebuild tries again.
+	if err != nil && !errors.Is(err, core.ErrRanOut) {
+		tx.Abort(p) //nolint:errcheck
+		return err
 	}
 	if err := f.fs.c.SetNameRefs(p, f.fs.full(f.path), refs, tx); err != nil {
 		tx.Abort(p) //nolint:errcheck
@@ -847,7 +825,7 @@ func (f *File) flushMeta(p *sim.Proc) error {
 		if err == nil {
 			continue
 		}
-		if !errors.Is(err, portals.ErrRPCTimeout) || liveLeft == 1 {
+		if !portals.FailStop(err) || liveLeft == 1 {
 			return err
 		}
 		liveLeft--

@@ -303,6 +303,113 @@ func TestMetaFlushAbsorbsDeadMirrorAndDemotes(t *testing.T) {
 	}
 }
 
+// A spare that dies between its CreateObjectTxn and the record write is
+// skipped like one that never answered the create: the re-home moves on to
+// the next spare and still commits. The dead spare is by then an enlisted
+// participant — left in the transaction it would veto the commit — so it
+// has to be delisted, and its provisional object must resolve by presumed
+// abort when the server comes back. The chaos process fires on the spare's
+// served counter: the reply to the create is on the wire, the write is not
+// yet there.
+func TestMetaRehomeSkipsSpareThatDiesAfterCreate(t *testing.T) {
+	cl, l := metaCluster()
+	c := cl.NewClient(l, 0)
+	c.SetRetry(pfsRetry, 73)
+
+	armed := sim.NewMailbox(cl.K, "meta-chaos/armed")
+	cl.Spawn("chaos", func(p *sim.Proc) {
+		srv := armed.Recv(p).(*storage.Server)
+		served := cl.Metrics().Counter("rpc." + srv.Device().Name() + ".served")
+		base := served.Value()
+		for i := 0; served.Value() == base; i++ {
+			if i == 1_000_000 {
+				t.Errorf("first-choice spare never served the re-home's create")
+				return
+			}
+			p.Sleep(time.Microsecond)
+		}
+		srv.Crash()
+	})
+
+	cl.Spawn("app", func(p *sim.Proc) {
+		if err := c.Login(p, "alice", "pa"); err != nil {
+			t.Fatalf("login: %v", err)
+		}
+		// One column, two copies, two mirrors on five servers: the mirrors
+		// share no server with the data, so the dead one takes no data
+		// object with it and the re-home is the rebuild's only storage work.
+		fs, err := lwfspfs.Format(p, c, "/vol0",
+			lwfspfs.Options{StripeUnit: 64 << 10, Stripes: 1, Scheme: stripe.Replica, Copies: 2})
+		if err != nil {
+			t.Fatalf("format: %v", err)
+		}
+		f, err := fs.Create(p, "/data.bin")
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		data := make([]byte, 96<<10)
+		rand.New(rand.NewSource(73)).Read(data)
+		if _, err := f.WriteAt(p, 0, payloadOf(data)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		refs := f.MetaRefs()
+		live, dead := storage.TargetOf(refs[0]), storage.TargetOf(refs[1])
+		for _, o := range f.Layout().Objs {
+			if storage.TargetOf(o) == dead {
+				t.Fatalf("data object shares the victim mirror's server: %v", f.Layout().Objs)
+			}
+		}
+		crashTarget(l, dead)
+
+		// The re-home's first choice: the first server in spare order that
+		// is neither dead nor the surviving mirror's host.
+		var first *storage.Server
+		for _, srv := range l.Servers {
+			if tg := (storage.Target{Node: srv.Node(), Port: srv.RPCPort()}); tg != dead && tg != live {
+				first = srv
+				break
+			}
+		}
+		firstT := storage.Target{Node: first.Node(), Port: first.RPCPort()}
+		armed.Send(first)
+
+		if err := fs.Rebuild(p, "/data.bin", dead, nil); err != nil {
+			t.Fatalf("rebuild with a spare dying mid-placement: %v", err)
+		}
+		if !first.Down() {
+			t.Fatalf("chaos never crashed the first-choice spare")
+		}
+		g, err := fs.Open(p, "/data.bin")
+		if err != nil {
+			t.Fatalf("open after rebuild: %v", err)
+		}
+		if g.Degraded() {
+			t.Errorf("open degraded after rebuild")
+		}
+		got := g.MetaRefs()
+		if len(got) != 2 {
+			t.Fatalf("rebuild left %d metadata mirrors, want the full set of 2: %v", len(got), got)
+		}
+		for _, r := range got {
+			if tg := storage.TargetOf(r); tg == dead || tg == firstT {
+				t.Fatalf("mirror set references a dead server: %v", got)
+			}
+		}
+		if pl, err := g.ReadAt(p, 0, int64(len(data))); err != nil || !bytes.Equal(pl.Data, data) {
+			t.Fatalf("read after rebuild mismatch: %v", err)
+		}
+		// The spare's provisional mirror was never committed: its journal
+		// replay removes it.
+		if removed, err := first.Restart(p); err != nil || removed != 1 {
+			t.Errorf("spare restart removed %d orphans (err %v), want its 1 provisional mirror", removed, err)
+		}
+	})
+	run(t, cl)
+	if n := cl.Metrics().Snapshot().Sum("rebuild.meta_rehomed"); n != 1 {
+		t.Errorf("rebuild.meta_rehomed = %v, want 1", n)
+	}
+}
+
 // MetaCopies persists in the superblock: a fresh Mount sees the formatted
 // value and creates files with that many mirrors.
 func TestMetaCopiesPersistAcrossMount(t *testing.T) {

@@ -456,24 +456,26 @@ func (c *Client) Mkdir(p *sim.Proc, cred authn.Credential, path string) error {
 	return err
 }
 
-// Create binds path to ref. With id != 0 the entry is provisional until the
-// transaction commits (the paper's CREATENAME(txnid, path, mdobj)).
+// Create binds path to ref: CreateRefs of one ref.
 func (c *Client) Create(p *sim.Proc, cred authn.Credential, path string, ref storage.ObjRef, id txn.ID) error {
-	_, err := c.caller.Call(p, c.server, Portal,
-		createReq{Cred: cred, Path: path, Ref: ref, Txn: id}, pathSize(path)+64, 16)
-	return err
+	return c.CreateRefs(p, cred, path, []storage.ObjRef{ref}, id)
 }
 
 // CreateRefs binds path to a set of mirrored object references. The first
 // ref becomes the entry's primary; Lookup returns all of them via
-// Entry.AllRefs. Semantics otherwise match Create.
+// Entry.AllRefs. With id != 0 the entry is provisional until the transaction
+// commits (the paper's CREATENAME(txnid, path, mdobj)). A single ref travels
+// in the legacy single-ref form — Refs nil, the same bytes on the wire — so
+// unmirrored entries stay what they always were.
 func (c *Client) CreateRefs(p *sim.Proc, cred authn.Credential, path string, refs []storage.ObjRef, id txn.ID) error {
 	if len(refs) == 0 {
 		return fmt.Errorf("%w: empty ref set for %s", ErrBadPath, path)
 	}
-	_, err := c.caller.Call(p, c.server, Portal,
-		createReq{Cred: cred, Path: path, Ref: refs[0], Refs: refs, Txn: id},
-		pathSize(path)+64*int64(len(refs)), 16)
+	req := createReq{Cred: cred, Path: path, Ref: refs[0], Txn: id}
+	if len(refs) > 1 {
+		req.Refs = refs
+	}
+	_, err := c.caller.Call(p, c.server, Portal, req, pathSize(path)+64*int64(len(refs)), 16)
 	return err
 }
 

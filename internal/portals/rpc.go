@@ -389,6 +389,16 @@ func (s *Server) evictDedup() {
 // ErrRPCTimeout is returned by CallTimeout when the deadline passes.
 var ErrRPCTimeout = errors.New("portals: rpc timeout")
 
+// FailStop is the failover rule's one classifier: it reports whether err is
+// the signature of a server that stopped answering — ErrRPCTimeout, or
+// ErrCircuitOpen, which wraps it. Only such an error may be routed around
+// (next mirror, degraded read, absorbed copy, another placement). Anything a
+// live server answered — osd.ErrNoObject (the object was fenced by a
+// presumed-abort deletion), a decode failure, a refused capability,
+// ErrOverload — is evidence about the data or the request, not about
+// reachability, and trying another copy would mask it; those stay hard.
+func FailStop(err error) bool { return errors.Is(err, ErrRPCTimeout) }
+
 // Breaker is the client-side circuit breaker consulted by a Caller before
 // each attempt. Allow asked false means fast-fail with ErrCircuitOpen instead
 // of issuing the attempt; Record feeds every attempt's outcome (nil on
@@ -488,7 +498,7 @@ func (c *Caller) Call(p *sim.Proc, target netsim.NodeID, pt Index, req interface
 			// caller's failover logic still reads it as "route around").
 			return v, err
 		}
-		if !errors.Is(err, ErrRPCTimeout) {
+		if !FailStop(err) {
 			return v, err
 		}
 		lastErr = err

@@ -156,7 +156,7 @@ func (b *Breaker) Allow(target netsim.NodeID, pt portals.Index) bool {
 // Record implements portals.Breaker: feed an attempt's outcome back.
 func (b *Breaker) Record(target netsim.NodeID, pt portals.Index, err error) {
 	c := b.circ(target, pt)
-	failure := err != nil && (errors.Is(err, portals.ErrRPCTimeout) || errors.Is(err, portals.ErrOverload))
+	failure := portals.FailStop(err) || errors.Is(err, portals.ErrOverload)
 	switch c.state {
 	case stClosed:
 		if !failure {

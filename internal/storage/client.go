@@ -113,7 +113,7 @@ func (c *Client) Read(p *sim.Proc, ref ObjRef, cap authz.Capability, off, length
 			p.Sleep(pol.Pause(a-1, c.rng))
 		}
 		payload, err := c.readOnce(p, ref, cap, off, length, pol.Timeout)
-		if !errors.Is(err, portals.ErrRPCTimeout) && !errors.Is(err, errChunksLost) {
+		if !portals.FailStop(err) && !errors.Is(err, errChunksLost) {
 			return payload, err
 		}
 		lastErr = err

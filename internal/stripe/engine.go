@@ -142,7 +142,7 @@ func (e *Engine) writeReplica(p *sim.Proc, l Layout, off int64, payload netsim.P
 			switch err := errs[i*r+c]; {
 			case err == nil:
 				live++
-			case errors.Is(err, portals.ErrRPCTimeout):
+			case portals.FailStop(err):
 				failed.add(storage.TargetOf(l.ReplicaObj(c, reqs[i].Obj)))
 			default:
 				hard = append(hard, fmt.Errorf("stripe/write[col %d copy %d]: %w", reqs[i].Obj, c, err))
@@ -224,7 +224,7 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 			if rerr == nil {
 				continue
 			}
-			if !errors.Is(rerr, portals.ErrRPCTimeout) {
+			if !portals.FailStop(rerr) {
 				return 0, failed.list, fmt.Errorf("stripe/rmw-read: %w", rerr)
 			}
 			if i == len(reqs) {
@@ -291,7 +291,7 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 		if werr == nil {
 			continue
 		}
-		if !errors.Is(werr, portals.ErrRPCTimeout) {
+		if !portals.FailStop(werr) {
 			return 0, failed.list, fmt.Errorf("stripe/write[obj %d]: %w", writes[i].obj, werr)
 		}
 		lost[writes[i].obj] = true
@@ -400,7 +400,7 @@ func (e *Engine) ReadAt(p *sim.Proc, l Layout, off, length int64) (netsim.Payloa
 			if rerr == nil {
 				continue
 			}
-			if !errors.Is(rerr, portals.ErrRPCTimeout) {
+			if !portals.FailStop(rerr) {
 				return out, err
 			}
 			down = append(down, i)
@@ -440,28 +440,26 @@ func (e *Engine) readDegraded(p *sim.Proc, l Layout, r Request) (netsim.Payload,
 		// servers the client's circuit breaker holds Down go last: when a
 		// breaker is armed (core.Client.SetBreaker) a flapping server
 		// costs a fast-fail here instead of a full timeout per extent.
-		copies := make([]int, 0, l.Copies-1)
-		var down []int
+		copies := make([]storage.ObjRef, 0, l.Copies-1)
 		for c := 1; c < l.Copies; c++ {
-			if e.c.HealthOf(storage.TargetOf(l.ReplicaObj(c, r.Obj))) == qos.Down {
-				down = append(down, c)
-				continue
-			}
-			copies = append(copies, c)
+			copies = append(copies, l.ReplicaObj(c, r.Obj))
 		}
-		copies = append(copies, down...)
-		for _, c := range copies {
-			pl, rerr := e.c.Read(p, l.ReplicaObj(c, r.Obj), e.caps, r.Off, r.Len)
-			e.reqs.Inc()
-			if rerr == nil {
-				e.reconBytes.Add(r.Len)
-				return pl, nil
-			}
-			if !errors.Is(rerr, portals.ErrRPCTimeout) {
-				return netsim.Payload{}, rerr
-			}
+		var pl netsim.Payload
+		err := core.Walk(copies, 1, nil,
+			func(ref storage.ObjRef) bool { return e.c.HealthOf(storage.TargetOf(ref)) == qos.Down },
+			func(ref storage.ObjRef) (rerr error) {
+				pl, rerr = e.c.Read(p, ref, e.caps, r.Off, r.Len)
+				e.reqs.Inc()
+				return rerr
+			}, nil)
+		if errors.Is(err, core.ErrRanOut) {
+			return netsim.Payload{}, fmt.Errorf("stripe/degraded[col %d]: %w", r.Obj, ErrUnrecoverable)
 		}
-		return netsim.Payload{}, fmt.Errorf("stripe/degraded[col %d]: %w", r.Obj, ErrUnrecoverable)
+		if err != nil {
+			return netsim.Payload{}, err
+		}
+		e.reconBytes.Add(r.Len)
+		return pl, nil
 	}
 	pl, rerr := e.reconstructExtent(p, l, r.Obj, r.Off, r.Len, nil)
 	if rerr != nil {

@@ -3,6 +3,7 @@ package stripe
 import (
 	"fmt"
 
+	"lwfs/internal/core"
 	"lwfs/internal/metrics"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
@@ -183,15 +184,11 @@ func (r *Rebuilder) pickSpare(l Layout, idx int, dead storage.Target, spares []s
 			}
 		}
 	}
-	for pass := 0; pass < 2; pass++ {
-		for k := 0; k < len(spares); k++ {
-			t := spares[(*at+k)%len(spares)]
-			if t == dead || (pass == 0 && related[t]) {
-				continue
-			}
-			*at = (*at + k + 1) % len(spares)
-			return t, true
-		}
+	for k, t := range core.Candidates(core.Rotate(spares, *at),
+		func(t storage.Target) bool { return t == dead },
+		func(t storage.Target) bool { return related[t] }) {
+		*at = (*at + k + 1) % len(spares)
+		return t, true
 	}
 	return storage.Target{}, false
 }

@@ -491,18 +491,36 @@ const txnReqSize = 96
 // participant; if all vote yes, commit everywhere, else abort everywhere
 // and return ErrAborted.
 func (t *Txn) Commit(p *sim.Proc) error {
+	return t.commit(p, func(e Endpoint) error {
+		_, err := t.c.caller.Call(p, e.Node, e.Port, prepareReq{Txn: t.ID}, txnReqSize, 16)
+		return err
+	})
+}
+
+// CommitTimeout is Commit with every prepare bounded by d and sent exactly
+// once: commits use plain Calls (the simulated network does not lose
+// messages); this form exists for failure-injection tests that partition a
+// participant.
+func (t *Txn) CommitTimeout(p *sim.Proc, d time.Duration) error {
+	return t.commit(p, func(e Endpoint) error {
+		_, err := t.c.caller.CallTimeout(p, e.Node, e.Port, prepareReq{Txn: t.ID}, txnReqSize, 16, d)
+		return err
+	})
+}
+
+// commit is the two-phase body; prepare sends one participant its phase-1
+// request.
+func (t *Txn) commit(p *sim.Proc, prepare func(Endpoint) error) error {
 	if t.done {
 		return ErrTerminal
 	}
 	t.done = true
-	// Phase 1: prepare.
 	for _, e := range t.participants {
-		if _, err := t.c.caller.Call(p, e.Node, e.Port, prepareReq{Txn: t.ID}, txnReqSize, 16); err != nil {
+		if err := prepare(e); err != nil {
 			t.abortAll(p)
 			return fmt.Errorf("%w: prepare at node %d: %v", ErrAborted, e.Node, err)
 		}
 	}
-	// Phase 2: commit.
 	for _, e := range t.participants {
 		if _, err := t.c.caller.Call(p, e.Node, e.Port, commitReq{Txn: t.ID}, txnReqSize, 16); err != nil {
 			// A prepared participant that errors on commit is a protocol
@@ -539,26 +557,4 @@ func (t *Txn) abortAll(p *sim.Proc) {
 		})
 	}
 	wg.Wait(p)
-}
-
-// Timeout guard: commits use plain Calls (the simulated network does not
-// lose messages); CommitTimeout exists for failure-injection tests that
-// partition a participant.
-func (t *Txn) CommitTimeout(p *sim.Proc, d time.Duration) error {
-	if t.done {
-		return ErrTerminal
-	}
-	t.done = true
-	for _, e := range t.participants {
-		if _, err := t.c.caller.CallTimeout(p, e.Node, e.Port, prepareReq{Txn: t.ID}, txnReqSize, 16, d); err != nil {
-			t.abortAll(p)
-			return fmt.Errorf("%w: prepare at node %d: %v", ErrAborted, e.Node, err)
-		}
-	}
-	for _, e := range t.participants {
-		if _, err := t.c.caller.Call(p, e.Node, e.Port, commitReq{Txn: t.ID}, txnReqSize, 16); err != nil {
-			return fmt.Errorf("txn: commit at node %d: %v", e.Node, err)
-		}
-	}
-	return nil
 }
