@@ -24,11 +24,15 @@ import (
 )
 
 // traceEvent is one captured wire event: a message leaving a NIC ("tx") or
-// being delivered ("rx").
+// being delivered ("rx"). Body is the message body described at capture time:
+// the record behind netsim.Message.Body is recycled once its receiver has
+// read it, so the hook may not keep it.
 type traceEvent struct {
-	At   sim.Time
-	Kind string
-	Msg  netsim.Message
+	At       sim.Time
+	Kind     string
+	From, To netsim.NodeID
+	Size     int64
+	Body     string
 }
 
 // runTrace boots a small cluster, performs untraced setup (login, caps, an
@@ -47,7 +51,7 @@ func runTrace(op string, kb int64) ([]traceEvent, func(netsim.NodeID) string, er
 	tracing := false
 	cl.Net.SetTrace(func(at sim.Time, m netsim.Message, kind string) {
 		if tracing {
-			events = append(events, traceEvent{At: at, Kind: kind, Msg: m})
+			events = append(events, traceEvent{At: at, Kind: kind, From: m.From, To: m.To, Size: m.Size, Body: portals.DescribeBody(m.Body)})
 		}
 	})
 	name := func(id netsim.NodeID) string { return cl.Net.Node(id).Name }
@@ -127,7 +131,7 @@ func render(w io.Writer, op string, kb int64, events []traceEvent, name func(net
 			t0 = e.At
 		}
 		fmt.Fprintf(tw, "+%v\t%s\t%s\t%s\t%d\t%s\n",
-			e.At.Sub(t0), e.Kind, name(e.Msg.From), name(e.Msg.To), e.Msg.Size, portals.DescribeBody(e.Msg.Body))
+			e.At.Sub(t0), e.Kind, name(e.From), name(e.To), e.Size, e.Body)
 	}
 	tw.Flush()
 	fmt.Fprintf(w, "# %d messages\n", len(events)/2)

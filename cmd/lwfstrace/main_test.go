@@ -3,8 +3,6 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"lwfs/internal/portals"
 )
 
 // opMarkers: for each -op, protocol messages that must appear in its trace —
@@ -38,9 +36,9 @@ func TestTraceEveryOp(t *testing.T) {
 					t.Fatalf("event %d at %v precedes event %d at %v", i, e.At, i-1, events[i-1].At)
 				}
 				kinds[e.Kind]++
-				bodies[portals.DescribeBody(e.Msg.Body)] = true
-				if name(e.Msg.From) == "" || name(e.Msg.To) == "" {
-					t.Fatalf("event %d has unnamed endpoints: %+v", i, e.Msg)
+				bodies[e.Body] = true
+				if name(e.From) == "" || name(e.To) == "" {
+					t.Fatalf("event %d has unnamed endpoints: %+v", i, e)
 				}
 			}
 			if kinds["tx"] == 0 || kinds["rx"] == 0 {

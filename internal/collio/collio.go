@@ -207,6 +207,7 @@ func (r *Rank) CollectiveWrite(p *sim.Proc, d Dataset, frags []Fragment) error {
 		for i := 0; i < n; i++ {
 			ev := r.inbox.Recv(p).(*portals.Event)
 			m := ev.Hdr.(exchangeMsg)
+			ev.Release()
 			got = append(got, m.Frags...)
 		}
 		runs := coalesce(got)

@@ -500,6 +500,7 @@ func (c *Client) WaitCaps(p *sim.Proc) (CapSet, error) {
 	if !ok {
 		return CapSet{}, fmt.Errorf("core: unexpected scatter payload %T", ev.Hdr)
 	}
+	ev.Release()
 	c.cred = m.Cred
 	c.forward(m)
 	return m.Caps, nil

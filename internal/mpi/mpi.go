@@ -114,6 +114,7 @@ func (r *Rank) Recv(p *sim.Proc, from, tag int) (interface{}, int) {
 	for {
 		ev := r.inbox.Recv(p).(*portals.Event)
 		e := ev.Hdr.(envelope)
+		ev.Release()
 		if match(e) {
 			return e.Body, e.From
 		}

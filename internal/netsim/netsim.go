@@ -91,7 +91,8 @@ type Network struct {
 	rng     *sim.Rand
 	reg     *metrics.Registry
 	dropped *metrics.Counter
-	pool    *xfer // free list of delivery-pipeline records
+	pool    *xfer       // free list of delivery-pipeline records
+	attach  interface{} // see Attachment
 }
 
 // xfer is one in-flight message's delivery pipeline. The three stage
@@ -165,9 +166,22 @@ func (n *Network) Dropped() int64 { return n.dropped.Value() }
 // into. Snapshots are stamped with the kernel's virtual time.
 func (n *Network) Metrics() *metrics.Registry { return n.reg }
 
+// Attachment returns what SetAttachment stored: the network's one opaque
+// slot for the protocol layer above it. internal/portals keeps its free
+// lists of wire records there, so they belong to one network (one kernel,
+// one process at a time) and are garbage when the network is — never shared
+// between the kernels of sweep points running side by side.
+func (n *Network) Attachment() interface{} { return n.attach }
+
+// SetAttachment fills the slot Attachment reads.
+func (n *Network) SetAttachment(v interface{}) { n.attach = v }
+
 // SetTrace installs a message-trace hook, called at send ("tx") and
 // delivery ("rx") of every message. Pass nil to disable. The hook runs in
-// kernel context and must not block.
+// kernel context and must not block. It must not retain m.Body past its own
+// return: protocol layers recycle the record a Body points to as soon as the
+// receiver has read it, so a hook describes the body (portals.DescribeBody)
+// while it runs and keeps the string.
 func (n *Network) SetTrace(f func(at sim.Time, m Message, event string)) { n.trace = f }
 
 func (n *Network) traceMsg(m Message, event string) {

@@ -238,15 +238,13 @@ func (f *File) Read(p *sim.Proc, off, length int64) (netsim.Payload, error) {
 	}
 	pcs := f.pieces(off, length)
 	ep := f.c.caller.Endpoint()
-	k := ep.Kernel()
 	var buf []byte
 	anyReal := false
 	err := f.parallel(p, len(pcs), func(q *sim.Proc, i int) error {
 		pc := pcs[i]
 		bits := portals.MatchBits(ep.NextToken())
-		eq := sim.NewMailbox(k, "pfs-read")
-		me := ep.Attach(clientDataPortal, bits, 0, &portals.MD{EQ: eq})
-		defer me.Unlink()
+		data := ep.Post(clientDataPortal, bits, false)
+		defer data.Close()
 		v, err := f.c.caller.Call(q, pc.ost.Node, pc.ost.Port, ostReadReq{
 			Obj:        f.layout.ObjectID(pc.obj),
 			Off:        pc.objOff,
@@ -259,8 +257,9 @@ func (f *File) Read(p *sim.Proc, off, length int64) (netsim.Payload, error) {
 		}
 		resp := v.(ostReadResp)
 		for c := 0; c < resp.Chunks; c++ {
-			ev := eq.Recv(q).(*portals.Event)
+			ev, _ := data.Wait(q, 0)
 			if ev.Payload.Data == nil {
+				ev.Release()
 				continue
 			}
 			if buf == nil {
@@ -283,6 +282,7 @@ func (f *File) Read(p *sim.Proc, off, length int64) (netsim.Payload, error) {
 				}
 				done += n
 			}
+			ev.Release()
 		}
 		return nil
 	})

@@ -8,30 +8,29 @@ import (
 	"lwfs/internal/sim"
 )
 
-// Wall-clock cost of one simulated RPC round trip (the unit the
-// experiment sweeps are made of).
-func BenchmarkSimulatedRPC(b *testing.B) {
-	k := sim.NewKernel()
-	net := netsim.New(k, 10*time.Microsecond)
-	cfg := netsim.Config{EgressBW: 230 << 20, IngressBW: 230 << 20}
-	client := NewEndpoint(net, net.AddNode("client", cfg))
-	server := NewEndpoint(net, net.AddNode("server", cfg))
-	Serve(server, 10, "echo", 2, func(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-		return req, nil
-	})
-	c := NewCaller(client)
-	b.ResetTimer()
-	k.Spawn("bench", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Call(p, server.Node(), 10, i, 128, 128); err != nil {
+// BenchmarkNullRPC is the wall-clock and allocation cost of one null RPC
+// round trip between two warm endpoints (the unit the experiment sweeps are
+// made of); allocs/op is what TestWarmNullRPCAllocatesNothing pins at zero.
+func BenchmarkNullRPC(b *testing.B) {
+	r := newRig(nil, 2, 230*mb)
+	echoServer(r, 2, func(*Server) {})
+	c := NewCaller(r.eps[0])
+	b.ReportAllocs()
+	r.k.Spawn("bench", func(p *sim.Proc) {
+		for i := -100; i < b.N; i++ {
+			if i == 0 {
+				b.ResetTimer()
+			}
+			if _, err := c.Call(p, r.eps[1].Node(), 10, nil, 128, 128); err != nil {
 				b.Error(err)
 				return
 			}
 		}
 	})
-	if err := k.Run(sim.MaxTime); err != nil {
+	if err := r.k.Run(sim.MaxTime); err != nil {
 		b.Fatal(err)
 	}
+	r.k.Shutdown()
 }
 
 // Wall-clock cost of one simulated one-sided Get of a 1 MiB chunk — the

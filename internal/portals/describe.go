@@ -5,29 +5,36 @@ import "fmt"
 // DescribeBody renders a wire-message body for protocol traces. One-sided
 // puts are unwrapped to show the protocol-level header they carry — an RPC
 // request's or response's inner body type — instead of the transport
-// envelope, so a trace of a write reads "put[storage.writeReq]" rather than
-// a wall of "portals.putMsg". Unknown bodies fall back to their Go type.
+// record, so a trace of a write reads "put[storage.writeReq]" rather than
+// a wall of "*portals.Event". Unknown bodies fall back to their Go type.
+// The body is a record its receiver recycles: describe it while the trace
+// hook runs and keep the string, never the body.
 func DescribeBody(body interface{}) string {
-	switch b := body.(type) {
-	case putMsg:
-		switch h := b.hdr.(type) {
-		case rpcRequest:
-			return fmt.Sprintf("put[%T]", h.Body)
-		case rpcResponse:
-			if h.Err != nil {
-				return fmt.Sprintf("put[%T err]", h.Body)
-			}
-			return fmt.Sprintf("put[%T]", h.Body)
-		case nil:
-			return "put[data]"
-		default:
-			return fmt.Sprintf("put[%T]", h)
-		}
-	case getReq:
-		return "get"
-	case getReply:
-		return "get-reply"
-	default:
+	ev, ok := body.(*Event)
+	if !ok {
 		return fmt.Sprintf("%T", body)
+	}
+	switch ev.kind {
+	case wireRequest:
+		return fmt.Sprintf("put[%T]", ev.req.Body)
+	case wireResponse:
+		if ev.resp.Err != nil {
+			return fmt.Sprintf("put[%T err]", ev.resp.Body)
+		}
+		return fmt.Sprintf("put[%T]", ev.resp.Body)
+	case wireGet:
+		return "get"
+	case wireGetReply:
+		return "get-reply"
+	case wireFreed:
+		return "released"
+	}
+	switch h := ev.Hdr.(type) {
+	case nil:
+		return "put[data]"
+	case rpcRequest: // a hand-built request, boxed
+		return fmt.Sprintf("put[%T]", h.Body)
+	default:
+		return fmt.Sprintf("put[%T]", h)
 	}
 }

@@ -1,0 +1,290 @@
+package portals
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"lwfs/internal/netsim"
+	"lwfs/internal/sim"
+)
+
+// The tests of DESIGN.md's record-lifetime rule. Under the race detector
+// Release poisons and never recycles (recycle_race.go), so every test in the
+// tree doubles as a use-after-release detector; these add the schedules the
+// rule is most likely to break on.
+
+// echoServer answers every request with its own body at (eps[1], 10).
+func echoServer(r *rig, threads int, install func(*Server)) *Server {
+	srv := Serve(r.eps[1], 10, "echo", threads, func(_ *sim.Proc, _ netsim.NodeID, req interface{}) (interface{}, error) {
+		return req, nil
+	})
+	install(srv)
+	return srv
+}
+
+// mallocsPer runs warm-up rounds of op, then n more, inside one kernel run on
+// r, and reports heap allocations per op over the n.
+func mallocsPer(t *testing.T, r *rig, warm, n int, op func(p *sim.Proc) error) float64 {
+	t.Helper()
+	if !recycle {
+		t.Skip("records are poisoned, not recycled, under the race detector")
+	}
+	var before, after runtime.MemStats
+	r.k.Spawn("guard", func(p *sim.Proc) {
+		for i := 0; i < warm+n; i++ {
+			if i == warm {
+				runtime.ReadMemStats(&before)
+			}
+			if err := op(p); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		runtime.ReadMemStats(&after)
+	})
+	if err := r.k.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	r.k.Shutdown()
+	return float64(after.Mallocs-before.Mallocs) / float64(n)
+}
+
+// A warm null RPC allocates nothing, on the FIFO path and behind a
+// dispatcher: the request record, the reply record and the reply slot all
+// come back off the network's free lists (12 allocations a call before).
+func TestWarmNullRPCAllocatesNothing(t *testing.T) {
+	bothPaths(t, func(t *testing.T, install func(*Server)) {
+		r := newRig(t, 2, 1000*mb)
+		echoServer(r, 2, install)
+		c := NewCaller(r.eps[0])
+		got := mallocsPer(t, r, 100, 10000, func(p *sim.Proc) error {
+			_, err := c.Call(p, r.eps[1].Node(), 10, nil, 128, 128)
+			return err
+		})
+		if got > 0.01 {
+			t.Errorf("a warm null RPC makes %.2f allocations, want none", got)
+		}
+	})
+}
+
+// The same for the one-sided pull every server-directed write is made of.
+func TestWarmGetAllocatesNothing(t *testing.T) {
+	r := newRig(t, 2, 1000*mb)
+	r.eps[1].Attach(5, 1, 0, &MD{Payload: netsim.SyntheticPayload(1 << 30)})
+	got := mallocsPer(t, r, 100, 10000, func(p *sim.Proc) error {
+		_, err := r.eps[0].Get(p, r.eps[1].Node(), 5, 1, 0, 1<<20)
+		return err
+	})
+	if got > 0.01 {
+		t.Errorf("a warm Get makes %.2f allocations, want none", got)
+	}
+}
+
+// freeLists walks the network's free lists and fails on what a double
+// release or a recycled live slot would leave there: a record or slot listed
+// twice, a record not poisoned, a slot still linked or with events queued.
+func freeLists(t *testing.T, ep *Endpoint) {
+	t.Helper()
+	seenEv := map[*Event]bool{}
+	for ev := ep.pool.events; ev != nil; ev = ev.next {
+		if seenEv[ev] {
+			t.Fatalf("record %p is on the free list twice", ev)
+		}
+		seenEv[ev] = true
+		if ev.kind != wireFreed || ev.pt != -1 {
+			t.Fatalf("free record %p is not poisoned: %+v", ev, ev)
+		}
+	}
+	seenSlot := map[*Slot]bool{}
+	for s := ep.pool.slots; s != nil; s = s.next {
+		if seenSlot[s] {
+			t.Fatalf("slot %p is on the free list twice", s)
+		}
+		seenSlot[s] = true
+		if s.me.ep != nil || s.Len() != 0 {
+			t.Fatalf("free slot %p is still posted or holds %d events", s, s.Len())
+		}
+	}
+}
+
+// A released record is poison: the next Release, a server taking it as a
+// request and a delivery of it all panic instead of reading another
+// message's fields.
+func TestReleasedRecordPanicsOnTouch(t *testing.T) {
+	r := newRig(t, 1, mb)
+	ev := r.eps[0].record(3, 9, netsim.Payload{})
+	ev.Release()
+	if ev.pt != -1 || ev.Bits != ^MatchBits(0) || ev.kind != wireFreed {
+		t.Fatalf("released record is not poisoned: %+v", ev)
+	}
+	for name, touch := range map[string]func(){
+		"Release":     ev.Release,
+		"takeRequest": func() { takeRequest(ev) },
+		"deliver":     func() { r.eps[0].deliver(netsim.Message{Body: ev}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a released record did not panic", name)
+				}
+			}()
+			touch()
+		}()
+	}
+}
+
+// A slot whose wait timed out is unlinked and never handed out again.
+func TestTimedOutSlotIsNeverReused(t *testing.T) {
+	r := newRig(t, 1, mb)
+	ep := r.eps[0]
+	r.k.Spawn("waiter", func(p *sim.Proc) {
+		lost := ep.Post(7, 1, true)
+		if ev, ok := lost.Wait(p, time.Millisecond); ok {
+			t.Errorf("wait on a slot nobody writes to returned %+v", ev)
+		}
+		if ep.match(7, 1) != nil {
+			t.Error("timed-out slot is still linked")
+		}
+		for i := 0; i < 8; i++ {
+			s := ep.Post(7, 1, true)
+			if s == lost {
+				t.Fatal("timed-out slot was handed out again")
+			}
+			s.Close()
+		}
+	})
+	if err := r.k.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	freeLists(t, ep)
+}
+
+// 1 000 calls from four co-located callers against a server that answers
+// every tenth after the caller's timeout: each surviving call gets the body
+// of its own token, and every late reply is dropped at the reply portal and
+// counted.
+func TestLateRepliesNeverReachAnotherCall(t *testing.T) {
+	bothPaths(t, func(t *testing.T, install func(*Server)) {
+		r := newRig(t, 2, 1000*mb)
+		srv := Serve(r.eps[1], 10, "tardy", 8, func(p *sim.Proc, _ netsim.NodeID, req interface{}) (interface{}, error) {
+			if req.(int)%10 == 3 {
+				p.Sleep(7 * time.Millisecond) // past the 5 ms timeout, into later calls
+			}
+			return req, nil
+		})
+		install(srv)
+		const callers, each = 4, 250
+		var late, lateCounted int64
+		for i := 0; i < callers; i++ {
+			i := i
+			c := NewCaller(r.eps[0])
+			r.k.Spawn(fmt.Sprintf("caller%d", i), func(p *sim.Proc) {
+				for j := 0; j < each; j++ {
+					n := i*each + j
+					v, err := c.CallTimeout(p, r.eps[1].Node(), 10, n, 64, 64, 5*time.Millisecond)
+					switch {
+					case n%10 == 3:
+						if !errors.Is(err, ErrRPCTimeout) {
+							t.Errorf("call %d: %v, %v, want a timeout", n, v, err)
+						}
+						late++
+					case err != nil || v.(int) != n:
+						t.Errorf("call %d got %v, %v: another call's reply", n, v, err)
+					}
+				}
+				p.Sleep(20 * time.Millisecond) // let the last late reply land
+				lateCounted += c.LateReplies()
+			})
+		}
+		if err := r.k.Run(sim.MaxTime); err != nil {
+			t.Fatal(err)
+		}
+		r.k.Shutdown()
+		if late != callers*each/10 || lateCounted != late {
+			t.Errorf("%d calls timed out and %d late replies were counted, want %d of each", late, lateCounted, callers*each/10)
+		}
+		if got := r.eps[0].lateDrops.Value(); got != late {
+			t.Errorf("reply portal dropped %d late replies, want %d", got, late)
+		}
+		freeLists(t, r.eps[0])
+	})
+}
+
+// A reply delivered in the very instant its call times out lands in the
+// slot's queue after the timeout fired and before the caller runs. The slot
+// is abandoned with it; the caller's next call must not read it as its own.
+func TestReplyInTheInstantOfTheTimeoutIsNotTheNextReply(t *testing.T) {
+	r := newRig(t, 2, 1000*mb)
+	echoServer(r, 2, func(*Server) {})
+	c := NewCaller(r.eps[0])
+	r.k.Spawn("caller", func(p *sim.Proc) {
+		start := p.Now()
+		if _, err := c.Call(p, r.eps[1].Node(), 10, "rtt", 64, 64); err != nil {
+			t.Error(err)
+			return
+		}
+		rtt := p.Now().Sub(start) // the net is idle: every such call takes exactly this
+		if v, err := c.CallTimeout(p, r.eps[1].Node(), 10, "stale", 64, 64, rtt); !errors.Is(err, ErrRPCTimeout) {
+			t.Errorf("call with timeout = round trip: %v, %v, want a timeout", v, err)
+		}
+		if n := r.eps[0].dropped.Value(); n != 0 {
+			t.Errorf("the reply was dropped (%d), so it did not race the timeout: test is vacuous", n)
+		}
+		for i := 0; i < 3; i++ {
+			if v, err := c.Call(p, r.eps[1].Node(), 10, i, 64, 64); err != nil || v != i {
+				t.Errorf("call %d after the race got %v, %v", i, v, err)
+			}
+		}
+	})
+	if err := r.k.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	freeLists(t, r.eps[0])
+}
+
+// A crash with requests in service, queued behind the workers and (on the
+// dispatcher path) admitted but not yet taken discards them all exactly
+// once, and the restarted server serves again from the same free lists.
+func TestCrashWithQueuedRequestsReleasesEachOnce(t *testing.T) {
+	bothPaths(t, func(t *testing.T, install func(*Server)) {
+		r := newRig(t, 2, 1000*mb)
+		srv := Serve(r.eps[1], 10, "slow", 2, func(p *sim.Proc, _ netsim.NodeID, req interface{}) (interface{}, error) {
+			p.Sleep(10 * time.Millisecond)
+			return req, nil
+		})
+		install(srv)
+		retry := RetryPolicy{MaxAttempts: 3, Timeout: 100 * time.Millisecond, Backoff: 5 * time.Millisecond}
+		const n = 12
+		for i := 0; i < n; i++ {
+			i := i
+			c := NewCaller(r.eps[0])
+			c.SetRetry(retry, sim.NewRand(int64(i)))
+			r.k.Spawn(fmt.Sprintf("c%d", i), func(p *sim.Proc) {
+				// Two in service and ten queued at the crash; the retries
+				// (same ReqID, fresh token) meet the restarted server.
+				if v, err := c.Call(p, r.eps[1].Node(), 10, i, 64, 64); err != nil || v != i {
+					t.Errorf("call %d across the crash: %v, %v", i, v, err)
+				}
+			})
+		}
+		r.k.After(5*time.Millisecond, func() { srv.SetDown(true) })
+		r.k.After(12*time.Millisecond, func() { srv.SetDown(false) })
+		if err := r.k.Run(sim.MaxTime); err != nil {
+			t.Fatal(err)
+		}
+		r.k.Shutdown()
+		if got := srv.discarded.Value(); got != n-2 {
+			t.Errorf("crash discarded %d queued requests, want %d", got, n-2)
+		}
+		if got := srv.served.Value(); got != n {
+			t.Errorf("served %d after the restart, want %d", got, n)
+		}
+		if srv.QueueLen() != 0 || srv.work.Len() != 0 {
+			t.Errorf("run left %d requests and %d work tokens queued", srv.QueueLen(), srv.work.Len())
+		}
+		freeLists(t, r.eps[0])
+	})
+}

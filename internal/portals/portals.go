@@ -53,7 +53,12 @@ func (t EventType) String() string {
 	}
 }
 
-// Event is an event-queue entry describing a completed remote operation.
+// Event is an event-queue entry describing a completed remote operation. It
+// is also the wire record that carried the operation: Put and Get fill one,
+// the network carries the pointer, and deliver hands that same record to the
+// matched event queue. Whoever takes it off the queue owns it and calls
+// Release once it has copied out what it keeps (DESIGN.md §4.2, Record
+// lifetime); an event nobody releases is ordinary garbage.
 type Event struct {
 	Type      EventType
 	Initiator netsim.NodeID
@@ -62,6 +67,57 @@ type Event struct {
 	Payload   netsim.Payload // data deposited by a Put (zero for Get events)
 	Offset    int64          // offset read by a Get
 	Length    int64          // length read by a Get
+
+	// Read by the wire path only.
+	pt    Index
+	kind  wireKind
+	req   rpcRequest  // wireRequest
+	resp  rpcResponse // wireResponse
+	token uint64      // wireGet: the reply's match bits at getReplyPortal
+	err   error       // wireGetReply
+	home  *pool
+	next  *Event // free-list link
+}
+
+// wireKind says what a record carries from Put or Get to deliver.
+type wireKind uint8
+
+const (
+	wirePut      wireKind = iota // a Put; Hdr is whatever the sender passed
+	wireRequest                  // a Put whose header is req, unboxed
+	wireResponse                 // a Put whose header is resp, unboxed
+	wireGet                      // a Get request
+	wireGetReply                 // a Get's answer: Payload or err
+	wireFreed                    // released; nobody may touch it again
+)
+
+// pool is one network's free lists. It hangs off the netsim.Network every
+// endpoint of a cluster shares (Attachment), so records never cross kernels
+// and a closed cluster takes them with it. One kernel runs one process at a
+// time, so plain lists are safe and deterministic, like netsim's xfer pool.
+type pool struct {
+	events *Event
+	slots  *Slot
+}
+
+// live panics on a released record: a use after Release, or a second one.
+func (ev *Event) live() *Event {
+	if ev.kind == wireFreed {
+		panic("portals: use of a released event record")
+	}
+	return ev
+}
+
+// Release hands the record back for reuse. Only the receiver the sender
+// addressed may call it, once, after copying out what it keeps; the record
+// is poisoned so a later touch is caught (and, under the race detector,
+// never reused — see recycle).
+func (ev *Event) Release() {
+	pl := ev.live().home
+	*ev = Event{pt: -1, Bits: ^MatchBits(0), kind: wireFreed, home: pl}
+	if recycle {
+		ev.next, pl.events = pl.events, ev
+	}
 }
 
 // MD is a memory descriptor: the data a match entry exposes to remote Gets
@@ -101,34 +157,6 @@ func (me *ME) Unlink() {
 	}
 }
 
-// wire message bodies
-
-type putMsg struct {
-	pt      Index
-	bits    MatchBits
-	hdr     interface{}
-	payload netsim.Payload
-}
-
-type getReq struct {
-	pt        Index
-	bits      MatchBits
-	offset    int64
-	length    int64
-	token     uint64
-	initiator netsim.NodeID
-}
-
-type getReply struct {
-	token   uint64
-	payload netsim.Payload
-	err     string
-}
-
-type getPending struct {
-	fut *sim.Future
-}
-
 // lateKey identifies an expected late message: a portal index and match
 // bits whose match entry was unlinked by a timeout.
 type lateKey struct {
@@ -143,8 +171,8 @@ type Endpoint struct {
 	node   *netsim.Node
 	tables map[Index][]*ME
 
-	pending   map[uint64]*getPending
-	nextToken uint64
+	pool      *pool
+	nextToken uint64 // Get reply tokens (their own portal, so their own space)
 	tokSeq    uint64
 
 	getRetry RetryPolicy
@@ -183,11 +211,16 @@ var ErrGetTimeout = errors.New("portals: get timeout")
 // node's network handler.
 func NewEndpoint(net *netsim.Network, node *netsim.Node) *Endpoint {
 	scope := net.Metrics().Scope("portals").Scope(node.Name)
+	pl, _ := net.Attachment().(*pool)
+	if pl == nil {
+		pl = &pool{}
+		net.SetAttachment(pl)
+	}
 	ep := &Endpoint{
 		net:       net,
 		node:      node,
 		tables:    make(map[Index][]*ME),
-		pending:   make(map[uint64]*getPending),
+		pool:      pl,
 		dropped:   scope.Counter("no_match_drops"),
 		lateDrops: scope.Counter("late_drops"),
 	}
@@ -270,6 +303,82 @@ func (ep *Endpoint) AttachOnce(pt Index, bits, ignore MatchBits, md *MD) *ME {
 	return me
 }
 
+// Slot is a posted receive — an event queue, its memory descriptor and the
+// match entry that feeds it — in one object recycled through the network's
+// free list: the "post an entry, send, wait, unlink" every request/reply
+// protocol over portals is made of (RPC replies, lock grants, Get replies,
+// pushed read data) costs no allocation once warm.
+type Slot struct {
+	eq   *sim.Mailbox
+	md   MD
+	me   ME
+	next *Slot // free-list link
+}
+
+// Post attaches a receive slot at (pt, bits), exact match; once makes the
+// entry use-once. The caller Waits on it and then Closes it.
+func (ep *Endpoint) Post(pt Index, bits MatchBits, once bool) *Slot {
+	s := ep.pool.slots
+	if s == nil {
+		s = &Slot{eq: sim.NewMailbox(ep.Kernel(), "portals/slot")}
+		s.md.EQ = s.eq
+	} else {
+		ep.pool.slots, s.next = s.next, nil
+	}
+	s.me = ME{bits: bits, md: &s.md, once: once, ep: ep, pt: pt}
+	ep.tables[pt] = append(ep.tables[pt], &s.me)
+	return s
+}
+
+// Len reports the events queued in the slot.
+func (s *Slot) Len() int { return s.eq.Len() }
+
+// Wait blocks p until an event lands in the slot and returns it; the caller
+// Releases it. With timeout > 0 it gives up after that long and reports
+// false, and the slot is then unlinked and abandoned to the collector,
+// never reused: a message that landed in the very instant of the timeout
+// sits in its queue, and the next user of the slot would read it as its own.
+func (s *Slot) Wait(p *sim.Proc, timeout time.Duration) (*Event, bool) {
+	if timeout <= 0 {
+		return s.eq.Recv(p).(*Event), true
+	}
+	v, ok := s.eq.RecvTimeout(p, timeout)
+	if !ok {
+		s.me.Unlink()
+		s.me.ep = nil
+		return nil, false
+	}
+	return v.(*Event), true
+}
+
+// Close unlinks the slot, releases the events nobody took and returns it to
+// the free list. Closing twice, or after Wait timed out, is a bug.
+func (s *Slot) Close() {
+	ep := s.me.ep
+	if ep == nil {
+		panic("portals: slot closed twice, or after its wait timed out")
+	}
+	s.me.Unlink()
+	drain(s.eq)
+	s.me.ep = nil
+	s.next, ep.pool.slots = ep.pool.slots, s
+}
+
+// drain empties a mailbox, releasing the event records in it, and reports
+// how many messages it held.
+func drain(m *sim.Mailbox) (n int) {
+	for {
+		v, ok := m.TryRecv()
+		if !ok {
+			return n
+		}
+		if ev, isEvent := v.(*Event); isEvent {
+			ev.Release()
+		}
+		n++
+	}
+}
+
 func (ep *Endpoint) match(pt Index, bits MatchBits) *ME {
 	for _, me := range ep.tables[pt] {
 		if (bits &^ me.ignore) == (me.bits &^ me.ignore) {
@@ -279,17 +388,38 @@ func (ep *Endpoint) match(pt Index, bits MatchBits) *ME {
 	return nil
 }
 
+// record takes a wire record off the network's free list (or makes one) and
+// addresses it from this node to (pt, bits) with payload.
+func (ep *Endpoint) record(pt Index, bits MatchBits, payload netsim.Payload) *Event {
+	pl := ep.pool
+	ev := pl.events
+	if ev == nil {
+		ev = &Event{home: pl}
+	} else {
+		pl.events, ev.next, ev.kind = ev.next, nil, wirePut
+	}
+	ev.Initiator, ev.pt, ev.Bits, ev.Payload = ep.node.ID, pt, bits, payload
+	return ev
+}
+
+// send puts a filled record on the wire. The network carries the pointer;
+// from here the record belongs to whoever receives it at target.
+func (ep *Endpoint) send(target netsim.NodeID, ev *Event) {
+	ep.net.Send(netsim.Message{From: ep.node.ID, To: target, Size: HeaderSize + ev.Payload.Size, Body: ev})
+}
+
 // Put initiates a one-sided put of payload (plus hdr, which travels in the
 // message header) into the match entry at (target, pt, bits). It is
 // asynchronous: the caller continues immediately.
 func (ep *Endpoint) Put(target netsim.NodeID, pt Index, bits MatchBits, hdr interface{}, payload netsim.Payload) {
-	ep.net.Send(netsim.Message{
-		From: ep.node.ID,
-		To:   target,
-		Size: HeaderSize + payload.Size,
-		Body: putMsg{pt: pt, bits: bits, hdr: hdr, payload: payload},
-	})
+	ev := ep.record(pt, bits, payload)
+	ev.Hdr = hdr
+	ep.send(target, ev)
 }
+
+// getReplyPortal is the reserved portal index where Get replies land,
+// matched by the request's token.
+const getReplyPortal Index = 1020
 
 // Get performs a one-sided read of [offset, offset+length) from the match
 // entry at (target, pt, bits), blocking p until the data arrives. The
@@ -297,122 +427,101 @@ func (ep *Endpoint) Put(target netsim.NodeID, pt Index, bits MatchBits, hdr inte
 // serialization costs on the target's egress and our ingress — this is the
 // server-pull half of server-directed I/O.
 func (ep *Endpoint) Get(p *sim.Proc, target netsim.NodeID, pt Index, bits MatchBits, offset, length int64) (netsim.Payload, error) {
-	attempts := 1
+	attempts, timeout := 1, time.Duration(0)
 	if ep.getRetry.Enabled() {
-		attempts = ep.getRetry.MaxAttempts
+		attempts, timeout = ep.getRetry.MaxAttempts, ep.getRetry.Timeout
 	}
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			p.Sleep(ep.getRetry.Pause(a-1, ep.getRNG))
 		}
 		ep.nextToken++
-		token := ep.nextToken
-		pend := &getPending{fut: sim.NewFuture()}
-		ep.pending[token] = pend
-		ep.net.Send(netsim.Message{
-			From: ep.node.ID,
-			To:   target,
-			Size: HeaderSize,
-			Body: getReq{pt: pt, bits: bits, offset: offset, length: length, token: token, initiator: ep.node.ID},
-		})
-		var v interface{}
-		var err error
-		if ep.getRetry.Enabled() {
-			var ok bool
-			v, err, ok = pend.fut.WaitTimeout(p, ep.getRetry.Timeout)
-			if !ok {
-				// Lost request or reply: retry under a fresh token. If the
-				// reply is merely late it finds no pending entry and is
-				// dropped — tokens are never reused, so it cannot complete a
-				// different Get.
-				delete(ep.pending, token)
-				continue
-			}
-		} else {
-			v, err = pend.fut.Wait(p)
+		slot := ep.Post(getReplyPortal, MatchBits(ep.nextToken), true)
+		req := ep.record(pt, bits, netsim.Payload{})
+		req.kind, req.Offset, req.Length, req.token = wireGet, offset, length, ep.nextToken
+		ep.send(target, req)
+		reply, ok := slot.Wait(p, timeout)
+		if !ok {
+			// Lost request or reply: retry under a fresh token. If the
+			// reply is merely late it finds no match entry and is dropped —
+			// tokens are never reused, so it cannot complete a different Get.
+			continue
 		}
-		if err != nil {
-			return netsim.Payload{}, err
-		}
-		return v.(netsim.Payload), nil
+		payload, err := reply.Payload, reply.err
+		reply.Release()
+		slot.Close()
+		return payload, err
 	}
 	return netsim.Payload{}, ErrGetTimeout
 }
 
 // deliver runs in kernel context for every message addressed to this node.
+// A Put's record goes to the matched entry's event queue as it is; one that
+// matches nothing, or an entry with no queue, is released here.
 func (ep *Endpoint) deliver(m netsim.Message) {
-	switch body := m.Body.(type) {
-	case putMsg:
-		me := ep.match(body.pt, body.bits)
-		if me == nil {
-			ep.dropNoMatch(body.pt, body.bits)
-			return
+	ev, ok := m.Body.(*Event)
+	if !ok {
+		ep.dropped.Inc()
+		return
+	}
+	if ev.live().kind == wireGet {
+		ep.serveGet(ev)
+		return
+	}
+	me := ep.match(ev.pt, ev.Bits)
+	if me == nil {
+		ep.dropNoMatch(ev.pt, ev.Bits)
+		ev.Release()
+		return
+	}
+	if me.once {
+		me.Unlink()
+	}
+	if me.md == nil || me.md.EQ == nil {
+		ev.Release()
+		return
+	}
+	me.md.EQ.Send(ev)
+}
+
+// serveGet answers a Get request "in the NIC": it reads the matched entry's
+// payload into a reply record and turns the request record into the owner's
+// EventGet notification.
+func (ep *Endpoint) serveGet(req *Event) {
+	reply := ep.record(getReplyPortal, MatchBits(req.token), netsim.Payload{})
+	reply.kind = wireGetReply
+	to := req.Initiator
+	var eq *sim.Mailbox
+	if me := ep.match(req.pt, req.Bits); me == nil {
+		ep.dropNoMatch(req.pt, req.Bits)
+		reply.err = ErrNoMatch
+	} else {
+		src, end := me.md.Payload, req.Offset+req.Length
+		if req.Offset < 0 || req.Length < 0 || end > src.Size {
+			reply.err = ErrBounds
+		} else if src.Data != nil {
+			if end > int64(len(src.Data)) {
+				end = int64(len(src.Data))
+			}
+			reply.Payload.Size = req.Length
+			if req.Offset < end {
+				reply.Payload.Data = src.Data[req.Offset:end]
+			}
+		} else {
+			reply.Payload = netsim.SyntheticPayload(req.Length)
 		}
 		if me.once {
 			me.Unlink()
 		}
-		if me.md != nil && me.md.EQ != nil {
-			me.md.EQ.Send(&Event{
-				Type:      EventPut,
-				Initiator: m.From,
-				Bits:      body.bits,
-				Hdr:       body.hdr,
-				Payload:   body.payload,
-			})
-		}
-	case getReq:
-		me := ep.match(body.pt, body.bits)
-		reply := getReply{token: body.token}
-		if me == nil {
-			ep.dropNoMatch(body.pt, body.bits)
-			reply.err = ErrNoMatch.Error()
-		} else {
-			src := me.md.Payload
-			if body.offset < 0 || body.length < 0 || body.offset+body.length > src.Size {
-				reply.err = ErrBounds.Error()
-			} else if src.Data != nil {
-				end := body.offset + body.length
-				if end > int64(len(src.Data)) {
-					end = int64(len(src.Data))
-				}
-				var data []byte
-				if body.offset < end {
-					data = src.Data[body.offset:end]
-				}
-				reply.payload = netsim.Payload{Size: body.length, Data: data}
-			} else {
-				reply.payload = netsim.SyntheticPayload(body.length)
-			}
-			if me.once {
-				me.Unlink()
-			}
-			if me.md.EQ != nil {
-				me.md.EQ.Send(&Event{
-					Type:      EventGet,
-					Initiator: m.From,
-					Bits:      body.bits,
-					Offset:    body.offset,
-					Length:    body.length,
-				})
-			}
-		}
-		size := HeaderSize + reply.payload.Size
-		ep.net.Send(netsim.Message{From: ep.node.ID, To: body.initiator, Size: size, Body: reply})
-	case getReply:
-		pend, ok := ep.pending[body.token]
-		if !ok {
-			ep.dropped.Inc()
-			return
-		}
-		delete(ep.pending, body.token)
-		if body.err != "" {
-			pend.fut.Complete(nil, errors.New(body.err))
-			return
-		}
-		pend.fut.Complete(body.payload, nil)
-	default:
-		ep.dropped.Inc()
+		eq = me.md.EQ
 	}
+	if eq != nil {
+		req.Type = EventGet
+		eq.Send(req)
+	} else {
+		req.Release()
+	}
+	ep.send(to, reply)
 }
 
 // Echo measures a small-message round trip to target's echo responder; it

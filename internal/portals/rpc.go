@@ -242,8 +242,7 @@ func (s *Server) SetDispatcher(d Dispatcher) {
 
 func (s *Server) runIntake(p *sim.Proc) {
 	for {
-		ev := s.q.Recv(p).(*Event)
-		req, ok := ev.Hdr.(rpcRequest)
+		req, ok := takeRequest(s.q.Recv(p).(*Event))
 		if !ok {
 			continue
 		}
@@ -266,7 +265,27 @@ func (s *Server) shedReply(epoch uint64, req rpcRequest, err error) {
 		return
 	}
 	s.shed.Inc()
-	s.ep.Put(req.From, replyPortal, MatchBits(req.Token), rpcResponse{Token: req.Token, Err: err}, netsim.Payload{})
+	s.respond(req, nil, err, 0)
+}
+
+// takeRequest copies the request out of the record that carried it and
+// releases the record. A hand-built Put may still carry its rpcRequest boxed
+// in Hdr; anything else is not a request.
+func takeRequest(ev *Event) (req rpcRequest, ok bool) {
+	if ev.live().kind == wireRequest {
+		req, ok = ev.req, true
+	} else {
+		req, ok = ev.Hdr.(rpcRequest)
+	}
+	ev.Release()
+	return req, ok
+}
+
+// respond puts the response to req, occupying size payload bytes, on the wire.
+func (s *Server) respond(req rpcRequest, body interface{}, err error, size int64) {
+	ev := s.ep.record(replyPortal, MatchBits(req.Token), netsim.SyntheticPayload(size))
+	ev.kind, ev.resp = wireResponse, rpcResponse{Token: req.Token, Body: body, Err: err}
+	s.ep.send(req.From, ev)
 }
 
 // QueueLen reports requests waiting for a service thread (also exported as
@@ -296,24 +315,12 @@ func (s *Server) SetDown(down bool) {
 	s.down = down
 }
 
-// drain empties a mailbox and reports how many messages it held.
-func drain(m *sim.Mailbox) (n int) {
-	for {
-		if _, ok := m.TryRecv(); !ok {
-			return n
-		}
-		n++
-	}
-}
-
 func (s *Server) reply(epoch uint64, req rpcRequest, body interface{}, err error) {
 	if s.down || epoch != s.epoch {
 		return // crashed (or crashed+restarted) since this execution began
 	}
 	s.served.Inc()
-	size := HeaderSize + req.RespSize
-	s.ep.Put(req.From, replyPortal, MatchBits(req.Token), rpcResponse{Token: req.Token, Body: body, Err: err},
-		netsim.SyntheticPayload(size-HeaderSize))
+	s.respond(req, body, err, req.RespSize)
 }
 
 func (s *Server) worker(p *sim.Proc) {
@@ -327,10 +334,8 @@ func (s *Server) worker(p *sim.Proc) {
 			}
 			req = del.req
 		} else {
-			ev := s.q.Recv(p).(*Event)
 			var ok bool
-			req, ok = ev.Hdr.(rpcRequest)
-			if !ok {
+			if req, ok = takeRequest(s.q.Recv(p).(*Event)); !ok {
 				continue
 			}
 		}
@@ -520,32 +525,30 @@ func (c *Caller) call(p *sim.Proc, target netsim.NodeID, pt Index, req interface
 		return nil, ErrCircuitOpen
 	}
 	token := c.ep.nextTok()
-	mb := sim.NewMailbox(c.ep.Kernel(), fmt.Sprintf("rpc-reply-%d", token))
-	me := c.ep.AttachOnce(replyPortal, MatchBits(token), 0, &MD{EQ: mb})
-	c.ep.Put(target, pt, 0, rpcRequest{Token: token, ReqID: reqID, From: c.ep.Node(), Class: c.class, Body: req, RespSize: respSize},
-		netsim.SyntheticPayload(reqSize))
+	slot := c.ep.Post(replyPortal, MatchBits(token), true)
+	out := c.ep.record(pt, 0, netsim.SyntheticPayload(reqSize))
+	out.kind, out.req = wireRequest, rpcRequest{Token: token, ReqID: reqID, From: c.ep.Node(), Class: c.class, Body: req, RespSize: respSize}
+	c.ep.send(target, out)
 
-	var ev interface{}
-	if timeout > 0 {
-		v, ok := mb.RecvTimeout(p, timeout)
-		if !ok {
-			me.Unlink()
-			// If the response is merely late (not lost), count it when it
-			// finally lands instead of mistaking it for a stray message.
-			c.ep.watchLate(replyPortal, MatchBits(token), func() {
-				c.lateReplies.Inc()
-				c.nodeLateReplies.Inc()
-			})
-			if c.breaker != nil {
-				c.breaker.Record(target, pt, ErrRPCTimeout)
-			}
-			return nil, ErrRPCTimeout
+	ev, ok := slot.Wait(p, timeout)
+	if !ok {
+		// If the response is merely late (not lost), count it when it
+		// finally lands instead of mistaking it for a stray message.
+		c.ep.watchLate(replyPortal, MatchBits(token), func() {
+			c.lateReplies.Inc()
+			c.nodeLateReplies.Inc()
+		})
+		if c.breaker != nil {
+			c.breaker.Record(target, pt, ErrRPCTimeout)
 		}
-		ev = v
-	} else {
-		ev = mb.Recv(p)
+		return nil, ErrRPCTimeout
 	}
-	resp := ev.(*Event).Hdr.(rpcResponse)
+	if ev.live().kind != wireResponse {
+		panic(fmt.Sprintf("portals: reply slot of token %d received a record of kind %d", token, ev.kind))
+	}
+	resp := ev.resp
+	ev.Release()
+	slot.Close()
 	if c.breaker != nil {
 		c.breaker.Record(target, pt, resp.Err)
 	}

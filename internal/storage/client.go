@@ -123,9 +123,8 @@ func (c *Client) Read(p *sim.Proc, ref ObjRef, cap authz.Capability, off, length
 
 func (c *Client) readOnce(p *sim.Proc, ref ObjRef, cap authz.Capability, off, length int64, timeout time.Duration) (netsim.Payload, error) {
 	bits := c.bits()
-	eq := sim.NewMailbox(c.ep.Endpoint().Kernel(), "read-data")
-	me := c.ep.Endpoint().Attach(ClientDataPortal, bits, 0, &portals.MD{EQ: eq})
-	defer me.Unlink()
+	data := c.ep.Endpoint().Post(ClientDataPortal, bits, false)
+	defer data.Close()
 	req := readReq{
 		Cap:        cap,
 		ID:         ref.ID,
@@ -148,13 +147,13 @@ func (c *Client) readOnce(p *sim.Proc, ref ObjRef, cap authz.Capability, off, le
 	// All data Puts preceded the response through the same FIFO network
 	// path, so exactly resp.Chunks events are already queued — unless fault
 	// injection dropped one, which the retry loop treats as retryable.
-	if eq.Len() != resp.Chunks {
-		return netsim.Payload{}, fmt.Errorf("%w: expected %d chunks, have %d", errChunksLost, resp.Chunks, eq.Len())
+	if data.Len() != resp.Chunks {
+		return netsim.Payload{}, fmt.Errorf("%w: expected %d chunks, have %d", errChunksLost, resp.Chunks, data.Len())
 	}
 	out := netsim.Payload{Size: resp.Len}
 	var buf []byte
 	for i := 0; i < resp.Chunks; i++ {
-		ev := eq.Recv(p).(*portals.Event)
+		ev, _ := data.Wait(p, 0)
 		chunkOff := ev.Hdr.(int64)
 		if ev.Payload.Data != nil {
 			if buf == nil {
@@ -162,6 +161,7 @@ func (c *Client) readOnce(p *sim.Proc, ref ObjRef, cap authz.Capability, off, le
 			}
 			copy(buf[chunkOff:], ev.Payload.Data)
 		}
+		ev.Release()
 	}
 	out.Data = buf
 	return out, nil

@@ -111,7 +111,8 @@ func StartLockServer(ep *portals.Endpoint, port portals.Index, opCost time.Durat
 		for {
 			ev := eq.Recv(p).(*portals.Event)
 			p.Sleep(ls.opCost)
-			ls.dispatch(ev)
+			ls.dispatch(ev.Initiator, ev.Hdr)
+			ev.Release()
 		}
 	})
 	return ls
@@ -125,13 +126,15 @@ func (ls *LockServer) QueueLen(name string) int {
 	return 0
 }
 
-func (ls *LockServer) dispatch(ev *portals.Event) {
-	req, ok := ev.Hdr.(lockRPC)
+// dispatch serves one request. It takes what it needs of the event by value:
+// a queued waiter's reply runs long after the record is released.
+func (ls *LockServer) dispatch(from netsim.NodeID, hdr interface{}) {
+	req, ok := hdr.(lockRPC)
 	if !ok {
 		return
 	}
 	reply := func(err error) {
-		ls.ep.Put(ev.Initiator, req.replyPort, portals.MatchBits(req.token),
+		ls.ep.Put(from, req.replyPort, portals.MatchBits(req.token),
 			lockReply{token: req.token, err: err}, netsim.SyntheticPayload(16))
 	}
 	switch r := req.body.(type) {
@@ -276,22 +279,17 @@ func (lc *LockClient) Owner() Owner { return lc.owner }
 
 func (lc *LockClient) call(p *sim.Proc, body interface{}, timeout time.Duration) error {
 	token := lc.ep.NextToken()
-	mb := sim.NewMailbox(lc.ep.Kernel(), "lock-reply")
-	me := lc.ep.AttachOnce(lockReplyPortal, portals.MatchBits(token), 0, &portals.MD{EQ: mb})
+	slot := lc.ep.Post(lockReplyPortal, portals.MatchBits(token), true)
 	lc.ep.Put(lc.server, lc.port, 0, lockRPC{token: token, replyPort: lockReplyPortal, body: body},
 		netsim.SyntheticPayload(96))
-	var ev interface{}
-	if timeout > 0 {
-		v, ok := mb.RecvTimeout(p, timeout)
-		if !ok {
-			me.Unlink()
-			return ErrLockTimeout
-		}
-		ev = v
-	} else {
-		ev = mb.Recv(p)
+	ev, ok := slot.Wait(p, timeout)
+	if !ok {
+		return ErrLockTimeout
 	}
-	return ev.(*portals.Event).Hdr.(lockReply).err
+	err := ev.Hdr.(lockReply).err
+	ev.Release()
+	slot.Close()
+	return err
 }
 
 // Lock blocks until the named lock is granted in the requested mode.
