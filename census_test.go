@@ -1,0 +1,446 @@
+package lwfs_test
+
+// The options census. Every field of an option struct is a configuration
+// axis that tests and benchmarks would have to cover; a field that no
+// product code ever sets is an axis with one value in use, which should be
+// a constant. TestOptionsCensus type-checks the whole module (standard
+// library only), finds every place an option field is set, and fails when
+// a field is set by no product code and is not on censusKept with a
+// reason. It prints the totals so CHANGES.md can quote them.
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// optionStruct matches the names of the structs the census counts.
+var optionStruct = regexp.MustCompile(`(Config|Options|Opts|Spec|Policy|Params)$|^(SampledRanks|RedundantDump|Env)$`)
+
+// defaultsFunc matches the functions whose sets do not count: a struct
+// filling in its own defaults says nothing about whether anyone chooses.
+var defaultsFunc = regexp.MustCompile(`^(defaults|withDefaults|Default.*)$`)
+
+// censusCalibration lists the structs that are calibration tables: measured
+// hardware and protocol costs written once in a Default*Config() and
+// deliberately not chosen per caller. Their unset fields are expected.
+var censusCalibration = map[string]string{
+	"authn.Config":   "service-time calibration (authn.DefaultConfig)",
+	"authz.Config":   "service-time calibration (authz.DefaultConfig)",
+	"naming.Config":  "service-time calibration (naming.DefaultConfig)",
+	"storage.Config": "service-time calibration (storage.DefaultConfig); tests vary OpCost, ChunkSize and PinnedBuffer to show the model responds",
+	"burst.Config":   "burst-buffer calibration (burst.DefaultConfig)",
+	"pfs.Config":     "Lustre baseline calibration (pfs.DefaultConfig)",
+}
+
+// censusKept lists, by name, the fields no product code sets that stay
+// anyway, each with the reason a test or benchmark needs it: a reference
+// arm, a fault-injection control, or a size a test shrinks.
+var censusKept = map[string]string{
+	"checkpoint.Config.PatternData":       "restore tests dump verifiable bytes instead of a length",
+	"checkpoint.Config.JitterMax":         "chaos tests widen start jitter to move crash windows",
+	"checkpoint.Config.Redundant":         "selects the redundant dump, which only the chaos suites drive",
+	"checkpoint.RedundantDump.Scheme":     "chaos reference arms: replica vs parity vs unprotected raid0",
+	"checkpoint.RedundantDump.Width":      "chaos tests size the stripe to the servers they crash",
+	"checkpoint.RedundantDump.Copies":     "chaos tests run 2 and 3 replicas",
+	"checkpoint.RedundantDump.MetaCopies": "manifest chaos tests compare 1 mirror (legacy) with 2",
+	"storage.Config.DisableCapCache":      "ablation arm of the root BenchmarkAblationCapCache",
+	"netsim.FaultSpec.Start":              "fault-injection window",
+	"netsim.FaultSpec.End":                "fault-injection window",
+	"qos.Config.Weights":                  "fair-share tests need unequal tenants",
+	"qos.Config.Quantum":                  "DRR tests size the quantum against their requests",
+	"qos.Config.TenantBps":                "token-bucket tests set a per-tenant rate",
+	"lwfspfs.Options.Stripes":             "tests pin a narrow stripe on a wide cluster; Mount reads it from the superblock",
+	"figures.BurstOpts.Procs":             "size burst_test shrinks",
+	"figures.BurstOpts.Servers":           "size burst_test shrinks",
+	"figures.BurstOpts.BytesPerProc":      "size burst_test shrinks",
+	"figures.FaultOpts.Procs":             "size faults_test shrinks",
+	"figures.FaultOpts.Servers":           "size faults_test shrinks",
+	"figures.CkptIntervalOpts.TotalRanks": "size redstorm_test shrinks",
+	"figures.CkptIntervalOpts.Buffers":    "size redstorm_test shrinks",
+	"figures.CkptIntervalOpts.MTBFs":      "redstorm_test cuts the MTBF list",
+	"figures.ReplayOpts.Traces":           "replay_test replays one trace of the three",
+	"figures.StripeOpts.Units":            "stripe_test shrinks the unit with the file",
+}
+
+type setters struct{ product, test bool }
+
+// census is the loaded module: every option field by declaration
+// position, and who sets it.
+type census struct {
+	fset   *token.FileSet
+	std    types.Importer
+	dirs   map[string]*censusDir     // import path -> parsed directory
+	fields map[token.Pos]optionField // by declaration position
+	sets   map[token.Pos]*setters    // who sets each option field
+	errs   []error
+	// checked is every type-check made, scanned for sets once all the
+	// option fields are known.
+	checked []checkedFiles
+}
+
+// optionField names a field of an option struct: "pkg.Struct" and "Field".
+type optionField struct{ owner, name string }
+
+func (f optionField) String() string { return f.owner + "." + f.name }
+
+type checkedFiles struct {
+	files []*ast.File
+	info  *types.Info
+}
+
+type censusDir struct {
+	path               string
+	files, test, xtest []*ast.File
+	pkg                *types.Package
+}
+
+func loadCensus(root string) (*census, error) {
+	c := &census{
+		fset:   token.NewFileSet(),
+		dirs:   map[string]*censusDir{},
+		fields: map[token.Pos]optionField{},
+		sets:   map[token.Pos]*setters{},
+	}
+	c.std = importer.ForCompiler(c.fset, "source", nil)
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		dir := filepath.Dir(p)
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(c.fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, dir)
+		path := "lwfs"
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		cd := c.dirs[path]
+		if cd == nil {
+			cd = &censusDir{path: path}
+			c.dirs[path] = cd
+		}
+		switch {
+		case !strings.HasSuffix(name, "_test.go"):
+			cd.files = append(cd.files, f)
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			cd.xtest = append(cd.xtest, f)
+		default:
+			cd.test = append(cd.test, f)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	paths := make([]string, 0, len(c.dirs))
+	for p := range c.dirs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	// Pass 1: product packages (this also collects the option fields, which
+	// the later passes need to recognise sets from test files).
+	for _, p := range paths {
+		if _, err := c.Import(p); err != nil {
+			return nil, err
+		}
+	}
+	// Pass 2: each package again with its in-package tests, and its
+	// external test package. Fields are identified by declaration position,
+	// which the re-check shares with pass 1.
+	for _, p := range paths {
+		cd := c.dirs[p]
+		var imp types.Importer = c
+		if len(cd.test) > 0 {
+			withTests := c.check(cd.path, append(append([]*ast.File{}, cd.files...), cd.test...), c)
+			imp = &testVariant{c: c, of: cd.path, pkgs: map[string]*types.Package{cd.path: withTests}}
+		}
+		if len(cd.xtest) > 0 {
+			c.check(cd.path+"_test", cd.xtest, imp)
+		}
+	}
+	if len(c.errs) > 0 {
+		return nil, fmt.Errorf("type-checking the module: %d errors, first: %v", len(c.errs), c.errs[0])
+	}
+	for _, ch := range c.checked {
+		for _, f := range ch.files {
+			c.scan(f, ch.info)
+		}
+	}
+	return c, nil
+}
+
+// Import resolves module packages from the parsed tree and everything
+// else through the standard library's source importer.
+func (c *census) Import(path string) (*types.Package, error) {
+	cd := c.dirs[path]
+	if cd == nil {
+		return c.std.Import(path)
+	}
+	if cd.pkg == nil {
+		cd.pkg = c.check(path, cd.files, c)
+		c.collectFields(cd.pkg)
+	}
+	return cd.pkg, nil
+}
+
+// testVariant is what an external test package imports, as the go tool
+// builds it: the package under test is the one re-checked with its
+// in-package tests (so export_test.go names resolve), and so that its
+// types stay one identity, every module package that imports it is
+// re-checked against that variant too.
+type testVariant struct {
+	c    *census
+	of   string
+	pkgs map[string]*types.Package
+}
+
+func (v *testVariant) Import(path string) (*types.Package, error) {
+	if pkg := v.pkgs[path]; pkg != nil {
+		return pkg, nil
+	}
+	cd := v.c.dirs[path]
+	if cd == nil || !v.c.imports(cd, v.of, map[string]bool{}) {
+		return v.c.Import(path)
+	}
+	pkg := v.c.check(path, cd.files, v)
+	v.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// imports reports whether cd's product files reach target through module
+// imports.
+func (c *census) imports(cd *censusDir, target string, seen map[string]bool) bool {
+	if seen[cd.path] {
+		return false
+	}
+	seen[cd.path] = true
+	for _, f := range cd.files {
+		for _, spec := range f.Imports {
+			p := strings.Trim(spec.Path.Value, `"`)
+			if p == target {
+				return true
+			}
+			if dep := c.dirs[p]; dep != nil && c.imports(dep, target, seen) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (c *census) check(path string, files []*ast.File, imp types.Importer) *types.Package {
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	conf := types.Config{Importer: imp, Error: func(err error) { c.errs = append(c.errs, err) }}
+	pkg, _ := conf.Check(path, c.fset, files, info)
+	c.checked = append(c.checked, checkedFiles{files, info})
+	return pkg
+}
+
+// collectFields records the fields of pkg's option structs; bench/ is the
+// frozen benchmark and has none of its own to count.
+func (c *census) collectFields(pkg *types.Package) {
+	if pkg.Path() == "lwfs/bench" {
+		return
+	}
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() || !optionStruct.MatchString(name) {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		owner := pkg.Name() + "." + name
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			c.fields[f.Pos()] = optionField{owner, f.Name()}
+		}
+	}
+}
+
+// scan records every set of an option field in f: a composite-literal
+// element, or an assignment or ++/-- target. Sets a struct makes to itself
+// inside its own defaults function do not count.
+func (c *census) scan(f *ast.File, info *types.Info) {
+	isTest := strings.HasSuffix(c.fset.Position(f.Pos()).Filename, "_test.go")
+	for _, decl := range f.Decls {
+		own := ""
+		if fd, ok := decl.(*ast.FuncDecl); ok && defaultsFunc.MatchString(fd.Name.Name) {
+			own = defaultsOwner(fd, info)
+		}
+		record := func(v *types.Var) {
+			if v == nil {
+				return
+			}
+			field, ok := c.fields[v.Pos()]
+			if !ok || field.owner == own {
+				return
+			}
+			s := c.sets[v.Pos()]
+			if s == nil {
+				s = &setters{}
+				c.sets[v.Pos()] = s
+			}
+			if isTest {
+				s.test = true
+			} else {
+				s.product = true
+			}
+		}
+		target := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if s := info.Selections[sel]; s != nil {
+					v, _ := s.Obj().(*types.Var)
+					record(v)
+				}
+			}
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				st, ok := derefStruct(info.Types[n].Type)
+				if !ok {
+					break
+				}
+				for i, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							v, _ := info.Uses[id].(*types.Var)
+							record(v)
+						}
+					} else if i < st.NumFields() {
+						record(st.Field(i))
+					}
+				}
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					target(l)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			}
+			return true
+		})
+	}
+}
+
+// defaultsOwner names the struct a defaults function belongs to: its
+// receiver, or for a Default*() constructor its result.
+func defaultsOwner(fd *ast.FuncDecl, info *types.Info) string {
+	var e ast.Expr
+	switch {
+	case fd.Recv != nil && len(fd.Recv.List) == 1:
+		e = fd.Recv.List[0].Type
+	case fd.Type.Results != nil && len(fd.Type.Results.List) == 1:
+		e = fd.Type.Results.List[0].Type
+	default:
+		return ""
+	}
+	t := info.Types[e].Type
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
+		return n.Obj().Pkg().Name() + "." + n.Obj().Name()
+	}
+	return ""
+}
+
+func derefStruct(t types.Type) (*types.Struct, bool) {
+	if t == nil {
+		return nil, false
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	return st, ok
+}
+
+func TestOptionsCensus(t *testing.T) {
+	c, err := loadCensus(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var noSetter, noSetterUncalibrated int
+	var rows []string // every field no product code sets, with its verdict
+	var unexplained []string
+	seen := map[string]bool{} // allowlist entries that excused a field
+	for pos, field := range c.fields {
+		name := field.String()
+		s := c.sets[pos]
+		if s != nil && s.product {
+			continue
+		}
+		who := "tests only"
+		calibration, calibrated := censusCalibration[field.owner]
+		if s == nil {
+			who = "nobody"
+			noSetter++
+			if !calibrated {
+				noSetterUncalibrated++
+			}
+		}
+		reason, kept := censusKept[name]
+		switch {
+		case kept:
+			seen[name] = true
+		case calibrated:
+			reason = calibration
+			seen[field.owner] = true
+		default:
+			reason = "UNEXPLAINED"
+			unexplained = append(unexplained, fmt.Sprintf("%s (set by %s)", name, who))
+		}
+		rows = append(rows, fmt.Sprintf("%-40s set by %-10s  %s", name, who, reason))
+	}
+	sort.Strings(rows)
+	t.Logf("options census: %d option fields outside bench/; %d set by no product code; %d set by nobody at all (%d outside the calibration tables)\n%s",
+		len(c.fields), len(rows), noSetter, noSetterUncalibrated, strings.Join(rows, "\n"))
+	sort.Strings(unexplained)
+	for _, u := range unexplained {
+		t.Errorf("option field %s: make it a constant, or list it in censusKept with the reason it stays", u)
+	}
+	for name := range censusKept {
+		if !seen[name] {
+			t.Errorf("censusKept lists %s, which is gone or is now set by product code: drop the entry", name)
+		}
+	}
+	for name := range censusCalibration {
+		if !seen[name] {
+			t.Errorf("censusCalibration lists %s, which excuses no field: drop the entry", name)
+		}
+	}
+}

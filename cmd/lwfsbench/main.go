@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		experiment = fs.String("experiment", "all", help)
-		trials     = fs.Int("trials", 0, "trials per point (0 = paper default of 5)")
+		trials     = fs.Int("trials", 0, "trials per point (0 = the experiment's own default (5 for Figures 9–10))")
 		quick      = fs.Bool("quick", false, "small sweep for a fast smoke run")
 		servers    = fs.String("servers", "", "comma-separated server counts (default 2,4,8,16)")
 		clients    = fs.String("clients", "", "comma-separated client counts (default 1,2,4,8,16,32,48,64)")

@@ -136,9 +136,6 @@ func Start(ep *portals.Endpoint, realm *Realm, cfg Config) *Service {
 	return s
 }
 
-// Node returns the node the service runs on.
-func (s *Service) Node() netsim.NodeID { return s.node }
-
 func (s *Service) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
 	p.Sleep(s.cfg.OpCost)
 	switch r := req.(type) {

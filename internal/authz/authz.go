@@ -216,9 +216,6 @@ func Start(ep *portals.Endpoint, ac *authn.Client, cfg Config) *Service {
 	return s
 }
 
-// Node returns the node the service runs on.
-func (s *Service) Node() netsim.NodeID { return s.node }
-
 func (s *Service) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
 	p.Sleep(s.cfg.OpCost)
 	switch r := req.(type) {
@@ -451,9 +448,6 @@ type Client struct {
 func NewClient(caller *portals.Caller, server netsim.NodeID) *Client {
 	return &Client{caller: caller, server: server}
 }
-
-// Server returns the authorization service's node.
-func (c *Client) Server() netsim.NodeID { return c.server }
 
 // Caller exposes the underlying RPC caller, so fault harnesses can arm
 // authorization traffic with a retry policy.

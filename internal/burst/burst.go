@@ -48,18 +48,11 @@ import (
 	"lwfs/internal/portals"
 	"lwfs/internal/qos"
 	"lwfs/internal/sim"
-	"lwfs/internal/stats"
 	"lwfs/internal/storage"
 )
 
-// Well-known portal indexes. A node hosting several burst servers spaces
-// them with PortalStride.
-const (
-	// DefaultPort receives staging requests.
-	DefaultPort portals.Index = 40
-	// PortalStride separates co-located burst servers' portal triples.
-	PortalStride = 4
-)
+// DefaultPort is the well-known portal that receives staging requests.
+const DefaultPort portals.Index = 40
 
 // Errors reported by the burst service.
 var (
@@ -90,12 +83,6 @@ type Config struct {
 	DrainWorkers int     // concurrent drain streams (bounds in-flight RPCs)
 	DrainBW      float64 // drain pacing, bytes/s per worker (0 = unpaced)
 
-	// JournalRetain (journaled mode) is the size past which the journal is
-	// truncated at the next quiesce point (no staged extent un-drained).
-	// Below it the journal is retained so a crash shortly *after* the drains
-	// finish can still vouch for the drained refs. 0 = 2× StageCapacity.
-	JournalRetain int64
-
 	// QoS, when non-nil, installs a per-tenant admission controller in
 	// front of the staging portal. nil = FIFO, unbounded.
 	QoS *qos.Config
@@ -106,12 +93,11 @@ type Config struct {
 	NoDrainYield bool
 }
 
-func (c Config) journalRetain() int64 {
-	if c.JournalRetain > 0 {
-		return c.JournalRetain
-	}
-	return 2 * c.StageCapacity
-}
+// journalRetain (journaled mode) is the size past which the journal is
+// truncated at the next quiesce point (no staged extent un-drained). Below
+// it the journal is retained so a crash shortly *after* the drains finish
+// can still vouch for the drained refs.
+func (c Config) journalRetain() int64 { return 2 * c.StageCapacity }
 
 // DefaultConfig returns defaults sized for the dev-cluster calibration: a
 // staging window of 64 MB absorbs a few ranks' checkpoint burst per buffer.
@@ -323,36 +309,8 @@ func startServer(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, 
 // Node returns the node the server runs on.
 func (s *Server) Node() netsim.NodeID { return s.ep.Node() }
 
-// Admission exposes the staging port's admission controller (nil without
-// Config.QoS).
-func (s *Server) Admission() *qos.Admission { return s.adm }
-
-// DrainYields reports how many times a drain batch paused to let a
-// synchronous pass-through relay go first (`burst.<node>.drain.yields`).
-func (s *Server) DrainYields() int64 { return s.drainYields.Value() }
-
-// RPCPort returns the server's staging request portal.
-func (s *Server) RPCPort() portals.Index { return s.rpcPort }
-
 // Tgt returns the server's target descriptor.
 func (s *Server) Tgt() Target { return Target{Node: s.Node(), Port: s.rpcPort} }
-
-// Passthroughs reports writes that degraded to synchronous pass-through
-// because the staging window was full.
-func (s *Server) Passthroughs() int64 { return s.passthroughs.Value() }
-
-// StageAvail reports the free staging window, bytes.
-func (s *Server) StageAvail() int64 { return s.stageAvail.Value() }
-
-// Coalesced reports extents the drain scheduler merged away (each saved
-// one storage write RPC). Reads the atomic `burst.<node>.drain.coalesced`
-// instrument, so it is safe from any goroutine.
-func (s *Server) Coalesced() int64 { return s.coalesced.Value() }
-
-// DrainSyncs reports flush barriers issued against storage servers (one
-// per drained batch, not per extent). Reads the atomic
-// `burst.<node>.drain.syncs` instrument.
-func (s *Server) DrainSyncs() int64 { return s.drainSyncs.Value() }
 
 // Journaled reports whether the server stages through a write-ahead
 // journal.
@@ -360,18 +318,6 @@ func (s *Server) Journaled() bool { return s.jdev != nil }
 
 // JournalDevice returns the journal device (nil in memory-only mode).
 func (s *Server) JournalDevice() *osd.Device { return s.jdev }
-
-// JournalTruncations reports how many times the journal was truncated at a
-// quiesce point.
-func (s *Server) JournalTruncations() int64 { return s.truncations.Value() }
-
-// DrainLatencies returns a copy of the per-extent staging-ack-to-durable
-// latencies observed so far, in milliseconds (the
-// `burst.<node>.drain.latency_ms` histogram).
-func (s *Server) DrainLatencies() *stats.Sample { return s.drainLat.Sample() }
-
-// Down reports whether the server is crashed.
-func (s *Server) Down() bool { return s.rpc.Down() }
 
 // Crash fail-stops the buffer: the RPC ports stop answering and the staged
 // contents — in-memory only — are gone, along with the bookkeeping that

@@ -96,14 +96,14 @@ func TestStageDrainRoundTrip(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	if staged := r.Metric("burst.*.staged"); staged != 1 || bb.Passthroughs() != 0 {
-		t.Fatalf("staged=%d passthroughs=%d, want 1/0", staged, bb.Passthroughs())
+	if staged, pass := r.Metric("burst.*.staged"), r.Metric("burst.*.passthroughs"); staged != 1 || pass != 0 {
+		t.Fatalf("staged=%d passthroughs=%d, want 1/0", staged, pass)
 	}
-	if bb.DrainLatencies().N() != 1 || bb.DrainLatencies().Mean() <= 0 {
-		t.Fatalf("drain latency sample %v", bb.DrainLatencies())
+	if lat := r.Net.Metrics().Snapshot().MergedHist("burst.*.drain.latency_ms"); lat.N() != 1 || lat.Mean() <= 0 {
+		t.Fatalf("drain latency sample %v", lat)
 	}
-	if bb.StageAvail() != burst.DefaultConfig().StageCapacity {
-		t.Fatalf("staging window not fully released: %d", bb.StageAvail())
+	if avail := r.Metric("burst.*.stage_avail"); avail != burst.DefaultConfig().StageCapacity {
+		t.Fatalf("staging window not fully released: %d", avail)
 	}
 }
 
@@ -155,8 +155,8 @@ func TestBackpressurePassthrough(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	if staged := r.Metric("burst.*.staged"); staged != 1 || bb.Passthroughs() != 1 {
-		t.Fatalf("staged=%d passthroughs=%d, want 1/1", staged, bb.Passthroughs())
+	if staged, pass := r.Metric("burst.*.staged"), r.Metric("burst.*.passthroughs"); staged != 1 || pass != 1 {
+		t.Fatalf("staged=%d passthroughs=%d, want 1/1", staged, pass)
 	}
 }
 

@@ -53,11 +53,11 @@ import (
 // incarnation that owns the record.
 //
 // Truncation: the journal is truncated to zero at a quiesce point — no
-// staged record un-drained — but only once it has grown past
-// Config.JournalRetain bytes. The hysteresis keeps recent history around: a
-// crash after the drains completed but before the checkpoint's commit gate
-// ran can still vouch for the refs (via the retained stage+drained pairs)
-// instead of degenerating to ErrLost.
+// staged record un-drained — but only once it has grown past twice the
+// staging window (Config.journalRetain). The hysteresis keeps recent
+// history around: a crash after the drains completed but before the
+// checkpoint's commit gate ran can still vouch for the refs (via the
+// retained stage+drained pairs) instead of degenerating to ErrLost.
 
 // journalObjectID is the well-known ID of a buffer's staging journal on its
 // journal device (the txn participant journal owns ReservedIDBase+1).

@@ -114,7 +114,7 @@ func TestJournaledPassthroughSurvivesCrash(t *testing.T) {
 // job's lifetime write volume.
 func TestJournalTruncatesAtQuiesce(t *testing.T) {
 	cfg := burst.DefaultConfig()
-	cfg.JournalRetain = 1 // truncate at the first quiesce point
+	cfg.StageCapacity = mb / 2 // retain threshold 1 MB: passed by the second round's records
 	r, srv, bb := bootJournaled(t, cfg)
 	sc := storage.NewClient(r.Caller(3))
 	bc := burst.NewClient(r.Caller(3))
@@ -124,15 +124,18 @@ func TestJournalTruncatesAtQuiesce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		if _, err := bc.StageWrite(p, bb.Tgt(), ref, caps[authz.OpWrite], 0, netsim.BytesPayload(pattern(mb))); err != nil {
-			t.Fatalf("stage: %v", err)
-		}
-		if err := bc.DrainWait(p, bb.Tgt(), []storage.ObjRef{ref}, 0); err != nil {
-			t.Fatalf("drain wait: %v", err)
+		for round := int64(0); round < 2; round++ {
+			staged, err := bc.StageWrite(p, bb.Tgt(), ref, caps[authz.OpWrite], round*mb/2, netsim.BytesPayload(pattern(mb/2)))
+			if err != nil || !staged {
+				t.Fatalf("stage %d: staged=%v err=%v", round, staged, err)
+			}
+			if err := bc.DrainWait(p, bb.Tgt(), []storage.ObjRef{ref}, 0); err != nil {
+				t.Fatalf("drain wait %d: %v", round, err)
+			}
 		}
 	})
 	r.Run(t)
-	if bb.JournalTruncations() < 1 {
+	if r.Metric("burst.*.journal.truncations") < 1 {
 		t.Fatalf("journal never truncated despite quiesce past retain threshold")
 	}
 }
@@ -171,10 +174,10 @@ func TestDrainCoalescing(t *testing.T) {
 		}
 	})
 	r.Run(t)
-	if bb.Coalesced() == 0 {
+	if r.Metric("burst.*.drain.coalesced") == 0 {
 		t.Fatalf("no extents coalesced across %d contiguous stages", chunks)
 	}
-	if bb.DrainSyncs() >= chunks {
-		t.Fatalf("drain issued %d syncs for %d extents — batching did not engage", bb.DrainSyncs(), chunks)
+	if syncs := r.Metric("burst.*.drain.syncs"); syncs >= chunks {
+		t.Fatalf("drain issued %d syncs for %d extents — batching did not engage", syncs, chunks)
 	}
 }

@@ -58,10 +58,10 @@ func yieldScenario(t *testing.T, noYield bool) int64 {
 		}
 	})
 	r.Run(t)
-	if staged := r.Metric("burst.*.staged"); bb.Passthroughs() != 1 || staged != 4 {
-		t.Fatalf("passthroughs=%d staged=%d, want 1/4", bb.Passthroughs(), staged)
+	if staged, pass := r.Metric("burst.*.staged"), r.Metric("burst.*.passthroughs"); pass != 1 || staged != 4 {
+		t.Fatalf("passthroughs=%d staged=%d, want 1/4", pass, staged)
 	}
-	return bb.DrainYields()
+	return r.Metric("burst.*.drain.yields")
 }
 
 // TestDrainYieldsToPassthrough: the foreground/background inversion fix —

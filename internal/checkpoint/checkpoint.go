@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"lwfs/internal/authz"
@@ -90,17 +91,9 @@ type Config struct {
 	// Zero keeps the pre-journal behavior: the first failed wait aborts.
 	RecoveryTimeout time.Duration
 
-	// burstAssign maps rank → buffer index; SetupLWFS fills it in from the
-	// cluster topology. Empty falls back to rank-modulo rotation.
+	// burstAssign maps rank → index into Burst of the buffer it stages
+	// through; SetupLWFS fills it in from the cluster topology.
 	burstAssign []int
-}
-
-// bufferFor returns the buffer index rank stages through.
-func (c Config) bufferFor(rank int) int {
-	if len(c.burstAssign) > 0 {
-		return c.burstAssign[rank]
-	}
-	return rank % len(c.Burst)
 }
 
 func (c Config) drainTimeout() time.Duration {
@@ -356,20 +349,10 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			if err := rehomeFailed(p, c, caps, h, refs, placement, cfg, &mdT); err != nil {
 				panic(fmt.Sprintf("re-home: %v", err))
 			}
-			mdRefs, err := placeCopies(p, c, caps, h, placement,
-				netsim.BytesPayload(EncodeMetadata(refs, cfg.BytesPerProc)), 1, false, &mdT)
-			if err != nil {
-				panic(fmt.Sprintf("md object: %v", err))
-			}
-			// Only now, with every reference on a surviving server, drop the
-			// failed servers from the commit set.
-			sealTxn(h, refs, mdRefs[0])
-			if err := c.CreateNameRefs(p, "/ckpt-0001", mdRefs, tx); err != nil {
-				panic(fmt.Sprintf("name: %v", err))
-			}
-			if err := tx.Commit(p); err != nil {
-				panic(fmt.Sprintf("commit: %v", err))
-			}
+			// Only with every reference on a surviving server may the failed
+			// servers drop out of the commit set; each rank's one object
+			// pins its server.
+			publishManifest(p, c, caps, h, placement, EncodeMetadata(refs, cfg.BytesPerProc), 1, refs, &mdT)
 			mDumps.Inc()
 			mBytes.Add(res.Bytes)
 		}
@@ -429,12 +412,17 @@ func newTxnHandle(tx *txn.Txn) *txnHandle {
 	return &txnHandle{tx: tx, failed: make(map[txn.Endpoint]bool)}
 }
 
-func (h *txnHandle) markFailed(e txn.Endpoint) {
-	if !h.failed[e] {
+// markDown records that the storage server at t stopped answering.
+func (h *txnHandle) markDown(t storage.Target) {
+	if e := core.TxnEndpointOf(t); !h.failed[e] {
 		h.failed[e] = true
 		h.failedOrder = append(h.failedOrder, e)
 	}
 }
+
+// down reports whether some rank has marked the server at t: the exclusion
+// predicate of every placement walk.
+func (h *txnHandle) down(t storage.Target) bool { return h.failed[core.TxnEndpointOf(t)] }
 
 type dumpOut struct {
 	t   ProcTimes
@@ -473,7 +461,7 @@ func dumpViaBurst(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSe
 	out.t.Create = p.Now().Sub(t0)
 
 	t1 := p.Now()
-	bt := cfg.Burst[cfg.bufferFor(rank)]
+	bt := cfg.Burst[cfg.burstAssign[rank]]
 	if _, err := bc.StageWrite(p, bt, ref, caps.Get(authz.OpWrite), 0, payloadFor(rank, cfg)); err != nil {
 		panic(fmt.Sprintf("rank %d stage: %v", rank, err))
 	}
@@ -506,7 +494,7 @@ func waitDrains(p *sim.Proc, bc *burst.Client, refs []storage.ObjRef, cfg Config
 	}
 	byBuffer := make([][]storage.ObjRef, nb)
 	for rank, ref := range refs {
-		bi := cfg.bufferFor(rank)
+		bi := cfg.burstAssign[rank]
 		byBuffer[bi] = append(byBuffer[bi], ref)
 	}
 	deadline := p.Now().Add(cfg.RecoveryTimeout)
@@ -606,7 +594,7 @@ func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, pr
 	used := make(map[storage.Target]bool, m)
 	refs := make([]storage.ObjRef, 0, m)
 	err := core.Walk(core.Rotate(c.Servers(), prefer), m,
-		func(tgt storage.Target) bool { return used[tgt] || h.failed[core.TxnEndpointOf(tgt)] }, nil,
+		func(tgt storage.Target) bool { return used[tgt] || h.down(tgt) }, nil,
 		func(tgt storage.Target) error {
 			t0 := p.Now()
 			ref, err := c.CreateObjectTxn(p, tgt, caps, h.tx)
@@ -633,7 +621,7 @@ func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, pr
 			refs = append(refs, ref)
 			return nil
 		},
-		func(tgt storage.Target) { h.markFailed(core.TxnEndpointOf(tgt)) })
+		h.markDown)
 	if len(refs) > 0 && errors.Is(err, core.ErrRanOut) {
 		return refs, nil
 	}
@@ -664,7 +652,7 @@ func rehomeFailed(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, r
 	for changed := true; changed; {
 		changed = false
 		for rank, ref := range refs {
-			if !h.failed[core.TxnEndpointOf(storage.TargetOf(ref))] {
+			if !h.down(storage.TargetOf(ref)) {
 				continue
 			}
 			nrefs, err := placeCopies(p, c, caps, h, rank+placement, payloadFor(rank, cfg), 1, true, t)
@@ -678,22 +666,43 @@ func rehomeFailed(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, r
 	return nil
 }
 
-// sealTxn shrinks the commit set to the servers that still matter: every
-// failed server holding no manifest-referenced object is delisted, so its
-// vote (it is likely crashed or partitioned) cannot veto the checkpoint,
-// and its journaled provisional creates resolve by presumed abort on
-// recovery. A failed server that *does* still hold a referenced object — a
-// crash in the narrow window after re-homing — stays enlisted: its prepare
-// then fails and the transaction aborts loudly, never silently committing a
-// manifest that references deleted data.
-func sealTxn(h *txnHandle, refs []storage.ObjRef, mdRef storage.ObjRef) {
-	referenced := make(map[txn.Endpoint]bool, len(refs)+1)
-	for _, r := range refs {
-		referenced[core.TxnEndpointOf(storage.TargetOf(r))] = true
+// publishManifest is the commit tail every dump mode ends in: write the
+// encoded manifest to up to mirrors servers (placeCopies), seal the commit
+// set, record every mirror that landed under the checkpoint's name and
+// commit. pinned are the objects whose servers must vote (see sealTxn); the
+// mirrors just written join them. A mid-commit crash of a manifest server
+// either aborts the transaction (no manifest) or leaves an entry whose
+// mirrors all hold the same bytes (fully restorable) — never a
+// half-published manifest.
+func publishManifest(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, placement int, manifest []byte, mirrors int, pinned []storage.ObjRef, t *ProcTimes) {
+	mdRefs, err := placeCopies(p, c, caps, h, placement, netsim.BytesPayload(manifest), mirrors, false, t)
+	if err != nil {
+		panic(fmt.Sprintf("md object: %v", err))
 	}
-	referenced[core.TxnEndpointOf(storage.TargetOf(mdRef))] = true
+	sealTxn(h, slices.Concat(pinned, mdRefs))
+	if err := c.CreateNameRefs(p, "/ckpt-0001", mdRefs, h.tx); err != nil {
+		panic(fmt.Sprintf("name: %v", err))
+	}
+	if err := h.tx.Commit(p); err != nil {
+		panic(fmt.Sprintf("commit: %v", err))
+	}
+}
+
+// sealTxn shrinks the commit set to the servers that still matter: every
+// failed server holding no pinned object is delisted, so its vote (it is
+// likely crashed or partitioned) cannot veto the checkpoint — or, on the
+// abort path, hang the rollback — and its journaled provisional creates
+// resolve by presumed abort on recovery. A failed server that *does* still
+// hold a pinned object — a crash in the narrow window after re-homing —
+// stays enlisted: its prepare then fails and the transaction aborts loudly,
+// never silently committing a manifest that references deleted data.
+func sealTxn(h *txnHandle, pinned []storage.ObjRef) {
+	keep := make(map[txn.Endpoint]bool, len(pinned))
+	for _, r := range pinned {
+		keep[core.TxnEndpointOf(storage.TargetOf(r))] = true
+	}
 	for _, ep := range h.failedOrder {
-		if !referenced[ep] {
+		if !keep[ep] {
 			h.tx.Delist(ep)
 		}
 	}

@@ -37,8 +37,8 @@ func TestDeterminism1kClients(t *testing.T) {
 			BytesPerProc: 1 << 20,
 			Seed:         seed,
 			JitterMax:    2 * time.Millisecond,
-			// DefaultRetry's per-attempt timeout, scaled up: 1000 ranks
-			// funneling into 4 buffers queue far past 20ms, and the point
+			// A generous per-attempt timeout: 1000 ranks funneling into 4
+			// buffers queue far past a control RPC's 20ms, and the point
 			// here is arming+canceling timeouts, not tripping them.
 			Retry: portals.RetryPolicy{
 				MaxAttempts: 4,

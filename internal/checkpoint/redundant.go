@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"lwfs/internal/core"
-	"lwfs/internal/netsim"
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
@@ -97,7 +96,7 @@ func dumpRedundant(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, 
 	used := make(map[storage.Target]bool)
 	objs := make([]storage.ObjRef, 0, need)
 	err := core.Walk(core.Rotate(c.Servers(), rank+placement), need,
-		func(tgt storage.Target) bool { return h.failed[core.TxnEndpointOf(tgt)] },
+		h.down,
 		func(tgt storage.Target) bool { return used[tgt] },
 		func(tgt storage.Target) error {
 			ref, err := c.CreateObjectTxn(p, tgt, caps, h.tx)
@@ -107,7 +106,7 @@ func dumpRedundant(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, 
 			}
 			return err
 		},
-		func(tgt storage.Target) { h.markFailed(core.TxnEndpointOf(tgt)) })
+		h.markDown)
 	if errors.Is(err, core.ErrRanOut) {
 		out.err = fmt.Errorf("checkpoint: rank %d: %d of %d objects placed before the healthy pool ran out", rank, len(objs), need)
 		return out
@@ -130,7 +129,7 @@ func dumpRedundant(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, 
 	eng := stripe.NewEngine(c, caps, stripe.DefaultWindow)
 	_, lost, err := eng.WriteAtTolerant(p, l, 0, payloadFor(rank, cfg))
 	for _, lt := range lost {
-		h.markFailed(core.TxnEndpointOf(lt))
+		h.markDown(lt)
 	}
 	if err != nil {
 		out.err = fmt.Errorf("checkpoint: rank %d dump: %w", rank, err)
@@ -143,7 +142,7 @@ func dumpRedundant(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, 
 	// rather than failing the whole barrier.
 	t2 := p.Now()
 	for _, tg := range l.Targets() {
-		if h.failed[core.TxnEndpointOf(tg)] {
+		if h.down(tg) {
 			continue
 		}
 		if err := c.Sync(p, tg, caps); err != nil {
@@ -151,7 +150,7 @@ func dumpRedundant(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, 
 				out.err = fmt.Errorf("checkpoint: rank %d sync: %w", rank, err)
 				return out
 			}
-			h.markFailed(core.TxnEndpointOf(tg))
+			h.markDown(tg)
 		}
 	}
 	out.t.Sync = p.Now().Sub(t2)
@@ -168,14 +167,13 @@ func dumpRedundant(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, 
 // server resolves its provisional creates by presumed abort, so the
 // layouts' missing columns are rebuilt (or re-dumped), never re-read.
 func redundantTail(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, layouts []stripe.Layout, dumpErrs []error, placement int, cfg Config, mdT *ProcTimes) (aborted bool) {
-	down := func(t storage.Target) bool { return h.failed[core.TxnEndpointOf(t)] }
 	var bad error
 	for rank := range layouts {
 		if dumpErrs[rank] != nil {
 			bad = dumpErrs[rank]
 			break
 		}
-		if !layouts[rank].Recoverable(down) {
+		if !layouts[rank].Recoverable(h.down) {
 			bad = fmt.Errorf("checkpoint: rank %d layout unrecoverable after server failures", rank)
 			break
 		}
@@ -183,31 +181,14 @@ func redundantTail(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, 
 	if bad != nil {
 		// Dead participants cannot acknowledge the rollback; drop them
 		// first so the abort reaches the survivors instead of hanging.
-		for _, ep := range h.failedOrder {
-			h.tx.Delist(ep)
-		}
+		sealTxn(h, nil)
 		if aerr := h.tx.Abort(p); aerr != nil {
 			panic(fmt.Sprintf("abort after %v: %v", bad, aerr))
 		}
 		return true
 	}
-	mdRefs, err := placeCopies(p, c, caps, h, placement,
-		netsim.BytesPayload(EncodeMetadataV2(layouts, cfg.BytesPerProc)), cfg.Redundant.metaCopies(), false, mdT)
-	if err != nil {
-		panic(fmt.Sprintf("md object: %v", err))
-	}
-	for _, ep := range h.failedOrder {
-		h.tx.Delist(ep)
-	}
-	// The commit records every surviving mirror in the naming entry; a
-	// mid-commit crash of a manifest server either aborts the transaction
-	// (no manifest) or leaves an entry whose mirrors all hold the same
-	// bytes (fully restorable) — never a half-published manifest.
-	if err := c.CreateNameRefs(p, "/ckpt-0001", mdRefs, h.tx); err != nil {
-		panic(fmt.Sprintf("name: %v", err))
-	}
-	if err := h.tx.Commit(p); err != nil {
-		panic(fmt.Sprintf("commit: %v", err))
-	}
+	// No data object pins its server: the layouts were just shown to survive
+	// abandoning every failed server's copies.
+	publishManifest(p, c, caps, h, placement, EncodeMetadataV2(layouts, cfg.BytesPerProc), cfg.Redundant.metaCopies(), nil, mdT)
 	return false
 }

@@ -209,9 +209,6 @@ func readManifest(p *sim.Proc, c *core.Client, caps core.CapSet, refs []storage.
 	return payload, err
 }
 
-// restoreWindow bounds RestoreRead's fan-out for v2 layouts.
-const restoreWindow = 8
-
 // RestoreRead reads one rank's checkpointed state: directly from its object
 // for v1 manifests, through the stripe engine for v2 — where a dead
 // server's objects are reconstructed from the survivors, so a restore
@@ -221,7 +218,7 @@ func RestoreRead(p *sim.Proc, c *core.Client, caps core.CapSet, m Manifest, rank
 		return netsim.Payload{}, fmt.Errorf("checkpoint: rank %d out of range", rank)
 	}
 	if len(m.Layouts) > 0 {
-		eng := stripe.NewEngine(c, caps, restoreWindow)
+		eng := stripe.NewEngine(c, caps, stripe.DefaultWindow)
 		return eng.ReadAt(p, m.Layouts[rank], 0, m.BytesPerProc)
 	}
 	return c.Read(p, m.Refs[rank], caps, 0, m.BytesPerProc)

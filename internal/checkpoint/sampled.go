@@ -79,36 +79,20 @@ type SampledRanks struct {
 	// TotalRanks is the full job size; TotalRanks-Procs ranks become
 	// shadow load. Must be >= Procs.
 	TotalRanks int
-	// Streams is the number of concurrent shadow streams per target
-	// (storage server, or burst buffer in burst mode; default 2). Streams
-	// write their ranks sequentially with one chunk outstanding, so this
-	// bounds shadow data-plane concurrency per target.
-	Streams int
-	// ChunkSize is the shadow wire chunk (default 1 MiB, the storage
-	// tier's default transfer granularity).
-	ChunkSize int64
 	// DrainsPerBuffer is the burst-mode shadow drain concurrency per
 	// buffer (default 2, matching burst.DefaultConfig().DrainWorkers).
 	DrainsPerBuffer int
-	// Window bounds staged-but-undrained shadow bytes per buffer before
-	// the staging ack backpressures (default: the cluster's
-	// Spec.Burst.StageCapacity). Only meaningful in burst mode.
-	Window int64
 }
 
-func (s *SampledRanks) streams() int {
-	if s.Streams > 0 {
-		return s.Streams
-	}
-	return 2
-}
+// shadowStreams is the number of concurrent shadow streams per target
+// (storage server, or burst buffer in burst mode). Streams write their
+// ranks sequentially with one chunk outstanding, so this bounds shadow
+// data-plane concurrency per target.
+const shadowStreams = 2
 
-func (s *SampledRanks) chunkSize() int64 {
-	if s.ChunkSize > 0 {
-		return s.ChunkSize
-	}
-	return 1 << 20
-}
+// shadowChunkSize is the shadow wire chunk: the storage tier's default
+// transfer granularity.
+const shadowChunkSize int64 = 1 << 20
 
 func (s *SampledRanks) drains() int {
 	if s.DrainsPerBuffer > 0 {
@@ -250,7 +234,6 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 	if shadow == 0 || cfg.BytesPerProc == 0 {
 		return sl, nil
 	}
-	chunk := sr.chunkSize()
 	k := cl.K
 	reg := cl.Metrics()
 	reg.GaugeFunc("shadow.bytes_acked", func() int64 { return sl.acked })
@@ -264,22 +247,19 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 		sink := &shadowSink{load: sl, dev: s.Device()}
 		port := shadowPortalBase + portals.Index(i%spn)
 		portals.Serve(cl.StorageN[i/spn], port, fmt.Sprintf("shadow/osd%d.%d", i/spn, i%spn),
-			sr.streams()+sr.drains(), sink.handle)
+			shadowStreams+sr.drains(), sink.handle)
 		storTargets[i] = shadowTarget{node: s.Node(), port: port}
 	}
 
 	// Injector targets: buffers in burst mode, storage servers otherwise.
 	targets := storTargets
 	burstMode := len(cfg.Burst) > 0 && len(l.Burst) > 0
-	nchunksPerRank := int((cfg.BytesPerProc + chunk - 1) / chunk)
+	nchunksPerRank := int((cfg.BytesPerProc + shadowChunkSize - 1) / shadowChunkSize)
 	if burstMode {
-		window := sr.Window
-		if window <= 0 {
-			window = cl.Spec.Burst.StageCapacity
-		}
-		if window < chunk {
-			window = chunk
-		}
+		// Staged-but-undrained shadow bytes per buffer are bounded like the
+		// real tier's, by the stage capacity; past it the staging ack
+		// backpressures.
+		window := max(cl.Spec.Burst.StageCapacity, shadowChunkSize)
 		targets = make([]shadowTarget, len(l.Burst))
 		nbuf := len(l.Burst)
 		for bi, bs := range l.Burst {
@@ -289,7 +269,7 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 				opCost: cl.Spec.Burst.OpCost,
 			}
 			portals.Serve(cl.BurstN[bi], shadowPortalBase, fmt.Sprintf("shadow/bb%d", bi),
-				sr.streams()+2, buf.handle)
+				shadowStreams+2, buf.handle)
 			targets[bi] = shadowTarget{node: bs.Node(), port: shadowPortalBase}
 
 			// Drain pipeline: forward staged chunks to the storage sinks,
@@ -335,20 +315,19 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 		callers[i] = portals.NewCaller(portals.NewEndpoint(cl.Net, nd))
 	}
 
-	// Streams: per target, sr.streams() sequential-rank writers, started
+	// Streams: per target, shadowStreams sequential-rank writers, started
 	// with the same jitter window the exact ranks use.
 	jmax := cfg.JitterMax
 	if jmax <= 0 {
 		jmax = time.Millisecond
 	}
 	rng := sim.NewRand(cfg.Seed ^ 0x5ad0_5eed)
-	streams := sr.streams()
 	src := 0
 	for ti := range targets {
 		tgt := targets[ti]
 		ranksHere := shadow/len(targets) + btoi(ti < shadow%len(targets))
-		for s := 0; s < streams; s++ {
-			myRanks := ranksHere/streams + btoi(s < ranksHere%streams)
+		for s := 0; s < shadowStreams; s++ {
+			myRanks := ranksHere/shadowStreams + btoi(s < ranksHere%shadowStreams)
 			delay := rng.Duration(jmax)
 			if myRanks == 0 {
 				continue
@@ -359,7 +338,7 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 				p.Sleep(delay)
 				for r := 0; r < myRanks; r++ {
 					for rem := cfg.BytesPerProc; rem > 0; {
-						n := chunk
+						n := shadowChunkSize
 						if rem < n {
 							n = rem
 						}

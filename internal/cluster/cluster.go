@@ -36,7 +36,6 @@ const LockPortal portals.Index = 14
 
 // Spec describes a cluster to build.
 type Spec struct {
-	Name           string
 	ComputeNodes   int
 	StorageNodes   int
 	ServersPerNode int // storage servers (OSTs) per storage node
@@ -84,7 +83,6 @@ const mb = 1 << 20
 // MetaStor fibre-channel RAID), 31 compute nodes.
 func DevCluster() Spec {
 	return Spec{
-		Name:           "sandia-io-dev",
 		ComputeNodes:   31,
 		StorageNodes:   8,
 		ServersPerNode: 2,
@@ -123,7 +121,6 @@ func RedStorm() Spec {
 	disk := osd.DefaultDiskParams()
 	disk.BandwidthBps = 400 * mb
 	return Spec{
-		Name:           "red-storm",
 		ComputeNodes:   10368,
 		StorageNodes:   256,
 		ServersPerNode: 1,

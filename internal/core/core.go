@@ -160,9 +160,18 @@ func (c *Client) Endpoint() *portals.Endpoint { return c.ep }
 func (c *Client) Servers() []storage.Target { return c.sys.Storage }
 
 // Server returns storage server i (modulo the server count), a convenient
-// round-robin placement primitive.
+// round-robin placement primitive. Any i is in range, negative too: callers
+// pass hashes and sums that may have wrapped.
 func (c *Client) Server(i int) storage.Target {
-	return c.sys.Storage[i%len(c.sys.Storage)]
+	return c.sys.Storage[mod(i, len(c.sys.Storage))]
+}
+
+// mod is the Euclidean remainder of i by n > 0: in [0, n) whatever i's sign.
+func mod(i, n int) int {
+	if i %= n; i < 0 {
+		i += n
+	}
+	return i
 }
 
 // Locks returns the lock client (nil if the system has no lock service).

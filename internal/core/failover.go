@@ -20,14 +20,16 @@ import (
 // untouched. The last fail-stop error seen, if any, is wrapped beside it.
 var ErrRanOut = errors.New("core: ran out of failover candidates")
 
-// Rotate returns s rotated left by start (modulo len(s)): the placement
-// rotation "server start, start+1, …" as a candidate list. s itself comes
-// back when there is nothing to rotate.
+// Rotate returns s rotated left by start (modulo len(s), any sign): the
+// placement rotation "server start, start+1, …" as a candidate list. s
+// itself comes back when there is nothing to rotate.
 func Rotate[T any](s []T, start int) []T {
-	if len(s) == 0 || start%len(s) == 0 {
+	if len(s) == 0 {
 		return s
 	}
-	start %= len(s)
+	if start = mod(start, len(s)); start == 0 {
+		return s
+	}
 	return slices.Concat(s[start:], s[:start])
 }
 

@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -39,7 +40,9 @@ func TestFailoverPredicate(t *testing.T) {
 
 func TestFailoverRotate(t *testing.T) {
 	s := []int{0, 1, 2, 3}
-	for start, want := range map[int][]int{0: {0, 1, 2, 3}, 1: {1, 2, 3, 0}, 4: {0, 1, 2, 3}, 7: {3, 0, 1, 2}} {
+	for start, want := range map[int][]int{0: {0, 1, 2, 3}, 1: {1, 2, 3, 0}, 4: {0, 1, 2, 3}, 7: {3, 0, 1, 2},
+		// Any int is a rotation: a hash may be negative, a sum may have wrapped.
+		-1: {3, 0, 1, 2}, -6: {2, 3, 0, 1}, math.MinInt64: {0, 1, 2, 3}, math.MaxInt64: {3, 0, 1, 2}} {
 		if got := core.Rotate(s, start); !reflect.DeepEqual(got, want) {
 			t.Errorf("Rotate(%d) = %v, want %v", start, got, want)
 		}
@@ -49,6 +52,20 @@ func TestFailoverRotate(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s, []int{0, 1, 2, 3}) {
 		t.Errorf("Rotate modified its input: %v", s)
+	}
+}
+
+// TestFailoverServerIndex: Client.Server is the same modulus, so placement
+// arithmetic on a negative or wrapped index stays in range.
+func TestFailoverServerIndex(t *testing.T) {
+	cl, l := smallCluster()
+	defer cl.Close()
+	c := cl.NewClient(l, 0)
+	servers := c.Servers()
+	for i, want := range map[int]int{0: 0, 5: 1, -1: 3, -6: 2, math.MinInt64: 0, math.MaxInt64: 3, math.MinInt64 + 1: 1} {
+		if got := c.Server(i); got != servers[want] {
+			t.Errorf("Server(%d) = %v, want server %d (%v)", i, got, want, servers[want])
+		}
 	}
 }
 

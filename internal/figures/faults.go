@@ -30,25 +30,27 @@ import (
 
 // FaultOpts parameterize the fault sweep.
 type FaultOpts struct {
-	DropProbs    []float64 // drop probability per point (0 = clean baseline)
-	Procs        int
-	Servers      int
-	BytesPerProc int64
-	Trials       int
-	Progress     func(format string, args ...interface{}) // optional
+	DropProbs []float64 // drop probability per point (0 = clean baseline)
+	Procs     int
+	Servers   int
+	Trials    int
+	Progress  func(format string, args ...interface{}) // optional
 }
+
+// faultBytesPerProc is each rank's dump size; faultRetry's timeout is sized
+// to it.
+const faultBytesPerProc = 1 << 20
 
 func (o *FaultOpts) defaults() {
 	defList(&o.DropProbs, 0, 0.01, 0.05, 0.10)
 	def(&o.Procs, 8)
 	def(&o.Servers, 4)
-	def(&o.BytesPerProc, 1<<20)
 	def(&o.Trials, 3)
 }
 
 // faultRetry is the client policy for lossy-fabric runs: the timeout covers
-// one healthy BytesPerProc write (disk time included) so only real losses
-// trigger retransmission.
+// one healthy faultBytesPerProc write (disk time included) so only real
+// losses trigger retransmission.
 var faultRetry = portals.RetryPolicy{
 	MaxAttempts: 6,
 	Timeout:     60 * time.Millisecond,
@@ -121,7 +123,7 @@ func (opts FaultOpts) trial(pt *FaultPoint, trial int) ([]MetricsCapture, error)
 
 	res, err := checkpoint.SetupLWFS(cl, l, checkpoint.Config{
 		Procs:        opts.Procs,
-		BytesPerProc: opts.BytesPerProc,
+		BytesPerProc: faultBytesPerProc,
 		Seed:         seed,
 		Retry:        faultRetry,
 	})
@@ -152,7 +154,7 @@ func (opts FaultOpts) trial(pt *FaultPoint, trial int) ([]MetricsCapture, error)
 // baseline.
 func (r FaultResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Fault injection: %d-process LWFS checkpoint, %d servers, %d MB/process, %d trials\n",
-		r.Opts.Procs, r.Opts.Servers, r.Opts.BytesPerProc>>20, r.Opts.Trials)
+		r.Opts.Procs, r.Opts.Servers, faultBytesPerProc>>20, r.Opts.Trials)
 	fmt.Fprintln(w, "# storage-link drop probability vs completion time (graceful degradation, §3/§4)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "drop\telapsed (ms)\tslowdown\tdropped msgs\tdeduped retries")

@@ -27,9 +27,7 @@ import (
 
 // MetaOpts parameterize the sweep.
 type MetaOpts struct {
-	Servers  int                                      // storage servers, one per node (default 6)
 	FileKB   int64                                    // per-file payload in KB (default 256)
-	Copies   []int                                    // metadata mirror counts (default 1,2,3)
 	Files    []int                                    // file counts for the re-homing sweep (default 4,8)
 	Trials   int                                      // trials per point (default 3)
 	Progress func(format string, args ...interface{}) // optional
@@ -38,10 +36,10 @@ type MetaOpts struct {
 	Metrics bool
 }
 
+const metaServers = 6 // storage servers, one per node
+
 func (o *MetaOpts) defaults() {
-	def(&o.Servers, 6)
 	def(&o.FileKB, 256)
-	defList(&o.Copies, 1, 2, 3)
 	defList(&o.Files, 4, 8)
 	def(&o.Trials, 3)
 }
@@ -120,9 +118,9 @@ func MetaSweep(opts MetaOpts) (res MetaResult, err error) {
 	res.Opts = opts
 	cfg := sweepCfg{opts.Trials, opts.Metrics, opts.Progress}
 
-	byCopies := make([]metaCopiesPoint, len(opts.Copies))
-	for i, m := range opts.Copies {
-		byCopies[i] = metaCopiesPoint{MetaWritePoint{Copies: m}, MetaOpenPoint{Copies: m}}
+	var byCopies []metaCopiesPoint
+	for _, m := range []int{1, 2, 3} { // the metadata mirror counts under test
+		byCopies = append(byCopies, metaCopiesPoint{MetaWritePoint{Copies: m}, MetaOpenPoint{Copies: m}})
 	}
 	_, res.Captures, err = sweep(cfg, byCopies, opts.openTrial)
 	for _, pt := range byCopies {
@@ -160,7 +158,7 @@ func (pt *MetaRebuildPoint) summary() string {
 // a single record the post-crash open fails by design; that is recorded,
 // not treated as an error.
 func (opts MetaOpts) openTrial(pt *metaCopiesPoint, trial int) ([]MetricsCapture, error) {
-	r := newRig(onePerNode(opts.Servers))
+	r := newRig(onePerNode(metaServers))
 	copies := pt.w.Copies
 	bytes := opts.FileKB << 10
 	mc, err := r.bench(metaRetry, int64(trial)+41, func(p *sim.Proc, c *core.Client) error {
@@ -222,7 +220,7 @@ func (opts MetaOpts) openTrial(pt *metaCopiesPoint, trial int) ([]MetricsCapture
 // file — re-homing lost metadata mirrors (and repairing any data copies the
 // dead server held) onto the survivors.
 func (opts MetaOpts) rehomeTrial(pt *MetaRebuildPoint, trial int) ([]MetricsCapture, error) {
-	r := newRig(onePerNode(opts.Servers))
+	r := newRig(onePerNode(metaServers))
 	bytes := opts.FileKB << 10
 	var elapsed time.Duration
 	mc, err := r.bench(metaRetry, int64(trial)+53, func(p *sim.Proc, c *core.Client) error {
@@ -272,7 +270,7 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 // Render prints the three tables.
 func (r MetaResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Replicated metadata: %d servers, %d KB files, replica-2 data, %d trials\n",
-		r.Opts.Servers, r.Opts.FileKB, r.Opts.Trials)
+		metaServers, r.Opts.FileKB, r.Opts.Trials)
 
 	fmt.Fprintln(w, "\n## create / metadata-flush latency vs mirror count")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

@@ -15,7 +15,6 @@ import (
 func TestMetaSweepShape(t *testing.T) {
 	opts := figures.MetaOpts{
 		FileKB:  128,
-		Copies:  []int{1, 2, 3},
 		Files:   []int{2, 4},
 		Trials:  1,
 		Metrics: true,

@@ -37,31 +37,25 @@ import (
 
 // QoSOpts parameterizes the QoS sweep.
 type QoSOpts struct {
-	Procs        int   // large-tenant checkpoint processes
-	Servers      int   // storage servers
-	BytesPerProc int64 // large-tenant dump size per process
-	// StageCapacity bounds the burst tier's write-behind window; sized
-	// below Procs*BytesPerProc it forces part of the checkpoint into
-	// synchronous pass-through, the interesting contention regime.
-	StageCapacity   int64
-	InteractiveSize int64         // small-tenant write size
-	InteractiveGap  time.Duration // small-tenant inter-arrival gap
-	Trials          int
-	Progress        func(format string, args ...interface{}) // optional
+	Trials   int
+	Progress func(format string, args ...interface{}) // optional
 	// Metrics captures a registry snapshot pair for the last trial of
 	// every mode, rendered by `lwfsbench -metrics`.
 	Metrics bool
 }
 
-func (o *QoSOpts) defaults() {
-	def(&o.Procs, 8)
-	def(&o.Servers, 2)
-	def(&o.BytesPerProc, 4<<20)
-	def(&o.StageCapacity, 8<<20)
-	def(&o.InteractiveSize, 64<<10)
-	def(&o.InteractiveGap, 2*time.Millisecond)
-	def(&o.Trials, 3)
-}
+// Part A's fixed workload.
+const (
+	qosProcs        = 8       // large-tenant checkpoint processes
+	qosServers      = 2       // storage servers
+	qosBytesPerProc = 4 << 20 // large-tenant dump size per process
+	// qosStageCapacity bounds the burst tier's write-behind window; sized
+	// below qosProcs*qosBytesPerProc it forces part of the checkpoint into
+	// synchronous pass-through, the interesting contention regime.
+	qosStageCapacity   = 8 << 20
+	qosInteractiveSize = 64 << 10             // small-tenant write size
+	qosInteractiveGap  = 2 * time.Millisecond // small-tenant inter-arrival gap
+)
 
 // QoSPoint is part A's measurement for one admission configuration.
 type QoSPoint struct {
@@ -92,14 +86,14 @@ type QoSResult struct {
 // per-tenant DRR admission on the storage and burst servers, and drain
 // workers yielding to foreground pass-through.
 func QoSSweep(opts QoSOpts) (res QoSResult, err error) {
-	opts.defaults()
+	def(&opts.Trials, 3)
 	res.Opts = opts
 	cfg := sweepCfg{opts.Trials, opts.Metrics, opts.Progress}
 	modes := []QoSPoint{{Mode: "off"}, {Mode: "fair"}, {Mode: "fair+prio"}}
-	if res.Points, res.Captures, err = sweep(cfg, modes, opts.fairTrial); err != nil {
+	if res.Points, res.Captures, err = sweep(cfg, modes, qosFairTrial); err != nil {
 		return res, err
 	}
-	res.Breaker, _, err = sweep(cfg, []QoSBreakerPoint{{Breaker: false}, {Breaker: true}}, opts.breakerTrial)
+	res.Breaker, _, err = sweep(cfg, []QoSBreakerPoint{{Breaker: false}, {Breaker: true}}, qosBreakerTrial)
 	return res, err
 }
 
@@ -115,14 +109,14 @@ func (pt *QoSBreakerPoint) summary() string {
 		pt.Lat.Percentile(50), pt.Lat.Percentile(99), pt.Timeouts.Mean())
 }
 
-// fairTrial runs one part-A trial: checkpoint through the burst tier with an
-// interactive tenant alongside.
-func (opts QoSOpts) fairTrial(pt *QoSPoint, trial int) ([]MetricsCapture, error) {
+// qosFairTrial runs one part-A trial: checkpoint through the burst tier with
+// an interactive tenant alongside.
+func qosFairTrial(pt *QoSPoint, trial int) ([]MetricsCapture, error) {
 	admission, yield := pt.Mode != "off", pt.Mode == "fair+prio"
-	spec := cluster.DevCluster().WithServers(opts.Servers)
-	spec.ComputeNodes = opts.Procs + 1 // last node hosts the interactive tenant
+	spec := cluster.DevCluster().WithServers(qosServers)
+	spec.ComputeNodes = qosProcs + 1 // last node hosts the interactive tenant
 	spec.BurstNodes = 1
-	spec.Burst.StageCapacity = opts.StageCapacity
+	spec.Burst.StageCapacity = qosStageCapacity
 	spec.Burst.NoDrainYield = !yield
 	// One service thread per storage server: requests queue in front of the
 	// RPC dispatch (where admission can reorder them) instead of fanning
@@ -137,8 +131,8 @@ func (opts QoSOpts) fairTrial(pt *QoSPoint, trial int) ([]MetricsCapture, error)
 	cl.RegisterUser("ia", "s3cret")
 
 	ckRes, err := checkpoint.SetupLWFS(cl, l, checkpoint.Config{
-		Procs:        opts.Procs,
-		BytesPerProc: opts.BytesPerProc,
+		Procs:        qosProcs,
+		BytesPerProc: qosBytesPerProc,
 		Seed:         int64(trial)*104729 + 17,
 		Burst:        l.BurstTargets(),
 	})
@@ -153,7 +147,7 @@ func (opts QoSOpts) fairTrial(pt *QoSPoint, trial int) ([]MetricsCapture, error)
 	var trialLat stats.Sample
 	var ierr error
 	spawn(cl.K, "interactive", &ierr, func(p *sim.Proc) error {
-		c := cl.NewClient(l, opts.Procs)
+		c := cl.NewClient(l, qosProcs)
 		if err := c.Login(p, "ia", "s3cret"); err != nil {
 			return err
 		}
@@ -163,11 +157,11 @@ func (opts QoSOpts) fairTrial(pt *QoSPoint, trial int) ([]MetricsCapture, error)
 		}
 		for i := 0; i < 4000 && ckRes.Durable == 0; i++ {
 			start := p.Now()
-			if _, err := c.Write(p, ref, caps, 0, netsim.SyntheticPayload(opts.InteractiveSize)); err != nil {
+			if _, err := c.Write(p, ref, caps, 0, netsim.SyntheticPayload(qosInteractiveSize)); err != nil {
 				return err
 			}
 			trialLat.Add(float64(p.Now().Sub(start)) / float64(time.Millisecond))
-			p.Sleep(opts.InteractiveGap)
+			p.Sleep(qosInteractiveGap)
 		}
 		return nil
 	})
@@ -207,9 +201,9 @@ var qosFlapRetry = portals.RetryPolicy{
 	Jitter:      100 * time.Microsecond,
 }
 
-// breakerTrial runs one part-B trial: writes with manual failover while
+// qosBreakerTrial runs one part-B trial: writes with manual failover while
 // server 0 is down for a 100 ms window.
-func (opts QoSOpts) breakerTrial(pt *QoSBreakerPoint, trial int) ([]MetricsCapture, error) {
+func qosBreakerTrial(pt *QoSBreakerPoint, trial int) ([]MetricsCapture, error) {
 	spec := cluster.DevCluster().WithServers(2)
 	spec.ComputeNodes = 1
 	r := newRig(spec)
@@ -238,7 +232,7 @@ func (opts QoSOpts) breakerTrial(pt *QoSBreakerPoint, trial int) ([]MetricsCaptu
 		}
 		for i := 0; i < qosFlapIters; i++ {
 			start := p.Now()
-			_, err := c.Write(p, refA, caps, 0, netsim.SyntheticPayload(opts.InteractiveSize))
+			_, err := c.Write(p, refA, caps, 0, netsim.SyntheticPayload(qosInteractiveSize))
 			if err != nil {
 				// A fast-fail is fail-stop too: test it first.
 				switch {
@@ -249,7 +243,7 @@ func (opts QoSOpts) breakerTrial(pt *QoSBreakerPoint, trial int) ([]MetricsCaptu
 				default:
 					return err
 				}
-				if _, err := c.Write(p, refB, caps, 0, netsim.SyntheticPayload(opts.InteractiveSize)); err != nil {
+				if _, err := c.Write(p, refB, caps, 0, netsim.SyntheticPayload(qosInteractiveSize)); err != nil {
 					return err
 				}
 			}
@@ -271,7 +265,7 @@ func (opts QoSOpts) breakerTrial(pt *QoSBreakerPoint, trial int) ([]MetricsCaptu
 // acceptance headline.
 func (r QoSResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Multi-tenant QoS: %d-proc x %d MB checkpoint through 1 burst node (%d MB window) vs %d KB interactive writes, %d servers, %d trials\n",
-		r.Opts.Procs, r.Opts.BytesPerProc>>20, r.Opts.StageCapacity>>20, r.Opts.InteractiveSize>>10, r.Opts.Servers, r.Opts.Trials)
+		qosProcs, qosBytesPerProc>>20, qosStageCapacity>>20, qosInteractiveSize>>10, qosServers, r.Opts.Trials)
 	fmt.Fprintln(w, "# interactive-tenant write latency while the large tenant checkpoints")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "admission\tp50 (ms)\tp99 (ms)\tp99 vs off\tdurable (ms)\tdrain yields\tshed")

@@ -26,22 +26,22 @@ import (
 
 // RebuildOpts parameterize the sweep.
 type RebuildOpts struct {
-	Servers  int                                      // storage servers, one per node (default 4)
 	DataMB   int64                                    // per-layout payload in MB (default 8)
-	Unit     int64                                    // stripe unit (default 256 KiB)
 	Objects  []int                                    // layout counts for the rebuild-time sweep (default 4,8,16)
 	Trials   int                                      // trials per point (default 3)
-	Window   int                                      // engine fan-out window (0 = stripe default)
 	Progress func(format string, args ...interface{}) // optional
 	// Metrics captures registry snapshots for the last trial of each
 	// degraded-read and rebuild point, for `lwfsbench -metrics`.
 	Metrics bool
 }
 
+const (
+	rebuildServers = 4         // storage servers, one per node
+	rebuildUnit    = 256 << 10 // stripe unit
+)
+
 func (o *RebuildOpts) defaults() {
-	def(&o.Servers, 4)
 	def(&o.DataMB, 8)
-	def(&o.Unit, 256<<10)
 	defList(&o.Objects, 4, 8, 16)
 	def(&o.Trials, 3)
 }
@@ -171,16 +171,16 @@ func crashServer(l *cluster.LWFS, t storage.Target) {
 // writeTrial measures one full-stripe write's logical bandwidth.
 func (opts RebuildOpts) writeTrial(pt *RebuildWritePoint, trial int) ([]MetricsCapture, error) {
 	bytes := opts.DataMB << 20
-	_, err := newRig(onePerNode(opts.Servers)).bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
+	_, err := newRig(onePerNode(rebuildServers)).bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
 		caps, err := allCaps(p, c)
 		if err != nil {
 			return err
 		}
-		l, err := rebuildLayout(p, c, caps, pt.Scheme, trial, opts.Unit, bytes)
+		l, err := rebuildLayout(p, c, caps, pt.Scheme, trial, rebuildUnit, bytes)
 		if err != nil {
 			return err
 		}
-		eng := stripe.NewEngine(c, caps, opts.Window)
+		eng := stripe.NewEngine(c, caps, 0)
 		t0 := p.Now()
 		if _, err := eng.WriteAt(p, l, 0, netsim.SyntheticPayload(bytes)); err != nil {
 			return err
@@ -194,18 +194,18 @@ func (opts RebuildOpts) writeTrial(pt *RebuildWritePoint, trial int) ([]MetricsC
 // readTrial measures one full read healthy, then crashes the server behind
 // the layout's second object and measures the degraded read.
 func (opts RebuildOpts) readTrial(pt *RebuildReadPoint, trial int) ([]MetricsCapture, error) {
-	r := newRig(onePerNode(opts.Servers))
+	r := newRig(onePerNode(rebuildServers))
 	bytes := opts.DataMB << 20
 	mc, err := r.bench(rebuildRetry, int64(trial)+17, func(p *sim.Proc, c *core.Client) error {
 		caps, err := allCaps(p, c)
 		if err != nil {
 			return err
 		}
-		l, err := rebuildLayout(p, c, caps, pt.Scheme, trial, opts.Unit, bytes)
+		l, err := rebuildLayout(p, c, caps, pt.Scheme, trial, rebuildUnit, bytes)
 		if err != nil {
 			return err
 		}
-		eng := stripe.NewEngine(c, caps, opts.Window)
+		eng := stripe.NewEngine(c, caps, 0)
 		if _, err := eng.WriteAt(p, l, 0, netsim.SyntheticPayload(bytes)); err != nil {
 			return err
 		}
@@ -229,17 +229,17 @@ func (opts RebuildOpts) readTrial(pt *RebuildReadPoint, trial int) ([]MetricsCap
 // repairTrial writes n parity layouts, crashes one server, and times a
 // Rebuilder repairing every layout that lost an object to it.
 func (opts RebuildOpts) repairTrial(pt *RebuildPoint, trial int) ([]MetricsCapture, error) {
-	r := newRig(onePerNode(opts.Servers))
+	r := newRig(onePerNode(rebuildServers))
 	bytes := opts.DataMB << 20
 	mc, err := r.bench(rebuildRetry, int64(trial)+29, func(p *sim.Proc, c *core.Client) error {
 		caps, err := allCaps(p, c)
 		if err != nil {
 			return err
 		}
-		eng := stripe.NewEngine(c, caps, opts.Window)
+		eng := stripe.NewEngine(c, caps, 0)
 		layouts := make([]stripe.Layout, pt.Objects)
 		for i := range layouts {
-			l, err := rebuildLayout(p, c, caps, "parity", i, opts.Unit, bytes)
+			l, err := rebuildLayout(p, c, caps, "parity", i, rebuildUnit, bytes)
 			if err != nil {
 				return err
 			}
@@ -278,7 +278,7 @@ func (opts RebuildOpts) repairTrial(pt *RebuildPoint, trial int) ([]MetricsCaptu
 // Render prints the three tables.
 func (r RebuildResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Redundant stripe layouts: %d servers, %d MB per layout, unit %d KiB, %d trials\n",
-		r.Opts.Servers, r.Opts.DataMB, r.Opts.Unit>>10, r.Opts.Trials)
+		rebuildServers, r.Opts.DataMB, rebuildUnit>>10, r.Opts.Trials)
 
 	fmt.Fprintln(w, "\n## full-stripe write bandwidth (logical MB/s; redundancy is the gap)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

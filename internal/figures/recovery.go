@@ -33,17 +33,8 @@ type RecoveryMedium struct {
 
 // RecoveryOpts parameterize the recovery sweep.
 type RecoveryOpts struct {
-	// Media lists the staging modes; defaults to memory-only plus journals
-	// on NVRAM-, SSD- and disk-class media (sync barrier 5 µs → 500 µs).
-	Media        []RecoveryMedium
-	Procs        int
-	Servers      int
-	BytesPerProc int64
-	DrainBW      float64       // per-worker drain throttle, bytes/s
-	CrashAt      time.Duration // buffer crash instant
-	RestartAt    time.Duration // buffer restart instant
-	Trials       int
-	Progress     func(format string, args ...interface{}) // optional
+	Trials   int
+	Progress func(format string, args ...interface{}) // optional
 	// Metrics captures registry snapshot pairs for the last trial of each
 	// medium (healthy and crash phases), for `lwfsbench -metrics`.
 	Metrics bool
@@ -55,20 +46,16 @@ func journalMedium(name string, sync time.Duration) RecoveryMedium {
 	return RecoveryMedium{Name: name, Journal: true, Disk: d}
 }
 
-func (o *RecoveryOpts) defaults() {
-	defList(&o.Media,
-		RecoveryMedium{Name: "memory"},
-		journalMedium("journal-nvram", 5*time.Microsecond),
-		journalMedium("journal-ssd", 25*time.Microsecond),
-		journalMedium("journal-disk", 500*time.Microsecond))
-	def(&o.Procs, 4)
-	def(&o.Servers, 2)
-	def(&o.BytesPerProc, 2<<20)
-	def(&o.DrainBW, 1<<20) // ~2 s per rank at 2 MB: a wide mid-drain window to crash inside
-	def(&o.CrashAt, 100*time.Millisecond)
-	def(&o.RestartAt, 200*time.Millisecond)
-	def(&o.Trials, 3)
-}
+// The sweep's fixed script: a small checkpoint drained slowly enough that
+// the buffer crash lands mid-drain.
+const (
+	recoveryProcs        = 4
+	recoveryServers      = 2
+	recoveryBytesPerProc = 2 << 20
+	recoveryDrainBW      = 1 << 20 // per-worker drain throttle, bytes/s: ~2 s per rank, a wide window to crash inside
+	recoveryCrashAt      = 100 * time.Millisecond
+	recoveryRestartAt    = 200 * time.Millisecond
+)
 
 // RecoveryPoint is one medium's measurements.
 type RecoveryPoint struct {
@@ -87,14 +74,18 @@ type RecoveryResult struct {
 	Captures []MetricsCapture // filled when Opts.Metrics is set
 }
 
-// RecoverySweep measures healthy and crashed checkpoint runs per medium.
+// RecoverySweep measures healthy and crashed checkpoint runs per medium:
+// memory-only staging, then journals on NVRAM-, SSD- and disk-class media
+// (sync barrier 5 µs → 500 µs).
 func RecoverySweep(opts RecoveryOpts) (RecoveryResult, error) {
-	opts.defaults()
-	points := make([]RecoveryPoint, len(opts.Media))
-	for i, med := range opts.Media {
-		points[i].Medium = med
+	def(&opts.Trials, 3)
+	points := []RecoveryPoint{
+		{Medium: RecoveryMedium{Name: "memory"}},
+		{Medium: journalMedium("journal-nvram", 5*time.Microsecond)},
+		{Medium: journalMedium("journal-ssd", 25*time.Microsecond)},
+		{Medium: journalMedium("journal-disk", 500*time.Microsecond)},
 	}
-	points, caps, err := sweep(sweepCfg{opts.Trials, opts.Metrics, opts.Progress}, points, opts.trial)
+	points, caps, err := sweep(sweepCfg{opts.Trials, opts.Metrics, opts.Progress}, points, recoveryTrial)
 	return RecoveryResult{Opts: opts, Points: points, Captures: caps}, err
 }
 
@@ -104,11 +95,12 @@ func (pt *RecoveryPoint) summary() string {
 		pt.HealthyDurable.String(), pt.Recovered, pt.Aborted)
 }
 
-// trial runs the checkpoint twice: healthy, then through the buffer crash.
-func (opts RecoveryOpts) trial(pt *RecoveryPoint, trial int) ([]MetricsCapture, error) {
+// recoveryTrial runs the checkpoint twice: healthy, then through the buffer
+// crash.
+func recoveryTrial(pt *RecoveryPoint, trial int) ([]MetricsCapture, error) {
 	var caps []MetricsCapture
 	for _, crash := range []bool{false, true} {
-		mc, err := opts.run(pt, trial, crash)
+		mc, err := recoveryRun(pt, trial, crash)
 		if err != nil {
 			return nil, fmt.Errorf("crash=%v: %w", crash, err)
 		}
@@ -118,28 +110,28 @@ func (opts RecoveryOpts) trial(pt *RecoveryPoint, trial int) ([]MetricsCapture, 
 	return caps, nil
 }
 
-func (opts RecoveryOpts) run(pt *RecoveryPoint, trial int, crash bool) (MetricsCapture, error) {
-	spec := cluster.DevCluster().WithServers(opts.Servers)
-	spec.ComputeNodes = opts.Procs
+func recoveryRun(pt *RecoveryPoint, trial int, crash bool) (MetricsCapture, error) {
+	spec := cluster.DevCluster().WithServers(recoveryServers)
+	spec.ComputeNodes = recoveryProcs
 	spec.BurstNodes = 1
-	spec.Burst.DrainBW = opts.DrainBW
+	spec.Burst.DrainBW = recoveryDrainBW
 	spec.BurstJournal = pt.Medium.Journal
 	spec.BurstJournalDisk = pt.Medium.Disk
 	r := newRig(spec)
 	if crash {
 		bb := r.l.Burst[0]
 		r.cl.Spawn("chaos", func(p *sim.Proc) {
-			p.Sleep(opts.CrashAt)
+			p.Sleep(recoveryCrashAt)
 			bb.Crash()
-			p.Sleep(opts.RestartAt - opts.CrashAt)
+			p.Sleep(recoveryRestartAt - recoveryCrashAt)
 			if _, err := bb.Restart(p); err != nil {
 				panic(fmt.Sprintf("figures: buffer restart: %v", err))
 			}
 		})
 	}
 	res, err := checkpoint.SetupLWFS(r.cl, r.l, checkpoint.Config{
-		Procs:           opts.Procs,
-		BytesPerProc:    opts.BytesPerProc,
+		Procs:           recoveryProcs,
+		BytesPerProc:    recoveryBytesPerProc,
 		Seed:            int64(trial)*104729 + 17,
 		Burst:           r.l.BurstTargets(),
 		DrainTimeout:    300 * time.Millisecond,
@@ -172,7 +164,7 @@ func (opts RecoveryOpts) run(pt *RecoveryPoint, trial int, crash bool) (MetricsC
 // aborting, and what the recovery detour costs in durable time).
 func (r RecoveryResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Journaled staging under buffer crash: %d-process checkpoint, %d servers, %d MB/process, crash@%v restart@%v, %d trials\n",
-		r.Opts.Procs, r.Opts.Servers, r.Opts.BytesPerProc>>20, r.Opts.CrashAt, r.Opts.RestartAt, r.Opts.Trials)
+		recoveryProcs, recoveryServers, recoveryBytesPerProc>>20, recoveryCrashAt, recoveryRestartAt, r.Opts.Trials)
 	fmt.Fprintln(w, "# healthy columns: no-fault runs; crash columns: buffer crashed mid-drain and restarted")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "medium\tjournal sync\thealthy apparent (ms)\thealthy durable (ms)\tcrash outcome\tcrash durable (ms)\trecovery cost (ms)")

@@ -26,11 +26,9 @@ import (
 
 // ReplayOpts parameterize the sweep.
 type ReplayOpts struct {
-	Servers     int                                      // storage servers, one per node (default 8)
 	Traces      []string                                 // embedded trace names (default all)
 	Concurrency []int                                    // worker counts (default 1,4,16,64)
 	Clones      int                                      // trace copies per point (default 64)
-	TickMs      int                                      // metrics recorder interval (default 20ms)
 	Progress    func(format string, args ...interface{}) // optional
 	// Metrics captures a registry snapshot pair per point and keeps the
 	// highest-concurrency point's tick timeline per trace, for
@@ -38,12 +36,15 @@ type ReplayOpts struct {
 	Metrics bool
 }
 
+const (
+	replayServers = 8                     // storage servers, one per node
+	replayTick    = 20 * time.Millisecond // timeline recorder interval
+)
+
 func (o *ReplayOpts) defaults() {
-	def(&o.Servers, 8)
 	defList(&o.Traces, trace.ExampleNames()...)
 	defList(&o.Concurrency, 1, 4, 16, 64)
 	def(&o.Clones, 64)
-	def(&o.TickMs, 20)
 }
 
 // ReplayPoint is one (trace, concurrency) measurement.
@@ -88,7 +89,7 @@ func ReplaySweep(opts ReplayOpts) (ReplayResult, error) {
 		for _, workers := range opts.Concurrency {
 			pt := ReplayPoint{Trace: name, Workers: workers}
 			if opts.Metrics && workers == top {
-				pt.timeline = metrics.NewRecorder(time.Duration(opts.TickMs)*time.Millisecond, replayTimelinePatterns...)
+				pt.timeline = metrics.NewRecorder(replayTick, replayTimelinePatterns...)
 			}
 			points = append(points, pt)
 		}
@@ -123,7 +124,7 @@ func replayTrial(opts ReplayOpts, pt *ReplayPoint) (MetricsCapture, error) {
 	if err != nil {
 		return MetricsCapture{}, err
 	}
-	spec := onePerNode(opts.Servers)
+	spec := onePerNode(replayServers)
 	spec.ComputeNodes = pt.Workers
 	r := newRig(spec)
 	cl := r.cl
@@ -194,7 +195,7 @@ var replayTimelinePatterns = []string{
 // backlog-over-time columns for the highest-concurrency run.
 func (r ReplayResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Trace replay through the fs.FS facade: %d servers, %d clones per point\n",
-		r.Opts.Servers, r.Opts.Clones)
+		replayServers, r.Opts.Clones)
 	for _, name := range r.Opts.Traces {
 		fmt.Fprintf(w, "\n## %s\n", name)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

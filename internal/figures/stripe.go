@@ -27,7 +27,6 @@ type StripeOpts struct {
 	Units    []int64 // stripe units in bytes
 	FileMB   int64   // single file size in MB
 	Trials   int
-	Window   int                                      // engine in-flight bound (0 = stripe default)
 	Progress func(format string, args ...interface{}) // optional
 }
 
@@ -107,7 +106,7 @@ func (opts StripeOpts) run(pt *StripePoint, trial int, serial bool) error {
 	served := func() float64 { return r.cl.Metrics().Snapshot().Sum("rpc.*.served") }
 	_, err := r.bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
 		fs, err := lwfspfs.Format(p, c, "/stripe", lwfspfs.Options{
-			StripeUnit: pt.Unit, Serial: serial, Window: opts.Window,
+			StripeUnit: pt.Unit, Serial: serial,
 		})
 		if err != nil {
 			return fmt.Errorf("format: %w", err)

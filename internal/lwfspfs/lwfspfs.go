@@ -47,8 +47,7 @@ import (
 var ErrBadLayout = stripe.ErrBadLayout
 
 // Options tune a file system instance. StripeUnit, Stripes, Scheme and
-// Copies persist in the superblock; Serial and Window are per-mount runtime
-// knobs.
+// Copies persist in the superblock; Serial is a per-mount runtime knob.
 type Options struct {
 	StripeUnit int64 // bytes per stripe chunk (default 1 MiB)
 	Stripes    int   // data columns per file (default: as many as servers allow)
@@ -73,9 +72,6 @@ type Options struct {
 	// E17 comparison. Redundant layouts always use the engine (the serial
 	// path knows nothing about mirrors or parity). Not persisted.
 	Serial bool
-	// Window bounds the engine's in-flight requests per call
-	// (default stripe.DefaultWindow). Not persisted.
-	Window int
 }
 
 func (o Options) withDefaults(servers int) Options {
@@ -186,7 +182,7 @@ func Format(p *sim.Proc, c *core.Client, rootDir string, opts Options) (*FS, err
 		return nil, fmt.Errorf("lwfspfs: root: %w", err)
 	}
 	fs := &FS{c: c, root: rootDir, cid: cid, caps: caps, opts: opts,
-		eng: stripe.NewEngine(c, caps, opts.Window)}
+		eng: stripe.NewEngine(c, caps, 0)}
 	fs.initMetrics()
 	// Superblock: records container and layout so another process can
 	// Mount by path alone.
@@ -255,7 +251,7 @@ func mount(p *sim.Proc, c *core.Client, rootDir string, cid authz.ContainerID, o
 		return nil, ErrBadLayout
 	}
 	fs.opts = opts.withDefaults(len(c.Servers()))
-	fs.eng = stripe.NewEngine(c, caps, fs.opts.Window)
+	fs.eng = stripe.NewEngine(c, caps, 0)
 	fs.initMetrics()
 	return fs, nil
 }
@@ -291,9 +287,6 @@ func parseSuperblock(data []byte) (Options, bool) {
 
 // Container returns the file system's container ID (hand it to mounters).
 func (fs *FS) Container() authz.ContainerID { return fs.cid }
-
-// Root returns the mount directory.
-func (fs *FS) Root() string { return fs.root }
 
 // full converts an FS-relative path to a naming-service path.
 func (fs *FS) full(path string) string {

@@ -186,9 +186,7 @@ func (r *Registry) Now() sim.Time {
 }
 
 // NextID returns a small integer unique within the cluster, for callers that
-// need to register per-instance instruments under distinct names (iocache
-// readers: "iocache.cn3.r7.hits") or to tell their instances apart on the
-// wire (mpi communicators).
+// need to tell their instances apart on the wire (mpi communicators).
 func (r *Registry) NextID() int64 {
 	if r == nil {
 		return 0
@@ -272,9 +270,6 @@ type Scope struct {
 	r      *Registry
 	prefix string
 }
-
-// Registry returns the underlying registry (nil for the zero scope).
-func (s Scope) Registry() *Registry { return s.r }
 
 // Name returns the scope's full name for a metric.
 func (s Scope) Name(metric string) string {

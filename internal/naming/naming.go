@@ -167,9 +167,6 @@ func Start(ep *portals.Endpoint, ac *authn.Client, part *txn.Participant, cfg Co
 	return s
 }
 
-// Node returns the node the service runs on.
-func (s *Service) Node() netsim.NodeID { return s.node }
-
 func (s *Service) principal(p *sim.Proc, cred authn.Credential) (authn.Principal, error) {
 	if e, ok := s.credCache[cred.Token]; ok && p.Now().Sub(e.at) < s.cfg.CredCacheTTL {
 		return e.user, nil
@@ -438,9 +435,6 @@ type Client struct {
 func NewClient(caller *portals.Caller, server netsim.NodeID) *Client {
 	return &Client{caller: caller, server: server}
 }
-
-// Server returns the naming service's node.
-func (c *Client) Server() netsim.NodeID { return c.server }
 
 // TxnEndpoint returns the participant endpoint for enlisting the naming
 // service in a transaction.

@@ -77,9 +77,6 @@ func StartOST(ep *portals.Endpoint, dev *osd.Device, port portals.Index, cfg Con
 // Target returns the OST's address.
 func (o *OST) Target() OSTTarget { return OSTTarget{Node: o.ep.Node(), Port: o.port} }
 
-// Device exposes the backing device.
-func (o *OST) Device() *osd.Device { return o.dev }
-
 // ostContainer tags PFS backing objects on the shared device model.
 const ostContainer osd.ContainerID = 1 << 40
 

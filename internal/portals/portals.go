@@ -139,9 +139,6 @@ type ME struct {
 	gone   bool
 }
 
-// MD returns the match entry's memory descriptor.
-func (me *ME) MD() *MD { return me.md }
-
 // Unlink detaches the match entry; subsequent messages no longer match it.
 func (me *ME) Unlink() {
 	if me.gone {

@@ -22,17 +22,6 @@ type RetryPolicy struct {
 	Jitter      time.Duration // uniform extra pause in [0, Jitter)
 }
 
-// DefaultRetry is a sane policy for control RPCs in the simulated cluster:
-// the per-attempt timeout covers queueing behind a saturated server, and
-// five attempts ride out multi-window drop schedules.
-var DefaultRetry = RetryPolicy{
-	MaxAttempts: 5,
-	Timeout:     20 * time.Millisecond,
-	Backoff:     500 * time.Microsecond,
-	MaxBackoff:  8 * time.Millisecond,
-	Jitter:      200 * time.Microsecond,
-}
-
 func (pol RetryPolicy) Enabled() bool { return pol.MaxAttempts > 1 && pol.Timeout > 0 }
 
 // pause computes the sleep after failed attempt number a (0-based).

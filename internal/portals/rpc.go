@@ -425,23 +425,22 @@ type Caller struct {
 	class   uint8   // stamped on every outgoing request (qos scheduling class)
 	breaker Breaker // optional fast-fail gate, consulted per attempt
 
-	// Per-caller instruments (tests assert individual callers), mirrored
-	// into the shared node-wide `rpc.client.<node>.retries|late_replies`
-	// registry counters so snapshots see the totals.
-	lateReplies metrics.Counter
-	retries     metrics.Counter
-
-	nodeLateReplies *metrics.Counter
-	nodeRetries     *metrics.Counter
+	// The node-wide `rpc.client.<node>.late_replies|retries` counters,
+	// shared by every caller on the node. A late reply is a response that
+	// arrived after its attempt timed out: dropped at the reply portal,
+	// never delivered to another call. Retries are re-sent attempts (each
+	// call's first attempt excluded).
+	lateReplies *metrics.Counter
+	retries     *metrics.Counter
 }
 
 // NewCaller creates a caller on ep.
 func NewCaller(ep *Endpoint) *Caller {
 	scope := ep.Metrics().Scope("rpc").Scope("client").Scope(ep.NodeName())
 	return &Caller{
-		ep:              ep,
-		nodeLateReplies: scope.Counter("late_replies"),
-		nodeRetries:     scope.Counter("retries"),
+		ep:          ep,
+		lateReplies: scope.Counter("late_replies"),
+		retries:     scope.Counter("retries"),
 	}
 }
 
@@ -469,15 +468,6 @@ func (c *Caller) SetClass(class uint8) { c.class = class }
 // SetBreaker arms the caller with a circuit breaker. nil disarms.
 func (c *Caller) SetBreaker(b Breaker) { c.breaker = b }
 
-// LateReplies reports responses that arrived after their attempt timed out.
-// Each was dropped at the reply portal — never delivered to another call.
-// Node-wide totals are registered as `rpc.client.<node>.late_replies`.
-func (c *Caller) LateReplies() int64 { return c.lateReplies.Value() }
-
-// Retries reports re-sent attempts (excluding each call's first attempt).
-// Node-wide totals are registered as `rpc.client.<node>.retries`.
-func (c *Caller) Retries() int64 { return c.retries.Value() }
-
 // Call sends req (occupying reqSize bytes on the wire, in addition to the
 // portals header) to the server at (target, pt) and blocks p for the
 // response. respSize tells the server how large its answer is on the wire.
@@ -493,7 +483,6 @@ func (c *Caller) Call(p *sim.Proc, target netsim.NodeID, pt Index, req interface
 	for a := 0; a < c.retry.MaxAttempts; a++ {
 		if a > 0 {
 			c.retries.Inc()
-			c.nodeRetries.Inc()
 			p.Sleep(c.retry.Pause(a-1, c.rng))
 		}
 		v, err := c.call(p, target, pt, req, reqSize, respSize, c.retry.Timeout, reqID)
@@ -513,7 +502,7 @@ func (c *Caller) Call(p *sim.Proc, target netsim.NodeID, pt Index, req interface
 
 // CallTimeout is Call with a deadline and exactly one attempt; it returns
 // ErrRPCTimeout if no response arrives in time. A response that arrives
-// later is dropped at the reply portal and counted (LateReplies) — reply
+// later is dropped at the reply portal and counted (late_replies) — reply
 // tokens are never reused, so a late response can never satisfy a
 // different call.
 func (c *Caller) CallTimeout(p *sim.Proc, target netsim.NodeID, pt Index, req interface{}, reqSize, respSize int64, timeout time.Duration) (interface{}, error) {
@@ -536,7 +525,6 @@ func (c *Caller) call(p *sim.Proc, target netsim.NodeID, pt Index, req interface
 		// finally lands instead of mistaking it for a stray message.
 		c.ep.watchLate(replyPortal, MatchBits(token), func() {
 			c.lateReplies.Inc()
-			c.nodeLateReplies.Inc()
 		})
 		if c.breaker != nil {
 			c.breaker.Record(target, pt, ErrRPCTimeout)

@@ -210,8 +210,3 @@ func (b *Breaker) HealthOf(target netsim.NodeID, pt portals.Index) Health {
 		return Ok
 	}
 }
-
-// Opens, Closes and FastFails are thin reads of the registered counters.
-func (b *Breaker) Opens() int64     { return b.opens.Value() }
-func (b *Breaker) Closes() int64    { return b.closes.Value() }
-func (b *Breaker) FastFails() int64 { return b.fastFails.Value() }

@@ -323,14 +323,14 @@ func TestQoSBreakerFlappingChaos(t *testing.T) {
 	if len(log.Events) != 4 {
 		t.Fatalf("chaos schedule ran %d events, want 4: %v", len(log.Events), log.Events)
 	}
-	if brk.Opens() < 2 {
-		t.Errorf("breaker opened %d times across two outages, want >= 2", brk.Opens())
+	if opens := r.Metric("qos.breaker.*.opens"); opens < 2 {
+		t.Errorf("breaker opened %d times across two outages, want >= 2", opens)
 	}
-	if brk.Closes() < 1 {
+	if r.Metric("qos.breaker.*.closes") < 1 {
 		t.Errorf("breaker never closed after recovery")
 	}
-	if brk.FastFails() < 1 || fastRoutes < 1 {
-		t.Errorf("no zero-wait fast-fails (counter=%d, observed=%d)", brk.FastFails(), fastRoutes)
+	if fastFails := r.Metric("qos.breaker.*.fast_fails"); fastFails < 1 || fastRoutes < 1 {
+		t.Errorf("no zero-wait fast-fails (counter=%d, observed=%d)", fastFails, fastRoutes)
 	}
 	if rerouted < 10 {
 		t.Errorf("only %d writes rerouted during ~100ms of outage", rerouted)

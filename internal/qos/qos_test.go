@@ -258,6 +258,11 @@ func newBrkRig(pol qos.BreakerPolicy) *brkRig {
 	return &brkRig{k: k, reg: reg, b: qos.NewBreaker(k, reg.Scope("qos").Scope("breaker"), pol)}
 }
 
+// count reads one of the breaker's registered counters.
+func (r *brkRig) count(name string) int64 {
+	return int64(r.reg.Snapshot().Value("qos.breaker." + name))
+}
+
 func (r *brkRig) run(t *testing.T, fn func(p *sim.Proc)) {
 	t.Helper()
 	r.k.Spawn("test", fn)
@@ -288,14 +293,14 @@ func TestBreakerLifecycle(t *testing.T) {
 			t.Fatalf("one failure: health %v, want degraded", h)
 		}
 		b.Record(brkNode, brkPt, portals.ErrRPCTimeout)
-		if b.Opens() != 1 || b.HealthOf(brkNode, brkPt) != qos.Down {
-			t.Fatalf("opens=%d health=%v after threshold, want 1/down", b.Opens(), b.HealthOf(brkNode, brkPt))
+		if r.count("opens") != 1 || b.HealthOf(brkNode, brkPt) != qos.Down {
+			t.Fatalf("opens=%d health=%v after threshold, want 1/down", r.count("opens"), b.HealthOf(brkNode, brkPt))
 		}
 		if b.Allow(brkNode, brkPt) {
 			t.Fatal("open circuit allowed an attempt inside cooldown")
 		}
-		if b.FastFails() != 1 {
-			t.Fatalf("fast_fails %d, want 1", b.FastFails())
+		if r.count("fast_fails") != 1 {
+			t.Fatalf("fast_fails %d, want 1", r.count("fast_fails"))
 		}
 
 		// Cooldown expires: exactly one probe goes out; it fails, so the
@@ -320,8 +325,8 @@ func TestBreakerLifecycle(t *testing.T) {
 			t.Fatal("no probe after doubled cooldown")
 		}
 		b.Record(brkNode, brkPt, nil)
-		if b.Closes() != 1 || b.HealthOf(brkNode, brkPt) != qos.Ok {
-			t.Fatalf("closes=%d health=%v after good probe, want 1/ok", b.Closes(), b.HealthOf(brkNode, brkPt))
+		if r.count("closes") != 1 || b.HealthOf(brkNode, brkPt) != qos.Ok {
+			t.Fatalf("closes=%d health=%v after good probe, want 1/ok", r.count("closes"), b.HealthOf(brkNode, brkPt))
 		}
 		if !b.Allow(brkNode, brkPt) {
 			t.Fatal("closed circuit refused an attempt")
@@ -338,8 +343,8 @@ func TestBreakerApplicationErrorsReset(t *testing.T) {
 		b.Record(brkNode, brkPt, portals.ErrRPCTimeout)
 		b.Record(brkNode, brkPt, errors.New("no such object")) // resets streak
 		b.Record(brkNode, brkPt, portals.ErrRPCTimeout)
-		if b.Opens() != 0 {
-			t.Fatalf("opens=%d: application error did not reset the streak", b.Opens())
+		if r.count("opens") != 0 {
+			t.Fatalf("opens=%d: application error did not reset the streak", r.count("opens"))
 		}
 		if h := b.HealthOf(brkNode, brkPt); h != qos.Degraded {
 			t.Fatalf("health %v with one recent failure, want degraded", h)

@@ -130,8 +130,6 @@ type Options struct {
 	// ChunkRows is the number of dim-0 rows per storage object (default:
 	// spread the dataset over all storage servers).
 	ChunkRows int64
-	// Placement rotates the starting server.
-	Placement int
 }
 
 // Dataset is an open n-dimensional array.
@@ -184,14 +182,14 @@ func (f *File) CreateDataset(p *sim.Proc, name string, t Dtype, dims []int64, op
 
 	tx := f.c.BeginTxn()
 	for i := 0; i < nchunks; i++ {
-		ref, err := f.c.CreateObjectTxn(p, f.c.Server(opts.Placement+i), f.caps, tx)
+		ref, err := f.c.CreateObjectTxn(p, f.c.Server(i), f.caps, tx)
 		if err != nil {
 			tx.Abort(p) //nolint:errcheck
 			return nil, err
 		}
 		d.objs = append(d.objs, ref)
 	}
-	header, err := f.c.CreateObjectTxn(p, f.c.Server(opts.Placement), f.caps, tx)
+	header, err := f.c.CreateObjectTxn(p, f.c.Server(0), f.caps, tx)
 	if err != nil {
 		tx.Abort(p) //nolint:errcheck
 		return nil, err

@@ -29,9 +29,6 @@ func NewFIFOServer(k *Kernel, name string) *FIFOServer {
 	return &FIFOServer{k: k, name: name}
 }
 
-// Name returns the server's name.
-func (s *FIFOServer) Name() string { return s.name }
-
 // Schedule enqueues a job with the given service time and calls fn (in
 // kernel context) when it completes. It returns the completion instant.
 func (s *FIFOServer) Schedule(service time.Duration, fn func()) Time {

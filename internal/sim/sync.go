@@ -63,9 +63,6 @@ func NewMailbox(k *Kernel, name string) *Mailbox {
 	return &Mailbox{k: k, name: name}
 }
 
-// Name returns the mailbox's name.
-func (m *Mailbox) Name() string { return m.name }
-
 // OnBacklog registers fn to run, in the sender's context, every time Send
 // queues a message because no receiver is waiting. A service that starts its
 // receivers on demand spawns one from fn: the new process's start event takes
@@ -234,9 +231,6 @@ func NewResource(k *Kernel, name string, capacity int64) *Resource {
 	}
 	return &Resource{k: k, name: name, capacity: capacity, avail: capacity}
 }
-
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
 
 // Capacity returns the total capacity.
 func (r *Resource) Capacity() int64 { return r.capacity }

@@ -76,9 +76,6 @@ func (x *FS) Fork(p *sim.Proc) *FS {
 // Proc returns the bound proc.
 func (x *FS) Proc() *sim.Proc { return x.p }
 
-// Mount returns the underlying lwfspfs mount.
-func (x *FS) Mount() *lwfspfs.FS { return x.pfs }
-
 // Record attaches a trace recorder: every subsequent operation through
 // this view (and the handles it opens) appends an event under a fresh
 // stream id. Forks made after this call share the recorder with their own

@@ -117,7 +117,7 @@ func TestCreateRetryIsExactlyOnce(t *testing.T) {
 	if eaten != 1 {
 		t.Fatalf("fault injector ate %d messages", eaten)
 	}
-	if caller.LateReplies()+caller.Retries() == 0 {
+	if r.Metric("rpc.client.*.late_replies")+r.Metric("rpc.client.*.retries") == 0 {
 		t.Fatal("expected a retry")
 	}
 }

@@ -41,12 +41,9 @@ import (
 const (
 	// DefaultRPCPort receives storage requests.
 	DefaultRPCPort portals.Index = 20
-	// DefaultCachePort receives capability-cache invalidation callbacks.
-	DefaultCachePort portals.Index = 21
-	// DefaultTxnPort receives two-phase-commit traffic for the server's
-	// transaction participant.
-	DefaultTxnPort portals.Index = 22
-	// PortalStride separates co-located servers' portal triples.
+	// PortalStride separates co-located servers' portal triples: port+1
+	// receives capability-cache invalidation callbacks, port+2 two-phase-commit
+	// traffic for the server's transaction participant.
 	PortalStride = 4
 	// ClientDataPortal is where clients expose write buffers and post read
 	// buffers; match bits select the transfer.

@@ -64,9 +64,6 @@ func NewEngine(c *core.Client, caps core.CapSet, window int) *Engine {
 	}
 }
 
-// Window reports the in-flight bound.
-func (e *Engine) Window() int { return e.window }
-
 // WriteAt writes payload at file offset off under the layout: the range is
 // planned into one request per data column, expanded per the redundancy
 // scheme (replica copies, parity update), and the per-server writes proceed

@@ -279,32 +279,3 @@ func TestReplaySemantics(t *testing.T) {
 		t.Fatalf("op counts = %v", counts)
 	}
 }
-
-func TestReplayPacingStretchesTimeline(t *testing.T) {
-	tr := goldenTrace() // spans 5.5us of recorded virtual time
-	elapsed := func(scale float64, pace bool) time.Duration {
-		k := sim.NewKernel()
-		m := &fakeMount{t: t}
-		res := trace.StartReplay(k, tr, func(*sim.Proc) (trace.Mount, error) { return m, nil },
-			trace.Options{Pace: pace, Scale: scale})
-		if err := k.Run(sim.MaxTime); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return res.Elapsed()
-	}
-	fast := elapsed(1, false)
-	paced := elapsed(1, true)
-	half := elapsed(2, true)
-	if paced < tr.Span() {
-		t.Fatalf("paced replay %v shorter than recorded span %v", paced, tr.Span())
-	}
-	if fast >= paced {
-		t.Fatalf("unpaced %v not faster than paced %v", fast, paced)
-	}
-	if half >= paced {
-		t.Fatalf("scale-2 replay %v not faster than scale-1 %v", half, paced)
-	}
-}

@@ -274,9 +274,6 @@ func NewLockClient(ep *portals.Endpoint, server netsim.NodeID, port portals.Inde
 	return &LockClient{ep: ep, server: server, port: port, owner: Owner{Node: ep.Node(), Tag: tag}}
 }
 
-// Owner returns this client's owner identity.
-func (lc *LockClient) Owner() Owner { return lc.owner }
-
 func (lc *LockClient) call(p *sim.Proc, body interface{}, timeout time.Duration) error {
 	token := lc.ep.NextToken()
 	slot := lc.ep.Post(lockReplyPortal, portals.MatchBits(token), true)

@@ -181,9 +181,6 @@ func (pt *Participant) Crash() {
 // run Recover from a service process before accepting new work.
 func (pt *Participant) Restart() { pt.rpc.SetDown(false) }
 
-// Down reports whether the participant is crashed.
-func (pt *Participant) Down() bool { return pt.rpc.Down() }
-
 // Status reports the local status of a transaction (StatusActive for
 // unknown transactions, which have simply logged nothing here yet).
 func (pt *Participant) Status(id ID) Status {
