@@ -5,9 +5,9 @@
 // synchronized write burst and get back to computing).
 //
 // A burst.Server accepts capability-checked writes into a bounded
-// in-memory staging area using the same server-directed pull protocol as
-// storage (§3.2): the buffer pulls the client's data at its own pace, so a
-// burst of requests never overwhelms receive buffers. The client is
+// in-memory staging area using the same server-directed pull loop as storage
+// (§3.2, portals.Puller): the buffer pulls the client's data at its own pace,
+// so a burst of requests never overwhelms receive buffers. The client is
 // acknowledged as soon as the pull lands — long before the data is on
 // disk. A pool of background drain workers then streams staged extents to
 // the real storage servers with bounded in-flight RPCs, retry via
@@ -165,6 +165,7 @@ type Server struct {
 	cachePort portals.Index
 	waitPort  portals.Index
 	bufPool   *sim.Resource
+	puller    *portals.Puller
 
 	// stageAvail is the remaining staging window, a gauge registered as
 	// `burst.<node>.stage_avail`. Admission is try-acquire-only (a full
@@ -263,6 +264,7 @@ func startServer(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, 
 		cachePort:    rpcPort + 1,
 		waitPort:     rpcPort + 2,
 		bufPool:      sim.NewResource(ep.Kernel(), name+"/pinned", cfg.PinnedBuffer),
+		puller:       portals.NewPuller(ep, name, cfg.ChunkSize),
 		stageAvail:   scope.Gauge("stage_avail"),
 		drainq:       sim.NewMailbox(ep.Kernel(), name+"/drainq"),
 		dq:           newDrainQueue(),
@@ -421,7 +423,7 @@ func (s *Server) stage(p *sim.Proc, from netsim.NodeID, r stageReq) (interface{}
 	s.stageAvail.Add(-r.Len)
 	var buf []byte
 	synthetic := false
-	_, err := storage.ChunkedPull(p, s.ep, s.name, from, r.DataPortal, r.Bits, r.Len, s.cfg.ChunkSize, s.bufPool,
+	_, err := s.puller.Pull(p, from, r.DataPortal, r.Bits, r.Len, s.bufPool,
 		func(q *sim.Proc, off int64, chunk netsim.Payload) error {
 			if chunk.Data == nil {
 				synthetic = true
@@ -475,7 +477,7 @@ func (s *Server) passthrough(p *sim.Proc, from netsim.NodeID, r stageReq) (inter
 	// drain workers yield the storage device (sched.go) until it completes.
 	s.fgActive.Add(1)
 	defer s.fgActive.Add(-1)
-	_, err := storage.ChunkedPull(p, s.ep, s.name, from, r.DataPortal, r.Bits, r.Len, s.cfg.ChunkSize, s.bufPool,
+	_, err := s.puller.Pull(p, from, r.DataPortal, r.Bits, r.Len, s.bufPool,
 		func(q *sim.Proc, off int64, chunk netsim.Payload) error {
 			_, werr := s.fg.Write(q, r.Ref, r.Cap, r.Off+off, chunk)
 			return werr

@@ -22,14 +22,16 @@ type OST struct {
 	cfg  Config
 	port portals.Index
 
-	locks map[osd.ObjectID]*ostLock
+	locks  map[osd.ObjectID]*ostLock
+	puller *portals.Puller
 
 	lockSwitches, writesServed *metrics.Counter
 }
 
 type ostLock struct {
 	res    *sim.Resource
-	holder uint64 // client identity of the current extent-lock holder
+	window *sim.Resource // read-ahead pipeline of the write holding res: two chunks, in bytes
+	holder uint64        // client identity of the current extent-lock holder
 }
 
 // ost request bodies
@@ -61,11 +63,12 @@ type ostSyncReq struct{}
 // StartOST binds an OST over dev at (ep, port).
 func StartOST(ep *portals.Endpoint, dev *osd.Device, port portals.Index, cfg Config) *OST {
 	o := &OST{
-		ep:    ep,
-		dev:   dev,
-		cfg:   cfg,
-		port:  port,
-		locks: make(map[osd.ObjectID]*ostLock),
+		ep:     ep,
+		dev:    dev,
+		cfg:    cfg,
+		port:   port,
+		locks:  make(map[osd.ObjectID]*ostLock),
+		puller: portals.NewPuller(ep, dev.Name(), cfg.ChunkSize),
 	}
 	po := ep.Metrics().Scope("pfs").Scope(dev.Name())
 	o.lockSwitches = po.Counter("lock_switches")
@@ -95,7 +98,10 @@ func (o *OST) ensureObject(p *sim.Proc, id osd.ObjectID) error {
 func (o *OST) lockOf(id osd.ObjectID) *ostLock {
 	l, ok := o.locks[id]
 	if !ok {
-		l = &ostLock{res: sim.NewResource(o.ep.Kernel(), fmt.Sprintf("%s/dlm-%d", o.dev.Name(), id), 1)}
+		l = &ostLock{
+			res:    sim.NewResource(o.ep.Kernel(), fmt.Sprintf("%s/dlm-%d", o.dev.Name(), id), 1),
+			window: sim.NewResource(o.ep.Kernel(), o.dev.Name()+"/window", 2*o.cfg.ChunkSize),
+		}
 		o.locks[id] = l
 	}
 	return l
@@ -141,59 +147,21 @@ func (o *OST) write(p *sim.Proc, from netsim.NodeID, r ostWriteReq) (interface{}
 		l.holder = r.ClientID
 	}
 	// Pull the data server-directed with a read-ahead pipeline, writing
-	// through to disk as chunks land. Within one bulk RPC the network pull
-	// of chunk i+1 overlaps the disk write of chunk i — this is why a
-	// single-writer file matches LWFS bandwidth. A shared file never gets
-	// here with large extents: its writers arrive one stripe unit at a
-	// time (see Client.write), each under the lock discipline above.
-	k := p.Kernel()
-	chunks := sim.NewMailbox(k, o.dev.Name()+"/pull")
-	window := sim.NewResource(k, o.dev.Name()+"/window", 2)
-	nchunks := int((r.Len + o.cfg.ChunkSize - 1) / o.cfg.ChunkSize)
-	k.Spawn(o.dev.Name()+"/puller", func(q *sim.Proc) {
-		for off := int64(0); off < r.Len; off += o.cfg.ChunkSize {
-			n := o.cfg.ChunkSize
-			if off+n > r.Len {
-				n = r.Len - off
-			}
-			window.Acquire(q, 1)
-			payload, err := o.ep.Get(q, from, r.DataPortal, r.Bits, off, n)
-			chunks.Send(pulled{off: off, payload: payload, err: err})
-			if err != nil {
-				return
-			}
-		}
-	})
-	var written int64
-	var firstErr error
-	for i := 0; i < nchunks; i++ {
-		c := chunks.Recv(p).(pulled)
-		if c.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("pfs: pulling write data: %w", c.err)
-			}
-			break
-		}
-		if firstErr == nil {
-			if err := o.dev.Write(p, r.Obj, r.Off+c.off, c.payload); err != nil {
-				firstErr = err
-			} else {
-				written += c.payload.Size
-			}
-		}
-		window.Release(1)
-	}
-	if firstErr != nil {
-		return written, firstErr
+	// through to disk as chunks land (portals.Puller.Pull, storage's loop).
+	// Within one bulk RPC the network pull of chunk i+1 overlaps the disk
+	// write of chunk i — this is why a single-writer file matches LWFS
+	// bandwidth. A shared file never gets here with large extents: its writers
+	// arrive one stripe unit at a time (see Client.write), each under the lock
+	// discipline above.
+	written, err := o.puller.Pull(p, from, r.DataPortal, r.Bits, r.Len, l.window,
+		func(q *sim.Proc, off int64, chunk netsim.Payload) error {
+			return o.dev.Write(q, r.Obj, r.Off+off, chunk)
+		})
+	if err != nil {
+		return written, err
 	}
 	o.writesServed.Inc()
 	return written, nil
-}
-
-type pulled struct {
-	off     int64
-	payload netsim.Payload
-	err     error
 }
 
 func (o *OST) read(p *sim.Proc, from netsim.NodeID, r ostReadReq) (interface{}, error) {

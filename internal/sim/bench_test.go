@@ -126,3 +126,27 @@ func BenchmarkSpawnExit(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSpawnChurn is the shape of a stripe fan-out: each iteration spawns
+// four short-lived legs and joins them, so — unlike BenchmarkSpawnExit, whose
+// b.N processes all exist at once — every leg after the first round runs on a
+// recycled record and goroutine.
+func BenchmarkSpawnChurn(b *testing.B) {
+	k := NewKernel()
+	k.Spawn("driver", func(p *Proc) {
+		var wg WaitGroup
+		leg := func(p *Proc) { wg.Done() }
+		for i := 0; i < b.N; i++ {
+			wg.Add(4)
+			for l := 0; l < 4; l++ {
+				k.Spawn("leg", leg)
+			}
+			wg.Wait(p)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(MaxTime); err != nil {
+		b.Fatal(err)
+	}
+}

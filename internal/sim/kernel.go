@@ -33,6 +33,9 @@
 //     process runs the loop inline and hands control directly to the next
 //     runnable process (one channel handoff per switch instead of a
 //     round-trip through a central scheduler goroutine).
+//   - A process whose function returns leaves its goroutine, Proc record and
+//     resume channel on a bounded free list; the next Spawn re-arms them, so
+//     short-lived fan-out legs cost nothing on a warm kernel (Kernel.exit).
 package sim
 
 import (
@@ -77,12 +80,14 @@ const (
 
 // eventSlot is the arena-resident body of a pending heap event. Slots are
 // recycled through an intrusive free list; gen increments on every release
-// so stale heap entries and cancel handles can detect reuse.
+// so stale heap entries and cancel handles can detect reuse. inc is the
+// incarnation of proc the event is addressed to (see Proc.inc).
 type eventSlot struct {
 	fn   func()
 	proc *Proc
 	gen  uint64
 	next int32 // free-list link
+	inc  uint32
 	kind uint8
 }
 
@@ -110,11 +115,12 @@ type ringEntry struct {
 	seq  uint64
 	fn   func()
 	proc *Proc
+	inc  uint32
 	kind uint8
 }
 
 // cancelHandle identifies a cancelable heap event without allocating a
-// closure. The zero... an id of -1 means "nothing to cancel".
+// closure. An id of -1 means "nothing to cancel" (the zero value names slot 0).
 type cancelHandle struct {
 	gen uint64
 	id  int32
@@ -138,8 +144,9 @@ type Kernel struct {
 	rlen  int
 
 	procs          map[*Proc]struct{}
-	blocked        int // processes parked waiting for an event
-	blockedDaemons int // of those, daemons (exempt from deadlock detection)
+	idle           []*Proc // exited records whose goroutines await re-arming (LIFO, see exit)
+	blocked        int     // processes parked waiting for an event
+	blockedDaemons int     // of those, daemons (exempt from deadlock detection)
 
 	// driver wakes the Run caller when the dispatch loop winds down while a
 	// process goroutine holds it, and acknowledges each process Shutdown
@@ -285,11 +292,15 @@ func (k *Kernel) compact() {
 	k.tombs = 0
 }
 
-func (k *Kernel) ringPush(e ringEntry) {
+// ringPush and ringPop pass an entry field by field, and ringPop clears only
+// the references: a ringEntry by value is too wide for registers, and its spill
+// would sit in loop's frame — on the stack of every parked process.
+func (k *Kernel) ringPush(seq uint64, fn func(), proc *Proc, inc uint32, kind uint8) {
 	if k.rlen == len(k.ring) {
 		k.growRing()
 	}
-	k.ring[(k.rhead+k.rlen)&(len(k.ring)-1)] = e
+	e := &k.ring[(k.rhead+k.rlen)&(len(k.ring)-1)]
+	e.seq, e.fn, e.proc, e.inc, e.kind = seq, fn, proc, inc, kind
 	k.rlen++
 }
 
@@ -306,27 +317,44 @@ func (k *Kernel) growRing() {
 	k.rhead = 0
 }
 
-func (k *Kernel) ringPop() ringEntry {
-	e := k.ring[k.rhead]
-	k.ring[k.rhead] = ringEntry{}
+func (k *Kernel) ringPop() (fn func(), proc *Proc, kind uint8) {
+	e := &k.ring[k.rhead]
+	fn, proc, kind = e.fn, addressee(e.proc, e.inc), e.kind
+	e.fn, e.proc = nil, nil
 	k.rhead = (k.rhead + 1) & (len(k.ring) - 1)
 	k.rlen--
-	return e
+	return
+}
+
+// addressee resolves the process an event was scheduled for: nil once that
+// incarnation has exited, whoever occupies the record now.
+func addressee(proc *Proc, inc uint32) *Proc {
+	if proc != nil && proc.inc != inc {
+		return nil
+	}
+	return proc
 }
 
 // schedule is the single entry point for future work. Instants at or before
 // the current time go to the same-instant ring; later instants get an arena
-// slot and a heap entry.
+// slot and a heap entry. A dead kernel counts the event and drops it.
 func (k *Kernel) schedule(t Time, fn func(), proc *Proc, kind uint8) {
 	k.seq++
 	k.nScheduled++
+	if k.dead {
+		return
+	}
+	var inc uint32
+	if proc != nil {
+		inc = proc.inc
+	}
 	if t <= k.now {
-		k.ringPush(ringEntry{seq: k.seq, fn: fn, proc: proc, kind: kind})
+		k.ringPush(k.seq, fn, proc, inc, kind)
 		return
 	}
 	id := k.allocSlot()
 	s := &k.slots[id]
-	s.fn, s.proc, s.kind = fn, proc, kind
+	s.fn, s.proc, s.inc, s.kind = fn, proc, inc, kind
 	k.heapPush(heapEntry{at: t, seq: k.seq, id: id, gen: s.gen})
 }
 
@@ -338,6 +366,9 @@ func (k *Kernel) scheduleCancelable(t Time, fn func()) cancelHandle {
 	}
 	k.seq++
 	k.nScheduled++
+	if k.dead {
+		return cancelHandle{id: -1}
+	}
 	id := k.allocSlot()
 	s := &k.slots[id]
 	s.fn, s.kind = fn, evFn
@@ -384,13 +415,16 @@ func (k *Kernel) afterCancelable(d time.Duration, fn func()) (cancel func()) {
 // Proc is a simulated process: a goroutine scheduled cooperatively by the
 // kernel. All blocking methods (Sleep, Mailbox.Recv, Resource.Acquire, ...)
 // must be called from the process's own goroutine.
+// A *Proc is valid only while its function runs: once that returns, the record
+// (and its goroutine) may carry a later Spawn.
 type Proc struct {
 	k       *Kernel
 	name    string
 	fn      func(p *Proc)
 	resume  chan struct{}
-	started bool // its goroutine exists (the start event was dispatched)
-	exited  bool
+	inc     uint32 // incarnation: bumped at exit, so an event addressed to an earlier occupant is stale
+	started bool   // its goroutine exists (a start event was dispatched)
+	running bool   // inside fn; blocking on a record that is not panics
 	daemon  bool
 
 	// Pooled waiter records: a process blocks on at most one thing at a
@@ -427,35 +461,96 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// SpawnAt is Spawn but the process starts at instant t. The goroutine is
-// created lazily when the start event fires.
+// SpawnAt is Spawn but the process starts at instant t. It takes over the most
+// recently exited record and its idle goroutine when there is one; otherwise
+// the goroutine is created lazily when the start event fires.
 func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, fn: fn, resume: make(chan struct{}, 1)}
-	k.procs[p] = struct{}{}
+	var p *Proc
+	if n := len(k.idle); n > 0 && !k.dead {
+		p, k.idle = k.idle[n-1], k.idle[:n-1]
+		p.name, p.fn, p.daemon = name, fn, false
+	} else {
+		p = &Proc{k: k, name: name, fn: fn, resume: make(chan struct{}, 1)}
+	}
+	if !k.dead {
+		k.procs[p] = struct{}{}
+	}
 	k.schedule(t, nil, p, evStart)
 	return p
 }
 
-// main is the body of a process goroutine: wait for the kernel's first
-// hand-off, run the user function, then pass the dispatch loop on and die.
-// A process retired by Shutdown unwinds through here too (runtime.Goexit
-// runs the defer with nothing to recover) and acknowledges instead.
+// main is the body of a process goroutine: wait for the kernel's hand-off,
+// run the user function, pass the dispatch loop on, and — when the record went
+// on the idle list — wait for the next occupant's hand-off. A hand-off that
+// finds the kernel dead is Shutdown retiring an idle (or re-armed, unstarted)
+// goroutine. main's frame lies under every process's stack, so exit work is
+// kept out of it (finish, unwound).
 func (p *Proc) main() {
-	defer func() {
-		if r := recover(); r != nil {
-			p.k.failProc(p, r)
-		} else {
-			p.exited = true
-			delete(p.k.procs, p)
-		}
+	defer p.unwound()
+	for {
+		<-p.resume
 		if p.k.dead {
 			p.k.driver <- struct{}{}
 			return
 		}
-		p.k.procLoop(p, true)
-	}()
-	<-p.resume
-	p.fn(p)
+		p.running = true
+		p.fn(p)
+		if !p.finish() {
+			return
+		}
+	}
+}
+
+// finish ends an incarnation whose function returned and passes the dispatch
+// loop on, reporting whether p was recycled (its goroutine stays for the next
+// occupant). A callback run by this loop may already Spawn onto p and the loop
+// dispatch that start itself: the send waits in resume's buffer for main.
+func (p *Proc) finish() bool {
+	recycled := p.k.exit(p, true)
+	p.k.procLoop(p, true)
+	return recycled
+}
+
+// unwound is main's deferred call, with work to do only for an incarnation
+// that did not return: a panic, or runtime.Goexit (Shutdown retiring it where
+// it parked, or its own). Neither is recycled: the goroutine acknowledges or
+// passes the loop on, and ends.
+func (p *Proc) unwound() {
+	if !p.running {
+		return
+	}
+	k := p.k
+	if r := recover(); r != nil {
+		k.failProc(p, r)
+	} else {
+		k.exit(p, false)
+	}
+	if k.dead {
+		k.driver <- struct{}{}
+		return
+	}
+	k.procLoop(p, true)
+}
+
+// maxIdleProcs bounds the idle list, so what a run keeps parked (goroutines
+// with their grown stacks) does not grow with its widest moment. A constant,
+// not an option: reuse rates are flat from a few dozen up (DESIGN.md §4.12).
+const maxIdleProcs = 256
+
+// exit ends p's incarnation: events still addressed to it go stale, and the
+// record is poisoned (not running) until its next occupant starts. It reports
+// whether p went on the idle list — LIFO, so a warm stack is reused first; a
+// record that does not fit dies with its goroutine.
+func (k *Kernel) exit(p *Proc, recyclable bool) bool {
+	p.running = false
+	p.inc++
+	p.fn = nil
+	delete(k.procs, p)
+	if !recycleProcs || !recyclable || k.dead || len(k.idle) >= maxIdleProcs {
+		return false
+	}
+	k.idle = append(k.idle, p)
+	return true
 }
 
 // await blocks a process goroutine that has given the baton away until it is
@@ -475,8 +570,7 @@ func (k *Kernel) failProc(p *Proc, r interface{}) {
 		k.failure = fmt.Errorf("sim: process %q panicked at %v: %v\n%s",
 			p.name, k.now, r, debug.Stack())
 	}
-	p.exited = true
-	delete(k.procs, p)
+	k.exit(p, false)
 }
 
 // park blocks the calling process until another event resumes it: the
@@ -488,6 +582,9 @@ func (p *Proc) park() {
 	k := p.k
 	if k.dead {
 		runtime.Goexit() // a deferred call of a retiring process tried to block
+	}
+	if !p.running {
+		panic("sim: a process blocked after it exited")
 	}
 	k.blocked++
 	if p.daemon {
@@ -541,7 +638,7 @@ func (k *Kernel) windDown(self *Proc, exiting bool) {
 	}
 	k.driver <- struct{}{}
 	if exiting {
-		return // goroutine ends
+		return // goroutine ends or idles (see main)
 	}
 	// Stay parked: a later Run may still dispatch our resume event.
 	self.await()
@@ -580,11 +677,10 @@ func (k *Kernel) loop(self *Proc, exiting bool) {
 			if fromHeap {
 				e := k.heapPop()
 				s := &k.slots[e.id]
-				fn, proc, kind = s.fn, s.proc, s.kind
+				fn, proc, kind = s.fn, addressee(s.proc, s.inc), s.kind
 				k.releaseSlot(e.id)
 			} else {
-				e := k.ringPop()
-				fn, proc, kind = e.fn, e.proc, e.kind
+				fn, proc, kind = k.ringPop()
 			}
 		} else if len(k.heap) > 0 {
 			t := k.heap[0]
@@ -597,7 +693,7 @@ func (k *Kernel) loop(self *Proc, exiting bool) {
 			k.now = t.at
 			e := k.heapPop()
 			s := &k.slots[e.id]
-			fn, proc, kind = s.fn, s.proc, s.kind
+			fn, proc, kind = s.fn, addressee(s.proc, s.inc), s.kind
 			k.releaseSlot(e.id)
 		} else {
 			k.windDown(self, exiting)
@@ -609,8 +705,8 @@ func (k *Kernel) loop(self *Proc, exiting bool) {
 			continue
 		}
 		q := proc
-		if q.exited {
-			continue // stale resume for a process that already exited
+		if q == nil {
+			continue // stale: addressed to an incarnation that already exited
 		}
 		if kind == evResume {
 			k.blocked--
@@ -620,13 +716,13 @@ func (k *Kernel) loop(self *Proc, exiting bool) {
 			if q == self {
 				return // our own wake-up: keep the baton, continue user code
 			}
-		} else { // evStart
+		} else if !q.started { // evStart on a fresh record; a recycled one's goroutine is waiting
 			q.started = true
 			go q.main()
 		}
 		q.resume <- struct{}{}
 		if exiting {
-			return // baton handed on; this goroutine ends
+			return // baton handed on; this goroutine ends or idles (see main)
 		}
 		if self == nil {
 			<-k.driver // the driver waits for wind-down
@@ -637,8 +733,8 @@ func (k *Kernel) loop(self *Proc, exiting bool) {
 	}
 }
 
-// ErrDeadlock is returned (wrapped) by Run when processes remain blocked but
-// no events are pending.
+// DeadlockError is returned by Run when processes remain blocked but no
+// events are pending.
 type DeadlockError struct {
 	At      Time
 	Blocked []string
@@ -655,29 +751,34 @@ var ErrShutdown = errors.New("sim: kernel is shut down")
 // Shutdown ends the simulation for good: every process whose goroutine
 // exists is woken where it parked and unwinds from there — its deferred
 // calls run, nothing after the park does — and the pending events are
-// dropped. Shutdown returns once the last of those goroutines has
-// acknowledged, one at a time, so deferred calls still see a single logical
-// thread; processes that never started have no goroutine to retire. It must
-// not be called while Run is in progress, nor from inside the simulation.
+// dropped. The idle goroutines of exited processes are woken and end the same
+// way. Shutdown returns once the last of those goroutines has acknowledged,
+// one at a time, so deferred calls still see a single logical thread;
+// processes that never started have no goroutine to retire. It must not be
+// called while Run is in progress, nor from inside the simulation.
 //
 // A dead kernel guarantees three things: it owns no goroutine, it no longer
 // references its processes or events (what they reached is garbage once the
 // caller lets go too), and Run returns ErrShutdown at once. Now and the
-// event counters keep their final values; scheduling on a dead kernel is
-// accepted and never dispatched. Shutdown on a dead kernel does nothing.
+// event counters keep their final values; an event or process handed to a
+// dead kernel is counted and dropped. Shutdown on a dead kernel does nothing.
 func (k *Kernel) Shutdown() {
 	if k.dead {
 		return
 	}
 	k.dead = true
+	owned := k.idle // every goroutine the kernel has: idle ones, then processes
 	for p := range k.procs {
-		if p.started && !p.exited {
-			p.resume <- struct{}{}
-			<-k.driver
+		if p.started {
+			owned = append(owned, p)
 		}
 	}
+	for _, p := range owned {
+		p.resume <- struct{}{}
+		<-k.driver
+	}
 	k.procs = make(map[*Proc]struct{})
-	k.slots, k.heap, k.ring = nil, nil, nil
+	k.idle, k.slots, k.heap, k.ring = nil, nil, nil, nil
 	k.free, k.tombs, k.rhead, k.rlen = -1, 0, 0, 0
 }
 
@@ -696,7 +797,7 @@ func (k *Kernel) Run(limit Time) error {
 	if k.rlen == 0 && len(k.heap) == 0 && k.blocked > k.blockedDaemons {
 		var names []string
 		for p := range k.procs {
-			if !p.exited && !p.daemon {
+			if !p.daemon {
 				names = append(names, p.name)
 			}
 		}

@@ -25,9 +25,10 @@ func goroutinesSettleAt(want int) (int, bool) {
 }
 
 // A kernel whose Run hit its limit holds every kind of process: parked on a
-// mailbox forever, asleep on a timer beyond the limit, finished, and not yet
-// started. Shutdown retires the ones with goroutines, runs their defers and
-// leaves nothing behind.
+// mailbox forever, asleep on a timer beyond the limit, finished (a thousand
+// of them, so the idle list is full of goroutines waiting for reuse), and not
+// yet started. Shutdown retires the ones with goroutines, runs their defers
+// and leaves nothing behind.
 func TestShutdownRetiresEveryProcess(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel()
@@ -46,7 +47,9 @@ func TestShutdownRetiresEveryProcess(t *testing.T) {
 		p.Sleep(time.Hour)
 		t.Error("sleeper woke on a dead kernel")
 	})
-	k.Spawn("finished", func(p *Proc) { p.Sleep(time.Millisecond) })
+	for i := 0; i < 1000; i++ {
+		k.Spawn("finished", func(p *Proc) { p.Sleep(time.Millisecond) })
+	}
 	started := false
 	k.SpawnAt(Time(time.Minute), "late", func(p *Proc) { started = true })
 

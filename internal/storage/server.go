@@ -103,6 +103,7 @@ type Server struct {
 	rpcPort   portals.Index
 	cachePort portals.Index
 	bufPool   *sim.Resource
+	puller    *portals.Puller
 
 	capCache map[uint64]authz.Capability
 	part     *txn.Participant
@@ -128,6 +129,7 @@ func Start(ep *portals.Endpoint, dev *osd.Device, az *authz.Client, rpcPort port
 		rpcPort:   rpcPort,
 		cachePort: rpcPort + 1,
 		bufPool:   sim.NewResource(ep.Kernel(), fmt.Sprintf("%s/pinned", dev.Name()), cfg.PinnedBuffer),
+		puller:    portals.NewPuller(ep, dev.Name(), cfg.ChunkSize),
 		capCache:  make(map[uint64]authz.Capability),
 	}
 	cc := ep.Metrics().Scope("storage").Scope(dev.Name()).Scope("cap_cache")
@@ -504,6 +506,7 @@ func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (inter
 	}
 }
 
+// pulledChunk is one chunk of a third-party copy in flight (copy.go).
 type pulledChunk struct {
 	off     int64
 	payload netsim.Payload
@@ -513,9 +516,9 @@ type pulledChunk struct {
 // pullWrite implements the server-directed write of Figure 6: the server
 // pulls the client's data in ChunkSize pieces, double-buffered against the
 // pinned pool so the network pull of chunk i+1 overlaps the disk write of
-// chunk i.
+// chunk i. The loop is portals.Puller.Pull, shared with burst and pfs.
 func (s *Server) pullWrite(p *sim.Proc, from netsim.NodeID, r writeReq) (interface{}, error) {
-	written, err := ChunkedPull(p, s.ep, s.dev.Name(), from, r.DataPortal, r.Bits, r.Len, s.cfg.ChunkSize, s.bufPool,
+	written, err := s.puller.Pull(p, from, r.DataPortal, r.Bits, r.Len, s.bufPool,
 		func(q *sim.Proc, off int64, chunk netsim.Payload) error {
 			return s.dev.Write(q, r.ID, r.Off+off, chunk)
 		})

@@ -518,15 +518,17 @@ func fanOutErrs(p *sim.Proc, name string, n, window int, fn func(wp *sim.Proc, i
 	var wg sim.WaitGroup
 	wg.Add(n)
 	next := 0
+	// One closure and one name for every worker: allocations do not depend on window.
+	worker := func(wp *sim.Proc) {
+		for next < n {
+			i := next
+			next++
+			errs[i] = fn(wp, i)
+			wg.Done()
+		}
+	}
 	for w := 0; w < window; w++ {
-		p.Kernel().Spawn(fmt.Sprintf("%s/w%d", name, w), func(wp *sim.Proc) {
-			for next < n {
-				i := next
-				next++
-				errs[i] = fn(wp, i)
-				wg.Done()
-			}
-		})
+		p.Kernel().Spawn(name, worker)
 	}
 	wg.Wait(p)
 	return errs

@@ -331,26 +331,31 @@ func (l Layout) Plan(off, length int64) []Request {
 	if length <= 0 || l.Unit <= 0 || l.Width() <= 0 {
 		return nil
 	}
-	var reqs []Request
-	last := make([]int, l.Width()) // per-column index of its open request
-	for i := range last {
-		last[i] = -1
+	u, w := l.Unit, int64(l.Width())
+	first := off / u
+	npieces := (off+length-1)/u - first + 1 // stripe units touched, one Piece each
+	ncols := min(npieces, w)                // columns touched, one Request each
+	reqs := make([]Request, ncols)
+	pieces := make([]Piece, npieces)
+	// The j-th column touched holds units first+j, first+j+w, ...: its request
+	// gets that many slots of the one array, capped against its neighbour.
+	for j, at := int64(0), int64(0); j < ncols; j++ {
+		n := (npieces - j + w - 1) / w
+		reqs[j].Pieces = pieces[at : at : at+n]
+		at += n
 	}
-	u := l.Unit
 	for cur := off; cur < off+length; {
 		idx, objOff := l.Locate(cur)
 		n := u - cur%u
 		if n > off+length-cur {
 			n = off + length - cur
 		}
-		pc := Piece{FileOff: cur, ObjOff: objOff, Len: n}
-		if li := last[idx]; li >= 0 && reqs[li].Off+reqs[li].Len == objOff {
-			reqs[li].Pieces = append(reqs[li].Pieces, pc)
-			reqs[li].Len += n
-		} else {
-			last[idx] = len(reqs)
-			reqs = append(reqs, Request{Obj: idx, Off: objOff, Len: n, Pieces: []Piece{pc}})
+		r := &reqs[(cur/u-first)%w]
+		if len(r.Pieces) == 0 {
+			r.Obj, r.Off = idx, objOff
 		}
+		r.Pieces = append(r.Pieces, Piece{FileOff: cur, ObjOff: objOff, Len: n})
+		r.Len += n
 		cur += n
 	}
 	return reqs

@@ -322,3 +322,65 @@ func TestTargetsDedup(t *testing.T) {
 		t.Fatalf("target order: %v", ts)
 	}
 }
+
+// planReference is the planner as first written — walk the range unit by
+// unit, open a request the first time a column is touched, extend it while
+// the object extent stays contiguous. Plan computes the same thing by
+// arithmetic; this is what it is checked against.
+func planReference(l stripe.Layout, off, length int64) []stripe.Request {
+	if length <= 0 || l.Unit <= 0 || l.Width() <= 0 {
+		return nil
+	}
+	var reqs []stripe.Request
+	last := make([]int, l.Width())
+	for i := range last {
+		last[i] = -1
+	}
+	for cur := off; cur < off+length; {
+		idx, objOff := l.Locate(cur)
+		n := l.Unit - cur%l.Unit
+		if n > off+length-cur {
+			n = off + length - cur
+		}
+		pc := stripe.Piece{FileOff: cur, ObjOff: objOff, Len: n}
+		if li := last[idx]; li >= 0 && reqs[li].Off+reqs[li].Len == objOff {
+			reqs[li].Pieces = append(reqs[li].Pieces, pc)
+			reqs[li].Len += n
+		} else {
+			last[idx] = len(reqs)
+			reqs = append(reqs, stripe.Request{Obj: idx, Off: objOff, Len: n, Pieces: []stripe.Piece{pc}})
+		}
+		cur += n
+	}
+	return reqs
+}
+
+func TestPlanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		l := testLayout(1+rng.Intn(9), int64(1+rng.Intn(512)))
+		off, length := int64(rng.Intn(20_000)), int64(1+rng.Intn(20_000))
+		if got, want := l.Plan(off, length), planReference(l, off, length); !reflect.DeepEqual(got, want) {
+			t.Fatalf("m=%d u=%d off=%d len=%d:\n got %+v\nwant %+v", l.Width(), l.Unit, off, length, got, want)
+		}
+	}
+}
+
+// Plan makes two allocations whatever the width — the requests and one array
+// of pieces they share — and a request's share of that array is capped, so a
+// caller appending to one request's pieces cannot write into the next.
+func TestPlanAllocatesPerCallNotPerColumn(t *testing.T) {
+	for _, m := range []int{1, 4, 64} {
+		l := testLayout(m, 1024)
+		length := int64(3*m+1) * 1024
+		if n := testing.AllocsPerRun(100, func() { l.Plan(512, length) }); n > 3 {
+			t.Errorf("width %d: Plan makes %.0f allocations, want at most 3", m, n)
+		}
+	}
+	reqs := testLayout(4, 1024).Plan(0, 16*1024)
+	want := reqs[1].Pieces[0]
+	reqs[0].Pieces = append(reqs[0].Pieces, stripe.Piece{FileOff: -1})
+	if reqs[1].Pieces[0] != want {
+		t.Error("appending to one request's pieces overwrote its neighbour's")
+	}
+}
