@@ -21,6 +21,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -88,6 +89,9 @@ type census struct {
 	// option fields are known.
 	checked []checkedFiles
 }
+
+// theCensus loads the module once for every census test.
+var theCensus = sync.OnceValues(func() (*census, error) { return loadCensus(".") })
 
 // optionField names a field of an option struct: "pkg.Struct" and "Field".
 type optionField struct{ owner, name string }
@@ -266,6 +270,11 @@ func (c *census) check(path string, files []*ast.File, imp types.Importer) *type
 	return pkg
 }
 
+// inTestFile reports whether pos lies in a _test.go file.
+func (c *census) inTestFile(pos token.Pos) bool {
+	return strings.HasSuffix(c.fset.Position(pos).Filename, "_test.go")
+}
+
 // collectFields records the fields of pkg's option structs; bench/ is the
 // frozen benchmark and has none of its own to count.
 func (c *census) collectFields(pkg *types.Package) {
@@ -294,7 +303,7 @@ func (c *census) collectFields(pkg *types.Package) {
 // element, or an assignment or ++/-- target. Sets a struct makes to itself
 // inside its own defaults function do not count.
 func (c *census) scan(f *ast.File, info *types.Info) {
-	isTest := strings.HasSuffix(c.fset.Position(f.Pos()).Filename, "_test.go")
+	isTest := c.inTestFile(f.Pos())
 	for _, decl := range f.Decls {
 		own := ""
 		if fd, ok := decl.(*ast.FuncDecl); ok && defaultsFunc.MatchString(fd.Name.Name) {
@@ -390,7 +399,7 @@ func derefStruct(t types.Type) (*types.Struct, bool) {
 }
 
 func TestOptionsCensus(t *testing.T) {
-	c, err := loadCensus(".")
+	c, err := theCensus()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,6 +450,236 @@ func TestOptionsCensus(t *testing.T) {
 	for name := range censusCalibration {
 		if !seen[name] {
 			t.Errorf("censusCalibration lists %s, which excuses no field: drop the entry", name)
+		}
+	}
+}
+
+// The exports census. An exported function or method under internal/ is a
+// promise that some caller needs it; one that only _test.go files reference
+// is behaviour the product does not have, kept alive by its own unit tests.
+// TestExportsCensus fails when an export declared in a non-test file under
+// internal/ is referenced by no non-test file in the module (internal/,
+// cmd/, bench/, examples/, lwfs.go), satisfies no interface, and is not on
+// exportsKept with a reason.
+
+// exportsKept lists the exports no product code references that stay, as
+// "reason: detail". The reasons: test rig; fault injection (netsim controls
+// the chaos suites script); recovery (paths only chaos tests defend — safety
+// code is not a simplicity target); paper API (client calls PAPER.md §3.1–3.3
+// names though no experiment makes them); accessor (a one-line view of state
+// that tests in another package observe or steer through, named here; one
+// that only its own package's tests need is unexported instead).
+var exportsKept = map[string]string{
+	"testrig.New":               "test rig",
+	"testrig.Rig.AuthnClient":   "test rig",
+	"testrig.Rig.Go":            "test rig",
+	"testrig.Rig.Metric":        "test rig",
+	"testrig.Rig.Run":           "test rig",
+	"testrig.Rig.StorageServer": "test rig",
+	"testrig.RunChaos":          "test rig",
+	"testrig.SeedFromEnv":       "test rig",
+
+	"netsim.Network.Partition": "fault injection",
+	"netsim.Network.Degrade":   "fault injection",
+	"netsim.Network.Heal":      "fault injection",
+	"netsim.Network.SetFault":  "fault injection",
+	"netsim.Fault.Heal":        "fault injection",
+	"netsim.Fault.Healed":      "fault injection",
+
+	"burst.Server.AdoptJournal": "recovery: a peer adopts a crashed buffer's journal (burst restage chaos tests)",
+	"burst.Server.Adopted":      "recovery: counts what AdoptJournal re-staged",
+	"checkpoint.RestoreRead":    "recovery: reads a checkpoint back by manifest (checkpoint restore and chaos tests)",
+
+	"core.Client.Logout":       "paper API: §3.1 a user revokes the credential it logged in with",
+	"core.Client.List":         "paper API: §3.3 the object service lists a container's objects",
+	"core.Client.SetAutoRenew": "paper API: §5 an expired capability is re-acquired, not a failed checkpoint (the NASD contrast)",
+	"authn.Client.Verify":      "paper API: §3.1 a service verifies a credential with its issuer",
+
+	// The capture side of record/replay. Its nil check sits on every stdfs
+	// operation the replay workloads execute, so deleting it would edit code
+	// the benchmark runs; the replay side is product code.
+	"stdfs.FS.Record": "capture: stdfs.TestRecorderIntegration, TestWriteAtSeedsOnlyWhileRecording",
+
+	"lwfspfs.File.Degraded":      "accessor: lwfspfs.TestMetaMirrorCrashMidWorkload and the other mirror chaos tests",
+	"lwfspfs.File.Layout":        "accessor: lwfspfs redundancy tests pick the server to crash from it",
+	"stdfs.File.Handle":          "accessor: stdfs.TestReadFileDegraded reaches the layout through it",
+	"mpi.Rank.ID":                "accessor: every mpi test body asks which rank it runs as",
+	"mpi.Rank.MessagesSent":      "accessor: mpi.TestBcastIsLogarithmic",
+	"osd.Device.NumObjects":      "accessor: stripe.TestRebuildFailureRemovesOrphans, storage.TestRecoveryWithCleanJournal",
+	"sim.Resource.Available":     "accessor: portals.TestPullFailureLeavesThePoolWholeAndTheRecordReusable",
+	"sim.Resource.Capacity":      "accessor: portals.TestPullFailureLeavesThePoolWholeAndTheRecordReusable",
+	"storage.Server.Admission":   "accessor: qos.TestQoSOverloadShedRPC checks the queue drained",
+	"storage.Server.Down":        "accessor: storage.TestCrashRestartReplaysJournal",
+	"storage.Server.Participant": "accessor: core.TestFailedPrepareRollsBackWholeCheckpoint injects a failing prepare through it",
+	"storage.Server.TxnEndpoint": "accessor: storage.TestCrashRecoveryCleansOrphans enlists the server by hand",
+	"txn.Participant.Status":     "accessor: txn.TestVoteNoAbortsEverywhere and the other two-phase tests",
+}
+
+// export is one exported function or method declared under internal/.
+type export struct {
+	name          string       // "pkg.Func" or "pkg.Type.Method"
+	recv          *types.Named // nil for a function
+	product, test bool         // who references it
+}
+
+// exports finds every exported function and method the product packages
+// under internal/ declare and records who references each. Declarations are
+// matched by position, which every re-check of a package shares.
+func (c *census) exports() []*export {
+	byPos := map[token.Pos]*export{}
+	var all []*export
+	add := func(fn *types.Func, recv *types.Named) {
+		if !fn.Exported() {
+			return
+		}
+		e := &export{name: fn.Pkg().Name() + "." + fn.Name(), recv: recv}
+		if recv != nil {
+			e.name = fn.Pkg().Name() + "." + recv.Obj().Name() + "." + fn.Name()
+		}
+		byPos[fn.Pos()] = e
+		all = append(all, e)
+	}
+	for path, cd := range c.dirs {
+		if !strings.HasPrefix(path, "lwfs/internal/") {
+			continue
+		}
+		scope := cd.pkg.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				add(obj, nil)
+			case *types.TypeName:
+				if named, ok := obj.Type().(*types.Named); ok && !obj.IsAlias() {
+					for i := 0; i < named.NumMethods(); i++ {
+						add(named.Method(i), named)
+					}
+				}
+			}
+		}
+	}
+	for _, ch := range c.checked {
+		for id, obj := range ch.info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			e := byPos[fn.Origin().Pos()]
+			if e == nil {
+				continue
+			}
+			if c.inTestFile(id.Pos()) {
+				e.test = true
+			} else {
+				e.product = true
+			}
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].name < all[j].name })
+	return all
+}
+
+// interfaces collects every interface a product file names (declared,
+// anonymous, or from the standard library) plus the exported interfaces of
+// the standard packages product code imports — fmt.Stringer is satisfied
+// without ever being written down.
+func (c *census) interfaces() []*types.Interface {
+	seen := map[*types.Interface]bool{}
+	var all []*types.Interface
+	add := func(t types.Type) {
+		if iface, ok := t.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 && !seen[iface] {
+			seen[iface] = true
+			all = append(all, iface)
+		}
+	}
+	for _, ch := range c.checked {
+		for e, tv := range ch.info.Types {
+			if tv.IsType() && !c.inTestFile(e.Pos()) {
+				add(tv.Type)
+			}
+		}
+	}
+	for _, cd := range c.dirs {
+		for _, imp := range cd.pkg.Imports() {
+			if c.dirs[imp.Path()] != nil {
+				continue
+			}
+			scope := imp.Scope()
+			for _, name := range scope.Names() {
+				if tn, ok := scope.Lookup(name).(*types.TypeName); ok && tn.Exported() {
+					add(tn.Type())
+				}
+			}
+		}
+	}
+	return all
+}
+
+// viaInterface reports whether method e is part of an interface its
+// receiver (or a pointer to it) implements.
+func viaInterface(e *export, ifaces []*types.Interface) bool {
+	if e.recv == nil || e.recv.TypeParams().Len() > 0 {
+		return false
+	}
+	method := e.name[strings.LastIndex(e.name, ".")+1:]
+	for _, iface := range ifaces {
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == method &&
+				(types.Implements(e.recv, iface) || types.Implements(types.NewPointer(e.recv), iface)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func TestExportsCensus(t *testing.T) {
+	c, err := theCensus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := c.exports()
+	ifaces := c.interfaces()
+	var unreferenced, through int
+	var rows, unexplained []string
+	byReason := map[string]int{}
+	seen := map[string]bool{}
+	for _, e := range all {
+		if e.product {
+			continue
+		}
+		unreferenced++
+		who := "tests only"
+		if !e.test {
+			who = "nobody"
+		}
+		reason, kept := exportsKept[e.name]
+		switch {
+		case kept:
+			seen[e.name] = true
+			kind, _, _ := strings.Cut(reason, ":")
+			byReason[kind]++
+		case viaInterface(e, ifaces):
+			through++
+			reason = "via an interface"
+		default:
+			reason = "UNEXPLAINED"
+			unexplained = append(unexplained, fmt.Sprintf("%s (referenced by %s)", e.name, who))
+		}
+		rows = append(rows, fmt.Sprintf("%-40s referenced by %-10s  %s", e.name, who, reason))
+	}
+	var reasons []string
+	for r, n := range byReason {
+		reasons = append(reasons, fmt.Sprintf("%s %d", r, n))
+	}
+	sort.Strings(reasons)
+	t.Logf("exports census: %d exported functions and methods in internal/; %d referenced by no product code: %d via an interface, %d kept (%s)\n%s",
+		len(all), unreferenced, through, len(seen), strings.Join(reasons, ", "), strings.Join(rows, "\n"))
+	for _, u := range unexplained {
+		t.Errorf("export %s: delete it with what only it reached, unexport it if its own package's tests need it, or list it in exportsKept with the reason it stays", u)
+	}
+	for name := range exportsKept {
+		if !seen[name] {
+			t.Errorf("exportsKept lists %s, which is gone or is now referenced by product code: drop the entry", name)
 		}
 	}
 }

@@ -188,8 +188,7 @@ type setACLReq struct {
 }
 
 // InvalidateCaps is the callback request the authorization service sends to
-// storage servers caching revoked capabilities. Exported because the
-// storage package serves it.
+// the servers caching revoked capabilities (CapCache serves it).
 type InvalidateCaps struct{ CapIDs []uint64 }
 
 // Start binds the authorization service to ep's node. It verifies unknown

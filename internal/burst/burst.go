@@ -154,18 +154,16 @@ type extent struct {
 
 // Server is one burst-buffer node's staging service.
 type Server struct {
-	ep        *portals.Endpoint
-	az        *authz.Client
-	sc        *storage.Client // drain path (background class)
-	fg        *storage.Client // pass-through relay path (foreground class)
-	cfg       Config
-	adm       *qos.Admission
-	name      string
-	rpcPort   portals.Index
-	cachePort portals.Index
-	waitPort  portals.Index
-	bufPool   *sim.Resource
-	puller    *portals.Puller
+	ep       *portals.Endpoint
+	sc       *storage.Client // drain path (background class)
+	fg       *storage.Client // pass-through relay path (foreground class)
+	cfg      Config
+	adm      *qos.Admission
+	name     string
+	rpcPort  portals.Index
+	waitPort portals.Index
+	bufPool  *sim.Resource
+	puller   *portals.Puller
 
 	// stageAvail is the remaining staging window, a gauge registered as
 	// `burst.<node>.stage_avail`. Admission is try-acquire-only (a full
@@ -199,7 +197,7 @@ type Server struct {
 	pending map[storage.ObjRef]int
 	failed  map[storage.ObjRef]bool
 
-	capCache map[uint64]authz.Capability
+	caps authz.CapCache
 
 	// Registered instruments under `burst.<node>.*`. All updates are
 	// atomic (or mutex-guarded, for the histogram), so reads like
@@ -216,7 +214,7 @@ type Server struct {
 	fgActive     *metrics.Gauge     // pass-through relays currently in flight
 	drainYields  *metrics.Counter   // drain pauses that let foreground traffic ahead
 
-	rpc, waitRPC, cacheRPC *portals.Server
+	rpc, waitRPC *portals.Server
 }
 
 // Start binds a memory-only burst server to ep's node at the given RPC
@@ -255,13 +253,11 @@ func startServer(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, 
 	fgCaller := portals.NewCaller(ep)
 	s := &Server{
 		ep:           ep,
-		az:           az,
 		sc:           storage.NewClient(caller),
 		fg:           storage.NewClient(fgCaller),
 		cfg:          cfg,
 		name:         name,
 		rpcPort:      rpcPort,
-		cachePort:    rpcPort + 1,
 		waitPort:     rpcPort + 2,
 		bufPool:      sim.NewResource(ep.Kernel(), name+"/pinned", cfg.PinnedBuffer),
 		puller:       portals.NewPuller(ep, name, cfg.ChunkSize),
@@ -285,7 +281,6 @@ func startServer(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, 
 		seen:         make(map[storage.ObjRef]bool),
 		pending:      make(map[storage.ObjRef]int),
 		failed:       make(map[storage.ObjRef]bool),
-		capCache:     make(map[uint64]authz.Capability),
 	}
 	s.stageAvail.Set(cfg.StageCapacity)
 	s.rpc = portals.Serve(ep, s.rpcPort, name, cfg.Threads, s.handle) //qos:admitted
@@ -293,9 +288,7 @@ func startServer(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, 
 		s.adm = qos.NewAdmission(ep.Kernel(), ep.Metrics().Scope("qos").Scope(name), *cfg.QoS)
 		s.rpc.SetDispatcher(s.adm)
 	}
-	// Revocation callbacks from the authorization service, not tenant
-	// traffic. //qos:exempt
-	s.cacheRPC = portals.Serve(ep, s.cachePort, name+"/capcache", 1, s.handleInvalidate)
+	s.caps.Serve(ep, az, rpcPort+1, name, scope.Scope("cap_cache"), false)
 	// Drain waits block their worker until the staged extents are durable,
 	// so they get their own small thread pool: a waiter must never starve
 	// the staging path (which is what fills the queue the waiter watches).
@@ -314,13 +307,6 @@ func (s *Server) Node() netsim.NodeID { return s.ep.Node() }
 // Tgt returns the server's target descriptor.
 func (s *Server) Tgt() Target { return Target{Node: s.Node(), Port: s.rpcPort} }
 
-// Journaled reports whether the server stages through a write-ahead
-// journal.
-func (s *Server) Journaled() bool { return s.jdev != nil }
-
-// JournalDevice returns the journal device (nil in memory-only mode).
-func (s *Server) JournalDevice() *osd.Device { return s.jdev }
-
 // Crash fail-stops the buffer: the RPC ports stop answering and the staged
 // contents — in-memory only — are gone, along with the bookkeeping that
 // could vouch for them. Queued drain work is discarded; a drain already in
@@ -330,7 +316,7 @@ func (s *Server) JournalDevice() *osd.Device { return s.jdev }
 func (s *Server) Crash() {
 	s.rpc.SetDown(true)
 	s.waitRPC.SetDown(true)
-	s.cacheRPC.SetDown(true)
+	s.caps.Crash()
 	s.epoch++
 	for {
 		if _, ok := s.drainq.TryRecv(); !ok {
@@ -342,7 +328,6 @@ func (s *Server) Crash() {
 	s.seen = make(map[storage.ObjRef]bool)
 	s.pending = make(map[storage.ObjRef]int)
 	s.failed = make(map[storage.ObjRef]bool)
-	s.capCache = make(map[uint64]authz.Capability)
 	s.stageAvail.Set(s.cfg.StageCapacity)
 	s.jopen = false // the in-memory journal handle died with the process
 }
@@ -362,26 +347,15 @@ func (s *Server) Restart(p *sim.Proc) (recovered int, err error) {
 	}
 	s.rpc.SetDown(false)
 	s.waitRPC.SetDown(false)
-	s.cacheRPC.SetDown(false)
+	s.caps.Restart()
 	return recovered, nil
 }
 
-func (s *Server) handleInvalidate(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	inv, ok := req.(authz.InvalidateCaps)
-	if !ok {
-		return nil, fmt.Errorf("burst: bad invalidation %T", req)
-	}
-	for _, id := range inv.CapIDs {
-		delete(s.capCache, id)
-	}
-	return nil, nil
-}
-
-// checkCap enforces policy on the staging path: the capability must be
-// genuine (cached or verified with the authorization service) and authorize
-// writes. The container binding is enforced again by the backing storage
-// server when the extent drains — the buffer holds no device metadata to
-// check it against earlier.
+// checkCap enforces policy on the staging path: the capability must
+// authorize writes and be genuine (authz.CapCache: cached, or verified with
+// the authorization service). The container binding is enforced again by
+// the backing storage server when the extent drains — the buffer holds no
+// device metadata to check it against earlier.
 func (s *Server) checkCap(p *sim.Proc, c authz.Capability) error {
 	if c == (authz.Capability{}) {
 		return ErrNoCap
@@ -389,14 +363,9 @@ func (s *Server) checkCap(p *sim.Proc, c authz.Capability) error {
 	if c.Op != authz.OpWrite {
 		return fmt.Errorf("%w: have %v", ErrWrongOp, c.Op)
 	}
-	if cached, ok := s.capCache[c.ID]; ok && cached == c && s.ep.Kernel().Now() <= c.Expires {
-		return nil
-	}
-	delete(s.capCache, c.ID)
-	if err := s.az.VerifyCaps(p, []authz.Capability{c}, s.cachePort); err != nil {
+	if err := s.caps.Verify(p, &c); err != nil {
 		return fmt.Errorf("%w: %w", ErrCapRejected, err)
 	}
-	s.capCache[c.ID] = c
 	return nil
 }
 

@@ -15,16 +15,17 @@ import (
 )
 
 // bootJournaledPair is bootJournaled with a second journaled buffer on
-// another node, for peer-adoption tests.
-func bootJournaledPair(t *testing.T, cfg burst.Config) (*testrig.Rig, *storage.Server, *burst.Server, *burst.Server) {
+// another node, for peer-adoption tests; jdevA is the first buffer's journal
+// device, which is what a peer adopts.
+func bootJournaledPair(t *testing.T, cfg burst.Config) (r *testrig.Rig, srv *storage.Server, bbA, bbB *burst.Server, jdevA *osd.Device) {
 	t.Helper()
-	r := testrig.New(5)
-	srv := r.StorageServer(1, storage.DefaultConfig())
-	jdevA := osd.NewDevice(r.K, "bbj2", osd.BurstJournalParams())
-	bbA := burst.StartJournaled(r.Eps[2], r.AuthzClient(2), burst.DefaultPort, cfg, jdevA)
+	r = testrig.New(5)
+	srv = r.StorageServer(1, storage.DefaultConfig())
+	jdevA = osd.NewDevice(r.K, "bbj2", osd.BurstJournalParams())
+	bbA = burst.StartJournaled(r.Eps[2], r.AuthzClient(2), burst.DefaultPort, cfg, jdevA)
 	jdevB := osd.NewDevice(r.K, "bbj3", osd.BurstJournalParams())
-	bbB := burst.StartJournaled(r.Eps[3], r.AuthzClient(3), burst.DefaultPort, cfg, jdevB)
-	return r, srv, bbA, bbB
+	bbB = burst.StartJournaled(r.Eps[3], r.AuthzClient(3), burst.DefaultPort, cfg, jdevB)
+	return r, srv, bbA, bbB, jdevA
 }
 
 // TestAdoptJournalRestagesOntoPeer: the burst-tier analogue of a degraded
@@ -37,7 +38,7 @@ func bootJournaledPair(t *testing.T, cfg burst.Config) (*testrig.Rig, *storage.S
 func TestAdoptJournalRestagesOntoPeer(t *testing.T) {
 	cfg := burst.DefaultConfig()
 	cfg.DrainBW = 1 * mb // slow drain leaves the extent staged at crash time
-	r, srv, bbA, bbB := bootJournaledPair(t, cfg)
+	r, srv, bbA, bbB, jdevA := bootJournaledPair(t, cfg)
 	sc := storage.NewClient(r.Caller(4))
 	bc := burst.NewClient(r.Caller(4))
 	r.Go("client", func(p *sim.Proc) {
@@ -53,7 +54,7 @@ func TestAdoptJournalRestagesOntoPeer(t *testing.T) {
 		}
 		bbA.Crash()
 
-		n, err := bbB.AdoptJournal(p, bbA.JournalDevice())
+		n, err := bbB.AdoptJournal(p, jdevA)
 		if err != nil || n != 1 {
 			t.Fatalf("adopt: adopted=%d err=%v, want 1 extent", n, err)
 		}
@@ -88,7 +89,7 @@ func TestAdoptJournalRestagesOntoPeer(t *testing.T) {
 func TestAdoptJournalRequiresJournaledAdopter(t *testing.T) {
 	cfg := burst.DefaultConfig()
 	cfg.DrainBW = 1 * mb
-	r, srv, bbA, bbB := bootJournaledPair(t, cfg)
+	r, srv, bbA, bbB, jdevA := bootJournaledPair(t, cfg)
 	bbC := burst.Start(r.Eps[4], r.AuthzClient(4), burst.DefaultPort, cfg) // memory-only
 	sc := storage.NewClient(r.Caller(0))
 	bc := burst.NewClient(r.Caller(0))
@@ -102,10 +103,10 @@ func TestAdoptJournalRequiresJournaledAdopter(t *testing.T) {
 			t.Fatalf("stage: staged=%v err=%v", staged, err)
 		}
 		bbA.Crash()
-		if _, err := bbC.AdoptJournal(p, bbA.JournalDevice()); err == nil {
+		if _, err := bbC.AdoptJournal(p, jdevA); err == nil {
 			t.Fatal("memory-only buffer adopted a journal, want refusal")
 		}
-		if n, err := bbB.AdoptJournal(p, bbA.JournalDevice()); err != nil || n != 1 {
+		if n, err := bbB.AdoptJournal(p, jdevA); err != nil || n != 1 {
 			t.Fatalf("journaled adopt after refusal: adopted=%d err=%v, want 1", n, err)
 		}
 	})
@@ -120,7 +121,7 @@ func TestAdoptJournalRequiresJournaledAdopter(t *testing.T) {
 func TestAdoptJournalIdempotent(t *testing.T) {
 	cfg := burst.DefaultConfig()
 	cfg.DrainBW = 1 * mb
-	r, srv, bbA, bbB := bootJournaledPair(t, cfg)
+	r, srv, bbA, bbB, jdevA := bootJournaledPair(t, cfg)
 	sc := storage.NewClient(r.Caller(4))
 	bc := burst.NewClient(r.Caller(4))
 	r.Go("client", func(p *sim.Proc) {
@@ -133,10 +134,10 @@ func TestAdoptJournalIdempotent(t *testing.T) {
 			t.Fatalf("stage: staged=%v err=%v", staged, err)
 		}
 		bbA.Crash()
-		if n, err := bbB.AdoptJournal(p, bbA.JournalDevice()); err != nil || n != 1 {
+		if n, err := bbB.AdoptJournal(p, jdevA); err != nil || n != 1 {
 			t.Fatalf("first adopt: adopted=%d err=%v", n, err)
 		}
-		if n, err := bbB.AdoptJournal(p, bbA.JournalDevice()); err != nil || n != 0 {
+		if n, err := bbB.AdoptJournal(p, jdevA); err != nil || n != 0 {
 			t.Fatalf("second adopt: adopted=%d err=%v, want 0", n, err)
 		}
 		if err := bc.DrainWait(p, bbB.Tgt(), []storage.ObjRef{ref}, 0); err != nil {

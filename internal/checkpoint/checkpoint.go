@@ -80,7 +80,7 @@ type Config struct {
 	// modeled as calibrated synthetic load injected into the same storage
 	// (and burst) ingress paths — real NIC serialization, real disk
 	// contention, aggregate sources standing in for rank NICs. Deploy the
-	// load with DeploySampled (or use RunSampled); see sampled.go for the
+	// load with DeploySampled; see sampled.go for the
 	// model and its error bound.
 	Sampled *SampledRanks
 	// RecoveryTimeout, when positive, makes the commit tail ride out a

@@ -7,6 +7,7 @@ import (
 
 	"lwfs/internal/checkpoint"
 	"lwfs/internal/cluster"
+	"lwfs/internal/metrics"
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
 	"lwfs/internal/testrig"
@@ -63,7 +64,7 @@ func TestDeterminism1kClients(t *testing.T) {
 			t.Fatal("checkpoint aborted on a healthy cluster")
 		}
 		var b strings.Builder
-		cl.Metrics().Snapshot().WriteTable(&b)
+		cl.Metrics().Snapshot().Diff(metrics.Snapshot{}).WriteTable(&b)
 		return b.String(), cl.K.Now()
 	}
 

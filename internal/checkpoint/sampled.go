@@ -357,31 +357,6 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 	return sl, nil
 }
 
-// RunSampled is RunLWFS with the sampled shadow load deployed alongside
-// the exact ranks; it returns both the exact-rank Result and the shadow
-// load's handle.
-func RunSampled(spec cluster.Spec, cfg Config) (Result, *SampledLoad, error) {
-	cl := cluster.New(spec)
-	defer cl.Close()
-	cl.RegisterUser("app", "s3cret")
-	l := cl.DeployLWFS()
-	if len(cfg.Burst) == 0 {
-		cfg.Burst = l.BurstTargets()
-	}
-	sl, err := DeploySampled(cl, l, cfg)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	res, err := SetupLWFS(cl, l, cfg)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	if err := cl.Run(); err != nil {
-		return Result{}, nil, err
-	}
-	return *res, sl, nil
-}
-
 func btoi(b bool) int {
 	if b {
 		return 1

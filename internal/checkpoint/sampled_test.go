@@ -8,6 +8,30 @@ import (
 	"lwfs/internal/cluster"
 )
 
+// runSampled is RunLWFS with the sampled shadow load deployed alongside the
+// exact ranks; it returns the exact-rank Result and the shadow load's handle.
+func runSampled(spec cluster.Spec, cfg checkpoint.Config) (checkpoint.Result, *checkpoint.SampledLoad, error) {
+	cl := cluster.New(spec)
+	defer cl.Close()
+	cl.RegisterUser("app", "s3cret")
+	l := cl.DeployLWFS()
+	if len(cfg.Burst) == 0 {
+		cfg.Burst = l.BurstTargets()
+	}
+	sl, err := checkpoint.DeploySampled(cl, l, cfg)
+	if err != nil {
+		return checkpoint.Result{}, nil, err
+	}
+	res, err := checkpoint.SetupLWFS(cl, l, cfg)
+	if err != nil {
+		return checkpoint.Result{}, nil, err
+	}
+	if err := cl.Run(); err != nil {
+		return checkpoint.Result{}, nil, err
+	}
+	return *res, sl, nil
+}
+
 // TestSampledDirect smoke-tests sampled-rank mode against the storage
 // tier: every shadow byte must be injected, acked and landed on a disk,
 // alongside a healthy exact-rank checkpoint.
@@ -20,7 +44,7 @@ func TestSampledDirect(t *testing.T) {
 		Seed:         1,
 		Sampled:      &checkpoint.SampledRanks{TotalRanks: 256},
 	}
-	res, sl, err := checkpoint.RunSampled(spec, cfg)
+	res, sl, err := runSampled(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +85,7 @@ func TestSampledBurst(t *testing.T) {
 		DrainTimeout: -1, // 256-rank drain tail exceeds the 5s default
 		Sampled:      &checkpoint.SampledRanks{TotalRanks: 256},
 	}
-	res, sl, err := checkpoint.RunSampled(spec, cfg)
+	res, sl, err := runSampled(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +129,7 @@ func TestSampledCalibration(t *testing.T) {
 	sampled.Sampled = &checkpoint.SampledRanks{TotalRanks: 64}
 	specS := spec
 	specS.ComputeNodes = 16
-	res, sl, err := checkpoint.RunSampled(specS, sampled)
+	res, sl, err := runSampled(specS, sampled)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,9 +79,6 @@ func TestDeployPFSSameHardwareBudget(t *testing.T) {
 	if len(f.OSTs) != 8 {
 		t.Fatalf("OSTs = %d", len(f.OSTs))
 	}
-	if f.MDS.Node() != cl.Admin.Node() {
-		t.Fatal("MDS not on the admin node")
-	}
 }
 
 func TestBothDeploymentsCoexist(t *testing.T) {

@@ -177,9 +177,6 @@ func mod(i, n int) int {
 // Locks returns the lock client (nil if the system has no lock service).
 func (c *Client) Locks() *txn.LockClient { return c.lc }
 
-// Naming returns the naming client (nil if the system has no naming service).
-func (c *Client) Naming() *naming.Client { return c.nc }
-
 // Login authenticates and stores the credential (GETCREDS).
 func (c *Client) Login(p *sim.Proc, user authn.Principal, secret string) error {
 	cred, err := c.authn.Login(p, user, secret)

@@ -91,7 +91,7 @@ func TestScatterToZeroPeers(t *testing.T) {
 func TestAccessorsExposed(t *testing.T) {
 	cl, l := smallCluster()
 	c := cl.NewClient(l, 0)
-	if c.Naming() == nil || c.Locks() == nil || c.Endpoint() == nil {
+	if c.Locks() == nil || c.Endpoint() == nil {
 		t.Fatal("accessors returned nil")
 	}
 	if len(c.Servers()) != 4 {

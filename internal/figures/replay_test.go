@@ -50,8 +50,10 @@ func TestReplaySweepScales(t *testing.T) {
 	if len(res.Timelines) != 1 || res.Timelines[0].Workers != 16 {
 		t.Fatalf("timelines = %+v", res.Timelines)
 	}
-	if ticks := res.Timelines[0].Rec.Times(); len(ticks) < 2 {
-		t.Fatalf("timeline captured %d ticks", len(ticks))
+	var timeline strings.Builder
+	res.Timelines[0].Rec.WriteColumns(&timeline)
+	if ticks := strings.Count(timeline.String(), "\n") - 2; ticks < 2 { // less the title and the column names
+		t.Fatalf("timeline captured %d ticks", ticks)
 	}
 
 	var sb strings.Builder

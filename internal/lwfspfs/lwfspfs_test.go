@@ -243,7 +243,7 @@ func TestConcurrentWritersSerializeViaLocks(t *testing.T) {
 		later = bDone
 	}
 	oneWrite := 16.0 / (95.0 * 4) // 16MB striped over 4 x 95MB/s disks
-	if later.Seconds() < 2*oneWrite*0.8 {
+	if later.Duration().Seconds() < 2*oneWrite*0.8 {
 		t.Fatalf("writes overlapped despite exclusive lock: done at %v", later)
 	}
 }

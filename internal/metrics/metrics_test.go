@@ -189,24 +189,24 @@ func TestSnapshotDiffRates(t *testing.T) {
 	if d.Elapsed() != 2*time.Second {
 		t.Fatalf("elapsed = %v, want 2s", d.Elapsed())
 	}
-	if got := d.Rate("svc.reqs"); got != 20 {
+	byName := map[string]Row{}
+	for _, row := range d.Rows() {
+		byName[row.Name] = row
+	}
+	if got := byName["svc.reqs"].Rate; got != 20 {
 		t.Fatalf("rate(svc.reqs) = %v, want 20 (40 over 2 virtual seconds)", got)
 	}
-	if got := d.Rate("svc.late"); got != 3 {
+	if got := byName["svc.late"].Rate; got != 3 {
 		t.Fatalf("rate(svc.late) = %v, want 3 (diffed against zero)", got)
-	}
-	rows := d.Rows()
-	byName := map[string]Row{}
-	for _, row := range rows {
-		byName[row.Name] = row
 	}
 	if row := byName["svc.backlog"]; row.Delta != 5 || row.Value != 8 {
 		t.Fatalf("gauge row = %+v, want delta 5 value 8", row)
 	}
 	// Zero elapsed time must not divide by zero.
-	same := cur.Diff(cur)
-	if got := same.Rate("svc.reqs"); got != 0 {
-		t.Fatalf("zero-elapsed rate = %v, want 0", got)
+	for _, row := range cur.Diff(cur).Rows() {
+		if row.Rate != 0 {
+			t.Fatalf("zero-elapsed rate of %s = %v, want 0", row.Name, row.Rate)
+		}
 	}
 }
 
@@ -260,23 +260,6 @@ func TestDumpFormatGuard(t *testing.T) {
 	h.Observe(20)
 
 	clk.t = sim.Time(2 * time.Second)
-	var snapBuf strings.Builder
-	r.Snapshot().WriteTable(&snapBuf)
-	wantSnap := strings.Join([]string{
-		"# metrics snapshot @ 2s (4 instruments)",
-		"name          kind       value  detail",
-		"cache.hits    counter    3      -",
-		"cache.misses  counter    1      -",
-		"lat_ms        histogram  2      mean=15.0 p50=15.0 p99=19.9",
-		"q.depth       gauge      5      -",
-		"# derived",
-		"cache.hit_ratio  0.750  (3/4)",
-		"",
-	}, "\n")
-	if got := snapBuf.String(); got != wantSnap {
-		t.Errorf("snapshot table drifted:\n--- got ---\n%s--- want ---\n%s", got, wantSnap)
-	}
-
 	prev := r.Snapshot()
 	r.Counter("cache.hits").Add(5)
 	r.Gauge("q.depth").Set(2)

@@ -40,9 +40,6 @@ func NewRecorder(every time.Duration, patterns ...string) *Recorder {
 	return &Recorder{every: every, patterns: patterns}
 }
 
-// Interval reports the tick interval.
-func (r *Recorder) Interval() time.Duration { return r.every }
-
 // Start arms the ticker on k, sampling reg: the first sample lands one
 // interval from now. It returns the stop function; see the type comment for
 // why stopping matters.
@@ -73,25 +70,6 @@ func (r *Recorder) capture() {
 	}
 	r.at = append(r.at, r.reg.Now())
 	r.rows = append(r.rows, row)
-}
-
-// Times returns the instant of every tick (shared slice; treat as
-// read-only).
-func (r *Recorder) Times() []sim.Time { return r.at }
-
-// Column returns one recorded pattern's trajectory, a value per tick; nil
-// for a pattern the recorder was not created with.
-func (r *Recorder) Column(pattern string) []float64 {
-	for j, pat := range r.patterns {
-		if pat == pattern {
-			out := make([]float64, len(r.rows))
-			for i, row := range r.rows {
-				out[i] = row[j]
-			}
-			return out
-		}
-	}
-	return nil
 }
 
 // WriteColumns renders the series as a table: one row per tick, one column

@@ -13,8 +13,8 @@ func TestRecorderTicksAndStops(t *testing.T) {
 	reg := NewRegistry(k.Now)
 	work := reg.Scope("work")
 	rec := NewRecorder(10*time.Millisecond, "work.done", "work.*")
-	if rec.Interval() != 10*time.Millisecond {
-		t.Fatalf("interval = %v", rec.Interval())
+	if rec.every != 10*time.Millisecond {
+		t.Fatalf("interval = %v", rec.every)
 	}
 
 	stop := rec.Start(k, reg)
@@ -30,7 +30,7 @@ func TestRecorderTicksAndStops(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	at := rec.Times()
+	at := rec.at
 	// Five 10ms ticks land inside the 50ms workload, plus the final capture
 	// stop() takes.
 	if len(at) < 5 || len(at) > 7 {
@@ -41,7 +41,15 @@ func TestRecorderTicksAndStops(t *testing.T) {
 			t.Fatalf("ticks out of order: %v then %v", at[i-1], at[i])
 		}
 	}
-	col := rec.Column("work.done")
+	// column is one pattern's trajectory, a value per tick.
+	column := func(j int) []float64 {
+		out := make([]float64, len(rec.rows))
+		for i, row := range rec.rows {
+			out[i] = row[j]
+		}
+		return out
+	}
+	col := column(0) // work.done
 	for i := 1; i < len(col); i++ {
 		if col[i] < col[i-1] {
 			t.Fatalf("counter column not monotonic: %v", col)
@@ -52,18 +60,15 @@ func TestRecorderTicksAndStops(t *testing.T) {
 	}
 	// A column is what a whole snapshot would have summed to: the pattern
 	// takes in the gauge (last set to 4) beside the counter.
-	if all := rec.Column("work.*"); all[len(all)-1] != reg.Snapshot().Sum("work.*") || all[len(all)-1] != 9 {
+	if all := column(1); all[len(all)-1] != reg.Snapshot().Sum("work.*") || all[len(all)-1] != 9 {
 		t.Fatalf("pattern column ends at %v, want the snapshot's sum 9", all[len(all)-1])
 	}
-	if rec.Column("work.depth") != nil {
-		t.Fatal("a pattern the recorder was not given has a column")
-	}
 	// Ticks after stop record nothing.
-	n := len(rec.Times())
+	n := len(rec.at)
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Times()) != n {
+	if len(rec.at) != n {
 		t.Fatal("recorder kept capturing after stop")
 	}
 }
@@ -97,7 +102,7 @@ func TestRecorderWriteColumns(t *testing.T) {
 }
 
 func TestRecorderDefaultInterval(t *testing.T) {
-	if got := NewRecorder(0).Interval(); got != 100*time.Millisecond {
+	if got := NewRecorder(0).every; got != 100*time.Millisecond {
 		t.Fatalf("default interval = %v", got)
 	}
 }

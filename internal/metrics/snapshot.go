@@ -118,16 +118,6 @@ func (d Delta) Rows() []Row {
 	return rows
 }
 
-// Rate returns the named instrument's delta per virtual second.
-func (d Delta) Rate(name string) float64 {
-	for _, r := range d.Rows() {
-		if r.Name == name {
-			return r.Rate
-		}
-	}
-	return 0
-}
-
 // fmtNum renders a metric value: integers without a fraction, everything
 // else with one decimal.
 func fmtNum(x float64) string {
@@ -168,27 +158,10 @@ func hitRatios(s Snapshot) []string {
 	return out
 }
 
-// WriteTable dumps the snapshot as a text table: one row per instrument,
-// followed by derived hit ratios. The format is pinned by a guard test —
-// it is what `lwfsbench -metrics` emits.
-func (s Snapshot) WriteTable(w io.Writer) {
-	fmt.Fprintf(w, "# metrics snapshot @ %v (%d instruments)\n", s.At, len(s.Values))
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "name\tkind\tvalue\tdetail")
-	for _, v := range s.Values {
-		detail := "-"
-		if v.Kind == KindHistogram {
-			detail = histDetail(v.Hist)
-		}
-		fmt.Fprintf(tw, "%s\t%v\t%s\t%s\n", v.Name, v.Kind, fmtNum(v.Value), detail)
-	}
-	writeRatios(tw, s)
-	tw.Flush()
-}
-
 // WriteTable dumps the delta as a text table: value, delta and per-virtual-
 // second rate per instrument, followed by derived hit ratios over the
-// current snapshot. The format is pinned by a guard test.
+// current snapshot. The format is pinned by a guard test — it is what
+// `lwfsbench -metrics` emits.
 func (d Delta) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "# metrics delta %v -> %v (elapsed %v)\n", d.Prev.At, d.Cur.At, d.Elapsed())
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

@@ -163,7 +163,6 @@ const (
 	tagBcast   = -100
 	tagGather  = -101
 	tagBarrier = -102
-	tagScatter = -103
 )
 
 // collTag embeds the collective sequence number in the tag so consecutive
@@ -242,37 +241,4 @@ func (r *Rank) Allreduce(p *sim.Proc, value interface{}, size int64, op func(a, 
 		}
 	}
 	return r.Bcast(p, 0, result, size)
-}
-
-// Reduce combines every rank's value at root; only root gets the result.
-func (r *Rank) Reduce(p *sim.Proc, root int, value interface{}, size int64, op func(a, b interface{}) interface{}) interface{} {
-	parts := r.Gather(p, root, value, size)
-	if r.id != root {
-		return nil
-	}
-	result := parts[0]
-	for _, v := range parts[1:] {
-		result = op(result, v)
-	}
-	return result
-}
-
-// Scatter distributes values[i] from root to rank i; every rank must call
-// it (root passes the full slice, others nil) and receives its element.
-func (r *Rank) Scatter(p *sim.Proc, root int, values []interface{}, size int64) interface{} {
-	// Implemented over the broadcast tree with per-subtree slicing would
-	// cut bytes moved; for the job sizes simulated here the simple
-	// root-sends form is clearer and still one message per rank.
-	tag := r.collTag(tagScatter)
-	if r.id == root {
-		mine := values[root]
-		for i := range r.comm.ranks {
-			if i != root {
-				r.Send(i, tag, values[i], size)
-			}
-		}
-		return mine
-	}
-	got, _ := r.Recv(p, root, tag)
-	return got
 }

@@ -165,43 +165,6 @@ func TestAllreduceSum(t *testing.T) {
 	}
 }
 
-func TestReduceOnlyRootGetsResult(t *testing.T) {
-	const n = 6
-	r := newRig(n, 2)
-	results := make([]interface{}, n)
-	r.spawnAll(t, func(p *sim.Proc, rank *mpi.Rank) {
-		results[rank.ID()] = rank.Reduce(p, 3, rank.ID(), 64, func(a, b interface{}) interface{} {
-			return a.(int) + b.(int)
-		})
-	})
-	for i, v := range results {
-		if i == 3 {
-			if v.(int) != 15 { // 0+1+...+5
-				t.Fatalf("root reduce = %v", v)
-			}
-		} else if v != nil {
-			t.Fatalf("rank %d got %v", i, v)
-		}
-	}
-}
-
-func TestScatterDistributesPerRank(t *testing.T) {
-	const n = 5
-	r := newRig(n, 2)
-	got := make([]interface{}, n)
-	r.spawnAll(t, func(p *sim.Proc, rank *mpi.Rank) {
-		var vals []interface{}
-		if rank.ID() == 1 {
-			vals = []interface{}{"a", "b", "c", "d", "e"}
-		}
-		got[rank.ID()] = rank.Scatter(p, 1, vals, 64)
-	})
-	want := []interface{}{"a", "b", "c", "d", "e"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("scatter = %v", got)
-	}
-}
-
 func TestConsecutiveCollectivesDontCross(t *testing.T) {
 	const n = 5
 	r := newRig(n, 2)

@@ -140,11 +140,6 @@ type listReq struct {
 	Path string
 }
 
-type renameReq struct {
-	Cred     authn.Credential
-	Old, New string
-}
-
 // Start binds the naming service to ep's node. part is the service's
 // transaction participant (created by the caller so the journal device is
 // explicit); it may be nil if transactional naming is not needed.
@@ -325,13 +320,6 @@ func (s *Service) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (inte
 		sort.Strings(names)
 		return names, nil
 
-	case renameReq:
-		user, err := s.principal(p, r.Cred)
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.rename(r.Old, r.New, user)
-
 	default:
 		return nil, fmt.Errorf("naming: unknown request %T", req)
 	}
@@ -379,52 +367,6 @@ func (s *Service) unlink(path string) error {
 	return nil
 }
 
-func (s *Service) rename(oldPath, newPath string, user authn.Principal) error {
-	oldClean := gopath.Clean(oldPath)
-	newClean := gopath.Clean(newPath)
-	// Moving a directory into its own subtree would detach it into a
-	// self-referential orphan.
-	if newClean == oldClean || strings.HasPrefix(newClean, oldClean+"/") {
-		return fmt.Errorf("%w: cannot move %s under itself", ErrBadPath, oldClean)
-	}
-	nd, err := s.walk(oldClean)
-	if err != nil {
-		return err
-	}
-	if nd.entry.Owner != user {
-		return ErrNotOwner
-	}
-	parent, base, err := splitClean(newPath)
-	if err != nil {
-		return err
-	}
-	pn, err := s.walk(parent)
-	if err != nil {
-		return err
-	}
-	if !pn.entry.IsDir {
-		return fmt.Errorf("%w: %s", ErrNotDir, parent)
-	}
-	if _, ok := pn.children[base]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, newPath)
-	}
-	if err := s.unlink(nd.entry.Path); err != nil {
-		return err
-	}
-	nd.entry.Path = gopath.Join(parent, base)
-	pn.children[base] = nd
-	s.repath(nd)
-	return nil
-}
-
-// repath fixes descendant paths after a rename.
-func (s *Service) repath(nd *node) {
-	for name, child := range nd.children {
-		child.entry.Path = gopath.Join(nd.entry.Path, name)
-		s.repath(child)
-	}
-}
-
 // Client issues naming RPCs from a node.
 type Client struct {
 	caller *portals.Caller
@@ -448,11 +390,6 @@ func pathSize(path string) int64 { return 128 + int64(len(path)) }
 func (c *Client) Mkdir(p *sim.Proc, cred authn.Credential, path string) error {
 	_, err := c.caller.Call(p, c.server, Portal, mkdirReq{Cred: cred, Path: path}, pathSize(path), 16)
 	return err
-}
-
-// Create binds path to ref: CreateRefs of one ref.
-func (c *Client) Create(p *sim.Proc, cred authn.Credential, path string, ref storage.ObjRef, id txn.ID) error {
-	return c.CreateRefs(p, cred, path, []storage.ObjRef{ref}, id)
 }
 
 // CreateRefs binds path to a set of mirrored object references. The first
@@ -510,11 +447,4 @@ func (c *Client) List(p *sim.Proc, cred authn.Credential, path string) ([]string
 		return nil, err
 	}
 	return v.([]string), nil
-}
-
-// Rename moves an entry.
-func (c *Client) Rename(p *sim.Proc, cred authn.Credential, oldPath, newPath string) error {
-	_, err := c.caller.Call(p, c.server, Portal,
-		renameReq{Cred: cred, Old: oldPath, New: newPath}, pathSize(oldPath+newPath), 16)
-	return err
 }

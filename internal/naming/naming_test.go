@@ -36,6 +36,11 @@ func login(t *testing.T, p *sim.Proc, r *testrig.Rig, node int) authn.Credential
 	return cred
 }
 
+// create binds path to a single ref.
+func create(nc *naming.Client, p *sim.Proc, cred authn.Credential, path string, r storage.ObjRef, id txn.ID) error {
+	return nc.CreateRefs(p, cred, path, []storage.ObjRef{r}, id)
+}
+
 func ref(id uint64) storage.ObjRef {
 	return storage.ObjRef{Node: 5, Port: 20, ID: osd.ObjectID(id)}
 }
@@ -49,7 +54,7 @@ func TestCreateLookupRoundTrip(t *testing.T) {
 		if err := nc.Mkdir(p, cred, "/ckpt"); err != nil {
 			t.Fatalf("mkdir: %v", err)
 		}
-		if err := nc.Create(p, cred, "/ckpt/step-100", ref(42), 0); err != nil {
+		if err := create(nc, p, cred, "/ckpt/step-100", ref(42), 0); err != nil {
 			t.Fatalf("create: %v", err)
 		}
 		e, err := nc.Lookup(p, cred, "/ckpt/step-100")
@@ -69,17 +74,17 @@ func TestDuplicateAndMissingParent(t *testing.T) {
 	nc := naming.NewClient(r.Caller(2), r.Eps[1].Node())
 	r.Go("client", func(p *sim.Proc) {
 		cred := login(t, p, r, 2)
-		if err := nc.Create(p, cred, "/a", ref(1), 0); err != nil {
+		if err := create(nc, p, cred, "/a", ref(1), 0); err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		if err := nc.Create(p, cred, "/a", ref(2), 0); !errors.Is(err, naming.ErrExists) {
+		if err := create(nc, p, cred, "/a", ref(2), 0); !errors.Is(err, naming.ErrExists) {
 			t.Errorf("duplicate: %v", err)
 		}
-		if err := nc.Create(p, cred, "/no/dir/x", ref(3), 0); !errors.Is(err, naming.ErrNotFound) {
+		if err := create(nc, p, cred, "/no/dir/x", ref(3), 0); !errors.Is(err, naming.ErrNotFound) {
 			t.Errorf("missing parent: %v", err)
 		}
 		// A file is not a directory.
-		if err := nc.Create(p, cred, "/a/b", ref(4), 0); !errors.Is(err, naming.ErrNotDir) {
+		if err := create(nc, p, cred, "/a/b", ref(4), 0); !errors.Is(err, naming.ErrNotDir) {
 			t.Errorf("file parent: %v", err)
 		}
 	})
@@ -94,7 +99,7 @@ func TestListSorted(t *testing.T) {
 		cred := login(t, p, r, 2)
 		nc.Mkdir(p, cred, "/d")
 		for _, n := range []string{"zeta", "alpha", "mid"} {
-			if err := nc.Create(p, cred, "/d/"+n, ref(9), 0); err != nil {
+			if err := create(nc, p, cred, "/d/"+n, ref(9), 0); err != nil {
 				t.Fatalf("create %s: %v", n, err)
 			}
 		}
@@ -116,7 +121,7 @@ func TestRemoveSemantics(t *testing.T) {
 	r.Go("client", func(p *sim.Proc) {
 		cred := login(t, p, r, 2)
 		nc.Mkdir(p, cred, "/d")
-		nc.Create(p, cred, "/d/f", ref(7), 0)
+		create(nc, p, cred, "/d/f", ref(7), 0)
 		if _, err := nc.Remove(p, cred, "/d"); !errors.Is(err, naming.ErrNotEmpty) {
 			t.Errorf("remove non-empty dir: %v", err)
 		}
@@ -142,7 +147,7 @@ func TestOwnershipEnforced(t *testing.T) {
 	done := sim.NewMailbox(r.K, "done")
 	r.Go("alice", func(p *sim.Proc) {
 		cred := login(t, p, r, 2)
-		nc2.Create(p, cred, "/mine", ref(1), 0)
+		create(nc2, p, cred, "/mine", ref(1), 0)
 		done.Send("ok")
 	})
 	r.Go("bob", func(p *sim.Proc) {
@@ -151,15 +156,12 @@ func TestOwnershipEnforced(t *testing.T) {
 		if err != nil {
 			t.Fatalf("login: %v", err)
 		}
-		// Bob can look it up but not remove or rename it.
+		// Bob can look it up but not remove it.
 		if _, err := nc3.Lookup(p, cred, "/mine"); err != nil {
 			t.Errorf("lookup: %v", err)
 		}
 		if _, err := nc3.Remove(p, cred, "/mine"); !errors.Is(err, naming.ErrNotOwner) {
 			t.Errorf("remove: %v", err)
-		}
-		if err := nc3.Rename(p, cred, "/mine", "/bobs"); !errors.Is(err, naming.ErrNotOwner) {
-			t.Errorf("rename: %v", err)
 		}
 	})
 	r.Run(t)
@@ -172,52 +174,8 @@ func TestBadCredentialRejected(t *testing.T) {
 	r.Go("client", func(p *sim.Proc) {
 		fake := authn.Credential{}
 		fake.Token[5] = 9
-		if err := nc.Create(p, fake, "/x", ref(1), 0); !errors.Is(err, naming.ErrBadCred) {
+		if err := create(nc, p, fake, "/x", ref(1), 0); !errors.Is(err, naming.ErrBadCred) {
 			t.Errorf("forged cred: %v", err)
-		}
-	})
-	r.Run(t)
-}
-
-func TestRenameMovesSubtree(t *testing.T) {
-	r := testrig.New(3)
-	bootNaming(r)
-	nc := naming.NewClient(r.Caller(2), r.Eps[1].Node())
-	r.Go("client", func(p *sim.Proc) {
-		cred := login(t, p, r, 2)
-		nc.Mkdir(p, cred, "/old")
-		nc.Create(p, cred, "/old/f", ref(3), 0)
-		if err := nc.Rename(p, cred, "/old", "/new"); err != nil {
-			t.Fatalf("rename: %v", err)
-		}
-		e, err := nc.Lookup(p, cred, "/new/f")
-		if err != nil || e.Ref != ref(3) || e.Path != "/new/f" {
-			t.Fatalf("moved child: %+v %v", e, err)
-		}
-		if _, err := nc.Lookup(p, cred, "/old/f"); !errors.Is(err, naming.ErrNotFound) {
-			t.Fatalf("old path alive: %v", err)
-		}
-	})
-	r.Run(t)
-}
-
-func TestRenameIntoOwnSubtreeRejected(t *testing.T) {
-	r := testrig.New(3)
-	bootNaming(r)
-	nc := naming.NewClient(r.Caller(2), r.Eps[1].Node())
-	r.Go("client", func(p *sim.Proc) {
-		cred := login(t, p, r, 2)
-		nc.Mkdir(p, cred, "/d")
-		nc.Mkdir(p, cred, "/d/sub")
-		if err := nc.Rename(p, cred, "/d", "/d/sub/evil"); !errors.Is(err, naming.ErrBadPath) {
-			t.Errorf("rename into own subtree: %v", err)
-		}
-		if err := nc.Rename(p, cred, "/d", "/d"); !errors.Is(err, naming.ErrBadPath) {
-			t.Errorf("rename onto itself: %v", err)
-		}
-		// The tree is intact.
-		if _, err := nc.Lookup(p, cred, "/d/sub"); err != nil {
-			t.Errorf("tree damaged: %v", err)
 		}
 	})
 	r.Run(t)
@@ -233,7 +191,7 @@ func TestTransactionalCreateVisibility(t *testing.T) {
 		// Committed transaction: name becomes visible at commit.
 		tx := co.Begin()
 		tx.Enlist(nc.TxnEndpoint())
-		if err := nc.Create(p, cred, "/ckpt-ok", ref(10), tx.ID); err != nil {
+		if err := create(nc, p, cred, "/ckpt-ok", ref(10), tx.ID); err != nil {
 			t.Fatalf("txn create: %v", err)
 		}
 		if _, err := nc.Lookup(p, cred, "/ckpt-ok"); !errors.Is(err, naming.ErrNotFound) {
@@ -248,7 +206,7 @@ func TestTransactionalCreateVisibility(t *testing.T) {
 		// Aborted transaction: name vanishes and can be reused.
 		tx2 := co.Begin()
 		tx2.Enlist(nc.TxnEndpoint())
-		if err := nc.Create(p, cred, "/ckpt-bad", ref(11), tx2.ID); err != nil {
+		if err := create(nc, p, cred, "/ckpt-bad", ref(11), tx2.ID); err != nil {
 			t.Fatalf("txn create 2: %v", err)
 		}
 		if err := tx2.Abort(p); err != nil {
@@ -257,7 +215,7 @@ func TestTransactionalCreateVisibility(t *testing.T) {
 		if _, err := nc.Lookup(p, cred, "/ckpt-bad"); !errors.Is(err, naming.ErrNotFound) {
 			t.Errorf("aborted entry visible: %v", err)
 		}
-		if err := nc.Create(p, cred, "/ckpt-bad", ref(12), 0); err != nil {
+		if err := create(nc, p, cred, "/ckpt-bad", ref(12), 0); err != nil {
 			t.Errorf("reuse after abort: %v", err)
 		}
 	})
@@ -273,9 +231,9 @@ func TestPendingNameReservesSlot(t *testing.T) {
 		cred := login(t, p, r, 2)
 		tx := co.Begin()
 		tx.Enlist(nc.TxnEndpoint())
-		nc.Create(p, cred, "/slot", ref(1), tx.ID)
+		create(nc, p, cred, "/slot", ref(1), tx.ID)
 		// A concurrent non-transactional create of the same name collides.
-		if err := nc.Create(p, cred, "/slot", ref(2), 0); !errors.Is(err, naming.ErrExists) {
+		if err := create(nc, p, cred, "/slot", ref(2), 0); !errors.Is(err, naming.ErrExists) {
 			t.Errorf("pending name not reserved: %v", err)
 		}
 		tx.Abort(p)
@@ -290,13 +248,13 @@ func TestBadPaths(t *testing.T) {
 	r.Go("client", func(p *sim.Proc) {
 		cred := login(t, p, r, 2)
 		for _, bad := range []string{"", "relative/path", "/"} {
-			if err := nc.Create(p, cred, bad, ref(1), 0); !errors.Is(err, naming.ErrBadPath) {
+			if err := create(nc, p, cred, bad, ref(1), 0); !errors.Is(err, naming.ErrBadPath) {
 				t.Errorf("path %q: %v", bad, err)
 			}
 		}
 		// Messy but legal paths are cleaned.
 		nc.Mkdir(p, cred, "/d")
-		if err := nc.Create(p, cred, "/d//x/../y", ref(1), 0); err != nil {
+		if err := create(nc, p, cred, "/d//x/../y", ref(1), 0); err != nil {
 			t.Errorf("cleanable path: %v", err)
 		}
 		if _, err := nc.Lookup(p, cred, "/d/y"); err != nil {
@@ -337,7 +295,7 @@ func TestNamespaceConsistencyProperty(t *testing.T) {
 					if parent == "/" {
 						path = fmt.Sprintf("/f%d", i)
 					}
-					if err := nc.Create(p, cred, path, ref(uint64(i)), 0); err == nil {
+					if err := create(nc, p, cred, path, ref(uint64(i)), 0); err == nil {
 						created[path] = uint64(i)
 					}
 				}
@@ -383,7 +341,7 @@ func TestMultiRefCreateLookupRoundTrip(t *testing.T) {
 			t.Errorf("AllRefs = %v, want %v", e.AllRefs(), refs)
 		}
 		// A legacy single-ref entry reports exactly one ref via AllRefs.
-		if err := nc.Create(p, cred, "/single", ref(9), 0); err != nil {
+		if err := create(nc, p, cred, "/single", ref(9), 0); err != nil {
 			t.Fatalf("create: %v", err)
 		}
 		se, err := nc.Lookup(p, cred, "/single")
@@ -409,7 +367,7 @@ func TestSetRefsImmediateAndOwnership(t *testing.T) {
 	done := sim.NewMailbox(r.K, "done")
 	r.Go("alice", func(p *sim.Proc) {
 		cred := login(t, p, r, 2)
-		if err := nc2.Create(p, cred, "/f", ref(1), 0); err != nil {
+		if err := create(nc2, p, cred, "/f", ref(1), 0); err != nil {
 			t.Fatalf("create: %v", err)
 		}
 		next := []storage.ObjRef{ref(4), ref(5)}

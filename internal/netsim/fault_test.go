@@ -18,8 +18,8 @@ func TestFaultDropsMatchingMessages(t *testing.T) {
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if delivered != 1 || net.Dropped() != 1 {
-		t.Fatalf("delivered=%d dropped=%d", delivered, net.Dropped())
+	if delivered != 1 || net.dropped.Value() != 1 {
+		t.Fatalf("delivered=%d dropped=%d", delivered, net.dropped.Value())
 	}
 }
 

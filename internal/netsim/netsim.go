@@ -158,9 +158,6 @@ func (t *xfer) ingressDone() {
 // modeling partitions, where packets vanish in the fabric.
 func (n *Network) SetFault(f func(m Message) bool) { n.fault = f }
 
-// Dropped reports messages removed by fault injection.
-func (n *Network) Dropped() int64 { return n.dropped.Value() }
-
 // Metrics returns the network's instrument registry — the cluster-wide
 // observability surface every service hanging off this network registers
 // into. Snapshots are stamped with the kernel's virtual time.
@@ -271,29 +268,4 @@ func (n *Network) Send(m Message) {
 	t := n.allocXfer()
 	t.m, t.dst, t.extra = m, dst, extra
 	src.egress.Schedule(sim.Rate(m.Size, src.cfg.EgressBW), t.stage1)
-}
-
-// SendWait is Send, but the calling process blocks until the message has
-// fully left the local NIC (egress serialization complete). This models a
-// blocking send whose local buffer cannot be reused until the DMA engine is
-// done — the natural shape for a client streaming checkpoint chunks.
-func (n *Network) SendWait(p *sim.Proc, m Message) {
-	src := n.Node(m.From)
-	dst := n.Node(m.To)
-	if m.Size <= 0 {
-		m.Size = 1
-	}
-	drop, extra := n.applyFaults(m)
-	if drop {
-		n.dropped.Inc()
-		return
-	}
-	src.sent.Inc()
-	src.bytesSent.Add(m.Size)
-	n.traceMsg(m, "tx")
-	// Block for our egress slot, then launch the rest of the pipeline.
-	src.egress.Wait(p, sim.Rate(m.Size, src.cfg.EgressBW))
-	t := n.allocXfer()
-	t.m, t.dst, t.extra = m, dst, extra
-	t.egressDone()
 }

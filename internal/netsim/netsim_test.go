@@ -60,23 +60,6 @@ func TestIngressContention(t *testing.T) {
 	}
 }
 
-func TestSendWaitBlocksForEgress(t *testing.T) {
-	k := sim.NewKernel()
-	net, a, b := twoNodeNet(k, 100*mb, time.Microsecond)
-	_ = b
-	var resumed sim.Time
-	k.Spawn("sender", func(p *sim.Proc) {
-		net.SendWait(p, Message{From: a.ID, To: b.ID, Size: 50 * mb})
-		resumed = p.Now()
-	})
-	if err := k.Run(sim.MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if resumed != sim.Time(0).Add(500*time.Millisecond) {
-		t.Fatalf("sender resumed at %v", resumed)
-	}
-}
-
 func TestEgressSerializesSuccessiveSends(t *testing.T) {
 	k := sim.NewKernel()
 	net, a, b := twoNodeNet(k, 100*mb, 0)

@@ -74,8 +74,8 @@ func TestDropWindowOnlyLiveInsideWindow(t *testing.T) {
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if delivered != 2 || net.Dropped() != 1 {
-		t.Fatalf("delivered=%d dropped=%d", delivered, net.Dropped())
+	if delivered != 2 || net.dropped.Value() != 1 {
+		t.Fatalf("delivered=%d dropped=%d", delivered, net.dropped.Value())
 	}
 }
 
@@ -93,7 +93,7 @@ func TestProbabilisticDropsAreSeedDeterministic(t *testing.T) {
 		if err := k.Run(sim.MaxTime); err != nil {
 			t.Fatal(err)
 		}
-		return delivered, net.Dropped()
+		return delivered, net.dropped.Value()
 	}
 	d1, x1 := run(11)
 	d2, x2 := run(11)

@@ -47,20 +47,3 @@ func TestTraceHookSeesTxAndRx(t *testing.T) {
 		t.Fatalf("trace fired after disable: %v", events)
 	}
 }
-
-func TestTraceOnSendWait(t *testing.T) {
-	k := sim.NewKernel()
-	net, a, b := twoNodeNet(k, mb, time.Microsecond)
-	b.SetHandler(func(m Message) {})
-	count := 0
-	net.SetTrace(func(at sim.Time, m Message, kind string) { count++ })
-	k.Spawn("s", func(p *sim.Proc) {
-		net.SendWait(p, Message{From: a.ID, To: b.ID, Size: 10})
-	})
-	if err := k.Run(sim.MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 { // tx + rx
-		t.Fatalf("trace events = %d", count)
-	}
-}

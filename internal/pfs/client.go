@@ -8,7 +8,7 @@ import (
 	"lwfs/internal/sim"
 )
 
-// writeParallelism bounds a client's concurrent outstanding write/read RPCs
+// writeParallelism bounds a client's concurrent outstanding write RPCs
 // (Lustre's max_rpcs_in_flight).
 const writeParallelism = 8
 
@@ -67,30 +67,12 @@ func (c *Client) Open(p *sim.Proc, path string) (*File, error) {
 	return &File{c: c, path: path, layout: l, size: l.Size}, nil
 }
 
-// Stat looks the file up at the MDS.
-func (c *Client) Stat(p *sim.Proc, path string) (Layout, error) {
-	v, err := c.caller.Call(p, c.mds, MDSPortal, mdsStatReq{Path: path}, pfsReqSize, 256)
-	if err != nil {
-		return Layout{}, err
-	}
-	return v.(Layout), nil
-}
-
-// Unlink removes the file's name at the MDS.
-func (c *Client) Unlink(p *sim.Proc, path string) error {
-	_, err := c.caller.Call(p, c.mds, MDSPortal, mdsUnlinkReq{Path: path}, pfsReqSize, pfsRespSize)
-	return err
-}
-
 // SetShared marks the file as concurrently written by multiple processes.
 // A shared writer cannot hold a covering extent lock, so its writes go out
 // one stripe unit at a time and take the server-side lock discipline on
 // every unit — POSIX consistency doing its work (§4: "the file system's
 // consistency and synchronization semantics get in the way").
 func (f *File) SetShared(shared bool) { f.shared = shared }
-
-// Layout returns the file's striping.
-func (f *File) Layout() Layout { return f.layout }
 
 // piece is one client-side transfer: a contiguous object-space run on one
 // OST, gathered from (possibly strided) file-space data.
@@ -221,76 +203,6 @@ func (f *File) Write(p *sim.Proc, off int64, payload netsim.Payload) (int64, err
 		f.size = end
 	}
 	return written, err
-}
-
-// Read fetches [off, off+length). Short reads return what exists.
-func (f *File) Read(p *sim.Proc, off, length int64) (netsim.Payload, error) {
-	if off+length > f.size {
-		if st, err := f.c.Stat(p, f.path); err == nil && st.Size > f.size {
-			f.size = st.Size
-		}
-	}
-	if off >= f.size {
-		return netsim.Payload{}, nil
-	}
-	if off+length > f.size {
-		length = f.size - off
-	}
-	pcs := f.pieces(off, length)
-	ep := f.c.caller.Endpoint()
-	var buf []byte
-	anyReal := false
-	err := f.parallel(p, len(pcs), func(q *sim.Proc, i int) error {
-		pc := pcs[i]
-		bits := portals.MatchBits(ep.NextToken())
-		data := ep.Post(clientDataPortal, bits, false)
-		defer data.Close()
-		v, err := f.c.caller.Call(q, pc.ost.Node, pc.ost.Port, ostReadReq{
-			Obj:        f.layout.ObjectID(pc.obj),
-			Off:        pc.objOff,
-			Len:        pc.length,
-			Bits:       bits,
-			DataPortal: clientDataPortal,
-		}, pfsReqSize, pfsRespSize)
-		if err != nil {
-			return err
-		}
-		resp := v.(ostReadResp)
-		for c := 0; c < resp.Chunks; c++ {
-			ev, _ := data.Wait(q, 0)
-			if ev.Payload.Data == nil {
-				ev.Release()
-				continue
-			}
-			if buf == nil {
-				buf = make([]byte, length)
-			}
-			anyReal = true
-			chunkObjOff := pc.objOff + ev.Hdr.(int64)
-			// Scatter the chunk back to file space, stripe window by
-			// stripe window.
-			unit := f.layout.StripeUnit
-			for done := int64(0); done < ev.Payload.Size; {
-				oo := chunkObjOff + done
-				fo := f.fileOff(pc.obj, oo)
-				n := unit - oo%unit
-				if n > ev.Payload.Size-done {
-					n = ev.Payload.Size - done
-				}
-				if fo-off >= 0 && fo-off < length {
-					copy(buf[fo-off:], ev.Payload.Data[done:done+n])
-				}
-				done += n
-			}
-			ev.Release()
-		}
-		return nil
-	})
-	out := netsim.Payload{Size: length}
-	if anyReal {
-		out.Data = buf
-	}
-	return out, err
 }
 
 // Sync flushes every OST in the layout (fsync).

@@ -5,30 +5,9 @@ import (
 	"testing"
 
 	"lwfs/internal/netsim"
+	"lwfs/internal/pfs"
 	"lwfs/internal/sim"
 )
-
-func TestReadPastEOFShortens(t *testing.T) {
-	cl, f := smallCluster(4)
-	c := cl.NewPFSClient(f, 0)
-	cl.K.Spawn("app", func(p *sim.Proc) {
-		file, err := c.Create(p, "/short", 0)
-		if err != nil {
-			t.Fatalf("create: %v", err)
-		}
-		data := []byte("just a few bytes")
-		file.Write(p, 0, netsim.BytesPayload(data))
-		got, err := file.Read(p, 5, 1000)
-		if err != nil || !bytes.Equal(got.Data, data[5:]) {
-			t.Fatalf("short read: %q %v", got.Data, err)
-		}
-		got, err = file.Read(p, 100, 10)
-		if err != nil || got.Size != 0 {
-			t.Fatalf("past-eof: %+v %v", got, err)
-		}
-	})
-	run(t, cl)
-}
 
 func TestCloseUpdatesMDSSize(t *testing.T) {
 	cl, f := smallCluster(2)
@@ -43,9 +22,9 @@ func TestCloseUpdatesMDSSize(t *testing.T) {
 	})
 	cl.K.Spawn("reader", func(p *sim.Proc) {
 		done.Recv(p)
-		l, err := b.Stat(p, "/sized")
-		if err != nil || l.Size != 12345 {
-			t.Errorf("stat after close: %+v %v", l, err)
+		file, err := b.Open(p, "/sized")
+		if err != nil || file.LayoutForTest().Size != 12345 {
+			t.Errorf("open after close: %+v %v", file, err)
 		}
 	})
 	run(t, cl)
@@ -61,19 +40,12 @@ func TestSparseStripedWrite(t *testing.T) {
 		if _, err := file.Write(p, 7*mb, netsim.BytesPayload(data)); err != nil {
 			t.Fatalf("sparse write: %v", err)
 		}
-		got, err := file.Read(p, 7*mb, int64(len(data)))
-		if err != nil || !bytes.Equal(got.Data, data) {
-			t.Fatalf("sparse read: %q %v", got.Data, err)
+		if got := pfs.ReadBackForTest(p, file, f.OSTs, 7*mb, int64(len(data))); !bytes.Equal(got, data) {
+			t.Fatalf("sparse write landed as %q", got)
 		}
-		// The hole reads back zeros (or synthetic absence), not garbage.
-		hole, err := file.Read(p, 3*mb, 16)
-		if err != nil {
-			t.Fatalf("hole read: %v", err)
-		}
-		for _, byt := range hole.Data {
-			if byt != 0 {
-				t.Fatalf("hole contains %v", hole.Data)
-			}
+		// The hole before it holds zeros, not garbage.
+		if hole := pfs.ReadBackForTest(p, file, f.OSTs, 3*mb, 16); !bytes.Equal(hole, make([]byte, 16)) {
+			t.Fatalf("hole contains %v", hole)
 		}
 	})
 	run(t, cl)
@@ -87,17 +59,16 @@ func TestSingleStripeFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		if len(file.Layout().OSTs) != 1 {
-			t.Fatalf("stripes = %d", len(file.Layout().OSTs))
+		if n := len(file.LayoutForTest().OSTs); n != 1 {
+			t.Fatalf("stripes = %d", n)
 		}
 		data := make([]byte, 3*mb)
 		for i := range data {
 			data[i] = byte(i)
 		}
 		file.Write(p, 0, netsim.BytesPayload(data))
-		got, err := file.Read(p, mb, mb)
-		if err != nil || !bytes.Equal(got.Data, data[mb:2*mb]) {
-			t.Fatalf("single-stripe read: %v", err)
+		if got := pfs.ReadBackForTest(p, file, f.OSTs, mb, mb); !bytes.Equal(got, data[mb:2*mb]) {
+			t.Fatal("single-stripe range differs")
 		}
 	})
 	run(t, cl)

@@ -10,19 +10,18 @@ import (
 )
 
 // MDS is the centralized metadata server: it owns the namespace and file
-// layouts. Every create/open/stat/unlink passes through it, and namespace
+// layouts. Every create and open passes through it, and namespace
 // mutations serialize on an internal lock — faithful to the architecture
 // the paper identifies as "inherently unscalable" (§4): adding OSTs does
 // not add metadata throughput.
 type MDS struct {
 	cfg     Config
-	node    netsim.NodeID
 	osts    []OSTTarget
 	files   map[string]*Layout
 	nextIno uint64
 	nsLock  *sim.Resource
 
-	creates, opens, unlinks, stats *metrics.Counter
+	creates, opens *metrics.Counter
 }
 
 // request bodies
@@ -34,10 +33,6 @@ type mdsCreateReq struct {
 
 type mdsOpenReq struct{ Path string }
 
-type mdsStatReq struct{ Path string }
-
-type mdsUnlinkReq struct{ Path string }
-
 type mdsSetSizeReq struct {
 	Path string
 	Size int64
@@ -48,7 +43,6 @@ type mdsSetSizeReq struct {
 func StartMDS(ep *portals.Endpoint, osts []OSTTarget, cfg Config) *MDS {
 	m := &MDS{
 		cfg:    cfg,
-		node:   ep.Node(),
 		osts:   osts,
 		files:  make(map[string]*Layout),
 		nsLock: sim.NewResource(ep.Kernel(), "mds/namespace", 1),
@@ -56,14 +50,9 @@ func StartMDS(ep *portals.Endpoint, osts []OSTTarget, cfg Config) *MDS {
 	md := ep.Metrics().Scope("pfs").Scope("mds")
 	m.creates = md.Counter("creates")
 	m.opens = md.Counter("opens")
-	m.unlinks = md.Counter("unlinks")
-	m.stats = md.Counter("stats")
 	portals.Serve(ep, MDSPortal, "mds", cfg.MDSThreads, m.handle)
 	return m
 }
-
-// Node returns the MDS's node.
-func (m *MDS) Node() netsim.NodeID { return m.node }
 
 func (m *MDS) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
 	switch r := req.(type) {
@@ -98,15 +87,6 @@ func (m *MDS) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interfac
 		m.opens.Inc()
 		return *l, nil
 
-	case mdsStatReq:
-		p.Sleep(m.cfg.MDSOpCost / 2)
-		l, ok := m.files[r.Path]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, r.Path)
-		}
-		m.stats.Inc()
-		return *l, nil
-
 	case mdsSetSizeReq:
 		p.Sleep(m.cfg.MDSOpCost / 2)
 		l, ok := m.files[r.Path]
@@ -116,17 +96,6 @@ func (m *MDS) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interfac
 		if r.Size > l.Size {
 			l.Size = r.Size
 		}
-		return nil, nil
-
-	case mdsUnlinkReq:
-		m.nsLock.Acquire(p, 1)
-		p.Sleep(m.cfg.MDSOpCost)
-		defer m.nsLock.Release(1)
-		if _, ok := m.files[r.Path]; !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, r.Path)
-		}
-		delete(m.files, r.Path)
-		m.unlinks.Inc()
 		return nil, nil
 
 	default:

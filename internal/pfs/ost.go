@@ -45,19 +45,6 @@ type ostWriteReq struct {
 	ClientID   uint64 // lock-holder identity
 }
 
-type ostReadReq struct {
-	Obj        osd.ObjectID
-	Off        int64
-	Len        int64
-	Bits       portals.MatchBits
-	DataPortal portals.Index
-}
-
-type ostReadResp struct {
-	Len    int64
-	Chunks int
-}
-
 type ostSyncReq struct{}
 
 // StartOST binds an OST over dev at (ep, port).
@@ -111,8 +98,6 @@ func (o *OST) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interfac
 	switch r := req.(type) {
 	case ostWriteReq:
 		return o.write(p, from, r)
-	case ostReadReq:
-		return o.read(p, from, r)
 	case ostSyncReq:
 		o.dev.Sync(p)
 		return nil, nil
@@ -162,34 +147,4 @@ func (o *OST) write(p *sim.Proc, from netsim.NodeID, r ostWriteReq) (interface{}
 	}
 	o.writesServed.Inc()
 	return written, nil
-}
-
-func (o *OST) read(p *sim.Proc, from netsim.NodeID, r ostReadReq) (interface{}, error) {
-	if err := o.ensureObject(p, r.Obj); err != nil {
-		return nil, err
-	}
-	st, err := o.dev.Stat(r.Obj)
-	if err != nil {
-		return nil, err
-	}
-	length := r.Len
-	if r.Off >= st.Size {
-		length = 0
-	} else if r.Off+length > st.Size {
-		length = st.Size - r.Off
-	}
-	chunks := 0
-	for off := int64(0); off < length; off += o.cfg.ChunkSize {
-		n := o.cfg.ChunkSize
-		if off+n > length {
-			n = length - off
-		}
-		payload, err := o.dev.Read(p, r.Obj, r.Off+off, n)
-		if err != nil {
-			return nil, err
-		}
-		o.ep.Put(from, r.DataPortal, r.Bits, off, payload)
-		chunks++
-	}
-	return ostReadResp{Len: length, Chunks: chunks}, nil
 }

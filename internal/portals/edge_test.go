@@ -25,7 +25,7 @@ func TestServerCountersAndQueue(t *testing.T) {
 	var maxQueue int
 	r.k.Spawn("observer", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
-			if q := srv.QueueLen(); q > maxQueue {
+			if q := srv.q.Len(); q > maxQueue {
 				maxQueue = q
 			}
 			p.Sleep(time.Millisecond)

@@ -282,8 +282,8 @@ func TestCrashWithQueuedRequestsReleasesEachOnce(t *testing.T) {
 		if got := srv.served.Value(); got != n {
 			t.Errorf("served %d after the restart, want %d", got, n)
 		}
-		if srv.QueueLen() != 0 || srv.work.Len() != 0 {
-			t.Errorf("run left %d requests and %d work tokens queued", srv.QueueLen(), srv.work.Len())
+		if srv.q.Len() != 0 || srv.work.Len() != 0 {
+			t.Errorf("run left %d requests and %d work tokens queued", srv.q.Len(), srv.work.Len())
 		}
 		freeLists(t, r.eps[0])
 	})

@@ -292,14 +292,6 @@ func (ep *Endpoint) Attach(pt Index, bits, ignore MatchBits, md *MD) *ME {
 	return me
 }
 
-// AttachOnce is Attach, but the entry unlinks itself after the first
-// matching operation (use-once receive buffers).
-func (ep *Endpoint) AttachOnce(pt Index, bits, ignore MatchBits, md *MD) *ME {
-	me := ep.Attach(pt, bits, ignore, md)
-	me.once = true
-	return me
-}
-
 // Slot is a posted receive — an event queue, its memory descriptor and the
 // match entry that feeds it — in one object recycled through the network's
 // free list: the "post an entry, send, wait, unlink" every request/reply

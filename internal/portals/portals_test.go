@@ -82,15 +82,14 @@ func TestMatchBitsAndIgnore(t *testing.T) {
 
 func TestAttachOnceUnlinksAfterFirstMatch(t *testing.T) {
 	r := newRig(t, 2, 100*mb)
-	eq := sim.NewMailbox(r.k, "eq")
-	r.eps[1].AttachOnce(3, 5, 0, &MD{EQ: eq})
+	slot := r.eps[1].Post(3, 5, true) // a use-once entry
 	r.eps[0].Put(r.eps[1].Node(), 3, 5, nil, netsim.SyntheticPayload(1))
 	r.eps[0].Put(r.eps[1].Node(), 3, 5, nil, netsim.SyntheticPayload(1))
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if eq.Len() != 1 || r.eps[1].dropped.Value() != 1 {
-		t.Fatalf("eq=%d dropped=%d", eq.Len(), r.eps[1].dropped.Value())
+	if slot.Len() != 1 || r.eps[1].dropped.Value() != 1 {
+		t.Fatalf("slot=%d dropped=%d", slot.Len(), r.eps[1].dropped.Value())
 	}
 }
 

@@ -288,10 +288,6 @@ func (s *Server) respond(req rpcRequest, body interface{}, err error, size int64
 	s.ep.send(req.From, ev)
 }
 
-// QueueLen reports requests waiting for a service thread (also exported as
-// the `rpc.<name>.queue_depth` gauge).
-func (s *Server) QueueLen() int { return s.q.Len() }
-
 // Down reports whether the server is crashed.
 func (s *Server) Down() bool { return s.down }
 

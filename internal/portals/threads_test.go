@@ -169,8 +169,8 @@ func TestSetDownKeepsStartedWorkers(t *testing.T) {
 		if got := srv.discarded.Value(); got != 2 {
 			t.Errorf("discarded %d queued requests, want 2", got)
 		}
-		if srv.QueueLen() != 0 || srv.work.Len() != 0 {
-			t.Errorf("crash left %d requests and %d work tokens queued", srv.QueueLen(), srv.work.Len())
+		if srv.q.Len() != 0 || srv.work.Len() != 0 {
+			t.Errorf("crash left %d requests and %d work tokens queued", srv.q.Len(), srv.work.Len())
 		}
 		if got := after.Duration(); got < 80*time.Millisecond || got >= 81*time.Millisecond {
 			t.Errorf("request after restart done at %v, want 10 ms after 70 ms", got)

@@ -83,12 +83,12 @@ func TestTimeoutChurnZeroAlloc(t *testing.T) {
 	var avg float64
 	k.Spawn("recv", func(p *Proc) {
 		// Warm up: pre-build the proc's pooled timeout closure and waiter.
-		m.SendAfter(time.Microsecond, 1)
+		k.After(time.Microsecond, func() { m.Send(1) })
 		if _, ok := m.RecvTimeout(p, time.Millisecond); !ok {
 			t.Error("warmup recv timed out")
 		}
 		avg = testing.AllocsPerRun(200, func() {
-			m.SendAfter(time.Microsecond, nil)
+			k.After(time.Microsecond, func() { m.Send(nil) })
 			if _, ok := m.RecvTimeout(p, time.Millisecond); !ok {
 				t.Error("recv timed out")
 			}
@@ -98,7 +98,7 @@ func TestTimeoutChurnZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	if avg > 1 {
-		// SendAfter itself allocates its delivery closure; the
+		// The delayed Send allocates its delivery closure; the
 		// RecvTimeout/cancel cycle must add nothing on top.
 		t.Fatalf("steady-state RecvTimeout churn allocates %.1f objects/op, want <=1", avg)
 	}

@@ -25,7 +25,7 @@
 //   - Events scheduled at the current instant — every unpark, Yield, and
 //     At(now) — bypass the heap through a FIFO ring; the seq comparison
 //     against the heap top preserves global submission order exactly.
-//   - Canceled timeouts (afterCancelable) release their arena slot
+//   - Canceled timeouts (scheduleCancelable, cancel) release their arena slot
 //     immediately and leave a lazily-deleted heap entry behind; when
 //     tombstones outnumber half the heap they are compacted away in one
 //     filter+heapify pass.
@@ -57,9 +57,6 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
 // Sub returns the duration between t and u (t - u).
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
-
-// Seconds reports t as a floating-point number of seconds.
-func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
 // Duration reports the time since the zero instant as a time.Duration.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
@@ -185,10 +182,6 @@ func (k *Kernel) EventsCanceled() uint64 { return k.nCanceled }
 // EventPoolSize reports the size of the event arena (live + free slots): the
 // high-water mark of simultaneously pending heap events.
 func (k *Kernel) EventPoolSize() int { return len(k.slots) }
-
-// QueueLen reports the number of live pending events (heap minus tombstones,
-// plus the same-instant ring).
-func (k *Kernel) QueueLen() int { return len(k.heap) - k.tombs + k.rlen }
 
 // --- event queue internals -------------------------------------------------
 
@@ -403,15 +396,6 @@ func (k *Kernel) At(t Time, fn func()) { k.schedule(t, fn, nil, evFn) }
 // After schedules fn to run d after the current instant.
 func (k *Kernel) After(d time.Duration, fn func()) { k.schedule(k.now.Add(d), fn, nil, evFn) }
 
-// afterCancelable schedules fn and returns a cancel func usable before the
-// event fires (e.g. timeouts that are beaten by the thing they guard).
-// Hot paths (Mailbox.RecvTimeout) use scheduleCancelable/cancel directly to
-// avoid the closure.
-func (k *Kernel) afterCancelable(d time.Duration, fn func()) (cancel func()) {
-	h := k.scheduleCancelable(k.now.Add(d), fn)
-	return func() { k.cancel(h) }
-}
-
 // Proc is a simulated process: a goroutine scheduled cooperatively by the
 // kernel. All blocking methods (Sleep, Mailbox.Recv, Resource.Acquire, ...)
 // must be called from the process's own goroutine.
@@ -437,9 +421,6 @@ type Proc struct {
 
 // Kernel returns the kernel this process belongs to.
 func (p *Proc) Kernel() *Kernel { return p.k }
-
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
 
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }

@@ -277,15 +277,18 @@ func TestResourceUseAccountsBusyTime(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "r", 1)
 	k.Spawn("u", func(p *Proc) {
-		r.Use(p, 1, 3*time.Millisecond)
-		p.Sleep(time.Millisecond)
-		r.Use(p, 1, 2*time.Millisecond)
+		for _, d := range []time.Duration{3 * time.Millisecond, 2 * time.Millisecond} {
+			r.Acquire(p, 1)
+			p.Sleep(d)
+			r.Release(1)
+			p.Sleep(time.Millisecond) // idle: not busy time
+		}
 	})
 	if err := k.Run(MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if r.BusyTime() != 5*time.Millisecond {
-		t.Fatalf("busy = %v", r.BusyTime())
+	if r.busyTime() != 5*time.Millisecond {
+		t.Fatalf("busy = %v", r.busyTime())
 	}
 }
 
@@ -345,7 +348,7 @@ func TestBarrierReusable(t *testing.T) {
 			for r := 0; r < 3; r++ {
 				p.Sleep(time.Millisecond)
 				b.Await(p)
-				if p.Name() == "p0" {
+				if p.name == "p0" {
 					rounds++
 				}
 			}

@@ -56,31 +56,3 @@ func TestRandRoughlyUniform(t *testing.T) {
 		}
 	}
 }
-
-func TestFutureWaitTimeout(t *testing.T) {
-	k := NewKernel()
-	f := NewFuture()
-	var timedOut, completed bool
-	k.Spawn("waiter", func(p *Proc) {
-		if _, _, ok := f.WaitTimeout(p, time.Millisecond); ok {
-			t.Error("wait should have timed out")
-		}
-		timedOut = true
-		// Second wait outlives the producer's completion.
-		v, err, ok := f.WaitTimeout(p, time.Second)
-		if !ok || err != nil || v != "done" {
-			t.Errorf("second wait: v=%v err=%v ok=%v", v, err, ok)
-		}
-		completed = true
-	})
-	k.Spawn("producer", func(p *Proc) {
-		p.Sleep(10 * time.Millisecond)
-		f.Complete("done", nil)
-	})
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if !timedOut || !completed {
-		t.Fatalf("timedOut=%v completed=%v", timedOut, completed)
-	}
-}

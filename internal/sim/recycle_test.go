@@ -93,7 +93,7 @@ func TestRespawnOntoTheExitingGoroutinesOwnRecord(t *testing.T) {
 		k.After(0, func() {
 			second = k.Spawn("second", func(p *Proc) {
 				p.Sleep(time.Millisecond)
-				ran = p.Name() == "second"
+				ran = p.name == "second"
 			})
 		})
 	})
@@ -201,7 +201,7 @@ func TestDeadKernelKeepsNothing(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		k.After(time.Duration(i)*time.Millisecond, func() { t.Error("an event scheduled on a dead kernel fired") })
 		k.SpawnDaemon("ghost", func(p *Proc) { t.Error("a process spawned on a dead kernel ran") })
-		m.SendAfter(time.Second, i)
+		k.After(time.Second, func() { m.Send(i) })
 	}
 	if h := k.scheduleCancelable(k.now.Add(time.Second), func() {}); h.id >= 0 {
 		t.Errorf("a cancelable event on a dead kernel got slot %d", h.id)
@@ -209,9 +209,9 @@ func TestDeadKernelKeepsNothing(t *testing.T) {
 	if got := k.EventsScheduled() - scheduled; got != 3001 {
 		t.Errorf("%d events counted, want 3001", got)
 	}
-	if k.QueueLen() != 0 || len(k.procs) != 0 || len(k.idle) != 0 || k.ring != nil || k.slots != nil || k.heap != nil {
+	if k.queueLen() != 0 || len(k.procs) != 0 || len(k.idle) != 0 || k.ring != nil || k.slots != nil || k.heap != nil {
 		t.Errorf("a dead kernel holds %d events, %d processes, %d idle records, ring %d, arena %d, heap %d; want nothing",
-			k.QueueLen(), len(k.procs), len(k.idle), len(k.ring), len(k.slots), len(k.heap))
+			k.queueLen(), len(k.procs), len(k.idle), len(k.ring), len(k.slots), len(k.heap))
 	}
 	if err := k.Run(MaxTime); !errors.Is(err, ErrShutdown) {
 		t.Errorf("Run on a dead kernel: %v, want ErrShutdown", err)

@@ -31,7 +31,7 @@ func TestMailboxRingGrowShrink(t *testing.T) {
 	if m.Len() != burst {
 		t.Fatalf("Len = %d, want %d", m.Len(), burst)
 	}
-	grownCap := m.Cap()
+	grownCap := len(m.buf)
 	if grownCap < burst {
 		t.Fatalf("cap %d did not grow to hold %d messages", grownCap, burst)
 	}
@@ -49,8 +49,8 @@ func TestMailboxRingGrowShrink(t *testing.T) {
 	if m.Len() != 0 {
 		t.Fatalf("Len = %d after drain", m.Len())
 	}
-	if m.Cap() >= grownCap {
-		t.Fatalf("cap %d did not shrink from burst high-water %d", m.Cap(), grownCap)
+	if len(m.buf) >= grownCap {
+		t.Fatalf("cap %d did not shrink from burst high-water %d", len(m.buf), grownCap)
 	}
 
 	// Still a working FIFO after shrinking.
@@ -63,6 +63,16 @@ func TestMailboxRingGrowShrink(t *testing.T) {
 		}
 	}
 }
+
+// afterCancelable schedules fn and returns its cancel as a closure.
+func (k *Kernel) afterCancelable(d time.Duration, fn func()) (cancel func()) {
+	h := k.scheduleCancelable(k.now.Add(d), fn)
+	return func() { k.cancel(h) }
+}
+
+// queueLen is the number of live pending events: the heap minus its
+// tombstones, plus the same-instant ring.
+func (k *Kernel) queueLen() int { return len(k.heap) - k.tombs + k.rlen }
 
 // TestCanceledEventsReturnToPool pins the canceled-timeout lifecycle: cancel
 // releases the arena slot immediately (the pool stops growing no matter how

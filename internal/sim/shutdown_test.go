@@ -71,8 +71,8 @@ func TestShutdownRetiresEveryProcess(t *testing.T) {
 	if k.Now() != Time(time.Second) || k.EventsDispatched() == 0 {
 		t.Errorf("clock %v and %d dispatched events did not survive Shutdown", k.Now(), k.EventsDispatched())
 	}
-	if k.QueueLen() != 0 {
-		t.Errorf("%d events still pending", k.QueueLen())
+	if k.queueLen() != 0 {
+		t.Errorf("%d events still pending", k.queueLen())
 	}
 	if err := k.Run(MaxTime); !errors.Is(err, ErrShutdown) {
 		t.Errorf("Run on a dead kernel: %v, want ErrShutdown", err)
@@ -114,8 +114,8 @@ func TestShutdownDeferredCallsMayUseTheKernel(t *testing.T) {
 	}
 	k.Shutdown()
 	// The released unit goes to the queued acquirer, dead kernel or not.
-	if !reached || res.QueueLen() != 0 {
-		t.Errorf("holder's deferred calls did not all run (reached %v, %d still queued for its unit)", reached, res.QueueLen())
+	if !reached || len(res.waiters) != 0 {
+		t.Errorf("holder's deferred calls did not all run (reached %v, %d still queued for its unit)", reached, len(res.waiters))
 	}
 	if n, ok := goroutinesSettleAt(before); !ok {
 		t.Errorf("%d goroutines after Shutdown, want %d", n, before)

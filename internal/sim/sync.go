@@ -74,9 +74,6 @@ func (m *Mailbox) OnBacklog(fn func()) { m.backlog = fn }
 // Len reports the number of queued (undelivered) messages.
 func (m *Mailbox) Len() int { return m.n }
 
-// Cap reports the current ring-buffer capacity (for tests and gauges).
-func (m *Mailbox) Cap() int { return len(m.buf) }
-
 func (m *Mailbox) push(msg interface{}) {
 	if m.n == len(m.buf) {
 		m.resize(len(m.buf) * 2)
@@ -143,12 +140,6 @@ func (m *Mailbox) Send(msg interface{}) {
 	if m.backlog != nil {
 		m.backlog()
 	}
-}
-
-// SendAfter enqueues msg d after the current instant (a one-way message
-// delay without modeling the medium).
-func (m *Mailbox) SendAfter(d time.Duration, msg interface{}) {
-	m.k.After(d, func() { m.Send(msg) })
 }
 
 // wait registers p's pooled waiter and returns it.
@@ -238,9 +229,6 @@ func (r *Resource) Capacity() int64 { return r.capacity }
 // Available returns the currently free units.
 func (r *Resource) Available() int64 { return r.avail }
 
-// QueueLen reports the number of blocked acquirers.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 // Acquire blocks p until n units are available and claims them.
 // n must be in (0, capacity].
 func (r *Resource) Acquire(p *Proc, n int64) {
@@ -284,17 +272,9 @@ func (r *Resource) Release(n int64) {
 	}
 }
 
-// Use acquires n units, holds them for d, then releases them. It models a
-// service time on a contended resource (e.g. a disk transferring a chunk).
-func (r *Resource) Use(p *Proc, n int64, d time.Duration) {
-	r.Acquire(p, n)
-	p.Sleep(d)
-	r.Release(n)
-}
-
-// BusyTime reports the accumulated virtual time during which at least one
+// busyTime reports the accumulated virtual time during which at least one
 // unit was claimed. If the resource is busy now, time up to Now is included.
-func (r *Resource) BusyTime() time.Duration {
+func (r *Resource) busyTime() time.Duration {
 	t := r.busyAccum
 	if r.avail < r.capacity {
 		t += r.k.now.Sub(r.busySince)
@@ -403,32 +383,4 @@ func (f *Future) Wait(p *Proc) (interface{}, error) {
 		p.park()
 	}
 	return f.val, f.err
-}
-
-// WaitTimeout is Wait but gives up after d, returning ok=false. The future
-// stays valid: a later Wait (or a retry) still observes its completion.
-func (f *Future) WaitTimeout(p *Proc, d time.Duration) (val interface{}, err error, ok bool) {
-	if f.done {
-		return f.val, f.err, true
-	}
-	timedOut := false
-	cancel := p.k.afterCancelable(d, func() {
-		// Wake p empty-handed only if it is still waiting; Complete removes
-		// waiters before unparking them, so this cannot double-resume.
-		for i, q := range f.waiters {
-			if q == p {
-				f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
-				timedOut = true
-				p.unpark()
-				return
-			}
-		}
-	})
-	f.waiters = append(f.waiters, p)
-	p.park()
-	if timedOut {
-		return nil, nil, false
-	}
-	cancel()
-	return f.val, f.err, true
 }

@@ -47,34 +47,6 @@ func (s *Sample) StdDev() float64 {
 	return math.Sqrt(ss / float64(n-1))
 }
 
-// Min returns the smallest observation (0 for an empty sample).
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest observation (0 for an empty sample).
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Median returns the middle observation (0 for an empty sample).
 func (s *Sample) Median() float64 {
 	n := len(s.xs)
@@ -153,15 +125,4 @@ func (s *Series) At(x float64) float64 {
 		}
 	}
 	return math.NaN()
-}
-
-// Peak returns the maximum mean across the series.
-func (s *Series) Peak() float64 {
-	peak := 0.0
-	for _, p := range s.Points {
-		if p.Mean > peak {
-			peak = p.Mean
-		}
-	}
-	return peak
 }

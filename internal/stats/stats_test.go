@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -10,7 +11,7 @@ func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestEmptySample(t *testing.T) {
 	var s Sample
-	if s.N() != 0 || s.Mean() != 0 || s.StdDev() != 0 || s.Min() != 0 || s.Max() != 0 || s.Median() != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.StdDev() != 0 || s.Median() != 0 {
 		t.Fatalf("empty sample: %+v", s)
 	}
 }
@@ -26,9 +27,6 @@ func TestKnownValues(t *testing.T) {
 	// Sample stddev of this classic set: sqrt(32/7).
 	if want := math.Sqrt(32.0 / 7.0); !almostEqual(s.StdDev(), want) {
 		t.Fatalf("stddev = %v want %v", s.StdDev(), want)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
 	}
 	if s.Median() != 4.5 {
 		t.Fatalf("median = %v", s.Median())
@@ -103,7 +101,7 @@ func TestPercentileInvariants(t *testing.T) {
 		if s.Percentile(a) > s.Percentile(b)+1e-9 {
 			return false
 		}
-		if s.Percentile(0) < s.Min()-1e-9 || s.Percentile(100) > s.Max()+1e-9 {
+		if s.Percentile(0) < slices.Min(s.xs)-1e-9 || s.Percentile(100) > slices.Max(s.xs)+1e-9 {
 			return false
 		}
 		return almostEqual(s.Percentile(50), s.Median())
@@ -150,9 +148,6 @@ func TestSeries(t *testing.T) {
 	if !math.IsNaN(series.At(99)) {
 		t.Fatalf("At(absent) = %v", series.At(99))
 	}
-	if series.Peak() != 150 {
-		t.Fatalf("Peak = %v", series.Peak())
-	}
 }
 
 // Property: mean is bounded by [min, max]; stddev is non-negative and zero
@@ -174,14 +169,14 @@ func TestSampleInvariants(t *testing.T) {
 			return true
 		}
 		m := s.Mean()
-		if m < s.Min()-1e-6 || m > s.Max()+1e-6 {
+		if m < slices.Min(s.xs)-1e-6 || m > slices.Max(s.xs)+1e-6 {
 			return false
 		}
 		if s.StdDev() < 0 {
 			return false
 		}
 		med := s.Median()
-		return med >= s.Min() && med <= s.Max()
+		return med >= slices.Min(s.xs) && med <= slices.Max(s.xs)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

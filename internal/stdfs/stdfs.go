@@ -19,9 +19,8 @@
 //     because issuing a blocking simulated RPC on somebody else's proc
 //     corrupts the simulation's cooperative scheduling.
 //   - For concurrent workloads (replay workers, per-rank writers), give
-//     each proc its own view with Fork(p): same mount, same container,
-//     different bound proc. Forked views share the underlying lwfspfs.FS,
-//     whose POSIX locking makes cross-proc file access safe.
+//     each proc its own view with New(p, pfs) over the same mount, whose
+//     POSIX locking makes cross-proc file access safe.
 //
 // fs.FS is read-only by design; writes go through the extension methods
 // Create, OpenFile, Mkdir and Remove, mirroring the os package's shape.
@@ -62,24 +61,12 @@ func New(p *sim.Proc, pfs *lwfspfs.FS) *FS {
 	return &FS{p: p, pfs: pfs}
 }
 
-// Fork returns a view of the same mount bound to another proc — the way
-// concurrent workers each get a usable facade. A recorder attached with
-// Record is shared; the fork records under a fresh stream id.
-func (x *FS) Fork(p *sim.Proc) *FS {
-	f := &FS{p: p, pfs: x.pfs, rec: x.rec}
-	if f.rec != nil {
-		f.stream = f.rec.NewStream()
-	}
-	return f
-}
-
 // Proc returns the bound proc.
 func (x *FS) Proc() *sim.Proc { return x.p }
 
 // Record attaches a trace recorder: every subsequent operation through
 // this view (and the handles it opens) appends an event under a fresh
-// stream id. Forks made after this call share the recorder with their own
-// streams.
+// stream id.
 func (x *FS) Record(rec *trace.Recorder) {
 	x.rec = rec
 	x.stream = rec.NewStream()
@@ -266,9 +253,6 @@ type File struct {
 	writable bool
 	closed   bool
 }
-
-// Name returns the fs.FS-style name the handle was opened with.
-func (f *File) Name() string { return f.name }
 
 // Handle returns the underlying lwfspfs file, for callers that need
 // simulator-level detail (layouts, metadata refs) the standard interfaces

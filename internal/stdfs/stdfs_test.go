@@ -283,17 +283,6 @@ func TestRecorderIntegration(t *testing.T) {
 		if _, err := trace.Decode(&buf); err != nil {
 			t.Fatalf("captured trace does not round-trip: %v", err)
 		}
-
-		// A fork shares the recorder under a fresh stream id.
-		fork := x.Fork(p)
-		if err := fork.Mkdir("out2"); err != nil {
-			t.Fatal(err)
-		}
-		evs := rec.Trace().Events
-		last := evs[len(evs)-1]
-		if last.Op != trace.OpMkdir || last.Stream == tr.Events[0].Stream {
-			t.Fatalf("fork event = %+v, want fresh stream", last)
-		}
 	})
 }
 

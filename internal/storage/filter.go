@@ -63,34 +63,19 @@ func (s *Server) runFilter(p *sim.Proc, r filterReq) (interface{}, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoFilter, r.Name)
 	}
-	st, err := s.dev.Stat(r.ID)
-	if err != nil {
-		return nil, err
-	}
-	length := r.Len
-	if r.Off >= st.Size {
-		length = 0
-	} else if r.Off+length > st.Size {
-		length = st.Size - r.Off
-	}
 	var acc []byte
 	if r.Args != "" {
 		acc = []byte(r.Args) // seed the accumulator with caller arguments
 	}
-	for off := int64(0); off < length; off += s.cfg.ChunkSize {
-		n := s.cfg.ChunkSize
-		if off+n > length {
-			n = length - off
-		}
-		chunk, err := s.dev.Read(p, r.ID, r.Off+off, n)
-		if err != nil {
-			return nil, err
-		}
+	_, err := s.readChunks(p, r.ID, r.Off, r.Len, func(_ int64, chunk netsim.Payload) {
 		// Charge the CPU for the scan; overlaps with the next disk read
 		// only across requests (service threads), matching a simple
 		// read-then-compute loop.
-		p.Sleep(time.Duration(float64(n) / FilterCPUBps * 1e9))
+		p.Sleep(time.Duration(float64(chunk.Size) / FilterCPUBps * 1e9))
 		acc = fn(acc, chunk)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return acc, nil
 }

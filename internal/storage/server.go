@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"lwfs/internal/authz"
-	"lwfs/internal/metrics"
 	"lwfs/internal/netsim"
 	"lwfs/internal/osd"
 	"lwfs/internal/portals"
@@ -96,22 +95,19 @@ func DefaultConfig() Config {
 // Server is one LWFS storage server: an RPC front end over an object-based
 // storage device.
 type Server struct {
-	ep        *portals.Endpoint
-	dev       *osd.Device
-	az        *authz.Client
-	cfg       Config
-	rpcPort   portals.Index
-	cachePort portals.Index
-	bufPool   *sim.Resource
-	puller    *portals.Puller
+	ep      *portals.Endpoint
+	dev     *osd.Device
+	az      *authz.Client
+	cfg     Config
+	rpcPort portals.Index
+	bufPool *sim.Resource
+	puller  *portals.Puller
 
-	capCache map[uint64]authz.Capability
-	part     *txn.Participant
-	filters  map[string]FilterFunc
-	adm      *qos.Admission
-
-	cacheHits, cacheMisses, invalidated *metrics.Counter
-	rpc, cacheRPC                       *portals.Server
+	caps    authz.CapCache
+	part    *txn.Participant
+	filters map[string]FilterFunc
+	adm     *qos.Admission
+	rpc     *portals.Server
 }
 
 // Start binds a storage server to ep's node at the given RPC portal, with
@@ -122,29 +118,21 @@ func Start(ep *portals.Endpoint, dev *osd.Device, az *authz.Client, rpcPort port
 		panic(fmt.Sprintf("storage: bad config %+v", cfg))
 	}
 	s := &Server{
-		ep:        ep,
-		dev:       dev,
-		az:        az,
-		cfg:       cfg,
-		rpcPort:   rpcPort,
-		cachePort: rpcPort + 1,
-		bufPool:   sim.NewResource(ep.Kernel(), fmt.Sprintf("%s/pinned", dev.Name()), cfg.PinnedBuffer),
-		puller:    portals.NewPuller(ep, dev.Name(), cfg.ChunkSize),
-		capCache:  make(map[uint64]authz.Capability),
+		ep:      ep,
+		dev:     dev,
+		az:      az,
+		cfg:     cfg,
+		rpcPort: rpcPort,
+		bufPool: sim.NewResource(ep.Kernel(), fmt.Sprintf("%s/pinned", dev.Name()), cfg.PinnedBuffer),
+		puller:  portals.NewPuller(ep, dev.Name(), cfg.ChunkSize),
 	}
-	cc := ep.Metrics().Scope("storage").Scope(dev.Name()).Scope("cap_cache")
-	s.cacheHits = cc.Counter("hits")
-	s.cacheMisses = cc.Counter("misses")
-	s.invalidated = cc.Counter("invalidated")
 	s.rpc = portals.Serve(ep, s.rpcPort, dev.Name(), cfg.Threads, s.handle) //qos:admitted
 	if cfg.QoS != nil {
 		s.adm = qos.NewAdmission(ep.Kernel(), ep.Metrics().Scope("qos").Scope(metricName(dev.Name())), *cfg.QoS)
 		s.rpc.SetDispatcher(s.adm)
 	}
-	// The invalidation port is the authorization service's revocation
-	// channel, not tenant traffic — admission control would let one tenant
-	// delay another's revocations. //qos:exempt
-	s.cacheRPC = portals.Serve(ep, s.cachePort, dev.Name()+"/capcache", 1, s.handleInvalidate)
+	s.caps.Serve(ep, az, rpcPort+1, dev.Name(),
+		ep.Metrics().Scope("storage").Scope(dev.Name()).Scope("cap_cache"), cfg.DisableCapCache)
 	s.part = txn.NewParticipant(ep, dev, s.rpcPort+2)
 	return s
 }
@@ -163,9 +151,8 @@ func (s *Server) Admission() *qos.Admission { return s.adm }
 // Durable state (objects, the journal) survives on the device.
 func (s *Server) Crash() {
 	s.rpc.SetDown(true)
-	s.cacheRPC.SetDown(true)
+	s.caps.Crash()
 	s.part.Crash()
-	s.capCache = make(map[uint64]authz.Capability)
 }
 
 // Restart brings a crashed server back: the RPC ports answer again and the
@@ -174,7 +161,7 @@ func (s *Server) Crash() {
 // Capabilities must be re-verified on first use — the cache restarts cold.
 func (s *Server) Restart(p *sim.Proc) (removed int, err error) {
 	s.rpc.SetDown(false)
-	s.cacheRPC.SetDown(false)
+	s.caps.Restart()
 	s.part.Restart()
 	return s.Recover(p)
 }
@@ -302,25 +289,25 @@ type getAttrReq struct {
 	Key string
 }
 
-func (s *Server) handleInvalidate(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	inv, ok := req.(authz.InvalidateCaps)
-	if !ok {
-		return nil, fmt.Errorf("storage: bad invalidation %T", req)
+// checkCap admits a request: the capability must pass the server's policy
+// and be genuine (authz.CapCache: cached, or verified with the authorization
+// service).
+func (s *Server) checkCap(p *sim.Proc, c authz.Capability, op authz.Op, cid authz.ContainerID) error {
+	if err := capPolicy(&c, op, cid); err != nil {
+		return err
 	}
-	for _, id := range inv.CapIDs {
-		if _, ok := s.capCache[id]; ok {
-			delete(s.capCache, id)
-			s.invalidated.Inc()
-		}
+	if err := s.caps.Verify(p, &c); err != nil {
+		return fmt.Errorf("%w: %w", ErrCapRejected, err)
 	}
-	return nil, nil
+	return nil
 }
 
-// checkCap enforces policy: the capability must be genuine (cached or
-// verified with the authorization service), authorize op, and name the
-// container being touched.
-func (s *Server) checkCap(p *sim.Proc, c authz.Capability, op authz.Op, cid authz.ContainerID) error {
-	if c == (authz.Capability{}) {
+// capPolicy is the server's half of the check: a capability must be
+// present, authorize op, and name the container being touched. It is its own
+// function so that its error formatting is off the stack before Verify parks
+// the service thread.
+func capPolicy(c *authz.Capability, op authz.Op, cid authz.ContainerID) error {
+	if *c == (authz.Capability{}) {
 		return ErrNoCap
 	}
 	if c.Op != op {
@@ -328,24 +315,6 @@ func (s *Server) checkCap(p *sim.Proc, c authz.Capability, op authz.Op, cid auth
 	}
 	if c.Container != cid {
 		return fmt.Errorf("%w: cap is for %d, object in %d", ErrWrongCont, c.Container, cid)
-	}
-	if !s.cfg.DisableCapCache {
-		if cached, ok := s.capCache[c.ID]; ok && cached == c {
-			if s.ep.Kernel().Now() <= c.Expires {
-				s.cacheHits.Inc()
-				return nil
-			}
-			// A cached capability does not outlive its expiry: drop it and
-			// fall through to re-verification (which will also reject).
-			delete(s.capCache, c.ID)
-		}
-	}
-	s.cacheMisses.Inc()
-	if err := s.az.VerifyCaps(p, []authz.Capability{c}, s.cachePort); err != nil {
-		return fmt.Errorf("%w: %w", ErrCapRejected, err)
-	}
-	if !s.cfg.DisableCapCache {
-		s.capCache[c.ID] = c
 	}
 	return nil
 }
@@ -437,12 +406,14 @@ func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (inter
 		if err != nil {
 			return nil, err
 		}
-		// Read or list capability suffices for metadata.
-		if err := s.checkCap(p, r.Cap, r.Cap.Op, cid); err != nil {
-			return nil, err
+		// A read or list capability suffices for metadata; any other is
+		// refused as the wrong operation before it costs a verification.
+		op := authz.OpRead
+		if r.Cap.Op == authz.OpList {
+			op = authz.OpList
 		}
-		if r.Cap.Op != authz.OpRead && r.Cap.Op != authz.OpList {
-			return nil, ErrWrongOp
+		if err := s.checkCap(p, r.Cap, op, cid); err != nil {
+			return nil, err
 		}
 		return s.dev.Stat(r.ID)
 
@@ -530,28 +501,37 @@ func (s *Server) pullWrite(p *sim.Proc, from netsim.NodeID, r writeReq) (interfa
 // a one-sided Put. The RPC response follows the last Put through the same
 // FIFO path, so when the client sees the response, all data has landed.
 func (s *Server) pushRead(p *sim.Proc, from netsim.NodeID, r readReq) (interface{}, error) {
-	st, err := s.dev.Stat(r.ID)
+	chunksSent := 0
+	length, err := s.readChunks(p, r.ID, r.Off, r.Len, func(at int64, chunk netsim.Payload) {
+		s.ep.Put(from, r.DataPortal, r.Bits, at, chunk)
+		chunksSent++
+	})
 	if err != nil {
 		return nil, err
 	}
-	length := r.Len
-	if r.Off >= st.Size {
-		length = 0
-	} else if r.Off+length > st.Size {
-		length = st.Size - r.Off
-	}
-	chunksSent := 0
-	for off := int64(0); off < length; off += s.cfg.ChunkSize {
-		n := s.cfg.ChunkSize
-		if off+n > length {
-			n = length - off
-		}
-		payload, err := s.dev.Read(p, r.ID, r.Off+off, n)
-		if err != nil {
-			return nil, err
-		}
-		s.ep.Put(from, r.DataPortal, r.Bits, off, payload)
-		chunksSent++
-	}
 	return readResp{Len: length, Chunks: chunksSent}, nil
+}
+
+// readChunks is the server-side read walk: it clamps [off, off+length) to
+// the object's size and reads what is left off the device ChunkSize at a
+// time, handing emit each chunk with its offset inside the clamped range.
+// It returns the clamped length.
+func (s *Server) readChunks(p *sim.Proc, id osd.ObjectID, off, length int64, emit func(at int64, chunk netsim.Payload)) (int64, error) {
+	st, err := s.dev.Stat(id)
+	if err != nil {
+		return 0, err
+	}
+	if off >= st.Size {
+		length = 0
+	} else if off+length > st.Size {
+		length = st.Size - off
+	}
+	for at := int64(0); at < length; at += s.cfg.ChunkSize {
+		chunk, err := s.dev.Read(p, id, off+at, min(s.cfg.ChunkSize, length-at))
+		if err != nil {
+			return 0, err
+		}
+		emit(at, chunk)
+	}
+	return length, nil
 }

@@ -273,6 +273,39 @@ func TestStatListRemove(t *testing.T) {
 	r.Run(t)
 }
 
+// A stat presenting anything but a read or list capability is refused as the
+// wrong operation before it costs an authorization round trip or leaves the
+// capability in the cache; a valid stat still verifies and answers.
+func TestStatChecksOpBeforeVerifying(t *testing.T) {
+	r := testrig.New(3)
+	srv := boot(r, 1)
+	sc := storage.NewClient(r.Caller(2))
+	r.Go("client", func(p *sim.Proc) {
+		s := newSession(t, p, r, 2, authz.OpCreate, authz.OpWrite, authz.OpRead)
+		ref, err := sc.Create(p, storage.Target{Node: srv.Node(), Port: srv.RPCPort()}, s.caps[authz.OpCreate], s.cid)
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		verifies, misses := r.Metric("authz.verifies"), r.Metric("storage.*.cap_cache.misses")
+		if _, err := sc.Stat(p, ref, s.caps[authz.OpWrite]); !errors.Is(err, storage.ErrWrongOp) {
+			t.Fatalf("stat with a write capability: %v, want ErrWrongOp", err)
+		}
+		if v, m := r.Metric("authz.verifies"), r.Metric("storage.*.cap_cache.misses"); v != verifies || m != misses {
+			t.Fatalf("refused stat moved authz.verifies %d -> %d, cap_cache.misses %d -> %d", verifies, v, misses, m)
+		}
+		if _, err := sc.Stat(p, ref, authz.Capability{}); !errors.Is(err, storage.ErrNoCap) {
+			t.Fatalf("stat with no capability: %v, want ErrNoCap", err)
+		}
+		if st, err := sc.Stat(p, ref, s.caps[authz.OpRead]); err != nil || st.Size != 0 {
+			t.Fatalf("stat with a read capability: %+v %v", st, err)
+		}
+		if v, m := r.Metric("authz.verifies"), r.Metric("storage.*.cap_cache.misses"); v != verifies+1 || m != misses+1 {
+			t.Fatalf("valid cold stat: authz.verifies %d -> %d, cap_cache.misses %d -> %d, want one of each", verifies, v, misses, m)
+		}
+	})
+	r.Run(t)
+}
+
 func TestAttrsRoundTrip(t *testing.T) {
 	r := testrig.New(3)
 	srv := boot(r, 1)
@@ -380,10 +413,10 @@ func TestManyClientsShareServerFairly(t *testing.T) {
 			last = f
 		}
 	}
-	if last.Seconds() < 2.6 {
+	if last.Duration().Seconds() < 2.6 {
 		t.Fatalf("4x64MB finished impossibly fast: %v", last)
 	}
-	if last.Seconds() > 4.0 {
+	if last.Duration().Seconds() > 4.0 {
 		t.Fatalf("server-directed overlap missing: %v", last)
 	}
 }

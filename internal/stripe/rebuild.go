@@ -9,10 +9,10 @@ import (
 	"lwfs/internal/storage"
 )
 
-// DefaultRebuildChunk is the extent size a rebuild reconstructs per round:
+// rebuildChunk is the extent size a rebuild reconstructs per round:
 // large enough to amortize per-RPC cost, small enough to bound the memory a
 // reconstruction holds at once.
-const DefaultRebuildChunk = 1 << 20
+const rebuildChunk = 1 << 20
 
 // Rebuilder reconstructs the objects a dead storage server held onto
 // replacement objects on surviving servers, patching the layout in place of
@@ -28,8 +28,7 @@ const DefaultRebuildChunk = 1 << 20
 // again even if it restarts, so a resurrected server cannot serve
 // pre-failure bytes into a post-rebuild layout.
 type Rebuilder struct {
-	e     *Engine
-	chunk int64
+	e *Engine
 
 	// Registered under `rebuild.<node>.*`: objects queued and completed
 	// across all rebuilds this node has run, plus the bytes written to
@@ -44,17 +43,10 @@ type Rebuilder struct {
 func NewRebuilder(e *Engine) *Rebuilder {
 	sc := e.c.Endpoint().Metrics().Scope("rebuild").Scope(e.c.Endpoint().NodeName())
 	return &Rebuilder{
-		e: e, chunk: DefaultRebuildChunk,
+		e:     e,
 		done:  sc.Counter("objects_done"),
 		total: sc.Counter("objects_total"),
 		bytes: sc.Counter("bytes_rebuilt"),
-	}
-}
-
-// SetChunk overrides the reconstruction extent size (<= 0 keeps the default).
-func (r *Rebuilder) SetChunk(n int64) {
-	if n > 0 {
-		r.chunk = n
 	}
 }
 
@@ -147,8 +139,8 @@ func (r *Rebuilder) rebuildObject(p *sim.Proc, l Layout, idx int, dst storage.Ob
 		}
 		return fmt.Errorf("stripe/rebuild[%d]: no surviving copy: %w", idx, ErrUnrecoverable)
 	}
-	for off := int64(0); off < length; off += r.chunk {
-		n := min(r.chunk, length-off)
+	for off := int64(0); off < length; off += rebuildChunk {
+		n := min(rebuildChunk, length-off)
 		pl, err := r.e.reconstructExtent(p, l, idx, off, n, nil)
 		if err != nil {
 			return err

@@ -412,7 +412,7 @@ func TestRebuildParity(t *testing.T) {
 			caps := appSetup(t, p, c)
 			eng := stripe.NewEngine(c, caps, 0)
 			l := makeRedundant(t, p, c, caps, stripe.Parity, 3, 0, 8<<10)
-			data := make([]byte, 100_000)
+			data := make([]byte, 7<<20+12345) // 2.3 MB a column: several 1 MB reconstruction rounds
 			l.Size = int64(len(data))
 			rand.New(rand.NewSource(27)).Read(data)
 			if _, err := eng.WriteAt(p, l, 0, netsim.BytesPayload(data)); err != nil {
@@ -420,22 +420,33 @@ func TestRebuildParity(t *testing.T) {
 			}
 			dead := c.Server(victim)
 			lw.Servers[victim].Crash()
-			rb := stripe.NewRebuilder(eng)
-			rb.SetChunk(16 << 10) // several reconstruction rounds
-			nl, err := rb.Rebuild(p, l, dead, c.Servers())
+			nl, err := stripe.NewRebuilder(eng).Rebuild(p, l, dead, c.Servers())
 			if err != nil {
 				t.Fatalf("victim %d rebuild: %v", victim, err)
 			}
-			got, err := eng.ReadAt(p, nl, 0, int64(len(data)))
-			if err != nil || !bytes.Equal(got.Data, data) {
+			// readAll reads the file back in pieces redundRetry's 25 ms
+			// deadline lets through.
+			readAll := func() ([]byte, error) {
+				var out []byte
+				for off := int64(0); off < l.Size; off += 1 << 20 {
+					got, err := eng.ReadAt(p, nl, off, min(1<<20, l.Size-off))
+					if err != nil {
+						return nil, err
+					}
+					out = append(out, got.Data...)
+				}
+				return out, nil
+			}
+			got, err := readAll()
+			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("victim %d post-rebuild read mismatch: %v", victim, err)
 			}
 			// The rebuilt group must again survive a (different) single
 			// loss: crash a survivor and read degraded.
 			next := (victim + 2) % 4
 			lw.Servers[next].Crash()
-			got, err = eng.ReadAt(p, nl, 0, int64(len(data)))
-			if err != nil || !bytes.Equal(got.Data, data) {
+			got, err = readAll()
+			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("victim %d degraded read after rebuild mismatch: %v", victim, err)
 			}
 		})

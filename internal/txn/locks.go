@@ -47,17 +47,12 @@ type Owner struct {
 }
 
 // Errors reported by the lock service.
-var (
-	ErrNotHeld     = errors.New("txn: unlock of a lock not held by owner")
-	ErrLockTimeout = errors.New("txn: lock wait timed out")
-	ErrWouldBlock  = errors.New("txn: lock unavailable (try)")
-)
+var ErrNotHeld = errors.New("txn: unlock of a lock not held by owner")
 
 type lockWaiter struct {
-	owner    Owner
-	mode     LockMode
-	reply    func(err error)
-	canceled bool
+	owner Owner
+	mode  LockMode
+	reply func(err error)
 }
 
 type lockState struct {
@@ -72,17 +67,9 @@ type lockReq struct {
 	Name  string
 	Mode  LockMode
 	Owner Owner
-	Try   bool
 }
 
 type unlockReq struct {
-	Name  string
-	Owner Owner
-}
-
-// cancelReq withdraws a timed-out lock request: a queued waiter is marked
-// canceled; a grant that already happened is released.
-type cancelReq struct {
 	Name  string
 	Owner Owner
 }
@@ -95,7 +82,7 @@ type LockServer struct {
 	opCost time.Duration
 	locks  map[string]*lockState
 
-	grants, waits, timeouts *metrics.Counter
+	grants, waits *metrics.Counter
 }
 
 // StartLockServer binds a lock server at (ep, port).
@@ -104,7 +91,7 @@ func StartLockServer(ep *portals.Endpoint, port portals.Index, opCost time.Durat
 	lk := ep.Metrics().Scope("lock")
 	ls.grants = lk.Counter("grants")
 	ls.waits = lk.Counter("waits")
-	ls.timeouts = lk.Counter("timeouts")
+	lk.Counter("timeouts") // always 0: Lock waits without bound; the row stays in the metrics report
 	eq := sim.NewMailbox(ls.k, "lockserver/eq")
 	ep.Attach(port, 0, ^portals.MatchBits(0), &portals.MD{EQ: eq})
 	ls.k.SpawnDaemon("lockserver", func(p *sim.Proc) {
@@ -116,14 +103,6 @@ func StartLockServer(ep *portals.Endpoint, port portals.Index, opCost time.Durat
 		}
 	})
 	return ls
-}
-
-// QueueLen reports the number of waiters on a named lock.
-func (ls *LockServer) QueueLen(name string) int {
-	if st, ok := ls.locks[name]; ok {
-		return len(st.queue)
-	}
-	return 0
 }
 
 // dispatch serves one request. It takes what it needs of the event by value:
@@ -142,9 +121,6 @@ func (ls *LockServer) dispatch(from netsim.NodeID, hdr interface{}) {
 		ls.lock(r, reply)
 	case unlockReq:
 		reply(ls.unlock(r))
-	case cancelReq:
-		ls.cancel(r)
-		reply(nil)
 	default:
 		reply(fmt.Errorf("txn: unknown lock request %T", req.body))
 	}
@@ -178,10 +154,6 @@ func (ls *LockServer) lock(r lockReq, reply func(error)) {
 		reply(nil)
 		return
 	}
-	if r.Try {
-		reply(ErrWouldBlock)
-		return
-	}
 	ls.waits.Inc()
 	st.queue = append(st.queue, &lockWaiter{owner: r.Owner, mode: r.Mode, reply: reply})
 }
@@ -202,34 +174,11 @@ func (ls *LockServer) unlock(r unlockReq) error {
 	return nil
 }
 
-// cancel withdraws a waiter, or releases an already-delivered grant.
-func (ls *LockServer) cancel(r cancelReq) {
-	st, ok := ls.locks[r.Name]
-	if !ok {
-		return
-	}
-	for _, w := range st.queue {
-		if w.owner == r.Owner && !w.canceled {
-			w.canceled = true
-			ls.timeouts.Inc()
-			return
-		}
-	}
-	if st.holders[r.Owner] > 0 {
-		ls.timeouts.Inc()
-		ls.unlock(unlockReq{Name: r.Name, Owner: r.Owner}) //nolint:errcheck
-	}
-}
-
 // promote grants queued waiters FIFO: an exclusive waiter needs an empty
 // holder set; shared waiters are granted in a batch.
 func (ls *LockServer) promote(st *lockState) {
 	for len(st.queue) > 0 {
 		w := st.queue[0]
-		if w.canceled {
-			st.queue = st.queue[1:]
-			continue
-		}
 		if !st.compatible(w.mode) {
 			return
 		}
@@ -274,15 +223,12 @@ func NewLockClient(ep *portals.Endpoint, server netsim.NodeID, port portals.Inde
 	return &LockClient{ep: ep, server: server, port: port, owner: Owner{Node: ep.Node(), Tag: tag}}
 }
 
-func (lc *LockClient) call(p *sim.Proc, body interface{}, timeout time.Duration) error {
+func (lc *LockClient) call(p *sim.Proc, body interface{}) error {
 	token := lc.ep.NextToken()
 	slot := lc.ep.Post(lockReplyPortal, portals.MatchBits(token), true)
 	lc.ep.Put(lc.server, lc.port, 0, lockRPC{token: token, replyPort: lockReplyPortal, body: body},
 		netsim.SyntheticPayload(96))
-	ev, ok := slot.Wait(p, timeout)
-	if !ok {
-		return ErrLockTimeout
-	}
+	ev, _ := slot.Wait(p, 0)
 	err := ev.Hdr.(lockReply).err
 	ev.Release()
 	slot.Close()
@@ -291,28 +237,10 @@ func (lc *LockClient) call(p *sim.Proc, body interface{}, timeout time.Duration)
 
 // Lock blocks until the named lock is granted in the requested mode.
 func (lc *LockClient) Lock(p *sim.Proc, name string, mode LockMode) error {
-	return lc.call(p, lockReq{Name: name, Mode: mode, Owner: lc.owner}, 0)
-}
-
-// TryLock acquires the lock only if it is immediately available.
-func (lc *LockClient) TryLock(p *sim.Proc, name string, mode LockMode) error {
-	return lc.call(p, lockReq{Name: name, Mode: mode, Owner: lc.owner, Try: true}, 0)
-}
-
-// LockTimeout is Lock with a wait bound. On timeout the request is
-// withdrawn at the server: a still-queued waiter is canceled; a grant that
-// raced the timeout is released.
-func (lc *LockClient) LockTimeout(p *sim.Proc, name string, mode LockMode, d time.Duration) error {
-	err := lc.call(p, lockReq{Name: name, Mode: mode, Owner: lc.owner}, d)
-	if errors.Is(err, ErrLockTimeout) {
-		if cerr := lc.call(p, cancelReq{Name: name, Owner: lc.owner}, 0); cerr != nil {
-			return fmt.Errorf("%w (cancel failed: %v)", ErrLockTimeout, cerr)
-		}
-	}
-	return err
+	return lc.call(p, lockReq{Name: name, Mode: mode, Owner: lc.owner})
 }
 
 // Unlock releases one grant of the named lock.
 func (lc *LockClient) Unlock(p *sim.Proc, name string) error {
-	return lc.call(p, unlockReq{Name: name, Owner: lc.owner}, 0)
+	return lc.call(p, unlockReq{Name: name, Owner: lc.owner})
 }

@@ -37,9 +37,6 @@ import (
 // bits, a per-coordinator sequence number in the low 32.
 type ID uint64
 
-// Coordinator returns the node that started the transaction.
-func (id ID) Coordinator() netsim.NodeID { return netsim.NodeID(id >> 32) }
-
 func (id ID) String() string { return fmt.Sprintf("txn-%d.%d", id>>32, uint32(id)) }
 
 // Endpoint names a transaction participant: a node and RPC portal.
@@ -488,32 +485,12 @@ const txnReqSize = 96
 // participant; if all vote yes, commit everywhere, else abort everywhere
 // and return ErrAborted.
 func (t *Txn) Commit(p *sim.Proc) error {
-	return t.commit(p, func(e Endpoint) error {
-		_, err := t.c.caller.Call(p, e.Node, e.Port, prepareReq{Txn: t.ID}, txnReqSize, 16)
-		return err
-	})
-}
-
-// CommitTimeout is Commit with every prepare bounded by d and sent exactly
-// once: commits use plain Calls (the simulated network does not lose
-// messages); this form exists for failure-injection tests that partition a
-// participant.
-func (t *Txn) CommitTimeout(p *sim.Proc, d time.Duration) error {
-	return t.commit(p, func(e Endpoint) error {
-		_, err := t.c.caller.CallTimeout(p, e.Node, e.Port, prepareReq{Txn: t.ID}, txnReqSize, 16, d)
-		return err
-	})
-}
-
-// commit is the two-phase body; prepare sends one participant its phase-1
-// request.
-func (t *Txn) commit(p *sim.Proc, prepare func(Endpoint) error) error {
 	if t.done {
 		return ErrTerminal
 	}
 	t.done = true
 	for _, e := range t.participants {
-		if err := prepare(e); err != nil {
+		if _, err := t.c.caller.Call(p, e.Node, e.Port, prepareReq{Txn: t.ID}, txnReqSize, 16); err != nil {
 			t.abortAll(p)
 			return fmt.Errorf("%w: prepare at node %d: %v", ErrAborted, e.Node, err)
 		}

@@ -121,11 +121,9 @@ func TestCommitWithoutPrepareRejected(t *testing.T) {
 		co := txn.NewCoordinator(caller)
 		tx := co.Begin()
 		tx.Enlist(endpoint(r, 1))
-		// Hand-roll: prepare skipped. Use CommitTimeout to hit the same
-		// path with a direct abort-free commit is not exposed; instead
-		// check that the participant status stays active after an Abort of
-		// an unknown txn (idempotent) and commit of unprepared fails via
-		// coordinator internals. Simplest: status checks.
+		// A raw commit without prepare is not exposed; check instead that
+		// the participant stays active until an Abort (idempotent for a
+		// transaction it has logged nothing about) resolves it.
 		if pt.Status(tx.ID) != txn.StatusActive {
 			t.Fatalf("fresh txn status: %v", pt.Status(tx.ID))
 		}
@@ -204,16 +202,24 @@ func TestPresumedAbortForPreparedOrphan(t *testing.T) {
 	}
 }
 
+// impatientCaller is a caller whose RPCs give up (two 25 ms attempts), so a
+// Commit whose prepare reaches nobody fails instead of waiting forever.
+func impatientCaller(r *testrig.Rig, idx int) *portals.Caller {
+	c := r.Caller(idx)
+	c.SetRetry(portals.RetryPolicy{MaxAttempts: 2, Timeout: 25 * time.Millisecond}, nil)
+	return c
+}
+
 func TestPartitionedParticipantTimesOutAndAborts(t *testing.T) {
 	r := testrig.New(4)
 	pt1, _ := bootParticipant(r, 1)
 	// Node 2 has NO participant: prepare there gets no reply (dropped).
-	co := txn.NewCoordinator(r.Caller(3))
+	co := txn.NewCoordinator(impatientCaller(r, 3))
 	r.Go("client", func(p *sim.Proc) {
 		tx := co.Begin()
 		tx.Enlist(endpoint(r, 1))
 		tx.Enlist(txn.Endpoint{Node: r.Eps[2].Node(), Port: txnPort})
-		err := tx.CommitTimeout(p, 50*time.Millisecond)
+		err := tx.Commit(p)
 		if !errors.Is(err, txn.ErrAborted) {
 			t.Fatalf("commit with partitioned participant: %v", err)
 		}
@@ -314,56 +320,6 @@ func TestSharedBlocksExclusive(t *testing.T) {
 	r.Run(t)
 	if writerGot < readerReleased {
 		t.Fatalf("writer got lock at %v before reader released at %v", writerGot, readerReleased)
-	}
-}
-
-func TestTryLock(t *testing.T) {
-	r := testrig.New(4)
-	bootLocks(r, 1)
-	a := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 40, 1)
-	b := txn.NewLockClient(r.Eps[3], r.Eps[1].Node(), 40, 1)
-	r.Go("a", func(p *sim.Proc) {
-		a.Lock(p, "x", txn.Exclusive)
-		p.Sleep(5 * time.Millisecond)
-		a.Unlock(p, "x")
-	})
-	r.Go("b", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		if err := b.TryLock(p, "x", txn.Exclusive); !errors.Is(err, txn.ErrWouldBlock) {
-			t.Errorf("trylock on held lock: %v", err)
-		}
-		p.Sleep(10 * time.Millisecond)
-		if err := b.TryLock(p, "x", txn.Exclusive); err != nil {
-			t.Errorf("trylock on free lock: %v", err)
-		}
-	})
-	r.Run(t)
-}
-
-func TestLockTimeoutWithdraws(t *testing.T) {
-	r := testrig.New(4)
-	bootLocks(r, 1)
-	a := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 40, 1)
-	b := txn.NewLockClient(r.Eps[3], r.Eps[1].Node(), 40, 1)
-	r.Go("a", func(p *sim.Proc) {
-		a.Lock(p, "x", txn.Exclusive)
-		p.Sleep(100 * time.Millisecond)
-		a.Unlock(p, "x")
-		// After a's release, b's canceled waiter must NOT hold the lock.
-		p.Sleep(10 * time.Millisecond)
-		if err := a.TryLock(p, "x", txn.Exclusive); err != nil {
-			t.Errorf("lock leaked to canceled waiter: %v", err)
-		}
-	})
-	r.Go("b", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		if err := b.LockTimeout(p, "x", txn.Exclusive, 10*time.Millisecond); !errors.Is(err, txn.ErrLockTimeout) {
-			t.Errorf("lock timeout: %v", err)
-		}
-	})
-	r.Run(t)
-	if timeouts := r.Metric("lock.timeouts"); timeouts != 1 {
-		t.Fatalf("timeouts = %d", timeouts)
 	}
 }
 
