@@ -49,6 +49,7 @@ import (
 	"lwfs/internal/qos"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
+	"lwfs/internal/txn"
 )
 
 // DefaultPort is the well-known portal that receives staging requests.
@@ -178,12 +179,11 @@ type Server struct {
 	drainBacklog *metrics.Gauge
 	epoch        uint64
 
-	// Journaled mode (nil jdev = memory-only). jOff is the append cursor,
-	// jseq the last sequence issued, jlive the staged records without a
-	// drained marker (the truncation gate).
+	// Journaled mode (nil jdev = memory-only): log appends to the journal
+	// object on jdev, jseq is the last sequence issued, jlive counts the
+	// stage records reserved and not yet drained (the truncation gate).
 	jdev        *osd.Device
-	jopen       bool
-	jOff        int64
+	log         *txn.Journal
 	jseq        uint64
 	jlive       int
 	truncations *metrics.Counter
@@ -265,6 +265,7 @@ func startServer(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, 
 		drainq:       sim.NewMailbox(ep.Kernel(), name+"/drainq"),
 		dq:           newDrainQueue(),
 		jdev:         jdev,
+		log:          txn.NewJournal(jdev, journalObjectID), // never appended to when memory-only
 		drainBacklog: drain.Gauge("backlog"),
 		staged:       scope.Counter("staged"),
 		passthroughs: scope.Counter("passthroughs"),
@@ -329,7 +330,7 @@ func (s *Server) Crash() {
 	s.pending = make(map[storage.ObjRef]int)
 	s.failed = make(map[storage.ObjRef]bool)
 	s.stageAvail.Set(s.cfg.StageCapacity)
-	s.jopen = false // the in-memory journal handle died with the process
+	s.log.Crash() // the open journal handle died with the process
 }
 
 // Restart brings a crashed buffer back. In memory-only mode extents staged
@@ -431,10 +432,16 @@ func (s *Server) stage(p *sim.Proc, from netsim.NodeID, r stageReq) (interface{}
 	}
 	s.staged.Inc()
 	s.stagedBytes.Add(r.Len)
-	s.seen[r.Ref] = true
-	s.pending[r.Ref]++
-	s.enqueue(extent{ref: r.Ref, cap: r.Cap, off: r.Off, payload: staged, stagedAt: p.Now(), epoch: s.epoch, seq: seq})
+	s.track(extent{ref: r.Ref, cap: r.Cap, off: r.Off, payload: staged, stagedAt: p.Now(), epoch: s.epoch, seq: seq})
 	return stageResp{Staged: true}, nil
+}
+
+// track takes a staged extent into this incarnation's bookkeeping and hands
+// it to the drainers.
+func (s *Server) track(e extent) {
+	s.seen[e.ref] = true
+	s.pending[e.ref]++
+	s.enqueue(e)
 }
 
 // passthrough is the backpressure path: with no staging room, the buffer

@@ -3,6 +3,7 @@ package burst_test
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"lwfs/internal/authz"
 	"lwfs/internal/burst"
@@ -16,10 +17,16 @@ import (
 // bootJournaled is boot with a write-ahead journal on a buffer-local
 // NVRAM-class device.
 func bootJournaled(t *testing.T, cfg burst.Config) (*testrig.Rig, *storage.Server, *burst.Server) {
+	return bootJournaledOn(t, cfg, osd.BurstJournalParams())
+}
+
+// bootJournaledOn is bootJournaled with the journal on a device of the given
+// class.
+func bootJournaledOn(t *testing.T, cfg burst.Config, jparams osd.DiskParams) (*testrig.Rig, *storage.Server, *burst.Server) {
 	t.Helper()
 	r := testrig.New(4)
 	srv := r.StorageServer(1, storage.DefaultConfig())
-	jdev := osd.NewDevice(r.K, "bbj2", osd.BurstJournalParams())
+	jdev := osd.NewDevice(r.K, "bbj2", jparams)
 	bb := burst.StartJournaled(r.Eps[2], r.AuthzClient(2), burst.DefaultPort, cfg, jdev)
 	return r, srv, bb
 }
@@ -134,6 +141,99 @@ func TestJournalTruncatesAtQuiesce(t *testing.T) {
 	r.Run(t)
 	if r.Metric("burst.*.journal.truncations") < 1 {
 		t.Fatalf("journal never truncated despite quiesce past retain threshold")
+	}
+}
+
+// TestJournalTruncateSparesInFlightStage: quiesce truncation must not erase
+// an acknowledged record. Three drained rounds bring the journal to the
+// retain threshold; then A is staged, and B 15 ms later. B's append is
+// reserved while A is draining, so when A's drained marker finds no other
+// record live the journal is not quiet: B's header and payload are still on
+// their way to the disk. Truncating there erased B's header while its
+// payload landed past the reset cursor, and the Restart that followed a
+// crash on B's ack failed to parse the journal. B must be recovered and read
+// back bit-exact; and a crash after the truncate has landed (both drained)
+// recovers nothing and loses nothing.
+func TestJournalTruncateSparesInFlightStage(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		crashOnAck  bool // crash on B's ack; else once A and B have drained
+		recoveredOK int
+	}{{"crash on ack", true, 1}, {"crash after truncate", false, 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := burst.DefaultConfig()
+			cfg.StageCapacity = mb // retain threshold 2 MB
+			r, srv, bb := bootJournaledOn(t, cfg, osd.DefaultDiskParams())
+			sc := storage.NewClient(r.Caller(3))
+			bc := burst.NewClient(r.Caller(3))
+			r.Go("client", func(p *sim.Proc) {
+				cid, caps := session(t, p, r)
+				tgt := storage.Target{Node: srv.Node(), Port: srv.RPCPort()}
+				refA, err := sc.Create(p, tgt, caps[authz.OpCreate], cid)
+				if err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				refB, err := sc.Create(p, tgt, caps[authz.OpCreate], cid)
+				if err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				data := pattern(2 * mb)
+				stage := func(p *sim.Proc, ref storage.ObjRef, off int64) {
+					staged, err := bc.StageWrite(p, bb.Tgt(), ref, caps[authz.OpWrite], off, netsim.BytesPayload(data[off:off+mb/2]))
+					if err != nil || !staged {
+						t.Fatalf("stage obj %d at %d: staged=%v err=%v", ref.ID, off, staged, err)
+					}
+				}
+				for off := int64(0); off < 3*mb/2; off += mb / 2 {
+					stage(p, refA, off)
+					if err := bc.DrainWait(p, bb.Tgt(), []storage.ObjRef{refA}, 0); err != nil {
+						t.Fatalf("drain wait: %v", err)
+					}
+				}
+				done := sim.NewMailbox(r.K, "b-done")
+				r.Go("b", func(q *sim.Proc) {
+					defer done.Send(struct{}{})
+					q.Sleep(15 * time.Millisecond)
+					stage(q, refB, 0)
+					if !c.crashOnAck {
+						if err := bc.DrainWait(q, bb.Tgt(), []storage.ObjRef{refA, refB}, 0); err != nil {
+							t.Fatalf("drain wait: %v", err)
+						}
+						// The last drained marker, and the truncate after it,
+						// land after DrainWait has returned.
+						for i := 0; r.Metric("burst.*.journal.truncations") < 1; i++ {
+							if i == 100 {
+								t.Fatalf("journal never truncated")
+							}
+							q.Sleep(time.Millisecond)
+						}
+					}
+					bb.Crash()
+					n, err := bb.Restart(q)
+					if err != nil || n != c.recoveredOK {
+						t.Fatalf("restart: recovered=%d err=%v, want %d", n, err, c.recoveredOK)
+					}
+					if c.crashOnAck {
+						if err := bc.DrainWait(q, bb.Tgt(), []storage.ObjRef{refB}, 0); err != nil {
+							t.Fatalf("drain wait after recovery: %v", err)
+						}
+					}
+				})
+				stage(p, refA, 3*mb/2)
+				done.Recv(p)
+				for _, ref := range []storage.ObjRef{refA, refB} {
+					n := int64(2 * mb)
+					if ref == refB {
+						n = mb / 2
+					}
+					got, err := sc.Read(p, ref, caps[authz.OpRead], 0, n)
+					if err != nil || !bytes.Equal(got.Data, data[:n]) {
+						t.Fatalf("obj %d read back differs: %v", ref.ID, err)
+					}
+				}
+			})
+			r.Run(t)
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package burst
 
 import (
-	"errors"
 	"fmt"
 
 	"lwfs/internal/netsim"
@@ -53,86 +52,28 @@ func (s *Server) AdoptJournal(p *sim.Proc, jdev *osd.Device) (adopted int, err e
 	if s.rpc.Down() {
 		return 0, fmt.Errorf("burst: adopt: adopter is down")
 	}
-	st, err := jdev.Stat(journalObjectID)
-	if errors.Is(err, osd.ErrNoObject) {
-		return 0, nil // the peer never staged anything
+	if _, err := jdev.Stat(journalObjectID); err != nil {
+		return 0, nil // the peer never staged anything: nothing to fence
 	}
-	if err != nil {
-		return 0, err
-	}
-
-	var (
-		staged         []jrec
-		drained        = make(map[uint64]bool)
-		adoptedThrough uint64
-		maxSeq         uint64
-		tail           int64
-	)
-	for off := int64(0); off+jHeaderSize <= st.Size; {
-		hdr, err := jdev.Read(p, journalObjectID, off, jHeaderSize)
-		if err != nil {
-			return 0, err
-		}
-		rec, err := decodeHeader(hdr.Data)
-		if err != nil {
-			return 0, err
-		}
-		switch rec.kind {
-		case jKindStage:
-			rec.payloadOff = off + jHeaderSize
-			staged = append(staged, rec)
-			off += jHeaderSize + rec.length
-		case jKindAdopted:
-			if rec.seq > adoptedThrough {
-				adoptedThrough = rec.seq
-			}
-			off += jHeaderSize
-		case jKindDrained:
-			drained[rec.seq] = true
-			off += jHeaderSize
-		default: // durable
-			s.seen[rec.ref] = true
-			off += jHeaderSize
-		}
-		if rec.seq > maxSeq {
-			maxSeq = rec.seq
-		}
-		tail = off
-	}
-
 	epoch := s.epoch
-	for _, rec := range staged {
-		if drained[rec.seq] {
-			s.seen[rec.ref] = true // durable on storage: safe to vouch
-			continue
-		}
-		if rec.seq <= adoptedThrough {
-			continue // already adopted (by us or another peer) in an earlier pass
-		}
-		var payload netsim.Payload
-		if rec.real {
-			payload, err = jdev.Read(p, journalObjectID, rec.payloadOff, rec.length)
-		} else {
-			payload, err = jdev.ReadSynthetic(p, journalObjectID, rec.payloadOff, rec.length)
-		}
-		if err != nil {
-			return adopted, err
-		}
-		req := stageReq{Cap: rec.cap.cap(), Ref: rec.ref, Off: rec.off, Len: rec.length}
+	maxSeq, tail, err := s.walkJournal(p, jdev, func(rec jrec, payload netsim.Payload) error {
+		req := stageReq{Cap: rec.cap, Ref: rec.ref, Off: rec.off, Len: rec.length}
 		seq, err := s.journalStage(p, req, payload)
 		if epoch != s.epoch {
-			return adopted, fmt.Errorf("burst: crashed while adopting obj %d", uint64(rec.ref.ID))
+			return fmt.Errorf("burst: crashed while adopting obj %d", uint64(rec.ref.ID))
 		}
 		if err != nil {
-			return adopted, fmt.Errorf("burst: adopt: journal append: %w", err)
+			return fmt.Errorf("burst: adopt: journal append: %w", err)
 		}
 		s.stageAvail.Add(-rec.length)
 		s.adopted.Inc()
 		s.adoptedBytes.Add(rec.length)
-		s.seen[rec.ref] = true
-		s.pending[rec.ref]++
-		s.enqueue(extent{ref: rec.ref, cap: req.Cap, off: rec.off, payload: payload, stagedAt: p.Now(), epoch: s.epoch, seq: seq})
+		s.track(extent{ref: rec.ref, cap: rec.cap, off: rec.off, payload: payload, stagedAt: p.Now(), epoch: s.epoch, seq: seq})
 		adopted++
+		return nil
+	})
+	if err != nil {
+		return adopted, err
 	}
 	if epoch != s.epoch {
 		return adopted, fmt.Errorf("burst: crashed mid-adoption")
@@ -141,12 +82,8 @@ func (s *Server) AdoptJournal(p *sim.Proc, jdev *osd.Device) (adopted int, err e
 	// Fence the original owner: one synced marker covering everything read.
 	// Written even when nothing new was adopted, so the peer's replay and a
 	// second adopter both observe a consistent high-water mark.
-	marker := jrec{
-		seq:  maxSeq,
-		kind: jKindAdopted,
-		ref:  storage.ObjRef{Node: s.Node(), Port: s.rpcPort},
-	}
-	if err := jdev.Write(p, journalObjectID, tail, netsim.BytesPayload(encodeHeader(marker))); err != nil {
+	marker := jrec{seq: maxSeq, kind: jKindAdopted, ref: storage.ObjRef{Node: s.Node(), Port: s.rpcPort}}
+	if err := jdev.Write(p, journalObjectID, tail, marker.header()); err != nil {
 		return adopted, fmt.Errorf("burst: adopt: fencing marker: %w", err)
 	}
 	jdev.Sync(p)

@@ -116,6 +116,22 @@ func TestAdoptJournalRequiresJournaledAdopter(t *testing.T) {
 	}
 }
 
+// TestAdoptJournalOfIdlePeerIsNoOp: a peer that never staged has no journal
+// object; adopting it takes nothing and leaves nothing behind.
+func TestAdoptJournalOfIdlePeerIsNoOp(t *testing.T) {
+	r, _, bbA, bbB, jdevA := bootJournaledPair(t, burst.DefaultConfig())
+	r.Go("client", func(p *sim.Proc) {
+		bbA.Crash()
+		if n, err := bbB.AdoptJournal(p, jdevA); err != nil || n != 0 {
+			t.Fatalf("adopt: adopted=%d err=%v, want 0, nil", n, err)
+		}
+		if jdevA.NumObjects() != 0 {
+			t.Fatalf("adoption created %d objects on the idle peer's device", jdevA.NumObjects())
+		}
+	})
+	r.Run(t)
+}
+
 // TestAdoptJournalIdempotent: a second adoption pass over an already-fenced
 // journal takes nothing — the marker is a high-water mark, not a hint.
 func TestAdoptJournalIdempotent(t *testing.T) {

@@ -191,9 +191,10 @@ func (s *Service) walk(path string) (*node, error) {
 	return cur, nil
 }
 
-// splitClean validates and splits a path into (parent, base).
+// splitClean validates and splits a path into (parent, base). A newline is
+// refused: paths are logged as txn journal records, one per line.
 func splitClean(path string) (string, string, error) {
-	if path == "" || path[0] != '/' {
+	if path == "" || path[0] != '/' || strings.IndexByte(path, '\n') >= 0 {
 		return "", "", fmt.Errorf("%w: %q", ErrBadPath, path)
 	}
 	clean := gopath.Clean(path)

@@ -264,6 +264,39 @@ func TestBadPaths(t *testing.T) {
 	r.Run(t)
 }
 
+// A path is logged as a journal record's Detail, and the journal's record
+// separator is a newline: a path holding one would let a client forge a
+// record for another transaction ("/x\n77 commit forged" made txn 77 read as
+// committed). It is refused before anything is inserted or logged.
+func TestNewlineInPathCannotForgeJournalRecords(t *testing.T) {
+	r := testrig.New(3)
+	_, part := bootNaming(r)
+	nc := naming.NewClient(r.Caller(2), r.Eps[1].Node())
+	r.Go("client", func(p *sim.Proc) {
+		cred := login(t, p, r, 2)
+		for _, bad := range []string{"/x\n77 commit forged", "/d\n"} {
+			if err := create(nc, p, cred, bad, ref(1), 5); !errors.Is(err, naming.ErrBadPath) {
+				t.Errorf("create %q: %v, want ErrBadPath", bad, err)
+			}
+			if err := nc.Mkdir(p, cred, bad); !errors.Is(err, naming.ErrBadPath) {
+				t.Errorf("mkdir %q: %v, want ErrBadPath", bad, err)
+			}
+		}
+		if _, err := nc.Lookup(p, cred, "/x"); !errors.Is(err, naming.ErrNotFound) {
+			t.Errorf("lookup /x: %v, want ErrNotFound", err)
+		}
+		recs, err := part.ReadJournal(p)
+		if err != nil || len(recs) != 0 {
+			t.Errorf("journal holds %+v (err %v), want nothing", recs, err)
+		}
+		// The same name without the newline is fine.
+		if err := create(nc, p, cred, "/x", ref(1), 0); err != nil {
+			t.Errorf("create /x: %v", err)
+		}
+	})
+	r.Run(t)
+}
+
 // Property: a random sequence of creates under distinct clean paths is
 // fully retrievable, and list of each directory matches exactly the created
 // children.

@@ -91,8 +91,10 @@ type JournalRecord struct {
 }
 
 // appendTo appends the record's journal line, "<txn> <kind> <detail>\n", to
-// buf. Kind holds no space; Detail may (naming logs raw paths).
-func (r JournalRecord) appendTo(buf []byte) []byte {
+// buf. Kind holds no space or newline; Detail may hold spaces (naming logs
+// raw paths) but no newline, which would end the record early (naming
+// refuses such paths).
+func (r *JournalRecord) appendTo(buf []byte) []byte {
 	buf = strconv.AppendUint(buf, uint64(r.Txn), 10)
 	buf = append(buf, ' ')
 	buf = append(buf, r.Kind...)
@@ -122,22 +124,16 @@ func (st *txnState) release() { st.onCommit, st.onAbort = nil, nil }
 // Participant is the server-side half of two-phase commit, colocated with a
 // durable service. It owns a journal object on the service's device.
 type Participant struct {
-	k       *sim.Kernel
-	dev     *osd.Device
-	rpc     *portals.Server
-	journal osd.ObjectID
-	jOff    int64
-	state   map[ID]*txnState
+	dev   *osd.Device
+	rpc   *portals.Server
+	log   *Journal
+	state map[ID]*txnState
 
 	// FailPrepare injects a no vote for testing coordinator abort paths.
 	FailPrepare func(id ID) bool
 
 	prepares, commits, aborts *metrics.Counter
 }
-
-// journalContainer tags journal objects; container 0 is reserved for system
-// state and is never issued by the authorization service (IDs start at 1).
-const journalContainer osd.ContainerID = 0
 
 // JournalObjectID is the well-known ID of a device's transaction journal,
 // so a participant reborn after a crash finds the journal its predecessor
@@ -148,16 +144,14 @@ const JournalObjectID = osd.ReservedIDBase + 1
 // binds its RPC service at (ep, port).
 func NewParticipant(ep *portals.Endpoint, dev *osd.Device, port portals.Index) *Participant {
 	pt := &Participant{
-		k:     ep.Kernel(),
 		dev:   dev,
+		log:   NewJournal(dev, JournalObjectID),
 		state: make(map[ID]*txnState),
 	}
 	tx := ep.Metrics().Scope("txn").Scope(dev.Name())
 	pt.prepares = tx.Counter("prepares")
 	pt.commits = tx.Counter("commits")
 	pt.aborts = tx.Counter("aborts")
-	// The journal object is created lazily by the first logging process;
-	// creating it here would require a process context.
 	pt.rpc = portals.Serve(ep, port, dev.Name()+"/txn", 2, pt.handle)
 	return pt
 }
@@ -170,8 +164,7 @@ func NewParticipant(ep *portals.Endpoint, dev *osd.Device, port portals.Index) *
 func (pt *Participant) Crash() {
 	pt.rpc.SetDown(true)
 	pt.state = make(map[ID]*txnState)
-	pt.journal = 0
-	pt.jOff = 0
+	pt.log.Crash()
 }
 
 // Restart brings the RPC port back up after a Crash. The host service must
@@ -196,54 +189,35 @@ func (pt *Participant) ensure(id ID) *txnState {
 	return st
 }
 
-// ensureJournal opens the device's journal, creating it on first use. A
-// journal left by a previous (crashed) incarnation is adopted and appended
-// to. Concurrent service threads may race here; losing the creation race
-// is fine (the object exists either way).
-func (pt *Participant) ensureJournal(p *sim.Proc) {
-	if pt.journal != 0 {
-		return
-	}
-	if st, err := pt.dev.Stat(JournalObjectID); err == nil {
-		pt.journal = JournalObjectID
-		if st.Size > pt.jOff {
-			pt.jOff = st.Size
-		}
-		return
-	}
-	if _, err := pt.dev.CreateWithID(p, JournalObjectID, journalContainer); err != nil && !errors.Is(err, osd.ErrExists) {
-		panic(fmt.Sprintf("txn: creating journal: %v", err))
-	}
-	pt.journal = JournalObjectID
-	if st, err := pt.dev.Stat(JournalObjectID); err == nil && st.Size > pt.jOff {
-		pt.jOff = st.Size
-	}
-}
-
-// appendJournal reserves the next journal offset *before* the blocking
-// disk write, so concurrent service threads never overwrite each other's
-// records.
-func (pt *Participant) appendJournal(p *sim.Proc, rec JournalRecord) error {
-	pt.ensureJournal(p)
-	// The line is built on this process's stack: the device copies it on
-	// store, and a buffer shared by the participant would be overwritten by
-	// another service thread while this one waits for the disk.
-	var line [128]byte
-	data := rec.appendTo(line[:0])
-	off := pt.jOff
-	pt.jOff += int64(len(data))
-	return pt.dev.Write(p, pt.journal, off, netsim.BytesPayload(data))
-}
-
 // Log appends a write-ahead record for the transaction. Host services call
 // it before applying any provisional change.
 func (pt *Participant) Log(p *sim.Proc, rec JournalRecord) error {
-	st := pt.ensure(rec.Txn)
-	if st.status != StatusActive {
-		return fmt.Errorf("%w: %v is %v", ErrTerminal, rec.Txn, st.status)
+	if st := pt.ensure(rec.Txn); st.status != StatusActive {
+		return statusErr(ErrTerminal, rec.Txn, st.status)
 	}
-	return pt.appendJournal(p, rec)
+	// The line is built on this process's stack: the device copies it on
+	// store, and a buffer shared by the participant would be overwritten by
+	// another service thread while this one waits for the disk. Log appends
+	// it itself rather than through mark, so a service thread parked in the
+	// journal write carries one participant frame, not two.
+	var line [128]byte
+	return pt.log.Append(p, netsim.BytesPayload(rec.appendTo(line[:0])))
 }
+
+// mark appends a detail-less protocol record (prepare, commit, abort): at
+// most 20 digits, a space, the kind, a space and a newline.
+func (pt *Participant) mark(p *sim.Proc, id ID, kind string) error {
+	rec := JournalRecord{Txn: id, Kind: kind}
+	var line [32]byte
+	return pt.log.Append(p, netsim.BytesPayload(rec.appendTo(line[:0])))
+}
+
+// statusErr wraps err with the transaction's status. It stays out of line:
+// inlined, its formatting temporaries would sit on the stack of every
+// service thread parked in a journal write.
+//
+//go:noinline
+func statusErr(err error, id ID, s Status) error { return fmt.Errorf("%w: %v is %v", err, id, s) }
 
 // OnCommit registers a callback to run if the transaction commits.
 func (pt *Participant) OnCommit(id ID, fn func(p *sim.Proc)) {
@@ -277,13 +251,13 @@ func (pt *Participant) prepare(p *sim.Proc, id ID) error {
 	case StatusPrepared:
 		return nil // idempotent retry
 	case StatusCommitted, StatusAborted:
-		return fmt.Errorf("%w: %v is %v", ErrTerminal, id, st.status)
+		return statusErr(ErrTerminal, id, st.status)
 	}
 	if pt.FailPrepare != nil && pt.FailPrepare(id) {
 		pt.abortLocal(p, id, st)
 		return ErrVoteNo
 	}
-	if err := pt.appendJournal(p, JournalRecord{Txn: id, Kind: "prepare"}); err != nil {
+	if err := pt.mark(p, id, "prepare"); err != nil {
 		pt.abortLocal(p, id, st)
 		return ErrVoteNo
 	}
@@ -299,11 +273,11 @@ func (pt *Participant) commit(p *sim.Proc, id ID) error {
 	case StatusCommitted:
 		return nil // idempotent
 	case StatusActive:
-		return fmt.Errorf("%w: %v", ErrNotPrepared, id)
+		return statusErr(ErrNotPrepared, id, st.status)
 	case StatusAborted:
-		return fmt.Errorf("%w: %v aborted", ErrTerminal, id)
+		return statusErr(ErrTerminal, id, st.status)
 	}
-	if err := pt.appendJournal(p, JournalRecord{Txn: id, Kind: "commit"}); err != nil {
+	if err := pt.mark(p, id, "commit"); err != nil {
 		return err
 	}
 	for _, fn := range st.onCommit {
@@ -321,14 +295,14 @@ func (pt *Participant) abort(p *sim.Proc, id ID) error {
 	case StatusAborted:
 		return nil // idempotent
 	case StatusCommitted:
-		return fmt.Errorf("%w: %v committed", ErrTerminal, id)
+		return statusErr(ErrTerminal, id, st.status)
 	}
 	pt.abortLocal(p, id, st)
 	return nil
 }
 
 func (pt *Participant) abortLocal(p *sim.Proc, id ID, st *txnState) {
-	pt.appendJournal(p, JournalRecord{Txn: id, Kind: "abort"}) //nolint:errcheck
+	pt.mark(p, id, "abort") //nolint:errcheck
 	for i := len(st.onAbort) - 1; i >= 0; i-- {
 		st.onAbort[i](p)
 	}
@@ -343,7 +317,7 @@ func (pt *Participant) abortLocal(p *sim.Proc, id ID, st *txnState) {
 // records plus outcomes are returned so the host service can undo orphaned
 // provisional work (e.g. remove objects created by aborted transactions).
 func (pt *Participant) Recover(p *sim.Proc) ([]JournalRecord, map[ID]Status, error) {
-	pt.ensureJournal(p)
+	pt.log.open(p)
 	recs, err := pt.ReadJournal(p)
 	if err != nil {
 		return nil, nil, err
@@ -357,18 +331,11 @@ func (pt *Participant) Recover(p *sim.Proc) ([]JournalRecord, map[ID]Status, err
 
 // ReadJournal reads back every journal record (recovery and tests).
 func (pt *Participant) ReadJournal(p *sim.Proc) ([]JournalRecord, error) {
-	if pt.journal == 0 {
-		if _, err := pt.dev.Stat(JournalObjectID); err == nil {
-			pt.journal = JournalObjectID
-		} else {
-			return nil, nil
-		}
-	}
-	st, err := pt.dev.Stat(pt.journal)
+	st, err := pt.dev.Stat(JournalObjectID)
 	if err != nil {
-		return nil, err
+		return nil, nil // never written
 	}
-	payload, err := pt.dev.Read(p, pt.journal, 0, st.Size)
+	payload, err := pt.dev.Read(p, JournalObjectID, 0, st.Size)
 	if err != nil {
 		return nil, err
 	}
@@ -400,8 +367,9 @@ func parseJournal(data []byte) []JournalRecord {
 }
 
 // Outcomes scans journal records and reports the terminal status of each
-// transaction seen — the recovery decision procedure: "prepare" without
-// "commit" resolves to aborted (presumed abort).
+// transaction seen — the recovery decision procedure: the last commit or
+// abort record wins, and a transaction with neither, even a prepared one,
+// resolves to aborted (presumed abort).
 func Outcomes(recs []JournalRecord) map[ID]Status {
 	out := make(map[ID]Status)
 	for _, r := range recs {
@@ -410,19 +378,10 @@ func Outcomes(recs []JournalRecord) map[ID]Status {
 			out[r.Txn] = StatusCommitted
 		case "abort":
 			out[r.Txn] = StatusAborted
-		case "prepare":
-			if _, ok := out[r.Txn]; !ok {
-				out[r.Txn] = StatusPrepared
-			}
 		default:
 			if _, ok := out[r.Txn]; !ok {
-				out[r.Txn] = StatusActive
+				out[r.Txn] = StatusAborted
 			}
-		}
-	}
-	for id, st := range out {
-		if st == StatusPrepared || st == StatusActive {
-			out[id] = StatusAborted // presumed abort
 		}
 	}
 	return out
