@@ -98,7 +98,6 @@ type Service struct {
 	k     *sim.Kernel
 	cfg   Config
 	realm *Realm
-	node  netsim.NodeID
 	key   []byte
 	creds map[[32]byte]*credRecord
 	nonce uint64
@@ -124,7 +123,6 @@ func Start(ep *portals.Endpoint, realm *Realm, cfg Config) *Service {
 		k:     ep.Kernel(),
 		cfg:   cfg,
 		realm: realm,
-		node:  ep.Node(),
 		key:   []byte("authn-service-instance-key"),
 		creds: make(map[[32]byte]*credRecord),
 	}
@@ -255,4 +253,40 @@ func (c *Client) Identity(p *sim.Proc, cred Credential) (Principal, error) {
 func (c *Client) Revoke(p *sim.Proc, cred Credential) error {
 	_, err := c.caller.Call(p, c.server, Portal, revokeReq{Cred: cred}, credWireSize, 16)
 	return err
+}
+
+// CredCache is a service's cache of verified credentials (paper Figure 4a
+// step 2): a principal is trusted for ttl after the authentication service
+// vouched for it, then checked again — which is how a credential revocation
+// reaches the services that cached it.
+type CredCache struct {
+	c     *Client
+	ttl   time.Duration
+	users map[[32]byte]cachedCred
+}
+
+type cachedCred struct {
+	user Principal
+	at   sim.Time
+}
+
+// NewCredCache returns an empty cache that verifies through c.
+func NewCredCache(c *Client, ttl time.Duration) *CredCache {
+	return &CredCache{c: c, ttl: ttl, users: make(map[[32]byte]cachedCred)}
+}
+
+// Identity resolves cred to its principal: from the cache within ttl of
+// the last verification, else through Client.Identity, whose refusal also
+// evicts the credential.
+func (cc *CredCache) Identity(p *sim.Proc, cred Credential) (Principal, error) {
+	if e, ok := cc.users[cred.Token]; ok && p.Now().Sub(e.at) < cc.ttl {
+		return e.user, nil
+	}
+	user, err := cc.c.Identity(p, cred)
+	if err != nil {
+		delete(cc.users, cred.Token)
+		return "", err
+	}
+	cc.users[cred.Token] = cachedCred{user: user, at: p.Now()}
+	return user, nil
 }

@@ -100,6 +100,13 @@ var (
 	ErrExpiredCap  = errors.New("authz: capability expired")
 	ErrNoContainer = errors.New("authz: no such container")
 	ErrNotOwner    = errors.New("authz: only the container owner may change policy")
+
+	// A data server refusing a capability (CapCache.Admit) answers one of
+	// these, whichever tier it is.
+	ErrNoCap          = errors.New("authz: request carried no capability")
+	ErrWrongOp        = errors.New("authz: capability does not authorize this operation")
+	ErrWrongContainer = errors.New("authz: capability is for a different container")
+	ErrCapRejected    = errors.New("authz: capability rejected by authorization service")
 )
 
 // Config tunes the service.
@@ -135,17 +142,11 @@ type capRecord struct {
 	cachedAt map[netsim.NodeID]portals.Index
 }
 
-type credCacheEntry struct {
-	user Principal
-	at   sim.Time
-}
-
 // Service is the authorization server.
 type Service struct {
 	k      *sim.Kernel
 	cfg    Config
-	node   netsim.NodeID
-	authn  *authn.Client
+	creds  *authn.CredCache
 	caller *portals.Caller
 	key    []byte
 
@@ -153,7 +154,6 @@ type Service struct {
 	nextCID    ContainerID
 	nextCapID  uint64
 	issued     map[uint64]*capRecord
-	credCache  map[[32]byte]credCacheEntry
 
 	verifies, cacheRegistrations, revocations, invalidationsSent *metrics.Counter
 }
@@ -198,13 +198,11 @@ func Start(ep *portals.Endpoint, ac *authn.Client, cfg Config) *Service {
 	s := &Service{
 		k:          ep.Kernel(),
 		cfg:        cfg,
-		node:       ep.Node(),
-		authn:      ac,
+		creds:      authn.NewCredCache(ac, cfg.CredCacheTTL),
 		caller:     portals.NewCaller(ep),
 		key:        []byte("authz-service-instance-key"),
 		containers: make(map[ContainerID]*containerPolicy),
 		issued:     make(map[uint64]*capRecord),
-		credCache:  make(map[[32]byte]credCacheEntry),
 	}
 	az := ep.Metrics().Scope("authz")
 	s.verifies = az.Counter("verifies")
@@ -233,23 +231,8 @@ func (s *Service) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (inte
 	}
 }
 
-// principal resolves a credential, consulting the authentication service on
-// a cache miss (paper Figure 4a step 2).
-func (s *Service) principal(p *sim.Proc, cred authn.Credential) (Principal, error) {
-	if e, ok := s.credCache[cred.Token]; ok && p.Now().Sub(e.at) < s.cfg.CredCacheTTL {
-		return e.user, nil
-	}
-	user, err := s.authn.Identity(p, cred)
-	if err != nil {
-		delete(s.credCache, cred.Token)
-		return "", err
-	}
-	s.credCache[cred.Token] = credCacheEntry{user: user, at: p.Now()}
-	return user, nil
-}
-
 func (s *Service) createContainer(p *sim.Proc, r createContainerReq) (interface{}, error) {
-	user, err := s.principal(p, r.Cred)
+	user, err := s.creds.Identity(p, r.Cred)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +252,7 @@ func (s *Service) allowed(pol *containerPolicy, user Principal, op Op) bool {
 }
 
 func (s *Service) getCaps(p *sim.Proc, r getCapsReq) (interface{}, error) {
-	user, err := s.principal(p, r.Cred)
+	user, err := s.creds.Identity(p, r.Cred)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +351,7 @@ func (s *Service) verifyCaps(from netsim.NodeID, r verifyCapsReq) error {
 // pointers described in §3.1.4. Other ops' capabilities are untouched
 // (partial revocation).
 func (s *Service) revoke(p *sim.Proc, r revokeReq) error {
-	user, err := s.principal(p, r.Cred)
+	user, err := s.creds.Identity(p, r.Cred)
 	if err != nil {
 		return err
 	}
@@ -416,7 +399,7 @@ func (s *Service) revoke(p *sim.Proc, r revokeReq) error {
 // setACL updates a container's policy. Removing access also revokes
 // outstanding capabilities for that op (the "chmod" scenario of §3.1.4).
 func (s *Service) setACL(p *sim.Proc, r setACLReq) error {
-	user, err := s.principal(p, r.Cred)
+	user, err := s.creds.Identity(p, r.Cred)
 	if err != nil {
 		return err
 	}

@@ -57,12 +57,6 @@ const DefaultPort portals.Index = 40
 
 // Errors reported by the burst service.
 var (
-	// ErrNoCap is returned for requests carrying no capability.
-	ErrNoCap = errors.New("burst: request carried no capability")
-	// ErrWrongOp is returned when the capability does not authorize writes.
-	ErrWrongOp = errors.New("burst: capability does not authorize writes")
-	// ErrCapRejected wraps an authorization-service rejection.
-	ErrCapRejected = errors.New("burst: capability rejected by authorization service")
 	// ErrLost is returned by DrainWait for an extent this buffer does not
 	// hold — staged before a crash (and lost with the buffer's memory) or
 	// never staged here at all. Either way the data's durability cannot be
@@ -352,31 +346,16 @@ func (s *Server) Restart(p *sim.Proc) (recovered int, err error) {
 	return recovered, nil
 }
 
-// checkCap enforces policy on the staging path: the capability must
-// authorize writes and be genuine (authz.CapCache: cached, or verified with
-// the authorization service). The container binding is enforced again by
-// the backing storage server when the extent drains — the buffer holds no
-// device metadata to check it against earlier.
-func (s *Server) checkCap(p *sim.Proc, c authz.Capability) error {
-	if c == (authz.Capability{}) {
-		return ErrNoCap
-	}
-	if c.Op != authz.OpWrite {
-		return fmt.Errorf("%w: have %v", ErrWrongOp, c.Op)
-	}
-	if err := s.caps.Verify(p, &c); err != nil {
-		return fmt.Errorf("%w: %w", ErrCapRejected, err)
-	}
-	return nil
-}
-
 func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
 	p.Sleep(s.cfg.OpCost)
 	r, ok := req.(stageReq)
 	if !ok {
 		return nil, fmt.Errorf("burst: unknown request %T", req)
 	}
-	if err := s.checkCap(p, r.Cap); err != nil {
+	// Staging needs a write capability. The buffer holds no device metadata
+	// to bind it to the object's container: the backing storage server
+	// enforces that when the extent drains.
+	if err := s.caps.Admit(p, &r.Cap, authz.OpWrite, r.Cap.Container); err != nil {
 		return nil, err
 	}
 	if r.Len <= s.stageAvail.Value() {

@@ -239,7 +239,7 @@ func TestStageRefusesRevokedCapability(t *testing.T) {
 			t.Fatalf("revoke: %v", err)
 		}
 		after := bytes.Repeat([]byte{0xEE}, len(before))
-		if _, err := bc.StageWrite(p, bb.Tgt(), ref, write, 0, netsim.BytesPayload(after)); !errors.Is(err, burst.ErrCapRejected) {
+		if _, err := bc.StageWrite(p, bb.Tgt(), ref, write, 0, netsim.BytesPayload(after)); !errors.Is(err, authz.ErrCapRejected) {
 			t.Fatalf("stage with revoked capability: %v, want ErrCapRejected", err)
 		}
 		// Nothing of the refused write may reach storage, now or later.
@@ -266,10 +266,10 @@ func TestStageRejectsWrongCapability(t *testing.T) {
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		if _, err := bc.StageWrite(p, bb.Tgt(), ref, caps[authz.OpRead], 0, netsim.BytesPayload(pattern(1024))); !errors.Is(err, burst.ErrWrongOp) {
+		if _, err := bc.StageWrite(p, bb.Tgt(), ref, caps[authz.OpRead], 0, netsim.BytesPayload(pattern(1024))); !errors.Is(err, authz.ErrWrongOp) {
 			t.Fatalf("stage with read cap: %v, want ErrWrongOp", err)
 		}
-		if _, err := bc.StageWrite(p, bb.Tgt(), ref, authz.Capability{}, 0, netsim.BytesPayload(pattern(1024))); !errors.Is(err, burst.ErrNoCap) {
+		if _, err := bc.StageWrite(p, bb.Tgt(), ref, authz.Capability{}, 0, netsim.BytesPayload(pattern(1024))); !errors.Is(err, authz.ErrNoCap) {
 			t.Fatalf("stage with no cap: %v, want ErrNoCap", err)
 		}
 	})

@@ -8,7 +8,6 @@ import (
 	"lwfs/internal/authz"
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
-	"lwfs/internal/storage"
 )
 
 // TestAutoRenewRecoversFromExpiredCaps: a checkpoint-like pattern with a
@@ -99,7 +98,7 @@ func TestAutoRenewDoesNotMaskRealDenials(t *testing.T) {
 		// rejection (owner policy still allows a fresh GetCaps, which is a
 		// deliberate application decision, not a transparent one).
 		_, err := c.Write(p, ref, caps, 0, netsim.SyntheticPayload(10))
-		if !errors.Is(err, storage.ErrCapRejected) {
+		if !errors.Is(err, authz.ErrCapRejected) {
 			t.Fatalf("revoked write with auto-renew: %v", err)
 		}
 	})

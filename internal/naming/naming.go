@@ -86,21 +86,12 @@ type node struct {
 
 // Service is the naming server.
 type Service struct {
-	k     *sim.Kernel
 	cfg   Config
-	node  netsim.NodeID
-	authn *authn.Client
+	creds *authn.CredCache
 	root  *node
 	part  *txn.Participant
 
-	credCache map[[32]byte]credEntry
-
 	lookups, creates, removes, setrefs *metrics.Counter
-}
-
-type credEntry struct {
-	user authn.Principal
-	at   sim.Time
 }
 
 // request bodies
@@ -145,13 +136,10 @@ type listReq struct {
 // explicit); it may be nil if transactional naming is not needed.
 func Start(ep *portals.Endpoint, ac *authn.Client, part *txn.Participant, cfg Config) *Service {
 	s := &Service{
-		k:         ep.Kernel(),
-		cfg:       cfg,
-		node:      ep.Node(),
-		authn:     ac,
-		root:      &node{entry: Entry{Path: "/", IsDir: true}, children: make(map[string]*node)},
-		part:      part,
-		credCache: make(map[[32]byte]credEntry),
+		cfg:   cfg,
+		creds: authn.NewCredCache(ac, cfg.CredCacheTTL),
+		root:  &node{entry: Entry{Path: "/", IsDir: true}, children: make(map[string]*node)},
+		part:  part,
 	}
 	nm := ep.Metrics().Scope("naming")
 	s.lookups = nm.Counter("lookups")
@@ -162,16 +150,13 @@ func Start(ep *portals.Endpoint, ac *authn.Client, part *txn.Participant, cfg Co
 	return s
 }
 
+// principal resolves a credential through the credential cache; a refusal
+// answers ErrBadCred.
 func (s *Service) principal(p *sim.Proc, cred authn.Credential) (authn.Principal, error) {
-	if e, ok := s.credCache[cred.Token]; ok && p.Now().Sub(e.at) < s.cfg.CredCacheTTL {
-		return e.user, nil
-	}
-	user, err := s.authn.Identity(p, cred)
+	user, err := s.creds.Identity(p, cred)
 	if err != nil {
-		delete(s.credCache, cred.Token)
 		return "", fmt.Errorf("%w: %v", ErrBadCred, err)
 	}
-	s.credCache[cred.Token] = credEntry{user: user, at: p.Now()}
 	return user, nil
 }
 

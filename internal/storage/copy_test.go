@@ -59,12 +59,12 @@ func TestCopyRequiresBothCaps(t *testing.T) {
 
 		// Wrong destination capability.
 		if _, err := sc.Copy(p, dstRef, s.caps[authz.OpRead], 0,
-			srcRef, s.caps[authz.OpRead], 0, 1000); !errors.Is(err, storage.ErrWrongOp) {
+			srcRef, s.caps[authz.OpRead], 0, 1000); !errors.Is(err, authz.ErrWrongOp) {
 			t.Errorf("copy with read cap as write: %v", err)
 		}
 		// Wrong source capability: the *source server* rejects the pull.
 		if _, err := sc.Copy(p, dstRef, s.caps[authz.OpWrite], 0,
-			srcRef, s.caps[authz.OpWrite], 0, 1000); !errors.Is(err, storage.ErrWrongOp) {
+			srcRef, s.caps[authz.OpWrite], 0, 1000); !errors.Is(err, authz.ErrWrongOp) {
 			t.Errorf("copy with write cap as read: %v", err)
 		}
 	})

@@ -79,7 +79,7 @@ func TestFilterRequiresReadCap(t *testing.T) {
 		ref, _ := sc.Create(p, tgt, s.caps[authz.OpCreate], s.cid)
 		sc.Write(p, ref, s.caps[authz.OpWrite], 0, netsim.SyntheticPayload(1000))
 		// Write cap is not enough: a filter is a read.
-		if _, err := sc.Filter(p, ref, s.caps[authz.OpWrite], 0, 1000, "count", "", 64); !errors.Is(err, storage.ErrWrongOp) {
+		if _, err := sc.Filter(p, ref, s.caps[authz.OpWrite], 0, 1000, "count", "", 64); !errors.Is(err, authz.ErrWrongOp) {
 			t.Errorf("filter with write cap: %v", err)
 		}
 	})

@@ -68,7 +68,7 @@ func TestCapCacheSurvivesAuthzOutage(t *testing.T) {
 		}
 		// Cold capability: the server cannot verify it, so the request is
 		// rejected — authorization fails closed, not open.
-		if _, err := sc.Read(p, ref, s.caps[authz.OpRead], 0, 100); !errors.Is(err, storage.ErrCapRejected) {
+		if _, err := sc.Read(p, ref, s.caps[authz.OpRead], 0, 100); !errors.Is(err, authz.ErrCapRejected) {
 			t.Fatalf("cold-cache read during outage: err = %v, want ErrCapRejected", err)
 		}
 

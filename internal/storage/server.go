@@ -21,7 +21,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -57,14 +56,6 @@ type ObjRef struct {
 	Port portals.Index // the server's RPC portal
 	ID   osd.ObjectID
 }
-
-// Errors reported by the storage service.
-var (
-	ErrNoCap       = errors.New("storage: request carried no capability")
-	ErrWrongOp     = errors.New("storage: capability does not authorize this operation")
-	ErrWrongCont   = errors.New("storage: capability is for a different container")
-	ErrCapRejected = errors.New("storage: capability rejected by authorization service")
-)
 
 // Config tunes a storage server.
 type Config struct {
@@ -289,52 +280,63 @@ type getAttrReq struct {
 	Key string
 }
 
-// checkCap admits a request: the capability must pass the server's policy
-// and be genuine (authz.CapCache: cached, or verified with the authorization
-// service).
-func (s *Server) checkCap(p *sim.Proc, c authz.Capability, op authz.Op, cid authz.ContainerID) error {
-	if err := capPolicy(&c, op, cid); err != nil {
-		return err
+// admission names what a request needs: its capability, the operation, and
+// the container it touches — the one it names, or its object's, looked up
+// here so that a request for a missing object answers osd.ErrNoObject. It
+// returns before the capability is checked, so its frame is off the stack
+// while Admit parks the service thread.
+func (s *Server) admission(req interface{}) (c authz.Capability, op authz.Op, cid authz.ContainerID, err error) {
+	var id osd.ObjectID
+	switch r := req.(type) {
+	case createReq:
+		return r.Cap, authz.OpCreate, r.Container, nil
+	case listReq:
+		return r.Cap, authz.OpList, r.Container, nil
+	case syncReq:
+		// Any valid capability for any operation entitles the holder to
+		// flush the device (sync has no container scope).
+		return r.Cap, r.Cap.Op, r.Cap.Container, nil
+	case writeReq:
+		c, op, id = r.Cap, authz.OpWrite, r.ID
+	case readReq:
+		c, op, id = r.Cap, authz.OpRead, r.ID
+	case removeReq:
+		c, op, id = r.Cap, authz.OpRemove, r.ID
+	case truncateReq:
+		c, op, id = r.Cap, authz.OpWrite, r.ID
+	case statReq:
+		// A read or list capability suffices for metadata; any other is
+		// refused as the wrong operation before it costs a verification.
+		c, op, id = r.Cap, authz.OpRead, r.ID
+		if r.Cap.Op == authz.OpList {
+			op = authz.OpList
+		}
+	case setAttrReq:
+		c, op, id = r.Cap, authz.OpWrite, r.ID
+	case getAttrReq:
+		c, op, id = r.Cap, authz.OpRead, r.ID
+	case copyReq:
+		c, op, id = r.DstCap, authz.OpWrite, r.DstID
+	case filterReq:
+		c, op, id = r.Cap, authz.OpRead, r.ID
+	default:
+		return c, 0, 0, fmt.Errorf("storage: unknown request %T", req)
 	}
-	if err := s.caps.Verify(p, &c); err != nil {
-		return fmt.Errorf("%w: %w", ErrCapRejected, err)
-	}
-	return nil
-}
-
-// capPolicy is the server's half of the check: a capability must be
-// present, authorize op, and name the container being touched. It is its own
-// function so that its error formatting is off the stack before Verify parks
-// the service thread.
-func capPolicy(c *authz.Capability, op authz.Op, cid authz.ContainerID) error {
-	if *c == (authz.Capability{}) {
-		return ErrNoCap
-	}
-	if c.Op != op {
-		return fmt.Errorf("%w: have %v, need %v", ErrWrongOp, c.Op, op)
-	}
-	if c.Container != cid {
-		return fmt.Errorf("%w: cap is for %d, object in %d", ErrWrongCont, c.Container, cid)
-	}
-	return nil
-}
-
-// container looks up the container an object belongs to.
-func (s *Server) container(id osd.ObjectID) (authz.ContainerID, error) {
 	st, err := s.dev.Stat(id)
-	if err != nil {
-		return 0, err
-	}
-	return authz.ContainerID(st.Container), nil
+	return c, op, authz.ContainerID(st.Container), err
 }
 
 func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
 	p.Sleep(s.cfg.OpCost)
+	c, op, cid, err := s.admission(req)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.caps.Admit(p, &c, op, cid); err != nil {
+		return nil, err
+	}
 	switch r := req.(type) {
 	case createReq:
-		if err := s.checkCap(p, r.Cap, authz.OpCreate, r.Container); err != nil {
-			return nil, err
-		}
 		if r.Txn != 0 {
 			// Write-ahead: log the intent before allocating, so recovery
 			// after a crash can resolve the create via the journal.
@@ -357,123 +359,32 @@ func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (inter
 			})
 		}
 		return s.Ref(obj.ID), nil
-
 	case writeReq:
-		cid, err := s.container(r.ID)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.checkCap(p, r.Cap, authz.OpWrite, cid); err != nil {
-			return nil, err
-		}
 		return s.pullWrite(p, from, r)
-
 	case readReq:
-		cid, err := s.container(r.ID)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.checkCap(p, r.Cap, authz.OpRead, cid); err != nil {
-			return nil, err
-		}
 		return s.pushRead(p, from, r)
-
 	case removeReq:
-		cid, err := s.container(r.ID)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.checkCap(p, r.Cap, authz.OpRemove, cid); err != nil {
-			return nil, err
-		}
 		return nil, s.dev.Remove(p, r.ID)
-
 	case truncateReq:
-		cid, err := s.container(r.ID)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.checkCap(p, r.Cap, authz.OpWrite, cid); err != nil {
-			return nil, err
-		}
 		if r.Size < 0 {
 			return nil, fmt.Errorf("storage: negative truncate size %d", r.Size)
 		}
 		return nil, s.dev.Truncate(p, r.ID, r.Size)
-
 	case statReq:
-		cid, err := s.container(r.ID)
-		if err != nil {
-			return nil, err
-		}
-		// A read or list capability suffices for metadata; any other is
-		// refused as the wrong operation before it costs a verification.
-		op := authz.OpRead
-		if r.Cap.Op == authz.OpList {
-			op = authz.OpList
-		}
-		if err := s.checkCap(p, r.Cap, op, cid); err != nil {
-			return nil, err
-		}
 		return s.dev.Stat(r.ID)
-
 	case listReq:
-		if err := s.checkCap(p, r.Cap, authz.OpList, r.Container); err != nil {
-			return nil, err
-		}
 		return s.dev.ListContainer(osd.ContainerID(r.Container)), nil
-
 	case syncReq:
-		// Any valid capability for any operation entitles the holder to
-		// flush the device (sync has no container scope).
-		if err := s.checkCap(p, r.Cap, r.Cap.Op, r.Cap.Container); err != nil {
-			return nil, err
-		}
 		s.dev.Sync(p)
 		return nil, nil
-
 	case setAttrReq:
-		cid, err := s.container(r.ID)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.checkCap(p, r.Cap, authz.OpWrite, cid); err != nil {
-			return nil, err
-		}
 		return nil, s.dev.SetAttr(p, r.ID, r.Key, r.Value)
-
 	case getAttrReq:
-		cid, err := s.container(r.ID)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.checkCap(p, r.Cap, authz.OpRead, cid); err != nil {
-			return nil, err
-		}
 		return s.dev.GetAttr(r.ID, r.Key)
-
 	case copyReq:
-		cid, err := s.container(r.DstID)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.checkCap(p, r.DstCap, authz.OpWrite, cid); err != nil {
-			return nil, err
-		}
 		return s.serveCopy(p, r)
-
-	case filterReq:
-		cid, err := s.container(r.ID)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.checkCap(p, r.Cap, authz.OpRead, cid); err != nil {
-			return nil, err
-		}
-		return s.runFilter(p, r)
-
-	default:
-		return nil, fmt.Errorf("storage: unknown request %T", req)
+	default: // filterReq: admission let no other type through
+		return s.runFilter(p, req.(filterReq))
 	}
 }
 

@@ -128,17 +128,17 @@ func TestWriteWithoutCapRejected(t *testing.T) {
 			t.Fatalf("create: %v", err)
 		}
 		// Zero capability.
-		if _, err := sc.Write(p, ref, authz.Capability{}, 0, netsim.SyntheticPayload(10)); !errors.Is(err, storage.ErrNoCap) {
+		if _, err := sc.Write(p, ref, authz.Capability{}, 0, netsim.SyntheticPayload(10)); !errors.Is(err, authz.ErrNoCap) {
 			t.Errorf("no cap: %v", err)
 		}
 		// Wrong operation: create cap used for write.
-		if _, err := sc.Write(p, ref, s.caps[authz.OpCreate], 0, netsim.SyntheticPayload(10)); !errors.Is(err, storage.ErrWrongOp) {
+		if _, err := sc.Write(p, ref, s.caps[authz.OpCreate], 0, netsim.SyntheticPayload(10)); !errors.Is(err, authz.ErrWrongOp) {
 			t.Errorf("wrong op: %v", err)
 		}
 		// Tampered capability.
 		forged := s.caps[authz.OpWrite]
 		forged.Sig[3] ^= 0x40
-		if _, err := sc.Write(p, ref, forged, 0, netsim.SyntheticPayload(10)); !errors.Is(err, storage.ErrCapRejected) {
+		if _, err := sc.Write(p, ref, forged, 0, netsim.SyntheticPayload(10)); !errors.Is(err, authz.ErrCapRejected) {
 			t.Errorf("forged cap: %v", err)
 		}
 	})
@@ -167,7 +167,7 @@ func TestCapForDifferentContainerRejected(t *testing.T) {
 			t.Fatalf("create: %v", err)
 		}
 		// cid2's write cap must not open s.cid's object.
-		if _, err := sc.Write(p, ref, caps2[0], 0, netsim.SyntheticPayload(10)); !errors.Is(err, storage.ErrWrongCont) {
+		if _, err := sc.Write(p, ref, caps2[0], 0, netsim.SyntheticPayload(10)); !errors.Is(err, authz.ErrWrongContainer) {
 			t.Errorf("cross-container cap: %v", err)
 		}
 	})
@@ -227,7 +227,7 @@ func TestRevocationStopsWriterKeepsReader(t *testing.T) {
 		}
 		// The cached write cap was invalidated via the back pointer, and
 		// re-verification fails: writes stop immediately.
-		if _, err := sc.Write(p, ref, s.caps[authz.OpWrite], 0, netsim.BytesPayload([]byte("v2"))); !errors.Is(err, storage.ErrCapRejected) {
+		if _, err := sc.Write(p, ref, s.caps[authz.OpWrite], 0, netsim.BytesPayload([]byte("v2"))); !errors.Is(err, authz.ErrCapRejected) {
 			t.Errorf("write after revoke: %v", err)
 		}
 		// Reads keep working (partial revocation).
@@ -287,13 +287,13 @@ func TestStatChecksOpBeforeVerifying(t *testing.T) {
 			t.Fatalf("create: %v", err)
 		}
 		verifies, misses := r.Metric("authz.verifies"), r.Metric("storage.*.cap_cache.misses")
-		if _, err := sc.Stat(p, ref, s.caps[authz.OpWrite]); !errors.Is(err, storage.ErrWrongOp) {
+		if _, err := sc.Stat(p, ref, s.caps[authz.OpWrite]); !errors.Is(err, authz.ErrWrongOp) {
 			t.Fatalf("stat with a write capability: %v, want ErrWrongOp", err)
 		}
 		if v, m := r.Metric("authz.verifies"), r.Metric("storage.*.cap_cache.misses"); v != verifies || m != misses {
 			t.Fatalf("refused stat moved authz.verifies %d -> %d, cap_cache.misses %d -> %d", verifies, v, misses, m)
 		}
-		if _, err := sc.Stat(p, ref, authz.Capability{}); !errors.Is(err, storage.ErrNoCap) {
+		if _, err := sc.Stat(p, ref, authz.Capability{}); !errors.Is(err, authz.ErrNoCap) {
 			t.Fatalf("stat with no capability: %v, want ErrNoCap", err)
 		}
 		if st, err := sc.Stat(p, ref, s.caps[authz.OpRead]); err != nil || st.Size != 0 {

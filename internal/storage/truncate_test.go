@@ -34,7 +34,7 @@ func TestTruncate(t *testing.T) {
 			t.Fatalf("read after truncate: %q %v", got.Data, err)
 		}
 		// Truncate needs a write capability.
-		if err := sc.Truncate(p, ref, s.caps[authz.OpRead], 0); !errors.Is(err, storage.ErrWrongOp) {
+		if err := sc.Truncate(p, ref, s.caps[authz.OpRead], 0); !errors.Is(err, authz.ErrWrongOp) {
 			t.Errorf("truncate with read cap: %v", err)
 		}
 		// Negative size rejected.

@@ -10,7 +10,6 @@ import (
 	"lwfs/internal/core"
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
-	"lwfs/internal/storage"
 	"lwfs/internal/stripe"
 	"lwfs/internal/testrig"
 )
@@ -163,7 +162,7 @@ func TestFanOutWindowBound(t *testing.T) {
 // joined error names each failed index.
 func TestFanOutCollectsErrors(t *testing.T) {
 	k := sim.NewKernel()
-	errBoom := storage.ErrCapRejected // any sentinel from the stack works
+	errBoom := authz.ErrCapRejected // any sentinel from the stack works
 	k.Spawn("driver", func(p *sim.Proc) {
 		completed := 0
 		err := stripe.FanOut(p, "test", 6, 2, func(wp *sim.Proc, i int) error {
