@@ -26,7 +26,7 @@ import (
 )
 
 // optionStruct matches the names of the structs the census counts.
-var optionStruct = regexp.MustCompile(`(Config|Options|Opts|Spec|Policy|Params)$|^(SampledRanks|RedundantDump|Env)$`)
+var optionStruct = regexp.MustCompile(`(Config|Options|Opts|Spec|Policy|Params)$|^(SampledRanks|Env)$`)
 
 // defaultsFunc matches the functions whose sets do not count: a struct
 // filling in its own defaults says nothing about whether anyone chooses.
@@ -50,11 +50,6 @@ var censusCalibration = map[string]string{
 var censusKept = map[string]string{
 	"checkpoint.Config.PatternData":       "restore tests dump verifiable bytes instead of a length",
 	"checkpoint.Config.JitterMax":         "chaos tests widen start jitter to move crash windows",
-	"checkpoint.Config.Redundant":         "selects the redundant dump, which only the chaos suites drive",
-	"checkpoint.RedundantDump.Scheme":     "chaos reference arms: replica vs parity vs unprotected raid0",
-	"checkpoint.RedundantDump.Width":      "chaos tests size the stripe to the servers they crash",
-	"checkpoint.RedundantDump.Copies":     "chaos tests run 2 and 3 replicas",
-	"checkpoint.RedundantDump.MetaCopies": "manifest chaos tests compare 1 mirror (legacy) with 2",
 	"storage.Config.DisableCapCache":      "ablation arm of the root BenchmarkAblationCapCache",
 	"netsim.FaultSpec.Start":              "fault-injection window",
 	"netsim.FaultSpec.End":                "fault-injection window",
@@ -488,7 +483,6 @@ var exportsKept = map[string]string{
 
 	"burst.Server.AdoptJournal": "recovery: a peer adopts a crashed buffer's journal (burst restage chaos tests)",
 	"burst.Server.Adopted":      "recovery: counts what AdoptJournal re-staged",
-	"checkpoint.RestoreRead":    "recovery: reads a checkpoint back by manifest (checkpoint restore and chaos tests)",
 
 	"core.Client.Logout":       "paper API: §3.1 a user revokes the credential it logged in with",
 	"core.Client.List":         "paper API: §3.3 the object service lists a container's objects",

@@ -16,10 +16,8 @@
 package checkpoint
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"lwfs/internal/authz"
@@ -30,7 +28,6 @@ import (
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
-	"lwfs/internal/stripe"
 	"lwfs/internal/txn"
 )
 
@@ -65,15 +62,6 @@ type Config struct {
 	// 5 s default, negative = wait forever). A crashed buffer surfaces as
 	// a timeout after this long, turning into a detectable abort.
 	DrainTimeout time.Duration
-	// Redundant, when set, dumps each rank's state as a redundant stripe
-	// layout (see RedundantDump) instead of a single object: a storage
-	// server crashing mid-dump — even one that never restarts — is ridden
-	// out with zero data loss, the commit tail abandons the dead copies,
-	// and the v2 manifest restores through degraded reads. Unrecoverable
-	// loss (RAID-0, too many failures) still aborts detectably. Redundant
-	// dumps go straight at the storage servers; combining with Burst is
-	// not supported.
-	Redundant *RedundantDump
 	// Sampled, when non-nil, scales the run to a machine-size job without
 	// simulating every rank: the Procs exact ranks above run the full
 	// protocol while the remaining Sampled.TotalRanks-Procs ranks are
@@ -210,14 +198,6 @@ func RunLWFS(spec cluster.Spec, cfg Config) (Result, error) {
 // Restore pass). The user "app"/"s3cret" must be registered. The Result is
 // populated once the simulation has run.
 func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error) {
-	if cfg.Redundant != nil {
-		if err := cfg.Redundant.validate(); err != nil {
-			return nil, err
-		}
-		if len(cfg.Burst) > 0 {
-			return nil, fmt.Errorf("checkpoint: redundant dumps cannot route through the burst tier")
-		}
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Outcome counters for the whole tier, one set per cluster registry:
@@ -304,12 +284,10 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 		// object, create the name, commit (the Figure 8 tail).
 		tailStart := p.Now()
 		refs := make([]storage.ObjRef, cfg.Procs)
-		layouts := make([]stripe.Layout, cfg.Procs)
-		dumpErrs := make([]error, cfg.Procs)
-		refs[0], layouts[0], dumpErrs[0] = t.ref, t.l, t.err
+		refs[0] = t.ref
 		for i := 1; i < cfg.Procs; i++ {
 			m := gather.Recv(p).(gatherMsg)
-			refs[m.rank], layouts[m.rank], dumpErrs[m.rank] = m.ref, m.layout, m.err
+			refs[m.rank] = m.ref
 		}
 		// Burst mode: the commit only ever covers drained data. Wait for
 		// every buffer to vouch for its extents; if one cannot (crashed and
@@ -328,19 +306,6 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			}
 			res.Aborted = true
 			mAborted.Inc()
-		} else if cfg.Redundant != nil {
-			// Redundant commit gate: commit only if every rank's layout
-			// survived the observed failures (degraded reads can serve the
-			// rest); otherwise roll back — both outcomes are decided here,
-			// never silently corrupted.
-			var mdT ProcTimes
-			if redundantTail(p, c, caps, h, layouts, dumpErrs, placement, cfg, &mdT) {
-				res.Aborted = true
-				mAborted.Inc()
-			} else {
-				mDumps.Inc()
-				mBytes.Add(res.Bytes)
-			}
 		} else {
 			// Ranks that finished on a server a later rank saw die must be
 			// re-homed before the manifest is written: a failed server's journal
@@ -352,7 +317,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			// Only with every reference on a surviving server may the failed
 			// servers drop out of the commit set; each rank's one object
 			// pins its server.
-			publishManifest(p, c, caps, h, placement, EncodeMetadata(refs, cfg.BytesPerProc), 1, refs, &mdT)
+			publishManifest(p, c, caps, h, placement, EncodeMetadata(refs, cfg.BytesPerProc), refs, &mdT)
 			mDumps.Inc()
 			mBytes.Add(res.Bytes)
 		}
@@ -381,7 +346,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			start := p.Now()
 			p.Sleep(jitters[i])
 			t := dumpRank(p, c, bclients[i], sh.caps, sh.tx, i, placement, cfg)
-			gather.Send(gatherMsg{rank: i, ref: t.ref, layout: t.l, err: t.err})
+			gather.Send(gatherMsg{rank: i, ref: t.ref})
 			t.t.Total = p.Now().Sub(start)
 			res.fold(t.t)
 		}
@@ -390,10 +355,8 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 }
 
 type gatherMsg struct {
-	rank   int
-	ref    storage.ObjRef
-	layout stripe.Layout // redundant mode: the rank's dump layout
-	err    error         // redundant mode: a failure the tail must abort on
+	rank int
+	ref  storage.ObjRef
 }
 
 // txnHandle shares one coordinator-side transaction between the job's
@@ -427,16 +390,11 @@ func (h *txnHandle) down(t storage.Target) bool { return h.failed[core.TxnEndpoi
 type dumpOut struct {
 	t   ProcTimes
 	ref storage.ObjRef
-	l   stripe.Layout // redundant mode only
-	err error         // redundant mode only: tolerated, decided at the tail
 }
 
-// dumpRank runs one rank's dump: as a redundant stripe layout, through the
-// burst tier, or straight at the storage servers, per the config.
+// dumpRank runs one rank's dump: through the burst tier, or straight at the
+// storage servers, per the config.
 func dumpRank(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, h *txnHandle, rank, placement int, cfg Config) dumpOut {
-	if cfg.Redundant != nil {
-		return dumpRedundant(p, c, caps, h, rank, placement, cfg)
-	}
 	if len(cfg.Burst) > 0 {
 		return dumpViaBurst(p, c, bc, caps, h, rank, placement, cfg)
 	}
@@ -568,37 +526,32 @@ func dist(a, b netsim.NodeID) int {
 // with failover when the object's server dies mid-dump.
 func dumpLWFS(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, rank, placement int, cfg Config) dumpOut {
 	var out dumpOut
-	refs, err := placeCopies(p, c, caps, h, rank+placement, payloadFor(rank, cfg), 1, true, &out.t)
+	ref, err := placeCopies(p, c, caps, h, rank+placement, payloadFor(rank, cfg), true, &out.t)
 	if err != nil {
 		panic(fmt.Sprintf("rank %d dump: %v", rank, err))
 	}
-	out.ref = refs[0]
+	out.ref = ref
 	return out
 }
 
-// placeCopies is the checkpoint's one create-and-write walk: it creates an
-// object on up to m distinct servers, walking the rotation from prefer and
-// skipping servers already marked failed in the shared handle, dumps payload
-// into each and (optionally) syncs it, failing over (core.Walk) to the next
-// server when one stops responding. It returns the copies that landed — at
-// least one; fewer than m when the healthy pool ran out first (a manifest
-// replicates best-effort down to one mirror). A timeout only *marks* the
-// server failed; delisting it from the checkpoint transaction is deferred to
-// the commit tail (sealTxn), after rehomeFailed has moved every affected
-// rank's data off it. Delisting here would be wrong: another rank may have
-// completed its dump on that server before it died, and a delisted server
-// resolves its journaled provisional creates by presumed abort on recovery —
-// deleting data the manifest still references. Without a retry policy there
-// are no timeouts, so the walk degenerates to the plain happy path.
-func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, prefer int, payload netsim.Payload, m int, doSync bool, t *ProcTimes) ([]storage.ObjRef, error) {
-	used := make(map[storage.Target]bool, m)
-	refs := make([]storage.ObjRef, 0, m)
-	err := core.Walk(core.Rotate(c.Servers(), prefer), m,
-		func(tgt storage.Target) bool { return used[tgt] || h.down(tgt) }, nil,
-		func(tgt storage.Target) error {
+// placeCopies is the checkpoint's one create-and-write walk: it creates one
+// object, walking the rotation from prefer and skipping servers already
+// marked failed in the shared handle, dumps payload into it and (optionally)
+// syncs it, failing over (core.Walk) to the next server when one stops
+// responding. A timeout only *marks* the server failed; delisting it from the
+// checkpoint transaction is deferred to the commit tail (sealTxn), after
+// rehomeFailed has moved every affected rank's data off it. Delisting here
+// would be wrong: another rank may have completed its dump on that server
+// before it died, and a delisted server resolves its journaled provisional
+// creates by presumed abort on recovery — deleting data the manifest still
+// references. Without a retry policy there are no timeouts, so the walk
+// degenerates to the plain happy path.
+func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, prefer int, payload netsim.Payload, doSync bool, t *ProcTimes) (storage.ObjRef, error) {
+	var ref storage.ObjRef // each try's create; the last one landed if Walk succeeds
+	err := core.Walk(core.Rotate(c.Servers(), prefer), 1, h.down, nil,
+		func(tgt storage.Target) (err error) {
 			t0 := p.Now()
-			ref, err := c.CreateObjectTxn(p, tgt, caps, h.tx)
-			if err != nil {
+			if ref, err = c.CreateObjectTxn(p, tgt, caps, h.tx); err != nil {
 				return err
 			}
 			t.Create += p.Now().Sub(t0)
@@ -617,18 +570,13 @@ func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, pr
 				}
 				t.Sync += p.Now().Sub(t2)
 			}
-			used[tgt] = true
-			refs = append(refs, ref)
 			return nil
 		},
 		h.markDown)
-	if len(refs) > 0 && errors.Is(err, core.ErrRanOut) {
-		return refs, nil
-	}
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: placing a copy: %w", err)
+		return storage.ObjRef{}, fmt.Errorf("checkpoint: placing a copy: %w", err)
 	}
-	return refs, nil
+	return ref, nil
 }
 
 // payloadFor builds rank's dump payload per the config: the verifiable
@@ -655,32 +603,30 @@ func rehomeFailed(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, r
 			if !h.down(storage.TargetOf(ref)) {
 				continue
 			}
-			nrefs, err := placeCopies(p, c, caps, h, rank+placement, payloadFor(rank, cfg), 1, true, t)
+			nref, err := placeCopies(p, c, caps, h, rank+placement, payloadFor(rank, cfg), true, t)
 			if err != nil {
 				return fmt.Errorf("re-homing rank %d: %w", rank, err)
 			}
-			refs[rank] = nrefs[0]
+			refs[rank] = nref
 			changed = true
 		}
 	}
 	return nil
 }
 
-// publishManifest is the commit tail every dump mode ends in: write the
-// encoded manifest to up to mirrors servers (placeCopies), seal the commit
-// set, record every mirror that landed under the checkpoint's name and
-// commit. pinned are the objects whose servers must vote (see sealTxn); the
-// mirrors just written join them. A mid-commit crash of a manifest server
-// either aborts the transaction (no manifest) or leaves an entry whose
-// mirrors all hold the same bytes (fully restorable) — never a
-// half-published manifest.
-func publishManifest(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, placement int, manifest []byte, mirrors int, pinned []storage.ObjRef, t *ProcTimes) {
-	mdRefs, err := placeCopies(p, c, caps, h, placement, netsim.BytesPayload(manifest), mirrors, false, t)
+// publishManifest is the commit tail of a committing dump: write the
+// encoded manifest to one object (placeCopies), seal the commit set, record
+// the manifest under the checkpoint's name and commit. pinned are the
+// objects whose servers must vote (see sealTxn); the manifest just written
+// joins them. A mid-commit crash of the manifest's server aborts the
+// transaction — never a half-published manifest.
+func publishManifest(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, placement int, manifest []byte, pinned []storage.ObjRef, t *ProcTimes) {
+	mdRef, err := placeCopies(p, c, caps, h, placement, netsim.BytesPayload(manifest), false, t)
 	if err != nil {
 		panic(fmt.Sprintf("md object: %v", err))
 	}
-	sealTxn(h, slices.Concat(pinned, mdRefs))
-	if err := c.CreateNameRefs(p, "/ckpt-0001", mdRefs, h.tx); err != nil {
+	sealTxn(h, append(pinned, mdRef))
+	if err := c.CreateName(p, "/ckpt-0001", mdRef, h.tx); err != nil {
 		panic(fmt.Sprintf("name: %v", err))
 	}
 	if err := h.tx.Commit(p); err != nil {
@@ -690,12 +636,12 @@ func publishManifest(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle
 
 // sealTxn shrinks the commit set to the servers that still matter: every
 // failed server holding no pinned object is delisted, so its vote (it is
-// likely crashed or partitioned) cannot veto the checkpoint — or, on the
-// abort path, hang the rollback — and its journaled provisional creates
-// resolve by presumed abort on recovery. A failed server that *does* still
-// hold a pinned object — a crash in the narrow window after re-homing —
-// stays enlisted: its prepare then fails and the transaction aborts loudly,
-// never silently committing a manifest that references deleted data.
+// likely crashed or partitioned) cannot veto the checkpoint, and its
+// journaled provisional creates resolve by presumed abort on recovery. A
+// failed server that *does* still hold a pinned object — a crash in the
+// narrow window after re-homing — stays enlisted: its prepare then fails and
+// the transaction aborts loudly, never silently committing a manifest that
+// references deleted data.
 func sealTxn(h *txnHandle, pinned []storage.ObjRef) {
 	keep := make(map[txn.Endpoint]bool, len(pinned))
 	for _, r := range pinned {

@@ -223,9 +223,6 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 	if sr == nil {
 		return nil, errors.New("checkpoint: DeploySampled requires Config.Sampled")
 	}
-	if cfg.Redundant != nil {
-		return nil, errors.New("checkpoint: sampled mode cannot combine with redundant dumps")
-	}
 	shadow := sr.TotalRanks - cfg.Procs
 	if shadow < 0 {
 		return nil, fmt.Errorf("checkpoint: TotalRanks %d < Procs %d", sr.TotalRanks, cfg.Procs)

@@ -163,44 +163,55 @@ func TestMetaMirrorCrashMidWorkload(t *testing.T) {
 	}
 }
 
-// TestMetaCrashRaid0FailsDetectably is the control arm: a RAID-0 mount has
-// a single layout record (MetaCopies defaults to 1 — mirroring metadata of
-// a file whose data cannot survive the crash buys nothing), so losing its
-// server makes Open fail with the dead server's timeout, not silently
-// return stale state.
+// TestMetaCrashRaid0FailsDetectably is the control arm: a file with a
+// single layout record — RAID-0's default (MetaCopies defaults to 1 there:
+// mirroring the record of a file whose data cannot survive the crash buys
+// nothing), or a replica file formatted with MetaCopies: 1, whose surviving
+// data copies cannot stand in for the record — makes Open fail with the
+// dead record server's timeout, not silently return stale state.
 func TestMetaCrashRaid0FailsDetectably(t *testing.T) {
 	seed := testrig.SeedFromEnv(7)
-	cl, l := metaCluster()
-	c := cl.NewClient(l, 0)
-	c.SetRetry(pfsRetry, 47+seed)
-	cl.Spawn("app", func(p *sim.Proc) {
-		if err := c.Login(p, "alice", "pa"); err != nil {
-			t.Fatalf("login: %v", err)
-		}
-		fs, err := lwfspfs.Format(p, c, "/vol0", lwfspfs.Options{StripeUnit: 64 << 10})
-		if err != nil {
-			t.Fatalf("format: %v", err)
-		}
-		f, err := fs.Create(p, "/data.bin")
-		if err != nil {
-			t.Fatalf("create: %v", err)
-		}
-		if _, err := f.WriteAt(p, 0, synthetic(256<<10)); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		if err := f.Close(p); err != nil {
-			t.Fatalf("close: %v", err)
-		}
-		refs := f.MetaRefs()
-		if len(refs) != 1 {
-			t.Fatalf("raid0 file has %d metadata mirrors, want 1", len(refs))
-		}
-		crashTarget(l, storage.TargetOf(refs[0]))
-		if _, err := fs.Open(p, "/data.bin"); !errors.Is(err, portals.ErrRPCTimeout) {
-			t.Fatalf("raid0 open after metadata-server crash: %v, want timeout", err)
-		}
-	})
-	run(t, cl)
+	for _, tc := range []struct {
+		name string
+		opts lwfspfs.Options
+	}{
+		{"raid0", lwfspfs.Options{StripeUnit: 64 << 10}},
+		{"replica-one-record", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica, Copies: 2, MetaCopies: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, l := metaCluster()
+			c := cl.NewClient(l, 0)
+			c.SetRetry(pfsRetry, 47+seed)
+			cl.Spawn("app", func(p *sim.Proc) {
+				if err := c.Login(p, "alice", "pa"); err != nil {
+					t.Fatalf("login: %v", err)
+				}
+				fs, err := lwfspfs.Format(p, c, "/vol0", tc.opts)
+				if err != nil {
+					t.Fatalf("format: %v", err)
+				}
+				f, err := fs.Create(p, "/data.bin")
+				if err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				if _, err := f.WriteAt(p, 0, synthetic(256<<10)); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+				if err := f.Close(p); err != nil {
+					t.Fatalf("close: %v", err)
+				}
+				refs := f.MetaRefs()
+				if len(refs) != 1 {
+					t.Fatalf("%s file has %d metadata mirrors, want 1", tc.name, len(refs))
+				}
+				crashTarget(l, storage.TargetOf(refs[0]))
+				if _, err := fs.Open(p, "/data.bin"); !errors.Is(err, portals.ErrRPCTimeout) {
+					t.Fatalf("%s open after metadata-server crash: %v, want timeout", tc.name, err)
+				}
+			})
+			run(t, cl)
+		})
+	}
 }
 
 // Metadata mirrors must sit skewed from the data columns: distinct servers

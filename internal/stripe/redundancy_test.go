@@ -100,40 +100,6 @@ func TestObjectLength(t *testing.T) {
 	}
 }
 
-func TestRecoverable(t *testing.T) {
-	downNodes := func(nodes ...netsim.NodeID) func(storage.Target) bool {
-		return func(t storage.Target) bool {
-			for _, n := range nodes {
-				if t.Node == n {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	r0 := testLayout(3, 10)
-	if !r0.Recoverable(downNodes()) || r0.Recoverable(downNodes(2)) {
-		t.Error("raid0 must tolerate exactly zero losses")
-	}
-	// Replica 2×2: columns 0,1 on nodes 1,2; copies on nodes 3,4.
-	rep := testLayout(4, 10)
-	rep.Scheme, rep.Copies = stripe.Replica, 2
-	if !rep.Recoverable(downNodes(1)) || !rep.Recoverable(downNodes(1, 2)) {
-		t.Error("replica must survive losing one full copy set")
-	}
-	if rep.Recoverable(downNodes(1, 3)) {
-		t.Error("replica cannot survive losing both copies of a column")
-	}
-	par := testLayout(4, 10)
-	par.Scheme = stripe.Parity
-	if !par.Recoverable(downNodes(4)) || !par.Recoverable(downNodes(2)) {
-		t.Error("parity must survive any single loss")
-	}
-	if par.Recoverable(downNodes(1, 2)) {
-		t.Error("parity cannot survive a double loss")
-	}
-}
-
 // makeRedundant creates the objects for a redundant layout: replica copy c
 // of column i lands on server c*width+i, parity layouts use width+1
 // consecutive servers — so distinct servers as long as the cluster has

@@ -261,45 +261,6 @@ func (l Layout) columnLength(col int) int64 {
 	return (mine-1)*u + (end - last*u)
 }
 
-// Recoverable reports whether the layout's data stays fully readable when
-// every target for which down returns true is unreachable: RAID-0 tolerates
-// no loss, Replica needs one surviving copy per column, Parity tolerates
-// losing at most one object (data or parity).
-func (l Layout) Recoverable(down func(storage.Target) bool) bool {
-	switch l.Scheme {
-	case Replica:
-		w := l.Width()
-		for col := 0; col < w; col++ {
-			alive := false
-			for c := 0; c < l.Copies; c++ {
-				if !down(storage.TargetOf(l.ReplicaObj(c, col))) {
-					alive = true
-					break
-				}
-			}
-			if !alive {
-				return false
-			}
-		}
-		return true
-	case Parity:
-		lost := 0
-		for _, o := range l.Objs {
-			if down(storage.TargetOf(o)) {
-				lost++
-			}
-		}
-		return lost <= 1
-	default:
-		for _, o := range l.Objs {
-			if down(storage.TargetOf(o)) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // Piece is one stripe unit's worth (or less) of a request: a contiguous
 // run of file bytes and where they sit in the object.
 type Piece struct {
