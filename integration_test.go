@@ -58,7 +58,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatalf("read: %q %v", got.Data, err)
 		}
 		// Lock service through the facade.
-		if err := c.Locks().Lock(p, "it", lwfs.Exclusive); err != nil {
+		if _, err := c.Locks().Lock(p, "it", lwfs.Exclusive); err != nil {
 			t.Fatalf("lock: %v", err)
 		}
 		if err := c.Locks().Unlock(p, "it"); err != nil {

@@ -183,8 +183,15 @@ func TestRemoveFreesObjects(t *testing.T) {
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		f.WriteAt(p, 0, synthetic(2*mb))
+		// Two 1 MiB columns of four: two data objects and the metadata
+		// record; the other two columns stay holes.
+		if _, err := f.WriteAt(p, 0, synthetic(2*mb)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
 		f.Close(p)
+		if got := totalObjects(l, fs.Container()) - before; got != 3 {
+			t.Fatalf("file holds %d objects, want 3", got)
+		}
 		if err := fs.Remove(p, "/temp"); err != nil {
 			t.Fatalf("remove: %v", err)
 		}

@@ -83,7 +83,13 @@ func (e *Engine) WriteAt(p *sim.Proc, l Layout, off int64, payload netsim.Payloa
 // sync rounds, delist from transactions, schedule for rebuild. An absorbed
 // object is STALE: it must be rebuilt before it is trusted again. Under
 // RAID-0 no failure is tolerable and this is exactly WriteAt.
+//
+// Every column the range touches must be allocated (Layout.Missing): the
+// engine has nowhere to put bytes aimed at a hole.
 func (e *Engine) WriteAtTolerant(p *sim.Proc, l Layout, off int64, payload netsim.Payload) (int64, []storage.Target, error) {
+	if l.Missing(off, payload.Size) != nil {
+		return 0, nil, fmt.Errorf("%w: write into an unallocated column", ErrBadLayout)
+	}
 	switch l.Scheme {
 	case Replica:
 		return e.writeReplica(p, l, off, payload)
@@ -304,18 +310,22 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 // Parity layout by XOR-ing the same extent of every other group member
 // (idx == Width() reconstructs the parity object itself from the data
 // columns). Short reads zero-fill — bytes beyond a source's end contribute
-// nothing. Every survivor must answer; a second unreachable object makes
-// the extent unrecoverable.
+// nothing, and a hole contributes nothing at all. Every survivor must
+// answer; a second unreachable object makes the extent unrecoverable.
 func (e *Engine) reconstructExtent(p *sim.Proc, l Layout, idx int, objOff, n int64, skip map[int]bool) (netsim.Payload, error) {
 	w := l.Width()
 	var srcs []storage.ObjRef
+	members := 0
 	for j := 0; j <= w; j++ {
 		if j == idx || skip[j] {
 			continue
 		}
-		srcs = append(srcs, l.Objs[j])
+		members++
+		if !IsHole(l.Objs[j]) {
+			srcs = append(srcs, l.Objs[j])
+		}
 	}
-	if len(srcs) < w {
+	if members < w {
 		return netsim.Payload{}, fmt.Errorf("stripe/reconstruct[%d]: %w", idx, ErrUnrecoverable)
 	}
 	got := make([]netsim.Payload, len(srcs))
@@ -376,14 +386,18 @@ func (s *targetSet) add(t storage.Target) {
 // primary object times out is served from a surviving replica copy, or
 // XOR-reconstructed from the other columns and parity, transparently to the
 // caller (counted by the degraded_reads / reconstructed_bytes instruments).
-// RAID-0 reads fail exactly as before.
+// RAID-0 reads fail exactly as before. A hole column issues no request and
+// reads as an empty object.
 func (e *Engine) ReadAt(p *sim.Proc, l Layout, off, length int64) (netsim.Payload, error) {
 	reqs := l.Plan(off, length)
-	e.reqs.Add(int64(len(reqs)))
 	e.bytesIn.Add(length)
 	out := netsim.Payload{Size: length}
 	got := make([]netsim.Payload, len(reqs))
 	errs := fanOutErrs(p, "stripe/read", len(reqs), e.window, func(wp *sim.Proc, i int) error {
+		if IsHole(l.Objs[reqs[i].Obj]) {
+			return nil
+		}
+		e.reqs.Inc()
 		pl, rerr := e.c.Read(wp, l.Objs[reqs[i].Obj], e.caps, reqs[i].Off, reqs[i].Len)
 		got[i] = pl
 		return rerr
@@ -466,12 +480,15 @@ func (e *Engine) readDegraded(p *sim.Proc, l Layout, r Request) (netsim.Payload,
 	return pl, nil
 }
 
-// Targets returns the distinct storage servers holding the layout, in
-// first-appearance order.
+// Targets returns the distinct storage servers holding the layout's
+// allocated objects, in first-appearance order.
 func (l Layout) Targets() []storage.Target {
 	seen := make(map[storage.Target]bool, len(l.Objs))
 	var ts []storage.Target
 	for _, o := range l.Objs {
+		if IsHole(o) {
+			continue
+		}
 		t := storage.TargetOf(o)
 		if !seen[t] {
 			seen[t] = true

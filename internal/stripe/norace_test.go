@@ -40,3 +40,17 @@ func TestFanOutAllocationsIndependentOfWindow(t *testing.T) {
 	}
 	t.Logf("%.0f allocations per fan-out", narrow)
 }
+
+// The hole check a writer runs on every write allocates nothing when the
+// range touches no hole.
+func TestMissingAllocatesNothingWithoutHoles(t *testing.T) {
+	for _, l := range []stripe.Layout{holeLayout(stripe.Raid0), holeLayout(stripe.Replica, 3), holeLayout(stripe.Parity)} {
+		if n := testing.AllocsPerRun(100, func() {
+			if l.Missing(40, 250) != nil {
+				t.Fatal("a hole where there is none")
+			}
+		}); n != 0 {
+			t.Errorf("%v: Missing allocated %.0f times on a range without holes", l.Scheme, n)
+		}
+	}
+}

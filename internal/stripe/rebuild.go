@@ -54,7 +54,8 @@ func NewRebuilder(e *Engine) *Rebuilder {
 // objects created on spares, returning the patched layout (the input layout
 // is not modified; on error it comes back unchanged). l.Size must reflect
 // the logical size — it bounds how many bytes each object holds, so a stale
-// zero Size rebuilds empty objects. Spares rotate
+// zero Size rebuilds empty objects. Holes hold nothing and are never
+// rebuilt; a parity reconstruction reads them as zeros. Spares rotate
 // round-robin, preferring servers that do not already hold a related object
 // so the repaired layout regains failure independence when enough spares
 // exist. RAID-0 layouts have nothing to rebuild from and return
@@ -66,7 +67,7 @@ func (r *Rebuilder) Rebuild(p *sim.Proc, l Layout, dead storage.Target, spares [
 	}
 	var idxs []int
 	for i, o := range l.Objs {
-		if storage.TargetOf(o) == dead {
+		if !IsHole(o) && storage.TargetOf(o) == dead {
 			idxs = append(idxs, i)
 		}
 	}
@@ -159,26 +160,9 @@ func (r *Rebuilder) rebuildObject(p *sim.Proc, l Layout, idx int, dst storage.Ob
 // independence it falls back to any non-dead spare — a degraded placement
 // beats no redundancy at all.
 func (r *Rebuilder) pickSpare(l Layout, idx int, dead storage.Target, spares []storage.Target, at *int) (storage.Target, bool) {
-	related := map[storage.Target]bool{}
-	switch l.Scheme {
-	case Replica:
-		w := l.Width()
-		col := idx % w
-		for c := 0; c < l.Copies; c++ {
-			if j := c*w + col; j != idx {
-				related[storage.TargetOf(l.Objs[j])] = true
-			}
-		}
-	case Parity:
-		for j, o := range l.Objs {
-			if j != idx {
-				related[storage.TargetOf(o)] = true
-			}
-		}
-	}
 	for k, t := range core.Candidates(core.Rotate(spares, *at),
 		func(t storage.Target) bool { return t == dead },
-		func(t storage.Target) bool { return related[t] }) {
+		func(t storage.Target) bool { return l.Related(idx, t) }) {
 		*at = (*at + k + 1) % len(spares)
 		return t, true
 	}

@@ -30,8 +30,10 @@
 package stripe
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"lwfs/internal/netsim"
@@ -77,6 +79,12 @@ func (s Scheme) String() string {
 // Layout describes one striped logical object: Scheme over Objs in units of
 // Unit bytes, with a logical Size maintained by the owner. Copies is the
 // mirror count for Replica layouts and ignored otherwise.
+//
+// A data column may be a hole: every copy of it is the zero storage.ObjRef
+// (encoded "obj 0 0 0"; object IDs start at 1, so no real object has it).
+// A hole reads as an empty object — zeros inside the logical size — and is
+// skipped by Targets and rebuilds; the owner allocates it before a write
+// lands in it (Missing). Column 0 and the parity object are never holes.
 type Layout struct {
 	Size   int64
 	Unit   int64
@@ -108,6 +116,61 @@ func (l Layout) ReplicaObj(c, col int) storage.ObjRef { return l.Objs[c*l.Width(
 // ParityObj returns the parity object of a Parity layout.
 func (l Layout) ParityObj() storage.ObjRef { return l.Objs[l.Width()] }
 
+// copies is how many objects back each data column.
+func (l Layout) copies() int {
+	if l.Scheme == Replica {
+		return l.Copies
+	}
+	return 1
+}
+
+// IsHole reports whether ref is a hole: the zero ref an unallocated column
+// holds in place of each of its objects.
+func IsHole(ref storage.ObjRef) bool { return ref == storage.ObjRef{} }
+
+// Missing returns the Objs index of every object of every hole column that
+// the file range [off, off+length) touches: all copies of each such column,
+// in the order Plan touches the columns. When the range touches no hole it
+// returns nil without allocating, so a writer can ask on every write.
+func (l Layout) Missing(off, length int64) []int {
+	if length <= 0 || l.Unit <= 0 {
+		return nil
+	}
+	w := int64(l.Width())
+	first := off / l.Unit
+	ncols := min((off+length-1)/l.Unit-first+1, w)
+	var idxs []int
+	for j := int64(0); j < ncols; j++ {
+		col := int((first + j) % w)
+		if !IsHole(l.Objs[col]) {
+			continue
+		}
+		for c := 0; c < l.copies(); c++ {
+			idxs = append(idxs, c*int(w)+col)
+		}
+	}
+	return idxs
+}
+
+// Related reports whether t hosts an object of idx's redundancy group other
+// than idx itself: another copy of its column under Replica, any other
+// member under Parity. RAID-0 objects have no group, and holes host nothing.
+func (l Layout) Related(idx int, t storage.Target) bool {
+	if l.Scheme == Raid0 {
+		return false
+	}
+	w := l.Width()
+	for j, o := range l.Objs {
+		if j == idx || IsHole(o) || storage.TargetOf(o) != t {
+			continue
+		}
+		if l.Scheme == Parity || j%w == idx%w {
+			return true
+		}
+	}
+	return false
+}
+
 // Validate checks the layout's arithmetic invariants — the ones Locate and
 // Plan divide by. Decode runs it on every parsed layout so corrupt metadata
 // surfaces as ErrBadLayout instead of a divide-by-zero panic later.
@@ -133,6 +196,34 @@ func (l Layout) Validate() error {
 	default:
 		return fmt.Errorf("%w: unknown scheme %d", ErrBadLayout, l.Scheme)
 	}
+	w := l.Width()
+	for col := 0; col < w; col++ {
+		holes := 0
+		for c := 0; c < l.copies(); c++ {
+			ref := l.Objs[c*w+col]
+			switch {
+			case IsHole(ref):
+				holes++
+			case ref.ID == 0:
+				return fmt.Errorf("%w: object id 0 in column %d", ErrBadLayout, col)
+			}
+		}
+		switch {
+		case holes == 0:
+		case holes < l.copies():
+			return fmt.Errorf("%w: column %d is a hole in only some copies", ErrBadLayout, col)
+		case col == 0:
+			return fmt.Errorf("%w: column 0 is a hole", ErrBadLayout)
+		}
+	}
+	if l.Scheme == Parity {
+		switch p := l.ParityObj(); {
+		case IsHole(p):
+			return fmt.Errorf("%w: parity object is a hole", ErrBadLayout)
+		case p.ID == 0:
+			return fmt.Errorf("%w: parity object id 0", ErrBadLayout)
+		}
+	}
 	return nil
 }
 
@@ -141,67 +232,98 @@ func (l Layout) Validate() error {
 // systems decode unchanged; redundant schemes insert one extra "scheme"
 // line that legacy-era data never contains.
 func (l Layout) Encode() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "size %d\nstripeunit %d\n", l.Size, l.Unit)
+	b := make([]byte, 0, 48+24*len(l.Objs))
+	b = strconv.AppendInt(append(b, "size "...), l.Size, 10)
+	b = strconv.AppendInt(append(b, "\nstripeunit "...), l.Unit, 10)
+	b = append(b, '\n')
 	switch l.Scheme {
 	case Replica:
-		fmt.Fprintf(&b, "scheme replica %d\n", l.Copies)
+		b = strconv.AppendInt(append(b, "scheme replica "...), int64(l.Copies), 10)
+		b = append(b, '\n')
 	case Parity:
-		fmt.Fprintf(&b, "scheme parity\n")
+		b = append(b, "scheme parity\n"...)
 	}
 	for _, o := range l.Objs {
-		fmt.Fprintf(&b, "obj %d %d %d\n", o.Node, o.Port, uint64(o.ID))
+		b = strconv.AppendInt(append(b, "obj "...), int64(o.Node), 10)
+		b = strconv.AppendInt(append(b, ' '), int64(o.Port), 10)
+		b = strconv.AppendUint(append(b, ' '), uint64(o.ID), 10)
+		b = append(b, '\n')
 	}
-	return []byte(b.String())
+	return b
 }
 
 // Decode parses a layout previously produced by Encode. Metadata without a
 // "scheme" line decodes as plain RAID-0 (the legacy format). The parsed
 // layout is validated: truncated or nonsensical metadata (zero stripe unit,
-// no objects, bad replica arity) returns ErrBadLayout.
+// no objects, bad replica arity, a partial or forbidden hole) returns
+// ErrBadLayout, and so do bytes Encode would not write back identically.
 func Decode(data []byte) (Layout, error) {
 	var l Layout
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) < 2 {
-		return l, ErrBadLayout
+	rest := string(data)
+	line := func() string {
+		ln, r, _ := strings.Cut(rest, "\n")
+		rest = r
+		return ln
 	}
-	if _, err := fmt.Sscanf(lines[0], "size %d", &l.Size); err != nil {
-		return l, fmt.Errorf("%w: %v", ErrBadLayout, err)
+	var err error
+	if l.Size, err = intAfter(line(), "size "); err != nil {
+		return Layout{}, err
 	}
-	if _, err := fmt.Sscanf(lines[1], "stripeunit %d", &l.Unit); err != nil {
-		return l, fmt.Errorf("%w: %v", ErrBadLayout, err)
+	if l.Unit, err = intAfter(line(), "stripeunit "); err != nil {
+		return Layout{}, err
 	}
-	rest := lines[2:]
-	if len(rest) > 0 && strings.HasPrefix(rest[0], "scheme ") {
-		switch {
-		case strings.HasPrefix(rest[0], "scheme replica "):
+	if strings.HasPrefix(rest, "scheme ") {
+		switch ln := line(); {
+		case strings.HasPrefix(ln, "scheme replica "):
 			l.Scheme = Replica
-			if _, err := fmt.Sscanf(rest[0], "scheme replica %d", &l.Copies); err != nil {
-				return Layout{}, fmt.Errorf("%w: %v", ErrBadLayout, err)
+			copies, err := intAfter(ln, "scheme replica ")
+			if err != nil {
+				return Layout{}, err
 			}
-		case rest[0] == "scheme parity":
+			l.Copies = int(copies)
+		case ln == "scheme parity":
 			l.Scheme = Parity
 		default:
-			return Layout{}, fmt.Errorf("%w: %q", ErrBadLayout, rest[0])
+			return Layout{}, fmt.Errorf("%w: %q", ErrBadLayout, ln)
 		}
-		rest = rest[1:]
 	}
-	for _, line := range rest {
-		var node, port int
-		var id uint64
-		if _, err := fmt.Sscanf(line, "obj %d %d %d", &node, &port, &id); err != nil {
-			return Layout{}, fmt.Errorf("%w: %v", ErrBadLayout, err)
+	l.Objs = make([]storage.ObjRef, 0, strings.Count(rest, "\n"))
+	for rest != "" {
+		f, ok := strings.CutPrefix(line(), "obj ")
+		node, f, _ := strings.Cut(f, " ")
+		port, id, _ := strings.Cut(f, " ")
+		n, err1 := strconv.Atoi(node)
+		pt, err2 := strconv.Atoi(port)
+		i, err3 := strconv.ParseUint(id, 10, 64)
+		if !ok || err1 != nil || err2 != nil || err3 != nil {
+			return Layout{}, fmt.Errorf("%w: bad object line", ErrBadLayout)
 		}
 		l.Objs = append(l.Objs, storage.ObjRef{
-			Node: netsim.NodeID(node),
-			Port: portals.Index(port),
-			ID:   osd.ObjectID(id),
+			Node: netsim.NodeID(n),
+			Port: portals.Index(pt),
+			ID:   osd.ObjectID(i),
 		})
 	}
 	if err := l.Validate(); err != nil {
 		return Layout{}, err
 	}
+	if !bytes.Equal(l.Encode(), data) {
+		return Layout{}, fmt.Errorf("%w: not in canonical form", ErrBadLayout)
+	}
 	return l, nil
+}
+
+// intAfter parses the integer that follows prefix on a record line.
+func intAfter(line, prefix string) (int64, error) {
+	v, ok := strings.CutPrefix(line, prefix)
+	if !ok {
+		return 0, fmt.Errorf("%w: want %q, got %q", ErrBadLayout, prefix, line)
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadLayout, err)
+	}
+	return n, nil
 }
 
 // Locate maps a file offset to (data column index, object offset) under

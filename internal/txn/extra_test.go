@@ -42,15 +42,53 @@ func TestLockQueueLenObservable(t *testing.T) {
 	}
 }
 
+// Lock returns the name's generation: exclusive grants count, shared ones
+// report the count so far, and a grant promoted from the queue counts too.
+func TestLockGeneration(t *testing.T) {
+	r := testrig.New(4)
+	bootLocks(r, 1)
+	a := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 40, 1)
+	b := txn.NewLockClient(r.Eps[3], r.Eps[1].Node(), 40, 1)
+	var got []uint64
+	lock := func(p *sim.Proc, lc *txn.LockClient, name string, mode txn.LockMode) {
+		g, err := lc.Lock(p, name, mode)
+		if err != nil {
+			t.Errorf("lock: %v", err)
+		}
+		got = append(got, g)
+	}
+	r.Go("a", func(p *sim.Proc) {
+		lock(p, a, "f", txn.Shared)    // 0: no exclusive grant yet
+		a.Unlock(p, "f")               //nolint:errcheck
+		lock(p, a, "f", txn.Exclusive) // 1
+		p.Sleep(10 * time.Millisecond) // b queues behind this grant
+		a.Unlock(p, "f")               //nolint:errcheck
+		p.Sleep(10 * time.Millisecond)
+		lock(p, a, "f", txn.Shared)    // 2: b's promoted grant
+		a.Unlock(p, "f")               //nolint:errcheck
+		lock(p, a, "g", txn.Exclusive) // 1: generations are per name
+		a.Unlock(p, "g")               //nolint:errcheck
+	})
+	r.Go("b", func(p *sim.Proc) {
+		p.Sleep(5 * time.Millisecond)
+		lock(p, b, "f", txn.Exclusive) // 2, after waiting
+		b.Unlock(p, "f")               //nolint:errcheck
+	})
+	r.Run(t)
+	if want := []uint64{0, 1, 2, 2, 1}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("generations %v, want %v", got, want)
+	}
+}
+
 func TestReentrantSharedLock(t *testing.T) {
 	r := testrig.New(3)
 	bootLocks(r, 1)
 	lc := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 40, 7)
 	r.Go("c", func(p *sim.Proc) {
-		if err := lc.Lock(p, "f", txn.Shared); err != nil {
+		if _, err := lc.Lock(p, "f", txn.Shared); err != nil {
 			t.Errorf("lock 1: %v", err)
 		}
-		if err := lc.Lock(p, "f", txn.Shared); err != nil {
+		if _, err := lc.Lock(p, "f", txn.Shared); err != nil {
 			t.Errorf("re-entrant lock: %v", err)
 		}
 		if err := lc.Unlock(p, "f"); err != nil {

@@ -52,13 +52,24 @@ var ErrNotHeld = errors.New("txn: unlock of a lock not held by owner")
 type lockWaiter struct {
 	owner Owner
 	mode  LockMode
-	reply func(err error)
+	reply func(gen uint64, err error)
 }
 
 type lockState struct {
 	mode    LockMode
 	holders map[Owner]int // refcount per owner (re-entrant shared grants)
 	queue   []*lockWaiter
+	gen     uint64 // exclusive grants so far
+}
+
+// grant adds one grant in mode to owner and returns the lock's generation.
+func (st *lockState) grant(owner Owner, mode LockMode) uint64 {
+	st.mode = mode
+	st.holders[owner]++
+	if mode == Exclusive {
+		st.gen++
+	}
+	return st.gen
 }
 
 // lock RPC bodies
@@ -112,17 +123,17 @@ func (ls *LockServer) dispatch(from netsim.NodeID, hdr interface{}) {
 	if !ok {
 		return
 	}
-	reply := func(err error) {
+	reply := func(gen uint64, err error) {
 		ls.ep.Put(from, req.replyPort, portals.MatchBits(req.token),
-			lockReply{token: req.token, err: err}, netsim.SyntheticPayload(16))
+			lockReply{token: req.token, gen: gen, err: err}, netsim.SyntheticPayload(16))
 	}
 	switch r := req.body.(type) {
 	case lockReq:
 		ls.lock(r, reply)
 	case unlockReq:
-		reply(ls.unlock(r))
+		reply(0, ls.unlock(r))
 	default:
-		reply(fmt.Errorf("txn: unknown lock request %T", req.body))
+		reply(0, fmt.Errorf("txn: unknown lock request %T", req.body))
 	}
 }
 
@@ -134,7 +145,7 @@ func (st *lockState) compatible(mode LockMode) bool {
 	return st.mode == Shared && mode == Shared
 }
 
-func (ls *LockServer) lock(r lockReq, reply func(error)) {
+func (ls *LockServer) lock(r lockReq, reply func(uint64, error)) {
 	st, ok := ls.locks[r.Name]
 	if !ok {
 		st = &lockState{holders: make(map[Owner]int)}
@@ -142,16 +153,13 @@ func (ls *LockServer) lock(r lockReq, reply func(error)) {
 	}
 	// Re-entrant same-mode acquisition by a current holder.
 	if _, held := st.holders[r.Owner]; held && st.mode == r.Mode {
-		st.holders[r.Owner]++
 		ls.grants.Inc()
-		reply(nil)
+		reply(st.grant(r.Owner, r.Mode), nil)
 		return
 	}
 	if st.compatible(r.Mode) && len(st.queue) == 0 {
-		st.mode = r.Mode
-		st.holders[r.Owner]++
 		ls.grants.Inc()
-		reply(nil)
+		reply(st.grant(r.Owner, r.Mode), nil)
 		return
 	}
 	ls.waits.Inc()
@@ -183,10 +191,8 @@ func (ls *LockServer) promote(st *lockState) {
 			return
 		}
 		st.queue = st.queue[1:]
-		st.mode = w.mode
-		st.holders[w.owner]++
 		ls.grants.Inc()
-		w.reply(nil)
+		w.reply(st.grant(w.owner, w.mode), nil)
 		if w.mode == Exclusive {
 			return
 		}
@@ -204,6 +210,7 @@ type lockRPC struct {
 
 type lockReply struct {
 	token uint64
+	gen   uint64
 	err   error
 }
 
@@ -223,24 +230,29 @@ func NewLockClient(ep *portals.Endpoint, server netsim.NodeID, port portals.Inde
 	return &LockClient{ep: ep, server: server, port: port, owner: Owner{Node: ep.Node(), Tag: tag}}
 }
 
-func (lc *LockClient) call(p *sim.Proc, body interface{}) error {
+func (lc *LockClient) call(p *sim.Proc, body interface{}) (uint64, error) {
 	token := lc.ep.NextToken()
 	slot := lc.ep.Post(lockReplyPortal, portals.MatchBits(token), true)
 	lc.ep.Put(lc.server, lc.port, 0, lockRPC{token: token, replyPort: lockReplyPortal, body: body},
 		netsim.SyntheticPayload(96))
 	ev, _ := slot.Wait(p, 0)
-	err := ev.Hdr.(lockReply).err
+	r := ev.Hdr.(lockReply)
 	ev.Release()
 	slot.Close()
-	return err
+	return r.gen, r.err
 }
 
-// Lock blocks until the named lock is granted in the requested mode.
-func (lc *LockClient) Lock(p *sim.Proc, name string, mode LockMode) error {
+// Lock blocks until the named lock is granted in the requested mode. It
+// returns the lock's generation: how many exclusive grants the name has had,
+// this one included. A holder that saw generation g at its last exclusive
+// grant and now gets g+1 (exclusive) or g (shared) knows nobody else held the
+// lock exclusively in between, so state it cached under the lock is current.
+func (lc *LockClient) Lock(p *sim.Proc, name string, mode LockMode) (uint64, error) {
 	return lc.call(p, lockReq{Name: name, Mode: mode, Owner: lc.owner})
 }
 
 // Unlock releases one grant of the named lock.
 func (lc *LockClient) Unlock(p *sim.Proc, name string) error {
-	return lc.call(p, unlockReq{Name: name, Owner: lc.owner})
+	_, err := lc.call(p, unlockReq{Name: name, Owner: lc.owner})
+	return err
 }

@@ -244,7 +244,7 @@ func TestExclusiveLockMutualExclusion(t *testing.T) {
 		node := 2 + i
 		lc := txn.NewLockClient(r.Eps[node], r.Eps[1].Node(), 40, 1)
 		r.Go(fmt.Sprintf("c%d", i), func(p *sim.Proc) {
-			if err := lc.Lock(p, "obj:1", txn.Exclusive); err != nil {
+			if _, err := lc.Lock(p, "obj:1", txn.Exclusive); err != nil {
 				t.Errorf("lock: %v", err)
 				return
 			}
@@ -277,7 +277,7 @@ func TestSharedLocksCoexist(t *testing.T) {
 		node := 2 + i
 		lc := txn.NewLockClient(r.Eps[node], r.Eps[1].Node(), 40, 1)
 		r.Go(fmt.Sprintf("r%d", i), func(p *sim.Proc) {
-			if err := lc.Lock(p, "f", txn.Shared); err != nil {
+			if _, err := lc.Lock(p, "f", txn.Shared); err != nil {
 				t.Errorf("lock: %v", err)
 				return
 			}
@@ -310,7 +310,7 @@ func TestSharedBlocksExclusive(t *testing.T) {
 	})
 	r.Go("writer", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond) // let the reader in first
-		if err := writer.Lock(p, "f", txn.Exclusive); err != nil {
+		if _, err := writer.Lock(p, "f", txn.Exclusive); err != nil {
 			t.Errorf("lock: %v", err)
 			return
 		}
@@ -360,7 +360,7 @@ func TestLockSafetyProperty(t *testing.T) {
 					if o%3 == 0 {
 						mode = txn.Exclusive
 					}
-					if lc.Lock(p, name, mode) != nil {
+					if _, err := lc.Lock(p, name, mode); err != nil {
 						safe = false
 						return
 					}
