@@ -133,6 +133,107 @@ func TestStaleGrowingWriteKeepsFilledHoles(t *testing.T) {
 	run(t, cl)
 }
 
+// A handle whose view has no hole, whose write grows its own stale size to
+// less than the size another client grew the file to, keeps the larger size.
+func TestStaleWriteKeepsGrownSize(t *testing.T) {
+	cl, l := smallCluster()
+	a := cl.NewClient(l, 0)
+	b := cl.NewClient(l, 1)
+	cl.Spawn("app", func(p *sim.Proc) {
+		a.Login(p, "alice", "pa")
+		b.Login(p, "alice", "pa")
+		fs, err := lwfspfs.Format(p, a, "/vol", lwfspfs.Options{StripeUnit: 4 << 10, Stripes: 1})
+		if err != nil {
+			t.Fatalf("format: %v", err)
+		}
+		f, err := fs.Create(p, "/log")
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		if _, err := f.WriteAt(p, 0, payloadOf(randomBytes(100, 1))); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		fsb, err := lwfspfs.Mount(p, b, "/vol", fs.Container())
+		if err != nil {
+			t.Fatalf("mount: %v", err)
+		}
+		g, err := fsb.Open(p, "/log")
+		if err != nil {
+			t.Fatalf("open b: %v", err)
+		}
+		tail := randomBytes(100, 2)
+		if _, err := g.WriteAt(p, 1000, payloadOf(tail)); err != nil {
+			t.Fatalf("write b: %v", err)
+		}
+		// f still sees size 100; this write grows that to 200.
+		if _, err := f.WriteAt(p, 100, payloadOf(randomBytes(100, 3))); err != nil {
+			t.Fatalf("stale write: %v", err)
+		}
+		h, err := fs.Open(p, "/log")
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		if h.Size() != 1100 {
+			t.Fatalf("size %d after the stale write, want 1100", h.Size())
+		}
+		if got, err := h.ReadAt(p, 1000, 100); err != nil || !bytes.Equal(got.Data, tail) {
+			t.Fatalf("the other client's acknowledged bytes are lost (err %v)", err)
+		}
+	})
+	run(t, cl)
+}
+
+// A handle opened before a Rebuild re-homed a copy flushes the re-homed
+// refs, not its own stale ones naming the dead server.
+func TestStaleWriteKeepsRebuild(t *testing.T) {
+	cl, l := smallCluster()
+	c := cl.NewClient(l, 0)
+	c.SetRetry(pfsRetry, 71)
+	cl.Spawn("app", func(p *sim.Proc) {
+		c.Login(p, "alice", "pa")
+		fs, err := lwfspfs.Format(p, c, "/vol",
+			lwfspfs.Options{StripeUnit: 4 << 10, Stripes: 1, Scheme: stripe.Replica, Copies: 2})
+		if err != nil {
+			t.Fatalf("format: %v", err)
+		}
+		f, err := fs.Create(p, "/f")
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		data := randomBytes(8000, 4)
+		if _, err := f.WriteAt(p, 0, payloadOf(data[:6000])); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		dead := storage.TargetOf(f.Layout().Objs[1])
+		for _, ref := range f.MetaRefs() {
+			if storage.TargetOf(ref) == dead {
+				t.Fatal("a metadata mirror shares the crashed server: the test wants data copies only")
+			}
+		}
+		crashTarget(l, dead)
+		if err := fs.Rebuild(p, "/f", dead, nil); err != nil {
+			t.Fatalf("rebuild: %v", err)
+		}
+		// f's view still names the dead server; this write grows the size.
+		if _, err := f.WriteAt(p, 6000, payloadOf(data[6000:])); err != nil {
+			t.Fatalf("stale write: %v", err)
+		}
+		g, err := fs.Open(p, "/f")
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		for i, o := range g.Layout().Objs {
+			if storage.TargetOf(o) == dead {
+				t.Fatalf("object %d names the dead server again: the stale flush undid the rebuild", i)
+			}
+		}
+		if got, err := g.ReadAt(p, 0, int64(len(data))); err != nil || !bytes.Equal(got.Data, data) {
+			t.Fatalf("read back: %v", err)
+		}
+	})
+	run(t, cl)
+}
+
 // A handle opened before another client wrote into a hole inside the file's
 // size reads that client's bytes, not zeros.
 func TestStaleHandleReadsFilledHole(t *testing.T) {

@@ -25,6 +25,7 @@
 package lwfspfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -191,20 +192,7 @@ func Format(p *sim.Proc, c *core.Client, rootDir string, opts Options) (*FS, err
 	if err != nil {
 		return nil, fmt.Errorf("lwfspfs: superblock: %w", err)
 	}
-	content := fmt.Sprintf("lwfspfs v1\ncontainer %d\nstripeunit %d\nstripes %d\n",
-		cid, opts.StripeUnit, opts.Stripes)
-	// Redundant schemes append one line the legacy parser never wrote, so
-	// RAID-0 superblocks stay byte-identical to the v1 format.
-	switch opts.Scheme {
-	case stripe.Replica:
-		content += fmt.Sprintf("scheme replica %d\n", opts.Copies)
-	case stripe.Parity:
-		content += "scheme parity\n"
-	}
-	if opts.MetaCopies > 1 {
-		content += fmt.Sprintf("meta %d\n", opts.MetaCopies)
-	}
-	if _, err := c.Write(p, sb, caps, 0, netsim.BytesPayload([]byte(content))); err != nil {
+	if _, err := c.Write(p, sb, caps, 0, netsim.BytesPayload(encodeSuperblock(cid, opts))); err != nil {
 		return nil, err
 	}
 	if err := c.CreateName(p, fs.sbPath(), sb, nil); err != nil {
@@ -247,8 +235,8 @@ func mount(p *sim.Proc, c *core.Client, rootDir string, cid authz.ContainerID, o
 	if err != nil {
 		return nil, err
 	}
-	opts, ok := parseSuperblock(payload.Data)
-	if !ok {
+	sbCid, opts, ok := parseSuperblock(payload.Data)
+	if !ok || sbCid != cid {
 		return nil, ErrBadLayout
 	}
 	fs.opts = opts.withDefaults(len(c.Servers()))
@@ -257,13 +245,36 @@ func mount(p *sim.Proc, c *core.Client, rootDir string, cid authz.ContainerID, o
 	return fs, nil
 }
 
-func parseSuperblock(data []byte) (Options, bool) {
+// encodeSuperblock is the superblock's one encoding. Redundant schemes
+// append one line the legacy parser never wrote, so RAID-0 superblocks stay
+// byte-identical to the v1 format.
+func encodeSuperblock(cid authz.ContainerID, opts Options) []byte {
+	content := fmt.Sprintf("lwfspfs v1\ncontainer %d\nstripeunit %d\nstripes %d\n",
+		cid, opts.StripeUnit, opts.Stripes)
+	switch opts.Scheme {
+	case stripe.Replica:
+		content += fmt.Sprintf("scheme replica %d\n", opts.Copies)
+	case stripe.Parity:
+		content += "scheme parity\n"
+	}
+	if opts.MetaCopies > 1 {
+		content += fmt.Sprintf("meta %d\n", opts.MetaCopies)
+	}
+	return []byte(content)
+}
+
+// parseSuperblock decodes a superblock. It accepts only bytes
+// encodeSuperblock writes back identically, for a layout Format could have
+// written: a positive stripe unit, at least one stripe, and at least two
+// copies under Replica. (Meta copies below two have no line, so a canonical
+// meta line holds at least two.)
+func parseSuperblock(data []byte) (authz.ContainerID, Options, bool) {
 	var opts Options
-	var cid uint64
+	var cid authz.ContainerID
 	n, err := fmt.Sscanf(string(data), "lwfspfs v1\ncontainer %d\nstripeunit %d\nstripes %d\n",
 		&cid, &opts.StripeUnit, &opts.Stripes)
 	if err != nil || n != 3 {
-		return opts, false
+		return 0, opts, false
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
 	for _, line := range lines[4:] {
@@ -271,19 +282,22 @@ func parseSuperblock(data []byte) (Options, bool) {
 		case strings.HasPrefix(line, "scheme replica "):
 			opts.Scheme = stripe.Replica
 			if _, err := fmt.Sscanf(line, "scheme replica %d", &opts.Copies); err != nil {
-				return opts, false
+				return 0, opts, false
 			}
 		case line == "scheme parity":
 			opts.Scheme = stripe.Parity
 		case strings.HasPrefix(line, "meta "):
 			if _, err := fmt.Sscanf(line, "meta %d", &opts.MetaCopies); err != nil {
-				return opts, false
+				return 0, opts, false
 			}
 		default:
-			return opts, false
+			return 0, opts, false
 		}
 	}
-	return opts, true
+	ok := opts.StripeUnit > 0 && opts.Stripes >= 1 &&
+		(opts.Scheme != stripe.Replica || opts.Copies >= 2) &&
+		bytes.Equal(encodeSuperblock(cid, opts), data)
+	return cid, opts, ok
 }
 
 // Container returns the file system's container ID (hand it to mounters).
@@ -550,13 +564,15 @@ func (f *File) skipMirrors(n int) {
 }
 
 // refresh re-reads the layout record from the handle's live mirrors and
-// adopts what other handles added since this one read it: the objects of
-// every column it still sees as a hole, and a larger size. The caller holds
-// the file's lock, so what it reads is current. A handle opened before
-// another client filled a hole thus reads that client's bytes rather than
-// zeros, never allocates the column a second time, and never flushes a
-// record that drops the other client's objects. The handle's own fills and
-// size stay.
+// adopts what other handles changed since this one read it: the record's
+// objects for every column where they differ from the handle's view — a
+// hole another client filled, or refs a Rebuild re-homed — and a larger
+// size. The caller holds the file's lock, so what it reads is current. A
+// handle opened before another client filled a hole thus reads that
+// client's bytes rather than zeros, never allocates the column a second
+// time, and never flushes a record that drops the other client's objects,
+// shrinks its size or undoes a Rebuild. The handle's own fills, which the
+// record may not name yet, stay.
 func (f *File) refresh(p *sim.Proc) error {
 	var live []storage.ObjRef
 	for i, ref := range f.mdRefs {
@@ -574,7 +590,7 @@ func (f *File) refresh(p *sim.Proc) error {
 	}
 	var objs []storage.ObjRef // a copy: Layout() may have handed f.l.Objs out
 	for i, o := range l.Objs {
-		if stripe.IsHole(f.l.Objs[i]) && !stripe.IsHole(o) {
+		if o != f.l.Objs[i] && !stripe.IsHole(o) {
 			if objs == nil {
 				objs = slices.Clone(f.l.Objs)
 			}
@@ -587,9 +603,6 @@ func (f *File) refresh(p *sim.Proc) error {
 	f.l.Size, f.mdLen = max(f.l.Size, l.Size), n
 	return nil
 }
-
-// hasHole reports whether any column of the handle's layout is a hole.
-func (f *File) hasHole() bool { return slices.ContainsFunc(f.l.Objs, stripe.IsHole) }
 
 // Remove unlinks a file and frees its allocated objects.
 func (fs *FS) Remove(p *sim.Proc, path string) error {
@@ -754,9 +767,10 @@ func (f *File) WriteAt(p *sim.Proc, off int64, payload netsim.Payload) (int64, e
 		return 0, err
 	}
 	defer locks.Unlock(p, f.fs.lockName(f.path)) //nolint:errcheck
-	if gen != f.gen+1 && f.hasHole() {
+	if gen != f.gen+1 {
 		// Another handle held the lock since this one's view and may have
-		// filled a hole: the fill check and the flush must see its objects.
+		// filled a hole, grown the size or rebuilt: the fill check and the
+		// flush must see what it wrote.
 		if err := f.refresh(p); err != nil {
 			return 0, err
 		}

@@ -2,10 +2,12 @@ package lwfspfs_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
+	"lwfs/internal/authz"
 	"lwfs/internal/lwfspfs"
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
@@ -174,6 +176,64 @@ func TestSuperblockPersistsScheme(t *testing.T) {
 		lay := f.Layout()
 		if lay.Scheme != stripe.Replica || lay.Copies != 2 || len(lay.Objs) != 4 {
 			t.Fatalf("remounted scheme lost: %+v", lay)
+		}
+	})
+	run(t, cl)
+}
+
+// Mount refuses a superblock whose container line is not the container it
+// was given: here one copied from another file system into this one's
+// container, so the read itself is admitted.
+func TestMountRefusesOtherContainersSuperblock(t *testing.T) {
+	cl, l := smallCluster()
+	c := cl.NewClient(l, 0)
+	cl.Spawn("app", func(p *sim.Proc) {
+		if err := c.Login(p, "alice", "pa"); err != nil {
+			t.Fatalf("login: %v", err)
+		}
+		fsA, err := lwfspfs.Format(p, c, "/a", lwfspfs.Options{StripeUnit: 64 << 10})
+		if err != nil {
+			t.Fatalf("format a: %v", err)
+		}
+		fsB, err := lwfspfs.Format(p, c, "/b", lwfspfs.Options{StripeUnit: 64 << 10})
+		if err != nil {
+			t.Fatalf("format b: %v", err)
+		}
+		capsA, err := c.GetCaps(p, fsA.Container(), authz.AllOps...)
+		if err != nil {
+			t.Fatalf("caps a: %v", err)
+		}
+		capsB, err := c.GetCaps(p, fsB.Container(), authz.AllOps...)
+		if err != nil {
+			t.Fatalf("caps b: %v", err)
+		}
+		e, err := c.Lookup(p, "/a/.lwfspfs")
+		if err != nil {
+			t.Fatalf("lookup: %v", err)
+		}
+		sbA, err := c.Read(p, e.Ref, capsA, 0, 256)
+		if err != nil {
+			t.Fatalf("read a's superblock: %v", err)
+		}
+		forged, err := c.CreateObject(p, c.Server(0), capsB)
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		if _, err := c.Write(p, forged, capsB, 0, sbA); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if err := c.Mkdir(p, "/x"); err != nil {
+			t.Fatalf("mkdir: %v", err)
+		}
+		if err := c.CreateName(p, "/x/.lwfspfs", forged, nil); err != nil {
+			t.Fatalf("name: %v", err)
+		}
+		if _, err := lwfspfs.Mount(p, c, "/x", fsB.Container()); !errors.Is(err, lwfspfs.ErrBadLayout) {
+			t.Fatalf("mount of a superblock naming container %d as container %d: %v, want ErrBadLayout",
+				fsA.Container(), fsB.Container(), err)
+		}
+		if _, err := lwfspfs.Mount(p, c, "/a", fsA.Container()); err != nil {
+			t.Fatalf("mount of the original: %v", err)
 		}
 	})
 	run(t, cl)

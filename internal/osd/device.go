@@ -27,7 +27,7 @@ var (
 // DiskParams calibrate the simulated disk behind a device.
 type DiskParams struct {
 	BandwidthBps  float64       // sustained transfer bandwidth, bytes/second
-	PerOpOverhead time.Duration // positioning/submission cost per read/write
+	PerOpOverhead time.Duration // positioning/submission cost per disk operation; a coalesced Append pays none
 	CreateCost    time.Duration // allocate + metadata update for object create
 	RemoveCost    time.Duration // deallocate cost
 	SyncCost      time.Duration // cache flush barrier cost
@@ -91,9 +91,32 @@ type Device struct {
 	objects map[ObjectID]*Object
 	nextID  ObjectID
 
+	// The device is its disk's only user, so it keeps the queue's state for
+	// group commit itself: tail is the last job queued, barrier the last
+	// flush barrier.
+	tail, barrier diskJob
+	merged        int64 // appends that joined the tail, paying no positioning cost
+	shared        int64 // Syncs that joined a barrier not yet started
+
 	creates, removes, reads, writes int64
 	bytesRead, bytesWritten         int64
 }
+
+// diskJob is the device's note of one job it queued on its disk.
+type diskJob struct {
+	start, finish sim.Time
+	kind          jobKind
+	obj           ObjectID // an append's object
+	end           int64    // the offset just past an append's record
+}
+
+type jobKind uint8
+
+const (
+	jobOther jobKind = iota
+	jobAppend
+	jobBarrier
+)
 
 // NewDevice creates a device with the given disk parameters.
 func NewDevice(k *sim.Kernel, name string, params DiskParams) *Device {
@@ -124,10 +147,21 @@ func (d *Device) Counters() (creates, removes, reads, writes, bytesRead, bytesWr
 // DiskBusy reports accumulated disk service time (for utilization reports).
 func (d *Device) DiskBusy() time.Duration { return d.disk.BusyTime() }
 
+// enqueue notes a job of the given service time as the disk's new tail and
+// returns the service time for the caller to wait on. The note is taken
+// before the caller blocks, so a caller arriving meanwhile sees it. It does
+// not wait itself: a helper that did would add a frame to the stack of every
+// process parked on a disk.
+func (d *Device) enqueue(service time.Duration, kind jobKind) time.Duration {
+	start := max(d.k.Now(), d.tail.finish)
+	d.tail = diskJob{start: start, finish: start.Add(service), kind: kind}
+	return service
+}
+
 // Create allocates a new object in container cid and returns it after the
 // create cost has been paid on the disk.
 func (d *Device) Create(p *sim.Proc, cid ContainerID) *Object {
-	d.disk.Wait(p, d.params.CreateCost)
+	d.disk.Wait(p, d.enqueue(d.params.CreateCost, jobOther))
 	d.nextID++
 	obj := &Object{
 		ID:        d.nextID,
@@ -150,7 +184,7 @@ const ReservedIDBase ObjectID = 1 << 62
 // journal replay, layered file systems that embed IDs in metadata, and
 // well-known system objects above ReservedIDBase).
 func (d *Device) CreateWithID(p *sim.Proc, id ObjectID, cid ContainerID) (*Object, error) {
-	d.disk.Wait(p, d.params.CreateCost)
+	d.disk.Wait(p, d.enqueue(d.params.CreateCost, jobOther))
 	if _, ok := d.objects[id]; ok {
 		return nil, ErrExists
 	}
@@ -184,7 +218,36 @@ func (d *Device) Write(p *sim.Proc, id ObjectID, off int64, payload netsim.Paylo
 	if _, ok := d.objects[id]; !ok {
 		return ErrNoObject
 	}
-	d.disk.Wait(p, d.params.PerOpOverhead+sim.Rate(payload.Size, d.params.BandwidthBps))
+	d.disk.Wait(p, d.enqueue(d.params.PerOpOverhead+sim.Rate(payload.Size, d.params.BandwidthBps), jobOther))
+	return d.store(id, off, payload)
+}
+
+// Append writes a log record at offset off of object id, as Write does,
+// with group commit: when the disk's last queued job is an append to the
+// same object that ends exactly at off and has not started yet, the record
+// is queued right behind it and pays only its transfer time, the head being
+// in place already. Nothing can come between the two: that job is the
+// queue's tail. Any other job queued since — a data write, a Truncate,
+// Remove or CreateWithID of the log object — is the tail instead, and the
+// record pays its own positioning cost.
+func (d *Device) Append(p *sim.Proc, id ObjectID, off int64, payload netsim.Payload) error {
+	if _, ok := d.objects[id]; !ok {
+		return ErrNoObject
+	}
+	service := sim.Rate(payload.Size, d.params.BandwidthBps)
+	if t := &d.tail; t.kind == jobAppend && t.obj == id && t.end == off && t.start >= d.k.Now() {
+		d.merged++
+	} else {
+		service += d.params.PerOpOverhead
+	}
+	d.enqueue(service, jobAppend)
+	d.tail.obj, d.tail.end = id, off+payload.Size
+	d.disk.Wait(p, service)
+	return d.store(id, off, payload)
+}
+
+// store lands a write whose disk time has been paid.
+func (d *Device) store(id ObjectID, off int64, payload netsim.Payload) error {
 	// Re-fetch: the object may have been removed, or removed and re-created
 	// under the same ID, while we were queued.
 	obj, ok := d.objects[id]
@@ -210,7 +273,7 @@ func (d *Device) Read(p *sim.Proc, id ObjectID, off, length int64) (netsim.Paylo
 		}
 		length = obj.Data.Size() - off
 	}
-	d.disk.Wait(p, d.params.PerOpOverhead+sim.Rate(length, d.params.BandwidthBps))
+	d.disk.Wait(p, d.enqueue(d.params.PerOpOverhead+sim.Rate(length, d.params.BandwidthBps), jobOther))
 	if obj, ok = d.objects[id]; !ok {
 		return netsim.Payload{}, ErrNoObject
 	}
@@ -235,7 +298,7 @@ func (d *Device) ReadSynthetic(p *sim.Proc, id ObjectID, off, length int64) (net
 		}
 		length = obj.Data.Size() - off
 	}
-	d.disk.Wait(p, d.params.PerOpOverhead+sim.Rate(length, d.params.BandwidthBps))
+	d.disk.Wait(p, d.enqueue(d.params.PerOpOverhead+sim.Rate(length, d.params.BandwidthBps), jobOther))
 	if _, ok := d.objects[id]; !ok {
 		return netsim.Payload{}, ErrNoObject
 	}
@@ -249,7 +312,7 @@ func (d *Device) Remove(p *sim.Proc, id ObjectID) error {
 	if _, ok := d.objects[id]; !ok {
 		return ErrNoObject
 	}
-	d.disk.Wait(p, d.params.RemoveCost)
+	d.disk.Wait(p, d.enqueue(d.params.RemoveCost, jobOther))
 	delete(d.objects, id)
 	d.removes++
 	return nil
@@ -260,7 +323,7 @@ func (d *Device) Truncate(p *sim.Proc, id ObjectID, size int64) error {
 	if _, ok := d.objects[id]; !ok {
 		return ErrNoObject
 	}
-	d.disk.Wait(p, d.params.PerOpOverhead)
+	d.disk.Wait(p, d.enqueue(d.params.PerOpOverhead, jobOther))
 	obj, ok := d.objects[id]
 	if !ok {
 		return ErrNoObject
@@ -286,9 +349,20 @@ func (d *Device) Stat(id ObjectID) (Stat, error) {
 	}, nil
 }
 
-// Sync blocks until every queued disk operation has completed, plus the
-// flush barrier cost. It models fsync-like durability for checkpoints.
+// Sync is the flush barrier, fsync-like durability for the caller's writes:
+// it blocks until every job queued ahead of the barrier has completed, plus
+// the barrier cost. A barrier already queued that has not started covers the
+// caller too — its writes completed before Sync was called, so before that
+// barrier starts — and Sync joins it, returning when it ends. Otherwise it
+// queues its own.
 func (d *Device) Sync(p *sim.Proc) {
+	if b := &d.barrier; b.kind == jobBarrier && b.start >= d.k.Now() {
+		d.shared++
+		p.Sleep(b.finish.Sub(d.k.Now()))
+		return
+	}
+	d.enqueue(d.params.SyncCost, jobBarrier)
+	d.barrier = d.tail
 	d.disk.Wait(p, d.params.SyncCost)
 }
 
@@ -298,7 +372,7 @@ func (d *Device) SetAttr(p *sim.Proc, id ObjectID, key, value string) error {
 	if !ok {
 		return ErrNoObject
 	}
-	d.disk.Wait(p, d.params.PerOpOverhead)
+	d.disk.Wait(p, d.enqueue(d.params.PerOpOverhead, jobOther))
 	obj.Attrs[key] = value
 	return nil
 }

@@ -68,7 +68,7 @@ func (j *Journal) Append(p *sim.Proc, parts ...netsim.Payload) error {
 	}
 	j.inflight++
 	for i := range parts {
-		if err := j.dev.Write(p, j.id, off, parts[i]); err != nil {
+		if err := j.dev.Append(p, j.id, off, parts[i]); err != nil {
 			j.inflight--
 			return err
 		}
