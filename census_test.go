@@ -48,25 +48,16 @@ var censusCalibration = map[string]string{
 // anyway, each with the reason a test or benchmark needs it: a reference
 // arm, a fault-injection control, or a size a test shrinks.
 var censusKept = map[string]string{
-	"checkpoint.Config.PatternData":       "restore tests dump verifiable bytes instead of a length",
-	"checkpoint.Config.JitterMax":         "chaos tests widen start jitter to move crash windows",
-	"storage.Config.DisableCapCache":      "ablation arm of the root BenchmarkAblationCapCache",
-	"netsim.FaultSpec.Start":              "fault-injection window",
-	"netsim.FaultSpec.End":                "fault-injection window",
-	"qos.Config.Weights":                  "fair-share tests need unequal tenants",
-	"qos.Config.Quantum":                  "DRR tests size the quantum against their requests",
-	"qos.Config.TenantBps":                "token-bucket tests set a per-tenant rate",
-	"lwfspfs.Options.Stripes":             "tests pin a narrow stripe on a wide cluster; Mount reads it from the superblock",
-	"figures.BurstOpts.Procs":             "size burst_test shrinks",
-	"figures.BurstOpts.Servers":           "size burst_test shrinks",
-	"figures.BurstOpts.BytesPerProc":      "size burst_test shrinks",
-	"figures.FaultOpts.Procs":             "size faults_test shrinks",
-	"figures.FaultOpts.Servers":           "size faults_test shrinks",
-	"figures.CkptIntervalOpts.TotalRanks": "size redstorm_test shrinks",
-	"figures.CkptIntervalOpts.Buffers":    "size redstorm_test shrinks",
-	"figures.CkptIntervalOpts.MTBFs":      "redstorm_test cuts the MTBF list",
-	"figures.ReplayOpts.Traces":           "replay_test replays one trace of the three",
-	"figures.StripeOpts.Units":            "stripe_test shrinks the unit with the file",
+	"checkpoint.Config.PatternData":  "restore tests dump verifiable bytes instead of a length",
+	"checkpoint.Config.JitterMax":    "chaos tests widen start jitter to move crash windows",
+	"storage.Config.DisableCapCache": "ablation arm of the root BenchmarkAblationCapCache",
+	"netsim.FaultSpec.Start":         "fault-injection window",
+	"netsim.FaultSpec.End":           "fault-injection window",
+	"qos.Config.Weights":             "fair-share tests need unequal tenants",
+	"qos.Config.Quantum":             "DRR tests size the quantum against their requests",
+	"qos.Config.TenantBps":           "token-bucket tests set a per-tenant rate",
+	"lwfspfs.Options.Stripes":        "tests pin a narrow stripe on a wide cluster; Mount reads it from the superblock",
+	"figures.ReplayOpts.Traces":      "replay_test replays one trace of the three",
 }
 
 type setters struct{ product, test bool }

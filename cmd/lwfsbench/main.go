@@ -8,11 +8,18 @@
 // The experiments, their -quick presets and their reports live in one
 // table, figures.Experiments; this file is flag parsing plus a loop over it.
 //
-// -quick shrinks the sweeps (1–2 trials, fewer points, 64 MB/process) for a
-// fast smoke run; the defaults reproduce the paper's parameters (512
-// MB/process, ≥5 trials, 2–16 servers, up to 64 clients). -metrics appends
-// per-sweep-point registry snapshot deltas (RPC rates, cache hit ratios,
-// queue depths, drain backlog) to the experiments that capture them.
+// -quick shrinks the four sweeps that take seconds for a fast smoke run:
+// fig9 and fig10 (fewer points, 2 trials, and 64 MB/process for fig9; the
+// defaults reproduce the paper's 512 MB/process, ≥5 trials, 2–16 servers,
+// up to 64 clients), redstorm (two exact-rank counts of four) and replay
+// (fewer workers and trace copies). Every other experiment costs well
+// under a second, or gains nothing from a smaller sweep, and has one size:
+// the one EXPERIMENTS.md reports. A negative -trials or -mb-per-proc, or a
+// -servers or -clients entry below 1, is a bad command line (exit 2).
+//
+// -metrics appends per-sweep-point registry snapshot deltas (RPC rates,
+// cache hit ratios, queue depths, drain backlog) to the experiments that
+// capture them.
 //
 // The harness observes itself: -cpuprofile and -memprofile bracket the
 // experiment loop with pprof profiles (the heap profile is taken after a
@@ -27,7 +34,9 @@
 //
 // The -quick output of every experiment is pinned byte for byte by
 // TestExperimentGoldens (testdata/golden; regenerate with
-// `go test ./cmd/lwfsbench -run Goldens -long -update`).
+// `go test ./cmd/lwfsbench -run Goldens -long -update`); the report blocks
+// EXPERIMENTS.md marks with a golden comment are held to those files by
+// TestExperimentsMdQuotesGoldens.
 package main
 
 import (
@@ -91,8 +100,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	env := figures.Env{Trials: *trials, Quick: *quick, BytesPerProc: *bytesMB << 20, Metrics: *metrics, Plot: *plot}
 	var err error
-	if env.Servers, err = parseInts(*servers); err == nil {
-		env.Clients, err = parseInts(*clients)
+	switch {
+	case *trials < 0:
+		err = fmt.Errorf("-trials %d: want 0 (the experiment's default) or more", *trials)
+	case *bytesMB < 0:
+		err = fmt.Errorf("-mb-per-proc %d: want 0 (the experiment's default) or more", *bytesMB)
+	default:
+		if env.Servers, err = parseCounts("-servers", *servers); err == nil {
+			env.Clients, err = parseCounts("-clients", *clients)
+		}
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "lwfsbench: %v\n", err)
@@ -212,16 +228,17 @@ func peakRSSMB() float64 {
 	return float64(ru.Maxrss) * 1024 / 1e6
 }
 
-// parseInts reads a comma-separated list of integers; empty means unset.
-func parseInts(s string) ([]int, error) {
+// parseCounts reads the named flag's comma-separated list of counts, each
+// at least 1; empty means unset.
+func parseCounts(name, s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad int %q", part)
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("%s: bad count %q, want an integer of at least 1", name, part)
 		}
 		out = append(out, n)
 	}

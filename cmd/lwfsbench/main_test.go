@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,13 +18,16 @@ var (
 	long   = flag.Bool("long", false, "also run the experiments that take tens of seconds")
 )
 
-// slow names the experiments whose -quick run takes 10–40 s of host time;
-// their goldens are checked only under -long.
-var slow = map[string]bool{"redstorm": true, "ckptinterval": true, "replay": true}
+// slow names the experiments whose -quick run takes seconds of host time
+// and most of a gigabyte of memory between them; their goldens are checked
+// only under -long.
+var slow = map[string]bool{"redstorm": true, "ckptinterval": true}
 
 // TestExperimentGoldens pins every experiment's -quick report byte for byte:
 // the simulator is deterministic, so any refactor that claims "same
 // behaviour" either keeps these files unchanged or says which moved and why.
+// Only fig9, fig10, redstorm and replay have a -quick preset; every other
+// golden is the full-size report.
 func TestExperimentGoldens(t *testing.T) {
 	type golden struct {
 		file string
@@ -41,7 +45,7 @@ func TestExperimentGoldens(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {
 			if !slow[c.file] {
-				t.Parallel() // the slow three also hold the most memory: one at a time
+				t.Parallel() // the slow two also hold the most memory: one at a time
 			}
 			var stdout, stderr bytes.Buffer
 			if code := run(c.args, &stdout, &stderr); code != 0 {
@@ -64,6 +68,74 @@ func TestExperimentGoldens(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestExperimentsMdQuotesGoldens: a report block EXPERIMENTS.md marks with
+// `<!-- golden: NAME -->` on the line before its fence must be
+// testdata/golden/NAME.txt line for line, trailing blank lines aside, so the
+// record cannot drift from what the model prints.
+func TestExperimentsMdQuotesGoldens(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(doc), "\n")
+	marked := map[string]bool{}
+	for i, line := range lines {
+		name, ok := strings.CutPrefix(line, "<!-- golden: ")
+		if !ok {
+			continue
+		}
+		if name, ok = strings.CutSuffix(name, " -->"); !ok || i+1 == len(lines) || lines[i+1] != "```" {
+			t.Errorf("EXPERIMENTS.md:%d: %q is not a golden marker on the line before a ``` fence", i+1, line)
+			continue
+		}
+		marked[name] = true
+		end := i + 2
+		for end < len(lines) && lines[end] != "```" {
+			end++
+		}
+		golden, err := os.ReadFile(filepath.Join("testdata", "golden", name+".txt"))
+		if err != nil {
+			t.Errorf("EXPERIMENTS.md:%d: %v", i+1, err)
+			continue
+		}
+		if diff := lineDiff(trimBlank(lines[i+2:end]), trimBlank(strings.Split(string(golden), "\n"))); diff != "" {
+			t.Errorf("EXPERIMENTS.md:%d: the %s block differs from testdata/golden/%s.txt (- document, + golden):\n%s",
+				i+1, name, name, diff)
+		}
+	}
+	for _, name := range []string{"rebuild", "qos", "meta"} {
+		if !marked[name] {
+			t.Errorf("EXPERIMENTS.md has no <!-- golden: %s --> block", name)
+		}
+	}
+}
+
+// trimBlank drops trailing empty lines.
+func trimBlank(lines []string) []string {
+	for len(lines) > 0 && lines[len(lines)-1] == "" {
+		lines = lines[:len(lines)-1]
+	}
+	return lines
+}
+
+// lineDiff lists the lines where got and want differ, position by position
+// ("-" got's, "+" want's); "" means they are equal.
+func lineDiff(got, want []string) string {
+	var b strings.Builder
+	for i := 0; i < max(len(got), len(want)); i++ {
+		if i < len(got) && i < len(want) && got[i] == want[i] {
+			continue
+		}
+		if i < len(got) {
+			fmt.Fprintf(&b, "-%d: %s\n", i+1, got[i])
+		}
+		if i < len(want) {
+			fmt.Fprintf(&b, "+%d: %s\n", i+1, want[i])
+		}
+	}
+	return b.String()
 }
 
 // allOrder is the order `-experiment all` has always run in.
@@ -121,8 +193,25 @@ func TestUnknownExperiment(t *testing.T) {
 			t.Errorf("error does not name %q:\n%s", e.Name, stderr.String())
 		}
 	}
-	if code := run([]string{"-clients", "1,x"}, &stdout, &stderr); code != 2 {
-		t.Errorf("bad -clients: exit %d, want 2", code)
+
+	// Out-of-range sweep flags are a bad command line too, refused before
+	// any experiment runs: one message, nothing on stdout.
+	for _, args := range [][]string{
+		{"-clients", "1,x"},
+		{"-experiment", "fig10", "-servers", "0"},
+		{"-experiment", "burst", "-trials", "-2"},
+		{"-experiment", "fig9", "-clients", "0"},
+		{"-experiment", "stripe", "-mb-per-proc", "-4"},
+	} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2", strings.Join(args, " "), code)
+		}
+		if stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1 {
+			t.Errorf("%s: stdout %q, stderr %q; want one error line and no report",
+				strings.Join(args, " "), stdout.String(), stderr.String())
+		}
 	}
 }
 
@@ -159,8 +248,8 @@ func TestCostLogAndProfiles(t *testing.T) {
 		t.Fatalf("cost log is not one JSON object: %v\n%s", err, raw)
 	}
 	if c.Experiment != "faults" || c.WallS == nil || *c.WallS <= 0 || c.AllocBytes == nil || *c.AllocBytes == 0 ||
-		c.PeakRSSMB == nil || *c.PeakRSSMB <= 0 || c.Points == nil || *c.Points != 2 {
-		t.Errorf("cost line %s: want faults, positive wall_s, alloc_bytes and peak_rss_mb, and the 2 sweep points of -quick", raw)
+		c.PeakRSSMB == nil || *c.PeakRSSMB <= 0 || c.Points == nil || *c.Points != 4 {
+		t.Errorf("cost line %s: want faults, positive wall_s, alloc_bytes and peak_rss_mb, and the sweep's 4 points", raw)
 	}
 	for _, prof := range []string{cpu, mem} {
 		if st, err := os.Stat(prof); err != nil || st.Size() == 0 {

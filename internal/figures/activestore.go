@@ -10,6 +10,7 @@ import (
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
+	"lwfs/internal/stripe"
 )
 
 // ActiveStorageScan measures the §6 remote-filtering experiment: a 1 GiB
@@ -51,7 +52,7 @@ func ActiveStorageScan(useFilter bool) (time.Duration, error) {
 			}
 		}
 		start := p.Now()
-		err = parallel(p, len(refs), func(q *sim.Proc, i int) error {
+		err = stripe.FanOut(p, "scan", len(refs), len(refs), func(q *sim.Proc, i int) error {
 			if useFilter {
 				_, err := c.Filter(q, refs[i], caps, 0, shard, "count", "", 64)
 				return err
@@ -63,22 +64,4 @@ func ActiveStorageScan(useFilter bool) (time.Duration, error) {
 		return err
 	})
 	return elapsed, err
-}
-
-// parallel runs fn(0..n-1) in n spawned processes, waits for all of them and
-// returns the first error any reported.
-func parallel(p *sim.Proc, n int, fn func(q *sim.Proc, i int) error) error {
-	var wg sim.WaitGroup
-	var first error
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		p.Kernel().Spawn(fmt.Sprintf("par%d", i), func(q *sim.Proc) {
-			defer wg.Done()
-			if err := fn(q, i); err != nil && first == nil {
-				first = err
-			}
-		})
-	}
-	wg.Wait(p)
-	return first
 }

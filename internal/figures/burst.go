@@ -20,34 +20,12 @@ import (
 // counts and drain bandwidths shows how it scales and when backpressure
 // erodes it.
 
-// BurstOpts parameterize the burst sweep.
-type BurstOpts struct {
-	// Buffers lists the burst-node counts to sweep; 0 is the direct
-	// (no-tier) baseline, where apparent == durable by construction.
-	Buffers []int
-	// DrainBWs lists per-drain-worker throttles in bytes/s (0 =
-	// unthrottled: the drain runs at disk speed). Slower drains widen the
-	// apparent/durable gap and keep the staging window occupied longer.
-	DrainBWs     []float64
-	Procs        int
-	Servers      int
-	BytesPerProc int64
-	Trials       int
-	Progress     func(format string, args ...interface{}) // optional
-	// Metrics captures a registry snapshot pair (post-deploy, post-run)
-	// for the last trial of every sweep point, rendered by
-	// `lwfsbench -metrics` as per-phase delta tables.
-	Metrics bool
-}
-
-func (o *BurstOpts) defaults() {
-	defList(&o.Buffers, 0, 1, 2, 4)
-	defList(&o.DrainBWs, 0, 48*(1<<20))
-	def(&o.Procs, 8)
-	def(&o.Servers, 4)
-	def(&o.BytesPerProc, 1<<20)
-	def(&o.Trials, 3)
-}
+// The sweep's fixed checkpoint.
+const (
+	burstProcs        = 8
+	burstServers      = 4
+	burstBytesPerProc = 1 << 20
+)
 
 // BurstPoint is the sweep's measurement at one (buffer count, drain BW).
 type BurstPoint struct {
@@ -62,26 +40,28 @@ type BurstPoint struct {
 
 // BurstResult is the whole sweep.
 type BurstResult struct {
-	Opts     BurstOpts
+	Trials   int
 	Points   []BurstPoint
-	Captures []MetricsCapture // one per point when Opts.Metrics is set
+	Captures []MetricsCapture // one per point when env.Metrics is set
 }
 
-// BurstSweep measures apparent vs durable checkpoint time at each point.
-func BurstSweep(opts BurstOpts) (BurstResult, error) {
-	opts.defaults()
-	var points []BurstPoint
-	for _, nb := range opts.Buffers {
-		bws := opts.DrainBWs
-		if nb == 0 {
-			bws = bws[:1] // no tier: the drain knob is meaningless
-		}
-		for _, bw := range bws {
+// BurstSweep measures apparent vs durable checkpoint time at each point:
+// 0 burst nodes (the direct baseline, where apparent == durable by
+// construction), then 1, 2 and 4, each with an unthrottled drain (disk
+// speed) and one throttled to 48 MB/s per worker. The slower drain widens
+// the apparent/durable gap and keeps the staging window occupied longer.
+// With env.Metrics the last trial of every point keeps a registry snapshot
+// pair (post-deploy, post-run) for `lwfsbench -metrics`.
+func BurstSweep(env Env) (BurstResult, error) {
+	cfg := env.sweepCfg(3)
+	points := []BurstPoint{{Buffers: 0}} // no tier: the drain knob is meaningless
+	for _, nb := range []int{1, 2, 4} {
+		for _, bw := range []float64{0, 48 << 20} {
 			points = append(points, BurstPoint{Buffers: nb, DrainBW: bw})
 		}
 	}
-	points, caps, err := sweep(sweepCfg{opts.Trials, opts.Metrics, opts.Progress}, points, opts.trial)
-	return BurstResult{Opts: opts, Points: points, Captures: caps}, err
+	points, caps, err := sweep(cfg, points, burstTrial)
+	return BurstResult{Trials: cfg.Trials, Points: points, Captures: caps}, err
 }
 
 func (pt *BurstPoint) label() string {
@@ -91,15 +71,15 @@ func (pt *BurstPoint) summary() string {
 	return fmt.Sprintf("apparent %s ms, durable %s ms", pt.Apparent.String(), pt.Durable.String())
 }
 
-func (opts BurstOpts) trial(pt *BurstPoint, trial int) ([]MetricsCapture, error) {
-	spec := cluster.DevCluster().WithServers(opts.Servers)
-	spec.ComputeNodes = opts.Procs
+func burstTrial(pt *BurstPoint, trial int) ([]MetricsCapture, error) {
+	spec := cluster.DevCluster().WithServers(burstServers)
+	spec.ComputeNodes = burstProcs
 	spec.BurstNodes = pt.Buffers
 	spec.Burst.DrainBW = pt.DrainBW
 	r := newRig(spec)
 	res, err := checkpoint.SetupLWFS(r.cl, r.l, checkpoint.Config{
-		Procs:        opts.Procs,
-		BytesPerProc: opts.BytesPerProc,
+		Procs:        burstProcs,
+		BytesPerProc: burstBytesPerProc,
 		Seed:         int64(trial)*104729 + int64(pt.Buffers)*131 + 17,
 		Burst:        r.l.BurstTargets(),
 	})
@@ -138,7 +118,7 @@ func bwLabel(bw float64) string {
 // tier's payoff (1.0x on the no-tier baseline).
 func (r BurstResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Burst staging tier: %d-process checkpoint, %d servers, %d MB/process, %d trials\n",
-		r.Opts.Procs, r.Opts.Servers, r.Opts.BytesPerProc>>20, r.Opts.Trials)
+		burstProcs, burstServers, burstBytesPerProc>>20, r.Trials)
 	fmt.Fprintln(w, "# apparent (acked, computation resumes) vs durable (drained + committed) checkpoint time")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "buffers\tdrain bw\tapparent (ms)\tdurable (ms)\tdurable/apparent\tdrain p50 (ms)\tdrain p99 (ms)\tpassthru")

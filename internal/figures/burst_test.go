@@ -9,45 +9,40 @@ import (
 // (acked) checkpoint time sits below the durable (drained + committed) time,
 // the direct baseline shows no such gap, and the throttled drain widens it.
 func TestBurstSweepHidesDrainLatency(t *testing.T) {
-	res, err := BurstSweep(BurstOpts{
-		Buffers:      []int{0, 2},
-		DrainBWs:     []float64{0, 8 << 20},
-		Procs:        4,
-		Servers:      2,
-		BytesPerProc: 2 << 20,
-		Trials:       1,
-		Metrics:      true,
-	})
+	res, err := BurstSweep(Env{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 0 buffers collapses the BW sweep to one point; 2 buffers keeps both.
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d, want 3", len(res.Points))
+	// 0 buffers is one point; 1, 2 and 4 buffers each sweep two drain speeds.
+	if len(res.Points) != 7 {
+		t.Fatalf("points = %d, want 7", len(res.Points))
 	}
-	direct, buffered, throttled := res.Points[0], res.Points[1], res.Points[2]
-	if direct.Apparent.Mean() != direct.Durable.Mean() {
-		t.Fatalf("no-tier baseline: apparent %f != durable %f",
-			direct.Apparent.Mean(), direct.Durable.Mean())
+	direct := res.Points[0]
+	if direct.Buffers != 0 || direct.Apparent.Mean() != direct.Durable.Mean() {
+		t.Fatalf("no-tier baseline (buffers=%d): apparent %f != durable %f",
+			direct.Buffers, direct.Apparent.Mean(), direct.Durable.Mean())
 	}
-	for _, pt := range []BurstPoint{buffered, throttled} {
-		if pt.Durable.Mean() <= pt.Apparent.Mean() {
-			t.Fatalf("buffers=%d bw=%v: durable %f not above apparent %f",
-				pt.Buffers, pt.DrainBW, pt.Durable.Mean(), pt.Apparent.Mean())
+	for i := 1; i < len(res.Points); i += 2 {
+		disk, throttled := res.Points[i], res.Points[i+1]
+		for _, pt := range []BurstPoint{disk, throttled} {
+			if pt.Durable.Mean() <= pt.Apparent.Mean() {
+				t.Errorf("buffers=%d bw=%v: durable %f not above apparent %f",
+					pt.Buffers, pt.DrainBW, pt.Durable.Mean(), pt.Apparent.Mean())
+			}
+			if pt.Apparent.Mean() >= direct.Apparent.Mean() {
+				t.Errorf("buffers=%d: apparent %f not below direct %f — the tier bought nothing",
+					pt.Buffers, pt.Apparent.Mean(), direct.Apparent.Mean())
+			}
+			if pt.DrainP50.N() == 0 || pt.DrainP99.Mean() < pt.DrainP50.Mean() {
+				t.Errorf("buffers=%d: drain percentiles p50=%f p99=%f",
+					pt.Buffers, pt.DrainP50.Mean(), pt.DrainP99.Mean())
+			}
 		}
-		if pt.Apparent.Mean() >= direct.Apparent.Mean() {
-			t.Fatalf("buffers=%d: apparent %f not below direct %f — the tier bought nothing",
-				pt.Buffers, pt.Apparent.Mean(), direct.Apparent.Mean())
+		// Throttling the drain must widen the hidden tail, not shrink it.
+		if throttled.DrainBW == 0 || throttled.Durable.Mean() <= disk.Durable.Mean() {
+			t.Errorf("buffers=%d: throttled durable %f not above unthrottled %f",
+				disk.Buffers, throttled.Durable.Mean(), disk.Durable.Mean())
 		}
-		if pt.DrainP50.N() == 0 || pt.DrainP99.Mean() < pt.DrainP50.Mean() {
-			t.Fatalf("buffers=%d: drain percentiles p50=%f p99=%f",
-				pt.Buffers, pt.DrainP50.Mean(), pt.DrainP99.Mean())
-		}
-	}
-	// Throttling the drain must widen the hidden tail, not shrink it.
-	if throttled.Durable.Mean() <= buffered.Durable.Mean() {
-		t.Fatalf("throttled durable %f not above unthrottled %f",
-			throttled.Durable.Mean(), buffered.Durable.Mean())
 	}
 	var b strings.Builder
 	res.Render(&b)

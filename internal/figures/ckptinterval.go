@@ -30,31 +30,6 @@ import (
 // drain, not failure mathematics, dictates checkpoint frequency — buffer
 // provisioning has replaced MTBF as the governing constraint.
 
-// CkptIntervalOpts parameterize E23.
-type CkptIntervalOpts struct {
-	// Procs is the exact-rank count (default 2000); TotalRanks-Procs are
-	// shadow load.
-	Procs int
-	// TotalRanks is the full job size (default 100,000).
-	TotalRanks int
-	// BytesPerProc is per-rank state (default 4 MiB; see RedStormOpts).
-	BytesPerProc int64
-	// Buffers is the staged arm's burst-node count (default 16).
-	Buffers int
-	// MTBFs lists system MTBF points (default 1h, 4h, 24h).
-	MTBFs    []time.Duration
-	Progress func(format string, args ...interface{}) // optional
-	Metrics  bool
-}
-
-func (o *CkptIntervalOpts) defaults() {
-	def(&o.Procs, 2000)
-	def(&o.TotalRanks, 100000)
-	def(&o.BytesPerProc, 4<<20)
-	def(&o.Buffers, 16)
-	defList(&o.MTBFs, time.Hour, 4*time.Hour, 24*time.Hour)
-}
-
 // CkptIntervalArm is one measured dump configuration.
 type CkptIntervalArm struct {
 	Staged   bool
@@ -75,26 +50,26 @@ type CkptIntervalRow struct {
 
 // CkptIntervalResult is the whole experiment.
 type CkptIntervalResult struct {
-	Opts     CkptIntervalOpts
+	Opts     RedStormOpts // the measured point, defaults filled in
 	Arms     []CkptIntervalArm
 	Rows     []CkptIntervalRow
 	Captures []MetricsCapture
 }
 
-// CkptIntervalRun measures both arms — each one Red Storm point — and
-// evaluates the interval model.
-func CkptIntervalRun(opts CkptIntervalOpts) (CkptIntervalResult, error) {
-	opts.defaults()
-	rsOpts := RedStormOpts{
-		TotalRanks:   opts.TotalRanks,
-		BytesPerProc: opts.BytesPerProc,
-		Buffers:      opts.Buffers,
-		Seed:         23, // E23's fixed seed, as E22 runs on 22
+// CkptIntervalRun measures both arms — each one Red Storm point, direct and
+// staged, at opts' single exact-rank count (default 2000) — and evaluates
+// the interval model at a system MTBF of 1, 4 and 24 hours.
+func CkptIntervalRun(opts RedStormOpts) (CkptIntervalResult, error) {
+	defList(&opts.Exact, 2000)
+	def(&opts.Seed, 23) // E23's fixed seed, as E22 runs on 22
+	if len(opts.Exact) != 1 {
+		return CkptIntervalResult{}, fmt.Errorf("figures: E23 measures one exact-rank count, got %v", opts.Exact)
 	}
+	opts.defaults()
 	arms, caps, err := sweep(sweepCfg{1, opts.Metrics, opts.Progress}, []CkptIntervalArm{{Staged: false}, {Staged: true}},
 		func(arm *CkptIntervalArm, _ int) ([]MetricsCapture, error) {
-			pt := RedStormPoint{Exact: opts.Procs, Staged: arm.Staged}
-			caps, err := rsOpts.dump(&pt, 0)
+			pt := RedStormPoint{Exact: opts.Exact[0], Staged: arm.Staged}
+			caps, err := opts.dump(&pt, 0)
 			arm.Apparent, arm.Durable = pt.Apparent, pt.Durable
 			return caps, err
 		})
@@ -104,7 +79,7 @@ func CkptIntervalRun(opts CkptIntervalOpts) (CkptIntervalResult, error) {
 	}
 	res.Arms = arms
 	for _, arm := range arms {
-		for _, mtbf := range opts.MTBFs {
+		for _, mtbf := range []time.Duration{time.Hour, 4 * time.Hour, 24 * time.Hour} {
 			res.Rows = append(res.Rows, intervalRow(arm, mtbf))
 		}
 	}
@@ -133,7 +108,7 @@ func intervalRow(arm CkptIntervalArm, mtbf time.Duration) CkptIntervalRow {
 // Render prints the measured arms and the interval table.
 func (r CkptIntervalResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Checkpoint interval (E23): %d-rank job (%d exact), %d MB/rank, %d I/O nodes\n",
-		r.Opts.TotalRanks, r.Opts.Procs, r.Opts.BytesPerProc>>20, cluster.RedStorm().StorageNodes)
+		r.Opts.TotalRanks, r.Opts.Exact[0], r.Opts.BytesPerProc>>20, cluster.RedStorm().StorageNodes)
 	fmt.Fprintln(w, "# τ_opt = sqrt(2·t_a·MTBF) (Young/Daly); τ_floor = t_d − t_a (previous dump must be durable);")
 	fmt.Fprintln(w, "# efficiency ≈ 1 − t_a/τ − τ/(2·MTBF) at τ = max(τ_opt, τ_floor)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

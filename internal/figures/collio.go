@@ -8,6 +8,7 @@ import (
 	"lwfs/internal/core"
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
+	"lwfs/internal/stripe"
 )
 
 // CollectiveVsIndependent measures the §6 collective-I/O experiment: 8
@@ -40,7 +41,7 @@ func CollectiveVsIndependent(collective bool) (time.Duration, error) {
 			return err
 		}
 		start := p.Now()
-		err = parallel(p, ranks, func(q *sim.Proc, i int) error {
+		err = stripe.FanOut(p, "rank", ranks, ranks, func(q *sim.Proc, i int) error {
 			frags := make([]collio.Fragment, 0, records/ranks)
 			for rec := i; rec < records; rec += ranks {
 				frags = append(frags, collio.Fragment{

@@ -9,7 +9,9 @@ import (
 )
 
 // Env is the lwfsbench command line, parsed: what an experiment may read to
-// size its sweep. Zero values mean "the experiment's default".
+// size its sweep. Zero values mean "the experiment's default". Only fig9,
+// fig10, redstorm and replay have a Quick preset; every other experiment
+// is cheap at the one size EXPERIMENTS.md reports, and ignores it.
 type Env struct {
 	Trials       int   // trials per point
 	Quick        bool  // the experiment's own smoke-sized preset
@@ -21,7 +23,7 @@ type Env struct {
 	Progress     func(format string, args ...interface{})
 }
 
-// Experiment is one lwfsbench experiment: Run sizes the sweep from env (its
+// Experiment is one lwfsbench experiment: Run sizes the sweep from env (a
 // -quick preset lives here, nowhere else), runs it and renders the report.
 type Experiment struct {
 	Name string
@@ -101,67 +103,13 @@ var Experiments = []Experiment{
 		return versus(w, "# Remote filtering (§6): 1 GiB sharded over 8 servers",
 			"server-side filters", "read-everything", ActiveStorageScan)
 	}},
-	{"faults", "E14: lossy-fabric degradation sweep", func(e Env, w io.Writer) error {
-		o := FaultOpts{Trials: e.Trials, Progress: e.Progress}
-		if e.Quick {
-			o.Trials, o.DropProbs = 2, []float64{0, 0.05}
-		}
-		res, err := FaultSweep(o)
-		return render(w, res, err)
-	}},
-	{"burst", "E15: burst-tier apparent vs durable sweep", func(e Env, w io.Writer) error {
-		o := BurstOpts{Trials: e.Trials, Progress: e.Progress, Metrics: e.Metrics}
-		if e.Quick {
-			o.Trials, o.Buffers, o.DrainBWs = 2, []int{0, 2}, []float64{0}
-		}
-		res, err := BurstSweep(o)
-		return render(w, res, err)
-	}},
-	{"recovery", "E16: journaled staging under buffer crash", func(e Env, w io.Writer) error {
-		o := RecoveryOpts{Trials: e.Trials, Progress: e.Progress, Metrics: e.Metrics}
-		if e.Quick {
-			o.Trials = 2
-		}
-		res, err := RecoverySweep(o)
-		return render(w, res, err)
-	}},
-	{"stripe", "E17: striped-engine single-file bandwidth", func(e Env, w io.Writer) error {
-		o := StripeOpts{Trials: e.Trials, Progress: e.Progress}
-		if e.Quick {
-			o.Trials, o.Servers, o.FileMB = 1, []int{1, 2, 4}, 16
-		}
-		if e.BytesPerProc != 0 {
-			o.FileMB = e.BytesPerProc >> 20
-		}
-		res, err := StripeSweep(o)
-		return render(w, res, err)
-	}},
-	{"rebuild", "E19: redundancy cost, degraded reads, online rebuild", func(e Env, w io.Writer) error {
-		o := RebuildOpts{Trials: e.Trials, Progress: e.Progress, Metrics: e.Metrics}
-		if e.Quick {
-			o.Trials, o.DataMB, o.Objects = 1, 4, []int{2, 4}
-		}
-		res, err := RebuildSweep(o)
-		return render(w, res, err)
-	}},
-	{"meta", "E21: replicated-metadata cost and availability", func(e Env, w io.Writer) error {
-		o := MetaOpts{Trials: e.Trials, Progress: e.Progress, Metrics: e.Metrics}
-		if e.Quick {
-			o.Trials, o.FileKB, o.Files = 1, 128, []int{2, 4}
-		}
-		res, err := MetaSweep(o)
-		return render(w, res, err)
-	}},
-	{"qos", "E20: multi-tenant fair share and circuit breaker", func(e Env, w io.Writer) error {
-		// The contention window must stay long enough for >=20 interactive
-		// samples, so -quick only cuts trials, not the workload.
-		o := QoSOpts{Trials: e.Trials, Progress: e.Progress, Metrics: e.Metrics}
-		if e.Quick {
-			o.Trials = 1
-		}
-		res, err := QoSSweep(o)
-		return render(w, res, err)
-	}},
+	{"faults", "E14: lossy-fabric degradation sweep", report(FaultSweep)},
+	{"burst", "E15: burst-tier apparent vs durable sweep", report(BurstSweep)},
+	{"recovery", "E16: journaled staging under buffer crash", report(RecoverySweep)},
+	{"stripe", "E17: striped-engine single-file bandwidth", report(StripeSweep)},
+	{"rebuild", "E19: redundancy cost, degraded reads, online rebuild", report(RebuildSweep)},
+	{"meta", "E21: replicated-metadata cost and availability", report(MetaSweep)},
+	{"qos", "E20: multi-tenant fair share and circuit breaker", report(QoSSweep)},
 	{"redstorm", "E22: sampled 100k-rank Red Storm checkpoint, direct vs staged", func(e Env, w io.Writer) error {
 		o := RedStormOpts{Exact: e.Clients, BytesPerProc: e.BytesPerProc, Progress: e.Progress, Metrics: e.Metrics}
 		if e.Quick {
@@ -173,11 +121,7 @@ var Experiments = []Experiment{
 		return render(w, res, err)
 	}},
 	{"ckptinterval", "E23: apparent vs durable dump time -> affordable checkpoint interval", func(e Env, w io.Writer) error {
-		o := CkptIntervalOpts{BytesPerProc: e.BytesPerProc, Progress: e.Progress, Metrics: e.Metrics}
-		if e.Quick {
-			o.Procs = 1000
-		}
-		res, err := CkptIntervalRun(o)
+		res, err := CkptIntervalRun(RedStormOpts{BytesPerProc: e.BytesPerProc, Progress: e.Progress, Metrics: e.Metrics})
 		return render(w, res, err)
 	}},
 	{"replay", "E24: recorded workload traces replayed through the fs.FS facade", func(e Env, w io.Writer) error {
@@ -209,6 +153,14 @@ func render(w io.Writer, res interface{ Render(io.Writer) }, err error) error {
 		res.Render(w)
 	}
 	return err
+}
+
+// report is the Run of an experiment whose driver sizes itself from env.
+func report[R interface{ Render(io.Writer) }](driver func(Env) (R, error)) func(Env, io.Writer) error {
+	return func(e Env, w io.Writer) error {
+		res, err := driver(e)
+		return render(w, res, err)
+	}
 }
 
 // versus reports a §6 extension experiment: measure's virtual time with its

@@ -28,25 +28,13 @@ import (
 // Storage-side control RPCs, the server-directed data pulls, and the
 // commit protocol all ride through the lossy links.
 
-// FaultOpts parameterize the fault sweep.
-type FaultOpts struct {
-	DropProbs []float64 // drop probability per point (0 = clean baseline)
-	Procs     int
-	Servers   int
-	Trials    int
-	Progress  func(format string, args ...interface{}) // optional
-}
-
-// faultBytesPerProc is each rank's dump size; faultRetry's timeout is sized
-// to it.
-const faultBytesPerProc = 1 << 20
-
-func (o *FaultOpts) defaults() {
-	defList(&o.DropProbs, 0, 0.01, 0.05, 0.10)
-	def(&o.Procs, 8)
-	def(&o.Servers, 4)
-	def(&o.Trials, 3)
-}
+// The sweep's fixed checkpoint: faultProcs ranks each dump faultBytesPerProc
+// (faultRetry's timeout is sized to it) onto faultServers servers.
+const (
+	faultProcs        = 8
+	faultServers      = 4
+	faultBytesPerProc = 1 << 20
+)
 
 // faultRetry is the client policy for lossy-fabric runs: the timeout covers
 // one healthy faultBytesPerProc write (disk time included) so only real
@@ -81,27 +69,25 @@ type FaultPoint struct {
 
 // FaultResult is the whole sweep.
 type FaultResult struct {
-	Opts   FaultOpts
+	Trials int
 	Points []FaultPoint
 }
 
-// FaultSweep runs the checkpoint at each drop probability.
-func FaultSweep(opts FaultOpts) (FaultResult, error) {
-	opts.defaults()
-	points := make([]FaultPoint, len(opts.DropProbs))
-	for i, dp := range opts.DropProbs {
-		points[i].DropProb = dp
-	}
-	points, _, err := sweep(sweepCfg{Trials: opts.Trials, Progress: opts.Progress}, points, opts.trial)
-	return FaultResult{Opts: opts, Points: points}, err
+// FaultSweep runs the checkpoint at each drop probability, the clean
+// baseline first.
+func FaultSweep(env Env) (FaultResult, error) {
+	cfg := env.sweepCfg(3)
+	points := []FaultPoint{{DropProb: 0}, {DropProb: 0.01}, {DropProb: 0.05}, {DropProb: 0.10}}
+	points, _, err := sweep(cfg, points, faultTrial)
+	return FaultResult{Trials: cfg.Trials, Points: points}, err
 }
 
 func (pt *FaultPoint) label() string   { return fmt.Sprintf("drop=%.2f", pt.DropProb) }
 func (pt *FaultPoint) summary() string { return pt.Elapsed.String() + " ms" }
 
-func (opts FaultOpts) trial(pt *FaultPoint, trial int) ([]MetricsCapture, error) {
-	spec := cluster.DevCluster().WithServers(opts.Servers)
-	spec.ComputeNodes = opts.Procs
+func faultTrial(pt *FaultPoint, trial int) ([]MetricsCapture, error) {
+	spec := cluster.DevCluster().WithServers(faultServers)
+	spec.ComputeNodes = faultProcs
 	r := newRig(spec)
 	cl, l := r.cl, r.l
 
@@ -122,7 +108,7 @@ func (opts FaultOpts) trial(pt *FaultPoint, trial int) ([]MetricsCapture, error)
 	}
 
 	res, err := checkpoint.SetupLWFS(cl, l, checkpoint.Config{
-		Procs:        opts.Procs,
+		Procs:        faultProcs,
 		BytesPerProc: faultBytesPerProc,
 		Seed:         seed,
 		Retry:        faultRetry,
@@ -154,7 +140,7 @@ func (opts FaultOpts) trial(pt *FaultPoint, trial int) ([]MetricsCapture, error)
 // baseline.
 func (r FaultResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Fault injection: %d-process LWFS checkpoint, %d servers, %d MB/process, %d trials\n",
-		r.Opts.Procs, r.Opts.Servers, faultBytesPerProc>>20, r.Opts.Trials)
+		faultProcs, faultServers, faultBytesPerProc>>20, r.Trials)
 	fmt.Fprintln(w, "# storage-link drop probability vs completion time (graceful degradation, §3/§4)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "drop\telapsed (ms)\tslowdown\tdropped msgs\tdeduped retries")

@@ -21,11 +21,18 @@ import (
 // driver that does not fit (Table 1, the bare-fabric half of Table 2, the
 // checkpoint package's self-contained runs) simply does not use them.
 
-// sweepCfg is the part of a driver's Opts the sweep loop reads.
+// sweepCfg is the part of a driver's options the sweep loop reads.
 type sweepCfg struct {
 	Trials   int
 	Metrics  bool
 	Progress func(format string, args ...interface{})
+}
+
+// sweepCfg is the sweep loop's share of env for a driver that sizes itself:
+// env's trial count, or the driver's own when env leaves it at 0.
+func (e Env) sweepCfg(trials int) sweepCfg {
+	def(&e.Trials, trials)
+	return sweepCfg{e.Trials, e.Metrics, e.Progress}
 }
 
 // point is what sweep asks of a driver's point type P: a label naming the

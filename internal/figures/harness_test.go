@@ -149,7 +149,7 @@ func TestSweepRenderIndependentOfGOMAXPROCS(t *testing.T) {
 		prev := runtime.GOMAXPROCS(n)
 		defer runtime.GOMAXPROCS(prev)
 		var sb strings.Builder
-		burst, err := BurstSweep(BurstOpts{Trials: 2, Buffers: []int{0, 1, 2}, DrainBWs: []float64{0}, Metrics: true})
+		burst, err := BurstSweep(Env{Trials: 2, Metrics: true})
 		if err != nil {
 			t.Fatal(err)
 		}

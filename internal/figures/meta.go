@@ -25,24 +25,10 @@ import (
 // throughput — how fast Rebuild moves lost mirrors onto spares across a
 // population of files.
 
-// MetaOpts parameterize the sweep.
-type MetaOpts struct {
-	FileKB   int64                                    // per-file payload in KB (default 256)
-	Files    []int                                    // file counts for the re-homing sweep (default 4,8)
-	Trials   int                                      // trials per point (default 3)
-	Progress func(format string, args ...interface{}) // optional
-	// Metrics captures registry snapshots for the last trial of each
-	// degraded-open and re-homing point, for `lwfsbench -metrics`.
-	Metrics bool
-}
-
-const metaServers = 6 // storage servers, one per node
-
-func (o *MetaOpts) defaults() {
-	def(&o.FileKB, 256)
-	defList(&o.Files, 4, 8)
-	def(&o.Trials, 3)
-}
+const (
+	metaServers = 6   // storage servers, one per node
+	metaFileKB  = 256 // per-file payload in KB
+)
 
 // MetaWritePoint is one mirror count's metadata write cost: transactional
 // create (which lands every mirror) and a size-changing one-byte append
@@ -76,11 +62,11 @@ type MetaRebuildPoint struct {
 
 // MetaResult is the whole sweep.
 type MetaResult struct {
-	Opts     MetaOpts
+	Trials   int
 	Writes   []MetaWritePoint
 	Opens    []MetaOpenPoint
 	Rebuilds []MetaRebuildPoint
-	Captures []MetricsCapture // when Opts.Metrics is set
+	Captures []MetricsCapture // when env.Metrics is set
 }
 
 // metaRetry arms sweep clients so RPCs against a crashed mirror server time
@@ -112,17 +98,18 @@ type metaCopiesPoint struct {
 	o MetaOpenPoint
 }
 
-// MetaSweep measures every point.
-func MetaSweep(opts MetaOpts) (res MetaResult, err error) {
-	opts.defaults()
-	res.Opts = opts
-	cfg := sweepCfg{opts.Trials, opts.Metrics, opts.Progress}
+// MetaSweep measures every point; the re-homing table sweeps 4 and 8
+// files. With env.Metrics the last trial of each degraded-open and
+// re-homing point keeps a registry snapshot pair.
+func MetaSweep(env Env) (res MetaResult, err error) {
+	cfg := env.sweepCfg(3)
+	res.Trials = cfg.Trials
 
 	var byCopies []metaCopiesPoint
 	for _, m := range []int{1, 2, 3} { // the metadata mirror counts under test
 		byCopies = append(byCopies, metaCopiesPoint{MetaWritePoint{Copies: m}, MetaOpenPoint{Copies: m}})
 	}
-	_, res.Captures, err = sweep(cfg, byCopies, opts.openTrial)
+	_, res.Captures, err = sweep(cfg, byCopies, metaOpenTrial)
 	for _, pt := range byCopies {
 		res.Writes = append(res.Writes, pt.w)
 		res.Opens = append(res.Opens, pt.o)
@@ -131,12 +118,9 @@ func MetaSweep(opts MetaOpts) (res MetaResult, err error) {
 		return res, err
 	}
 
-	rehomes := make([]MetaRebuildPoint, len(opts.Files))
-	for i, n := range opts.Files {
-		rehomes[i].Files = n
-	}
+	rehomes := []MetaRebuildPoint{{Files: 4}, {Files: 8}}
 	var caps []MetricsCapture
-	res.Rebuilds, caps, err = sweep(cfg, rehomes, opts.rehomeTrial)
+	res.Rebuilds, caps, err = sweep(cfg, rehomes, metaRehomeTrial)
 	res.Captures = append(res.Captures, caps...)
 	return res, err
 }
@@ -152,15 +136,15 @@ func (pt *MetaRebuildPoint) summary() string {
 	return fmt.Sprintf("%s ms, %s mirrors re-homed", pt.Ms.String(), pt.Rehomed.String())
 }
 
-// openTrial formats a mount with the point's mirror count, then measures
-// create, a metadata flush (Close after a growing write), a healthy open,
-// and — after crashing the primary mirror's server — a degraded open. With
-// a single record the post-crash open fails by design; that is recorded,
-// not treated as an error.
-func (opts MetaOpts) openTrial(pt *metaCopiesPoint, trial int) ([]MetricsCapture, error) {
+// metaOpenTrial formats a mount with the point's mirror count, then
+// measures create, a metadata flush (Close after a growing write), a
+// healthy open, and — after crashing the primary mirror's server — a
+// degraded open. With a single record the post-crash open fails by design;
+// that is recorded, not treated as an error.
+func metaOpenTrial(pt *metaCopiesPoint, trial int) ([]MetricsCapture, error) {
 	r := newRig(onePerNode(metaServers))
 	copies := pt.w.Copies
-	bytes := opts.FileKB << 10
+	const bytes = metaFileKB << 10
 	mc, err := r.bench(metaRetry, int64(trial)+41, func(p *sim.Proc, c *core.Client) error {
 		fs, err := lwfspfs.Format(p, c, fmt.Sprintf("/meta%d", trial), metaOptions(copies))
 		if err != nil {
@@ -215,13 +199,13 @@ func (opts MetaOpts) openTrial(pt *metaCopiesPoint, trial int) ([]MetricsCapture
 	return one(mc), err
 }
 
-// rehomeTrial creates n files on a two-mirror mount, crashes the server
+// metaRehomeTrial creates n files on a two-mirror mount, crashes the server
 // hosting the first file's primary mirror, and times Rebuild sweeping every
 // file — re-homing lost metadata mirrors (and repairing any data copies the
 // dead server held) onto the survivors.
-func (opts MetaOpts) rehomeTrial(pt *MetaRebuildPoint, trial int) ([]MetricsCapture, error) {
+func metaRehomeTrial(pt *MetaRebuildPoint, trial int) ([]MetricsCapture, error) {
 	r := newRig(onePerNode(metaServers))
-	bytes := opts.FileKB << 10
+	const bytes = metaFileKB << 10
 	var elapsed time.Duration
 	mc, err := r.bench(metaRetry, int64(trial)+53, func(p *sim.Proc, c *core.Client) error {
 		fs, err := lwfspfs.Format(p, c, fmt.Sprintf("/rehome%d", trial), metaOptions(2))
@@ -270,7 +254,7 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 // Render prints the three tables.
 func (r MetaResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Replicated metadata: %d servers, %d KB files, replica-2 data, %d trials\n",
-		metaServers, r.Opts.FileKB, r.Opts.Trials)
+		metaServers, metaFileKB, r.Trials)
 
 	fmt.Fprintln(w, "\n## create / metadata-flush latency vs mirror count")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -286,7 +270,7 @@ func (r MetaResult) Render(w io.Writer) {
 	for _, pt := range r.Opens {
 		if pt.Copies == 1 {
 			fmt.Fprintf(tw, "%d\t%.2f ms\tunopenable (%d/%d)\t-\n",
-				pt.Copies, pt.HealthyMs.Mean(), pt.Unavailable, r.Opts.Trials)
+				pt.Copies, pt.HealthyMs.Mean(), pt.Unavailable, r.Trials)
 			continue
 		}
 		h, d := pt.HealthyMs.Mean(), pt.DegradedMs.Mean()

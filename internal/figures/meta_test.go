@@ -8,18 +8,12 @@ import (
 	"lwfs/internal/figures"
 )
 
-// E21 acceptance, quick shape: metadata flush cost grows with the mirror
-// count, a single-record mount is unopenable after the mirror crash while
-// mirrored mounts pay only a degraded-open penalty, Rebuild re-homes the
-// lost mirrors, and the metadata instruments move.
+// E21 acceptance: metadata flush cost grows with the mirror count, a
+// single-record mount is unopenable after the mirror crash while mirrored
+// mounts pay only a degraded-open penalty, Rebuild re-homes the lost
+// mirrors, and the metadata instruments move.
 func TestMetaSweepShape(t *testing.T) {
-	opts := figures.MetaOpts{
-		FileKB:  128,
-		Files:   []int{2, 4},
-		Trials:  1,
-		Metrics: true,
-	}
-	res, err := figures.MetaSweep(opts)
+	res, err := figures.MetaSweep(figures.Env{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,9 +23,9 @@ func TestMetaSweepShape(t *testing.T) {
 	if f1, f3 := res.Writes[0].FlushMs.Mean(), res.Writes[2].FlushMs.Mean(); f3 <= f1 {
 		t.Errorf("flush cost did not grow with mirrors: 1 mirror %.2f ms vs 3 mirrors %.2f ms", f1, f3)
 	}
-	if res.Opens[0].Unavailable != opts.Trials {
+	if res.Opens[0].Unavailable != res.Trials {
 		t.Errorf("single-record opens after the crash: %d unavailable, want %d",
-			res.Opens[0].Unavailable, opts.Trials)
+			res.Opens[0].Unavailable, res.Trials)
 	}
 	for _, pt := range res.Opens[1:] {
 		if pt.Unavailable != 0 {

@@ -35,15 +35,6 @@ import (
 // timeouts and the rest of the outage fast-fails (zero wait) onto the
 // healthy server.
 
-// QoSOpts parameterizes the QoS sweep.
-type QoSOpts struct {
-	Trials   int
-	Progress func(format string, args ...interface{}) // optional
-	// Metrics captures a registry snapshot pair for the last trial of
-	// every mode, rendered by `lwfsbench -metrics`.
-	Metrics bool
-}
-
 // Part A's fixed workload.
 const (
 	qosProcs        = 8       // large-tenant checkpoint processes
@@ -76,7 +67,7 @@ type QoSBreakerPoint struct {
 
 // QoSResult is the whole E20 sweep.
 type QoSResult struct {
-	Opts     QoSOpts
+	Trials   int
 	Points   []QoSPoint
 	Breaker  []QoSBreakerPoint
 	Captures []MetricsCapture
@@ -84,11 +75,11 @@ type QoSResult struct {
 
 // QoSSweep measures E20. Part A's three configurations flip two knobs:
 // per-tenant DRR admission on the storage and burst servers, and drain
-// workers yielding to foreground pass-through.
-func QoSSweep(opts QoSOpts) (res QoSResult, err error) {
-	def(&opts.Trials, 3)
-	res.Opts = opts
-	cfg := sweepCfg{opts.Trials, opts.Metrics, opts.Progress}
+// workers yielding to foreground pass-through. With env.Metrics the last
+// trial of every part-A mode keeps a registry snapshot pair.
+func QoSSweep(env Env) (res QoSResult, err error) {
+	cfg := env.sweepCfg(3)
+	res.Trials = cfg.Trials
 	modes := []QoSPoint{{Mode: "off"}, {Mode: "fair"}, {Mode: "fair+prio"}}
 	if res.Points, res.Captures, err = sweep(cfg, modes, qosFairTrial); err != nil {
 		return res, err
@@ -265,7 +256,7 @@ func qosBreakerTrial(pt *QoSBreakerPoint, trial int) ([]MetricsCapture, error) {
 // acceptance headline.
 func (r QoSResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Multi-tenant QoS: %d-proc x %d MB checkpoint through 1 burst node (%d MB window) vs %d KB interactive writes, %d servers, %d trials\n",
-		qosProcs, qosBytesPerProc>>20, qosStageCapacity>>20, qosInteractiveSize>>10, qosServers, r.Opts.Trials)
+		qosProcs, qosBytesPerProc>>20, qosStageCapacity>>20, qosInteractiveSize>>10, qosServers, r.Trials)
 	fmt.Fprintln(w, "# interactive-tenant write latency while the large tenant checkpoints")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "admission\tp50 (ms)\tp99 (ms)\tp99 vs off\tdurable (ms)\tdrain yields\tshed")

@@ -24,27 +24,11 @@ import (
 // as the number of affected layouts grows — the repair window during which
 // a second failure would be fatal.
 
-// RebuildOpts parameterize the sweep.
-type RebuildOpts struct {
-	DataMB   int64                                    // per-layout payload in MB (default 8)
-	Objects  []int                                    // layout counts for the rebuild-time sweep (default 4,8,16)
-	Trials   int                                      // trials per point (default 3)
-	Progress func(format string, args ...interface{}) // optional
-	// Metrics captures registry snapshots for the last trial of each
-	// degraded-read and rebuild point, for `lwfsbench -metrics`.
-	Metrics bool
-}
-
 const (
 	rebuildServers = 4         // storage servers, one per node
 	rebuildUnit    = 256 << 10 // stripe unit
+	rebuildDataMB  = 8         // per-layout payload in MB
 )
-
-func (o *RebuildOpts) defaults() {
-	def(&o.DataMB, 8)
-	defList(&o.Objects, 4, 8, 16)
-	def(&o.Trials, 3)
-}
 
 // RebuildWritePoint is one scheme's full-stripe write bandwidth (logical
 // bytes; the redundant copies/parity are the overhead being measured).
@@ -71,11 +55,11 @@ type RebuildPoint struct {
 
 // RebuildResult is the whole sweep.
 type RebuildResult struct {
-	Opts     RebuildOpts
+	Trials   int
 	Writes   []RebuildWritePoint
 	Reads    []RebuildReadPoint
 	Rebuilds []RebuildPoint
-	Captures []MetricsCapture // when Opts.Metrics is set
+	Captures []MetricsCapture // when env.Metrics is set
 }
 
 // rebuildRetry arms clients in the crash phases so RPCs against the dead
@@ -90,26 +74,24 @@ var rebuildRetry = portals.RetryPolicy{
 	Jitter:      100 * time.Microsecond,
 }
 
-// RebuildSweep measures every point.
-func RebuildSweep(opts RebuildOpts) (res RebuildResult, err error) {
-	opts.defaults()
-	res.Opts = opts
-	cfg := sweepCfg{opts.Trials, opts.Metrics, opts.Progress}
+// RebuildSweep measures every point; the rebuild-time table repairs 4, 8
+// and 16 layouts. With env.Metrics the last trial of each degraded-read and
+// rebuild point keeps a registry snapshot pair.
+func RebuildSweep(env Env) (res RebuildResult, err error) {
+	cfg := env.sweepCfg(3)
+	res.Trials = cfg.Trials
 
 	writes := []RebuildWritePoint{{Scheme: "raid0"}, {Scheme: "replica2"}, {Scheme: "parity"}}
-	if res.Writes, _, err = sweep(cfg, writes, opts.writeTrial); err != nil {
+	if res.Writes, _, err = sweep(cfg, writes, rebuildWriteTrial); err != nil {
 		return res, err
 	}
 	reads := []RebuildReadPoint{{Scheme: "replica2"}, {Scheme: "parity"}}
-	if res.Reads, res.Captures, err = sweep(cfg, reads, opts.readTrial); err != nil {
+	if res.Reads, res.Captures, err = sweep(cfg, reads, rebuildReadTrial); err != nil {
 		return res, err
 	}
-	repairs := make([]RebuildPoint, len(opts.Objects))
-	for i, n := range opts.Objects {
-		repairs[i].Objects = n
-	}
+	repairs := []RebuildPoint{{Objects: 4}, {Objects: 8}, {Objects: 16}}
 	var caps []MetricsCapture
-	res.Rebuilds, caps, err = sweep(cfg, repairs, opts.repairTrial)
+	res.Rebuilds, caps, err = sweep(cfg, repairs, rebuildRepairTrial)
 	res.Captures = append(res.Captures, caps...)
 	return res, err
 }
@@ -168,9 +150,9 @@ func crashServer(l *cluster.LWFS, t storage.Target) {
 	}
 }
 
-// writeTrial measures one full-stripe write's logical bandwidth.
-func (opts RebuildOpts) writeTrial(pt *RebuildWritePoint, trial int) ([]MetricsCapture, error) {
-	bytes := opts.DataMB << 20
+// rebuildWriteTrial measures one full-stripe write's logical bandwidth.
+func rebuildWriteTrial(pt *RebuildWritePoint, trial int) ([]MetricsCapture, error) {
+	const bytes = rebuildDataMB << 20
 	_, err := newRig(onePerNode(rebuildServers)).bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
 		caps, err := allCaps(p, c)
 		if err != nil {
@@ -191,11 +173,11 @@ func (opts RebuildOpts) writeTrial(pt *RebuildWritePoint, trial int) ([]MetricsC
 	return nil, err
 }
 
-// readTrial measures one full read healthy, then crashes the server behind
-// the layout's second object and measures the degraded read.
-func (opts RebuildOpts) readTrial(pt *RebuildReadPoint, trial int) ([]MetricsCapture, error) {
+// rebuildReadTrial measures one full read healthy, then crashes the server
+// behind the layout's second object and measures the degraded read.
+func rebuildReadTrial(pt *RebuildReadPoint, trial int) ([]MetricsCapture, error) {
 	r := newRig(onePerNode(rebuildServers))
-	bytes := opts.DataMB << 20
+	const bytes = rebuildDataMB << 20
 	mc, err := r.bench(rebuildRetry, int64(trial)+17, func(p *sim.Proc, c *core.Client) error {
 		caps, err := allCaps(p, c)
 		if err != nil {
@@ -226,11 +208,11 @@ func (opts RebuildOpts) readTrial(pt *RebuildReadPoint, trial int) ([]MetricsCap
 	return one(mc), err
 }
 
-// repairTrial writes n parity layouts, crashes one server, and times a
-// Rebuilder repairing every layout that lost an object to it.
-func (opts RebuildOpts) repairTrial(pt *RebuildPoint, trial int) ([]MetricsCapture, error) {
+// rebuildRepairTrial writes n parity layouts, crashes one server, and times
+// a Rebuilder repairing every layout that lost an object to it.
+func rebuildRepairTrial(pt *RebuildPoint, trial int) ([]MetricsCapture, error) {
 	r := newRig(onePerNode(rebuildServers))
-	bytes := opts.DataMB << 20
+	const bytes = rebuildDataMB << 20
 	mc, err := r.bench(rebuildRetry, int64(trial)+29, func(p *sim.Proc, c *core.Client) error {
 		caps, err := allCaps(p, c)
 		if err != nil {
@@ -278,7 +260,7 @@ func (opts RebuildOpts) repairTrial(pt *RebuildPoint, trial int) ([]MetricsCaptu
 // Render prints the three tables.
 func (r RebuildResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Redundant stripe layouts: %d servers, %d MB per layout, unit %d KiB, %d trials\n",
-		rebuildServers, r.Opts.DataMB, rebuildUnit>>10, r.Opts.Trials)
+		rebuildServers, rebuildDataMB, rebuildUnit>>10, r.Trials)
 
 	fmt.Fprintln(w, "\n## full-stripe write bandwidth (logical MB/s; redundancy is the gap)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

@@ -8,23 +8,17 @@ import (
 	"lwfs/internal/figures"
 )
 
-// E19 acceptance, quick shape: writes measured for all three schemes with
-// redundancy costing bandwidth, a degraded read slower than a healthy one,
-// rebuild time growing with affected layout count, and the redundancy
-// instruments moving.
+// E19 acceptance: writes measured for all three schemes with redundancy
+// costing bandwidth, a degraded read slower than a healthy one, rebuild
+// time growing with affected layout count, and the redundancy instruments
+// moving.
 func TestRebuildSweepShape(t *testing.T) {
-	opts := figures.RebuildOpts{
-		DataMB:  4,
-		Objects: []int{2, 4},
-		Trials:  1,
-		Metrics: true,
-	}
-	res, err := figures.RebuildSweep(opts)
+	res, err := figures.RebuildSweep(figures.Env{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Writes) != 3 || len(res.Reads) != 2 || len(res.Rebuilds) != 2 {
-		t.Fatalf("points = %d/%d/%d, want 3/2/2", len(res.Writes), len(res.Reads), len(res.Rebuilds))
+	if len(res.Writes) != 3 || len(res.Reads) != 2 || len(res.Rebuilds) != 3 {
+		t.Fatalf("points = %d/%d/%d, want 3/2/3", len(res.Writes), len(res.Reads), len(res.Rebuilds))
 	}
 	var raid0, replica float64
 	for _, pt := range res.Writes {
@@ -44,11 +38,13 @@ func TestRebuildSweepShape(t *testing.T) {
 				pt.Scheme, pt.DegradedMs.Mean(), pt.HealthyMs.Mean())
 		}
 	}
-	if res.Rebuilds[1].Ms.Mean() <= res.Rebuilds[0].Ms.Mean() {
-		t.Errorf("rebuild time did not grow with layout count: %v", res.Rebuilds)
+	for i := 1; i < len(res.Rebuilds); i++ {
+		if res.Rebuilds[i].Ms.Mean() <= res.Rebuilds[i-1].Ms.Mean() {
+			t.Errorf("rebuild time did not grow with layout count: %v", res.Rebuilds)
+		}
 	}
-	if len(res.Captures) != 4 {
-		t.Fatalf("captures = %d, want 4 (two read points + two rebuild points)", len(res.Captures))
+	if len(res.Captures) != 5 {
+		t.Fatalf("captures = %d, want 5 (two read points + three rebuild points)", len(res.Captures))
 	}
 	var b bytes.Buffer
 	figures.RenderMetricsCaptures(&b, res.Captures)

@@ -31,15 +31,6 @@ type RecoveryMedium struct {
 	Disk    osd.DiskParams // journal media calibration (Journal only)
 }
 
-// RecoveryOpts parameterize the recovery sweep.
-type RecoveryOpts struct {
-	Trials   int
-	Progress func(format string, args ...interface{}) // optional
-	// Metrics captures registry snapshot pairs for the last trial of each
-	// medium (healthy and crash phases), for `lwfsbench -metrics`.
-	Metrics bool
-}
-
 func journalMedium(name string, sync time.Duration) RecoveryMedium {
 	d := osd.BurstJournalParams()
 	d.SyncCost = sync
@@ -69,24 +60,25 @@ type RecoveryPoint struct {
 
 // RecoveryResult is the whole sweep.
 type RecoveryResult struct {
-	Opts     RecoveryOpts
+	Trials   int
 	Points   []RecoveryPoint
-	Captures []MetricsCapture // filled when Opts.Metrics is set
+	Captures []MetricsCapture // filled when env.Metrics is set
 }
 
 // RecoverySweep measures healthy and crashed checkpoint runs per medium:
 // memory-only staging, then journals on NVRAM-, SSD- and disk-class media
-// (sync barrier 5 µs → 500 µs).
-func RecoverySweep(opts RecoveryOpts) (RecoveryResult, error) {
-	def(&opts.Trials, 3)
+// (sync barrier 5 µs → 500 µs). With env.Metrics the last trial of each
+// medium keeps registry snapshot pairs (healthy and crash phases).
+func RecoverySweep(env Env) (RecoveryResult, error) {
+	cfg := env.sweepCfg(3)
 	points := []RecoveryPoint{
 		{Medium: RecoveryMedium{Name: "memory"}},
 		{Medium: journalMedium("journal-nvram", 5*time.Microsecond)},
 		{Medium: journalMedium("journal-ssd", 25*time.Microsecond)},
 		{Medium: journalMedium("journal-disk", 500*time.Microsecond)},
 	}
-	points, caps, err := sweep(sweepCfg{opts.Trials, opts.Metrics, opts.Progress}, points, recoveryTrial)
-	return RecoveryResult{Opts: opts, Points: points, Captures: caps}, err
+	points, caps, err := sweep(cfg, points, recoveryTrial)
+	return RecoveryResult{Trials: cfg.Trials, Points: points, Captures: caps}, err
 }
 
 func (pt *RecoveryPoint) label() string { return "medium=" + pt.Medium.Name }
@@ -164,7 +156,7 @@ func recoveryRun(pt *RecoveryPoint, trial int, crash bool) (MetricsCapture, erro
 // aborting, and what the recovery detour costs in durable time).
 func (r RecoveryResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Journaled staging under buffer crash: %d-process checkpoint, %d servers, %d MB/process, crash@%v restart@%v, %d trials\n",
-		recoveryProcs, recoveryServers, recoveryBytesPerProc>>20, recoveryCrashAt, recoveryRestartAt, r.Opts.Trials)
+		recoveryProcs, recoveryServers, recoveryBytesPerProc>>20, recoveryCrashAt, recoveryRestartAt, r.Trials)
 	fmt.Fprintln(w, "# healthy columns: no-fault runs; crash columns: buffer crashed mid-drain and restarted")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "medium\tjournal sync\thealthy apparent (ms)\thealthy durable (ms)\tcrash outcome\tcrash durable (ms)\trecovery cost (ms)")

@@ -3,7 +3,6 @@ package figures
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestRedStormSweepSmall runs E22 at toy scale: both arms must complete
@@ -46,18 +45,21 @@ func TestRedStormSweepSmall(t *testing.T) {
 // interval model: τ respects both the Young/Daly optimum and the drain
 // floor, and efficiency stays in (0, 1].
 func TestCkptIntervalSmall(t *testing.T) {
-	res, err := CkptIntervalRun(CkptIntervalOpts{
-		Procs:        64,
+	toy := RedStormOpts{
+		Exact:        []int{64},
 		TotalRanks:   1000,
 		BytesPerProc: 1 << 20,
 		Buffers:      4,
-		MTBFs:        []time.Duration{time.Hour, 24 * time.Hour},
-	})
+	}
+	res, err := CkptIntervalRun(toy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Arms) != 2 || len(res.Rows) != 4 {
-		t.Fatalf("got %d arms, %d rows; want 2, 4", len(res.Arms), len(res.Rows))
+	if len(res.Arms) != 2 || len(res.Rows) != 6 {
+		t.Fatalf("got %d arms, %d rows; want 2, 6 (three MTBFs per arm)", len(res.Arms), len(res.Rows))
+	}
+	if res.Opts.Seed != 23 {
+		t.Errorf("seed %d, want E23's own 23", res.Opts.Seed)
 	}
 	for _, row := range res.Rows {
 		if row.Tau < row.TauOpt || row.Tau < row.TauFloor {
@@ -74,5 +76,10 @@ func TestCkptIntervalSmall(t *testing.T) {
 	res.Render(&b)
 	if !strings.Contains(b.String(), "governed by") {
 		t.Fatal("render missing the governing-constraint column")
+	}
+
+	toy.Exact = []int{64, 128}
+	if _, err := CkptIntervalRun(toy); err == nil {
+		t.Error("two exact-rank counts: no error, want E23 to refuse all but one")
 	}
 }

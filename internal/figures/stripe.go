@@ -15,27 +15,16 @@ import (
 
 // The stripe sweep (experiment E17): single-large-file bandwidth through
 // the lwfspfs client library, old serial transfer path vs the coalesced
-// parallel engine (internal/stripe), swept over server count and stripe
-// unit. The serial path pays one round trip per stripe unit in file order;
-// the engine plans one coalesced request per object and fans them out, so
-// bandwidth should scale with servers until the client NIC saturates —
-// the distribution-policy-as-a-library payoff of Figures 2/3.
+// parallel engine (internal/stripe), swept over server count at a 1 MiB
+// stripe unit. The serial path pays one round trip per stripe unit in file
+// order; the engine plans one coalesced request per object and fans them
+// out, so bandwidth should scale with servers until the client NIC
+// saturates — the distribution-policy-as-a-library payoff of Figures 2/3.
 
-// StripeOpts parameterize the sweep.
-type StripeOpts struct {
-	Servers  []int   // storage-server counts (also the stripe width)
-	Units    []int64 // stripe units in bytes
-	FileMB   int64   // single file size in MB
-	Trials   int
-	Progress func(format string, args ...interface{}) // optional
-}
-
-func (o *StripeOpts) defaults() {
-	defList(&o.Servers, 1, 2, 4, 8, 16)
-	defList(&o.Units, 1<<20)
-	def(&o.FileMB, 64)
-	def(&o.Trials, 3)
-}
+const (
+	stripeFileMB = 64      // single file size in MB, unless env.BytesPerProc sets it
+	stripeUnit   = 1 << 20 // stripe unit in bytes
+)
 
 // StripePoint is the measurement at one (server count, stripe unit):
 // write/read bandwidth for both paths plus the storage-RPC count of one
@@ -55,21 +44,34 @@ type StripePoint struct {
 
 // StripeResult is the whole sweep.
 type StripeResult struct {
-	Opts   StripeOpts
+	FileMB int64
+	Trials int
 	Points []StripePoint
 }
 
-// StripeSweep measures both transfer paths at every point.
-func StripeSweep(opts StripeOpts) (StripeResult, error) {
-	opts.defaults()
-	var points []StripePoint
-	for _, servers := range opts.Servers {
-		for _, unit := range opts.Units {
-			points = append(points, StripePoint{Servers: servers, Unit: unit})
-		}
+// StripeSweep measures both transfer paths at every storage-server count
+// (also the stripe width), on a file of env.BytesPerProc bytes or
+// stripeFileMB.
+func StripeSweep(env Env) (StripeResult, error) {
+	cfg := env.sweepCfg(3)
+	res := StripeResult{FileMB: stripeFileMB, Trials: cfg.Trials}
+	if env.BytesPerProc != 0 {
+		res.FileMB = env.BytesPerProc >> 20
 	}
-	points, _, err := sweep(sweepCfg{Trials: opts.Trials, Progress: opts.Progress}, points, opts.trial)
-	return StripeResult{Opts: opts, Points: points}, err
+	bytes := res.FileMB << 20
+	var points []StripePoint
+	for _, servers := range []int{1, 2, 4, 8, 16} {
+		points = append(points, StripePoint{Servers: servers, Unit: stripeUnit})
+	}
+	var err error
+	// Each trial measures the serial path, then the parallel engine.
+	res.Points, _, err = sweep(cfg, points, func(pt *StripePoint, trial int) ([]MetricsCapture, error) {
+		if err := stripeRun(pt, trial, bytes, true); err != nil {
+			return nil, fmt.Errorf("serial: %w", err)
+		}
+		return nil, stripeRun(pt, trial, bytes, false)
+	})
+	return res, err
 }
 
 func (pt *StripePoint) label() string {
@@ -80,22 +82,14 @@ func (pt *StripePoint) summary() string {
 		pt.ParallelWrite.String(), pt.SerialRead.String(), pt.ParallelRead.String())
 }
 
-// trial measures the serial path, then the parallel engine.
-func (opts StripeOpts) trial(pt *StripePoint, trial int) ([]MetricsCapture, error) {
-	if err := opts.run(pt, trial, true); err != nil {
-		return nil, fmt.Errorf("serial: %w", err)
-	}
-	return nil, opts.run(pt, trial, false)
-}
-
-// run measures one path — steady-state write and read bandwidth and the
-// storage RPCs of one WriteAt — into the point's serial or parallel half.
-func (opts StripeOpts) run(pt *StripePoint, trial int, serial bool) error {
+// stripeRun measures one path on a file of the given size — steady-state
+// write and read bandwidth and the storage RPCs of one WriteAt — into the
+// point's serial or parallel half.
+func stripeRun(pt *StripePoint, trial int, bytes int64, serial bool) error {
 	write, read, rpcs := &pt.ParallelWrite, &pt.ParallelRead, &pt.ParallelRPCs
 	if serial {
 		write, read, rpcs = &pt.SerialWrite, &pt.SerialRead, &pt.SerialRPCs
 	}
-	bytes := opts.FileMB << 20
 	spec := cluster.DevCluster().WithServers(pt.Servers)
 	spec.ComputeNodes = 1
 	r := newRig(spec)
@@ -142,7 +136,7 @@ func (opts StripeOpts) run(pt *StripePoint, trial int, serial bool) error {
 // the RPC columns the coalescing evidence (units sent vs objects touched).
 func (r StripeResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Striped I/O engine: single %d MB file, one client, %d trials\n",
-		r.Opts.FileMB, r.Opts.Trials)
+		r.FileMB, r.Trials)
 	fmt.Fprintln(w, "# serial = one RPC per stripe unit; parallel = one coalesced request per object, concurrent fan-out")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "servers\tunit\twrite serial\twrite parallel\tspeedup\tread serial\tread parallel\tspeedup\tRPCs/write serial->parallel")

@@ -12,20 +12,14 @@ import (
 // servers on both reads and writes, and the per-call RPC count drops from
 // one-per-unit to one-per-object.
 func TestStripeSweepParallelBeatsSerial(t *testing.T) {
-	opts := figures.StripeOpts{
-		Servers: []int{1, 2, 4},
-		Units:   []int64{256 << 10},
-		FileMB:  8,
-		Trials:  1,
-	}
-	res, err := figures.StripeSweep(opts)
+	res, err := figures.StripeSweep(figures.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 3 {
-		t.Fatalf("got %d points, want 3", len(res.Points))
+	if len(res.Points) != 5 {
+		t.Fatalf("got %d points, want 5", len(res.Points))
 	}
-	units := float64((int64(opts.FileMB) << 20) / (256 << 10))
+	units := float64((res.FileMB << 20) / res.Points[0].Unit)
 	for _, pt := range res.Points {
 		if pt.SerialRPCs != units {
 			t.Errorf("servers=%d: serial path used %.0f RPCs per write, want %.0f (one per unit)",
@@ -57,7 +51,7 @@ func TestStripeSweepParallelBeatsSerial(t *testing.T) {
 	var buf bytes.Buffer
 	res.Render(&buf)
 	out := buf.String()
-	for _, want := range []string{"speedup", "RPCs/write", "256KiB"} {
+	for _, want := range []string{"speedup", "RPCs/write", "1024KiB"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}

@@ -48,7 +48,8 @@ import (
 var ErrBadLayout = stripe.ErrBadLayout
 
 // Options tune a file system instance. StripeUnit, Stripes, Scheme and
-// Copies persist in the superblock; Serial is a per-mount runtime knob.
+// Copies persist in the superblock; Serial is a per-mount runtime knob that
+// changes only how WriteAt and ReadAt move data.
 type Options struct {
 	StripeUnit int64 // bytes per stripe chunk (default 1 MiB)
 	Stripes    int   // data columns per file (default: as many as servers allow)
@@ -979,18 +980,9 @@ func (f *File) readSerial(p *sim.Proc, off, length int64) (netsim.Payload, error
 }
 
 // Sync flushes every storage server holding part of the file. The
-// per-target Sync RPCs fan out concurrently (serially in Serial mode).
+// per-target Sync RPCs fan out concurrently, in Serial mode too.
 func (f *File) Sync(p *sim.Proc) error {
-	targets := f.l.Targets()
-	if f.fs.opts.Serial {
-		for _, t := range targets {
-			if err := f.fs.c.Sync(p, t, f.fs.caps); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return f.fs.eng.SyncTargets(p, targets)
+	return f.fs.eng.SyncTargets(p, f.l.Targets())
 }
 
 // Close persists metadata if needed.
