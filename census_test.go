@@ -53,9 +53,6 @@ var censusKept = map[string]string{
 	"storage.Config.DisableCapCache": "ablation arm of the root BenchmarkAblationCapCache",
 	"netsim.FaultSpec.Start":         "fault-injection window",
 	"netsim.FaultSpec.End":           "fault-injection window",
-	"qos.Config.Weights":             "fair-share tests need unequal tenants",
-	"qos.Config.Quantum":             "DRR tests size the quantum against their requests",
-	"qos.Config.TenantBps":           "token-bucket tests set a per-tenant rate",
 	"lwfspfs.Options.Stripes":        "tests pin a narrow stripe on a wide cluster; Mount reads it from the superblock",
 	"figures.ReplayOpts.Traces":      "replay_test replays one trace of the three",
 }

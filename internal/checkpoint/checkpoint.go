@@ -548,7 +548,7 @@ func dumpLWFS(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, rank,
 // degenerates to the plain happy path.
 func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, prefer int, payload netsim.Payload, doSync bool, t *ProcTimes) (storage.ObjRef, error) {
 	var ref storage.ObjRef // each try's create; the last one landed if Walk succeeds
-	err := core.Walk(core.Rotate(c.Servers(), prefer), 1, h.down, nil,
+	err := core.Walk(c.Servers(), prefer, 1, h.down, nil,
 		func(tgt storage.Target) (err error) {
 			t0 := p.Now()
 			if ref, err = c.CreateObjectTxn(p, tgt, caps, h.tx); err != nil {

@@ -38,20 +38,75 @@ func TestFailoverPredicate(t *testing.T) {
 	}
 }
 
+// TestFailoverRotate: a walk from start visits "start, start+1, …" modulo the
+// list — the order a copy of the list rotated left by start gives — for
+// every start of either sign, and yields each candidate's index in the list.
 func TestFailoverRotate(t *testing.T) {
 	s := []int{0, 1, 2, 3}
-	for start, want := range map[int][]int{0: {0, 1, 2, 3}, 1: {1, 2, 3, 0}, 4: {0, 1, 2, 3}, 7: {3, 0, 1, 2},
-		// Any int is a rotation: a hash may be negative, a sum may have wrapped.
-		-1: {3, 0, 1, 2}, -6: {2, 3, 0, 1}, math.MinInt64: {0, 1, 2, 3}, math.MaxInt64: {3, 0, 1, 2}} {
-		if got := core.Rotate(s, start); !reflect.DeepEqual(got, want) {
-			t.Errorf("Rotate(%d) = %v, want %v", start, got, want)
+	n := len(s)
+	rotated := func(start int) []int {
+		r := (start%n + n) % n
+		return slices.Concat(s[r:], s[:r])
+	}
+	visits := func(start int) (order []int) {
+		for i, c := range core.Candidates(s, start, nil, nil) {
+			if s[i] != c {
+				t.Fatalf("start %d: yielded index %d for candidate %d", start, i, c)
+			}
+			order = append(order, c)
+		}
+		return order
+	}
+	walks := func(start int) (order []int) {
+		core.Walk(s, start, n, nil, nil, func(c int) error { order = append(order, c); return nil }, nil) //nolint:errcheck
+		return order
+	}
+	for start := -2 * n; start <= 2*n; start++ {
+		want := rotated(start)
+		if got := visits(start); !reflect.DeepEqual(got, slices.Concat(want, want)) {
+			t.Errorf("Candidates from %d = %v, want %v twice", start, got, want)
+		}
+		if got := walks(start); !reflect.DeepEqual(got, want) {
+			t.Errorf("Walk from %d = %v, want %v", start, got, want)
 		}
 	}
-	if got := core.Rotate([]int(nil), 3); len(got) != 0 {
-		t.Errorf("Rotate(nil) = %v", got)
+	for start, want := range map[int][]int{0: {0, 1, 2, 3}, 1: {1, 2, 3, 0}, 4: {0, 1, 2, 3}, 7: {3, 0, 1, 2},
+		// Any int is a start: a hash may be negative, a sum may have wrapped.
+		-1: {3, 0, 1, 2}, -6: {2, 3, 0, 1}, math.MinInt64: {0, 1, 2, 3}, math.MaxInt64: {3, 0, 1, 2}} {
+		if got := walks(start); !reflect.DeepEqual(got, want) {
+			t.Errorf("Walk from %d = %v, want %v", start, got, want)
+		}
 	}
 	if !reflect.DeepEqual(s, []int{0, 1, 2, 3}) {
-		t.Errorf("Rotate modified its input: %v", s)
+		t.Errorf("a walk moved its candidates: %v", s)
+	}
+	for range core.Candidates([]int(nil), 3, nil, nil) {
+		t.Error("an empty list yielded a candidate")
+	}
+}
+
+// A healthy placement walk over a large cluster allocates nothing: no copy
+// of the server list, whatever the start.
+func TestFailoverWalkAllocatesNothing(t *testing.T) {
+	servers := make([]storage.Target, 256)
+	for i := range servers {
+		servers[i] = storage.Target{Node: netsim.NodeID(i + 1), Port: 1}
+	}
+	var placed []storage.Target
+	start := 0
+	n := testing.AllocsPerRun(100, func() {
+		start += 97
+		placed = placed[:0]
+		if err := core.Walk(servers, start, 3,
+			func(tg storage.Target) bool { return tg.Node == 5 },
+			func(tg storage.Target) bool { return slices.Contains(placed, tg) },
+			func(tg storage.Target) error { placed = append(placed, tg); return nil },
+			nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("a healthy walk over %d servers allocated %.0f times", len(servers), n)
 	}
 }
 
@@ -76,7 +131,7 @@ func TestFailoverCandidateOrder(t *testing.T) {
 		return func(c string) bool { return slices.Contains(set, c) }
 	}
 	collect := func(cands []string, excluded, avoided func(string) bool, onVisit func(string)) (order []string, idx []int) {
-		for i, c := range core.Candidates(cands, excluded, avoided) {
+		for i, c := range core.Candidates(cands, 0, excluded, avoided) {
 			order, idx = append(order, c), append(idx, i)
 			if onVisit != nil {
 				onVisit(c)
@@ -123,7 +178,7 @@ func TestFailoverCandidateOrder(t *testing.T) {
 	})
 	t.Run("stops when the consumer does", func(t *testing.T) {
 		n := 0
-		for range core.Candidates(abcd, nil, nil) {
+		for range core.Candidates(abcd, 0, nil, nil) {
 			if n++; n == 2 {
 				break
 			}
@@ -171,7 +226,7 @@ func TestFailoverWalk(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var tried, failed []string
 			is := func(s string) func(string) bool { return func(c string) bool { return c == s } }
-			err := core.Walk([]string{"a", "b", "c", "d"}, tc.k, is(tc.excluded), is(tc.avoided),
+			err := core.Walk([]string{"a", "b", "c", "d"}, 0, tc.k, is(tc.excluded), is(tc.avoided),
 				func(c string) error {
 					tried = append(tried, c)
 					return tc.outcome[c]
@@ -195,7 +250,7 @@ func TestFailoverWalk(t *testing.T) {
 	}
 
 	t.Run("ran out with every candidate excluded", func(t *testing.T) {
-		err := core.Walk([]string{"a"}, 1, func(string) bool { return true }, nil,
+		err := core.Walk([]string{"a"}, 0, 1, func(string) bool { return true }, nil,
 			func(string) error { t.Error("tried an excluded candidate"); return nil }, nil)
 		if !errors.Is(err, core.ErrRanOut) || portals.FailStop(err) {
 			t.Errorf("err = %v, want bare ErrRanOut", err)

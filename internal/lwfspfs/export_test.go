@@ -2,6 +2,10 @@ package lwfspfs
 
 import "lwfs/internal/stripe"
 
+// PathHash is the hash Create and fill place a file's objects by: object idx
+// of the file at path starts its walk at Server(PathHash(path)+idx).
+var PathHash = pathHash
+
 // SetLayoutForTest swaps f's in-memory layout and marks it dirty so the
 // next Close rewrites the metadata object. Regression tests use it to
 // force a metadata rewrite whose encoding is shorter than the one on disk

@@ -2,6 +2,7 @@ package lwfspfs_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
 	"lwfs/internal/stripe"
+	"lwfs/internal/testrig"
 	"lwfs/internal/txn"
 )
 
@@ -352,6 +354,81 @@ func TestWriteIntoHoleAfterCrash(t *testing.T) {
 				}
 				if err := fs.Rebuild(p, "/f", dead, nil); err != nil {
 					t.Fatalf("rebuild: %v", err)
+				}
+			})
+			run(t, cl)
+		})
+	}
+}
+
+// A create whose column 0 hashes onto a dead server walks past it as a write
+// into a hole does, under every scheme: no object or record lands on the
+// dead server, a single record sits on the server column 0 moved to, and
+// the file writes and reads back. Each chaos seed kills another server.
+func TestCreateFailoverPastDeadServer(t *testing.T) {
+	seed := testrig.SeedFromEnv(1)
+	for _, tc := range []struct {
+		name string
+		opts lwfspfs.Options
+	}{
+		{"raid0", lwfspfs.Options{StripeUnit: 64 << 10}},
+		{"replica", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica, Copies: 2}},
+		{"parity", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Parity}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, l := smallCluster()
+			c := cl.NewClient(l, 0)
+			c.SetRetry(pfsRetry, 81+seed)
+			cl.Spawn("app", func(p *sim.Proc) {
+				c.Login(p, "alice", "pa")
+				fs, err := lwfspfs.Format(p, c, "/vol", tc.opts)
+				if err != nil {
+					t.Fatalf("format: %v", err)
+				}
+				dead := c.Servers()[int(seed)%len(c.Servers())]
+				path := ""
+				for i := 0; path == ""; i++ {
+					if name := fmt.Sprintf("/f%d", i); c.Server(lwfspfs.PathHash(name)) == dead {
+						path = name
+					}
+				}
+				crashTarget(l, dead)
+				noneOnDead := func(when string, f *lwfspfs.File) {
+					for i, o := range f.Layout().Objs {
+						if !stripe.IsHole(o) && storage.TargetOf(o) == dead {
+							t.Fatalf("%s: object %d on the dead server", when, i)
+						}
+					}
+					for _, r := range f.MetaRefs() {
+						if storage.TargetOf(r) == dead {
+							t.Fatalf("%s: a metadata record on the dead server", when)
+						}
+					}
+				}
+				f, err := fs.Create(p, path)
+				if err != nil {
+					t.Fatalf("create with column 0's server dead: %v", err)
+				}
+				noneOnDead("create", f)
+				if tc.opts.Scheme == stripe.Raid0 {
+					if rec, col0 := storage.TargetOf(f.MetaRefs()[0]), storage.TargetOf(f.Layout().Objs[0]); rec != col0 {
+						t.Fatalf("the record sits on %v, column 0 moved to %v", rec, col0)
+					}
+				}
+				data := randomBytes(300_000, 11)
+				if _, err := f.WriteAt(p, 0, payloadOf(data)); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+				if err := f.Close(p); err != nil {
+					t.Fatalf("close: %v", err)
+				}
+				g, err := fs.Open(p, path)
+				if err != nil {
+					t.Fatalf("open: %v", err)
+				}
+				noneOnDead("write", g)
+				if got, err := g.ReadAt(p, 0, int64(len(data))); err != nil || !bytes.Equal(got.Data, data) {
+					t.Fatalf("read back: %v", err)
 				}
 			})
 			run(t, cl)

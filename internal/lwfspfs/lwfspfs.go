@@ -396,97 +396,65 @@ func (f *File) MetaRefs() []storage.ObjRef {
 // to read the layout record.
 func (f *File) Degraded() bool { return f.degraded }
 
-// Create makes a new file: column 0's data objects — every replica copy,
-// and the parity object under Parity — placed round-robin from a
-// path-derived starting server (a simple distribution policy; applications
-// can mount with Stripes=1 and do their own), the metadata mirrors, and a
-// naming entry — all inside one distributed transaction, so a crashed
-// create leaves no debris. Every other column starts as a hole and gets its
-// objects when a write first lands in it (WriteAt). Object idx of the layout
-// is placed at Server(pathHash+idx) either way, so copy c of column i (and
-// the parity object) each get their own server when the cluster is big
-// enough.
+// Create makes a new file inside one distributed transaction, so a crashed
+// create leaves no debris: column 0's data objects — every replica copy,
+// and the parity object under Parity — placed by placeHoles exactly as a
+// write places a hole's, the metadata records placed by placeRecords, and
+// the naming entry. Every other column starts as a hole and gets its
+// objects when a write first lands in it (WriteAt).
+//
+// The records walk starts just past the rotation slots the data objects
+// occupy, so they sit skewed from the data columns. While the cluster has a
+// server per record, the records take distinct servers and column 0's
+// server is tried last: a file's layout record and its first data column
+// share no fate domain on clusters with room to spare. A smaller cluster
+// doubles up. A single record (MetaCopies 1) sits on the server column 0
+// landed on.
 func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
-	tx := fs.c.BeginTxn()
 	l := stripe.Layout{Unit: fs.opts.StripeUnit, Scheme: fs.opts.Scheme,
 		Objs: make([]storage.ObjRef, fs.opts.objectsPerFile())}
 	if fs.opts.Scheme == stripe.Replica {
 		l.Copies = fs.opts.Copies
 	}
-	base := pathHash(path)
-	for i := range l.Objs {
-		// Copy c of column 0 sits at c*Stripes, the parity object at Stripes.
-		if i%fs.opts.Stripes != 0 {
-			continue
-		}
-		ref, err := fs.c.CreateObjectTxn(p, fs.c.Server(base+i), fs.caps, tx)
-		if err != nil {
-			tx.Abort(p) //nolint:errcheck
-			return nil, err
-		}
-		l.Objs[i] = ref
+	var col0 []int // copy c of column 0 sits at c*Stripes, the parity object at Stripes
+	for i := 0; i < len(l.Objs); i += fs.opts.Stripes {
+		col0 = append(col0, i)
 	}
-	var mdRefs []storage.ObjRef
-	for _, t := range fs.placeMeta(base) {
-		ref, err := fs.c.CreateObjectTxn(p, t, fs.caps, tx)
-		if err != nil {
-			tx.Abort(p) //nolint:errcheck
-			return nil, err
+	m, servers := fs.opts.MetaCopies, fs.c.Servers()
+	pl := &placement{tx: fs.c.BeginTxn(), ours: make([]storage.ObjRef, 0, len(col0)+m)}
+	err := fs.placeHoles(p, pl, path, l, col0)
+	var enc []byte
+	if err == nil {
+		enc = l.Encode()
+		home, room := storage.TargetOf(l.Objs[0]), len(servers) >= m
+		start := pathHash(path) + len(l.Objs)
+		if m == 1 {
+			start = slices.Index(servers, home)
 		}
-		mdRefs = append(mdRefs, ref)
+		taken := func(t storage.Target) bool { return holds(pl.ours[len(col0):], t) }
+		err = fs.placeRecords(p, pl, enc, servers, start, m,
+			func(t storage.Target) bool { return pl.isDead(t) || room && taken(t) },
+			func(t storage.Target) bool { return taken(t) || room && m > 1 && t == home })
 	}
-	enc := l.Encode()
-	for _, ref := range mdRefs {
-		if _, err := fs.c.Write(p, ref, fs.caps, 0, netsim.BytesPayload(enc)); err != nil {
-			tx.Abort(p) //nolint:errcheck
-			return nil, err
-		}
+	if err == nil {
+		err = fs.c.CreateNameRefs(p, fs.full(path), pl.ours[len(col0):], pl.tx)
 	}
-	if err := fs.c.CreateNameRefs(p, fs.full(path), mdRefs, tx); err != nil {
-		tx.Abort(p) //nolint:errcheck
+	if err != nil {
+		pl.tx.Abort(p) //nolint:errcheck
 		return nil, err
 	}
-	if err := tx.Commit(p); err != nil {
+	if err := pl.tx.Commit(p); err != nil {
 		return nil, err
 	}
 	// The naming entry keeps placement order; the handle walks it rotated
 	// by this client's id, matching what the client's own Open would do, so
 	// MetaRefs()[0] is the same mirror either way a handle was obtained.
-	mdRefs = core.Rotate(mdRefs, fs.mirrorStart(len(mdRefs)))
+	mdRefs := pl.ours[len(col0):]
+	if s := fs.mirrorStart(m); s > 0 {
+		mdRefs = slices.Concat(mdRefs[s:], mdRefs[:s])
+	}
 	return &File{fs: fs, path: path, mdRefs: mdRefs,
 		stale: make([]bool, len(mdRefs)), l: l, mdLen: int64(len(enc))}, nil
-}
-
-// placeMeta picks the servers for a file's metadata mirrors. The walk
-// starts just past the rotation slots the data objects occupy, so the
-// mirrors sit skewed from the data columns, and column 0's server — where
-// the single metadata object historically lived, the mount's last single
-// point of failure — is avoided while any other distinct server exists, so
-// a file's layout record and its first data column never share a fate
-// domain on clusters with room to spare. Mirrors land on distinct servers
-// whenever the cluster has enough of them; smaller clusters wrap.
-func (fs *FS) placeMeta(base int) []storage.Target {
-	m := fs.opts.MetaCopies
-	if m <= 1 {
-		// Legacy single-record placement: column 0's server.
-		return []storage.Target{fs.c.Server(base)}
-	}
-	col0 := fs.c.Server(base)
-	used := make(map[storage.Target]bool, m)
-	var out []storage.Target
-	for _, t := range core.Candidates(core.Rotate(fs.c.Servers(), base+fs.opts.objectsPerFile()),
-		func(t storage.Target) bool { return used[t] },
-		func(t storage.Target) bool { return t == col0 }) {
-		if len(out) == m {
-			break
-		}
-		used[t] = true
-		out = append(out, t)
-	}
-	for len(out) < m { // cluster smaller than the mirror count
-		out = append(out, fs.c.Server(base+len(out)))
-	}
-	return out
 }
 
 // Open opens an existing file, reading its layout record from the first
@@ -508,7 +476,7 @@ func (fs *FS) Open(p *sim.Proc, path string) (*File, error) {
 	}
 	all := e.AllRefs()
 	start := fs.mirrorStart(len(all))
-	refs := core.Rotate(all, start)
+	refs := slices.Concat(all[start:], all[:start])
 	l, n, skipped, err := fs.readRecord(p, path, refs)
 	if err != nil {
 		return nil, err
@@ -692,54 +660,25 @@ func (f *File) rehomeMeta(p *sim.Proc, dead storage.Target, spares []storage.Tar
 		return fmt.Errorf("lwfspfs: no live metadata mirror of %s to rebuild from: %w",
 			f.path, stripe.ErrUnrecoverable)
 	}
-	used := make(map[storage.Target]bool, len(keep))
-	for _, ref := range keep {
-		used[storage.TargetOf(ref)] = true
-	}
-	tx := f.fs.c.BeginTxn()
-	refs := append([]storage.ObjRef(nil), keep...)
-	enc := f.l.Encode()
 	// Prefer spares that host no surviving mirror; double up only when the
-	// cluster is too small for independence. A spare that stops answering —
-	// at the create, or between the create and the record write — is skipped
-	// (it may have died alongside dead) and delisted: it may already be
-	// enlisted, a dead participant would veto the commit, and its provisional
-	// object resolves by presumed abort. One that already holds a replacement
-	// of this re-home stays enlisted, so its failed prepare aborts the re-home
-	// loudly instead of committing a ref to an object the abort deletes.
-	err := core.Walk(spares, need,
+	// spares are too few for independence.
+	pl := &placement{tx: f.fs.c.BeginTxn()}
+	err := f.fs.placeRecords(p, pl, f.l.Encode(), spares, 0, need,
 		func(t storage.Target) bool { return t == dead },
-		func(t storage.Target) bool { return used[t] },
-		func(t storage.Target) error {
-			ref, err := f.fs.c.CreateObjectTxn(p, t, f.fs.caps, tx)
-			if err != nil {
-				return err
-			}
-			if _, err := f.fs.c.Write(p, ref, f.fs.caps, 0, netsim.BytesPayload(enc)); err != nil {
-				return err
-			}
-			used[t] = true
-			refs = append(refs, ref)
-			f.fs.metaRehomed.Inc()
-			return nil
-		},
-		func(t storage.Target) {
-			placed := func(r storage.ObjRef) bool { return storage.TargetOf(r) == t }
-			if !slices.ContainsFunc(refs[len(keep):], placed) {
-				tx.Delist(core.TxnEndpointOf(t))
-			}
-		})
+		func(t storage.Target) bool { return holds(keep, t) || holds(pl.ours, t) })
+	f.fs.metaRehomed.Add(int64(len(pl.ours)))
 	// Running out of spares is not an error: the set is topped up as far
 	// as the live spares allow and the next Rebuild tries again.
 	if err != nil && !errors.Is(err, core.ErrRanOut) {
-		tx.Abort(p) //nolint:errcheck
+		pl.tx.Abort(p) //nolint:errcheck
 		return err
 	}
-	if err := f.fs.c.SetNameRefs(p, f.fs.full(f.path), refs, tx); err != nil {
-		tx.Abort(p) //nolint:errcheck
+	refs := append(keep, pl.ours...)
+	if err := f.fs.c.SetNameRefs(p, f.fs.full(f.path), refs, pl.tx); err != nil {
+		pl.tx.Abort(p) //nolint:errcheck
 		return err
 	}
-	if err := tx.Commit(p); err != nil {
+	if err := pl.tx.Commit(p); err != nil {
 		return err
 	}
 	f.mdRefs = refs
@@ -815,13 +754,11 @@ func (f *File) WriteAt(p *sim.Proc, off int64, payload netsim.Payload) (int64, e
 const allocTries = 2
 
 // fill allocates every hole column the range [off, off+n) touches, under
-// the caller's exclusive lock, with a layout WriteAt made current. One
+// the caller's exclusive lock, with a layout WriteAt made current: one
 // transaction creates every missing object of those columns — all copies —
-// each at Server(pathHash+idx) like Create's, or, when that target fails
-// fail-stop at the create, on the next live server in the rotation,
-// preferring one that holds no other member of the object's redundancy group. A commit that
-// fails (a target that died after its create) aborts the transaction, and
-// the allocation runs again without the targets found dead so far.
+// through placeHoles. A commit that fails (a target that died after its
+// create) aborts the transaction, and the allocation runs again without the
+// targets found dead so far.
 //
 // The committed objects enter f.l and mark it dirty; WriteAt's flush names
 // them in the layout record only after the data write. A record therefore
@@ -830,13 +767,16 @@ const allocTries = 2
 // space, never a dangling ref.
 func (f *File) fill(p *sim.Proc, off, n int64) error {
 	idxs := f.l.Missing(off, n)
-	var dead []storage.Target
+	pl := &placement{}
 	for try := 1; ; try++ {
-		l, tx, err := f.placeHoles(p, idxs, &dead)
-		if err != nil {
+		l := f.l
+		l.Objs = slices.Clone(f.l.Objs)
+		pl.tx, pl.ours = f.fs.c.BeginTxn(), pl.ours[:0]
+		if err := f.fs.placeHoles(p, pl, f.path, l, idxs); err != nil {
+			pl.tx.Abort(p) //nolint:errcheck
 			return err
 		}
-		err = tx.Commit(p)
+		err := pl.tx.Commit(p)
 		if err == nil {
 			f.l, f.dirty = l, true
 			return nil
@@ -847,43 +787,96 @@ func (f *File) fill(p *sim.Proc, off, n int64) error {
 	}
 }
 
-// placeHoles creates the objects at idxs inside a fresh transaction — the
-// creates fan out concurrently — and returns them patched into a copy of
-// f.l, with the transaction left for the caller to commit. Targets that fail
-// fail-stop are added to dead and delisted unless they already hold one of
-// the transaction's objects — then the failed prepare aborts it instead of
-// committing a ref the abort removes.
-func (f *File) placeHoles(p *sim.Proc, idxs []int, dead *[]storage.Target) (stripe.Layout, *txn.Txn, error) {
-	fs := f.fs
-	l := f.l
-	l.Objs = slices.Clone(f.l.Objs)
-	tx := fs.c.BeginTxn()
-	base := pathHash(f.path)
-	err := stripe.FanOut(p, "lwfspfs/alloc", len(idxs), stripe.DefaultWindow, func(wp *sim.Proc, k int) error {
-		idx := idxs[k]
-		return core.Walk(core.Rotate(fs.c.Servers(), base+idx), 1,
-			func(t storage.Target) bool { return slices.Contains(*dead, t) },
-			func(t storage.Target) bool { return l.Related(idx, t) },
-			func(t storage.Target) error {
-				ref, err := fs.c.CreateObjectTxn(wp, t, fs.caps, tx)
-				if err == nil {
-					l.Objs[idx] = ref
-				}
-				return err
-			},
-			func(t storage.Target) {
-				*dead = append(*dead, t)
-				placed := func(j int) bool { return !stripe.IsHole(l.Objs[j]) && storage.TargetOf(l.Objs[j]) == t }
-				if !slices.ContainsFunc(idxs, placed) {
-					tx.Delist(core.TxnEndpointOf(t))
-				}
-			})
-	})
-	if err != nil {
-		tx.Abort(p) //nolint:errcheck
-		return stripe.Layout{}, nil, fmt.Errorf("lwfspfs: allocate %s: %w", f.path, err)
+// placement is one transaction's object creation. Every object of a file is
+// made inside one, by placeHoles (data objects) or placeRecords (metadata
+// records).
+type placement struct {
+	tx   *txn.Txn
+	dead []storage.Target // failed fail-stop; no walk of this placement offers them again
+	ours []storage.ObjRef // the objects tx names once it commits
+}
+
+func (pl *placement) isDead(t storage.Target) bool { return slices.Contains(pl.dead, t) }
+
+// failed is the placement walks' one delist rule, for a target that failed
+// fail-stop. It may already be enlisted in the transaction, and a dead
+// participant would veto the commit, so it is delisted and its provisional
+// object resolves by presumed abort — unless it already holds one of the
+// transaction's objects: then its failed prepare aborts the transaction
+// loudly instead of committing a ref the abort removes.
+func (pl *placement) failed(t storage.Target) {
+	pl.dead = append(pl.dead, t)
+	if !holds(pl.ours, t) {
+		pl.tx.Delist(core.TxnEndpointOf(t))
 	}
-	return l, tx, nil
+}
+
+// holds reports whether one of refs sits on t.
+func holds(refs []storage.ObjRef, t storage.Target) bool {
+	return slices.ContainsFunc(refs, func(r storage.ObjRef) bool { return storage.TargetOf(r) == t })
+}
+
+// placeHoles is the one walk that creates data objects: it creates the
+// objects at idxs in the placement's transaction — the creates fan out
+// concurrently — and patches them into l.Objs. Object idx goes to
+// Server(pathHash+idx), so copy c of column i and the parity object each
+// get their own server when the cluster is big enough. When that target
+// fails fail-stop at the create, the object goes to the next live server in
+// the rotation, preferring one that holds no other member of its redundancy
+// group.
+func (fs *FS) placeHoles(p *sim.Proc, pl *placement, path string, l stripe.Layout, idxs []int) error {
+	base := pathHash(path)
+	var err error
+	if len(idxs) == 1 {
+		// One object (every RAID-0 create): nothing to fan out, and no
+		// worker closure to allocate.
+		err = fs.placeHole(p, pl, l, idxs[0], base)
+	} else {
+		err = stripe.FanOut(p, "lwfspfs/alloc", len(idxs), stripe.DefaultWindow, func(wp *sim.Proc, k int) error {
+			return fs.placeHole(wp, pl, l, idxs[k], base)
+		})
+	}
+	if err != nil {
+		return fmt.Errorf("lwfspfs: allocate %s: %w", path, err)
+	}
+	return nil
+}
+
+// placeHole creates object idx of l, walking the rotation from
+// Server(base+idx).
+func (fs *FS) placeHole(p *sim.Proc, pl *placement, l stripe.Layout, idx, base int) error {
+	return core.Walk(fs.c.Servers(), base+idx, 1, pl.isDead,
+		func(t storage.Target) bool { return l.Related(idx, t) },
+		func(t storage.Target) error {
+			ref, err := fs.c.CreateObjectTxn(p, t, fs.caps, pl.tx)
+			if err == nil {
+				l.Objs[idx] = ref
+				pl.ours = append(pl.ours, ref)
+			}
+			return err
+		},
+		pl.failed)
+}
+
+// placeRecords is the one walk that creates metadata records: need objects
+// created in the placement's transaction, each on the next candidate
+// core.Walk offers from cands[start] and written with enc before the walk
+// moves on. A candidate that fails fail-stop, at the create or at the
+// write, is given up on (placement.failed). The records join pl.ours in
+// placement order.
+func (fs *FS) placeRecords(p *sim.Proc, pl *placement, enc []byte, cands []storage.Target, start, need int, excluded, avoided func(storage.Target) bool) error {
+	return core.Walk(cands, start, need, excluded, avoided,
+		func(t storage.Target) error {
+			ref, err := fs.c.CreateObjectTxn(p, t, fs.caps, pl.tx)
+			if err == nil {
+				_, err = fs.c.Write(p, ref, fs.caps, 0, netsim.BytesPayload(enc))
+			}
+			if err == nil {
+				pl.ours = append(pl.ours, ref)
+			}
+			return err
+		},
+		pl.failed)
 }
 
 // writeSerial is the historical transfer path: one RPC per stripe unit, in

@@ -81,10 +81,9 @@ type Delivery struct {
 // ErrOverload) which is sent straight back to the caller without consuming a
 // service thread. The server wakes one service thread per admitted delivery,
 // and that thread calls Next: the dispatcher picks which queued delivery it
-// gets (fair-share, priority), sleeping the thread only while everything
-// queued is rate-limited, and answers with the zero Delivery when the queue
-// was cleared in the meantime. Len reports queued deliveries; Clear discards
-// them all (server crash) and returns how many were dropped.
+// gets (fair-share, priority), and answers with the zero Delivery when the
+// queue was cleared in the meantime. Len reports queued deliveries; Clear
+// discards them all (server crash) and returns how many were dropped.
 type Dispatcher interface {
 	Submit(d Delivery) error
 	Next(p *sim.Proc) Delivery

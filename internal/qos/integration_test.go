@@ -67,8 +67,8 @@ func newTenantSession(t *testing.T, p *sim.Proc, r *testrig.Rig, node int, user 
 func TestQoSFairShareStress(t *testing.T) {
 	const (
 		kb      = int64(1) << 10
-		quantum = 64 * kb
-		procs   = 6 // writer procs per tenant
+		quantum = 256 * kb // the admission's DRR quantum
+		procs   = 6        // writer procs per tenant
 	)
 	// Per-tenant request sizes; counts keep total bytes equal (6 MiB each).
 	sizes := []int64{256 * kb, 128 * kb, 64 * kb}
@@ -79,7 +79,7 @@ func TestQoSFairShareStress(t *testing.T) {
 	r := testrig.New(5)
 	cfg := storage.DefaultConfig()
 	cfg.Threads = 2 // deep admission queue: service is the bottleneck
-	cfg.QoS = &qos.Config{MaxQueue: 1024, Quantum: quantum}
+	cfg.QoS = &qos.Config{MaxQueue: 1024}
 	srv := r.StorageServer(1, cfg)
 	reg := r.Eps[1].Metrics()
 

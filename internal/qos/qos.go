@@ -1,8 +1,7 @@
 // Package qos is the multi-tenant quality-of-service layer: server-side
-// admission control (deficit-round-robin fair queues per tenant, byte-rate
-// token buckets, bounded depth with explicit shed, a strict-priority lane for
-// foreground traffic) and client-side circuit breakers with per-endpoint
-// health states.
+// admission control (deficit-round-robin fair queues per tenant, bounded
+// depth with explicit shed, a strict-priority lane for foreground traffic)
+// and client-side circuit breakers with per-endpoint health states.
 //
 // The paper's design pushes policy out of the storage servers; qos is where
 // the policy that CANNOT live anywhere else goes — arbitration between
@@ -18,7 +17,6 @@ package qos
 
 import (
 	"fmt"
-	"time"
 
 	"lwfs/internal/metrics"
 	"lwfs/internal/portals"
@@ -53,31 +51,19 @@ type Config struct {
 	// MaxQueue bounds total queued requests (all tenants, both classes).
 	// Submissions beyond it are shed with portals.ErrOverload. Default 256.
 	MaxQueue int
-
-	// Quantum is the DRR quantum in bytes — how much service credit a
-	// tenant earns per round-robin visit. A tenant with weight w earns
-	// w×Quantum. Default 256 KiB (a quarter of the 1 MiB chunk size, so
-	// one bulk write needs a few rounds and small ops interleave).
-	Quantum int64
-
-	// TenantBps caps each tenant's long-term admitted byte rate at
-	// weight×TenantBps (token bucket). 0 disables rate capping — DRR
-	// fairness alone arbitrates, and the system stays work-conserving.
-	TenantBps float64
-
-	// Weights assigns relative shares; tenants not listed get 1.0.
-	Weights map[Tenant]float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 256
 	}
-	if c.Quantum <= 0 {
-		c.Quantum = 256 << 10
-	}
 	return c
 }
+
+// quantum is the DRR quantum in bytes: the service credit every tenant
+// earns per round-robin visit. A quarter of the 1 MiB chunk size, so one
+// bulk write needs a few rounds and small ops interleave.
+const quantum = 256 << 10
 
 // minCost is the accounted cost of a request that carries no byte count
 // (control ops: stat, sync, list...). Charging them a nominal cost keeps a
@@ -90,26 +76,17 @@ type entry struct {
 	cost int64
 }
 
-// tq is one tenant's FIFO within one priority band, plus its DRR and
-// token-bucket state.
+// tq is one tenant's FIFO within one priority band, plus its DRR state.
 type tq struct {
 	tenant Tenant
-	weight float64
 	q      []entry
 
-	// DRR: deficit accumulates quantum×weight once per round-visit
-	// (granted marks that this visit's quantum has been credited, so a
-	// tenant that keeps dispatching from the head of the ring cannot earn
-	// more than one quantum per visit).
+	// DRR: deficit accumulates a quantum once per round-visit (granted
+	// marks that this visit's quantum has been credited, so a tenant that
+	// keeps dispatching from the head of the ring cannot earn more than one
+	// quantum per visit).
 	deficit int64
 	granted bool
-
-	// Token bucket, charge-negative form: tokens never exceed 0, each
-	// dispatch subtracts its cost, refill at weight×TenantBps climbs back
-	// toward 0. Eligible iff tokens >= 0 — so a tenant can overdraw by at
-	// most one request, then waits out the debt. No banked bursts.
-	tokens     float64
-	lastRefill sim.Time
 
 	admittedBytes *metrics.Counter
 	shedBytes     *metrics.Counter
@@ -124,13 +101,12 @@ type band struct {
 // Admission is a portals.Dispatcher enforcing per-tenant fair shares.
 // Foreground (class 0) requests strictly preempt background (class 1+):
 // the background band is scanned only when no foreground request is
-// dispatchable. Within a band, tenants share by deficit round-robin over
-// accounted bytes; optional token buckets cap each tenant's absolute rate.
+// dispatchable. Within a band, tenants share equally by deficit round-robin
+// over accounted bytes.
 //
 // All methods run on the simulation's single logical thread (portals
 // workers and the intake daemon are sim procs), so no locking.
 type Admission struct {
-	k     *sim.Kernel
 	cfg   Config
 	scope metrics.Scope
 
@@ -147,9 +123,8 @@ type Admission struct {
 // scope (conventionally `qos.<server-name>`): admitted, admitted_bytes,
 // shed, shed_bytes, queue_depth, and per-tenant
 // `tenant.<id>.{admitted_bytes,shed_bytes,queue_depth}`.
-func NewAdmission(k *sim.Kernel, scope metrics.Scope, cfg Config) *Admission {
+func NewAdmission(_ *sim.Kernel, scope metrics.Scope, cfg Config) *Admission {
 	a := &Admission{
-		k:     k,
 		cfg:   cfg.withDefaults(),
 		scope: scope,
 
@@ -163,13 +138,6 @@ func NewAdmission(k *sim.Kernel, scope metrics.Scope, cfg Config) *Admission {
 	}
 	scope.GaugeFunc("queue_depth", func() int64 { return int64(a.queued) })
 	return a
-}
-
-func (a *Admission) weightOf(t Tenant) float64 {
-	if w, ok := a.cfg.Weights[t]; ok && w > 0 {
-		return w
-	}
-	return 1
 }
 
 // classify extracts (tenant, cost) from a delivery body.
@@ -203,8 +171,6 @@ func (a *Admission) tqFor(b *band, t Tenant) *tq {
 		ts := a.tenantScope(t)
 		q = &tq{
 			tenant:        t,
-			weight:        a.weightOf(t),
-			lastRefill:    a.k.Now(),
 			admittedBytes: ts.Counter("admitted_bytes"),
 			shedBytes:     ts.Counter("shed_bytes"),
 		}
@@ -234,84 +200,40 @@ func (a *Admission) Submit(d portals.Delivery) error {
 	return nil
 }
 
-// Next implements portals.Dispatcher: return the queued delivery the
-// fair-share and rate policy dispatches next, or the zero Delivery when
-// nothing is queued any more (Clear raced a sleeping worker).
-func (a *Admission) Next(p *sim.Proc) portals.Delivery {
-	for a.queued > 0 {
-		d, ok, wait := a.pick()
-		if ok {
-			return d
-		}
-		// Everything queued is rate-limited; sleep until the earliest
-		// bucket refills and retry.
-		if wait <= 0 {
-			wait = time.Millisecond
-		}
-		p.Sleep(wait)
-	}
-	return portals.Delivery{}
-}
-
-// pick runs one strict-priority + DRR selection pass. Returns the chosen
-// delivery, or (ok=false, wait>0) if every queued tenant is bucket-blocked —
-// wait is the shortest time until one becomes eligible.
-func (a *Admission) pick() (portals.Delivery, bool, time.Duration) {
-	now := a.k.Now()
-	minWait := time.Duration(0)
+// Next implements portals.Dispatcher: it dispatches the queued delivery
+// strict priority and deficit round-robin pick, or returns the zero Delivery
+// when nothing is queued any more (Clear ran since the service thread was
+// woken).
+func (a *Admission) Next(*sim.Proc) portals.Delivery {
 	for _, b := range a.bands {
-		if len(b.active) == 0 {
-			continue
-		}
 		// DRR over the active ring. Terminates: each full lap either
-		// dispatches, or every tenant is bucket-blocked (we bail with a
-		// wait hint), or deficits grew by a quantum — and lapsNeeded is
-		// bounded by maxCost/quantum.
-		blocked := 0
-		for scanned := 0; len(b.active) > 0; {
+		// dispatches or grows every deficit by a quantum, and no request
+		// costs more than a bounded number of quanta.
+		for len(b.active) > 0 {
 			q := b.active[0]
-			if w := q.refillWait(now, a.cfg.TenantBps); w > 0 {
-				// Rate-capped: rotate without granting a quantum.
-				if minWait == 0 || w < minWait {
-					minWait = w
-				}
-				b.rotate()
-				blocked++
-				scanned++
-				if scanned >= len(b.active) && blocked >= len(b.active) {
-					break // whole band is bucket-blocked
-				}
-				continue
-			}
 			if !q.granted {
-				q.deficit += int64(float64(a.cfg.Quantum) * q.weight)
+				q.deficit += quantum
 				q.granted = true
 			}
 			head := q.q[0]
 			if q.deficit >= head.cost {
-				return a.dispatch(b, q, head), true, 0
+				return a.dispatch(b, q, head)
 			}
 			// Not enough credit this visit; back of the ring, and the
 			// next visit grants a fresh quantum.
 			q.granted = false
 			b.rotate()
-			scanned++
-			blocked = 0
-			continue
 		}
 	}
-	return portals.Delivery{}, false, minWait
+	return portals.Delivery{}
 }
 
-// dispatch pops the head of q, charges DRR deficit and the token bucket,
-// and updates accounting. q stays at the head of the ring while its deficit
+// dispatch pops the head of q, charges its DRR deficit, and updates
+// accounting. q stays at the head of the ring while its deficit
 // covers more work (granted stays true: no extra quantum for staying).
 func (a *Admission) dispatch(b *band, q *tq, head entry) portals.Delivery {
 	q.q = q.q[1:]
 	q.deficit -= head.cost
-	if a.cfg.TenantBps > 0 {
-		q.tokens -= float64(head.cost)
-	}
 	a.queued--
 	a.admitted.Inc()
 	a.admittedBytes.Add(head.cost)
@@ -324,26 +246,6 @@ func (a *Admission) dispatch(b *band, q *tq, head entry) portals.Delivery {
 		b.active = b.active[1:]
 	}
 	return head.d
-}
-
-// refillWait refills q's token bucket up to now and reports how long until
-// the tenant is eligible (0 = eligible now).
-func (q *tq) refillWait(now sim.Time, bps float64) time.Duration {
-	if bps <= 0 {
-		return 0
-	}
-	rate := bps * q.weight
-	if now > q.lastRefill {
-		q.tokens += rate * now.Sub(q.lastRefill).Seconds()
-		if q.tokens > 0 {
-			q.tokens = 0
-		}
-		q.lastRefill = now
-	}
-	if q.tokens >= 0 {
-		return 0
-	}
-	return time.Duration(-q.tokens / rate * float64(time.Second))
 }
 
 func (b *band) rotate() {

@@ -51,17 +51,17 @@ func submit(t *testing.T, a *qos.Admission, class uint8, tenant uint64, bytes in
 	}
 }
 
-// TestQoSDRRFairness: two equal-weight tenants, one of which submitted its
+// TestQoSDRRFairness: two tenants, one of which submitted its
 // whole backlog first, must receive byte-equal service over every prefix of
 // the dispatch sequence (within one quantum plus one max request) — the
 // point of DRR over FIFO.
 func TestQoSDRRFairness(t *testing.T) {
 	const (
-		quantum = 64 * kb
+		quantum = 256 * kb // the admission's DRR quantum
 		reqSize = 128 * kb
 		nReqs   = 40
 	)
-	r := newAdmRig(qos.Config{MaxQueue: 1024, Quantum: quantum})
+	r := newAdmRig(qos.Config{MaxQueue: 1024})
 	r.run(t, func(p *sim.Proc) {
 		// Worst case for fairness: tenant 1's entire backlog queued before
 		// tenant 2's first request.
@@ -84,40 +84,6 @@ func TestQoSDRRFairness(t *testing.T) {
 		}
 		if r.a.Len() != 0 {
 			t.Fatalf("queue not drained: %d left", r.a.Len())
-		}
-	})
-}
-
-// TestQoSWeightedShares: a weight-3 tenant gets ~3x the bytes of a weight-1
-// tenant while both are backlogged.
-func TestQoSWeightedShares(t *testing.T) {
-	const (
-		reqSize = 128 * kb
-		nReqs   = 40
-	)
-	r := newAdmRig(qos.Config{
-		MaxQueue: 1024,
-		Quantum:  64 * kb,
-		Weights:  map[qos.Tenant]float64{1: 3, 2: 1},
-	})
-	r.run(t, func(p *sim.Proc) {
-		for i := 0; i < nReqs; i++ {
-			submit(t, r.a, qos.ClassForeground, 1, reqSize)
-			submit(t, r.a, qos.ClassForeground, 2, reqSize)
-		}
-		// Dispatch half the total; both tenants stay backlogged throughout
-		// (tenant 1 can take at most 40 of the 40 dispatches).
-		got := map[uint64]int64{}
-		for i := 0; i < nReqs; i++ {
-			rq := r.a.Next(p).Body.(req)
-			got[rq.tenant] += rq.bytes
-		}
-		if got[2] == 0 {
-			t.Fatal("weight-1 tenant starved outright")
-		}
-		ratio := float64(got[1]) / float64(got[2])
-		if ratio < 2.2 || ratio > 4.2 {
-			t.Fatalf("service ratio %.2f, want ~3 (got1=%d got2=%d)", ratio, got[1], got[2])
 		}
 	})
 }
@@ -192,33 +158,6 @@ func TestQoSControlOpMinCost(t *testing.T) {
 		r.a.Next(p)
 		if n := r.reg.Counter("qos.t.tenant.3.admitted_bytes").Value(); n != kb {
 			t.Fatalf("control op accounted %d bytes, want min cost %d", n, kb)
-		}
-	})
-}
-
-// TestQoSTokenBucketPacing: with TenantBps set, a tenant's dispatch rate is
-// held to its configured byte rate in virtual time (charge-negative bucket:
-// first request free, each subsequent one waits out the previous debt).
-func TestQoSTokenBucketPacing(t *testing.T) {
-	const (
-		reqSize = 256 * kb
-		nReqs   = 8
-		bps     = float64(1 << 20) // 1 MiB/s
-	)
-	r := newAdmRig(qos.Config{MaxQueue: 64, Quantum: 1 << 20, TenantBps: bps})
-	r.run(t, func(p *sim.Proc) {
-		for i := 0; i < nReqs; i++ {
-			submit(t, r.a, qos.ClassForeground, 1, reqSize)
-		}
-		start := p.Now()
-		for i := 0; i < nReqs; i++ {
-			r.a.Next(p)
-		}
-		elapsed := p.Now().Sub(start)
-		// 7 repayments of 256 KiB at 1 MiB/s = 1.75 s.
-		want := 1750 * time.Millisecond
-		if elapsed < want-50*time.Millisecond || elapsed > want+200*time.Millisecond {
-			t.Fatalf("8x256KiB at 1MiB/s took %v, want ~%v", elapsed, want)
 		}
 	})
 }

@@ -456,7 +456,7 @@ func (e *Engine) readDegraded(p *sim.Proc, l Layout, r Request) (netsim.Payload,
 			copies = append(copies, l.ReplicaObj(c, r.Obj))
 		}
 		var pl netsim.Payload
-		err := core.Walk(copies, 1, nil,
+		err := core.Walk(copies, 0, 1, nil,
 			func(ref storage.ObjRef) bool { return e.c.HealthOf(storage.TargetOf(ref)) == qos.Down },
 			func(ref storage.ObjRef) (rerr error) {
 				pl, rerr = e.c.Read(p, ref, e.caps, r.Off, r.Len)

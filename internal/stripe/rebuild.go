@@ -160,10 +160,10 @@ func (r *Rebuilder) rebuildObject(p *sim.Proc, l Layout, idx int, dst storage.Ob
 // independence it falls back to any non-dead spare — a degraded placement
 // beats no redundancy at all.
 func (r *Rebuilder) pickSpare(l Layout, idx int, dead storage.Target, spares []storage.Target, at *int) (storage.Target, bool) {
-	for k, t := range core.Candidates(core.Rotate(spares, *at),
+	for i, t := range core.Candidates(spares, *at,
 		func(t storage.Target) bool { return t == dead },
 		func(t storage.Target) bool { return l.Related(idx, t) }) {
-		*at = (*at + k + 1) % len(spares)
+		*at = i + 1
 		return t, true
 	}
 	return storage.Target{}, false
