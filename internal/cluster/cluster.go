@@ -304,7 +304,7 @@ func (c *Cluster) DeployPFS() *PFS {
 	cfg.MDSThreads = c.Spec.MDSThreads
 	cfg.ChunkSize = c.Spec.Storage.ChunkSize
 	cfg.OSTThreads = c.Spec.Storage.Threads
-	var targets []pfs.OSTTarget
+	var targets []storage.Target
 	for ni, ep := range c.StorageN {
 		for si := 0; si < c.Spec.ServersPerNode; si++ {
 			dev := osd.NewDevice(c.K, fmt.Sprintf("ost%d.%d", ni, si), c.Spec.Disk)

@@ -21,6 +21,7 @@ package collio
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lwfs/internal/core"
@@ -29,6 +30,7 @@ import (
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
+	"lwfs/internal/stripe"
 )
 
 // collPortal receives exchange traffic; match bits address (dataset, rank).
@@ -51,9 +53,19 @@ type Dataset struct {
 // Size returns the dataset capacity.
 func (d Dataset) Size() int64 { return int64(len(d.Objects)) * d.AggSize }
 
-// locate maps a global offset to (aggregator index, object offset).
-func (d Dataset) locate(off int64) (int, int64) {
-	return int(off / d.AggSize), off % d.AggSize
+// layout is the dataset as a stripe layout one unit per object: a range
+// that stays inside the dataset maps to one request per object it touches.
+// Past the end, Plan would wrap modulo the width, so callers check first.
+func (d Dataset) layout() stripe.Layout { return stripe.Layout{Unit: d.AggSize, Objs: d.Objects} }
+
+// check rejects fragments that fall outside the dataset.
+func (d Dataset) check(frags []Fragment) error {
+	for _, f := range frags {
+		if f.Off < 0 || f.Off+f.Payload.Size > d.Size() {
+			return fmt.Errorf("collio: fragment [%d, %d) beyond dataset size %d", f.Off, f.Off+f.Payload.Size, d.Size())
+		}
+	}
+	return nil
 }
 
 // Job coordinates one parallel application's collective operations. All
@@ -136,12 +148,6 @@ func (j *Job) CreateDataset(p *sim.Proc, totalSize int64) (Dataset, error) {
 	return d, nil
 }
 
-// exchangeMsg carries one rank's fragments for one aggregator.
-type exchangeMsg struct {
-	From  int
-	Frags []Fragment // offsets are object-local
-}
-
 // CollectiveWrite writes this rank's fragments of the global array using
 // two-phase aggregation. Every rank of the job must call it (with possibly
 // empty frags); it returns when the whole collective operation — exchange,
@@ -157,34 +163,16 @@ func (r *Rank) CollectiveWrite(p *sim.Proc, d Dataset, frags []Fragment) error {
 	// protocol (sends empty partitions, joins the barrier) so its peers
 	// don't hang — the error is returned after the operation completes,
 	// like an MPI error class on a collective.
-	var opErr error
+	opErr := d.check(frags)
+	if len(d.Objects) != j.nAggs {
+		opErr = fmt.Errorf("collio: dataset of %d objects for %d aggregators", len(d.Objects), j.nAggs)
+	}
 	parts := make([][]Fragment, j.nAggs)
-	for _, f := range frags {
-		if opErr != nil {
-			break
-		}
-		remaining := f
-		for remaining.Payload.Size > 0 {
-			agg, objOff := d.locate(remaining.Off)
-			if agg >= j.nAggs || remaining.Off < 0 {
-				opErr = fmt.Errorf("collio: fragment at %d beyond dataset size %d", remaining.Off, d.Size())
-				break
-			}
-			room := d.AggSize - objOff
-			take := remaining.Payload.Size
-			if take > room {
-				take = room
-			}
-			piece := netsim.SyntheticPayload(take)
-			if remaining.Payload.Data != nil {
-				piece = netsim.BytesPayload(remaining.Payload.Data[:take])
-			}
-			parts[agg] = append(parts[agg], Fragment{Off: objOff, Payload: piece})
-			remaining.Off += take
-			if remaining.Payload.Data != nil {
-				remaining.Payload = netsim.BytesPayload(remaining.Payload.Data[take:])
-			} else {
-				remaining.Payload = netsim.SyntheticPayload(remaining.Payload.Size - take)
+	if opErr == nil {
+		l := d.layout()
+		for _, f := range frags {
+			for _, rq := range l.Plan(f.Off, f.Payload.Size) {
+				parts[rq.Obj] = append(parts[rq.Obj], Fragment{Off: rq.Off, Payload: rq.Gather(f.Off, f.Payload)})
 			}
 		}
 	}
@@ -197,7 +185,7 @@ func (r *Rank) CollectiveWrite(p *sim.Proc, d Dataset, frags []Fragment) error {
 		j.shuffleMsgs.Inc()
 		j.shuffleBytes.Add(bytes)
 		r.c.Endpoint().Put(dst.c.Node(), collPortal, portals.MatchBits(agg)|rankBitsBase,
-			exchangeMsg{From: r.id, Frags: parts[agg]},
+			parts[agg], // one rank's fragments for one aggregator, offsets object-local
 			netsim.SyntheticPayload(bytes+64))
 	}
 
@@ -206,9 +194,8 @@ func (r *Rank) CollectiveWrite(p *sim.Proc, d Dataset, frags []Fragment) error {
 		var got []Fragment
 		for i := 0; i < n; i++ {
 			ev := r.inbox.Recv(p).(*portals.Event)
-			m := ev.Hdr.(exchangeMsg)
+			got = append(got, ev.Hdr.([]Fragment)...)
 			ev.Release()
-			got = append(got, m.Frags...)
 		}
 		runs := coalesce(got)
 		j.aggRuns.Add(int64(len(runs)))
@@ -227,66 +214,46 @@ func (r *Rank) CollectiveWrite(p *sim.Proc, d Dataset, frags []Fragment) error {
 // Overlapping fragments are illegal in collective writes (ranks own
 // disjoint pieces); later fragments win if it happens anyway.
 func coalesce(frags []Fragment) []Fragment {
-	if len(frags) == 0 {
-		return nil
-	}
 	sort.Slice(frags, func(i, k int) bool { return frags[i].Off < frags[k].Off })
 	var out []Fragment
-	cur := frags[0]
-	curReal := cur.Payload.Data != nil
-	buf := append([]byte(nil), cur.Payload.Data...)
-	flush := func() {
-		if curReal {
-			cur.Payload = netsim.BytesPayload(buf)
-		}
-		out = append(out, cur)
-	}
-	for _, f := range frags[1:] {
-		if f.Off == cur.Off+cur.Payload.Size && (f.Payload.Data != nil) == curReal {
-			cur.Payload.Size += f.Payload.Size
-			if curReal {
-				buf = append(buf, f.Payload.Data...)
+	for _, f := range frags {
+		n := len(out)
+		if n == 0 || f.Off != out[n-1].Off+out[n-1].Payload.Size || (f.Payload.Data != nil) != (out[n-1].Payload.Data != nil) {
+			if f.Payload.Data != nil {
+				f.Payload = netsim.BytesPayload(slices.Clone(f.Payload.Data)) // the run's own buffer, grown below
 			}
+			out = append(out, f)
 			continue
 		}
-		flush()
-		cur = f
-		curReal = cur.Payload.Data != nil
-		buf = append([]byte(nil), cur.Payload.Data...)
+		last := &out[n-1].Payload
+		last.Size += f.Payload.Size
+		if last.Data != nil {
+			last.Data = append(last.Data, f.Payload.Data...)
+		}
 	}
-	flush()
 	return out
 }
 
 // IndependentWrite is the baseline: this rank writes each of its fragments
 // straight to the dataset objects, no exchange, no aggregation. Small
-// interleaved fragments become swarms of small server requests.
+// interleaved fragments become swarms of small server requests. Like
+// CollectiveWrite, a rank whose fragments are invalid or whose write fails
+// still joins the completion barrier, and returns its first error after.
 func (r *Rank) IndependentWrite(p *sim.Proc, d Dataset, frags []Fragment) error {
+	opErr := d.check(frags)
+	l := d.layout()
 	for _, f := range frags {
-		remaining := f
-		for remaining.Payload.Size > 0 {
-			agg, objOff := d.locate(remaining.Off)
-			room := d.AggSize - objOff
-			take := remaining.Payload.Size
-			if take > room {
-				take = room
-			}
-			piece := netsim.SyntheticPayload(take)
-			if remaining.Payload.Data != nil {
-				piece = netsim.BytesPayload(remaining.Payload.Data[:take])
-			}
+		if opErr != nil {
+			break
+		}
+		for _, rq := range l.Plan(f.Off, f.Payload.Size) {
 			r.j.indepWrites.Inc()
-			if _, err := r.c.Write(p, d.Objects[agg], r.j.caps, objOff, piece); err != nil {
-				return err
-			}
-			remaining.Off += take
-			if remaining.Payload.Data != nil {
-				remaining.Payload = netsim.BytesPayload(remaining.Payload.Data[take:])
-			} else {
-				remaining.Payload = netsim.SyntheticPayload(remaining.Payload.Size - take)
+			if _, err := r.c.Write(p, d.Objects[rq.Obj], r.j.caps, rq.Off, rq.Gather(f.Off, f.Payload)); err != nil {
+				opErr = fmt.Errorf("collio: rank %d write: %w", r.id, err)
+				break
 			}
 		}
 	}
 	r.barrier.Await(p)
-	return nil
+	return opErr
 }

@@ -301,3 +301,75 @@ func TestWriteBeyondDatasetRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An out-of-range fragment fails only the rank that passed it: that rank
+// still joins the completion barrier, so its peer's valid write returns too.
+func TestIndependentWriteBeyondDatasetJoinsBarrier(t *testing.T) {
+	r := newRig(t, 2, 2, func(r *rig, p *sim.Proc) {
+		job := collio.NewJob(r.clients, r.caps, 2)
+		d, err := job.CreateDataset(p, 8*kb)
+		if err != nil {
+			t.Errorf("dataset: %v", err)
+			return
+		}
+		errs := make([]error, 2)
+		returned := 0
+		var wg sim.WaitGroup
+		wg.Add(2)
+		for i := 0; i < 2; i++ {
+			i := i
+			p.Kernel().Spawn(fmt.Sprintf("rank%d", i), func(q *sim.Proc) {
+				defer wg.Done()
+				frags := []collio.Fragment{{Off: 0, Payload: netsim.SyntheticPayload(kb)}}
+				if i == 0 {
+					frags = []collio.Fragment{{Off: 100 * kb, Payload: netsim.SyntheticPayload(kb)}}
+				}
+				errs[i] = job.Rank(i).IndependentWrite(q, d, frags)
+				returned++
+			})
+		}
+		wg.Wait(p)
+		if returned != 2 {
+			t.Fatalf("%d of 2 ranks returned", returned)
+		}
+		if errs[0] == nil {
+			t.Error("out-of-range fragment accepted")
+		}
+		if errs[1] != nil {
+			t.Errorf("valid rank failed: %v", errs[1])
+		}
+	})
+	if err := r.cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A dataset must hold one object per aggregator: a collective write against
+// any other fails at every rank instead of indexing past the aggregators.
+func TestCollectiveWriteRejectsDatasetOfOtherWidth(t *testing.T) {
+	r := newRig(t, 2, 2, func(r *rig, p *sim.Proc) {
+		job := collio.NewJob(r.clients, r.caps, 2)
+		d, err := job.CreateDataset(p, 8*kb)
+		if err != nil {
+			t.Errorf("dataset: %v", err)
+			return
+		}
+		d.Objects = append(d.Objects, d.Objects[0])
+		var wg sim.WaitGroup
+		wg.Add(2)
+		for i := 0; i < 2; i++ {
+			i := i
+			p.Kernel().Spawn(fmt.Sprintf("rank%d", i), func(q *sim.Proc) {
+				defer wg.Done()
+				frags := []collio.Fragment{{Off: 9 * kb, Payload: netsim.SyntheticPayload(kb)}}
+				if err := job.Rank(i).CollectiveWrite(q, d, frags); err == nil {
+					t.Errorf("rank %d: a 3-object dataset accepted by 2 aggregators", i)
+				}
+			})
+		}
+		wg.Wait(p)
+	})
+	if err := r.cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

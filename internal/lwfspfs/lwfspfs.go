@@ -880,26 +880,16 @@ func (fs *FS) placeRecords(p *sim.Proc, pl *placement, enc []byte, cands []stora
 }
 
 // writeSerial is the historical transfer path: one RPC per stripe unit, in
-// file order. Kept as the baseline arm of the E17 comparison.
+// file order (stripe.Layout.Units). Kept as the baseline arm of the E17
+// comparison.
 func (f *File) writeSerial(p *sim.Proc, off int64, payload netsim.Payload) (int64, error) {
 	var written int64
-	u := f.l.Unit
-	for cur := off; cur < off+payload.Size; {
-		idx, objOff := f.l.Locate(cur)
-		n := u - (cur % u)
-		if n > off+payload.Size-cur {
-			n = off + payload.Size - cur
-		}
-		piece := netsim.SyntheticPayload(n)
-		if payload.Data != nil {
-			piece = netsim.BytesPayload(payload.Data[cur-off : cur-off+n])
-		}
-		w, err := f.fs.c.Write(p, f.l.Objs[idx], f.fs.caps, objOff, piece)
+	for _, rq := range f.l.Units(off, payload.Size) {
+		w, err := f.fs.c.Write(p, f.l.Objs[rq.Obj], f.fs.caps, rq.Off, rq.Gather(off, payload))
 		written += w
 		if err != nil {
 			return written, err
 		}
-		cur += n
 	}
 	return written, nil
 }
@@ -943,33 +933,21 @@ func (f *File) clamp(off, length int64) int64 {
 // readSerial is the per-unit serial read path (baseline arm of E17). A hole
 // issues no request and reads as zeros.
 func (f *File) readSerial(p *sim.Proc, off, length int64) (netsim.Payload, error) {
-	out := netsim.Payload{Size: length}
 	var buf []byte
-	u := f.l.Unit
-	for cur := off; cur < off+length; {
-		idx, objOff := f.l.Locate(cur)
-		n := u - (cur % u)
-		if n > off+length-cur {
-			n = off + length - cur
-		}
-		if stripe.IsHole(f.l.Objs[idx]) {
-			cur += n
+	for _, rq := range f.l.Units(off, length) {
+		if stripe.IsHole(f.l.Objs[rq.Obj]) {
 			continue
 		}
-		piece, err := f.fs.c.Read(p, f.l.Objs[idx], f.fs.caps, objOff, n)
+		got, err := f.fs.c.Read(p, f.l.Objs[rq.Obj], f.fs.caps, rq.Off, rq.Len)
 		if err != nil {
-			return out, err
+			return netsim.Payload{Size: length}, err
 		}
-		if piece.Data != nil {
-			if buf == nil {
-				buf = make([]byte, length)
-			}
-			copy(buf[cur-off:], piece.Data)
+		if got.Data != nil && buf == nil {
+			buf = make([]byte, length)
 		}
-		cur += n
+		rq.Scatter(off, buf, got)
 	}
-	out.Data = buf
-	return out, nil
+	return netsim.Payload{Size: length, Data: buf}, nil
 }
 
 // Sync flushes every storage server holding part of the file. The

@@ -1,15 +1,14 @@
 package pfs
 
 import (
-	"fmt"
-
 	"lwfs/internal/netsim"
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
+	"lwfs/internal/stripe"
 )
 
-// writeParallelism bounds a client's concurrent outstanding write RPCs
-// (Lustre's max_rpcs_in_flight).
+// writeParallelism bounds a client's concurrent outstanding write and sync
+// RPCs (Lustre's max_rpcs_in_flight).
 const writeParallelism = 8
 
 const (
@@ -74,121 +73,30 @@ func (c *Client) Open(p *sim.Proc, path string) (*File, error) {
 // consistency and synchronization semantics get in the way").
 func (f *File) SetShared(shared bool) { f.shared = shared }
 
-// piece is one client-side transfer: a contiguous object-space run on one
-// OST, gathered from (possibly strided) file-space data.
-type piece struct {
-	ost    OSTTarget
-	obj    int // stripe index
-	objOff int64
-	length int64
-}
-
-// pieces plans the transfers for [off, off+length): coalesced per-OST runs
-// for an exclusively-held file, stripe-unit-sized requests for a shared one.
-func (f *File) pieces(off, length int64) []piece {
-	unit := f.layout.StripeUnit
-	m := len(f.layout.OSTs)
-	var out []piece
-	if f.shared {
-		for cur := off; cur < off+length; {
-			w := cur / unit
-			hi := (w + 1) * unit
-			if hi > off+length {
-				hi = off + length
-			}
-			i := int(w % int64(m))
-			out = append(out, piece{
-				ost:    f.layout.OSTs[i],
-				obj:    i,
-				objOff: (w/int64(m))*unit + (cur - w*unit),
-				length: hi - cur,
-			})
-			cur = hi
-		}
-		return out
-	}
-	for i := 0; i < m; i++ {
-		for _, r := range stripeRuns(off, length, unit, m, i) {
-			out = append(out, piece{ost: f.layout.OSTs[i], obj: i, objOff: r.objOff, length: r.len})
-		}
-	}
-	return out
-}
-
-// fileOff maps an object-space offset of stripe i back to file space.
-func (f *File) fileOff(i int, objOff int64) int64 {
-	unit := f.layout.StripeUnit
-	m := int64(len(f.layout.OSTs))
-	w := (objOff / unit) * m
-	return (w+int64(i))*unit + objOff%unit
-}
-
-// gather builds the wire payload for a piece from the write payload.
-func (f *File) gather(pc piece, off int64, payload netsim.Payload) netsim.Payload {
-	if payload.Data == nil {
-		return netsim.SyntheticPayload(pc.length)
-	}
-	out := make([]byte, pc.length)
-	unit := f.layout.StripeUnit
-	for done := int64(0); done < pc.length; {
-		objOff := pc.objOff + done
-		fo := f.fileOff(pc.obj, objOff)
-		n := unit - objOff%unit
-		if n > pc.length-done {
-			n = pc.length - done
-		}
-		copy(out[done:done+n], payload.Data[fo-off:])
-		done += n
-	}
-	return netsim.BytesPayload(out)
-}
-
-// parallel runs fn over n indices with bounded concurrency and returns the
-// first error.
-func (f *File) parallel(p *sim.Proc, n int, fn func(q *sim.Proc, i int) error) error {
-	k := p.Kernel()
-	var wg sim.WaitGroup
-	var firstErr error
-	next := 0
-	workers := writeParallelism
-	if n < workers {
-		workers = n
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		k.Spawn(fmt.Sprintf("pfs-client-w%d", w), func(q *sim.Proc) {
-			defer wg.Done()
-			for {
-				if next >= n || firstErr != nil {
-					return
-				}
-				i := next
-				next++
-				if err := fn(q, i); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-		})
-	}
-	wg.Wait(p)
-	return firstErr
-}
-
 // Write stores payload at file offset off. Data moves server-directed: the
-// client exposes each piece and the OST pulls it.
+// client exposes each request's bytes and the OST pulls them. An exclusively
+// held file is planned like any stripe layout, one coalesced request per
+// OST; a shared one goes out a stripe unit at a time. The requests fan out
+// at most writeParallelism at once.
 func (f *File) Write(p *sim.Proc, off int64, payload netsim.Payload) (int64, error) {
-	pcs := f.pieces(off, payload.Size)
+	l := f.layout.striped()
+	var reqs []stripe.Request
+	if f.shared {
+		reqs = l.Units(off, payload.Size)
+	} else {
+		reqs = l.Plan(off, payload.Size)
+	}
 	ep := f.c.caller.Endpoint()
 	var written int64
-	err := f.parallel(p, len(pcs), func(q *sim.Proc, i int) error {
-		pc := pcs[i]
+	err := stripe.FanOut(p, "pfs/write", len(reqs), writeParallelism, func(q *sim.Proc, i int) error {
+		rq, obj := reqs[i], l.Objs[reqs[i].Obj]
 		bits := portals.MatchBits(ep.NextToken())
-		me := ep.Attach(clientDataPortal, bits, 0, &portals.MD{Payload: f.gather(pc, off, payload)})
+		me := ep.Attach(clientDataPortal, bits, 0, &portals.MD{Payload: rq.Gather(off, payload)})
 		defer me.Unlink()
-		v, err := f.c.caller.Call(q, pc.ost.Node, pc.ost.Port, ostWriteReq{
-			Obj:        f.layout.ObjectID(pc.obj),
-			Off:        pc.objOff,
-			Len:        pc.length,
+		v, err := f.c.caller.Call(q, obj.Node, obj.Port, ostWriteReq{
+			Obj:        obj.ID,
+			Off:        rq.Off,
+			Len:        rq.Len,
 			Bits:       bits,
 			DataPortal: clientDataPortal,
 			ClientID:   f.c.id,
@@ -207,8 +115,9 @@ func (f *File) Write(p *sim.Proc, off int64, payload netsim.Payload) (int64, err
 
 // Sync flushes every OST in the layout (fsync).
 func (f *File) Sync(p *sim.Proc) error {
-	return f.parallel(p, len(f.layout.OSTs), func(q *sim.Proc, i int) error {
-		_, err := f.c.caller.Call(q, f.layout.OSTs[i].Node, f.layout.OSTs[i].Port, ostSyncReq{}, pfsReqSize, pfsRespSize)
+	return stripe.FanOut(p, "pfs/sync", len(f.layout.OSTs), writeParallelism, func(q *sim.Proc, i int) error {
+		t := f.layout.OSTs[i]
+		_, err := f.c.caller.Call(q, t.Node, t.Port, ostSyncReq{}, pfsReqSize, pfsRespSize)
 		return err
 	})
 }

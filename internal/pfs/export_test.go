@@ -4,18 +4,6 @@ import (
 	"lwfs/internal/sim"
 )
 
-// RunForTest mirrors the internal run type for property tests.
-type RunForTest struct{ ObjOff, Len int64 }
-
-// StripeRunsForTest exposes stripeRuns to the external test package.
-func StripeRunsForTest(off, length, unit int64, stripes, i int) []RunForTest {
-	var out []RunForTest
-	for _, r := range stripeRuns(off, length, unit, stripes, i) {
-		out = append(out, RunForTest{ObjOff: r.objOff, Len: r.len})
-	}
-	return out
-}
-
 // LayoutForTest returns the file's striping, with the size known at open.
 func (f *File) LayoutForTest() Layout { return f.layout }
 

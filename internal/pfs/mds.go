@@ -7,6 +7,7 @@ import (
 	"lwfs/internal/netsim"
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
+	"lwfs/internal/storage"
 )
 
 // MDS is the centralized metadata server: it owns the namespace and file
@@ -16,7 +17,7 @@ import (
 // not add metadata throughput.
 type MDS struct {
 	cfg     Config
-	osts    []OSTTarget
+	osts    []storage.Target
 	files   map[string]*Layout
 	nextIno uint64
 	nsLock  *sim.Resource
@@ -40,7 +41,7 @@ type mdsSetSizeReq struct {
 
 // StartMDS binds the metadata server at (ep, MDSPortal) with the given OST
 // roster.
-func StartMDS(ep *portals.Endpoint, osts []OSTTarget, cfg Config) *MDS {
+func StartMDS(ep *portals.Endpoint, osts []storage.Target, cfg Config) *MDS {
 	m := &MDS{
 		cfg:    cfg,
 		osts:   osts,
@@ -72,7 +73,7 @@ func (m *MDS) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interfac
 		l := &Layout{
 			Inode:      m.nextIno,
 			StripeUnit: m.cfg.StripeUnit,
-			OSTs:       append([]OSTTarget(nil), m.osts[:stripes]...),
+			OSTs:       append([]storage.Target(nil), m.osts[:stripes]...),
 		}
 		m.files[r.Path] = l
 		m.creates.Inc()

@@ -9,6 +9,7 @@ import (
 	"lwfs/internal/osd"
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
+	"lwfs/internal/storage"
 )
 
 // OST is an object storage target: the baseline's per-disk data server.
@@ -65,7 +66,7 @@ func StartOST(ep *portals.Endpoint, dev *osd.Device, port portals.Index, cfg Con
 }
 
 // Target returns the OST's address.
-func (o *OST) Target() OSTTarget { return OSTTarget{Node: o.ep.Node(), Port: o.port} }
+func (o *OST) Target() storage.Target { return storage.Target{Node: o.ep.Node(), Port: o.port} }
 
 // ostContainer tags PFS backing objects on the shared device model.
 const ostContainer osd.ContainerID = 1 << 40

@@ -21,9 +21,10 @@ import (
 	"errors"
 	"time"
 
-	"lwfs/internal/netsim"
 	"lwfs/internal/osd"
 	"lwfs/internal/portals"
+	"lwfs/internal/storage"
+	"lwfs/internal/stripe"
 )
 
 // Well-known portals.
@@ -67,12 +68,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// OSTTarget names an OST: node plus request portal.
-type OSTTarget struct {
-	Node netsim.NodeID
-	Port portals.Index
-}
-
 // Layout describes a file's striping: which OSTs hold it and the object ID
 // each OST uses. Object IDs are derived from the inode so OSTs can
 // lazily instantiate backing objects (Lustre's precreated-object pool plays
@@ -81,7 +76,7 @@ type Layout struct {
 	Inode      uint64
 	Size       int64 // known size at open (grows with writes)
 	StripeUnit int64
-	OSTs       []OSTTarget
+	OSTs       []storage.Target // node and request portal of each stripe's OST
 }
 
 // ObjectID returns the backing object ID for stripe index i.
@@ -89,45 +84,14 @@ func (l Layout) ObjectID(i int) osd.ObjectID {
 	return osd.ObjectID(l.Inode<<16 | uint64(i))
 }
 
-// stripeRange maps a contiguous file range [off, off+length) onto one OST's
-// object: for round-robin striping, the piece owned by stripe index i is
-// itself contiguous in object space when the range is stripe-aligned, and
-// at most two runs otherwise. We return the exact set of (objOff, length)
-// runs for stripe i.
-type run struct {
-	objOff int64
-	len    int64
-}
-
-func stripeRuns(off, length, unit int64, stripes, i int) []run {
-	if length <= 0 {
-		return nil
+// striped returns the layout as the stripe planner sees it: stripe index i
+// is object ObjectID(i) on OSTs[i], in units of StripeUnit. The baseline
+// maps bytes to objects exactly as LWFS's client library does, so Figure 9's
+// gap comes from the MDS and the extent locks alone.
+func (l Layout) striped() stripe.Layout {
+	s := stripe.Layout{Unit: l.StripeUnit, Objs: make([]storage.ObjRef, len(l.OSTs))}
+	for i, t := range l.OSTs {
+		s.Objs[i] = storage.ObjRef{Node: t.Node, Port: t.Port, ID: l.ObjectID(i)}
 	}
-	var runs []run
-	m := int64(stripes)
-	// Walk stripe-unit windows overlapping [off, off+length).
-	first := off / unit
-	last := (off + length - 1) / unit
-	var cur *run
-	for w := first; w <= last; w++ {
-		if int(w%m) != i {
-			continue
-		}
-		lo := w * unit
-		hi := lo + unit
-		if lo < off {
-			lo = off
-		}
-		if hi > off+length {
-			hi = off + length
-		}
-		objOff := (w/m)*unit + (lo - w*unit)
-		if cur != nil && cur.objOff+cur.len == objOff {
-			cur.len += hi - lo
-			continue
-		}
-		runs = append(runs, run{objOff: objOff, len: hi - lo})
-		cur = &runs[len(runs)-1]
-	}
-	return runs
+	return s
 }

@@ -258,56 +258,6 @@ func TestSharedSlowerThanFilePerProcess(t *testing.T) {
 	}
 }
 
-func TestStripeRunsMatchNaiveMapping(t *testing.T) {
-	prop := func(offRaw, lenRaw uint32, unitPow, stripesRaw uint8) bool {
-		unit := int64(1) << (10 + unitPow%6) // 1KB..32KB
-		stripes := int(stripesRaw%7) + 1
-		off := int64(offRaw % (1 << 20))
-		length := int64(lenRaw % (1 << 20))
-		// Naive: walk every byte... too slow; walk unit boundaries.
-		type key struct {
-			stripe int
-			objOff int64
-		}
-		want := map[key]int64{} // start -> accumulated contiguous length
-		if length > 0 {
-			first := off / unit
-			last := (off + length - 1) / unit
-			for w := first; w <= last; w++ {
-				i := int(w % int64(stripes))
-				lo, hi := w*unit, (w+1)*unit
-				if lo < off {
-					lo = off
-				}
-				if hi > off+length {
-					hi = off + length
-				}
-				objOff := (w/int64(stripes))*unit + (lo - w*unit)
-				want[key{i, objOff}] = hi - lo
-			}
-		}
-		var gotTotal, wantTotal int64
-		for _, l := range want {
-			wantTotal += l
-		}
-		for i := 0; i < stripes; i++ {
-			for _, r := range pfs.StripeRunsForTest(off, length, unit, stripes, i) {
-				gotTotal += r.Len
-				// Every run must start at a window boundary recorded in want
-				// or be a coalescing of adjacent windows; verify coverage by
-				// total length plus non-overlap via sortedness.
-				if r.Len <= 0 {
-					return false
-				}
-			}
-		}
-		return gotTotal == wantTotal
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: striped writes of arbitrary data at arbitrary offsets land where
 // the round-robin rule puts them, for any stripe count.
 func TestStripedRoundTripProperty(t *testing.T) {

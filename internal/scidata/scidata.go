@@ -22,8 +22,10 @@
 package scidata
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"lwfs/internal/authz"
@@ -34,6 +36,7 @@ import (
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
+	"lwfs/internal/stripe"
 )
 
 // Dtype is a dataset element type.
@@ -243,6 +246,10 @@ func (d *Dataset) encodeHeader() []byte {
 	return []byte(b.String())
 }
 
+// decodeHeader parses a header read back from storage. It accepts only bytes
+// encodeHeader writes back identically, for a shape CreateDataset could have
+// made (shapeOK): anything else is ErrBadHeader, not a later divide by zero
+// or an out-of-range chunk.
 func decodeHeader(data []byte) (*Dataset, error) {
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
 	if len(lines) < 4 || lines[0] != "scidata v1" {
@@ -281,10 +288,30 @@ func decodeHeader(data []byte) (*Dataset, error) {
 			Node: netsim.NodeID(node), Port: portals.Index(port), ID: osd.ObjectID(id),
 		})
 	}
-	if len(d.objs) == 0 {
-		return nil, ErrBadHeader
+	if !d.shapeOK() {
+		return nil, fmt.Errorf("%w: dims %v, chunkrows %d, %d chunks", ErrBadHeader, d.Dims, d.chunkRows, len(d.objs))
+	}
+	if !bytes.Equal(d.encodeHeader(), data) {
+		return nil, fmt.Errorf("%w: not in canonical form", ErrBadHeader)
 	}
 	return d, nil
+}
+
+// shapeOK reports whether the dims and chunking are ones CreateDataset could
+// have written: positive, with byte sizes that fit an int64, and one object
+// per chunk of chunkRows rows.
+func (d *Dataset) shapeOK() bool {
+	if d.chunkRows <= 0 {
+		return false
+	}
+	n := d.Type.Size()
+	for _, dim := range d.Dims {
+		if dim <= 0 || n > math.MaxInt64/dim {
+			return false
+		}
+		n *= dim
+	}
+	return d.chunkRows <= math.MaxInt64/d.rowBytes() && int64(len(d.objs)) == (d.Dims[0]-1)/d.chunkRows+1
 }
 
 // SetAttr attaches a named attribute (units, provenance, ...).
@@ -297,20 +324,21 @@ func (d *Dataset) GetAttr(p *sim.Proc, key string) (string, error) {
 	return d.f.c.GetAttr(p, d.header, d.f.caps, key)
 }
 
-// run is one contiguous byte range of the dataset in row-major order.
+// slabRun is one contiguous byte range of the dataset in row-major order.
 type slabRun struct {
-	linear int64 // element index of the run start
-	count  int64 // elements in the run
-	bufOff int64 // element offset within the caller's slab buffer
+	off, n int64 // dataset byte offset and length
+	base   int64 // the dataset offset the slab buffer's byte 0 has as this run sees it
 }
 
 // slabRuns decomposes a hyperslab (start/count per dim) into contiguous
-// runs. The innermost dimension is contiguous; outer dimensions iterate.
+// runs, and returns them with the slab's size in bytes. The innermost
+// dimension is contiguous; outer dimensions iterate.
 func (d *Dataset) slabRuns(start, count []int64) ([]slabRun, int64, error) {
 	if len(start) != len(d.Dims) || len(count) != len(d.Dims) {
 		return nil, 0, fmt.Errorf("%w: rank mismatch", ErrBadSlab)
 	}
-	total := int64(1)
+	es := d.Type.Size()
+	total := es
 	for i := range d.Dims {
 		if start[i] < 0 || count[i] <= 0 || start[i]+count[i] > d.Dims[i] {
 			return nil, 0, fmt.Errorf("%w: dim %d: start %d count %d of %d",
@@ -318,10 +346,10 @@ func (d *Dataset) slabRuns(start, count []int64) ([]slabRun, int64, error) {
 		}
 		total *= count[i]
 	}
-	// Strides in elements, row-major.
+	// Strides in bytes, row-major.
 	rank := len(d.Dims)
 	strides := make([]int64, rank)
-	strides[rank-1] = 1
+	strides[rank-1] = es
 	for i := rank - 2; i >= 0; i-- {
 		strides[i] = strides[i+1] * d.Dims[i+1]
 	}
@@ -329,17 +357,17 @@ func (d *Dataset) slabRuns(start, count []int64) ([]slabRun, int64, error) {
 	// run. Merge runs that happen to be adjacent (e.g. full rows).
 	var runs []slabRun
 	idx := make([]int64, rank-1)
-	rowLen := count[rank-1]
+	rowLen := count[rank-1] * es
 	var bufOff int64
 	for {
-		linear := start[rank-1] * strides[rank-1]
+		off := start[rank-1] * strides[rank-1]
 		for i := 0; i < rank-1; i++ {
-			linear += (start[i] + idx[i]) * strides[i]
+			off += (start[i] + idx[i]) * strides[i]
 		}
-		if n := len(runs); n > 0 && runs[n-1].linear+runs[n-1].count == linear {
-			runs[n-1].count += rowLen
+		if n := len(runs); n > 0 && runs[n-1].off+runs[n-1].n == off {
+			runs[n-1].n += rowLen
 		} else {
-			runs = append(runs, slabRun{linear: linear, count: rowLen, bufOff: bufOff})
+			runs = append(runs, slabRun{off: off, n: rowLen, base: off - bufOff})
 		}
 		bufOff += rowLen
 		// Odometer over the outer dimensions.
@@ -355,20 +383,14 @@ func (d *Dataset) slabRuns(start, count []int64) ([]slabRun, int64, error) {
 			break
 		}
 	}
-	if rank == 1 {
-		// The odometer above ran once for rank-1 arrays; runs are correct.
-		_ = idx
-	}
 	return runs, total, nil
 }
 
-// chunkOf maps a linear element index to (chunk index, byte offset in chunk).
-func (d *Dataset) chunkOf(linear int64) (int, int64) {
-	rowElems := d.rowBytes() / d.Type.Size()
-	row := linear / rowElems
-	chunk := int(row / d.chunkRows)
-	chunkStartElem := int64(chunk) * d.chunkRows * rowElems
-	return chunk, (linear - chunkStartElem) * d.Type.Size()
+// layout is the dataset as a stripe layout one unit per object: chunk i
+// holds the chunkRows rows from row i*chunkRows on. Every slab run lies
+// inside the dataset, so it maps to one request per chunk it touches.
+func (d *Dataset) layout() stripe.Layout {
+	return stripe.Layout{Unit: d.chunkRows * d.rowBytes(), Objs: d.objs}
 }
 
 // WriteSlab writes a hyperslab. payload.Size must equal the slab's byte
@@ -378,32 +400,15 @@ func (d *Dataset) WriteSlab(p *sim.Proc, start, count []int64, payload netsim.Pa
 	if err != nil {
 		return err
 	}
-	if payload.Size != total*d.Type.Size() {
-		return fmt.Errorf("%w: slab %d bytes, payload %d", ErrSizeMismatch, total*d.Type.Size(), payload.Size)
+	if payload.Size != total {
+		return fmt.Errorf("%w: slab %d bytes, payload %d", ErrSizeMismatch, total, payload.Size)
 	}
-	es := d.Type.Size()
+	l := d.layout()
 	for _, run := range runs {
-		// A run never crosses a chunk boundary when ChunkRows divides the
-		// run rows; handle the general case by splitting at boundaries.
-		remaining := run
-		for remaining.count > 0 {
-			chunk, off := d.chunkOf(remaining.linear)
-			chunkBytes := d.chunkRows * d.rowBytes()
-			n := remaining.count * es
-			if off+n > chunkBytes {
-				n = chunkBytes - off
-			}
-			piece := netsim.SyntheticPayload(n)
-			if payload.Data != nil {
-				lo := remaining.bufOff * es
-				piece = netsim.BytesPayload(payload.Data[lo : lo+n])
-			}
-			if _, err := d.f.c.Write(p, d.objs[chunk], d.f.caps, off, piece); err != nil {
+		for _, rq := range l.Plan(run.off, run.n) {
+			if _, err := d.f.c.Write(p, l.Objs[rq.Obj], d.f.caps, rq.Off, rq.Gather(run.base, payload)); err != nil {
 				return err
 			}
-			remaining.linear += n / es
-			remaining.bufOff += n / es
-			remaining.count -= n / es
 		}
 	}
 	return nil
@@ -416,33 +421,19 @@ func (d *Dataset) ReadSlab(p *sim.Proc, start, count []int64) (netsim.Payload, e
 	if err != nil {
 		return netsim.Payload{}, err
 	}
-	es := d.Type.Size()
-	out := netsim.Payload{Size: total * es}
+	l := d.layout()
 	var buf []byte
 	for _, run := range runs {
-		remaining := run
-		for remaining.count > 0 {
-			chunk, off := d.chunkOf(remaining.linear)
-			chunkBytes := d.chunkRows * d.rowBytes()
-			n := remaining.count * es
-			if off+n > chunkBytes {
-				n = chunkBytes - off
-			}
-			piece, err := d.f.c.Read(p, d.objs[chunk], d.f.caps, off, n)
+		for _, rq := range l.Plan(run.off, run.n) {
+			got, err := d.f.c.Read(p, l.Objs[rq.Obj], d.f.caps, rq.Off, rq.Len)
 			if err != nil {
 				return netsim.Payload{}, err
 			}
-			if piece.Data != nil {
-				if buf == nil {
-					buf = make([]byte, out.Size)
-				}
-				copy(buf[remaining.bufOff*es:], piece.Data)
+			if got.Data != nil && buf == nil {
+				buf = make([]byte, total)
 			}
-			remaining.linear += n / es
-			remaining.bufOff += n / es
-			remaining.count -= n / es
+			rq.Scatter(run.base, buf, got)
 		}
 	}
-	out.Data = buf
-	return out, nil
+	return netsim.Payload{Size: total, Data: buf}, nil
 }

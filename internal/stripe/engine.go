@@ -137,6 +137,9 @@ func (e *Engine) writeReplica(p *sim.Proc, l Layout, off int64, payload netsim.P
 	}
 	e.bytesOut.Add(moved)
 	failed := newTargetSet()
+	if errs == nil { // every copy landed
+		errs = make([]error, n)
+	}
 	var hard []error
 	var total int64
 	for i := range reqs {
@@ -517,7 +520,8 @@ func FanOut(p *sim.Proc, name string, n, window int, fn func(wp *sim.Proc, i int
 }
 
 // fanOutErrs is FanOut returning the raw per-index errors, for callers that
-// classify failures individually (degraded reads, redundant writes).
+// classify failures individually (degraded reads, redundant writes). The
+// slice is made at the first failure: nil means every call succeeded.
 func fanOutErrs(p *sim.Proc, name string, n, window int, fn func(wp *sim.Proc, i int) error) []error {
 	if n <= 0 {
 		return nil
@@ -525,10 +529,10 @@ func fanOutErrs(p *sim.Proc, name string, n, window int, fn func(wp *sim.Proc, i
 	if window <= 0 || window > n {
 		window = n
 	}
-	errs := make([]error, n)
+	var errs []error
 	if window == 1 || n == 1 {
 		for i := 0; i < n; i++ {
-			errs[i] = fn(p, i)
+			errs = noteErr(errs, n, i, fn(p, i))
 		}
 		return errs
 	}
@@ -540,7 +544,7 @@ func fanOutErrs(p *sim.Proc, name string, n, window int, fn func(wp *sim.Proc, i
 		for next < n {
 			i := next
 			next++
-			errs[i] = fn(wp, i)
+			errs = noteErr(errs, n, i, fn(wp, i))
 			wg.Done()
 		}
 	}
@@ -548,6 +552,17 @@ func fanOutErrs(p *sim.Proc, name string, n, window int, fn func(wp *sim.Proc, i
 		p.Kernel().Spawn(name, worker)
 	}
 	wg.Wait(p)
+	return errs
+}
+
+// noteErr records call i's error, making the n slots at the first failure.
+func noteErr(errs []error, n, i int, err error) []error {
+	if err != nil {
+		if errs == nil {
+			errs = make([]error, n)
+		}
+		errs[i] = err
+	}
 	return errs
 }
 

@@ -15,7 +15,11 @@
 //     (Ching et al.): fewer, larger requests beat per-unit round trips.
 //     RAID-0 arithmetic guarantees a contiguous file range touches each
 //     object in one contiguous object extent, so the coalesced plan has at
-//     most one request per object (a property the tests pin down).
+//     most one request per object (a property the tests pin down). Units is
+//     the uncoalesced plan — one request per stripe unit — for writers that
+//     may not merge units. Layout is the one place that maps a file offset
+//     to an object: the Lustre baseline (pfs), collio and scidata plan
+//     through it too.
 //
 //   - Transfer: Engine fans the per-object requests out concurrently over
 //     simulated processes, bounded by an in-flight window, so a transfer
@@ -392,14 +396,18 @@ type Piece struct {
 }
 
 // Request is one coalesced transfer against one object: a single contiguous
-// object extent [Off, Off+Len) assembled from Pieces of the file. Pieces are
-// contiguous in object space but interleaved (stride M×unit) in file space —
-// the gather/scatter the engine performs around each RPC.
+// object extent [Off, Off+Len) whose first byte is file byte FileOff. Its
+// Pieces, one per stripe unit, are contiguous in object space but Width×Unit
+// apart in file space — the gather/scatter the engine performs around each
+// RPC. A request describes its pieces rather than listing them, so a plan is
+// one allocation however many units it spans.
 type Request struct {
-	Obj    int   // data column index (Layout.Objs index for copy 0)
-	Off    int64 // object offset of the extent's first byte
-	Len    int64 // extent length
-	Pieces []Piece
+	Obj     int   // data column index (Layout.Objs index for copy 0)
+	Off     int64 // object offset of the extent's first byte
+	Len     int64 // extent length
+	FileOff int64 // file offset of the extent's first byte
+
+	unit, stride int64 // the layout's stripe unit, and Width×Unit
 }
 
 // Plan maps the file range [off, off+length) onto the data columns, merging
@@ -414,34 +422,52 @@ func (l Layout) Plan(off, length int64) []Request {
 	if length <= 0 || l.Unit <= 0 || l.Width() <= 0 {
 		return nil
 	}
-	u, w := l.Unit, int64(l.Width())
-	first := off / u
-	npieces := (off+length-1)/u - first + 1 // stripe units touched, one Piece each
-	ncols := min(npieces, w)                // columns touched, one Request each
-	reqs := make([]Request, ncols)
-	pieces := make([]Piece, npieces)
-	// The j-th column touched holds units first+j, first+j+w, ...: its request
-	// gets that many slots of the one array, capped against its neighbour.
-	for j, at := int64(0), int64(0); j < ncols; j++ {
-		n := (npieces - j + w - 1) / w
-		reqs[j].Pieces = pieces[at : at : at+n]
-		at += n
-	}
-	for cur := off; cur < off+length; {
-		idx, objOff := l.Locate(cur)
-		n := u - cur%u
-		if n > off+length-cur {
-			n = off + length - cur
-		}
-		r := &reqs[(cur/u-first)%w]
-		if len(r.Pieces) == 0 {
-			r.Obj, r.Off = idx, objOff
-		}
-		r.Pieces = append(r.Pieces, Piece{FileOff: cur, ObjOff: objOff, Len: n})
-		r.Len += n
-		cur += n
+	u, w, end := l.Unit, int64(l.Width()), off+length
+	first, last := off/u, (end-1)/u // stripe units touched
+	reqs := make([]Request, min(last-first+1, w))
+	for j := range reqs {
+		a := first + int64(j) // the column's first unit in the range
+		z := a + (last-a)/w*w // and its last
+		fo := max(off, a*u)   // where its bytes start in the file
+		tail := (z+1)*u - min(end, (z+1)*u)
+		obj, objOff := l.Locate(fo)
+		reqs[j] = Request{Obj: obj, Off: objOff, Len: ((z-a)/w+1)*u - (fo - a*u) - tail,
+			FileOff: fo, unit: u, stride: w * u}
 	}
 	return reqs
+}
+
+// Units maps [off, off+length) like Plan but coalesces nothing: one
+// single-piece Request per stripe unit touched, in file order. It is the plan
+// of a writer that may not merge units — a Lustre shared-file writer under
+// per-unit extent locks, or lwfspfs's serial arm (E17's baseline).
+func (l Layout) Units(off, length int64) []Request {
+	if length <= 0 || l.Unit <= 0 || l.Width() <= 0 {
+		return nil
+	}
+	u, end := l.Unit, off+length
+	reqs := make([]Request, (end-1)/u-off/u+1)
+	for i, fo := 0, off; fo < end; i++ {
+		obj, objOff := l.Locate(fo)
+		k := min(u-fo%u, end-fo)
+		reqs[i] = Request{Obj: obj, Off: objOff, Len: k, FileOff: fo, unit: u, stride: int64(l.Width()) * u}
+		fo += k
+	}
+	return reqs
+}
+
+// Pieces yields the request's pieces in file order: the first starts at
+// FileOff, and each next one at the start of the column's next stripe unit.
+func (r Request) Pieces(yield func(Piece) bool) {
+	fo := r.FileOff
+	for done := int64(0); done < r.Len; {
+		k := min(r.unit-fo%r.unit, r.Len-done)
+		if !yield(Piece{FileOff: fo, ObjOff: r.Off + done, Len: k}) {
+			return
+		}
+		done += k
+		fo += r.stride - fo%r.unit
+	}
 }
 
 // Gather assembles the payload for one write request from the file payload
@@ -454,12 +480,11 @@ func (r Request) Gather(off int64, payload netsim.Payload) netsim.Payload {
 	if payload.Data == nil {
 		return netsim.SyntheticPayload(r.Len)
 	}
-	if len(r.Pieces) == 1 {
-		pc := r.Pieces[0]
-		return netsim.BytesPayload(payload.Data[pc.FileOff-off : pc.FileOff-off+pc.Len])
+	if r.FileOff%r.unit+r.Len <= r.unit {
+		return netsim.BytesPayload(payload.Data[r.FileOff-off : r.FileOff-off+r.Len])
 	}
 	buf := make([]byte, r.Len)
-	for _, pc := range r.Pieces {
+	for pc := range r.Pieces {
 		copy(buf[pc.ObjOff-r.Off:], payload.Data[pc.FileOff-off:pc.FileOff-off+pc.Len])
 	}
 	return netsim.BytesPayload(buf)
@@ -473,13 +498,10 @@ func (r Request) Scatter(off int64, buf []byte, got netsim.Payload) {
 		return
 	}
 	avail := int64(len(got.Data))
-	for _, pc := range r.Pieces {
-		n := pc.Len
-		if rem := avail - (pc.ObjOff - r.Off); rem < n {
-			n = rem
-		}
+	for pc := range r.Pieces {
+		n := min(pc.Len, avail-(pc.ObjOff-r.Off))
 		if n <= 0 {
-			continue
+			return
 		}
 		copy(buf[pc.FileOff-off:], got.Data[pc.ObjOff-r.Off:pc.ObjOff-r.Off+n])
 	}

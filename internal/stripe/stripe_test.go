@@ -1,8 +1,10 @@
 package stripe_test
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lwfs/internal/netsim"
@@ -26,6 +28,9 @@ func testLayout(m int, u int64) stripe.Layout {
 	return l
 }
 
+// pieces lists a request's pieces.
+func pieces(r stripe.Request) []stripe.Piece { return slices.Collect(r.Pieces) }
+
 // checkPlan verifies the invariants every plan must hold: pieces tile the
 // file range exactly once, each request's extent is contiguous in object
 // space and equals its pieces, and piece↔object math agrees with Locate.
@@ -38,7 +43,10 @@ func checkPlan(t *testing.T, l stripe.Layout, off, length int64, reqs []stripe.R
 		}
 		var sum int64
 		next := r.Off
-		for _, pc := range r.Pieces {
+		for i, pc := range pieces(r) {
+			if i == 0 && pc.FileOff != r.FileOff {
+				t.Fatalf("request starts at file byte %d, its first piece at %d", r.FileOff, pc.FileOff)
+			}
 			if pc.ObjOff != next {
 				t.Fatalf("object extent not contiguous: piece at %d, want %d", pc.ObjOff, next)
 			}
@@ -81,8 +89,8 @@ func TestPlanCoalescesToOneRequestPerObject(t *testing.T) {
 		if r.Off != 0 || r.Len != 4*1024 {
 			t.Errorf("object %d extent [%d,+%d), want [0,+4096)", r.Obj, r.Off, r.Len)
 		}
-		if len(r.Pieces) != 4 {
-			t.Errorf("object %d has %d pieces, want 4", r.Obj, len(r.Pieces))
+		if n := len(pieces(r)); n != 4 {
+			t.Errorf("object %d has %d pieces, want 4", r.Obj, n)
 		}
 	}
 	checkPlan(t, l, 0, 16*1024, reqs)
@@ -118,6 +126,43 @@ func TestPlanGuardAtMostOneRequestPerObject(t *testing.T) {
 	}
 }
 
+// Guard test (CI): Units issues one single-piece request per stripe unit
+// touched, in file order, and its pieces are exactly Plan's — the two plans
+// differ only in coalescing.
+func TestUnitsOnePiecePerUnitInFileOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		l := testLayout(1+rng.Intn(7), int64(1+rng.Intn(2048)))
+		off, length := int64(rng.Intn(50_000)), int64(1+rng.Intn(60_000))
+		units := l.Units(off, length)
+		if want := (off+length-1)/l.Unit - off/l.Unit + 1; int64(len(units)) != want {
+			t.Fatalf("m=%d u=%d off=%d len=%d: %d requests for %d units", l.Width(), l.Unit, off, length, len(units), want)
+		}
+		var got []stripe.Piece
+		next := off
+		for _, r := range units {
+			pcs := pieces(r)
+			if len(pcs) != 1 || pcs[0] != (stripe.Piece{FileOff: next, ObjOff: r.Off, Len: r.Len}) {
+				t.Fatalf("m=%d u=%d off=%d len=%d: request %+v is not the unit at %d", l.Width(), l.Unit, off, length, r, next)
+			}
+			got = append(got, pcs[0])
+			next += r.Len
+		}
+		checkPlan(t, l, off, length, units)
+		var want []stripe.Piece
+		for _, r := range l.Plan(off, length) {
+			want = append(want, pieces(r)...)
+		}
+		slices.SortFunc(want, func(a, b stripe.Piece) int { return cmp.Compare(a.FileOff, b.FileOff) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("m=%d u=%d off=%d len=%d: Units pieces differ from Plan's", l.Width(), l.Unit, off, length)
+		}
+	}
+	if reqs := testLayout(2, 1024).Units(10, 0); reqs != nil {
+		t.Fatalf("zero-length units: %v", reqs)
+	}
+}
+
 func TestPlanOffsetOnStripeBoundary(t *testing.T) {
 	l := testLayout(3, 100)
 	// Starts exactly on unit 3's boundary (object 0, second slot).
@@ -127,7 +172,7 @@ func TestPlanOffsetOnStripeBoundary(t *testing.T) {
 		t.Fatalf("got %d requests, want 3", len(reqs))
 	}
 	first := reqs[0]
-	if first.Obj != 0 || first.Off != 100 || first.Pieces[0].FileOff != 300 {
+	if first.Obj != 0 || first.Off != 100 || first.FileOff != 300 {
 		t.Fatalf("boundary start planned as obj=%d off=%d", first.Obj, first.Off)
 	}
 	// Ends exactly on a boundary.
@@ -230,11 +275,11 @@ func TestGatherSinglePieceDoesNotCopy(t *testing.T) {
 		t.Fatalf("%d requests, want 2", len(reqs))
 	}
 	for _, r := range reqs {
-		if len(r.Pieces) != 1 {
+		if len(pieces(r)) != 1 {
 			t.Fatalf("request %+v: want one piece", r)
 		}
 		got := r.Gather(off, netsim.BytesPayload(data))
-		at := r.Pieces[0].FileOff - off
+		at := r.FileOff - off
 		if got.Size != r.Len || int64(len(got.Data)) != r.Len || &got.Data[0] != &data[at] {
 			t.Fatalf("request %+v: gathered %d bytes, aliasing data[%d]: %v", r, len(got.Data), at, &got.Data[0] == &data[at])
 		}
@@ -323,15 +368,30 @@ func TestTargetsDedup(t *testing.T) {
 	}
 }
 
+// plannedReq is a request spelled out with its pieces listed.
+type plannedReq struct {
+	Obj      int
+	Off, Len int64
+	Pieces   []stripe.Piece
+}
+
+func spelledOut(reqs []stripe.Request) []plannedReq {
+	var out []plannedReq
+	for _, r := range reqs {
+		out = append(out, plannedReq{Obj: r.Obj, Off: r.Off, Len: r.Len, Pieces: pieces(r)})
+	}
+	return out
+}
+
 // planReference is the planner as first written — walk the range unit by
 // unit, open a request the first time a column is touched, extend it while
 // the object extent stays contiguous. Plan computes the same thing by
 // arithmetic; this is what it is checked against.
-func planReference(l stripe.Layout, off, length int64) []stripe.Request {
+func planReference(l stripe.Layout, off, length int64) []plannedReq {
 	if length <= 0 || l.Unit <= 0 || l.Width() <= 0 {
 		return nil
 	}
-	var reqs []stripe.Request
+	var reqs []plannedReq
 	last := make([]int, l.Width())
 	for i := range last {
 		last[i] = -1
@@ -348,7 +408,7 @@ func planReference(l stripe.Layout, off, length int64) []stripe.Request {
 			reqs[li].Len += n
 		} else {
 			last[idx] = len(reqs)
-			reqs = append(reqs, stripe.Request{Obj: idx, Off: objOff, Len: n, Pieces: []stripe.Piece{pc}})
+			reqs = append(reqs, plannedReq{Obj: idx, Off: objOff, Len: n, Pieces: []stripe.Piece{pc}})
 		}
 		cur += n
 	}
@@ -360,27 +420,29 @@ func TestPlanMatchesReference(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		l := testLayout(1+rng.Intn(9), int64(1+rng.Intn(512)))
 		off, length := int64(rng.Intn(20_000)), int64(1+rng.Intn(20_000))
-		if got, want := l.Plan(off, length), planReference(l, off, length); !reflect.DeepEqual(got, want) {
+		if got, want := spelledOut(l.Plan(off, length)), planReference(l, off, length); !reflect.DeepEqual(got, want) {
 			t.Fatalf("m=%d u=%d off=%d len=%d:\n got %+v\nwant %+v", l.Width(), l.Unit, off, length, got, want)
 		}
 	}
 }
 
-// Plan makes two allocations whatever the width — the requests and one array
-// of pieces they share — and a request's share of that array is capped, so a
-// caller appending to one request's pieces cannot write into the next.
+// Plan and Units make one allocation whatever the width and however many
+// units the range spans: a request describes its pieces, it does not list
+// them.
 func TestPlanAllocatesPerCallNotPerColumn(t *testing.T) {
 	for _, m := range []int{1, 4, 64} {
 		l := testLayout(m, 1024)
 		length := int64(3*m+1) * 1024
-		if n := testing.AllocsPerRun(100, func() { l.Plan(512, length) }); n > 3 {
-			t.Errorf("width %d: Plan makes %.0f allocations, want at most 3", m, n)
+		if n := testing.AllocsPerRun(100, func() { l.Plan(512, length) }); n > 1 {
+			t.Errorf("width %d: Plan makes %.0f allocations, want 1", m, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { l.Units(512, length) }); n > 1 {
+			t.Errorf("width %d: Units makes %.0f allocations, want 1", m, n)
 		}
 	}
 	reqs := testLayout(4, 1024).Plan(0, 16*1024)
-	want := reqs[1].Pieces[0]
-	reqs[0].Pieces = append(reqs[0].Pieces, stripe.Piece{FileOff: -1})
-	if reqs[1].Pieces[0] != want {
-		t.Error("appending to one request's pieces overwrote its neighbour's")
+	buf := make([]byte, 16*1024)
+	if n := testing.AllocsPerRun(100, func() { reqs[1].Scatter(0, buf, netsim.BytesPayload(buf[:4096])) }); n != 0 {
+		t.Errorf("Scatter makes %.0f allocations, want 0", n)
 	}
 }
