@@ -33,6 +33,31 @@ func BenchmarkNullRPC(b *testing.B) {
 	r.k.Shutdown()
 }
 
+// BenchmarkPull is the wall-clock and allocation cost of one warm 8-chunk
+// server-directed pull (Puller.Pull) between two endpoints; allocs/op is what
+// TestWarmPullAllocatesNothing pins at zero.
+func BenchmarkPull(b *testing.B) {
+	const total = 8 * pullChunk
+	r, pl, pool := pullRig(nil, total)
+	sink := func(*sim.Proc, int64, netsim.Payload) error { return nil }
+	b.ReportAllocs()
+	r.k.Spawn("bench", func(p *sim.Proc) {
+		for i := -100; i < b.N; i++ {
+			if i == 0 {
+				b.ResetTimer()
+			}
+			if _, err := pl.Pull(p, r.eps[0].Node(), 5, 1, total, pool, sink); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	if err := r.k.Run(sim.MaxTime); err != nil {
+		b.Fatal(err)
+	}
+	r.k.Shutdown()
+}
+
 // Wall-clock cost of one simulated one-sided Get of a 1 MiB chunk — the
 // inner loop of every server-directed transfer.
 func BenchmarkSimulatedGet(b *testing.B) {

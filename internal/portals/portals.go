@@ -331,7 +331,13 @@ func (s *Slot) Wait(p *sim.Proc, timeout time.Duration) (*Event, bool) {
 	if timeout <= 0 {
 		return s.eq.Recv(p).(*Event), true
 	}
-	v, ok := s.eq.RecvTimeout(p, timeout)
+	return s.landed(s.eq.RecvTimeout(p, timeout))
+}
+
+// landed turns a slot wait's outcome into Wait's, abandoning the slot after a
+// timeout. A continuation waits with s.eq.RecvCont and takes its result as
+// s.landed(c.Msg()).
+func (s *Slot) landed(v interface{}, ok bool) (*Event, bool) {
 	if !ok {
 		s.me.Unlink()
 		s.me.ep = nil
@@ -416,32 +422,81 @@ const getReplyPortal Index = 1020
 // serialization costs on the target's egress and our ingress — this is the
 // server-pull half of server-directed I/O.
 func (ep *Endpoint) Get(p *sim.Proc, target netsim.NodeID, pt Index, bits MatchBits, offset, length int64) (netsim.Payload, error) {
-	attempts, timeout := 1, time.Duration(0)
-	if ep.getRetry.Enabled() {
-		attempts, timeout = ep.getRetry.MaxAttempts, ep.getRetry.Timeout
+	g := getOp{ep: ep, target: target, pt: pt, bits: bits, offset: offset, length: length}
+	for {
+		g.send()
+		retry, pause := g.settle(g.slot.Wait(p, g.timeout()))
+		if !retry {
+			return g.payload, g.err
+		}
+		p.Sleep(pause)
 	}
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			p.Sleep(ep.getRetry.Pause(a-1, ep.getRNG))
-		}
-		ep.nextToken++
-		slot := ep.Post(getReplyPortal, MatchBits(ep.nextToken), true)
-		req := ep.record(pt, bits, netsim.Payload{})
-		req.kind, req.Offset, req.Length, req.token = wireGet, offset, length, ep.nextToken
-		ep.send(target, req)
-		reply, ok := slot.Wait(p, timeout)
-		if !ok {
-			// Lost request or reply: retry under a fresh token. If the
-			// reply is merely late it finds no match entry and is dropped —
-			// tokens are never reused, so it cannot complete a different Get.
-			continue
-		}
-		payload, err := reply.Payload, reply.err
+}
+
+// getOp is one Get's attempt loop, written once as the steps between its
+// waits: post the reply slot and send the request (send), wait on the slot
+// for timeout(), then take the reply or, on a timeout, abandon the slot and
+// either pause before the next attempt or give up with ErrGetTimeout (settle).
+// Get runs it in a parked process; the puller runs it as a continuation,
+// reusing one getOp for every chunk of a transfer.
+type getOp struct {
+	ep     *Endpoint
+	target netsim.NodeID
+	pt     Index
+	bits   MatchBits
+	offset int64
+	length int64
+	made   int // attempts sent so far; settle zeroes it when the Get is over
+	slot   *Slot
+
+	payload netsim.Payload // the result, once settle reports no retry
+	err     error
+}
+
+// timeout bounds the wait for one attempt's reply: under a retry policy its
+// Timeout, otherwise none.
+func (g *getOp) timeout() time.Duration {
+	if !g.ep.getRetry.Enabled() {
+		return 0
+	}
+	return g.ep.getRetry.Timeout
+}
+
+// send posts the reply slot under a fresh token and sends the next attempt's
+// request; the caller then waits on g.slot for g.timeout().
+func (g *getOp) send() {
+	ep := g.ep
+	g.made++
+	ep.nextToken++
+	g.slot = ep.Post(getReplyPortal, MatchBits(ep.nextToken), true)
+	req := ep.record(g.pt, g.bits, netsim.Payload{})
+	req.kind, req.Offset, req.Length, req.token = wireGet, g.offset, g.length, ep.nextToken
+	ep.send(g.target, req)
+}
+
+// settle takes the outcome of the slot wait — the reply, or ok false after a
+// timeout (the wait has abandoned the slot) — and reports whether another
+// attempt follows and the pause before it. Otherwise the Get is over and
+// g.payload, g.err hold its result.
+func (g *getOp) settle(reply *Event, ok bool) (retry bool, pause time.Duration) {
+	slot := g.slot
+	g.slot = nil
+	if ok {
+		g.payload, g.err, g.made = reply.Payload, reply.err, 0
 		reply.Release()
 		slot.Close()
-		return payload, err
+		return false, 0
 	}
-	return netsim.Payload{}, ErrGetTimeout
+	// Lost request or reply: retry under a fresh token. If the reply is merely
+	// late it finds no match entry and is dropped — tokens are never reused,
+	// so it cannot complete a different Get. A wait only times out under a
+	// retry policy.
+	pol := g.ep.getRetry
+	if g.made == pol.MaxAttempts {
+		g.payload, g.err, g.made = netsim.Payload{}, ErrGetTimeout, 0
+		return false, 0
+	}
+	return true, pol.Pause(g.made-1, g.ep.getRNG)
 }
 
 // deliver runs in kernel context for every message addressed to this node.

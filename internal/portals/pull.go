@@ -11,11 +11,13 @@ import (
 // pull loop of every service that fetches bulk data from a client at its own
 // pace: the LWFS storage servers, the burst-buffer staging tier and the
 // baseline's OSTs. A server makes one Puller and calls Pull per request, from
-// any number of service threads; a transfer's mailbox, puller function and
-// chunk slots come off the Puller's free list, so a warm Pull allocates nothing.
+// any number of service threads. Only the calling thread parks: the fetch side
+// runs as a continuation (sim.Cont), and a transfer's mailbox, continuation
+// and chunk slots come off the Puller's free list, so a warm Pull allocates
+// nothing.
 type Puller struct {
 	ep        *Endpoint
-	name      string // server/puller: names the puller processes and their mailboxes
+	name      string // server/puller: names the transfers' mailboxes
 	chunkSize int64
 	free      []*pull
 }
@@ -27,20 +29,31 @@ func NewPuller(ep *Endpoint, name string, chunkSize int64) *Puller {
 }
 
 // pull is the state of one transfer. Between transfers it waits on
-// Puller.free: the puller process sends its last chunk and returns without
-// blocking, so once the consumer has that chunk nothing else holds the record.
+// Puller.free: the fetch side sends its last chunk and stops without waiting
+// again, so once the consumer has that chunk nothing else holds the record.
 type pull struct {
 	pl     *Puller
 	chunks *sim.Mailbox
-	run    func(q *sim.Proc) // fetch, bound once
-	slots  []pulledChunk     // chunk i travels through the mailbox as &slots[i]
+	cont   sim.Cont      // the fetch side: step, bound once
+	slots  []pulledChunk // chunk i travels through the mailbox as &slots[i]
 
-	from   netsim.NodeID
-	portal Index
-	bits   MatchBits
-	total  int64
-	pool   *sim.Resource
+	total int64
+	pool  *sim.Resource
+
+	// Where the fetch side stands: chunk i, the Get that fetches it (aimed at
+	// the initiator's match entry once per transfer), and what step does when
+	// woken.
+	i     int
+	get   getOp
+	stage uint8
 }
+
+// What step does next, each stage entered after a wait (or none).
+const (
+	claimChunk uint8 = iota // claim chunk i's pinned bytes and aim the Get at them
+	sendGet                 // the bytes are ours, or a retry's pause is over: send an attempt
+	takeReply               // the attempt's reply landed or it timed out
+)
 
 type pulledChunk struct {
 	off     int64
@@ -58,22 +71,24 @@ type pulledChunk struct {
 func (pl *Puller) Pull(p *sim.Proc, from netsim.NodeID, dataPortal Index, bits MatchBits, total int64,
 	pool *sim.Resource, sink func(q *sim.Proc, off int64, chunk netsim.Payload) error) (int64, error) {
 	if total <= 0 {
-		return 0, nil // nothing to pull, so no puller (it would outlive this call)
+		return 0, nil // nothing to pull, so no fetch side (it would outlive this call)
 	}
 	var r *pull
 	if n := len(pl.free); n > 0 {
 		r, pl.free = pl.free[n-1], pl.free[:n-1]
 	} else {
 		r = &pull{pl: pl, chunks: sim.NewMailbox(pl.ep.Kernel(), pl.name)}
-		r.run = r.fetch
+		r.cont.Bind(pl.ep.Kernel(), r.step)
 	}
 	nchunks := int((total + pl.chunkSize - 1) / pl.chunkSize)
 	if cap(r.slots) < nchunks {
 		r.slots = make([]pulledChunk, nchunks)
 	}
 	r.slots = r.slots[:nchunks]
-	r.from, r.portal, r.bits, r.total, r.pool = from, dataPortal, bits, total, pool
-	p.Kernel().Spawn(pl.name, r.run)
+	r.total, r.pool = total, pool
+	r.get = getOp{ep: pl.ep, target: from, pt: dataPortal, bits: bits}
+	r.i, r.stage = 0, claimChunk
+	r.cont.Start()
 
 	var consumed int64
 	var firstErr error
@@ -82,7 +97,7 @@ func (pl *Puller) Pull(p *sim.Proc, from netsim.NodeID, dataPortal Index, bits M
 		payload, err := c.payload, c.err
 		c.payload = netsim.Payload{} // the record must not pin the client's bytes
 		if err != nil {
-			// The puller exits after a failed Get; no more chunks follow.
+			// The fetch side stops after a failed Get; no more chunks follow.
 			if firstErr == nil {
 				firstErr = fmt.Errorf("portals: pulling client data: %w", err)
 			}
@@ -101,20 +116,48 @@ func (pl *Puller) Pull(p *sim.Proc, from netsim.NodeID, dataPortal Index, bits M
 	return consumed, firstErr
 }
 
-// fetch is the puller process: chunk after chunk, bounded by the pinned pool.
-func (r *pull) fetch(q *sim.Proc) {
-	size := r.pl.chunkSize
-	for i, off := 0, int64(0); off < r.total; i, off = i+1, off+size {
-		n := min(size, r.total-off)
-		r.pool.Acquire(q, n)
-		payload, err := r.pl.ep.Get(q, r.from, r.portal, r.bits, off, n)
-		r.slots[i] = pulledChunk{off: off, payload: payload, err: err}
-		r.chunks.Send(&r.slots[i])
-		if err != nil {
-			// The failed chunk carries no payload; return its buffer here so
-			// the pool is whole for the next request.
-			r.pool.Release(n)
-			return
+// step is the fetch side, chunk after chunk, bounded by the pinned pool. It
+// runs in kernel context from one wait to the next, woken where a parked
+// process would resume (sim.Cont), and returns at every wait, and after the
+// last chunk or a failed Get.
+func (r *pull) step() {
+	for {
+		switch r.stage {
+		case claimChunk:
+			g := &r.get
+			g.offset = int64(r.i) * r.pl.chunkSize
+			g.length = min(r.pl.chunkSize, r.total-g.offset)
+			r.stage = sendGet
+			if !r.pool.AcquireCont(&r.cont, g.length) {
+				return
+			}
+		case sendGet:
+			r.get.send()
+			r.stage = takeReply
+			if !r.get.slot.eq.RecvCont(&r.cont, r.get.timeout()) {
+				return
+			}
+		case takeReply:
+			g := &r.get
+			retry, pause := g.settle(g.slot.landed(r.cont.Msg()))
+			if retry {
+				r.stage = sendGet
+				r.cont.Sleep(pause)
+				return
+			}
+			r.slots[r.i] = pulledChunk{off: g.offset, payload: g.payload, err: g.err}
+			g.payload = netsim.Payload{} // the record must not pin the client's bytes
+			r.chunks.Send(&r.slots[r.i])
+			if g.err != nil {
+				// The failed chunk carries no payload; return its buffer here so
+				// the pool is whole for the next request.
+				r.pool.Release(g.length)
+				return
+			}
+			if r.i++; r.i == len(r.slots) {
+				return
+			}
+			r.stage = claimChunk
 		}
 	}
 }

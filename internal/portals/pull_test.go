@@ -3,7 +3,10 @@ package portals
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
@@ -97,9 +100,9 @@ func TestPullFailureLeavesThePoolWholeAndTheRecordReusable(t *testing.T) {
 	}
 }
 
-// A warm pull allocates nothing, one chunk or eight: the mailbox, the puller
-// function and the chunk slots come off the Puller's free list, the puller
-// process off the kernel's, the wire records off the network's.
+// A warm pull allocates nothing, one chunk or eight: the mailbox, the
+// continuation and the chunk slots come off the Puller's free list, the wire
+// records off the network's.
 func TestWarmPullAllocatesNothing(t *testing.T) {
 	for _, chunks := range []int64{1, 8} {
 		t.Run(fmt.Sprintf("%d chunks", chunks), func(t *testing.T) {
@@ -121,5 +124,116 @@ func TestWarmPullAllocatesNothing(t *testing.T) {
 				t.Errorf("pulled %d bytes, want %d", pulled, 2100*total)
 			}
 		})
+	}
+}
+
+// cutAfterFirstChunk is a sink that partitions client from server while it
+// consumes chunk 0, and records the offsets it is handed. The fetch side has
+// already sent chunk 1's Get by then, so that Get's reply is the first message
+// the cut drops.
+func cutAfterFirstChunk(r *rig, offs *[]int64, cut **netsim.Fault) func(q *sim.Proc, off int64, chunk netsim.Payload) error {
+	return func(q *sim.Proc, off int64, chunk netsim.Payload) error {
+		if off == 0 {
+			*cut = r.net.Partition([]netsim.NodeID{r.eps[0].Node()}, []netsim.NodeID{r.eps[1].Node()})
+		}
+		*offs = append(*offs, off)
+		return nil
+	}
+}
+
+// A pull that stalls — no reply, no retry policy — leaves only its consumer
+// parked: the fetch side is a continuation waiting on the reply slot, not a
+// process, so the deadlock report names the consumer alone.
+func TestStalledPullParksOnlyTheConsumer(t *testing.T) {
+	r, pl, pool := pullRig(t, 4*pullChunk)
+	var offs []int64
+	var cut *netsim.Fault
+	r.k.Spawn("srv", func(p *sim.Proc) {
+		pl.Pull(p, r.eps[0].Node(), 5, 1, 4*pullChunk, pool, cutAfterFirstChunk(r, &offs, &cut))
+		t.Error("a pull whose Get is lost returned without a retry policy")
+	})
+	var dl *sim.DeadlockError
+	if err := r.k.Run(sim.MaxTime); !errors.As(err, &dl) {
+		t.Fatalf("Run: %v, want a deadlock", err)
+	}
+	if want := []string{"srv"}; !reflect.DeepEqual(dl.Blocked, want) {
+		t.Errorf("blocked %v, want %v", dl.Blocked, want)
+	}
+	if fmt.Sprint(offs) != "[0]" {
+		t.Errorf("delivered chunks at %v, want only chunk 0", offs)
+	}
+	r.k.Shutdown()
+}
+
+// Under a retry policy a partition healed within the budget costs a timeout
+// and a pause, not the transfer: every byte arrives, in order, and the pool
+// ends whole.
+func TestPullRetriesThroughAHealedPartition(t *testing.T) {
+	const total = 5 * pullChunk
+	r, pl, pool := pullRig(t, total)
+	r.eps[1].SetGetRetry(quickRetry, sim.NewRand(1))
+	var offs []int64
+	var cut *netsim.Fault
+	var n int64
+	var err error
+	r.k.Spawn("srv", func(p *sim.Proc) {
+		sink := cutAfterFirstChunk(r, &offs, &cut)
+		n, err = pl.Pull(p, r.eps[0].Node(), 5, 1, total, pool, func(q *sim.Proc, off int64, chunk netsim.Payload) error {
+			if off == 0 {
+				r.k.After(5*time.Millisecond, func() { cut.Heal() })
+			}
+			return sink(q, off, chunk)
+		})
+	})
+	if e := r.k.Run(sim.MaxTime); e != nil {
+		t.Fatal(e)
+	}
+	if err != nil || n != total {
+		t.Fatalf("pulled %d of %d bytes: %v", n, total, err)
+	}
+	if want := "[0 65536 131072 196608 262144]"; fmt.Sprint(offs) != want {
+		t.Errorf("chunks at %v, want %v", offs, want)
+	}
+	if r.k.Now() < sim.Time(quickRetry.Timeout) {
+		t.Errorf("the pull ended at %v, before any attempt could time out: the cut dropped nothing", r.k.Now())
+	}
+	if pool.Available() != pool.Capacity() || len(pl.free) != 1 {
+		t.Errorf("pool %d of %d, %d free records; want a whole pool and the record back", pool.Available(), pool.Capacity(), len(pl.free))
+	}
+}
+
+// A partition that outlasts the retry budget ends the pull with
+// ErrGetTimeout: the chunks before the cut are delivered, the pool is whole,
+// and the record serves the next Pull once the network heals.
+func TestPullGivesUpAfterTheRetryBudget(t *testing.T) {
+	const total = 4 * pullChunk
+	r, pl, pool := pullRig(t, total)
+	r.eps[1].SetGetRetry(quickRetry, sim.NewRand(1))
+	r.k.Spawn("srv", func(p *sim.Proc) {
+		var offs []int64
+		var cut *netsim.Fault
+		n, err := pl.Pull(p, r.eps[0].Node(), 5, 1, total, pool, cutAfterFirstChunk(r, &offs, &cut))
+		if !errors.Is(err, ErrGetTimeout) || !strings.HasPrefix(err.Error(), "portals: pulling client data: ") {
+			t.Errorf("err = %v, want ErrGetTimeout wrapped as pulling client data", err)
+		}
+		if n != pullChunk || fmt.Sprint(offs) != "[0]" {
+			t.Errorf("%d bytes in chunks at %v, want chunk 0 alone", n, offs)
+		}
+		if pool.Available() != pool.Capacity() || len(pl.free) != 1 {
+			t.Fatalf("after the timeout: pool %d of %d, %d free records", pool.Available(), pool.Capacity(), len(pl.free))
+		}
+		rec := pl.free[0]
+
+		cut.Heal()
+		n, err = pl.Pull(p, r.eps[0].Node(), 5, 1, total, pool, func(*sim.Proc, int64, netsim.Payload) error { return nil })
+		if err != nil || n != total {
+			t.Errorf("the next pull: %d of %d bytes, %v", n, total, err)
+		}
+		if len(pl.free) != 1 || pl.free[0] != rec || rec.chunks.Len() != 0 {
+			t.Errorf("the next pull did not reuse the record cleanly: %d free records, %d chunks queued", len(pl.free), rec.chunks.Len())
+		}
+	})
+	if err := r.k.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -36,6 +36,10 @@
 //   - A process whose function returns leaves its goroutine, Proc record and
 //     resume channel on a bounded free list; the next Spawn re-arms them, so
 //     short-lived fan-out legs cost nothing on a warm kernel (Kernel.exit).
+//   - Code that only waits need not be a process: a continuation (Cont) waits
+//     on a Mailbox, a Resource or the clock and is woken by the same schedule
+//     call, at the same (time, seq) place, as a parked process's resume, with
+//     no goroutine hand-off.
 package sim
 
 import (
@@ -411,12 +415,9 @@ type Proc struct {
 	running bool   // inside fn; blocking on a record that is not panics
 	daemon  bool
 
-	// Pooled waiter records: a process blocks on at most one thing at a
-	// time, so every Mailbox/Resource wait reuses these instead of
-	// allocating (see sync.go).
-	mw        mboxWaiter
-	rw        resWaiter
-	mwTimeout func() // pre-built RecvTimeout callback, created once
+	// The pooled waiter record: a process blocks on at most one thing at a
+	// time, so every Mailbox/Resource wait reuses it (see sync.go).
+	w waiter
 }
 
 // Kernel returns the kernel this process belongs to.
@@ -452,6 +453,7 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 		p.name, p.fn, p.daemon = name, fn, false
 	} else {
 		p = &Proc{k: k, name: name, fn: fn, resume: make(chan struct{}, 1)}
+		p.w.p = p
 	}
 	if !k.dead {
 		k.procs[p] = struct{}{}

@@ -24,27 +24,43 @@ type Mailbox struct {
 	buf     []interface{} // power-of-two ring; nil until first queued message
 	head    int
 	n       int
-	waiters []*mboxWaiter
+	waiters []*waiter
 	backlog func() // see OnBacklog
 }
 
-// mboxWaiter records one blocked receiver. Waiters are pooled per process
-// (Proc.mw): a process blocks on at most one mailbox at a time, so Recv and
-// RecvTimeout never allocate.
-type mboxWaiter struct {
+// waiter is one blocked wait on a Mailbox or a Resource: who resumes — a
+// parked process (p), or a continuation run in kernel context (fn) — and what
+// the wait brought. A process or a continuation waits on one thing at a time,
+// so each owns one waiter record (Proc.w, Cont.w) and every wait reuses it:
+// no wait allocates.
+type waiter struct {
 	p        *Proc
+	fn       func()
 	m        *Mailbox
 	msg      interface{}
+	n        int64 // units a Resource wait claims
 	ok       bool
 	timedOut bool
 	hasTO    bool
 	cancelTO cancelHandle
+	onTO     func() // fireTimeout, bound on the first timed wait
 }
 
-// fireTimeout is the timeout callback for RecvTimeout: remove the waiter
-// from its mailbox and wake it empty-handed. It is invoked through the
-// pre-built Proc.mwTimeout closure, so arming a timeout allocates nothing.
-func (w *mboxWaiter) fireTimeout() {
+// wake schedules whoever waits at the current instant. Both kinds go through
+// this one schedule call, so a continuation takes the (time, seq) place the
+// parked process's resume would have taken.
+func (w *waiter) wake(k *Kernel) {
+	kind := evResume
+	if w.fn != nil {
+		kind = evFn
+	}
+	k.schedule(k.now, w.fn, w.p, kind)
+}
+
+// fireTimeout is the timeout callback of a timed mailbox wait: remove the
+// waiter from its mailbox and wake it empty-handed. It is invoked through the
+// pre-built onTO closure, so arming a timeout allocates nothing.
+func (w *waiter) fireTimeout() {
 	m := w.m
 	for i, x := range m.waiters {
 		if x == w {
@@ -54,7 +70,46 @@ func (w *mboxWaiter) fireTimeout() {
 	}
 	w.hasTO = false
 	w.timedOut = true
-	w.p.unpark()
+	w.wake(m.k)
+}
+
+// Cont is a continuation: a function that runs in kernel context and waits on
+// a Mailbox (RecvCont), a Resource (AcquireCont) or the clock (Sleep) the way
+// a process parks, without a goroutine of its own. Every wake-up is scheduled
+// where the parked process's resume would be, so a process that only waits
+// can become a continuation without moving any event (DESIGN.md §4.12). A wait
+// that reports ready did not wait: the function goes on inline, as the process
+// would have without parking. A Cont waits on one thing at a time and lives
+// by value in its owner's record; once bound it allocates nothing but the
+// timeout callback of its first timed wait. No process is parked while it
+// waits, so a continuation that is never woken is absent from a deadlock
+// report.
+type Cont struct {
+	k *Kernel
+	w waiter
+}
+
+// Bind makes fn the function c's wake-ups run on k.
+func (c *Cont) Bind(k *Kernel, fn func()) { c.k, c.w.fn = k, fn }
+
+// Start runs c's function at the current instant, where Spawn puts a start
+// event.
+func (c *Cont) Start() { c.Sleep(0) }
+
+// Sleep runs c's function d from now, where a process's Sleep resumes it.
+func (c *Cont) Sleep(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	c.k.schedule(c.k.now.Add(d), c.w.fn, nil, evFn)
+}
+
+// Msg returns what c's last mailbox wait brought — ok is false if it timed
+// out — and drops c's reference to the message.
+func (c *Cont) Msg() (msg interface{}, ok bool) {
+	msg, ok = c.w.msg, c.w.ok
+	c.w.msg = nil
+	return msg, ok
 }
 
 // NewMailbox creates a mailbox attached to k. The name appears in traces and
@@ -113,7 +168,7 @@ func (m *Mailbox) resize(c int) {
 // popWaiter removes the head waiter without advancing the slice base, so
 // the backing array is reused forever (append never reallocates in steady
 // state).
-func (m *Mailbox) popWaiter() *mboxWaiter {
+func (m *Mailbox) popWaiter() *waiter {
 	w := m.waiters[0]
 	last := len(m.waiters) - 1
 	copy(m.waiters, m.waiters[1:])
@@ -133,7 +188,7 @@ func (m *Mailbox) Send(msg interface{}) {
 			w.hasTO = false
 			m.k.cancel(w.cancelTO)
 		}
-		w.p.unpark()
+		w.wake(m.k)
 		return
 	}
 	m.push(msg)
@@ -142,13 +197,20 @@ func (m *Mailbox) Send(msg interface{}) {
 	}
 }
 
-// wait registers p's pooled waiter and returns it.
-func (m *Mailbox) wait(p *Proc) *mboxWaiter {
-	w := &p.mw
-	w.p, w.m = p, m
+// wait registers w for the next message.
+func (m *Mailbox) wait(w *waiter) {
+	w.m = m
 	w.msg, w.ok, w.timedOut, w.hasTO = nil, false, false, false
 	m.waiters = append(m.waiters, w)
-	return w
+}
+
+// armTimeout gives up w's wait d from now.
+func (m *Mailbox) armTimeout(w *waiter, d time.Duration) {
+	if w.onTO == nil {
+		w.onTO = w.fireTimeout
+	}
+	w.hasTO = true
+	w.cancelTO = m.k.scheduleCancelable(m.k.now.Add(d), w.onTO)
 }
 
 // Recv blocks p until a message is available and returns it.
@@ -156,7 +218,8 @@ func (m *Mailbox) Recv(p *Proc) interface{} {
 	if m.n > 0 {
 		return m.pop()
 	}
-	w := m.wait(p)
+	w := &p.w
+	m.wait(w)
 	p.park()
 	if !w.ok {
 		panic(fmt.Sprintf("sim: mailbox %q: process resumed without a message", m.name))
@@ -171,12 +234,9 @@ func (m *Mailbox) RecvTimeout(p *Proc, d time.Duration) (msg interface{}, ok boo
 	if m.n > 0 {
 		return m.pop(), true
 	}
-	if p.mwTimeout == nil {
-		p.mwTimeout = p.mw.fireTimeout
-	}
-	w := m.wait(p)
-	w.hasTO = true
-	w.cancelTO = m.k.scheduleCancelable(m.k.now.Add(d), p.mwTimeout)
+	w := &p.w
+	m.wait(w)
+	m.armTimeout(w, d)
 	p.park()
 	if w.timedOut {
 		return nil, false
@@ -184,6 +244,23 @@ func (m *Mailbox) RecvTimeout(p *Proc, d time.Duration) (msg interface{}, ok boo
 	msg = w.msg
 	w.msg = nil
 	return msg, w.ok
+}
+
+// RecvCont is Recv (d <= 0) or RecvTimeout (d > 0) for a continuation. It
+// reports whether a message was already queued; if none was, c's function runs
+// when one arrives or d passes, where a parked process would resume. Either
+// way c.Msg then holds the outcome.
+func (m *Mailbox) RecvCont(c *Cont, d time.Duration) (ready bool) {
+	w := &c.w
+	if m.n > 0 {
+		w.msg, w.ok = m.pop(), true
+		return true
+	}
+	m.wait(w)
+	if d > 0 {
+		m.armTimeout(w, d)
+	}
+	return false
 }
 
 // TryRecv returns a queued message without blocking, or ok=false.
@@ -201,17 +278,11 @@ type Resource struct {
 	name     string
 	capacity int64
 	avail    int64
-	waiters  []*resWaiter
+	waiters  []*waiter
 
 	// Busy-time accounting for utilization reports.
 	busySince Time
 	busyAccum time.Duration
-}
-
-// resWaiter is pooled per process (Proc.rw), like mboxWaiter.
-type resWaiter struct {
-	p *Proc
-	n int64
 }
 
 // NewResource creates a resource with the given capacity (units are caller
@@ -232,17 +303,30 @@ func (r *Resource) Available() int64 { return r.avail }
 // Acquire blocks p until n units are available and claims them.
 // n must be in (0, capacity].
 func (r *Resource) Acquire(p *Proc, n int64) {
+	if !r.claim(&p.w, n) {
+		p.park()
+	}
+}
+
+// AcquireCont is Acquire for a continuation. It reports whether the n units
+// were free; if they were not, c's function runs once they are claimed for
+// it, where a parked process would resume.
+func (r *Resource) AcquireCont(c *Cont, n int64) (ready bool) {
+	return r.claim(&c.w, n)
+}
+
+// claim takes n units now, or queues w for them and reports false.
+func (r *Resource) claim(w *waiter, n int64) bool {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("sim: resource %q: acquire %d of capacity %d", r.name, n, r.capacity))
 	}
 	if len(r.waiters) == 0 && r.avail >= n {
 		r.take(n)
-		return
+		return true
 	}
-	w := &p.rw
-	w.p, w.n = p, n
+	w.n = n
 	r.waiters = append(r.waiters, w)
-	p.park()
+	return false
 }
 
 func (r *Resource) take(n int64) {
@@ -268,7 +352,7 @@ func (r *Resource) Release(n int64) {
 		r.waiters[last] = nil
 		r.waiters = r.waiters[:last]
 		r.take(w.n)
-		w.p.unpark()
+		w.wake(r.k)
 	}
 }
 
