@@ -5,17 +5,21 @@
 //	lwfsbench -experiment <name>     # one experiment; -h lists them
 //	lwfsbench -experiment all        # every experiment, in table order
 //
-// The experiments, their -quick presets and their reports live in one
-// table, figures.Experiments; this file is flag parsing plus a loop over it.
+// The experiments and their reports live in one table, figures.Experiments;
+// this file is flag parsing plus a loop over it.
 //
-// -quick shrinks the four sweeps that take seconds for a fast smoke run:
-// fig9 and fig10 (fewer points, 2 trials, and 64 MB/process for fig9; the
-// defaults reproduce the paper's 512 MB/process, ≥5 trials, 2–16 servers,
-// up to 64 clients), redstorm (two exact-rank counts of four) and replay
-// (fewer workers and trace copies). Every other experiment costs well
-// under a second, or gains nothing from a smaller sweep, and has one size:
-// the one EXPERIMENTS.md reports. A negative -trials or -mb-per-proc, or a
-// -servers or -clients entry below 1, is a bad command line (exit 2).
+// Every experiment has one size: the paper's (512 MB/process, ≥5 trials,
+// 2–16 servers, up to 64 clients for Figures 9–10), or the one
+// EXPERIMENTS.md reports for the extensions. A smaller run of one
+// experiment is spelled with the sizing flags, which each experiment reads
+// its own way (so they do not shrink `all`):
+//
+//	lwfsbench -experiment fig9 -servers 2,8,16 -clients 1,4,16,48 -trials 2 -mb-per-proc 64
+//	lwfsbench -experiment redstorm -clients 1000,10000   # exact-rank counts
+//	lwfsbench -experiment replay -clients 1,4,16         # workers
+//
+// A negative -trials or -mb-per-proc, or a -servers or -clients entry below
+// 1, is a bad command line (exit 2).
 //
 // -metrics appends per-sweep-point registry snapshot deltas (RPC rates,
 // cache hit ratios, queue depths, drain backlog) to the experiments that
@@ -32,11 +36,11 @@
 // process's high-water mark when it ended, so in an `all` run it only grows;
 // points counts the sweep points that reported.
 //
-// The -quick output of every experiment is pinned byte for byte by
-// TestExperimentGoldens (testdata/golden; regenerate with
-// `go test ./cmd/lwfsbench -run Goldens -long -update`); the report blocks
+// The output of every experiment is pinned byte for byte by
+// TestExperimentGoldens (testdata/golden), and the report blocks
 // EXPERIMENTS.md marks with a golden comment are held to those files by
-// TestExperimentsMdQuotesGoldens.
+// TestExperimentsMdQuotesGoldens; after a model change,
+// `go test ./cmd/lwfsbench -run Goldens -long -update` rewrites both.
 package main
 
 import (
@@ -81,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		experiment = fs.String("experiment", "all", help)
 		trials     = fs.Int("trials", 0, "trials per point (0 = the experiment's own default (5 for Figures 9–10))")
-		quick      = fs.Bool("quick", false, "small sweep for a fast smoke run")
 		servers    = fs.String("servers", "", "comma-separated server counts (default 2,4,8,16)")
 		clients    = fs.String("clients", "", "comma-separated client counts (default 1,2,4,8,16,32,48,64)")
 		bytesMB    = fs.Int64("mb-per-proc", 0, "MB written per process (0 = paper's 512)")
@@ -98,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	env := figures.Env{Trials: *trials, Quick: *quick, BytesPerProc: *bytesMB << 20, Metrics: *metrics, Plot: *plot}
+	env := figures.Env{Trials: *trials, BytesPerProc: *bytesMB << 20, Metrics: *metrics, Plot: *plot}
 	var err error
 	switch {
 	case *trials < 0:

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,40 +19,40 @@ var (
 	long   = flag.Bool("long", false, "also run the experiments that take tens of seconds")
 )
 
-// slow names the experiments whose -quick run takes seconds of host time
-// and most of a gigabyte of memory between them; their goldens are checked
-// only under -long.
-var slow = map[string]bool{"redstorm": true, "ckptinterval": true}
+// slow names the experiments whose report takes seconds of host time; their
+// goldens are checked only under -long.
+var slow = map[string]bool{"fig9": true, "redstorm": true, "ckptinterval": true, "replay": true}
 
-// TestExperimentGoldens pins every experiment's -quick report byte for byte:
-// the simulator is deterministic, so any refactor that claims "same
-// behaviour" either keeps these files unchanged or says which moved and why.
-// Only fig9, fig10, redstorm and replay have a -quick preset; every other
-// golden is the full-size report.
+// TestExperimentGoldens pins every experiment's report byte for byte: the
+// simulator is deterministic, so any refactor that claims "same behaviour"
+// either keeps these files unchanged or says which moved and why. Three
+// more cases pin flags that change a report: -plot, -metrics, and the sizing
+// flags (fig9-small, a fig9 sweep cheap enough for every run).
 func TestExperimentGoldens(t *testing.T) {
 	type golden struct {
 		file string
 		args []string
 	}
 	cases := []golden{
-		{"fig10-plot", []string{"-experiment", "fig10", "-quick", "-plot"}},
-		{"meta-metrics", []string{"-experiment", "meta", "-quick", "-metrics"}},
+		{"fig10-plot", []string{"-experiment", "fig10", "-plot"}},
+		{"meta-metrics", []string{"-experiment", "meta", "-metrics"}},
+		{"fig9-small", []string{"-experiment", "fig9", "-servers", "2,8,16", "-clients", "1,4,16,48", "-trials", "2", "-mb-per-proc", "64"}},
 	}
 	for _, e := range figures.Experiments {
 		if !slow[e.Name] || *long {
-			cases = append(cases, golden{e.Name, []string{"-experiment", e.Name, "-quick"}})
+			cases = append(cases, golden{e.Name, []string{"-experiment", e.Name}})
 		}
 	}
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {
 			if !slow[c.file] {
-				t.Parallel() // the slow two also hold the most memory: one at a time
+				t.Parallel() // the slow ones also hold the most memory: one at a time
 			}
 			var stdout, stderr bytes.Buffer
 			if code := run(c.args, &stdout, &stderr); code != 0 {
 				t.Fatalf("lwfsbench %s: exit %d\n%s", strings.Join(c.args, " "), code, stderr.String())
 			}
-			path := filepath.Join("testdata", "golden", c.file+".txt")
+			path := goldenPath(c.file)
 			if *update {
 				if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
@@ -70,46 +71,109 @@ func TestExperimentGoldens(t *testing.T) {
 	}
 }
 
+func goldenPath(name string) string { return filepath.Join("testdata", "golden", name+".txt") }
+
+// readGolden is testdata/golden/NAME.txt as lines, trailing blank lines aside.
+func readGolden(name string) ([]string, error) {
+	b, err := os.ReadFile(goldenPath(name))
+	return trimBlank(strings.Split(string(b), "\n")), err
+}
+
 // TestExperimentsMdQuotesGoldens: a report block EXPERIMENTS.md marks with
 // `<!-- golden: NAME -->` on the line before its fence must be
 // testdata/golden/NAME.txt line for line, trailing blank lines aside, so the
-// record cannot drift from what the model prints.
+// record cannot drift from what the model prints. Under -update it first
+// rewrites those blocks from the golden files (TestExperimentGoldens, which
+// runs before it, has rewritten them by then).
 func TestExperimentsMdQuotesGoldens(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	path := filepath.Join("..", "..", "EXPERIMENTS.md")
+	doc, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(string(doc), "\n")
+	if *update {
+		if lines, err = quoteGoldens(lines, readGolden); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocks, err := markedBlocks(lines)
+	if err != nil {
+		t.Fatal(err)
+	}
 	marked := map[string]bool{}
+	for _, b := range blocks {
+		marked[b.name] = true
+		golden, err := readGolden(b.name)
+		if err != nil {
+			t.Errorf("EXPERIMENTS.md:%d: %v", b.marker+1, err)
+			continue
+		}
+		if diff := lineDiff(trimBlank(lines[b.body:b.end]), golden); diff != "" {
+			t.Errorf("EXPERIMENTS.md:%d: the %s block differs from %s (- document, + golden):\n%s",
+				b.marker+1, b.name, goldenPath(b.name), diff)
+		}
+	}
+	for _, name := range []string{"fig9", "fig10", "rebuild", "qos", "meta", "redstorm", "ckptinterval", "replay"} {
+		if !marked[name] {
+			t.Errorf("EXPERIMENTS.md has no <!-- golden: %s --> block", name)
+		}
+	}
+}
+
+// mdBlock is one report block a document marks with `<!-- golden: NAME -->`
+// on the line before its opening fence: lines[body:end] is what the fences
+// enclose.
+type mdBlock struct {
+	name              string
+	marker, body, end int
+}
+
+// markedBlocks finds lines' marked blocks. A marker that is not on the line
+// before a ``` fence, or whose block is never closed, is an error.
+func markedBlocks(lines []string) ([]mdBlock, error) {
+	var blocks []mdBlock
 	for i, line := range lines {
 		name, ok := strings.CutPrefix(line, "<!-- golden: ")
 		if !ok {
 			continue
 		}
 		if name, ok = strings.CutSuffix(name, " -->"); !ok || i+1 == len(lines) || lines[i+1] != "```" {
-			t.Errorf("EXPERIMENTS.md:%d: %q is not a golden marker on the line before a ``` fence", i+1, line)
-			continue
+			return nil, fmt.Errorf("line %d: %q is not a golden marker on the line before a ``` fence", i+1, line)
 		}
-		marked[name] = true
 		end := i + 2
 		for end < len(lines) && lines[end] != "```" {
 			end++
 		}
-		golden, err := os.ReadFile(filepath.Join("testdata", "golden", name+".txt"))
+		if end == len(lines) {
+			return nil, fmt.Errorf("line %d: the %s block is not closed", i+1, name)
+		}
+		blocks = append(blocks, mdBlock{name, i, i + 2, end})
+	}
+	return blocks, nil
+}
+
+// quoteGoldens returns lines with each marked block's body replaced by its
+// golden report; everything outside the marked blocks is kept as it is.
+func quoteGoldens(lines []string, golden func(name string) ([]string, error)) ([]string, error) {
+	blocks, err := markedBlocks(lines)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	prev := 0
+	for _, b := range blocks {
+		report, err := golden(b.name)
 		if err != nil {
-			t.Errorf("EXPERIMENTS.md:%d: %v", i+1, err)
-			continue
+			return nil, fmt.Errorf("line %d: %w", b.marker+1, err)
 		}
-		if diff := lineDiff(trimBlank(lines[i+2:end]), trimBlank(strings.Split(string(golden), "\n"))); diff != "" {
-			t.Errorf("EXPERIMENTS.md:%d: the %s block differs from testdata/golden/%s.txt (- document, + golden):\n%s",
-				i+1, name, name, diff)
-		}
+		out = append(append(out, lines[prev:b.body]...), report...)
+		prev = b.end
 	}
-	for _, name := range []string{"rebuild", "qos", "meta"} {
-		if !marked[name] {
-			t.Errorf("EXPERIMENTS.md has no <!-- golden: %s --> block", name)
-		}
-	}
+	return append(out, lines[prev:]...), nil
 }
 
 // trimBlank drops trailing empty lines.
@@ -213,6 +277,13 @@ func TestUnknownExperiment(t *testing.T) {
 				strings.Join(args, " "), stdout.String(), stderr.String())
 		}
 	}
+
+	// There is no -quick: every experiment has one size, and the sizing
+	// flags above spell a smaller run.
+	stdout.Reset()
+	if code := run([]string{"-experiment", "fig9", "-quick"}, &stdout, io.Discard); code != 2 || stdout.Len() != 0 {
+		t.Errorf("-quick: exit %d, stdout %q; want 2 and no report", code, stdout.String())
+	}
 }
 
 // -json, -cpuprofile and -memprofile observe a run without changing what it
@@ -221,7 +292,7 @@ func TestCostLogAndProfiles(t *testing.T) {
 	dir := t.TempDir()
 	log, cpu, mem := filepath.Join(dir, "cost.jsonl"), filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
 	var stdout, stderr bytes.Buffer
-	args := []string{"-experiment", "faults", "-quick", "-json", log, "-cpuprofile", cpu, "-memprofile", mem}
+	args := []string{"-experiment", "faults", "-json", log, "-cpuprofile", cpu, "-memprofile", mem}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\n%s", code, stderr.String())
 	}
@@ -259,5 +330,39 @@ func TestCostLogAndProfiles(t *testing.T) {
 
 	if code := run([]string{"-experiment", "table1", "-json", filepath.Join(dir, "no", "such", "dir")}, &stdout, &stderr); code != 1 {
 		t.Errorf("unwritable -json file: exit %d, want 1", code)
+	}
+}
+
+// -update's rewrite of EXPERIMENTS.md: a stale marked block takes its
+// golden's lines, and nothing outside the marked blocks moves.
+func TestQuoteGoldens(t *testing.T) {
+	goldens := map[string][]string{"a": {"# report a", "1  2"}, "b": {"b"}}
+	read := func(name string) ([]string, error) {
+		if g, ok := goldens[name]; ok {
+			return g, nil
+		}
+		return nil, fmt.Errorf("no golden %q", name)
+	}
+	doc := strings.Split("# Doc\n\nprose\n<!-- golden: a -->\n```\n# report a\n1  9\nstale\n```\n\nmore prose\n```\nunmarked\n```\n<!-- golden: b -->\n```\n```\nend\n", "\n")
+	got, err := quoteGoldens(doc, read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split("# Doc\n\nprose\n<!-- golden: a -->\n```\n# report a\n1  2\n```\n\nmore prose\n```\nunmarked\n```\n<!-- golden: b -->\n```\nb\n```\nend\n", "\n")
+	if diff := lineDiff(got, want); diff != "" {
+		t.Errorf("rewrite (- got, + want):\n%s", diff)
+	}
+	if again, err := quoteGoldens(got, read); err != nil || lineDiff(again, got) != "" {
+		t.Errorf("rewriting a current document changed it (err %v)", err)
+	}
+
+	for _, bad := range []string{
+		"<!-- golden: nosuch -->\n```\n```",   // names a missing golden
+		"<!-- golden: a -->\nprose\n```\n```", // not on the line before a fence
+		"<!-- golden: a -->\n```\nnever closed",
+	} {
+		if _, err := quoteGoldens(strings.Split(bad, "\n"), read); err == nil {
+			t.Errorf("%q: rewritten, want an error", bad)
+		}
 	}
 }

@@ -9,12 +9,10 @@ import (
 )
 
 // Env is the lwfsbench command line, parsed: what an experiment may read to
-// size its sweep. Zero values mean "the experiment's default". Only fig9,
-// fig10, redstorm and replay have a Quick preset; every other experiment
-// is cheap at the one size EXPERIMENTS.md reports, and ignores it.
+// size its sweep. Zero values mean "the experiment's default", the one size
+// EXPERIMENTS.md reports; a smaller run sets these explicitly.
 type Env struct {
 	Trials       int   // trials per point
-	Quick        bool  // the experiment's own smoke-sized preset
 	Servers      []int // storage-server counts (Figures 9 and 10)
 	Clients      []int // client counts; exact ranks or workers where those are the x axis
 	BytesPerProc int64 // bytes written per process (file size for the stripe sweep)
@@ -23,8 +21,8 @@ type Env struct {
 	Progress     func(format string, args ...interface{})
 }
 
-// Experiment is one lwfsbench experiment: Run sizes the sweep from env (a
-// -quick preset lives here, nowhere else), runs it and renders the report.
+// Experiment is one lwfsbench experiment: Run sizes the sweep from env, runs
+// it and renders the report.
 type Experiment struct {
 	Name string
 	Doc  string
@@ -45,10 +43,6 @@ var Experiments = []Experiment{
 	}},
 	{"fig9", "Figure 9: checkpoint throughput, all three panels", func(e Env, w io.Writer) error {
 		o := Fig9Opts{Servers: e.Servers, Clients: e.Clients, Trials: e.Trials, BytesPerProc: e.BytesPerProc, Progress: e.Progress}
-		if e.Quick {
-			quickFigure(&o.Servers, &o.Clients, &o.Trials)
-			def(&o.BytesPerProc, 64<<20)
-		}
 		for _, im := range []Impl{ImplPFSFile, ImplPFSShared, ImplLWFS} {
 			res, err := Fig9(im, o)
 			if err != nil {
@@ -65,9 +59,6 @@ var Experiments = []Experiment{
 	}},
 	{"fig10", "Figure 10 a/b/c: object vs file creation throughput", func(e Env, w io.Writer) error {
 		o := Fig10Opts{Servers: e.Servers, Clients: e.Clients, Trials: e.Trials, Progress: e.Progress}
-		if e.Quick {
-			quickFigure(&o.Servers, &o.Clients, &o.Trials)
-		}
 		lustre, err := Fig10("lustre", o)
 		if err != nil {
 			return err
@@ -111,13 +102,7 @@ var Experiments = []Experiment{
 	{"meta", "E21: replicated-metadata cost and availability", report(MetaSweep)},
 	{"qos", "E20: multi-tenant fair share and circuit breaker", report(QoSSweep)},
 	{"redstorm", "E22: sampled 100k-rank Red Storm checkpoint, direct vs staged", func(e Env, w io.Writer) error {
-		o := RedStormOpts{Exact: e.Clients, BytesPerProc: e.BytesPerProc, Progress: e.Progress, Metrics: e.Metrics}
-		if e.Quick {
-			// The acceptance point is the 10k-exact sweep top; quick mode
-			// keeps it and drops the intermediate points.
-			defList(&o.Exact, 1000, 10000)
-		}
-		res, err := RedStormSweep(o)
+		res, err := RedStormSweep(RedStormOpts{Exact: e.Clients, BytesPerProc: e.BytesPerProc, Progress: e.Progress, Metrics: e.Metrics})
 		return render(w, res, err)
 	}},
 	{"ckptinterval", "E23: apparent vs durable dump time -> affordable checkpoint interval", func(e Env, w io.Writer) error {
@@ -125,26 +110,13 @@ var Experiments = []Experiment{
 		return render(w, res, err)
 	}},
 	{"replay", "E24: recorded workload traces replayed through the fs.FS facade", func(e Env, w io.Writer) error {
-		o := ReplayOpts{Concurrency: e.Clients, Progress: e.Progress, Metrics: e.Metrics}
-		if e.Quick {
-			defList(&o.Concurrency, 1, 4, 16)
-			o.Clones = 16
-		}
-		res, err := ReplaySweep(o)
+		res, err := ReplaySweep(ReplayOpts{Concurrency: e.Clients, Progress: e.Progress, Metrics: e.Metrics})
 		return render(w, res, err)
 	}},
 	{"collective", "§6 collective I/O: two-phase aggregation vs independent writes", func(_ Env, w io.Writer) error {
 		return versus(w, "# Collective I/O (§6): 8 ranks, 512 interleaved 64 KiB records",
 			"two-phase collective", "independent writes", CollectiveVsIndependent)
 	}},
-}
-
-// quickFigure is the -quick preset Figures 9 and 10 share: three server
-// counts, four client counts, two trials. Explicit -servers/-clients win.
-func quickFigure(servers, clients *[]int, trials *int) {
-	defList(servers, 2, 8, 16)
-	defList(clients, 1, 4, 16, 48)
-	*trials = 2
 }
 
 // render prints a finished experiment's report, or passes its error on.

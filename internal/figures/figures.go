@@ -5,15 +5,14 @@
 // text reports and for assertions in tests and benches.
 //
 // Experiments (experiments.go) is the one table of them: name, description
-// and a Run that owns the sweep call, the report and, for the four
-// experiments expensive enough to need one, the -quick preset.
+// and a Run that owns the sweep call and the report. Each has one size;
+// Env's sizing fields shrink a sweep explicitly.
 // harness.go holds what the drivers share — sweep, the points × trials
 // loop, and rig, the machine one trial runs on — so a driver file is its
 // point list, its per-trial body and its Render.
 //
 // The paper-vs-measured record lives in EXPERIMENTS.md at the repository
-// root; cmd/lwfsbench/testdata/golden pins every -quick report, which for
-// all but fig9, fig10, redstorm and replay is the full-size one.
+// root; cmd/lwfsbench/testdata/golden pins every report.
 package figures
 
 import (

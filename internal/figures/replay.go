@@ -28,7 +28,6 @@ import (
 type ReplayOpts struct {
 	Traces      []string                                 // embedded trace names (default all)
 	Concurrency []int                                    // worker counts (default 1,4,16,64)
-	Clones      int                                      // trace copies per point (default 64)
 	Progress    func(format string, args ...interface{}) // optional
 	// Metrics captures a registry snapshot pair per point and keeps the
 	// highest-concurrency point's tick timeline per trace, for
@@ -38,13 +37,13 @@ type ReplayOpts struct {
 
 const (
 	replayServers = 8                     // storage servers, one per node
+	replayClones  = 64                    // trace copies per point
 	replayTick    = 20 * time.Millisecond // timeline recorder interval
 )
 
 func (o *ReplayOpts) defaults() {
 	defList(&o.Traces, trace.ExampleNames()...)
 	defList(&o.Concurrency, 1, 4, 16, 64)
-	def(&o.Clones, 64)
 }
 
 // ReplayPoint is one (trace, concurrency) measurement.
@@ -97,7 +96,7 @@ func ReplaySweep(opts ReplayOpts) (ReplayResult, error) {
 	var err error
 	res.Points, res.Captures, err = sweep(sweepCfg{1, opts.Metrics, opts.Progress}, points,
 		func(pt *ReplayPoint, _ int) ([]MetricsCapture, error) {
-			mc, err := replayTrial(opts, pt)
+			mc, err := replayTrial(pt)
 			return one(mc), err
 		})
 	for _, pt := range res.Points {
@@ -119,7 +118,7 @@ func (pt *ReplayPoint) summary() string {
 // timeline ticks its recorder for the duration; the replay's completion hook
 // stops it — without that, its pending tick would keep the kernel run from
 // finishing.
-func replayTrial(opts ReplayOpts, pt *ReplayPoint) (MetricsCapture, error) {
+func replayTrial(pt *ReplayPoint) (MetricsCapture, error) {
 	tr, err := trace.Example(pt.Trace)
 	if err != nil {
 		return MetricsCapture{}, err
@@ -156,7 +155,7 @@ func replayTrial(opts ReplayOpts, pt *ReplayPoint) (MetricsCapture, error) {
 			}
 			return stdfs.New(wp, wfs).ReplayMount(), nil
 		}
-		ropts := trace.Options{Concurrency: pt.Workers, Clones: opts.Clones, Metrics: cl.Metrics()}
+		ropts := trace.Options{Concurrency: pt.Workers, Clones: replayClones, Metrics: cl.Metrics()}
 		if pt.timeline != nil {
 			stop := pt.timeline.Start(cl.K, cl.Metrics())
 			ropts.OnDone = func(*sim.Proc) { stop() }
@@ -195,7 +194,7 @@ var replayTimelinePatterns = []string{
 // backlog-over-time columns for the highest-concurrency run.
 func (r ReplayResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Trace replay through the fs.FS facade: %d servers, %d clones per point\n",
-		replayServers, r.Opts.Clones)
+		replayServers, replayClones)
 	for _, name := range r.Opts.Traces {
 		fmt.Fprintf(w, "\n## %s\n", name)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

@@ -14,7 +14,6 @@ func TestReplaySweepScales(t *testing.T) {
 	res, err := ReplaySweep(ReplayOpts{
 		Traces:      []string{"jacobi"},
 		Concurrency: []int{1, 16},
-		Clones:      16,
 		Metrics:     true,
 	})
 	if err != nil {
