@@ -130,7 +130,7 @@ func BenchmarkSpawnExit(b *testing.B) {
 // BenchmarkSpawnChurn is the shape of a stripe fan-out: each iteration spawns
 // four short-lived legs and joins them, so — unlike BenchmarkSpawnExit, whose
 // b.N processes all exist at once — every leg after the first round runs on a
-// recycled record and goroutine.
+// recycled record and coroutine.
 func BenchmarkSpawnChurn(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("driver", func(p *Proc) {

@@ -1,6 +1,6 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// Simulated processes are goroutines, but the kernel runs exactly one at a
+// Simulated processes are coroutines, and the kernel runs exactly one at a
 // time: control passes from the kernel to the process whose wake-up event is
 // earliest, and back to the kernel when the process blocks (Sleep, Recv,
 // Acquire, ...) or exits. Virtual time advances only between events, so a
@@ -29,24 +29,24 @@
 //     immediately and leave a lazily-deleted heap entry behind; when
 //     tombstones outnumber half the heap they are compacted away in one
 //     filter+heapify pass.
-//   - The dispatch loop itself migrates between goroutines: a parking
-//     process runs the loop inline and hands control directly to the next
-//     runnable process (one channel handoff per switch instead of a
-//     round-trip through a central scheduler goroutine).
-//   - A process whose function returns leaves its goroutine, Proc record and
-//     resume channel on a bounded free list; the next Spawn re-arms them, so
-//     short-lived fan-out legs cost nothing on a warm kernel (Kernel.exit).
+//   - Every process runs as a runtime coroutine (iter.Pull) and the dispatch
+//     loop stays on the goroutine that called Run: resuming a process calls
+//     its next function and parking yields back into the loop, a direct
+//     coroutine switch with no hand-off through the Go scheduler.
+//   - A process whose function returns leaves its Proc record and coroutine
+//     on a bounded free list; the next Spawn re-arms them, so short-lived
+//     fan-out legs cost nothing on a warm kernel (Kernel.exit).
 //   - Code that only waits need not be a process: a continuation (Cont) waits
 //     on a Mailbox, a Resource or the clock and is woken by the same schedule
 //     call, at the same (time, seq) place, as a parked process's resume, with
-//     no goroutine hand-off.
+//     no coroutine switch.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"time"
@@ -145,14 +145,10 @@ type Kernel struct {
 	rlen  int
 
 	procs          map[*Proc]struct{}
-	idle           []*Proc // exited records whose goroutines await re-arming (LIFO, see exit)
+	idle           []*Proc // exited records whose coroutines wait to be re-armed (LIFO, see exit)
 	blocked        int     // processes parked waiting for an event
 	blockedDaemons int     // of those, daemons (exempt from deadlock detection)
 
-	// driver wakes the Run caller when the dispatch loop winds down while a
-	// process goroutine holds it, and acknowledges each process Shutdown
-	// retires.
-	driver  chan struct{}
 	failure error
 	dead    bool // Shutdown has run
 
@@ -164,9 +160,8 @@ type Kernel struct {
 // NewKernel returns a kernel with an empty event queue at virtual time zero.
 func NewKernel() *Kernel {
 	return &Kernel{
-		procs:  make(map[*Proc]struct{}),
-		free:   -1,
-		driver: make(chan struct{}, 1),
+		procs: make(map[*Proc]struct{}),
+		free:  -1,
 	}
 }
 
@@ -291,7 +286,7 @@ func (k *Kernel) compact() {
 
 // ringPush and ringPop pass an entry field by field, and ringPop clears only
 // the references: a ringEntry by value is too wide for registers, and its spill
-// would sit in loop's frame — on the stack of every parked process.
+// would sit in loop's frame.
 func (k *Kernel) ringPush(seq uint64, fn func(), proc *Proc, inc uint32, kind uint8) {
 	if k.rlen == len(k.ring) {
 		k.growRing()
@@ -400,19 +395,20 @@ func (k *Kernel) At(t Time, fn func()) { k.schedule(t, fn, nil, evFn) }
 // After schedules fn to run d after the current instant.
 func (k *Kernel) After(d time.Duration, fn func()) { k.schedule(k.now.Add(d), fn, nil, evFn) }
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by the
+// Proc is a simulated process: a coroutine scheduled cooperatively by the
 // kernel. All blocking methods (Sleep, Mailbox.Recv, Resource.Acquire, ...)
-// must be called from the process's own goroutine.
+// must be called from the process's own function.
 // A *Proc is valid only while its function runs: once that returns, the record
-// (and its goroutine) may carry a later Spawn.
+// (and its coroutine) may carry a later Spawn.
 type Proc struct {
 	k       *Kernel
 	name    string
 	fn      func(p *Proc)
-	resume  chan struct{}
-	inc     uint32 // incarnation: bumped at exit, so an event addressed to an earlier occupant is stale
-	started bool   // its goroutine exists (a start event was dispatched)
-	running bool   // inside fn; blocking on a record that is not panics
+	next    func() (struct{}, bool) // runs the coroutine until it yields; nil until the record first starts
+	stop    func()                  // retires the coroutine (Shutdown)
+	yield   func(struct{}) bool     // body's yield: parks the coroutine
+	inc     uint32                  // incarnation: bumped at exit, so an event addressed to an earlier occupant is stale
+	running bool                    // inside fn; blocking on a record that is not panics
 	daemon  bool
 
 	// The pooled waiter record: a process blocks on at most one thing at a
@@ -427,8 +423,8 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 func (p *Proc) Now() Time { return p.k.now }
 
 // Spawn creates a process named name running fn, starting at the current
-// instant (or later if the kernel is busy with earlier events). fn runs on
-// its own goroutine but under the kernel's cooperative schedule.
+// instant (or later if the kernel is busy with earlier events). fn runs as its
+// own coroutine, under the kernel's cooperative schedule.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return k.SpawnAt(k.now, name, fn)
 }
@@ -444,15 +440,15 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 // SpawnAt is Spawn but the process starts at instant t. It takes over the most
-// recently exited record and its idle goroutine when there is one; otherwise
-// the goroutine is created lazily when the start event fires.
+// recently exited record and its idle coroutine when there is one; otherwise
+// the coroutine is created when the start event fires.
 func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	var p *Proc
 	if n := len(k.idle); n > 0 && !k.dead {
 		p, k.idle = k.idle[n-1], k.idle[:n-1]
 		p.name, p.fn, p.daemon = name, fn, false
 	} else {
-		p = &Proc{k: k, name: name, fn: fn, resume: make(chan struct{}, 1)}
+		p = &Proc{k: k, name: name, fn: fn}
 		p.w.p = p
 	}
 	if !k.dead {
@@ -462,60 +458,44 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// main is the body of a process goroutine: wait for the kernel's hand-off,
-// run the user function, pass the dispatch loop on, and — when the record went
-// on the idle list — wait for the next occupant's hand-off. A hand-off that
-// finds the kernel dead is Shutdown retiring an idle (or re-armed, unstarted)
-// goroutine. main's frame lies under every process's stack, so exit work is
-// kept out of it (finish, unwound).
-func (p *Proc) main() {
+// body is a record's coroutine: run the occupant's function and, when the
+// record went on the idle list, yield there until the next occupant's start
+// event resumes it. It ends with a record that is not recycled, or when
+// Shutdown stops it idle. body's frame lies under every process's stack, so
+// exit work is kept out of it (exit, unwound).
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yield = yield
 	defer p.unwound()
 	for {
-		<-p.resume
-		if p.k.dead {
-			p.k.driver <- struct{}{}
-			return
-		}
 		p.running = true
 		p.fn(p)
-		if !p.finish() {
+		if !p.k.exit(p, true) || !yield(struct{}{}) {
 			return
 		}
 	}
 }
 
-// finish ends an incarnation whose function returned and passes the dispatch
-// loop on, reporting whether p was recycled (its goroutine stays for the next
-// occupant). A callback run by this loop may already Spawn onto p and the loop
-// dispatch that start itself: the send waits in resume's buffer for main.
-func (p *Proc) finish() bool {
-	recycled := p.k.exit(p, true)
-	p.k.procLoop(p, true)
-	return recycled
-}
+// errRetired is the panic a parked process unwinds with when Shutdown stops
+// its coroutine: its deferred calls run, nothing after its park does, and
+// unwound counts it as retirement, not failure.
+var errRetired = errors.New("sim: process retired by Shutdown")
 
-// unwound is main's deferred call, with work to do only for an incarnation
-// that did not return: a panic, or runtime.Goexit (Shutdown retiring it where
-// it parked, or its own). Neither is recycled: the goroutine acknowledges or
-// passes the loop on, and ends.
+// unwound is body's deferred call, with work to do only for an incarnation
+// that did not return: a panic, Shutdown retiring it where it parked
+// (errRetired), or runtime.Goexit. None is recycled. iter.Pull passes a
+// Goexit on to next's caller, so it ends the goroutine that called Run.
 func (p *Proc) unwound() {
 	if !p.running {
 		return
 	}
-	k := p.k
-	if r := recover(); r != nil {
-		k.failProc(p, r)
+	if r := recover(); r != nil && r != errRetired {
+		p.k.failProc(p, r)
 	} else {
-		k.exit(p, false)
+		p.k.exit(p, false)
 	}
-	if k.dead {
-		k.driver <- struct{}{}
-		return
-	}
-	k.procLoop(p, true)
 }
 
-// maxIdleProcs bounds the idle list, so what a run keeps parked (goroutines
+// maxIdleProcs bounds the idle list, so what a run keeps parked (coroutines
 // with their grown stacks) does not grow with its widest moment. A constant,
 // not an option: reuse rates are flat from a few dozen up (DESIGN.md §4.12).
 const maxIdleProcs = 256
@@ -523,7 +503,7 @@ const maxIdleProcs = 256
 // exit ends p's incarnation: events still addressed to it go stale, and the
 // record is poisoned (not running) until its next occupant starts. It reports
 // whether p went on the idle list — LIFO, so a warm stack is reused first; a
-// record that does not fit dies with its goroutine.
+// record that does not fit dies with its coroutine.
 func (k *Kernel) exit(p *Proc, recyclable bool) bool {
 	p.running = false
 	p.inc++
@@ -536,17 +516,6 @@ func (k *Kernel) exit(p *Proc, recyclable bool) bool {
 	return true
 }
 
-// await blocks a process goroutine that has given the baton away until it is
-// handed back. On a kernel shut down in the meantime the hand-off is
-// Shutdown's: the goroutine unwinds from here, running the process's deferred
-// calls, and never returns to user code.
-func (p *Proc) await() {
-	<-p.resume
-	if p.k.dead {
-		runtime.Goexit()
-	}
-}
-
 // failProc records a process panic so Run can surface it.
 func (k *Kernel) failProc(p *Proc, r interface{}) {
 	if k.failure == nil {
@@ -557,23 +526,24 @@ func (k *Kernel) failProc(p *Proc, r interface{}) {
 }
 
 // park blocks the calling process until another event resumes it: the
-// process runs the dispatch loop inline until its own resume event fires or
-// the loop is handed to another goroutine. It must only be called from p's
-// goroutine, and the caller is responsible for having arranged a wake-up (a
-// timer event, a waiter registration, ...).
+// coroutine yields to the dispatch loop, which switches back when the
+// process's resume event fires. It must only be called from p's own function,
+// and the caller is responsible for having arranged a wake-up (a timer event,
+// a waiter registration, ...). Once Shutdown has stopped the coroutine, yield
+// reports false and the process unwinds from its park — and so does a
+// deferred call of the retiring process that tries to block.
 func (p *Proc) park() {
-	k := p.k
-	if k.dead {
-		runtime.Goexit() // a deferred call of a retiring process tried to block
-	}
 	if !p.running {
 		panic("sim: a process blocked after it exited")
 	}
+	k := p.k
 	k.blocked++
 	if p.daemon {
 		k.blockedDaemons++
 	}
-	k.procLoop(p, false)
+	if !p.yield(struct{}{}) {
+		panic(errRetired)
+	}
 }
 
 // unpark schedules p to resume at the current instant. Called from kernel
@@ -593,54 +563,19 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// procLoop runs the dispatch loop on a process goroutine, converting a
-// panic inside an event callback into a simulation failure surfaced by Run.
-// (A panic in process code itself is caught by main's recover instead; this
-// one only fires for kernel-context callbacks that happened to be hosted on
-// this goroutine.)
-func (k *Kernel) procLoop(p *Proc, exiting bool) {
+// loop is the dispatch loop. It runs only on the goroutine that called Run: a
+// process's event calls its next, which runs the coroutine until it parks,
+// exits or fails. It returns when the queue is empty, the time limit is
+// reached or the simulation failed; a panic in a callback is that failure,
+// recovered here for every callback at once.
+func (k *Kernel) loop() {
 	defer func() {
 		if r := recover(); r != nil {
-			if k.failure == nil {
-				k.failure = fmt.Errorf("sim: event callback panicked at %v: %v\n%s",
-					k.now, r, debug.Stack())
-			}
-			// The simulation has failed: no Run will dispatch again, so all
-			// that can still reach this goroutine is Shutdown.
-			k.windDown(p, exiting)
+			k.failure = fmt.Errorf("sim: event callback panicked at %v: %v\n%s",
+				k.now, r, debug.Stack())
 		}
 	}()
-	k.loop(p, exiting)
-}
-
-// windDown returns control to the Run caller: the queue is empty, the time
-// limit was reached, or the simulation failed.
-func (k *Kernel) windDown(self *Proc, exiting bool) {
-	if self == nil {
-		return // the driver holds the loop; Run just returns
-	}
-	k.driver <- struct{}{}
-	if exiting {
-		return // goroutine ends or idles (see main)
-	}
-	// Stay parked: a later Run may still dispatch our resume event.
-	self.await()
-}
-
-// loop is the dispatch loop. Exactly one goroutine runs it at a time — the
-// Run caller (self == nil) or a parked/exiting process — and it migrates by
-// direct channel handoff: dispatching a resume for another process sends it
-// the baton and blocks (or ends, when exiting) the current goroutine.
-//
-// Returning from loop means: for the driver, the run wound down; for a
-// process, either its own resume event fired (continue user code) or it
-// handed the baton on and was later resumed.
-func (k *Kernel) loop(self *Proc, exiting bool) {
-	for {
-		if k.failure != nil {
-			k.windDown(self, exiting)
-			return
-		}
+	for k.failure == nil {
 		var (
 			fn   func()
 			proc *Proc
@@ -670,7 +605,6 @@ func (k *Kernel) loop(self *Proc, exiting bool) {
 			if t.at > k.limit {
 				// Leave the event in place so a later Run can continue.
 				k.now = k.limit
-				k.windDown(self, exiting)
 				return
 			}
 			k.now = t.at
@@ -679,7 +613,6 @@ func (k *Kernel) loop(self *Proc, exiting bool) {
 			fn, proc, kind = s.fn, addressee(s.proc, s.inc), s.kind
 			k.releaseSlot(e.id)
 		} else {
-			k.windDown(self, exiting)
 			return
 		}
 		k.nDispatched++
@@ -696,23 +629,10 @@ func (k *Kernel) loop(self *Proc, exiting bool) {
 			if q.daemon {
 				k.blockedDaemons--
 			}
-			if q == self {
-				return // our own wake-up: keep the baton, continue user code
-			}
-		} else if !q.started { // evStart on a fresh record; a recycled one's goroutine is waiting
-			q.started = true
-			go q.main()
+		} else if q.next == nil { // evStart on a fresh record; a recycled one's coroutine idles in body
+			q.next, q.stop = iter.Pull(q.body)
 		}
-		q.resume <- struct{}{}
-		if exiting {
-			return // baton handed on; this goroutine ends or idles (see main)
-		}
-		if self == nil {
-			<-k.driver // the driver waits for wind-down
-		} else {
-			self.await() // wait for our own resume event
-		}
-		return
+		q.next()
 	}
 }
 
@@ -731,14 +651,14 @@ func (e *DeadlockError) Error() string {
 // ErrShutdown is returned by Run on a kernel that has been shut down.
 var ErrShutdown = errors.New("sim: kernel is shut down")
 
-// Shutdown ends the simulation for good: every process whose goroutine
-// exists is woken where it parked and unwinds from there — its deferred
+// Shutdown ends the simulation for good: the coroutine of every started
+// process is stopped where it parked and unwinds from there — its deferred
 // calls run, nothing after the park does — and the pending events are
-// dropped. The idle goroutines of exited processes are woken and end the same
-// way. Shutdown returns once the last of those goroutines has acknowledged,
-// one at a time, so deferred calls still see a single logical thread;
-// processes that never started have no goroutine to retire. It must not be
-// called while Run is in progress, nor from inside the simulation.
+// dropped. The idle coroutines of exited processes are stopped next. Each stop
+// returns once its coroutine has ended, so deferred calls still see a single
+// logical thread; processes that never started have no coroutine to retire.
+// It must not be called while Run is in progress, nor from inside the
+// simulation.
 //
 // A dead kernel guarantees three things: it owns no goroutine, it no longer
 // references its processes or events (what they reached is garbage once the
@@ -750,15 +670,13 @@ func (k *Kernel) Shutdown() {
 		return
 	}
 	k.dead = true
-	owned := k.idle // every goroutine the kernel has: idle ones, then processes
 	for p := range k.procs {
-		if p.started {
-			owned = append(owned, p)
+		if p.stop != nil {
+			p.stop()
 		}
 	}
-	for _, p := range owned {
-		p.resume <- struct{}{}
-		<-k.driver
+	for _, p := range k.idle {
+		p.stop()
 	}
 	k.procs = make(map[*Proc]struct{})
 	k.idle, k.slots, k.heap, k.ring = nil, nil, nil, nil
@@ -773,7 +691,7 @@ func (k *Kernel) Run(limit Time) error {
 		return ErrShutdown
 	}
 	k.limit = limit
-	k.loop(nil, false)
+	k.loop()
 	if k.failure != nil {
 		return k.failure
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -101,6 +103,44 @@ func TestPanicPropagates(t *testing.T) {
 	err := k.Run(MaxTime)
 	if err == nil {
 		t.Fatal("expected error from panicking process")
+	}
+}
+
+// The dispatch loop runs only on the goroutine that called Run: a callback
+// runs there, and no parked process's stack carries the loop's frames
+// (DESIGN.md §4.12, stack size).
+func TestNoDispatchLoopOnAParkedStack(t *testing.T) {
+	k := NewKernel()
+	never := NewMailbox(k, "never")
+	for i := 0; i < 3; i++ {
+		k.SpawnDaemon("parked", func(p *Proc) { never.Recv(p) })
+	}
+	k.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Second) })
+	var dump string
+	k.After(time.Millisecond, func() {
+		buf := make([]byte, 1<<20)
+		dump = string(buf[:runtime.Stack(buf, true)])
+	})
+	if err := k.Run(MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	// runtime.Stack lists the calling goroutine first.
+	stacks := strings.Split(dump, "\n\n")
+	if self := stacks[0]; !strings.Contains(self, "(*Kernel).Run(") || !strings.Contains(self, "(*Kernel).loop") {
+		t.Fatalf("the callback did not run on Run's goroutine:\n%s", self)
+	}
+	parked := 0
+	for _, s := range stacks[1:] {
+		if strings.Contains(s, "(*Proc).park") && strings.Contains(s, "TestNoDispatchLoopOnAParkedStack") {
+			parked++ // one of ours, not a process an earlier test left parked
+		}
+		if strings.Contains(s, "(*Kernel).loop") {
+			t.Errorf("the dispatch loop on another goroutine's stack:\n%s", s)
+		}
+	}
+	if parked != 4 {
+		t.Errorf("%d parked process stacks, want 4", parked)
 	}
 }
 

@@ -10,13 +10,13 @@ import (
 )
 
 // The tests of process recycling (DESIGN.md §4.12): an exited process leaves
-// its record and goroutine on the kernel's idle list and the next Spawn takes
+// its record and coroutine on the kernel's idle list and the next Spawn takes
 // them over. Under the race detector nothing is recycled (recycle_race.go);
 // the tests of what must never happen run there too.
 
 // A fan-out round on a warm kernel — spawn four legs, run them, let them
-// exit, join — allocates nothing: every record, goroutine and resume channel
-// comes back off the idle list.
+// exit, join — allocates nothing: every record and coroutine comes back off
+// the idle list.
 func TestSpawnOnWarmKernelAllocatesNothing(t *testing.T) {
 	if !recycleProcs {
 		t.Skip("exited records are poisoned, not recycled, under the race detector")
@@ -80,10 +80,10 @@ func TestStaleResumeDoesNotWakeTheNextOccupant(t *testing.T) {
 	k.Shutdown()
 }
 
-// The goroutine of an exiting process hosts the dispatch loop on its way
-// out. A callback it runs there may spawn onto the very record it stands on,
-// and the loop may dispatch that start before the goroutine is back waiting
-// for one: the hand-off lands in the resume channel's buffer.
+// A callback scheduled by an exiting process spawns onto the very record that
+// process just left: the start event resumes the record's idle coroutine, the
+// new occupant runs under its own name and parks and wakes there, and
+// Shutdown leaves no goroutine behind.
 func TestRespawnOntoTheExitingGoroutinesOwnRecord(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel()
@@ -112,18 +112,38 @@ func TestRespawnOntoTheExitingGoroutinesOwnRecord(t *testing.T) {
 	}
 }
 
-// A process that panics, or leaves through runtime.Goexit, has no goroutine
-// left to lend: its record is not recycled, and Run still reports the panic.
+// A process that panics, or leaves through runtime.Goexit, has no coroutine
+// left to lend: its record is not recycled. Run reports the panic. A Goexit
+// is passed on to the goroutine that called Run, which ends there — as
+// t.FailNow inside a test's process body should.
 func TestAProcessThatDoesNotReturnIsNotRecycled(t *testing.T) {
 	k := NewKernel()
-	k.Spawn("quitter", func(p *Proc) { runtime.Goexit() })
 	k.Spawn("bad", func(p *Proc) { p.Sleep(time.Millisecond); panic("boom") })
 	err := k.Run(MaxTime)
 	if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), `"bad"`) {
 		t.Fatalf("Run: %v, want the panic of process bad", err)
 	}
 	if len(k.idle) != 0 {
-		t.Errorf("%d records on the idle list, want none", len(k.idle))
+		t.Errorf("%d records on the idle list after a panic, want none", len(k.idle))
+	}
+	k.Shutdown()
+
+	k = NewKernel()
+	k.Spawn("quitter", func(p *Proc) { p.Sleep(time.Millisecond); runtime.Goexit() })
+	var deferred, returned bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { deferred = true }()
+		k.Run(MaxTime)
+		returned = true
+	}()
+	<-done
+	if !deferred || returned {
+		t.Errorf("Run's goroutine: deferred calls ran %v, Run returned %v; want it ended by Goexit", deferred, returned)
+	}
+	if len(k.idle) != 0 || len(k.procs) != 0 {
+		t.Errorf("%d records idle and %d live after a Goexit, want none", len(k.idle), len(k.procs))
 	}
 	k.Shutdown()
 }
@@ -153,7 +173,7 @@ func TestDeadlockNamesBlockedProcessesAfterReuse(t *testing.T) {
 }
 
 // However many processes exit at once, at most maxIdleProcs records wait for
-// reuse; the rest die with their goroutines.
+// reuse; the rest die with their coroutines.
 func TestIdleListIsBounded(t *testing.T) {
 	if !recycleProcs {
 		t.Skip("nothing is recycled under the race detector")

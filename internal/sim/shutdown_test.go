@@ -8,10 +8,9 @@ import (
 	"time"
 )
 
-// goroutinesSettleAt waits for goroutines that have acknowledged their
-// retirement to finish dying, then reports whether the count is back at want
-// (or below: an earlier test's goroutines may have been dying when want was
-// taken).
+// goroutinesSettleAt waits for the goroutines of stopped coroutines to finish
+// dying, then reports whether the count is back at want (or below: an earlier
+// test's goroutines may have been dying when want was taken).
 func goroutinesSettleAt(want int) (int, bool) {
 	var n int
 	for i := 0; i < 100; i++ {
@@ -26,8 +25,8 @@ func goroutinesSettleAt(want int) (int, bool) {
 
 // A kernel whose Run hit its limit holds every kind of process: parked on a
 // mailbox forever, asleep on a timer beyond the limit, finished (a thousand
-// of them, so the idle list is full of goroutines waiting for reuse), and not
-// yet started. Shutdown retires the ones with goroutines, runs their defers
+// of them, so the idle list is full of coroutines waiting for reuse), and not
+// yet started. Shutdown retires the ones with coroutines, runs their defers
 // and leaves nothing behind.
 func TestShutdownRetiresEveryProcess(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -122,8 +121,41 @@ func TestShutdownDeferredCallsMayUseTheKernel(t *testing.T) {
 	}
 }
 
-// A failed simulation is shut down like any other, whichever goroutine was
-// hosting the dispatch loop when it failed.
+// A parked process retires by unwinding from its park with a private panic.
+// One whose deferred call recovers that panic is retired all the same: its
+// deferred calls run once, nothing after its park runs, and no goroutine is
+// left behind.
+func TestShutdownRetiresAProcessThatRecovers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel()
+	never := NewMailbox(k, "never")
+	deferred := 0
+	var recovered interface{}
+	k.SpawnDaemon("recoverer", func(p *Proc) {
+		defer func() {
+			recovered = recover()
+			deferred++
+		}()
+		never.Recv(p)
+		t.Error("recoverer resumed after its park")
+	})
+	if err := k.Run(MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	if deferred != 1 || recovered != errRetired {
+		t.Errorf("deferred call ran %d times and recovered %v, want once and the retirement", deferred, recovered)
+	}
+	if len(k.procs) != 0 || len(k.idle) != 0 {
+		t.Errorf("%d live and %d idle records after Shutdown, want none", len(k.procs), len(k.idle))
+	}
+	if n, ok := goroutinesSettleAt(before); !ok {
+		t.Errorf("%d goroutines after Shutdown, want %d", n, before)
+	}
+}
+
+// A failed simulation is shut down like any other, whether a process or a
+// callback failed it.
 func TestShutdownAfterFailure(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -75,7 +75,7 @@ func (w *waiter) fireTimeout() {
 
 // Cont is a continuation: a function that runs in kernel context and waits on
 // a Mailbox (RecvCont), a Resource (AcquireCont) or the clock (Sleep) the way
-// a process parks, without a goroutine of its own. Every wake-up is scheduled
+// a process parks, without a coroutine of its own. Every wake-up is scheduled
 // where the parked process's resume would be, so a process that only waits
 // can become a continuation without moving any event (DESIGN.md §4.12). A wait
 // that reports ready did not wait: the function goes on inline, as the process
