@@ -32,24 +32,16 @@ var optionStruct = regexp.MustCompile(`(Config|Options|Opts|Spec|Policy|Params)$
 // filling in its own defaults says nothing about whether anyone chooses.
 var defaultsFunc = regexp.MustCompile(`^(defaults|withDefaults|Default.*)$`)
 
-// censusCalibration lists the structs that are calibration tables: measured
-// hardware and protocol costs written once in a Default*Config() and
-// deliberately not chosen per caller. Their unset fields are expected.
-var censusCalibration = map[string]string{
-	"authn.Config":   "service-time calibration (authn.DefaultConfig)",
-	"authz.Config":   "service-time calibration (authz.DefaultConfig)",
-	"naming.Config":  "service-time calibration (naming.DefaultConfig)",
-	"storage.Config": "service-time calibration (storage.DefaultConfig); tests vary OpCost, ChunkSize and PinnedBuffer to show the model responds",
-	"burst.Config":   "burst-buffer calibration (burst.DefaultConfig)",
-	"pfs.Config":     "Lustre baseline calibration (pfs.DefaultConfig)",
-}
-
 // censusKept lists, by name, the fields no product code sets that stay
 // anyway, each with the reason a test or benchmark needs it: a reference
-// arm, a fault-injection control, or a size a test shrinks.
+// arm, a fault-injection control, or a size a test shrinks. A calibration
+// value no caller varies is a package constant, not a field.
 var censusKept = map[string]string{
 	"checkpoint.Config.PatternData":  "restore tests dump verifiable bytes instead of a length",
 	"checkpoint.Config.JitterMax":    "chaos tests widen start jitter to move crash windows",
+	"storage.Config.ChunkSize":       "tests and the root ablation benchmark vary them",
+	"storage.Config.OpCost":          "tests and the root ablation benchmark vary them",
+	"storage.Config.PinnedBuffer":    "tests and the root ablation benchmark vary them",
 	"storage.Config.DisableCapCache": "ablation arm of the root BenchmarkAblationCapCache",
 	"netsim.FaultSpec.Start":         "fault-injection window",
 	"netsim.FaultSpec.End":           "fault-injection window",
@@ -386,7 +378,7 @@ func TestOptionsCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var noSetter, noSetterUncalibrated int
+	var noSetter int
 	var rows []string // every field no product code sets, with its verdict
 	var unexplained []string
 	seen := map[string]bool{} // allowlist entries that excused a field
@@ -397,30 +389,22 @@ func TestOptionsCensus(t *testing.T) {
 			continue
 		}
 		who := "tests only"
-		calibration, calibrated := censusCalibration[field.owner]
 		if s == nil {
 			who = "nobody"
 			noSetter++
-			if !calibrated {
-				noSetterUncalibrated++
-			}
 		}
 		reason, kept := censusKept[name]
-		switch {
-		case kept:
+		if kept {
 			seen[name] = true
-		case calibrated:
-			reason = calibration
-			seen[field.owner] = true
-		default:
+		} else {
 			reason = "UNEXPLAINED"
 			unexplained = append(unexplained, fmt.Sprintf("%s (set by %s)", name, who))
 		}
 		rows = append(rows, fmt.Sprintf("%-40s set by %-10s  %s", name, who, reason))
 	}
 	sort.Strings(rows)
-	t.Logf("options census: %d option fields outside bench/; %d set by no product code; %d set by nobody at all (%d outside the calibration tables)\n%s",
-		len(c.fields), len(rows), noSetter, noSetterUncalibrated, strings.Join(rows, "\n"))
+	t.Logf("options census: %d option fields outside bench/; %d set by no product code; %d set by nobody at all\n%s",
+		len(c.fields), len(rows), noSetter, strings.Join(rows, "\n"))
 	sort.Strings(unexplained)
 	for _, u := range unexplained {
 		t.Errorf("option field %s: make it a constant, or list it in censusKept with the reason it stays", u)
@@ -428,11 +412,6 @@ func TestOptionsCensus(t *testing.T) {
 	for name := range censusKept {
 		if !seen[name] {
 			t.Errorf("censusKept lists %s, which is gone or is now set by product code: drop the entry", name)
-		}
-	}
-	for name := range censusCalibration {
-		if !seen[name] {
-			t.Errorf("censusCalibration lists %s, which excuses no field: drop the entry", name)
 		}
 	}
 }

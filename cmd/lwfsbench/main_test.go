@@ -117,7 +117,7 @@ func TestExperimentsMdQuotesGoldens(t *testing.T) {
 				b.marker+1, b.name, goldenPath(b.name), diff)
 		}
 	}
-	for _, name := range []string{"fig9", "fig10", "rebuild", "qos", "meta", "redstorm", "ckptinterval", "replay"} {
+	for _, name := range []string{"fig9", "fig10", "faults", "burst", "recovery", "stripe", "rebuild", "qos", "meta", "redstorm", "ckptinterval", "replay"} {
 		if !marked[name] {
 			t.Errorf("EXPERIMENTS.md has no <!-- golden: %s --> block", name)
 		}

@@ -76,16 +76,16 @@ var (
 	ErrRevokedCred = errors.New("authn: credential revoked")
 )
 
-// Config tunes the service.
-type Config struct {
-	OpCost   time.Duration // CPU time per request (HMAC + table lookup)
-	Lifetime time.Duration // credential lifetime
-}
-
-// DefaultConfig returns the calibrated defaults.
-func DefaultConfig() Config {
-	return Config{OpCost: 30 * time.Microsecond, Lifetime: 8 * time.Hour}
-}
+// Calibration constants (DESIGN.md §7).
+const (
+	// opCost is the CPU time per request: an HMAC and a table lookup.
+	opCost = 30 * time.Microsecond
+	// credLifetime is how long an issued credential stays valid.
+	credLifetime = 8 * time.Hour
+	// CredCacheTTL is how long a service trusts a verified credential
+	// before it asks the authentication service again.
+	CredCacheTTL = 5 * time.Minute
+)
 
 type credRecord struct {
 	user    Principal
@@ -96,7 +96,6 @@ type credRecord struct {
 // Service is the authentication server process.
 type Service struct {
 	k     *sim.Kernel
-	cfg   Config
 	realm *Realm
 	key   []byte
 	creds map[[32]byte]*credRecord
@@ -118,10 +117,9 @@ type revokeReq struct{ Cred Credential }
 
 // Start binds the authentication service to ep's node at the well-known
 // portal and returns it.
-func Start(ep *portals.Endpoint, realm *Realm, cfg Config) *Service {
+func Start(ep *portals.Endpoint, realm *Realm) *Service {
 	s := &Service{
 		k:     ep.Kernel(),
-		cfg:   cfg,
 		realm: realm,
 		key:   []byte("authn-service-instance-key"),
 		creds: make(map[[32]byte]*credRecord),
@@ -135,7 +133,7 @@ func Start(ep *portals.Endpoint, realm *Realm, cfg Config) *Service {
 }
 
 func (s *Service) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	p.Sleep(s.cfg.OpCost)
+	p.Sleep(opCost)
 	switch r := req.(type) {
 	case loginReq:
 		return s.login(p, r)
@@ -175,7 +173,7 @@ func (s *Service) login(p *sim.Proc, r loginReq) (interface{}, error) {
 	mac.Write(buf[:])
 	var tok [32]byte
 	copy(tok[:], mac.Sum(nil))
-	cred := Credential{Token: tok, Expires: p.Now().Add(s.cfg.Lifetime)}
+	cred := Credential{Token: tok, Expires: p.Now().Add(credLifetime)}
 	s.creds[tok] = &credRecord{user: r.User, expires: cred.Expires}
 	return cred, nil
 }
@@ -256,12 +254,11 @@ func (c *Client) Revoke(p *sim.Proc, cred Credential) error {
 }
 
 // CredCache is a service's cache of verified credentials (paper Figure 4a
-// step 2): a principal is trusted for ttl after the authentication service
-// vouched for it, then checked again — which is how a credential revocation
-// reaches the services that cached it.
+// step 2): a principal is trusted for CredCacheTTL after the authentication
+// service vouched for it, then checked again — which is how a credential
+// revocation reaches the services that cached it.
 type CredCache struct {
 	c     *Client
-	ttl   time.Duration
 	users map[[32]byte]cachedCred
 }
 
@@ -271,15 +268,15 @@ type cachedCred struct {
 }
 
 // NewCredCache returns an empty cache that verifies through c.
-func NewCredCache(c *Client, ttl time.Duration) *CredCache {
-	return &CredCache{c: c, ttl: ttl, users: make(map[[32]byte]cachedCred)}
+func NewCredCache(c *Client) *CredCache {
+	return &CredCache{c: c, users: make(map[[32]byte]cachedCred)}
 }
 
-// Identity resolves cred to its principal: from the cache within ttl of
-// the last verification, else through Client.Identity, whose refusal also
-// evicts the credential.
+// Identity resolves cred to its principal: from the cache within
+// CredCacheTTL of the last verification, else through Client.Identity,
+// whose refusal also evicts the credential.
 func (cc *CredCache) Identity(p *sim.Proc, cred Credential) (Principal, error) {
-	if e, ok := cc.users[cred.Token]; ok && p.Now().Sub(e.at) < cc.ttl {
+	if e, ok := cc.users[cred.Token]; ok && p.Now().Sub(e.at) < CredCacheTTL {
 		return e.user, nil
 	}
 	user, err := cc.c.Identity(p, cred)

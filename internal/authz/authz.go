@@ -109,22 +109,13 @@ var (
 	ErrCapRejected    = errors.New("authz: capability rejected by authorization service")
 )
 
-// Config tunes the service.
-type Config struct {
-	OpCost       time.Duration // CPU per request
-	CapLifetime  time.Duration // capability lifetime
-	CredCacheTTL time.Duration // how long a verified credential is trusted
-	// before re-consulting the authentication service
-}
-
-// DefaultConfig returns calibrated defaults.
-func DefaultConfig() Config {
-	return Config{
-		OpCost:       40 * time.Microsecond,
-		CapLifetime:  4 * time.Hour,
-		CredCacheTTL: 5 * time.Minute,
-	}
-}
+// Calibration constants (DESIGN.md §7).
+const (
+	// opCost is the CPU time per request.
+	opCost = 40 * time.Microsecond
+	// CapLifetime is how long a minted capability stays valid.
+	CapLifetime = 4 * time.Hour
+)
 
 type containerPolicy struct {
 	owner Principal
@@ -145,7 +136,6 @@ type capRecord struct {
 // Service is the authorization server.
 type Service struct {
 	k      *sim.Kernel
-	cfg    Config
 	creds  *authn.CredCache
 	caller *portals.Caller
 	key    []byte
@@ -194,11 +184,10 @@ type InvalidateCaps struct{ CapIDs []uint64 }
 // Start binds the authorization service to ep's node. It verifies unknown
 // credentials with the authentication client ac (the trust arrow of
 // Figure 5: authorization trusts authentication).
-func Start(ep *portals.Endpoint, ac *authn.Client, cfg Config) *Service {
+func Start(ep *portals.Endpoint, ac *authn.Client) *Service {
 	s := &Service{
 		k:          ep.Kernel(),
-		cfg:        cfg,
-		creds:      authn.NewCredCache(ac, cfg.CredCacheTTL),
+		creds:      authn.NewCredCache(ac),
 		caller:     portals.NewCaller(ep),
 		key:        []byte("authz-service-instance-key"),
 		containers: make(map[ContainerID]*containerPolicy),
@@ -214,7 +203,7 @@ func Start(ep *portals.Endpoint, ac *authn.Client, cfg Config) *Service {
 }
 
 func (s *Service) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	p.Sleep(s.cfg.OpCost)
+	p.Sleep(opCost)
 	switch r := req.(type) {
 	case createContainerReq:
 		return s.createContainer(p, r)
@@ -286,7 +275,7 @@ func (s *Service) mint(cid ContainerID, op Op) Capability {
 		Container: cid,
 		Op:        op,
 		ID:        s.nextCapID,
-		Expires:   s.k.Now().Add(s.cfg.CapLifetime),
+		Expires:   s.k.Now().Add(CapLifetime),
 	}
 	cap.Sig = s.sign(cap)
 	s.issued[cap.ID] = &capRecord{cap: cap, cachedAt: make(map[netsim.NodeID]portals.Index)}

@@ -128,7 +128,7 @@ func TestCapCacheOnBothTiers(t *testing.T) {
 			{name: "cold", moved: counts{misses: 1}},
 			{name: "expired", refuse: true, moved: counts{misses: 1},
 				before: func(t *testing.T, p *sim.Proc, _ *authz.Client, _ authz.ContainerID, _ authn.Credential) {
-					p.Sleep(authz.DefaultConfig().CapLifetime + time.Minute)
+					p.Sleep(authz.CapLifetime + time.Minute)
 				}},
 			// The expired entry is gone, not resurrected by the refusal.
 			{name: "still refused", refuse: true, moved: counts{misses: 1}},

@@ -36,7 +36,7 @@ func TestCredCacheTTLRechecksAuthn(t *testing.T) {
 			}},
 		{name: "naming", refusal: naming.ErrBadCred,
 			boot: func(r *testrig.Rig) func(*sim.Proc, authn.Credential) error {
-				naming.Start(r.Eps[0], authn.NewClient(r.Caller(0), r.Eps[0].Node()), nil, naming.DefaultConfig())
+				naming.Start(r.Eps[0], authn.NewClient(r.Caller(0), r.Eps[0].Node()), nil)
 				nc := naming.NewClient(r.Caller(1), r.Eps[0].Node())
 				return func(p *sim.Proc, cred authn.Credential) error {
 					_, err := nc.Lookup(p, cred, "/")
@@ -61,8 +61,8 @@ func TestCredCacheTTLRechecksAuthn(t *testing.T) {
 				if err := call(p, cred); err != nil {
 					t.Fatalf("call within TTL: %v", err)
 				}
-				// ...but after the TTL (5 min default) the recheck rejects it.
-				p.Sleep(6 * time.Minute)
+				// ...but after the TTL the recheck rejects it.
+				p.Sleep(authn.CredCacheTTL + time.Minute)
 				if err := call(p, cred); !errors.Is(err, svc.refusal) {
 					t.Fatalf("revoked credential after cache TTL: %v, want %v", err, svc.refusal)
 				}

@@ -67,13 +67,21 @@ var (
 	ErrDrainFailed = errors.New("burst: drain to storage failed")
 )
 
+// Calibration constants (DESIGN.md §7).
+const (
+	// threads is the number of concurrent staging request service processes.
+	threads = 4
+	// chunkSize is the bulk-transfer granularity of client pulls.
+	chunkSize int64 = 1 << 20
+	// pinnedBuffer bounds the pull-buffer pool, bytes.
+	pinnedBuffer int64 = 8 << 20
+	// OpCost is the CPU cost to parse and dispatch a staging request.
+	OpCost = 20 * time.Microsecond
+)
+
 // Config tunes a burst-buffer server.
 type Config struct {
-	Threads       int           // concurrent staging request service processes
-	ChunkSize     int64         // bulk-transfer granularity for client pulls
-	PinnedBuffer  int64         // pull-buffer pool bound, bytes
-	StageCapacity int64         // staging-area bound, bytes (write-behind window)
-	OpCost        time.Duration // CPU cost to parse/dispatch a request
+	StageCapacity int64 // staging-area bound, bytes (write-behind window)
 
 	DrainWorkers int     // concurrent drain streams (bounds in-flight RPCs)
 	DrainBW      float64 // drain pacing, bytes/s per worker (0 = unpaced)
@@ -97,14 +105,7 @@ func (c Config) journalRetain() int64 { return 2 * c.StageCapacity }
 // DefaultConfig returns defaults sized for the dev-cluster calibration: a
 // staging window of 64 MB absorbs a few ranks' checkpoint burst per buffer.
 func DefaultConfig() Config {
-	return Config{
-		Threads:       4,
-		ChunkSize:     1 << 20,
-		PinnedBuffer:  8 << 20,
-		StageCapacity: 64 << 20,
-		OpCost:        20 * time.Microsecond,
-		DrainWorkers:  2,
-	}
+	return Config{StageCapacity: 64 << 20, DrainWorkers: 2}
 }
 
 // Target names a burst server: a node and RPC portal pair.
@@ -231,8 +232,7 @@ func StartJournaled(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Inde
 }
 
 func startServer(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, cfg Config, jdev *osd.Device) *Server {
-	if cfg.Threads <= 0 || cfg.ChunkSize <= 0 || cfg.PinnedBuffer < cfg.ChunkSize ||
-		cfg.StageCapacity <= 0 || cfg.DrainWorkers <= 0 {
+	if cfg.StageCapacity <= 0 || cfg.DrainWorkers <= 0 {
 		panic(fmt.Sprintf("burst: bad config %+v", cfg))
 	}
 	name := fmt.Sprintf("burst%d", ep.Node())
@@ -253,8 +253,8 @@ func startServer(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, 
 		name:         name,
 		rpcPort:      rpcPort,
 		waitPort:     rpcPort + 2,
-		bufPool:      sim.NewResource(ep.Kernel(), name+"/pinned", cfg.PinnedBuffer),
-		puller:       portals.NewPuller(ep, name, cfg.ChunkSize),
+		bufPool:      sim.NewResource(ep.Kernel(), name+"/pinned", pinnedBuffer),
+		puller:       portals.NewPuller(ep, name, chunkSize),
 		stageAvail:   scope.Gauge("stage_avail"),
 		drainq:       sim.NewMailbox(ep.Kernel(), name+"/drainq"),
 		dq:           newDrainQueue(),
@@ -278,7 +278,7 @@ func startServer(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, 
 		failed:       make(map[storage.ObjRef]bool),
 	}
 	s.stageAvail.Set(cfg.StageCapacity)
-	s.rpc = portals.Serve(ep, s.rpcPort, name, cfg.Threads, s.handle) //qos:admitted
+	s.rpc = portals.Serve(ep, s.rpcPort, name, threads, s.handle) //qos:admitted
 	if cfg.QoS != nil {
 		s.adm = qos.NewAdmission(ep.Kernel(), ep.Metrics().Scope("qos").Scope(name), *cfg.QoS)
 		s.rpc.SetDispatcher(s.adm)
@@ -347,7 +347,7 @@ func (s *Server) Restart(p *sim.Proc) (recovered int, err error) {
 }
 
 func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	p.Sleep(s.cfg.OpCost)
+	p.Sleep(OpCost)
 	r, ok := req.(stageReq)
 	if !ok {
 		return nil, fmt.Errorf("burst: unknown request %T", req)

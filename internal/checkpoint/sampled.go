@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"time"
 
+	"lwfs/internal/burst"
 	"lwfs/internal/cluster"
 	"lwfs/internal/netsim"
 	"lwfs/internal/osd"
@@ -79,9 +80,6 @@ type SampledRanks struct {
 	// TotalRanks is the full job size; TotalRanks-Procs ranks become
 	// shadow load. Must be >= Procs.
 	TotalRanks int
-	// DrainsPerBuffer is the burst-mode shadow drain concurrency per
-	// buffer (default 2, matching burst.DefaultConfig().DrainWorkers).
-	DrainsPerBuffer int
 }
 
 // shadowStreams is the number of concurrent shadow streams per target
@@ -93,13 +91,6 @@ const shadowStreams = 2
 // shadowChunkSize is the shadow wire chunk: the storage tier's default
 // transfer granularity.
 const shadowChunkSize int64 = 1 << 20
-
-func (s *SampledRanks) drains() int {
-	if s.DrainsPerBuffer > 0 {
-		return s.DrainsPerBuffer
-	}
-	return 2
-}
 
 // SampledLoad is the deployed shadow load's observability handle. All
 // fields are settled once the simulation has run.
@@ -180,15 +171,12 @@ func (s *shadowSink) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (i
 type shadowBuffer struct {
 	q      *sim.Mailbox
 	window *sim.Resource
-	opCost time.Duration
 	next   int // round-robin drain-target cursor
 }
 
 func (b *shadowBuffer) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
 	c := req.(shadowChunk)
-	if b.opCost > 0 {
-		p.Sleep(b.opCost)
-	}
+	p.Sleep(burst.OpCost)
 	b.window.Acquire(p, c.Size)
 	b.q.Send(c)
 	return shadowAck{}, nil
@@ -236,6 +224,9 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 	reg.GaugeFunc("shadow.bytes_acked", func() int64 { return sl.acked })
 	reg.GaugeFunc("shadow.bytes_durable", func() int64 { return sl.drained })
 
+	// The shadow drain concurrency per buffer matches the real tier's.
+	drains := cl.Spec.Burst.DrainWorkers
+
 	// One shadow sink per storage server, attached on the server's node
 	// endpoint so chunks pay that node's real NIC ingress.
 	spn := cl.Spec.ServersPerNode
@@ -244,7 +235,7 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 		sink := &shadowSink{load: sl, dev: s.Device()}
 		port := shadowPortalBase + portals.Index(i%spn)
 		portals.Serve(cl.StorageN[i/spn], port, fmt.Sprintf("shadow/osd%d.%d", i/spn, i%spn),
-			shadowStreams+sr.drains(), sink.handle)
+			shadowStreams+drains, sink.handle)
 		storTargets[i] = shadowTarget{node: s.Node(), port: port}
 	}
 
@@ -263,7 +254,6 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 			buf := &shadowBuffer{
 				q:      sim.NewMailbox(k, fmt.Sprintf("shadow/bb%d.drainq", bi)),
 				window: sim.NewResource(k, fmt.Sprintf("shadow/bb%d.window", bi), window),
-				opCost: cl.Spec.Burst.OpCost,
 			}
 			portals.Serve(cl.BurstN[bi], shadowPortalBase, fmt.Sprintf("shadow/bb%d", bi),
 				shadowStreams+2, buf.handle)
@@ -274,7 +264,6 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 			// contending with the real tier's drains on the same NIC.
 			ranksHere := shadow/nbuf + btoi(bi < shadow%nbuf)
 			chunksHere := ranksHere * nchunksPerRank
-			drains := sr.drains()
 			caller := portals.NewCaller(cl.BurstN[bi])
 			for w := 0; w < drains; w++ {
 				quota := chunksHere/drains + btoi(w < chunksHere%drains)

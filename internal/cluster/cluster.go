@@ -66,13 +66,6 @@ type Spec struct {
 	// storage and burst server whose own config doesn't set one (a tier
 	// config's QoS field wins over this cluster-wide default).
 	QoS *qos.Config
-
-	// MDSOpCost is the centralized metadata server's per-operation service
-	// time — the knob behind Figure 10b (used by the baseline PFS).
-	MDSOpCost time.Duration
-	// MDSThreads is the MDS service concurrency (creates still serialize on
-	// the namespace lock, so throughput stays ~1/MDSOpCost).
-	MDSThreads int
 }
 
 const mb = 1 << 20
@@ -92,8 +85,6 @@ func DevCluster() Spec {
 		Disk:           osd.DefaultDiskParams(),
 		Storage:        storage.DefaultConfig(),
 		Burst:          burst.DefaultConfig(),
-		MDSOpCost:      1300 * time.Microsecond, // ~770 creates/s, Figure 10b
-		MDSThreads:     4,
 	}
 }
 
@@ -130,8 +121,6 @@ func RedStorm() Spec {
 		Disk:           disk,
 		Storage:        storage.DefaultConfig(),
 		Burst:          burst.DefaultConfig(),
-		MDSOpCost:      1300 * time.Microsecond,
-		MDSThreads:     4,
 	}
 }
 
@@ -244,13 +233,13 @@ func (c *Cluster) DeployLWFS() *LWFS {
 		}
 	}
 	l := &LWFS{}
-	l.Authn = authn.Start(c.Admin, c.Realm, authn.DefaultConfig())
+	l.Authn = authn.Start(c.Admin, c.Realm)
 	adminAC := authn.NewClient(portals.NewCaller(c.Admin), c.Admin.Node())
-	l.Authz = authz.Start(c.Admin, adminAC, authz.DefaultConfig())
+	l.Authz = authz.Start(c.Admin, adminAC)
 
 	namingDev := osd.NewDevice(c.K, "naming-dev", c.Spec.Disk)
 	namingPart := txn.NewParticipant(c.Admin, namingDev, naming.TxnPortal)
-	l.Naming = naming.Start(c.Admin, adminAC, namingPart, naming.DefaultConfig())
+	l.Naming = naming.Start(c.Admin, adminAC, namingPart)
 	l.Locks = txn.StartLockServer(c.Admin, LockPortal, 10*time.Microsecond)
 
 	sys := core.System{
@@ -299,11 +288,7 @@ type PFS struct {
 // 9/10 comparisons isolate architecture, not hardware.
 func (c *Cluster) DeployPFS() *PFS {
 	f := &PFS{}
-	cfg := pfs.DefaultConfig()
-	cfg.MDSOpCost = c.Spec.MDSOpCost
-	cfg.MDSThreads = c.Spec.MDSThreads
-	cfg.ChunkSize = c.Spec.Storage.ChunkSize
-	cfg.OSTThreads = c.Spec.Storage.Threads
+	cfg := pfs.Config{OSTThreads: c.Spec.Storage.Threads, ChunkSize: c.Spec.Storage.ChunkSize}
 	var targets []storage.Target
 	for ni, ep := range c.StorageN {
 		for si := 0; si < c.Spec.ServersPerNode; si++ {
@@ -314,7 +299,7 @@ func (c *Cluster) DeployPFS() *PFS {
 			targets = append(targets, ost.Target())
 		}
 	}
-	f.MDS = pfs.StartMDS(c.Admin, targets, cfg)
+	f.MDS = pfs.StartMDS(c.Admin, targets)
 	return f
 }
 

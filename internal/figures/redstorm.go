@@ -110,7 +110,6 @@ func (opts RedStormOpts) dump(pt *RedStormPoint, _ int) ([]MetricsCapture, error
 		perBuf := int64(opts.TotalRanks) * opts.BytesPerProc / int64(opts.Buffers)
 		spec.Burst.StageCapacity = perBuf + perBuf/8
 		spec.Burst.DrainWorkers = 8
-		sampled.DrainsPerBuffer = 8
 	}
 	r := newRig(spec)
 	cl, l := r.cl, r.l

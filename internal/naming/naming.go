@@ -67,16 +67,9 @@ var (
 	ErrBadCred  = errors.New("naming: credential rejected")
 )
 
-// Config tunes the service.
-type Config struct {
-	OpCost       time.Duration // CPU per namespace operation
-	CredCacheTTL time.Duration
-}
-
-// DefaultConfig returns calibrated defaults.
-func DefaultConfig() Config {
-	return Config{OpCost: 80 * time.Microsecond, CredCacheTTL: 5 * time.Minute}
-}
+// opCost is the CPU time per namespace operation, a calibration constant
+// (DESIGN.md §7).
+const opCost = 80 * time.Microsecond
 
 type node struct {
 	entry    Entry
@@ -86,7 +79,6 @@ type node struct {
 
 // Service is the naming server.
 type Service struct {
-	cfg   Config
 	creds *authn.CredCache
 	root  *node
 	part  *txn.Participant
@@ -134,10 +126,9 @@ type listReq struct {
 // Start binds the naming service to ep's node. part is the service's
 // transaction participant (created by the caller so the journal device is
 // explicit); it may be nil if transactional naming is not needed.
-func Start(ep *portals.Endpoint, ac *authn.Client, part *txn.Participant, cfg Config) *Service {
+func Start(ep *portals.Endpoint, ac *authn.Client, part *txn.Participant) *Service {
 	s := &Service{
-		cfg:   cfg,
-		creds: authn.NewCredCache(ac, cfg.CredCacheTTL),
+		creds: authn.NewCredCache(ac),
 		root:  &node{entry: Entry{Path: "/", IsDir: true}, children: make(map[string]*node)},
 		part:  part,
 	}
@@ -191,7 +182,7 @@ func splitClean(path string) (string, string, error) {
 }
 
 func (s *Service) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	p.Sleep(s.cfg.OpCost)
+	p.Sleep(opCost)
 	switch r := req.(type) {
 	case mkdirReq:
 		user, err := s.principal(p, r.Cred)

@@ -21,7 +21,7 @@ func bootNaming(r *testrig.Rig) (*naming.Service, *txn.Participant) {
 	dev := osd.NewDevice(r.K, "mdsdev", osd.DefaultDiskParams())
 	part := txn.NewParticipant(r.Eps[1], dev, naming.TxnPortal)
 	ac := authn.NewClient(r.Caller(1), r.Eps[0].Node())
-	svc := naming.Start(r.Eps[1], ac, part, naming.DefaultConfig())
+	svc := naming.Start(r.Eps[1], ac, part)
 	return svc, part
 }
 

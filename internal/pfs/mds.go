@@ -16,7 +16,6 @@ import (
 // the paper identifies as "inherently unscalable" (§4): adding OSTs does
 // not add metadata throughput.
 type MDS struct {
-	cfg     Config
 	osts    []storage.Target
 	files   map[string]*Layout
 	nextIno uint64
@@ -41,9 +40,8 @@ type mdsSetSizeReq struct {
 
 // StartMDS binds the metadata server at (ep, MDSPortal) with the given OST
 // roster.
-func StartMDS(ep *portals.Endpoint, osts []storage.Target, cfg Config) *MDS {
+func StartMDS(ep *portals.Endpoint, osts []storage.Target) *MDS {
 	m := &MDS{
-		cfg:    cfg,
 		osts:   osts,
 		files:  make(map[string]*Layout),
 		nsLock: sim.NewResource(ep.Kernel(), "mds/namespace", 1),
@@ -51,7 +49,7 @@ func StartMDS(ep *portals.Endpoint, osts []storage.Target, cfg Config) *MDS {
 	md := ep.Metrics().Scope("pfs").Scope("mds")
 	m.creates = md.Counter("creates")
 	m.opens = md.Counter("opens")
-	portals.Serve(ep, MDSPortal, "mds", cfg.MDSThreads, m.handle)
+	portals.Serve(ep, MDSPortal, "mds", mdsThreads, m.handle)
 	return m
 }
 
@@ -60,7 +58,7 @@ func (m *MDS) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interfac
 	case mdsCreateReq:
 		// Namespace mutation: exclusive, full service cost under the lock.
 		m.nsLock.Acquire(p, 1)
-		p.Sleep(m.cfg.MDSOpCost)
+		p.Sleep(mdsOpCost)
 		defer m.nsLock.Release(1)
 		if _, ok := m.files[r.Path]; ok {
 			return nil, fmt.Errorf("%w: %s", ErrExists, r.Path)
@@ -72,7 +70,7 @@ func (m *MDS) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interfac
 		m.nextIno++
 		l := &Layout{
 			Inode:      m.nextIno,
-			StripeUnit: m.cfg.StripeUnit,
+			StripeUnit: stripeUnit,
 			OSTs:       append([]storage.Target(nil), m.osts[:stripes]...),
 		}
 		m.files[r.Path] = l
@@ -80,7 +78,7 @@ func (m *MDS) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interfac
 		return *l, nil
 
 	case mdsOpenReq:
-		p.Sleep(m.cfg.MDSOpCost)
+		p.Sleep(mdsOpCost)
 		l, ok := m.files[r.Path]
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, r.Path)
@@ -89,7 +87,7 @@ func (m *MDS) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interfac
 		return *l, nil
 
 	case mdsSetSizeReq:
-		p.Sleep(m.cfg.MDSOpCost / 2)
+		p.Sleep(mdsOpCost / 2)
 		l, ok := m.files[r.Path]
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, r.Path)

@@ -119,14 +119,14 @@ func (o *OST) write(p *sim.Proc, from netsim.NodeID, r ostWriteReq) (interface{}
 	l := o.lockOf(r.Obj)
 	l.res.Acquire(p, 1)
 	defer l.res.Release(1)
-	p.Sleep(o.cfg.LockOpCost)
+	p.Sleep(lockOpCost)
 	if l.holder != r.ClientID {
 		if l.holder != 0 {
 			// Revoke the previous holder's cached extent lock: a blocking
 			// callback round trip, client-side lock cancellation and page
 			// invalidation, and a flush barrier on the object's dirty
 			// state before the new grant is safe.
-			p.Sleep(o.cfg.RevokeCost + 2*o.ep.Network().Latency())
+			p.Sleep(revokeCost + 2*o.ep.Network().Latency())
 			o.dev.Sync(p)
 			o.lockSwitches.Inc()
 		}

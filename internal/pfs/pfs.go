@@ -44,28 +44,26 @@ var (
 	ErrNotFound = errors.New("pfs: no such file")
 )
 
-// Config tunes the baseline file system.
-type Config struct {
-	StripeUnit int64         // bytes per stripe chunk
-	MDSOpCost  time.Duration // metadata service time per namespace op
-	MDSThreads int           // MDS request concurrency (namespace still serializes)
-	OSTThreads int           // OST request service processes
-	ChunkSize  int64         // server-directed pull granularity at OSTs
-	RevokeCost time.Duration // extent-lock holder-switch callback cost
-	LockOpCost time.Duration // lock bookkeeping per covered request
-}
+// Calibration constants of the Lustre baseline (DESIGN.md §7).
+const (
+	// stripeUnit is the bytes per stripe chunk of a new file.
+	stripeUnit int64 = 1 << 20
+	// mdsOpCost is the metadata service time per namespace op: ~770
+	// creates/s, Figure 10b.
+	mdsOpCost = 1300 * time.Microsecond
+	// mdsThreads is the MDS request concurrency (creates still serialize on
+	// the namespace lock, so throughput stays ~1/mdsOpCost).
+	mdsThreads = 4
+	// revokeCost is the extent-lock holder-switch callback cost.
+	revokeCost = 1500 * time.Microsecond
+	// lockOpCost is the lock bookkeeping per covered request.
+	lockOpCost = 20 * time.Microsecond
+)
 
-// DefaultConfig returns the calibrated defaults (see DESIGN.md §7).
-func DefaultConfig() Config {
-	return Config{
-		StripeUnit: 1 << 20,
-		MDSOpCost:  1300 * time.Microsecond,
-		MDSThreads: 4,
-		OSTThreads: 4,
-		ChunkSize:  1 << 20,
-		RevokeCost: 1500 * time.Microsecond,
-		LockOpCost: 20 * time.Microsecond,
-	}
+// Config sizes the baseline's OSTs to match the LWFS storage servers.
+type Config struct {
+	OSTThreads int   // OST request service processes
+	ChunkSize  int64 // server-directed pull granularity at OSTs
 }
 
 // Layout describes a file's striping: which OSTs hold it and the object ID

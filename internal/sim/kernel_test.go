@@ -313,25 +313,6 @@ func TestResourceCounted(t *testing.T) {
 	}
 }
 
-func TestResourceUseAccountsBusyTime(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "r", 1)
-	k.Spawn("u", func(p *Proc) {
-		for _, d := range []time.Duration{3 * time.Millisecond, 2 * time.Millisecond} {
-			r.Acquire(p, 1)
-			p.Sleep(d)
-			r.Release(1)
-			p.Sleep(time.Millisecond) // idle: not busy time
-		}
-	})
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if r.busyTime() != 5*time.Millisecond {
-		t.Fatalf("busy = %v", r.busyTime())
-	}
-}
-
 func TestWaitGroup(t *testing.T) {
 	k := NewKernel()
 	var wg WaitGroup

@@ -279,10 +279,6 @@ type Resource struct {
 	capacity int64
 	avail    int64
 	waiters  []*waiter
-
-	// Busy-time accounting for utilization reports.
-	busySince Time
-	busyAccum time.Duration
 }
 
 // NewResource creates a resource with the given capacity (units are caller
@@ -321,19 +317,12 @@ func (r *Resource) claim(w *waiter, n int64) bool {
 		panic(fmt.Sprintf("sim: resource %q: acquire %d of capacity %d", r.name, n, r.capacity))
 	}
 	if len(r.waiters) == 0 && r.avail >= n {
-		r.take(n)
+		r.avail -= n
 		return true
 	}
 	w.n = n
 	r.waiters = append(r.waiters, w)
 	return false
-}
-
-func (r *Resource) take(n int64) {
-	if r.avail == r.capacity {
-		r.busySince = r.k.now
-	}
-	r.avail -= n
 }
 
 // Release returns n units and resumes as many FIFO waiters as now fit.
@@ -342,28 +331,15 @@ func (r *Resource) Release(n int64) {
 	if r.avail > r.capacity {
 		panic(fmt.Sprintf("sim: resource %q: release beyond capacity", r.name))
 	}
-	if r.avail == r.capacity {
-		r.busyAccum += r.k.now.Sub(r.busySince)
-	}
 	for len(r.waiters) > 0 && r.waiters[0].n <= r.avail {
 		w := r.waiters[0]
 		last := len(r.waiters) - 1
 		copy(r.waiters, r.waiters[1:])
 		r.waiters[last] = nil
 		r.waiters = r.waiters[:last]
-		r.take(w.n)
+		r.avail -= w.n
 		w.wake(r.k)
 	}
-}
-
-// busyTime reports the accumulated virtual time during which at least one
-// unit was claimed. If the resource is busy now, time up to Now is included.
-func (r *Resource) busyTime() time.Duration {
-	t := r.busyAccum
-	if r.avail < r.capacity {
-		t += r.k.now.Sub(r.busySince)
-	}
-	return t
 }
 
 // WaitGroup counts outstanding simulated tasks; Wait blocks until the count

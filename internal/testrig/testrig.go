@@ -62,9 +62,9 @@ func New(nodes int) *Rig {
 		nd := net.AddNode(name, cfg)
 		r.Eps = append(r.Eps, portals.NewEndpoint(net, nd))
 	}
-	r.Authn = authn.Start(r.Eps[0], r.Realm, authn.DefaultConfig())
+	r.Authn = authn.Start(r.Eps[0], r.Realm)
 	ac := authn.NewClient(portals.NewCaller(r.Eps[0]), r.Eps[0].Node())
-	r.Authz = authz.Start(r.Eps[0], ac, authz.DefaultConfig())
+	r.Authz = authz.Start(r.Eps[0], ac)
 	return r
 }
 

@@ -145,7 +145,13 @@ func (tr *Trace) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Decode parses the v1 text format.
+// decodePrealloc bounds the events Decode reserves room for up front: the
+// header's count is a claim, and the slice grows past this only as event
+// lines are actually read.
+const decodePrealloc = 4096
+
+// Decode parses the v1 text format. It refuses a negative event count and
+// negative stream, offset and length fields.
 func Decode(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
@@ -156,10 +162,10 @@ func Decode(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: missing events count")
 	}
 	var count int
-	if _, err := fmt.Sscanf(sc.Text(), "events %d", &count); err != nil {
+	if _, err := fmt.Sscanf(sc.Text(), "events %d", &count); err != nil || count < 0 {
 		return nil, fmt.Errorf("trace: bad events count %q", sc.Text())
 	}
-	tr := &Trace{Events: make([]Event, 0, count)}
+	tr := &Trace{Events: make([]Event, 0, min(count, decodePrealloc))}
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "" {
@@ -175,7 +181,7 @@ func Decode(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: bad timestamp %q", f[0])
 		}
 		ev.T = sim.Time(t)
-		if ev.Stream, err = strconv.Atoi(f[1]); err != nil {
+		if ev.Stream, err = strconv.Atoi(f[1]); err != nil || ev.Stream < 0 {
 			return nil, fmt.Errorf("trace: bad stream %q", f[1])
 		}
 		op, ok := ParseOp(f[2])
@@ -187,10 +193,10 @@ func Decode(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: bad path %q", f[3])
 		}
 		ev.Path = f[3]
-		if ev.Off, err = strconv.ParseInt(f[4], 10, 64); err != nil {
+		if ev.Off, err = strconv.ParseInt(f[4], 10, 64); err != nil || ev.Off < 0 {
 			return nil, fmt.Errorf("trace: bad offset %q", f[4])
 		}
-		if ev.Len, err = strconv.ParseInt(f[5], 10, 64); err != nil {
+		if ev.Len, err = strconv.ParseInt(f[5], 10, 64); err != nil || ev.Len < 0 {
 			return nil, fmt.Errorf("trace: bad length %q", f[5])
 		}
 		if ev.Seed, err = strconv.ParseUint(f[6], 10, 64); err != nil {

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -78,21 +79,76 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedTraces are inputs Decode must refuse. Apart from the field under
+// test each is well formed, so the refusal is for the reason named.
+var malformedTraces = map[string]string{
+	"empty":           "",
+	"bad header":      "lwfstrace v9\nevents 0\n",
+	"bad count":       "lwfstrace v1\nevents x\n",
+	"negative count":  "lwfstrace v1\nevents -1\n",
+	"huge count":      "lwfstrace v1\nevents 9223372036854775807\n0 0 create /a 0 0 0\n",
+	"short":           "lwfstrace v1\nevents 2\n0 0 create /a 0 0 0\n",
+	"bad fields":      "lwfstrace v1\nevents 1\n0 0 create /a 0 0\n",
+	"bad op":          "lwfstrace v1\nevents 1\n0 0 99 /a 0 0 0\n",
+	"bad path":        "lwfstrace v1\nevents 1\n0 0 create a 0 0 0\n",
+	"extra event":     "lwfstrace v1\nevents 0\n0 0 create /a 0 0 0\n",
+	"negative stream": "lwfstrace v1\nevents 1\n0 -1 create /a 0 0 0\n",
+	"negative offset": "lwfstrace v1\nevents 1\n0 0 write /a -4096 4096 0\n",
+	"negative length": "lwfstrace v1\nevents 1\n0 0 read /a 0 -1 0\n",
+}
+
 func TestDecodeRejectsMalformed(t *testing.T) {
-	for name, in := range map[string]string{
-		"empty":       "",
-		"bad header":  "lwfstrace v9\nevents 0\n",
-		"bad count":   "lwfstrace v1\nevents x\n",
-		"short":       "lwfstrace v1\nevents 2\n0 0 1 /a 0 0 0\n",
-		"bad fields":  "lwfstrace v1\nevents 1\n0 0 1 /a 0 0\n",
-		"bad op":      "lwfstrace v1\nevents 1\n0 0 99 /a 0 0 0\n",
-		"bad path":    "lwfstrace v1\nevents 1\n0 0 1 a 0 0 0\n",
-		"extra event": "lwfstrace v1\nevents 0\n0 0 1 /a 0 0 0\n",
-	} {
+	for name, in := range malformedTraces {
 		if _, err := trace.Decode(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: decode accepted malformed input", name)
 		}
 	}
+	// Each case differs from an accepted trace in its named field only.
+	for _, in := range []string{
+		"lwfstrace v1\nevents 0\n",
+		"lwfstrace v1\nevents 1\n0 0 create /a 0 0 0\n",
+		"lwfstrace v1\nevents 1\n0 1 write /a 4096 4096 0\n",
+	} {
+		if _, err := trace.Decode(strings.NewReader(in)); err != nil {
+			t.Errorf("decode refused well-formed %q: %v", in, err)
+		}
+	}
+}
+
+// FuzzDecodeTrace: Decode never panics, and any trace it accepts encodes
+// and decodes back to the same trace.
+func FuzzDecodeTrace(f *testing.F) {
+	files, err := filepath.Glob("testdata/*.trace")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no seed traces: %v", err)
+	}
+	for _, name := range files {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, in := range malformedTraces {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := trace.Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tr.Encode(&buf); err != nil {
+			t.Fatalf("accepted trace does not encode: %v", err)
+		}
+		again, err := trace.Decode(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded trace does not decode: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(again, tr) {
+			t.Fatalf("round trip changed the trace:\ngot  %+v\nwant %+v", again.Events, tr.Events)
+		}
+	})
 }
 
 func TestSeedOfAndDataFor(t *testing.T) {

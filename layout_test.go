@@ -45,3 +45,19 @@ func TestReadmeLayout(t *testing.T) {
 		}
 	}
 }
+
+// designLineBudget is the most lines DESIGN.md may have. A change that
+// adds to it makes room by cutting what no longer earns its place; lower
+// the budget when the file shrinks.
+const designLineBudget = 1550
+
+// TestDesignLineBudget keeps DESIGN.md within designLineBudget lines.
+func TestDesignLineBudget(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n > designLineBudget {
+		t.Errorf("DESIGN.md has %d lines, over its budget of %d: cut before adding", n, designLineBudget)
+	}
+}
