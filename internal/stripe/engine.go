@@ -1,6 +1,7 @@
 package stripe
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 
@@ -354,15 +355,10 @@ func (e *Engine) reconstructExtent(p *sim.Proc, l Layout, idx int, objOff, n int
 	return out, nil
 }
 
-// xorInto XORs src into dst over their common prefix.
+// xorInto XORs src into dst over their common prefix, a word at a time.
 func xorInto(dst, src []byte) {
-	n := len(src)
-	if n > len(dst) {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] ^= src[i]
-	}
+	n := min(len(dst), len(src))
+	subtle.XORBytes(dst[:n], dst[:n], src[:n])
 }
 
 // targetSet collects distinct targets in first-seen order.

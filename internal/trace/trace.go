@@ -24,6 +24,7 @@ package trace
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -295,15 +296,24 @@ func DataFor(seed uint64, n int64) []byte {
 	}
 	out := make([]byte, n)
 	x := seed
-	for i := int64(0); i < n; i += 8 {
+	next := func() uint64 {
 		x += 0x9e3779b97f4a7c15
 		z := x
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		for j := 0; j < 8 && i+int64(j) < n; j++ {
-			out[i+int64(j)] = byte(z >> (8 * j))
-		}
+		return z ^ (z >> 31)
+	}
+	// Each step's word lands little-endian; a ragged tail takes the low
+	// bytes of one last step.
+	b := out
+	for len(b) >= 8 {
+		binary.LittleEndian.PutUint64(b, next())
+		b = b[8:]
+	}
+	if len(b) > 0 {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], next())
+		copy(b, w[:])
 	}
 	return out
 }

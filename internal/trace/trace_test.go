@@ -2,6 +2,8 @@ package trace_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -178,6 +180,45 @@ func TestSeedOfAndDataFor(t *testing.T) {
 	}
 }
 
+// TestDataForPinned pins the content stream itself, not just its
+// determinism: a trace recorded by one build names its payloads by seed,
+// so every build must expand a seed to the same bytes. The digests cover
+// a lone byte, a ragged word, one exact word, a word plus a byte, and
+// long odd lengths.
+func TestDataForPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		n    int64
+		want string
+	}{
+		{1, 1, "d1bbd73bb09190bfb883056771e22e997541ed20079793bf33975fe1654581c3"},
+		{1, 7, "bddc7811593c83f8f03411612b84666791ed77e52632fd05d427d12f591f07d7"},
+		{1, 8, "60c336aab08cf3f29dd703dc4059ee6cd2c0d48c80b6ea2fc38de2dfa533a4bf"},
+		{1, 9, "adfa548c3f034afaf881d3e1057966a433be7910b3dc2db139ee0f22fc7078da"},
+		{0xdeadbeef, 4095, "ecdd18bc24c8dbd04e7ee877696339ffbc23b64db63396c41bd67e94b4f87a1e"},
+		{0x9e3779b97f4a7c15, 1<<20 + 3, "9abb1e662eaee9d9a147763b754c988ea8e13aa7a8896ee563030d1dbf7d6d79"},
+	} {
+		out := trace.DataFor(c.seed, c.n)
+		if int64(len(out)) != c.n {
+			t.Fatalf("DataFor(%#x, %d): length %d", c.seed, c.n, len(out))
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != c.want {
+			t.Errorf("DataFor(%#x, %d): sha256 %s, want %s", c.seed, c.n, got, c.want)
+		}
+	}
+}
+
+var dataSink []byte
+
+func BenchmarkDataFor(b *testing.B) {
+	const n = 1 << 20
+	b.SetBytes(n)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dataSink = trace.DataFor(uint64(i)+1, n)
+	}
+}
+
 func TestRecorderStreamsAndValidation(t *testing.T) {
 	rec := trace.NewRecorder()
 	if s0, s1 := rec.NewStream(), rec.NewStream(); s0 == s1 {
@@ -334,5 +375,28 @@ func TestReplaySemantics(t *testing.T) {
 	}
 	if counts["seeded"] != 2 || counts["synthetic"] != 2 || counts["read"] != 2 || counts["rm"] != 2 {
 		t.Fatalf("op counts = %v", counts)
+	}
+}
+
+// A second create of a path that is still open replaces its handle; the
+// first must be closed, not dropped.
+func TestReplayCreateTwiceClosesFirstHandle(t *testing.T) {
+	tr := &trace.Trace{Events: []trace.Event{
+		{Op: trace.OpCreate, Path: "/f"},
+		{Op: trace.OpWrite, Path: "/f", Len: 8, Seed: 7},
+		{Op: trace.OpCreate, Path: "/f"},
+		{Op: trace.OpClose, Path: "/f"},
+	}}
+	k := sim.NewKernel()
+	m := &fakeMount{t: t}
+	res := trace.StartReplay(k, tr, func(*sim.Proc) (trace.Mount, error) { return m, nil }, trace.Options{})
+	if err := k.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if m.open != 0 {
+		t.Fatalf("%d handles leaked", m.open)
 	}
 }
