@@ -19,7 +19,7 @@
 //	lwfsbench -experiment replay -clients 1,4,16         # workers
 //
 // A negative -trials or -mb-per-proc, or a -servers or -clients entry below
-// 1, is a bad command line (exit 2).
+// 1 or repeated, is a bad command line (exit 2).
 //
 // -metrics appends per-sweep-point registry snapshot deltas (RPC rates,
 // cache hit ratios, queue depths, drain backlog) to the experiments that
@@ -51,6 +51,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -231,8 +232,8 @@ func peakRSSMB() float64 {
 	return float64(ru.Maxrss) * 1024 / 1e6
 }
 
-// parseCounts reads the named flag's comma-separated list of counts, each
-// at least 1; empty means unset.
+// parseCounts reads the named flag's comma-separated list of distinct
+// counts, each at least 1; empty means unset.
 func parseCounts(name, s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
@@ -242,6 +243,9 @@ func parseCounts(name, s string) ([]int, error) {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("%s: bad count %q, want an integer of at least 1", name, part)
+		}
+		if slices.Contains(out, n) {
+			return nil, fmt.Errorf("%s: count %d given twice, want each at most once", name, n)
 		}
 		out = append(out, n)
 	}

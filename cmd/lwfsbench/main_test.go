@@ -266,6 +266,8 @@ func TestUnknownExperiment(t *testing.T) {
 		{"-experiment", "burst", "-trials", "-2"},
 		{"-experiment", "fig9", "-clients", "0"},
 		{"-experiment", "stripe", "-mb-per-proc", "-4"},
+		{"-experiment", "fig9", "-servers", "2,2"},
+		{"-clients", "4,1,4"},
 	} {
 		stdout.Reset()
 		stderr.Reset()
@@ -330,6 +332,33 @@ func TestCostLogAndProfiles(t *testing.T) {
 
 	if code := run([]string{"-experiment", "table1", "-json", filepath.Join(dir, "no", "such", "dir")}, &stdout, &stderr); code != 1 {
 		t.Errorf("unwritable -json file: exit %d, want 1", code)
+	}
+}
+
+// BENCH_experiments.json, the committed host-cost ledger (README: `go run
+// ./cmd/lwfsbench -experiment all -json BENCH_experiments.json`), is a
+// full -json log: every experiment in the table has exactly one row, and
+// that row has a wall time.
+func TestBenchExperimentsLedger(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_experiments.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]int{}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	for dec.More() {
+		var c cost
+		if err := dec.Decode(&c); err != nil {
+			t.Fatalf("BENCH_experiments.json: %v", err)
+		}
+		if c.WallS > 0 {
+			rows[c.Experiment]++
+		}
+	}
+	for _, e := range figures.Experiments {
+		if rows[e.Name] != 1 {
+			t.Errorf("BENCH_experiments.json has %d rows for %s with wall_s > 0, want 1", rows[e.Name], e.Name)
+		}
 	}
 }
 

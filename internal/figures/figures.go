@@ -16,8 +16,10 @@
 package figures
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"text/tabwriter"
 	"time"
 
@@ -164,19 +166,37 @@ func (pt *seriesPoint) summary() string { return pt.y.String() + " " + pt.unit }
 
 // seriesSweep is the shape Figures 9 and 10 share: one series per server
 // count, one point per client count, measure's y value sampled over trials.
-// The whole servers × clients grid is one sweep, so the few expensive
-// many-client points overlap with other series' cheap ones instead of each
-// ending its series alone. Empty sweep parameters take the paper's.
+// The whole servers × clients grid is one sweep, handed to sweep heaviest
+// first — clients descending, then servers descending — because a point's
+// host cost grows with its clients and sweep claims in list order: in grid
+// order the 16 × 64 point was claimed last and ran alone at the end of every
+// sweep, while heaviest first the many-client points start together and the
+// cheap ones fill in behind them (on two workers, per-point times model the
+// benchmark's five Fig. 9/10 sweeps at 565 ms in grid order and 433 ms
+// heaviest first). The results come back through the same permutation, so
+// the series are in the input lists' order, duplicates and all. Empty sweep
+// parameters take the paper's.
 func seriesSweep(what, unit string, servers, clients []int, trials int, progress func(string, ...interface{}),
 	measure func(spec cluster.Spec, clients, trial int) (float64, error)) ([]stats.Series, error) {
 	defList(&servers, DefaultServers...)
 	defList(&clients, DefaultClients...)
 	def(&trials, DefaultTrials)
-	points := make([]seriesPoint, 0, len(servers)*len(clients))
+	grid := make([]seriesPoint, 0, len(servers)*len(clients))
 	for _, n := range servers {
 		for _, c := range clients {
-			points = append(points, seriesPoint{what: what, unit: unit, servers: n, clients: c})
+			grid = append(grid, seriesPoint{what: what, unit: unit, servers: n, clients: c})
 		}
+	}
+	order := make([]int, len(grid)) // order[k] is the grid index of the k-th point swept
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(grid[b].clients, grid[a].clients), cmp.Compare(grid[b].servers, grid[a].servers))
+	})
+	points := make([]seriesPoint, len(grid))
+	for k, i := range order {
+		points[k] = grid[i]
 	}
 	_, _, err := sweep(sweepCfg{Trials: trials, Progress: progress}, points,
 		func(pt *seriesPoint, trial int) ([]MetricsCapture, error) {
@@ -189,11 +209,14 @@ func seriesSweep(what, unit string, servers, clients []int, trials int, progress
 	if err != nil {
 		return nil, err
 	}
+	for k, i := range order {
+		grid[i] = points[k]
+	}
 	out := make([]stats.Series, len(servers))
 	for i, n := range servers {
 		out[i].Name = fmt.Sprintf("%d servers", n)
 		for j := range clients {
-			pt := &points[i*len(clients)+j]
+			pt := &grid[i*len(clients)+j]
 			out[i].Add(float64(pt.clients), &pt.y)
 		}
 	}

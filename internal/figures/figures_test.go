@@ -194,3 +194,21 @@ func TestTable1Render(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFig9SharedSweep is one Lustre shared-file panel of Figure 9 at
+// the benchmark's grid: the sweep whose 64-client points cost the most, so
+// its host time is the sweep's makespan on GOMAXPROCS workers rather than
+// the sum of its points.
+func BenchmarkFig9SharedSweep(b *testing.B) {
+	opts := figures.Fig9Opts{
+		Servers:      []int{2, 16},
+		Clients:      []int{1, 4, 16, 64},
+		Trials:       1,
+		BytesPerProc: 64 << 20,
+	}
+	for range b.N {
+		if _, err := figures.Fig9(figures.ImplPFSShared, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"lwfs/internal/cluster"
 	"lwfs/internal/metrics"
 	"lwfs/internal/sim"
 )
@@ -163,5 +164,36 @@ func TestSweepRenderIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 	if one, four := render(1), render(4); one != four {
 		t.Errorf("report under GOMAXPROCS 1:\n%s\nunder GOMAXPROCS 4:\n%s", one, four)
+	}
+}
+
+// seriesSweep hands sweep its grid heaviest first — clients descending, then
+// servers descending — and still assembles each series in the order of the
+// input lists, however those are ordered.
+func TestSeriesSweepHeaviestFirst(t *testing.T) {
+	procs(t, 1) // one worker: measure runs in exactly the order sweep claims
+	var calls []string
+	series, err := seriesSweep("probe", "u", []int{16, 2}, []int{4, 1, 64}, 1, nil,
+		func(spec cluster.Spec, clients, trial int) (float64, error) {
+			servers := spec.StorageNodes * spec.ServersPerNode
+			calls = append(calls, fmt.Sprintf("%dx%d", servers, clients))
+			return float64(1000*servers + clients), nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "[16x64 2x64 16x4 2x4 16x1 2x1]"; fmt.Sprint(calls) != want {
+		t.Errorf("measured %v, want %s", calls, want)
+	}
+	for i, servers := range []int{16, 2} {
+		s := series[i]
+		if want := fmt.Sprintf("%d servers", servers); s.Name != want {
+			t.Errorf("series %d is %q, want %q", i, s.Name, want)
+		}
+		for j, clients := range []int{4, 1, 64} {
+			if pt := s.Points[j]; pt.X != float64(clients) || pt.Mean != float64(1000*servers+clients) {
+				t.Errorf("%s point %d is (%g, %g), want (%d, %d)", s.Name, j, pt.X, pt.Mean, clients, 1000*servers+clients)
+			}
+		}
 	}
 }
