@@ -159,7 +159,7 @@ func BenchmarkPetaflopProjection(b *testing.B) {
 	var pr figures.Projection
 	var err error
 	for i := 0; i < b.N; i++ {
-		pr, err = figures.PetaflopProjection(400 << 20)
+		pr, err = figures.PetaflopProjection()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,16 +2,19 @@ package lwfs_test
 
 // The options census. Every field of an option struct is a configuration
 // axis that tests and benchmarks would have to cover; a field that no
-// product code ever sets is an axis with one value in use, which should be
-// a constant. TestOptionsCensus type-checks the whole module (standard
-// library only), finds every place an option field is set, and fails when
-// a field is set by no product code and is not on censusKept with a
-// reason. It prints the totals so CHANGES.md can quote them.
+// product code ever sets, or that every set in the module gives the same
+// constant, is an axis with one value in use, which should be a constant.
+// TestOptionsCensus type-checks the whole module (standard library only),
+// finds every place an option field is set and the constant it assigns, and
+// fails when a field is set by no product code, or is a number or string
+// every set gives one value, and is not on censusKept with a reason. It
+// prints the totals so CHANGES.md can quote them.
 
 import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -26,30 +29,58 @@ import (
 )
 
 // optionStruct matches the names of the structs the census counts.
-var optionStruct = regexp.MustCompile(`(Config|Options|Opts|Spec|Policy|Params)$|^(SampledRanks|Env)$`)
+var optionStruct = regexp.MustCompile(`(Config|Options|Opts|Spec|Policy|Params)$|^Env$`)
 
 // defaultsFunc matches the functions whose sets do not count: a struct
 // filling in its own defaults says nothing about whether anyone chooses.
 var defaultsFunc = regexp.MustCompile(`^(defaults|withDefaults|Default.*)$`)
 
-// censusKept lists, by name, the fields no product code sets that stay
-// anyway, each with the reason a test or benchmark needs it: a reference
-// arm, a fault-injection control, or a size a test shrinks. A calibration
-// value no caller varies is a package constant, not a field.
+// censusKept lists, by name, the fields the census flags that stay anyway,
+// each with the reason a test or benchmark needs it: a reference arm, a
+// size a test shrinks, or a surface the frozen bench/ harness sets. A
+// calibration value no caller varies is a package constant, not a field.
 var censusKept = map[string]string{
 	"checkpoint.Config.PatternData":  "restore tests dump verifiable bytes instead of a length",
 	"checkpoint.Config.JitterMax":    "chaos tests widen start jitter to move crash windows",
 	"storage.Config.ChunkSize":       "tests and the root ablation benchmark vary them",
-	"storage.Config.OpCost":          "tests and the root ablation benchmark vary them",
 	"storage.Config.PinnedBuffer":    "tests and the root ablation benchmark vary them",
 	"storage.Config.DisableCapCache": "ablation arm of the root BenchmarkAblationCapCache",
-	"netsim.FaultSpec.Start":         "fault-injection window",
-	"netsim.FaultSpec.End":           "fault-injection window",
 	"lwfspfs.Options.Stripes":        "tests pin a narrow stripe on a wide cluster; Mount reads it from the superblock",
 	"figures.ReplayOpts.Traces":      "replay_test replays one trace of the three",
+	"figures.RedStormOpts.Seed":      "frozen bench/ surface: only bench/ sets it, to its default (ROADMAP item 11)",
 }
 
-type setters struct{ product, test bool }
+// setters is who sets one option field, and with what: value is the
+// constant every set so far assigned, and varies is set once two sets
+// differ or one assigns a value that is not a constant.
+type setters struct {
+	product, test bool
+	value         constant.Value
+	varies        bool
+}
+
+// note records one set of the field to v (nil: not a constant).
+func (s *setters) note(v constant.Value) {
+	switch {
+	case v == nil:
+		s.varies = true
+	case s.value == nil:
+		s.value = v
+	case !constant.Compare(s.value, token.EQL, v):
+		s.varies = true
+	}
+}
+
+// singleValued is the constant every set of a numeric or string field
+// assigns, or "" when the sets differ, one is not a constant, or the field
+// is a bool (whose zero value is the other setting in use).
+func (s *setters) singleValued(t types.Type) string {
+	b, ok := t.Underlying().(*types.Basic)
+	if s == nil || s.varies || s.value == nil || !ok || b.Info()&(types.IsNumeric|types.IsString) == 0 {
+		return ""
+	}
+	return s.value.ExactString()
+}
 
 // census is the loaded module: every option field by declaration
 // position, and who sets it.
@@ -68,8 +99,12 @@ type census struct {
 // theCensus loads the module once for every census test.
 var theCensus = sync.OnceValues(func() (*census, error) { return loadCensus(".") })
 
-// optionField names a field of an option struct: "pkg.Struct" and "Field".
-type optionField struct{ owner, name string }
+// optionField names a field of an option struct: "pkg.Struct" and "Field",
+// and its type.
+type optionField struct {
+	owner, name string
+	typ         types.Type
+}
 
 func (f optionField) String() string { return f.owner + "." + f.name }
 
@@ -269,14 +304,15 @@ func (c *census) collectFields(pkg *types.Package) {
 		owner := pkg.Name() + "." + name
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
-			c.fields[f.Pos()] = optionField{owner, f.Name()}
+			c.fields[f.Pos()] = optionField{owner, f.Name(), f.Type()}
 		}
 	}
 }
 
-// scan records every set of an option field in f: a composite-literal
-// element, or an assignment or ++/-- target. Sets a struct makes to itself
-// inside its own defaults function do not count.
+// scan records every set of an option field in f, with the constant it
+// assigns: a composite-literal element, or an assignment or ++/-- target.
+// Sets a struct makes to itself inside its own defaults function do not
+// count.
 func (c *census) scan(f *ast.File, info *types.Info) {
 	isTest := c.inTestFile(f.Pos())
 	for _, decl := range f.Decls {
@@ -284,7 +320,9 @@ func (c *census) scan(f *ast.File, info *types.Info) {
 		if fd, ok := decl.(*ast.FuncDecl); ok && defaultsFunc.MatchString(fd.Name.Name) {
 			own = defaultsOwner(fd, info)
 		}
-		record := func(v *types.Var) {
+		// record notes a set of v to the value of expr (nil: not known to
+		// be a constant).
+		record := func(v *types.Var, expr ast.Expr) {
 			if v == nil {
 				return
 			}
@@ -302,12 +340,17 @@ func (c *census) scan(f *ast.File, info *types.Info) {
 			} else {
 				s.product = true
 			}
+			var val constant.Value
+			if expr != nil {
+				val = info.Types[expr].Value
+			}
+			s.note(val)
 		}
-		target := func(e ast.Expr) {
+		target := func(e, value ast.Expr) {
 			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 				if s := info.Selections[sel]; s != nil {
 					v, _ := s.Obj().(*types.Var)
-					record(v)
+					record(v, value)
 				}
 			}
 		}
@@ -322,18 +365,22 @@ func (c *census) scan(f *ast.File, info *types.Info) {
 					if kv, ok := el.(*ast.KeyValueExpr); ok {
 						if id, ok := kv.Key.(*ast.Ident); ok {
 							v, _ := info.Uses[id].(*types.Var)
-							record(v)
+							record(v, kv.Value)
 						}
 					} else if i < st.NumFields() {
-						record(st.Field(i))
+						record(st.Field(i), el)
 					}
 				}
 			case *ast.AssignStmt:
-				for _, l := range n.Lhs {
-					target(l)
+				for i, l := range n.Lhs {
+					var value ast.Expr // a compound or tuple assignment varies
+					if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+						value = n.Rhs[i]
+					}
+					target(l, value)
 				}
 			case *ast.IncDecStmt:
-				target(n.X)
+				target(n.X, nil)
 			}
 			return true
 		})
@@ -378,40 +425,46 @@ func TestOptionsCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var noSetter int
-	var rows []string // every field no product code sets, with its verdict
+	var noProduct, noSetter int
+	var rows []string // every field the census flags, with its verdict
 	var unexplained []string
 	seen := map[string]bool{} // allowlist entries that excused a field
 	for pos, field := range c.fields {
 		name := field.String()
 		s := c.sets[pos]
-		if s != nil && s.product {
-			continue
-		}
-		who := "tests only"
-		if s == nil {
-			who = "nobody"
+		var who string
+		switch one := s.singleValued(field.typ); {
+		case s == nil:
+			who = "set by nobody"
+			noProduct++
 			noSetter++
+		case !s.product:
+			who = "set by tests only"
+			noProduct++
+		case one != "":
+			who = "always set to " + one
+		default:
+			continue
 		}
 		reason, kept := censusKept[name]
 		if kept {
 			seen[name] = true
 		} else {
 			reason = "UNEXPLAINED"
-			unexplained = append(unexplained, fmt.Sprintf("%s (set by %s)", name, who))
+			unexplained = append(unexplained, fmt.Sprintf("%s (%s)", name, who))
 		}
-		rows = append(rows, fmt.Sprintf("%-40s set by %-10s  %s", name, who, reason))
+		rows = append(rows, fmt.Sprintf("%-40s %-20s  %s", name, who, reason))
 	}
 	sort.Strings(rows)
-	t.Logf("options census: %d option fields outside bench/; %d set by no product code; %d set by nobody at all\n%s",
-		len(c.fields), len(rows), noSetter, strings.Join(rows, "\n"))
+	t.Logf("options census: %d option fields outside bench/; %d set by no product code; %d set by nobody at all; %d kept\n%s",
+		len(c.fields), noProduct, noSetter, len(seen), strings.Join(rows, "\n"))
 	sort.Strings(unexplained)
 	for _, u := range unexplained {
 		t.Errorf("option field %s: make it a constant, or list it in censusKept with the reason it stays", u)
 	}
 	for name := range censusKept {
 		if !seen[name] {
-			t.Errorf("censusKept lists %s, which is gone or is now set by product code: drop the entry", name)
+			t.Errorf("censusKept lists %s, which is gone or is now set by product code to more than one value: drop the entry", name)
 		}
 	}
 }

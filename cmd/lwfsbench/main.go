@@ -18,8 +18,9 @@
 //	lwfsbench -experiment redstorm -clients 1000,10000   # exact-rank counts
 //	lwfsbench -experiment replay -clients 1,4,16         # workers
 //
-// A negative -trials or -mb-per-proc, or a -servers or -clients entry below
-// 1 or repeated, is a bad command line (exit 2).
+// A negative -trials or -mb-per-proc, an -mb-per-proc whose bytes overflow
+// an int64, or a -servers or -clients entry below 1 or repeated, is a bad
+// command line (exit 2).
 //
 // -metrics appends per-sweep-point registry snapshot deltas (RPC rates,
 // cache hit ratios, queue depths, drain backlog) to the experiments that
@@ -48,6 +49,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -107,8 +109,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *trials < 0:
 		err = fmt.Errorf("-trials %d: want 0 (the experiment's default) or more", *trials)
-	case *bytesMB < 0:
-		err = fmt.Errorf("-mb-per-proc %d: want 0 (the experiment's default) or more", *bytesMB)
+	case *bytesMB < 0 || *bytesMB > math.MaxInt64>>20:
+		err = fmt.Errorf("-mb-per-proc %d: want 0 (the experiment's default) to %d", *bytesMB, int64(math.MaxInt64>>20))
 	default:
 		if env.Servers, err = parseCounts("-servers", *servers); err == nil {
 			env.Clients, err = parseCounts("-clients", *clients)

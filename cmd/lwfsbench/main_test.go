@@ -266,6 +266,8 @@ func TestUnknownExperiment(t *testing.T) {
 		{"-experiment", "burst", "-trials", "-2"},
 		{"-experiment", "fig9", "-clients", "0"},
 		{"-experiment", "stripe", "-mb-per-proc", "-4"},
+		{"-experiment", "stripe", "-mb-per-proc", "9223372036854775807"},
+		{"-experiment", "burst", "-mb-per-proc", "17592186044416"},
 		{"-experiment", "fig9", "-servers", "2,2"},
 		{"-clients", "4,1,4"},
 	} {

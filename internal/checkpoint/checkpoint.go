@@ -62,15 +62,15 @@ type Config struct {
 	// 5 s default, negative = wait forever). A crashed buffer surfaces as
 	// a timeout after this long, turning into a detectable abort.
 	DrainTimeout time.Duration
-	// Sampled, when non-nil, scales the run to a machine-size job without
-	// simulating every rank: the Procs exact ranks above run the full
-	// protocol while the remaining Sampled.TotalRanks-Procs ranks are
-	// modeled as calibrated synthetic load injected into the same storage
-	// (and burst) ingress paths — real NIC serialization, real disk
-	// contention, aggregate sources standing in for rank NICs. Deploy the
-	// load with DeploySampled; see sampled.go for the
-	// model and its error bound.
-	Sampled *SampledRanks
+	// TotalRanks, when positive, scales the run to a TotalRanks-rank job
+	// without simulating every rank: the Procs exact ranks above run the
+	// full protocol while the remaining TotalRanks-Procs ranks are modeled
+	// as calibrated synthetic load injected into the same storage (and
+	// burst) ingress paths — real NIC serialization, real disk contention,
+	// aggregate sources standing in for rank NICs. Deploy the load with
+	// DeploySampled; see sampled.go for the model and its error bound. 0
+	// means every rank is exact.
+	TotalRanks int
 	// RecoveryTimeout, when positive, makes the commit tail ride out a
 	// buffer crash instead of aborting at the first drain-wait timeout:
 	// rank 0 keeps re-issuing DrainWait against the buffer (which, if
@@ -78,10 +78,6 @@ type Config struct {
 	// the wait succeeds or RecoveryTimeout elapses since the tail began.
 	// Zero keeps the pre-journal behavior: the first failed wait aborts.
 	RecoveryTimeout time.Duration
-
-	// burstAssign maps rank → index into Burst of the buffer it stages
-	// through; SetupLWFS fills it in from the cluster topology.
-	burstAssign []int
 }
 
 func (c Config) drainTimeout() time.Duration {
@@ -225,12 +221,15 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			bclients[i] = burst.NewClient(clients[i].Caller())
 		}
 	}
+	// assign maps rank → index into cfg.Burst of the buffer it stages
+	// through (nil without a burst tier).
+	var assign []int
 	if len(cfg.Burst) > 0 {
 		nodes := make([]netsim.NodeID, cfg.Procs)
 		for i, c := range clients {
 			nodes[i] = c.Node()
 		}
-		cfg.burstAssign = BufferAssignment(nodes, cfg.Burst)
+		assign = BufferAssignment(nodes, cfg.Burst)
 	}
 	// Gather channel for the metadata phase (rank 0 collects ObjRefs).
 	gather := sim.NewMailbox(cl.K, "ckpt/gather")
@@ -278,7 +277,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 
 		start := p.Now()
 		p.Sleep(jitters[0])
-		t := dumpRank(p, c, bclients[0], caps, h, 0, placement, cfg)
+		t := dumpRank(p, c, bclients[0], caps, h, 0, placement, assign, &cfg)
 
 		// Metadata gather: collect every rank's ObjRef, write the metadata
 		// object, create the name, commit (the Figure 8 tail).
@@ -295,7 +294,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 		// recovery window), roll the whole checkpoint back — the provisional
 		// creates are removed by the participants' abort path, so a restore
 		// never sees a manifest over partially drained objects.
-		recovered, err := waitDrains(p, bclients[0], refs, cfg)
+		recovered, err := waitDrains(p, bclients[0], refs, assign, &cfg)
 		res.Recovered = recovered
 		if recovered {
 			mRecovered.Inc()
@@ -311,7 +310,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			// re-homed before the manifest is written: a failed server's journal
 			// replay deletes its provisional creates by presumed abort.
 			var mdT ProcTimes
-			if err := rehomeFailed(p, c, caps, h, refs, placement, cfg, &mdT); err != nil {
+			if err := rehomeFailed(p, c, caps, h, refs, placement, &cfg, &mdT); err != nil {
 				panic(fmt.Sprintf("re-home: %v", err))
 			}
 			// Only with every reference on a surviving server may the failed
@@ -345,7 +344,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			}
 			start := p.Now()
 			p.Sleep(jitters[i])
-			t := dumpRank(p, c, bclients[i], sh.caps, sh.tx, i, placement, cfg)
+			t := dumpRank(p, c, bclients[i], sh.caps, sh.tx, i, placement, assign, &cfg)
 			gather.Send(gatherMsg{rank: i, ref: t.ref})
 			t.t.Total = p.Now().Sub(start)
 			res.fold(t.t)
@@ -393,10 +392,10 @@ type dumpOut struct {
 }
 
 // dumpRank runs one rank's dump: through the burst tier, or straight at the
-// storage servers, per the config.
-func dumpRank(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, h *txnHandle, rank, placement int, cfg Config) dumpOut {
+// storage servers, per the config. assign maps rank → buffer index.
+func dumpRank(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, h *txnHandle, rank, placement int, assign []int, cfg *Config) dumpOut {
 	if len(cfg.Burst) > 0 {
-		return dumpViaBurst(p, c, bc, caps, h, rank, placement, cfg)
+		return dumpViaBurst(p, c, bc, caps, h, rank, placement, assign, cfg)
 	}
 	return dumpLWFS(p, c, caps, h, rank, placement, cfg)
 }
@@ -408,7 +407,7 @@ func dumpRank(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, h
 // drain's job, and the commit tail refuses to seal the manifest until every
 // buffer vouches for it. Under backpressure (full staging window) the
 // buffer degrades to a synchronous relay and the ack time simply grows.
-func dumpViaBurst(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, h *txnHandle, rank, placement int, cfg Config) dumpOut {
+func dumpViaBurst(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, h *txnHandle, rank, placement int, assign []int, cfg *Config) dumpOut {
 	var out dumpOut
 	t0 := p.Now()
 	tgt := c.Server(rank + placement)
@@ -419,7 +418,7 @@ func dumpViaBurst(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSe
 	out.t.Create = p.Now().Sub(t0)
 
 	t1 := p.Now()
-	bt := cfg.Burst[cfg.burstAssign[rank]]
+	bt := cfg.Burst[assign[rank]]
 	if _, err := bc.StageWrite(p, bt, ref, caps.Get(authz.OpWrite), 0, payloadFor(rank, cfg)); err != nil {
 		panic(fmt.Sprintf("rank %d stage: %v", rank, err))
 	}
@@ -434,8 +433,8 @@ const recoveryPoll = 10 * time.Millisecond
 
 // waitDrains is the burst-mode commit gate: every rank's object must be
 // durable on its storage server before the manifest may exist. Refs are
-// grouped back onto the buffer that staged them (the same assignment
-// dumpViaBurst used) and each buffer is polled with one bounded wait.
+// grouped back onto the buffer that staged them (assign, the rank → buffer
+// map dumpViaBurst used) and each buffer is polled with one bounded wait.
 //
 // With RecoveryTimeout set, a wait that times out (buffer down) is
 // re-issued until the buffer answers again or the window closes: a
@@ -445,14 +444,14 @@ const recoveryPoll = 10 * time.Millisecond
 // way: the buffer is answering and disclaiming the data, so waiting longer
 // cannot help. Returns (false, nil) immediately when the config has no
 // burst tier.
-func waitDrains(p *sim.Proc, bc *burst.Client, refs []storage.ObjRef, cfg Config) (recovered bool, err error) {
+func waitDrains(p *sim.Proc, bc *burst.Client, refs []storage.ObjRef, assign []int, cfg *Config) (recovered bool, err error) {
 	nb := len(cfg.Burst)
 	if nb == 0 {
 		return false, nil
 	}
 	byBuffer := make([][]storage.ObjRef, nb)
 	for rank, ref := range refs {
-		bi := cfg.burstAssign[rank]
+		bi := assign[rank]
 		byBuffer[bi] = append(byBuffer[bi], ref)
 	}
 	deadline := p.Now().Add(cfg.RecoveryTimeout)
@@ -524,7 +523,7 @@ func dist(a, b netsim.NodeID) int {
 
 // dumpLWFS is one process's CHECKPOINT body: CREATEOBJ + DUMPSTATE + sync,
 // with failover when the object's server dies mid-dump.
-func dumpLWFS(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, rank, placement int, cfg Config) dumpOut {
+func dumpLWFS(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, rank, placement int, cfg *Config) dumpOut {
 	var out dumpOut
 	ref, err := placeCopies(p, c, caps, h, rank+placement, payloadFor(rank, cfg), true, &out.t)
 	if err != nil {
@@ -581,7 +580,7 @@ func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, pr
 
 // payloadFor builds rank's dump payload per the config: the verifiable
 // deterministic pattern, or a metadata-only synthetic buffer.
-func payloadFor(rank int, cfg Config) netsim.Payload {
+func payloadFor(rank int, cfg *Config) netsim.Payload {
 	if cfg.PatternData {
 		return netsim.BytesPayload(PatternFor(rank, cfg.BytesPerProc))
 	}
@@ -596,7 +595,7 @@ func payloadFor(rank int, cfg Config) netsim.Payload {
 // redoes the dumps itself at the commit tail, updating refs in place. A
 // re-dump can itself discover new failures, so the scan repeats until every
 // reference sits on a healthy server.
-func rehomeFailed(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, refs []storage.ObjRef, placement int, cfg Config, t *ProcTimes) error {
+func rehomeFailed(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, refs []storage.ObjRef, placement int, cfg *Config, t *ProcTimes) error {
 	for changed := true; changed; {
 		changed = false
 		for rank, ref := range refs {

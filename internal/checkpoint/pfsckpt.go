@@ -66,6 +66,7 @@ func runPFS(cl *cluster.Cluster, cfg Config, open func(p *sim.Proc, c *pfs.Clien
 	f := cl.DeployPFS()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := Result{Procs: cfg.Procs, Bytes: int64(cfg.Procs) * cfg.BytesPerProc}
+	size := cfg.BytesPerProc // the rank closures capture this: a captured cfg is copied into each
 	spawnRanks(cl, cfg.Procs, func(i int) func(*sim.Proc) {
 		jitter := time.Duration(rng.Int63n(int64(cfg.jitter())))
 		c := cl.NewPFSClient(f, i)
@@ -79,7 +80,7 @@ func runPFS(cl *cluster.Cluster, cfg Config, open func(p *sim.Proc, c *pfs.Clien
 			t.Create = p.Now().Sub(t0)
 
 			t1 := p.Now()
-			if _, err := file.Write(p, off, netsim.SyntheticPayload(cfg.BytesPerProc)); err != nil {
+			if _, err := file.Write(p, off, netsim.SyntheticPayload(size)); err != nil {
 				panic(fmt.Sprintf("rank %d write: %v", i, err))
 			}
 			t.Write = p.Now().Sub(t1)

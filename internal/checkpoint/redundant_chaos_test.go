@@ -173,7 +173,7 @@ func TestRedundantCheckpointRidesThroughCrash(t *testing.T) {
 		name string
 		opts lwfspfs.Options
 	}{
-		{"replica", lwfspfs.Options{StripeUnit: unit, Stripes: 2, Scheme: stripe.Replica, Copies: 2}},
+		{"replica", lwfspfs.Options{StripeUnit: unit, Stripes: 2, Scheme: stripe.Replica}},
 		{"parity", lwfspfs.Options{StripeUnit: unit, Stripes: 3, Scheme: stripe.Parity}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -75,13 +75,6 @@ const shadowContainer osd.ContainerID = 0x5AD0
 // ranks it represents.
 const shadowSources = 8
 
-// SampledRanks configures sampled-rank mode (Config.Sampled).
-type SampledRanks struct {
-	// TotalRanks is the full job size; TotalRanks-Procs ranks become
-	// shadow load. Must be >= Procs.
-	TotalRanks int
-}
-
 // shadowStreams is the number of concurrent shadow streams per target
 // (storage server, or burst buffer in burst mode). Streams write their
 // ranks sequentially with one chunk outstanding, so this bounds shadow
@@ -188,7 +181,7 @@ type shadowTarget struct {
 	port portals.Index
 }
 
-// DeploySampled installs cfg.Sampled's shadow load on a deployed cluster:
+// DeploySampled installs the shadow load of cfg.TotalRanks-cfg.Procs ranks on a deployed cluster:
 // shadow sinks on every storage server (and burst buffer), aggregate
 // injector nodes, and the stream processes that push the shadow ranks'
 // bytes once the simulation runs. Call after DeployLWFS and before
@@ -207,13 +200,12 @@ type shadowTarget struct {
 // stream stagger and all other randomness derive from cfg.Seed, so
 // sampled runs are as deterministic as exact ones.
 func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLoad, error) {
-	sr := cfg.Sampled
-	if sr == nil {
-		return nil, errors.New("checkpoint: DeploySampled requires Config.Sampled")
+	if cfg.TotalRanks == 0 {
+		return nil, errors.New("checkpoint: DeploySampled requires Config.TotalRanks")
 	}
-	shadow := sr.TotalRanks - cfg.Procs
+	shadow := cfg.TotalRanks - cfg.Procs
 	if shadow < 0 {
-		return nil, fmt.Errorf("checkpoint: TotalRanks %d < Procs %d", sr.TotalRanks, cfg.Procs)
+		return nil, fmt.Errorf("checkpoint: TotalRanks %d < Procs %d", cfg.TotalRanks, cfg.Procs)
 	}
 	sl := &SampledLoad{ShadowRanks: shadow, Bytes: int64(shadow) * cfg.BytesPerProc, k: cl.K}
 	if shadow == 0 || cfg.BytesPerProc == 0 {
@@ -308,6 +300,7 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 		jmax = time.Millisecond
 	}
 	rng := sim.NewRand(cfg.Seed ^ 0x5ad0_5eed)
+	size := cfg.BytesPerProc // the stream closures capture this: a captured cfg is copied into each
 	src := 0
 	for ti := range targets {
 		tgt := targets[ti]
@@ -323,7 +316,7 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 			cl.Spawn(fmt.Sprintf("shadow/t%d.s%d", ti, s), func(p *sim.Proc) {
 				p.Sleep(delay)
 				for r := 0; r < myRanks; r++ {
-					for rem := cfg.BytesPerProc; rem > 0; {
+					for rem := size; rem > 0; {
 						n := shadowChunkSize
 						if rem < n {
 							n = rem

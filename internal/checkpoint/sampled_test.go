@@ -42,7 +42,7 @@ func TestSampledDirect(t *testing.T) {
 		Procs:        32,
 		BytesPerProc: 1 << 20,
 		Seed:         1,
-		Sampled:      &checkpoint.SampledRanks{TotalRanks: 256},
+		TotalRanks:   256,
 	}
 	res, sl, err := runSampled(spec, cfg)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestSampledBurst(t *testing.T) {
 		BytesPerProc: 1 << 20,
 		Seed:         1,
 		DrainTimeout: -1, // 256-rank drain tail exceeds the 5s default
-		Sampled:      &checkpoint.SampledRanks{TotalRanks: 256},
+		TotalRanks:   256,
 	}
 	res, sl, err := runSampled(spec, cfg)
 	if err != nil {
@@ -126,7 +126,7 @@ func TestSampledCalibration(t *testing.T) {
 
 	sampled := base
 	sampled.Procs = 16
-	sampled.Sampled = &checkpoint.SampledRanks{TotalRanks: 64}
+	sampled.TotalRanks = 64
 	specS := spec
 	specS.ComputeNodes = 16
 	res, sl, err := runSampled(specS, sampled)

@@ -288,13 +288,12 @@ type PFS struct {
 // 9/10 comparisons isolate architecture, not hardware.
 func (c *Cluster) DeployPFS() *PFS {
 	f := &PFS{}
-	cfg := pfs.Config{OSTThreads: c.Spec.Storage.Threads, ChunkSize: c.Spec.Storage.ChunkSize}
 	var targets []storage.Target
 	for ni, ep := range c.StorageN {
 		for si := 0; si < c.Spec.ServersPerNode; si++ {
 			dev := osd.NewDevice(c.K, fmt.Sprintf("ost%d.%d", ni, si), c.Spec.Disk)
 			port := pfs.OSTPortalBase + portals.Index(si*pfs.OSTPortalStride)
-			ost := pfs.StartOST(ep, dev, port, cfg)
+			ost := pfs.StartOST(ep, dev, port, c.Spec.Storage)
 			f.OSTs = append(f.OSTs, ost)
 			targets = append(targets, ost.Target())
 		}

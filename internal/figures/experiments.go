@@ -83,7 +83,7 @@ var Experiments = []Experiment{
 		return nil
 	}},
 	{"petaflop", "§4 petaflop scaling projection", func(_ Env, w io.Writer) error {
-		res, err := PetaflopProjection(400 << 20)
+		res, err := PetaflopProjection()
 		return render(w, res, err)
 	}},
 	{"security", "§3.1 security protocol microbenchmarks", func(_ Env, w io.Writer) error {

@@ -280,8 +280,9 @@ type Projection struct {
 // then extrapolates to the paper's theoretical petaflop system. Each
 // compute node dumps its full memory (8 GB for a petaflop-class node —
 // the assumption that makes file creation "roughly 10% of the total time
-// for the checkpoint operation", §4).
-func PetaflopProjection(diskBW float64) (Projection, error) {
+// for the checkpoint operation", §4). Every I/O node writes at Red Storm's
+// I/O-node disk bandwidth (Table 2's 400 MB/s RAID).
+func PetaflopProjection() (Projection, error) {
 	pr := Projection{
 		ComputeNodes: 100000,
 		IONodes:      2000,
@@ -303,6 +304,7 @@ func PetaflopProjection(diskBW float64) (Projection, error) {
 	pr.PFSCreateTime = time.Duration(n / pr.MDSCreatesPerSec * float64(time.Second))
 	pr.LWFSCreateTime = time.Duration(n / (pr.LWFSCreatesPerSec * float64(pr.IONodes)) * float64(time.Second))
 	totalBytes := n * float64(pr.BytesPerProc)
+	diskBW := cluster.RedStorm().Disk.BandwidthBps
 	pr.DumpTime = time.Duration(totalBytes / (float64(pr.IONodes) * diskBW) * float64(time.Second))
 	pr.PFSCreateShare = pr.PFSCreateTime.Seconds() /
 		(pr.PFSCreateTime.Seconds() + pr.DumpTime.Seconds())

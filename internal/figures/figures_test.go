@@ -131,7 +131,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestPetaflopProjection(t *testing.T) {
-	pr, err := figures.PetaflopProjection(400 << 20)
+	pr, err := figures.PetaflopProjection()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,6 @@ func metaOptions(copies int) lwfspfs.Options {
 	return lwfspfs.Options{
 		StripeUnit: 64 << 10,
 		Scheme:     stripe.Replica,
-		Copies:     2,
 		MetaCopies: copies,
 	}
 }

@@ -15,7 +15,7 @@ import (
 // Table 1/2's 10,368-compute-node, 256-I/O-node Red Storm, scaled to a
 // 100k-rank application — using sampled-rank mode: 1k–10k ranks run the
 // full protocol exactly, the rest are calibrated shadow load on the same
-// ingress paths (checkpoint.SampledRanks). Each point runs twice, direct
+// ingress paths (checkpoint.Config.TotalRanks). Each point runs twice, direct
 // to the storage partition and through a burst staging tier, and reports
 // which resource bounds the *ack* — the moment computation resumes. Direct
 // acks wait on I/O-node disks; staged acks wait on buffer NICs until the
@@ -97,7 +97,6 @@ func (opts RedStormOpts) dump(pt *RedStormPoint, _ int) ([]MetricsCapture, error
 	// Only the exact ranks need compute nodes; shadow sources are added by
 	// DeploySampled as aggregate injectors.
 	spec.ComputeNodes = pt.Exact
-	sampled := &checkpoint.SampledRanks{TotalRanks: opts.TotalRanks}
 	if pt.Staged {
 		spec.BurstNodes = opts.Buffers
 		// Provision the tier for the job, as a machine-scale deployment
@@ -118,7 +117,7 @@ func (opts RedStormOpts) dump(pt *RedStormPoint, _ int) ([]MetricsCapture, error
 		BytesPerProc: opts.BytesPerProc,
 		Seed:         opts.Seed,
 		DrainTimeout: -1, // a machine-size drain tail exceeds the 5s default
-		Sampled:      sampled,
+		TotalRanks:   opts.TotalRanks,
 		Burst:        l.BurstTargets(),
 	}
 	sl, err := checkpoint.DeploySampled(cl, l, cfg)

@@ -40,7 +40,7 @@ func TestLazyCreateAllocatesColumnZero(t *testing.T) {
 		metaMirror int
 	}{
 		{"raid0", lwfspfs.Options{StripeUnit: 64 << 10}, 1, 1, 1},
-		{"replica", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica, Copies: 2}, 2, 2, 2},
+		{"replica", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica}, 2, 2, 2},
 		{"parity", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Parity}, 2, 1, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -194,7 +194,7 @@ func TestStaleWriteKeepsRebuild(t *testing.T) {
 	cl.Spawn("app", func(p *sim.Proc) {
 		c.Login(p, "alice", "pa")
 		fs, err := lwfspfs.Format(p, c, "/vol",
-			lwfspfs.Options{StripeUnit: 4 << 10, Stripes: 1, Scheme: stripe.Replica, Copies: 2})
+			lwfspfs.Options{StripeUnit: 4 << 10, Stripes: 1, Scheme: stripe.Replica})
 		if err != nil {
 			t.Fatalf("format: %v", err)
 		}
@@ -310,7 +310,7 @@ func TestWriteIntoHoleAfterCrash(t *testing.T) {
 		opts lwfspfs.Options
 	}{
 		{"raid0", lwfspfs.Options{StripeUnit: 64 << 10}},
-		{"replica", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica, Copies: 2}},
+		{"replica", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica}},
 		{"parity", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Parity}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -372,7 +372,7 @@ func TestCreateFailoverPastDeadServer(t *testing.T) {
 		opts lwfspfs.Options
 	}{
 		{"raid0", lwfspfs.Options{StripeUnit: 64 << 10}},
-		{"replica", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica, Copies: 2}},
+		{"replica", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica}},
 		{"parity", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Parity}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -47,21 +47,23 @@ import (
 // error, re-exported for compatibility).
 var ErrBadLayout = stripe.ErrBadLayout
 
+// replicaCopies is the number of full mirrors a stripe.Replica file keeps
+// of every data column.
+const replicaCopies = 2
+
 // Options tune a file system instance. StripeUnit, Stripes, Scheme and
-// Copies persist in the superblock; Serial is a per-mount runtime knob that
-// changes only how WriteAt and ReadAt move data.
+// MetaCopies persist in the superblock; Serial is a per-mount runtime knob
+// that changes only how WriteAt and ReadAt move data.
 type Options struct {
 	StripeUnit int64 // bytes per stripe chunk (default 1 MiB)
 	Stripes    int   // data columns per file (default: as many as servers allow)
 
 	// Scheme selects the per-file redundancy layout: stripe.Raid0 (the
-	// default, no redundancy), stripe.Replica (Copies mirrors of every
+	// default, no redundancy), stripe.Replica (two full mirrors of every
 	// column), or stripe.Parity (one XOR parity object per file). Files
 	// under a redundant scheme survive a storage-server crash: reads
 	// reconstruct transparently and FS.Rebuild re-homes the lost objects.
 	Scheme stripe.Scheme
-	// Copies is the replica count for stripe.Replica (default 2).
-	Copies int
 
 	// MetaCopies is the number of mirrors of the per-file metadata object
 	// (the layout record). It defaults to 2 under a redundant scheme and
@@ -80,9 +82,6 @@ func (o Options) withDefaults(servers int) Options {
 	if o.StripeUnit == 0 {
 		o.StripeUnit = 1 << 20
 	}
-	if o.Scheme == stripe.Replica && o.Copies < 2 {
-		o.Copies = 2
-	}
 	if o.MetaCopies == 0 {
 		if o.Scheme == stripe.Raid0 {
 			o.MetaCopies = 1
@@ -98,7 +97,7 @@ func (o Options) withDefaults(servers int) Options {
 	width := servers
 	switch o.Scheme {
 	case stripe.Replica:
-		width = servers / o.Copies
+		width = servers / replicaCopies
 	case stripe.Parity:
 		width = servers - 1
 	}
@@ -116,7 +115,7 @@ func (o Options) withDefaults(servers int) Options {
 func (o Options) objectsPerFile() int {
 	switch o.Scheme {
 	case stripe.Replica:
-		return o.Stripes * o.Copies
+		return o.Stripes * replicaCopies
 	case stripe.Parity:
 		return o.Stripes + 1
 	}
@@ -254,7 +253,7 @@ func encodeSuperblock(cid authz.ContainerID, opts Options) []byte {
 		cid, opts.StripeUnit, opts.Stripes)
 	switch opts.Scheme {
 	case stripe.Replica:
-		content += fmt.Sprintf("scheme replica %d\n", opts.Copies)
+		content += fmt.Sprintf("scheme replica %d\n", replicaCopies)
 	case stripe.Parity:
 		content += "scheme parity\n"
 	}
@@ -266,7 +265,7 @@ func encodeSuperblock(cid authz.ContainerID, opts Options) []byte {
 
 // parseSuperblock decodes a superblock. It accepts only bytes
 // encodeSuperblock writes back identically, for a layout Format could have
-// written: a positive stripe unit, at least one stripe, and at least two
+// written: a positive stripe unit, at least one stripe, and replicaCopies
 // copies under Replica. (Meta copies below two have no line, so a canonical
 // meta line holds at least two.)
 func parseSuperblock(data []byte) (authz.ContainerID, Options, bool) {
@@ -280,11 +279,8 @@ func parseSuperblock(data []byte) (authz.ContainerID, Options, bool) {
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
 	for _, line := range lines[4:] {
 		switch {
-		case strings.HasPrefix(line, "scheme replica "):
+		case line == fmt.Sprintf("scheme replica %d", replicaCopies):
 			opts.Scheme = stripe.Replica
-			if _, err := fmt.Sscanf(line, "scheme replica %d", &opts.Copies); err != nil {
-				return 0, opts, false
-			}
 		case line == "scheme parity":
 			opts.Scheme = stripe.Parity
 		case strings.HasPrefix(line, "meta "):
@@ -296,7 +292,6 @@ func parseSuperblock(data []byte) (authz.ContainerID, Options, bool) {
 		}
 	}
 	ok := opts.StripeUnit > 0 && opts.Stripes >= 1 &&
-		(opts.Scheme != stripe.Replica || opts.Copies >= 2) &&
 		bytes.Equal(encodeSuperblock(cid, opts), data)
 	return cid, opts, ok
 }
@@ -414,7 +409,7 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 	l := stripe.Layout{Unit: fs.opts.StripeUnit, Scheme: fs.opts.Scheme,
 		Objs: make([]storage.ObjRef, fs.opts.objectsPerFile())}
 	if fs.opts.Scheme == stripe.Replica {
-		l.Copies = fs.opts.Copies
+		l.Copies = replicaCopies
 	}
 	var col0 []int // copy c of column 0 sits at c*Stripes, the parity object at Stripes
 	for i := 0; i < len(l.Objs); i += fs.opts.Stripes {

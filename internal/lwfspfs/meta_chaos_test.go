@@ -70,7 +70,7 @@ func TestMetaMirrorCrashMidWorkload(t *testing.T) {
 			t.Fatalf("login: %v", err)
 		}
 		fs, err := lwfspfs.Format(p, c, "/vol0",
-			lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica, Copies: 2})
+			lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica})
 		if err != nil {
 			t.Fatalf("format: %v", err)
 		}
@@ -176,7 +176,7 @@ func TestMetaCrashRaid0FailsDetectably(t *testing.T) {
 		opts lwfspfs.Options
 	}{
 		{"raid0", lwfspfs.Options{StripeUnit: 64 << 10}},
-		{"replica-one-record", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica, Copies: 2, MetaCopies: 1}},
+		{"replica-one-record", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica, MetaCopies: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cl, l := metaCluster()
@@ -225,7 +225,7 @@ func TestMetaMirrorPlacementSkew(t *testing.T) {
 			t.Fatalf("login: %v", err)
 		}
 		fs, err := lwfspfs.Format(p, c, "/vol0",
-			lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica, Copies: 2})
+			lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica})
 		if err != nil {
 			t.Fatalf("format: %v", err)
 		}
@@ -264,7 +264,7 @@ func TestMetaFlushAbsorbsDeadMirrorAndDemotes(t *testing.T) {
 			t.Fatalf("login: %v", err)
 		}
 		fs, err := lwfspfs.Format(p, c, "/vol0",
-			lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica, Copies: 2})
+			lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica})
 		if err != nil {
 			t.Fatalf("format: %v", err)
 		}
@@ -350,7 +350,7 @@ func TestMetaRehomeSkipsSpareThatDiesAfterCreate(t *testing.T) {
 		// share no server with the data, so the dead one takes no data
 		// object with it and the re-home is the rebuild's only storage work.
 		fs, err := lwfspfs.Format(p, c, "/vol0",
-			lwfspfs.Options{StripeUnit: 64 << 10, Stripes: 1, Scheme: stripe.Replica, Copies: 2})
+			lwfspfs.Options{StripeUnit: 64 << 10, Stripes: 1, Scheme: stripe.Replica})
 		if err != nil {
 			t.Fatalf("format: %v", err)
 		}
@@ -431,7 +431,7 @@ func TestMetaCopiesPersistAcrossMount(t *testing.T) {
 			t.Fatalf("login: %v", err)
 		}
 		fs, err := lwfspfs.Format(p, c, "/vol0",
-			lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica, Copies: 2, MetaCopies: 3})
+			lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica, MetaCopies: 3})
 		if err != nil {
 			t.Fatalf("format: %v", err)
 		}

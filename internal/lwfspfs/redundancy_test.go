@@ -31,7 +31,7 @@ func TestRedundantFileSurvivesServerCrash(t *testing.T) {
 		name string
 		opts lwfspfs.Options
 	}{
-		{"replica", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica, Copies: 2}},
+		{"replica", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica}},
 		{"parity", lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Parity}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,7 +161,7 @@ func TestSuperblockPersistsScheme(t *testing.T) {
 			t.Fatalf("login2: %v", err)
 		}
 		fs, err := lwfspfs.Format(p, c, "/vol1",
-			lwfspfs.Options{StripeUnit: 32 << 10, Stripes: 2, Scheme: stripe.Replica, Copies: 2})
+			lwfspfs.Options{StripeUnit: 32 << 10, Stripes: 2, Scheme: stripe.Replica})
 		if err != nil {
 			t.Fatalf("format: %v", err)
 		}

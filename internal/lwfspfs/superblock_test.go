@@ -15,6 +15,7 @@ func TestParseSuperblockRejectsNonCanonical(t *testing.T) {
 		"lwfspfs v1\ncontainer 3\nstripeunit 0\nstripes 4\n",
 		"lwfspfs v1\ncontainer 3\nstripeunit 4096\nstripes 0\n",
 		"lwfspfs v1\ncontainer 3\nstripeunit 4096\nstripes 4\nscheme replica 1\n",
+		"lwfspfs v1\ncontainer 3\nstripeunit 4096\nstripes 4\nscheme replica 3\n",
 		"lwfspfs v1\ncontainer 3\nstripeunit 4096\nstripes 4\nmeta 1\n",
 		"lwfspfs v1\ncontainer 3\nstripeunit 4096\nstripes 4\nmeta 0\n",
 		"lwfspfs v1\ncontainer 3\nstripeunit +4096\nstripes 4\n",
@@ -34,21 +35,21 @@ func TestParseSuperblockRejectsNonCanonical(t *testing.T) {
 func FuzzParseSuperblock(f *testing.F) {
 	for _, o := range []Options{
 		{StripeUnit: 1 << 20, Stripes: 8},
-		{StripeUnit: 64 << 10, Stripes: 2, Scheme: stripe.Replica, Copies: 2, MetaCopies: 2},
+		{StripeUnit: 64 << 10, Stripes: 2, Scheme: stripe.Replica, MetaCopies: 2},
 		{StripeUnit: 4096, Stripes: 3, Scheme: stripe.Parity, MetaCopies: 3},
 	} {
 		f.Add(encodeSuperblock(7, o))
 	}
 	f.Add([]byte("lwfspfs v1\ncontainer 3\nstripeunit -1\nstripes 4\n"))
 	f.Add([]byte("lwfspfs v1\ncontainer 3\nstripeunit 4096\nstripes 4\nmeta 1\n"))
+	f.Add([]byte("lwfspfs v1\ncontainer 3\nstripeunit 4096\nstripes 4\nscheme replica 3\n"))
 	f.Add([]byte("lwfspfs v1\ncontainer 3\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cid, opts, ok := parseSuperblock(data)
 		if !ok {
 			return
 		}
-		if opts.StripeUnit <= 0 || opts.Stripes < 1 || (opts.Scheme == stripe.Replica && opts.Copies < 2) ||
-			opts.withDefaults(opts.Stripes).MetaCopies < 1 {
+		if opts.StripeUnit <= 0 || opts.Stripes < 1 || opts.withDefaults(opts.Stripes).MetaCopies < 1 {
 			t.Fatalf("accepted a layout Format never writes: %+v", opts)
 		}
 		if enc := encodeSuperblock(cid, opts); !bytes.Equal(enc, data) {

@@ -23,15 +23,15 @@ import (
 // set of nodes); with both set it covers messages crossing the A|B cut in
 // either direction (a partition).
 //
-// Window: the rule is live for virtual instants in [Start, End); End zero
-// means no expiry. A zero Start is live immediately.
+// Window: the rule is live from InjectFault until Heal. A timed window
+// [start, end) is two kernel events, k.At(start, inject) and
+// k.At(end, f.Heal), scheduled before anything else at those instants.
 //
 // Effect: each matching message is dropped with probability DropProb
 // (1 means always — a clean partition) and, if it survives, incurs
 // ExtraLatency on top of the fabric latency (per-link degradation).
 type FaultSpec struct {
 	GroupA, GroupB []NodeID
-	Start, End     sim.Time
 	DropProb       float64
 	ExtraLatency   time.Duration
 }
@@ -67,10 +67,7 @@ func (f *Fault) Heal() {
 	}
 }
 
-func (f *Fault) matches(m Message, now sim.Time) bool {
-	if now < f.spec.Start || (f.spec.End != 0 && now >= f.spec.End) {
-		return false
-	}
+func (f *Fault) matches(m Message) bool {
 	switch {
 	case len(f.inA) == 0 && len(f.inB) == 0:
 		return true
@@ -135,9 +132,8 @@ func (n *Network) applyFaults(m Message) (drop bool, extra time.Duration) {
 	if n.fault != nil && n.fault(m) {
 		return true, 0
 	}
-	now := n.k.Now()
 	for _, f := range n.rules {
-		if !f.matches(m, now) {
+		if !f.matches(m) {
 			continue
 		}
 		if f.spec.DropProb >= 1 {

@@ -64,7 +64,9 @@ func TestDropWindowOnlyLiveInsideWindow(t *testing.T) {
 	b.SetHandler(func(m Message) { delivered++ })
 	start := sim.Time(0).Add(10 * time.Millisecond)
 	end := sim.Time(0).Add(20 * time.Millisecond)
-	net.InjectFault(FaultSpec{Start: start, End: end, DropProb: 1})
+	var f *Fault
+	k.At(start, func() { f = net.InjectFault(FaultSpec{DropProb: 1}) })
+	k.At(end, func() { f.Heal() })
 	send := func(at time.Duration) {
 		k.At(sim.Time(0).Add(at), func() { net.Send(Message{From: a.ID, To: b.ID, Size: 10}) })
 	}

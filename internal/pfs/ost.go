@@ -18,10 +18,10 @@ import (
 // lock per backing object, granted whole-object to the current writer, and
 // revoked (with a callback round trip) whenever a different client writes.
 type OST struct {
-	ep   *portals.Endpoint
-	dev  *osd.Device
-	cfg  Config
-	port portals.Index
+	ep        *portals.Endpoint
+	dev       *osd.Device
+	port      portals.Index
+	chunkSize int64 // server-directed pull granularity
 
 	locks  map[osd.ObjectID]*ostLock
 	puller *portals.Puller
@@ -48,20 +48,22 @@ type ostWriteReq struct {
 
 type ostSyncReq struct{}
 
-// StartOST binds an OST over dev at (ep, port).
-func StartOST(ep *portals.Endpoint, dev *osd.Device, port portals.Index, cfg Config) *OST {
+// StartOST binds an OST over dev at (ep, port), sized like the LWFS storage
+// servers cfg configures: cfg.Threads service processes and cfg.ChunkSize
+// pulls.
+func StartOST(ep *portals.Endpoint, dev *osd.Device, port portals.Index, cfg storage.Config) *OST {
 	o := &OST{
-		ep:     ep,
-		dev:    dev,
-		cfg:    cfg,
-		port:   port,
-		locks:  make(map[osd.ObjectID]*ostLock),
-		puller: portals.NewPuller(ep, dev.Name(), cfg.ChunkSize),
+		ep:        ep,
+		dev:       dev,
+		port:      port,
+		chunkSize: cfg.ChunkSize,
+		locks:     make(map[osd.ObjectID]*ostLock),
+		puller:    portals.NewPuller(ep, dev.Name(), cfg.ChunkSize),
 	}
 	po := ep.Metrics().Scope("pfs").Scope(dev.Name())
 	o.lockSwitches = po.Counter("lock_switches")
 	o.writesServed = po.Counter("writes_served")
-	portals.Serve(ep, port, dev.Name(), cfg.OSTThreads, o.handle)
+	portals.Serve(ep, port, dev.Name(), cfg.Threads, o.handle)
 	return o
 }
 
@@ -88,7 +90,7 @@ func (o *OST) lockOf(id osd.ObjectID) *ostLock {
 	if !ok {
 		l = &ostLock{
 			res:    sim.NewResource(o.ep.Kernel(), fmt.Sprintf("%s/dlm-%d", o.dev.Name(), id), 1),
-			window: sim.NewResource(o.ep.Kernel(), o.dev.Name()+"/window", 2*o.cfg.ChunkSize),
+			window: sim.NewResource(o.ep.Kernel(), o.dev.Name()+"/window", 2*o.chunkSize),
 		}
 		o.locks[id] = l
 	}

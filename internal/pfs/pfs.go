@@ -60,12 +60,6 @@ const (
 	lockOpCost = 20 * time.Microsecond
 )
 
-// Config sizes the baseline's OSTs to match the LWFS storage servers.
-type Config struct {
-	OSTThreads int   // OST request service processes
-	ChunkSize  int64 // server-directed pull granularity at OSTs
-}
-
 // Layout describes a file's striping: which OSTs hold it and the object ID
 // each OST uses. Object IDs are derived from the inode so OSTs can
 // lazily instantiate backing objects (Lustre's precreated-object pool plays

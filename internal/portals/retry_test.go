@@ -27,7 +27,7 @@ func TestCallRetriesThroughDropWindow(t *testing.T) {
 	})
 	// Drop everything for the first 15ms: the first attempt's request
 	// vanishes; the retry (after timeout + backoff) goes through.
-	r.net.InjectFault(netsim.FaultSpec{End: sim.Time(0).Add(15 * time.Millisecond), DropProb: 1})
+	r.k.At(sim.Time(0).Add(15*time.Millisecond), r.net.InjectFault(netsim.FaultSpec{DropProb: 1}).Heal)
 	c := NewCaller(r.eps[0])
 	c.SetRetry(quickRetry, sim.NewRand(1))
 	var got interface{}
@@ -198,7 +198,7 @@ func TestGetRetryRidesOutDropWindow(t *testing.T) {
 	r := newRig(t, 2, 100*mb)
 	r.eps[1].Attach(4, 1, 0, &MD{Payload: netsim.BytesPayload([]byte("abcdefgh"))})
 	r.eps[0].SetGetRetry(quickRetry, sim.NewRand(1))
-	r.net.InjectFault(netsim.FaultSpec{End: sim.Time(0).Add(15 * time.Millisecond), DropProb: 1})
+	r.k.At(sim.Time(0).Add(15*time.Millisecond), r.net.InjectFault(netsim.FaultSpec{DropProb: 1}).Heal)
 	var got netsim.Payload
 	var err error
 	r.k.Spawn("getter", func(p *sim.Proc) {

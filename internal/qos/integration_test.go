@@ -173,7 +173,7 @@ func TestQoSFairShareStress(t *testing.T) {
 }
 
 // TestQoSOverloadShedRPC: a storage server with a tiny admission queue and
-// slow service sheds a synchronized 16-client burst with ErrOverload —
+// one service thread sheds a synchronized 16-client burst with ErrOverload —
 // immediately, at submit time, not after the request ages into a timeout.
 func TestQoSOverloadShedRPC(t *testing.T) {
 	const (
@@ -183,7 +183,6 @@ func TestQoSOverloadShedRPC(t *testing.T) {
 	r := testrig.New(3)
 	cfg := storage.DefaultConfig()
 	cfg.Threads = 1
-	cfg.OpCost = 2 * time.Millisecond // slow service: the queue fills
 	cfg.QoS = &qos.Config{MaxQueue: 4}
 	srv := r.StorageServer(1, cfg)
 	reg := r.Eps[1].Metrics()

@@ -194,7 +194,7 @@ func TestSectionReaderCopyOverStripes(t *testing.T) {
 // replicated layout: the degraded read happens below the standard
 // interface, invisibly to the caller.
 func TestReadFileDegraded(t *testing.T) {
-	withMount(t, lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica, Copies: 2},
+	withMount(t, lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica},
 		func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
 			data := make([]byte, 300_000)
 			rand.New(rand.NewSource(11)).Read(data)

@@ -57,12 +57,14 @@ type ObjRef struct {
 	ID   osd.ObjectID
 }
 
+// OpCost is the CPU cost to parse and dispatch a request (DESIGN.md §7).
+const OpCost = 20 * time.Microsecond
+
 // Config tunes a storage server.
 type Config struct {
-	Threads      int           // concurrent request service processes
-	ChunkSize    int64         // bulk-transfer granularity
-	PinnedBuffer int64         // pull-buffer pool bound, bytes
-	OpCost       time.Duration // CPU cost to parse/dispatch a request
+	Threads      int   // concurrent request service processes
+	ChunkSize    int64 // bulk-transfer granularity
+	PinnedBuffer int64 // pull-buffer pool bound, bytes
 	// DisableCapCache turns off verification caching (every request takes
 	// an authorization-service round trip) — the ablation knob for the
 	// §3.1.2 amortization argument.
@@ -79,7 +81,6 @@ func DefaultConfig() Config {
 		Threads:      4,
 		ChunkSize:    1 << 20,
 		PinnedBuffer: 8 << 20,
-		OpCost:       20 * time.Microsecond,
 	}
 }
 
@@ -327,7 +328,7 @@ func (s *Server) admission(req interface{}) (c authz.Capability, op authz.Op, ci
 }
 
 func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	p.Sleep(s.cfg.OpCost)
+	p.Sleep(OpCost)
 	c, op, cid, err := s.admission(req)
 	if err != nil {
 		return nil, err
