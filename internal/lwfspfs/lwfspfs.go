@@ -28,6 +28,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"slices"
 	"strings"
 
@@ -694,8 +695,12 @@ func (f *File) Layout() stripe.Layout { return f.l }
 // and readers never observe torn writes. The transfer itself runs through
 // the striped engine — one coalesced request per object, fanned out
 // concurrently — unless the file system is in Serial mode. A write that
-// lands in a hole first allocates the hole's column (fill).
+// lands in a hole first allocates the hole's column (fill). A negative off
+// is refused with fs.ErrInvalid.
 func (f *File) WriteAt(p *sim.Proc, off int64, payload netsim.Payload) (int64, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("lwfspfs: write at offset %d: %w", off, fs.ErrInvalid)
+	}
 	locks := f.fs.c.Locks()
 	gen, err := locks.Lock(p, f.fs.lockName(f.path), txn.Exclusive)
 	if err != nil {

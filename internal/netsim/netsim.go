@@ -33,9 +33,17 @@ const Invalid NodeID = -1
 // Payload describes message data. Data may be nil for synthetic payloads:
 // benchmarks move terabytes of virtual data without allocating it, while
 // tests and examples carry real bytes end-to-end.
+//
+// Frozen promises that nobody modifies Data again, so a holder may keep Data
+// instead of copying it (an osd device stores such a payload by reference,
+// and replicas share it). A producer sets it only on a buffer it made for
+// this payload and never touches again; a payload cut from part of a frozen
+// one is not frozen, so no holder pins bytes it does not store. The zero
+// value means copy.
 type Payload struct {
-	Size int64  // bytes on the wire
-	Data []byte // optional real content; len(Data) <= Size
+	Size   int64  // bytes on the wire
+	Data   []byte // optional real content; len(Data) <= Size
+	Frozen bool   // Data is never modified again: keep it, do not copy it
 }
 
 // BytesPayload wraps real bytes in a payload.

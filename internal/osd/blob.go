@@ -24,25 +24,29 @@ import (
 //
 // The extent list is kept sorted, non-overlapping and free of empty extents
 // in place: a write binary-searches the extents it touches and splices only
-// those. Extent bytes are private to the Blob (Write copies in, Read copies
-// out) and no two extents ever share a backing array, so an extent may be
-// overwritten and grown in place.
+// those. An extent is private or shared. A private extent's bytes belong to
+// the Blob alone (Write copies in, Read copies out), and no two private
+// extents share a backing array, so a private extent may be overwritten and
+// grown in place. A shared extent holds a frozen payload kept by reference
+// (Device.Write), which other blobs may hold too: it is never written or
+// grown in place, and its capacity is clipped to its length.
 type Blob struct {
 	size    int64
 	extents []extent
 }
 
 type extent struct {
-	off  int64
-	data []byte
+	off    int64
+	data   []byte
+	shared bool // data is a kept frozen payload, or a view of one
 }
 
 func (e extent) end() int64 { return e.off + int64(len(e.data)) }
 
 // Tail coalescing: an append of at most recordSize bytes that lands exactly
-// at the end of the last extent is copied into that extent while the two
-// together fit in chunkSize, so a log of small records costs one extent per
-// chunk, not one per record. Larger payloads — application data — stay
+// at the end of a private last extent is copied into that extent while the
+// two together fit in chunkSize, so a log of small records costs one extent
+// per chunk, not one per record. Larger payloads — application data — stay
 // extents of their own and are copied once, never again to grow a chunk.
 const (
 	chunkSize  = 64 << 10
@@ -58,26 +62,35 @@ func (b *Blob) firstEndingAfter(off int64) int {
 	return sort.Search(len(b.extents), func(i int) bool { return b.extents[i].end() > off })
 }
 
-// Write stores payload at off. If payload carries real bytes they become
-// readable; a synthetic payload only extends the logical size.
+// Write stores payload at off, copying its bytes. If payload carries real
+// bytes they become readable; a synthetic payload only extends the logical
+// size.
 func (b *Blob) Write(off int64, payload netsim.Payload) {
+	b.put(off, payload.Size, payload.Data, nil)
+}
+
+// put stores data at off for Write and Device.store. It copies data, unless
+// keep is non-nil: then keep (the same bytes, frozen) is stored by reference
+// wherever a new extent is made. The two arrive apart because escape
+// analysis is static: only a caller whose bytes may be kept passes them as
+// keep, so the buffers of Write's and Device.Append's callers stay off the
+// heap.
+func (b *Blob) put(off, size int64, data, keep []byte) {
 	if off < 0 {
 		panic("osd: negative write offset")
 	}
-	if end := off + payload.Size; end > b.size {
+	if end := off + size; end > b.size {
 		b.size = end
 	}
-	data := payload.Data
 	if len(data) == 0 {
 		return
 	}
-	end := off + int64(len(data))
 
 	// Tail: at or past the end of the last extent, nothing to search.
 	if n := len(b.extents); n == 0 || off >= b.extents[n-1].end() {
 		if n > 0 {
 			last := &b.extents[n-1]
-			if need := len(last.data) + len(data); off == last.end() && len(data) <= recordSize && need <= chunkSize {
+			if need := len(last.data) + len(data); !last.shared && off == last.end() && len(data) <= recordSize && need <= chunkSize {
 				if need > cap(last.data) {
 					grown := make([]byte, len(last.data), min(max(need, 2*cap(last.data)), chunkSize))
 					copy(grown, last.data)
@@ -87,16 +100,25 @@ func (b *Blob) Write(off int64, payload netsim.Payload) {
 				return
 			}
 		}
-		b.extents = append(b.extents, extent{off: off, data: slices.Clone(data)})
+		b.extents = append(b.extents, newExtent(off, data, keep))
 		return
 	}
 
-	// Not the tail, so some extent ends past off: lo is in range.
+	b.splice(off, data, keep)
+}
+
+// splice is put for a write that some extent ends past. It stays out of
+// line so that a tail append — every journal record — runs on put's small
+// frame: a store is the deepest call of a storage service thread, and a
+// larger frame there grows every such thread's stack.
+func (b *Blob) splice(off int64, data, keep []byte) {
+	end := off + int64(len(data))
+	// Some extent ends past off: lo is in range.
 	lo := b.firstEndingAfter(off)
-	if x := b.extents[lo]; x.off <= off && end <= x.end() {
-		// Inside one extent: overwrite in place. This is also why an extent
-		// is never split in two, so the head and the tail kept below always
-		// come from different extents and different backing arrays.
+	if x := b.extents[lo]; !x.shared && x.off <= off && end <= x.end() {
+		// Inside one private extent: overwrite in place. This is also why a
+		// private extent is never split in two, so a head and a tail kept
+		// below from one backing array are both views of a shared extent.
 		copy(x.data[off-x.off:], data)
 		return
 	}
@@ -106,18 +128,27 @@ func (b *Blob) Write(off int64, payload netsim.Payload) {
 	var pieces [3]extent
 	np := 0
 	if x := b.extents[lo]; x.off < off { // it ends past off, so it overlaps
-		pieces[np] = extent{off: x.off, data: x.data[:off-x.off]}
+		pieces[np] = extent{off: x.off, data: x.data[:off-x.off], shared: x.shared}
 		np++
 	}
-	pieces[np] = extent{off: off, data: slices.Clone(data)}
+	pieces[np] = newExtent(off, data, keep)
 	np++
 	if lo < hi {
 		if x := b.extents[hi-1]; x.end() > end {
-			pieces[np] = extent{off: end, data: x.data[end-x.off:]}
+			pieces[np] = extent{off: end, data: x.data[end-x.off:], shared: x.shared}
 			np++
 		}
 	}
 	b.extents = slices.Replace(b.extents, lo, hi, pieces[:np]...)
+}
+
+// newExtent is the extent a write adds at off: keep by reference, its
+// capacity clipped, or else a private copy of data.
+func newExtent(off int64, data, keep []byte) extent {
+	if keep != nil {
+		return extent{off: off, data: keep[:len(keep):len(keep)], shared: true}
+	}
+	return extent{off: off, data: slices.Clone(data)}
 }
 
 // Read returns [off, off+length). If the blob holds any real bytes in the

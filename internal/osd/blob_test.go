@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"lwfs/internal/netsim"
 )
@@ -68,29 +70,72 @@ func (m *blobModel) check(t testing.TB, b *Blob, step string) {
 	}
 }
 
+// frozenBuf is an array handed to a Blob as a frozen payload, and the copy
+// of it that it must equal for as long as the test runs, spare capacity
+// included.
+type frozenBuf struct{ arr, pristine []byte }
+
+// Write modes of runBlobOps: copied (Blob.Write), frozen (kept by
+// reference), and a frozen view with spare capacity cut from a larger array.
+const (
+	modeCopied = iota
+	modeFrozen
+	modeFrozenView
+)
+
 // runBlobOps interprets prog as a sequence of operations on a Blob and its
 // model, checking both after every one. Each operation is four bytes: kind,
-// two bytes of offset, one of length. Most kinds aim at the extent written
-// last, which is where the splice's edge cases are: adjacency, exact
-// overlap, a write inside an extent followed by an append where its head
-// ends, and a truncate into an extent.
+// two bytes of offset, one of length. The kind byte's ones digit picks the
+// operation and its tens digit (mod 3) how its writes store their bytes:
+// copied, frozen, or a frozen view with spare capacity. After every
+// operation each frozen array must equal its pristine copy. Most kinds aim
+// at the extent written last, which is where the splice's edge cases are:
+// adjacency, exact overlap, a write inside an extent followed by an append
+// where its head ends, and a truncate into an extent.
 func runBlobOps(t testing.TB, prog []byte) {
 	const span = 200 << 10 // offsets stay below this; a few chunks' worth
 	var b Blob
 	var m blobModel
 	var lastOff, lastLen int64 // the most recent real write
+	var frozen []frozenBuf
+	mode := modeCopied
 	seq := byte(1)
 	write := func(off, n int64) {
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = seq
+		arr := make([]byte, n)
+		if mode == modeFrozenView {
+			arr = make([]byte, n+16)
+		}
+		for i := range arr {
+			arr[i] = seq
 			seq = seq*5 + 1
 		}
-		b.Write(off, netsim.BytesPayload(data))
+		data := arr
+		switch mode {
+		case modeCopied:
+			b.Write(off, netsim.BytesPayload(data))
+		case modeFrozenView:
+			data = arr[8 : 8+n] // 8 bytes of spare capacity behind it
+			fallthrough
+		case modeFrozen:
+			frozen = append(frozen, frozenBuf{arr, slices.Clone(arr)})
+			b.put(off, n, data, data)
+		}
 		m.write(off, data)
 		if n > 0 {
 			lastOff, lastLen = off, n
 		}
+	}
+	check := func(step string) {
+		t.Helper()
+		m.check(t, &b, step)
+		for i, f := range frozen {
+			if !bytes.Equal(f.arr[:cap(f.arr)], f.pristine) {
+				t.Fatalf("%s: frozen array %d was modified", step, i)
+			}
+		}
+		// An array no shared extent points into any more is out of the
+		// blob's reach and cannot change: stop re-reading it every op.
+		frozen = slices.DeleteFunc(frozen, func(f frozenBuf) bool { return !b.holds(f.arr) })
 	}
 	truncate := func(size int64) {
 		b.Truncate(size)
@@ -98,6 +143,7 @@ func runBlobOps(t testing.TB, prog []byte) {
 	}
 	for step := 0; len(prog) >= 4; step++ {
 		kind, off, n := prog[0]%10, int64(prog[1])<<8|int64(prog[2]), int64(prog[3])
+		mode = int(prog[0]/10) % 3
 		prog = prog[4:]
 		off = off * span / (1 << 16)
 		switch kind {
@@ -115,7 +161,7 @@ func runBlobOps(t testing.TB, prog []byte) {
 			}
 			head := 1 + n%(lastLen-2)
 			write(lastOff+head, 1)
-			m.check(t, &b, fmt.Sprintf("op %d (inner write)", step))
+			check(fmt.Sprintf("op %d (inner write)", step))
 			// lastOff is now the inner write, where the head ends. Half the
 			// time cut the blob there first, so the head is the last extent
 			// and the append grows it.
@@ -137,7 +183,7 @@ func runBlobOps(t testing.TB, prog []byte) {
 				m.truncate(end)
 			}
 		}
-		m.check(t, &b, fmt.Sprintf("op %d (kind %d)", step, kind))
+		check(fmt.Sprintf("op %d (kind %d)", step, kind))
 	}
 }
 
@@ -154,12 +200,68 @@ func FuzzBlob(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 200, 4, 0, 0, 50, 2, 0, 0, 9})               // write, inner write + append at the head's end, adjacent
 	f.Add([]byte{1, 0, 0, 255, 2, 0, 0, 255, 7, 0, 0, 100})            // large, adjacent, truncate into it
 	f.Add([]byte{0, 10, 0, 100, 5, 0, 0, 80, 6, 0, 0, 80, 3, 0, 0, 0}) // straddles and an exact overwrite
+	f.Add([]byte{10, 0, 0, 200, 4, 0, 0, 50, 2, 0, 0, 9})              // frozen write, copied inner write, truncate to its head, append there
+	f.Add([]byte{20, 0, 0, 200, 14, 0, 0, 51, 22, 0, 0, 9})            // frozen view, frozen inner write, append where the head ends
+	f.Add([]byte{10, 0, 0, 10, 12, 0, 0, 10, 2, 0, 0, 9, 7, 0, 0, 5})  // small frozen records, a copied one after, truncate into them
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 4*400 {
 			prog = prog[:4*400]
 		}
 		runBlobOps(t, prog)
 	})
+}
+
+// holds reports whether a shared extent of b points into arr's backing
+// array.
+func (b *Blob) holds(arr []byte) bool {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(arr)))
+	hi := lo + uintptr(cap(arr))
+	for _, x := range b.extents {
+		if p := uintptr(unsafe.Pointer(unsafe.SliceData(x.data))); x.shared && lo <= p && p < hi {
+			return true
+		}
+	}
+	return false
+}
+
+// One frozen payload kept by two blobs — the two copies of a replica — is
+// stored once: rewriting, truncating and appending to one blob changes
+// neither the other blob nor the buffer.
+func TestFrozenPayloadSharedByTwoBlobs(t *testing.T) {
+	buf := make([]byte, 4<<10)
+	for i := range buf {
+		buf[i] = byte(i*7 + 3)
+	}
+	pristine := slices.Clone(buf)
+	var a, b Blob
+	var ma, mb blobModel
+	for _, x := range []struct {
+		blob  *Blob
+		model *blobModel
+	}{{&a, &ma}, {&b, &mb}} {
+		x.blob.put(100, int64(len(buf)), buf, buf)
+		x.model.write(100, buf)
+		if &x.blob.extents[0].data[0] != &buf[0] {
+			t.Fatal("a frozen payload was copied, not kept")
+		}
+	}
+
+	inner := bytes.Repeat([]byte{0xee}, 64)
+	a.Write(1000, netsim.BytesPayload(inner)) // inside the shared extent
+	ma.write(1000, inner)
+	ma.check(t, &a, "inner write")
+	a.Truncate(2000)
+	ma.truncate(2000)
+	ma.check(t, &a, "truncate")
+	tail := bytes.Repeat([]byte{0xdd}, 128)
+	a.Write(2000, netsim.BytesPayload(tail)) // an append where the shared head ends
+	ma.write(2000, tail)
+	ma.check(t, &a, "append")
+
+	if !bytes.Equal(buf[:cap(buf)], pristine) {
+		t.Fatal("the frozen buffer changed")
+	}
+	mb.check(t, &b, "the other blob")
 }
 
 // Sequential small appends — a journal — coalesce into chunk-sized extents.

@@ -213,13 +213,18 @@ func (d *Device) Lookup(id ObjectID) (*Object, error) {
 }
 
 // Write stores payload at offset off in object id, paying per-op overhead
-// plus size/bandwidth on the disk (write-through).
+// plus size/bandwidth on the disk (write-through). A frozen payload is kept
+// by reference, not copied (netsim.Payload.Frozen).
 func (d *Device) Write(p *sim.Proc, id ObjectID, off int64, payload netsim.Payload) error {
 	if _, ok := d.objects[id]; !ok {
 		return ErrNoObject
 	}
 	d.disk.Wait(p, d.enqueue(d.params.PerOpOverhead+sim.Rate(payload.Size, d.params.BandwidthBps), jobOther))
-	return d.store(id, off, payload)
+	var keep []byte
+	if payload.Frozen {
+		keep = payload.Data
+	}
+	return d.store(id, off, payload, keep)
 }
 
 // Append writes a log record at offset off of object id, as Write does,
@@ -229,7 +234,8 @@ func (d *Device) Write(p *sim.Proc, id ObjectID, off int64, payload netsim.Paylo
 // in place already. Nothing can come between the two: that job is the
 // queue's tail. Any other job queued since — a data write, a Truncate,
 // Remove or CreateWithID of the log object — is the tail instead, and the
-// record pays its own positioning cost.
+// record pays its own positioning cost. The record is always copied, frozen
+// or not, so a caller's buffer may live on its stack.
 func (d *Device) Append(p *sim.Proc, id ObjectID, off int64, payload netsim.Payload) error {
 	if _, ok := d.objects[id]; !ok {
 		return ErrNoObject
@@ -243,18 +249,19 @@ func (d *Device) Append(p *sim.Proc, id ObjectID, off int64, payload netsim.Payl
 	d.enqueue(service, jobAppend)
 	d.tail.obj, d.tail.end = id, off+payload.Size
 	d.disk.Wait(p, service)
-	return d.store(id, off, payload)
+	return d.store(id, off, payload, nil)
 }
 
-// store lands a write whose disk time has been paid.
-func (d *Device) store(id ObjectID, off int64, payload netsim.Payload) error {
+// store lands a write whose disk time has been paid, keeping keep (the
+// payload's bytes, frozen) by reference if it is non-nil (Blob.put).
+func (d *Device) store(id ObjectID, off int64, payload netsim.Payload, keep []byte) error {
 	// Re-fetch: the object may have been removed, or removed and re-created
 	// under the same ID, while we were queued.
 	obj, ok := d.objects[id]
 	if !ok {
 		return ErrNoObject
 	}
-	obj.Data.Write(off, payload)
+	obj.Data.put(off, payload.Size, payload.Data, keep)
 	obj.Modified = d.k.Now()
 	d.writes++
 	d.bytesWritten += payload.Size

@@ -53,6 +53,33 @@ func TestCreateWriteReadRoundTrip(t *testing.T) {
 	})
 }
 
+// Device.Write keeps a frozen payload; Device.Append copies every record,
+// frozen or not, so a journal's caller may reuse its buffer.
+func TestDeviceKeepsFrozenWritesAndCopiesAppends(t *testing.T) {
+	run(t, func(p *sim.Proc, d *Device) {
+		obj := d.Create(p, 1)
+		kept := []byte("kept by reference")
+		if err := d.Write(p, obj.ID, 0, netsim.Payload{Size: int64(len(kept)), Data: kept, Frozen: true}); err != nil {
+			t.Fatal(err)
+		}
+		if &obj.Data.extents[0].data[0] != &kept[0] {
+			t.Fatal("Write copied a frozen payload")
+		}
+		rec := []byte("a journal record")
+		if err := d.Append(p, obj.ID, 64, netsim.Payload{Size: int64(len(rec)), Data: rec, Frozen: true}); err != nil {
+			t.Fatal(err)
+		}
+		copy(rec, "XXXXXXXXXXXXXXXX")
+		got, err := d.Read(p, obj.ID, 64, int64(len(rec)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got.Data) != "a journal record" {
+			t.Fatalf("Append kept the caller's buffer: read %q", got.Data)
+		}
+	})
+}
+
 func TestReadBeyondEOFTruncates(t *testing.T) {
 	run(t, func(p *sim.Proc, d *Device) {
 		obj := d.Create(p, 1)

@@ -550,6 +550,9 @@ func (ep *Endpoint) serveGet(req *Event) {
 			reply.Payload.Size = req.Length
 			if req.Offset < end {
 				reply.Payload.Data = src.Data[req.Offset:end]
+				// Only the whole of a frozen buffer stays frozen: a holder
+				// must not pin bytes it does not store.
+				reply.Payload.Frozen = src.Frozen && req.Offset == 0 && end == int64(len(src.Data))
 			}
 		} else {
 			reply.Payload = netsim.SyntheticPayload(req.Length)

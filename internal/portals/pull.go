@@ -55,8 +55,9 @@ const (
 	takeReply               // the attempt's reply landed or it timed out
 )
 
+// pulledChunk is one chunk's outcome. Its offset is its index times the
+// chunk size: chunks arrive in order, so the slot does not carry it.
 type pulledChunk struct {
-	off     int64
 	payload netsim.Payload
 	err     error
 }
@@ -104,7 +105,7 @@ func (pl *Puller) Pull(p *sim.Proc, from netsim.NodeID, dataPortal Index, bits M
 			break
 		}
 		if firstErr == nil {
-			if err := sink(p, c.off, payload); err != nil {
+			if err := sink(p, int64(i)*pl.chunkSize, payload); err != nil {
 				firstErr = err
 			} else {
 				consumed += payload.Size
@@ -145,7 +146,7 @@ func (r *pull) step() {
 				r.cont.Sleep(pause)
 				return
 			}
-			r.slots[r.i] = pulledChunk{off: g.offset, payload: g.payload, err: g.err}
+			r.slots[r.i] = pulledChunk{payload: g.payload, err: g.err}
 			g.payload = netsim.Payload{} // the record must not pin the client's bytes
 			r.chunks.Send(&r.slots[r.i])
 			if g.err != nil {

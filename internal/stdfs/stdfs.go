@@ -310,7 +310,7 @@ func (f *File) Write(b []byte) (int, error) {
 
 // WriteAt writes b at off (io.WriterAt), under the file's POSIX lock.
 func (f *File) WriteAt(b []byte, off int64) (int, error) {
-	if err := f.writeOK(); err != nil {
+	if err := f.writeOK(off); err != nil {
 		return 0, err
 	}
 	n, err := f.f.WriteAt(f.fsys.p, off, netsim.BytesPayload(b))
@@ -327,7 +327,7 @@ func (f *File) WriteAt(b []byte, off int64) (int, error) {
 // simulation moves (and accounts) the bytes without materializing them.
 // Recorded with content seed 0; such ranges read back as zeros.
 func (f *File) WriteSynthetic(off, length int64) (int64, error) {
-	if err := f.writeOK(); err != nil {
+	if err := f.writeOK(off); err != nil {
 		return 0, err
 	}
 	n, err := f.f.WriteAt(f.fsys.p, off, netsim.SyntheticPayload(length))
@@ -339,15 +339,18 @@ func (f *File) WriteSynthetic(off, length int64) (int64, error) {
 }
 
 // WriteSeeded writes length bytes generated from a trace content seed —
-// the replayer's write path (trace.File).
+// the replayer's write path (trace.File). The generated buffer is handed
+// down frozen: nothing touches it after this call, so every server holding
+// a copy of the range keeps it rather than copying it.
 func (f *File) WriteSeeded(off, length int64, seed uint64) (int64, error) {
 	if seed == 0 {
 		return f.WriteSynthetic(off, length)
 	}
-	if err := f.writeOK(); err != nil {
+	if err := f.writeOK(off); err != nil {
 		return 0, err
 	}
-	n, err := f.f.WriteAt(f.fsys.p, off, netsim.BytesPayload(trace.DataFor(seed, length)))
+	data := trace.DataFor(seed, length)
+	n, err := f.f.WriteAt(f.fsys.p, off, netsim.Payload{Size: int64(len(data)), Data: data, Frozen: true})
 	f.fsys.record(trace.OpWrite, f.pth, off, n, seed)
 	if err != nil {
 		return n, wrap("write", f.name, err)
@@ -370,12 +373,17 @@ func (f *File) ReadDiscard(off, length int64) (int64, error) {
 	return pay.Size, nil
 }
 
-func (f *File) writeOK() error {
+// writeOK refuses a write at off through a closed or read-only handle, or
+// at a negative offset.
+func (f *File) writeOK(off int64) error {
 	if f.closed {
 		return wrap("write", f.name, fs.ErrClosed)
 	}
 	if !f.writable {
 		return wrap("write", f.name, errors.New("file opened read-only"))
+	}
+	if off < 0 {
+		return wrap("write", f.name, fs.ErrInvalid)
 	}
 	return nil
 }

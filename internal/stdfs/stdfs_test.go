@@ -7,12 +7,14 @@ import (
 	"io"
 	"io/fs"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/fstest"
 	"time"
 
 	"lwfs/internal/cluster"
 	"lwfs/internal/lwfspfs"
+	"lwfs/internal/netsim"
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
 	"lwfs/internal/stdfs"
@@ -37,7 +39,7 @@ func testCluster() (*cluster.Cluster, *cluster.LWFS) {
 	return cl, cl.DeployLWFS()
 }
 
-func run(t *testing.T, cl *cluster.Cluster) {
+func run(t testing.TB, cl *cluster.Cluster) {
 	t.Helper()
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
@@ -46,7 +48,7 @@ func run(t *testing.T, cl *cluster.Cluster) {
 
 // withMount formats a fresh mount and hands the test body a bound facade
 // on a spawned proc.
-func withMount(t *testing.T, opts lwfspfs.Options, body func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS)) {
+func withMount(t testing.TB, opts lwfspfs.Options, body func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS)) {
 	t.Helper()
 	cl, lw := testCluster()
 	c := cl.NewClient(lw, 0)
@@ -343,5 +345,136 @@ func TestWriteGuards(t *testing.T) {
 		if _, err := x.Open("../escape"); !errors.Is(err, fs.ErrInvalid) {
 			t.Fatalf("invalid name err = %v", err)
 		}
+	})
+}
+
+// A negative offset is refused before anything is written, on every write
+// path: an io.WriterAt that writes fewer than len(p) bytes must say why.
+func TestWriteRefusesNegativeOffset(t *testing.T) {
+	withMount(t, lwfspfs.Options{}, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
+		f, err := x.Create("neg.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := f.WriteAt([]byte("hello"), -1); n != 0 || !errors.Is(err, fs.ErrInvalid) {
+			t.Errorf("WriteAt(-1) = %d, %v; want 0, fs.ErrInvalid", n, err)
+		}
+		if n, err := f.WriteSeeded(-4096, 4096, 7); n != 0 || !errors.Is(err, fs.ErrInvalid) {
+			t.Errorf("WriteSeeded(-4096) = %d, %v; want 0, fs.ErrInvalid", n, err)
+		}
+		if n, err := f.WriteSynthetic(-4096, 4096); n != 0 || !errors.Is(err, fs.ErrInvalid) {
+			t.Errorf("WriteSynthetic(-4096) = %d, %v; want 0, fs.ErrInvalid", n, err)
+		}
+		if n, err := f.Handle().WriteAt(p, -1, netsim.BytesPayload([]byte("hello"))); n != 0 || !errors.Is(err, fs.ErrInvalid) {
+			t.Errorf("lwfspfs WriteAt(-1) = %d, %v; want 0, fs.ErrInvalid", n, err)
+		}
+		if st, err := f.Stat(); err != nil {
+			t.Error(err)
+		} else if st.Size() != 0 {
+			t.Errorf("after refused writes the file holds %d bytes, want none", st.Size())
+		}
+	})
+}
+
+// replicaOpts is a 2-copy replica mount of one column: both copies of every
+// byte, one per server.
+var replicaOpts = lwfspfs.Options{Scheme: stripe.Replica, Stripes: 1}
+
+// A replay write hands its bytes down frozen, so both copies of a replica
+// keep one buffer. Rewriting half of it with another seed must still leave
+// each copy with the new bytes: read with either server crashed, the file
+// is the second write over the first.
+func TestSeededOverwriteReadsBackFromEitherCopy(t *testing.T) {
+	withMount(t, replicaOpts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
+		const n = 64 << 10
+		f, err := x.Create("replay.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteSeeded(0, n, 7); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteSeeded(n/4, n/2, 8); err != nil {
+			t.Fatal(err)
+		}
+		want := trace.DataFor(7, n)
+		copy(want[n/4:], trace.DataFor(8, n/2))
+		l := f.Handle().Layout()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		for c := 0; c < 2; c++ {
+			dead := storage.TargetOf(l.ReplicaObj(c, 0))
+			var srv *storage.Server
+			for _, s := range lw.Servers {
+				if (storage.Target{Node: s.Node(), Port: s.RPCPort()}) == dead {
+					srv = s
+				}
+			}
+			srv.Crash()
+			got, err := fs.ReadFile(x, "replay.dat")
+			if err != nil {
+				t.Fatalf("copy %d's server down: %v", c, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("copy %d's server down: the file is not the second write over the first", c)
+			}
+			if _, err := srv.Restart(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// Seeded writes on a 2-copy mount allocate their bytes once: both servers
+// keep the generated buffer instead of copying it, so the host allocates
+// little more than one byte per byte written (three when each copy was
+// private).
+func TestSeededWriteAllocatesItsBytesOnce(t *testing.T) {
+	withMount(t, replicaOpts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
+		const n, writes = 256 << 10, 16
+		f, err := x.Create("alloc.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteSeeded(0, n, 1); err != nil { // warm the path
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < writes; i++ {
+			if _, err := f.WriteSeeded(int64(i)*n, n, uint64(i+2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / (writes * n)
+		t.Logf("%.3f bytes allocated per seeded byte written", perByte)
+		if perByte > 1.25 {
+			t.Fatalf("%.2f bytes allocated per seeded byte written, want at most 1.25", perByte)
+		}
+	})
+}
+
+// BenchmarkWriteSeeded is one 64 KiB replay write on a 2-copy replica
+// mount: generating the bytes, the write RPC to both servers, their pulls
+// and stores. Writes cycle over 16 offsets, so the file stops growing.
+func BenchmarkWriteSeeded(b *testing.B) {
+	withMount(b, replicaOpts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
+		const n = 64 << 10
+		f, err := x.Create("bench.dat")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := f.WriteSeeded(int64(i%16)*n, n, uint64(i+1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
 	})
 }

@@ -277,8 +277,8 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 	}
 	if !lost[w] {
 		ppl := netsim.SyntheticPayload(pLen)
-		if parity != nil {
-			ppl = netsim.BytesPayload(parity)
+		if parity != nil { // complete, and never touched again
+			ppl = netsim.Payload{Size: pLen, Data: parity, Frozen: true}
 		}
 		writes = append(writes, wr{l.ParityObj(), pOff, ppl, w})
 	}

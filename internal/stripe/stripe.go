@@ -472,22 +472,25 @@ func (r Request) Pieces(yield func(Piece) bool) {
 
 // Gather assembles the payload for one write request from the file payload
 // starting at file offset off. Synthetic payloads (no backing bytes) stay
-// synthetic; sized ones are copied piece by piece into object order. A
-// request of one piece is already contiguous in the file, so it is returned
-// as a sub-slice of the caller's bytes, not a copy: the payload is only read
-// (servers copy on store) for as long as the write call blocks.
+// synthetic; sized ones are copied piece by piece into object order, into a
+// fresh buffer nobody touches again, so it goes out frozen. A request of one
+// piece is already contiguous in the file, so it is returned as a sub-slice
+// of the caller's bytes, not a copy: servers copy it on store, unless it is
+// the whole of a frozen payload, which they keep (netsim.Payload.Frozen).
 func (r Request) Gather(off int64, payload netsim.Payload) netsim.Payload {
 	if payload.Data == nil {
 		return netsim.SyntheticPayload(r.Len)
 	}
 	if r.FileOff%r.unit+r.Len <= r.unit {
-		return netsim.BytesPayload(payload.Data[r.FileOff-off : r.FileOff-off+r.Len])
+		pl := netsim.BytesPayload(payload.Data[r.FileOff-off : r.FileOff-off+r.Len])
+		pl.Frozen = payload.Frozen && r.Len == int64(len(payload.Data))
+		return pl
 	}
 	buf := make([]byte, r.Len)
 	for pc := range r.Pieces {
 		copy(buf[pc.ObjOff-r.Off:], payload.Data[pc.FileOff-off:pc.FileOff-off+pc.Len])
 	}
-	return netsim.BytesPayload(buf)
+	return netsim.Payload{Size: r.Len, Data: buf, Frozen: true}
 }
 
 // Scatter distributes one read request's result into the file buffer buf

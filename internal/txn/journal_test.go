@@ -268,12 +268,14 @@ func logAllocs(t *testing.T, n int) float64 {
 	return allocs
 }
 
-// Steady-state journal append must not get more expensive as the journal
-// grows (it is never truncated).
+// Steady-state journal append allocates nothing, however long the journal
+// grows (it is never truncated): the record is built on the logging
+// process's stack and the device copies it (osd.Device.Append), so a store
+// path that may keep its bytes would move it to the heap and fail this.
 func TestLogAllocsIndependentOfJournalLength(t *testing.T) {
 	short, long := logAllocs(t, 100), logAllocs(t, 10_000)
-	if long > short || short > 1 {
-		t.Fatalf("Log allocates %v times on a 100-record journal and %v on a 10 000-record one; want no growth, at most 1", short, long)
+	if short != 0 || long != 0 {
+		t.Fatalf("Log allocates %v times on a 100-record journal and %v on a 10 000-record one; want 0", short, long)
 	}
 }
 

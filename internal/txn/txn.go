@@ -196,7 +196,9 @@ func (pt *Participant) Log(p *sim.Proc, rec JournalRecord) error {
 		return statusErr(ErrTerminal, rec.Txn, st.status)
 	}
 	// The line is built on this process's stack: the device copies it on
-	// store, and a buffer shared by the participant would be overwritten by
+	// store (osd.Device.Append always copies; only Device.Write keeps a
+	// frozen payload, and a path that may keep would move the line to the
+	// heap), and a buffer shared by the participant would be overwritten by
 	// another service thread while this one waits for the disk. Log appends
 	// it itself rather than through mark, so a service thread parked in the
 	// journal write carries one participant frame, not two.
