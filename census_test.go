@@ -46,7 +46,6 @@ var censusKept = map[string]string{
 	"storage.Config.PinnedBuffer":    "tests and the root ablation benchmark vary them",
 	"storage.Config.DisableCapCache": "ablation arm of the root BenchmarkAblationCapCache",
 	"lwfspfs.Options.Stripes":        "tests pin a narrow stripe on a wide cluster; Mount reads it from the superblock",
-	"figures.ReplayOpts.Traces":      "replay_test replays one trace of the three",
 	"figures.RedStormOpts.Seed":      "frozen bench/ surface: only bench/ sets it, to its default (ROADMAP item 11)",
 }
 
@@ -508,11 +507,6 @@ var exportsKept = map[string]string{
 	"core.Client.List":         "paper API: §3.3 the object service lists a container's objects",
 	"core.Client.SetAutoRenew": "paper API: §5 an expired capability is re-acquired, not a failed checkpoint (the NASD contrast)",
 	"authn.Client.Verify":      "paper API: §3.1 a service verifies a credential with its issuer",
-
-	// The capture side of record/replay. Its nil check sits on every stdfs
-	// operation the replay workloads execute, so deleting it would edit code
-	// the benchmark runs; the replay side is product code.
-	"stdfs.FS.Record": "capture: stdfs.TestRecorderIntegration, TestWriteAtSeedsOnlyWhileRecording",
 
 	"lwfspfs.File.Degraded":      "accessor: lwfspfs.TestMetaMirrorCrashMidWorkload and the other mirror chaos tests",
 	"lwfspfs.File.Layout":        "accessor: lwfspfs redundancy tests pick the server to crash from it",

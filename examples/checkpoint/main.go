@@ -111,7 +111,7 @@ func restart(spec cluster.Spec) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		meta, err := c.Read(p, entry.Ref, caps, 0, 4096)
+		meta, err := c.Read(p, entry.Refs[0], caps, 0, 4096)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -30,7 +30,14 @@ const (
 func main() {
 	traceOut := flag.String("trace", "", "record the model/analyst I/O as a replayable trace at this path")
 	flag.Parse()
+	if err := run(*traceOut); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run runs the model and the analyst; with traceOut set, it also writes
+// the recorded I/O there as a trace file.
+func run(traceOut string) error {
 	spec := lwfs.DevCluster()
 	spec.ComputeNodes = 2
 	spec = spec.WithServers(4)
@@ -49,7 +56,7 @@ func main() {
 	// hyperslab reads become strided ReadAt calls. Two streams: model (0)
 	// and analyst (1).
 	var rec *trace.Recorder
-	if *traceOut != "" {
+	if traceOut != "" {
 		rec = trace.NewRecorder()
 	}
 	const dsPath = "/runs/temperature.dat"
@@ -157,13 +164,14 @@ func main() {
 	})
 
 	if err := cl.Run(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if rec != nil {
-		if err := rec.WriteFile(*traceOut); err != nil {
-			log.Fatal(err)
+		if err := rec.WriteFile(traceOut); err != nil {
+			return err
 		}
-		fmt.Printf("recorded %d I/O events to %s\n", rec.Len(), *traceOut)
+		fmt.Printf("recorded %d I/O events to %s\n", rec.Len(), traceOut)
 	}
+	return nil
 }

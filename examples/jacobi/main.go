@@ -40,7 +40,14 @@ const (
 func main() {
 	traceOut := flag.String("trace", "", "record the checkpoint/restart I/O as a replayable trace at this path")
 	flag.Parse()
+	if err := run(*traceOut); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run runs the solve, its crash and its restart; with traceOut set, it
+// also writes the recorded I/O there as a trace file.
+func run(traceOut string) error {
 	spec := lwfs.DevCluster()
 	spec.ComputeNodes = 4 // 8 ranks on 4 nodes
 	spec = spec.WithServers(4)
@@ -49,7 +56,7 @@ func main() {
 	sys := cl.DeployLWFS()
 
 	var rec *trace.Recorder
-	if *traceOut != "" {
+	if traceOut != "" {
 		rec = trace.NewRecorder()
 	}
 
@@ -62,31 +69,32 @@ func main() {
 	fmt.Printf("jacobi: %d ranks x %d cells; checkpoint every %d iters; crash at iter %d\n",
 		ranks, stripLen, ckptEvery, crashAt)
 	var lastCkpt string
-	phase1 := newJob(cl, clients)
+	phase1 := newJob(cl, clients, 1)
 	phase1.rec = rec
 	phase1.run(0, crashAt, func(iter int, path string) { lastCkpt = path })
 	if err := cl.Run(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("job 1: \"crashed\" at iteration %d; last checkpoint: %s\n", crashAt, lastCkpt)
 
 	// ---- phase 2: a fresh job (new processes, new communicator) restores
 	// from the last durable checkpoint and carries on ----
-	phase2 := newJob(cl, clients)
+	phase2 := newJob(cl, clients, 2)
 	phase2.rec = rec
 	phase2.restoreFrom = lastCkpt
 	phase2.container = phase1.caps.Container // job metadata, like a scratch dir
 	phase2.run(crashAt-crashAt%ckptEvery, stopAt, nil)
 	if err := cl.Run(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if rec != nil {
-		if err := rec.WriteFile(*traceOut); err != nil {
-			log.Fatal(err)
+		if err := rec.WriteFile(traceOut); err != nil {
+			return err
 		}
-		fmt.Printf("recorded %d I/O events to %s\n", rec.Len(), *traceOut)
+		fmt.Printf("recorded %d I/O events to %s\n", rec.Len(), traceOut)
 	}
+	return nil
 }
 
 // job owns one solve attempt across all ranks.
@@ -115,15 +123,12 @@ func (j *job) recOp(p *lwfs.Proc, id int, op trace.Op, path string, off, n int64
 	j.rec.Add(trace.Event{T: p.Now(), Stream: id, Op: op, Path: path, Off: off, Len: n, Seed: seed})
 }
 
-var jobGen int
-
-func newJob(cl *lwfs.Cluster, clients []*lwfs.Client) *job {
-	jobGen++
+func newJob(cl *lwfs.Cluster, clients []*lwfs.Client, gen int) *job {
 	eps := make([]*portals.Endpoint, len(clients))
 	for i, c := range clients {
 		eps[i] = c.Endpoint()
 	}
-	return &job{cl: cl, clients: clients, comm: mpi.New(eps), gen: jobGen}
+	return &job{cl: cl, clients: clients, comm: mpi.New(eps), gen: gen}
 }
 
 // run spawns the rank processes. onCkpt (rank 0 only) observes checkpoints.

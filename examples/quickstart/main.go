@@ -68,7 +68,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("lookup: %v", err)
 		}
-		fmt.Printf("named it %s -> object %d on node %d\n", entry.Path, entry.Ref.ID, entry.Ref.Node)
+		fmt.Printf("named it %s -> object %d on node %d\n", entry.Path, entry.Refs[0].ID, entry.Refs[0].Node)
 
 		st, err := client.Stat(p, ref, caps)
 		if err != nil {

@@ -42,7 +42,14 @@ const (
 func main() {
 	traceOut := flag.String("trace", "", "record the survey's I/O as a replayable trace at this path")
 	flag.Parse()
+	if err := run(*traceOut); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run runs the survey; with traceOut set, it also writes the recorded I/O
+// there as a trace file.
+func run(traceOut string) error {
 	spec := lwfs.DevCluster()
 	spec.ComputeNodes = 2
 	spec = spec.WithServers(8)
@@ -56,7 +63,7 @@ func main() {
 	// The object writes are synthetic (seed 0), so the trace carries the
 	// shape of the workload — sizes, offsets, orderings — without payloads.
 	var rec *trace.Recorder
-	if *traceOut != "" {
+	if traceOut != "" {
 		rec = trace.NewRecorder()
 	}
 	recOp := func(p *lwfs.Proc, op trace.Op, path string, off, n int64) {
@@ -195,15 +202,16 @@ func main() {
 	})
 
 	if err := cl.Run(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if rec != nil {
-		if err := rec.WriteFile(*traceOut); err != nil {
-			log.Fatal(err)
+		if err := rec.WriteFile(traceOut); err != nil {
+			return err
 		}
-		fmt.Printf("recorded %d I/O events to %s\n", rec.Len(), *traceOut)
+		fmt.Printf("recorded %d I/O events to %s\n", rec.Len(), traceOut)
 	}
+	return nil
 }
 
 func mustRead(p *lwfs.Proc, c *lwfs.Client, ref lwfs.ObjRef, caps lwfs.CapSet, off, n int64) {

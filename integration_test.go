@@ -53,7 +53,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lookup: %v", err)
 		}
-		got, err := c.Read(p, e.Ref, caps, 0, int64(len(data)))
+		got, err := c.Read(p, e.Refs[0], caps, 0, int64(len(data)))
 		if err != nil || !bytes.Equal(got.Data, data) {
 			t.Fatalf("read: %q %v", got.Data, err)
 		}
@@ -65,9 +65,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatalf("unlock: %v", err)
 		}
 		// NewObjRef round-trips a serialized reference.
-		ref2 := lwfs.NewObjRef(int(e.Ref.Node), int(e.Ref.Port), uint64(e.Ref.ID))
-		if ref2 != e.Ref {
-			t.Fatalf("NewObjRef: %+v != %+v", ref2, e.Ref)
+		ref1 := e.Refs[0]
+		ref2 := lwfs.NewObjRef(int(ref1.Node), int(ref1.Port), uint64(ref1.ID))
+		if ref2 != ref1 {
+			t.Fatalf("NewObjRef: %+v != %+v", ref2, ref1)
 		}
 	})
 	if err := cl.Run(); err != nil {

@@ -376,7 +376,7 @@ func newTxnHandle(tx *txn.Txn) *txnHandle {
 
 // markDown records that the storage server at t stopped answering.
 func (h *txnHandle) markDown(t storage.Target) {
-	if e := core.TxnEndpointOf(t); !h.failed[e] {
+	if e := storage.TxnEndpointOf(t); !h.failed[e] {
 		h.failed[e] = true
 		h.failedOrder = append(h.failedOrder, e)
 	}
@@ -384,7 +384,7 @@ func (h *txnHandle) markDown(t storage.Target) {
 
 // down reports whether some rank has marked the server at t: the exclusion
 // predicate of every placement walk.
-func (h *txnHandle) down(t storage.Target) bool { return h.failed[core.TxnEndpointOf(t)] }
+func (h *txnHandle) down(t storage.Target) bool { return h.failed[storage.TxnEndpointOf(t)] }
 
 type dumpOut struct {
 	t   ProcTimes
@@ -644,7 +644,7 @@ func publishManifest(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle
 func sealTxn(h *txnHandle, pinned []storage.ObjRef) {
 	keep := make(map[txn.Endpoint]bool, len(pinned))
 	for _, r := range pinned {
-		keep[core.TxnEndpointOf(storage.TargetOf(r))] = true
+		keep[storage.TxnEndpointOf(storage.TargetOf(r))] = true
 	}
 	for _, ep := range h.failedOrder {
 		if !keep[ep] {

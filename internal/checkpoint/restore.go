@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"lwfs/internal/core"
+	"lwfs/internal/naming"
 	"lwfs/internal/netsim"
 	"lwfs/internal/osd"
 	"lwfs/internal/portals"
@@ -92,11 +93,14 @@ func Restore(p *sim.Proc, c *core.Client, caps core.CapSet, path string) (Manife
 	if err != nil {
 		return Manifest{}, fmt.Errorf("checkpoint: resolving %s: %w", path, err)
 	}
-	st, err := c.Stat(p, entry.Ref, caps)
+	if entry.IsDir {
+		return Manifest{}, fmt.Errorf("checkpoint: resolving %s: %w", path, naming.ErrIsDir)
+	}
+	st, err := c.Stat(p, entry.Refs[0], caps)
 	if err != nil {
 		return Manifest{}, fmt.Errorf("checkpoint: manifest: %w", err)
 	}
-	payload, err := c.Read(p, entry.Ref, caps, 0, st.Size)
+	payload, err := c.Read(p, entry.Refs[0], caps, 0, st.Size)
 	if err != nil {
 		return Manifest{}, fmt.Errorf("checkpoint: manifest: %w", err)
 	}

@@ -83,6 +83,10 @@ func TestRestoreMissingName(t *testing.T) {
 		if _, err := checkpoint.Restore(p, c, caps, "/no-such-ckpt"); !errors.Is(err, naming.ErrNotFound) {
 			t.Errorf("restore missing: %v", err)
 		}
+		// A directory names no manifest either.
+		if _, err := checkpoint.Restore(p, c, caps, "/"); !errors.Is(err, naming.ErrIsDir) {
+			t.Errorf("restore of a directory: %v", err)
+		}
 	})
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)

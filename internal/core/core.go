@@ -291,15 +291,9 @@ func (c *Client) CreateObject(p *sim.Proc, t storage.Target, caps CapSet) (stora
 func (c *Client) CreateObjectTxn(p *sim.Proc, t storage.Target, caps CapSet, tx *txn.Txn) (storage.ObjRef, error) {
 	ref, err := c.sc.CreateTxn(p, t, caps.Get(authz.OpCreate), caps.Container, tx.ID)
 	if err == nil {
-		tx.Enlist(TxnEndpointOf(t))
+		tx.Enlist(storage.TxnEndpointOf(t))
 	}
 	return ref, err
-}
-
-// TxnEndpointOf maps a storage target to its transaction-participant
-// endpoint (the participant listens two portals above the RPC port).
-func TxnEndpointOf(t storage.Target) txn.Endpoint {
-	return txn.Endpoint{Node: t.Node, Port: t.Port + 2}
 }
 
 // Write stores payload at off in the object (server-directed pull).

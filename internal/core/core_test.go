@@ -95,7 +95,7 @@ func TestEndToEndCheckpointFlow(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lookup: %v", err)
 		}
-		got, err := c.Read(p, e.Ref, caps, 0, int64(len(md)))
+		got, err := c.Read(p, e.Refs[0], caps, 0, int64(len(md)))
 		if err != nil || string(got.Data) != md {
 			t.Fatalf("md read: %q %v", got.Data, err)
 		}

@@ -66,7 +66,7 @@ func TestNamingWrappers(t *testing.T) {
 			t.Fatalf("list: %v %v", names, err)
 		}
 		e, err := c.RemoveName(p, "/dir/x")
-		if err != nil || e.Ref != ref {
+		if err != nil || len(e.Refs) != 1 || e.Refs[0] != ref {
 			t.Fatalf("remove: %+v %v", e, err)
 		}
 		if _, err := c.Lookup(p, "/dir/x"); !errors.Is(err, naming.ErrNotFound) {

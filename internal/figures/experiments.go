@@ -109,10 +109,7 @@ var Experiments = []Experiment{
 		res, err := CkptIntervalRun(RedStormOpts{BytesPerProc: e.BytesPerProc, Progress: e.Progress, Metrics: e.Metrics})
 		return render(w, res, err)
 	}},
-	{"replay", "E24: recorded workload traces replayed through the fs.FS facade", func(e Env, w io.Writer) error {
-		res, err := ReplaySweep(ReplayOpts{Concurrency: e.Clients, Progress: e.Progress, Metrics: e.Metrics})
-		return render(w, res, err)
-	}},
+	{"replay", "E24: recorded workload traces replayed through the fs.FS facade", report(ReplaySweep)},
 	{"collective", "§6 collective I/O: two-phase aggregation vs independent writes", func(_ Env, w io.Writer) error {
 		return versus(w, "# Collective I/O (§6): 8 ranks, 512 interleaved 64 KiB records",
 			"two-phase collective", "independent writes", CollectiveVsIndependent)

@@ -24,27 +24,11 @@ import (
 // level — how far the recorded workload scales before the servers, not the
 // clients, are the bottleneck.
 
-// ReplayOpts parameterize the sweep.
-type ReplayOpts struct {
-	Traces      []string                                 // embedded trace names (default all)
-	Concurrency []int                                    // worker counts (default 1,4,16,64)
-	Progress    func(format string, args ...interface{}) // optional
-	// Metrics captures a registry snapshot pair per point and keeps the
-	// highest-concurrency point's tick timeline per trace, for
-	// `lwfsbench -metrics`.
-	Metrics bool
-}
-
 const (
 	replayServers = 8                     // storage servers, one per node
 	replayClones  = 64                    // trace copies per point
 	replayTick    = 20 * time.Millisecond // timeline recorder interval
 )
-
-func (o *ReplayOpts) defaults() {
-	defList(&o.Traces, trace.ExampleNames()...)
-	defList(&o.Concurrency, 1, 4, 16, 64)
-}
 
 // ReplayPoint is one (trace, concurrency) measurement.
 type ReplayPoint struct {
@@ -72,29 +56,37 @@ type ReplayTimeline struct {
 
 // ReplayResult is the whole sweep.
 type ReplayResult struct {
-	Opts      ReplayOpts
+	Traces    []string
 	Points    []ReplayPoint
-	Captures  []MetricsCapture // when Opts.Metrics is set
-	Timelines []ReplayTimeline // when Opts.Metrics is set
+	Captures  []MetricsCapture // under env.Metrics
+	Timelines []ReplayTimeline // under env.Metrics
 }
 
-// ReplaySweep replays every trace at every concurrency level.
-func ReplaySweep(opts ReplayOpts) (ReplayResult, error) {
-	opts.defaults()
-	res := ReplayResult{Opts: opts}
-	top := opts.Concurrency[len(opts.Concurrency)-1]
+// ReplaySweep replays every embedded trace at every worker count in
+// env.Clients (default 1, 4, 16, 64). Under env.Metrics it captures a
+// registry snapshot pair per point and keeps the highest worker count's
+// tick timeline per trace, for `lwfsbench -metrics`.
+func ReplaySweep(env Env) (ReplayResult, error) {
+	return replaySweep(env, trace.ExampleNames())
+}
+
+// replaySweep is ReplaySweep over the named traces only.
+func replaySweep(env Env, traces []string) (ReplayResult, error) {
+	defList(&env.Clients, 1, 4, 16, 64)
+	res := ReplayResult{Traces: traces}
+	top := env.Clients[len(env.Clients)-1]
 	var points []ReplayPoint
-	for _, name := range opts.Traces {
-		for _, workers := range opts.Concurrency {
+	for _, name := range traces {
+		for _, workers := range env.Clients {
 			pt := ReplayPoint{Trace: name, Workers: workers}
-			if opts.Metrics && workers == top {
+			if env.Metrics && workers == top {
 				pt.timeline = metrics.NewRecorder(replayTick, replayTimelinePatterns...)
 			}
 			points = append(points, pt)
 		}
 	}
 	var err error
-	res.Points, res.Captures, err = sweep(sweepCfg{1, opts.Metrics, opts.Progress}, points,
+	res.Points, res.Captures, err = sweep(sweepCfg{1, env.Metrics, env.Progress}, points,
 		func(pt *ReplayPoint, _ int) ([]MetricsCapture, error) {
 			mc, err := replayTrial(pt)
 			return one(mc), err
@@ -195,7 +187,7 @@ var replayTimelinePatterns = []string{
 func (r ReplayResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Trace replay through the fs.FS facade: %d servers, %d clones per point\n",
 		replayServers, replayClones)
-	for _, name := range r.Opts.Traces {
+	for _, name := range r.Traces {
 		fmt.Fprintf(w, "\n## %s\n", name)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "workers\tops\terrors\tMB\telapsed\tMB/s\tops/s\tp99 op")

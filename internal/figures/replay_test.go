@@ -11,11 +11,7 @@ import (
 // metrics plumbing: captures and the highest-concurrency timeline arrive
 // and render.
 func TestReplaySweepScales(t *testing.T) {
-	res, err := ReplaySweep(ReplayOpts{
-		Traces:      []string{"jacobi"},
-		Concurrency: []int{1, 16},
-		Metrics:     true,
-	})
+	res, err := replaySweep(Env{Clients: []int{1, 16}, Metrics: true}, []string{"jacobi"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,7 @@ import (
 	"lwfs/internal/authz"
 	"lwfs/internal/core"
 	"lwfs/internal/metrics"
+	"lwfs/internal/naming"
 	"lwfs/internal/netsim"
 	"lwfs/internal/osd"
 	"lwfs/internal/portals"
@@ -232,7 +233,10 @@ func mount(p *sim.Proc, c *core.Client, rootDir string, cid authz.ContainerID, o
 	if err != nil {
 		return nil, fmt.Errorf("lwfspfs: superblock: %w", err)
 	}
-	payload, err := c.Read(p, e.Ref, caps, 0, 256)
+	if e.IsDir {
+		return nil, fmt.Errorf("lwfspfs: superblock: %w", naming.ErrIsDir)
+	}
+	payload, err := c.Read(p, e.Refs[0], caps, 0, 256)
 	if err != nil {
 		return nil, err
 	}
@@ -470,7 +474,7 @@ func (fs *FS) Open(p *sim.Proc, path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	all := e.AllRefs()
+	all := e.Refs
 	start := fs.mirrorStart(len(all))
 	refs := slices.Concat(all[start:], all[:start])
 	l, n, skipped, err := fs.readRecord(p, path, refs)
@@ -807,7 +811,7 @@ func (pl *placement) isDead(t storage.Target) bool { return slices.Contains(pl.d
 func (pl *placement) failed(t storage.Target) {
 	pl.dead = append(pl.dead, t)
 	if !holds(pl.ours, t) {
-		pl.tx.Delist(core.TxnEndpointOf(t))
+		pl.tx.Delist(storage.TxnEndpointOf(t))
 	}
 }
 
@@ -899,8 +903,11 @@ func (f *File) writeSerial(p *sim.Proc, off int64, payload netsim.Payload) (int6
 // the lock exclusively since this one's view (the lock generation says so),
 // the handle first re-reads the layout record under the lock (refresh), so a
 // handle opened before another client filled a hole returns that client's
-// bytes.
+// bytes. A negative off is refused with fs.ErrInvalid.
 func (f *File) ReadAt(p *sim.Proc, off, length int64) (netsim.Payload, error) {
+	if off < 0 {
+		return netsim.Payload{}, fmt.Errorf("lwfspfs: read at offset %d: %w", off, fs.ErrInvalid)
+	}
 	locks := f.fs.c.Locks()
 	gen, err := locks.Lock(p, f.fs.lockName(f.path), txn.Shared)
 	if err != nil {

@@ -291,9 +291,9 @@ func TestMetaFlushAbsorbsDeadMirrorAndDemotes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lookup: %v", err)
 		}
-		for _, r := range e.AllRefs() {
+		for _, r := range e.Refs {
 			if r == deadRef {
-				t.Fatalf("stale mirror still listed in naming entry: %v", e.AllRefs())
+				t.Fatalf("stale mirror still listed in naming entry: %v", e.Refs)
 			}
 		}
 		// And the file reopens clean off the surviving mirror.

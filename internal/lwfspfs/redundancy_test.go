@@ -9,6 +9,7 @@ import (
 
 	"lwfs/internal/authz"
 	"lwfs/internal/lwfspfs"
+	"lwfs/internal/naming"
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
@@ -211,7 +212,7 @@ func TestMountRefusesOtherContainersSuperblock(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lookup: %v", err)
 		}
-		sbA, err := c.Read(p, e.Ref, capsA, 0, 256)
+		sbA, err := c.Read(p, e.Refs[0], capsA, 0, 256)
 		if err != nil {
 			t.Fatalf("read a's superblock: %v", err)
 		}
@@ -234,6 +235,15 @@ func TestMountRefusesOtherContainersSuperblock(t *testing.T) {
 		}
 		if _, err := lwfspfs.Mount(p, c, "/a", fsA.Container()); err != nil {
 			t.Fatalf("mount of the original: %v", err)
+		}
+		// A directory where the superblock belongs is no superblock.
+		for _, dir := range []string{"/y", "/y/.lwfspfs"} {
+			if err := c.Mkdir(p, dir); err != nil {
+				t.Fatalf("mkdir %s: %v", dir, err)
+			}
+		}
+		if _, err := lwfspfs.Mount(p, c, "/y", fsB.Container()); !errors.Is(err, naming.ErrIsDir) {
+			t.Fatalf("mount over a directory named .lwfspfs: %v, want naming.ErrIsDir", err)
 		}
 	})
 	run(t, cl)

@@ -31,28 +31,13 @@ const Portal portals.Index = 12
 // TxnPortal is where the naming service's transaction participant listens.
 const TxnPortal portals.Index = 13
 
-// Entry is one namespace entry. A file entry normally points at a single
-// metadata object (Ref); entries created through CreateRefs carry the full
-// mirror set in Refs, with Ref doubling as the primary (Refs[0]) so that
-// single-ref consumers decode multi-ref entries unchanged.
+// Entry is one namespace entry. A file entry lists its metadata object's
+// mirrors in Refs, the primary first; a directory has none.
 type Entry struct {
 	Path  string
 	IsDir bool
-	Ref   storage.ObjRef   // zero for directories; primary mirror otherwise
-	Refs  []storage.ObjRef // all mirrors; nil for single-ref entries
+	Refs  []storage.ObjRef // nil for directories; the primary is Refs[0]
 	Owner authn.Principal
-}
-
-// AllRefs returns every object reference the entry points at: Refs when the
-// entry carries mirrors, else the single Ref (or nothing for directories).
-func (e Entry) AllRefs() []storage.ObjRef {
-	if len(e.Refs) > 0 {
-		return e.Refs
-	}
-	if e.Ref == (storage.ObjRef{}) {
-		return nil
-	}
-	return []storage.ObjRef{e.Ref}
 }
 
 // Errors reported by the service.
@@ -96,8 +81,7 @@ type mkdirReq struct {
 type createReq struct {
 	Cred authn.Credential
 	Path string
-	Ref  storage.ObjRef
-	Refs []storage.ObjRef // optional mirror set; Ref must equal Refs[0]
+	Refs []storage.ObjRef
 	Txn  txn.ID
 }
 
@@ -198,7 +182,7 @@ func (s *Service) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (inte
 			return nil, err
 		}
 		s.creates.Inc()
-		nd, err := s.insert(r.Path, Entry{Ref: r.Ref, Refs: r.Refs, Owner: user}, r.Txn)
+		nd, err := s.insert(r.Path, Entry{Refs: r.Refs, Owner: user}, r.Txn)
 		if err != nil {
 			return nil, err
 		}
@@ -238,13 +222,9 @@ func (s *Service) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (inte
 			if err := s.part.Log(p, txn.JournalRecord{Txn: r.Txn, Kind: "setrefs", Detail: nd.entry.Path}); err != nil {
 				return nil, err
 			}
-			s.part.OnCommit(r.Txn, func(q *sim.Proc) {
-				nd.entry.Ref = refs[0]
-				nd.entry.Refs = refs
-			})
+			s.part.OnCommit(r.Txn, func(q *sim.Proc) { nd.entry.Refs = refs })
 			return nil, nil
 		}
-		nd.entry.Ref = refs[0]
 		nd.entry.Refs = refs
 		return nil, nil
 
@@ -370,20 +350,16 @@ func (c *Client) Mkdir(p *sim.Proc, cred authn.Credential, path string) error {
 }
 
 // CreateRefs binds path to a set of mirrored object references. The first
-// ref becomes the entry's primary; Lookup returns all of them via
-// Entry.AllRefs. With id != 0 the entry is provisional until the transaction
-// commits (the paper's CREATENAME(txnid, path, mdobj)). A single ref travels
-// in the legacy single-ref form — Refs nil, the same bytes on the wire — so
-// unmirrored entries stay what they always were.
+// ref becomes the entry's primary; Lookup returns all of them in
+// Entry.Refs. With id != 0 the entry is provisional until the transaction
+// commits (the paper's CREATENAME(txnid, path, mdobj)).
 func (c *Client) CreateRefs(p *sim.Proc, cred authn.Credential, path string, refs []storage.ObjRef, id txn.ID) error {
 	if len(refs) == 0 {
 		return fmt.Errorf("%w: empty ref set for %s", ErrBadPath, path)
 	}
-	req := createReq{Cred: cred, Path: path, Ref: refs[0], Txn: id}
-	if len(refs) > 1 {
-		req.Refs = refs
-	}
-	_, err := c.caller.Call(p, c.server, Portal, req, pathSize(path)+64*int64(len(refs)), 16)
+	_, err := c.caller.Call(p, c.server, Portal,
+		createReq{Cred: cred, Path: path, Refs: refs, Txn: id},
+		pathSize(path)+64*int64(len(refs)), 16)
 	return err
 }
 

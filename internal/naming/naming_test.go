@@ -61,7 +61,7 @@ func TestCreateLookupRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lookup: %v", err)
 		}
-		if e.Ref != ref(42) || e.IsDir || e.Owner != "alice" {
+		if !reflect.DeepEqual(e.Refs, []storage.ObjRef{ref(42)}) || e.IsDir || e.Owner != "alice" {
 			t.Fatalf("entry = %+v", e)
 		}
 	})
@@ -126,7 +126,7 @@ func TestRemoveSemantics(t *testing.T) {
 			t.Errorf("remove non-empty dir: %v", err)
 		}
 		e, err := nc.Remove(p, cred, "/d/f")
-		if err != nil || e.Ref != ref(7) {
+		if err != nil || !reflect.DeepEqual(e.Refs, []storage.ObjRef{ref(7)}) {
 			t.Errorf("remove file: %+v %v", e, err)
 		}
 		if _, err := nc.Remove(p, cred, "/d"); err != nil {
@@ -335,7 +335,7 @@ func TestNamespaceConsistencyProperty(t *testing.T) {
 			}
 			for path, id := range created {
 				e, err := nc.Lookup(p, cred, path)
-				if err != nil || e.Ref.ID != osd.ObjectID(id) {
+				if err != nil || len(e.Refs) != 1 || e.Refs[0].ID != osd.ObjectID(id) {
 					ok = false
 					return
 				}
@@ -365,15 +365,11 @@ func TestMultiRefCreateLookupRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lookup: %v", err)
 		}
-		// The primary stays the first mirror, so single-ref consumers see a
-		// normal entry; AllRefs exposes the full set.
-		if e.Ref != refs[0] {
-			t.Errorf("primary = %+v, want %+v", e.Ref, refs[0])
+		// The mirrors come back in order, the primary first.
+		if !reflect.DeepEqual(e.Refs, refs) {
+			t.Errorf("Refs = %v, want %v", e.Refs, refs)
 		}
-		if !reflect.DeepEqual(e.AllRefs(), refs) {
-			t.Errorf("AllRefs = %v, want %v", e.AllRefs(), refs)
-		}
-		// A legacy single-ref entry reports exactly one ref via AllRefs.
+		// A single-ref entry lists exactly its one ref.
 		if err := create(nc, p, cred, "/single", ref(9), 0); err != nil {
 			t.Fatalf("create: %v", err)
 		}
@@ -381,8 +377,8 @@ func TestMultiRefCreateLookupRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lookup single: %v", err)
 		}
-		if !reflect.DeepEqual(se.AllRefs(), []storage.ObjRef{ref(9)}) {
-			t.Errorf("single AllRefs = %v", se.AllRefs())
+		if !reflect.DeepEqual(se.Refs, []storage.ObjRef{ref(9)}) {
+			t.Errorf("single Refs = %v", se.Refs)
 		}
 		// Empty mirror sets are rejected client-side.
 		if err := nc.CreateRefs(p, cred, "/empty", nil, 0); !errors.Is(err, naming.ErrBadPath) {
@@ -408,7 +404,7 @@ func TestSetRefsImmediateAndOwnership(t *testing.T) {
 			t.Fatalf("setrefs: %v", err)
 		}
 		e, err := nc2.Lookup(p, cred, "/f")
-		if err != nil || !reflect.DeepEqual(e.AllRefs(), next) || e.Ref != ref(4) {
+		if err != nil || !reflect.DeepEqual(e.Refs, next) {
 			t.Fatalf("after setrefs: %+v %v", e, err)
 		}
 		// Directories and missing entries are rejected.
@@ -452,15 +448,15 @@ func TestTransactionalSetRefsVisibility(t *testing.T) {
 			t.Fatalf("txn setrefs: %v", err)
 		}
 		e, _ := nc.Lookup(p, cred, "/f")
-		if !reflect.DeepEqual(e.AllRefs(), old) {
-			t.Errorf("refs changed before commit: %v", e.AllRefs())
+		if !reflect.DeepEqual(e.Refs, old) {
+			t.Errorf("refs changed before commit: %v", e.Refs)
 		}
 		if err := tx.Abort(p); err != nil {
 			t.Fatalf("abort: %v", err)
 		}
 		e, _ = nc.Lookup(p, cred, "/f")
-		if !reflect.DeepEqual(e.AllRefs(), old) {
-			t.Errorf("refs changed by aborted txn: %v", e.AllRefs())
+		if !reflect.DeepEqual(e.Refs, old) {
+			t.Errorf("refs changed by aborted txn: %v", e.Refs)
 		}
 		// Committed transaction: the swap lands atomically at commit.
 		next := []storage.ObjRef{ref(3), ref(4)}
@@ -473,7 +469,7 @@ func TestTransactionalSetRefsVisibility(t *testing.T) {
 			t.Fatalf("commit: %v", err)
 		}
 		e, _ = nc.Lookup(p, cred, "/f")
-		if !reflect.DeepEqual(e.AllRefs(), next) || e.Ref != ref(3) {
+		if !reflect.DeepEqual(e.Refs, next) {
 			t.Errorf("refs after commit: %+v", e)
 		}
 	})

@@ -29,12 +29,8 @@ func DescribeBody(body interface{}) string {
 	case wireFreed:
 		return "released"
 	}
-	switch h := ev.Hdr.(type) {
-	case nil:
+	if ev.Hdr == nil {
 		return "put[data]"
-	case rpcRequest: // a hand-built request, boxed
-		return fmt.Sprintf("put[%T]", h.Body)
-	default:
-		return fmt.Sprintf("put[%T]", h)
 	}
+	return fmt.Sprintf("put[%T]", ev.Hdr)
 }

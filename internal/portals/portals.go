@@ -14,7 +14,6 @@ package portals
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"lwfs/internal/metrics"
@@ -32,51 +31,29 @@ type MatchBits uint64
 // HeaderSize is the wire overhead of every portals message, in bytes.
 const HeaderSize = 64
 
-// EventType discriminates event-queue entries.
-type EventType int
-
-const (
-	// EventPut signals that a Put landed in one of our match entries.
-	EventPut EventType = iota
-	// EventGet signals that a remote Get read from one of our match entries.
-	EventGet
-)
-
-func (t EventType) String() string {
-	switch t {
-	case EventPut:
-		return "PUT"
-	case EventGet:
-		return "GET"
-	default:
-		return fmt.Sprintf("EventType(%d)", int(t))
-	}
-}
-
-// Event is an event-queue entry describing a completed remote operation. It
-// is also the wire record that carried the operation: Put and Get fill one,
-// the network carries the pointer, and deliver hands that same record to the
-// matched event queue. Whoever takes it off the queue owns it and calls
-// Release once it has copied out what it keeps (DESIGN.md §4.2, Record
-// lifetime); an event nobody releases is ordinary garbage.
+// Event is an event-queue entry describing a Put that landed. It is also the
+// wire record that carried the operation: Put and Get fill one, the network
+// carries the pointer, and deliver hands a Put's record to the matched event
+// queue (serveGet releases a Get's). Whoever takes it off the queue owns it
+// and calls Release once it has copied out what it keeps (DESIGN.md §4.2,
+// Record lifetime); an event nobody releases is ordinary garbage.
 type Event struct {
-	Type      EventType
 	Initiator netsim.NodeID
 	Bits      MatchBits
 	Hdr       interface{}    // out-of-band header data carried by a Put
-	Payload   netsim.Payload // data deposited by a Put (zero for Get events)
-	Offset    int64          // offset read by a Get
-	Length    int64          // length read by a Get
+	Payload   netsim.Payload // data deposited by a Put
 
 	// Read by the wire path only.
-	pt    Index
-	kind  wireKind
-	req   rpcRequest  // wireRequest
-	resp  rpcResponse // wireResponse
-	token uint64      // wireGet: the reply's match bits at getReplyPortal
-	err   error       // wireGetReply
-	home  *pool
-	next  *Event // free-list link
+	pt     Index
+	kind   wireKind
+	req    rpcRequest  // wireRequest
+	resp   rpcResponse // wireResponse
+	offset int64       // wireGet: the range read
+	length int64
+	token  uint64 // wireGet: the reply's match bits at getReplyPortal
+	err    error  // wireGetReply
+	home   *pool
+	next   *Event // free-list link
 }
 
 // wireKind says what a record carries from Put or Get to deliver.
@@ -121,10 +98,10 @@ func (ev *Event) Release() {
 }
 
 // MD is a memory descriptor: the data a match entry exposes to remote Gets
-// and the event queue that learns about remote operations.
+// and the event queue that hears the Puts landing in it.
 type MD struct {
 	Payload netsim.Payload // readable contents for remote Gets
-	EQ      *sim.Mailbox   // receives *Event; may be nil to suppress events
+	EQ      *sim.Mailbox   // receives each Put's *Event; may be nil to suppress events
 }
 
 // ME is a match entry: match bits plus a memory descriptor, attached to a
@@ -470,7 +447,7 @@ func (g *getOp) send() {
 	ep.nextToken++
 	g.slot = ep.Post(getReplyPortal, MatchBits(ep.nextToken), true)
 	req := ep.record(g.pt, g.bits, netsim.Payload{})
-	req.kind, req.Offset, req.Length, req.token = wireGet, g.offset, g.length, ep.nextToken
+	req.kind, req.offset, req.length, req.token = wireGet, g.offset, g.length, ep.nextToken
 	ep.send(g.target, req)
 }
 
@@ -529,45 +506,37 @@ func (ep *Endpoint) deliver(m netsim.Message) {
 }
 
 // serveGet answers a Get request "in the NIC": it reads the matched entry's
-// payload into a reply record and turns the request record into the owner's
-// EventGet notification.
+// payload into a reply record and releases the request record.
 func (ep *Endpoint) serveGet(req *Event) {
 	reply := ep.record(getReplyPortal, MatchBits(req.token), netsim.Payload{})
 	reply.kind = wireGetReply
-	to := req.Initiator
-	var eq *sim.Mailbox
 	if me := ep.match(req.pt, req.Bits); me == nil {
 		ep.dropNoMatch(req.pt, req.Bits)
 		reply.err = ErrNoMatch
 	} else {
-		src, end := me.md.Payload, req.Offset+req.Length
-		if req.Offset < 0 || req.Length < 0 || end > src.Size {
+		src, end := me.md.Payload, req.offset+req.length
+		if req.offset < 0 || req.length < 0 || end > src.Size {
 			reply.err = ErrBounds
 		} else if src.Data != nil {
 			if end > int64(len(src.Data)) {
 				end = int64(len(src.Data))
 			}
-			reply.Payload.Size = req.Length
-			if req.Offset < end {
-				reply.Payload.Data = src.Data[req.Offset:end]
+			reply.Payload.Size = req.length
+			if req.offset < end {
+				reply.Payload.Data = src.Data[req.offset:end]
 				// Only the whole of a frozen buffer stays frozen: a holder
 				// must not pin bytes it does not store.
-				reply.Payload.Frozen = src.Frozen && req.Offset == 0 && end == int64(len(src.Data))
+				reply.Payload.Frozen = src.Frozen && req.offset == 0 && end == int64(len(src.Data))
 			}
 		} else {
-			reply.Payload = netsim.SyntheticPayload(req.Length)
+			reply.Payload = netsim.SyntheticPayload(req.length)
 		}
 		if me.once {
 			me.Unlink()
 		}
-		eq = me.md.EQ
 	}
-	if eq != nil {
-		req.Type = EventGet
-		eq.Send(req)
-	} else {
-		req.Release()
-	}
+	to := req.Initiator
+	req.Release()
 	ep.send(to, reply)
 }
 

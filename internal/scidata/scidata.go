@@ -218,7 +218,10 @@ func (f *File) OpenDataset(p *sim.Proc, name string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := f.c.Read(p, e.Ref, f.caps, 0, 64<<10)
+	if e.IsDir {
+		return nil, fmt.Errorf("scidata: dataset %q: %w", name, naming.ErrIsDir)
+	}
+	payload, err := f.c.Read(p, e.Refs[0], f.caps, 0, 64<<10)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +231,7 @@ func (f *File) OpenDataset(p *sim.Proc, name string) (*Dataset, error) {
 	}
 	d.f = f
 	d.Name = name
-	d.header = e.Ref
+	d.header = e.Refs[0]
 	return d, nil
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"lwfs/internal/cluster"
 	"lwfs/internal/core"
+	"lwfs/internal/naming"
 	"lwfs/internal/netsim"
 	"lwfs/internal/scidata"
 	"lwfs/internal/sim"
@@ -173,6 +174,9 @@ func TestBadInputs(t *testing.T) {
 		}
 		if _, err := ds.ReadSlab(p, []int64{0}, []int64{8}); !errors.Is(err, scidata.ErrBadSlab) {
 			t.Errorf("rank mismatch: %v", err)
+		}
+		if _, err := f.OpenDataset(p, "."); !errors.Is(err, naming.ErrIsDir) {
+			t.Errorf("dataset naming the file's own directory: %v", err)
 		}
 	})
 	run(t, r)

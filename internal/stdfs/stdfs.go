@@ -25,11 +25,10 @@
 // fs.FS is read-only by design; writes go through the extension methods
 // Create, OpenFile, Mkdir and Remove, mirroring the os package's shape.
 //
-// An FS can record every operation it performs to a trace.Recorder
-// (Record), which is how the captured example workloads under
-// internal/trace/testdata were made; ReplayMount adapts the facade to the
-// replayer's Mount interface so traces can be re-executed against any
-// mount at any concurrency.
+// The facade records nothing: the example programs whose traces ship under
+// internal/trace/testdata add their events to a trace.Recorder by hand.
+// ReplayMount adapts the facade to the replayer's Mount interface so traces
+// can be re-executed against any mount at any concurrency.
 package stdfs
 
 import (
@@ -49,10 +48,8 @@ import (
 
 // FS is the facade over one mounted lwfspfs.FS, bound to a single proc.
 type FS struct {
-	p      *sim.Proc
-	pfs    *lwfspfs.FS
-	rec    *trace.Recorder
-	stream int
+	p   *sim.Proc
+	pfs *lwfspfs.FS
 }
 
 // New binds a mounted file system to the proc whose goroutine will call
@@ -63,22 +60,6 @@ func New(p *sim.Proc, pfs *lwfspfs.FS) *FS {
 
 // Proc returns the bound proc.
 func (x *FS) Proc() *sim.Proc { return x.p }
-
-// Record attaches a trace recorder: every subsequent operation through
-// this view (and the handles it opens) appends an event under a fresh
-// stream id.
-func (x *FS) Record(rec *trace.Recorder) {
-	x.rec = rec
-	x.stream = rec.NewStream()
-}
-
-func (x *FS) record(op trace.Op, pth string, off, n int64, seed uint64) {
-	if x.rec == nil {
-		return
-	}
-	x.rec.Add(trace.Event{T: x.p.Now(), Stream: x.stream, Op: op,
-		Path: pth, Off: off, Len: n, Seed: seed})
-}
 
 // abs validates an fs.FS-style name and converts it to a mount path.
 func (x *FS) abs(op, name string) (string, error) {
@@ -136,8 +117,7 @@ func (x *FS) Open(name string) (fs.File, error) {
 	if err != nil {
 		return nil, wrap("open", name, err)
 	}
-	x.record(trace.OpOpen, pth, 0, 0, 0)
-	return &File{fsys: x, name: name, pth: pth, f: f}, nil
+	return &File{fsys: x, name: name, f: f}, nil
 }
 
 // Stat resolves a name (fs.StatFS).
@@ -196,8 +176,7 @@ func (x *FS) Create(name string) (*File, error) {
 	if err != nil {
 		return nil, wrap("create", name, err)
 	}
-	x.record(trace.OpCreate, pth, 0, 0, 0)
-	return &File{fsys: x, name: name, pth: pth, f: f, writable: true}, nil
+	return &File{fsys: x, name: name, f: f, writable: true}, nil
 }
 
 // OpenFile opens an existing file for reading and writing.
@@ -210,8 +189,7 @@ func (x *FS) OpenFile(name string) (*File, error) {
 	if err != nil {
 		return nil, wrap("openfile", name, err)
 	}
-	x.record(trace.OpOpen, pth, 0, 0, 0)
-	return &File{fsys: x, name: name, pth: pth, f: f, writable: true}, nil
+	return &File{fsys: x, name: name, f: f, writable: true}, nil
 }
 
 // Mkdir creates a directory.
@@ -223,7 +201,6 @@ func (x *FS) Mkdir(name string) error {
 	if err := x.pfs.Mkdir(x.p, pth); err != nil {
 		return wrap("mkdir", name, err)
 	}
-	x.record(trace.OpMkdir, pth, 0, 0, 0)
 	return nil
 }
 
@@ -236,7 +213,6 @@ func (x *FS) Remove(name string) error {
 	if err := x.pfs.Remove(x.p, pth); err != nil {
 		return wrap("remove", name, err)
 	}
-	x.record(trace.OpRemove, pth, 0, 0, 0)
 	return nil
 }
 
@@ -247,7 +223,6 @@ func (x *FS) Remove(name string) error {
 type File struct {
 	fsys     *FS
 	name     string // fs.FS-style name
-	pth      string // mount path ("/"-rooted)
 	f        *lwfspfs.File
 	pos      int64
 	writable bool
@@ -291,7 +266,6 @@ func (f *File) ReadAt(b []byte, off int64) (int, error) {
 	} else {
 		clear(b[:n])
 	}
-	f.fsys.record(trace.OpRead, f.pth, off, int64(n), 0)
 	if err != nil {
 		return n, wrap("read", f.name, err)
 	}
@@ -314,9 +288,6 @@ func (f *File) WriteAt(b []byte, off int64) (int, error) {
 		return 0, err
 	}
 	n, err := f.f.WriteAt(f.fsys.p, off, netsim.BytesPayload(b))
-	if f.fsys.rec != nil { // the content seed hashes every byte: only for a recorder
-		f.fsys.record(trace.OpWrite, f.pth, off, n, trace.SeedOf(b[:n]))
-	}
 	if err != nil {
 		return int(n), wrap("write", f.name, err)
 	}
@@ -325,13 +296,12 @@ func (f *File) WriteAt(b []byte, off int64) (int, error) {
 
 // WriteSynthetic writes length bytes of synthetic bulk data at off — the
 // simulation moves (and accounts) the bytes without materializing them.
-// Recorded with content seed 0; such ranges read back as zeros.
+// Such ranges read back as zeros.
 func (f *File) WriteSynthetic(off, length int64) (int64, error) {
 	if err := f.writeOK(off); err != nil {
 		return 0, err
 	}
 	n, err := f.f.WriteAt(f.fsys.p, off, netsim.SyntheticPayload(length))
-	f.fsys.record(trace.OpWrite, f.pth, off, n, 0)
 	if err != nil {
 		return n, wrap("write", f.name, err)
 	}
@@ -351,7 +321,6 @@ func (f *File) WriteSeeded(off, length int64, seed uint64) (int64, error) {
 	}
 	data := trace.DataFor(seed, length)
 	n, err := f.f.WriteAt(f.fsys.p, off, netsim.Payload{Size: int64(len(data)), Data: data, Frozen: true})
-	f.fsys.record(trace.OpWrite, f.pth, off, n, seed)
 	if err != nil {
 		return n, wrap("write", f.name, err)
 	}
@@ -365,8 +334,10 @@ func (f *File) ReadDiscard(off, length int64) (int64, error) {
 	if f.closed {
 		return 0, wrap("read", f.name, fs.ErrClosed)
 	}
+	if off < 0 {
+		return 0, wrap("read", f.name, fs.ErrInvalid)
+	}
 	pay, err := f.f.ReadAt(f.fsys.p, off, length)
-	f.fsys.record(trace.OpRead, f.pth, off, pay.Size, 0)
 	if err != nil {
 		return pay.Size, wrap("read", f.name, err)
 	}
@@ -419,7 +390,6 @@ func (f *File) Sync() error {
 	if err := f.f.Sync(f.fsys.p); err != nil {
 		return wrap("sync", f.name, err)
 	}
-	f.fsys.record(trace.OpSync, f.pth, 0, 0, 0)
 	return nil
 }
 
@@ -430,7 +400,6 @@ func (f *File) Close() error {
 	}
 	f.closed = true
 	err := f.f.Close(f.fsys.p)
-	f.fsys.record(trace.OpClose, f.pth, 0, 0, 0)
 	return wrap("close", f.name, err)
 }
 

@@ -3,7 +3,6 @@ package stdfs_test
 import (
 	"bytes"
 	"errors"
-	"hash/fnv"
 	"io"
 	"io/fs"
 	"math/rand"
@@ -229,102 +228,6 @@ func TestReadFileDegraded(t *testing.T) {
 		})
 }
 
-// A recording facade emits a well-formed trace whose events mirror the
-// operations performed — the capture side of the record/replay loop.
-func TestRecorderIntegration(t *testing.T) {
-	withMount(t, lwfspfs.Options{}, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
-		rec := trace.NewRecorder()
-		x.Record(rec)
-		if err := x.Mkdir("out"); err != nil {
-			t.Fatal(err)
-		}
-		f, err := x.Create("out/run.dat")
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := []byte("recorded payload bytes")
-		if _, err := f.WriteAt(payload, 0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteSynthetic(1<<20, 4096); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		rb := make([]byte, len(payload))
-		if _, err := f.ReadAt(rb, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		tr := rec.Trace()
-		wantOps := []trace.Op{trace.OpMkdir, trace.OpCreate, trace.OpWrite,
-			trace.OpWrite, trace.OpSync, trace.OpRead, trace.OpClose}
-		if len(tr.Events) != len(wantOps) {
-			t.Fatalf("recorded %d events, want %d: %+v", len(tr.Events), len(wantOps), tr.Events)
-		}
-		for i, op := range wantOps {
-			if tr.Events[i].Op != op {
-				t.Fatalf("event %d = %v, want %v", i, tr.Events[i].Op, op)
-			}
-		}
-		if seed := tr.Events[2].Seed; seed == 0 || seed != trace.SeedOf(payload) {
-			t.Fatalf("real write recorded seed %d", seed)
-		}
-		if tr.Events[3].Seed != 0 || tr.Events[3].Off != 1<<20 {
-			t.Fatalf("synthetic write event = %+v", tr.Events[3])
-		}
-		// The capture encodes and decodes clean — it is a valid trace file.
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := trace.Decode(&buf); err != nil {
-			t.Fatalf("captured trace does not round-trip: %v", err)
-		}
-	})
-}
-
-// WriteAt digests its bytes into a content seed only while a recorder is
-// attached (hashing 8 MiB costs more host time than simulating its write);
-// what a recorder sees is unchanged: the 64-bit FNV-1a of exactly the bytes
-// written, one event per write, nothing for writes made before it attached.
-func TestWriteAtSeedsOnlyWhileRecording(t *testing.T) {
-	withMount(t, lwfspfs.Options{}, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
-		f, err := x.Create("seeds.dat")
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := bytes.Repeat([]byte("lightweight i/o "), 512)
-		if _, err := f.WriteAt(payload, 0); err != nil {
-			t.Fatal(err)
-		}
-		rec := trace.NewRecorder()
-		x.Record(rec)
-		if _, err := f.WriteAt(payload, int64(len(payload))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt(payload[:100], 7); err != nil {
-			t.Fatal(err)
-		}
-
-		evs := rec.Trace().Events
-		if len(evs) != 2 {
-			t.Fatalf("recorded %d events, want the 2 writes made while attached: %+v", len(evs), evs)
-		}
-		for i, want := range [][]byte{payload, payload[:100]} {
-			h := fnv.New64a()
-			h.Write(want)
-			if evs[i].Op != trace.OpWrite || evs[i].Len != int64(len(want)) || evs[i].Seed != h.Sum64() {
-				t.Errorf("event %d = %+v, want a %d-byte write with seed %#x", i, evs[i], len(want), h.Sum64())
-			}
-		}
-	})
-}
-
 func TestWriteGuards(t *testing.T) {
 	withMount(t, lwfspfs.Options{}, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
 		write(t, x, "guarded.bin", []byte("abc"))
@@ -348,32 +251,66 @@ func TestWriteGuards(t *testing.T) {
 	})
 }
 
-// A negative offset is refused before anything is written, on every write
-// path: an io.WriterAt that writes fewer than len(p) bytes must say why.
-func TestWriteRefusesNegativeOffset(t *testing.T) {
-	withMount(t, lwfspfs.Options{}, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
-		f, err := x.Create("neg.bin")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, err := f.WriteAt([]byte("hello"), -1); n != 0 || !errors.Is(err, fs.ErrInvalid) {
-			t.Errorf("WriteAt(-1) = %d, %v; want 0, fs.ErrInvalid", n, err)
-		}
-		if n, err := f.WriteSeeded(-4096, 4096, 7); n != 0 || !errors.Is(err, fs.ErrInvalid) {
-			t.Errorf("WriteSeeded(-4096) = %d, %v; want 0, fs.ErrInvalid", n, err)
-		}
-		if n, err := f.WriteSynthetic(-4096, 4096); n != 0 || !errors.Is(err, fs.ErrInvalid) {
-			t.Errorf("WriteSynthetic(-4096) = %d, %v; want 0, fs.ErrInvalid", n, err)
-		}
-		if n, err := f.Handle().WriteAt(p, -1, netsim.BytesPayload([]byte("hello"))); n != 0 || !errors.Is(err, fs.ErrInvalid) {
-			t.Errorf("lwfspfs WriteAt(-1) = %d, %v; want 0, fs.ErrInvalid", n, err)
-		}
-		if st, err := f.Stat(); err != nil {
-			t.Error(err)
-		} else if st.Size() != 0 {
-			t.Errorf("after refused writes the file holds %d bytes, want none", st.Size())
-		}
-	})
+// A negative offset is refused on every read and write path, before
+// anything moves: an io.WriterAt that writes fewer than len(p) bytes must
+// say why, and a read must not hand back bytes from before the file's
+// start. Each scheme's read path is checked, with one offset a whole
+// stripe unit back.
+func TestReadWriteRefuseNegativeOffset(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts lwfspfs.Options
+	}{
+		{"raid0", lwfspfs.Options{StripeUnit: 4096}},
+		{"replica", lwfspfs.Options{Scheme: stripe.Replica, StripeUnit: 4096}},
+		{"parity", lwfspfs.Options{Scheme: stripe.Parity, StripeUnit: 4096}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			withMount(t, c.opts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
+				const content = "hello world, hello world"
+				f, err := x.Create("neg.bin")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n, err := f.WriteAt([]byte("hello"), -1); n != 0 || !errors.Is(err, fs.ErrInvalid) {
+					t.Errorf("WriteAt(-1) = %d, %v; want 0, fs.ErrInvalid", n, err)
+				}
+				if n, err := f.WriteSeeded(-4096, 4096, 7); n != 0 || !errors.Is(err, fs.ErrInvalid) {
+					t.Errorf("WriteSeeded(-4096) = %d, %v; want 0, fs.ErrInvalid", n, err)
+				}
+				if n, err := f.WriteSynthetic(-4096, 4096); n != 0 || !errors.Is(err, fs.ErrInvalid) {
+					t.Errorf("WriteSynthetic(-4096) = %d, %v; want 0, fs.ErrInvalid", n, err)
+				}
+				if n, err := f.Handle().WriteAt(p, -1, netsim.BytesPayload([]byte("hello"))); n != 0 || !errors.Is(err, fs.ErrInvalid) {
+					t.Errorf("lwfspfs WriteAt(-1) = %d, %v; want 0, fs.ErrInvalid", n, err)
+				}
+				if st, err := f.Stat(); err != nil {
+					t.Error(err)
+				} else if st.Size() != 0 {
+					t.Errorf("after refused writes the file holds %d bytes, want none", st.Size())
+				}
+
+				if _, err := f.WriteAt([]byte(content), 0); err != nil {
+					t.Fatal(err)
+				}
+				for _, off := range []int64{-4, -4096} {
+					if n, err := f.ReadAt(make([]byte, 8), off); n != 0 || !errors.Is(err, fs.ErrInvalid) {
+						t.Errorf("ReadAt(%d) = %d, %v; want 0, fs.ErrInvalid", off, n, err)
+					}
+					if n, err := f.ReadDiscard(off, 8); n != 0 || !errors.Is(err, fs.ErrInvalid) {
+						t.Errorf("ReadDiscard(%d) = %d, %v; want 0, fs.ErrInvalid", off, n, err)
+					}
+					if pay, err := f.Handle().ReadAt(p, off, 8); pay.Size != 0 || !errors.Is(err, fs.ErrInvalid) {
+						t.Errorf("lwfspfs ReadAt(%d) = %q (%d B), %v; want nothing, fs.ErrInvalid", off, pay.Data, pay.Size, err)
+					}
+				}
+				got := make([]byte, len(content))
+				if _, err := f.ReadAt(got, 0); err != nil || string(got) != content {
+					t.Errorf("ReadAt(0) = %q, %v; want %q", got, err, content)
+				}
+			})
+		})
+	}
 }
 
 // replicaOpts is a 2-copy replica mount of one column: both copies of every

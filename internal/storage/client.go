@@ -47,6 +47,12 @@ type Target struct {
 // TargetOf extracts the server half of an ObjRef.
 func TargetOf(ref ObjRef) Target { return Target{Node: ref.Node, Port: ref.Port} }
 
+// TxnEndpointOf is the transaction participant of the server at t: it
+// listens two portals above the server's RPC port (PortalStride).
+func TxnEndpointOf(t Target) txn.Endpoint {
+	return txn.Endpoint{Node: t.Node, Port: t.Port + 2}
+}
+
 // Create allocates a new object in container cid on the target server.
 // Requires an OpCreate capability for the container.
 func (c *Client) Create(p *sim.Proc, t Target, cap authz.Capability, cid authz.ContainerID) (ObjRef, error) {

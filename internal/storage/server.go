@@ -125,7 +125,7 @@ func Start(ep *portals.Endpoint, dev *osd.Device, az *authz.Client, rpcPort port
 	}
 	s.caps.Serve(ep, az, rpcPort+1, dev.Name(),
 		ep.Metrics().Scope("storage").Scope(dev.Name()).Scope("cap_cache"), cfg.DisableCapCache)
-	s.part = txn.NewParticipant(ep, dev, s.rpcPort+2)
+	s.part = txn.NewParticipant(ep, dev, TxnEndpointOf(Target{Node: ep.Node(), Port: rpcPort}).Port)
 	return s
 }
 
@@ -164,7 +164,7 @@ func (s *Server) Down() bool { return s.rpc.Down() }
 // TxnEndpoint returns the participant endpoint clients enlist for
 // transactional object creation on this server.
 func (s *Server) TxnEndpoint() txn.Endpoint {
-	return txn.Endpoint{Node: s.Node(), Port: s.rpcPort + 2}
+	return TxnEndpointOf(Target{Node: s.Node(), Port: s.rpcPort})
 }
 
 // Participant exposes the server's transaction participant (tests, recovery).

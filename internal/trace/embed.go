@@ -15,7 +15,13 @@ import (
 //	go run ./examples/seismic -trace internal/trace/testdata/seismic.trace
 //	go run ./examples/climate -trace internal/trace/testdata/climate.trace
 //
-// The simulation is deterministic, so regenerating them is byte-stable.
+// The simulation is deterministic, so regenerating seismic's and climate's
+// is byte-stable (each example's test checks it). Jacobi's is frozen: it was
+// captured under an earlier timing model, and a rerun records every rank's
+// stream unchanged but at other timestamps, interleaving the ranks
+// differently. A clone replays events in file order, so that interleaving is
+// the replay_jacobi workload's op order; regenerating the file would change
+// it.
 //
 //go:embed testdata/jacobi.trace testdata/seismic.trace testdata/climate.trace
 var exampleFS embed.FS

@@ -31,7 +31,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"lwfs/internal/sim"
 )
@@ -215,20 +214,14 @@ func Decode(r io.Reader) (*Trace, error) {
 }
 
 // Recorder accumulates events. Add is safe to call from any simulation
-// process; events arrive in execution order, which is time order. The zero
-// Recorder is NOT usable — call NewRecorder (streams need the counter).
+// process; events arrive in execution order, which is time order.
 type Recorder struct {
-	mu      sync.Mutex
-	events  []Event
-	streams atomic.Int64
+	mu     sync.Mutex
+	events []Event
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
-
-// NewStream allocates the next stream id (0, 1, 2, ...). Single-stream
-// recordings can skip this and use stream 0 directly.
-func (r *Recorder) NewStream() int { return int(r.streams.Add(1) - 1) }
 
 // Add appends one event. Panics on an invalid path or unknown op —
 // recording a malformed event is a programming error at the call site.

@@ -221,9 +221,6 @@ func BenchmarkDataFor(b *testing.B) {
 
 func TestRecorderStreamsAndValidation(t *testing.T) {
 	rec := trace.NewRecorder()
-	if s0, s1 := rec.NewStream(), rec.NewStream(); s0 == s1 {
-		t.Fatalf("NewStream repeated id %d", s0)
-	}
 	rec.Add(trace.Event{T: 10, Op: trace.OpCreate, Path: "/x"})
 	rec.Add(trace.Event{T: 20, Op: trace.OpWrite, Path: "/x", Len: 8, Seed: 7})
 	if rec.Len() != 2 {
