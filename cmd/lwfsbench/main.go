@@ -19,7 +19,8 @@
 //	lwfsbench -experiment replay -clients 1,4,16         # workers
 //
 // A negative -trials or -mb-per-proc, an -mb-per-proc whose bytes overflow
-// an int64, or a -servers or -clients entry below 1 or repeated, is a bad
+// an int64, a -servers or -clients entry below 1 or repeated, or a -servers
+// entry the dev cluster cannot host (cluster.Spec.CheckServers), is a bad
 // command line (exit 2).
 //
 // -metrics appends per-sweep-point registry snapshot deltas (RPC rates,
@@ -59,6 +60,7 @@ import (
 	"syscall"
 	"time"
 
+	"lwfs/internal/cluster"
 	"lwfs/internal/figures"
 )
 
@@ -114,6 +116,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		if env.Servers, err = parseCounts("-servers", *servers); err == nil {
 			env.Clients, err = parseCounts("-clients", *clients)
+		}
+		for _, n := range env.Servers {
+			if err == nil {
+				err = cluster.DevCluster().CheckServers(n)
+			}
 		}
 	}
 	if err != nil {

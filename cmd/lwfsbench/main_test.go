@@ -269,6 +269,7 @@ func TestUnknownExperiment(t *testing.T) {
 		{"-experiment", "stripe", "-mb-per-proc", "9223372036854775807"},
 		{"-experiment", "burst", "-mb-per-proc", "17592186044416"},
 		{"-experiment", "fig9", "-servers", "2,2"},
+		{"-experiment", "fig10", "-servers", "3"},
 		{"-clients", "4,1,4"},
 	} {
 		stdout.Reset()

@@ -11,8 +11,8 @@
 // acknowledged as soon as the pull lands — long before the data is on
 // disk. A pool of background drain workers then streams staged extents to
 // the real storage servers with bounded in-flight RPCs, retry via
-// portals.RetryPolicy, and per-extent sync, releasing staging capacity as
-// extents become durable.
+// portals.RetryPolicy, and one sync per destination batch, releasing
+// staging capacity as extents become durable.
 //
 // Backpressure: when the staging area cannot hold a new extent, the write
 // degrades to a synchronous pass-through — the buffer pulls the data and
@@ -26,14 +26,14 @@
 // checkpoint manifest) turns a buffer crash into a detectable aborted dump,
 // never silent corruption.
 //
-// Journaled mode (StartJournaled, LWFS §3.4's journals applied to the
-// staging tier) upgrades the contract: each staged extent is appended to a
-// write-ahead journal on a buffer-local device before the ack, so the ack
-// is a durability promise. A crash then costs bounded recovery latency
-// instead of the window: Restart replays the journal, re-queues the
-// undrained extents, and the drain resumes — see journal.go for the record
-// format, epoch fencing and truncation rule. Memory-only behavior is
-// bit-identical to the pre-journal tier.
+// Journaled mode (Start with a journal device, LWFS §3.4's journals
+// applied to the staging tier) upgrades the contract: each staged extent
+// is appended to a write-ahead journal on a buffer-local device before the
+// ack, so the ack is a durability promise. A crash then costs bounded
+// recovery latency instead of the window: Restart replays the journal,
+// re-queues the undrained extents, and the drain resumes — see journal.go
+// for the record format, epoch fencing and truncation rule. Memory-only
+// behavior is bit-identical to the pre-journal tier.
 package burst
 
 import (
@@ -195,15 +195,14 @@ type Server struct {
 	caps authz.CapCache
 
 	// Registered instruments under `burst.<node>.*`. All updates are
-	// atomic (or mutex-guarded, for the histogram), so reads like
-	// Coalesced()/DrainSyncs() are race-safe from any goroutine.
+	// atomic (or mutex-guarded, for the histogram), so registry reads are
+	// race-safe from any goroutine.
 	staged       *metrics.Counter // extents absorbed into the staging area
 	passthroughs *metrics.Counter // writes degraded to synchronous pass-through
 	stagedBytes  *metrics.Counter
 	drainedBytes *metrics.Counter
 	adopted      *metrics.Counter // extents re-staged from a dead peer's journal
 	adoptedBytes *metrics.Counter
-	coalesced    *metrics.Counter   // extents merged away by the drain scheduler
 	drainSyncs   *metrics.Counter   // flush barriers issued against storage
 	drainLat     *metrics.Histogram // staging-ack to durable, milliseconds
 	fgActive     *metrics.Gauge     // pass-through relays currently in flight
@@ -212,26 +211,14 @@ type Server struct {
 	rpc, waitRPC *portals.Server
 }
 
-// Start binds a memory-only burst server to ep's node at the given RPC
-// portal, with its capability-invalidation portal at port+1 and the
-// drain-wait portal at port+2. az verifies capabilities; drains go out
-// through a dedicated storage client.
-func Start(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, cfg Config) *Server {
-	return startServer(ep, az, rpcPort, cfg, nil)
-}
-
-// StartJournaled binds a journaled burst server: every staged extent is
-// appended to a write-ahead journal on jdev (a buffer-local device) before
-// the ack, and Restart replays the journal instead of discarding the
-// staged window.
-func StartJournaled(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, cfg Config, jdev *osd.Device) *Server {
-	if jdev == nil {
-		panic("burst: StartJournaled requires a journal device")
-	}
-	return startServer(ep, az, rpcPort, cfg, jdev)
-}
-
-func startServer(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, cfg Config, jdev *osd.Device) *Server {
+// Start binds a burst server to ep's node at the given RPC portal, with its
+// capability-invalidation portal at port+1 and the drain-wait portal at
+// port+2. az verifies capabilities; drains go out through a dedicated
+// storage client. A non-nil jdev (a buffer-local device) makes the server
+// journaled: every staged extent is appended to a write-ahead journal on
+// it before the ack, and Restart replays the journal instead of discarding
+// the staged window. A nil jdev keeps the server memory-only.
+func Start(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, cfg Config, jdev *osd.Device) *Server {
 	if cfg.StageCapacity <= 0 || cfg.DrainWorkers <= 0 {
 		panic(fmt.Sprintf("burst: bad config %+v", cfg))
 	}
@@ -267,7 +254,6 @@ func startServer(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, 
 		drainedBytes: scope.Counter("drained_bytes"),
 		adopted:      scope.Counter("adopted"),
 		adoptedBytes: scope.Counter("adopted_bytes"),
-		coalesced:    drain.Counter("coalesced"),
 		drainSyncs:   drain.Counter("syncs"),
 		drainLat:     drain.Histogram("latency_ms"),
 		fgActive:     scope.Gauge("fg_active"),

@@ -22,7 +22,7 @@ func boot(t *testing.T, cfg burst.Config) (*testrig.Rig, *storage.Server, *burst
 	t.Helper()
 	r := testrig.New(4)
 	srv := r.StorageServer(1, storage.DefaultConfig())
-	bb := burst.Start(r.Eps[2], r.AuthzClient(2), burst.DefaultPort, cfg)
+	bb := burst.Start(r.Eps[2], r.AuthzClient(2), burst.DefaultPort, cfg, nil)
 	return r, srv, bb
 }
 

@@ -3,21 +3,17 @@ package burst
 import (
 	"time"
 
-	"lwfs/internal/authz"
-	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
 )
 
 // The drain scheduler. Staged extents are not handed to the drain workers
 // raw: they are grouped by destination storage server, and a worker claims a
-// whole destination's backlog at once. Within the batch, extents that extend
-// the same object contiguously are coalesced into one storage write, and the
-// batch issues a single sync against the destination — so a burst of n
-// per-rank extents bound for one server costs one flush barrier, not n, and
-// an application that staged its dump in sequential chunks drains it as one
-// stream. Worker parallelism is preserved across destinations: with k
-// servers holding backlog, up to k workers drain concurrently.
+// whole destination's backlog at once. The batch writes each extent as it
+// was staged and issues a single sync against the destination — so a burst
+// of n per-rank extents bound for one server costs one flush barrier, not n.
+// Worker parallelism is preserved across destinations: with k servers
+// holding backlog, up to k workers drain concurrently.
 
 // drainQueue holds pending extents grouped by destination target, in
 // deterministic arrival order (FIFO over targets, FIFO within a target).
@@ -56,50 +52,6 @@ func (q *drainQueue) take() (storage.Target, []extent) {
 func (q *drainQueue) clear() {
 	q.byTarget = make(map[storage.Target][]extent)
 	q.order = nil
-}
-
-// mergedExtent is one coalesced storage write and the staged extents it
-// carries (bookkeeping — latency samples, journal markers — stays
-// per-original).
-type mergedExtent struct {
-	ref     storage.ObjRef
-	cap     authz.Capability
-	off     int64
-	payload netsim.Payload
-	parts   []extent
-}
-
-func (m *mergedExtent) end() int64 { return m.off + m.payload.Size }
-
-// coalesce merges, in arrival order, extents that contiguously extend the
-// previous extent of the same object (same ref, matching real/synthetic
-// payload kind). Arrival order is preserved and non-adjacent extents are
-// never reordered, so overlapping writes keep last-writer-wins semantics.
-func coalesce(batch []extent) []mergedExtent {
-	var out []mergedExtent
-	last := make(map[storage.ObjRef]int) // ref -> index in out of its latest run
-	for _, e := range batch {
-		if i, ok := last[e.ref]; ok {
-			m := &out[i]
-			if m.end() == e.off && (m.payload.Data != nil) == (e.payload.Data != nil) {
-				if m.payload.Data != nil {
-					m.payload.Data = append(m.payload.Data, e.payload.Data...)
-				}
-				m.payload.Size += e.payload.Size
-				m.parts = append(m.parts, e)
-				continue
-			}
-		}
-		payload := e.payload
-		if payload.Data != nil {
-			// Own the buffer: a later merge appends in place, and the staged
-			// copy must stay untouched for the journal's benefit.
-			payload.Data = append([]byte(nil), payload.Data...)
-		}
-		out = append(out, mergedExtent{ref: e.ref, cap: e.cap, off: e.off, payload: payload, parts: []extent{e}})
-		last[e.ref] = len(out) - 1
-	}
-	return out
 }
 
 // enqueue hands one staged extent to the drain scheduler and wakes a worker
@@ -155,8 +107,8 @@ func (s *Server) drainWorker(p *sim.Proc) {
 	}
 }
 
-// drainBatch writes one destination's coalesced backlog and syncs once.
-// Completion bookkeeping is epoch-fenced per original extent: a worker that
+// drainBatch writes one destination's backlog and syncs once.
+// Completion bookkeeping is epoch-fenced per extent: a worker that
 // was mid-batch when the buffer crashed must not touch the new incarnation's
 // maps or journal — the replay re-queued those extents under the new epoch
 // and another worker owns them now.
@@ -169,17 +121,14 @@ func (s *Server) drainBatch(p *sim.Proc, tgt storage.Target, batch []extent) {
 		}
 		p.Sleep(sim.Rate(total, s.cfg.DrainBW))
 	}
-	merged := coalesce(batch)
-	s.coalesced.Add(int64(len(batch) - len(merged)))
-
 	var done, failed []extent
-	for _, m := range merged {
+	for _, e := range batch {
 		s.yieldToForeground(p)
-		if _, err := s.sc.Write(p, m.ref, m.cap, m.off, m.payload); err != nil {
-			failed = append(failed, m.parts...)
+		if _, err := s.sc.Write(p, e.ref, e.cap, e.off, e.payload); err != nil {
+			failed = append(failed, e)
 			continue
 		}
-		done = append(done, m.parts...)
+		done = append(done, e)
 	}
 	if len(done) > 0 {
 		s.drainSyncs.Inc()

@@ -42,7 +42,6 @@ func runBurstCheckpoint(t *testing.T, spec cluster.Spec, cfg checkpoint.Config, 
 	cl := cluster.New(spec)
 	cl.RegisterUser("app", "s3cret")
 	l := cl.DeployLWFS()
-	cfg.Burst = l.BurstTargets()
 
 	out := burstOutcome{cl: cl, l: l}
 	if chaos != nil {

@@ -50,14 +50,6 @@ type Config struct {
 	// redirected to a different server. Costs real allocation per rank;
 	// leave it off for large performance sweeps.
 	PatternData bool
-	// Burst, when non-empty, routes every rank's dump through the burst
-	// staging tier (ranks are spread over the buffers by topology distance,
-	// see BufferAssignment): the rank is acked as soon as the buffer holds
-	// its state, and the manifest commit waits for the drains. Elapsed then
-	// measures *apparent* checkpoint time and Durable the commit-inclusive
-	// tail; a buffer crash before drain aborts the whole dump (Aborted)
-	// instead of committing a manifest over lost data.
-	Burst []burst.Target
 	// DrainTimeout bounds the commit tail's per-buffer drain wait (0 =
 	// 5 s default, negative = wait forever). A crashed buffer surfaces as
 	// a timeout after this long, turning into a detectable abort.
@@ -174,11 +166,6 @@ func RunLWFS(spec cluster.Spec, cfg Config) (Result, error) {
 	defer cl.Close()
 	cl.RegisterUser("app", "s3cret")
 	l := cl.DeployLWFS()
-	if len(cfg.Burst) == 0 {
-		// A spec with burst nodes implies routing through them; targets are
-		// only known post-deploy, so fill them in here.
-		cfg.Burst = l.BurstTargets()
-	}
 	res, err := SetupLWFS(cl, l, cfg)
 	if err != nil {
 		return Result{}, err
@@ -193,8 +180,17 @@ func RunLWFS(spec cluster.Spec, cfg Config) (Result, error) {
 // deployment (the caller drives cl.Run and may schedule more work, e.g. a
 // Restore pass). The user "app"/"s3cret" must be registered. The Result is
 // populated once the simulation has run.
+//
+// A deployment with a burst tier routes every rank's dump through it (ranks
+// are spread over the buffers by topology distance, see BufferAssignment):
+// the rank is acked as soon as the buffer holds its state, and the manifest
+// commit waits for the drains. Elapsed then measures *apparent* checkpoint
+// time and Durable the commit-inclusive tail; a buffer crash before drain
+// aborts the whole dump (Aborted) instead of committing a manifest over
+// lost data.
 func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	buffers := l.BurstTargets()
 
 	// Outcome counters for the whole tier, one set per cluster registry:
 	// dumps that committed, dumps rolled back, dumps that rode out a
@@ -215,21 +211,21 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			// decorrelating the ranks' backoff schedules.
 			clients[i].SetRetry(cfg.Retry, cfg.Seed+int64(i+1)*1000003)
 		}
-		if len(cfg.Burst) > 0 {
+		if len(buffers) > 0 {
 			// Shares the core client's caller, so staging rides the same
 			// retry policy (and the buffer's dedup keeps it exactly-once).
 			bclients[i] = burst.NewClient(clients[i].Caller())
 		}
 	}
-	// assign maps rank → index into cfg.Burst of the buffer it stages
-	// through (nil without a burst tier).
-	var assign []int
-	if len(cfg.Burst) > 0 {
+	// route names the buffer each rank stages through (nil without a burst
+	// tier).
+	var route *burstRoute
+	if len(buffers) > 0 {
 		nodes := make([]netsim.NodeID, cfg.Procs)
 		for i, c := range clients {
 			nodes[i] = c.Node()
 		}
-		assign = BufferAssignment(nodes, cfg.Burst)
+		route = &burstRoute{buffers: buffers, assign: BufferAssignment(nodes, buffers)}
 	}
 	// Gather channel for the metadata phase (rank 0 collects ObjRefs).
 	gather := sim.NewMailbox(cl.K, "ckpt/gather")
@@ -277,7 +273,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 
 		start := p.Now()
 		p.Sleep(jitters[0])
-		t := dumpRank(p, c, bclients[0], caps, h, 0, placement, assign, &cfg)
+		t := dumpRank(p, c, bclients[0], caps, h, 0, placement, route, &cfg)
 
 		// Metadata gather: collect every rank's ObjRef, write the metadata
 		// object, create the name, commit (the Figure 8 tail).
@@ -294,7 +290,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 		// recovery window), roll the whole checkpoint back — the provisional
 		// creates are removed by the participants' abort path, so a restore
 		// never sees a manifest over partially drained objects.
-		recovered, err := waitDrains(p, bclients[0], refs, assign, &cfg)
+		recovered, err := waitDrains(p, bclients[0], refs, route, &cfg)
 		res.Recovered = recovered
 		if recovered {
 			mRecovered.Inc()
@@ -321,7 +317,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			mBytes.Add(res.Bytes)
 		}
 		t.t.Close = p.Now().Sub(tailStart)
-		if len(cfg.Burst) > 0 {
+		if route != nil {
 			// Apparent time: the application resumes computing at the ack,
 			// not at the commit — the tail is what the tier hides.
 			t.t.Total = tailStart.Sub(start)
@@ -344,7 +340,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			}
 			start := p.Now()
 			p.Sleep(jitters[i])
-			t := dumpRank(p, c, bclients[i], sh.caps, sh.tx, i, placement, assign, &cfg)
+			t := dumpRank(p, c, bclients[i], sh.caps, sh.tx, i, placement, route, &cfg)
 			gather.Send(gatherMsg{rank: i, ref: t.ref})
 			t.t.Total = p.Now().Sub(start)
 			res.fold(t.t)
@@ -391,11 +387,18 @@ type dumpOut struct {
 	ref storage.ObjRef
 }
 
-// dumpRank runs one rank's dump: through the burst tier, or straight at the
-// storage servers, per the config. assign maps rank → buffer index.
-func dumpRank(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, h *txnHandle, rank, placement int, assign []int, cfg *Config) dumpOut {
-	if len(cfg.Burst) > 0 {
-		return dumpViaBurst(p, c, bc, caps, h, rank, placement, assign, cfg)
+// burstRoute sends each rank's dump through the burst tier: rank r stages
+// through buffers[assign[r]].
+type burstRoute struct {
+	buffers []burst.Target
+	assign  []int
+}
+
+// dumpRank runs one rank's dump: through the burst tier when route is
+// non-nil, straight at the storage servers otherwise.
+func dumpRank(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, h *txnHandle, rank, placement int, route *burstRoute, cfg *Config) dumpOut {
+	if route != nil {
+		return dumpViaBurst(p, c, bc, caps, h, rank, placement, route, cfg)
 	}
 	return dumpLWFS(p, c, caps, h, rank, placement, cfg)
 }
@@ -407,7 +410,7 @@ func dumpRank(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, h
 // drain's job, and the commit tail refuses to seal the manifest until every
 // buffer vouches for it. Under backpressure (full staging window) the
 // buffer degrades to a synchronous relay and the ack time simply grows.
-func dumpViaBurst(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, h *txnHandle, rank, placement int, assign []int, cfg *Config) dumpOut {
+func dumpViaBurst(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, h *txnHandle, rank, placement int, route *burstRoute, cfg *Config) dumpOut {
 	var out dumpOut
 	t0 := p.Now()
 	tgt := c.Server(rank + placement)
@@ -418,7 +421,7 @@ func dumpViaBurst(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSe
 	out.t.Create = p.Now().Sub(t0)
 
 	t1 := p.Now()
-	bt := cfg.Burst[assign[rank]]
+	bt := route.buffers[route.assign[rank]]
 	if _, err := bc.StageWrite(p, bt, ref, caps.Get(authz.OpWrite), 0, payloadFor(rank, cfg)); err != nil {
 		panic(fmt.Sprintf("rank %d stage: %v", rank, err))
 	}
@@ -433,8 +436,8 @@ const recoveryPoll = 10 * time.Millisecond
 
 // waitDrains is the burst-mode commit gate: every rank's object must be
 // durable on its storage server before the manifest may exist. Refs are
-// grouped back onto the buffer that staged them (assign, the rank → buffer
-// map dumpViaBurst used) and each buffer is polled with one bounded wait.
+// grouped back onto the buffer that staged them (the route dumpViaBurst
+// used) and each buffer is polled with one bounded wait.
 //
 // With RecoveryTimeout set, a wait that times out (buffer down) is
 // re-issued until the buffer answers again or the window closes: a
@@ -442,16 +445,14 @@ const recoveryPoll = 10 * time.Millisecond
 // the retried wait eventually vouches for the refs and the commit proceeds
 // — recovered is then true. ErrLost and ErrDrainFailed are terminal either
 // way: the buffer is answering and disclaiming the data, so waiting longer
-// cannot help. Returns (false, nil) immediately when the config has no
-// burst tier.
-func waitDrains(p *sim.Proc, bc *burst.Client, refs []storage.ObjRef, assign []int, cfg *Config) (recovered bool, err error) {
-	nb := len(cfg.Burst)
-	if nb == 0 {
+// cannot help. Returns (false, nil) immediately without a burst tier.
+func waitDrains(p *sim.Proc, bc *burst.Client, refs []storage.ObjRef, route *burstRoute, cfg *Config) (recovered bool, err error) {
+	if route == nil {
 		return false, nil
 	}
-	byBuffer := make([][]storage.ObjRef, nb)
+	byBuffer := make([][]storage.ObjRef, len(route.buffers))
 	for rank, ref := range refs {
-		bi := assign[rank]
+		bi := route.assign[rank]
 		byBuffer[bi] = append(byBuffer[bi], ref)
 	}
 	deadline := p.Now().Add(cfg.RecoveryTimeout)
@@ -461,7 +462,7 @@ func waitDrains(p *sim.Proc, bc *burst.Client, refs []storage.ObjRef, assign []i
 		}
 		retried := false
 		for {
-			err := bc.DrainWait(p, cfg.Burst[bi], group, cfg.drainTimeout())
+			err := bc.DrainWait(p, route.buffers[bi], group, cfg.drainTimeout())
 			if err == nil {
 				if retried {
 					recovered = true

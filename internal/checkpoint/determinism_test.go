@@ -52,7 +52,6 @@ func TestDeterminism1kClients(t *testing.T) {
 		cl := cluster.New(spec)
 		cl.RegisterUser("app", "s3cret")
 		l := cl.DeployLWFS()
-		cfg.Burst = l.BurstTargets()
 		res, err := checkpoint.SetupLWFS(cl, l, cfg)
 		if err != nil {
 			t.Fatal(err)

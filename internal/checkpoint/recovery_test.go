@@ -9,6 +9,7 @@ import (
 	"lwfs/internal/checkpoint"
 	"lwfs/internal/cluster"
 	"lwfs/internal/netsim"
+	"lwfs/internal/osd"
 	"lwfs/internal/sim"
 	"lwfs/internal/testrig"
 )
@@ -51,7 +52,8 @@ func recoveryConfig() checkpoint.Config {
 func TestJournaledBufferCrashRecoversDump(t *testing.T) {
 	spec := burstSpec(1)
 	spec.Burst.DrainBW = mb // ~2 s per rank: a wide window to crash inside
-	spec.BurstJournal = true
+	journal := osd.BurstJournalParams()
+	spec.BurstJournal = &journal
 	out := runBurstCheckpoint(t, spec, recoveryConfig(), crashRestartSchedule)
 	t.Logf("chaos events: %v", out.log.Events)
 	if out.res.Aborted {

@@ -191,7 +191,6 @@ type shadowTarget struct {
 //	defer cl.Close()
 //	cl.RegisterUser("app", "s3cret")
 //	l := cl.DeployLWFS()
-//	cfg.Burst = l.BurstTargets()
 //	sl, err := checkpoint.DeploySampled(cl, l, cfg)
 //	res, err := checkpoint.SetupLWFS(cl, l, cfg)
 //	err = cl.Run()
@@ -233,7 +232,7 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 
 	// Injector targets: buffers in burst mode, storage servers otherwise.
 	targets := storTargets
-	burstMode := len(cfg.Burst) > 0 && len(l.Burst) > 0
+	burstMode := len(l.Burst) > 0
 	nchunksPerRank := int((cfg.BytesPerProc + shadowChunkSize - 1) / shadowChunkSize)
 	if burstMode {
 		// Staged-but-undrained shadow bytes per buffer are bounded like the

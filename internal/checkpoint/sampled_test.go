@@ -15,9 +15,6 @@ func runSampled(spec cluster.Spec, cfg checkpoint.Config) (checkpoint.Result, *c
 	defer cl.Close()
 	cl.RegisterUser("app", "s3cret")
 	l := cl.DeployLWFS()
-	if len(cfg.Burst) == 0 {
-		cfg.Burst = l.BurstTargets()
-	}
 	sl, err := checkpoint.DeploySampled(cl, l, cfg)
 	if err != nil {
 		return checkpoint.Result{}, nil, err

@@ -25,14 +25,10 @@ import (
 	"lwfs/internal/osd"
 	"lwfs/internal/pfs"
 	"lwfs/internal/portals"
-	"lwfs/internal/qos"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
 	"lwfs/internal/txn"
 )
-
-// LockPortal is where the admin node's lock service listens.
-const LockPortal portals.Index = 14
 
 // Spec describes a cluster to build.
 type Spec struct {
@@ -45,14 +41,13 @@ type Spec struct {
 	// memory and drain them to the storage servers asynchronously (0 = no
 	// tier; the pre-burst topology).
 	BurstNodes int
-	// BurstJournal gives each burst buffer a write-ahead journal on a
-	// buffer-local device, so staged extents survive a buffer crash and
-	// Restart resumes draining them (burst.StartJournaled). False keeps the
-	// memory-only tier of the earlier experiments, bit-identical.
-	BurstJournal bool
-	// BurstJournalDisk calibrates the journal media; the zero value selects
-	// osd.BurstJournalParams (NVRAM/SSD-class).
-	BurstJournalDisk osd.DiskParams
+	// BurstJournal, when non-nil, gives each burst buffer a write-ahead
+	// journal on a buffer-local device of these parameters (e.g.
+	// osd.BurstJournalParams, NVRAM/SSD-class), so staged extents survive
+	// a buffer crash and Restart resumes draining them (burst.Start with a
+	// journal device). Nil keeps the memory-only tier of the earlier
+	// experiments, bit-identical.
+	BurstJournal *osd.DiskParams
 
 	NICBandwidth float64       // bytes/s, per node, each direction
 	Latency      time.Duration // fabric latency
@@ -61,11 +56,6 @@ type Spec struct {
 	Disk    osd.DiskParams
 	Storage storage.Config
 	Burst   burst.Config // burst-tier tuning (used when BurstNodes > 0)
-
-	// QoS, when non-nil, installs per-tenant admission control on every
-	// storage and burst server whose own config doesn't set one (a tier
-	// config's QoS field wins over this cluster-wide default).
-	QoS *qos.Config
 }
 
 const mb = 1 << 20
@@ -90,18 +80,30 @@ func DevCluster() Spec {
 
 // WithServers returns the spec resized to the given total storage-server
 // count, holding ServersPerNode fixed (the Figure 9/10 sweeps use 2, 4, 8
-// and 16 servers over 1–8 storage nodes).
+// and 16 servers over 1–8 storage nodes). It panics on a count
+// CheckServers refuses.
 func (s Spec) WithServers(total int) Spec {
+	if err := s.CheckServers(total); err != nil {
+		panic(err)
+	}
 	if total < s.ServersPerNode {
 		s.ServersPerNode = total
 		s.StorageNodes = 1
 		return s
 	}
-	if total%s.ServersPerNode != 0 {
-		panic(fmt.Sprintf("cluster: %d servers not divisible by %d per node", total, s.ServersPerNode))
-	}
 	s.StorageNodes = total / s.ServersPerNode
 	return s
+}
+
+// CheckServers reports whether WithServers can lay out total storage
+// servers: fewer than ServersPerNode share one node, and more fill whole
+// nodes — so the dev cluster hosts 1 server or a multiple of 2.
+func (s Spec) CheckServers(total int) error {
+	if total < 1 || (total > s.ServersPerNode && total%s.ServersPerNode != 0) {
+		return fmt.Errorf("cluster: %d storage servers: want at least 1, and above %d a multiple of %d (servers per node)",
+			total, s.ServersPerNode, s.ServersPerNode)
+	}
+	return nil
 }
 
 // RedStorm returns a spec with the Table 2 Red Storm parameters: 2 µs MPI
@@ -224,14 +226,6 @@ func (l *LWFS) BurstTargets() []burst.Target {
 // server per (storage node × ServersPerNode) slot, each with its own disk
 // share.
 func (c *Cluster) DeployLWFS() *LWFS {
-	if c.Spec.QoS != nil {
-		if c.Spec.Storage.QoS == nil {
-			c.Spec.Storage.QoS = c.Spec.QoS
-		}
-		if c.Spec.Burst.QoS == nil {
-			c.Spec.Burst.QoS = c.Spec.QoS
-		}
-	}
 	l := &LWFS{}
 	l.Authn = authn.Start(c.Admin, c.Realm)
 	adminAC := authn.NewClient(portals.NewCaller(c.Admin), c.Admin.Node())
@@ -240,15 +234,9 @@ func (c *Cluster) DeployLWFS() *LWFS {
 	namingDev := osd.NewDevice(c.K, "naming-dev", c.Spec.Disk)
 	namingPart := txn.NewParticipant(c.Admin, namingDev, naming.TxnPortal)
 	l.Naming = naming.Start(c.Admin, adminAC, namingPart)
-	l.Locks = txn.StartLockServer(c.Admin, LockPortal, 10*time.Microsecond)
+	l.Locks = txn.StartLockServer(c.Admin, txn.LockPortal)
 
-	sys := core.System{
-		Authn:    c.Admin.Node(),
-		Authz:    c.Admin.Node(),
-		Naming:   c.Admin.Node(),
-		Lock:     c.Admin.Node(),
-		LockPort: LockPortal,
-	}
+	sys := core.System{Admin: c.Admin.Node()}
 	for ni, ep := range c.StorageN {
 		for si := 0; si < c.Spec.ServersPerNode; si++ {
 			devName := fmt.Sprintf("osd%d.%d", ni, si)
@@ -261,16 +249,11 @@ func (c *Cluster) DeployLWFS() *LWFS {
 	}
 	for i, ep := range c.BurstN {
 		az := authz.NewClient(portals.NewCaller(ep), c.Admin.Node())
-		if c.Spec.BurstJournal {
-			params := c.Spec.BurstJournalDisk
-			if params.BandwidthBps <= 0 {
-				params = osd.BurstJournalParams()
-			}
-			jdev := osd.NewDevice(c.K, fmt.Sprintf("bbj%d", i), params)
-			l.Burst = append(l.Burst, burst.StartJournaled(ep, az, burst.DefaultPort, c.Spec.Burst, jdev))
-		} else {
-			l.Burst = append(l.Burst, burst.Start(ep, az, burst.DefaultPort, c.Spec.Burst))
+		var jdev *osd.Device
+		if c.Spec.BurstJournal != nil {
+			jdev = osd.NewDevice(c.K, fmt.Sprintf("bbj%d", i), *c.Spec.BurstJournal)
 		}
+		l.Burst = append(l.Burst, burst.Start(ep, az, burst.DefaultPort, c.Spec.Burst, jdev))
 	}
 	l.Sys = sys
 	return l

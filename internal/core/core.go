@@ -38,14 +38,12 @@ import (
 // capsPortal receives capability-scatter messages (Figure 4a step 3).
 const capsPortal portals.Index = 18
 
-// System locates the LWFS services a client talks to.
+// System locates the LWFS services a client talks to: authentication,
+// authorization, naming and the lock service on the admin node, and the
+// storage servers.
 type System struct {
-	Authn    netsim.NodeID
-	Authz    netsim.NodeID
-	Naming   netsim.NodeID
-	Lock     netsim.NodeID
-	LockPort portals.Index
-	Storage  []storage.Target
+	Admin   netsim.NodeID
+	Storage []storage.Target
 }
 
 // CapSet is a container's capabilities, one per operation.
@@ -96,16 +94,12 @@ func NewClient(ep *portals.Endpoint, sys System) *Client {
 		ep:     ep,
 		sys:    sys,
 		caller: caller,
-		authn:  authn.NewClient(caller, sys.Authn),
-		authz:  authz.NewClient(caller, sys.Authz),
+		authn:  authn.NewClient(caller, sys.Admin),
+		authz:  authz.NewClient(caller, sys.Admin),
+		nc:     naming.NewClient(caller, sys.Admin),
 		sc:     storage.NewClient(caller),
 		co:     txn.NewCoordinator(caller),
-	}
-	if sys.Naming != netsim.Invalid {
-		c.nc = naming.NewClient(caller, sys.Naming)
-	}
-	if sys.LockPort != 0 {
-		c.lc = txn.NewLockClient(ep, sys.Lock, sys.LockPort, uint64(ep.Node()))
+		lc:     txn.NewLockClient(ep, sys.Admin, txn.LockPortal, uint64(ep.Node())),
 	}
 	c.scatter = sim.NewMailbox(ep.Kernel(), fmt.Sprintf("client%d/caps", ep.Node()))
 	c.addr = ProcAddr{Node: ep.Node(), Bits: portals.MatchBits(ep.NextToken())}

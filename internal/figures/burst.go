@@ -81,7 +81,6 @@ func burstTrial(pt *BurstPoint, trial int) ([]MetricsCapture, error) {
 		Procs:        burstProcs,
 		BytesPerProc: burstBytesPerProc,
 		Seed:         int64(trial)*104729 + int64(pt.Buffers)*131 + 17,
-		Burst:        r.l.BurstTargets(),
 	})
 	if err != nil {
 		return nil, err

@@ -115,7 +115,9 @@ func qosFairTrial(pt *QoSPoint, trial int) ([]MetricsCapture, error) {
 	// server saturated enough that arrival order is the policy.
 	spec.Storage.Threads = 1
 	if admission {
-		spec.QoS = &qos.Config{MaxQueue: 1024}
+		adm := &qos.Config{MaxQueue: 1024}
+		spec.Storage.QoS = adm
+		spec.Burst.QoS = adm
 	}
 	r := newRig(spec)
 	cl, l := r.cl, r.l
@@ -125,7 +127,6 @@ func qosFairTrial(pt *QoSPoint, trial int) ([]MetricsCapture, error) {
 		Procs:        qosProcs,
 		BytesPerProc: qosBytesPerProc,
 		Seed:         int64(trial)*104729 + 17,
-		Burst:        l.BurstTargets(),
 	})
 	if err != nil {
 		return nil, err

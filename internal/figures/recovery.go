@@ -27,14 +27,13 @@ import (
 // RecoveryMedium is one staging mode under test.
 type RecoveryMedium struct {
 	Name    string
-	Journal bool
-	Disk    osd.DiskParams // journal media calibration (Journal only)
+	Journal *osd.DiskParams // journal media calibration; nil = memory-only
 }
 
 func journalMedium(name string, sync time.Duration) RecoveryMedium {
 	d := osd.BurstJournalParams()
 	d.SyncCost = sync
-	return RecoveryMedium{Name: name, Journal: true, Disk: d}
+	return RecoveryMedium{Name: name, Journal: &d}
 }
 
 // The sweep's fixed script: a small checkpoint drained slowly enough that
@@ -108,7 +107,6 @@ func recoveryRun(pt *RecoveryPoint, trial int, crash bool) (MetricsCapture, erro
 	spec.BurstNodes = 1
 	spec.Burst.DrainBW = recoveryDrainBW
 	spec.BurstJournal = pt.Medium.Journal
-	spec.BurstJournalDisk = pt.Medium.Disk
 	r := newRig(spec)
 	if crash {
 		bb := r.l.Burst[0]
@@ -125,7 +123,6 @@ func recoveryRun(pt *RecoveryPoint, trial int, crash bool) (MetricsCapture, erro
 		Procs:           recoveryProcs,
 		BytesPerProc:    recoveryBytesPerProc,
 		Seed:            int64(trial)*104729 + 17,
-		Burst:           r.l.BurstTargets(),
 		DrainTimeout:    300 * time.Millisecond,
 		RecoveryTimeout: 120 * time.Second,
 	})
@@ -162,8 +159,8 @@ func (r RecoveryResult) Render(w io.Writer) {
 	fmt.Fprintln(tw, "medium\tjournal sync\thealthy apparent (ms)\thealthy durable (ms)\tcrash outcome\tcrash durable (ms)\trecovery cost (ms)")
 	for _, pt := range r.Points {
 		syncLabel := "-"
-		if pt.Medium.Journal {
-			syncLabel = pt.Medium.Disk.SyncCost.String()
+		if pt.Medium.Journal != nil {
+			syncLabel = pt.Medium.Journal.SyncCost.String()
 		}
 		outcome := fmt.Sprintf("%d/%d recovered", pt.Recovered, pt.Recovered+pt.Aborted)
 		if pt.Recovered == 0 {

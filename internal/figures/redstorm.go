@@ -118,7 +118,6 @@ func (opts RedStormOpts) dump(pt *RedStormPoint, _ int) ([]MetricsCapture, error
 		Seed:         opts.Seed,
 		DrainTimeout: -1, // a machine-size drain tail exceeds the 5s default
 		TotalRanks:   opts.TotalRanks,
-		Burst:        l.BurstTargets(),
 	}
 	sl, err := checkpoint.DeploySampled(cl, l, cfg)
 	if err != nil {

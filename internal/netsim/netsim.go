@@ -27,9 +27,6 @@ import (
 // NodeID identifies a node in the network.
 type NodeID int
 
-// Invalid is a sentinel for "no node".
-const Invalid NodeID = -1
-
 // Payload describes message data. Data may be nil for synthetic payloads:
 // benchmarks move terabytes of virtual data without allocating it, while
 // tests and examples carry real bytes end-to-end.

@@ -85,20 +85,26 @@ type unlockReq struct {
 	Owner Owner
 }
 
-// LockServer is the lock service. It is kernel-event driven; OpCost models
-// the per-request processing time.
+// LockServer is the lock service. It is kernel-event driven; lockOpCost
+// models the per-request processing time.
 type LockServer struct {
-	k      *sim.Kernel
-	ep     *portals.Endpoint
-	opCost time.Duration
-	locks  map[string]*lockState
+	k     *sim.Kernel
+	ep    *portals.Endpoint
+	locks map[string]*lockState
 
 	grants, waits *metrics.Counter
 }
 
+// LockPortal is where a deployment's lock service listens.
+const LockPortal portals.Index = 14
+
+// lockOpCost is the CPU cost to parse and dispatch one lock request
+// (DESIGN.md §7).
+const lockOpCost = 10 * time.Microsecond
+
 // StartLockServer binds a lock server at (ep, port).
-func StartLockServer(ep *portals.Endpoint, port portals.Index, opCost time.Duration) *LockServer {
-	ls := &LockServer{k: ep.Kernel(), ep: ep, opCost: opCost, locks: make(map[string]*lockState)}
+func StartLockServer(ep *portals.Endpoint, port portals.Index) *LockServer {
+	ls := &LockServer{k: ep.Kernel(), ep: ep, locks: make(map[string]*lockState)}
 	lk := ep.Metrics().Scope("lock")
 	ls.grants = lk.Counter("grants")
 	ls.waits = lk.Counter("waits")
@@ -108,7 +114,7 @@ func StartLockServer(ep *portals.Endpoint, port portals.Index, opCost time.Durat
 	ls.k.SpawnDaemon("lockserver", func(p *sim.Proc) {
 		for {
 			ev := eq.Recv(p).(*portals.Event)
-			p.Sleep(ls.opCost)
+			p.Sleep(lockOpCost)
 			ls.dispatch(ev.Initiator, ev.Hdr)
 			ev.Release()
 		}

@@ -233,7 +233,7 @@ func TestPartitionedParticipantTimesOutAndAborts(t *testing.T) {
 // --- lock service ---
 
 func bootLocks(r *testrig.Rig, idx int) *txn.LockServer {
-	return txn.StartLockServer(r.Eps[idx], 40, 10*time.Microsecond)
+	return txn.StartLockServer(r.Eps[idx], 40)
 }
 
 func TestExclusiveLockMutualExclusion(t *testing.T) {

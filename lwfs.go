@@ -71,7 +71,7 @@ type (
 	FilterFunc = storage.FilterFunc
 	// BurstConfig tunes the burst staging tier (Spec.Burst).
 	BurstConfig = burst.Config
-	// BurstTarget names a burst-buffer server (checkpoint.Config.Burst).
+	// BurstTarget names a burst-buffer server (cluster.LWFS.BurstTargets).
 	BurstTarget = burst.Target
 	// BurstClient stages writes through a burst buffer directly.
 	BurstClient = burst.Client
