@@ -515,7 +515,6 @@ var exportsKept = map[string]string{
 	"mpi.Rank.MessagesSent":      "accessor: mpi.TestBcastIsLogarithmic",
 	"osd.Device.NumObjects":      "accessor: stripe.TestRebuildFailureRemovesOrphans, storage.TestRecoveryWithCleanJournal",
 	"sim.Resource.Available":     "accessor: portals.TestPullFailureLeavesThePoolWholeAndTheRecordReusable",
-	"sim.Resource.Capacity":      "accessor: portals.TestPullFailureLeavesThePoolWholeAndTheRecordReusable",
 	"storage.Server.Admission":   "accessor: qos.TestQoSOverloadShedRPC checks the queue drained",
 	"storage.Server.Down":        "accessor: storage.TestCrashRestartReplaysJournal",
 	"storage.Server.Participant": "accessor: core.TestFailedPrepareRollsBackWholeCheckpoint injects a failing prepare through it",
@@ -526,6 +525,7 @@ var exportsKept = map[string]string{
 // export is one exported function or method declared under internal/.
 type export struct {
 	name          string       // "pkg.Func" or "pkg.Type.Method"
+	fn            *types.Func  // its declaration
 	recv          *types.Named // nil for a function
 	product, test bool         // who references it
 }
@@ -540,7 +540,7 @@ func (c *census) exports() []*export {
 		if !fn.Exported() {
 			return
 		}
-		e := &export{name: fn.Pkg().Name() + "." + fn.Name(), recv: recv}
+		e := &export{name: fn.Pkg().Name() + "." + fn.Name(), fn: fn, recv: recv}
 		if recv != nil {
 			e.name = fn.Pkg().Name() + "." + recv.Obj().Name() + "." + fn.Name()
 		}
@@ -690,4 +690,167 @@ func TestExportsCensus(t *testing.T) {
 			t.Errorf("exportsKept lists %s, which is gone or is now referenced by product code: drop the entry", name)
 		}
 	}
+}
+
+// The parameter census. A parameter every caller passes the same constant
+// is an option with one value in use, hidden in a signature instead of a
+// struct. TestParamsCensus flags a parameter of an exported function or
+// method declared in a non-test file under internal/ when the function has
+// a product call site (a non-test file anywhere in the module) and at least
+// two call sites in all, and the parameter — a number, a bool, or a pointer,
+// slice, map, channel, function or interface — gets one constant (nil
+// counting as one) at every one of them. A flagged parameter fails the
+// census unless paramsKept lists it with the reason it stays.
+
+// paramsKept lists the parameters the census flags that stay, by
+// "pkg.Func(param)" or "pkg.Type.Method(param)", with the reason.
+var paramsKept = map[string]string{
+	"core.Client.Filter(off)":       "paper API: §6 a filter runs over any object range; the examples happen to scan from 0",
+	"core.Client.Filter(maxResult)": "paper API: §6 the caller bounds the filter's reply; the examples happen to ask for one size",
+	"core.Client.SetACL(allow)":     "paper API: §3.1 the one call both grants and removes access; only grants are exercised",
+	"mpi.Rank.Allreduce(size)":      "MPI API: the wire size of the reduced value; every caller reduces one small value",
+	"mpi.Rank.Gather(root)":         "MPI API: any rank can be the root; every caller gathers to rank 0",
+	"sim.Future.Complete(err)":      "a future resolves with a value or an error; every caller resolves one without an error",
+}
+
+// paramSite is one call site's argument for a parameter: its constant, or
+// varies when it is not one.
+type paramSite struct {
+	value  string
+	varies bool
+}
+
+func TestParamsCensus(t *testing.T) {
+	c, err := theCensus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := map[token.Pos]*export{}
+	for _, e := range c.exports() {
+		funcs[e.fn.Pos()] = e
+	}
+	// Every call of one of those functions, once per call site (a file is
+	// type-checked more than once), with what each parameter got there.
+	type calls struct {
+		product bool
+		sites   map[token.Pos][]paramSite
+	}
+	byFunc := map[*export]*calls{}
+	for _, ch := range c.checked {
+		for _, f := range ch.files {
+			isTest := c.inTestFile(f.Pos())
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				var id *ast.Ident
+				switch fun := ast.Unparen(call.Fun).(type) {
+				case *ast.Ident:
+					id = fun
+				case *ast.SelectorExpr:
+					id = fun.Sel
+				case *ast.IndexExpr: // an instantiated generic function
+					if sel, ok := fun.X.(*ast.SelectorExpr); ok {
+						id = sel.Sel
+					} else {
+						id, _ = fun.X.(*ast.Ident)
+					}
+				}
+				fn, _ := ch.info.Uses[id].(*types.Func)
+				if fn == nil {
+					return true
+				}
+				e := funcs[fn.Origin().Pos()]
+				if e == nil {
+					return true
+				}
+				cs := byFunc[e]
+				if cs == nil {
+					cs = &calls{sites: map[token.Pos][]paramSite{}}
+					byFunc[e] = cs
+				}
+				cs.product = cs.product || !isTest
+				if _, seen := cs.sites[call.Lparen]; seen {
+					return true
+				}
+				sig := fn.Signature()
+				args := make([]paramSite, sig.Params().Len())
+				for i := range args {
+					if i >= len(call.Args) || sig.Variadic() && i == len(args)-1 || len(call.Args) != len(args) {
+						args[i].varies = true
+						continue
+					}
+					args[i] = constantArg(sig.Params().At(i).Type(), ch.info.Types[call.Args[i]])
+				}
+				cs.sites[call.Lparen] = args
+				return true
+			})
+		}
+	}
+	var rows, unexplained []string
+	seen := map[string]bool{}
+	called := 0
+	for e, cs := range byFunc {
+		if !cs.product || len(cs.sites) < 2 {
+			continue
+		}
+		called++
+		sig := e.fn.Signature()
+		for i := 0; i < sig.Params().Len(); i++ {
+			var one string
+			for _, args := range cs.sites {
+				a := args[i]
+				if a.varies || one != "" && a.value != one {
+					one = ""
+					break
+				}
+				one = a.value
+			}
+			if one == "" {
+				continue
+			}
+			name := fmt.Sprintf("%s(%s)", e.name, sig.Params().At(i).Name())
+			reason, kept := paramsKept[name]
+			if kept {
+				seen[name] = true
+			} else {
+				reason = "UNEXPLAINED"
+				unexplained = append(unexplained, fmt.Sprintf("%s (always %s, %d call sites)", name, one, len(cs.sites)))
+			}
+			rows = append(rows, fmt.Sprintf("%-34s always %-6s %3d call sites  %s", name, one, len(cs.sites), reason))
+		}
+	}
+	sort.Strings(rows)
+	t.Logf("parameter census: %d exported functions and methods in internal/ called from product code at two or more sites; %d parameters always get one constant, %d kept\n%s",
+		called, len(rows), len(seen), strings.Join(rows, "\n"))
+	sort.Strings(unexplained)
+	for _, u := range unexplained {
+		t.Errorf("parameter %s: make it a constant inside the function, or list it in paramsKept with the reason it stays", u)
+	}
+	for name := range paramsKept {
+		if !seen[name] {
+			t.Errorf("paramsKept lists %s, which is gone or now gets more than one value: drop the entry", name)
+		}
+	}
+}
+
+// constantArg is what a call site passes a parameter of type t: the constant
+// of a numeric or bool argument, "nil" for a nil one of a nil-able type,
+// and varies for anything else — a parameter of another type always varies.
+func constantArg(t types.Type, tv types.TypeAndValue) paramSite {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		if u.Info()&(types.IsNumeric|types.IsBoolean) != 0 && tv.Value != nil {
+			return paramSite{value: tv.Value.ExactString()}
+		}
+		if u.Kind() == types.UnsafePointer && tv.IsNil() {
+			return paramSite{value: "nil"}
+		}
+	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature, *types.Interface:
+		if tv.IsNil() {
+			return paramSite{value: "nil"}
+		}
+	}
+	return paramSite{varies: true}
 }

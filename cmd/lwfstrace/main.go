@@ -7,14 +7,18 @@
 //	lwfstrace -op getcaps   # Figure 4a: getcaps + authn verify
 //	lwfstrace -op read      # server-directed pushes
 //	lwfstrace -op revoke    # §3.1.4: back-pointer invalidation callbacks
+//
+// An unknown -op, a -kb below 1 or past an int64's bytes, and positional
+// arguments are a bad command line (exit 2), refused before anything runs.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
+	"math"
 	"os"
+	"slices"
 	"text/tabwriter"
 
 	"lwfs"
@@ -84,11 +88,11 @@ func runTrace(op string, kb int64) ([]traceEvent, func(netsim.NodeID) string, er
 			return
 		}
 
+		tracing = true
 		switch op {
 		case "getcaps":
 			// Fresh principal state so the authn consult shows up: expire
 			// the credential cache by using a brand-new container.
-			tracing = true
 			cid2, err := c.CreateContainer(p)
 			if abort(err) {
 				return
@@ -96,15 +100,12 @@ func runTrace(op string, kb int64) ([]traceEvent, func(netsim.NodeID) string, er
 			_, err = c.GetCaps(p, cid2, lwfs.OpWrite, lwfs.OpRead)
 			abort(err)
 		case "write":
-			tracing = true
 			_, err := c.Write(p, ref, caps, 0, lwfs.Synthetic(kb<<10))
 			abort(err)
 		case "read":
-			tracing = true
 			_, err := c.Read(p, ref, caps, 0, kb<<10)
 			abort(err)
 		case "revoke":
-			tracing = true
 			abort(c.Revoke(p, cid, lwfs.OpWrite))
 		default:
 			abort(fmt.Errorf("unknown -op %q", op))
@@ -137,14 +138,42 @@ func render(w io.Writer, op string, kb int64, events []traceEvent, name func(net
 	fmt.Fprintf(w, "# %d messages\n", len(events)/2)
 }
 
-func main() {
-	op := flag.String("op", "write", "getcaps|write|read|revoke")
-	size := flag.Int64("kb", 256, "transfer size in KiB (write/read)")
-	flag.Parse()
+// ops are the operations lwfstrace can trace.
+var ops = []string{"getcaps", "write", "read", "revoke"}
 
-	events, name, err := runTrace(*op, *size)
-	if err != nil {
-		log.Fatal(err)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: 0 on success, 1 when the traced run fails, 2 on
+// a bad command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lwfstrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	op := fs.String("op", "write", "getcaps|write|read|revoke")
+	kb := fs.Int64("kb", 256, "transfer size in KiB (write/read)")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	render(os.Stdout, *op, *size, events, name)
+	var err error
+	switch {
+	case !slices.Contains(ops, *op):
+		err = fmt.Errorf("unknown -op %q, want getcaps, write, read or revoke", *op)
+	case *kb < 1 || *kb > math.MaxInt64>>10:
+		err = fmt.Errorf("-kb %d: want 1 to %d", *kb, int64(math.MaxInt64>>10))
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "lwfstrace: %v\n", err)
+		return 2
+	}
+
+	events, name, err := runTrace(*op, *kb)
+	if err != nil {
+		fmt.Fprintf(stderr, "lwfstrace: %v\n", err)
+		return 1
+	}
+	render(stdout, *op, *kb, events, name)
+	return 0
 }

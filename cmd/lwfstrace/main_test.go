@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -56,6 +57,29 @@ func TestTraceEveryOp(t *testing.T) {
 				t.Fatalf("render output:\n%s", out)
 			}
 		})
+	}
+}
+
+// TestBadCommandLines: an unknown -op, an out-of-range -kb and positional
+// arguments are refused before anything runs, with one error line, exit 2
+// and nothing on stdout.
+func TestBadCommandLines(t *testing.T) {
+	for _, args := range [][]string{
+		{"-op", "nosuch"},
+		{"-kb", "0"},
+		{"-kb", "-1"},
+		{"-kb", "9007199254740992"},
+		{"write"},
+		{"-op", "read", "extra"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2", strings.Join(args, " "), code)
+		}
+		if stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1 {
+			t.Errorf("%s: stdout %q, stderr %q; want one error line and no trace",
+				strings.Join(args, " "), stdout.String(), stderr.String())
+		}
 	}
 }
 

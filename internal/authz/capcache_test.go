@@ -56,7 +56,7 @@ var capTiers = []capTier{
 		name: "burst", node: 2, counters: "burst.*.cap_cache",
 		boot: func(r *testrig.Rig, _ *storage.Server) bootedTier {
 			az := r.AuthzClient(2)
-			bb := burst.Start(r.Eps[2], az, burst.DefaultPort, burst.DefaultConfig(), nil)
+			bb := burst.Start(r.Eps[2], az, burst.DefaultConfig(), nil)
 			bc := burst.NewClient(r.Caller(3))
 			return bootedTier{az: az,
 				present: func(p *sim.Proc, ref storage.ObjRef, c authz.Capability) error {

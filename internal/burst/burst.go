@@ -52,8 +52,9 @@ import (
 	"lwfs/internal/txn"
 )
 
-// DefaultPort is the well-known portal that receives staging requests.
-const DefaultPort portals.Index = 40
+// Portal is the well-known portal that receives staging requests. The
+// capability-invalidation portal is Portal+1, the drain-wait portal Portal+2.
+const Portal portals.Index = 40
 
 // Errors reported by the burst service.
 var (
@@ -150,16 +151,14 @@ type extent struct {
 
 // Server is one burst-buffer node's staging service.
 type Server struct {
-	ep       *portals.Endpoint
-	sc       *storage.Client // drain path (background class)
-	fg       *storage.Client // pass-through relay path (foreground class)
-	cfg      Config
-	adm      *qos.Admission
-	name     string
-	rpcPort  portals.Index
-	waitPort portals.Index
-	bufPool  *sim.Resource
-	puller   *portals.Puller
+	ep      *portals.Endpoint
+	sc      *storage.Client // drain path (background class)
+	fg      *storage.Client // pass-through relay path (foreground class)
+	cfg     Config
+	adm     *qos.Admission
+	name    string
+	bufPool *sim.Resource
+	puller  *portals.Puller
 
 	// stageAvail is the remaining staging window, a gauge registered as
 	// `burst.<node>.stage_avail`. Admission is try-acquire-only (a full
@@ -211,14 +210,13 @@ type Server struct {
 	rpc, waitRPC *portals.Server
 }
 
-// Start binds a burst server to ep's node at the given RPC portal, with its
-// capability-invalidation portal at port+1 and the drain-wait portal at
-// port+2. az verifies capabilities; drains go out through a dedicated
-// storage client. A non-nil jdev (a buffer-local device) makes the server
-// journaled: every staged extent is appended to a write-ahead journal on
-// it before the ack, and Restart replays the journal instead of discarding
-// the staged window. A nil jdev keeps the server memory-only.
-func Start(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, cfg Config, jdev *osd.Device) *Server {
+// Start binds a burst server to ep's node at the well-known Portal. az
+// verifies capabilities; drains go out through a dedicated storage client.
+// A non-nil jdev (a buffer-local device) makes the server journaled: every
+// staged extent is appended to a write-ahead journal on it before the ack,
+// and Restart replays the journal instead of discarding the staged window.
+// A nil jdev keeps the server memory-only.
+func Start(ep *portals.Endpoint, az *authz.Client, cfg Config, jdev *osd.Device) *Server {
 	if cfg.StageCapacity <= 0 || cfg.DrainWorkers <= 0 {
 		panic(fmt.Sprintf("burst: bad config %+v", cfg))
 	}
@@ -238,8 +236,6 @@ func Start(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, cfg Co
 		fg:           storage.NewClient(fgCaller),
 		cfg:          cfg,
 		name:         name,
-		rpcPort:      rpcPort,
-		waitPort:     rpcPort + 2,
 		bufPool:      sim.NewResource(ep.Kernel(), name+"/pinned", pinnedBuffer),
 		puller:       portals.NewPuller(ep, name, chunkSize),
 		stageAvail:   scope.Gauge("stage_avail"),
@@ -264,18 +260,18 @@ func Start(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, cfg Co
 		failed:       make(map[storage.ObjRef]bool),
 	}
 	s.stageAvail.Set(cfg.StageCapacity)
-	s.rpc = portals.Serve(ep, s.rpcPort, name, threads, s.handle) //qos:admitted
+	s.rpc = portals.Serve(ep, Portal, name, threads, s.handle) //qos:admitted
 	if cfg.QoS != nil {
 		s.adm = qos.NewAdmission(ep.Kernel(), ep.Metrics().Scope("qos").Scope(name), *cfg.QoS)
 		s.rpc.SetDispatcher(s.adm)
 	}
-	s.caps.Serve(ep, az, rpcPort+1, name, scope.Scope("cap_cache"), false)
+	s.caps.Serve(ep, az, Portal+1, name, scope.Scope("cap_cache"), false)
 	// Drain waits block their worker until the staged extents are durable,
 	// so they get their own small thread pool: a waiter must never starve
 	// the staging path (which is what fills the queue the waiter watches).
 	// Long-blocking waiters would also wedge an admission queue, so this
 	// port stays FIFO. //qos:exempt
-	s.waitRPC = portals.Serve(ep, s.waitPort, name+"/wait", 2, s.handleWait)
+	s.waitRPC = portals.Serve(ep, Portal+2, name+"/wait", 2, s.handleWait)
 	for i := 0; i < cfg.DrainWorkers; i++ {
 		ep.Kernel().SpawnDaemon(fmt.Sprintf("%s/drain%d", name, i), s.drainWorker)
 	}
@@ -286,7 +282,7 @@ func Start(ep *portals.Endpoint, az *authz.Client, rpcPort portals.Index, cfg Co
 func (s *Server) Node() netsim.NodeID { return s.ep.Node() }
 
 // Tgt returns the server's target descriptor.
-func (s *Server) Tgt() Target { return Target{Node: s.Node(), Port: s.rpcPort} }
+func (s *Server) Tgt() Target { return Target{Node: s.Node(), Port: Portal} }
 
 // Crash fail-stops the buffer: the RPC ports stop answering and the staged
 // contents — in-memory only — are gone, along with the bookkeeping that
@@ -337,6 +333,9 @@ func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (inter
 	r, ok := req.(stageReq)
 	if !ok {
 		return nil, fmt.Errorf("burst: unknown request %T", req)
+	}
+	if err := storage.CheckRange(r.Off, r.Len); err != nil {
+		return nil, fmt.Errorf("burst: %w", err)
 	}
 	// Staging needs a write capability. The buffer holds no device metadata
 	// to bind it to the object's container: the backing storage server

@@ -3,6 +3,8 @@ package burst_test
 import (
 	"bytes"
 	"errors"
+	"io/fs"
+	"math"
 	"testing"
 	"time"
 
@@ -22,7 +24,7 @@ func boot(t *testing.T, cfg burst.Config) (*testrig.Rig, *storage.Server, *burst
 	t.Helper()
 	r := testrig.New(4)
 	srv := r.StorageServer(1, storage.DefaultConfig())
-	bb := burst.Start(r.Eps[2], r.AuthzClient(2), burst.DefaultPort, cfg, nil)
+	bb := burst.Start(r.Eps[2], r.AuthzClient(2), cfg, nil)
 	return r, srv, bb
 }
 
@@ -271,6 +273,41 @@ func TestStageRejectsWrongCapability(t *testing.T) {
 		}
 		if _, err := bc.StageWrite(p, bb.Tgt(), ref, authz.Capability{}, 0, netsim.BytesPayload(pattern(1024))); !errors.Is(err, authz.ErrNoCap) {
 			t.Fatalf("stage with no cap: %v, want ErrNoCap", err)
+		}
+	})
+	r.Run(t)
+}
+
+// TestStageRefusesBadRanges: a stage naming a negative offset or length, or
+// a range ending past math.MaxInt64, is refused with fs.ErrInvalid before
+// its capability is looked at — never acknowledged as staged and left for a
+// drain to trip over. The buffer keeps staging and draining afterwards.
+func TestStageRefusesBadRanges(t *testing.T) {
+	r, srv, bb := boot(t, burst.DefaultConfig())
+	sc := storage.NewClient(r.Caller(3))
+	bc := burst.NewClient(r.Caller(3))
+	r.Go("client", func(p *sim.Proc) {
+		cid, caps := session(t, p, r)
+		ref, err := sc.Create(p, storage.Target{Node: srv.Node(), Port: srv.RPCPort()}, caps[authz.OpCreate], cid)
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		for _, bad := range []struct{ off, n int64 }{{-4096, 4096}, {0, -100}, {math.MaxInt64 - 100, 4096}} {
+			for _, c := range []authz.Capability{{}, caps[authz.OpWrite]} {
+				staged, err := bc.StageWrite(p, bb.Tgt(), ref, c, bad.off, netsim.SyntheticPayload(bad.n))
+				if staged || !errors.Is(err, fs.ErrInvalid) {
+					t.Errorf("stage of %d bytes at %d (cap %v): staged=%v err=%v, want fs.ErrInvalid", bad.n, bad.off, c.Op, staged, err)
+				}
+			}
+		}
+		if staged, err := bc.StageWrite(p, bb.Tgt(), ref, caps[authz.OpWrite], 0, netsim.BytesPayload(pattern(1024))); !staged || err != nil {
+			t.Fatalf("stage after the refusals: staged=%v err=%v", staged, err)
+		}
+		if err := bc.DrainWait(p, bb.Tgt(), []storage.ObjRef{ref}, 0); err != nil {
+			t.Fatalf("drain wait: %v", err)
+		}
+		if got, err := sc.Read(p, ref, caps[authz.OpRead], 0, 1024); err != nil || !bytes.Equal(got.Data, pattern(1024)) {
+			t.Fatalf("read back: %v", err)
 		}
 	})
 	r.Run(t)

@@ -27,7 +27,7 @@ func bootJournaledOn(t *testing.T, cfg burst.Config, jparams osd.DiskParams) (*t
 	r := testrig.New(4)
 	srv := r.StorageServer(1, storage.DefaultConfig())
 	jdev := osd.NewDevice(r.K, "bbj2", jparams)
-	bb := burst.Start(r.Eps[2], r.AuthzClient(2), burst.DefaultPort, cfg, jdev)
+	bb := burst.Start(r.Eps[2], r.AuthzClient(2), cfg, jdev)
 	return r, srv, bb
 }
 

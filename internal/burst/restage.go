@@ -82,7 +82,7 @@ func (s *Server) AdoptJournal(p *sim.Proc, jdev *osd.Device) (adopted int, err e
 	// Fence the original owner: one synced marker covering everything read.
 	// Written even when nothing new was adopted, so the peer's replay and a
 	// second adopter both observe a consistent high-water mark.
-	marker := jrec{seq: maxSeq, kind: jKindAdopted, ref: storage.ObjRef{Node: s.Node(), Port: s.rpcPort}}
+	marker := jrec{seq: maxSeq, kind: jKindAdopted, ref: storage.ObjRef{Node: s.Node(), Port: Portal}}
 	if err := jdev.Write(p, journalObjectID, tail, marker.header()); err != nil {
 		return adopted, fmt.Errorf("burst: adopt: fencing marker: %w", err)
 	}

@@ -22,9 +22,9 @@ func bootJournaledPair(t *testing.T, cfg burst.Config) (r *testrig.Rig, srv *sto
 	r = testrig.New(5)
 	srv = r.StorageServer(1, storage.DefaultConfig())
 	jdevA = osd.NewDevice(r.K, "bbj2", osd.BurstJournalParams())
-	bbA = burst.Start(r.Eps[2], r.AuthzClient(2), burst.DefaultPort, cfg, jdevA)
+	bbA = burst.Start(r.Eps[2], r.AuthzClient(2), cfg, jdevA)
 	jdevB := osd.NewDevice(r.K, "bbj3", osd.BurstJournalParams())
-	bbB = burst.Start(r.Eps[3], r.AuthzClient(3), burst.DefaultPort, cfg, jdevB)
+	bbB = burst.Start(r.Eps[3], r.AuthzClient(3), cfg, jdevB)
 	return r, srv, bbA, bbB, jdevA
 }
 
@@ -90,7 +90,7 @@ func TestAdoptJournalRequiresJournaledAdopter(t *testing.T) {
 	cfg := burst.DefaultConfig()
 	cfg.DrainBW = 1 * mb
 	r, srv, bbA, bbB, jdevA := bootJournaledPair(t, cfg)
-	bbC := burst.Start(r.Eps[4], r.AuthzClient(4), burst.DefaultPort, cfg, nil) // memory-only
+	bbC := burst.Start(r.Eps[4], r.AuthzClient(4), cfg, nil) // memory-only
 	sc := storage.NewClient(r.Caller(0))
 	bc := burst.NewClient(r.Caller(0))
 	r.Go("client", func(p *sim.Proc) {

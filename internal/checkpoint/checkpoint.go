@@ -28,7 +28,6 @@ import (
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
-	"lwfs/internal/txn"
 )
 
 // Config parameterizes one checkpoint run.
@@ -240,7 +239,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 
 	type share struct {
 		caps core.CapSet
-		tx   *txnHandle
+		pl   *core.Placement
 	}
 	shared := sim.NewMailbox(cl.K, "ckpt/share")
 
@@ -261,11 +260,11 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 		for i := 1; i < cfg.Procs; i++ {
 			peers = append(peers, clients[i].Addr())
 		}
-		// One transaction for the whole checkpoint (BEGINTXN).
-		tx := c.BeginTxn()
-		h := newTxnHandle(tx)
+		// One transaction for the whole checkpoint (BEGINTXN), shared by the
+		// ranks as a real MPI job would share its ID, with the capabilities.
+		pl := &core.Placement{Tx: c.BeginTxn()}
 		for i := 1; i < cfg.Procs; i++ {
-			shared.Send(share{caps: caps, tx: h})
+			shared.Send(share{caps: caps, pl: pl})
 		}
 		if len(peers) > 0 {
 			c.ScatterCaps(p, caps, peers)
@@ -273,7 +272,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 
 		start := p.Now()
 		p.Sleep(jitters[0])
-		t := dumpRank(p, c, bclients[0], caps, h, 0, placement, route, &cfg)
+		t := dumpRank(p, c, bclients[0], caps, pl, 0, placement, route, &cfg)
 
 		// Metadata gather: collect every rank's ObjRef, write the metadata
 		// object, create the name, commit (the Figure 8 tail).
@@ -296,7 +295,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			mRecovered.Inc()
 		}
 		if err != nil {
-			if aerr := tx.Abort(p); aerr != nil {
+			if aerr := pl.Abort(p); aerr != nil {
 				panic(fmt.Sprintf("abort after %v: %v", err, aerr))
 			}
 			res.Aborted = true
@@ -306,13 +305,10 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			// re-homed before the manifest is written: a failed server's journal
 			// replay deletes its provisional creates by presumed abort.
 			var mdT ProcTimes
-			if err := rehomeFailed(p, c, caps, h, refs, placement, &cfg, &mdT); err != nil {
+			if err := rehomeFailed(p, c, caps, pl, refs, placement, &cfg, &mdT); err != nil {
 				panic(fmt.Sprintf("re-home: %v", err))
 			}
-			// Only with every reference on a surviving server may the failed
-			// servers drop out of the commit set; each rank's one object
-			// pins its server.
-			publishManifest(p, c, caps, h, placement, EncodeMetadata(refs, cfg.BytesPerProc), refs, &mdT)
+			publishManifest(p, c, caps, pl, placement, EncodeMetadata(refs, cfg.BytesPerProc), refs, &mdT)
 			mDumps.Inc()
 			mBytes.Add(res.Bytes)
 		}
@@ -340,7 +336,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 			}
 			start := p.Now()
 			p.Sleep(jitters[i])
-			t := dumpRank(p, c, bclients[i], sh.caps, sh.tx, i, placement, route, &cfg)
+			t := dumpRank(p, c, bclients[i], sh.caps, sh.pl, i, placement, route, &cfg)
 			gather.Send(gatherMsg{rank: i, ref: t.ref})
 			t.t.Total = p.Now().Sub(start)
 			res.fold(t.t)
@@ -353,34 +349,6 @@ type gatherMsg struct {
 	rank int
 	ref  storage.ObjRef
 }
-
-// txnHandle shares one coordinator-side transaction between the job's
-// processes (they run in one address space here; a real MPI job would share
-// the txn ID the same way it shares the capability set). It also carries the
-// job's shared fault bookkeeping: the set of participant endpoints some rank
-// has observed timing out, in observation order so the commit tail's
-// delisting walk stays deterministic.
-type txnHandle struct {
-	tx          *txn.Txn
-	failed      map[txn.Endpoint]bool
-	failedOrder []txn.Endpoint
-}
-
-func newTxnHandle(tx *txn.Txn) *txnHandle {
-	return &txnHandle{tx: tx, failed: make(map[txn.Endpoint]bool)}
-}
-
-// markDown records that the storage server at t stopped answering.
-func (h *txnHandle) markDown(t storage.Target) {
-	if e := storage.TxnEndpointOf(t); !h.failed[e] {
-		h.failed[e] = true
-		h.failedOrder = append(h.failedOrder, e)
-	}
-}
-
-// down reports whether some rank has marked the server at t: the exclusion
-// predicate of every placement walk.
-func (h *txnHandle) down(t storage.Target) bool { return h.failed[storage.TxnEndpointOf(t)] }
 
 type dumpOut struct {
 	t   ProcTimes
@@ -395,12 +363,19 @@ type burstRoute struct {
 }
 
 // dumpRank runs one rank's dump: through the burst tier when route is
-// non-nil, straight at the storage servers otherwise.
-func dumpRank(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, h *txnHandle, rank, placement int, route *burstRoute, cfg *Config) dumpOut {
+// non-nil, otherwise the CHECKPOINT body CREATEOBJ + DUMPSTATE + sync straight
+// at the storage servers, failing over when the object's server dies
+// mid-dump.
+func dumpRank(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, pl *core.Placement, rank, placement int, route *burstRoute, cfg *Config) dumpOut {
 	if route != nil {
-		return dumpViaBurst(p, c, bc, caps, h, rank, placement, route, cfg)
+		return dumpViaBurst(p, c, bc, caps, pl, rank, placement, route, cfg)
 	}
-	return dumpLWFS(p, c, caps, h, rank, placement, cfg)
+	var out dumpOut
+	var err error
+	if out.ref, err = placeCopies(p, c, caps, pl, rank+placement, payloadFor(rank, cfg), true, &out.t); err != nil {
+		panic(fmt.Sprintf("rank %d dump: %v", rank, err))
+	}
+	return out
 }
 
 // dumpViaBurst is the write-behind CHECKPOINT body: the object is still
@@ -410,11 +385,11 @@ func dumpRank(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, h
 // drain's job, and the commit tail refuses to seal the manifest until every
 // buffer vouches for it. Under backpressure (full staging window) the
 // buffer degrades to a synchronous relay and the ack time simply grows.
-func dumpViaBurst(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, h *txnHandle, rank, placement int, route *burstRoute, cfg *Config) dumpOut {
+func dumpViaBurst(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, pl *core.Placement, rank, placement int, route *burstRoute, cfg *Config) dumpOut {
 	var out dumpOut
 	t0 := p.Now()
 	tgt := c.Server(rank + placement)
-	ref, err := c.CreateObjectTxn(p, tgt, caps, h.tx)
+	ref, err := c.CreateObjectTxn(p, tgt, caps, pl.Tx)
 	if err != nil {
 		panic(fmt.Sprintf("rank %d create: %v", rank, err))
 	}
@@ -522,42 +497,24 @@ func dist(a, b netsim.NodeID) int {
 	return int(a - b)
 }
 
-// dumpLWFS is one process's CHECKPOINT body: CREATEOBJ + DUMPSTATE + sync,
-// with failover when the object's server dies mid-dump.
-func dumpLWFS(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, rank, placement int, cfg *Config) dumpOut {
-	var out dumpOut
-	ref, err := placeCopies(p, c, caps, h, rank+placement, payloadFor(rank, cfg), true, &out.t)
-	if err != nil {
-		panic(fmt.Sprintf("rank %d dump: %v", rank, err))
-	}
-	out.ref = ref
-	return out
-}
-
 // placeCopies is the checkpoint's one create-and-write walk: it creates one
-// object, walking the rotation from prefer and skipping servers already
-// marked failed in the shared handle, dumps payload into it and (optionally)
-// syncs it, failing over (core.Walk) to the next server when one stops
-// responding. A timeout only *marks* the server failed; delisting it from the
-// checkpoint transaction is deferred to the commit tail (sealTxn), after
-// rehomeFailed has moved every affected rank's data off it. Delisting here
-// would be wrong: another rank may have completed its dump on that server
-// before it died, and a delisted server resolves its journaled provisional
-// creates by presumed abort on recovery — deleting data the manifest still
-// references. Without a retry policy there are no timeouts, so the walk
-// degenerates to the plain happy path.
-func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, prefer int, payload netsim.Payload, doSync bool, t *ProcTimes) (storage.ObjRef, error) {
+// object, walking the rotation from prefer past the servers some rank saw
+// die, dumps payload into it and (optionally) syncs it, failing over
+// (core.Placement.Walk) to the next server when one stops responding.
+// Without a retry policy there are no timeouts, so the walk degenerates to
+// the plain happy path.
+func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placement, prefer int, payload netsim.Payload, doSync bool, t *ProcTimes) (storage.ObjRef, error) {
 	var ref storage.ObjRef // each try's create; the last one landed if Walk succeeds
-	err := core.Walk(c.Servers(), prefer, 1, h.down, nil,
+	err := pl.Walk(c.Servers(), prefer, 1, nil, nil,
 		func(tgt storage.Target) (err error) {
 			t0 := p.Now()
-			if ref, err = c.CreateObjectTxn(p, tgt, caps, h.tx); err != nil {
+			if ref, err = c.CreateObjectTxn(p, tgt, caps, pl.Tx); err != nil {
 				return err
 			}
 			t.Create += p.Now().Sub(t0)
 
 			// A server that accepted the create can still die before the
-			// dump is durable; the walk marks it and moves on all the same.
+			// dump is durable; the walk gives up on it all the same.
 			t1 := p.Now()
 			if _, err := c.Write(p, ref, caps, 0, payload); err != nil {
 				return err
@@ -571,8 +528,7 @@ func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, pr
 				t.Sync += p.Now().Sub(t2)
 			}
 			return nil
-		},
-		h.markDown)
+		})
 	if err != nil {
 		return storage.ObjRef{}, fmt.Errorf("checkpoint: placing a copy: %w", err)
 	}
@@ -589,21 +545,21 @@ func payloadFor(rank int, cfg *Config) netsim.Payload {
 }
 
 // rehomeFailed re-dumps every rank whose checkpoint object sits on a server
-// that was marked failed after the dump landed there: if such a server
+// some walk gave up on after the dump landed there: if such a server
 // crashed, its journal replay resolves the shared transaction by presumed
 // abort and deletes the object, so the manifest must not reference it. The
 // payloads are regenerable (deterministic pattern or synthetic), so rank 0
 // redoes the dumps itself at the commit tail, updating refs in place. A
 // re-dump can itself discover new failures, so the scan repeats until every
 // reference sits on a healthy server.
-func rehomeFailed(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, refs []storage.ObjRef, placement int, cfg *Config, t *ProcTimes) error {
+func rehomeFailed(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placement, refs []storage.ObjRef, placement int, cfg *Config, t *ProcTimes) error {
 	for changed := true; changed; {
 		changed = false
 		for rank, ref := range refs {
-			if !h.down(storage.TargetOf(ref)) {
+			if !pl.Dead(storage.TargetOf(ref)) {
 				continue
 			}
-			nref, err := placeCopies(p, c, caps, h, rank+placement, payloadFor(rank, cfg), true, t)
+			nref, err := placeCopies(p, c, caps, pl, rank+placement, payloadFor(rank, cfg), true, t)
 			if err != nil {
 				return fmt.Errorf("re-homing rank %d: %w", rank, err)
 			}
@@ -615,41 +571,20 @@ func rehomeFailed(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, r
 }
 
 // publishManifest is the commit tail of a committing dump: write the
-// encoded manifest to one object (placeCopies), seal the commit set, record
-// the manifest under the checkpoint's name and commit. pinned are the
-// objects whose servers must vote (see sealTxn); the manifest just written
-// joins them. A mid-commit crash of the manifest's server aborts the
-// transaction — never a half-published manifest.
-func publishManifest(p *sim.Proc, c *core.Client, caps core.CapSet, h *txnHandle, placement int, manifest []byte, pinned []storage.ObjRef, t *ProcTimes) {
-	mdRef, err := placeCopies(p, c, caps, h, placement, netsim.BytesPayload(manifest), false, t)
+// encoded manifest to one object (placeCopies), record it under the
+// checkpoint's name and commit through the placement, keeping the re-homed
+// refs and the manifest. A mid-commit crash of the manifest's server aborts
+// the transaction — never a half-published manifest.
+func publishManifest(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placement, placement int, manifest []byte, refs []storage.ObjRef, t *ProcTimes) {
+	mdRef, err := placeCopies(p, c, caps, pl, placement, netsim.BytesPayload(manifest), false, t)
 	if err != nil {
 		panic(fmt.Sprintf("md object: %v", err))
 	}
-	sealTxn(h, append(pinned, mdRef))
-	if err := c.CreateName(p, "/ckpt-0001", mdRef, h.tx); err != nil {
+	pl.Kept = append(refs, mdRef)
+	if err := c.CreateName(p, "/ckpt-0001", mdRef, pl.Tx); err != nil {
 		panic(fmt.Sprintf("name: %v", err))
 	}
-	if err := h.tx.Commit(p); err != nil {
+	if err := pl.Commit(p); err != nil {
 		panic(fmt.Sprintf("commit: %v", err))
-	}
-}
-
-// sealTxn shrinks the commit set to the servers that still matter: every
-// failed server holding no pinned object is delisted, so its vote (it is
-// likely crashed or partitioned) cannot veto the checkpoint, and its
-// journaled provisional creates resolve by presumed abort on recovery. A
-// failed server that *does* still hold a pinned object — a crash in the
-// narrow window after re-homing — stays enlisted: its prepare then fails and
-// the transaction aborts loudly, never silently committing a manifest that
-// references deleted data.
-func sealTxn(h *txnHandle, pinned []storage.ObjRef) {
-	keep := make(map[txn.Endpoint]bool, len(pinned))
-	for _, r := range pinned {
-		keep[storage.TxnEndpointOf(storage.TargetOf(r))] = true
-	}
-	for _, ep := range h.failedOrder {
-		if !keep[ep] {
-			h.tx.Delist(ep)
-		}
 	}
 }

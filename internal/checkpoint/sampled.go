@@ -148,7 +148,7 @@ func (s *shadowSink) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (i
 	sl := s.load
 	sl.drained += c.Size
 	if sl.drained == sl.Bytes {
-		// Mirror dumpLWFS's sync: the last shadow write pays the flush
+		// Mirror the direct dump's sync: the last shadow write pays the flush
 		// barrier, so DurableEnd is fsync-inclusive.
 		s.dev.Sync(p)
 	}

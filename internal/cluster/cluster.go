@@ -234,7 +234,7 @@ func (c *Cluster) DeployLWFS() *LWFS {
 	namingDev := osd.NewDevice(c.K, "naming-dev", c.Spec.Disk)
 	namingPart := txn.NewParticipant(c.Admin, namingDev, naming.TxnPortal)
 	l.Naming = naming.Start(c.Admin, adminAC, namingPart)
-	l.Locks = txn.StartLockServer(c.Admin, txn.LockPortal)
+	l.Locks = txn.StartLockServer(c.Admin)
 
 	sys := core.System{Admin: c.Admin.Node()}
 	for ni, ep := range c.StorageN {
@@ -253,7 +253,7 @@ func (c *Cluster) DeployLWFS() *LWFS {
 		if c.Spec.BurstJournal != nil {
 			jdev = osd.NewDevice(c.K, fmt.Sprintf("bbj%d", i), *c.Spec.BurstJournal)
 		}
-		l.Burst = append(l.Burst, burst.Start(ep, az, burst.DefaultPort, c.Spec.Burst, jdev))
+		l.Burst = append(l.Burst, burst.Start(ep, az, c.Spec.Burst, jdev))
 	}
 	l.Sys = sys
 	return l

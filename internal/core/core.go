@@ -99,7 +99,7 @@ func NewClient(ep *portals.Endpoint, sys System) *Client {
 		nc:     naming.NewClient(caller, sys.Admin),
 		sc:     storage.NewClient(caller),
 		co:     txn.NewCoordinator(caller),
-		lc:     txn.NewLockClient(ep, sys.Admin, txn.LockPortal, uint64(ep.Node())),
+		lc:     txn.NewLockClient(ep, sys.Admin, uint64(ep.Node())),
 	}
 	c.scatter = sim.NewMailbox(ep.Kernel(), fmt.Sprintf("client%d/caps", ep.Node()))
 	c.addr = ProcAddr{Node: ep.Node(), Bits: portals.MatchBits(ep.NextToken())}

@@ -8,12 +8,15 @@ import (
 
 	"lwfs/internal/netsim"
 	"lwfs/internal/portals"
+	"lwfs/internal/sim"
 	"lwfs/internal/storage"
+	"lwfs/internal/txn"
 )
 
 // The failover policy, written once for every library above the core. Which
-// errors fall over is portals.FailStop; this file is the other two thirds:
-// the order candidates are tried in, and when one is given up on.
+// errors fall over is portals.FailStop; this file is the rest: the order
+// candidates are tried in, when one is given up on, and when a transaction
+// that placed objects by walking lets the ones given up on go (Placement).
 
 // ErrRanOut is wrapped by Walk's error when the candidates ran out before
 // enough of them succeeded — as opposed to a hard error, which Walk returns
@@ -100,4 +103,52 @@ func ReadMirror(refs []storage.ObjRef, read func(storage.ObjRef) (netsim.Payload
 		},
 		func(storage.ObjRef) { skipped++ })
 	return pl, skipped, err
+}
+
+// Placement is one transaction's object creation by failover walks: Tx, the
+// objects it keeps once it commits (Kept, filled in by the caller), and the
+// targets its walks gave up on, which none of them offers again. It is the
+// policy's last piece: when a target given up on leaves the transaction. Not
+// at the failure — another walk may already have kept an object there, which
+// a delisted server deletes by presumed abort on recovery — but when the
+// transaction is decided (Commit, Abort): then every dead target that holds
+// none of Kept is delisted, so its vote cannot veto the commit and its
+// provisional objects resolve by presumed abort. A dead target that holds a
+// kept object stays enlisted, and its failed prepare aborts the transaction
+// loudly instead of committing a ref the abort removes.
+type Placement struct {
+	Tx   *txn.Txn
+	Kept []storage.ObjRef
+	dead []storage.Target // in the order the walks gave up on them (concurrent walks may repeat one)
+}
+
+// Walk is core.Walk over the placement: dead targets are excluded beside
+// excluded, and a target that fails fail-stop joins them.
+func (pl *Placement) Walk(cands []storage.Target, start, k int, excluded, avoided func(storage.Target) bool, try func(storage.Target) error) error {
+	return Walk(cands, start, k,
+		func(t storage.Target) bool { return pl.Dead(t) || excluded != nil && excluded(t) },
+		avoided, try, func(t storage.Target) { pl.dead = append(pl.dead, t) })
+}
+
+// Dead reports whether a walk of the placement gave up on t.
+func (pl *Placement) Dead(t storage.Target) bool { return slices.Contains(pl.dead, t) }
+
+// Commit delists the dead targets that hold none of Kept, then commits Tx.
+func (pl *Placement) Commit(p *sim.Proc) error {
+	pl.delist()
+	return pl.Tx.Commit(p)
+}
+
+// Abort delists the dead targets that hold none of Kept, then aborts Tx.
+func (pl *Placement) Abort(p *sim.Proc) error {
+	pl.delist()
+	return pl.Tx.Abort(p)
+}
+
+func (pl *Placement) delist() {
+	for _, t := range pl.dead {
+		if !storage.Holds(pl.Kept, t) {
+			pl.Tx.Delist(storage.TxnEndpointOf(t))
+		}
+	}
 }

@@ -6,14 +6,20 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
+	"lwfs/internal/authz"
+	"lwfs/internal/cluster"
 	"lwfs/internal/core"
 	"lwfs/internal/netsim"
 	"lwfs/internal/osd"
 	"lwfs/internal/portals"
+	"lwfs/internal/sim"
 	"lwfs/internal/storage"
 	"lwfs/internal/stripe"
+	"lwfs/internal/txn"
 )
 
 // TestFailoverPredicate pins the rule: only the signature of a server that
@@ -296,5 +302,103 @@ func TestFailoverReadMirror(t *testing.T) {
 	_, skipped, err = core.ReadMirror(refs, reader(all, &tried))
 	if !errors.Is(err, core.ErrRanOut) || !portals.FailStop(err) || skipped != 3 || len(tried) != 3 {
 		t.Errorf("all dead: err = %v skipped %d tried %v", err, skipped, tried)
+	}
+}
+
+// TestFailoverPlacementDelistsOnlyEmptyDeadTargets pins the placement rule on
+// three storage servers. B takes a provisional create and dies before the
+// object is kept; A holds a kept object and dies after it; C survives.
+// Deciding the transaction delists B only: B is sent no prepare and no
+// abort, and on restart it resolves its provisional create by presumed
+// abort. A stays enlisted, so Commit's prepare at A fails and the
+// transaction aborts loudly instead of committing a ref the abort removes.
+func TestFailoverPlacementDelistsOnlyEmptyDeadTargets(t *testing.T) {
+	for _, decide := range []string{"commit", "abort"} {
+		t.Run(decide, func(t *testing.T) {
+			spec := cluster.DevCluster()
+			spec.ComputeNodes = 1
+			spec.ServersPerNode = 1
+			cl := cluster.New(spec.WithServers(3))
+			defer cl.Close()
+			cl.RegisterUser("app", "s3cret")
+			l := cl.DeployLWFS()
+			c := cl.NewClient(l, 0)
+			c.SetRetry(portals.RetryPolicy{MaxAttempts: 2, Timeout: 25 * time.Millisecond, Backoff: time.Millisecond}, 7)
+			servers := c.Servers()
+			a, b := servers[0], servers[1]
+			sent := map[string]bool{} // "prepare@A", "abort@B", …
+			cl.Net.SetTrace(func(_ sim.Time, m netsim.Message, event string) {
+				body := portals.DescribeBody(m.Body)
+				for name, tg := range map[string]storage.Target{"A": a, "B": b} {
+					for _, kind := range []string{"prepare", "abort"} {
+						if event == "tx" && m.To == tg.Node && strings.Contains(body, kind+"Req") {
+							sent[kind+"@"+name] = true
+						}
+					}
+				}
+			})
+			cl.Spawn("app", func(p *sim.Proc) {
+				if err := c.Login(p, "app", "s3cret"); err != nil {
+					t.Fatal(err)
+				}
+				cid, err := c.CreateContainer(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				caps, err := c.GetCaps(p, cid, authz.AllOps...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pl := &core.Placement{Tx: c.BeginTxn()}
+				place := func(start int) {
+					t.Helper()
+					err := pl.Walk(servers, start, 1, nil, nil, func(tg storage.Target) error {
+						ref, err := c.CreateObjectTxn(p, tg, caps, pl.Tx)
+						if err != nil {
+							return err
+						}
+						if tg == b {
+							l.Servers[1].Crash()
+						}
+						if _, err := c.Write(p, ref, caps, 0, netsim.SyntheticPayload(4096)); err != nil {
+							return err
+						}
+						pl.Kept = append(pl.Kept, ref)
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("walk from %d: %v", start, err)
+					}
+				}
+				place(1) // B: created, crashed, given up on; C keeps the object
+				place(0) // A keeps an object
+				l.Servers[0].Crash()
+				place(0) // A given up on; C again
+				if !pl.Dead(a) || !pl.Dead(b) || pl.Dead(servers[2]) {
+					t.Fatalf("dead: A %v B %v C %v, want A and B", pl.Dead(a), pl.Dead(b), pl.Dead(servers[2]))
+				}
+				if decide == "commit" {
+					if err := pl.Commit(p); !errors.Is(err, txn.ErrAborted) || !strings.Contains(err.Error(), fmt.Sprintf("prepare at node %d:", a.Node)) {
+						t.Errorf("Commit = %v, want an abort at A's prepare", err)
+					}
+				} else if err := pl.Abort(p); err != nil {
+					t.Errorf("Abort = %v", err)
+				}
+				want := map[string]bool{"prepare@A": true, "abort@A": true}
+				if decide == "abort" {
+					want = map[string]bool{"abort@A": true}
+				}
+				if !reflect.DeepEqual(sent, want) {
+					t.Errorf("decision messages %v, want %v (none to B)", sent, want)
+				}
+				if removed, err := l.Servers[1].Restart(p); removed != 1 || err != nil {
+					t.Errorf("B's restart removed %d objects (err %v), want its provisional create", removed, err)
+				}
+				if st := l.Servers[1].Participant().Status(pl.Tx.ID); st != txn.StatusAborted {
+					t.Errorf("B resolved %v as %v, want aborted", pl.Tx.ID, st)
+				}
+			})
+			run(t, cl)
+		})
 	}
 }

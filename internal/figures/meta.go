@@ -232,7 +232,7 @@ func metaRehomeTrial(pt *MetaRebuildPoint, trial int) ([]MetricsCapture, error) 
 		crashServer(r.l, dead)
 		t0 := p.Now()
 		for _, path := range paths {
-			if err := fs.Rebuild(p, path, dead, nil); err != nil {
+			if err := fs.Rebuild(p, path, dead); err != nil {
 				return fmt.Errorf("rebuild %s: %w", path, err)
 			}
 		}

@@ -213,7 +213,7 @@ func TestStaleWriteKeepsRebuild(t *testing.T) {
 			}
 		}
 		crashTarget(l, dead)
-		if err := fs.Rebuild(p, "/f", dead, nil); err != nil {
+		if err := fs.Rebuild(p, "/f", dead); err != nil {
 			t.Fatalf("rebuild: %v", err)
 		}
 		// f's view still names the dead server; this write grows the size.
@@ -352,7 +352,7 @@ func TestWriteIntoHoleAfterCrash(t *testing.T) {
 				if err != nil || !bytes.Equal(got.Data, data) {
 					t.Fatalf("read back: %v", err)
 				}
-				if err := fs.Rebuild(p, "/f", dead, nil); err != nil {
+				if err := fs.Rebuild(p, "/f", dead); err != nil {
 					t.Fatalf("rebuild: %v", err)
 				}
 			})
@@ -510,7 +510,7 @@ func TestParityHoleRebuild(t *testing.T) {
 		}
 		dead := storage.TargetOf(f.Layout().Objs[0])
 		crashTarget(l, dead)
-		if err := fs.Rebuild(p, "/f", dead, nil); err != nil {
+		if err := fs.Rebuild(p, "/f", dead); err != nil {
 			t.Fatalf("rebuild: %v", err)
 		}
 		g, err := fs.Open(p, "/f")

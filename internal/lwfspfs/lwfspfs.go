@@ -421,7 +421,7 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 		col0 = append(col0, i)
 	}
 	m, servers := fs.opts.MetaCopies, fs.c.Servers()
-	pl := &placement{tx: fs.c.BeginTxn(), ours: make([]storage.ObjRef, 0, len(col0)+m)}
+	pl := &core.Placement{Tx: fs.c.BeginTxn(), Kept: make([]storage.ObjRef, 0, len(col0)+m)}
 	err := fs.placeHoles(p, pl, path, l, col0)
 	var enc []byte
 	if err == nil {
@@ -431,25 +431,25 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 		if m == 1 {
 			start = slices.Index(servers, home)
 		}
-		taken := func(t storage.Target) bool { return holds(pl.ours[len(col0):], t) }
+		taken := func(t storage.Target) bool { return storage.Holds(pl.Kept[len(col0):], t) }
 		err = fs.placeRecords(p, pl, enc, servers, start, m,
-			func(t storage.Target) bool { return pl.isDead(t) || room && taken(t) },
+			func(t storage.Target) bool { return room && taken(t) },
 			func(t storage.Target) bool { return taken(t) || room && m > 1 && t == home })
 	}
 	if err == nil {
-		err = fs.c.CreateNameRefs(p, fs.full(path), pl.ours[len(col0):], pl.tx)
+		err = fs.c.CreateNameRefs(p, fs.full(path), pl.Kept[len(col0):], pl.Tx)
 	}
 	if err != nil {
-		pl.tx.Abort(p) //nolint:errcheck
+		pl.Abort(p) //nolint:errcheck
 		return nil, err
 	}
-	if err := pl.tx.Commit(p); err != nil {
+	if err := pl.Commit(p); err != nil {
 		return nil, err
 	}
 	// The naming entry keeps placement order; the handle walks it rotated
 	// by this client's id, matching what the client's own Open would do, so
 	// MetaRefs()[0] is the same mirror either way a handle was obtained.
-	mdRefs := pl.ours[len(col0):]
+	mdRefs := pl.Kept[len(col0):]
 	if s := fs.mirrorStart(m); s > 0 {
 		mdRefs = slices.Concat(mdRefs[s:], mdRefs[:s])
 	}
@@ -598,15 +598,15 @@ func (fs *FS) Remove(p *sim.Proc, path string) error {
 	return nil
 }
 
-// Rebuild reconstructs path's objects hosted on the dead server onto
-// spares (nil means every server), patching and persisting the file's
-// layout. The whole repair runs under the file's exclusive lock — the
-// rebuild fencing rule: no reader or writer ever observes a half-rebuilt
-// layout, and by the time the lock drops the dead server's stale objects
-// are unreferenced, so its eventual restart cannot resurrect old bytes.
+// Rebuild reconstructs path's objects hosted on the dead server onto the
+// other servers, patching and persisting the file's layout. The whole
+// repair runs under the file's exclusive lock — the rebuild fencing rule:
+// no reader or writer ever observes a half-rebuilt layout, and by the time
+// the lock drops the dead server's stale objects are unreferenced, so its
+// eventual restart cannot resurrect old bytes.
 // The caller's client should be armed with a retry policy (core.SetRetry)
 // so the dead server's silence reads as a timeout, not a hang.
-func (fs *FS) Rebuild(p *sim.Proc, path string, dead storage.Target, spares []storage.Target) error {
+func (fs *FS) Rebuild(p *sim.Proc, path string, dead storage.Target) error {
 	locks := fs.c.Locks()
 	if _, err := locks.Lock(p, fs.lockName(path), txn.Exclusive); err != nil {
 		return err
@@ -616,10 +616,7 @@ func (fs *FS) Rebuild(p *sim.Proc, path string, dead storage.Target, spares []st
 	if err != nil {
 		return err
 	}
-	if spares == nil {
-		spares = fs.c.Servers()
-	}
-	nl, err := stripe.NewRebuilder(fs.eng).Rebuild(p, f.l, dead, spares)
+	nl, err := stripe.NewRebuilder(fs.eng).Rebuild(p, f.l, dead, fs.c.Servers())
 	if err != nil {
 		return err
 	}
@@ -627,7 +624,7 @@ func (fs *FS) Rebuild(p *sim.Proc, path string, dead storage.Target, spares []st
 	// Metadata mirrors hosted on the dead server (and any a tolerant flush
 	// already absorbed) are re-homed in their own transaction, still under
 	// the write lock, before the repaired layout is flushed everywhere.
-	if err := f.rehomeMeta(p, dead, spares); err != nil {
+	if err := f.rehomeMeta(p, dead); err != nil {
 		return err
 	}
 	return f.flushMeta(p)
@@ -642,7 +639,7 @@ func (fs *FS) Rebuild(p *sim.Proc, path string, dead storage.Target, spares []st
 // metadata. An aborted re-home leaves the old entry intact (SetRefs is
 // deferred to commit) and the fresh objects die with the transaction, so
 // no reader can ever resolve the path to a half-built mirror set.
-func (f *File) rehomeMeta(p *sim.Proc, dead storage.Target, spares []storage.Target) error {
+func (f *File) rehomeMeta(p *sim.Proc, dead storage.Target) error {
 	var keep []storage.ObjRef
 	lost := 0
 	for i, ref := range f.mdRefs {
@@ -662,23 +659,23 @@ func (f *File) rehomeMeta(p *sim.Proc, dead storage.Target, spares []storage.Tar
 	}
 	// Prefer spares that host no surviving mirror; double up only when the
 	// spares are too few for independence.
-	pl := &placement{tx: f.fs.c.BeginTxn()}
-	err := f.fs.placeRecords(p, pl, f.l.Encode(), spares, 0, need,
+	pl := &core.Placement{Tx: f.fs.c.BeginTxn()}
+	err := f.fs.placeRecords(p, pl, f.l.Encode(), f.fs.c.Servers(), 0, need,
 		func(t storage.Target) bool { return t == dead },
-		func(t storage.Target) bool { return holds(keep, t) || holds(pl.ours, t) })
-	f.fs.metaRehomed.Add(int64(len(pl.ours)))
+		func(t storage.Target) bool { return storage.Holds(keep, t) || storage.Holds(pl.Kept, t) })
+	f.fs.metaRehomed.Add(int64(len(pl.Kept)))
 	// Running out of spares is not an error: the set is topped up as far
 	// as the live spares allow and the next Rebuild tries again.
 	if err != nil && !errors.Is(err, core.ErrRanOut) {
-		pl.tx.Abort(p) //nolint:errcheck
+		pl.Abort(p) //nolint:errcheck
 		return err
 	}
-	refs := append(keep, pl.ours...)
-	if err := f.fs.c.SetNameRefs(p, f.fs.full(f.path), refs, pl.tx); err != nil {
-		pl.tx.Abort(p) //nolint:errcheck
+	refs := append(keep, pl.Kept...)
+	if err := f.fs.c.SetNameRefs(p, f.fs.full(f.path), refs, pl.Tx); err != nil {
+		pl.Abort(p) //nolint:errcheck
 		return err
 	}
-	if err := pl.tx.Commit(p); err != nil {
+	if err := pl.Commit(p); err != nil {
 		return err
 	}
 	f.mdRefs = refs
@@ -771,16 +768,16 @@ const allocTries = 2
 // space, never a dangling ref.
 func (f *File) fill(p *sim.Proc, off, n int64) error {
 	idxs := f.l.Missing(off, n)
-	pl := &placement{}
+	pl := &core.Placement{}
 	for try := 1; ; try++ {
 		l := f.l
 		l.Objs = slices.Clone(f.l.Objs)
-		pl.tx, pl.ours = f.fs.c.BeginTxn(), pl.ours[:0]
+		pl.Tx, pl.Kept = f.fs.c.BeginTxn(), pl.Kept[:0]
 		if err := f.fs.placeHoles(p, pl, f.path, l, idxs); err != nil {
-			pl.tx.Abort(p) //nolint:errcheck
+			pl.Abort(p) //nolint:errcheck
 			return err
 		}
-		err := pl.tx.Commit(p)
+		err := pl.Commit(p)
 		if err == nil {
 			f.l, f.dirty = l, true
 			return nil
@@ -791,35 +788,6 @@ func (f *File) fill(p *sim.Proc, off, n int64) error {
 	}
 }
 
-// placement is one transaction's object creation. Every object of a file is
-// made inside one, by placeHoles (data objects) or placeRecords (metadata
-// records).
-type placement struct {
-	tx   *txn.Txn
-	dead []storage.Target // failed fail-stop; no walk of this placement offers them again
-	ours []storage.ObjRef // the objects tx names once it commits
-}
-
-func (pl *placement) isDead(t storage.Target) bool { return slices.Contains(pl.dead, t) }
-
-// failed is the placement walks' one delist rule, for a target that failed
-// fail-stop. It may already be enlisted in the transaction, and a dead
-// participant would veto the commit, so it is delisted and its provisional
-// object resolves by presumed abort — unless it already holds one of the
-// transaction's objects: then its failed prepare aborts the transaction
-// loudly instead of committing a ref the abort removes.
-func (pl *placement) failed(t storage.Target) {
-	pl.dead = append(pl.dead, t)
-	if !holds(pl.ours, t) {
-		pl.tx.Delist(storage.TxnEndpointOf(t))
-	}
-}
-
-// holds reports whether one of refs sits on t.
-func holds(refs []storage.ObjRef, t storage.Target) bool {
-	return slices.ContainsFunc(refs, func(r storage.ObjRef) bool { return storage.TargetOf(r) == t })
-}
-
 // placeHoles is the one walk that creates data objects: it creates the
 // objects at idxs in the placement's transaction — the creates fan out
 // concurrently — and patches them into l.Objs. Object idx goes to
@@ -828,7 +796,7 @@ func holds(refs []storage.ObjRef, t storage.Target) bool {
 // fails fail-stop at the create, the object goes to the next live server in
 // the rotation, preferring one that holds no other member of its redundancy
 // group.
-func (fs *FS) placeHoles(p *sim.Proc, pl *placement, path string, l stripe.Layout, idxs []int) error {
+func (fs *FS) placeHoles(p *sim.Proc, pl *core.Placement, path string, l stripe.Layout, idxs []int) error {
 	base := pathHash(path)
 	var err error
 	if len(idxs) == 1 {
@@ -848,39 +816,37 @@ func (fs *FS) placeHoles(p *sim.Proc, pl *placement, path string, l stripe.Layou
 
 // placeHole creates object idx of l, walking the rotation from
 // Server(base+idx).
-func (fs *FS) placeHole(p *sim.Proc, pl *placement, l stripe.Layout, idx, base int) error {
-	return core.Walk(fs.c.Servers(), base+idx, 1, pl.isDead,
+func (fs *FS) placeHole(p *sim.Proc, pl *core.Placement, l stripe.Layout, idx, base int) error {
+	return pl.Walk(fs.c.Servers(), base+idx, 1, nil,
 		func(t storage.Target) bool { return l.Related(idx, t) },
 		func(t storage.Target) error {
-			ref, err := fs.c.CreateObjectTxn(p, t, fs.caps, pl.tx)
+			ref, err := fs.c.CreateObjectTxn(p, t, fs.caps, pl.Tx)
 			if err == nil {
 				l.Objs[idx] = ref
-				pl.ours = append(pl.ours, ref)
+				pl.Kept = append(pl.Kept, ref)
 			}
 			return err
-		},
-		pl.failed)
+		})
 }
 
 // placeRecords is the one walk that creates metadata records: need objects
 // created in the placement's transaction, each on the next candidate
-// core.Walk offers from cands[start] and written with enc before the walk
-// moves on. A candidate that fails fail-stop, at the create or at the
-// write, is given up on (placement.failed). The records join pl.ours in
+// pl.Walk offers from cands[start] and written with enc before the walk
+// moves on. A candidate that fails fail-stop, at the create or at
+// the write, is given up on (core.Placement). The records join pl.Kept in
 // placement order.
-func (fs *FS) placeRecords(p *sim.Proc, pl *placement, enc []byte, cands []storage.Target, start, need int, excluded, avoided func(storage.Target) bool) error {
-	return core.Walk(cands, start, need, excluded, avoided,
+func (fs *FS) placeRecords(p *sim.Proc, pl *core.Placement, enc []byte, cands []storage.Target, start, need int, excluded, avoided func(storage.Target) bool) error {
+	return pl.Walk(cands, start, need, excluded, avoided,
 		func(t storage.Target) error {
-			ref, err := fs.c.CreateObjectTxn(p, t, fs.caps, pl.tx)
+			ref, err := fs.c.CreateObjectTxn(p, t, fs.caps, pl.Tx)
 			if err == nil {
 				_, err = fs.c.Write(p, ref, fs.caps, 0, netsim.BytesPayload(enc))
 			}
 			if err == nil {
-				pl.ours = append(pl.ours, ref)
+				pl.Kept = append(pl.Kept, ref)
 			}
 			return err
-		},
-		pl.failed)
+		})
 }
 
 // writeSerial is the historical transfer path: one RPC per stripe unit, in

@@ -112,7 +112,7 @@ func TestMetaMirrorCrashMidWorkload(t *testing.T) {
 
 		// Rebuild re-homes the lost mirror (and any data objects) so the
 		// mirror count is back at MetaCopies with nothing on the dead server.
-		if err := fs.Rebuild(p, "/data.bin", deadT, nil); err != nil {
+		if err := fs.Rebuild(p, "/data.bin", deadT); err != nil {
 			t.Fatalf("rebuild: %v", err)
 		}
 		g2, err := fs.Open(p, "/data.bin")
@@ -384,7 +384,7 @@ func TestMetaRehomeSkipsSpareThatDiesAfterCreate(t *testing.T) {
 		firstT := storage.Target{Node: first.Node(), Port: first.RPCPort()}
 		armed.Send(first)
 
-		if err := fs.Rebuild(p, "/data.bin", dead, nil); err != nil {
+		if err := fs.Rebuild(p, "/data.bin", dead); err != nil {
 			t.Fatalf("rebuild with a spare dying mid-placement: %v", err)
 		}
 		if !first.Down() {

@@ -83,7 +83,7 @@ func TestRedundantFileSurvivesServerCrash(t *testing.T) {
 
 				// Online rebuild, then verify the patched layout avoids the
 				// dead server and reads clean.
-				if err := fs.Rebuild(p, "/data.bin", dead, nil); err != nil {
+				if err := fs.Rebuild(p, "/data.bin", dead); err != nil {
 					t.Fatalf("rebuild: %v", err)
 				}
 				g, err = fs.Open(p, "/data.bin")

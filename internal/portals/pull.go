@@ -35,9 +35,10 @@ type pull struct {
 	pl     *Puller
 	chunks *sim.Mailbox
 	cont   sim.Cont      // the fetch side: step, bound once
-	slots  []pulledChunk // chunk i travels through the mailbox as &slots[i]
+	slots  []pulledChunk // a ring: chunk i travels through the mailbox as &slots[i%len(slots)]
 
 	total int64
+	n     int // chunks in the transfer
 	pool  *sim.Resource
 
 	// Where the fetch side stands: chunk i, the Get that fetches it (aimed at
@@ -68,7 +69,9 @@ type pulledChunk struct {
 // process and consumes each chunk in offset order; once it fails, remaining
 // chunks are still drained (their buffers must return to the pool) but not
 // delivered. A failed Get ends the transfer with the pool whole. Pull returns
-// the bytes successfully consumed and the first error.
+// the bytes successfully consumed and the first error. A chunk holds its pool
+// bytes from before its Get until the consumer has read its slot, so at most
+// pool.Capacity()/chunkSize + 1 slots, reused as a ring, carry a transfer.
 func (pl *Puller) Pull(p *sim.Proc, from netsim.NodeID, dataPortal Index, bits MatchBits, total int64,
 	pool *sim.Resource, sink func(q *sim.Proc, off int64, chunk netsim.Payload) error) (int64, error) {
 	if total <= 0 {
@@ -81,12 +84,13 @@ func (pl *Puller) Pull(p *sim.Proc, from netsim.NodeID, dataPortal Index, bits M
 		r = &pull{pl: pl, chunks: sim.NewMailbox(pl.ep.Kernel(), pl.name)}
 		r.cont.Bind(pl.ep.Kernel(), r.step)
 	}
-	nchunks := int((total + pl.chunkSize - 1) / pl.chunkSize)
-	if cap(r.slots) < nchunks {
-		r.slots = make([]pulledChunk, nchunks)
+	nchunks := int((total-1)/pl.chunkSize) + 1 // total > 0: no overflow
+	nslots := min(nchunks, int(pool.Capacity()/pl.chunkSize)+1)
+	if cap(r.slots) < nslots {
+		r.slots = make([]pulledChunk, nslots)
 	}
-	r.slots = r.slots[:nchunks]
-	r.total, r.pool = total, pool
+	r.slots = r.slots[:nslots]
+	r.total, r.n, r.pool = total, nchunks, pool
 	r.get = getOp{ep: pl.ep, target: from, pt: dataPortal, bits: bits}
 	r.i, r.stage = 0, claimChunk
 	r.cont.Start()
@@ -146,16 +150,17 @@ func (r *pull) step() {
 				r.cont.Sleep(pause)
 				return
 			}
-			r.slots[r.i] = pulledChunk{payload: g.payload, err: g.err}
+			slot := &r.slots[r.i%len(r.slots)]
+			*slot = pulledChunk{payload: g.payload, err: g.err}
 			g.payload = netsim.Payload{} // the record must not pin the client's bytes
-			r.chunks.Send(&r.slots[r.i])
+			r.chunks.Send(slot)
 			if g.err != nil {
 				// The failed chunk carries no payload; return its buffer here so
 				// the pool is whole for the next request.
 				r.pool.Release(g.length)
 				return
 			}
-			if r.i++; r.i == len(r.slots) {
+			if r.i++; r.i == r.n {
 				return
 			}
 			r.stage = claimChunk

@@ -1,6 +1,7 @@
 package portals
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -56,6 +57,40 @@ func TestPullDeliversChunksInOrder(t *testing.T) {
 	}
 	if pool.Available() != pool.Capacity() || len(pl.free) != 1 {
 		t.Errorf("pool %d of %d, %d free records; want a whole pool and the record back", pool.Available(), pool.Capacity(), len(pl.free))
+	}
+}
+
+// A pull's bookkeeping is bounded by its pinned pool, not by its length: 64
+// chunks through an 8-chunk pool arrive in order, each with its own bytes,
+// through at most 9 slots.
+func TestPullSlotsAreBoundedByThePool(t *testing.T) {
+	const chunks = 64
+	data := make([]byte, chunks*pullChunk)
+	for i := range data {
+		data[i] = byte(i / pullChunk) // every byte names its chunk
+	}
+	r := newRig(t, 2, 1000*mb)
+	r.eps[0].Attach(5, 1, 0, &MD{Payload: netsim.BytesPayload(data)})
+	pl, pool := NewPuller(r.eps[1], "srv", pullChunk), sim.NewResource(r.k, "srv/pinned", 8*pullChunk)
+	var next int64
+	r.k.Spawn("srv", func(p *sim.Proc) {
+		n, err := pl.Pull(p, r.eps[0].Node(), 5, 1, chunks*pullChunk, pool, func(q *sim.Proc, off int64, chunk netsim.Payload) error {
+			if off != next || chunk.Size != pullChunk || !bytes.Equal(chunk.Data, data[off:off+pullChunk]) {
+				t.Errorf("chunk of %d bytes at %d, want chunk %d's %d bytes at %d", chunk.Size, off, next/pullChunk, pullChunk, next)
+			}
+			next += pullChunk
+			q.Sleep(time.Millisecond) // a slow sink: the fetch side runs ahead as far as the pool lets it
+			return nil
+		})
+		if err != nil || n != chunks*pullChunk {
+			t.Errorf("pulled %d of %d bytes: %v", n, chunks*pullChunk, err)
+		}
+	})
+	if err := r.k.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	if len(pl.free) != 1 || cap(pl.free[0].slots) > 9 {
+		t.Errorf("%d free records; the pull kept %d slots, want at most 9", len(pl.free), cap(pl.free[0].slots))
 	}
 }
 

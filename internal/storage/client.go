@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"lwfs/internal/authz"
@@ -46,6 +47,11 @@ type Target struct {
 
 // TargetOf extracts the server half of an ObjRef.
 func TargetOf(ref ObjRef) Target { return Target{Node: ref.Node, Port: ref.Port} }
+
+// Holds reports whether one of refs sits on t.
+func Holds(refs []ObjRef, t Target) bool {
+	return slices.ContainsFunc(refs, func(r ObjRef) bool { return TargetOf(r) == t })
+}
 
 // TxnEndpointOf is the transaction participant of the server at t: it
 // listens two portals above the server's RPC port (PortalStride).

@@ -21,7 +21,10 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"io/fs"
+	"math"
 	"strings"
 	"time"
 
@@ -281,9 +284,20 @@ type getAttrReq struct {
 	Key string
 }
 
+// CheckRange refuses a byte range no object can have: a negative offset or
+// length, or an end past math.MaxInt64. Servers check it before the
+// capability, so a bad range reaches neither a verification nor a pull.
+func CheckRange(off, n int64) error {
+	if off < 0 || n < 0 || off > math.MaxInt64-n {
+		return fmt.Errorf("byte range of %d bytes at offset %d: %w", n, off, fs.ErrInvalid)
+	}
+	return nil
+}
+
 // admission names what a request needs: its capability, the operation, and
 // the container it touches — the one it names, or its object's, looked up
-// here so that a request for a missing object answers osd.ErrNoObject. It
+// here so that a request for a missing object answers osd.ErrNoObject. A
+// byte range or truncate size CheckRange refuses is answered first. It
 // returns before the capability is checked, so its frame is off the stack
 // while Admit parks the service thread.
 func (s *Server) admission(req interface{}) (c authz.Capability, op authz.Op, cid authz.ContainerID, err error) {
@@ -298,13 +312,13 @@ func (s *Server) admission(req interface{}) (c authz.Capability, op authz.Op, ci
 		// flush the device (sync has no container scope).
 		return r.Cap, r.Cap.Op, r.Cap.Container, nil
 	case writeReq:
-		c, op, id = r.Cap, authz.OpWrite, r.ID
+		c, op, id, err = r.Cap, authz.OpWrite, r.ID, CheckRange(r.Off, r.Len)
 	case readReq:
-		c, op, id = r.Cap, authz.OpRead, r.ID
+		c, op, id, err = r.Cap, authz.OpRead, r.ID, CheckRange(r.Off, r.Len)
 	case removeReq:
 		c, op, id = r.Cap, authz.OpRemove, r.ID
 	case truncateReq:
-		c, op, id = r.Cap, authz.OpWrite, r.ID
+		c, op, id, err = r.Cap, authz.OpWrite, r.ID, CheckRange(r.Size, 0)
 	case statReq:
 		// A read or list capability suffices for metadata; any other is
 		// refused as the wrong operation before it costs a verification.
@@ -317,11 +331,14 @@ func (s *Server) admission(req interface{}) (c authz.Capability, op authz.Op, ci
 	case getAttrReq:
 		c, op, id = r.Cap, authz.OpRead, r.ID
 	case copyReq:
-		c, op, id = r.DstCap, authz.OpWrite, r.DstID
+		c, op, id, err = r.DstCap, authz.OpWrite, r.DstID, cmp.Or(CheckRange(r.DstOff, r.Len), CheckRange(r.SrcOff, r.Len))
 	case filterReq:
-		c, op, id = r.Cap, authz.OpRead, r.ID
+		c, op, id, err = r.Cap, authz.OpRead, r.ID, CheckRange(r.Off, r.Len)
 	default:
 		return c, 0, 0, fmt.Errorf("storage: unknown request %T", req)
+	}
+	if err != nil {
+		return c, 0, 0, fmt.Errorf("storage: %w", err)
 	}
 	st, err := s.dev.Stat(id)
 	return c, op, authz.ContainerID(st.Container), err
@@ -367,9 +384,6 @@ func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (inter
 	case removeReq:
 		return nil, s.dev.Remove(p, r.ID)
 	case truncateReq:
-		if r.Size < 0 {
-			return nil, fmt.Errorf("storage: negative truncate size %d", r.Size)
-		}
 		return nil, s.dev.Truncate(p, r.ID, r.Size)
 	case statReq:
 		return s.dev.Stat(r.ID)

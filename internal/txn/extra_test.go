@@ -17,7 +17,7 @@ import (
 func TestLockQueueLenObservable(t *testing.T) {
 	r := testrig.New(5)
 	bootLocks(r, 1)
-	holder := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 40, 1)
+	holder := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 1)
 	var queued int64
 	r.Go("holder", func(p *sim.Proc) {
 		holder.Lock(p, "x", txn.Exclusive)
@@ -26,7 +26,7 @@ func TestLockQueueLenObservable(t *testing.T) {
 		holder.Unlock(p, "x")
 	})
 	for i := 0; i < 2; i++ {
-		lc := txn.NewLockClient(r.Eps[3+i], r.Eps[1].Node(), 40, 1)
+		lc := txn.NewLockClient(r.Eps[3+i], r.Eps[1].Node(), 1)
 		r.Go(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
 			p.Sleep(time.Millisecond)
 			lc.Lock(p, "x", txn.Exclusive)
@@ -47,8 +47,8 @@ func TestLockQueueLenObservable(t *testing.T) {
 func TestLockGeneration(t *testing.T) {
 	r := testrig.New(4)
 	bootLocks(r, 1)
-	a := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 40, 1)
-	b := txn.NewLockClient(r.Eps[3], r.Eps[1].Node(), 40, 1)
+	a := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 1)
+	b := txn.NewLockClient(r.Eps[3], r.Eps[1].Node(), 1)
 	var got []uint64
 	lock := func(p *sim.Proc, lc *txn.LockClient, name string, mode txn.LockMode) {
 		g, err := lc.Lock(p, name, mode)
@@ -83,7 +83,7 @@ func TestLockGeneration(t *testing.T) {
 func TestReentrantSharedLock(t *testing.T) {
 	r := testrig.New(3)
 	bootLocks(r, 1)
-	lc := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 40, 7)
+	lc := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 7)
 	r.Go("c", func(p *sim.Proc) {
 		if _, err := lc.Lock(p, "f", txn.Shared); err != nil {
 			t.Errorf("lock 1: %v", err)

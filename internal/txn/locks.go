@@ -102,15 +102,15 @@ const LockPortal portals.Index = 14
 // (DESIGN.md §7).
 const lockOpCost = 10 * time.Microsecond
 
-// StartLockServer binds a lock server at (ep, port).
-func StartLockServer(ep *portals.Endpoint, port portals.Index) *LockServer {
+// StartLockServer binds a lock server at ep's LockPortal.
+func StartLockServer(ep *portals.Endpoint) *LockServer {
 	ls := &LockServer{k: ep.Kernel(), ep: ep, locks: make(map[string]*lockState)}
 	lk := ep.Metrics().Scope("lock")
 	ls.grants = lk.Counter("grants")
 	ls.waits = lk.Counter("waits")
 	lk.Counter("timeouts") // always 0: Lock waits without bound; the row stays in the metrics report
 	eq := sim.NewMailbox(ls.k, "lockserver/eq")
-	ep.Attach(port, 0, ^portals.MatchBits(0), &portals.MD{EQ: eq})
+	ep.Attach(LockPortal, 0, ^portals.MatchBits(0), &portals.MD{EQ: eq})
 	ls.k.SpawnDaemon("lockserver", func(p *sim.Proc) {
 		for {
 			ev := eq.Recv(p).(*portals.Event)
@@ -226,20 +226,19 @@ const lockReplyPortal portals.Index = 1021
 type LockClient struct {
 	ep     *portals.Endpoint
 	server netsim.NodeID
-	port   portals.Index
 	owner  Owner
 }
 
-// NewLockClient creates a client of the lock server at (server, port). tag
+// NewLockClient creates a client of the lock server on node server. tag
 // distinguishes co-located owners.
-func NewLockClient(ep *portals.Endpoint, server netsim.NodeID, port portals.Index, tag uint64) *LockClient {
-	return &LockClient{ep: ep, server: server, port: port, owner: Owner{Node: ep.Node(), Tag: tag}}
+func NewLockClient(ep *portals.Endpoint, server netsim.NodeID, tag uint64) *LockClient {
+	return &LockClient{ep: ep, server: server, owner: Owner{Node: ep.Node(), Tag: tag}}
 }
 
 func (lc *LockClient) call(p *sim.Proc, body interface{}) (uint64, error) {
 	token := lc.ep.NextToken()
 	slot := lc.ep.Post(lockReplyPortal, portals.MatchBits(token), true)
-	lc.ep.Put(lc.server, lc.port, 0, lockRPC{token: token, replyPort: lockReplyPortal, body: body},
+	lc.ep.Put(lc.server, LockPortal, 0, lockRPC{token: token, replyPort: lockReplyPortal, body: body},
 		netsim.SyntheticPayload(96))
 	ev, _ := slot.Wait(p, 0)
 	r := ev.Hdr.(lockReply)

@@ -22,6 +22,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -426,18 +427,11 @@ func (t *Txn) Enlist(e Endpoint) {
 	t.participants = append(t.participants, e)
 }
 
-// Delist removes a participant enlisted earlier — the failover path: a
-// client that redirects its provisional work away from a crashed server
-// must not let that server's vote decide the transaction. The crashed
-// participant's own provisional records resolve to aborted on its recovery
-// (presumed abort), undoing the abandoned work.
+// Delist removes a participant enlisted earlier, so that a crashed server's
+// vote cannot decide the transaction; its provisional records resolve by
+// presumed abort on its recovery. core.Placement decides when.
 func (t *Txn) Delist(e Endpoint) {
-	for i, x := range t.participants {
-		if x == e {
-			t.participants = append(t.participants[:i], t.participants[i+1:]...)
-			return
-		}
-	}
+	t.participants = slices.DeleteFunc(t.participants, func(x Endpoint) bool { return x == e })
 }
 
 const txnReqSize = 96

@@ -233,7 +233,7 @@ func TestPartitionedParticipantTimesOutAndAborts(t *testing.T) {
 // --- lock service ---
 
 func bootLocks(r *testrig.Rig, idx int) *txn.LockServer {
-	return txn.StartLockServer(r.Eps[idx], 40)
+	return txn.StartLockServer(r.Eps[idx])
 }
 
 func TestExclusiveLockMutualExclusion(t *testing.T) {
@@ -242,7 +242,7 @@ func TestExclusiveLockMutualExclusion(t *testing.T) {
 	inside, maxInside := 0, 0
 	for i := 0; i < 2; i++ {
 		node := 2 + i
-		lc := txn.NewLockClient(r.Eps[node], r.Eps[1].Node(), 40, 1)
+		lc := txn.NewLockClient(r.Eps[node], r.Eps[1].Node(), 1)
 		r.Go(fmt.Sprintf("c%d", i), func(p *sim.Proc) {
 			if _, err := lc.Lock(p, "obj:1", txn.Exclusive); err != nil {
 				t.Errorf("lock: %v", err)
@@ -275,7 +275,7 @@ func TestSharedLocksCoexist(t *testing.T) {
 	var concurrent, maxConcurrent int
 	for i := 0; i < 3; i++ {
 		node := 2 + i
-		lc := txn.NewLockClient(r.Eps[node], r.Eps[1].Node(), 40, 1)
+		lc := txn.NewLockClient(r.Eps[node], r.Eps[1].Node(), 1)
 		r.Go(fmt.Sprintf("r%d", i), func(p *sim.Proc) {
 			if _, err := lc.Lock(p, "f", txn.Shared); err != nil {
 				t.Errorf("lock: %v", err)
@@ -299,8 +299,8 @@ func TestSharedLocksCoexist(t *testing.T) {
 func TestSharedBlocksExclusive(t *testing.T) {
 	r := testrig.New(4)
 	bootLocks(r, 1)
-	reader := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 40, 1)
-	writer := txn.NewLockClient(r.Eps[3], r.Eps[1].Node(), 40, 1)
+	reader := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 1)
+	writer := txn.NewLockClient(r.Eps[3], r.Eps[1].Node(), 1)
 	var writerGot, readerReleased sim.Time
 	r.Go("reader", func(p *sim.Proc) {
 		reader.Lock(p, "f", txn.Shared)
@@ -326,7 +326,7 @@ func TestSharedBlocksExclusive(t *testing.T) {
 func TestUnlockNotHeld(t *testing.T) {
 	r := testrig.New(3)
 	bootLocks(r, 1)
-	lc := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 40, 1)
+	lc := txn.NewLockClient(r.Eps[2], r.Eps[1].Node(), 1)
 	r.Go("c", func(p *sim.Proc) {
 		if err := lc.Unlock(p, "never"); !errors.Is(err, txn.ErrNotHeld) {
 			t.Errorf("unlock unheld: %v", err)
@@ -348,7 +348,7 @@ func TestLockSafetyProperty(t *testing.T) {
 		rng := newRand(seed)
 		for i := 0; i < 4; i++ {
 			node := 2 + i
-			lc := txn.NewLockClient(r.Eps[node], r.Eps[1].Node(), 40, uint64(i))
+			lc := txn.NewLockClient(r.Eps[node], r.Eps[1].Node(), uint64(i))
 			ops := make([]int, 6)
 			for j := range ops {
 				ops[j] = rng.Intn(100)
