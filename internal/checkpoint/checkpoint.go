@@ -17,6 +17,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"time"
 
@@ -28,6 +29,7 @@ import (
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
+	"lwfs/internal/trace"
 )
 
 // Config parameterizes one checkpoint run.
@@ -53,14 +55,11 @@ type Config struct {
 	// 5 s default, negative = wait forever). A crashed buffer surfaces as
 	// a timeout after this long, turning into a detectable abort.
 	DrainTimeout time.Duration
-	// TotalRanks, when positive, scales the run to a TotalRanks-rank job
-	// without simulating every rank: the Procs exact ranks above run the
-	// full protocol while the remaining TotalRanks-Procs ranks are modeled
-	// as calibrated synthetic load injected into the same storage (and
-	// burst) ingress paths — real NIC serialization, real disk contention,
-	// aggregate sources standing in for rank NICs. Deploy the load with
-	// DeploySampled; see sampled.go for the model and its error bound. 0
-	// means every rank is exact.
+	// TotalRanks, when positive, scales an LWFS run to a TotalRanks-rank
+	// job: the Procs ranks above run the full protocol, and SetupLWFS models
+	// the other TotalRanks-Procs as calibrated shadow load on the same
+	// ingress paths, its Result covering the whole job (sampled.go). 0
+	// means every rank is exact; otherwise it is at least Procs.
 	TotalRanks int
 	// RecoveryTimeout, when positive, makes the commit tail ride out a
 	// buffer crash instead of aborting at the first drain-wait timeout:
@@ -69,6 +68,28 @@ type Config struct {
 	// the wait succeeds or RecoveryTimeout elapses since the tail began.
 	// Zero keeps the pre-journal behavior: the first failed wait aborts.
 	RecoveryTimeout time.Duration
+}
+
+// check refuses a configuration no run can have, with an error wrapping
+// fs.ErrInvalid. sampling is false on a PFS baseline run: sampled mode
+// models the LWFS dump only, so TotalRanks must be 0 there.
+func (c Config) check(sampling bool) error {
+	var bad string
+	switch {
+	case c.Procs < 1:
+		bad = fmt.Sprintf("Procs %d below 1", c.Procs)
+	case c.BytesPerProc < 0:
+		bad = fmt.Sprintf("BytesPerProc %d below 0", c.BytesPerProc)
+	case c.JitterMax < 0:
+		bad = fmt.Sprintf("JitterMax %v below 0", c.JitterMax)
+	case c.TotalRanks < 0 || c.TotalRanks > 0 && c.TotalRanks < c.Procs:
+		bad = fmt.Sprintf("TotalRanks %d: want 0 or at least Procs %d", c.TotalRanks, c.Procs)
+	case !sampling && c.TotalRanks != 0:
+		bad = fmt.Sprintf("TotalRanks %d on a PFS run: sampled mode models the LWFS dump only", c.TotalRanks)
+	default:
+		return nil
+	}
+	return fmt.Errorf("checkpoint: %s: %w", bad, fs.ErrInvalid)
 }
 
 func (c Config) drainTimeout() time.Duration {
@@ -81,19 +102,11 @@ func (c Config) drainTimeout() time.Duration {
 	return c.DrainTimeout
 }
 
-// PatternFor returns rank's checkpoint payload: a deterministic
-// rank-keyed byte pattern (xorshift64 over a splitmix-style seed). Tests
-// and restore verification regenerate it to check content bit-exactly.
+// PatternFor returns rank's checkpoint payload: the module's one seeded
+// byte stream (trace.DataFor) keyed by rank. Tests and restore verification
+// regenerate it to check content bit-exactly.
 func PatternFor(rank int, n int64) []byte {
-	b := make([]byte, n)
-	x := uint64(rank)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
-	for i := range b {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		b[i] = byte(x)
-	}
-	return b
+	return trace.DataFor(uint64(rank)+1, n)
 }
 
 func (c Config) jitter() time.Duration {
@@ -112,7 +125,9 @@ type ProcTimes struct {
 	Total  time.Duration
 }
 
-// Result is one checkpoint run's outcome.
+// Result is one checkpoint run's outcome. Elapsed and Durable cover the
+// whole job, shadow ranks included in sampled mode (Config.TotalRanks);
+// Procs, Bytes, MaxTimes and Per count the exact ranks only.
 type Result struct {
 	Procs    int
 	Bytes    int64         // total data across processes
@@ -123,6 +138,8 @@ type Result struct {
 	// the metadata tail, any burst-tier drains, and the transaction commit.
 	// Without a burst tier it tracks rank 0's total; with one, the gap
 	// Durable−Elapsed is exactly the latency the write-behind tier hides.
+	// Shadow ranks raise it to their last disk write's instant, and their
+	// acks raise Elapsed to the last ack's.
 	Durable time.Duration
 	// Aborted is set when the checkpoint transaction had to be rolled back
 	// (burst mode: staged state was lost before it drained). The dump left
@@ -142,20 +159,13 @@ func (r Result) ThroughputMBs() float64 {
 	return float64(r.Bytes) / (1 << 20) / r.Elapsed.Seconds()
 }
 
-func maxd(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func (r *Result) fold(t ProcTimes) {
 	r.Per = append(r.Per, t)
-	r.MaxTimes.Create = maxd(r.MaxTimes.Create, t.Create)
-	r.MaxTimes.Write = maxd(r.MaxTimes.Write, t.Write)
-	r.MaxTimes.Sync = maxd(r.MaxTimes.Sync, t.Sync)
-	r.MaxTimes.Close = maxd(r.MaxTimes.Close, t.Close)
-	r.Elapsed = maxd(r.Elapsed, t.Total)
+	r.MaxTimes.Create = max(r.MaxTimes.Create, t.Create)
+	r.MaxTimes.Write = max(r.MaxTimes.Write, t.Write)
+	r.MaxTimes.Sync = max(r.MaxTimes.Sync, t.Sync)
+	r.MaxTimes.Close = max(r.MaxTimes.Close, t.Close)
+	r.Elapsed = max(r.Elapsed, t.Total)
 }
 
 // RunLWFS builds a fresh cluster from spec, deploys the LWFS-core and runs
@@ -187,7 +197,16 @@ func RunLWFS(spec cluster.Spec, cfg Config) (Result, error) {
 // time and Durable the commit-inclusive tail; a buffer crash before drain
 // aborts the whole dump (Aborted) instead of committing a manifest over
 // lost data.
+//
+// With Config.TotalRanks set the Result covers the whole job (sampled.go).
+// A Config no run can have is refused with fs.ErrInvalid before anything
+// is built.
 func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error) {
+	if err := cfg.check(true); err != nil {
+		return nil, err
+	}
+	res := Result{Procs: cfg.Procs, Bytes: int64(cfg.Procs) * cfg.BytesPerProc}
+	deployShadow(cl, l, &cfg, &res)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	buffers := l.BurstTargets()
 
@@ -200,7 +219,6 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 	mRecovered := ck.Counter("recovered")
 	mBytes := ck.Counter("committed_bytes")
 
-	res := Result{Procs: cfg.Procs, Bytes: int64(cfg.Procs) * cfg.BytesPerProc}
 	clients := make([]*core.Client, cfg.Procs)
 	bclients := make([]*burst.Client, cfg.Procs)
 	for i := range clients {
@@ -320,7 +338,7 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 		} else {
 			t.t.Total = p.Now().Sub(start)
 		}
-		res.Durable = p.Now().Sub(start)
+		res.Durable = max(res.Durable, p.Now().Sub(start))
 		res.fold(t.t)
 	}
 

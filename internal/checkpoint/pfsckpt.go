@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"time"
 
@@ -63,6 +64,9 @@ func RunPFSShared(spec cluster.Spec, cfg Config) (Result, error) {
 // fold the phases into the Result. open gets a rank its file and the offset
 // its state goes at — the one thing the two baselines disagree on.
 func runPFS(cl *cluster.Cluster, cfg Config, open func(p *sim.Proc, c *pfs.Client, rank int) (*pfs.File, int64)) (Result, error) {
+	if err := cfg.check(false); err != nil {
+		return Result{}, err
+	}
 	f := cl.DeployPFS()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := Result{Procs: cfg.Procs, Bytes: int64(cfg.Procs) * cfg.BytesPerProc}
@@ -199,8 +203,12 @@ type createRank struct {
 
 // runCreateOnly is the rank frame both create-only drivers share: every
 // rank issues opsPerProc creates back to back, and the run is clocked from
-// the first rank's start to the last rank's finish.
+// the first rank's start to the last rank's finish. Fewer than one rank
+// or one create each is refused with fs.ErrInvalid.
 func runCreateOnly(cl *cluster.Cluster, procs, opsPerProc int, rank func(i int) createRank) (CreateResult, error) {
+	if procs < 1 || opsPerProc < 1 {
+		return CreateResult{}, fmt.Errorf("checkpoint: %d procs x %d creates: want at least 1 of each: %w", procs, opsPerProc, fs.ErrInvalid)
+	}
 	var first, last sim.Time
 	spawnRanks(cl, procs, func(i int) func(*sim.Proc) {
 		r := rank(i)

@@ -4,52 +4,39 @@
 // A full Red Storm job is ~100k ranks; simulating each as a process with
 // its own client stack is feasible into the tens of thousands but wasteful
 // beyond — past the point where the I/O partition saturates, additional
-// ranks contribute queueing load, not new protocol behavior. Sampled mode
-// therefore splits a TotalRanks-rank job in two:
+// ranks contribute queueing load, not new protocol behavior. So
+// Config.TotalRanks alone splits a job in two, and SetupLWFS runs both
+// halves, the shadow load deployed before anything of its own:
 //
 //   - Config.Procs ranks run *exactly*: full client stack, capabilities,
-//     transaction, gather, manifest commit. Everything the paper's Figure 8
-//     pseudocode does, these ranks do.
-//   - The remaining TotalRanks-Procs "shadow" ranks are modeled as
-//     calibrated synthetic load: their checkpoint bytes are injected into
-//     the very same storage (and burst) ingress paths the exact ranks use,
-//     chunk by chunk, paying real NIC serialization on the target node,
-//     real disk service time on the target device, and real acks back —
-//     so the exact ranks see the queueing the full job would impose.
+//     transaction, gather, manifest commit — the paper's Figure 8.
+//   - The remaining TotalRanks-Procs "shadow" ranks are calibrated
+//     synthetic load: their bytes enter the very storage (and burst)
+//     ingress paths the exact ranks use, chunk by chunk, paying real NIC
+//     serialization, real disk service time and real acks — so the exact
+//     ranks see the queueing the full job would impose.
 //
-// Shadow traffic originates from a few aggregate injector nodes whose NIC
-// bandwidth is scaled by the number of ranks each stands for (the compute
-// partition's aggregate egress vastly exceeds the I/O partition's ingress,
-// so the injector NIC is never the bottleneck — matching the real machine,
-// where it is the I/O partition that saturates). Each injector runs a small
-// number of concurrent streams per target; a stream writes its assigned
-// ranks' bytes sequentially, one chunk in flight at a time, which mirrors
-// the server-directed flow control of the real protocol (a rank has one
-// outstanding server pull).
+// Shadow traffic comes from a few aggregate injector nodes whose NIC
+// bandwidth is scaled by the ranks each stands for (on the real machine
+// the I/O partition saturates first). Each injector runs a few streams per
+// target, started in the exact ranks' jitter window; a stream writes its
+// ranks' bytes one chunk in flight at a time, as a rank has one
+// outstanding server pull. In burst mode chunks stage on a sink on each
+// buffer node (acked after a parse cost) and a per-buffer drain pipeline
+// forwards them to the storage sinks, bounded by a staging window, so a
+// full buffer backpressures the injectors as the real StageCapacity does.
 //
-// What shadow ranks do NOT pay, and therefore the model's error bound:
-// per-rank authentication/capability traffic (amortized control-plane cost,
-// one request burst at job start), transaction enlistment, and the metadata
-// gather (rank-count-proportional message count but tiny bytes). Those
-// flows are exercised — at reduced scale — by the exact ranks. The data
-// plane, where >99% of the bytes and the queueing live, is modeled
-// honestly. Calibration: run the same Procs both exact-only and sampled
-// (TotalRanks == Procs with a 50/50 split) and compare dump times; see
-// DESIGN.md §4.12.
-//
-// In burst mode shadow chunks target a shadow staging sink on each buffer
-// node: the ack returns after a parse cost (memory-speed staging), and a
-// per-buffer drain pipeline forwards the staged chunks to the storage
-// sinks, bounded by a staging-window resource so a full buffer
-// backpressures the injectors — apparent checkpoint time then degrades
-// from NIC-limited to drain-limited exactly as the real tier's
-// StageCapacity window does.
+// The Result is job-wide: shadow acks raise Elapsed, shadow disk writes
+// raise Durable. Shadow progress is the shadow.bytes_acked and
+// shadow.bytes_durable gauges, and a failed shadow RPC panics its process,
+// so cl.Run reports it as it reports a failed exact rank. What shadow ranks
+// do not pay — authentication, capabilities, enlistment, the metadata
+// gather — is control-plane traffic the exact ranks still exercise; that
+// is the model's error bound (TestSampledCalibration; DESIGN.md §4.12).
 package checkpoint
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"lwfs/internal/burst"
 	"lwfs/internal/cluster"
@@ -57,11 +44,12 @@ import (
 	"lwfs/internal/osd"
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
+	"lwfs/internal/storage"
 )
 
 // shadowPortalBase is where shadow sinks attach on storage/burst node
 // endpoints: well above the service portals (storage at 20+4i, burst at
-// its default triple) and below the reserved reply portal (1022).
+// burst.Portal) and below the reserved reply portal (1022).
 const shadowPortalBase portals.Index = 900
 
 // shadowAckSize is the wire size of a shadow staging/drain ack.
@@ -85,36 +73,14 @@ const shadowStreams = 2
 // transfer granularity.
 const shadowChunkSize int64 = 1 << 20
 
-// SampledLoad is the deployed shadow load's observability handle. All
-// fields are settled once the simulation has run.
-type SampledLoad struct {
-	ShadowRanks int   // ranks modeled as load
-	Bytes       int64 // total shadow bytes
-
-	k       *sim.Kernel
-	acked   int64    // bytes acknowledged to an injector (staged, in burst mode)
-	drained int64    // bytes written to a storage disk
-	errs    int      // failed shadow RPCs (healthy runs: 0)
-	lastAck sim.Time // instant of the last staging ack
-	lastDur sim.Time // instant of the last shadow byte's disk write (+ final sync)
-}
-
-// ApparentEnd is when the last shadow chunk was acknowledged to its
-// injector — the shadow analogue of a rank's dump completing (in burst
-// mode: staged, not yet durable).
-func (sl *SampledLoad) ApparentEnd() sim.Time { return sl.lastAck }
-
-// DurableEnd is when the last shadow byte hit a storage disk (including
-// the final flush barrier).
-func (sl *SampledLoad) DurableEnd() sim.Time { return sl.lastDur }
-
-// Errs reports failed shadow RPCs; non-zero means the run cannot be
-// trusted as a healthy-path measurement.
-func (sl *SampledLoad) Errs() int { return sl.errs }
-
-// Complete reports whether every shadow byte was both acked and drained.
-func (sl *SampledLoad) Complete() bool {
-	return sl.acked == sl.Bytes && sl.drained == sl.Bytes
+// shadowLoad is the shadow ranks' share of a run: their byte count and
+// what has been acked and written so far (the shadow.* gauges), and the
+// job-wide Result their instants fold into.
+type shadowLoad struct {
+	res     *Result
+	bytes   int64 // total shadow bytes
+	acked   int64 // bytes acknowledged to an injector (staged, in burst mode)
+	drained int64 // bytes written to a storage disk
 }
 
 // shadowChunk is the one-RPC unit of shadow load.
@@ -130,7 +96,7 @@ type shadowAck struct{}
 // of one object — the disk *time* is what matters, and a machine-size
 // shadow dump must not materialize machine-size state.
 type shadowSink struct {
-	load *SampledLoad
+	load *shadowLoad
 	dev  *osd.Device
 	obj  osd.ObjectID
 	have bool
@@ -147,12 +113,12 @@ func (s *shadowSink) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (i
 	}
 	sl := s.load
 	sl.drained += c.Size
-	if sl.drained == sl.Bytes {
+	if sl.drained == sl.bytes {
 		// Mirror the direct dump's sync: the last shadow write pays the flush
-		// barrier, so DurableEnd is fsync-inclusive.
+		// barrier, so the job's Durable is fsync-inclusive.
 		s.dev.Sync(p)
 	}
-	sl.lastDur = sl.k.Now()
+	sl.res.Durable = max(sl.res.Durable, p.Now().Duration())
 	return shadowAck{}, nil
 }
 
@@ -175,41 +141,19 @@ func (b *shadowBuffer) handle(p *sim.Proc, from netsim.NodeID, req interface{}) 
 	return shadowAck{}, nil
 }
 
-// shadowTarget names a shadow sink.
-type shadowTarget struct {
-	node netsim.NodeID
-	port portals.Index
-}
-
-// DeploySampled installs the shadow load of cfg.TotalRanks-cfg.Procs ranks on a deployed cluster:
-// shadow sinks on every storage server (and burst buffer), aggregate
-// injector nodes, and the stream processes that push the shadow ranks'
-// bytes once the simulation runs. Call after DeployLWFS and before
-// cl.Run, alongside SetupLWFS, which drives the exact ranks:
-//
-//	cl := cluster.New(spec)
-//	defer cl.Close()
-//	cl.RegisterUser("app", "s3cret")
-//	l := cl.DeployLWFS()
-//	sl, err := checkpoint.DeploySampled(cl, l, cfg)
-//	res, err := checkpoint.SetupLWFS(cl, l, cfg)
-//	err = cl.Run()
-//
-// The returned SampledLoad settles once cl.Run returns. Shadow placement,
-// stream stagger and all other randomness derive from cfg.Seed, so
-// sampled runs are as deterministic as exact ones.
-func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLoad, error) {
-	if cfg.TotalRanks == 0 {
-		return nil, errors.New("checkpoint: DeploySampled requires Config.TotalRanks")
-	}
+// deployShadow installs the shadow load of cfg.TotalRanks-cfg.Procs ranks
+// on a deployed cluster — shadow sinks on every storage server (and burst
+// buffer), aggregate injector nodes, and the stream processes that push
+// the shadow ranks' bytes once the simulation runs — folding their instants
+// into res. Without shadow ranks or bytes it installs nothing. Shadow
+// placement, stream stagger and all other randomness derive from cfg.Seed,
+// so sampled runs are as deterministic as exact ones.
+func deployShadow(cl *cluster.Cluster, l *cluster.LWFS, cfg *Config, res *Result) {
 	shadow := cfg.TotalRanks - cfg.Procs
-	if shadow < 0 {
-		return nil, fmt.Errorf("checkpoint: TotalRanks %d < Procs %d", cfg.TotalRanks, cfg.Procs)
+	if shadow <= 0 || cfg.BytesPerProc == 0 {
+		return
 	}
-	sl := &SampledLoad{ShadowRanks: shadow, Bytes: int64(shadow) * cfg.BytesPerProc, k: cl.K}
-	if shadow == 0 || cfg.BytesPerProc == 0 {
-		return sl, nil
-	}
+	sl := &shadowLoad{res: res, bytes: int64(shadow) * cfg.BytesPerProc}
 	k := cl.K
 	reg := cl.Metrics()
 	reg.GaugeFunc("shadow.bytes_acked", func() int64 { return sl.acked })
@@ -221,25 +165,24 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 	// One shadow sink per storage server, attached on the server's node
 	// endpoint so chunks pay that node's real NIC ingress.
 	spn := cl.Spec.ServersPerNode
-	storTargets := make([]shadowTarget, len(l.Servers))
+	storTargets := make([]storage.Target, len(l.Servers))
 	for i, s := range l.Servers {
 		sink := &shadowSink{load: sl, dev: s.Device()}
 		port := shadowPortalBase + portals.Index(i%spn)
 		portals.Serve(cl.StorageN[i/spn], port, fmt.Sprintf("shadow/osd%d.%d", i/spn, i%spn),
 			shadowStreams+drains, sink.handle)
-		storTargets[i] = shadowTarget{node: s.Node(), port: port}
+		storTargets[i] = storage.Target{Node: s.Node(), Port: port}
 	}
 
 	// Injector targets: buffers in burst mode, storage servers otherwise.
 	targets := storTargets
-	burstMode := len(l.Burst) > 0
 	nchunksPerRank := int((cfg.BytesPerProc + shadowChunkSize - 1) / shadowChunkSize)
-	if burstMode {
+	if len(l.Burst) > 0 {
 		// Staged-but-undrained shadow bytes per buffer are bounded like the
 		// real tier's, by the stage capacity; past it the staging ack
 		// backpressures.
 		window := max(cl.Spec.Burst.StageCapacity, shadowChunkSize)
-		targets = make([]shadowTarget, len(l.Burst))
+		targets = make([]storage.Target, len(l.Burst))
 		nbuf := len(l.Burst)
 		for bi, bs := range l.Burst {
 			buf := &shadowBuffer{
@@ -248,7 +191,7 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 			}
 			portals.Serve(cl.BurstN[bi], shadowPortalBase, fmt.Sprintf("shadow/bb%d", bi),
 				shadowStreams+2, buf.handle)
-			targets[bi] = shadowTarget{node: bs.Node(), port: shadowPortalBase}
+			targets[bi] = storage.Target{Node: bs.Node(), Port: shadowPortalBase}
 
 			// Drain pipeline: forward staged chunks to the storage sinks,
 			// round-robin, paying buffer egress + storage ingress + disk —
@@ -266,8 +209,8 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 						c := buf.q.Recv(p).(shadowChunk)
 						tgt := storTargets[(bi+buf.next)%len(storTargets)]
 						buf.next++
-						if _, err := caller.CallTimeout(p, tgt.node, tgt.port, c, c.Size, shadowAckSize, 0); err != nil {
-							sl.errs++
+						if _, err := caller.CallTimeout(p, tgt.Node, tgt.Port, c, c.Size, shadowAckSize, 0); err != nil {
+							panic(err) // the process name says which shadow drain
 						}
 						buf.window.Release(c.Size)
 					}
@@ -294,12 +237,9 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 
 	// Streams: per target, shadowStreams sequential-rank writers, started
 	// with the same jitter window the exact ranks use.
-	jmax := cfg.JitterMax
-	if jmax <= 0 {
-		jmax = time.Millisecond
-	}
+	jmax := cfg.jitter()
 	rng := sim.NewRand(cfg.Seed ^ 0x5ad0_5eed)
-	size := cfg.BytesPerProc // the stream closures capture this: a captured cfg is copied into each
+	size := cfg.BytesPerProc // the stream closures capture this, not cfg
 	src := 0
 	for ti := range targets {
 		tgt := targets[ti]
@@ -316,23 +256,18 @@ func DeploySampled(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*SampledLo
 				p.Sleep(delay)
 				for r := 0; r < myRanks; r++ {
 					for rem := size; rem > 0; {
-						n := shadowChunkSize
-						if rem < n {
-							n = rem
-						}
-						if _, err := caller.CallTimeout(p, tgt.node, tgt.port, shadowChunk{Size: n}, n, shadowAckSize, 0); err != nil {
-							sl.errs++
-							return
+						n := min(rem, shadowChunkSize)
+						if _, err := caller.CallTimeout(p, tgt.Node, tgt.Port, shadowChunk{Size: n}, n, shadowAckSize, 0); err != nil {
+							panic(err) // the process name says which shadow stream
 						}
 						rem -= n
 						sl.acked += n
-						sl.lastAck = k.Now()
+						sl.res.Elapsed = max(sl.res.Elapsed, p.Now().Duration())
 					}
 				}
 			})
 		}
 	}
-	return sl, nil
 }
 
 func btoi(b bool) int {

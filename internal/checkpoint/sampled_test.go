@@ -6,27 +6,51 @@ import (
 
 	"lwfs/internal/checkpoint"
 	"lwfs/internal/cluster"
+	"lwfs/internal/metrics"
 )
 
-// runSampled is RunLWFS with the sampled shadow load deployed alongside the
-// exact ranks; it returns the exact-rank Result and the shadow load's handle.
-func runSampled(spec cluster.Spec, cfg checkpoint.Config) (checkpoint.Result, *checkpoint.SampledLoad, error) {
+// runShadowed schedules one checkpoint with SetupLWFS alone, runs it and
+// returns the Result with the registry's final snapshot, where the shadow
+// load's gauges live.
+func runShadowed(t *testing.T, spec cluster.Spec, cfg checkpoint.Config) (checkpoint.Result, metrics.Snapshot) {
+	t.Helper()
 	cl := cluster.New(spec)
 	defer cl.Close()
 	cl.RegisterUser("app", "s3cret")
 	l := cl.DeployLWFS()
-	sl, err := checkpoint.DeploySampled(cl, l, cfg)
-	if err != nil {
-		return checkpoint.Result{}, nil, err
-	}
 	res, err := checkpoint.SetupLWFS(cl, l, cfg)
 	if err != nil {
-		return checkpoint.Result{}, nil, err
+		t.Fatal(err)
 	}
 	if err := cl.Run(); err != nil {
-		return checkpoint.Result{}, nil, err
+		t.Fatal(err)
 	}
-	return *res, sl, nil
+	if res.Aborted {
+		t.Fatal("exact ranks aborted on a healthy cluster")
+	}
+	return *res, cl.Metrics().Snapshot()
+}
+
+// checkShadowBytes fails t unless every one of want shadow bytes was both
+// acked and written to a disk.
+func checkShadowBytes(t *testing.T, snap metrics.Snapshot, want int64) {
+	t.Helper()
+	for _, g := range []string{"shadow.bytes_acked", "shadow.bytes_durable"} {
+		if got := snap.Value(g); got != float64(want) {
+			t.Errorf("%s = %.0f, want %d", g, got, want)
+		}
+	}
+}
+
+// TestTotalRanksAloneDeploysTheShadowLoad: the field is the whole mode.
+// SetupLWFS with Procs 16 and TotalRanks 64, and no other call, must push
+// the 48 shadow ranks' bytes through the storage tier.
+func TestTotalRanksAloneDeploysTheShadowLoad(t *testing.T) {
+	spec := cluster.DevCluster()
+	spec.ComputeNodes = 16
+	cfg := checkpoint.Config{Procs: 16, BytesPerProc: 1 << 20, Seed: 1, TotalRanks: 64}
+	_, snap := runShadowed(t, spec, cfg)
+	checkShadowBytes(t, snap, 48*cfg.BytesPerProc)
 }
 
 // TestSampledDirect smoke-tests sampled-rank mode against the storage
@@ -41,34 +65,20 @@ func TestSampledDirect(t *testing.T) {
 		Seed:         1,
 		TotalRanks:   256,
 	}
-	res, sl, err := runSampled(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Aborted {
-		t.Fatal("exact ranks aborted on a healthy cluster")
-	}
-	if sl.ShadowRanks != 224 {
-		t.Fatalf("ShadowRanks = %d, want 224", sl.ShadowRanks)
-	}
-	if sl.Errs() != 0 {
-		t.Fatalf("%d shadow RPCs failed", sl.Errs())
-	}
-	if !sl.Complete() {
-		t.Fatalf("shadow load incomplete: acked/durable != %d bytes", sl.Bytes)
+	res, snap := runShadowed(t, spec, cfg)
+	checkShadowBytes(t, snap, 224*cfg.BytesPerProc)
+	if res.Procs != 32 || len(res.Per) != 32 || res.Bytes != 32*cfg.BytesPerProc {
+		t.Fatalf("Procs %d, %d Per, Bytes %d: want the 32 exact ranks only", res.Procs, len(res.Per), res.Bytes)
 	}
 	// Direct mode: the sink writes (and finally syncs) before acking, so
 	// durability precedes the last ack.
-	if sl.DurableEnd() > sl.ApparentEnd() {
-		t.Fatalf("durable end %v after apparent end %v in direct mode", sl.DurableEnd(), sl.ApparentEnd())
-	}
-	if sl.ApparentEnd() == 0 {
-		t.Fatal("shadow load never ran")
+	if res.Durable > res.Elapsed {
+		t.Fatalf("durable %v after apparent %v in direct mode", res.Durable, res.Elapsed)
 	}
 }
 
 // TestSampledBurst smoke-tests burst-mode sampling: staging acks return at
-// memory speed while drains trail, so the shadow durable horizon must lie
+// memory speed while drains trail, so the job's durable horizon must lie
 // beyond the apparent one; the staging window must backpressure rather
 // than absorb the whole job at once.
 func TestSampledBurst(t *testing.T) {
@@ -82,21 +92,10 @@ func TestSampledBurst(t *testing.T) {
 		DrainTimeout: -1, // 256-rank drain tail exceeds the 5s default
 		TotalRanks:   256,
 	}
-	res, sl, err := runSampled(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Aborted {
-		t.Fatal("exact ranks aborted on a healthy cluster")
-	}
-	if sl.Errs() != 0 {
-		t.Fatalf("%d shadow RPCs failed", sl.Errs())
-	}
-	if !sl.Complete() {
-		t.Fatal("shadow load incomplete")
-	}
-	if sl.DurableEnd() <= sl.ApparentEnd() {
-		t.Fatalf("burst mode: durable end %v not after apparent end %v", sl.DurableEnd(), sl.ApparentEnd())
+	res, snap := runShadowed(t, spec, cfg)
+	checkShadowBytes(t, snap, 224*cfg.BytesPerProc)
+	if res.Durable <= res.Elapsed {
+		t.Fatalf("burst mode: durable %v not after apparent %v", res.Durable, res.Elapsed)
 	}
 }
 
@@ -126,28 +125,14 @@ func TestSampledCalibration(t *testing.T) {
 	sampled.TotalRanks = 64
 	specS := spec
 	specS.ComputeNodes = 16
-	res, sl, err := runSampled(specS, sampled)
+	res, err := checkpoint.RunLWFS(specS, sampled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sl.Complete() || sl.Errs() != 0 {
-		t.Fatal("shadow load unhealthy")
-	}
 
-	// Apparent dump time of the sampled job: slowest of exact ranks and
-	// shadow streams.
-	tExact := exact.Elapsed
-	tSampled := res.Elapsed
-	if end := sl.ApparentEnd(); end > 0 {
-		// ApparentEnd is an absolute instant; the dump starts near t=0
-		// (jitter-bounded), so it doubles as a duration here.
-		if d := time.Duration(end); d > tSampled {
-			tSampled = d
-		}
-	}
-	ratio := float64(tSampled) / float64(tExact)
+	ratio := float64(res.Elapsed) / float64(exact.Elapsed)
 	if ratio < 0.5 || ratio > 2.0 {
-		t.Fatalf("sampled dump time %v vs exact %v (ratio %.2f): model out of calibration", tSampled, tExact, ratio)
+		t.Fatalf("sampled dump time %v vs exact %v (ratio %.2f): model out of calibration", res.Elapsed, exact.Elapsed, ratio)
 	}
-	t.Logf("exact %v, sampled %v (ratio %.2f)", tExact, tSampled, ratio)
+	t.Logf("exact %v, sampled %v (ratio %.2f)", exact.Elapsed, res.Elapsed, ratio)
 }

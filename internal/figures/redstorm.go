@@ -94,8 +94,8 @@ func (pt *RedStormPoint) summary() string {
 // per point: the machine is deterministic and minutes of host time.
 func (opts RedStormOpts) dump(pt *RedStormPoint, _ int) ([]MetricsCapture, error) {
 	spec := cluster.RedStorm()
-	// Only the exact ranks need compute nodes; shadow sources are added by
-	// DeploySampled as aggregate injectors.
+	// Only the exact ranks need compute nodes; SetupLWFS adds the shadow
+	// ranks' sources as aggregate injector nodes.
 	spec.ComputeNodes = pt.Exact
 	if pt.Staged {
 		spec.BurstNodes = opts.Buffers
@@ -119,10 +119,6 @@ func (opts RedStormOpts) dump(pt *RedStormPoint, _ int) ([]MetricsCapture, error
 		DrainTimeout: -1, // a machine-size drain tail exceeds the 5s default
 		TotalRanks:   opts.TotalRanks,
 	}
-	sl, err := checkpoint.DeploySampled(cl, l, cfg)
-	if err != nil {
-		return nil, err
-	}
 	res, err := checkpoint.SetupLWFS(cl, l, cfg)
 	if err != nil {
 		return nil, err
@@ -134,14 +130,15 @@ func (opts RedStormOpts) dump(pt *RedStormPoint, _ int) ([]MetricsCapture, error
 	if res.Aborted {
 		return nil, errors.New("healthy run aborted")
 	}
-	if sl.Errs() != 0 || !sl.Complete() {
-		return nil, fmt.Errorf("shadow load unhealthy (%d errors)", sl.Errs())
+	shadow := float64(opts.TotalRanks-pt.Exact) * float64(opts.BytesPerProc)
+	if acked, durable := mc.Final.Value("shadow.bytes_acked"), mc.Final.Value("shadow.bytes_durable"); acked != shadow || durable != shadow {
+		return nil, fmt.Errorf("shadow load incomplete: %.0f bytes acked, %.0f durable of %.0f", acked, durable, shadow)
 	}
 
-	// Job-wide apparent/durable: slowest of the exact ranks and the shadow
+	// The Result is job-wide: the slowest of the exact ranks and the shadow
 	// streams (shadow instants are absolute; dumps start jitter-close to 0).
-	pt.Apparent = max(res.Elapsed, sl.ApparentEnd().Duration())
-	pt.Durable = max(res.Durable, sl.DurableEnd().Duration(), pt.Apparent)
+	pt.Apparent = res.Elapsed
+	pt.Durable = max(res.Durable, res.Elapsed)
 
 	// Utilization of the candidate ack-path resources over the durable
 	// window: the I/O-node disks and NICs, and the buffer NICs.

@@ -1,9 +1,12 @@
 package pfs
 
 import (
+	"fmt"
+
 	"lwfs/internal/netsim"
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
+	"lwfs/internal/storage"
 	"lwfs/internal/stripe"
 )
 
@@ -77,8 +80,12 @@ func (f *File) SetShared(shared bool) { f.shared = shared }
 // client exposes each request's bytes and the OST pulls them. An exclusively
 // held file is planned like any stripe layout, one coalesced request per
 // OST; a shared one goes out a stripe unit at a time. The requests fan out
-// at most writeParallelism at once.
+// at most writeParallelism at once. A byte range no file can have (a
+// negative offset or size) is refused with fs.ErrInvalid.
 func (f *File) Write(p *sim.Proc, off int64, payload netsim.Payload) (int64, error) {
+	if err := storage.CheckRange(off, payload.Size); err != nil {
+		return 0, fmt.Errorf("pfs: write %s: %w", f.path, err)
+	}
 	l := f.layout.striped()
 	var reqs []stripe.Request
 	if f.shared {

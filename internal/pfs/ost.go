@@ -114,7 +114,12 @@ func (o *OST) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interfac
 // and the object's requests arrive one at a time anyway). For a shared
 // object the lock both serializes service — forfeiting pull/disk overlap —
 // and charges a revocation callback whenever the writing client changes.
+// A byte range storage.CheckRange refuses is answered before the object
+// or its lock is touched.
 func (o *OST) write(p *sim.Proc, from netsim.NodeID, r ostWriteReq) (interface{}, error) {
+	if err := storage.CheckRange(r.Off, r.Len); err != nil {
+		return nil, err
+	}
 	if err := o.ensureObject(p, r.Obj); err != nil {
 		return nil, err
 	}

@@ -127,7 +127,9 @@ type CheckpointConfig = checkpoint.Config
 type CheckpointResult = checkpoint.Result
 
 // CheckpointLWFS runs the Figure 8 object-per-process checkpoint on a
-// fresh cluster built from spec.
+// fresh cluster built from spec. It honours cfg.TotalRanks: the ranks
+// beyond cfg.Procs run as calibrated shadow load and the result covers the
+// whole job.
 func CheckpointLWFS(spec Spec, cfg CheckpointConfig) (CheckpointResult, error) {
 	return checkpoint.RunLWFS(spec, cfg)
 }
