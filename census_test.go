@@ -478,8 +478,7 @@ func TestOptionsCensus(t *testing.T) {
 
 // exportsKept lists the exports no product code references that stay, as
 // "reason: detail". The reasons: test rig; fault injection (netsim controls
-// the chaos suites script); recovery (paths only chaos tests defend — safety
-// code is not a simplicity target); paper API (client calls PAPER.md §3.1–3.3
+// the chaos suites script); paper API (client calls PAPER.md §3.1–3.3
 // names though no experiment makes them); accessor (a one-line view of state
 // that tests in another package observe or steer through, named here; one
 // that only its own package's tests need is unexported instead).
@@ -499,9 +498,6 @@ var exportsKept = map[string]string{
 	"netsim.Network.SetFault":  "fault injection",
 	"netsim.Fault.Heal":        "fault injection",
 	"netsim.Fault.Healed":      "fault injection",
-
-	"burst.Server.AdoptJournal": "recovery: a peer adopts a crashed buffer's journal (burst restage chaos tests)",
-	"burst.Server.Adopted":      "recovery: counts what AdoptJournal re-staged",
 
 	"core.Client.Logout":       "paper API: §3.1 a user revokes the credential it logged in with",
 	"core.Client.List":         "paper API: §3.3 the object service lists a container's objects",

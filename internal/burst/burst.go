@@ -200,8 +200,6 @@ type Server struct {
 	passthroughs *metrics.Counter // writes degraded to synchronous pass-through
 	stagedBytes  *metrics.Counter
 	drainedBytes *metrics.Counter
-	adopted      *metrics.Counter // extents re-staged from a dead peer's journal
-	adoptedBytes *metrics.Counter
 	drainSyncs   *metrics.Counter   // flush barriers issued against storage
 	drainLat     *metrics.Histogram // staging-ack to durable, milliseconds
 	fgActive     *metrics.Gauge     // pass-through relays currently in flight
@@ -248,8 +246,6 @@ func Start(ep *portals.Endpoint, az *authz.Client, cfg Config, jdev *osd.Device)
 		passthroughs: scope.Counter("passthroughs"),
 		stagedBytes:  scope.Counter("staged_bytes"),
 		drainedBytes: scope.Counter("drained_bytes"),
-		adopted:      scope.Counter("adopted"),
-		adoptedBytes: scope.Counter("adopted_bytes"),
 		drainSyncs:   drain.Counter("syncs"),
 		drainLat:     drain.Histogram("latency_ms"),
 		fgActive:     scope.Gauge("fg_active"),

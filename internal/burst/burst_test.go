@@ -200,6 +200,50 @@ func TestCrashLosesStagedDataDetectably(t *testing.T) {
 	r.Run(t)
 }
 
+// TestFailedDrainReleasesWindow: an extent whose drain the storage server
+// refuses (staged under another container's write capability) fails
+// detectably and gives its staging room back, memory-only and journaled
+// alike, so a later write of the same size still stages instead of
+// degrading to pass-through.
+func TestFailedDrainReleasesWindow(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		boot func(*testing.T, burst.Config) (*testrig.Rig, *storage.Server, *burst.Server)
+	}{{"memory", boot}, {"journaled", bootJournaled}} {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := burst.DefaultConfig()
+			r, srv, bb := mode.boot(t, cfg)
+			sc := storage.NewClient(r.Caller(3))
+			bc := burst.NewClient(r.Caller(3))
+			const size = 40 * mb // more than half the window
+			r.Go("client", func(p *sim.Proc) {
+				cid, caps := session(t, p, r)
+				_, other := session(t, p, r)
+				tgt := storage.Target{Node: srv.Node(), Port: srv.RPCPort()}
+				ref, err := sc.Create(p, tgt, caps[authz.OpCreate], cid)
+				if err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				staged, err := bc.StageWrite(p, bb.Tgt(), ref, other[authz.OpWrite], 0, netsim.SyntheticPayload(size))
+				if err != nil || !staged {
+					t.Fatalf("stage under a foreign capability: staged=%v err=%v", staged, err)
+				}
+				if err := bc.DrainWait(p, bb.Tgt(), []storage.ObjRef{ref}, 0); !errors.Is(err, burst.ErrDrainFailed) {
+					t.Fatalf("drain wait: %v, want ErrDrainFailed", err)
+				}
+				if avail := r.Metric("burst.*.stage_avail"); avail != cfg.StageCapacity {
+					t.Fatalf("stage_avail %d after the failed drain, want %d", avail, cfg.StageCapacity)
+				}
+				staged, err = bc.StageWrite(p, bb.Tgt(), ref, caps[authz.OpWrite], 0, netsim.SyntheticPayload(size))
+				if err != nil || !staged {
+					t.Fatalf("second stage: staged=%v err=%v, want staged", staged, err)
+				}
+			})
+			r.Run(t)
+		})
+	}
+}
+
 // TestStageRefusesRevokedCapability is the paper's §3.1 revocation property
 // on the staging tier: a buffer that has verified and cached a capability
 // must stop honouring it the moment the owner revokes it — the authorization

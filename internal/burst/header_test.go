@@ -22,10 +22,10 @@ func FuzzJournalHeader(f *testing.F) {
 		{seq: 2, kind: jKindStage, ref: ref, length: 0, cap: c},
 		{seq: 3, kind: jKindDurable, epoch: 1, ref: ref},
 		{seq: 1, kind: jKindDrained, epoch: 1},
-		{seq: 9, kind: jKindAdopted, ref: storage.ObjRef{Node: 4, Port: 40}},
 	} {
 		f.Add(r.header().Data)
 	}
+	f.Add(retiredKindHeader())                     // the first kind above the last one
 	f.Add(make([]byte, jHeaderSize))               // a zeroed region: no record
 	f.Add(bytes.Repeat([]byte{0xff}, jHeaderSize)) // unknown kind, negative length
 	f.Add([]byte("bj1 seq=1 kind=stage epoch=0\n"))
@@ -34,11 +34,30 @@ func FuzzJournalHeader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if r.kind < jKindStage || r.kind > jKindAdopted || r.length < 0 {
+		if r.kind < jKindStage || r.kind > jKindDrained || r.length < 0 {
 			t.Fatalf("accepted kind %d, length %d", r.kind, r.length)
 		}
 		if got := r.header().Data; !bytes.Equal(got, b) {
 			t.Fatalf("%+v re-encodes as\n%x, decoded from\n%x", r, got, b)
 		}
 	})
+}
+
+// retiredKindHeader is a header of kind 4, which once marked a journal's
+// records as taken over by a peer buffer: seq 9, the ref naming node 4's
+// port 40, every other field zero.
+func retiredKindHeader() []byte {
+	return jrec{seq: 9, kind: jKindDrained + 1, ref: storage.ObjRef{Node: 4, Port: 40}}.header().Data
+}
+
+// TestDecodeHeaderRefusesRetiredKind: no record kind follows drained, so a
+// kind-4 header is a bad journal header, not a record the walk skips.
+func TestDecodeHeaderRefusesRetiredKind(t *testing.T) {
+	b := retiredKindHeader()
+	if b[0] != 4 {
+		t.Fatalf("kind byte %d, want 4", b[0])
+	}
+	if r, err := decodeHeader(b); err == nil {
+		t.Fatalf("decoded %+v from a kind-4 header, want it refused", r)
+	}
 }

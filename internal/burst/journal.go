@@ -30,18 +30,13 @@ import (
 //	            drained  completion marker for an earlier stage seq, no
 //	                     payload (written without a flush barrier: losing
 //	                     one costs an idempotent re-drain, never data)
-//	            adopted  fencing marker appended by a *peer* buffer that
-//	                     re-staged this journal's undrained records onto
-//	                     itself (AdoptJournal); covers every seq <= its seq
 //
-// Recovery (Server.Restart) and adoption (AdoptJournal, restage.go) share one
-// walk (walkJournal): stage records without a drained marker are re-staged —
-// payload re-read from the journal (real bytes or a size-only
-// ReadSynthetic), bookkeeping rebuilt, extent re-queued for the drainers
-// under the *new* epoch — and the drain resumes where the dead incarnation
-// stopped. Re-draining an extent whose storage write had already landed is
-// idempotent (same bytes, same offset). An adopted marker fences the
-// original owner: a later Restart replays around the adopted records.
+// Recovery (Server.Restart) is one walk (walkJournal): stage records without
+// a drained marker are re-staged — payload re-read from the journal (real
+// bytes or a size-only ReadSynthetic), bookkeeping rebuilt, extent
+// re-queued for the drainers under the *new* epoch — and the drain resumes
+// where the dead incarnation stopped. Re-draining an extent whose storage
+// write had already landed is idempotent (same bytes, same offset).
 //
 // Epoch fencing: markers are appended by drain workers, and a worker that
 // was mid-drain when the buffer crashed must not invalidate (mark drained /
@@ -75,7 +70,6 @@ const (
 	jKindStage jKind = 1 + iota
 	jKindDurable
 	jKindDrained
-	jKindAdopted // the ref names the adopter (node, rpc port), for the record
 )
 
 // jrec is one journal record.
@@ -129,7 +123,7 @@ func decodeHeader(b []byte) (jrec, error) {
 		cap: authz.Capability{Container: authz.ContainerID(v[7]), Op: authz.Op(b[2]), ID: v[8], Expires: sim.Time(v[9])},
 	}
 	copy(r.cap.Sig[:], b[88:])
-	if r.kind < jKindStage || r.kind > jKindAdopted || r.length < 0 || !bytes.Equal(r.header().Data, b) {
+	if r.kind < jKindStage || r.kind > jKindDrained || r.length < 0 || !bytes.Equal(r.header().Data, b) {
 		return jrec{}, fmt.Errorf("burst: bad journal header (kind %d, length %d)", b[0], r.length)
 	}
 	return r, nil
@@ -179,66 +173,57 @@ func (s *Server) journalDrained(p *sim.Proc, seq uint64) {
 	}
 }
 
-// walkJournal is the one pass over a staging journal — the buffer's own on
-// recovery, a dead peer's on jdev for adoption: every header in order, then
-// the payload of each stage record neither drained nor adopted, handed to
-// restage. Durable and drained refs are marked seen. It returns the highest
-// sequence read and the tail, just past the last record.
-func (s *Server) walkJournal(p *sim.Proc, jdev *osd.Device, restage func(jrec, netsim.Payload) error) (maxSeq uint64, tail int64, err error) {
-	st, err := jdev.Stat(journalObjectID)
+// walkJournal is the one pass over the buffer's staging journal, on
+// recovery: every header in order, then the payload of each stage record
+// without a drained marker, handed to restage. Durable and drained refs are
+// marked seen. It returns the highest sequence read.
+func (s *Server) walkJournal(p *sim.Proc, restage func(jrec, netsim.Payload) error) (maxSeq uint64, err error) {
+	st, err := s.jdev.Stat(journalObjectID)
 	if err != nil {
-		return 0, 0, nil // never created: nothing was journaled
+		return 0, nil // never created: nothing was journaled
 	}
 	var staged []jrec
 	drained := make(map[uint64]bool)
-	var adoptedThrough uint64
-	for tail+jHeaderSize <= st.Size {
-		hdr, err := jdev.Read(p, journalObjectID, tail, jHeaderSize)
+	for off := int64(0); off+jHeaderSize <= st.Size; {
+		hdr, err := s.jdev.Read(p, journalObjectID, off, jHeaderSize)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		rec, err := decodeHeader(hdr.Data)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-		tail += jHeaderSize
+		off += jHeaderSize
 		switch rec.kind {
 		case jKindStage:
-			rec.payloadOff = tail
+			rec.payloadOff = off
 			staged = append(staged, rec)
-			tail += rec.length
+			off += rec.length
 		case jKindDrained:
 			drained[rec.seq] = true
-		case jKindAdopted:
-			adoptedThrough = max(adoptedThrough, rec.seq)
 		default: // durable
 			s.seen[rec.ref] = true
 		}
 		maxSeq = max(maxSeq, rec.seq)
 	}
 	for _, rec := range staged {
-		switch {
-		case drained[rec.seq]:
+		if drained[rec.seq] {
 			s.seen[rec.ref] = true // durable on storage: safe to vouch
-		case rec.seq <= adoptedThrough:
-			// A peer adopted it and owns its promise now: re-staging it here
-			// would put two buffers in charge of one extent, and only the
-			// adopter knows when its copy drains, so the ref is not vouched.
-		default:
-			read := jdev.Read
-			if !rec.real {
-				read = jdev.ReadSynthetic
-			}
-			payload, err := read(p, journalObjectID, rec.payloadOff, rec.length)
-			if err == nil {
-				err = restage(rec, payload)
-			}
-			if err != nil {
-				return maxSeq, tail, err
-			}
+			continue
+		}
+		read := s.jdev.Read
+		if !rec.real {
+			read = s.jdev.ReadSynthetic
+		}
+		payload, err := read(p, journalObjectID, rec.payloadOff, rec.length)
+		if err == nil {
+			err = restage(rec, payload)
+		}
+		if err != nil {
+			return maxSeq, err
 		}
 	}
-	return maxSeq, tail, nil
+	return maxSeq, nil
 }
 
 // replayJournal is crash recovery: rebuild the staging bookkeeping from the
@@ -247,7 +232,7 @@ func (s *Server) walkJournal(p *sim.Proc, jdev *osd.Device, restage func(jrec, n
 // drain was resumed.
 func (s *Server) replayJournal(p *sim.Proc) (recovered int, err error) {
 	s.jlive = 0
-	s.jseq, _, err = s.walkJournal(p, s.jdev, func(rec jrec, payload netsim.Payload) error {
+	s.jseq, err = s.walkJournal(p, func(rec jrec, payload netsim.Payload) error {
 		s.jlive++
 		s.stageAvail.Add(-rec.length)
 		s.track(extent{ref: rec.ref, cap: rec.cap, off: rec.off, payload: payload, stagedAt: p.Now(), epoch: s.epoch, seq: rec.seq})

@@ -141,6 +141,8 @@ func (s *Server) drainBatch(p *sim.Proc, tgt storage.Target, batch []extent) {
 		if e.epoch != s.epoch {
 			continue // staged by a dead incarnation: not ours to account for
 		}
+		// The extent is dropped, not retried: its staging room comes back.
+		s.stageAvail.Add(e.payload.Size)
 		s.failed[e.ref] = true
 		s.pending[e.ref]--
 	}

@@ -149,14 +149,18 @@ type Result struct {
 	// within RecoveryTimeout eventually succeeded — the dump committed
 	// Durable through a buffer recovery instead of aborting.
 	Recovered bool
+
+	shadowBytes int64 // the shadow ranks' bytes in sampled mode
 }
 
-// ThroughputMBs reports the paper's Figure 9 metric: aggregate MB/s.
+// ThroughputMBs reports the paper's Figure 9 metric: aggregate MB/s. It
+// divides the job's bytes by Elapsed: Bytes plus, in sampled mode, the
+// shadow ranks' bytes, since Elapsed covers them too.
 func (r Result) ThroughputMBs() float64 {
 	if r.Elapsed <= 0 {
 		return 0
 	}
-	return float64(r.Bytes) / (1 << 20) / r.Elapsed.Seconds()
+	return float64(r.Bytes+r.shadowBytes) / (1 << 20) / r.Elapsed.Seconds()
 }
 
 func (r *Result) fold(t ProcTimes) {

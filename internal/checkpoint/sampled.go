@@ -73,12 +73,11 @@ const shadowStreams = 2
 // transfer granularity.
 const shadowChunkSize int64 = 1 << 20
 
-// shadowLoad is the shadow ranks' share of a run: their byte count and
-// what has been acked and written so far (the shadow.* gauges), and the
-// job-wide Result their instants fold into.
+// shadowLoad is the shadow ranks' share of a run: what has been acked and
+// written so far (the shadow.* gauges), and the job-wide Result their
+// instants fold into, which holds their byte count.
 type shadowLoad struct {
 	res     *Result
-	bytes   int64 // total shadow bytes
 	acked   int64 // bytes acknowledged to an injector (staged, in burst mode)
 	drained int64 // bytes written to a storage disk
 }
@@ -113,7 +112,7 @@ func (s *shadowSink) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (i
 	}
 	sl := s.load
 	sl.drained += c.Size
-	if sl.drained == sl.bytes {
+	if sl.drained == sl.res.shadowBytes {
 		// Mirror the direct dump's sync: the last shadow write pays the flush
 		// barrier, so the job's Durable is fsync-inclusive.
 		s.dev.Sync(p)
@@ -153,7 +152,8 @@ func deployShadow(cl *cluster.Cluster, l *cluster.LWFS, cfg *Config, res *Result
 	if shadow <= 0 || cfg.BytesPerProc == 0 {
 		return
 	}
-	sl := &shadowLoad{res: res, bytes: int64(shadow) * cfg.BytesPerProc}
+	res.shadowBytes = int64(shadow) * cfg.BytesPerProc
+	sl := &shadowLoad{res: res}
 	k := cl.K
 	reg := cl.Metrics()
 	reg.GaugeFunc("shadow.bytes_acked", func() int64 { return sl.acked })

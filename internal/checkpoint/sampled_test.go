@@ -1,6 +1,7 @@
 package checkpoint_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -135,4 +136,22 @@ func TestSampledCalibration(t *testing.T) {
 		t.Fatalf("sampled dump time %v vs exact %v (ratio %.2f): model out of calibration", res.Elapsed, exact.Elapsed, ratio)
 	}
 	t.Logf("exact %v, sampled %v (ratio %.2f)", exact.Elapsed, res.Elapsed, ratio)
+}
+
+// TestSampledThroughputIsTheJobs: on a sampled run ThroughputMBs divides
+// the whole job's bytes, shadow ranks included, by the job-wide Elapsed,
+// while Bytes still counts the exact ranks only.
+func TestSampledThroughputIsTheJobs(t *testing.T) {
+	cfg := checkpoint.Config{Procs: 2, BytesPerProc: 1 << 20, TotalRanks: 1000}
+	res, err := checkpoint.RunLWFS(cluster.DevCluster().WithServers(2), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Bytes != 2<<20 {
+		t.Fatalf("Bytes %d, want the 2 exact ranks' %d", res.Bytes, 2<<20)
+	}
+	want := 1000 / res.Elapsed.Seconds() // 1000 ranks of 1 MiB each
+	if got := res.ThroughputMBs(); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("ThroughputMBs %.3f for 1000 MiB in %v, want %.3f", got, res.Elapsed, want)
+	}
 }
