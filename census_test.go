@@ -499,13 +499,11 @@ var exportsKept = map[string]string{
 	"netsim.Fault.Heal":        "fault injection",
 	"netsim.Fault.Healed":      "fault injection",
 
-	"core.Client.Logout":       "paper API: §3.1 a user revokes the credential it logged in with",
-	"core.Client.List":         "paper API: §3.3 the object service lists a container's objects",
-	"core.Client.SetAutoRenew": "paper API: §5 an expired capability is re-acquired, not a failed checkpoint (the NASD contrast)",
-	"authn.Client.Verify":      "paper API: §3.1 a service verifies a credential with its issuer",
+	"core.Client.Logout":  "paper API: §3.1 a user revokes the credential it logged in with",
+	"core.Client.List":    "paper API: §3.3 the object service lists a container's objects",
+	"authn.Client.Verify": "paper API: §3.1 a service verifies a credential with its issuer",
 
 	"lwfspfs.File.Degraded":      "accessor: lwfspfs.TestMetaMirrorCrashMidWorkload and the other mirror chaos tests",
-	"lwfspfs.File.Layout":        "accessor: lwfspfs redundancy tests pick the server to crash from it",
 	"stdfs.File.Handle":          "accessor: stdfs.TestReadFileDegraded reaches the layout through it",
 	"mpi.Rank.ID":                "accessor: every mpi test body asks which rank it runs as",
 	"mpi.Rank.MessagesSent":      "accessor: mpi.TestBcastIsLogarithmic",

@@ -48,10 +48,12 @@ import (
 // Truncation: the journal is truncated to zero at a quiesce point — no stage
 // record live — but only once it has grown past twice the staging window
 // (Config.journalRetain). A stage record is live from its reservation until
-// its drained marker, and txn.Journal refuses to truncate under any append
-// in flight, so an acknowledged record is never erased
-// (TestJournalTruncateSparesInFlightStage). The hysteresis keeps recent
-// history around: a crash after the drains completed but before the
+// it is released (drained, dropped or never appended), and txn.Journal
+// refuses to truncate under any append in flight, so an acknowledged record
+// is never erased (TestJournalTruncateSparesInFlightStage). A dropped
+// extent's record stays replayable until the next truncation: a restart
+// retries its drain, and DrainWait reports that retry. The hysteresis keeps
+// recent history around: a crash after the drains completed but before the
 // checkpoint's commit gate ran can still vouch for the refs (via the
 // retained stage+drained pairs) instead of degenerating to ErrLost.
 
@@ -136,10 +138,10 @@ func (s *Server) journalStage(p *sim.Proc, r stageReq, payload netsim.Payload) (
 	s.jseq++
 	rec := jrec{seq: s.jseq, kind: jKindStage, epoch: s.epoch, ref: r.Ref, off: r.Off,
 		length: payload.Size, real: payload.Data != nil, cap: r.Cap}
-	// Live from its reservation, so no quiesce truncates it in flight. A
-	// failed append stays counted: the journal then merely never truncates.
+	// Live from its reservation, so no quiesce truncates it in flight.
 	s.jlive++
 	if err := s.log.Append(p, rec.header(), payload); err != nil {
+		s.release(p, rec.epoch)
 		return 0, err
 	}
 	s.jdev.Sync(p)
@@ -159,12 +161,19 @@ func (s *Server) journalDurable(p *sim.Proc, ref storage.ObjRef) error {
 	return nil
 }
 
-// journalDrained marks a stage record complete and truncates the journal at
-// a quiesce point once it has outgrown the retain threshold. No flush
+// journalDrained marks a stage record complete and releases it. No flush
 // barrier: a lost marker is re-drained idempotently on recovery.
 func (s *Server) journalDrained(p *sim.Proc, seq uint64) {
 	epoch := s.epoch
-	if err := s.log.Append(p, jrec{seq: seq, kind: jKindDrained, epoch: epoch}.header()); err != nil || epoch != s.epoch {
+	s.log.Append(p, jrec{seq: seq, kind: jKindDrained, epoch: epoch}.header()) //nolint:errcheck
+	s.release(p, epoch)
+}
+
+// release ends the liveness of a stage record reserved under epoch and
+// truncates the journal at a quiesce point once it has outgrown the retain
+// threshold. Only the reserving incarnation releases: replayJournal recounts.
+func (s *Server) release(p *sim.Proc, epoch uint64) {
+	if epoch != s.epoch {
 		return
 	}
 	s.jlive--

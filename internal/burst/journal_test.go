@@ -2,6 +2,7 @@ package burst_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -142,6 +143,57 @@ func TestJournalTruncatesAtQuiesce(t *testing.T) {
 	if r.Metric("burst.*.journal.truncations") < 1 {
 		t.Fatalf("journal never truncated despite quiesce past retain threshold")
 	}
+}
+
+// TestFailedDrainReleasesJournalRecord: a dropped extent — its drain
+// refused, because it was staged under another container's write
+// capability — releases its stage record's liveness. Ten good rounds then
+// carry the journal past the retain threshold at a quiesce point, so it
+// truncates, and a restart after that has nothing left to recover: the
+// dropped record went with the truncation. A record left counted live
+// would keep the journal from ever truncating.
+func TestFailedDrainReleasesJournalRecord(t *testing.T) {
+	r, srv, bb := bootJournaled(t, burst.DefaultConfig())
+	sc := storage.NewClient(r.Caller(3))
+	bc := burst.NewClient(r.Caller(3))
+	const size = 40 * mb // ten rounds pass the 128 MiB retain threshold
+	r.Go("client", func(p *sim.Proc) {
+		cid, caps := session(t, p, r)
+		_, other := session(t, p, r)
+		tgt := storage.Target{Node: srv.Node(), Port: srv.RPCPort()}
+		ref, err := sc.Create(p, tgt, caps[authz.OpCreate], cid)
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		good, err := sc.Create(p, tgt, caps[authz.OpCreate], cid)
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		staged, err := bc.StageWrite(p, bb.Tgt(), ref, other[authz.OpWrite], 0, netsim.SyntheticPayload(size))
+		if err != nil || !staged {
+			t.Fatalf("stage under a foreign capability: staged=%v err=%v", staged, err)
+		}
+		if err := bc.DrainWait(p, bb.Tgt(), []storage.ObjRef{ref}, 0); !errors.Is(err, burst.ErrDrainFailed) {
+			t.Fatalf("drain wait: %v, want ErrDrainFailed", err)
+		}
+		for round := 0; round < 10; round++ {
+			staged, err := bc.StageWrite(p, bb.Tgt(), good, caps[authz.OpWrite], 0, netsim.SyntheticPayload(size))
+			if err != nil || !staged {
+				t.Fatalf("stage %d: staged=%v err=%v", round, staged, err)
+			}
+			if err := bc.DrainWait(p, bb.Tgt(), []storage.ObjRef{good}, 0); err != nil {
+				t.Fatalf("drain wait %d: %v", round, err)
+			}
+		}
+		if n := r.Metric("burst.*.journal.truncations"); n < 1 {
+			t.Fatalf("journal.truncations %d after ten drained rounds past the retain threshold, want >= 1", n)
+		}
+		bb.Crash()
+		if n, err := bb.Restart(p); err != nil || n != 0 {
+			t.Fatalf("restart: recovered=%d err=%v, want 0 extents", n, err)
+		}
+	})
+	r.Run(t)
 }
 
 // TestJournalTruncateSparesInFlightStage: quiesce truncation must not erase

@@ -145,6 +145,9 @@ func (s *Server) drainBatch(p *sim.Proc, tgt storage.Target, batch []extent) {
 		s.stageAvail.Add(e.payload.Size)
 		s.failed[e.ref] = true
 		s.pending[e.ref]--
+		if s.jdev != nil && e.seq != 0 {
+			s.release(p, e.epoch)
+		}
 	}
 	for _, e := range done {
 		if e.epoch != s.epoch {

@@ -72,11 +72,10 @@ type Client struct {
 	co    *txn.Coordinator
 	lc    *txn.LockClient
 
-	cred      authn.Credential
-	scatter   *sim.Mailbox
-	addr      ProcAddr
-	autoRenew bool
-	breaker   *qos.Breaker
+	cred    authn.Credential
+	scatter *sim.Mailbox
+	addr    ProcAddr
+	breaker *qos.Breaker
 }
 
 // ProcAddr addresses one client *process* for capability scatter: several
@@ -223,16 +222,8 @@ func (c *Client) GetCaps(p *sim.Proc, cid authz.ContainerID, ops ...authz.Op) (C
 	return cs, nil
 }
 
-// SetAutoRenew enables transparent capability renewal: when a storage
-// operation fails because a capability expired, the client re-acquires the
-// same capability set and retries once. The paper contrasts this with NASD,
-// where expired capabilities force the application to re-acquire everything
-// itself — painful for checkpoints with long gaps between accesses (§5).
-// Requires a stored credential. Callers can also refresh their own CapSet
-// with RenewCaps to avoid repeated renewals of a stale local copy.
-func (c *Client) SetAutoRenew(on bool) { c.autoRenew = on }
-
-// RenewCaps re-acquires the same operations on the same container.
+// RenewCaps re-acquires the same operations on the same container; data
+// operations renew on their own (withRenew).
 func (c *Client) RenewCaps(p *sim.Proc, caps CapSet) (CapSet, error) {
 	ops := make([]authz.Op, 0, len(caps.Caps))
 	for _, op := range authz.AllOps {
@@ -243,11 +234,14 @@ func (c *Client) RenewCaps(p *sim.Proc, caps CapSet) (CapSet, error) {
 	return c.GetCaps(p, caps.Container, ops...)
 }
 
-// withRenew runs fn and, if auto-renew is on and the failure was an
-// expired capability, retries once with a fresh capability set.
+// withRenew is transparent capability renewal: if fn fails on an expired
+// capability, it re-acquires the same set and retries once. NASD instead
+// makes the application re-acquire everything itself — painful for
+// checkpoints with long gaps between accesses (§5). A revoked capability
+// still fails.
 func (c *Client) withRenew(p *sim.Proc, caps CapSet, fn func(CapSet) error) error {
 	err := fn(caps)
-	if err == nil || !c.autoRenew || !errors.Is(err, authz.ErrExpiredCap) {
+	if err == nil || !errors.Is(err, authz.ErrExpiredCap) {
 		return err
 	}
 	fresh, rerr := c.RenewCaps(p, caps)

@@ -110,7 +110,6 @@ func TestWriteErrorsSurfaceThroughRenewWrapper(t *testing.T) {
 	c := cl.NewClient(l, 0)
 	cl.K.Spawn("app", func(p *sim.Proc) {
 		c.Login(p, "app", "s3cret")
-		c.SetAutoRenew(true)
 		cid, _ := c.CreateContainer(p)
 		caps, _ := c.GetCaps(p, cid, authz.AllOps...)
 		ref, _ := c.CreateObject(p, c.Server(0), caps)

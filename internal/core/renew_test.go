@@ -12,8 +12,8 @@ import (
 
 // TestAutoRenewRecoversFromExpiredCaps: a checkpoint-like pattern with a
 // long gap between accesses (the exact pain the paper pins on NASD in §5):
-// capabilities expire mid-run; with auto-renew the next write transparently
-// re-acquires and succeeds.
+// capabilities expire mid-run, and the next write transparently re-acquires
+// and succeeds.
 func TestAutoRenewRecoversFromExpiredCaps(t *testing.T) {
 	cl, l := smallCluster()
 	c := cl.NewClient(l, 0)
@@ -35,12 +35,7 @@ func TestAutoRenewRecoversFromExpiredCaps(t *testing.T) {
 		// lifetime passes (the credential's 8 hours does not).
 		p.Sleep(5 * time.Hour)
 
-		// Without auto-renew: expired.
-		if _, err := c.Write(p, ref, caps, 100, netsim.SyntheticPayload(100)); !errors.Is(err, authz.ErrExpiredCap) {
-			t.Fatalf("expected expiry, got %v", err)
-		}
-		// With auto-renew: transparent retry.
-		c.SetAutoRenew(true)
+		// Transparent retry.
 		if _, err := c.Write(p, ref, caps, 100, netsim.SyntheticPayload(100)); err != nil {
 			t.Fatalf("auto-renewed write: %v", err)
 		}
@@ -80,13 +75,12 @@ func TestRenewCapsKeepsSameOps(t *testing.T) {
 }
 
 // TestAutoRenewDoesNotMaskRealDenials: revoked (not expired) capabilities
-// must still fail even with auto-renew on — renewal only bridges expiry.
+// must still fail — renewal only bridges expiry.
 func TestAutoRenewDoesNotMaskRealDenials(t *testing.T) {
 	cl, l := smallCluster()
 	c := cl.NewClient(l, 0)
 	cl.K.Spawn("app", func(p *sim.Proc) {
 		c.Login(p, "app", "s3cret")
-		c.SetAutoRenew(true)
 		cid, _ := c.CreateContainer(p)
 		caps, _ := c.GetCaps(p, cid, authz.AllOps...)
 		ref, _ := c.CreateObject(p, c.Server(0), caps)
@@ -99,7 +93,7 @@ func TestAutoRenewDoesNotMaskRealDenials(t *testing.T) {
 		// deliberate application decision, not a transparent one).
 		_, err := c.Write(p, ref, caps, 0, netsim.SyntheticPayload(10))
 		if !errors.Is(err, authz.ErrCapRejected) {
-			t.Fatalf("revoked write with auto-renew: %v", err)
+			t.Fatalf("revoked write: %v", err)
 		}
 	})
 	run(t, cl)

@@ -5,21 +5,22 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"lwfs/internal/authz"
 	"lwfs/internal/cluster"
 	"lwfs/internal/core"
 	"lwfs/internal/lwfspfs"
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
 	"lwfs/internal/stats"
+	"lwfs/internal/txn"
 )
 
-// The stripe sweep (experiment E17): single-large-file bandwidth through
-// the lwfspfs client library, old serial transfer path vs the coalesced
-// parallel engine (internal/stripe), swept over server count at a 1 MiB
-// stripe unit. The serial path pays one round trip per stripe unit in file
-// order; the engine plans one coalesced request per object and fans them
-// out, so bandwidth should scale with servers until the client NIC
-// saturates — the distribution-policy-as-a-library payoff of Figures 2/3.
+// The stripe sweep (experiment E17): single-large-file bandwidth of one
+// lwfspfs file, swept over server count at a 1 MiB stripe unit: the
+// driver's own per-unit serial baseline vs the library's coalesced engine
+// (internal/stripe), which plans one request per object and fans them out,
+// so bandwidth should scale with servers until the client NIC saturates —
+// the distribution-policy-as-a-library payoff of Figures 2/3.
 
 const (
 	stripeFileMB = 64      // single file size in MB, unless env.BytesPerProc sets it
@@ -83,7 +84,7 @@ func (pt *StripePoint) summary() string {
 }
 
 // stripeRun measures one path on a file of the given size — steady-state
-// write and read bandwidth and the storage RPCs of one WriteAt — into the
+// write and read bandwidth and the storage RPCs of one write call — into the
 // point's serial or parallel half.
 func stripeRun(pt *StripePoint, trial int, bytes int64, serial bool) error {
 	write, read, rpcs := &pt.ParallelWrite, &pt.ParallelRead, &pt.ParallelRPCs
@@ -99,31 +100,69 @@ func stripeRun(pt *StripePoint, trial int, bytes int64, serial bool) error {
 	// their own non-RPC protocol).
 	served := func() float64 { return r.cl.Metrics().Snapshot().Sum("rpc.*.served") }
 	_, err := r.bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
-		fs, err := lwfspfs.Format(p, c, "/stripe", lwfspfs.Options{
-			StripeUnit: pt.Unit, Serial: serial,
-		})
+		fs, err := lwfspfs.Format(p, c, "/stripe", lwfspfs.Options{StripeUnit: pt.Unit})
 		if err != nil {
 			return fmt.Errorf("format: %w", err)
 		}
-		f, err := fs.Create(p, fmt.Sprintf("/big%d", trial))
+		name := fmt.Sprintf("/big%d", trial)
+		f, err := fs.Create(p, name)
 		if err != nil {
 			return fmt.Errorf("create: %w", err)
 		}
-		// Priming write establishes the size so the measured passes are
-		// steady-state (no metadata RPC mixed into the measurement).
+		// Priming write allocates every column and sets the size so the
+		// measured passes are steady-state (no metadata RPC in them).
 		if _, err := f.WriteAt(p, 0, netsim.SyntheticPayload(bytes)); err != nil {
 			return fmt.Errorf("prime: %w", err)
 		}
+		writeAll := func() error { _, err := f.WriteAt(p, 0, netsim.SyntheticPayload(bytes)); return err }
+		readAll := func() error { _, err := f.ReadAt(p, 0, bytes); return err }
+		if serial {
+			// The serial baseline, the one-request-per-unit strawman list I/O
+			// is measured against: a core.Client Write or Read per stripe
+			// unit, in file order (stripe.Layout.Units). Like File.WriteAt
+			// and ReadAt it takes one lock round trip per call, so the
+			// columns differ only in how bytes move.
+			caps, err := c.GetCaps(p, fs.Container(), authz.OpWrite, authz.OpRead)
+			if err != nil {
+				return fmt.Errorf("getcaps: %w", err)
+			}
+			l, locks, payload := f.Layout(), c.Locks(), netsim.SyntheticPayload(bytes)
+			perUnit := func(mode txn.LockMode) error {
+				if _, err := locks.Lock(p, name, mode); err != nil {
+					return err
+				}
+				defer locks.Unlock(p, name) //nolint:errcheck
+				for _, rq := range l.Units(0, bytes) {
+					var err error
+					if mode == txn.Exclusive {
+						_, err = c.Write(p, l.Objs[rq.Obj], caps, rq.Off, rq.Gather(0, payload))
+					} else {
+						_, err = c.Read(p, l.Objs[rq.Obj], caps, rq.Off, rq.Len)
+					}
+					if err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			writeAll = func() error { return perUnit(txn.Exclusive) }
+			readAll = func() error { return perUnit(txn.Shared) }
+			// An untimed pass warms the fresh capabilities: each server's
+			// first request under them adds a verify round trip.
+			if err := writeAll(); err != nil {
+				return fmt.Errorf("warm: %w", err)
+			}
+		}
 		before := served()
 		t0 := p.Now()
-		if _, err := f.WriteAt(p, 0, netsim.SyntheticPayload(bytes)); err != nil {
+		if err := writeAll(); err != nil {
 			return fmt.Errorf("write: %w", err)
 		}
 		elapsed := p.Now().Sub(t0)
 		*rpcs = served() - before
 		write.Add(float64(bytes) / (1 << 20) / elapsed.Seconds())
 		t0 = p.Now()
-		if _, err := f.ReadAt(p, 0, bytes); err != nil {
+		if err := readAll(); err != nil {
 			return fmt.Errorf("read: %w", err)
 		}
 		read.Add(float64(bytes) / (1 << 20) / p.Now().Sub(t0).Seconds())

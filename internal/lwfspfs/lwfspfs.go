@@ -18,8 +18,8 @@
 // Data moves through the striped-layout engine: a WriteAt/ReadAt spanning M
 // servers issues one coalesced request per object and runs them
 // concurrently, so the transfer pays ~one round trip instead of M serial
-// ones. Options.Serial retains the historical per-unit serial path as a
-// measurement baseline (figures.StripeSweep, experiment E17).
+// ones. That is the only transfer path; experiment E17 (figures.StripeSweep)
+// issues its one-request-per-unit baseline itself.
 //
 // The companion example examples/posixfs runs it end to end.
 package lwfspfs
@@ -53,9 +53,7 @@ var ErrBadLayout = stripe.ErrBadLayout
 // of every data column.
 const replicaCopies = 2
 
-// Options tune a file system instance. StripeUnit, Stripes, Scheme and
-// MetaCopies persist in the superblock; Serial is a per-mount runtime knob
-// that changes only how WriteAt and ReadAt move data.
+// Options tune a file system instance; all of them persist in the superblock.
 type Options struct {
 	StripeUnit int64 // bytes per stripe chunk (default 1 MiB)
 	Stripes    int   // data columns per file (default: as many as servers allow)
@@ -70,14 +68,8 @@ type Options struct {
 	// MetaCopies is the number of mirrors of the per-file metadata object
 	// (the layout record). It defaults to 2 under a redundant scheme and
 	// 1 under RAID-0 — mirroring the layout record of a file whose data
-	// dies with the first crash buys nothing. Persisted in the superblock.
+	// dies with the first crash buys nothing.
 	MetaCopies int
-
-	// Serial selects the legacy one-RPC-per-stripe-unit transfer path
-	// instead of the coalesced parallel engine — the baseline arm of the
-	// E17 comparison. Redundant layouts always use the engine (the serial
-	// path knows nothing about mirrors or parity). Not persisted.
-	Serial bool
 }
 
 func (o Options) withDefaults(servers int) Options {
@@ -695,9 +687,8 @@ func (f *File) Layout() stripe.Layout { return f.l }
 // exclusive lock is held for the duration, so concurrent writers serialize
 // and readers never observe torn writes. The transfer itself runs through
 // the striped engine — one coalesced request per object, fanned out
-// concurrently — unless the file system is in Serial mode. A write that
-// lands in a hole first allocates the hole's column (fill). A negative off
-// is refused with fs.ErrInvalid.
+// concurrently. A write that lands in a hole first allocates the hole's
+// column (fill). A negative off is refused with fs.ErrInvalid.
 func (f *File) WriteAt(p *sim.Proc, off int64, payload netsim.Payload) (int64, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("lwfspfs: write at offset %d: %w", off, fs.ErrInvalid)
@@ -722,12 +713,7 @@ func (f *File) WriteAt(p *sim.Proc, off int64, payload netsim.Payload) (int64, e
 			return 0, err
 		}
 	}
-	var n int64
-	if f.fs.opts.Serial && f.l.Scheme == stripe.Raid0 {
-		n, err = f.writeSerial(p, off, payload)
-	} else {
-		n, err = f.fs.eng.WriteAt(p, f.l, off, payload)
-	}
+	n, err := f.fs.eng.WriteAt(p, f.l, off, payload)
 	if err != nil {
 		return n, err
 	}
@@ -849,21 +835,6 @@ func (fs *FS) placeRecords(p *sim.Proc, pl *core.Placement, enc []byte, cands []
 		})
 }
 
-// writeSerial is the historical transfer path: one RPC per stripe unit, in
-// file order (stripe.Layout.Units). Kept as the baseline arm of the E17
-// comparison.
-func (f *File) writeSerial(p *sim.Proc, off int64, payload netsim.Payload) (int64, error) {
-	var written int64
-	for _, rq := range f.l.Units(off, payload.Size) {
-		w, err := f.fs.c.Write(p, f.l.Objs[rq.Obj], f.fs.caps, rq.Off, rq.Gather(off, payload))
-		written += w
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
-}
-
 // ReadAt reads [off, off+length) under the file's shared lock, truncated at
 // the file's logical size. Holes read as zeros, but when another handle held
 // the lock exclusively since this one's view (the lock generation says so),
@@ -880,7 +851,7 @@ func (f *File) ReadAt(p *sim.Proc, off, length int64) (netsim.Payload, error) {
 		return netsim.Payload{}, err
 	}
 	defer locks.Unlock(p, f.fs.lockName(f.path)) //nolint:errcheck
-	if n := f.clamp(off, length); gen != f.gen && n > 0 && f.l.Missing(off, n) != nil {
+	if n := min(length, f.l.Size-off); gen != f.gen && n > 0 && f.l.Missing(off, n) != nil {
 		// A hole inside the size, and another handle held the lock
 		// exclusively since this one's view: it may have written there.
 		if err := f.refresh(p); err != nil {
@@ -888,43 +859,15 @@ func (f *File) ReadAt(p *sim.Proc, off, length int64) (netsim.Payload, error) {
 		}
 		f.gen = gen
 	}
-	length = f.clamp(off, length)
+	length = min(length, f.l.Size-off) // the refresh may have grown the size
 	if length <= 0 {
 		return netsim.Payload{}, nil
-	}
-	if f.fs.opts.Serial && f.l.Scheme == stripe.Raid0 {
-		return f.readSerial(p, off, length)
 	}
 	return f.fs.eng.ReadAt(p, f.l, off, length)
 }
 
-// clamp returns how many of the length bytes at off lie inside the file.
-func (f *File) clamp(off, length int64) int64 {
-	return min(length, f.l.Size-off)
-}
-
-// readSerial is the per-unit serial read path (baseline arm of E17). A hole
-// issues no request and reads as zeros.
-func (f *File) readSerial(p *sim.Proc, off, length int64) (netsim.Payload, error) {
-	var buf []byte
-	for _, rq := range f.l.Units(off, length) {
-		if stripe.IsHole(f.l.Objs[rq.Obj]) {
-			continue
-		}
-		got, err := f.fs.c.Read(p, f.l.Objs[rq.Obj], f.fs.caps, rq.Off, rq.Len)
-		if err != nil {
-			return netsim.Payload{Size: length}, err
-		}
-		if got.Data != nil && buf == nil {
-			buf = make([]byte, length)
-		}
-		rq.Scatter(off, buf, got)
-	}
-	return netsim.Payload{Size: length, Data: buf}, nil
-}
-
 // Sync flushes every storage server holding part of the file. The
-// per-target Sync RPCs fan out concurrently, in Serial mode too.
+// per-target Sync RPCs fan out concurrently.
 func (f *File) Sync(p *sim.Proc) error {
 	return f.fs.eng.SyncTargets(p, f.l.Targets())
 }

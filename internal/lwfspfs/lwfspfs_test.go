@@ -395,72 +395,72 @@ func TestSteadyStateWriteSkipsMetadataRPC(t *testing.T) {
 	run(t, cl)
 }
 
-// Reads truncated at EOF: both transfer paths clamp to the logical size and
-// return exactly the bytes present.
+// Reads truncated at EOF: ReadAt clamps to the logical size and returns
+// exactly the bytes present.
 func TestReadTruncatedAtEOF(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		cl, l := smallCluster()
-		c := cl.NewClient(l, 0)
-		cl.Spawn("app", func(p *sim.Proc) {
-			c.Login(p, "alice", "pa")
-			fs, _ := lwfspfs.Format(p, c, "/vole", lwfspfs.Options{StripeUnit: 8 << 10, Serial: serial})
-			f, err := fs.Create(p, "/tail")
-			if err != nil {
-				t.Fatalf("create: %v", err)
-			}
-			data := make([]byte, 100_000)
-			rng := rand.New(rand.NewSource(9))
-			rng.Read(data)
-			if _, err := f.WriteAt(p, 0, payloadOf(data)); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			// Read far past EOF: clamped to the logical size.
-			got, err := f.ReadAt(p, 60_000, 1<<20)
-			if err != nil {
-				t.Fatalf("read: %v", err)
-			}
-			if got.Size != 40_000 || !bytes.Equal(got.Data, data[60_000:]) {
-				t.Fatalf("serial=%v: EOF read size %d, want 40000", serial, got.Size)
-			}
-			// Read starting at EOF: empty.
-			got, err = f.ReadAt(p, 100_000, 10)
-			if err != nil || got.Size != 0 {
-				t.Fatalf("read at EOF: size=%d err=%v", got.Size, err)
-			}
-		})
-		run(t, cl)
-	}
+	cl, l := smallCluster()
+	c := cl.NewClient(l, 0)
+	cl.Spawn("app", func(p *sim.Proc) {
+		c.Login(p, "alice", "pa")
+		fs, _ := lwfspfs.Format(p, c, "/vole", lwfspfs.Options{StripeUnit: 8 << 10})
+		f, err := fs.Create(p, "/tail")
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		data := make([]byte, 100_000)
+		rng := rand.New(rand.NewSource(9))
+		rng.Read(data)
+		if _, err := f.WriteAt(p, 0, payloadOf(data)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		// Read far past EOF: clamped to the logical size.
+		got, err := f.ReadAt(p, 60_000, 1<<20)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if got.Size != 40_000 || !bytes.Equal(got.Data, data[60_000:]) {
+			t.Fatalf("EOF read size %d, want 40000", got.Size)
+		}
+		// Read starting at EOF: empty.
+		got, err = f.ReadAt(p, 100_000, 10)
+		if err != nil || got.Size != 0 {
+			t.Fatalf("read at EOF: size=%d err=%v", got.Size, err)
+		}
+	})
+	run(t, cl)
 }
 
-// The serial baseline and the parallel engine must externalize identical
-// bytes — only timing differs.
-func TestSerialAndParallelPathsAgree(t *testing.T) {
-	read := func(serial bool) []byte {
-		cl, l := smallCluster()
-		c := cl.NewClient(l, 0)
-		var out []byte
-		cl.Spawn("app", func(p *sim.Proc) {
-			c.Login(p, "alice", "pa")
-			fs, _ := lwfspfs.Format(p, c, "/volsp", lwfspfs.Options{StripeUnit: 16 << 10, Serial: serial})
-			f, _ := fs.Create(p, "/f")
-			rng := rand.New(rand.NewSource(21))
-			for i := 0; i < 4; i++ {
-				data := make([]byte, 70_000)
-				rng.Read(data)
-				if _, err := f.WriteAt(p, int64(i*50_000), payloadOf(data)); err != nil {
-					t.Fatalf("write: %v", err)
-				}
+// The engine externalizes exactly the bytes written: four overlapping
+// writes across unit and column boundaries read back as the same writes
+// applied to a byte slice.
+func TestOverlappingWritesReadBack(t *testing.T) {
+	cl, l := smallCluster()
+	c := cl.NewClient(l, 0)
+	cl.Spawn("app", func(p *sim.Proc) {
+		c.Login(p, "alice", "pa")
+		fs, _ := lwfspfs.Format(p, c, "/volsp", lwfspfs.Options{StripeUnit: 16 << 10})
+		f, _ := fs.Create(p, "/f")
+		rng := rand.New(rand.NewSource(21))
+		var want []byte
+		for i := 0; i < 4; i++ {
+			data := make([]byte, 70_000)
+			rng.Read(data)
+			off := i * 50_000
+			if _, err := f.WriteAt(p, int64(off), payloadOf(data)); err != nil {
+				t.Fatalf("write: %v", err)
 			}
-			got, err := f.ReadAt(p, 0, f.Size())
-			if err != nil {
-				t.Fatalf("read: %v", err)
+			if end := off + len(data); end > len(want) {
+				want = append(want, make([]byte, end-len(want))...)
 			}
-			out = got.Data
-		})
-		run(t, cl)
-		return out
-	}
-	if !bytes.Equal(read(true), read(false)) {
-		t.Fatal("serial and parallel paths externalized different bytes")
-	}
+			copy(want[off:], data)
+		}
+		got, err := f.ReadAt(p, 0, f.Size())
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if !bytes.Equal(got.Data, want) {
+			t.Fatalf("read back %d bytes that differ from the %d written", len(got.Data), len(want))
+		}
+	})
+	run(t, cl)
 }
