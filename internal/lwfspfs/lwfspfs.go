@@ -28,7 +28,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io/fs"
 	"slices"
 	"strings"
 
@@ -688,10 +687,12 @@ func (f *File) Layout() stripe.Layout { return f.l }
 // and readers never observe torn writes. The transfer itself runs through
 // the striped engine — one coalesced request per object, fanned out
 // concurrently. A write that lands in a hole first allocates the hole's
-// column (fill). A negative off is refused with fs.ErrInvalid.
+// column (fill). A byte range no file can have (storage.CheckRange: a
+// negative offset or size, or an end past math.MaxInt64) is refused with
+// fs.ErrInvalid before anything moves.
 func (f *File) WriteAt(p *sim.Proc, off int64, payload netsim.Payload) (int64, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("lwfspfs: write at offset %d: %w", off, fs.ErrInvalid)
+	if err := storage.CheckRange(off, payload.Size); err != nil {
+		return 0, fmt.Errorf("lwfspfs: write %s: %w", f.path, err)
 	}
 	locks := f.fs.c.Locks()
 	gen, err := locks.Lock(p, f.fs.lockName(f.path), txn.Exclusive)
@@ -840,10 +841,11 @@ func (fs *FS) placeRecords(p *sim.Proc, pl *core.Placement, enc []byte, cands []
 // the lock exclusively since this one's view (the lock generation says so),
 // the handle first re-reads the layout record under the lock (refresh), so a
 // handle opened before another client filled a hole returns that client's
-// bytes. A negative off is refused with fs.ErrInvalid.
+// bytes. A byte range storage.CheckRange refuses is refused with
+// fs.ErrInvalid.
 func (f *File) ReadAt(p *sim.Proc, off, length int64) (netsim.Payload, error) {
-	if off < 0 {
-		return netsim.Payload{}, fmt.Errorf("lwfspfs: read at offset %d: %w", off, fs.ErrInvalid)
+	if err := storage.CheckRange(off, length); err != nil {
+		return netsim.Payload{}, fmt.Errorf("lwfspfs: read %s: %w", f.path, err)
 	}
 	locks := f.fs.c.Locks()
 	gen, err := locks.Lock(p, f.fs.lockName(f.path), txn.Shared)

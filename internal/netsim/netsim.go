@@ -33,10 +33,11 @@ type NodeID int
 //
 // Frozen promises that nobody modifies Data again, so a holder may keep Data
 // instead of copying it (an osd device stores such a payload by reference,
-// and replicas share it). A producer sets it only on a buffer it made for
-// this payload and never touches again; a payload cut from part of a frozen
-// one is not frozen, so no holder pins bytes it does not store. The zero
-// value means copy.
+// and replicas share it). A producer sets it only on a buffer that nobody
+// writes after this call; payloads that carry the same bytes may share one
+// such buffer (a replay mount hands every write of one content seed the
+// same one). A payload cut from part of a frozen one is not frozen, so no
+// holder pins bytes it does not store. The zero value means copy.
 type Payload struct {
 	Size   int64  // bytes on the wire
 	Data   []byte // optional real content; len(Data) <= Size

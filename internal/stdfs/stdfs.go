@@ -35,9 +35,12 @@ import (
 	"errors"
 	"io"
 	"io/fs"
+	"maps"
 	gopath "path"
 	"sort"
 	"time"
+	"unsafe"
+	"weak"
 
 	"lwfs/internal/lwfspfs"
 	"lwfs/internal/naming"
@@ -48,14 +51,49 @@ import (
 
 // FS is the facade over one mounted lwfspfs.FS, bound to a single proc.
 type FS struct {
-	p   *sim.Proc
-	pfs *lwfspfs.FS
+	p      *sim.Proc
+	pfs    *lwfspfs.FS
+	seeded seededMemo
+}
+
+// seededMemo hands every seeded write of one (seed, length) the buffer the
+// first such write generated, so replay clones on one mount expand their
+// shared content once and their files share its frozen bytes. An entry is
+// weak: it names a buffer only while something else (a device extent, a
+// write in flight) still holds it, so the memo pins nothing. Dead entries
+// are dropped once the map has doubled since the last sweep.
+type seededMemo struct {
+	bufs  map[seededKey]weak.Pointer[byte]
+	swept int // len(bufs) after the last sweep
+}
+
+type seededKey struct {
+	seed uint64
+	n    int64
+}
+
+// data returns trace.DataFor(seed, n), shared: the caller must not modify it.
+func (m *seededMemo) data(seed uint64, n int64) []byte {
+	k := seededKey{seed, n}
+	if b := m.bufs[k].Value(); b != nil {
+		return unsafe.Slice(b, n)
+	}
+	data := trace.DataFor(seed, n)
+	if len(data) == 0 {
+		return data
+	}
+	if len(m.bufs) >= 2*m.swept {
+		maps.DeleteFunc(m.bufs, func(_ seededKey, w weak.Pointer[byte]) bool { return w.Value() == nil })
+		m.swept = len(m.bufs)
+	}
+	m.bufs[k] = weak.Make(&data[0])
+	return data
 }
 
 // New binds a mounted file system to the proc whose goroutine will call
 // the facade. See the package comment for the single-proc discipline.
 func New(p *sim.Proc, pfs *lwfspfs.FS) *FS {
-	return &FS{p: p, pfs: pfs}
+	return &FS{p: p, pfs: pfs, seeded: seededMemo{bufs: map[seededKey]weak.Pointer[byte]{}}}
 }
 
 // Proc returns the bound proc.
@@ -256,9 +294,6 @@ func (f *File) ReadAt(b []byte, off int64) (int, error) {
 	if f.closed {
 		return 0, wrap("read", f.name, fs.ErrClosed)
 	}
-	if off < 0 {
-		return 0, wrap("read", f.name, fs.ErrInvalid)
-	}
 	pay, err := f.f.ReadAt(f.fsys.p, off, int64(len(b)))
 	n := int(pay.Size)
 	if pay.Data != nil {
@@ -284,7 +319,7 @@ func (f *File) Write(b []byte) (int, error) {
 
 // WriteAt writes b at off (io.WriterAt), under the file's POSIX lock.
 func (f *File) WriteAt(b []byte, off int64) (int, error) {
-	if err := f.writeOK(off); err != nil {
+	if err := f.writeOK(); err != nil {
 		return 0, err
 	}
 	n, err := f.f.WriteAt(f.fsys.p, off, netsim.BytesPayload(b))
@@ -298,7 +333,7 @@ func (f *File) WriteAt(b []byte, off int64) (int, error) {
 // simulation moves (and accounts) the bytes without materializing them.
 // Such ranges read back as zeros.
 func (f *File) WriteSynthetic(off, length int64) (int64, error) {
-	if err := f.writeOK(off); err != nil {
+	if err := f.writeOK(); err != nil {
 		return 0, err
 	}
 	n, err := f.f.WriteAt(f.fsys.p, off, netsim.SyntheticPayload(length))
@@ -309,18 +344,20 @@ func (f *File) WriteSynthetic(off, length int64) (int64, error) {
 }
 
 // WriteSeeded writes length bytes generated from a trace content seed —
-// the replayer's write path (trace.File). The generated buffer is handed
-// down frozen: nothing touches it after this call, so every server holding
-// a copy of the range keeps it rather than copying it.
+// the replayer's write path (trace.File). The bytes are generated once per
+// (seed, length) on this FS: a later write of the same content, such as
+// another replay clone's, gets the same buffer. It is handed down frozen:
+// nothing modifies it, so every server holding a copy of the range, in
+// every file written with it, keeps that one buffer rather than a copy.
 func (f *File) WriteSeeded(off, length int64, seed uint64) (int64, error) {
 	if seed == 0 {
 		return f.WriteSynthetic(off, length)
 	}
-	if err := f.writeOK(off); err != nil {
+	if err := f.writeOK(); err != nil {
 		return 0, err
 	}
-	data := trace.DataFor(seed, length)
-	n, err := f.f.WriteAt(f.fsys.p, off, netsim.Payload{Size: int64(len(data)), Data: data, Frozen: true})
+	data := f.fsys.seeded.data(seed, length)
+	n, err := f.f.WriteAt(f.fsys.p, off, netsim.Payload{Size: length, Data: data, Frozen: true})
 	if err != nil {
 		return n, wrap("write", f.name, err)
 	}
@@ -334,9 +371,6 @@ func (f *File) ReadDiscard(off, length int64) (int64, error) {
 	if f.closed {
 		return 0, wrap("read", f.name, fs.ErrClosed)
 	}
-	if off < 0 {
-		return 0, wrap("read", f.name, fs.ErrInvalid)
-	}
 	pay, err := f.f.ReadAt(f.fsys.p, off, length)
 	if err != nil {
 		return pay.Size, wrap("read", f.name, err)
@@ -344,17 +378,14 @@ func (f *File) ReadDiscard(off, length int64) (int64, error) {
 	return pay.Size, nil
 }
 
-// writeOK refuses a write at off through a closed or read-only handle, or
-// at a negative offset.
-func (f *File) writeOK(off int64) error {
+// writeOK refuses a write through a closed or read-only handle. A byte
+// range no file can have is lwfspfs's to refuse.
+func (f *File) writeOK() error {
 	if f.closed {
 		return wrap("write", f.name, fs.ErrClosed)
 	}
 	if !f.writable {
 		return wrap("write", f.name, errors.New("file opened read-only"))
-	}
-	if off < 0 {
-		return wrap("write", f.name, fs.ErrInvalid)
 	}
 	return nil
 }

@@ -3,8 +3,10 @@ package stdfs_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -83,6 +85,16 @@ func write(t *testing.T, x *stdfs.FS, name string, data []byte) {
 // live simulated mount: every fs.FS contract — Open semantics, ReadDir
 // ordering and paging, Stat agreement, path validation — checked by the
 // same harness that checks os.DirFS.
+// schemes are the three redundancy schemes, each on a 4 KiB stripe unit.
+var schemes = []struct {
+	name string
+	opts lwfspfs.Options
+}{
+	{"raid0", lwfspfs.Options{StripeUnit: 4096}},
+	{"replica", lwfspfs.Options{Scheme: stripe.Replica, StripeUnit: 4096}},
+	{"parity", lwfspfs.Options{Scheme: stripe.Parity, StripeUnit: 4096}},
+}
+
 func TestFSTestConformance(t *testing.T) {
 	withMount(t, lwfspfs.Options{}, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
 		if err := x.Mkdir("data"); err != nil {
@@ -257,14 +269,7 @@ func TestWriteGuards(t *testing.T) {
 // start. Each scheme's read path is checked, with one offset a whole
 // stripe unit back.
 func TestReadWriteRefuseNegativeOffset(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		opts lwfspfs.Options
-	}{
-		{"raid0", lwfspfs.Options{StripeUnit: 4096}},
-		{"replica", lwfspfs.Options{Scheme: stripe.Replica, StripeUnit: 4096}},
-		{"parity", lwfspfs.Options{Scheme: stripe.Parity, StripeUnit: 4096}},
-	} {
+	for _, c := range schemes {
 		t.Run(c.name, func(t *testing.T) {
 			withMount(t, c.opts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
 				const content = "hello world, hello world"
@@ -308,6 +313,52 @@ func TestReadWriteRefuseNegativeOffset(t *testing.T) {
 				if _, err := f.ReadAt(got, 0); err != nil || string(got) != content {
 					t.Errorf("ReadAt(0) = %q, %v; want %q", got, err, content)
 				}
+			})
+		})
+	}
+}
+
+// A negative length, or a range whose end is past math.MaxInt64, is refused
+// before anything moves: such a write must not set the file's size from
+// off+size, and such a read must not answer "nothing there". Each scheme,
+// through the facade and through the lwfspfs handle; the file stays empty.
+func TestReadWriteRefuseNegativeLength(t *testing.T) {
+	for _, c := range schemes {
+		t.Run(c.name, func(t *testing.T) {
+			withMount(t, c.opts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
+				f, err := x.Create("neglen.bin")
+				if err != nil {
+					t.Fatal(err)
+				}
+				refused := func(call string, n int64, err error) {
+					t.Helper()
+					if n != 0 || !errors.Is(err, fs.ErrInvalid) {
+						t.Errorf("%s = %d, %v; want 0, fs.ErrInvalid", call, n, err)
+					}
+				}
+				const far = math.MaxInt64 - 8 // off+16 overflows
+				n, err := f.WriteSynthetic(100, -50)
+				refused("WriteSynthetic(100, -50)", n, err)
+				n, err = f.WriteSeeded(0, -5, 7)
+				refused("WriteSeeded(0, -5)", n, err)
+				n, err = f.WriteSeeded(far, 16, 7)
+				refused("WriteSeeded(MaxInt64-8, 16)", n, err)
+				n, err = f.Handle().WriteAt(p, 100, netsim.SyntheticPayload(-50))
+				refused("lwfspfs WriteAt(100, -50 B)", n, err)
+				n, err = f.Handle().WriteAt(p, far, netsim.SyntheticPayload(16))
+				refused("lwfspfs WriteAt(MaxInt64-8, 16 B)", n, err)
+				if st, err := f.Stat(); err != nil {
+					t.Error(err)
+				} else if st.Size() != 0 {
+					t.Errorf("after refused writes the file holds %d bytes, want none", st.Size())
+				}
+
+				n, err = f.ReadDiscard(0, -5)
+				refused("ReadDiscard(0, -5)", n, err)
+				pay, err := f.Handle().ReadAt(p, 0, -5)
+				refused("lwfspfs ReadAt(0, -5)", pay.Size, err)
+				pay, err = f.Handle().ReadAt(p, far, 16)
+				refused("lwfspfs ReadAt(MaxInt64-8, 16)", pay.Size, err)
 			})
 		})
 	}
@@ -394,6 +445,103 @@ func TestSeededWriteAllocatesItsBytesOnce(t *testing.T) {
 	})
 }
 
+// Replay clones write the same content seeds. Through one FS every write of
+// a (seed, length) after the first reuses the first one's buffer, so
+// sixteen files cost the bytes of one, and each reads back its content.
+func TestSeededClonesShareOneBuffer(t *testing.T) {
+	withMount(t, replicaOpts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
+		const n, files, seed = 256 << 10, 16, 9
+		fl := make([]*stdfs.File, files)
+		for i := range fl {
+			var err error
+			if fl[i], err = x.Create(fmt.Sprintf("clone%d.dat", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := fl[0].WriteSeeded(0, n, seed); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, f := range fl[1:] {
+			if _, err := f.WriteSeeded(0, n, seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / ((files - 1) * n)
+		t.Logf("%.4f bytes allocated per seeded byte after the first write", perByte)
+		if perByte > 0.1 {
+			t.Errorf("%.3f bytes allocated per seeded byte after the first write, want at most 0.1", perByte)
+		}
+		want := trace.DataFor(seed, n)
+		for i, f := range fl {
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := fs.ReadFile(x, fmt.Sprintf("clone%d.dat", i)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("clone%d.dat: %d bytes, %v; want the seed's %d bytes", i, len(got), err, n)
+			}
+		}
+	})
+}
+
+// One seed at two lengths is two contents: each write gets the bytes of
+// its own length, whichever was written first.
+func TestSeededLengthsKeepTheirBytes(t *testing.T) {
+	withMount(t, lwfspfs.Options{StripeUnit: 4096}, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
+		const seed = 5
+		lens := []int64{10000, 30003, 10000, 30003}
+		for i, n := range lens {
+			f, err := x.Create(fmt.Sprintf("len%d.dat", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteSeeded(0, n, seed); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, n := range lens {
+			got, err := fs.ReadFile(x, fmt.Sprintf("len%d.dat", i))
+			if err != nil || !bytes.Equal(got, trace.DataFor(seed, n)) {
+				t.Errorf("len%d.dat: %d bytes, %v; want the seed's %d bytes", i, len(got), err, n)
+			}
+		}
+	})
+}
+
+// The memo keeps no buffer alive by itself: 1 024 distinct seeds written
+// over 16 offsets leave 16 of them in the file, and after a collection the
+// heap holds little more than those (a memo that kept every buffer would
+// hold 64 MiB).
+func TestSeededMemoPinsNothing(t *testing.T) {
+	withMount(t, replicaOpts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
+		const n, writes = 64 << 10, 1024
+		f, err := x.Create("churn.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < writes; i++ {
+			if _, err := f.WriteSeeded(int64(i%16)*n, n, uint64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		grew := int64(after.HeapInuse) - int64(before.HeapInuse)
+		t.Logf("heap in use grew by %.2f MiB", float64(grew)/(1<<20))
+		if grew >= 16<<20 {
+			t.Errorf("heap in use grew by %.1f MiB over %d seeded writes, want under 16", float64(grew)/(1<<20), writes)
+		}
+	})
+}
+
 // BenchmarkWriteSeeded is one 64 KiB replay write on a 2-copy replica
 // mount: generating the bytes, the write RPC to both servers, their pulls
 // and stores. Writes cycle over 16 offsets, so the file stops growing.
@@ -409,6 +557,37 @@ func BenchmarkWriteSeeded(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := f.WriteSeeded(int64(i%16)*n, n, uint64(i+1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+	})
+}
+
+// BenchmarkWriteSeededRepeat is BenchmarkWriteSeeded for content the mount
+// wrote before — the replay clone case: a first file holds the 16 seeds, and
+// the timed writes put the same seeds at the same offsets of a second file.
+func BenchmarkWriteSeededRepeat(b *testing.B) {
+	withMount(b, replicaOpts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
+		const n = 64 << 10
+		first, err := x.Create("first.dat")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 16; i++ {
+			if _, err := first.WriteSeeded(int64(i)*n, n, uint64(i+1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		f, err := x.Create("clone.dat")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := f.WriteSeeded(int64(i%16)*n, n, uint64(i%16+1)); err != nil {
 				b.Fatal(err)
 			}
 		}
