@@ -503,7 +503,6 @@ var exportsKept = map[string]string{
 	"core.Client.List":    "paper API: §3.3 the object service lists a container's objects",
 	"authn.Client.Verify": "paper API: §3.1 a service verifies a credential with its issuer",
 
-	"lwfspfs.File.Degraded":      "accessor: lwfspfs.TestMetaMirrorCrashMidWorkload and the other mirror chaos tests",
 	"stdfs.File.Handle":          "accessor: stdfs.TestReadFileDegraded reaches the layout through it",
 	"mpi.Rank.ID":                "accessor: every mpi test body asks which rank it runs as",
 	"mpi.Rank.MessagesSent":      "accessor: mpi.TestBcastIsLogarithmic",

@@ -35,11 +35,12 @@ type rankFiles struct {
 
 // runRedundantChaos checkpoints four ranks into one lwfspfs file each: rank
 // 0 formats the volume with opts, every rank mounts it with its own client,
-// creates /rank-N and dumps its 2 MB pattern with one WriteAt and a Close.
-// Server 1 crashes a seed-shifted 1–5 ms after the last create — mid-dump —
-// and never restarts. A fifth client then mounts the volume and reads every
-// file back. A rank whose WriteAt and Close were acknowledged must read back
-// bit-exact or fail detectably; a silently wrong read fails the test here.
+// creates /rank-N and dumps its 2 MB pattern with one WriteAt, a Sync and a
+// Close. Server 1 crashes a seed-shifted 1–5 ms after the last create —
+// mid-dump — and never restarts. A fifth client then mounts the volume and
+// reads every file back. A rank whose WriteAt, Sync and Close were
+// acknowledged must read back bit-exact or fail detectably; a silently wrong
+// read fails the test here.
 func runRedundantChaos(t *testing.T, seed int64, opts lwfspfs.Options) rankFiles {
 	t.Helper()
 	const ranks = 4
@@ -94,6 +95,10 @@ func runRedundantChaos(t *testing.T, seed int64, opts lwfspfs.Options) rankFiles
 			}
 			if _, err := f.WriteAt(p, 0, netsim.BytesPayload(checkpoint.PatternFor(rank, 2*mb))); err != nil {
 				out.errs[rank] = fmt.Errorf("write: %w", err)
+				return
+			}
+			if err := f.Sync(p); err != nil {
+				out.errs[rank] = fmt.Errorf("sync: %w", err)
 				return
 			}
 			if err := f.Close(p); err != nil {

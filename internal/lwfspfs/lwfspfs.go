@@ -360,9 +360,9 @@ const layoutWireMax = 64 << 10
 type File struct {
 	fs       *FS
 	path     string
-	mdRefs   []storage.ObjRef // metadata mirrors, in this client's walk order
-	stale    []bool           // mirrors absorbed by a fault; never re-read or re-written
-	degraded bool             // Open skipped at least one unreachable mirror
+	mdRefs   []storage.ObjRef // live metadata mirrors, in this client's walk order
+	demote   bool             // the naming entry still lists a mirror dropped from mdRefs
+	absorbed []storage.Target // servers this handle's writes absorbed: their copies may miss bytes
 	l        stripe.Layout
 	mdLen    int64 // metadata object length as of the last read or flush
 	dirty    bool
@@ -374,18 +374,15 @@ type File struct {
 // Every lock generation differs from it and from its successor.
 const genUnknown = ^uint64(0)
 
-// MetaRefs returns a copy of the file's metadata mirror refs in this
-// client's walk order: [0] is the mirror the owning client tries first on
-// open — its primary. (The naming entry stores placement order; each client
-// rotates it by its own id, see mirrorStart.) Tests and experiments use it
-// to aim faults at the server hosting a given mirror.
+// MetaRefs returns a copy of the handle's live metadata mirror refs in this
+// client's walk order: [0] is the first live mirror — on a healthy handle
+// the one the owning client tries first on open, its primary. (The naming
+// entry stores placement order; each client rotates it by its own id, see
+// mirrorStart.) A mirror the handle stopped trusting is not listed. Tests and
+// experiments use it to aim faults at the server hosting a given mirror.
 func (f *File) MetaRefs() []storage.ObjRef {
 	return append([]storage.ObjRef(nil), f.mdRefs...)
 }
-
-// Degraded reports whether Open had to skip an unreachable metadata mirror
-// to read the layout record.
-func (f *File) Degraded() bool { return f.degraded }
 
 // Create makes a new file inside one distributed transaction, so a crashed
 // create leaves no debris: column 0's data objects — every replica copy,
@@ -444,8 +441,7 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 	if s := fs.mirrorStart(m); s > 0 {
 		mdRefs = slices.Concat(mdRefs[s:], mdRefs[:s])
 	}
-	return &File{fs: fs, path: path, mdRefs: mdRefs,
-		stale: make([]bool, len(mdRefs)), l: l, mdLen: int64(len(enc))}, nil
+	return &File{fs: fs, path: path, mdRefs: mdRefs, l: l, mdLen: int64(len(enc))}, nil
 }
 
 // Open opens an existing file, reading its layout record from the first
@@ -459,7 +455,10 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 // (ErrBadLayout) means corruption; neither may be masked as transience by
 // reading another mirror (DESIGN.md §4.11). An open served by a mirror
 // later in the client's walk than its first choice is recorded in
-// pfs.meta.degraded_opens.
+// pfs.meta.degraded_opens, and the mirrors it walked past leave the handle:
+// it never reads or writes them again (once their server restarts they hold
+// an old record), its next flush demotes them from the naming entry, and
+// Rebuild tops the set back up.
 func (fs *FS) Open(p *sim.Proc, path string) (*File, error) {
 	e, err := fs.c.Lookup(p, fs.full(path))
 	if err != nil {
@@ -472,16 +471,14 @@ func (fs *FS) Open(p *sim.Proc, path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &File{fs: fs, path: path, mdRefs: refs,
-		stale: make([]bool, len(refs)), l: l, mdLen: n, gen: genUnknown}
 	if len(all) > 1 {
 		fs.countOpenSlot((start + skipped) % len(all))
 	}
 	if skipped > 0 {
 		fs.degradedOpens.Inc()
-		f.skipMirrors(skipped)
 	}
-	return f, nil
+	return &File{fs: fs, path: path, mdRefs: refs[skipped:], demote: skipped > 0,
+		l: l, mdLen: n, gen: genUnknown}, nil
 }
 
 // readRecord reads and decodes the layout record from the first reachable
@@ -506,23 +503,6 @@ func (fs *FS) readRecord(p *sim.Proc, path string, refs []storage.ObjRef) (strip
 	return l, int64(len(payload.Data)), skipped, nil
 }
 
-// skipMirrors marks the first n live mirrors in walk order stale: a record
-// read walked past them as unreachable. This handle never writes to them
-// again — once their server restarts they hold an old record and must be
-// re-homed by Rebuild, never re-read.
-func (f *File) skipMirrors(n int) {
-	f.degraded = true
-	for i := range f.mdRefs {
-		if n == 0 {
-			return
-		}
-		if !f.stale[i] {
-			f.stale[i] = true
-			n--
-		}
-	}
-}
-
 // refresh re-reads the layout record from the handle's live mirrors and
 // adopts what other handles changed since this one read it: the record's
 // objects for every column where they differ from the handle's view — a
@@ -534,17 +514,15 @@ func (f *File) skipMirrors(n int) {
 // shrinks its size or undoes a Rebuild. The handle's own fills, which the
 // record may not name yet, stay.
 func (f *File) refresh(p *sim.Proc) error {
-	var live []storage.ObjRef
-	for i, ref := range f.mdRefs {
-		if !f.stale[i] {
-			live = append(live, ref)
-		}
-	}
-	l, n, skipped, err := f.fs.readRecord(p, f.path, live)
+	l, n, skipped, err := f.fs.readRecord(p, f.path, f.mdRefs)
 	if err != nil {
 		return err
 	}
-	f.skipMirrors(skipped)
+	// The mirrors the read walked past leave the handle, as in Open. A short
+	// handle demotes again: another handle's Rebuild may have re-homed a
+	// mirror that this handle's flushes would leave with an old record.
+	f.mdRefs = f.mdRefs[skipped:]
+	f.demote = f.demote || len(f.mdRefs) < f.fs.opts.MetaCopies
 	if len(l.Objs) != len(f.l.Objs) {
 		return fmt.Errorf("lwfspfs: %s: layout record changed shape: %w", f.path, ErrBadLayout)
 	}
@@ -612,19 +590,19 @@ func (fs *FS) Rebuild(p *sim.Proc, path string, dead storage.Target) error {
 		return err
 	}
 	f.l = nl
-	// Metadata mirrors hosted on the dead server (and any a tolerant flush
-	// already absorbed) are re-homed in their own transaction, still under
-	// the write lock, before the repaired layout is flushed everywhere.
+	// Metadata mirrors hosted on the dead server (and any the handle already
+	// dropped) are re-homed in their own transaction, still under the write
+	// lock, before the repaired layout is flushed everywhere.
 	if err := f.rehomeMeta(p, dead); err != nil {
 		return err
 	}
 	return f.flushMeta(p)
 }
 
-// rehomeMeta replaces every metadata mirror hosted on dead — plus any
-// mirror already marked stale — with a fresh object on a spare, topping
-// the mirror set back up to the mount's MetaCopies (a tolerant flush may
-// have demoted a mirror earlier). The replacement objects, their contents,
+// rehomeMeta replaces every live metadata mirror hosted on dead with a fresh
+// object on a spare, topping the mirror set back up from the handle's live
+// mirrors to the mount's MetaCopies (an Open, a refresh or a tolerant flush
+// may have dropped a mirror earlier). The replacement objects, their contents,
 // and the naming-entry swap commit in one transaction under the caller's
 // exclusive file lock: the data rebuild's fencing rule applied to
 // metadata. An aborted re-home leaves the old entry intact (SetRefs is
@@ -632,16 +610,13 @@ func (fs *FS) Rebuild(p *sim.Proc, path string, dead storage.Target) error {
 // no reader can ever resolve the path to a half-built mirror set.
 func (f *File) rehomeMeta(p *sim.Proc, dead storage.Target) error {
 	var keep []storage.ObjRef
-	lost := 0
-	for i, ref := range f.mdRefs {
-		if storage.TargetOf(ref) == dead || f.stale[i] {
-			lost++
-			continue
+	for _, ref := range f.mdRefs {
+		if storage.TargetOf(ref) != dead {
+			keep = append(keep, ref)
 		}
-		keep = append(keep, ref)
 	}
 	need := f.fs.opts.MetaCopies - len(keep)
-	if lost == 0 && need <= 0 {
+	if len(keep) == len(f.mdRefs) && need <= 0 {
 		return nil
 	}
 	if len(keep) == 0 {
@@ -669,9 +644,7 @@ func (f *File) rehomeMeta(p *sim.Proc, dead storage.Target) error {
 	if err := pl.Commit(p); err != nil {
 		return err
 	}
-	f.mdRefs = refs
-	f.stale = make([]bool, len(refs))
-	f.degraded = false
+	f.mdRefs, f.demote = refs, false
 	return nil
 }
 
@@ -686,9 +659,10 @@ func (f *File) Layout() stripe.Layout { return f.l }
 // exclusive lock is held for the duration, so concurrent writers serialize
 // and readers never observe torn writes. The transfer itself runs through
 // the striped engine — one coalesced request per object, fanned out
-// concurrently. A write that lands in a hole first allocates the hole's
-// column (fill). A byte range no file can have (storage.CheckRange: a
-// negative offset or size, or an end past math.MaxInt64) is refused with
+// concurrently; a dead server the scheme covers is absorbed and remembered
+// for Sync. A write that lands in a hole first allocates the hole's column
+// (fill). A byte range no file can have (storage.CheckRange: a negative
+// offset or size, or an end past math.MaxInt64) is refused with
 // fs.ErrInvalid before anything moves.
 func (f *File) WriteAt(p *sim.Proc, off int64, payload netsim.Payload) (int64, error) {
 	if err := storage.CheckRange(off, payload.Size); err != nil {
@@ -714,7 +688,12 @@ func (f *File) WriteAt(p *sim.Proc, off int64, payload netsim.Payload) (int64, e
 			return 0, err
 		}
 	}
-	n, err := f.fs.eng.WriteAt(p, f.l, off, payload)
+	n, absorbed, err := f.fs.eng.WriteAtTolerant(p, f.l, off, payload)
+	for _, t := range absorbed {
+		if !slices.Contains(f.absorbed, t) {
+			f.absorbed = append(f.absorbed, t)
+		}
+	}
 	if err != nil {
 		return n, err
 	}
@@ -868,10 +847,12 @@ func (f *File) ReadAt(p *sim.Proc, off, length int64) (netsim.Payload, error) {
 	return f.fs.eng.ReadAt(p, f.l, off, length)
 }
 
-// Sync flushes every storage server holding part of the file. The
-// per-target Sync RPCs fan out concurrently.
+// Sync flushes every storage server holding part of the file, concurrently.
+// Dead servers, and those this handle's writes absorbed, are tolerated while
+// the file's redundancy covers every byte without them (stripe.Engine.Sync);
+// copies another handle's writes absorbed are not known here.
 func (f *File) Sync(p *sim.Proc) error {
-	return f.fs.eng.SyncTargets(p, f.l.Targets())
+	return f.fs.eng.Sync(p, f.l, f.absorbed)
 }
 
 // Close persists metadata if needed.
@@ -889,45 +870,33 @@ func (f *File) Close(p *sim.Proc) error {
 // encoding would make the next Open's Decode fail with ErrBadLayout.
 //
 // The flush has WriteAtTolerant semantics: while more than one live mirror
-// remains, a mirror that times out is absorbed — marked stale, counted in
-// pfs.meta.mirrors_stale, and demoted from the naming entry so that no
-// later Open can be served its old record (staleness is made durable
-// before the flush succeeds). A stale mirror is never re-read or
-// re-written; Rebuild re-homes it. A non-timeout error, or the last live
-// mirror failing, stays hard.
+// remains, a mirror that times out is absorbed — dropped from the handle and
+// counted in pfs.meta.mirrors_stale. A dropped mirror is never re-read or
+// re-written; Rebuild re-homes it. While the naming entry still lists a
+// dropped mirror (absorbed now, or skipped by an Open or a refresh), the
+// flush rewrites the entry to the live mirrors before it succeeds, once per
+// loss: no later Open can be served an old record, even after a crash. A
+// non-timeout error, or the last live mirror failing, stays hard.
 func (f *File) flushMeta(p *sim.Proc) error {
 	enc := f.l.Encode()
-	liveLeft := 0
-	for i := range f.mdRefs {
-		if !f.stale[i] {
-			liveLeft++
-		}
-	}
-	for i, ref := range f.mdRefs {
-		if f.stale[i] {
-			continue
-		}
-		err := f.writeMirror(p, ref, enc)
+	for i := 0; i < len(f.mdRefs); {
+		err := f.writeMirror(p, f.mdRefs[i], enc)
 		if err == nil {
+			i++
 			continue
 		}
-		if !portals.FailStop(err) || liveLeft == 1 {
+		if !portals.FailStop(err) || len(f.mdRefs) == 1 {
 			return err
 		}
-		liveLeft--
-		f.stale[i] = true
+		// A fresh slice: the naming entry may hold the old one.
+		f.mdRefs, f.demote = slices.Concat(f.mdRefs[:i], f.mdRefs[i+1:]), true
 		f.fs.mirrorsStale.Inc()
 	}
-	for i := range f.mdRefs {
-		if f.stale[i] {
-			// At least one mirror is out of date (absorbed now or skipped
-			// by a degraded open): demote it from the entry so the flush's
-			// record is the only one the namespace can hand out.
-			if err := f.demoteStale(p); err != nil {
-				return err
-			}
-			break
+	if f.demote {
+		if err := f.fs.c.SetNameRefs(p, f.fs.full(f.path), f.mdRefs, nil); err != nil {
+			return err
 		}
+		f.demote = false
 	}
 	f.mdLen = int64(len(enc))
 	f.dirty = false
@@ -943,19 +912,6 @@ func (f *File) writeMirror(p *sim.Proc, ref storage.ObjRef, enc []byte) error {
 		return f.fs.c.Truncate(p, ref, f.fs.caps, int64(len(enc)))
 	}
 	return nil
-}
-
-// demoteStale rewrites the naming entry to list only live mirrors, making
-// staleness durable: a crash right after a tolerant flush cannot leave the
-// namespace pointing at a mirror holding an old layout record.
-func (f *File) demoteStale(p *sim.Proc) error {
-	var live []storage.ObjRef
-	for i, ref := range f.mdRefs {
-		if !f.stale[i] {
-			live = append(live, ref)
-		}
-	}
-	return f.fs.c.SetNameRefs(p, f.fs.full(f.path), live, nil)
 }
 
 // pathHash spreads files' starting servers.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"lwfs/internal/authz"
 	"lwfs/internal/cluster"
 	"lwfs/internal/lwfspfs"
 	"lwfs/internal/portals"
@@ -27,6 +29,14 @@ func metaCluster() (*cluster.Cluster, *cluster.LWFS) {
 	cl := cluster.New(spec)
 	cl.RegisterUser("alice", "pa")
 	return cl, cl.DeployLWFS()
+}
+
+// openDegraded opens path and reports whether the open was degraded: whether
+// pfs.meta.degraded_opens moved across it.
+func openDegraded(p *sim.Proc, cl *cluster.Cluster, fs *lwfspfs.FS, path string) (*lwfspfs.File, bool, error) {
+	before := cl.Metrics().Snapshot().Sum("pfs.meta.degraded_opens")
+	f, err := fs.Open(p, path)
+	return f, cl.Metrics().Snapshot().Sum("pfs.meta.degraded_opens") != before, err
 }
 
 // crashTarget kills the storage server serving the given target.
@@ -115,11 +125,11 @@ func TestMetaMirrorCrashMidWorkload(t *testing.T) {
 		if err := fs.Rebuild(p, "/data.bin", deadT); err != nil {
 			t.Fatalf("rebuild: %v", err)
 		}
-		g2, err := fs.Open(p, "/data.bin")
+		g2, degraded, err := openDegraded(p, cl, fs, "/data.bin")
 		if err != nil {
 			t.Fatalf("open after rebuild: %v", err)
 		}
-		if g2.Degraded() {
+		if degraded {
 			t.Fatalf("open still degraded after rebuild")
 		}
 		refs2 := g2.MetaRefs()
@@ -140,11 +150,11 @@ func TestMetaMirrorCrashMidWorkload(t *testing.T) {
 			t.Fatalf("rebuild reused the dead server")
 		}
 		crashTarget(l, second)
-		g3, err := fs.Open(p, "/data.bin")
+		g3, degraded, err := openDegraded(p, cl, fs, "/data.bin")
 		if err != nil {
 			t.Fatalf("open after second crash: %v", err)
 		}
-		if !g3.Degraded() {
+		if !degraded {
 			t.Fatalf("second-crash open did not report degraded")
 		}
 		got, err = g3.ReadAt(p, 0, fileSize)
@@ -297,11 +307,11 @@ func TestMetaFlushAbsorbsDeadMirrorAndDemotes(t *testing.T) {
 			}
 		}
 		// And the file reopens clean off the surviving mirror.
-		g, err := fs.Open(p, "/data.bin")
+		g, degraded, err := openDegraded(p, cl, fs, "/data.bin")
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		if g.Degraded() {
+		if degraded {
 			t.Errorf("open degraded despite demotion")
 		}
 		if g.Size() != 192<<10 {
@@ -312,6 +322,125 @@ func TestMetaFlushAbsorbsDeadMirrorAndDemotes(t *testing.T) {
 	if n := cl.Metrics().Snapshot().Sum("pfs.meta.mirrors_stale"); n < 1 {
 		t.Errorf("pfs.meta.mirrors_stale = %v, want >= 1", n)
 	}
+}
+
+// A handle demotes a lost mirror from the naming entry once, not on every
+// flush: after the server holding MetaRefs()[0] crashes, eight size-growing
+// writes cost one naming RPC — the demotion — and the handle keeps only the
+// live mirror.
+func TestMetaMirrorLossDemotesOnce(t *testing.T) {
+	cl, l := metaCluster()
+	c := cl.NewClient(l, 0)
+	c.SetRetry(pfsRetry, 83)
+	cl.Spawn("app", func(p *sim.Proc) {
+		if err := c.Login(p, "alice", "pa"); err != nil {
+			t.Fatalf("login: %v", err)
+		}
+		fs, err := lwfspfs.Format(p, c, "/vol0",
+			lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica})
+		if err != nil {
+			t.Fatalf("format: %v", err)
+		}
+		f, err := fs.Create(p, "/data.bin")
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		refs := f.MetaRefs()
+		dead := storage.TargetOf(refs[0])
+		crashTarget(l, dead)
+		served := cl.Metrics().Counter("rpc.naming.served")
+		before := served.Value()
+		const chunk = 4 << 10 // every write grows the file inside column 0
+		for i := range 8 {
+			if _, err := f.WriteAt(p, int64(i*chunk), synthetic(chunk)); err != nil {
+				t.Fatalf("write %d with a dead mirror: %v", i, err)
+			}
+		}
+		if got := served.Value() - before; got != 1 {
+			t.Errorf("8 size-growing writes after a mirror loss cost %d naming RPCs, want 1", got)
+		}
+		if got := f.MetaRefs(); len(got) != len(refs)-1 || slices.Contains(got, refs[0]) {
+			t.Errorf("handle mirrors after the loss = %v, want %v without %v", got, refs, refs[0])
+		}
+		if err := f.Close(p); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	})
+	run(t, cl)
+}
+
+// A handle that dropped a mirror demotes again after another handle's Rebuild
+// re-homed one. Otherwise its flushes skip the re-homed mirror, which the
+// naming entry lists with the record of rebuild time, and a client whose walk
+// starts there opens the file short.
+func TestShortHandleDemotesRehomedMirror(t *testing.T) {
+	cl, l := metaCluster()
+	c := cl.NewClient(l, 0)
+	c.SetRetry(pfsRetry, 67)
+	// The readers mount before the crash: the superblock may sit on the
+	// victim.
+	cids, mounted, grown := sim.NewMailbox(cl.K, "cid"), sim.NewMailbox(cl.K, "mounted"), sim.NewMailbox(cl.K, "grown")
+	cl.Spawn("app", func(p *sim.Proc) {
+		if err := c.Login(p, "alice", "pa"); err != nil {
+			t.Fatalf("login: %v", err)
+		}
+		fs, err := lwfspfs.Format(p, c, "/vol0",
+			lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica})
+		if err != nil {
+			t.Fatalf("format: %v", err)
+		}
+		f, err := fs.Create(p, "/data.bin")
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		if _, err := f.WriteAt(p, 0, synthetic(128<<10)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		cids.Send(fs.Container())
+		cids.Send(fs.Container())
+		mounted.Recv(p)
+		mounted.Recv(p)
+		dead := storage.TargetOf(f.MetaRefs()[1])
+		crashTarget(l, dead)
+		if _, err := f.WriteAt(p, 128<<10, synthetic(64<<10)); err != nil {
+			t.Fatalf("write with a dead mirror: %v", err)
+		}
+		if err := fs.Rebuild(p, "/data.bin", dead); err != nil {
+			t.Fatalf("rebuild: %v", err)
+		}
+		if e, err := c.Lookup(p, "/vol0/data.bin"); err != nil || len(e.Refs) != 2 {
+			t.Fatalf("naming entry after rebuild = %v (err %v), want two mirrors", e.Refs, err)
+		}
+		if _, err := f.WriteAt(p, 192<<10, synthetic(64<<10)); err != nil {
+			t.Fatalf("write after rebuild: %v", err)
+		}
+		grown.Send(true)
+		grown.Send(true)
+	})
+	for i := 1; i <= 2; i++ { // odd and even node ids: both walk starts
+		rc := cl.NewClient(l, i)
+		rc.SetRetry(pfsRetry, int64(67+i))
+		cl.Spawn("reader", func(p *sim.Proc) {
+			cid := cids.Recv(p).(authz.ContainerID)
+			if err := rc.Login(p, "alice", "pa"); err != nil {
+				t.Fatalf("reader %d login: %v", i, err)
+			}
+			rfs, err := lwfspfs.Mount(p, rc, "/vol0", cid)
+			if err != nil {
+				t.Fatalf("reader %d mount: %v", i, err)
+			}
+			mounted.Send(true)
+			grown.Recv(p)
+			g, err := rfs.Open(p, "/data.bin")
+			if err != nil {
+				t.Fatalf("reader %d open: %v", i, err)
+			}
+			if g.Size() != 256<<10 {
+				t.Errorf("reader %d opened size %d, want %d", i, g.Size(), 256<<10)
+			}
+		})
+	}
+	run(t, cl)
 }
 
 // A spare that dies between its CreateObjectTxn and the record write is
@@ -390,11 +519,11 @@ func TestMetaRehomeSkipsSpareThatDiesAfterCreate(t *testing.T) {
 		if !first.Down() {
 			t.Fatalf("chaos never crashed the first-choice spare")
 		}
-		g, err := fs.Open(p, "/data.bin")
+		g, degraded, err := openDegraded(p, cl, fs, "/data.bin")
 		if err != nil {
 			t.Fatalf("open after rebuild: %v", err)
 		}
-		if g.Degraded() {
+		if degraded {
 			t.Errorf("open degraded after rebuild")
 		}
 		got := g.MetaRefs()

@@ -248,3 +248,55 @@ func TestMountRefusesOtherContainersSuperblock(t *testing.T) {
 	})
 	run(t, cl)
 }
+
+// A copy a write absorbed may miss bytes even after its server restarts, so
+// File.Sync counts it lost: alone it is tolerated, but once the column's other
+// copy dies Sync fails with ErrUnrecoverable instead of reporting the write
+// durable.
+func TestSyncCountsAbsorbedCopyLost(t *testing.T) {
+	cl, l := smallCluster()
+	c := cl.NewClient(l, 0)
+	c.SetRetry(pfsRetry, 37)
+	server := func(o storage.ObjRef) *storage.Server {
+		for _, srv := range l.Servers {
+			if (storage.Target{Node: srv.Node(), Port: srv.RPCPort()}) == storage.TargetOf(o) {
+				return srv
+			}
+		}
+		t.Fatalf("no server hosts %v", o)
+		return nil
+	}
+	cl.Spawn("app", func(p *sim.Proc) {
+		if err := c.Login(p, "alice", "pa"); err != nil {
+			t.Fatalf("login: %v", err)
+		}
+		fs, err := lwfspfs.Format(p, c, "/vol0",
+			lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica})
+		if err != nil {
+			t.Fatalf("format: %v", err)
+		}
+		f, err := fs.Create(p, "/data.bin")
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		if _, err := f.WriteAt(p, 0, synthetic(64<<10)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		a, b := server(f.Layout().ReplicaObj(0, 0)), server(f.Layout().ReplicaObj(1, 0))
+		a.Crash()
+		if _, err := f.WriteAt(p, 0, synthetic(64<<10)); err != nil {
+			t.Fatalf("overwrite with copy 0 down: %v", err)
+		}
+		if _, err := a.Restart(p); err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		if err := f.Sync(p); err != nil {
+			t.Fatalf("sync with the absorbed copy back: %v", err)
+		}
+		b.Crash()
+		if err := f.Sync(p); !errors.Is(err, stripe.ErrUnrecoverable) {
+			t.Fatalf("sync with the only current copy dead = %v, want ErrUnrecoverable", err)
+		}
+	})
+	run(t, cl)
+}

@@ -52,11 +52,11 @@ func TestMirrorRotationSpreadsOpens(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reader %d mount: %v", i, err)
 			}
-			f, err := fs.Open(p, "/shared.bin")
+			_, degraded, err := openDegraded(p, cl, fs, "/shared.bin")
 			if err != nil {
 				t.Fatalf("reader %d open: %v", i, err)
 			}
-			if f.Degraded() {
+			if degraded {
 				t.Errorf("reader %d open degraded on a healthy cluster", i)
 			}
 		})

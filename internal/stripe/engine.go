@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"slices"
 
 	"lwfs/internal/core"
 	"lwfs/internal/metrics"
@@ -80,10 +81,11 @@ func (e *Engine) WriteAt(p *sim.Proc, l Layout, off int64, payload netsim.Payloa
 // WriteAtTolerant writes like WriteAt but exploits the layout's redundancy:
 // writes (and parity read-modify-write reads) that time out against a dead
 // server are absorbed as long as the layout stays recoverable, and the
-// distinct targets so absorbed come back for the caller to fence — skip in
-// sync rounds, delist from transactions, schedule for rebuild. An absorbed
-// object is STALE: it must be rebuilt before it is trusted again. Under
-// RAID-0 no failure is tolerable and this is exactly WriteAt.
+// distinct targets so absorbed come back for the caller to fence — count
+// lost in Sync, delist from transactions, schedule for rebuild. An absorbed
+// object is STALE: it must be rebuilt before it is trusted again. RAID-0 is
+// the one-copy case of the replica rule: a column whose only object timed out
+// is lost, so the write fails with ErrUnrecoverable.
 //
 // Every column the range touches must be allocated (Layout.Missing): the
 // engine has nowhere to put bytes aimed at a hole.
@@ -91,44 +93,41 @@ func (e *Engine) WriteAtTolerant(p *sim.Proc, l Layout, off int64, payload netsi
 	if l.Missing(off, payload.Size) != nil {
 		return 0, nil, fmt.Errorf("%w: write into an unallocated column", ErrBadLayout)
 	}
-	switch l.Scheme {
-	case Replica:
-		return e.writeReplica(p, l, off, payload)
-	case Parity:
+	if l.Scheme == Parity {
 		return e.writeParity(p, l, off, payload)
 	}
-	reqs := l.Plan(off, payload.Size)
-	e.reqs.Add(int64(len(reqs)))
-	written := make([]int64, len(reqs))
-	err := FanOut(p, "stripe/write", len(reqs), e.window, func(wp *sim.Proc, i int) error {
-		n, werr := e.c.Write(wp, l.Objs[reqs[i].Obj], e.caps, reqs[i].Off, reqs[i].Gather(off, payload))
-		written[i] = n
-		return werr
-	})
-	var total int64
-	for _, n := range written {
-		total += n
-	}
-	e.bytesOut.Add(total)
-	return total, nil, err
+	return e.writeCopies(p, l, off, payload)
 }
 
-// writeReplica fans each column request out to all Copies mirrors. A column
-// extent counts as written once at least one copy acknowledged it; copies
-// that timed out are tolerated and reported, any other failure is hard.
-func (e *Engine) writeReplica(p *sim.Proc, l Layout, off int64, payload netsim.Payload) (int64, []storage.Target, error) {
+// writeCopies fans each column request out to every copy of its column: one
+// under RAID-0, Copies under Replica. A column extent counts as written once
+// at least one copy acknowledged it; copies that timed out are tolerated and
+// reported, any other failure is hard, and a column whose every copy failed
+// fail-stop is lost: ErrUnrecoverable joined with its copies' errors.
+func (e *Engine) writeCopies(p *sim.Proc, l Layout, off int64, payload netsim.Payload) (int64, []storage.Target, error) {
 	reqs := l.Plan(off, payload.Size)
-	r := l.Copies
+	objs, w, r := l.Objs, l.Width(), l.copies()
 	n := len(reqs) * r
 	e.reqs.Add(int64(n))
-	pls := make([]netsim.Payload, len(reqs))
-	for i, rq := range reqs {
-		pls[i] = rq.Gather(off, payload)
+	var pls []netsim.Payload // a column's copies share one gathered payload
+	if r > 1 {
+		pls = make([]netsim.Payload, len(reqs))
+		for i, rq := range reqs {
+			pls[i] = rq.Gather(off, payload)
+		}
 	}
 	written := make([]int64, n)
+	// The worker names objs and w, not the 56-byte layout, so a one-copy
+	// write's closure is no larger than the old RAID-0 loop's.
 	errs := fanOutErrs(p, "stripe/write", n, e.window, func(wp *sim.Proc, k int) error {
-		i, c := k/r, k%r
-		m, werr := e.c.Write(wp, l.ReplicaObj(c, reqs[i].Obj), e.caps, reqs[i].Off, pls[i])
+		rq, c := reqs[k/r], k%r
+		var pl netsim.Payload
+		if pls != nil {
+			pl = pls[k/r]
+		} else {
+			pl = rq.Gather(off, payload)
+		}
+		m, werr := e.c.Write(wp, objs[c*w+rq.Obj], e.caps, rq.Off, pl)
 		written[k] = m
 		return werr
 	})
@@ -137,31 +136,33 @@ func (e *Engine) writeReplica(p *sim.Proc, l Layout, off int64, payload netsim.P
 		moved += m
 	}
 	e.bytesOut.Add(moved)
-	failed := newTargetSet()
-	if errs == nil { // every copy landed
-		errs = make([]error, n)
-	}
+	var failed targetSet
 	var hard []error
 	var total int64
-	for i := range reqs {
-		live := 0
-		for c := 0; c < r; c++ {
-			switch err := errs[i*r+c]; {
+	for i, rq := range reqs {
+		if errs == nil { // every copy landed
+			total += rq.Len
+			continue
+		}
+		col, stopped := errs[i*r:i*r+r], 0
+		for c, err := range col {
+			switch {
 			case err == nil:
-				live++
 			case portals.FailStop(err):
-				failed.add(storage.TargetOf(l.ReplicaObj(c, reqs[i].Obj)))
+				stopped++
+				failed.add(storage.TargetOf(l.ReplicaObj(c, rq.Obj)))
 			default:
-				hard = append(hard, fmt.Errorf("stripe/write[col %d copy %d]: %w", reqs[i].Obj, c, err))
+				hard = append(hard, fmt.Errorf("stripe/write[col %d copy %d]: %w", rq.Obj, c, err))
 			}
 		}
-		if live == 0 {
-			hard = append(hard, fmt.Errorf("stripe/write[col %d]: %w", reqs[i].Obj, ErrUnrecoverable))
-		} else {
-			total += reqs[i].Len
+		switch {
+		case slices.Contains(col, nil):
+			total += rq.Len
+		case stopped == r:
+			hard = append(hard, fmt.Errorf("stripe/write[col %d]: %w: %w", rq.Obj, ErrUnrecoverable, errors.Join(col...)))
 		}
 	}
-	return total, failed.list, errors.Join(hard...)
+	return total, failed, errors.Join(hard...)
 }
 
 // writeParity writes the column extents plus an updated parity extent. A
@@ -206,7 +207,7 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 	if payload.Data != nil {
 		parity = make([]byte, pLen)
 	}
-	failed := newTargetSet()
+	var failed targetSet
 	lost := map[int]bool{} // object index (w = parity) confirmed unreachable
 
 	if full {
@@ -232,7 +233,7 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 				continue
 			}
 			if !portals.FailStop(rerr) {
-				return 0, failed.list, fmt.Errorf("stripe/rmw-read: %w", rerr)
+				return 0, failed, fmt.Errorf("stripe/rmw-read: %w", rerr)
 			}
 			if i == len(reqs) {
 				lost[w] = true
@@ -245,13 +246,13 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 			if len(lost) == 1 && parity != nil {
 				old, derr := e.reconstructExtent(p, l, col, reqs[i].Off, reqs[i].Len, lost)
 				if derr != nil {
-					return 0, failed.list, derr
+					return 0, failed, derr
 				}
 				olds[i] = old
 			}
 		}
 		if len(lost) > 1 {
-			return 0, failed.list, fmt.Errorf("stripe/write: %w", ErrUnrecoverable)
+			return 0, failed, fmt.Errorf("stripe/write: %w", ErrUnrecoverable)
 		}
 		if parity != nil && !lost[w] {
 			xorInto(parity, olds[len(reqs)].Data)
@@ -299,15 +300,15 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 			continue
 		}
 		if !portals.FailStop(werr) {
-			return 0, failed.list, fmt.Errorf("stripe/write[obj %d]: %w", writes[i].obj, werr)
+			return 0, failed, fmt.Errorf("stripe/write[obj %d]: %w", writes[i].obj, werr)
 		}
 		lost[writes[i].obj] = true
 		failed.add(storage.TargetOf(writes[i].ref))
 	}
 	if len(lost) > 1 {
-		return 0, failed.list, fmt.Errorf("stripe/write: %w", ErrUnrecoverable)
+		return 0, failed, fmt.Errorf("stripe/write: %w", ErrUnrecoverable)
 	}
-	return payload.Size, failed.list, nil
+	return payload.Size, failed, nil
 }
 
 // reconstructExtent rebuilds object idx's extent [objOff, objOff+n) of a
@@ -361,18 +362,13 @@ func xorInto(dst, src []byte) {
 	subtle.XORBytes(dst[:n], dst[:n], src[:n])
 }
 
-// targetSet collects distinct targets in first-seen order.
-type targetSet struct {
-	seen map[storage.Target]bool
-	list []storage.Target
-}
-
-func newTargetSet() *targetSet { return &targetSet{seen: map[storage.Target]bool{}} }
+// targetSet collects distinct targets in first-seen order; the zero value is
+// an empty set. Sets stay a few targets long, so a scan beats a map.
+type targetSet []storage.Target
 
 func (s *targetSet) add(t storage.Target) {
-	if !s.seen[t] {
-		s.seen[t] = true
-		s.list = append(s.list, t)
+	if !slices.Contains(*s, t) {
+		*s = append(*s, t)
 	}
 }
 
@@ -497,11 +493,36 @@ func (l Layout) Targets() []storage.Target {
 	return ts
 }
 
-// SyncTargets flushes every target concurrently (the fan-out form of the
-// per-server Sync loop).
-func (e *Engine) SyncTargets(p *sim.Proc, targets []storage.Target) error {
+// Sync flushes every server holding an allocated object of l, concurrently.
+// It succeeds while l survives (Layout.survives, a write's rule) the servers
+// whose sync fails fail-stop plus absorbed, the targets the caller's tolerant
+// writes absorbed, whose copies may miss bytes; otherwise it fails with
+// ErrUnrecoverable joined with the sync errors. Other errors stay as they are.
+func (e *Engine) Sync(p *sim.Proc, l Layout, absorbed []storage.Target) error {
+	ts := l.Targets()
+	errs := e.syncTargets(p, ts)
+	err := joinIndexed("stripe/sync", errs)
+	lost := slices.Clone(absorbed)
+	for i, serr := range errs {
+		switch {
+		case serr == nil:
+		case !portals.FailStop(serr):
+			return err
+		default:
+			lost = append(lost, ts[i])
+		}
+	}
+	if len(lost) == 0 || l.survives(lost) {
+		return nil
+	}
+	return errors.Join(ErrUnrecoverable, err)
+}
+
+// syncTargets flushes every target concurrently, returning the per-target
+// errors (nil when every sync succeeded).
+func (e *Engine) syncTargets(p *sim.Proc, targets []storage.Target) []error {
 	e.syncRounds.Inc()
-	return FanOut(p, "stripe/sync", len(targets), e.window, func(wp *sim.Proc, i int) error {
+	return fanOutErrs(p, "stripe/sync", len(targets), e.window, func(wp *sim.Proc, i int) error {
 		return e.c.Sync(wp, targets[i], e.caps)
 	})
 }

@@ -72,7 +72,7 @@ func TestEngineWriteReadRoundTrip(t *testing.T) {
 			t.Fatalf("offset read mismatch: err=%v", err)
 		}
 		// Sync fan-out across all targets.
-		if err := eng.SyncTargets(p, l.Targets()); err != nil {
+		if err := eng.Sync(p, l, nil); err != nil {
 			t.Fatalf("sync: %v", err)
 		}
 	})

@@ -80,7 +80,7 @@ func (r *Rebuilder) Rebuild(p *sim.Proc, l Layout, dead storage.Target, spares [
 	r.total.Add(int64(len(idxs)))
 	out := l
 	out.Objs = append([]storage.ObjRef(nil), l.Objs...)
-	repaired := newTargetSet()
+	var repaired targetSet
 	spareAt := 0
 	// A failed attempt returns the unpatched layout, so the replacement
 	// objects created up to that point would be orphans — remove them
@@ -109,7 +109,7 @@ func (r *Rebuilder) Rebuild(p *sim.Proc, l Layout, dead storage.Target, spares [
 		repaired.add(t)
 		r.done.Inc()
 	}
-	if err := r.e.SyncTargets(p, repaired.list); err != nil {
+	if err := joinIndexed("stripe/sync", r.e.syncTargets(p, repaired)); err != nil {
 		return fail(fmt.Errorf("stripe/rebuild: sync: %w", err))
 	}
 	return out, nil

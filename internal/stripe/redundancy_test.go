@@ -206,6 +206,114 @@ func TestReplicaDegradedWrite(t *testing.T) {
 	}
 }
 
+// RAID-0 is the one-copy case of the replica write: a column whose only
+// object sits on a crashed server is lost, so the write fails with
+// ErrUnrecoverable carrying the timeout (still fail-stop to a caller that
+// classifies it), reports the dead target, and counts only the column that
+// landed.
+func TestRaid0WriteToDeadServerIsUnrecoverable(t *testing.T) {
+	cl, lw := engineCluster(2)
+	c := cl.NewClient(lw, 0)
+	c.SetRetry(redundRetry, 14)
+	cl.Spawn("app", func(p *sim.Proc) {
+		caps := appSetup(t, p, c)
+		eng := stripe.NewEngine(c, caps, 0)
+		l := makeLayout(t, p, c, caps, 8<<10)
+		lw.Servers[1].Crash() // column 1
+		n, failed, err := eng.WriteAtTolerant(p, l, 0, netsim.SyntheticPayload(64_000))
+		if !errors.Is(err, portals.ErrRPCTimeout) || !errors.Is(err, stripe.ErrUnrecoverable) {
+			t.Fatalf("raid0 write to a dead server = %v, want a timeout and ErrUnrecoverable", err)
+		}
+		if n != 4*8<<10 { // column 0: units 0, 2, 4 and 6
+			t.Errorf("write counted %d bytes, want column 0's %d", n, 4*8<<10)
+		}
+		if len(failed) != 1 || failed[0] != c.Server(1) {
+			t.Errorf("failed targets = %v, want [server 1]", failed)
+		}
+	})
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A RAID-0 column whose write fails for another reason than a dead server —
+// here its object was removed — keeps its own error: no server was lost, so
+// the write does not claim ErrUnrecoverable or report a target to fence.
+func TestRaid0WriteKeepsNonFailStopErrors(t *testing.T) {
+	cl, lw := engineCluster(2)
+	c := cl.NewClient(lw, 0)
+	cl.Spawn("app", func(p *sim.Proc) {
+		caps := appSetup(t, p, c)
+		eng := stripe.NewEngine(c, caps, 0)
+		l := makeLayout(t, p, c, caps, 8<<10)
+		if err := c.Remove(p, l.Objs[1], caps); err != nil {
+			t.Fatalf("remove: %v", err)
+		}
+		_, failed, err := eng.WriteAtTolerant(p, l, 0, netsim.SyntheticPayload(64_000))
+		if err == nil || errors.Is(err, stripe.ErrUnrecoverable) || portals.FailStop(err) {
+			t.Fatalf("raid0 write to a removed object = %v, want its own error without ErrUnrecoverable", err)
+		}
+		if len(failed) != 0 {
+			t.Errorf("failed targets = %v, want none", failed)
+		}
+	})
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Engine.Sync tolerates dead servers while the layout survives them — every
+// replica column keeps a copy, a parity group loses at most one object — and
+// otherwise fails with ErrUnrecoverable carrying the timeouts. A RAID-0
+// layout has no copy to spare. A server the caller's writes absorbed counts
+// as lost even when its sync succeeds: its copy may miss bytes.
+func TestSyncToleratesWhatTheLayoutSurvives(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		scheme         stripe.Scheme
+		width, copies  int
+		down, absorbed []int
+		ok             bool
+	}{
+		{"raid0", stripe.Raid0, 4, 1, []int{0}, nil, false},
+		{"replica", stripe.Replica, 2, 2, []int{0}, nil, true},
+		{"replica-both-copies", stripe.Replica, 2, 2, []int{0, 2}, nil, false},
+		{"parity", stripe.Parity, 3, 0, []int{0}, nil, true},
+		{"parity-two-members", stripe.Parity, 3, 0, []int{0, 3}, nil, false},
+		{"replica-absorbed", stripe.Replica, 2, 2, nil, []int{0}, true},
+		{"replica-absorbed-other-dead", stripe.Replica, 2, 2, []int{2}, []int{0}, false},
+		{"parity-absorbed-other-dead", stripe.Parity, 3, 0, []int{1}, []int{3}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, lw := engineCluster(4)
+			c := cl.NewClient(lw, 0)
+			c.SetRetry(redundRetry, 15)
+			cl.Spawn("app", func(p *sim.Proc) {
+				caps := appSetup(t, p, c)
+				eng := stripe.NewEngine(c, caps, 0)
+				l := makeRedundant(t, p, c, caps, tc.scheme, tc.width, tc.copies, 8<<10)
+				for _, i := range tc.down {
+					lw.Servers[i].Crash()
+				}
+				var absorbed []storage.Target
+				for _, i := range tc.absorbed {
+					absorbed = append(absorbed, c.Server(i))
+				}
+				err := eng.Sync(p, l, absorbed)
+				switch {
+				case tc.ok && err != nil:
+					t.Fatalf("sync with servers %v down: %v, want nil", tc.down, err)
+				case !tc.ok && (!errors.Is(err, stripe.ErrUnrecoverable) || !errors.Is(err, portals.ErrRPCTimeout)):
+					t.Fatalf("sync with servers %v down = %v, want a timeout and ErrUnrecoverable", tc.down, err)
+				}
+			})
+			if err := cl.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // Parity layouts: full-stripe and sub-stripe (read-modify-write) updates
 // keep parity consistent, proven by reconstructing a crashed column.
 func TestParityRMWAndDegradedRead(t *testing.T) {

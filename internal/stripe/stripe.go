@@ -37,6 +37,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -156,23 +157,44 @@ func (l Layout) Missing(off, length int64) []int {
 	return idxs
 }
 
+// group is the redundancy group object idx belongs to: its column under
+// RAID-0 and Replica, whose copies back each other, and the one group of
+// every object under Parity.
+func (l Layout) group(idx int) int {
+	if l.Scheme == Parity {
+		return 0
+	}
+	return idx % l.Width()
+}
+
 // Related reports whether t hosts an object of idx's redundancy group other
 // than idx itself: another copy of its column under Replica, any other
-// member under Parity. RAID-0 objects have no group, and holes host nothing.
+// member under Parity. A RAID-0 group is one object, and holes host nothing.
 func (l Layout) Related(idx int, t storage.Target) bool {
-	if l.Scheme == Raid0 {
-		return false
-	}
-	w := l.Width()
 	for j, o := range l.Objs {
-		if j == idx || IsHole(o) || storage.TargetOf(o) != t {
-			continue
-		}
-		if l.Scheme == Parity || j%w == idx%w {
+		if j != idx && !IsHole(o) && storage.TargetOf(o) == t && l.group(j) == l.group(idx) {
 			return true
 		}
 	}
 	return false
+}
+
+// survives reports whether every byte of l stays readable without its
+// objects on the lost servers: a group may lose all but one copy under
+// Replica, one object under Parity, nothing under RAID-0.
+func (l Layout) survives(lost []storage.Target) bool {
+	spare, down := l.copies()-1, make([]int, l.Width())
+	if l.Scheme == Parity {
+		spare = 1
+	}
+	for i, o := range l.Objs {
+		if g := l.group(i); !IsHole(o) && slices.Contains(lost, storage.TargetOf(o)) {
+			if down[g]++; down[g] > spare {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Validate checks the layout's arithmetic invariants — the ones Locate and
