@@ -36,8 +36,8 @@ func NewClient(caller *portals.Caller) *Client { return &Client{caller: caller} 
 func (c *Client) StageWrite(p *sim.Proc, t Target, ref storage.ObjRef, cap authz.Capability, off int64, payload netsim.Payload) (staged bool, err error) {
 	ep := c.caller.Endpoint()
 	bits := portals.MatchBits(ep.NextToken())
-	me := ep.Attach(storage.ClientDataPortal, bits, 0, &portals.MD{Payload: payload})
-	defer me.Unlink()
+	slot := ep.Expose(storage.ClientDataPortal, bits, payload)
+	defer slot.Close()
 	v, err := c.caller.Call(p, t.Node, t.Port, stageReq{
 		Cap:        cap,
 		Ref:        ref,

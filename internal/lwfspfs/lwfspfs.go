@@ -360,6 +360,7 @@ const layoutWireMax = 64 << 10
 type File struct {
 	fs       *FS
 	path     string
+	lock     string           // the file's lock-service key, fs.lockName(path)
 	mdRefs   []storage.ObjRef // live metadata mirrors, in this client's walk order
 	demote   bool             // the naming entry still lists a mirror dropped from mdRefs
 	absorbed []storage.Target // servers this handle's writes absorbed: their copies may miss bytes
@@ -441,7 +442,7 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 	if s := fs.mirrorStart(m); s > 0 {
 		mdRefs = slices.Concat(mdRefs[s:], mdRefs[:s])
 	}
-	return &File{fs: fs, path: path, mdRefs: mdRefs, l: l, mdLen: int64(len(enc))}, nil
+	return &File{fs: fs, path: path, lock: fs.lockName(path), mdRefs: mdRefs, l: l, mdLen: int64(len(enc))}, nil
 }
 
 // Open opens an existing file, reading its layout record from the first
@@ -477,7 +478,7 @@ func (fs *FS) Open(p *sim.Proc, path string) (*File, error) {
 	if skipped > 0 {
 		fs.degradedOpens.Inc()
 	}
-	return &File{fs: fs, path: path, mdRefs: refs[skipped:], demote: skipped > 0,
+	return &File{fs: fs, path: path, lock: fs.lockName(path), mdRefs: refs[skipped:], demote: skipped > 0,
 		l: l, mdLen: n, gen: genUnknown}, nil
 }
 
@@ -669,11 +670,11 @@ func (f *File) WriteAt(p *sim.Proc, off int64, payload netsim.Payload) (int64, e
 		return 0, fmt.Errorf("lwfspfs: write %s: %w", f.path, err)
 	}
 	locks := f.fs.c.Locks()
-	gen, err := locks.Lock(p, f.fs.lockName(f.path), txn.Exclusive)
+	gen, err := locks.Lock(p, f.lock, txn.Exclusive)
 	if err != nil {
 		return 0, err
 	}
-	defer locks.Unlock(p, f.fs.lockName(f.path)) //nolint:errcheck
+	defer locks.Unlock(p, f.lock) //nolint:errcheck
 	if gen != f.gen+1 {
 		// Another handle held the lock since this one's view and may have
 		// filled a hole, grown the size or rebuilt: the fill check and the
@@ -827,11 +828,11 @@ func (f *File) ReadAt(p *sim.Proc, off, length int64) (netsim.Payload, error) {
 		return netsim.Payload{}, fmt.Errorf("lwfspfs: read %s: %w", f.path, err)
 	}
 	locks := f.fs.c.Locks()
-	gen, err := locks.Lock(p, f.fs.lockName(f.path), txn.Shared)
+	gen, err := locks.Lock(p, f.lock, txn.Shared)
 	if err != nil {
 		return netsim.Payload{}, err
 	}
-	defer locks.Unlock(p, f.fs.lockName(f.path)) //nolint:errcheck
+	defer locks.Unlock(p, f.lock) //nolint:errcheck
 	if n := min(length, f.l.Size-off); gen != f.gen && n > 0 && f.l.Missing(off, n) != nil {
 		// A hole inside the size, and another handle held the lock
 		// exclusively since this one's view: it may have written there.

@@ -66,7 +66,7 @@ type Object struct {
 	ID        ObjectID
 	Container ContainerID
 	Data      Blob
-	Attrs     map[string]string
+	Attrs     map[string]string // nil until the first SetAttr
 	Created   sim.Time
 	Modified  sim.Time
 }
@@ -166,7 +166,6 @@ func (d *Device) Create(p *sim.Proc, cid ContainerID) *Object {
 	obj := &Object{
 		ID:        d.nextID,
 		Container: cid,
-		Attrs:     make(map[string]string),
 		Created:   d.k.Now(),
 		Modified:  d.k.Now(),
 	}
@@ -194,7 +193,6 @@ func (d *Device) CreateWithID(p *sim.Proc, id ObjectID, cid ContainerID) (*Objec
 	obj := &Object{
 		ID:        id,
 		Container: cid,
-		Attrs:     make(map[string]string),
 		Created:   d.k.Now(),
 		Modified:  d.k.Now(),
 	}
@@ -380,6 +378,9 @@ func (d *Device) SetAttr(p *sim.Proc, id ObjectID, key, value string) error {
 		return ErrNoObject
 	}
 	d.disk.Wait(p, d.enqueue(d.params.PerOpOverhead, jobOther))
+	if obj.Attrs == nil {
+		obj.Attrs = make(map[string]string)
+	}
 	obj.Attrs[key] = value
 	return nil
 }

@@ -253,15 +253,27 @@ func TestCreateWithID(t *testing.T) {
 	})
 }
 
+// Attributes round-trip on objects from both create paths, and one never set
+// reads as "" (an object holds no attribute map until its first SetAttr).
 func TestAttrs(t *testing.T) {
 	run(t, func(p *sim.Proc, d *Device) {
-		obj := d.Create(p, 1)
-		if err := d.SetAttr(p, obj.ID, "kind", "checkpoint-md"); err != nil {
+		byID, err := d.CreateWithID(p, 100, 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := d.GetAttr(obj.ID, "kind")
-		if err != nil || v != "checkpoint-md" {
-			t.Fatalf("attr = %q, %v", v, err)
+		for _, obj := range []*Object{d.Create(p, 1), byID} {
+			if v, err := d.GetAttr(obj.ID, "kind"); err != nil || v != "" {
+				t.Fatalf("object %d: unset attr = %q, %v, want \"\"", obj.ID, v, err)
+			}
+			if err := d.SetAttr(p, obj.ID, "kind", "checkpoint-md"); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := d.GetAttr(obj.ID, "kind"); err != nil || v != "checkpoint-md" {
+				t.Fatalf("object %d: attr = %q, %v", obj.ID, v, err)
+			}
+			if v, err := d.GetAttr(obj.ID, "other"); err != nil || v != "" {
+				t.Fatalf("object %d: unset attr beside a set one = %q, %v", obj.ID, v, err)
+			}
 		}
 	})
 }

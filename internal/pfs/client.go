@@ -79,27 +79,37 @@ func (f *File) SetShared(shared bool) { f.shared = shared }
 // Write stores payload at file offset off. Data moves server-directed: the
 // client exposes each request's bytes and the OST pulls them. An exclusively
 // held file is planned like any stripe layout, one coalesced request per
-// OST; a shared one goes out a stripe unit at a time. The requests fan out
-// at most writeParallelism at once. A byte range no file can have (a
+// OST; a shared one goes out a stripe unit at a time, each unit's request
+// computed from its index, so a write plans nothing per unit. The requests
+// fan out at most writeParallelism at once. A byte range no file can have (a
 // negative offset or size) is refused with fs.ErrInvalid.
 func (f *File) Write(p *sim.Proc, off int64, payload netsim.Payload) (int64, error) {
 	if err := storage.CheckRange(off, payload.Size); err != nil {
 		return 0, fmt.Errorf("pfs: write %s: %w", f.path, err)
 	}
-	l := f.layout.striped()
+	l, shared := f.layout.striped(), f.shared
 	var reqs []stripe.Request
-	if f.shared {
-		reqs = l.Units(off, payload.Size)
-	} else {
+	n := 0
+	switch {
+	case !shared:
 		reqs = l.Plan(off, payload.Size)
+		n = len(reqs)
+	case payload.Size > 0:
+		n = int((off+payload.Size-1)/l.Unit - off/l.Unit + 1)
 	}
 	ep := f.c.caller.Endpoint()
 	var written int64
-	err := stripe.FanOut(p, "pfs/write", len(reqs), writeParallelism, func(q *sim.Proc, i int) error {
-		rq, obj := reqs[i], l.Objs[reqs[i].Obj]
+	err := stripe.FanOut(p, "pfs/write", n, writeParallelism, func(q *sim.Proc, i int) error {
+		var rq stripe.Request
+		if shared {
+			rq = l.UnitAt(off, payload.Size, i)
+		} else {
+			rq = reqs[i]
+		}
+		obj := l.Objs[rq.Obj]
 		bits := portals.MatchBits(ep.NextToken())
-		me := ep.Attach(clientDataPortal, bits, 0, &portals.MD{Payload: rq.Gather(off, payload)})
-		defer me.Unlink()
+		slot := ep.Expose(clientDataPortal, bits, rq.Gather(off, payload))
+		defer slot.Close()
 		v, err := f.c.caller.Call(q, obj.Node, obj.Port, ostWriteReq{
 			Obj:        obj.ID,
 			Off:        rq.Off,

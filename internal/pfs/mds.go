@@ -68,10 +68,12 @@ func (m *MDS) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interfac
 			stripes = len(m.osts)
 		}
 		m.nextIno++
+		// Every layout shares the roster, which nobody modifies: the
+		// capacity bound keeps an append from writing into it.
 		l := &Layout{
 			Inode:      m.nextIno,
 			StripeUnit: stripeUnit,
-			OSTs:       append([]storage.Target(nil), m.osts[:stripes]...),
+			OSTs:       m.osts[:stripes:stripes],
 		}
 		m.files[r.Path] = l
 		m.creates.Inc()

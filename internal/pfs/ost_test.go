@@ -23,8 +23,8 @@ func TestOSTRefusesNegativeOffset(t *testing.T) {
 	ep := r.Eps[2]
 	r.Go("client", func(p *sim.Proc) {
 		bits := portals.MatchBits(ep.NextToken())
-		me := ep.Attach(clientDataPortal, bits, 0, &portals.MD{Payload: netsim.SyntheticPayload(4096)})
-		defer me.Unlink()
+		slot := ep.Expose(clientDataPortal, bits, netsim.SyntheticPayload(4096))
+		defer slot.Close()
 		tgt := o.Target()
 		_, err := r.Caller(2).Call(p, tgt.Node, tgt.Port, ostWriteReq{
 			Obj: 7, Off: -4096, Len: 4096, Bits: bits, DataPortal: clientDataPortal, ClientID: 1,

@@ -83,6 +83,57 @@ func TestWarmGetAllocatesNothing(t *testing.T) {
 	}
 }
 
+// The client half of a server-directed write, exposing a payload and closing
+// the exposure, rides a recycled slot.
+func TestWarmExposeAllocatesNothing(t *testing.T) {
+	r := newRig(t, 1, mb)
+	ep := r.eps[0]
+	data := netsim.BytesPayload(make([]byte, 4096))
+	got := mallocsPer(t, r, 100, 10000, func(*sim.Proc) error {
+		ep.Expose(5, MatchBits(ep.NextToken()), data).Close()
+		return nil
+	})
+	if got > 0.01 {
+		t.Errorf("a warm Expose and Close make %.2f allocations, want none", got)
+	}
+}
+
+// A Get sent while one exposure was up, landing after it closed and the same
+// slot exposed other bytes under fresh bits, finds no match: it carries the
+// old exposure's bits, so it can never read the next one's bytes.
+func TestLateGetMissesTheNextExposure(t *testing.T) {
+	r := newRig(t, 2, mb)
+	client, server := r.eps[0], r.eps[1]
+	bitsA, bitsB := MatchBits(client.NextToken()), MatchBits(client.NextToken())
+	r.k.Spawn("client", func(p *sim.Proc) {
+		a := client.Expose(5, bitsA, netsim.BytesPayload([]byte("AAAA")))
+		p.Sleep(time.Microsecond) // the server's Get is on the wire
+		a.Close()
+		b := client.Expose(5, bitsB, netsim.BytesPayload([]byte("BBBB")))
+		if b != a {
+			t.Error("the second exposure did not reuse the first one's slot: test is vacuous")
+		}
+		p.Sleep(time.Millisecond)
+		b.Close()
+	})
+	r.k.Spawn("server", func(p *sim.Proc) {
+		got, err := server.Get(p, client.Node(), 5, bitsA, 0, 4)
+		if !errors.Is(err, ErrNoMatch) || got.Size != 0 || got.Data != nil {
+			t.Errorf("late Get for the closed exposure: %q (size %d), %v, want no match", got.Data, got.Size, err)
+		}
+		if got, err := server.Get(p, client.Node(), 5, bitsB, 0, 4); err != nil || string(got.Data) != "BBBB" {
+			t.Errorf("Get for the live exposure: %q, %v", got.Data, err)
+		}
+	})
+	if err := r.k.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	if n := client.dropped.Value(); n != 1 {
+		t.Errorf("client dropped %d Gets, want the late one", n)
+	}
+	freeLists(t, client)
+}
+
 // freeLists walks the network's free lists and fails on what a double
 // release or a recycled live slot would leave there: a record or slot listed
 // twice, a record not poisoned, a slot still linked or with events queued.

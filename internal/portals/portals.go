@@ -273,7 +273,9 @@ func (ep *Endpoint) Attach(pt Index, bits, ignore MatchBits, md *MD) *ME {
 // match entry that feeds it — in one object recycled through the network's
 // free list: the "post an entry, send, wait, unlink" every request/reply
 // protocol over portals is made of (RPC replies, lock grants, Get replies,
-// pushed read data) costs no allocation once warm.
+// pushed read data) costs no allocation once warm. The same slot also
+// exposes a payload to remote Gets (Expose), the client half of every
+// server-directed write.
 type Slot struct {
 	eq   *sim.Mailbox
 	md   MD
@@ -293,6 +295,17 @@ func (ep *Endpoint) Post(pt Index, bits MatchBits, once bool) *Slot {
 	}
 	s.me = ME{bits: bits, md: &s.md, once: once, ep: ep, pt: pt}
 	ep.tables[pt] = append(ep.tables[pt], &s.me)
+	return s
+}
+
+// Expose attaches payload at (pt, bits), exact match, for remote Gets to read
+// until the caller Closes the slot. While exposed the slot has no event
+// queue: a Put landing on it is dropped. Bits must be fresh (NextToken): a
+// Get still in flight for an earlier exposure of the recycled slot carries
+// that exposure's bits and finds no match.
+func (ep *Endpoint) Expose(pt Index, bits MatchBits, payload netsim.Payload) *Slot {
+	s := ep.Post(pt, bits, false)
+	s.md = MD{Payload: payload}
 	return s
 }
 
@@ -323,8 +336,9 @@ func (s *Slot) landed(v interface{}, ok bool) (*Event, bool) {
 	return v.(*Event), true
 }
 
-// Close unlinks the slot, releases the events nobody took and returns it to
-// the free list. Closing twice, or after Wait timed out, is a bug.
+// Close unlinks the slot, releases the events nobody took, drops an exposed
+// payload and returns the slot to the free list as a receive. Closing twice,
+// or after Wait timed out, is a bug.
 func (s *Slot) Close() {
 	ep := s.me.ep
 	if ep == nil {
@@ -333,6 +347,7 @@ func (s *Slot) Close() {
 	s.me.Unlink()
 	drain(s.eq)
 	s.me.ep = nil
+	s.md = MD{EQ: s.eq}
 	s.next, ep.pool.slots = ep.pool.slots, s
 }
 

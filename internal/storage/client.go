@@ -81,8 +81,8 @@ func (c *Client) CreateTxn(p *sim.Proc, t Target, cap authz.Capability, cid auth
 // pulls it. Requires an OpWrite capability. It returns the bytes written.
 func (c *Client) Write(p *sim.Proc, ref ObjRef, cap authz.Capability, off int64, payload netsim.Payload) (int64, error) {
 	bits := c.bits()
-	me := c.ep.Endpoint().Attach(ClientDataPortal, bits, 0, &portals.MD{Payload: payload})
-	defer me.Unlink()
+	slot := c.ep.Endpoint().Expose(ClientDataPortal, bits, payload)
+	defer slot.Close()
 	v, err := c.ep.Call(p, ref.Node, ref.Port, writeReq{
 		Cap:        cap,
 		ID:         ref.ID,

@@ -467,15 +467,21 @@ func (l Layout) Units(off, length int64) []Request {
 	if length <= 0 || l.Unit <= 0 || l.Width() <= 0 {
 		return nil
 	}
-	u, end := l.Unit, off+length
-	reqs := make([]Request, (end-1)/u-off/u+1)
-	for i, fo := 0, off; fo < end; i++ {
-		obj, objOff := l.Locate(fo)
-		k := min(u-fo%u, end-fo)
-		reqs[i] = Request{Obj: obj, Off: objOff, Len: k, FileOff: fo, unit: u, stride: int64(l.Width()) * u}
-		fo += k
+	reqs := make([]Request, (off+length-1)/l.Unit-off/l.Unit+1)
+	for i := range reqs {
+		reqs[i] = l.UnitAt(off, length, i)
 	}
 	return reqs
+}
+
+// UnitAt is Units(off, length)[i], computed from i alone: a writer that fans
+// out one request per unit needs no plan to index.
+func (l Layout) UnitAt(off, length int64, i int) Request {
+	u := l.Unit
+	fo := max(off, (off/u+int64(i))*u)
+	obj, objOff := l.Locate(fo)
+	return Request{Obj: obj, Off: objOff, Len: min(fo/u*u+u, off+length) - fo, FileOff: fo,
+		unit: u, stride: int64(l.Width()) * u}
 }
 
 // Pieces yields the request's pieces in file order: the first starts at

@@ -52,13 +52,22 @@ var ErrNotHeld = errors.New("txn: unlock of a lock not held by owner")
 type lockWaiter struct {
 	owner Owner
 	mode  LockMode
-	reply func(gen uint64, err error)
+	to    addressee
+}
+
+// addressee is where a lock request's reply goes: the requester's node,
+// reply portal and token, copied out of the request record, so a queued
+// waiter's reply needs nothing the released record held.
+type addressee struct {
+	node  netsim.NodeID
+	port  portals.Index
+	token uint64
 }
 
 type lockState struct {
 	mode    LockMode
 	holders map[Owner]int // refcount per owner (re-entrant shared grants)
-	queue   []*lockWaiter
+	queue   []lockWaiter
 	gen     uint64 // exclusive grants so far
 }
 
@@ -129,18 +138,21 @@ func (ls *LockServer) dispatch(from netsim.NodeID, hdr interface{}) {
 	if !ok {
 		return
 	}
-	reply := func(gen uint64, err error) {
-		ls.ep.Put(from, req.replyPort, portals.MatchBits(req.token),
-			lockReply{token: req.token, gen: gen, err: err}, netsim.SyntheticPayload(16))
-	}
+	to := addressee{node: from, port: req.replyPort, token: req.token}
 	switch r := req.body.(type) {
 	case lockReq:
-		ls.lock(r, reply)
+		ls.lock(r, to)
 	case unlockReq:
-		reply(0, ls.unlock(r))
+		ls.reply(to, 0, ls.unlock(r))
 	default:
-		reply(0, fmt.Errorf("txn: unknown lock request %T", req.body))
+		ls.reply(to, 0, fmt.Errorf("txn: unknown lock request %T", req.body))
 	}
+}
+
+// reply answers the request addressed by to.
+func (ls *LockServer) reply(to addressee, gen uint64, err error) {
+	ls.ep.Put(to.node, to.port, portals.MatchBits(to.token),
+		lockReply{token: to.token, gen: gen, err: err}, netsim.SyntheticPayload(16))
 }
 
 // compatible reports whether a request can be granted given current holders.
@@ -151,7 +163,7 @@ func (st *lockState) compatible(mode LockMode) bool {
 	return st.mode == Shared && mode == Shared
 }
 
-func (ls *LockServer) lock(r lockReq, reply func(uint64, error)) {
+func (ls *LockServer) lock(r lockReq, to addressee) {
 	st, ok := ls.locks[r.Name]
 	if !ok {
 		st = &lockState{holders: make(map[Owner]int)}
@@ -160,16 +172,16 @@ func (ls *LockServer) lock(r lockReq, reply func(uint64, error)) {
 	// Re-entrant same-mode acquisition by a current holder.
 	if _, held := st.holders[r.Owner]; held && st.mode == r.Mode {
 		ls.grants.Inc()
-		reply(st.grant(r.Owner, r.Mode), nil)
+		ls.reply(to, st.grant(r.Owner, r.Mode), nil)
 		return
 	}
 	if st.compatible(r.Mode) && len(st.queue) == 0 {
 		ls.grants.Inc()
-		reply(st.grant(r.Owner, r.Mode), nil)
+		ls.reply(to, st.grant(r.Owner, r.Mode), nil)
 		return
 	}
 	ls.waits.Inc()
-	st.queue = append(st.queue, &lockWaiter{owner: r.Owner, mode: r.Mode, reply: reply})
+	st.queue = append(st.queue, lockWaiter{owner: r.Owner, mode: r.Mode, to: to})
 }
 
 func (ls *LockServer) unlock(r unlockReq) error {
@@ -198,7 +210,7 @@ func (ls *LockServer) promote(st *lockState) {
 		}
 		st.queue = st.queue[1:]
 		ls.grants.Inc()
-		w.reply(st.grant(w.owner, w.mode), nil)
+		ls.reply(w.to, st.grant(w.owner, w.mode), nil)
 		if w.mode == Exclusive {
 			return
 		}
