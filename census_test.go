@@ -703,7 +703,6 @@ var paramsKept = map[string]string{
 	"core.Client.SetACL(allow)":     "paper API: §3.1 the one call both grants and removes access; only grants are exercised",
 	"mpi.Rank.Allreduce(size)":      "MPI API: the wire size of the reduced value; every caller reduces one small value",
 	"mpi.Rank.Gather(root)":         "MPI API: any rank can be the root; every caller gathers to rank 0",
-	"sim.Future.Complete(err)":      "a future resolves with a value or an error; every caller resolves one without an error",
 }
 
 // paramSite is one call site's argument for a parameter: its constant, or

@@ -39,13 +39,17 @@ func NewClient(caller *portals.Caller, mds netsim.NodeID) *Client {
 	return &Client{caller: caller, mds: mds, id: id}
 }
 
-// File is an open file: a path plus its striping layout.
+// File is an open file: a path plus its striping layout, and that layout as
+// the stripe planner sees it, built by the first write. Figure 10's files are
+// created and never written, so the planner's layout stays a pointer: nil
+// until then, and it keeps the File in its size class.
 type File struct {
-	c      *Client
-	path   string
-	layout Layout
-	shared bool
-	size   int64 // local high-water mark
+	c       *Client
+	path    string
+	layout  Layout
+	striped *stripe.Layout
+	shared  bool
+	size    int64 // local high-water mark
 }
 
 // Create makes a new file striped over `stripes` OSTs (0 = all) — one
@@ -87,7 +91,11 @@ func (f *File) Write(p *sim.Proc, off int64, payload netsim.Payload) (int64, err
 	if err := storage.CheckRange(off, payload.Size); err != nil {
 		return 0, fmt.Errorf("pfs: write %s: %w", f.path, err)
 	}
-	l, shared := f.layout.striped(), f.shared
+	if f.striped == nil {
+		s := f.layout.striped()
+		f.striped = &s
+	}
+	l, shared := *f.striped, f.shared
 	var reqs []stripe.Request
 	n := 0
 	switch {

@@ -18,8 +18,10 @@ import (
 // A shared-file write allocates, per stripe unit, only what that unit's write
 // RPC allocates: the unit's request is computed from its index and its bytes
 // ride a recycled slot, so neither the plan nor the exposure grows with the
-// units a write spans. (Not under the race detector, where exited processes
-// and wire records are poisoned instead of recycled.)
+// units a write spans. Nor does a warm write build the planner's layout: the
+// file keeps the one its first write built, so a one-unit write allocates 5
+// objects (6 when every write built it). (Not under the race detector, where
+// exited processes and wire records are poisoned instead of recycled.)
 func TestSharedWriteAllocatesPerUnitOnlyItsRPC(t *testing.T) {
 	r := testrig.New(6) // node 0 the MDS, 1-4 the OSTs, 5 the client
 	var osts []storage.Target
@@ -29,7 +31,7 @@ func TestSharedWriteAllocatesPerUnitOnlyItsRPC(t *testing.T) {
 	}
 	StartMDS(r.Eps[0], osts)
 	c := NewClient(r.Caller(5), r.Eps[0].Node())
-	var narrow, wide, rpc float64
+	var one, narrow, wide, rpc float64
 	r.Go("client", func(p *sim.Proc) {
 		f, err := c.Create(p, "/shared", 0)
 		if err != nil {
@@ -42,6 +44,7 @@ func TestSharedWriteAllocatesPerUnitOnlyItsRPC(t *testing.T) {
 				return err
 			}
 		}
+		one = mallocsPer(t, write(1))
 		narrow = mallocsPer(t, write(2))
 		wide = mallocsPer(t, write(8))
 
@@ -49,7 +52,7 @@ func TestSharedWriteAllocatesPerUnitOnlyItsRPC(t *testing.T) {
 		ep := c.caller.Endpoint()
 		bits := portals.MatchBits(ep.NextToken())
 		standing := ep.Expose(clientDataPortal, bits, netsim.SyntheticPayload(stripeUnit))
-		l, i := f.layout.striped(), 0
+		l, i := *f.striped, 0
 		rpc = mallocsPer(t, func() error {
 			obj := l.Objs[i%len(l.Objs)]
 			i++
@@ -61,10 +64,13 @@ func TestSharedWriteAllocatesPerUnitOnlyItsRPC(t *testing.T) {
 		standing.Close()
 	})
 	r.Run(t)
+	if one > 5 {
+		t.Errorf("a one-unit shared write allocates %.2f objects, want at most 5", one)
+	}
 	if perUnit := (wide - narrow) / 6; perUnit != rpc {
 		t.Errorf("a shared write allocates %.2f objects per stripe unit, its unit RPC %.2f: the plan or the exposure allocates per unit", perUnit, rpc)
 	}
-	t.Logf("%.0f allocations for a 2-unit shared write, %.0f for 8; %.0f per unit RPC", narrow, wide, rpc)
+	t.Logf("%.0f allocations for a 1-unit shared write, %.0f for 2, %.0f for 8; %.0f per unit RPC", one, narrow, wide, rpc)
 }
 
 // mallocsPer runs op 20 times to warm up, then 200 more, and reports heap

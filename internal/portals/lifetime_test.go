@@ -70,6 +70,25 @@ func TestWarmNullRPCAllocatesNothing(t *testing.T) {
 	})
 }
 
+// A warm retry-armed RPC allocates nothing either: the caller's outstanding
+// list and the server's dedup entry for its node are reused slices, and no
+// future is made unless a duplicate finds its original in flight.
+func TestWarmRetriedRPCAllocatesNothing(t *testing.T) {
+	bothPaths(t, func(t *testing.T, install func(*Server)) {
+		r := newRig(t, 2, 1000*mb)
+		echoServer(r, 2, install)
+		c := NewCaller(r.eps[0])
+		c.SetRetry(RetryPolicy{MaxAttempts: 3, Timeout: time.Second}, nil)
+		got := mallocsPer(t, r, 100, 10000, func(p *sim.Proc) error {
+			_, err := c.Call(p, r.eps[1].Node(), 10, nil, 128, 128)
+			return err
+		})
+		if got > 0.01 {
+			t.Errorf("a warm retried RPC makes %.2f allocations, want none", got)
+		}
+	})
+}
+
 // The same for the one-sided pull every server-directed write is made of.
 func TestWarmGetAllocatesNothing(t *testing.T) {
 	r := newRig(t, 2, 1000*mb)

@@ -14,6 +14,8 @@ package portals
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"time"
 
 	"lwfs/internal/metrics"
@@ -148,8 +150,9 @@ type Endpoint struct {
 	pool      *pool
 	nextToken uint64 // Get reply tokens (their own portal, so their own space)
 	tokSeq    uint64
+	open      []uint64 // ReqIDs of the node's retryable Calls not yet returned, ascending
 
-	getRetry RetryPolicy
+	getRetry *RetryPolicy // nil until SetGetRetry; a pointer keeps Endpoint in its size class
 	getRNG   *sim.Rand
 
 	lateWatch map[lateKey]func()
@@ -165,6 +168,35 @@ type Endpoint struct {
 func (ep *Endpoint) nextTok() uint64 {
 	ep.tokSeq++
 	return ep.tokSeq
+}
+
+// openCall allocates a retryable Call's request ID and lists it outstanding
+// until closeCall. IDs are allocated in increasing order, so the list stays
+// sorted and its head is the node's ack watermark. Both stay out of line:
+// their temporaries would otherwise sit in Call's frame, under every process
+// parked in an RPC.
+//
+//go:noinline
+func (ep *Endpoint) openCall() uint64 {
+	id := ep.nextTok()
+	ep.open = append(ep.open, id)
+	return id
+}
+
+//go:noinline
+func (ep *Endpoint) closeCall(id uint64) {
+	i, _ := slices.BinarySearch(ep.open, id)
+	ep.open = slices.Delete(ep.open, i, i+1)
+}
+
+// ackLag is how far below reqID, a retryable call's ID, the node's ack
+// watermark lies: the lowest outstanding ID, never above reqID's own. It
+// saturates: a lower watermark is always safe, it only keeps more.
+func (ep *Endpoint) ackLag(reqID uint64) uint32 {
+	if reqID == 0 {
+		return 0
+	}
+	return uint32(min(reqID-ep.open[0], math.MaxUint32))
 }
 
 // NextToken is the exported form of the endpoint token allocator.
@@ -229,7 +261,7 @@ func (ep *Endpoint) SetGetRetry(pol RetryPolicy, rng *sim.Rand) {
 	if rng == nil {
 		rng = sim.NewRand(0)
 	}
-	ep.getRetry, ep.getRNG = pol, rng
+	ep.getRetry, ep.getRNG = &pol, rng
 }
 
 // lateWatchCap bounds the late-reply watch table (entries whose reply was
@@ -448,10 +480,10 @@ type getOp struct {
 // timeout bounds the wait for one attempt's reply: under a retry policy its
 // Timeout, otherwise none.
 func (g *getOp) timeout() time.Duration {
-	if !g.ep.getRetry.Enabled() {
-		return 0
+	if pol := g.ep.getRetry; pol != nil && pol.Enabled() {
+		return pol.Timeout
 	}
-	return g.ep.getRetry.Timeout
+	return 0
 }
 
 // send posts the reply slot under a fresh token and sends the next attempt's

@@ -245,10 +245,25 @@ func TestPauseUncappedBackoffGrows(t *testing.T) {
 	}
 }
 
-func TestDedupEvictionSkipsInFlightEntries(t *testing.T) {
-	// With the dedup table full of newer completed entries, an in-flight
-	// execution must never be evicted: a retransmission of it has to find
-	// the original's future, or a non-idempotent handler would run twice.
+// rawRetry drives retryable requests from r.eps[0] to (r.eps[1], 5) by hand,
+// as Caller.call sends them, with the ack watermark the test chooses; the
+// replies land in the returned mailbox.
+func rawRetry(r *rig) (put func(tok, reqID, ack uint64, body string), replies *sim.Mailbox) {
+	replies = sim.NewMailbox(r.k, "replies")
+	r.eps[0].Attach(replyPortal, 0, ^MatchBits(0), &MD{EQ: replies})
+	me := r.eps[0].Node()
+	return func(tok, reqID, ack uint64, body string) {
+		out := r.eps[0].record(5, 0, netsim.SyntheticPayload(64))
+		out.kind, out.req = wireRequest, rpcRequest{Token: tok, ReqID: reqID, AckLag: uint32(reqID - ack), From: me, Body: body}
+		r.eps[0].send(r.eps[1].Node(), out)
+	}, replies
+}
+
+func TestWatermarkPruneSkipsInFlightEntries(t *testing.T) {
+	// A watermark that passes an execution still in flight must not forget
+	// it: the duplicate waiting on it has to get its result, and a
+	// retransmission arriving after it completed must not run the
+	// non-idempotent handler again.
 	r := newRig(t, 2, 100*mb)
 	calls := make(map[string]int)
 	srv := Serve(r.eps[1], 5, "svc", 4, func(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
@@ -258,31 +273,152 @@ func TestDedupEvictionSkipsInFlightEntries(t *testing.T) {
 		}
 		return "ok", nil
 	})
-	srv.dedupCap = 1
-	// Swallow replies: this test drives raw requests, not a Caller.
-	r.eps[0].Attach(replyPortal, 0, ^MatchBits(0), &MD{EQ: sim.NewMailbox(r.k, "replies")})
-	me := r.eps[0].Node()
+	put, _ := rawRetry(r)
+	var pruned int
 	r.k.Spawn("driver", func(p *sim.Proc) {
-		put := func(tok, reqID uint64, body string) { // as Caller.call sends one
-			out := r.eps[0].record(5, 0, netsim.SyntheticPayload(64))
-			out.kind, out.req = wireRequest, rpcRequest{Token: tok, ReqID: reqID, From: me, Body: body, RespSize: 0}
-			r.eps[0].send(r.eps[1].Node(), out)
-		}
-		put(1, 100, "slow") // starts a 40ms execution
+		put(1, 100, 100, "slow") // starts a 40ms execution
 		p.Sleep(5 * time.Millisecond)
-		put(2, 101, "fast1") // completes; its insert must not evict "slow"
+		put(2, 101, 100, "fast1") // completes
 		p.Sleep(5 * time.Millisecond)
-		put(3, 102, "fast2") // pushes the table past cap again
+		put(3, 100, 100, "slow") // a duplicate while the original still runs: waits
 		p.Sleep(5 * time.Millisecond)
-		put(4, 100, "slow") // retransmission while the original still runs
+		put(4, 102, 102, "fast2") // passes both: drops fast1, keeps slow
+		p.Sleep(5 * time.Millisecond)
+		pruned = len(srv.senders[r.eps[0].Node()].reqs)
+		p.Sleep(40 * time.Millisecond)
+		put(5, 100, 102, "slow") // the original completed: discarded
 	})
 	if e := r.k.Run(sim.MaxTime); e != nil {
 		t.Fatal(e)
 	}
 	if calls["slow"] != 1 {
-		t.Fatalf("non-idempotent in-flight handler ran %d times after eviction pressure", calls["slow"])
+		t.Fatalf("non-idempotent in-flight handler ran %d times under watermark pressure", calls["slow"])
 	}
 	if srv.deduped.Value() != 1 {
 		t.Fatalf("deduped = %d, want 1", srv.deduped.Value())
+	}
+	if pruned != 2 {
+		t.Fatalf("table after the prune holds %d entries, want 2 (slow in flight, fast2)", pruned)
+	}
+	if srv.discarded.Value() != 1 || srv.served.Value() != 4 {
+		t.Fatalf("discarded = %d, served = %d; want the late retransmission discarded and 4 served", srv.discarded.Value(), srv.served.Value())
+	}
+}
+
+// The table is bounded by outstanding calls: one sequential caller never
+// leaves more than its one call in it, and 16 concurrent callers on one node
+// no more than 16.
+func TestRetryTableBoundedByOutstandingCalls(t *testing.T) {
+	for _, callers := range []int{1, 16} {
+		r := newRig(t, 2, 1000*mb)
+		client := r.eps[0].Node()
+		var srv *Server
+		most := 0
+		srv = Serve(r.eps[1], 5, "svc", 4, func(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
+			most = max(most, len(srv.senders[client].reqs))
+			p.Sleep(time.Microsecond)
+			return nil, nil
+		})
+		for i := 0; i < callers; i++ {
+			c := NewCaller(r.eps[0])
+			c.SetRetry(quickRetry, sim.NewRand(int64(i)))
+			r.k.Spawn("client", func(p *sim.Proc) {
+				for n := 0; n < 10000/callers; n++ {
+					if _, err := c.Call(p, r.eps[1].Node(), 5, nil, 64, 64); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			})
+		}
+		if e := r.k.Run(sim.MaxTime); e != nil {
+			t.Fatal(e)
+		}
+		if most > callers {
+			t.Errorf("%d callers: the table grew to %d entries", callers, most)
+		}
+		t.Logf("%d callers: at most %d entries", callers, most)
+		if n := len(r.eps[0].open); n != 0 {
+			t.Errorf("%d callers: %d calls still listed outstanding after every call returned", callers, n)
+		}
+	}
+}
+
+// A request below its sender's watermark is a retransmission whose caller
+// has returned: discarded unexecuted, unanswered.
+func TestRequestBelowWatermarkIsDiscarded(t *testing.T) {
+	r := newRig(t, 2, 100*mb)
+	var ran []string
+	srv := Serve(r.eps[1], 5, "svc", 1, func(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
+		ran = append(ran, req.(string))
+		return nil, nil
+	})
+	put, replies := rawRetry(r)
+	r.k.Spawn("driver", func(p *sim.Proc) {
+		put(1, 10, 10, "a")
+		put(2, 12, 12, "b") // every call below 12 has returned
+		put(3, 11, 11, "stale")
+	})
+	if e := r.k.Run(sim.MaxTime); e != nil {
+		t.Fatal(e)
+	}
+	if len(ran) != 2 || ran[0] != "a" || ran[1] != "b" {
+		t.Fatalf("handler ran %v, want [a b]", ran)
+	}
+	if srv.discarded.Value() != 1 || replies.Len() != 2 {
+		t.Fatalf("discarded = %d, replies = %d; want 1 and 2", srv.discarded.Value(), replies.Len())
+	}
+}
+
+// A crash frees a worker whose duplicate waits on an in-flight original, and
+// nothing either of them computed is answered after the restart.
+func TestCrashFreesAWaitingDuplicate(t *testing.T) {
+	r := newRig(t, 2, 100*mb)
+	srv := Serve(r.eps[1], 5, "svc", 2, func(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
+		if req.(string) == "slow" {
+			p.Sleep(40 * time.Millisecond)
+		} else {
+			p.Sleep(10 * time.Millisecond)
+		}
+		return req, nil
+	})
+	put, replies := rawRetry(r)
+	var answers []string
+	var at []time.Duration
+	r.k.Spawn("driver", func(p *sim.Proc) {
+		put(1, 100, 100, "slow") // worker 0, for 40ms
+		p.Sleep(5 * time.Millisecond)
+		put(2, 100, 100, "slow") // worker 1 waits on it
+		p.Sleep(5 * time.Millisecond)
+		srv.SetDown(true)
+		p.Sleep(2 * time.Millisecond)
+		srv.SetDown(false)
+		put(3, 102, 102, "after") // worker 1 is free again
+		p.Sleep(50 * time.Millisecond)
+		put(4, 104, 104, "x") // both workers serve in parallel
+		put(5, 106, 104, "y")
+	})
+	r.k.Spawn("listener", func(p *sim.Proc) {
+		for len(answers) < 3 {
+			ev := replies.Recv(p).(*Event)
+			answers = append(answers, ev.resp.Body.(string))
+			at = append(at, time.Duration(p.Now()))
+			ev.Release()
+		}
+	})
+	if e := r.k.Run(sim.MaxTime); e != nil {
+		t.Fatal(e)
+	}
+	if len(answers) != 3 || answers[0] != "after" || replies.Len() != 0 {
+		t.Fatalf("answers %v (%d more queued), want after, x, y and nothing from before the crash", answers, replies.Len())
+	}
+	if at[0] > 30*time.Millisecond {
+		t.Fatalf("the request after the restart was answered at %v: its worker still waited on the crashed execution", at[0])
+	}
+	if at[2]-at[1] > time.Millisecond {
+		t.Fatalf("x and y answered at %v and %v, one after the other: both workers should serve again", at[1], at[2])
+	}
+	if srv.served.Value() != 3 {
+		t.Fatalf("served = %d, want 3", srv.served.Value())
 	}
 }

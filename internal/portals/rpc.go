@@ -3,6 +3,8 @@ package portals
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -28,10 +30,16 @@ type rpcRequest struct {
 	Token    uint64
 	ReqID    uint64 // nonzero for retryable calls; servers dedup on (From, ReqID)
 	From     netsim.NodeID
-	Class    uint8 // scheduling class (Caller.SetClass); 0 = foreground
+	Class    uint8  // scheduling class (Caller.SetClass); 0 = foreground
+	AckLag   uint32 // ReqID minus the sender's ack watermark (rpcRequest.ack)
 	Body     interface{}
 	RespSize int64 // wire size the response should occupy (0 => header only)
 }
+
+// ack is the sender's ack watermark: every retryable call From made below it
+// has returned. It travels as a lag behind ReqID, in the padding after Class,
+// so the request, and every wire record carrying one, stays its old size.
+func (r *rpcRequest) ack() uint64 { return r.ReqID - uint64(r.AckLag) }
 
 // rpcResponse is the header of an RPC response message. Err travels as an
 // error value: message bodies are in-memory values throughout the simulated
@@ -91,24 +99,67 @@ type Dispatcher interface {
 	Clear() int
 }
 
-// dedupKey identifies one logical client request across retries.
-type dedupKey struct {
-	from  netsim.NodeID
+// dedupEntry is one retryable request a server has started for a sender: in
+// flight until done, then its response, kept for a retransmission until the
+// sender's ack watermark passes it. wait is made only by a duplicate that
+// finds the original still in flight.
+type dedupEntry struct {
 	reqID uint64
+	done  bool
+	body  interface{}
+	err   error
+	wait  *sim.Future
 }
 
-// dedupResult is what a completed execution leaves behind for duplicates.
-type dedupResult struct {
-	body interface{}
-	err  error
+// sender is a server's dedup state for one sender node: the highest ack
+// watermark it has seen from the node, and the node's requests at or above
+// it (plus any still in flight below it).
+type sender struct {
+	ack  uint64
+	reqs []dedupEntry
 }
 
-// defaultDedupCap bounds the dedup table; the oldest *completed* entries
-// fall out FIFO (in-flight executions are never evicted — a retransmission
-// of one must keep finding its future, or the handler would re-run). 4096
-// logical requests in flight or recently completed per server is far beyond
-// anything the simulated workloads generate.
-const defaultDedupCap = 4096
+// find returns the index of the entry for reqID, or -1.
+func (sn *sender) find(reqID uint64) int {
+	for i := range sn.reqs {
+		if sn.reqs[i].reqID == reqID {
+			return i
+		}
+	}
+	return -1
+}
+
+// acked raises the watermark to ack and drops the completed entries below
+// it: their callers have returned and will never retransmit them.
+func (sn *sender) acked(ack uint64) {
+	if ack <= sn.ack {
+		return
+	}
+	sn.ack = ack
+	kept := sn.reqs[:0]
+	for _, e := range sn.reqs {
+		if !e.done || e.reqID >= ack {
+			kept = append(kept, e)
+		}
+	}
+	clear(sn.reqs[len(kept):])
+	sn.reqs = kept
+}
+
+// finish records the response of the execution of reqID for its
+// retransmissions and hands it to the duplicates waiting on it; an entry the
+// watermark passed while it ran is dropped instead.
+func (sn *sender) finish(reqID uint64, body interface{}, err error) {
+	i := sn.find(reqID)
+	if w := sn.reqs[i].wait; w != nil {
+		w.Complete(body, err)
+	}
+	if reqID < sn.ack {
+		sn.reqs = slices.Delete(sn.reqs, i, i+1)
+		return
+	}
+	sn.reqs[i] = dedupEntry{reqID: reqID, done: true, body: body, err: err}
+}
 
 // Server dispatches RPC requests arriving at one portal index to a pool of
 // service processes. Threads models the server's internal concurrency: a
@@ -124,7 +175,12 @@ const defaultDedupCap = 4096
 // request still executing waits for the original and returns its response;
 // a duplicate of a completed request returns the recorded response without
 // re-running the handler. This is what makes client retry safe for
-// non-idempotent operations (object create, 2PC prepare).
+// non-idempotent operations (object create, 2PC prepare). Each such request
+// also carries its sender's ack watermark (Caller.Call): the server forgets
+// a sender's completed requests below the highest one it has seen, and
+// discards a request below it unexecuted, since its caller has returned. So
+// the table holds only what the senders' outstanding calls may still
+// retransmit.
 type Server struct {
 	ep      *Endpoint
 	pt      Index
@@ -136,9 +192,7 @@ type Server struct {
 	started int          // workers started so far
 	work    *sim.Mailbox // where idle workers wait: q itself, or tokens behind disp
 
-	inflight map[dedupKey]*sim.Future
-	order    []dedupKey // FIFO eviction of inflight
-	dedupCap int
+	senders map[netsim.NodeID]*sender // made by the first retryable request
 
 	// down models a crashed process: requests are discarded unanswered and
 	// replies from handler executions that straddled the crash are
@@ -181,8 +235,6 @@ func Serve(ep *Endpoint, pt Index, name string, threads int, handler Handler) *S
 		q:         sim.NewMailbox(k, name+"/rpcq"),
 		handler:   handler,
 		threads:   threads,
-		inflight:  make(map[dedupKey]*sim.Future),
-		dedupCap:  defaultDedupCap,
 		served:    scope.Counter("served"),
 		deduped:   scope.Counter("deduped"),
 		discarded: scope.Counter("discarded"),
@@ -289,16 +341,24 @@ func (s *Server) respond(req rpcRequest, body interface{}, err error, size int64
 func (s *Server) Down() bool { return s.down }
 
 // SetDown crashes (true) or restarts (false) the server. Crashing discards
-// queued requests, forgets the volatile dedup table, and suppresses replies
-// from handler executions already underway; the RPC port itself stays bound,
+// queued requests, frees the workers whose duplicates wait on an execution,
+// forgets the volatile dedup table, and suppresses replies from handler
+// executions already underway; the RPC port itself stays bound,
 // modeling a machine that is unreachable at the process level rather than
 // the NIC level. Durable state recovery is the owner's job (storage servers
 // replay their journal on restart).
 func (s *Server) SetDown(down bool) {
 	if down && !s.down {
 		s.epoch++
-		s.inflight = make(map[dedupKey]*sim.Future)
-		s.order = nil
+		// Wake in a fixed order: each wake schedules a process.
+		for _, from := range slices.Sorted(maps.Keys(s.senders)) {
+			for _, e := range s.senders[from].reqs {
+				if e.wait != nil {
+					e.wait.Complete(nil, nil) // the epoch suppresses its reply
+				}
+			}
+		}
+		s.senders = nil
 		s.discarded.Add(int64(drain(s.q)))
 		if s.disp != nil {
 			s.discarded.Add(int64(s.disp.Clear()))
@@ -342,46 +402,48 @@ func (s *Server) worker(p *sim.Proc) {
 			s.reply(epoch, req, body, err)
 			continue
 		}
-		key := dedupKey{from: req.From, reqID: req.ReqID}
-		if fut, dup := s.inflight[key]; dup {
-			// Retry of a request we have seen: wait for (or read) the
-			// original execution's result and answer at this reply token.
-			s.deduped.Inc()
-			v, _ := fut.Wait(p)
-			r := v.(dedupResult)
-			s.reply(epoch, req, r.body, r.err)
+		sn := s.sender(req.From)
+		sn.acked(req.ack())
+		if req.ReqID < sn.ack {
+			s.discarded.Inc() // a retransmission whose caller has returned
 			continue
 		}
-		fut := sim.NewFuture()
-		s.inflight[key] = fut
-		s.order = append(s.order, key)
-		s.evictDedup()
+		if i := sn.find(req.ReqID); i >= 0 {
+			// Retry of a request we have seen: read (or wait for) the
+			// original execution's result and answer at this reply token.
+			s.deduped.Inc()
+			e := &sn.reqs[i]
+			body, err := e.body, e.err
+			if !e.done {
+				if e.wait == nil {
+					e.wait = sim.NewFuture()
+				}
+				body, err = e.wait.Wait(p)
+			}
+			s.reply(epoch, req, body, err)
+			continue
+		}
+		sn.reqs = append(sn.reqs, dedupEntry{reqID: req.ReqID})
 		body, err := s.handler(p, req.From, req.Body)
-		fut.Complete(dedupResult{body: body, err: err}, nil)
+		if epoch == s.epoch { // else a crash forgot sn and woke its waiters
+			sn.finish(req.ReqID, body, err)
+		}
 		s.reply(epoch, req, body, err)
 	}
 }
 
-// evictDedup trims the dedup table to its cap, oldest-first, skipping
-// entries whose execution is still in flight: evicting one of those would
-// let a later retransmission re-run a non-idempotent handler. The table may
-// transiently exceed the cap while more than dedupCap executions are
-// genuinely concurrent; later inserts trim it back once they complete.
-func (s *Server) evictDedup() {
-	for len(s.order) > s.dedupCap {
-		victim := -1
-		for i, k := range s.order {
-			if s.inflight[k].Done() {
-				victim = i
-				break
-			}
+// sender returns the dedup state for node from, making it (and the table) on
+// first use: a server no retryable request reaches keeps none.
+func (s *Server) sender(from netsim.NodeID) *sender {
+	sn := s.senders[from]
+	if sn == nil {
+		if s.senders == nil {
+			s.senders = make(map[netsim.NodeID]*sender)
 		}
-		if victim < 0 {
-			return
-		}
-		delete(s.inflight, s.order[victim])
-		s.order = append(s.order[:victim], s.order[victim+1:]...)
+		sn = &sender{}
+		s.senders[from] = sn
 	}
+	return sn
 }
 
 // ErrRPCTimeout is returned by CallTimeout when the deadline passes.
@@ -466,31 +528,34 @@ func (c *Caller) SetBreaker(b Breaker) { c.breaker = b }
 // response. respSize tells the server how large its answer is on the wire.
 // With a retry policy armed (SetRetry), lost requests or responses are
 // retried under a per-attempt timeout with exponential backoff; the server
-// deduplicates re-executions, so retried calls stay exactly-once.
+// deduplicates re-executions, so retried calls stay exactly-once. Every
+// attempt carries the request ID and the endpoint's ack watermark: the lowest
+// request ID of the node's retryable calls still outstanding, this one
+// included, so every such call below it has returned (an implicit
+// acknowledgement, as in Birrell and Nelson's RPC).
 func (c *Caller) Call(p *sim.Proc, target netsim.NodeID, pt Index, req interface{}, reqSize, respSize int64) (interface{}, error) {
 	if !c.retry.Enabled() {
 		return c.call(p, target, pt, req, reqSize, respSize, 0, 0)
 	}
-	reqID := c.ep.nextTok()
-	var lastErr error
+	reqID := c.ep.openCall()
+	var v interface{}
+	var err error
 	for a := 0; a < c.retry.MaxAttempts; a++ {
 		if a > 0 {
 			c.retries.Inc()
 			p.Sleep(c.retry.Pause(a-1, c.rng))
 		}
-		v, err := c.call(p, target, pt, req, reqSize, respSize, c.retry.Timeout, reqID)
-		if errors.Is(err, ErrCircuitOpen) {
-			// Fast-fail, not a lost message: retrying would just spin on
-			// the open breaker (ErrCircuitOpen wraps ErrRPCTimeout so the
-			// caller's failover logic still reads it as "route around").
-			return v, err
+		v, err = c.call(p, target, pt, req, reqSize, respSize, c.retry.Timeout, reqID)
+		// Only a lost message is retried. ErrCircuitOpen is a fast-fail:
+		// retrying would just spin on the open breaker (it wraps
+		// ErrRPCTimeout so the caller's failover logic still reads it as
+		// "route around").
+		if !FailStop(err) || errors.Is(err, ErrCircuitOpen) {
+			break
 		}
-		if !FailStop(err) {
-			return v, err
-		}
-		lastErr = err
 	}
-	return nil, lastErr
+	c.ep.closeCall(reqID)
+	return v, err
 }
 
 // CallTimeout is Call with a deadline and exactly one attempt; it returns
@@ -509,7 +574,7 @@ func (c *Caller) call(p *sim.Proc, target netsim.NodeID, pt Index, req interface
 	token := c.ep.nextTok()
 	slot := c.ep.Post(replyPortal, MatchBits(token), true)
 	out := c.ep.record(pt, 0, netsim.SyntheticPayload(reqSize))
-	out.kind, out.req = wireRequest, rpcRequest{Token: token, ReqID: reqID, From: c.ep.Node(), Class: c.class, Body: req, RespSize: respSize}
+	out.kind, out.req = wireRequest, rpcRequest{Token: token, ReqID: reqID, From: c.ep.Node(), Class: c.class, AckLag: c.ep.ackLag(reqID), Body: req, RespSize: respSize}
 	c.ep.send(target, out)
 
 	ev, ok := slot.Wait(p, timeout)

@@ -433,9 +433,6 @@ func (f *Future) Complete(val interface{}, err error) {
 	}
 }
 
-// Done reports whether the future has resolved.
-func (f *Future) Done() bool { return f.done }
-
 // Wait blocks p until the future resolves and returns its value and error.
 func (f *Future) Wait(p *Proc) (interface{}, error) {
 	if !f.done {

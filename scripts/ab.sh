@@ -2,6 +2,7 @@
 # A/B the benchmark between two revisions of this repository.
 #
 #   scripts/ab.sh <rev-a> <rev-b> <workload> <pairs> [seed]
+#   scripts/ab.sh <rev-a> <rev-b> experiment:<name> <pairs>
 #
 # A is the parent, B the change; seed defaults to 1. Each revision is checked
 # out as a detached git worktree in a scratch directory and its bench/ built
@@ -15,15 +16,33 @@
 # BENCHMARK.json, both sides' median and interquartile range and how many
 # pairs B won (ties count for neither), then whether the virtual-time metrics
 # (sim_*) were identical in every run and how many operations failed. README
-# ("Perf claims") says how to read it. The worktrees and the scratch directory
-# are removed on exit.
+# ("Perf claims") says how to read it.
+#
+# Given experiment:<name> in place of a workload, it builds cmd/lwfsbench on
+# both sides instead and alternates `lwfsbench -experiment <name>` runs. It
+# prints both sides' wall-clock median and IQR in seconds, with B's win count,
+# and whether every run's stdout was byte-identical to A's first (the reports
+# are deterministic, so a host-only change must leave them so). The worktrees
+# and the scratch directory are removed on exit.
 set -euo pipefail
 
-if [ $# -lt 4 ] || [ $# -gt 5 ]; then
+usage() {
 	echo "usage: scripts/ab.sh <rev-a> <rev-b> <workload> <pairs> [seed]" >&2
+	echo "       scripts/ab.sh <rev-a> <rev-b> experiment:<name> <pairs>" >&2
 	exit 2
+}
+if [ $# -lt 4 ] || [ $# -gt 5 ]; then
+	usage
 fi
 rev_a=$1 rev_b=$2 workload=$3 pairs=$4 seed=${5:-1}
+experiment=
+case $workload in experiment:*)
+	experiment=${workload#experiment:}
+	if [ -z "$experiment" ] || [ $# -gt 4 ]; then
+		usage
+	fi
+	;;
+esac
 case $pairs in '' | *[!0-9]* | 0)
 	echo "scripts/ab.sh: <pairs> must be a positive integer, got '$pairs'" >&2
 	exit 2
@@ -48,6 +67,13 @@ for side in a b; do
 	rev=$a
 	[ $side = b ] && rev=$b
 	git -C "$repo" worktree add --detach --quiet "$scratch/$side" "$rev"
+	if [ -n "$experiment" ]; then
+		if ! (cd "$scratch/$side" && go build -o "$scratch/$side.lwfsbench" ./cmd/lwfsbench); then
+			echo "scripts/ab.sh: cmd/lwfsbench does not build at $rev" >&2
+			exit 1
+		fi
+		continue
+	fi
 	# Build once before timing anything: -h makes the freshly built binary
 	# print its usage and exit.
 	bash "$scratch/$side/bench/run.sh" -h >/dev/null 2>&1 || true
@@ -57,6 +83,58 @@ for side in a b; do
 		exit 1
 	fi
 done
+
+# Quartiles as bench/measure.go takes them, shared by both reports.
+stats='
+function sortn(x, n,   i, j, t) {
+	for (i = 2; i <= n; i++) for (j = i; j > 1 && x[j-1] > x[j]; j--) { t = x[j]; x[j] = x[j-1]; x[j-1] = t }
+}
+# the k-th of four cut points of sorted x[1..n]
+function cut(x, n, k,   j, d) {
+	if (n == 1) return x[1]
+	j = int(k * (n + 1) / 4); if (j < 1) j = 1; if (j > n - 1) j = n - 1
+	d = k * (n + 1) - j * 4
+	return (x[j] * (4 - d) + x[j+1] * d) / 4
+}'
+
+if [ -n "$experiment" ]; then
+	run() { # side, pair: time one run, keep its stdout
+		local t0 t1
+		t0=$(date +%s%N)
+		"$scratch/$1.lwfsbench" -experiment "$experiment" >"$scratch/$1.$2.out"
+		t1=$(date +%s%N)
+		echo $(((t1 - t0) / 1000000)) >>"$scratch/$1.wall"
+	}
+	echo "A=$rev_a ($a)  B=$rev_b ($b)  experiment=$experiment pairs=$pairs"
+	for ((i = 1; i <= pairs; i++)); do
+		if ((i % 2)); then run a $i && run b $i; else run b $i && run a $i; fi
+		printf 'pair %d/%d done\n' "$i" "$pairs" >&2
+	done
+	awk "$stats"'
+	FNR == 1 { f++ }
+	{ w[f, FNR] = $1 / 1000; n = FNR }
+	END {
+		for (i = 1; i <= n; i++) { xa[i] = w[1, i]; xb[i] = w[2, i]; if (xb[i] < xa[i]) wins++ }
+		sortn(xa, n); sortn(xb, n)
+		printf "%-14s %12s %11s %12s %11s %7s %6s\n", "metric", "A median", "A IQR", "B median", "B IQR", "B/A", "B wins"
+		ma = cut(xa, n, 2); mb = cut(xb, n, 2)
+		printf "%-14s %12.6g %11.4g %12.6g %11.4g %7.3f %3d/%-3d (lower is better)\n", "wall_s",
+			ma, cut(xa, n, 3) - cut(xa, n, 1), mb, cut(xb, n, 3) - cut(xb, n, 1), ma ? mb / ma : 0, wins + 0, n
+	}' "$scratch/a.wall" "$scratch/b.wall"
+	same=1
+	for ((i = 1; i <= pairs; i++)); do
+		for side in a b; do
+			cmp -s "$scratch/a.1.out" "$scratch/$side.$i.out" || same=0
+		done
+	done
+	if ((same)); then
+		echo "stdout: identical in all $((2 * pairs)) runs ($(wc -c <"$scratch/a.1.out") bytes)"
+	else
+		echo "stdout: DIFFERS"
+		diff "$scratch/a.1.out" "$scratch/b.1.out" | head -20 || true
+	fi
+	exit 0
+fi
 
 run() { # side: append one run's result line to side.jsonl
 	bash "$scratch/$1/bench/run.sh" --workload "$workload" --seed "$seed" --trace 0 |
@@ -73,7 +151,7 @@ manifest=$(awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
 	on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
 	on && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }' "$scratch/b/BENCHMARK.json")
 
-echo "$manifest" | awk -v fa="$scratch/a.jsonl" -v fb="$scratch/b.jsonl" '
+echo "$manifest" | awk -v fa="$scratch/a.jsonl" -v fb="$scratch/b.jsonl" "$stats"'
 # value of metric m in a result line, or "" when the line lacks it
 function val(line, m,   s) {
 	if (!match(line, "\"" m "\":\\{\"value\":[-+0-9.eE]+")) return ""
@@ -83,16 +161,6 @@ function val(line, m,   s) {
 function field(line, f,   s) {
 	if (!match(line, "\"" f "\":[a-z0-9]+")) return "?"
 	s = substr(line, RSTART, RLENGTH); sub(/.*:/, "", s); return s
-}
-function sortn(x, n,   i, j, t) {
-	for (i = 2; i <= n; i++) for (j = i; j > 1 && x[j-1] > x[j]; j--) { t = x[j]; x[j] = x[j-1]; x[j-1] = t }
-}
-# the k-th of four cut points of sorted x[1..n], as bench/measure.go takes them
-function cut(x, n, k,   j, d) {
-	if (n == 1) return x[1]
-	j = int(k * (n + 1) / 4); if (j < 1) j = 1; if (j > n - 1) j = n - 1
-	d = k * (n + 1) - j * 4
-	return (x[j] * (4 - d) + x[j+1] * d) / 4
 }
 # x[1..n] = metric m of result lines line[1..n], sorted
 function sorted(line, n, m, x,   i) {
