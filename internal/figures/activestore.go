@@ -22,7 +22,7 @@ func ActiveStorageScan(useFilter bool) (time.Duration, error) {
 	const shard = 128 << 20
 	spec := cluster.DevCluster().WithServers(8)
 	spec.ComputeNodes = 2
-	r := newRig(spec)
+	r := newRig(spec, false)
 	count := func(acc []byte, chunk netsim.Payload) []byte {
 		var n uint64
 		if len(acc) == 8 {

@@ -71,12 +71,12 @@ func (pt *BurstPoint) summary() string {
 	return fmt.Sprintf("apparent %s ms, durable %s ms", pt.Apparent.String(), pt.Durable.String())
 }
 
-func burstTrial(pt *BurstPoint, trial int) ([]MetricsCapture, error) {
+func burstTrial(pt *BurstPoint, trial int, keep bool) ([]MetricsCapture, error) {
 	spec := cluster.DevCluster().WithServers(burstServers)
 	spec.ComputeNodes = burstProcs
 	spec.BurstNodes = pt.Buffers
 	spec.Burst.DrainBW = pt.DrainBW
-	r := newRig(spec)
+	r := newRig(spec, keep)
 	res, err := checkpoint.SetupLWFS(r.cl, r.l, checkpoint.Config{
 		Procs:        burstProcs,
 		BytesPerProc: burstBytesPerProc,
@@ -97,12 +97,13 @@ func burstTrial(pt *BurstPoint, trial int) ([]MetricsCapture, error) {
 	// Tier observables come from the registry, not per-server getters: the
 	// drain-latency histograms merge exactly and pass-through counts sum
 	// across buffers.
-	lat := mc.Final.MergedHist("burst.*.drain.latency_ms")
+	reg := r.cl.Metrics()
+	lat := reg.MergedHist("burst.*.drain.latency_ms")
 	if lat.N() > 0 {
 		pt.DrainP50.Add(lat.Percentile(50))
 		pt.DrainP99.Add(lat.Percentile(99))
 	}
-	pt.Passthru.Add(mc.Final.Sum("burst.*.passthroughs"))
+	pt.Passthru.Add(reg.Sum("burst.*.passthroughs"))
 	return one(mc), nil
 }
 

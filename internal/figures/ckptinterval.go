@@ -67,9 +67,9 @@ func CkptIntervalRun(opts RedStormOpts) (CkptIntervalResult, error) {
 	}
 	opts.defaults()
 	arms, caps, err := sweep(sweepCfg{1, opts.Metrics, opts.Progress}, []CkptIntervalArm{{Staged: false}, {Staged: true}},
-		func(arm *CkptIntervalArm, _ int) ([]MetricsCapture, error) {
+		func(arm *CkptIntervalArm, _ int, keep bool) ([]MetricsCapture, error) {
 			pt := RedStormPoint{Exact: opts.Exact[0], Staged: arm.Staged}
-			caps, err := opts.dump(&pt, 0)
+			caps, err := opts.dump(&pt, 0, keep)
 			arm.Apparent, arm.Durable = pt.Apparent, pt.Durable
 			return caps, err
 		})

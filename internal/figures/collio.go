@@ -20,7 +20,7 @@ func CollectiveVsIndependent(collective bool) (time.Duration, error) {
 	const recSize = int64(64) << 10
 	spec := cluster.DevCluster().WithServers(4)
 	spec.ComputeNodes = ranks
-	r := newRig(spec)
+	r := newRig(spec, false)
 	clients := make([]*core.Client, ranks)
 	for i := 1; i < ranks; i++ {
 		clients[i] = r.cl.NewClient(r.l, i)

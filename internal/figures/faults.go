@@ -85,10 +85,10 @@ func FaultSweep(env Env) (FaultResult, error) {
 func (pt *FaultPoint) label() string   { return fmt.Sprintf("drop=%.2f", pt.DropProb) }
 func (pt *FaultPoint) summary() string { return pt.Elapsed.String() + " ms" }
 
-func faultTrial(pt *FaultPoint, trial int) ([]MetricsCapture, error) {
+func faultTrial(pt *FaultPoint, trial int, _ bool) ([]MetricsCapture, error) {
 	spec := cluster.DevCluster().WithServers(faultServers)
 	spec.ComputeNodes = faultProcs
-	r := newRig(spec)
+	r := newRig(spec, false)
 	cl, l := r.cl, r.l
 
 	seed := int64(trial)*104729 + int64(pt.DropProb*1000) + 11
@@ -116,8 +116,7 @@ func faultTrial(pt *FaultPoint, trial int) ([]MetricsCapture, error) {
 	if err != nil {
 		return nil, err
 	}
-	mc, err := r.run()
-	if err != nil {
+	if _, err := r.run(); err != nil {
 		return nil, err
 	}
 	pt.Elapsed.Add(float64(res.Elapsed) / float64(time.Millisecond))
@@ -125,7 +124,7 @@ func faultTrial(pt *FaultPoint, trial int) ([]MetricsCapture, error) {
 	// would also match the txn participants and capability-cache servers.
 	var deduped float64
 	for _, srv := range l.Servers {
-		deduped += mc.Final.Value("rpc." + srv.Device().Name() + ".deduped")
+		deduped += cl.Metrics().Sum("rpc." + srv.Device().Name() + ".deduped")
 	}
 	pt.Deduped.Add(deduped)
 	if fault != nil {

@@ -199,7 +199,7 @@ func seriesSweep(what, unit string, servers, clients []int, trials int, progress
 		points[k] = grid[i]
 	}
 	_, _, err := sweep(sweepCfg{Trials: trials, Progress: progress}, points,
-		func(pt *seriesPoint, trial int) ([]MetricsCapture, error) {
+		func(pt *seriesPoint, trial int, _ bool) ([]MetricsCapture, error) {
 			y, err := measure(cluster.DevCluster().WithServers(pt.servers), pt.clients, trial)
 			if err == nil {
 				pt.y.Add(y)

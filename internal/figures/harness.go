@@ -45,18 +45,20 @@ type point[P any] interface {
 }
 
 // sweep runs body for every point × trial; body accumulates its
-// measurements into the point. Points are independent machines, so they run
-// side by side on min(GOMAXPROCS, len(points)) goroutines, claimed in input
-// order; the trials of one point stay in order on one goroutine, and body
-// must write nothing but its own point. Everything the caller sees is in
-// input order and happens on the calling goroutine: a finished point reports
-// one progress line once every point before it has, and with cfg.Metrics the
-// captures returned by the last trial of each point are kept (one without a
-// label takes the point's). An error stops the sweep — points not yet claimed
-// never start — and the one returned is the lowest-index point's, labelled
-// with the point and trial.
+// measurements into the point, and keep tells it whether sweep keeps the
+// captures it returns (cfg.Metrics, on a point's last trial), so a body
+// takes no snapshot nobody keeps. Points are independent machines, so they
+// run side by side on min(GOMAXPROCS, len(points)) goroutines, claimed in
+// input order; the trials of one point stay in order on one goroutine, and
+// body must write nothing but its own point. Everything the caller sees is
+// in input order and happens on the calling goroutine: a finished point
+// reports one progress line once every point before it has, and the kept
+// captures come back in point order (one without a label takes the
+// point's). An error stops the sweep — points not yet claimed never start —
+// and the one returned is the lowest-index point's, labelled with the point
+// and trial.
 func sweep[P any, PP point[P]](cfg sweepCfg, points []P,
-	body func(pt *P, trial int) ([]MetricsCapture, error)) ([]P, []MetricsCapture, error) {
+	body func(pt *P, trial int, keep bool) ([]MetricsCapture, error)) ([]P, []MetricsCapture, error) {
 	type outcome struct {
 		caps []MetricsCapture
 		err  error
@@ -75,13 +77,14 @@ func sweep[P any, PP point[P]](cfg sweepCfg, points []P,
 		out := &outcomes[i]
 		defer close(out.done)
 		for trial := 0; trial < cfg.Trials; trial++ {
-			caps, err := body(&points[i], trial)
+			keep := cfg.Metrics && trial == cfg.Trials-1
+			caps, err := body(&points[i], trial, keep)
 			if err != nil {
 				out.err = fmt.Errorf("%s trial %d: %w", PP(&points[i]).label(), trial, err)
 				failed.Store(true)
 				return
 			}
-			if cfg.Metrics && trial == cfg.Trials-1 {
+			if keep {
 				out.caps = caps
 			}
 		}
@@ -132,27 +135,35 @@ const (
 )
 
 // rig is the machine one trial runs on: a cluster built from a spec, the
-// bench user registered, the LWFS core deployed, and the registry snapshot
-// every capture diffs against.
+// bench user registered, the LWFS core deployed and, when its sweep keeps
+// the trial's capture, the registry snapshot that capture diffs against.
 type rig struct {
 	cl   *cluster.Cluster
 	l    *cluster.LWFS
+	keep bool // take the capture's snapshots
 	base metrics.Snapshot
 }
 
-func newRig(spec cluster.Spec) *rig {
+// newRig builds a trial's machine; keep is sweep's: whether anyone keeps the
+// capture run returns. A driver that needs a value or two reads them from
+// the registry (Sum, MergedHist) instead of from a capture.
+func newRig(spec cluster.Spec, keep bool) *rig {
 	cl := cluster.New(spec)
 	cl.RegisterUser(benchUser, benchSecret)
-	l := cl.DeployLWFS()
-	return &rig{cl: cl, l: l, base: cl.Metrics().Snapshot()}
+	r := &rig{cl: cl, l: cl.DeployLWFS(), keep: keep}
+	if keep {
+		r.base = cl.Metrics().Snapshot()
+	}
+	return r
 }
 
 // run drains the simulation, pairs the post-deploy snapshot with the final
-// one and closes the cluster: a rig runs once, and what a driver reads from
-// it afterwards (results, device and NIC busy time) outlives the kernel.
+// one when the rig keeps them (an empty capture otherwise) and closes the
+// cluster: a rig runs once, and what a driver reads from it afterwards
+// (results, registry values, device and NIC busy time) outlives the kernel.
 func (r *rig) run() (MetricsCapture, error) {
 	defer r.cl.Close()
-	if err := r.cl.Run(); err != nil {
+	if err := r.cl.Run(); err != nil || !r.keep {
 		return MetricsCapture{}, err
 	}
 	return MetricsCapture{Base: r.base, Final: r.cl.Metrics().Snapshot()}, nil

@@ -59,7 +59,10 @@ func TestSweepOrderCapturesAndProgress(t *testing.T) {
 		in[i].name = name
 	}
 	var running, peak atomic.Int32
-	points, caps, err := sweep(cfg, in, func(pt *probePoint, trial int) ([]MetricsCapture, error) {
+	points, caps, err := sweep(cfg, in, func(pt *probePoint, trial int, keep bool) ([]MetricsCapture, error) {
+		if keep != (trial == 2) {
+			t.Errorf("trial %d told keep=%v: sweep keeps only the last trial's captures", trial, keep)
+		}
 		n := running.Add(1)
 		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
 		}
@@ -104,7 +107,10 @@ func TestSweepOrderCapturesAndProgress(t *testing.T) {
 	}
 
 	cfg.Metrics = false
-	if _, caps, _ = sweep(cfg, []probePoint{{name: "a"}}, func(*probePoint, int) ([]MetricsCapture, error) {
+	if _, caps, _ = sweep(cfg, []probePoint{{name: "a"}}, func(_ *probePoint, _ int, keep bool) ([]MetricsCapture, error) {
+		if keep {
+			t.Error("a trial was told keep=true with Metrics off")
+		}
 		return one(stamped(0)), nil
 	}); len(caps) != 0 {
 		t.Errorf("kept %d captures with Metrics off", len(caps))
@@ -121,7 +127,7 @@ func TestSweepErrorNamesPointAndTrial(t *testing.T) {
 	points, _, err := sweep(sweepCfg{Trials: 2, Progress: func(format string, args ...interface{}) {
 		progress = append(progress, fmt.Sprintf(format, args...))
 	}}, []probePoint{{name: "a"}, {name: "b"}, {name: "c"}, {name: "d"}, {name: "e"}, {name: "f"}},
-		func(pt *probePoint, trial int) ([]MetricsCapture, error) {
+		func(pt *probePoint, trial int, _ bool) ([]MetricsCapture, error) {
 			pt.trials = append(pt.trials, trial)
 			switch {
 			case pt.name == "b" && trial == 1:

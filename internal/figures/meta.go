@@ -140,8 +140,8 @@ func (pt *MetaRebuildPoint) summary() string {
 // healthy open, and — after crashing the primary mirror's server — a
 // degraded open. With a single record the post-crash open fails by design;
 // that is recorded, not treated as an error.
-func metaOpenTrial(pt *metaCopiesPoint, trial int) ([]MetricsCapture, error) {
-	r := newRig(onePerNode(metaServers))
+func metaOpenTrial(pt *metaCopiesPoint, trial int, keep bool) ([]MetricsCapture, error) {
+	r := newRig(onePerNode(metaServers), keep)
 	copies := pt.w.Copies
 	const bytes = metaFileKB << 10
 	mc, err := r.bench(metaRetry, int64(trial)+41, func(p *sim.Proc, c *core.Client) error {
@@ -202,8 +202,9 @@ func metaOpenTrial(pt *metaCopiesPoint, trial int) ([]MetricsCapture, error) {
 // hosting the first file's primary mirror, and times Rebuild sweeping every
 // file — re-homing lost metadata mirrors (and repairing any data copies the
 // dead server held) onto the survivors.
-func metaRehomeTrial(pt *MetaRebuildPoint, trial int) ([]MetricsCapture, error) {
-	r := newRig(onePerNode(metaServers))
+func metaRehomeTrial(pt *MetaRebuildPoint, trial int, keep bool) ([]MetricsCapture, error) {
+	r := newRig(onePerNode(metaServers), keep)
+	rehomedBase := r.cl.Metrics().Sum("rebuild.meta_rehomed")
 	const bytes = metaFileKB << 10
 	var elapsed time.Duration
 	mc, err := r.bench(metaRetry, int64(trial)+53, func(p *sim.Proc, c *core.Client) error {
@@ -243,7 +244,7 @@ func metaRehomeTrial(pt *MetaRebuildPoint, trial int) ([]MetricsCapture, error) 
 		return nil, err
 	}
 	pt.Ms.Add(ms(elapsed))
-	pt.Rehomed.Add(mc.Final.Sum("rebuild.meta_rehomed") - mc.Base.Sum("rebuild.meta_rehomed"))
+	pt.Rehomed.Add(r.cl.Metrics().Sum("rebuild.meta_rehomed") - rehomedBase)
 	return one(mc), nil
 }
 

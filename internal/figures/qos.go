@@ -102,7 +102,7 @@ func (pt *QoSBreakerPoint) summary() string {
 
 // qosFairTrial runs one part-A trial: checkpoint through the burst tier with
 // an interactive tenant alongside.
-func qosFairTrial(pt *QoSPoint, trial int) ([]MetricsCapture, error) {
+func qosFairTrial(pt *QoSPoint, trial int, keep bool) ([]MetricsCapture, error) {
 	admission, yield := pt.Mode != "off", pt.Mode == "fair+prio"
 	spec := cluster.DevCluster().WithServers(qosServers)
 	spec.ComputeNodes = qosProcs + 1 // last node hosts the interactive tenant
@@ -119,7 +119,7 @@ func qosFairTrial(pt *QoSPoint, trial int) ([]MetricsCapture, error) {
 		spec.Storage.QoS = adm
 		spec.Burst.QoS = adm
 	}
-	r := newRig(spec)
+	r := newRig(spec, keep)
 	cl, l := r.cl, r.l
 	cl.RegisterUser("ia", "s3cret")
 
@@ -172,8 +172,8 @@ func qosFairTrial(pt *QoSPoint, trial int) ([]MetricsCapture, error) {
 	}
 	pt.Lat.Merge(&trialLat)
 	pt.Durable.Add(float64(ckRes.Durable) / float64(time.Millisecond))
-	pt.Yields.Add(mc.Final.Sum("burst.*.drain.yields"))
-	pt.Shed.Add(mc.Final.Sum("qos.*.shed"))
+	pt.Yields.Add(cl.Metrics().Sum("burst.*.drain.yields"))
+	pt.Shed.Add(cl.Metrics().Sum("qos.*.shed"))
 	return one(mc), nil
 }
 
@@ -195,10 +195,10 @@ var qosFlapRetry = portals.RetryPolicy{
 
 // qosBreakerTrial runs one part-B trial: writes with manual failover while
 // server 0 is down for a 100 ms window.
-func qosBreakerTrial(pt *QoSBreakerPoint, trial int) ([]MetricsCapture, error) {
+func qosBreakerTrial(pt *QoSBreakerPoint, trial int, _ bool) ([]MetricsCapture, error) {
 	spec := cluster.DevCluster().WithServers(2)
 	spec.ComputeNodes = 1
-	r := newRig(spec)
+	r := newRig(spec, false)
 
 	victim := r.l.Servers[0]
 	r.cl.K.SpawnAt(sim.Time(0).Add(qosCrashAt), "crash", func(p *sim.Proc) { victim.Crash() })

@@ -151,9 +151,9 @@ func crashServer(l *cluster.LWFS, t storage.Target) {
 }
 
 // rebuildWriteTrial measures one full-stripe write's logical bandwidth.
-func rebuildWriteTrial(pt *RebuildWritePoint, trial int) ([]MetricsCapture, error) {
+func rebuildWriteTrial(pt *RebuildWritePoint, trial int, _ bool) ([]MetricsCapture, error) {
 	const bytes = rebuildDataMB << 20
-	_, err := newRig(onePerNode(rebuildServers)).bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
+	_, err := newRig(onePerNode(rebuildServers), false).bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
 		caps, err := allCaps(p, c)
 		if err != nil {
 			return err
@@ -175,8 +175,8 @@ func rebuildWriteTrial(pt *RebuildWritePoint, trial int) ([]MetricsCapture, erro
 
 // rebuildReadTrial measures one full read healthy, then crashes the server
 // behind the layout's second object and measures the degraded read.
-func rebuildReadTrial(pt *RebuildReadPoint, trial int) ([]MetricsCapture, error) {
-	r := newRig(onePerNode(rebuildServers))
+func rebuildReadTrial(pt *RebuildReadPoint, trial int, keep bool) ([]MetricsCapture, error) {
+	r := newRig(onePerNode(rebuildServers), keep)
 	const bytes = rebuildDataMB << 20
 	mc, err := r.bench(rebuildRetry, int64(trial)+17, func(p *sim.Proc, c *core.Client) error {
 		caps, err := allCaps(p, c)
@@ -210,8 +210,8 @@ func rebuildReadTrial(pt *RebuildReadPoint, trial int) ([]MetricsCapture, error)
 
 // rebuildRepairTrial writes n parity layouts, crashes one server, and times
 // a Rebuilder repairing every layout that lost an object to it.
-func rebuildRepairTrial(pt *RebuildPoint, trial int) ([]MetricsCapture, error) {
-	r := newRig(onePerNode(rebuildServers))
+func rebuildRepairTrial(pt *RebuildPoint, trial int, keep bool) ([]MetricsCapture, error) {
+	r := newRig(onePerNode(rebuildServers), keep)
 	const bytes = rebuildDataMB << 20
 	mc, err := r.bench(rebuildRetry, int64(trial)+29, func(p *sim.Proc, c *core.Client) error {
 		caps, err := allCaps(p, c)

@@ -88,10 +88,10 @@ func (pt *RecoveryPoint) summary() string {
 
 // recoveryTrial runs the checkpoint twice: healthy, then through the buffer
 // crash.
-func recoveryTrial(pt *RecoveryPoint, trial int) ([]MetricsCapture, error) {
+func recoveryTrial(pt *RecoveryPoint, trial int, keep bool) ([]MetricsCapture, error) {
 	var caps []MetricsCapture
 	for _, crash := range []bool{false, true} {
-		mc, err := recoveryRun(pt, trial, crash)
+		mc, err := recoveryRun(pt, trial, crash, keep)
 		if err != nil {
 			return nil, fmt.Errorf("crash=%v: %w", crash, err)
 		}
@@ -101,13 +101,13 @@ func recoveryTrial(pt *RecoveryPoint, trial int) ([]MetricsCapture, error) {
 	return caps, nil
 }
 
-func recoveryRun(pt *RecoveryPoint, trial int, crash bool) (MetricsCapture, error) {
+func recoveryRun(pt *RecoveryPoint, trial int, crash, keep bool) (MetricsCapture, error) {
 	spec := cluster.DevCluster().WithServers(recoveryServers)
 	spec.ComputeNodes = recoveryProcs
 	spec.BurstNodes = 1
 	spec.Burst.DrainBW = recoveryDrainBW
 	spec.BurstJournal = pt.Medium.Journal
-	r := newRig(spec)
+	r := newRig(spec, keep)
 	if crash {
 		bb := r.l.Burst[0]
 		r.cl.Spawn("chaos", func(p *sim.Proc) {

@@ -92,7 +92,7 @@ func (pt *RedStormPoint) summary() string {
 
 // dump measures one sampled machine-size checkpoint into pt. There is one
 // per point: the machine is deterministic and minutes of host time.
-func (opts RedStormOpts) dump(pt *RedStormPoint, _ int) ([]MetricsCapture, error) {
+func (opts RedStormOpts) dump(pt *RedStormPoint, _ int, keep bool) ([]MetricsCapture, error) {
 	spec := cluster.RedStorm()
 	// Only the exact ranks need compute nodes; SetupLWFS adds the shadow
 	// ranks' sources as aggregate injector nodes.
@@ -110,7 +110,7 @@ func (opts RedStormOpts) dump(pt *RedStormPoint, _ int) ([]MetricsCapture, error
 		spec.Burst.StageCapacity = perBuf + perBuf/8
 		spec.Burst.DrainWorkers = 8
 	}
-	r := newRig(spec)
+	r := newRig(spec, keep)
 	cl, l := r.cl, r.l
 	cfg := checkpoint.Config{
 		Procs:        pt.Exact,
@@ -131,7 +131,7 @@ func (opts RedStormOpts) dump(pt *RedStormPoint, _ int) ([]MetricsCapture, error
 		return nil, errors.New("healthy run aborted")
 	}
 	shadow := float64(opts.TotalRanks-pt.Exact) * float64(opts.BytesPerProc)
-	if acked, durable := mc.Final.Value("shadow.bytes_acked"), mc.Final.Value("shadow.bytes_durable"); acked != shadow || durable != shadow {
+	if acked, durable := cl.Metrics().Sum("shadow.bytes_acked"), cl.Metrics().Sum("shadow.bytes_durable"); acked != shadow || durable != shadow {
 		return nil, fmt.Errorf("shadow load incomplete: %.0f bytes acked, %.0f durable of %.0f", acked, durable, shadow)
 	}
 

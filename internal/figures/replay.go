@@ -87,8 +87,8 @@ func replaySweep(env Env, traces []string) (ReplayResult, error) {
 	}
 	var err error
 	res.Points, res.Captures, err = sweep(sweepCfg{1, env.Metrics, env.Progress}, points,
-		func(pt *ReplayPoint, _ int) ([]MetricsCapture, error) {
-			mc, err := replayTrial(pt)
+		func(pt *ReplayPoint, _ int, keep bool) ([]MetricsCapture, error) {
+			mc, err := replayTrial(pt, keep)
 			return one(mc), err
 		})
 	for _, pt := range res.Points {
@@ -110,14 +110,14 @@ func (pt *ReplayPoint) summary() string {
 // timeline ticks its recorder for the duration; the replay's completion hook
 // stops it — without that, its pending tick would keep the kernel run from
 // finishing.
-func replayTrial(pt *ReplayPoint) (MetricsCapture, error) {
+func replayTrial(pt *ReplayPoint, keep bool) (MetricsCapture, error) {
 	tr, err := trace.Example(pt.Trace)
 	if err != nil {
 		return MetricsCapture{}, err
 	}
 	spec := onePerNode(replayServers)
 	spec.ComputeNodes = pt.Workers
-	r := newRig(spec)
+	r := newRig(spec, keep)
 	cl := r.cl
 	clients := make([]*core.Client, pt.Workers)
 	for i := range clients {

@@ -34,7 +34,7 @@ func Security() (SecurityResult, error) {
 	var out SecurityResult
 	spec := cluster.DevCluster().WithServers(2)
 	spec.ComputeNodes = 2
-	_, err := newRig(spec).bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
+	_, err := newRig(spec, false).bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
 		cid, err := c.CreateContainer(p)
 		if err != nil {
 			return fmt.Errorf("container: %w", err)

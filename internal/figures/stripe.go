@@ -66,7 +66,7 @@ func StripeSweep(env Env) (StripeResult, error) {
 	}
 	var err error
 	// Each trial measures the serial path, then the parallel engine.
-	res.Points, _, err = sweep(cfg, points, func(pt *StripePoint, trial int) ([]MetricsCapture, error) {
+	res.Points, _, err = sweep(cfg, points, func(pt *StripePoint, trial int, _ bool) ([]MetricsCapture, error) {
 		if err := stripeRun(pt, trial, bytes, true); err != nil {
 			return nil, fmt.Errorf("serial: %w", err)
 		}
@@ -93,12 +93,12 @@ func stripeRun(pt *StripePoint, trial int, bytes int64, serial bool) error {
 	}
 	spec := cluster.DevCluster().WithServers(pt.Servers)
 	spec.ComputeNodes = 1
-	r := newRig(spec)
+	r := newRig(spec, false)
 	// RPC counts come from the metrics registry, not per-server getters:
 	// during the measured steady-state window the only served RPCs are the
 	// storage data writes (caps cached, metadata write skipped, locks ride
 	// their own non-RPC protocol).
-	served := func() float64 { return r.cl.Metrics().Snapshot().Sum("rpc.*.served") }
+	served := func() float64 { return r.cl.Metrics().Sum("rpc.*.served") }
 	_, err := r.bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
 		fs, err := lwfspfs.Format(p, c, "/stripe", lwfspfs.Options{StripeUnit: pt.Unit})
 		if err != nil {

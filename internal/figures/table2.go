@@ -70,7 +70,7 @@ func Table2() (Table2Result, error) {
 	// minimal Red-Storm-parameter cluster.
 	spec.ComputeNodes = 1
 	spec.StorageNodes = 1
-	_, err := newRig(spec).bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
+	_, err := newRig(spec, false).bench(noRetry, 0, func(p *sim.Proc, c *core.Client) error {
 		ref, caps, err := writableObject(p, c, 0)
 		if err != nil {
 			return err

@@ -27,7 +27,13 @@
 // deliberate — two callers on one node share one counter); registering it
 // with a *different* kind panics, because one name must mean one thing.
 // A function-backed gauge replaces any previous function under the same
-// name (a restarted server's sampler supersedes its predecessor's).
+// name (a restarted server's sampler supersedes its predecessor's). Every
+// spelling of a name — whole, through nested scopes, or as a dotted metric
+// under a shorter scope — is one instrument.
+//
+// A registry costs almost nothing until it is read: registering allocates
+// no name and no map entry of the instrument's own (see record), and full
+// names are built by the first Snapshot, Sum or MergedHist and kept.
 //
 // Snapshot captures every instrument with the simulation's *virtual*
 // timestamp; Diff of two snapshots yields per-instrument deltas and rates
@@ -44,7 +50,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -94,14 +100,14 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is an instantaneous level. A settable gauge holds an atomic value;
 // a function-backed gauge (GaugeFunc) computes it at read time.
 type Gauge struct {
-	v  atomic.Int64
+	v  Counter      // the level; a registry record keeps a counter here too
 	fn func() int64 // non-nil: function-backed, v unused
 }
 
 // Set stores the level (no-op on a function-backed gauge).
 func (g *Gauge) Set(v int64) {
 	if g.fn == nil {
-		g.v.Store(v)
+		g.v.v.Store(v)
 	}
 }
 
@@ -117,7 +123,7 @@ func (g *Gauge) Value() int64 {
 	if g.fn != nil {
 		return g.fn()
 	}
-	return g.v.Load()
+	return g.v.Value()
 }
 
 // Histogram is a distribution of observations, wrapping stats.Sample with
@@ -151,29 +157,65 @@ func (h *Histogram) Sample() *stats.Sample {
 	return cp
 }
 
-// entry binds one registered name to its instrument.
-type entry struct {
+// record is one registered instrument. The registry indexes a name by its
+// scope, the name up to its last dot, and keeps one map entry per scope; the
+// scope's records form a list through next, each holding only its last name
+// segment. Records come from blocks of recordBlock, so registering one
+// allocates nothing of its own. Full names are built the first time the
+// registry is read (Snapshot, Sum, MergedHist) and kept in its sorted list.
+type record struct {
+	leaf string  // the last name segment
+	next *record // the scope's next record
+	idx  int32   // registration order
 	kind Kind
-	c    *Counter
-	g    *Gauge
+	root bool  // the name has no dot
+	g    Gauge // a counter is g.v
 	h    *Histogram
+}
+
+// recordBlock is how many records one allocation holds: 73 records of 56
+// bytes fill a 4 KiB size class.
+const recordBlock = 73
+
+// value is the record's contribution to a sum: a counter's total, a gauge's
+// level, a histogram's observation count.
+func (rec *record) value() float64 {
+	switch rec.kind {
+	case KindCounter:
+		return float64(rec.g.v.Value())
+	case KindGauge:
+		return float64(rec.g.Value())
+	default:
+		return float64(rec.h.N())
+	}
 }
 
 // Registry is the per-cluster instrument table. Create one with
 // NewRegistry; the cluster hangs it off the simulated network so every
 // service reachable from a portals endpoint shares it.
 type Registry struct {
-	mu     sync.Mutex
-	now    func() sim.Time
-	ents   map[string]*entry
-	nextID atomic.Int64
+	mu      sync.Mutex
+	now     func() sim.Time
+	root    *record            // the records of names without a dot
+	scopes  map[string]*record // scope → its first record
+	free    []record           // the current block's unused records
+	n       int                // records registered
+	unsized int                // bytes of the names not yet built
+	sorted  []entry            // records 0 to len(sorted)-1 in name order; replaced, never modified
+	nextID  atomic.Int64
+}
+
+// entry is a record and its full name.
+type entry struct {
+	name string
+	rec  *record
 }
 
 // NewRegistry creates a registry whose snapshots are stamped by now —
 // normally the simulation kernel's virtual clock. now may be nil (zero
 // timestamps).
 func NewRegistry(now func() sim.Time) *Registry {
-	return &Registry{now: now, ents: make(map[string]*entry)}
+	return &Registry{now: now, scopes: make(map[string]*record)}
 }
 
 // Now reports the registry's current (virtual) time, zero if no clock was
@@ -194,71 +236,90 @@ func (r *Registry) NextID() int64 {
 	return r.nextID.Add(1)
 }
 
-// lookup returns the entry for name, creating it with mk on first
-// registration. It panics if name exists with a different kind.
-func (r *Registry) lookup(name string, kind Kind, mk func() *entry) *entry {
+// lookup returns the record named prefix + "." + metric (metric alone when
+// prefix is empty), registering it with kind if it is new; a name held by
+// another kind panics. A dot inside metric moves the record into a deeper
+// scope, so every spelling of one name finds one record. The scope's key is
+// assembled on the stack, and a string is made of it only for a new scope; a
+// record joins an existing scope behind its first, so the map entry stays.
+// The caller holds mu.
+func (r *Registry) lookup(prefix, metric string, kind Kind) *record {
+	leaf, sub := metric, ""
+	dot := strings.LastIndexByte(metric, '.')
+	if dot >= 0 {
+		sub, leaf = metric[:dot], metric[dot+1:]
+	}
+	root := dot < 0 && prefix == ""
+	var head *record
+	scope := prefix
+	switch {
+	case root:
+		head = r.root
+	case dot < 0:
+		head = r.scopes[prefix]
+	case prefix == "":
+		scope = sub
+		head = r.scopes[sub]
+	default:
+		var buf [128]byte
+		key := append(append(append(buf[:0], prefix...), '.'), sub...)
+		if head = r.scopes[string(key)]; head == nil {
+			scope = string(key)
+		}
+	}
+	for rec := head; rec != nil; rec = rec.next {
+		if rec.leaf == leaf {
+			if rec.kind != kind {
+				panic(fmt.Sprintf("metrics: %q already registered as %v, requested %v",
+					Scope{prefix: prefix}.Name(metric), rec.kind, kind))
+			}
+			return rec
+		}
+	}
+
+	if len(r.free) == 0 {
+		r.free = make([]record, recordBlock)
+	}
+	rec := &r.free[0]
+	r.free = r.free[1:]
+	rec.leaf, rec.idx, rec.kind, rec.root = leaf, int32(r.n), kind, root
+	r.n++
+	if kind == KindHistogram {
+		rec.h = &Histogram{}
+	}
+	if !root {
+		r.unsized += len(metric)
+		if prefix != "" {
+			r.unsized += len(prefix) + 1
+		}
+	}
+	switch {
+	case head != nil:
+		rec.next, head.next = head.next, rec
+	case root:
+		r.root = rec
+	default:
+		r.scopes[scope] = rec
+	}
+	return rec
+}
+
+// register is lookup under the lock.
+func (r *Registry) register(prefix, metric string, kind Kind) *record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.ents[name]; ok {
-		if e.kind != kind {
-			panic(fmt.Sprintf("metrics: %q already registered as %v, requested %v", name, e.kind, kind))
-		}
-		return e
-	}
-	e := mk()
-	r.ents[name] = e
-	return e
+	return r.lookup(prefix, metric, kind)
 }
 
-// Counter registers (or finds) a counter under name.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return &Counter{}
-	}
-	return r.lookup(name, KindCounter, func() *entry {
-		return &entry{kind: KindCounter, c: &Counter{}}
-	}).c
-}
-
-// Gauge registers (or finds) a settable gauge under name.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return &Gauge{}
-	}
-	return r.lookup(name, KindGauge, func() *entry {
-		return &entry{kind: KindGauge, g: &Gauge{}}
-	}).g
-}
+// Counter registers (or finds) a counter under name. Other kinds register
+// through a Scope; Scope("") is the registry's root.
+func (r *Registry) Counter(name string) *Counter { return r.Scope("").Counter(name) }
 
 // GaugeFunc registers a function-backed gauge under name, sampled at
 // snapshot time. Re-registering replaces the function (a restarted
 // service's sampler supersedes the old one); a name held by a different
 // kind panics.
-func (r *Registry) GaugeFunc(name string, fn func() int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.ents[name]; ok {
-		if e.kind != KindGauge {
-			panic(fmt.Sprintf("metrics: %q already registered as %v, requested gauge", name, e.kind))
-		}
-		e.g.fn = fn
-		return
-	}
-	r.ents[name] = &entry{kind: KindGauge, g: &Gauge{fn: fn}}
-}
-
-// Histogram registers (or finds) a histogram under name.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return &Histogram{}
-	}
-	return r.lookup(name, KindHistogram, func() *entry {
-		return &entry{kind: KindHistogram, h: &Histogram{}}
-	}).h
-}
+func (r *Registry) GaugeFunc(name string, fn func() int64) { r.Scope("").GaugeFunc(name, fn) }
 
 // Scope returns a view of the registry that prefixes every registered name
 // with prefix + ".". Scopes nest.
@@ -283,16 +344,94 @@ func (s Scope) Name(metric string) string {
 func (s Scope) Scope(sub string) Scope { return Scope{r: s.r, prefix: s.Name(sub)} }
 
 // Counter registers a counter under the scoped name.
-func (s Scope) Counter(metric string) *Counter { return s.r.Counter(s.Name(metric)) }
+func (s Scope) Counter(metric string) *Counter {
+	if s.r == nil {
+		return &Counter{}
+	}
+	return &s.r.register(s.prefix, metric, KindCounter).g.v
+}
 
 // Gauge registers a settable gauge under the scoped name.
-func (s Scope) Gauge(metric string) *Gauge { return s.r.Gauge(s.Name(metric)) }
+func (s Scope) Gauge(metric string) *Gauge {
+	if s.r == nil {
+		return &Gauge{}
+	}
+	return &s.r.register(s.prefix, metric, KindGauge).g
+}
 
 // GaugeFunc registers a function-backed gauge under the scoped name.
-func (s Scope) GaugeFunc(metric string, fn func() int64) { s.r.GaugeFunc(s.Name(metric), fn) }
+func (s Scope) GaugeFunc(metric string, fn func() int64) {
+	if s.r == nil {
+		return
+	}
+	s.r.mu.Lock()
+	defer s.r.mu.Unlock()
+	s.r.lookup(s.prefix, metric, KindGauge).g.fn = fn
+}
 
 // Histogram registers a histogram under the scoped name.
-func (s Scope) Histogram(metric string) *Histogram { return s.r.Histogram(s.Name(metric)) }
+func (s Scope) Histogram(metric string) *Histogram {
+	if s.r == nil {
+		return &Histogram{}
+	}
+	return s.r.register(s.prefix, metric, KindHistogram).h
+}
+
+// entries returns every record with its name, in name order. The records
+// registered since the last call are named — their names built into one
+// string they share — and sorted in behind the ones already in order.
+func (r *Registry) entries() []entry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := r.sorted
+	if len(old) == r.n {
+		return old
+	}
+	isNew := func(rec *record) bool { return int(rec.idx) >= len(old) }
+	byName := func(a, b entry) int { return strings.Compare(a.name, b.name) }
+	// The new records are named scope by scope in key order, each scope's
+	// names sorted among themselves, so they arrive nearly sorted: a
+	// scope's names part only around those of a deeper scope. A stable
+	// sort's merges pass over such runs, and over the sorted old ones, in
+	// near-linear time.
+	keys := make([]string, 0, len(r.scopes))
+	for scope, head := range r.scopes {
+		for rec := head; rec != nil; rec = rec.next {
+			if isNew(rec) {
+				keys = append(keys, scope)
+				break
+			}
+		}
+	}
+	slices.Sort(keys)
+	// Strings taken from a Builder stay valid as it grows, and this one
+	// grows no further than the names' size, counted as they registered.
+	var b strings.Builder
+	b.Grow(r.unsized)
+	r.unsized = 0
+	all := append(make([]entry, 0, r.n), old...)
+	for _, scope := range keys {
+		from := len(all)
+		for rec := r.scopes[scope]; rec != nil; rec = rec.next {
+			if isNew(rec) {
+				start := b.Len()
+				b.WriteString(scope)
+				b.WriteByte('.')
+				b.WriteString(rec.leaf)
+				all = append(all, entry{b.String()[start:], rec})
+			}
+		}
+		slices.SortFunc(all[from:], byName)
+	}
+	for rec := r.root; rec != nil; rec = rec.next {
+		if isNew(rec) {
+			all = append(all, entry{rec.leaf, rec})
+		}
+	}
+	slices.SortStableFunc(all, byName)
+	r.sorted = all
+	return all
+}
 
 // Snapshot captures every instrument at the current virtual time. Values
 // are sorted by name, so two snapshots of one registry align row-for-row
@@ -301,32 +440,17 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.ents))
-	for n := range r.ents {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	ents := make([]*entry, len(names))
-	for i, n := range names {
-		ents[i] = r.ents[n]
-	}
-	r.mu.Unlock()
-
 	// Read instrument values outside the registry lock: function-backed
 	// gauges may consult arbitrary service state.
-	snap := Snapshot{At: r.Now(), Values: make([]Value, len(names))}
-	for i, n := range names {
-		e := ents[i]
-		v := Value{Name: n, Kind: e.kind}
-		switch e.kind {
-		case KindCounter:
-			v.Value = float64(e.c.Value())
-		case KindGauge:
-			v.Value = float64(e.g.Value())
-		case KindHistogram:
-			v.Hist = e.h.Sample()
+	ents := r.entries()
+	snap := Snapshot{At: r.Now(), Values: make([]Value, len(ents))}
+	for i, e := range ents {
+		v := Value{Name: e.name, Kind: e.rec.kind}
+		if e.rec.kind == KindHistogram {
+			v.Hist = e.rec.h.Sample()
 			v.Value = float64(v.Hist.N())
+		} else {
+			v.Value = e.rec.value()
 		}
 		snap.Values[i] = v
 	}
@@ -335,58 +459,101 @@ func (r *Registry) Snapshot() Snapshot {
 
 // Sum adds up, as of now, every instrument whose name matches pattern
 // (MatchName syntax): counter totals, gauge levels, histogram observation
-// counts. It equals Snapshot().Sum(pattern) and copies no histogram.
+// counts. It equals Snapshot().Sum(pattern) and copies no histogram. A
+// pattern without a "*" segment names one instrument, found by its scope
+// without building any name.
 func (r *Registry) Sum(pattern string) float64 {
 	if r == nil {
 		return 0
 	}
-	segs := strings.Split(pattern, ".")
-	r.mu.Lock()
-	var ents []*entry
-	for n, e := range r.ents {
-		if matchSegs(segs, strings.Split(n, ".")) {
-			ents = append(ents, e)
+	if !wildcard(pattern) {
+		r.mu.Lock()
+		rec := r.find(pattern)
+		r.mu.Unlock()
+		if rec == nil {
+			return 0
 		}
+		return rec.value()
 	}
-	r.mu.Unlock()
-
-	// Values are read outside the lock, as in Snapshot; they are whole
-	// numbers, so the map's iteration order cannot change the sum.
 	total := 0.0
-	for _, e := range ents {
-		switch e.kind {
-		case KindCounter:
-			total += float64(e.c.Value())
-		case KindGauge:
-			total += float64(e.g.Value())
-		case KindHistogram:
-			total += float64(e.h.N())
+	for _, e := range r.entries() {
+		if MatchName(pattern, e.name) {
+			total += e.rec.value()
 		}
 	}
 	return total
+}
+
+// MergedHist merges, as of now, every histogram whose name matches pattern
+// into one sample. It equals Snapshot().MergedHist(pattern) and copies no
+// other histogram.
+func (r *Registry) MergedHist(pattern string) *stats.Sample {
+	out := &stats.Sample{}
+	if r == nil {
+		return out
+	}
+	for _, e := range r.entries() {
+		if e.rec.kind == KindHistogram && MatchName(pattern, e.name) {
+			e.rec.h.mu.Lock()
+			out.Merge(&e.rec.h.s)
+			e.rec.h.mu.Unlock()
+		}
+	}
+	return out
+}
+
+// find returns the record named name, or nil. The caller holds mu.
+func (r *Registry) find(name string) *record {
+	head, leaf := r.root, name
+	if dot := strings.LastIndexByte(name, '.'); dot >= 0 {
+		head, leaf = r.scopes[name[:dot]], name[dot+1:]
+	}
+	for rec := head; rec != nil; rec = rec.next {
+		if rec.leaf == leaf {
+			return rec
+		}
+	}
+	return nil
+}
+
+// wildcard reports whether a pattern has a "*" segment.
+func wildcard(pattern string) bool {
+	for rest := pattern; ; {
+		seg, after, more := strings.Cut(rest, ".")
+		if seg == "*" {
+			return true
+		}
+		if !more {
+			return false
+		}
+		rest = after
+	}
 }
 
 // MatchName reports whether a dot-separated pattern matches a metric name.
 // Pattern segments are literal or "*", which matches one or MORE name
 // segments — instance names may themselves contain dots ("osd0.0"), so
 // "storage.*.cap_cache.hits" matches "storage.osd0.0.cap_cache.hits" and
-// "rpc.*" matches every rpc metric.
+// "rpc.*" matches every rpc metric. Segments are compared in place: a match
+// allocates nothing.
 func MatchName(pattern, name string) bool {
-	return matchSegs(strings.Split(pattern, "."), strings.Split(name, "."))
-}
-
-func matchSegs(ps, ns []string) bool {
-	if len(ps) == 0 {
-		return len(ns) == 0
-	}
-	if ps[0] == "*" {
-		// Consume one or more name segments.
-		for i := 1; i <= len(ns); i++ {
-			if matchSegs(ps[1:], ns[i:]) {
+	pseg, prest, pmore := strings.Cut(pattern, ".")
+	if pseg == "*" {
+		if !pmore {
+			return true // the last "*" takes every remaining segment
+		}
+		// Consume one or more name segments, trying the rest of the
+		// pattern after each, while segments remain for it.
+		for rest, more := name, true; more; {
+			if _, rest, more = strings.Cut(rest, "."); more && MatchName(prest, rest) {
 				return true
 			}
 		}
 		return false
 	}
-	return len(ns) > 0 && ps[0] == ns[0] && matchSegs(ps[1:], ns[1:])
+	nseg, nrest, nmore := strings.Cut(name, ".")
+	if pseg != nseg || pmore != nmore {
+		return false
+	}
+	return !pmore || MatchName(prest, nrest)
 }

@@ -1,9 +1,13 @@
 package metrics
 
 import (
+	"fmt"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"lwfs/internal/sim"
 )
@@ -28,13 +32,13 @@ func TestRegistrationSharing(t *testing.T) {
 	if got := a.Value(); got != 3 {
 		t.Fatalf("shared counter = %d, want 3", got)
 	}
-	g1 := r.Gauge("svc.level")
-	g2 := r.Gauge("svc.level")
+	g1 := r.Scope("svc").Gauge("level")
+	g2 := r.Scope("svc").Gauge("level")
 	if g1 != g2 {
 		t.Fatalf("same name+kind must return the shared gauge")
 	}
-	h1 := r.Histogram("svc.lat")
-	h2 := r.Histogram("svc.lat")
+	h1 := r.Scope("svc").Histogram("lat")
+	h2 := r.Scope("svc").Histogram("lat")
 	if h1 != h2 {
 		t.Fatalf("same name+kind must return the shared histogram")
 	}
@@ -48,10 +52,10 @@ func TestRegistrationKindCollisionPanics(t *testing.T) {
 		seed func(*Registry)
 		hit  func(*Registry)
 	}{
-		{"counter-then-gauge", func(r *Registry) { r.Counter("x") }, func(r *Registry) { r.Gauge("x") }},
-		{"counter-then-hist", func(r *Registry) { r.Counter("x") }, func(r *Registry) { r.Histogram("x") }},
-		{"gauge-then-counter", func(r *Registry) { r.Gauge("x") }, func(r *Registry) { r.Counter("x") }},
-		{"hist-then-gaugefunc", func(r *Registry) { r.Histogram("x") }, func(r *Registry) { r.GaugeFunc("x", func() int64 { return 0 }) }},
+		{"counter-then-gauge", func(r *Registry) { r.Counter("x") }, func(r *Registry) { r.Scope("").Gauge("x") }},
+		{"counter-then-hist", func(r *Registry) { r.Counter("x") }, func(r *Registry) { r.Scope("").Histogram("x") }},
+		{"gauge-then-counter", func(r *Registry) { r.Scope("").Gauge("x") }, func(r *Registry) { r.Counter("x") }},
+		{"hist-then-gaugefunc", func(r *Registry) { r.Scope("").Histogram("x") }, func(r *Registry) { r.GaugeFunc("x", func() int64 { return 0 }) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,7 +86,7 @@ func TestGaugeFuncReplacement(t *testing.T) {
 	}
 	// A settable gauge upgraded to function-backed reads the function, and
 	// Set/Add become no-ops rather than corrupting the reading.
-	g := r.Gauge("q.depth")
+	g := r.Scope("q").Gauge("depth")
 	g.Set(99)
 	g.Add(5)
 	if got := g.Value(); got != 11 {
@@ -99,13 +103,13 @@ func TestNilRegistrySafe(t *testing.T) {
 	if c.Value() != 1 {
 		t.Fatalf("unregistered counter must still count")
 	}
-	g := r.Gauge("a.g")
+	g := r.Scope("a").Gauge("g")
 	g.Set(4)
 	if g.Value() != 4 {
 		t.Fatalf("unregistered gauge must still hold a level")
 	}
 	r.GaugeFunc("a.f", func() int64 { return 1 }) // must not panic
-	h := r.Histogram("a.h")
+	h := r.Scope("a").Histogram("h")
 	h.Observe(1.5)
 	if h.N() != 1 {
 		t.Fatalf("unregistered histogram must still observe")
@@ -168,7 +172,7 @@ func TestSnapshotDiffRates(t *testing.T) {
 	clk := &fakeClock{}
 	r := NewRegistry(clk.now)
 	c := r.Counter("svc.reqs")
-	g := r.Gauge("svc.backlog")
+	g := r.Scope("svc").Gauge("backlog")
 	c.Add(10)
 	g.Set(3)
 
@@ -217,10 +221,10 @@ func TestSnapshotLookups(t *testing.T) {
 	r.Counter("rpc.a.served").Add(3)
 	r.Counter("rpc.b.served").Add(4)
 	r.Counter("rpc.b.deduped").Add(9)
-	h := r.Histogram("burst.bb0.drain.latency_ms")
+	h := r.Scope("burst.bb0.drain").Histogram("latency_ms")
 	h.Observe(10)
 	h.Observe(20)
-	h2 := r.Histogram("burst.bb1.drain.latency_ms")
+	h2 := r.Scope("burst.bb1.drain").Histogram("latency_ms")
 	h2.Observe(30)
 
 	snap := r.Snapshot()
@@ -254,15 +258,15 @@ func TestDumpFormatGuard(t *testing.T) {
 	r := NewRegistry(clk.now)
 	r.Counter("cache.hits").Add(3)
 	r.Counter("cache.misses").Add(1)
-	r.Gauge("q.depth").Set(5)
-	h := r.Histogram("lat_ms")
+	r.Scope("q").Gauge("depth").Set(5)
+	h := r.Scope("").Histogram("lat_ms")
 	h.Observe(10)
 	h.Observe(20)
 
 	clk.t = sim.Time(2 * time.Second)
 	prev := r.Snapshot()
 	r.Counter("cache.hits").Add(5)
-	r.Gauge("q.depth").Set(2)
+	r.Scope("q").Gauge("depth").Set(2)
 	h.Observe(30)
 	clk.t = sim.Time(4 * time.Second)
 	var deltaBuf strings.Builder
@@ -280,5 +284,220 @@ func TestDumpFormatGuard(t *testing.T) {
 	}, "\n")
 	if got := deltaBuf.String(); got != wantDelta {
 		t.Errorf("delta table drifted:\n--- got ---\n%s--- want ---\n%s", got, wantDelta)
+	}
+}
+
+// TestScopeSpellingsShareOneInstrument: a name registered whole, through
+// nested scopes, through a dotted scope or as a dotted metric under a
+// shorter scope is one instrument, and the kind and GaugeFunc rules hold
+// across spellings.
+func TestScopeSpellingsShareOneInstrument(t *testing.T) {
+	r := NewRegistry(nil)
+	c := r.Counter("a.b.c")
+	for i, other := range []*Counter{
+		r.Scope("a").Scope("b").Counter("c"),
+		r.Scope("a").Counter("b.c"),
+		r.Scope("a.b").Counter("c"),
+		r.Scope("").Counter("a.b.c"),
+	} {
+		if other != c {
+			t.Errorf("spelling %d returned another counter", i)
+		}
+	}
+	// A name without a dot, and one whose scope is the empty string, are
+	// two names.
+	if r.Counter("x") == r.Counter(".x") {
+		t.Error(`"x" and ".x" share a counter`)
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a gauge under a counter's name, spelled another way, did not panic")
+			}
+		}()
+		r.Scope("a").Scope("b").Gauge("c")
+	}()
+
+	r.Scope("q").GaugeFunc("depth.now", func() int64 { return 7 })
+	r.Scope("q.depth").GaugeFunc("now", func() int64 { return 11 })
+	if got := r.Scope("q").Gauge("depth.now").Value(); got != 11 {
+		t.Errorf("gauge after replacing its function = %d, want 11", got)
+	}
+}
+
+// TestSnapshotNamesAndOrder: snapshots list every name in sorted order,
+// including names registered between two snapshots (merged into the
+// previous order) and names that sort between a scope's records.
+func TestSnapshotNamesAndOrder(t *testing.T) {
+	r := NewRegistry(nil)
+	first := []string{"net.cn1.msgs", "rpc.osd0.0.served", "net.cn1.bytes", "sim.events", "top", "net.cn10.msgs"}
+	for _, n := range first {
+		r.Counter(n)
+	}
+	check := func(want []string) {
+		t.Helper()
+		want = append([]string(nil), want...)
+		sort.Strings(want)
+		snap := r.Snapshot()
+		var got []string
+		for _, v := range snap.Values {
+			got = append(got, v.Name)
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("snapshot names\n got %v\nwant %v", got, want)
+		}
+	}
+	check(first)
+	check(first) // a second read reuses the order
+	later := []string{"net.cn1.drops", "a", "rpc.osd0.0.deduped", "zz.z"}
+	r.Scope("net").Scope("cn1").Counter("drops")
+	r.Counter("a")
+	r.Scope("rpc").Counter("osd0.0.deduped")
+	r.Scope("zz").Counter("z")
+	check(append(first, later...))
+}
+
+// TestRegistrySumMatchesSnapshot: Registry.Sum, exact names and patterns
+// alike, equals the snapshot's sum, and an absent name sums to zero.
+func TestRegistrySumMatchesSnapshot(t *testing.T) {
+	r := NewRegistry(nil)
+	r.Counter("rpc.a.served").Add(3)
+	r.Scope("rpc").Scope("osd0.0").Counter("served").Add(4)
+	r.Counter("rpc.osd0.0.deduped").Add(9)
+	r.Scope("q").Gauge("depth").Set(5)
+	r.Scope("").Histogram("lat").Observe(1)
+	snap := r.Snapshot()
+	for _, p := range []string{"rpc.*.served", "rpc.*", "*", "rpc.osd0.0.served", "q.depth", "lat", "rpc.missing", "missing", "*.deduped"} {
+		if got, want := r.Sum(p), snap.Sum(p); got != want {
+			t.Errorf("Registry.Sum(%q) = %v, snapshot says %v", p, got, want)
+		}
+	}
+	if got := r.MergedHist("la*").N(); got != 0 {
+		t.Errorf("MergedHist of a literal pattern matched %d observations", got)
+	}
+	if got := r.MergedHist("*").N(); got != 1 {
+		t.Errorf("MergedHist(*) = %d observations, want 1", got)
+	}
+}
+
+// splitMatch is MatchName as it was written over strings.Split: the
+// reference the in-place matcher is checked against.
+func splitMatch(ps, ns []string) bool {
+	if len(ps) == 0 {
+		return len(ns) == 0
+	}
+	if ps[0] == "*" {
+		for i := 1; i <= len(ns); i++ {
+			if splitMatch(ps[1:], ns[i:]) {
+				return true
+			}
+		}
+		return false
+	}
+	return len(ns) > 0 && ps[0] == ns[0] && splitMatch(ps[1:], ns[1:])
+}
+
+// TestMatchNameAgreesWithSplit: the in-place matcher agrees with the
+// segment-list one on every pattern and name built from a few segments,
+// empty ones included.
+func TestMatchNameAgreesWithSplit(t *testing.T) {
+	segs := []string{"a", "b", "*", ""}
+	var words []string
+	var build func(prefix string, depth int)
+	build = func(prefix string, depth int) {
+		words = append(words, prefix)
+		if depth == 4 {
+			return
+		}
+		for _, s := range segs {
+			if prefix == "" && depth == 0 {
+				build(s, depth+1)
+			} else {
+				build(prefix+"."+s, depth+1)
+			}
+		}
+	}
+	build("", 0)
+	for _, p := range words {
+		for _, n := range words {
+			if got, want := MatchName(p, n), splitMatch(strings.Split(p, "."), strings.Split(n, ".")); got != want {
+				t.Fatalf("MatchName(%q, %q) = %v, want %v", p, n, got, want)
+			}
+		}
+	}
+}
+
+// TestMatchAllocatesNothing: matching compares segments in place, so
+// MatchName and a snapshot's Sum allocate nothing.
+func TestMatchAllocatesNothing(t *testing.T) {
+	r := NewRegistry(nil)
+	for _, n := range []string{"storage.osd0.0.cap_cache.hits", "storage.osd1.0.cap_cache.hits", "rpc.osd0.0.served"} {
+		r.Counter(n).Inc()
+	}
+	snap := r.Snapshot()
+	if n := testing.AllocsPerRun(100, func() {
+		MatchName("storage.*.cap_cache.hits", "storage.osd0.0.cap_cache.hits")
+		snap.Sum("storage.*.cap_cache.hits")
+	}); n != 0 {
+		t.Errorf("matching allocated %.1f times, want 0", n)
+	}
+}
+
+// TestConcurrentRegistrationAndReads: registration, snapshots, sums and
+// histogram merges may run on different goroutines (go test -race).
+func TestConcurrentRegistrationAndReads(t *testing.T) {
+	r := NewRegistry(nil)
+	const writers, per = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := r.Scope("w").Scope(fmt.Sprint(w))
+			for i := 0; i < per; i++ {
+				sc.Counter(fmt.Sprintf("c%d", i)).Inc()
+				sc.Scope("h").Histogram("lat").Observe(1)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				snap := r.Snapshot()
+				if !sort.SliceIsSorted(snap.Values, func(a, b int) bool { return snap.Values[a].Name < snap.Values[b].Name }) {
+					t.Error("a snapshot taken during registration is out of order")
+					return
+				}
+				r.Sum("w.*")
+				r.MergedHist("w.*.h.lat")
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	if got, want := r.Sum("w.*"), float64(2*writers*per); got != want {
+		t.Errorf("Sum(w.*) = %v, want %v", got, want)
+	}
+	if got, want := len(r.Snapshot().Values), writers*(per+1); got != want {
+		t.Errorf("snapshot has %d values, want %d", got, want)
+	}
+}
+
+// A record block fills its allocation: one record more would not fit in
+// 4 KiB, the size class a block is allocated from.
+func TestRecordBlockFillsFourKiB(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size*recordBlock > 4096 || size*(recordBlock+1) <= 4096 {
+		t.Errorf("%d records of %d bytes: want the most that fit in 4096", recordBlock, size)
 	}
 }

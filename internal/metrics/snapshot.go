@@ -61,8 +61,10 @@ func (s Snapshot) Match(pattern string) []Value {
 // their counts).
 func (s Snapshot) Sum(pattern string) float64 {
 	total := 0.0
-	for _, v := range s.Match(pattern) {
-		total += v.Value
+	for _, v := range s.Values {
+		if MatchName(pattern, v.Name) {
+			total += v.Value
+		}
 	}
 	return total
 }
@@ -108,8 +110,7 @@ func (d Delta) Rows() []Row {
 	secs := d.Elapsed().Seconds()
 	rows := make([]Row, 0, len(d.Cur.Values))
 	for _, v := range d.Cur.Values {
-		prev, _ := d.Prev.Get(v.Name)
-		row := Row{Name: v.Name, Kind: v.Kind, Value: v.Value, Delta: v.Value - prev.Value, Hist: v.Hist}
+		row := Row{Name: v.Name, Kind: v.Kind, Value: v.Value, Delta: v.Value - d.Prev.Value(v.Name), Hist: v.Hist}
 		if secs > 0 {
 			row.Rate = row.Delta / secs
 		}

@@ -7,7 +7,7 @@ import (
 
 // TestMailboxRingGrowShrink pins the ring-buffer behavior behind Mailbox:
 // the backing array grows to absorb a burst, preserves FIFO order across
-// wrap-around, and shrinks back as the queue drains so a long-lived daemon
+// wrap-around, and is dropped once the queue drains so a long-lived daemon
 // mailbox does not retain its high-water mark (the old `queue = queue[1:]`
 // implementation never released delivered messages).
 func TestMailboxRingGrowShrink(t *testing.T) {
@@ -39,7 +39,7 @@ func TestMailboxRingGrowShrink(t *testing.T) {
 		t.Fatalf("cap %d is not a power of two", grownCap)
 	}
 
-	// Drain in FIFO order; the ring must shrink as it empties.
+	// Drain in FIFO order; the ring must be released once it empties.
 	for i := 0; i < burst; i++ {
 		got, ok := m.TryRecv()
 		if !ok || got.(int) != i {
@@ -61,6 +61,50 @@ func TestMailboxRingGrowShrink(t *testing.T) {
 		if got, ok := m.TryRecv(); !ok || got.(int) != 100+i {
 			t.Fatalf("post-shrink recv %d: got %v, %v", i, got, ok)
 		}
+	}
+}
+
+// A draining mailbox keeps its ring until the queue is empty: draining a
+// 1 024-message burst allocates nothing, and the grown ring is gone
+// afterwards.
+func TestMailboxDrainAllocatesNothing(t *testing.T) {
+	msg := new(int)
+	// AllocsPerRun drains one mailbox to warm up and measures the next.
+	var boxes []*Mailbox
+	for i := 0; i < 2; i++ {
+		m := NewMailbox(NewKernel(), "burst")
+		for j := 0; j < 1024; j++ {
+			m.Send(msg)
+		}
+		boxes = append(boxes, m)
+	}
+	next := 0
+	if n := testing.AllocsPerRun(1, func() {
+		m := boxes[next]
+		next++
+		for m.Len() > 0 {
+			m.TryRecv()
+		}
+	}); n != 0 {
+		t.Errorf("draining 1024 messages allocated %.0f times, want 0", n)
+	}
+	for _, m := range boxes {
+		if m.buf != nil {
+			t.Errorf("a drained mailbox holds a %d-slot ring, want none", len(m.buf))
+		}
+	}
+}
+
+// A mailbox that never holds more than a message keeps its smallest ring:
+// one in, one out allocates nothing once the ring exists.
+func TestMailboxSteadyAllocatesNothing(t *testing.T) {
+	m := NewMailbox(NewKernel(), "steady")
+	msg := new(int)
+	if n := testing.AllocsPerRun(1000, func() {
+		m.Send(msg)
+		m.TryRecv()
+	}); n != 0 {
+		t.Errorf("one in, one out allocated %.2f times per message, want 0", n)
 	}
 }
 

@@ -5,8 +5,9 @@ import (
 	"time"
 )
 
-// minMailboxCap is the smallest ring-buffer capacity a mailbox keeps once it
-// has allocated one; rings shrink back toward it as queues drain.
+// minMailboxCap is the smallest ring-buffer capacity a mailbox allocates. A
+// ring of this size stays once allocated; a grown one is dropped when its
+// queue empties.
 const minMailboxCap = 8
 
 // Mailbox is an unbounded FIFO message queue connecting simulated processes.
@@ -15,9 +16,10 @@ const minMailboxCap = 8
 // to receivers in FIFO order of their arrival at the mailbox.
 //
 // Messages are stored in a power-of-two ring buffer that grows on demand and
-// shrinks as it drains, so a long-lived daemon mailbox that once absorbed a
-// burst does not retain the burst's backing array (or the delivered
-// messages) forever.
+// never shrinks while messages remain, so a drain allocates nothing; a grown
+// ring is dropped once the queue empties, so a long-lived daemon mailbox
+// that once absorbed a burst does not retain the burst's backing array (or
+// the delivered messages) forever.
 type Mailbox struct {
 	k       *Kernel
 	name    string
@@ -131,7 +133,7 @@ func (m *Mailbox) Len() int { return m.n }
 
 func (m *Mailbox) push(msg interface{}) {
 	if m.n == len(m.buf) {
-		m.resize(len(m.buf) * 2)
+		m.grow()
 	}
 	m.buf[(m.head+m.n)&(len(m.buf)-1)] = msg
 	m.n++
@@ -142,22 +144,16 @@ func (m *Mailbox) pop() interface{} {
 	m.buf[m.head] = nil // release the reference now, not at overwrite time
 	m.head = (m.head + 1) & (len(m.buf) - 1)
 	m.n--
-	if len(m.buf) > minMailboxCap && m.n <= len(m.buf)/4 {
-		m.resize(len(m.buf) / 2)
+	if m.n == 0 && len(m.buf) > minMailboxCap {
+		m.buf, m.head = nil, 0
 	}
 	return msg
 }
 
-// resize re-bases the ring into a buffer of capacity c (a power of two,
-// clamped to minMailboxCap).
-func (m *Mailbox) resize(c int) {
-	if c < minMailboxCap {
-		c = minMailboxCap
-	}
-	if c == len(m.buf) {
-		return
-	}
-	nb := make([]interface{}, c)
+// grow re-bases a full ring into one of twice the capacity (minMailboxCap
+// for the first).
+func (m *Mailbox) grow() {
+	nb := make([]interface{}, max(2*len(m.buf), minMailboxCap))
 	for i := 0; i < m.n; i++ {
 		nb[i] = m.buf[(m.head+i)&(len(m.buf)-1)]
 	}

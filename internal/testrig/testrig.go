@@ -74,7 +74,7 @@ func New(nodes int) *Rig {
 // registry is the one observability surface; services keep no accessors
 // beside it.
 func Metric(reg *metrics.Registry, pattern string) int64 {
-	return int64(reg.Snapshot().Sum(pattern))
+	return int64(reg.Sum(pattern))
 }
 
 // Metric reads the rig's registry; see the package-level Metric.
