@@ -15,3 +15,7 @@ func (f *File) SetLayoutForTest(l stripe.Layout) {
 	f.l = l
 	f.dirty = true
 }
+
+// FlushBufferForTest returns the encoding buffer f keeps for its next
+// metadata flush, nil when it keeps none.
+func (f *File) FlushBufferForTest() []byte { return f.enc }

@@ -365,7 +365,8 @@ type File struct {
 	demote   bool             // the naming entry still lists a mirror dropped from mdRefs
 	absorbed []storage.Target // servers this handle's writes absorbed: their copies may miss bytes
 	l        stripe.Layout
-	mdLen    int64 // metadata object length as of the last read or flush
+	mdLen    int64  // metadata object length as of the last read or flush
+	enc      []byte // the last flush's encoding buffer, kept once every mirror acknowledged it
 	dirty    bool
 	gen      uint64 // the file lock's generation l is known current at (genUnknown after Open)
 }
@@ -822,7 +823,7 @@ func (fs *FS) placeRecords(p *sim.Proc, pl *core.Placement, enc []byte, cands []
 // the handle first re-reads the layout record under the lock (refresh), so a
 // handle opened before another client filled a hole returns that client's
 // bytes. A byte range storage.CheckRange refuses is refused with
-// fs.ErrInvalid.
+// fs.ErrInvalid. The payload may be Frozen (stripe.Engine.ReadAt): read-only.
 func (f *File) ReadAt(p *sim.Proc, off, length int64) (netsim.Payload, error) {
 	if err := storage.CheckRange(off, length); err != nil {
 		return netsim.Payload{}, fmt.Errorf("lwfspfs: read %s: %w", f.path, err)
@@ -879,13 +880,19 @@ func (f *File) Close(p *sim.Proc) error {
 // loss: no later Open can be served an old record, even after a crash. A
 // non-timeout error, or the last live mirror failing, stays hard.
 func (f *File) flushMeta(p *sim.Proc) error {
-	enc := f.l.Encode()
+	// The buffer comes back to the handle only after every mirror
+	// acknowledged it: a server may still store the bytes it pulled for a
+	// write that timed out, so a flush that saw an error drops it.
+	enc := f.l.AppendEncode(f.enc[:0])
+	f.enc = nil
+	acked := true
 	for i := 0; i < len(f.mdRefs); {
 		err := f.writeMirror(p, f.mdRefs[i], enc)
 		if err == nil {
 			i++
 			continue
 		}
+		acked = false
 		if !portals.FailStop(err) || len(f.mdRefs) == 1 {
 			return err
 		}
@@ -901,6 +908,9 @@ func (f *File) flushMeta(p *sim.Proc) error {
 	}
 	f.mdLen = int64(len(enc))
 	f.dirty = false
+	if acked {
+		f.enc = enc
+	}
 	return nil
 }
 

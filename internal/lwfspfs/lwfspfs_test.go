@@ -464,3 +464,71 @@ func TestOverlappingWritesReadBack(t *testing.T) {
 	})
 	run(t, cl)
 }
+
+// Bytes a read returned stay as they were. A read inside one stored frozen
+// unit comes back by reference, from the server's extent through the reply
+// to the caller, and neither a later overwrite of the same range, copied or
+// frozen, nor a truncate of the object under it, nor removing the file,
+// changes them.
+func TestReadBytesOutliveOverwriteAndTruncate(t *testing.T) {
+	cl, l := smallCluster()
+	c := cl.NewClient(l, 0)
+	cl.Spawn("app", func(p *sim.Proc) {
+		if err := c.Login(p, "alice", "pa"); err != nil {
+			t.Fatalf("login: %v", err)
+		}
+		const unit = 64 << 10
+		fs, err := lwfspfs.Format(p, c, "/vol0", lwfspfs.Options{StripeUnit: unit})
+		if err != nil {
+			t.Fatalf("format: %v", err)
+		}
+		caps, err := c.GetCaps(p, fs.Container(), authz.AllOps...)
+		if err != nil {
+			t.Fatalf("caps: %v", err)
+		}
+		f, err := fs.Create(p, "/data.bin")
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		fresh := func() []byte {
+			b := make([]byte, unit)
+			rng.Read(b)
+			return b
+		}
+		data := fresh()
+		if _, err := f.WriteAt(p, 0, netsim.Payload{Size: unit, Data: data, Frozen: true}); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		got, err := f.ReadAt(p, 100, 4000)
+		if err != nil || !bytes.Equal(got.Data, data[100:4100]) {
+			t.Fatalf("read: %v", err)
+		}
+		if !got.Frozen || cap(got.Data) != len(got.Data) {
+			t.Fatalf("a read inside one kept unit came back copied (frozen %v) or with spare capacity (%d > %d)",
+				got.Frozen, cap(got.Data), len(got.Data))
+		}
+		steps := []struct {
+			what string
+			do   func() error
+		}{
+			{"a copied overwrite", func() error { _, err := f.WriteAt(p, 0, payloadOf(fresh())); return err }},
+			{"a frozen overwrite", func() error {
+				_, err := f.WriteAt(p, 0, netsim.Payload{Size: unit, Data: fresh(), Frozen: true})
+				return err
+			}},
+			{"a truncate into the range", func() error { return c.Truncate(p, f.Layout().Objs[0], caps, 2000) }},
+			{"a write where the truncate cut", func() error { _, err := f.WriteAt(p, 2000, payloadOf(fresh()[:3000])); return err }},
+			{"removing the file", func() error { return fs.Remove(p, "/data.bin") }},
+		}
+		for _, s := range steps {
+			if err := s.do(); err != nil {
+				t.Fatalf("%s: %v", s.what, err)
+			}
+			if !bytes.Equal(got.Data, data[100:4100]) {
+				t.Fatalf("%s changed bytes a read had returned", s.what)
+			}
+		}
+	})
+	run(t, cl)
+}

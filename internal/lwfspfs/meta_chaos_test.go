@@ -578,3 +578,53 @@ func TestMetaCopiesPersistAcrossMount(t *testing.T) {
 	})
 	run(t, cl)
 }
+
+// A flush whose mirror write timed out drops its encoding buffer: the dead
+// server may still store the bytes it pulled, so the next flush must not
+// encode into them. A flush every mirror acknowledged keeps its buffer.
+func TestTimedOutFlushDropsItsBuffer(t *testing.T) {
+	cl, l := metaCluster()
+	c := cl.NewClient(l, 0)
+	c.SetRetry(pfsRetry, 97)
+	cl.Spawn("app", func(p *sim.Proc) {
+		if err := c.Login(p, "alice", "pa"); err != nil {
+			t.Fatalf("login: %v", err)
+		}
+		fs, err := lwfspfs.Format(p, c, "/vol0",
+			lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica})
+		if err != nil {
+			t.Fatalf("format: %v", err)
+		}
+		f, err := fs.Create(p, "/data.bin")
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		if _, err := f.WriteAt(p, 0, synthetic(4<<10)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		held := f.FlushBufferForTest()
+		if held == nil {
+			t.Fatal("a flush every mirror acknowledged kept no buffer")
+		}
+		crashTarget(l, storage.TargetOf(f.MetaRefs()[1]))
+		if _, err := f.WriteAt(p, 4<<10, synthetic(4<<10)); err != nil {
+			t.Fatalf("write with a dead mirror: %v", err)
+		}
+		if buf := f.FlushBufferForTest(); buf != nil {
+			t.Fatalf("the handle still holds the buffer of a flush whose mirror write timed out (%d bytes)", len(buf))
+		}
+		if _, err := f.WriteAt(p, 8<<10, synthetic(4<<10)); err != nil {
+			t.Fatalf("write on the live mirror: %v", err)
+		}
+		switch buf := f.FlushBufferForTest(); {
+		case buf == nil:
+			t.Error("a flush the live mirror acknowledged kept no buffer")
+		case &buf[:1][0] == &held[:1][0]:
+			t.Error("a flush encoded into the buffer a timed-out flush dropped")
+		}
+		if err := f.Close(p); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	})
+	run(t, cl)
+}

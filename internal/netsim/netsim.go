@@ -37,7 +37,10 @@ type NodeID int
 // writes after this call; payloads that carry the same bytes may share one
 // such buffer (a replay mount hands every write of one content seed the
 // same one). A payload cut from part of a frozen one is not frozen, so no
-// holder pins bytes it does not store. The zero value means copy.
+// holder pins bytes it does not store — except a device read's view of a
+// stored frozen extent, which that extent pins already (osd.Blob.Read). A
+// frozen payload is read-only for everyone who receives it. The zero value
+// means copy.
 type Payload struct {
 	Size   int64  // bytes on the wire
 	Data   []byte // optional real content; len(Data) <= Size

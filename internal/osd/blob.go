@@ -157,6 +157,11 @@ func newExtent(off int64, data, keep []byte) extent {
 // synthetic payload of the requested length. Reading past the logical size
 // zero-fills (like reading a sparse file's hole); callers that care check
 // Size first.
+//
+// A range inside one shared extent comes back by reference: a frozen view,
+// its capacity clipped to the range, which nobody writes (a shared extent
+// is never written in place), so neither may its reader. Any other range is
+// a fresh copy.
 func (b *Blob) Read(off, length int64) netsim.Payload {
 	if off < 0 || length < 0 {
 		panic("osd: negative read range")
@@ -164,9 +169,14 @@ func (b *Blob) Read(off, length int64) netsim.Payload {
 	if len(b.extents) == 0 {
 		return netsim.SyntheticPayload(length)
 	}
+	end, first := off+length, b.firstEndingAfter(off)
+	if first < len(b.extents) {
+		if x := b.extents[first]; x.shared && length > 0 && x.off <= off && end <= x.end() {
+			return netsim.Payload{Size: length, Data: x.data[off-x.off : end-x.off : end-x.off], Frozen: true}
+		}
+	}
 	out := make([]byte, length)
-	end := off + length
-	for _, x := range b.extents[b.firstEndingAfter(off):] {
+	for _, x := range b.extents[first:] {
 		if x.off >= end {
 			break
 		}

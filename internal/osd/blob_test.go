@@ -125,6 +125,8 @@ func runBlobOps(t testing.TB, prog []byte) {
 			lastOff, lastLen = off, n
 		}
 	}
+	var views [8]frozenBuf // the latest frozen reads, and what they showed
+	nviews := 0
 	check := func(step string) {
 		t.Helper()
 		m.check(t, &b, step)
@@ -132,6 +134,18 @@ func runBlobOps(t testing.TB, prog []byte) {
 			if !bytes.Equal(f.arr[:cap(f.arr)], f.pristine) {
 				t.Fatalf("%s: frozen array %d was modified", step, i)
 			}
+		}
+		for _, v := range views {
+			if !bytes.Equal(v.arr, v.pristine) {
+				t.Fatalf("%s: the bytes a read returned changed", step)
+			}
+		}
+		if v := b.Read(lastOff, lastLen); v.Frozen {
+			if cap(v.Data) != len(v.Data) {
+				t.Fatalf("%s: a frozen read has spare capacity", step)
+			}
+			views[nviews%len(views)] = frozenBuf{v.Data, slices.Clone(v.Data)}
+			nviews++
 		}
 		// An array no shared extent points into any more is out of the
 		// blob's reach and cannot change: stop re-reading it every op.
@@ -209,6 +223,54 @@ func FuzzBlob(f *testing.F) {
 		}
 		runBlobOps(t, prog)
 	})
+}
+
+// A read inside one shared extent returns a frozen view of it, capacity
+// clipped, and nothing done to the blob afterwards changes the bytes the
+// view shows: not an overwrite of the range, copied or frozen, not a
+// truncate into it, not an append where the truncate cut. Any other read
+// is a private copy.
+func TestSharedExtentReadIsAFrozenView(t *testing.T) {
+	kept := make([]byte, 8<<10)
+	for i := range kept {
+		kept[i] = byte(i*11 + 1)
+	}
+	var b Blob
+	b.put(1000, int64(len(kept)), kept, kept)
+	b.Write(1000+int64(len(kept)), netsim.BytesPayload(make([]byte, 100)))
+	view := b.Read(2000, 3000)
+	if !view.Frozen || &view.Data[0] != &kept[1000] || cap(view.Data) != 3000 {
+		t.Fatalf("an in-extent read of shared bytes is not a clipped frozen view (frozen %v, cap %d)", view.Frozen, cap(view.Data))
+	}
+	want := slices.Clone(view.Data)
+	for _, x := range []struct {
+		what string
+		read func() netsim.Payload
+	}{
+		{"straddling the shared extent's start", func() netsim.Payload { return b.Read(900, 200) }},
+		{"straddling its end", func() netsim.Payload { return b.Read(9000, 300) }},
+		{"the private extent", func() netsim.Payload { return b.Read(9200, 50) }},
+	} {
+		if got := x.read(); got.Frozen {
+			t.Errorf("a read %s came back frozen", x.what)
+		}
+	}
+	steps := []struct {
+		what string
+		do   func()
+	}{
+		{"a copied overwrite", func() { b.Write(2000, netsim.BytesPayload(bytes.Repeat([]byte{0xee}, 3000))) }},
+		{"a frozen overwrite", func() { fz := bytes.Repeat([]byte{0xdd}, 3000); b.put(2000, 3000, fz, fz) }},
+		{"a truncate into the range", func() { b.Truncate(3500) }},
+		{"an append where the truncate cut", func() { b.Write(3500, netsim.BytesPayload(bytes.Repeat([]byte{0xcc}, 2000))) }},
+		{"a truncate to nothing", func() { b.Truncate(0) }},
+	}
+	for _, s := range steps {
+		s.do()
+		if !bytes.Equal(view.Data, want) {
+			t.Fatalf("%s changed the bytes a read had returned", s.what)
+		}
+	}
 }
 
 // holds reports whether a shared extent of b points into arr's backing

@@ -118,8 +118,14 @@ func TestNoDispatchLoopOnAParkedStack(t *testing.T) {
 	k.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Second) })
 	var dump string
 	k.After(time.Millisecond, func() {
-		buf := make([]byte, 1<<20)
-		dump = string(buf[:runtime.Stack(buf, true)])
+		// Grow the buffer until the dump fits: goroutines that earlier tests
+		// in this binary left parked can fill a fixed one and cut ours off.
+		for buf := make([]byte, 1<<20); ; buf = make([]byte, 2*len(buf)) {
+			if n := runtime.Stack(buf, true); n < len(buf) {
+				dump = string(buf[:n])
+				return
+			}
+		}
 	})
 	if err := k.Run(MaxTime); err != nil {
 		t.Fatal(err)

@@ -340,6 +340,8 @@ func (r *Resource) Release(n int64) {
 
 // WaitGroup counts outstanding simulated tasks; Wait blocks until the count
 // reaches zero. Unlike sync.WaitGroup it is single-threaded (kernel order).
+// A WaitGroup used again keeps its waiter list's array, so a reused one
+// waits without allocating.
 type WaitGroup struct {
 	count   int
 	waiters []*Proc
@@ -352,11 +354,11 @@ func (wg *WaitGroup) Add(delta int) {
 		panic("sim: WaitGroup counter below zero")
 	}
 	if wg.count == 0 {
-		ws := wg.waiters
-		wg.waiters = nil
-		for _, p := range ws {
-			p.unpark()
+		for _, p := range wg.waiters {
+			p.unpark() // schedules only: nobody waits again before this returns
 		}
+		clear(wg.waiters)
+		wg.waiters = wg.waiters[:0]
 	}
 }
 

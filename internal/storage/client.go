@@ -103,7 +103,9 @@ func (c *Client) Write(p *sim.Proc, ref ObjRef, cap authz.Capability, off int64,
 // Read fetches [off, off+length) of the referenced object. The server
 // pushes the data into a posted receive buffer; Read reassembles it.
 // Requires an OpRead capability. Short reads at end-of-object return the
-// available bytes.
+// available bytes. A reply that arrives whole in one frozen chunk (a view
+// of stored frozen bytes, osd.Blob.Read) is returned uncopied and Frozen:
+// the caller must not write into it.
 //
 // Reads retry differently from every other request: a retried read must
 // NOT be deduplicated at the server (the whole point is re-pushing the data
@@ -163,19 +165,22 @@ func (c *Client) readOnce(p *sim.Proc, ref ObjRef, cap authz.Capability, off, le
 		return netsim.Payload{}, fmt.Errorf("%w: expected %d chunks, have %d", errChunksLost, resp.Chunks, data.Len())
 	}
 	out := netsim.Payload{Size: resp.Len}
-	var buf []byte
 	for i := 0; i < resp.Chunks; i++ {
 		ev, _ := data.Wait(p, 0)
-		chunkOff := ev.Hdr.(int64)
-		if ev.Payload.Data != nil {
-			if buf == nil {
-				buf = make([]byte, resp.Len)
+		switch chunk := ev.Payload; {
+		case chunk.Data == nil:
+		case resp.Chunks == 1 && chunk.Frozen && int64(len(chunk.Data)) == resp.Len:
+			// The whole reply in one frozen chunk: nobody writes it again,
+			// so it is the read's, uncopied.
+			out.Data, out.Frozen = chunk.Data, true
+		default:
+			if out.Data == nil {
+				out.Data = make([]byte, resp.Len)
 			}
-			copy(buf[chunkOff:], ev.Payload.Data)
+			copy(out.Data[ev.Hdr.(int64):], chunk.Data)
 		}
 		ev.Release()
 	}
-	out.Data = buf
 	return out, nil
 }
 

@@ -45,6 +45,100 @@ type Engine struct {
 	// primary object timed out, and the bytes so reconstructed.
 	degradedReads *metrics.Counter
 	reconBytes    *metrics.Counter
+
+	free []*transfer // idle transfer records (take, put)
+}
+
+// A transfer is the working state of one engine call: its plan, its
+// per-object requests with their payloads, byte counts and errors, and the
+// fan-out that runs them. An engine keeps its idle transfers on a free list
+// — one kernel runs an engine, so the list needs no lock — and a call takes
+// one on entry and puts it back on exit, so a warm transfer allocates only
+// its RPCs. Calls that interleave (one parks in its fan-out while another
+// runs, or a degraded read reconstructs inside its own) each hold their own.
+// An idle record pins no payload bytes and no error, and no error slice a
+// caller gets aliases one.
+type transfer struct {
+	fan
+	e    *Engine
+	reqs []Request        // the plan
+	pls  []netsim.Payload // per request: its gathered payload
+	ios  []objIO          // the per-object requests one fan-out runs
+
+	// The fan-out's operations on ios[i], bound once by newTransfer: a
+	// write, a read (a hole reads as nothing) and a sync of its server.
+	write, read, sync func(wp *sim.Proc, i int) error
+}
+
+// A fan is one fan-out's state: op(i) for each i in [0, n), the cursor the
+// workers share, the per-index errors (made at the first failure: empty
+// means none), the wait group the caller parks on and the one worker body,
+// bound once by bind. FanOut allocates a bare one; a transfer embeds it.
+type fan struct {
+	op     func(wp *sim.Proc, i int) error
+	errs   []error
+	n      int
+	next   int
+	wg     sim.WaitGroup
+	worker func(*sim.Proc)
+}
+
+// objIO is one per-object request of a transfer and what came of it.
+type objIO struct {
+	ref   storage.ObjRef // a sync names only the server
+	off   int64
+	n     int64          // a read's length; a write's is its payload's
+	pl    netsim.Payload // what a write sends, or what a read returned
+	moved int64          // bytes a write moved
+	obj   int            // the data column, or Width() for the parity object
+}
+
+// newTransfer makes a record for e, binding its worker and operations:
+// closures, not method values, so no wrapper frame sits under every worker
+// parked in its call.
+func newTransfer(e *Engine) *transfer {
+	t := &transfer{e: e}
+	t.bind()
+	t.write = func(wp *sim.Proc, i int) error {
+		io := &t.ios[i]
+		m, err := e.c.Write(wp, io.ref, e.caps, io.off, io.pl)
+		io.moved = m
+		return err
+	}
+	t.read = func(wp *sim.Proc, i int) error {
+		io := &t.ios[i]
+		if IsHole(io.ref) {
+			return nil
+		}
+		pl, err := e.c.Read(wp, io.ref, e.caps, io.off, io.n)
+		io.pl = pl
+		return err
+	}
+	t.sync = func(wp *sim.Proc, i int) error {
+		return e.c.Sync(wp, storage.TargetOf(t.ios[i].ref), e.caps)
+	}
+	return t
+}
+
+// take hands out an idle transfer record, making one when none is idle.
+func (e *Engine) take() *transfer {
+	n := len(e.free)
+	if n == 0 {
+		return newTransfer(e)
+	}
+	t := e.free[n-1]
+	e.free = e.free[:n-1]
+	return t
+}
+
+// put returns t to the free list, dropping every payload and error it
+// references, spare capacity included.
+func (e *Engine) put(t *transfer) {
+	clear(t.pls[:cap(t.pls)])
+	clear(t.ios[:cap(t.ios)])
+	clear(t.errs[:cap(t.errs)])
+	t.reqs, t.pls, t.ios, t.errs, t.op = t.reqs[:0], t.pls[:0], t.ios[:0], t.errs[:0], nil
+	e.free = append(e.free, t)
 }
 
 // NewEngine wraps a logged-in core client and the capability set its
@@ -105,46 +199,28 @@ func (e *Engine) WriteAtTolerant(p *sim.Proc, l Layout, off int64, payload netsi
 // reported, any other failure is hard, and a column whose every copy failed
 // fail-stop is lost: ErrUnrecoverable joined with its copies' errors.
 func (e *Engine) writeCopies(p *sim.Proc, l Layout, off int64, payload netsim.Payload) (int64, []storage.Target, error) {
-	reqs := l.Plan(off, payload.Size)
-	objs, w, r := l.Objs, l.Width(), l.copies()
-	n := len(reqs) * r
-	e.reqs.Add(int64(n))
-	var pls []netsim.Payload // a column's copies share one gathered payload
-	if r > 1 {
-		pls = make([]netsim.Payload, len(reqs))
-		for i, rq := range reqs {
-			pls[i] = rq.Gather(off, payload)
+	t := e.take()
+	defer e.put(t)
+	t.reqs = l.appendPlan(t.reqs, off, payload.Size)
+	w, r := l.Width(), l.copies()
+	e.reqs.Add(int64(len(t.reqs) * r))
+	for _, rq := range t.reqs {
+		pl := rq.Gather(off, payload) // a column's copies share one gathered payload
+		for c := 0; c < r; c++ {
+			t.ios = append(t.ios, objIO{ref: l.Objs[c*w+rq.Obj], off: rq.Off, pl: pl})
 		}
 	}
-	written := make([]int64, n)
-	// The worker names objs and w, not the 56-byte layout, so a one-copy
-	// write's closure is no larger than the old RAID-0 loop's.
-	errs := fanOutErrs(p, "stripe/write", n, e.window, func(wp *sim.Proc, k int) error {
-		rq, c := reqs[k/r], k%r
-		var pl netsim.Payload
-		if pls != nil {
-			pl = pls[k/r]
-		} else {
-			pl = rq.Gather(off, payload)
-		}
-		m, werr := e.c.Write(wp, objs[c*w+rq.Obj], e.caps, rq.Off, pl)
-		written[k] = m
-		return werr
-	})
-	var moved int64
-	for _, m := range written {
-		moved += m
-	}
-	e.bytesOut.Add(moved)
+	t.fanOut(p, "stripe/write", len(t.ios), e.window, t.write)
+	e.bytesOut.Add(t.moved())
 	var failed targetSet
 	var hard []error
 	var total int64
-	for i, rq := range reqs {
-		if errs == nil { // every copy landed
+	for i, rq := range t.reqs {
+		if len(t.errs) == 0 { // every copy landed
 			total += rq.Len
 			continue
 		}
-		col, stopped := errs[i*r:i*r+r], 0
+		col, stopped := t.errs[i*r:i*r+r], 0
 		for c, err := range col {
 			switch {
 			case err == nil:
@@ -175,7 +251,10 @@ func (e *Engine) writeCopies(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 // server (data lands plain, parity goes stale) — degrades the layout but
 // completes; a second loss is unrecoverable.
 func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Payload) (int64, []storage.Target, error) {
-	reqs := l.Plan(off, payload.Size)
+	t := e.take()
+	defer e.put(t)
+	t.reqs = l.appendPlan(t.reqs, off, payload.Size)
+	reqs := t.reqs
 	if len(reqs) == 0 {
 		return 0, nil, nil
 	}
@@ -199,10 +278,10 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 		}
 	}
 
-	news := make([]netsim.Payload, len(reqs))
-	for i, rq := range reqs {
-		news[i] = rq.Gather(off, payload)
+	for _, rq := range reqs {
+		t.pls = append(t.pls, rq.Gather(off, payload))
 	}
+	news := t.pls
 	var parity []byte
 	if payload.Data != nil {
 		parity = make([]byte, pLen)
@@ -217,18 +296,14 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 			}
 		}
 	} else {
-		olds := make([]netsim.Payload, len(reqs)+1)
-		rerrs := fanOutErrs(p, "stripe/rmw-read", len(reqs)+1, e.window, func(wp *sim.Proc, i int) error {
-			ref, o, n := l.ParityObj(), pOff, pLen
-			if i < len(reqs) {
-				ref, o, n = l.Objs[reqs[i].Obj], reqs[i].Off, reqs[i].Len
-			}
-			pl, rerr := e.c.Read(wp, ref, e.caps, o, n)
-			olds[i] = pl
-			return rerr
-		})
-		e.reqs.Add(int64(len(reqs) + 1))
-		for i, rerr := range rerrs {
+		for _, rq := range reqs {
+			t.ios = append(t.ios, objIO{ref: l.Objs[rq.Obj], off: rq.Off, n: rq.Len})
+		}
+		t.ios = append(t.ios, objIO{ref: l.ParityObj(), off: pOff, n: pLen})
+		t.fanOut(p, "stripe/rmw-read", len(t.ios), e.window, t.read)
+		e.reqs.Add(int64(len(t.ios)))
+		olds := t.ios // olds[i].pl: the old bytes of request i, or of the parity window
+		for i, rerr := range t.errs {
 			if rerr == nil {
 				continue
 			}
@@ -248,62 +323,47 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 				if derr != nil {
 					return 0, failed, derr
 				}
-				olds[i] = old
+				olds[i].pl = old
 			}
 		}
 		if len(lost) > 1 {
 			return 0, failed, fmt.Errorf("stripe/write: %w", ErrUnrecoverable)
 		}
 		if parity != nil && !lost[w] {
-			xorInto(parity, olds[len(reqs)].Data)
+			xorInto(parity, olds[len(reqs)].pl.Data)
 			for i, rq := range reqs {
-				xorInto(parity[rq.Off-pOff:], olds[i].Data)
+				xorInto(parity[rq.Off-pOff:], olds[i].pl.Data)
 				xorInto(parity[rq.Off-pOff:], news[i].Data)
 			}
 		}
 	}
 
-	type wr struct {
-		ref storage.ObjRef
-		off int64
-		pl  netsim.Payload
-		obj int
-	}
-	var writes []wr
+	t.ios = t.ios[:0]
 	for i, rq := range reqs {
 		if lost[rq.Obj] {
 			continue
 		}
-		writes = append(writes, wr{l.Objs[rq.Obj], rq.Off, news[i], rq.Obj})
+		t.ios = append(t.ios, objIO{ref: l.Objs[rq.Obj], off: rq.Off, pl: news[i], obj: rq.Obj})
 	}
 	if !lost[w] {
 		ppl := netsim.SyntheticPayload(pLen)
 		if parity != nil { // complete, and never touched again
 			ppl = netsim.Payload{Size: pLen, Data: parity, Frozen: true}
 		}
-		writes = append(writes, wr{l.ParityObj(), pOff, ppl, w})
+		t.ios = append(t.ios, objIO{ref: l.ParityObj(), off: pOff, pl: ppl, obj: w})
 	}
-	e.reqs.Add(int64(len(writes)))
-	written := make([]int64, len(writes))
-	werrs := fanOutErrs(p, "stripe/write", len(writes), e.window, func(wp *sim.Proc, i int) error {
-		n, werr := e.c.Write(wp, writes[i].ref, e.caps, writes[i].off, writes[i].pl)
-		written[i] = n
-		return werr
-	})
-	var moved int64
-	for _, n := range written {
-		moved += n
-	}
-	e.bytesOut.Add(moved)
-	for i, werr := range werrs {
+	e.reqs.Add(int64(len(t.ios)))
+	t.fanOut(p, "stripe/write", len(t.ios), e.window, t.write)
+	e.bytesOut.Add(t.moved())
+	for i, werr := range t.errs {
 		if werr == nil {
 			continue
 		}
 		if !portals.FailStop(werr) {
-			return 0, failed, fmt.Errorf("stripe/write[obj %d]: %w", writes[i].obj, werr)
+			return 0, failed, fmt.Errorf("stripe/write[obj %d]: %w", t.ios[i].obj, werr)
 		}
-		lost[writes[i].obj] = true
-		failed.add(storage.TargetOf(writes[i].ref))
+		lost[t.ios[i].obj] = true
+		failed.add(storage.TargetOf(t.ios[i].ref))
 	}
 	if len(lost) > 1 {
 		return 0, failed, fmt.Errorf("stripe/write: %w", ErrUnrecoverable)
@@ -318,8 +378,9 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 // nothing, and a hole contributes nothing at all. Every survivor must
 // answer; a second unreachable object makes the extent unrecoverable.
 func (e *Engine) reconstructExtent(p *sim.Proc, l Layout, idx int, objOff, n int64, skip map[int]bool) (netsim.Payload, error) {
+	t := e.take()
+	defer e.put(t)
 	w := l.Width()
-	var srcs []storage.ObjRef
 	members := 0
 	for j := 0; j <= w; j++ {
 		if j == idx || skip[j] {
@@ -327,31 +388,26 @@ func (e *Engine) reconstructExtent(p *sim.Proc, l Layout, idx int, objOff, n int
 		}
 		members++
 		if !IsHole(l.Objs[j]) {
-			srcs = append(srcs, l.Objs[j])
+			t.ios = append(t.ios, objIO{ref: l.Objs[j], off: objOff, n: n})
 		}
 	}
 	if members < w {
 		return netsim.Payload{}, fmt.Errorf("stripe/reconstruct[%d]: %w", idx, ErrUnrecoverable)
 	}
-	got := make([]netsim.Payload, len(srcs))
-	err := FanOut(p, "stripe/reconstruct", len(srcs), e.window, func(wp *sim.Proc, i int) error {
-		pl, rerr := e.c.Read(wp, srcs[i], e.caps, objOff, n)
-		got[i] = pl
-		return rerr
-	})
-	e.reqs.Add(int64(len(srcs)))
-	if err != nil {
+	t.fanOut(p, "stripe/reconstruct", len(t.ios), e.window, t.read)
+	e.reqs.Add(int64(len(t.ios)))
+	if err := joinIndexed("stripe/reconstruct", t.errs); err != nil {
 		return netsim.Payload{}, fmt.Errorf("stripe/reconstruct[%d]: %w: %v", idx, ErrUnrecoverable, err)
 	}
 	out := netsim.Payload{Size: n}
-	for _, g := range got {
-		if g.Data == nil {
+	for _, g := range t.ios {
+		if g.pl.Data == nil {
 			continue
 		}
 		if out.Data == nil {
 			out.Data = make([]byte, n)
 		}
-		xorInto(out.Data, g.Data)
+		xorInto(out.Data, g.pl.Data)
 	}
 	return out, nil
 }
@@ -382,27 +438,28 @@ func (s *targetSet) add(t storage.Target) {
 // XOR-reconstructed from the other columns and parity, transparently to the
 // caller (counted by the degraded_reads / reconstructed_bytes instruments).
 // RAID-0 reads fail exactly as before. A hole column issues no request and
-// reads as an empty object.
+// reads as an empty object. A read served whole by one request may return
+// its frozen payload as it is: the caller must not write into a Frozen one.
 func (e *Engine) ReadAt(p *sim.Proc, l Layout, off, length int64) (netsim.Payload, error) {
-	reqs := l.Plan(off, length)
+	t := e.take()
+	defer e.put(t)
+	t.reqs = l.appendPlan(t.reqs, off, length)
 	e.bytesIn.Add(length)
 	out := netsim.Payload{Size: length}
-	got := make([]netsim.Payload, len(reqs))
-	errs := fanOutErrs(p, "stripe/read", len(reqs), e.window, func(wp *sim.Proc, i int) error {
-		if IsHole(l.Objs[reqs[i].Obj]) {
-			return nil
+	for _, rq := range t.reqs {
+		ref := l.Objs[rq.Obj]
+		if !IsHole(ref) {
+			e.reqs.Inc()
 		}
-		e.reqs.Inc()
-		pl, rerr := e.c.Read(wp, l.Objs[reqs[i].Obj], e.caps, reqs[i].Off, reqs[i].Len)
-		got[i] = pl
-		return rerr
-	})
-	if err := joinIndexed("stripe/read", errs); err != nil {
+		t.ios = append(t.ios, objIO{ref: ref, off: rq.Off, n: rq.Len})
+	}
+	t.fanOut(p, "stripe/read", len(t.ios), e.window, t.read)
+	if err := joinIndexed("stripe/read", t.errs); err != nil {
 		if l.Scheme == Raid0 {
 			return out, err
 		}
 		var down []int
-		for i, rerr := range errs {
+		for i, rerr := range t.errs {
 			if rerr == nil {
 				continue
 			}
@@ -413,23 +470,29 @@ func (e *Engine) ReadAt(p *sim.Proc, l Layout, off, length int64) (netsim.Payloa
 		}
 		derr := FanOut(p, "stripe/degraded", len(down), e.window, func(wp *sim.Proc, k int) error {
 			i := down[k]
-			pl, rerr := e.readDegraded(wp, l, reqs[i])
-			got[i] = pl
+			pl, rerr := e.readDegraded(wp, l, t.reqs[i])
+			t.ios[i].pl = pl
 			return rerr
 		})
 		if derr != nil {
 			return out, derr
 		}
 	}
+	if got := t.ios; len(got) == 1 && got[0].pl.Frozen && int64(len(got[0].pl.Data)) == length {
+		// A lone request is contiguous in the file, and nobody writes a
+		// frozen payload again: its bytes are the read's, unscattered.
+		out.Data, out.Frozen = got[0].pl.Data, true
+		return out, nil
+	}
 	var buf []byte
-	for i, req := range reqs {
-		if got[i].Data == nil {
+	for i, req := range t.reqs {
+		if t.ios[i].pl.Data == nil {
 			continue
 		}
 		if buf == nil {
 			buf = make([]byte, length)
 		}
-		req.Scatter(off, buf, got[i])
+		req.Scatter(off, buf, t.ios[i].pl)
 	}
 	out.Data = buf
 	return out, nil
@@ -478,16 +541,10 @@ func (e *Engine) readDegraded(p *sim.Proc, l Layout, r Request) (netsim.Payload,
 // Targets returns the distinct storage servers holding the layout's
 // allocated objects, in first-appearance order.
 func (l Layout) Targets() []storage.Target {
-	seen := make(map[storage.Target]bool, len(l.Objs))
-	var ts []storage.Target
+	var ts targetSet
 	for _, o := range l.Objs {
-		if IsHole(o) {
-			continue
-		}
-		t := storage.TargetOf(o)
-		if !seen[t] {
-			seen[t] = true
-			ts = append(ts, t)
+		if !IsHole(o) {
+			ts.add(storage.TargetOf(o))
 		}
 	}
 	return ts
@@ -522,61 +579,89 @@ func (e *Engine) Sync(p *sim.Proc, l Layout, absorbed []storage.Target) error {
 // errors (nil when every sync succeeded).
 func (e *Engine) syncTargets(p *sim.Proc, targets []storage.Target) []error {
 	e.syncRounds.Inc()
-	return fanOutErrs(p, "stripe/sync", len(targets), e.window, func(wp *sim.Proc, i int) error {
-		return e.c.Sync(wp, targets[i], e.caps)
-	})
+	t := e.take()
+	defer e.put(t)
+	for _, tg := range targets {
+		t.ios = append(t.ios, objIO{ref: storage.ObjRef{Node: tg.Node, Port: tg.Port}})
+	}
+	t.fanOut(p, "stripe/sync", len(t.ios), e.window, t.sync)
+	if len(t.errs) == 0 {
+		return nil
+	}
+	return slices.Clone(t.errs) // the record keeps its own
+}
+
+// moved sums the bytes the last write fan-out moved.
+func (t *transfer) moved() int64 {
+	var n int64
+	for _, io := range t.ios {
+		n += io.moved
+	}
+	return n
 }
 
 // FanOut runs fn(i) for each i in [0, n) on concurrently scheduled simulated
 // processes, with at most window calls in flight. Every call runs to
 // completion even when siblings fail; the per-request errors come back
 // joined, each tagged with its index. window <= 1 (or n == 1) degenerates to
-// an inline serial loop on the caller's process.
+// an inline serial loop on the caller's process, which makes no fan.
 func FanOut(p *sim.Proc, name string, n, window int, fn func(wp *sim.Proc, i int) error) error {
-	return joinIndexed(name, fanOutErrs(p, name, n, window, fn))
+	if n <= 1 || window == 1 {
+		var errs []error
+		for i := 0; i < n; i++ {
+			errs = noteErr(errs, n, i, fn(p, i))
+		}
+		return joinIndexed(name, errs)
+	}
+	f := &fan{}
+	f.bind()
+	f.fanOut(p, name, n, window, fn)
+	return joinIndexed(name, f.errs)
 }
 
-// fanOutErrs is FanOut returning the raw per-index errors, for callers that
-// classify failures individually (degraded reads, redundant writes). The
-// slice is made at the first failure: nil means every call succeeded.
-func fanOutErrs(p *sim.Proc, name string, n, window int, fn func(wp *sim.Proc, i int) error) []error {
+// bind makes the fan's one worker body: it runs the next call until none is
+// left.
+func (f *fan) bind() {
+	f.worker = func(wp *sim.Proc) {
+		for f.next < f.n {
+			i := f.next
+			f.next++
+			f.errs = noteErr(f.errs, f.n, i, f.op(wp, i))
+			f.wg.Done()
+		}
+	}
+}
+
+// fanOut runs op(i) for each i in [0, n) as FanOut runs its function,
+// leaving the per-index errors in f.errs: empty when every call succeeded,
+// else one slot per call. The workers share f.worker and one name, so
+// allocations do not depend on window.
+func (f *fan) fanOut(p *sim.Proc, name string, n, window int, op func(wp *sim.Proc, i int) error) {
+	clear(f.errs[:cap(f.errs)])
+	f.errs, f.op, f.n, f.next = f.errs[:0], op, n, 0
 	if n <= 0 {
-		return nil
+		return
 	}
 	if window <= 0 || window > n {
 		window = n
 	}
-	var errs []error
-	if window == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			errs = noteErr(errs, n, i, fn(p, i))
-		}
-		return errs
-	}
-	var wg sim.WaitGroup
-	wg.Add(n)
-	next := 0
-	// One closure and one name for every worker: allocations do not depend on window.
-	worker := func(wp *sim.Proc) {
-		for next < n {
-			i := next
-			next++
-			errs = noteErr(errs, n, i, fn(wp, i))
-			wg.Done()
+	f.wg.Add(n)
+	if window == 1 {
+		f.worker(p)
+	} else {
+		for w := 0; w < window; w++ {
+			p.Kernel().Spawn(name, f.worker)
 		}
 	}
-	for w := 0; w < window; w++ {
-		p.Kernel().Spawn(name, worker)
-	}
-	wg.Wait(p)
-	return errs
+	f.wg.Wait(p)
 }
 
-// noteErr records call i's error, making the n slots at the first failure.
+// noteErr records call i's error, making the n slots at the first failure
+// over errs' spare capacity, which is clear.
 func noteErr(errs []error, n, i int, err error) []error {
 	if err != nil {
-		if errs == nil {
-			errs = make([]error, n)
+		if len(errs) == 0 {
+			errs = slices.Grow(errs, n)[:n]
 		}
 		errs[i] = err
 	}

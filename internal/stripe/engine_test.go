@@ -2,13 +2,17 @@ package stripe_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lwfs/internal/authz"
 	"lwfs/internal/cluster"
 	"lwfs/internal/core"
 	"lwfs/internal/netsim"
+	"lwfs/internal/osd"
 	"lwfs/internal/sim"
 	"lwfs/internal/stripe"
 	"lwfs/internal/testrig"
@@ -239,5 +243,63 @@ func TestEngineConcurrentFanOutRace(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Errorf("app %d readback mismatch", a)
 		}
+	}
+}
+
+// Two processes interleave transfers on one engine, each parking in its
+// fan-out while the other runs on a transfer record of its own, and each
+// gets back its own bytes and its own errors: one process's layout ends in
+// an object that does not exist, so every one of its transfers fails on
+// that column and on no other, while the other's all succeed.
+func TestInterleavedTransfersOnOneEngine(t *testing.T) {
+	cl, lw := engineCluster(4)
+	c := cl.NewClient(lw, 0)
+	cl.Spawn("app", func(p *sim.Proc) {
+		caps := appSetup(t, p, c)
+		eng := stripe.NewEngine(c, caps, 2) // a narrow window: every fan-out queues and parks
+		good := makeLayout(t, p, c, caps, 4<<10)
+		bad := makeLayout(t, p, c, caps, 4<<10)
+		bad.Objs[3].ID += 1 << 20
+		var wg sim.WaitGroup
+		inside, overlapped := 0, false // processes inside a transfer; were both ever?
+		wg.Add(2)
+		for proc, l := range []stripe.Layout{good, bad} {
+			p.Kernel().Spawn("user", func(q *sim.Proc) {
+				defer wg.Done()
+				for round := 0; round < 6; round++ {
+					data := make([]byte, 30_000+round*1_111)
+					rand.New(rand.NewSource(int64(10*proc + round))).Read(data)
+					inside++
+					overlapped = overlapped || inside == 2
+					_, werr := eng.WriteAt(q, l, int64(round*7_000), netsim.BytesPayload(data))
+					got, rerr := eng.ReadAt(q, l, int64(round*7_000), int64(len(data)))
+					inside--
+					if proc == 0 {
+						if werr != nil || rerr != nil {
+							t.Errorf("round %d: the good layout's transfers failed: %v, %v", round, werr, rerr)
+						} else if !bytes.Equal(got.Data, data) {
+							t.Errorf("round %d: the good layout read back other bytes", round)
+						}
+						continue
+					}
+					if !errors.Is(werr, osd.ErrNoObject) || !strings.Contains(werr.Error(), "col 3 copy 0") || strings.Contains(werr.Error(), "col 0") {
+						t.Errorf("round %d: the bad layout's write failed with %v, want its column 3 alone", round, werr)
+					}
+					// Requests come in first-touch order: column 3's index
+					// depends on the column the range starts in.
+					want := fmt.Sprintf("stripe/read[%d]", (3-round*7_000/(4<<10)%4+4)%4)
+					if !errors.Is(rerr, osd.ErrNoObject) || !strings.Contains(rerr.Error(), want) || strings.Count(rerr.Error(), "stripe/read[") != 1 {
+						t.Errorf("round %d: the bad layout's read failed with %v, want %s alone", round, rerr, want)
+					}
+				}
+			})
+		}
+		wg.Wait(p)
+		if !overlapped {
+			t.Error("the two processes never were inside transfers at once")
+		}
+	})
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

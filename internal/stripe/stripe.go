@@ -258,7 +258,12 @@ func (l Layout) Validate() error {
 // systems decode unchanged; redundant schemes insert one extra "scheme"
 // line that legacy-era data never contains.
 func (l Layout) Encode() []byte {
-	b := make([]byte, 0, 48+24*len(l.Objs))
+	return l.AppendEncode(make([]byte, 0, 48+24*len(l.Objs)))
+}
+
+// AppendEncode appends the layout's Encode bytes to b and returns the
+// extended buffer, so a writer that flushes a layout often can keep one.
+func (l Layout) AppendEncode(b []byte) []byte {
 	b = strconv.AppendInt(append(b, "size "...), l.Size, 10)
 	b = strconv.AppendInt(append(b, "\nstripeunit "...), l.Unit, 10)
 	b = append(b, '\n')
@@ -333,7 +338,10 @@ func Decode(data []byte) (Layout, error) {
 	if err := l.Validate(); err != nil {
 		return Layout{}, err
 	}
-	if !bytes.Equal(l.Encode(), data) {
+	// The canonical bytes are rebuilt on the stack: a layout of up to
+	// about 30 objects fits, and only a wider one spills to the heap.
+	var canon [512]byte
+	if !bytes.Equal(l.AppendEncode(canon[:0]), data) {
 		return Layout{}, fmt.Errorf("%w: not in canonical form", ErrBadLayout)
 	}
 	return l, nil
@@ -440,23 +448,30 @@ type Request struct {
 // plan is redundancy-blind: Request.Obj is a data column index, and the
 // engine expands it to replica copies or a parity update as the scheme
 // demands.
-func (l Layout) Plan(off, length int64) []Request {
+func (l Layout) Plan(off, length int64) []Request { return l.appendPlan(nil, off, length) }
+
+// appendPlan appends Plan(off, length) to dst: the engine plans into a
+// transfer record's slice, so a warm transfer makes no plan.
+func (l Layout) appendPlan(dst []Request, off, length int64) []Request {
 	if length <= 0 || l.Unit <= 0 || l.Width() <= 0 {
-		return nil
+		return dst
 	}
 	u, w, end := l.Unit, int64(l.Width()), off+length
 	first, last := off/u, (end-1)/u // stripe units touched
-	reqs := make([]Request, min(last-first+1, w))
-	for j := range reqs {
-		a := first + int64(j) // the column's first unit in the range
+	n := min(last-first+1, w)
+	if len(dst)+int(n) > cap(dst) { // one allocation, even under -race
+		dst = append(make([]Request, 0, len(dst)+int(n)), dst...)
+	}
+	for j := int64(0); j < n; j++ {
+		a := first + j        // the column's first unit in the range
 		z := a + (last-a)/w*w // and its last
 		fo := max(off, a*u)   // where its bytes start in the file
 		tail := (z+1)*u - min(end, (z+1)*u)
 		obj, objOff := l.Locate(fo)
-		reqs[j] = Request{Obj: obj, Off: objOff, Len: ((z-a)/w+1)*u - (fo - a*u) - tail,
-			FileOff: fo, unit: u, stride: w * u}
+		dst = append(dst, Request{Obj: obj, Off: objOff, Len: ((z-a)/w+1)*u - (fo - a*u) - tail,
+			FileOff: fo, unit: u, stride: w * u})
 	}
-	return reqs
+	return dst
 }
 
 // Units maps [off, off+length) like Plan but coalesces nothing: one
