@@ -355,14 +355,14 @@ func (s *Server) stage(p *sim.Proc, from netsim.NodeID, r stageReq) (interface{}
 	synthetic := false
 	_, err := s.puller.Pull(p, from, r.DataPortal, r.Bits, r.Len, s.bufPool,
 		func(q *sim.Proc, off int64, chunk netsim.Payload) error {
-			if chunk.Data == nil {
+			if chunk.Synthetic() {
 				synthetic = true
 				return nil
 			}
 			if buf == nil {
 				buf = make([]byte, r.Len)
 			}
-			copy(buf[off:], chunk.Data)
+			chunk.CopyTo(buf[off:])
 			return nil
 		})
 	if epoch != s.epoch {

@@ -137,7 +137,7 @@ func decodeHeader(b []byte) (jrec, error) {
 func (s *Server) journalStage(p *sim.Proc, r stageReq, payload netsim.Payload) (uint64, error) {
 	s.jseq++
 	rec := jrec{seq: s.jseq, kind: jKindStage, epoch: s.epoch, ref: r.Ref, off: r.Off,
-		length: payload.Size, real: payload.Data != nil, cap: r.Cap}
+		length: payload.Size, real: !payload.Synthetic(), cap: r.Cap}
 	// Live from its reservation, so no quiesce truncates it in flight.
 	s.jlive++
 	if err := s.log.Append(p, rec.header(), payload); err != nil {
@@ -198,7 +198,7 @@ func (s *Server) walkJournal(p *sim.Proc, restage func(jrec, netsim.Payload) err
 		if err != nil {
 			return 0, err
 		}
-		rec, err := decodeHeader(hdr.Data)
+		rec, err := decodeHeader(hdr.Bytes())
 		if err != nil {
 			return 0, err
 		}

@@ -392,7 +392,12 @@ func dumpRank(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, p
 	if route != nil {
 		return dumpViaBurst(p, c, bc, caps, pl, rank, placement, route, cfg)
 	}
-	var out dumpOut
+	return dumpDirect(p, c, caps, pl, rank, placement, cfg)
+}
+
+// dumpDirect is dumpRank without a burst tier. Its payload and timings stay
+// out of dumpRank's frame, which is under every rank parked in a stage.
+func dumpDirect(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placement, rank, placement int, cfg *Config) (out dumpOut) {
 	var err error
 	if out.ref, err = placeCopies(p, c, caps, pl, rank+placement, payloadFor(rank, cfg), true, &out.t); err != nil {
 		panic(fmt.Sprintf("rank %d dump: %v", rank, err))

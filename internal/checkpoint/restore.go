@@ -104,7 +104,7 @@ func Restore(p *sim.Proc, c *core.Client, caps core.CapSet, path string) (Manife
 	if err != nil {
 		return Manifest{}, fmt.Errorf("checkpoint: manifest: %w", err)
 	}
-	m, err := decodeMetadata(payload.Data)
+	m, err := decodeMetadata(payload.Bytes())
 	if err != nil {
 		return Manifest{}, err
 	}

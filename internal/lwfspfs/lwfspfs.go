@@ -231,7 +231,7 @@ func mount(p *sim.Proc, c *core.Client, rootDir string, cid authz.ContainerID, o
 	if err != nil {
 		return nil, err
 	}
-	sbCid, opts, ok := parseSuperblock(payload.Data)
+	sbCid, opts, ok := parseSuperblock(payload.Bytes())
 	if !ok || sbCid != cid {
 		return nil, ErrBadLayout
 	}
@@ -498,11 +498,12 @@ func (fs *FS) readRecord(p *sim.Proc, path string, refs []storage.ObjRef) (strip
 	case err != nil:
 		return stripe.Layout{}, 0, 0, err
 	}
-	l, err := stripe.Decode(payload.Data)
+	rec := payload.Bytes()
+	l, err := stripe.Decode(rec)
 	if err != nil {
 		return stripe.Layout{}, 0, 0, err
 	}
-	return l, int64(len(payload.Data)), skipped, nil
+	return l, int64(len(rec)), skipped, nil
 }
 
 // refresh re-reads the layout record from the handle's live mirrors and
@@ -823,7 +824,7 @@ func (fs *FS) placeRecords(p *sim.Proc, pl *core.Placement, enc []byte, cands []
 // the handle first re-reads the layout record under the lock (refresh), so a
 // handle opened before another client filled a hole returns that client's
 // bytes. A byte range storage.CheckRange refuses is refused with
-// fs.ErrInvalid. The payload may be Frozen (stripe.Engine.ReadAt): read-only.
+// fs.ErrInvalid. The payload may be a seeded run (stripe.Engine.ReadAt).
 func (f *File) ReadAt(p *sim.Proc, off, length int64) (netsim.Payload, error) {
 	if err := storage.CheckRange(off, length); err != nil {
 		return netsim.Payload{}, fmt.Errorf("lwfspfs: read %s: %w", f.path, err)

@@ -16,6 +16,7 @@ import (
 	"lwfs/internal/osd"
 	"lwfs/internal/sim"
 	"lwfs/internal/testrig"
+	"lwfs/internal/trace"
 	"lwfs/internal/txn"
 )
 
@@ -465,11 +466,11 @@ func TestOverlappingWritesReadBack(t *testing.T) {
 	run(t, cl)
 }
 
-// Bytes a read returned stay as they were. A read inside one stored frozen
-// unit comes back by reference, from the server's extent through the reply
-// to the caller, and neither a later overwrite of the same range, copied or
-// frozen, nor a truncate of the object under it, nor removing the file,
-// changes them.
+// Bytes a read returned stay as they were. A read inside one stored seeded
+// unit comes back as a cut of its run, from the server's extent through the
+// reply to the caller, and a read of real bytes as a copy; neither a later
+// overwrite of the same range, copied or seeded, nor a truncate of the
+// object under it, nor removing the file, changes what either shows.
 func TestReadBytesOutliveOverwriteAndTruncate(t *testing.T) {
 	cl, l := smallCluster()
 	c := cl.NewClient(l, 0)
@@ -496,27 +497,32 @@ func TestReadBytesOutliveOverwriteAndTruncate(t *testing.T) {
 			rng.Read(b)
 			return b
 		}
+		seeded := trace.DataFor(3, 2*unit)
+		if _, err := f.WriteAt(p, 0, netsim.SeededPayload(3, 2*unit)); err != nil {
+			t.Fatalf("seeded write: %v", err)
+		}
+		run, err := f.ReadAt(p, 100, 4000)
+		if err != nil || !run.Seeded() || !bytes.Equal(run.Bytes(), seeded[100:4100]) {
+			t.Fatalf("a read inside one seeded unit: seeded %v, %v", run.Seeded(), err)
+		}
+		across, err := f.ReadAt(p, unit-100, 200) // two units, consecutive parts of the run
+		if err != nil || !across.Seeded() || !bytes.Equal(across.Bytes(), seeded[unit-100:unit+100]) {
+			t.Fatalf("a read across two units of one run: seeded %v, %v", across.Seeded(), err)
+		}
 		data := fresh()
-		if _, err := f.WriteAt(p, 0, netsim.Payload{Size: unit, Data: data, Frozen: true}); err != nil {
+		if _, err := f.WriteAt(p, 0, payloadOf(data)); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		got, err := f.ReadAt(p, 100, 4000)
 		if err != nil || !bytes.Equal(got.Data, data[100:4100]) {
 			t.Fatalf("read: %v", err)
 		}
-		if !got.Frozen || cap(got.Data) != len(got.Data) {
-			t.Fatalf("a read inside one kept unit came back copied (frozen %v) or with spare capacity (%d > %d)",
-				got.Frozen, cap(got.Data), len(got.Data))
-		}
 		steps := []struct {
 			what string
 			do   func() error
 		}{
 			{"a copied overwrite", func() error { _, err := f.WriteAt(p, 0, payloadOf(fresh())); return err }},
-			{"a frozen overwrite", func() error {
-				_, err := f.WriteAt(p, 0, netsim.Payload{Size: unit, Data: fresh(), Frozen: true})
-				return err
-			}},
+			{"a seeded overwrite", func() error { _, err := f.WriteAt(p, 0, netsim.SeededPayload(4, unit)); return err }},
 			{"a truncate into the range", func() error { return c.Truncate(p, f.Layout().Objs[0], caps, 2000) }},
 			{"a write where the truncate cut", func() error { _, err := f.WriteAt(p, 2000, payloadOf(fresh()[:3000])); return err }},
 			{"removing the file", func() error { return fs.Remove(p, "/data.bin") }},
@@ -525,7 +531,7 @@ func TestReadBytesOutliveOverwriteAndTruncate(t *testing.T) {
 			if err := s.do(); err != nil {
 				t.Fatalf("%s: %v", s.what, err)
 			}
-			if !bytes.Equal(got.Data, data[100:4100]) {
+			if !bytes.Equal(got.Data, data[100:4100]) || !bytes.Equal(run.Bytes(), seeded[100:4100]) {
 				t.Fatalf("%s changed bytes a read had returned", s.what)
 			}
 		}

@@ -17,6 +17,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -27,31 +28,112 @@ import (
 // NodeID identifies a node in the network.
 type NodeID int
 
-// Payload describes message data. Data may be nil for synthetic payloads:
-// benchmarks move terabytes of virtual data without allocating it, while
-// tests and examples carry real bytes end-to-end.
-//
-// Frozen promises that nobody modifies Data again, so a holder may keep Data
-// instead of copying it (an osd device stores such a payload by reference,
-// and replicas share it). A producer sets it only on a buffer that nobody
-// writes after this call; payloads that carry the same bytes may share one
-// such buffer (a replay mount hands every write of one content seed the
-// same one). A payload cut from part of a frozen one is not frozen, so no
-// holder pins bytes it does not store — except a device read's view of a
-// stored frozen extent, which that extent pins already (osd.Blob.Read). A
-// frozen payload is read-only for everyone who receives it. The zero value
-// means copy.
+// Payload describes message data of one of three kinds. A synthetic payload
+// is Size bytes without content: benchmarks move terabytes of virtual data
+// without allocating it. A byte payload carries real content in Data
+// (len(Data) <= Size; the rest reads as zeros). A seeded run is Size bytes of
+// a content seed's splitmix64 stream (trace.DataFor) from any offset: it is
+// carried, cut and stored as arithmetic, and CopyTo makes its bytes only
+// where a consumer needs them. Word w of seed s's stream is word 0 of seed
+// s+w·γ, so a run keeps its first word's seed and the bytes it skips there.
 type Payload struct {
 	Size   int64  // bytes on the wire
-	Data   []byte // optional real content; len(Data) <= Size
-	Frozen bool   // Data is never modified again: keep it, do not copy it
+	Data   []byte // real content, or nil
+	seed   uint64 // a seeded run: its first word is word 0 of this seed's stream
+	skip   uint8  // a seeded run: bytes of its first word before the run starts
+	seeded bool   // the kind is explicit: a folded seed can be 0
 }
+
+// gamma is splitmix64's increment (γ): a stream adds it before each word.
+const gamma = 0x9e3779b97f4a7c15
 
 // BytesPayload wraps real bytes in a payload.
 func BytesPayload(b []byte) Payload { return Payload{Size: int64(len(b)), Data: b} }
 
 // SyntheticPayload describes size bytes with no backing content.
 func SyntheticPayload(size int64) Payload { return Payload{Size: size} }
+
+// SeededPayload is the first n bytes of seed's stream, trace.DataFor(seed, n)
+// without its bytes. Seed 0 is DataFor's synthetic marker: a synthetic payload.
+func SeededPayload(seed uint64, n int64) Payload {
+	if seed == 0 {
+		return SyntheticPayload(n)
+	}
+	return Payload{Size: n, seed: seed, seeded: true}
+}
+
+// Synthetic reports whether p has no content at all.
+func (p Payload) Synthetic() bool { return p.Data == nil && !p.seeded }
+
+// Seeded reports whether p is a seeded run.
+func (p Payload) Seeded() bool { return p.seeded }
+
+// Run is p without Data: a holder that keeps it keeps no sender's bytes,
+// and escape analysis can tell.
+func (p Payload) Run() Payload {
+	return Payload{Size: p.Size, seed: p.seed, skip: p.skip, seeded: p.seeded}
+}
+
+// Slice is the n bytes of p at off: a run starting off bytes further into
+// the stream, a sub-slice of Data (cut short where Data ends), or, where
+// Data has none of them, n synthetic bytes.
+func (p Payload) Slice(off, n int64) Payload {
+	if p.seeded {
+		at := int64(p.skip) + off
+		return Payload{Size: n, seed: p.seed + uint64(at>>3)*gamma, skip: uint8(at & 7), seeded: true}
+	}
+	lo, hi := min(off, int64(len(p.Data))), min(off+n, int64(len(p.Data)))
+	if lo >= hi {
+		return SyntheticPayload(n)
+	}
+	return Payload{Size: n, Data: p.Data[lo:hi]}
+}
+
+// Append is p followed by q as one run, when q is seeded and p is empty
+// and not seeded, or a run that q continues in the stream.
+func (p Payload) Append(q Payload) (Payload, bool) {
+	if p.Size == 0 && !p.seeded && q.seeded {
+		return q, true
+	}
+	next := p.Slice(p.Size, 0)
+	ok := p.seeded && q.seeded && next.seed == q.seed && next.skip == q.skip
+	if ok {
+		p.Size += q.Size
+	}
+	return p, ok
+}
+
+// Bytes is p's content as bytes: Data itself, a seeded run's bytes
+// generated into a fresh buffer, or nil for a synthetic payload.
+func (p Payload) Bytes() []byte {
+	if !p.seeded {
+		return p.Data
+	}
+	b := make([]byte, p.Size)
+	p.CopyTo(b)
+	return b
+}
+
+// CopyTo writes p's first min(len(dst), Size) bytes into dst and returns how
+// many: Data copied and zero past its end, or a seeded run generated. It is
+// where every byte of a seeded payload is made.
+func (p Payload) CopyTo(dst []byte) int {
+	dst = dst[:min(int64(len(dst)), p.Size)]
+	if !p.seeded {
+		clear(dst[copy(dst, p.Data):])
+		return len(dst)
+	}
+	var w [8]byte
+	x, b := p.seed, dst
+	for skip := p.skip; len(b) > 0; skip = 0 {
+		x += gamma
+		z := (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		binary.LittleEndian.PutUint64(w[:], z^(z>>31))
+		b = b[copy(b, w[skip:]):]
+	}
+	return len(dst)
+}
 
 // Message is a single network transfer.
 type Message struct {

@@ -16,38 +16,38 @@ import (
 	"lwfs/internal/netsim"
 )
 
-// Blob is a sparse byte sequence supporting mixed real and synthetic
-// writes. Real writes (payload carries bytes) are stored as extents and
-// read back exactly, with zero-fill for holes; synthetic writes (size-only
-// payloads used by large-scale benchmarks) extend the logical size without
+// Blob is a sparse byte sequence supporting mixed real, seeded and synthetic
+// writes. Real and seeded writes are stored as extents and read back
+// exactly, with zero-fill for holes; synthetic writes (size-only payloads
+// used by large-scale benchmarks) extend the logical size without
 // allocating memory.
 //
 // The extent list is kept sorted, non-overlapping and free of empty extents
 // in place: a write binary-searches the extents it touches and splices only
-// those. An extent is private or shared. A private extent's bytes belong to
-// the Blob alone (Write copies in, Read copies out), and no two private
-// extents share a backing array, so a private extent may be overwritten and
-// grown in place. A shared extent holds a frozen payload kept by reference
-// (Device.Write), which other blobs may hold too: it is never written or
-// grown in place, and its capacity is clipped to its length.
+// those. An extent holds private bytes or a seeded run. Private bytes belong
+// to the Blob alone (Write copies in, Read copies out), so they are
+// overwritten in place; a head and a tail trimmed from one extent may share
+// its array, but only the last extent grows into spare capacity, and any
+// extent sharing its array lies after it. A seeded extent holds no bytes:
+// it is cut, and a read inside it answered, by arithmetic on its run.
 type Blob struct {
 	size    int64
 	extents []extent
 }
 
 type extent struct {
-	off    int64
-	data   []byte
-	shared bool // data is a kept frozen payload, or a view of one
+	off int64
+	pl  netsim.Payload // private bytes (len(Data) == Size) or a seeded run
 }
 
-func (e extent) end() int64 { return e.off + int64(len(e.data)) }
+func (e *extent) end() int64 { return e.off + e.pl.Size }
 
 // Tail coalescing: an append of at most recordSize bytes that lands exactly
 // at the end of a private last extent is copied into that extent while the
 // two together fit in chunkSize, so a log of small records costs one extent
 // per chunk, not one per record. Larger payloads — application data — stay
-// extents of their own and are copied once, never again to grow a chunk.
+// extents of their own and are copied once, never again to grow a chunk. A
+// seeded append that continues the last extent's run extends it.
 const (
 	chunkSize  = 64 << 10
 	recordSize = 4 << 10
@@ -62,64 +62,78 @@ func (b *Blob) firstEndingAfter(off int64) int {
 	return sort.Search(len(b.extents), func(i int) bool { return b.extents[i].end() > off })
 }
 
-// Write stores payload at off, copying its bytes. If payload carries real
-// bytes they become readable; a synthetic payload only extends the logical
-// size.
-func (b *Blob) Write(off int64, payload netsim.Payload) {
-	b.put(off, payload.Size, payload.Data, nil)
-}
-
-// put stores data at off for Write and Device.store. It copies data, unless
-// keep is non-nil: then keep (the same bytes, frozen) is stored by reference
-// wherever a new extent is made. The two arrive apart because escape
-// analysis is static: only a caller whose bytes may be kept passes them as
-// keep, so the buffers of Write's and Device.Append's callers stay off the
-// heap.
-func (b *Blob) put(off, size int64, data, keep []byte) {
+// Write stores pl at off. Real bytes are copied and a seeded run is kept
+// through pl.Run, so no caller's buffer escapes: the records
+// Device.Append's callers build stay off the heap. A synthetic payload only
+// extends the logical size.
+func (b *Blob) Write(off int64, pl netsim.Payload) {
 	if off < 0 {
 		panic("osd: negative write offset")
 	}
-	if end := off + size; end > b.size {
+	if end := off + pl.Size; end > b.size {
 		b.size = end
 	}
+	if pl.Seeded() {
+		if pl.Size > 0 {
+			b.splice(off, pl)
+		}
+		return
+	}
+	data := pl.Data // past its end, a hole
 	if len(data) == 0 {
 		return
 	}
+	n := len(b.extents)
+	if n > 0 && off < b.extents[n-1].end() {
+		b.splice(off, pl)
+		return
+	}
+	// At or past the end of the last extent, nothing to search.
+	if n > 0 {
+		last := &b.extents[n-1]
+		if need := last.pl.Size + int64(len(data)); last.pl.Data != nil && off == last.end() && len(data) <= recordSize && need <= chunkSize {
+			if need > int64(cap(last.pl.Data)) {
+				grown := make([]byte, last.pl.Size, min(max(need, 2*int64(cap(last.pl.Data))), chunkSize))
+				copy(grown, last.pl.Data)
+				last.pl.Data = grown
+			}
+			last.pl.Data = append(last.pl.Data, data...)
+			last.pl.Size = need
+			return
+		}
+	}
+	b.extents = append(b.extents, extent{off: off})
+	x := &b.extents[n].pl
+	x.Data = slices.Clone(data)
+	x.Size = int64(len(data))
+}
 
-	// Tail: at or past the end of the last extent, nothing to search.
+// splice is Write for a seeded run, or for real bytes that some extent ends
+// past. It stays out of line so that a tail append — every journal record —
+// runs on Write's small frame: a store is the deepest call of a storage
+// service thread, and a larger frame there grows every such thread's stack.
+func (b *Blob) splice(off int64, pl netsim.Payload) {
+	if !pl.Seeded() {
+		pl.Size = int64(len(pl.Data))
+	}
+	end := off + pl.Size
 	if n := len(b.extents); n == 0 || off >= b.extents[n-1].end() {
-		if n > 0 {
-			last := &b.extents[n-1]
-			if need := len(last.data) + len(data); !last.shared && off == last.end() && len(data) <= recordSize && need <= chunkSize {
-				if need > cap(last.data) {
-					grown := make([]byte, len(last.data), min(max(need, 2*cap(last.data)), chunkSize))
-					copy(grown, last.data)
-					last.data = grown
-				}
-				last.data = append(last.data, data...)
+		// A run at or past the end: it extends a last extent whose run it
+		// continues.
+		if n > 0 && off == b.extents[n-1].end() {
+			if run, ok := b.extents[n-1].pl.Append(pl.Run()); ok {
+				b.extents[n-1].pl = run
 				return
 			}
 		}
-		b.extents = append(b.extents, newExtent(off, data, keep))
+		b.extents = append(b.extents, newExtent(off, pl))
 		return
 	}
-
-	b.splice(off, data, keep)
-}
-
-// splice is put for a write that some extent ends past. It stays out of
-// line so that a tail append — every journal record — runs on put's small
-// frame: a store is the deepest call of a storage service thread, and a
-// larger frame there grows every such thread's stack.
-func (b *Blob) splice(off int64, data, keep []byte) {
-	end := off + int64(len(data))
 	// Some extent ends past off: lo is in range.
 	lo := b.firstEndingAfter(off)
-	if x := b.extents[lo]; !x.shared && x.off <= off && end <= x.end() {
-		// Inside one private extent: overwrite in place. This is also why a
-		// private extent is never split in two, so a head and a tail kept
-		// below from one backing array are both views of a shared extent.
-		copy(x.data[off-x.off:], data)
+	if x := &b.extents[lo]; x.pl.Data != nil && pl.Data != nil && x.off <= off && end <= x.end() {
+		// Real bytes inside one private extent: overwrite in place.
+		copy(x.pl.Data[off-x.off:], pl.Data)
 		return
 	}
 	// extents[lo:hi] are the extents [off, end) overlaps; what sticks out of
@@ -127,41 +141,40 @@ func (b *Blob) splice(off int64, data, keep []byte) {
 	hi := lo + sort.Search(len(b.extents)-lo, func(i int) bool { return b.extents[lo+i].off >= end })
 	var pieces [3]extent
 	np := 0
-	if x := b.extents[lo]; x.off < off { // it ends past off, so it overlaps
-		pieces[np] = extent{off: x.off, data: x.data[:off-x.off], shared: x.shared}
+	if x := &b.extents[lo]; x.off < off { // it ends past off, so it overlaps
+		pieces[np] = extent{off: x.off, pl: x.pl.Slice(0, off-x.off)}
 		np++
 	}
-	pieces[np] = newExtent(off, data, keep)
+	pieces[np] = newExtent(off, pl)
 	np++
 	if lo < hi {
-		if x := b.extents[hi-1]; x.end() > end {
-			pieces[np] = extent{off: end, data: x.data[end-x.off:], shared: x.shared}
+		if x := &b.extents[hi-1]; x.end() > end {
+			pieces[np] = extent{off: end, pl: x.pl.Slice(end-x.off, x.end()-end)}
 			np++
 		}
 	}
 	b.extents = slices.Replace(b.extents, lo, hi, pieces[:np]...)
 }
 
-// newExtent is the extent a write adds at off: keep by reference, its
-// capacity clipped, or else a private copy of data.
-func newExtent(off int64, data, keep []byte) extent {
-	if keep != nil {
-		return extent{off: off, data: keep[:len(keep):len(keep)], shared: true}
+// newExtent is the extent a write adds at off: a private copy of real bytes,
+// or the seeded run. It stays out of line, so that its payload temporaries
+// stay out of splice's frame.
+//
+//go:noinline
+func newExtent(off int64, pl netsim.Payload) extent {
+	if pl.Seeded() {
+		return extent{off: off, pl: pl.Run()}
 	}
-	return extent{off: off, data: slices.Clone(data)}
+	return extent{off: off, pl: netsim.BytesPayload(slices.Clone(pl.Data))}
 }
 
-// Read returns [off, off+length). If the blob holds any real bytes in the
-// range (or anywhere — callers treat a real blob as fully materializable),
-// the result carries real bytes with zero-filled holes; otherwise it is a
-// synthetic payload of the requested length. Reading past the logical size
-// zero-fills (like reading a sparse file's hole); callers that care check
-// Size first.
-//
-// A range inside one shared extent comes back by reference: a frozen view,
-// its capacity clipped to the range, which nobody writes (a shared extent
-// is never written in place), so neither may its reader. Any other range is
-// a fresh copy.
+// Read returns [off, off+length). If the blob holds any real or seeded
+// bytes in the range (or anywhere — callers treat a real blob as fully
+// materializable), the result carries content with zero-filled holes;
+// otherwise it is a synthetic payload of the requested length. Reading past
+// the logical size zero-fills (like reading a sparse file's hole); callers
+// that care check Size first. A range inside one seeded extent comes back
+// as a seeded run, without bytes; any other range is a fresh copy.
 func (b *Blob) Read(off, length int64) netsim.Payload {
 	if off < 0 || length < 0 {
 		panic("osd: negative read range")
@@ -171,8 +184,8 @@ func (b *Blob) Read(off, length int64) netsim.Payload {
 	}
 	end, first := off+length, b.firstEndingAfter(off)
 	if first < len(b.extents) {
-		if x := b.extents[first]; x.shared && length > 0 && x.off <= off && end <= x.end() {
-			return netsim.Payload{Size: length, Data: x.data[off-x.off : end-x.off : end-x.off], Frozen: true}
+		if x := &b.extents[first]; x.pl.Seeded() && length > 0 && x.off <= off && end <= x.end() {
+			return x.pl.Slice(off-x.off, length)
 		}
 	}
 	out := make([]byte, length)
@@ -181,9 +194,9 @@ func (b *Blob) Read(off, length int64) netsim.Payload {
 			break
 		}
 		lo, hi := max(x.off, off), min(x.end(), end)
-		copy(out[lo-off:hi-off], x.data[lo-x.off:hi-x.off])
+		x.pl.Slice(lo-x.off, hi-lo).CopyTo(out[lo-off:])
 	}
-	return netsim.Payload{Size: length, Data: out}
+	return netsim.BytesPayload(out)
 }
 
 // Truncate sets the logical size, discarding real data past it.
@@ -195,7 +208,7 @@ func (b *Blob) Truncate(size int64) {
 	keep := b.firstEndingAfter(size)
 	if keep < len(b.extents) && b.extents[keep].off < size {
 		x := &b.extents[keep]
-		x.data = x.data[:size-x.off]
+		x.pl = x.pl.Slice(0, size-x.off)
 		keep++
 	}
 	clear(b.extents[keep:]) // drop the references so the bytes can be collected

@@ -6,19 +6,23 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"lwfs/internal/netsim"
+	"lwfs/internal/trace"
 )
 
 // checkInvariant fails unless the extent list is sorted, non-overlapping,
-// free of empty extents and inside the logical size.
+// free of empty extents and inside the logical size, and every extent holds
+// exactly its bytes or a seeded run.
 func checkInvariant(t testing.TB, b *Blob) {
 	t.Helper()
 	var prevEnd int64
 	for i, x := range b.extents {
-		if len(x.data) == 0 {
+		if x.pl.Size <= 0 {
 			t.Fatalf("extent %d at %d is empty", i, x.off)
+		}
+		if x.pl.Seeded() != (x.pl.Data == nil) || (x.pl.Data != nil && int64(len(x.pl.Data)) != x.pl.Size) {
+			t.Fatalf("extent %d at %d holds %d bytes for %d (seeded %v)", i, x.off, len(x.pl.Data), x.pl.Size, x.pl.Seeded())
 		}
 		if x.off < prevEnd {
 			t.Fatalf("extent %d at %d starts before the previous one ends at %d", i, x.off, prevEnd)
@@ -61,95 +65,101 @@ func (m *blobModel) check(t testing.TB, b *Blob, step string) {
 	if got.Size != b.Size()+3 {
 		t.Fatalf("%s: read size %d", step, got.Size)
 	}
-	have := got.Data
-	if have == nil {
-		have = make([]byte, got.Size)
-	}
+	have := make([]byte, got.Size)
+	got.CopyTo(have)
 	if !bytes.Equal(have[:len(m.data)], m.data) || !bytes.Equal(have[len(m.data):], []byte{0, 0, 0}) {
 		t.Fatalf("%s: contents differ from the model", step)
 	}
 }
 
-// frozenBuf is an array handed to a Blob as a frozen payload, and the copy
-// of it that it must equal for as long as the test runs, spare capacity
-// included.
-type frozenBuf struct{ arr, pristine []byte }
-
-// Write modes of runBlobOps: copied (Blob.Write), frozen (kept by
-// reference), and a frozen view with spare capacity cut from a larger array.
+// Write modes of runBlobOps: copied real bytes, a seeded run from the start
+// of a fresh seed's stream, and a seeded run cut from further into one.
 const (
 	modeCopied = iota
-	modeFrozen
-	modeFrozenView
+	modeSeeded
+	modeSeededCut
 )
 
 // runBlobOps interprets prog as a sequence of operations on a Blob and its
 // model, checking both after every one. Each operation is four bytes: kind,
 // two bytes of offset, one of length. The kind byte's ones digit picks the
-// operation and its tens digit (mod 3) how its writes store their bytes:
-// copied, frozen, or a frozen view with spare capacity. After every
-// operation each frozen array must equal its pristine copy. Most kinds aim
-// at the extent written last, which is where the splice's edge cases are:
-// adjacency, exact overlap, a write inside an extent followed by an append
-// where its head ends, and a truncate into an extent.
+// operation and its tens digit (mod 3) how its writes carry their bytes:
+// copied, or a seeded run starting at its stream's start or inside it. A
+// seeded write where the last seeded write ended continues that write's run,
+// so the blob may join the two. The model holds trace.DataFor's bytes. Most
+// kinds aim at the extent written last, which is where the splice's edge
+// cases are: adjacency, exact overlap, a write inside an extent followed by
+// an append where its head ends, and a truncate into an extent. After every
+// operation a read of the last write's range must show the model's bytes, as
+// a seeded run when it lies inside one seeded extent, and the bytes earlier
+// reads returned must not have changed.
 func runBlobOps(t testing.TB, prog []byte) {
 	const span = 200 << 10 // offsets stay below this; a few chunks' worth
 	var b Blob
 	var m blobModel
-	var lastOff, lastLen int64 // the most recent real write
-	var frozen []frozenBuf
+	var lastOff, lastLen int64 // the most recent real or seeded write
+	var run struct {           // the most recent seeded write
+		seed     uint64
+		from, at int64 // its stream offset, and where it lies in the blob
+		n        int64
+	}
 	mode := modeCopied
 	seq := byte(1)
 	write := func(off, n int64) {
-		arr := make([]byte, n)
-		if mode == modeFrozenView {
-			arr = make([]byte, n+16)
-		}
-		for i := range arr {
-			arr[i] = seq
-			seq = seq*5 + 1
-		}
-		data := arr
+		data := make([]byte, n)
 		switch mode {
 		case modeCopied:
+			for i := range data {
+				data[i] = seq
+				seq = seq*5 + 1
+			}
 			b.Write(off, netsim.BytesPayload(data))
-		case modeFrozenView:
-			data = arr[8 : 8+n] // 8 bytes of spare capacity behind it
-			fallthrough
-		case modeFrozen:
-			frozen = append(frozen, frozenBuf{arr, slices.Clone(arr)})
-			b.put(off, n, data, data)
+		default:
+			if off != run.at+run.n || run.seed == 0 {
+				run.seed, run.from = uint64(seq)+1, 0
+				seq = seq*5 + 1
+				if mode == modeSeededCut {
+					run.from = 1 + n%13
+				}
+			} else {
+				run.from += run.n
+			}
+			run.at, run.n = off, n
+			data = trace.DataFor(run.seed, run.from+n)[run.from:]
+			b.Write(off, netsim.SeededPayload(run.seed, run.from+n).Slice(run.from, n))
 		}
 		m.write(off, data)
 		if n > 0 {
 			lastOff, lastLen = off, n
 		}
 	}
-	var views [8]frozenBuf // the latest frozen reads, and what they showed
+	var views [8]struct{ got, pristine []byte } // the latest reads, and what they showed
 	nviews := 0
 	check := func(step string) {
 		t.Helper()
 		m.check(t, &b, step)
-		for i, f := range frozen {
-			if !bytes.Equal(f.arr[:cap(f.arr)], f.pristine) {
-				t.Fatalf("%s: frozen array %d was modified", step, i)
-			}
-		}
 		for _, v := range views {
-			if !bytes.Equal(v.arr, v.pristine) {
+			if !bytes.Equal(v.got, v.pristine) {
 				t.Fatalf("%s: the bytes a read returned changed", step)
 			}
 		}
-		if v := b.Read(lastOff, lastLen); v.Frozen {
-			if cap(v.Data) != len(v.Data) {
-				t.Fatalf("%s: a frozen read has spare capacity", step)
-			}
-			views[nviews%len(views)] = frozenBuf{v.Data, slices.Clone(v.Data)}
+		if lastOff+lastLen > b.Size() {
+			return
+		}
+		v := b.Read(lastOff, lastLen)
+		i := b.firstEndingAfter(lastOff)
+		if inRun := i < len(b.extents) && b.extents[i].pl.Seeded() && b.extents[i].off <= lastOff && lastOff+lastLen <= b.extents[i].end(); lastLen > 0 && v.Seeded() != inRun {
+			t.Fatalf("%s: a read inside one seeded extent is seeded %v, want %v", step, v.Seeded(), inRun)
+		}
+		got := make([]byte, lastLen)
+		v.CopyTo(got)
+		if !bytes.Equal(got, m.data[lastOff:lastOff+lastLen]) {
+			t.Fatalf("%s: a read of the last write's range differs from the model (seeded %v)", step, v.Seeded())
+		}
+		if v.Data != nil {
+			views[nviews%len(views)].got, views[nviews%len(views)].pristine = v.Data, slices.Clone(v.Data)
 			nviews++
 		}
-		// An array no shared extent points into any more is out of the
-		// blob's reach and cannot change: stop re-reading it every op.
-		frozen = slices.DeleteFunc(frozen, func(f frozenBuf) bool { return !b.holds(f.arr) })
 	}
 	truncate := func(size int64) {
 		b.Truncate(size)
@@ -211,12 +221,13 @@ func TestBlobOpMixMatchesModel(t *testing.T) {
 }
 
 func FuzzBlob(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 200, 4, 0, 0, 50, 2, 0, 0, 9})               // write, inner write + append at the head's end, adjacent
-	f.Add([]byte{1, 0, 0, 255, 2, 0, 0, 255, 7, 0, 0, 100})            // large, adjacent, truncate into it
-	f.Add([]byte{0, 10, 0, 100, 5, 0, 0, 80, 6, 0, 0, 80, 3, 0, 0, 0}) // straddles and an exact overwrite
-	f.Add([]byte{10, 0, 0, 200, 4, 0, 0, 50, 2, 0, 0, 9})              // frozen write, copied inner write, truncate to its head, append there
-	f.Add([]byte{20, 0, 0, 200, 14, 0, 0, 51, 22, 0, 0, 9})            // frozen view, frozen inner write, append where the head ends
-	f.Add([]byte{10, 0, 0, 10, 12, 0, 0, 10, 2, 0, 0, 9, 7, 0, 0, 5})  // small frozen records, a copied one after, truncate into them
+	f.Add([]byte{0, 0, 0, 200, 4, 0, 0, 50, 2, 0, 0, 9})                // write, inner write + append at the head's end, adjacent
+	f.Add([]byte{1, 0, 0, 255, 2, 0, 0, 255, 7, 0, 0, 100})             // large, adjacent, truncate into it
+	f.Add([]byte{0, 10, 0, 100, 5, 0, 0, 80, 6, 0, 0, 80, 3, 0, 0, 0})  // straddles and an exact overwrite
+	f.Add([]byte{10, 0, 0, 200, 4, 0, 0, 50, 2, 0, 0, 9})               // seeded write, copied inner write, truncate to its head, append there
+	f.Add([]byte{20, 0, 0, 200, 14, 0, 0, 51, 22, 0, 0, 9})             // cut run, seeded inner write, a run continued where it ends
+	f.Add([]byte{11, 0, 0, 200, 12, 0, 0, 200, 17, 0, 0, 99})           // a run, its continuation joined on, truncate into them
+	f.Add([]byte{1, 0, 0, 200, 15, 0, 0, 60, 16, 0, 0, 60, 3, 0, 0, 0}) // copied bytes, seeded writes straddling both ends, an exact overwrite
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 4*400 {
 			prog = prog[:4*400]
@@ -225,105 +236,45 @@ func FuzzBlob(f *testing.F) {
 	})
 }
 
-// A read inside one shared extent returns a frozen view of it, capacity
-// clipped, and nothing done to the blob afterwards changes the bytes the
-// view shows: not an overwrite of the range, copied or frozen, not a
-// truncate into it, not an append where the truncate cut. Any other read
-// is a private copy.
-func TestSharedExtentReadIsAFrozenView(t *testing.T) {
-	kept := make([]byte, 8<<10)
-	for i := range kept {
-		kept[i] = byte(i*11 + 1)
-	}
+// A read inside one seeded extent is a cut of its run, without bytes, and
+// so is a read inside two extents the blob joined because the second
+// continues the first's run. A read across a seeded extent and real bytes,
+// or two unrelated runs, generates and copies.
+func TestSeededExtentReadIsASeededView(t *testing.T) {
+	const seed, n = 42, 8 << 10
+	want := trace.DataFor(seed, 2*n)
+	run := netsim.SeededPayload(seed, 2*n)
 	var b Blob
-	b.put(1000, int64(len(kept)), kept, kept)
-	b.Write(1000+int64(len(kept)), netsim.BytesPayload(make([]byte, 100)))
-	view := b.Read(2000, 3000)
-	if !view.Frozen || &view.Data[0] != &kept[1000] || cap(view.Data) != 3000 {
-		t.Fatalf("an in-extent read of shared bytes is not a clipped frozen view (frozen %v, cap %d)", view.Frozen, cap(view.Data))
+	b.Write(1000, run.Slice(0, n))
+	b.Write(1000+n, run.Slice(n, n)) // continues the run: joined
+	b.Write(1000+2*n, netsim.BytesPayload(make([]byte, 100)))
+	b.Write(1000+3*n, netsim.SeededPayload(seed+1, 100))
+	if len(b.extents) != 3 {
+		t.Fatalf("%d extents, want the joined run, the bytes and the other run", len(b.extents))
 	}
-	want := slices.Clone(view.Data)
-	for _, x := range []struct {
-		what string
-		read func() netsim.Payload
+	for _, r := range []struct {
+		off, n int64
+		seeded bool
 	}{
-		{"straddling the shared extent's start", func() netsim.Payload { return b.Read(900, 200) }},
-		{"straddling its end", func() netsim.Payload { return b.Read(9000, 300) }},
-		{"the private extent", func() netsim.Payload { return b.Read(9200, 50) }},
+		{2000, 3000, true},
+		{1000 + n - 5, 10, true},
+		{1003, 2 * n, false},
+		{900, 200, false},
+		{1000 + 2*n, 100, false},
+		{1000 + 3*n, 100, true},
 	} {
-		if got := x.read(); got.Frozen {
-			t.Errorf("a read %s came back frozen", x.what)
+		got := b.Read(r.off, r.n)
+		if got.Seeded() != r.seeded || (r.seeded && got.Data != nil) {
+			t.Errorf("read [%d, +%d): seeded %v with %d bytes, want seeded %v", r.off, r.n, got.Seeded(), len(got.Data), r.seeded)
+		}
+		if hi := min(r.off+r.n, 1000+2*n); r.off >= 1000 && r.off < hi {
+			have := make([]byte, r.n)
+			got.CopyTo(have)
+			if !bytes.Equal(have[:hi-r.off], want[r.off-1000:hi-1000]) {
+				t.Errorf("read [%d, +%d) differs from the seed's bytes", r.off, r.n)
+			}
 		}
 	}
-	steps := []struct {
-		what string
-		do   func()
-	}{
-		{"a copied overwrite", func() { b.Write(2000, netsim.BytesPayload(bytes.Repeat([]byte{0xee}, 3000))) }},
-		{"a frozen overwrite", func() { fz := bytes.Repeat([]byte{0xdd}, 3000); b.put(2000, 3000, fz, fz) }},
-		{"a truncate into the range", func() { b.Truncate(3500) }},
-		{"an append where the truncate cut", func() { b.Write(3500, netsim.BytesPayload(bytes.Repeat([]byte{0xcc}, 2000))) }},
-		{"a truncate to nothing", func() { b.Truncate(0) }},
-	}
-	for _, s := range steps {
-		s.do()
-		if !bytes.Equal(view.Data, want) {
-			t.Fatalf("%s changed the bytes a read had returned", s.what)
-		}
-	}
-}
-
-// holds reports whether a shared extent of b points into arr's backing
-// array.
-func (b *Blob) holds(arr []byte) bool {
-	lo := uintptr(unsafe.Pointer(unsafe.SliceData(arr)))
-	hi := lo + uintptr(cap(arr))
-	for _, x := range b.extents {
-		if p := uintptr(unsafe.Pointer(unsafe.SliceData(x.data))); x.shared && lo <= p && p < hi {
-			return true
-		}
-	}
-	return false
-}
-
-// One frozen payload kept by two blobs — the two copies of a replica — is
-// stored once: rewriting, truncating and appending to one blob changes
-// neither the other blob nor the buffer.
-func TestFrozenPayloadSharedByTwoBlobs(t *testing.T) {
-	buf := make([]byte, 4<<10)
-	for i := range buf {
-		buf[i] = byte(i*7 + 3)
-	}
-	pristine := slices.Clone(buf)
-	var a, b Blob
-	var ma, mb blobModel
-	for _, x := range []struct {
-		blob  *Blob
-		model *blobModel
-	}{{&a, &ma}, {&b, &mb}} {
-		x.blob.put(100, int64(len(buf)), buf, buf)
-		x.model.write(100, buf)
-		if &x.blob.extents[0].data[0] != &buf[0] {
-			t.Fatal("a frozen payload was copied, not kept")
-		}
-	}
-
-	inner := bytes.Repeat([]byte{0xee}, 64)
-	a.Write(1000, netsim.BytesPayload(inner)) // inside the shared extent
-	ma.write(1000, inner)
-	ma.check(t, &a, "inner write")
-	a.Truncate(2000)
-	ma.truncate(2000)
-	ma.check(t, &a, "truncate")
-	tail := bytes.Repeat([]byte{0xdd}, 128)
-	a.Write(2000, netsim.BytesPayload(tail)) // an append where the shared head ends
-	ma.write(2000, tail)
-	ma.check(t, &a, "append")
-
-	if !bytes.Equal(buf[:cap(buf)], pristine) {
-		t.Fatal("the frozen buffer changed")
-	}
-	mb.check(t, &b, "the other blob")
 }
 
 // Sequential small appends — a journal — coalesce into chunk-sized extents.

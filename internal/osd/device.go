@@ -211,18 +211,14 @@ func (d *Device) Lookup(id ObjectID) (*Object, error) {
 }
 
 // Write stores payload at offset off in object id, paying per-op overhead
-// plus size/bandwidth on the disk (write-through). A frozen payload is kept
-// by reference, not copied (netsim.Payload.Frozen).
+// plus size/bandwidth on the disk (write-through). Real bytes are copied; a
+// seeded run is stored as a run (Blob).
 func (d *Device) Write(p *sim.Proc, id ObjectID, off int64, payload netsim.Payload) error {
 	if _, ok := d.objects[id]; !ok {
 		return ErrNoObject
 	}
 	d.disk.Wait(p, d.enqueue(d.params.PerOpOverhead+sim.Rate(payload.Size, d.params.BandwidthBps), jobOther))
-	var keep []byte
-	if payload.Frozen {
-		keep = payload.Data
-	}
-	return d.store(id, off, payload, keep)
+	return d.store(id, off, payload)
 }
 
 // Append writes a log record at offset off of object id, as Write does,
@@ -232,8 +228,8 @@ func (d *Device) Write(p *sim.Proc, id ObjectID, off int64, payload netsim.Paylo
 // in place already. Nothing can come between the two: that job is the
 // queue's tail. Any other job queued since — a data write, a Truncate,
 // Remove or CreateWithID of the log object — is the tail instead, and the
-// record pays its own positioning cost. The record is always copied, frozen
-// or not, so a caller's buffer may live on its stack.
+// record pays its own positioning cost. The record is copied, so a caller's
+// buffer may live on its stack.
 func (d *Device) Append(p *sim.Proc, id ObjectID, off int64, payload netsim.Payload) error {
 	if _, ok := d.objects[id]; !ok {
 		return ErrNoObject
@@ -247,19 +243,18 @@ func (d *Device) Append(p *sim.Proc, id ObjectID, off int64, payload netsim.Payl
 	d.enqueue(service, jobAppend)
 	d.tail.obj, d.tail.end = id, off+payload.Size
 	d.disk.Wait(p, service)
-	return d.store(id, off, payload, nil)
+	return d.store(id, off, payload)
 }
 
-// store lands a write whose disk time has been paid, keeping keep (the
-// payload's bytes, frozen) by reference if it is non-nil (Blob.put).
-func (d *Device) store(id ObjectID, off int64, payload netsim.Payload, keep []byte) error {
+// store lands a write whose disk time has been paid (Blob.Write).
+func (d *Device) store(id ObjectID, off int64, payload netsim.Payload) error {
 	// Re-fetch: the object may have been removed, or removed and re-created
 	// under the same ID, while we were queued.
 	obj, ok := d.objects[id]
 	if !ok {
 		return ErrNoObject
 	}
-	obj.Data.put(off, payload.Size, payload.Data, keep)
+	obj.Data.Write(off, payload)
 	obj.Modified = d.k.Now()
 	d.writes++
 	d.bytesWritten += payload.Size
@@ -268,6 +263,19 @@ func (d *Device) store(id ObjectID, off int64, payload netsim.Payload, keep []by
 
 // Read returns [off, off+length) of object id, paying disk costs.
 func (d *Device) Read(p *sim.Proc, id ObjectID, off, length int64) (netsim.Payload, error) {
+	return d.read(p, id, off, length, false)
+}
+
+// ReadSynthetic pays the full disk cost of reading [off, off+length) of
+// object id but returns a size-only payload without materializing bytes.
+// Journal replay uses it for records whose payload was synthetic (size-only
+// benchmark data): the recovery *time* is real even when the content never
+// was, and replaying a multi-gigabyte synthetic window must not allocate it.
+func (d *Device) ReadSynthetic(p *sim.Proc, id ObjectID, off, length int64) (netsim.Payload, error) {
+	return d.read(p, id, off, length, true)
+}
+
+func (d *Device) read(p *sim.Proc, id ObjectID, off, length int64, synthetic bool) (netsim.Payload, error) {
 	obj, ok := d.objects[id]
 	if !ok {
 		return netsim.Payload{}, ErrNoObject
@@ -284,32 +292,10 @@ func (d *Device) Read(p *sim.Proc, id ObjectID, off, length int64) (netsim.Paylo
 	}
 	d.reads++
 	d.bytesRead += length
+	if synthetic {
+		return netsim.SyntheticPayload(length), nil
+	}
 	return obj.Data.Read(off, length), nil
-}
-
-// ReadSynthetic pays the full disk cost of reading [off, off+length) of
-// object id but returns a size-only payload without materializing bytes.
-// Journal replay uses it for records whose payload was synthetic (size-only
-// benchmark data): the recovery *time* is real even when the content never
-// was, and replaying a multi-gigabyte synthetic window must not allocate it.
-func (d *Device) ReadSynthetic(p *sim.Proc, id ObjectID, off, length int64) (netsim.Payload, error) {
-	obj, ok := d.objects[id]
-	if !ok {
-		return netsim.Payload{}, ErrNoObject
-	}
-	if off+length > obj.Data.Size() {
-		if off >= obj.Data.Size() {
-			return netsim.Payload{}, nil // EOF
-		}
-		length = obj.Data.Size() - off
-	}
-	d.disk.Wait(p, d.enqueue(d.params.PerOpOverhead+sim.Rate(length, d.params.BandwidthBps), jobOther))
-	if _, ok := d.objects[id]; !ok {
-		return netsim.Payload{}, ErrNoObject
-	}
-	d.reads++
-	d.bytesRead += length
-	return netsim.SyntheticPayload(length), nil
 }
 
 // Remove deletes object id.

@@ -11,6 +11,7 @@ import (
 
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
+	"lwfs/internal/trace"
 )
 
 const mb = 1 << 20
@@ -53,20 +54,20 @@ func TestCreateWriteReadRoundTrip(t *testing.T) {
 	})
 }
 
-// Device.Write keeps a frozen payload; Device.Append copies every record,
-// frozen or not, so a journal's caller may reuse its buffer.
-func TestDeviceKeepsFrozenWritesAndCopiesAppends(t *testing.T) {
+// Device.Write stores a seeded payload as its run, without bytes, and
+// copies real bytes; so does Device.Append, so a journal's caller may reuse
+// its buffer.
+func TestDeviceStoresSeededRunsAndCopiesBytes(t *testing.T) {
 	run(t, func(p *sim.Proc, d *Device) {
 		obj := d.Create(p, 1)
-		kept := []byte("kept by reference")
-		if err := d.Write(p, obj.ID, 0, netsim.Payload{Size: int64(len(kept)), Data: kept, Frozen: true}); err != nil {
+		if err := d.Write(p, obj.ID, 0, netsim.SeededPayload(9, 64)); err != nil {
 			t.Fatal(err)
 		}
-		if &obj.Data.extents[0].data[0] != &kept[0] {
-			t.Fatal("Write copied a frozen payload")
+		if x := obj.Data.extents[0]; !x.pl.Seeded() || x.pl.Data != nil {
+			t.Fatal("Write stored a seeded payload's bytes")
 		}
 		rec := []byte("a journal record")
-		if err := d.Append(p, obj.ID, 64, netsim.Payload{Size: int64(len(rec)), Data: rec, Frozen: true}); err != nil {
+		if err := d.Append(p, obj.ID, 64, netsim.BytesPayload(rec)); err != nil {
 			t.Fatal(err)
 		}
 		copy(rec, "XXXXXXXXXXXXXXXX")
@@ -76,6 +77,13 @@ func TestDeviceKeepsFrozenWritesAndCopiesAppends(t *testing.T) {
 		}
 		if string(got.Data) != "a journal record" {
 			t.Fatalf("Append kept the caller's buffer: read %q", got.Data)
+		}
+		run, err := d.Read(p, obj.ID, 8, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := trace.DataFor(9, 48)[8:]; !run.Seeded() || !bytes.Equal(run.Bytes(), want) {
+			t.Fatalf("a read inside the seeded write: seeded %v, bytes %x, want %x", run.Seeded(), run.Bytes(), want)
 		}
 	})
 }

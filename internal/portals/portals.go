@@ -564,19 +564,8 @@ func (ep *Endpoint) serveGet(req *Event) {
 		src, end := me.md.Payload, req.offset+req.length
 		if req.offset < 0 || req.length < 0 || end > src.Size {
 			reply.err = ErrBounds
-		} else if src.Data != nil {
-			if end > int64(len(src.Data)) {
-				end = int64(len(src.Data))
-			}
-			reply.Payload.Size = req.length
-			if req.offset < end {
-				reply.Payload.Data = src.Data[req.offset:end]
-				// Only the whole of a frozen buffer stays frozen: a holder
-				// must not pin bytes it does not store.
-				reply.Payload.Frozen = src.Frozen && req.offset == 0 && end == int64(len(src.Data))
-			}
 		} else {
-			reply.Payload = netsim.SyntheticPayload(req.length)
+			reply.Payload = src.Slice(req.offset, req.length)
 		}
 		if me.once {
 			me.Unlink()

@@ -225,7 +225,7 @@ func (f *File) OpenDataset(p *sim.Proc, name string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := decodeHeader(payload.Data)
+	d, err := decodeHeader(payload.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +432,7 @@ func (d *Dataset) ReadSlab(p *sim.Proc, start, count []int64) (netsim.Payload, e
 			if err != nil {
 				return netsim.Payload{}, err
 			}
-			if got.Data != nil && buf == nil {
+			if !got.Synthetic() && buf == nil {
 				buf = make([]byte, total)
 			}
 			rq.Scatter(run.base, buf, got)

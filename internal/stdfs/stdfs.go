@@ -35,12 +35,9 @@ import (
 	"errors"
 	"io"
 	"io/fs"
-	"maps"
 	gopath "path"
 	"sort"
 	"time"
-	"unsafe"
-	"weak"
 
 	"lwfs/internal/lwfspfs"
 	"lwfs/internal/naming"
@@ -51,50 +48,13 @@ import (
 
 // FS is the facade over one mounted lwfspfs.FS, bound to a single proc.
 type FS struct {
-	p      *sim.Proc
-	pfs    *lwfspfs.FS
-	seeded seededMemo
-}
-
-// seededMemo hands every seeded write of one (seed, length) the buffer the
-// first such write generated, so replay clones on one mount expand their
-// shared content once and their files share its frozen bytes. An entry is
-// weak: it names a buffer only while something else (a device extent, a
-// write in flight) still holds it, so the memo pins nothing. Dead entries
-// are dropped once the map has doubled since the last sweep.
-type seededMemo struct {
-	bufs  map[seededKey]weak.Pointer[byte]
-	swept int // len(bufs) after the last sweep
-}
-
-type seededKey struct {
-	seed uint64
-	n    int64
-}
-
-// data returns trace.DataFor(seed, n), shared: the caller must not modify it.
-func (m *seededMemo) data(seed uint64, n int64) []byte {
-	k := seededKey{seed, n}
-	if b := m.bufs[k].Value(); b != nil {
-		return unsafe.Slice(b, n)
-	}
-	data := trace.DataFor(seed, n)
-	if len(data) == 0 {
-		return data
-	}
-	if len(m.bufs) >= 2*m.swept {
-		maps.DeleteFunc(m.bufs, func(_ seededKey, w weak.Pointer[byte]) bool { return w.Value() == nil })
-		m.swept = len(m.bufs)
-	}
-	m.bufs[k] = weak.Make(&data[0])
-	return data
+	p   *sim.Proc
+	pfs *lwfspfs.FS
 }
 
 // New binds a mounted file system to the proc whose goroutine will call
 // the facade. See the package comment for the single-proc discipline.
-func New(p *sim.Proc, pfs *lwfspfs.FS) *FS {
-	return &FS{p: p, pfs: pfs, seeded: seededMemo{bufs: map[seededKey]weak.Pointer[byte]{}}}
-}
+func New(p *sim.Proc, pfs *lwfspfs.FS) *FS { return &FS{p: p, pfs: pfs} }
 
 // Proc returns the bound proc.
 func (x *FS) Proc() *sim.Proc { return x.p }
@@ -236,10 +196,7 @@ func (x *FS) Mkdir(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := x.pfs.Mkdir(x.p, pth); err != nil {
-		return wrap("mkdir", name, err)
-	}
-	return nil
+	return wrap("mkdir", name, x.pfs.Mkdir(x.p, pth))
 }
 
 // Remove unlinks a file and frees its objects.
@@ -248,10 +205,7 @@ func (x *FS) Remove(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := x.pfs.Remove(x.p, pth); err != nil {
-		return wrap("remove", name, err)
-	}
-	return nil
+	return wrap("remove", name, x.pfs.Remove(x.p, pth))
 }
 
 // File is an open file handle. It implements fs.File plus io.ReaderAt,
@@ -295,19 +249,11 @@ func (f *File) ReadAt(b []byte, off int64) (int, error) {
 		return 0, wrap("read", f.name, fs.ErrClosed)
 	}
 	pay, err := f.f.ReadAt(f.fsys.p, off, int64(len(b)))
-	n := int(pay.Size)
-	if pay.Data != nil {
-		copy(b[:n], pay.Data)
-	} else {
-		clear(b[:n])
-	}
-	if err != nil {
-		return n, wrap("read", f.name, err)
-	}
-	if n < len(b) {
+	n := pay.CopyTo(b)
+	if err == nil && n < len(b) {
 		return n, io.EOF
 	}
-	return n, nil
+	return n, wrap("read", f.name, err)
 }
 
 // Write writes at the current position.
@@ -319,49 +265,24 @@ func (f *File) Write(b []byte) (int, error) {
 
 // WriteAt writes b at off (io.WriterAt), under the file's POSIX lock.
 func (f *File) WriteAt(b []byte, off int64) (int, error) {
-	if err := f.writeOK(); err != nil {
-		return 0, err
-	}
-	n, err := f.f.WriteAt(f.fsys.p, off, netsim.BytesPayload(b))
-	if err != nil {
-		return int(n), wrap("write", f.name, err)
-	}
-	return int(n), nil
+	n, err := f.write(off, netsim.BytesPayload(b))
+	return int(n), err
 }
 
 // WriteSynthetic writes length bytes of synthetic bulk data at off — the
 // simulation moves (and accounts) the bytes without materializing them.
 // Such ranges read back as zeros.
 func (f *File) WriteSynthetic(off, length int64) (int64, error) {
-	if err := f.writeOK(); err != nil {
-		return 0, err
-	}
-	n, err := f.f.WriteAt(f.fsys.p, off, netsim.SyntheticPayload(length))
-	if err != nil {
-		return n, wrap("write", f.name, err)
-	}
-	return n, nil
+	return f.write(off, netsim.SyntheticPayload(length))
 }
 
-// WriteSeeded writes length bytes generated from a trace content seed —
-// the replayer's write path (trace.File). The bytes are generated once per
-// (seed, length) on this FS: a later write of the same content, such as
-// another replay clone's, gets the same buffer. It is handed down frozen:
-// nothing modifies it, so every server holding a copy of the range, in
-// every file written with it, keeps that one buffer rather than a copy.
+// WriteSeeded writes the length bytes trace.DataFor(seed, length) — the
+// replayer's write path (trace.File) — as a seeded payload: the bytes are
+// never made on the way to the servers, which store the run itself, and a
+// reader gets them generated where it needs them (ReadAt). Seed 0 writes
+// synthetic data.
 func (f *File) WriteSeeded(off, length int64, seed uint64) (int64, error) {
-	if seed == 0 {
-		return f.WriteSynthetic(off, length)
-	}
-	if err := f.writeOK(); err != nil {
-		return 0, err
-	}
-	data := f.fsys.seeded.data(seed, length)
-	n, err := f.f.WriteAt(f.fsys.p, off, netsim.Payload{Size: length, Data: data, Frozen: true})
-	if err != nil {
-		return n, wrap("write", f.name, err)
-	}
-	return n, nil
+	return f.write(off, netsim.SeededPayload(seed, length))
 }
 
 // ReadDiscard reads [off, off+length) without handing the bytes back — the
@@ -372,22 +293,20 @@ func (f *File) ReadDiscard(off, length int64) (int64, error) {
 		return 0, wrap("read", f.name, fs.ErrClosed)
 	}
 	pay, err := f.f.ReadAt(f.fsys.p, off, length)
-	if err != nil {
-		return pay.Size, wrap("read", f.name, err)
-	}
-	return pay.Size, nil
+	return pay.Size, wrap("read", f.name, err)
 }
 
-// writeOK refuses a write through a closed or read-only handle. A byte
+// write writes pl at off, refusing a closed or read-only handle. A byte
 // range no file can have is lwfspfs's to refuse.
-func (f *File) writeOK() error {
+func (f *File) write(off int64, pl netsim.Payload) (int64, error) {
 	if f.closed {
-		return wrap("write", f.name, fs.ErrClosed)
+		return 0, wrap("write", f.name, fs.ErrClosed)
 	}
 	if !f.writable {
-		return wrap("write", f.name, errors.New("file opened read-only"))
+		return 0, wrap("write", f.name, errors.New("file opened read-only"))
 	}
-	return nil
+	n, err := f.f.WriteAt(f.fsys.p, off, pl)
+	return n, wrap("write", f.name, err)
 }
 
 // Seek sets the shared Read/Write position (io.Seeker).
@@ -418,10 +337,7 @@ func (f *File) Sync() error {
 	if f.closed {
 		return wrap("sync", f.name, fs.ErrClosed)
 	}
-	if err := f.f.Sync(f.fsys.p); err != nil {
-		return wrap("sync", f.name, err)
-	}
-	return nil
+	return wrap("sync", f.name, f.f.Sync(f.fsys.p))
 }
 
 // Close persists metadata if needed and invalidates the handle.
@@ -430,8 +346,7 @@ func (f *File) Close() error {
 		return wrap("close", f.name, fs.ErrClosed)
 	}
 	f.closed = true
-	err := f.f.Close(f.fsys.p)
-	return wrap("close", f.name, err)
+	return wrap("close", f.name, f.f.Close(f.fsys.p))
 }
 
 // Dir is an open directory handle (fs.ReadDirFile). Entries load lazily on

@@ -8,7 +8,6 @@ import (
 	"io/fs"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/fstest"
 	"time"
@@ -368,10 +367,10 @@ func TestReadWriteRefuseNegativeLength(t *testing.T) {
 // byte, one per server.
 var replicaOpts = lwfspfs.Options{Scheme: stripe.Replica, Stripes: 1}
 
-// A replay write hands its bytes down frozen, so both copies of a replica
-// keep one buffer. Rewriting half of it with another seed must still leave
-// each copy with the new bytes: read with either server crashed, the file
-// is the second write over the first.
+// A replay write travels as its seed, and both copies of a replica store
+// the run. Rewriting half of it with another seed must still leave each
+// copy with the new bytes: read with either server crashed, the file is the
+// second write over the first.
 func TestSeededOverwriteReadsBackFromEitherCopy(t *testing.T) {
 	withMount(t, replicaOpts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
 		const n = 64 << 10
@@ -415,73 +414,80 @@ func TestSeededOverwriteReadsBackFromEitherCopy(t *testing.T) {
 	})
 }
 
-// Seeded writes on a 2-copy mount allocate their bytes once: both servers
-// keep the generated buffer instead of copying it, so the host allocates
-// little more than one byte per byte written (three when each copy was
-// private).
-func TestSeededWriteAllocatesItsBytesOnce(t *testing.T) {
+// Replay clones write the same content seed into files of their own, and
+// each file reads back the seed's bytes.
+func TestSeededClonesReadBackTheirSeed(t *testing.T) {
 	withMount(t, replicaOpts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
-		const n, writes = 256 << 10, 16
-		f, err := x.Create("alloc.dat")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteSeeded(0, n, 1); err != nil { // warm the path
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < writes; i++ {
-			if _, err := f.WriteSeeded(int64(i)*n, n, uint64(i+2)); err != nil {
+		const n, files, seed = 256 << 10, 4, 9
+		for i := 0; i < files; i++ {
+			f, err := x.Create(fmt.Sprintf("clone%d.dat", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteSeeded(0, n, seed); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		runtime.ReadMemStats(&after)
-		perByte := float64(after.TotalAlloc-before.TotalAlloc) / (writes * n)
-		t.Logf("%.3f bytes allocated per seeded byte written", perByte)
-		if perByte > 1.25 {
-			t.Fatalf("%.2f bytes allocated per seeded byte written, want at most 1.25", perByte)
+		want := trace.DataFor(seed, n)
+		for i := 0; i < files; i++ {
+			if got, err := fs.ReadFile(x, fmt.Sprintf("clone%d.dat", i)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("clone%d.dat: %d bytes, %v; want the seed's %d bytes", i, len(got), err, n)
+			}
 		}
 	})
 }
 
-// Replay clones write the same content seeds. Through one FS every write of
-// a (seed, length) after the first reuses the first one's buffer, so
-// sixteen files cost the bytes of one, and each reads back its content.
-func TestSeededClonesShareOneBuffer(t *testing.T) {
-	withMount(t, replicaOpts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
-		const n, files, seed = 256 << 10, 16, 9
-		fl := make([]*stdfs.File, files)
-		for i := range fl {
-			var err error
-			if fl[i], err = x.Create(fmt.Sprintf("clone%d.dat", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := fl[0].WriteSeeded(0, n, seed); err != nil {
+// Seeded content on a parity mount reads back bit-exact with a column's
+// server down. Writes of one stripe each keep every column's unit a seeded
+// run; a partial write across two columns updates parity read-modify-write
+// from the old runs. A degraded read of one stripe then XORs the surviving
+// columns' runs, generated, with parity; a read of the whole file does the
+// same over bytes.
+func TestSeededParityReadsBackDegraded(t *testing.T) {
+	const unit = 4096
+	withMount(t, lwfspfs.Options{Scheme: stripe.Parity, StripeUnit: unit}, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
+		f, err := x.Create("parity.dat")
+		if err != nil {
 			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for _, f := range fl[1:] {
-			if _, err := f.WriteSeeded(0, n, seed); err != nil {
+		l := f.Handle().Layout()
+		row := int64(l.Width()) * unit
+		var want []byte
+		for i, w := range []struct {
+			off, n int64
+		}{{0, row}, {row, row}, {unit + 100, unit}} {
+			if _, err := f.WriteSeeded(w.off, w.n, uint64(21+i)); err != nil {
 				t.Fatal(err)
 			}
-		}
-		runtime.ReadMemStats(&after)
-		perByte := float64(after.TotalAlloc-before.TotalAlloc) / ((files - 1) * n)
-		t.Logf("%.4f bytes allocated per seeded byte after the first write", perByte)
-		if perByte > 0.1 {
-			t.Errorf("%.3f bytes allocated per seeded byte after the first write, want at most 0.1", perByte)
-		}
-		want := trace.DataFor(seed, n)
-		for i, f := range fl {
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
+			if end := w.off + w.n; end > int64(len(want)) {
+				want = append(want, make([]byte, end-int64(len(want)))...)
 			}
-			if got, err := fs.ReadFile(x, fmt.Sprintf("clone%d.dat", i)); err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("clone%d.dat: %d bytes, %v; want the seed's %d bytes", i, len(got), err, n)
+			copy(want[w.off:], trace.DataFor(uint64(21+i), w.n))
+		}
+		l = f.Handle().Layout()
+		dead := storage.TargetOf(l.Objs[1])
+		for _, srv := range lw.Servers {
+			if (storage.Target{Node: srv.Node(), Port: srv.RPCPort()}) == dead {
+				srv.Crash()
 			}
+		}
+		for off := int64(0); off < 2*row; off += row {
+			got := make([]byte, row)
+			if _, err := f.ReadAt(got, off); err != nil {
+				t.Fatalf("degraded read of the stripe at %d: %v", off, err)
+			}
+			if !bytes.Equal(got, want[off:off+row]) {
+				t.Fatalf("a degraded read of the stripe at %d differs from the seeds' bytes", off)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := fs.ReadFile(x, "parity.dat"); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("a degraded read of the whole file: %v, or it differs from the seeds' bytes", err)
 		}
 	})
 }
@@ -513,38 +519,10 @@ func TestSeededLengthsKeepTheirBytes(t *testing.T) {
 	})
 }
 
-// The memo keeps no buffer alive by itself: 1 024 distinct seeds written
-// over 16 offsets leave 16 of them in the file, and after a collection the
-// heap holds little more than those (a memo that kept every buffer would
-// hold 64 MiB).
-func TestSeededMemoPinsNothing(t *testing.T) {
-	withMount(t, replicaOpts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
-		const n, writes = 64 << 10, 1024
-		f, err := x.Create("churn.dat")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < writes; i++ {
-			if _, err := f.WriteSeeded(int64(i%16)*n, n, uint64(i+1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		grew := int64(after.HeapInuse) - int64(before.HeapInuse)
-		t.Logf("heap in use grew by %.2f MiB", float64(grew)/(1<<20))
-		if grew >= 16<<20 {
-			t.Errorf("heap in use grew by %.1f MiB over %d seeded writes, want under 16", float64(grew)/(1<<20), writes)
-		}
-	})
-}
-
 // BenchmarkWriteSeeded is one 64 KiB replay write on a 2-copy replica
-// mount: generating the bytes, the write RPC to both servers, their pulls
-// and stores. Writes cycle over 16 offsets, so the file stops growing.
+// mount: the write RPC to both servers, their pulls of the seeded run and
+// their stores of it. Writes cycle over 16 offsets, so the file stops
+// growing.
 func BenchmarkWriteSeeded(b *testing.B) {
 	withMount(b, replicaOpts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
 		const n = 64 << 10
@@ -557,37 +535,6 @@ func BenchmarkWriteSeeded(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := f.WriteSeeded(int64(i%16)*n, n, uint64(i+1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-	})
-}
-
-// BenchmarkWriteSeededRepeat is BenchmarkWriteSeeded for content the mount
-// wrote before — the replay clone case: a first file holds the 16 seeds, and
-// the timed writes put the same seeds at the same offsets of a second file.
-func BenchmarkWriteSeededRepeat(b *testing.B) {
-	withMount(b, replicaOpts, func(p *sim.Proc, cl *cluster.Cluster, lw *cluster.LWFS, x *stdfs.FS) {
-		const n = 64 << 10
-		first, err := x.Create("first.dat")
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 16; i++ {
-			if _, err := first.WriteSeeded(int64(i)*n, n, uint64(i+1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		f, err := x.Create("clone.dat")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := f.WriteSeeded(int64(i%16)*n, n, uint64(i%16+1)); err != nil {
 				b.Fatal(err)
 			}
 		}

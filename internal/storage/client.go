@@ -103,9 +103,8 @@ func (c *Client) Write(p *sim.Proc, ref ObjRef, cap authz.Capability, off int64,
 // Read fetches [off, off+length) of the referenced object. The server
 // pushes the data into a posted receive buffer; Read reassembles it.
 // Requires an OpRead capability. Short reads at end-of-object return the
-// available bytes. A reply that arrives whole in one frozen chunk (a view
-// of stored frozen bytes, osd.Blob.Read) is returned uncopied and Frozen:
-// the caller must not write into it.
+// available bytes. A reply whose chunks are consecutive parts of one seeded
+// run (osd.Blob.Read) is returned as that run, without bytes.
 //
 // Reads retry differently from every other request: a retried read must
 // NOT be deduplicated at the server (the whole point is re-pushing the data
@@ -164,24 +163,42 @@ func (c *Client) readOnce(p *sim.Proc, ref ObjRef, cap authz.Capability, off, le
 	if data.Len() != resp.Chunks {
 		return netsim.Payload{}, fmt.Errorf("%w: expected %d chunks, have %d", errChunksLost, resp.Chunks, data.Len())
 	}
-	out := netsim.Payload{Size: resp.Len}
+	return assemble(p, data, resp), nil
+}
+
+// assemble reads a reply's chunks off its slot into one payload: the run
+// they make when they are consecutive parts of one seeded run, else a
+// buffer of their bytes, or a synthetic payload when none has content. It
+// stays out of line, so that its payload temporaries stay off the stack of
+// every reader parked in its call.
+//
+//go:noinline
+func assemble(p *sim.Proc, data *portals.Slot, resp readResp) netsim.Payload {
+	var run netsim.Payload // the chunks so far, while they are one seeded run
+	var buf []byte
 	for i := 0; i < resp.Chunks; i++ {
 		ev, _ := data.Wait(p, 0)
-		switch chunk := ev.Payload; {
-		case chunk.Data == nil:
-		case resp.Chunks == 1 && chunk.Frozen && int64(len(chunk.Data)) == resp.Len:
-			// The whole reply in one frozen chunk: nobody writes it again,
-			// so it is the read's, uncopied.
-			out.Data, out.Frozen = chunk.Data, true
-		default:
-			if out.Data == nil {
-				out.Data = make([]byte, resp.Len)
+		chunk, at, joined := ev.Payload, ev.Hdr.(int64), false
+		if buf == nil && at == run.Size {
+			run, joined = run.Append(chunk)
+		}
+		if !joined && !chunk.Synthetic() {
+			if buf == nil {
+				buf = make([]byte, resp.Len)
+				run.CopyTo(buf)
 			}
-			copy(out.Data[ev.Hdr.(int64):], chunk.Data)
+			chunk.CopyTo(buf[at:])
 		}
 		ev.Release()
 	}
-	return out, nil
+	if buf == nil && run.Seeded() {
+		if run.Size == resp.Len {
+			return run
+		}
+		buf = make([]byte, resp.Len)
+		run.CopyTo(buf)
+	}
+	return netsim.Payload{Size: resp.Len, Data: buf}
 }
 
 // Truncate sets the object's logical size. Requires an OpWrite capability.

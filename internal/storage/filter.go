@@ -24,10 +24,11 @@ import (
 // registered code under a read capability, charge CPU honestly); what the
 // filters compute is application policy.
 
-// FilterFunc folds one chunk of object data into an accumulator. For
-// synthetic payloads (benchmarks) chunk.Data is nil and only sizes matter;
-// filters must handle both. The returned accumulator is passed to the next
-// call; the final accumulator is the reply.
+// FilterFunc folds one chunk of object data into an accumulator. Stored
+// seeded runs arrive as their bytes. For synthetic payloads (benchmarks)
+// chunk.Data is nil and only sizes matter; filters must handle both. The
+// returned accumulator is passed to the next call; the final accumulator is
+// the reply.
 type FilterFunc func(acc []byte, chunk netsim.Payload) []byte
 
 // ErrNoFilter is reported when a request names an unregistered filter.
@@ -72,7 +73,7 @@ func (s *Server) runFilter(p *sim.Proc, r filterReq) (interface{}, error) {
 		// only across requests (service threads), matching a simple
 		// read-then-compute loop.
 		p.Sleep(time.Duration(float64(chunk.Size) / FilterCPUBps * 1e9))
-		acc = fn(acc, chunk)
+		acc = fn(acc, netsim.Payload{Size: chunk.Size, Data: chunk.Bytes()}) // a seeded run as its bytes
 	})
 	if err != nil {
 		return nil, err

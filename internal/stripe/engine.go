@@ -283,7 +283,7 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 	}
 	news := t.pls
 	var parity []byte
-	if payload.Data != nil {
+	if !payload.Synthetic() {
 		parity = make([]byte, pLen)
 	}
 	var failed targetSet
@@ -292,7 +292,7 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 	if full {
 		if parity != nil {
 			for i := range reqs {
-				xorInto(parity, news[i].Data)
+				xorInto(parity, news[i].Bytes())
 			}
 		}
 	} else {
@@ -330,10 +330,10 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 			return 0, failed, fmt.Errorf("stripe/write: %w", ErrUnrecoverable)
 		}
 		if parity != nil && !lost[w] {
-			xorInto(parity, olds[len(reqs)].pl.Data)
+			xorInto(parity, olds[len(reqs)].pl.Bytes())
 			for i, rq := range reqs {
-				xorInto(parity[rq.Off-pOff:], olds[i].pl.Data)
-				xorInto(parity[rq.Off-pOff:], news[i].Data)
+				xorInto(parity[rq.Off-pOff:], olds[i].pl.Bytes())
+				xorInto(parity[rq.Off-pOff:], news[i].Bytes())
 			}
 		}
 	}
@@ -347,8 +347,8 @@ func (e *Engine) writeParity(p *sim.Proc, l Layout, off int64, payload netsim.Pa
 	}
 	if !lost[w] {
 		ppl := netsim.SyntheticPayload(pLen)
-		if parity != nil { // complete, and never touched again
-			ppl = netsim.Payload{Size: pLen, Data: parity, Frozen: true}
+		if parity != nil {
+			ppl = netsim.BytesPayload(parity)
 		}
 		t.ios = append(t.ios, objIO{ref: l.ParityObj(), off: pOff, pl: ppl, obj: w})
 	}
@@ -401,13 +401,13 @@ func (e *Engine) reconstructExtent(p *sim.Proc, l Layout, idx int, objOff, n int
 	}
 	out := netsim.Payload{Size: n}
 	for _, g := range t.ios {
-		if g.pl.Data == nil {
+		if g.pl.Synthetic() {
 			continue
 		}
 		if out.Data == nil {
 			out.Data = make([]byte, n)
 		}
-		xorInto(out.Data, g.pl.Data)
+		xorInto(out.Data, g.pl.Bytes())
 	}
 	return out, nil
 }
@@ -438,8 +438,8 @@ func (s *targetSet) add(t storage.Target) {
 // XOR-reconstructed from the other columns and parity, transparently to the
 // caller (counted by the degraded_reads / reconstructed_bytes instruments).
 // RAID-0 reads fail exactly as before. A hole column issues no request and
-// reads as an empty object. A read served whole by one request may return
-// its frozen payload as it is: the caller must not write into a Frozen one.
+// reads as an empty object. A read whose requests are each one piece and
+// bring back consecutive parts of one seeded run returns that run.
 func (e *Engine) ReadAt(p *sim.Proc, l Layout, off, length int64) (netsim.Payload, error) {
 	t := e.take()
 	defer e.put(t)
@@ -478,15 +478,12 @@ func (e *Engine) ReadAt(p *sim.Proc, l Layout, off, length int64) (netsim.Payloa
 			return out, derr
 		}
 	}
-	if got := t.ios; len(got) == 1 && got[0].pl.Frozen && int64(len(got[0].pl.Data)) == length {
-		// A lone request is contiguous in the file, and nobody writes a
-		// frozen payload again: its bytes are the read's, unscattered.
-		out.Data, out.Frozen = got[0].pl.Data, true
-		return out, nil
+	if run, ok := t.run(); ok {
+		return run, nil
 	}
 	var buf []byte
 	for i, req := range t.reqs {
-		if t.ios[i].pl.Data == nil {
+		if t.ios[i].pl.Synthetic() {
 			continue
 		}
 		if buf == nil {
@@ -598,6 +595,19 @@ func (t *transfer) moved() int64 {
 		n += io.moved
 	}
 	return n
+}
+
+// run joins what the last read fan-out returned into one seeded run, when
+// every request is one piece (the plan lists them in file order then) and
+// each brought back the next part of one run.
+func (t *transfer) run() (run netsim.Payload, ok bool) {
+	ok = len(t.reqs) > 0
+	for i, rq := range t.reqs {
+		if ok = ok && rq.FileOff%rq.unit+rq.Len <= rq.unit && t.ios[i].pl.Size == rq.Len; ok {
+			run, ok = run.Append(t.ios[i].pl)
+		}
+	}
+	return run, ok
 }
 
 // FanOut runs fn(i) for each i in [0, n) on concurrently scheduled simulated

@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 
 	"lwfs/internal/netsim"
 	"lwfs/internal/osd"
@@ -290,9 +289,9 @@ func (l Layout) AppendEncode(b []byte) []byte {
 // ErrBadLayout, and so do bytes Encode would not write back identically.
 func Decode(data []byte) (Layout, error) {
 	var l Layout
-	rest := string(data)
-	line := func() string {
-		ln, r, _ := strings.Cut(rest, "\n")
+	rest := data
+	line := func() []byte {
+		ln, r, _ := bytes.Cut(rest, []byte("\n"))
 		rest = r
 		return ln
 	}
@@ -303,29 +302,29 @@ func Decode(data []byte) (Layout, error) {
 	if l.Unit, err = intAfter(line(), "stripeunit "); err != nil {
 		return Layout{}, err
 	}
-	if strings.HasPrefix(rest, "scheme ") {
+	if bytes.HasPrefix(rest, []byte("scheme ")) {
 		switch ln := line(); {
-		case strings.HasPrefix(ln, "scheme replica "):
+		case bytes.HasPrefix(ln, []byte("scheme replica ")):
 			l.Scheme = Replica
 			copies, err := intAfter(ln, "scheme replica ")
 			if err != nil {
 				return Layout{}, err
 			}
 			l.Copies = int(copies)
-		case ln == "scheme parity":
+		case string(ln) == "scheme parity":
 			l.Scheme = Parity
 		default:
 			return Layout{}, fmt.Errorf("%w: %q", ErrBadLayout, ln)
 		}
 	}
-	l.Objs = make([]storage.ObjRef, 0, strings.Count(rest, "\n"))
-	for rest != "" {
-		f, ok := strings.CutPrefix(line(), "obj ")
-		node, f, _ := strings.Cut(f, " ")
-		port, id, _ := strings.Cut(f, " ")
-		n, err1 := strconv.Atoi(node)
-		pt, err2 := strconv.Atoi(port)
-		i, err3 := strconv.ParseUint(id, 10, 64)
+	l.Objs = make([]storage.ObjRef, 0, bytes.Count(rest, []byte("\n")))
+	for len(rest) > 0 {
+		f, ok := bytes.CutPrefix(line(), []byte("obj "))
+		node, f, _ := bytes.Cut(f, []byte(" "))
+		port, id, _ := bytes.Cut(f, []byte(" "))
+		n, err1 := strconv.Atoi(string(node))
+		pt, err2 := strconv.Atoi(string(port))
+		i, err3 := strconv.ParseUint(string(id), 10, 64)
 		if !ok || err1 != nil || err2 != nil || err3 != nil {
 			return Layout{}, fmt.Errorf("%w: bad object line", ErrBadLayout)
 		}
@@ -348,12 +347,12 @@ func Decode(data []byte) (Layout, error) {
 }
 
 // intAfter parses the integer that follows prefix on a record line.
-func intAfter(line, prefix string) (int64, error) {
-	v, ok := strings.CutPrefix(line, prefix)
+func intAfter(line []byte, prefix string) (int64, error) {
+	v, ok := bytes.CutPrefix(line, []byte(prefix))
 	if !ok {
 		return 0, fmt.Errorf("%w: want %q, got %q", ErrBadLayout, prefix, line)
 	}
-	n, err := strconv.ParseInt(v, 10, 64)
+	n, err := strconv.ParseInt(string(v), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadLayout, err)
 	}
@@ -514,41 +513,34 @@ func (r Request) Pieces(yield func(Piece) bool) {
 }
 
 // Gather assembles the payload for one write request from the file payload
-// starting at file offset off. Synthetic payloads (no backing bytes) stay
-// synthetic; sized ones are copied piece by piece into object order, into a
-// fresh buffer nobody touches again, so it goes out frozen. A request of one
-// piece is already contiguous in the file, so it is returned as a sub-slice
-// of the caller's bytes, not a copy: servers copy it on store, unless it is
-// the whole of a frozen payload, which they keep (netsim.Payload.Frozen).
+// starting at file offset off. A request of one piece is already contiguous
+// in the file, so it is a slice of the caller's payload: a sub-slice of its
+// bytes, which servers copy on store, a cut of its seeded run, or synthetic.
+// A longer one is assembled piece by piece into object order, in a fresh
+// buffer, unless the payload is synthetic.
 func (r Request) Gather(off int64, payload netsim.Payload) netsim.Payload {
-	if payload.Data == nil {
-		return netsim.SyntheticPayload(r.Len)
-	}
-	if r.FileOff%r.unit+r.Len <= r.unit {
-		pl := netsim.BytesPayload(payload.Data[r.FileOff-off : r.FileOff-off+r.Len])
-		pl.Frozen = payload.Frozen && r.Len == int64(len(payload.Data))
-		return pl
+	if r.FileOff%r.unit+r.Len <= r.unit || payload.Synthetic() {
+		return payload.Slice(r.FileOff-off, r.Len)
 	}
 	buf := make([]byte, r.Len)
 	for pc := range r.Pieces {
-		copy(buf[pc.ObjOff-r.Off:], payload.Data[pc.FileOff-off:pc.FileOff-off+pc.Len])
+		payload.Slice(pc.FileOff-off, pc.Len).CopyTo(buf[pc.ObjOff-r.Off:])
 	}
-	return netsim.Payload{Size: r.Len, Data: buf, Frozen: true}
+	return netsim.BytesPayload(buf)
 }
 
 // Scatter distributes one read request's result into the file buffer buf
 // (which covers file offsets [off, off+len(buf))). Short object reads —
-// end-of-object inside the extent — copy only the bytes that arrived.
+// end-of-object inside the extent — fill only the bytes that arrived.
 func (r Request) Scatter(off int64, buf []byte, got netsim.Payload) {
-	if got.Data == nil {
+	if got.Synthetic() {
 		return
 	}
-	avail := int64(len(got.Data))
 	for pc := range r.Pieces {
-		n := min(pc.Len, avail-(pc.ObjOff-r.Off))
-		if n <= 0 {
+		at := pc.ObjOff - r.Off
+		if at >= got.Size {
 			return
 		}
-		copy(buf[pc.FileOff-off:], got.Data[pc.ObjOff-r.Off:pc.ObjOff-r.Off+n])
+		got.Slice(at, min(pc.Len, got.Size-at)).CopyTo(buf[pc.FileOff-off:])
 	}
 }

@@ -2,7 +2,6 @@ package txn
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"lwfs/internal/metrics"
@@ -81,19 +80,6 @@ func (st *lockState) grant(owner Owner, mode LockMode) uint64 {
 	return st.gen
 }
 
-// lock RPC bodies
-
-type lockReq struct {
-	Name  string
-	Mode  LockMode
-	Owner Owner
-}
-
-type unlockReq struct {
-	Name  string
-	Owner Owner
-}
-
 // LockServer is the lock service. It is kernel-event driven; lockOpCost
 // models the per-request processing time.
 type LockServer struct {
@@ -139,13 +125,10 @@ func (ls *LockServer) dispatch(from netsim.NodeID, hdr interface{}) {
 		return
 	}
 	to := addressee{node: from, port: req.replyPort, token: req.token}
-	switch r := req.body.(type) {
-	case lockReq:
-		ls.lock(r, to)
-	case unlockReq:
-		ls.reply(to, 0, ls.unlock(r))
-	default:
-		ls.reply(to, 0, fmt.Errorf("txn: unknown lock request %T", req.body))
+	if req.unlock {
+		ls.reply(to, 0, ls.unlock(req))
+	} else {
+		ls.lock(req, to)
 	}
 }
 
@@ -163,38 +146,38 @@ func (st *lockState) compatible(mode LockMode) bool {
 	return st.mode == Shared && mode == Shared
 }
 
-func (ls *LockServer) lock(r lockReq, to addressee) {
-	st, ok := ls.locks[r.Name]
+func (ls *LockServer) lock(r lockRPC, to addressee) {
+	st, ok := ls.locks[r.name]
 	if !ok {
 		st = &lockState{holders: make(map[Owner]int)}
-		ls.locks[r.Name] = st
+		ls.locks[r.name] = st
 	}
 	// Re-entrant same-mode acquisition by a current holder.
-	if _, held := st.holders[r.Owner]; held && st.mode == r.Mode {
+	if _, held := st.holders[r.owner]; held && st.mode == r.mode {
 		ls.grants.Inc()
-		ls.reply(to, st.grant(r.Owner, r.Mode), nil)
+		ls.reply(to, st.grant(r.owner, r.mode), nil)
 		return
 	}
-	if st.compatible(r.Mode) && len(st.queue) == 0 {
+	if st.compatible(r.mode) && len(st.queue) == 0 {
 		ls.grants.Inc()
-		ls.reply(to, st.grant(r.Owner, r.Mode), nil)
+		ls.reply(to, st.grant(r.owner, r.mode), nil)
 		return
 	}
 	ls.waits.Inc()
-	st.queue = append(st.queue, lockWaiter{owner: r.Owner, mode: r.Mode, to: to})
+	st.queue = append(st.queue, lockWaiter{owner: r.owner, mode: r.mode, to: to})
 }
 
-func (ls *LockServer) unlock(r unlockReq) error {
-	st, ok := ls.locks[r.Name]
+func (ls *LockServer) unlock(r lockRPC) error {
+	st, ok := ls.locks[r.name]
 	if !ok {
 		return ErrNotHeld
 	}
-	if st.holders[r.Owner] == 0 {
+	if st.holders[r.owner] == 0 {
 		return ErrNotHeld
 	}
-	st.holders[r.Owner]--
-	if st.holders[r.Owner] == 0 {
-		delete(st.holders, r.Owner)
+	st.holders[r.owner]--
+	if st.holders[r.owner] == 0 {
+		delete(st.holders, r.owner)
 	}
 	ls.promote(st)
 	return nil
@@ -220,10 +203,15 @@ func (ls *LockServer) promote(st *lockState) {
 // lock client plumbing: the lock server speaks its own tiny protocol
 // (not portals.Serve) so that blocked requests do not pin service threads.
 
+// lockRPC is a lock or unlock request, flat: the event's header boxes it
+// once.
 type lockRPC struct {
 	token     uint64
 	replyPort portals.Index
-	body      interface{}
+	unlock    bool
+	name      string
+	mode      LockMode // a lock's
+	owner     Owner
 }
 
 type lockReply struct {
@@ -247,11 +235,10 @@ func NewLockClient(ep *portals.Endpoint, server netsim.NodeID, tag uint64) *Lock
 	return &LockClient{ep: ep, server: server, owner: Owner{Node: ep.Node(), Tag: tag}}
 }
 
-func (lc *LockClient) call(p *sim.Proc, body interface{}) (uint64, error) {
-	token := lc.ep.NextToken()
-	slot := lc.ep.Post(lockReplyPortal, portals.MatchBits(token), true)
-	lc.ep.Put(lc.server, LockPortal, 0, lockRPC{token: token, replyPort: lockReplyPortal, body: body},
-		netsim.SyntheticPayload(96))
+func (lc *LockClient) call(p *sim.Proc, req lockRPC) (uint64, error) {
+	req.token, req.replyPort, req.owner = lc.ep.NextToken(), lockReplyPortal, lc.owner
+	slot := lc.ep.Post(lockReplyPortal, portals.MatchBits(req.token), true)
+	lc.ep.Put(lc.server, LockPortal, 0, req, netsim.SyntheticPayload(96))
 	ev, _ := slot.Wait(p, 0)
 	r := ev.Hdr.(lockReply)
 	ev.Release()
@@ -265,11 +252,11 @@ func (lc *LockClient) call(p *sim.Proc, body interface{}) (uint64, error) {
 // grant and now gets g+1 (exclusive) or g (shared) knows nobody else held the
 // lock exclusively in between, so state it cached under the lock is current.
 func (lc *LockClient) Lock(p *sim.Proc, name string, mode LockMode) (uint64, error) {
-	return lc.call(p, lockReq{Name: name, Mode: mode, Owner: lc.owner})
+	return lc.call(p, lockRPC{name: name, mode: mode})
 }
 
 // Unlock releases one grant of the named lock.
 func (lc *LockClient) Unlock(p *sim.Proc, name string) error {
-	_, err := lc.call(p, unlockReq{Name: name, Owner: lc.owner})
+	_, err := lc.call(p, lockRPC{unlock: true, name: name})
 	return err
 }

@@ -342,7 +342,7 @@ func (pt *Participant) ReadJournal(p *sim.Proc) ([]JournalRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseJournal(payload.Data), nil
+	return parseJournal(payload.Bytes()), nil
 }
 
 func parseJournal(data []byte) []JournalRecord {
