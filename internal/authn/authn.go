@@ -17,7 +17,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"time"
 
 	"lwfs/internal/metrics"
@@ -128,41 +127,47 @@ func Start(ep *portals.Endpoint, realm *Realm) *Service {
 	s.logins = an.Counter("logins")
 	s.verifies = an.Counter("verifies")
 	s.revokes = an.Counter("revokes")
-	portals.Serve(ep, Portal, "authn", 2, s.handle)
+	portals.ServeOps(ep, Portal, "authn", 2, serviceOps, s)
 	return s
 }
 
-func (s *Service) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	p.Sleep(opCost)
-	switch r := req.(type) {
-	case loginReq:
-		return s.login(p, r)
-	case verifyReq:
-		s.verifies.Inc()
-		return nil, s.check(r.Cred)
-	case identityReq:
-		s.verifies.Inc()
-		user, err := s.identity(r.Cred)
-		if err != nil {
-			return nil, err
-		}
-		return VerifyResult{User: user}, nil
-	case revokeReq:
-		s.revokes.Inc()
-		rec, ok := s.creds[r.Cred.Token]
-		if !ok {
-			return nil, ErrInvalidCred
-		}
-		rec.revoked = true
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("authn: unknown request %T", req)
-	}
-}
+// The authentication service's operations, and its handler table.
+var (
+	opLogin    = portals.NewOp[loginReq, Credential]()
+	opVerify   = portals.NewOp[verifyReq, struct{}]()
+	opIdentity = portals.NewOp[identityReq, VerifyResult]()
+	opRevoke   = portals.NewOp[revokeReq, struct{}]()
 
-func (s *Service) login(p *sim.Proc, r loginReq) (interface{}, error) {
+	serviceOps = portals.NewOps(
+		portals.Handle(opLogin, (*Service).login),
+		portals.Handle(opVerify, func(s *Service, p *sim.Proc, _ netsim.NodeID, r *verifyReq) (struct{}, error) {
+			p.Sleep(opCost)
+			s.verifies.Inc()
+			return struct{}{}, s.check(r.Cred)
+		}),
+		portals.Handle(opIdentity, func(s *Service, p *sim.Proc, _ netsim.NodeID, r *identityReq) (VerifyResult, error) {
+			p.Sleep(opCost)
+			s.verifies.Inc()
+			user, err := s.identity(r.Cred)
+			return VerifyResult{User: user}, err
+		}),
+		portals.Handle(opRevoke, func(s *Service, p *sim.Proc, _ netsim.NodeID, r *revokeReq) (struct{}, error) {
+			p.Sleep(opCost)
+			s.revokes.Inc()
+			rec, ok := s.creds[r.Cred.Token]
+			if !ok {
+				return struct{}{}, ErrInvalidCred
+			}
+			rec.revoked = true
+			return struct{}{}, nil
+		}),
+	)
+)
+
+func (s *Service) login(p *sim.Proc, _ netsim.NodeID, r *loginReq) (Credential, error) {
+	p.Sleep(opCost)
 	if !s.realm.check(r.User, r.Secret) {
-		return nil, ErrBadLogin
+		return Credential{}, ErrBadLogin
 	}
 	s.logins.Inc()
 	s.nonce++
@@ -223,33 +228,26 @@ func NewClient(caller *portals.Caller, server netsim.NodeID) *Client {
 // Login authenticates against the realm and returns a credential.
 // This is the paper's GETCREDS().
 func (c *Client) Login(p *sim.Proc, user Principal, secret string) (Credential, error) {
-	v, err := c.caller.Call(p, c.server, Portal, loginReq{User: user, Secret: secret}, reqWireSize, credWireSize)
-	if err != nil {
-		return Credential{}, err
-	}
-	return v.(Credential), nil
+	return portals.Invoke(c.caller, p, c.server, Portal, opLogin, &loginReq{User: user, Secret: secret}, reqWireSize, credWireSize)
 }
 
 // Verify checks a credential with the issuing service.
 func (c *Client) Verify(p *sim.Proc, cred Credential) error {
-	_, err := c.caller.Call(p, c.server, Portal, verifyReq{Cred: cred}, credWireSize, 16)
+	_, err := portals.Invoke(c.caller, p, c.server, Portal, opVerify, &verifyReq{Cred: cred}, credWireSize, 16)
 	return err
 }
 
 // Identity verifies a credential and returns its principal. Used by the
 // authorization service (which trusts authn — Figure 5).
 func (c *Client) Identity(p *sim.Proc, cred Credential) (Principal, error) {
-	v, err := c.caller.Call(p, c.server, Portal, identityReq{Cred: cred}, credWireSize, 64)
-	if err != nil {
-		return "", err
-	}
-	return v.(VerifyResult).User, nil
+	v, err := portals.Invoke(c.caller, p, c.server, Portal, opIdentity, &identityReq{Cred: cred}, credWireSize, 64)
+	return v.User, err
 }
 
 // Revoke invalidates a credential immediately (application exit or
 // compromise, paper §3.1.4).
 func (c *Client) Revoke(p *sim.Proc, cred Credential) error {
-	_, err := c.caller.Call(p, c.server, Portal, revokeReq{Cred: cred}, credWireSize, 16)
+	_, err := portals.Invoke(c.caller, p, c.server, Portal, opRevoke, &revokeReq{Cred: cred}, credWireSize, 16)
 	return err
 }
 

@@ -198,32 +198,43 @@ func Start(ep *portals.Endpoint, ac *authn.Client) *Service {
 	s.cacheRegistrations = az.Counter("cache_regs")
 	s.revocations = az.Counter("revocations")
 	s.invalidationsSent = az.Counter("invalidations")
-	portals.Serve(ep, Portal, "authz", 2, s.handle)
+	portals.ServeOps(ep, Portal, "authz", 2, serviceOps, s)
 	return s
 }
 
-func (s *Service) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	p.Sleep(opCost)
-	switch r := req.(type) {
-	case createContainerReq:
-		return s.createContainer(p, r)
-	case getCapsReq:
-		return s.getCaps(p, r)
-	case verifyCapsReq:
-		return nil, s.verifyCaps(from, r)
-	case revokeReq:
-		return nil, s.revoke(p, r)
-	case setACLReq:
-		return nil, s.setACL(p, r)
-	default:
-		return nil, fmt.Errorf("authz: unknown request %T", req)
-	}
-}
+// The authorization service's operations, its handler table, and the
+// revocation callback a CapCache serves.
+var (
+	opCreateContainer = portals.NewOp[createContainerReq, ContainerID]()
+	opGetCaps         = portals.NewOp[getCapsReq, []Capability]()
+	opVerifyCaps      = portals.NewOp[verifyCapsReq, struct{}]()
+	opRevoke          = portals.NewOp[revokeReq, struct{}]()
+	opSetACL          = portals.NewOp[setACLReq, struct{}]()
+	opInvalidate      = portals.NewOp[InvalidateCaps, struct{}]()
 
-func (s *Service) createContainer(p *sim.Proc, r createContainerReq) (interface{}, error) {
+	serviceOps = portals.NewOps(
+		portals.Handle(opCreateContainer, (*Service).createContainer),
+		portals.Handle(opGetCaps, (*Service).getCaps),
+		portals.Handle(opVerifyCaps, func(s *Service, p *sim.Proc, from netsim.NodeID, r *verifyCapsReq) (struct{}, error) {
+			p.Sleep(opCost)
+			return struct{}{}, s.verifyCaps(from, r)
+		}),
+		portals.Handle(opRevoke, func(s *Service, p *sim.Proc, _ netsim.NodeID, r *revokeReq) (struct{}, error) {
+			p.Sleep(opCost)
+			return struct{}{}, s.revoke(p, r)
+		}),
+		portals.Handle(opSetACL, func(s *Service, p *sim.Proc, _ netsim.NodeID, r *setACLReq) (struct{}, error) {
+			p.Sleep(opCost)
+			return struct{}{}, s.setACL(p, r)
+		}),
+	)
+)
+
+func (s *Service) createContainer(p *sim.Proc, _ netsim.NodeID, r *createContainerReq) (ContainerID, error) {
+	p.Sleep(opCost)
 	user, err := s.creds.Identity(p, r.Cred)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	s.nextCID++
 	s.containers[s.nextCID] = &containerPolicy{
@@ -240,7 +251,8 @@ func (s *Service) allowed(pol *containerPolicy, user Principal, op Op) bool {
 	return pol.acl[op][user]
 }
 
-func (s *Service) getCaps(p *sim.Proc, r getCapsReq) (interface{}, error) {
+func (s *Service) getCaps(p *sim.Proc, _ netsim.NodeID, r *getCapsReq) ([]Capability, error) {
+	p.Sleep(opCost)
 	user, err := s.creds.Identity(p, r.Cred)
 	if err != nil {
 		return nil, err
@@ -320,7 +332,7 @@ func (s *Service) checkCap(c Capability) error {
 // verifyCaps validates capabilities on behalf of a storage server and
 // records the back pointer so future revocation can invalidate the server's
 // cache entry (Figure 4b step 2).
-func (s *Service) verifyCaps(from netsim.NodeID, r verifyCapsReq) error {
+func (s *Service) verifyCaps(from netsim.NodeID, r *verifyCapsReq) error {
 	for _, c := range r.Caps {
 		if err := s.checkCap(c); err != nil {
 			return err
@@ -339,7 +351,7 @@ func (s *Service) verifyCaps(from netsim.NodeID, r verifyCapsReq) error {
 // the recorded back pointers — the combination of secure keys and back
 // pointers described in §3.1.4. Other ops' capabilities are untouched
 // (partial revocation).
-func (s *Service) revoke(p *sim.Proc, r revokeReq) error {
+func (s *Service) revoke(p *sim.Proc, r *revokeReq) error {
 	user, err := s.creds.Identity(p, r.Cred)
 	if err != nil {
 		return err
@@ -376,7 +388,7 @@ func (s *Service) revoke(p *sim.Proc, r revokeReq) error {
 	for node, ports := range perServer {
 		for port, ids := range ports {
 			s.invalidationsSent.Inc()
-			if _, err := s.caller.Call(p, node, port, InvalidateCaps{CapIDs: ids},
+			if _, err := portals.Invoke(s.caller, p, node, port, opInvalidate, &InvalidateCaps{CapIDs: ids},
 				64+int64(len(ids))*8, 16); err != nil {
 				return fmt.Errorf("authz: invalidating cache on node %d: %w", node, err)
 			}
@@ -387,7 +399,7 @@ func (s *Service) revoke(p *sim.Proc, r revokeReq) error {
 
 // setACL updates a container's policy. Removing access also revokes
 // outstanding capabilities for that op (the "chmod" scenario of §3.1.4).
-func (s *Service) setACL(p *sim.Proc, r setACLReq) error {
+func (s *Service) setACL(p *sim.Proc, r *setACLReq) error {
 	user, err := s.creds.Identity(p, r.Cred)
 	if err != nil {
 		return err
@@ -404,7 +416,7 @@ func (s *Service) setACL(p *sim.Proc, r setACLReq) error {
 	}
 	pol.acl[r.Op][r.User] = r.Allow
 	if !r.Allow {
-		return s.revoke(p, revokeReq{Cred: r.Cred, Container: r.Container, Ops: []Op{r.Op}})
+		return s.revoke(p, &revokeReq{Cred: r.Cred, Container: r.Container, Ops: []Op{r.Op}})
 	}
 	return nil
 }
@@ -427,31 +439,23 @@ func (c *Client) Caller() *portals.Caller { return c.caller }
 // CreateContainer makes a new container owned by the credential's
 // principal and returns its ID.
 func (c *Client) CreateContainer(p *sim.Proc, cred authn.Credential) (ContainerID, error) {
-	v, err := c.caller.Call(p, c.server, Portal, createContainerReq{Cred: cred}, 128, 16)
-	if err != nil {
-		return 0, err
-	}
-	return v.(ContainerID), nil
+	return portals.Invoke(c.caller, p, c.server, Portal, opCreateContainer, &createContainerReq{Cred: cred}, 128, 16)
 }
 
 // GetCaps acquires capabilities for the given operations on a container
 // (paper GETCAPS, Figure 4a).
 func (c *Client) GetCaps(p *sim.Proc, cred authn.Credential, cid ContainerID, ops ...Op) ([]Capability, error) {
-	v, err := c.caller.Call(p, c.server, Portal,
-		getCapsReq{Cred: cred, Container: cid, Ops: ops},
+	return portals.Invoke(c.caller, p, c.server, Portal, opGetCaps,
+		&getCapsReq{Cred: cred, Container: cid, Ops: ops},
 		128+int64(len(ops)), int64(len(ops))*CapWireSize)
-	if err != nil {
-		return nil, err
-	}
-	return v.([]Capability), nil
 }
 
 // VerifyCaps validates capabilities with the authorization service on
 // behalf of a storage server, registering cachePort for invalidation
 // callbacks. Storage servers call this on a capability-cache miss.
 func (c *Client) VerifyCaps(p *sim.Proc, caps []Capability, cachePort portals.Index) error {
-	_, err := c.caller.Call(p, c.server, Portal,
-		verifyCapsReq{Caps: caps, CachePort: cachePort},
+	_, err := portals.Invoke(c.caller, p, c.server, Portal, opVerifyCaps,
+		&verifyCapsReq{Caps: caps, CachePort: cachePort},
 		int64(len(caps))*CapWireSize, 16)
 	return err
 }
@@ -459,8 +463,8 @@ func (c *Client) VerifyCaps(p *sim.Proc, caps []Capability, cachePort portals.In
 // Revoke invalidates every outstanding capability for the given ops on the
 // container. When it returns, no storage server honors them.
 func (c *Client) Revoke(p *sim.Proc, cred authn.Credential, cid ContainerID, ops ...Op) error {
-	_, err := c.caller.Call(p, c.server, Portal,
-		revokeReq{Cred: cred, Container: cid, Ops: ops}, 128+int64(len(ops)), 16)
+	_, err := portals.Invoke(c.caller, p, c.server, Portal, opRevoke,
+		&revokeReq{Cred: cred, Container: cid, Ops: ops}, 128+int64(len(ops)), 16)
 	return err
 }
 
@@ -468,7 +472,7 @@ func (c *Client) Revoke(p *sim.Proc, cred authn.Credential, cid ContainerID, ops
 // to perform op on the container. Removing access revokes outstanding
 // capabilities for the op.
 func (c *Client) SetACL(p *sim.Proc, cred authn.Credential, cid ContainerID, op Op, user Principal, allow bool) error {
-	_, err := c.caller.Call(p, c.server, Portal,
-		setACLReq{Cred: cred, Container: cid, Op: op, User: user, Allow: allow}, 160, 16)
+	_, err := portals.Invoke(c.caller, p, c.server, Portal, opSetACL,
+		&setACLReq{Cred: cred, Container: cid, Op: op, User: user, Allow: allow}, 160, 16)
 	return err
 }

@@ -174,12 +174,15 @@ type cacheServer struct {
 	invalidated []uint64
 }
 
+var cacheOps = portals.NewOps(portals.Handle(authz.OpInvalidate,
+	func(cs *cacheServer, _ *sim.Proc, _ netsim.NodeID, req *authz.InvalidateCaps) (struct{}, error) {
+		cs.invalidated = append(cs.invalidated, req.CapIDs...)
+		return struct{}{}, nil
+	}))
+
 func serveCache(ep *portals.Endpoint, port portals.Index) *cacheServer {
 	cs := &cacheServer{}
-	portals.Serve(ep, port, "capcache", 1, func(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-		cs.invalidated = append(cs.invalidated, req.(authz.InvalidateCaps).CapIDs...)
-		return nil, nil
-	})
+	portals.ServeOps(ep, port, "capcache", 1, cacheOps, cs)
 	return cs
 }
 

@@ -46,7 +46,7 @@ func (cc *CapCache) Serve(ep *portals.Endpoint, az *Client, port portals.Index, 
 	// The invalidation port is the authorization service's revocation
 	// channel, not tenant traffic — admission control would let one tenant
 	// delay another's revocations. //qos:exempt
-	cc.rpc = portals.Serve(ep, port, name+"/capcache", 1, cc.invalidate)
+	cc.rpc = portals.ServeOps(ep, port, name+"/capcache", 1, capCacheOps, cc)
 }
 
 // Admit applies the admission rule to a request that needs op on container
@@ -123,11 +123,10 @@ func (cc *CapCache) Crash() {
 // Restart brings the invalidation portal back; the cache restarts cold.
 func (cc *CapCache) Restart() { cc.rpc.SetDown(false) }
 
-func (cc *CapCache) invalidate(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	inv, ok := req.(InvalidateCaps)
-	if !ok {
-		return nil, fmt.Errorf("authz: bad invalidation %T", req)
-	}
+// capCacheOps is the table of the one operation a CapCache serves.
+var capCacheOps = portals.NewOps(portals.Handle(opInvalidate, (*CapCache).invalidate))
+
+func (cc *CapCache) invalidate(p *sim.Proc, _ netsim.NodeID, inv *InvalidateCaps) (struct{}, error) {
 	for _, id := range inv.CapIDs {
 		cc.revoked[id] = true
 		if _, ok := cc.caps[id]; ok {
@@ -135,5 +134,5 @@ func (cc *CapCache) invalidate(p *sim.Proc, from netsim.NodeID, req interface{})
 			cc.invalidated.Inc()
 		}
 	}
-	return nil, nil
+	return struct{}{}, nil
 }

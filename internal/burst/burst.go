@@ -256,7 +256,7 @@ func Start(ep *portals.Endpoint, az *authz.Client, cfg Config, jdev *osd.Device)
 		failed:       make(map[storage.ObjRef]bool),
 	}
 	s.stageAvail.Set(cfg.StageCapacity)
-	s.rpc = portals.Serve(ep, Portal, name, threads, s.handle) //qos:admitted
+	s.rpc = portals.ServeOps(ep, Portal, name, threads, stageOps, s) //qos:admitted
 	if cfg.QoS != nil {
 		s.adm = qos.NewAdmission(ep.Kernel(), ep.Metrics().Scope("qos").Scope(name), *cfg.QoS)
 		s.rpc.SetDispatcher(s.adm)
@@ -267,7 +267,7 @@ func Start(ep *portals.Endpoint, az *authz.Client, cfg Config, jdev *osd.Device)
 	// the staging path (which is what fills the queue the waiter watches).
 	// Long-blocking waiters would also wedge an admission queue, so this
 	// port stays FIFO. //qos:exempt
-	s.waitRPC = portals.Serve(ep, Portal+2, name+"/wait", 2, s.handleWait)
+	s.waitRPC = portals.ServeOps(ep, Portal+2, name+"/wait", 2, waitOps, s)
 	for i := 0; i < cfg.DrainWorkers; i++ {
 		ep.Kernel().SpawnDaemon(fmt.Sprintf("%s/drain%d", name, i), s.drainWorker)
 	}
@@ -324,20 +324,26 @@ func (s *Server) Restart(p *sim.Proc) (recovered int, err error) {
 	return recovered, nil
 }
 
-func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
+// The staging operation and the drain wait, each the one operation of its
+// port's handler table.
+var (
+	opStage     = portals.NewOp[stageReq, stageResp]()
+	opDrainWait = portals.NewOp[drainWaitReq, struct{}]()
+
+	stageOps = portals.NewOps(portals.Handle(opStage, (*Server).handle))
+	waitOps  = portals.NewOps(portals.Handle(opDrainWait, (*Server).handleWait))
+)
+
+func (s *Server) handle(p *sim.Proc, from netsim.NodeID, r *stageReq) (stageResp, error) {
 	p.Sleep(OpCost)
-	r, ok := req.(stageReq)
-	if !ok {
-		return nil, fmt.Errorf("burst: unknown request %T", req)
-	}
 	if err := storage.CheckRange(r.Off, r.Len); err != nil {
-		return nil, fmt.Errorf("burst: %w", err)
+		return stageResp{}, fmt.Errorf("burst: %w", err)
 	}
 	// Staging needs a write capability. The buffer holds no device metadata
 	// to bind it to the object's container: the backing storage server
 	// enforces that when the extent drains.
 	if err := s.caps.Admit(p, &r.Cap, authz.OpWrite, r.Cap.Container); err != nil {
-		return nil, err
+		return stageResp{}, err
 	}
 	if r.Len <= s.stageAvail.Value() {
 		return s.stage(p, from, r)
@@ -348,7 +354,7 @@ func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (inter
 // stage absorbs the write into the staging window and acknowledges as soon
 // as the pull lands (in journaled mode: as soon as the journal append is
 // durable): write-behind. The extent is queued for the drainers.
-func (s *Server) stage(p *sim.Proc, from netsim.NodeID, r stageReq) (interface{}, error) {
+func (s *Server) stage(p *sim.Proc, from netsim.NodeID, r *stageReq) (stageResp, error) {
 	epoch := s.epoch
 	s.stageAvail.Add(-r.Len)
 	var buf []byte
@@ -369,11 +375,11 @@ func (s *Server) stage(p *sim.Proc, from netsim.NodeID, r stageReq) (interface{}
 		// Crashed mid-pull: the new incarnation reset the window wholesale,
 		// so touching stageAvail would double-credit it. The reply is
 		// suppressed by the downed RPC server anyway.
-		return nil, fmt.Errorf("burst: crashed while staging obj %d", uint64(r.Ref.ID))
+		return stageResp{}, fmt.Errorf("burst: crashed while staging obj %d", uint64(r.Ref.ID))
 	}
 	if err != nil {
 		s.stageAvail.Add(r.Len)
-		return nil, err
+		return stageResp{}, err
 	}
 	staged := netsim.Payload{Size: r.Len, Data: buf}
 	if synthetic {
@@ -383,11 +389,11 @@ func (s *Server) stage(p *sim.Proc, from netsim.NodeID, r stageReq) (interface{}
 	if s.jdev != nil {
 		seq, err = s.journalStage(p, r, staged)
 		if epoch != s.epoch {
-			return nil, fmt.Errorf("burst: crashed while journaling obj %d", uint64(r.Ref.ID))
+			return stageResp{}, fmt.Errorf("burst: crashed while journaling obj %d", uint64(r.Ref.ID))
 		}
 		if err != nil {
 			s.stageAvail.Add(r.Len)
-			return nil, fmt.Errorf("burst: journal append: %w", err)
+			return stageResp{}, fmt.Errorf("burst: journal append: %w", err)
 		}
 	}
 	s.staged.Inc()
@@ -407,7 +413,7 @@ func (s *Server) track(e extent) {
 // passthrough is the backpressure path: with no staging room, the buffer
 // relays each pulled chunk straight to the backing store and syncs before
 // acknowledging — the client sees direct-write latency, never a failure.
-func (s *Server) passthrough(p *sim.Proc, from netsim.NodeID, r stageReq) (interface{}, error) {
+func (s *Server) passthrough(p *sim.Proc, from netsim.NodeID, r *stageReq) (stageResp, error) {
 	epoch := s.epoch
 	// A client is synchronously blocked behind this relay: flag it so the
 	// drain workers yield the storage device (sched.go) until it completes.
@@ -419,24 +425,24 @@ func (s *Server) passthrough(p *sim.Proc, from netsim.NodeID, r stageReq) (inter
 			return werr
 		})
 	if err != nil {
-		return nil, err
+		return stageResp{}, err
 	}
 	if err := s.fg.Sync(p, storage.TargetOf(r.Ref), r.Cap); err != nil {
-		return nil, err
+		return stageResp{}, err
 	}
 	if epoch != s.epoch {
 		// Crashed mid-relay: the write may be durable, but this incarnation's
 		// bookkeeping is gone and the reply is suppressed regardless.
-		return nil, fmt.Errorf("burst: crashed while relaying obj %d", uint64(r.Ref.ID))
+		return stageResp{}, fmt.Errorf("burst: crashed while relaying obj %d", uint64(r.Ref.ID))
 	}
 	if s.jdev != nil {
 		// Record the completion so a post-crash DrainWait can still vouch
 		// for this ref instead of degenerating to ErrLost.
 		if err := s.journalDurable(p, r.Ref); err != nil {
-			return nil, fmt.Errorf("burst: journal append: %w", err)
+			return stageResp{}, fmt.Errorf("burst: journal append: %w", err)
 		}
 		if epoch != s.epoch {
-			return nil, fmt.Errorf("burst: crashed while journaling obj %d", uint64(r.Ref.ID))
+			return stageResp{}, fmt.Errorf("burst: crashed while journaling obj %d", uint64(r.Ref.ID))
 		}
 	}
 	s.passthroughs.Inc()
@@ -451,20 +457,16 @@ const drainPoll = 500 * time.Microsecond
 // durable on the backing store, or fails fast when a ref is unknown to
 // this incarnation (ErrLost — the buffer crashed after staging it) or its
 // drain gave up (ErrDrainFailed).
-func (s *Server) handleWait(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	r, ok := req.(drainWaitReq)
-	if !ok {
-		return nil, fmt.Errorf("burst: unknown wait request %T", req)
-	}
+func (s *Server) handleWait(p *sim.Proc, _ netsim.NodeID, r *drainWaitReq) (struct{}, error) {
 	epoch := s.epoch
 	for {
 		done := true
 		for _, ref := range r.Refs {
 			if epoch != s.epoch || !s.seen[ref] {
-				return nil, fmt.Errorf("%w: obj %d on server %d:%d", ErrLost, uint64(ref.ID), ref.Node, ref.Port)
+				return struct{}{}, fmt.Errorf("%w: obj %d on server %d:%d", ErrLost, uint64(ref.ID), ref.Node, ref.Port)
 			}
 			if s.failed[ref] {
-				return nil, fmt.Errorf("%w: obj %d on server %d:%d", ErrDrainFailed, uint64(ref.ID), ref.Node, ref.Port)
+				return struct{}{}, fmt.Errorf("%w: obj %d on server %d:%d", ErrDrainFailed, uint64(ref.ID), ref.Node, ref.Port)
 			}
 			if s.pending[ref] > 0 {
 				done = false
@@ -472,7 +474,7 @@ func (s *Server) handleWait(p *sim.Proc, from netsim.NodeID, req interface{}) (i
 			}
 		}
 		if done {
-			return nil, nil
+			return struct{}{}, nil
 		}
 		p.Sleep(drainPoll)
 	}

@@ -38,7 +38,7 @@ func (c *Client) StageWrite(p *sim.Proc, t Target, ref storage.ObjRef, cap authz
 	bits := portals.MatchBits(ep.NextToken())
 	slot := ep.Expose(storage.ClientDataPortal, bits, payload)
 	defer slot.Close()
-	v, err := c.caller.Call(p, t.Node, t.Port, stageReq{
+	v, err := portals.Invoke(c.caller, p, t.Node, t.Port, opStage, &stageReq{
 		Cap:        cap,
 		Ref:        ref,
 		Off:        off,
@@ -46,10 +46,7 @@ func (c *Client) StageWrite(p *sim.Proc, t Target, ref storage.ObjRef, cap authz
 		Bits:       bits,
 		DataPortal: storage.ClientDataPortal,
 	}, reqWireSize, respWireSize)
-	if err != nil {
-		return false, err
-	}
-	return v.(stageResp).Staged, nil
+	return v.Staged, err
 }
 
 // DrainWait blocks until every listed object's staged extents are durable
@@ -60,12 +57,11 @@ func (c *Client) StageWrite(p *sim.Proc, t Target, ref storage.ObjRef, cap authz
 // a drain exhausted its retries — in every failure case the caller must
 // treat the covered data as not durable.
 func (c *Client) DrainWait(p *sim.Proc, t Target, refs []storage.ObjRef, timeout time.Duration) error {
-	req := drainWaitReq{Refs: refs}
 	size := int64(respWireSize + refWireSize*len(refs))
-	// Always a single attempt (CallTimeout), never the caller's retry loop:
+	// Always a single attempt (InvokeTimeout), never the caller's retry loop:
 	// a drain legitimately takes longer than any per-attempt RPC deadline,
 	// and the wait portal's handler blocks until done, so retrying would
 	// only tie up wait threads. timeout <= 0 waits indefinitely.
-	_, err := c.caller.CallTimeout(p, t.Node, t.Port+2, req, size, respWireSize, timeout)
+	_, err := portals.InvokeTimeout(c.caller, p, t.Node, t.Port+2, opDrainWait, &drainWaitReq{Refs: refs}, size, respWireSize, timeout)
 	return err
 }

@@ -134,7 +134,7 @@ func decodeHeader(b []byte) (jrec, error) {
 // journalStage makes one staged extent durable before its ack: header plus
 // payload appended, then a flush barrier on the journal device. Returns the
 // record's sequence number.
-func (s *Server) journalStage(p *sim.Proc, r stageReq, payload netsim.Payload) (uint64, error) {
+func (s *Server) journalStage(p *sim.Proc, r *stageReq, payload netsim.Payload) (uint64, error) {
 	s.jseq++
 	rec := jrec{seq: s.jseq, kind: jKindStage, epoch: s.epoch, ref: r.Ref, off: r.Off,
 		length: payload.Size, real: !payload.Synthetic(), cap: r.Cap}

@@ -87,7 +87,13 @@ type shadowChunk struct {
 	Size int64
 }
 
-type shadowAck struct{}
+// opShadowChunk sends one chunk, to a shadow sink or a shadow buffer; each
+// answers it with an empty ack.
+var (
+	opShadowChunk = portals.NewOp[shadowChunk, struct{}]()
+	sinkOps       = portals.NewOps(portals.Handle(opShadowChunk, (*shadowSink).handle))
+	bufferOps     = portals.NewOps(portals.Handle(opShadowChunk, (*shadowBuffer).handle))
+)
 
 // shadowSink lands shadow chunks on one storage server's device: each
 // chunk pays the device's per-op overhead plus size/bandwidth on the same
@@ -101,14 +107,13 @@ type shadowSink struct {
 	have bool
 }
 
-func (s *shadowSink) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	c := req.(shadowChunk)
+func (s *shadowSink) handle(p *sim.Proc, _ netsim.NodeID, c *shadowChunk) (struct{}, error) {
 	if !s.have {
 		s.obj = s.dev.Create(p, shadowContainer).ID
 		s.have = true
 	}
 	if err := s.dev.Write(p, s.obj, 0, netsim.SyntheticPayload(c.Size)); err != nil {
-		return nil, err
+		return struct{}{}, err
 	}
 	sl := s.load
 	sl.drained += c.Size
@@ -118,7 +123,7 @@ func (s *shadowSink) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (i
 		s.dev.Sync(p)
 	}
 	sl.res.Durable = max(sl.res.Durable, p.Now().Duration())
-	return shadowAck{}, nil
+	return struct{}{}, nil
 }
 
 // shadowBuffer stages shadow chunks on a burst node: the ack returns after
@@ -132,12 +137,11 @@ type shadowBuffer struct {
 	next   int // round-robin drain-target cursor
 }
 
-func (b *shadowBuffer) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	c := req.(shadowChunk)
+func (b *shadowBuffer) handle(p *sim.Proc, _ netsim.NodeID, c *shadowChunk) (struct{}, error) {
 	p.Sleep(burst.OpCost)
 	b.window.Acquire(p, c.Size)
-	b.q.Send(c)
-	return shadowAck{}, nil
+	b.q.Send(*c)
+	return struct{}{}, nil
 }
 
 // deployShadow installs the shadow load of cfg.TotalRanks-cfg.Procs ranks
@@ -169,8 +173,8 @@ func deployShadow(cl *cluster.Cluster, l *cluster.LWFS, cfg *Config, res *Result
 	for i, s := range l.Servers {
 		sink := &shadowSink{load: sl, dev: s.Device()}
 		port := shadowPortalBase + portals.Index(i%spn)
-		portals.Serve(cl.StorageN[i/spn], port, fmt.Sprintf("shadow/osd%d.%d", i/spn, i%spn),
-			shadowStreams+drains, sink.handle)
+		portals.ServeOps(cl.StorageN[i/spn], port, fmt.Sprintf("shadow/osd%d.%d", i/spn, i%spn),
+			shadowStreams+drains, sinkOps, sink)
 		storTargets[i] = storage.Target{Node: s.Node(), Port: port}
 	}
 
@@ -189,8 +193,8 @@ func deployShadow(cl *cluster.Cluster, l *cluster.LWFS, cfg *Config, res *Result
 				q:      sim.NewMailbox(k, fmt.Sprintf("shadow/bb%d.drainq", bi)),
 				window: sim.NewResource(k, fmt.Sprintf("shadow/bb%d.window", bi), window),
 			}
-			portals.Serve(cl.BurstN[bi], shadowPortalBase, fmt.Sprintf("shadow/bb%d", bi),
-				shadowStreams+2, buf.handle)
+			portals.ServeOps(cl.BurstN[bi], shadowPortalBase, fmt.Sprintf("shadow/bb%d", bi),
+				shadowStreams+2, bufferOps, buf)
 			targets[bi] = storage.Target{Node: bs.Node(), Port: shadowPortalBase}
 
 			// Drain pipeline: forward staged chunks to the storage sinks,
@@ -209,7 +213,7 @@ func deployShadow(cl *cluster.Cluster, l *cluster.LWFS, cfg *Config, res *Result
 						c := buf.q.Recv(p).(shadowChunk)
 						tgt := storTargets[(bi+buf.next)%len(storTargets)]
 						buf.next++
-						if _, err := caller.CallTimeout(p, tgt.Node, tgt.Port, c, c.Size, shadowAckSize, 0); err != nil {
+						if _, err := portals.InvokeTimeout(caller, p, tgt.Node, tgt.Port, opShadowChunk, &c, c.Size, shadowAckSize, 0); err != nil {
 							panic(err) // the process name says which shadow drain
 						}
 						buf.window.Release(c.Size)
@@ -257,7 +261,7 @@ func deployShadow(cl *cluster.Cluster, l *cluster.LWFS, cfg *Config, res *Result
 				for r := 0; r < myRanks; r++ {
 					for rem := size; rem > 0; {
 						n := min(rem, shadowChunkSize)
-						if _, err := caller.CallTimeout(p, tgt.Node, tgt.Port, shadowChunk{Size: n}, n, shadowAckSize, 0); err != nil {
+						if _, err := portals.InvokeTimeout(caller, p, tgt.Node, tgt.Port, opShadowChunk, &shadowChunk{Size: n}, n, shadowAckSize, 0); err != nil {
 							panic(err) // the process name says which shadow stream
 						}
 						rem -= n

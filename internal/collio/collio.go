@@ -36,6 +36,10 @@ import (
 // collPortal receives exchange traffic; match bits address (dataset, rank).
 const collPortal portals.Index = 17
 
+// fragsHdr is the header of a shuffle Put: one rank's fragments for one
+// aggregator.
+var fragsHdr = portals.NewHeader[[]Fragment]()
+
 // Fragment is one rank's piece of a global array: a global offset plus
 // payload.
 type Fragment struct {
@@ -184,8 +188,8 @@ func (r *Rank) CollectiveWrite(p *sim.Proc, d Dataset, frags []Fragment) error {
 		dst := j.ranks[agg]
 		j.shuffleMsgs.Inc()
 		j.shuffleBytes.Add(bytes)
-		r.c.Endpoint().Put(dst.c.Node(), collPortal, portals.MatchBits(agg)|rankBitsBase,
-			parts[agg], // one rank's fragments for one aggregator, offsets object-local
+		fragsHdr.Put(r.c.Endpoint(), dst.c.Node(), collPortal, portals.MatchBits(agg)|rankBitsBase,
+			&parts[agg], // one rank's fragments for one aggregator, offsets object-local
 			netsim.SyntheticPayload(bytes+64))
 	}
 
@@ -194,7 +198,7 @@ func (r *Rank) CollectiveWrite(p *sim.Proc, d Dataset, frags []Fragment) error {
 		var got []Fragment
 		for i := 0; i < n; i++ {
 			ev := r.inbox.Recv(p).(*portals.Event)
-			got = append(got, ev.Hdr.([]Fragment)...)
+			got = append(got, *fragsHdr.Of(ev)...)
 			ev.Release()
 		}
 		runs := coalesce(got)

@@ -451,12 +451,15 @@ func (c *Client) ListNames(p *sim.Proc, path string) ([]string, error) {
 	return c.nc.List(p, c.cred, path)
 }
 
-// scatterMsg carries credentials + capabilities down the scatter tree.
+// scatterMsg carries credentials + capabilities down the scatter tree, as
+// the header of a scatterHdr Put.
 type scatterMsg struct {
 	Cred    authn.Credential
 	Caps    CapSet
 	Forward []ProcAddr // subtree this receiver is responsible for
 }
+
+var scatterHdr = portals.NewHeader[scatterMsg]()
 
 // ScatterCaps distributes the credential and capability set to peer client
 // processes along a binomial tree — the logarithmic "scatter" of Figure 4a.
@@ -473,8 +476,8 @@ func (c *Client) forward(m scatterMsg) {
 		// remainder; keep the second half.
 		half := (len(peers)-1)/2 + 1
 		child, childTree := peers[0], peers[1:half]
-		c.ep.Put(child.Node, capsPortal, child.Bits,
-			scatterMsg{Cred: m.Cred, Caps: m.Caps, Forward: childTree},
+		scatterHdr.Put(c.ep, child.Node, capsPortal, child.Bits,
+			&scatterMsg{Cred: m.Cred, Caps: m.Caps, Forward: childTree},
 			netsim.SyntheticPayload(int64(authz.CapWireSize*len(m.Caps.Caps)+96)))
 		peers = peers[half:]
 	}
@@ -484,10 +487,11 @@ func (c *Client) forward(m scatterMsg) {
 // credential, forwards to this node's subtree, and returns the capabilities.
 func (c *Client) WaitCaps(p *sim.Proc) (CapSet, error) {
 	ev := c.scatter.Recv(p).(*portals.Event)
-	m, ok := ev.Hdr.(scatterMsg)
-	if !ok {
-		return CapSet{}, fmt.Errorf("core: unexpected scatter payload %T", ev.Hdr)
+	mp := scatterHdr.Of(ev)
+	if mp == nil {
+		return CapSet{}, fmt.Errorf("core: unexpected scatter payload %s", portals.DescribeBody(ev))
 	}
+	m := *mp
 	ev.Release()
 	c.cred = m.Cred
 	c.forward(m)

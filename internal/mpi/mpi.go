@@ -35,6 +35,8 @@ type envelope struct {
 	Body interface{}
 }
 
+var envelopeHdr = portals.NewHeader[envelope]()
+
 // Comm is a communicator over a fixed set of rank endpoints (ranks may
 // share nodes, as the paper's 64-process runs share 31 compute nodes).
 type Comm struct {
@@ -92,8 +94,8 @@ func (r *Rank) MessagesSent() int64 { return r.sent }
 func (r *Rank) Send(to int, tag int, body interface{}, size int64) {
 	dst := r.comm.ranks[to]
 	r.sent++
-	r.ep.Put(dst.ep.Node(), portal, r.comm.bits(to),
-		envelope{From: r.id, Tag: tag, Body: body}, netsim.SyntheticPayload(size))
+	envelopeHdr.Put(r.ep, dst.ep.Node(), portal, r.comm.bits(to),
+		&envelope{From: r.id, Tag: tag, Body: body}, netsim.SyntheticPayload(size))
 }
 
 // Recv blocks until a message from rank `from` with the given tag arrives
@@ -113,7 +115,7 @@ func (r *Rank) Recv(p *sim.Proc, from, tag int) (interface{}, int) {
 	}
 	for {
 		ev := r.inbox.Recv(p).(*portals.Event)
-		e := ev.Hdr.(envelope)
+		e := *envelopeHdr.Of(ev)
 		ev.Release()
 		if match(e) {
 			return e.Body, e.From

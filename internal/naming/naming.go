@@ -121,13 +121,14 @@ func Start(ep *portals.Endpoint, ac *authn.Client, part *txn.Participant) *Servi
 	s.creates = nm.Counter("creates")
 	s.removes = nm.Counter("removes")
 	s.setrefs = nm.Counter("setrefs")
-	portals.Serve(ep, Portal, "naming", 2, s.handle)
+	portals.ServeOps(ep, Portal, "naming", 2, serviceOps, s)
 	return s
 }
 
-// principal resolves a credential through the credential cache; a refusal
-// answers ErrBadCred.
+// principal charges a request's parse cost, then resolves its credential
+// through the credential cache; a refusal answers ErrBadCred.
 func (s *Service) principal(p *sim.Proc, cred authn.Credential) (authn.Principal, error) {
+	p.Sleep(opCost)
 	user, err := s.creds.Identity(p, cred)
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrBadCred, err)
@@ -165,121 +166,138 @@ func splitClean(path string) (string, string, error) {
 	return gopath.Clean(dir), base, nil
 }
 
-func (s *Service) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	p.Sleep(opCost)
-	switch r := req.(type) {
-	case mkdirReq:
-		user, err := s.principal(p, r.Cred)
-		if err != nil {
-			return nil, err
-		}
-		_, err = s.insert(r.Path, Entry{IsDir: true, Owner: user}, 0)
-		return nil, err
+// The naming service's operations, and its handler table.
+var (
+	opMkdir   = portals.NewOp[mkdirReq, struct{}]()
+	opCreate  = portals.NewOp[createReq, struct{}]()
+	opSetRefs = portals.NewOp[setRefsReq, struct{}]()
+	opLookup  = portals.NewOp[lookupReq, Entry]()
+	opRemove  = portals.NewOp[removeReq, Entry]()
+	opList    = portals.NewOp[listReq, []string]()
 
-	case createReq:
-		user, err := s.principal(p, r.Cred)
-		if err != nil {
-			return nil, err
-		}
-		s.creates.Inc()
-		nd, err := s.insert(r.Path, Entry{Refs: r.Refs, Owner: user}, r.Txn)
-		if err != nil {
-			return nil, err
-		}
-		if r.Txn != 0 && s.part != nil {
-			if err := s.part.Log(p, txn.JournalRecord{Txn: r.Txn, Kind: "name", Detail: nd.entry.Path}); err != nil {
-				return nil, err
-			}
-			s.part.OnCommit(r.Txn, func(q *sim.Proc) { nd.pending = false })
-			s.part.OnAbort(r.Txn, func(q *sim.Proc) { s.unlink(nd.entry.Path) })
-		}
-		return nil, nil
+	serviceOps = portals.NewOps(
+		portals.Handle(opMkdir, (*Service).mkdir),
+		portals.Handle(opCreate, (*Service).create),
+		portals.Handle(opSetRefs, (*Service).setRefs),
+		portals.Handle(opLookup, (*Service).lookup),
+		portals.Handle(opRemove, (*Service).remove),
+		portals.Handle(opList, (*Service).list),
+	)
+)
 
-	case setRefsReq:
-		user, err := s.principal(p, r.Cred)
-		if err != nil {
-			return nil, err
-		}
-		s.setrefs.Inc()
-		nd, err := s.walk(gopath.Clean(r.Path))
-		if err != nil {
-			return nil, err
-		}
-		if nd.entry.IsDir {
-			return nil, fmt.Errorf("%w: %s", ErrIsDir, r.Path)
-		}
-		if nd.entry.Owner != user {
-			return nil, ErrNotOwner
-		}
-		if len(r.Refs) == 0 {
-			return nil, fmt.Errorf("%w: empty ref set for %s", ErrBadPath, r.Path)
-		}
-		refs := append([]storage.ObjRef(nil), r.Refs...)
-		if r.Txn != 0 && s.part != nil {
-			// The old refs stay visible until the transaction commits, so
-			// an aborted re-home never dangles the entry at objects the
-			// abort is about to delete.
-			if err := s.part.Log(p, txn.JournalRecord{Txn: r.Txn, Kind: "setrefs", Detail: nd.entry.Path}); err != nil {
-				return nil, err
-			}
-			s.part.OnCommit(r.Txn, func(q *sim.Proc) { nd.entry.Refs = refs })
-			return nil, nil
-		}
-		nd.entry.Refs = refs
-		return nil, nil
-
-	case lookupReq:
-		if _, err := s.principal(p, r.Cred); err != nil {
-			return nil, err
-		}
-		s.lookups.Inc()
-		nd, err := s.walk(gopath.Clean(r.Path))
-		if err != nil {
-			return nil, err
-		}
-		return nd.entry, nil
-
-	case removeReq:
-		user, err := s.principal(p, r.Cred)
-		if err != nil {
-			return nil, err
-		}
-		s.removes.Inc()
-		nd, err := s.walk(gopath.Clean(r.Path))
-		if err != nil {
-			return nil, err
-		}
-		if nd.entry.Owner != user {
-			return nil, ErrNotOwner
-		}
-		if nd.entry.IsDir && len(nd.children) > 0 {
-			return nil, ErrNotEmpty
-		}
-		return nd.entry, s.unlink(nd.entry.Path)
-
-	case listReq:
-		if _, err := s.principal(p, r.Cred); err != nil {
-			return nil, err
-		}
-		nd, err := s.walk(gopath.Clean(r.Path))
-		if err != nil {
-			return nil, err
-		}
-		if !nd.entry.IsDir {
-			return nil, fmt.Errorf("%w: %s", ErrNotDir, r.Path)
-		}
-		var names []string
-		for name, child := range nd.children {
-			if !child.pending {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		return names, nil
-
-	default:
-		return nil, fmt.Errorf("naming: unknown request %T", req)
+func (s *Service) mkdir(p *sim.Proc, _ netsim.NodeID, r *mkdirReq) (struct{}, error) {
+	user, err := s.principal(p, r.Cred)
+	if err != nil {
+		return struct{}{}, err
 	}
+	_, err = s.insert(r.Path, Entry{IsDir: true, Owner: user}, 0)
+	return struct{}{}, err
+}
+
+func (s *Service) create(p *sim.Proc, _ netsim.NodeID, r *createReq) (struct{}, error) {
+	user, err := s.principal(p, r.Cred)
+	if err != nil {
+		return struct{}{}, err
+	}
+	s.creates.Inc()
+	nd, err := s.insert(r.Path, Entry{Refs: r.Refs, Owner: user}, r.Txn)
+	if err != nil {
+		return struct{}{}, err
+	}
+	if r.Txn != 0 && s.part != nil {
+		if err := s.part.Log(p, txn.JournalRecord{Txn: r.Txn, Kind: "name", Detail: nd.entry.Path}); err != nil {
+			return struct{}{}, err
+		}
+		s.part.OnCommit(r.Txn, func(q *sim.Proc) { nd.pending = false })
+		s.part.OnAbort(r.Txn, func(q *sim.Proc) { s.unlink(nd.entry.Path) })
+	}
+	return struct{}{}, nil
+}
+
+func (s *Service) setRefs(p *sim.Proc, _ netsim.NodeID, r *setRefsReq) (struct{}, error) {
+	user, err := s.principal(p, r.Cred)
+	if err != nil {
+		return struct{}{}, err
+	}
+	s.setrefs.Inc()
+	nd, err := s.walk(gopath.Clean(r.Path))
+	if err != nil {
+		return struct{}{}, err
+	}
+	if nd.entry.IsDir {
+		return struct{}{}, fmt.Errorf("%w: %s", ErrIsDir, r.Path)
+	}
+	if nd.entry.Owner != user {
+		return struct{}{}, ErrNotOwner
+	}
+	if len(r.Refs) == 0 {
+		return struct{}{}, fmt.Errorf("%w: empty ref set for %s", ErrBadPath, r.Path)
+	}
+	refs := append([]storage.ObjRef(nil), r.Refs...)
+	if r.Txn != 0 && s.part != nil {
+		// The old refs stay visible until the transaction commits, so
+		// an aborted re-home never dangles the entry at objects the
+		// abort is about to delete.
+		if err := s.part.Log(p, txn.JournalRecord{Txn: r.Txn, Kind: "setrefs", Detail: nd.entry.Path}); err != nil {
+			return struct{}{}, err
+		}
+		s.part.OnCommit(r.Txn, func(q *sim.Proc) { nd.entry.Refs = refs })
+		return struct{}{}, nil
+	}
+	nd.entry.Refs = refs
+	return struct{}{}, nil
+}
+
+func (s *Service) lookup(p *sim.Proc, _ netsim.NodeID, r *lookupReq) (Entry, error) {
+	if _, err := s.principal(p, r.Cred); err != nil {
+		return Entry{}, err
+	}
+	s.lookups.Inc()
+	nd, err := s.walk(gopath.Clean(r.Path))
+	if err != nil {
+		return Entry{}, err
+	}
+	return nd.entry, nil
+}
+
+func (s *Service) remove(p *sim.Proc, _ netsim.NodeID, r *removeReq) (Entry, error) {
+	user, err := s.principal(p, r.Cred)
+	if err != nil {
+		return Entry{}, err
+	}
+	s.removes.Inc()
+	nd, err := s.walk(gopath.Clean(r.Path))
+	if err != nil {
+		return Entry{}, err
+	}
+	if nd.entry.Owner != user {
+		return Entry{}, ErrNotOwner
+	}
+	if nd.entry.IsDir && len(nd.children) > 0 {
+		return Entry{}, ErrNotEmpty
+	}
+	return nd.entry, s.unlink(nd.entry.Path)
+}
+
+func (s *Service) list(p *sim.Proc, _ netsim.NodeID, r *listReq) ([]string, error) {
+	if _, err := s.principal(p, r.Cred); err != nil {
+		return nil, err
+	}
+	nd, err := s.walk(gopath.Clean(r.Path))
+	if err != nil {
+		return nil, err
+	}
+	if !nd.entry.IsDir {
+		return nil, fmt.Errorf("%w: %s", ErrNotDir, r.Path)
+	}
+	var names []string
+	for name, child := range nd.children {
+		if !child.pending {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names, nil
 }
 
 // insert adds an entry (pending when txnID != 0).
@@ -345,7 +363,7 @@ func pathSize(path string) int64 { return 128 + int64(len(path)) }
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(p *sim.Proc, cred authn.Credential, path string) error {
-	_, err := c.caller.Call(p, c.server, Portal, mkdirReq{Cred: cred, Path: path}, pathSize(path), 16)
+	_, err := portals.Invoke(c.caller, p, c.server, Portal, opMkdir, &mkdirReq{Cred: cred, Path: path}, pathSize(path), 16)
 	return err
 }
 
@@ -357,8 +375,8 @@ func (c *Client) CreateRefs(p *sim.Proc, cred authn.Credential, path string, ref
 	if len(refs) == 0 {
 		return fmt.Errorf("%w: empty ref set for %s", ErrBadPath, path)
 	}
-	_, err := c.caller.Call(p, c.server, Portal,
-		createReq{Cred: cred, Path: path, Refs: refs, Txn: id},
+	_, err := portals.Invoke(c.caller, p, c.server, Portal, opCreate,
+		&createReq{Cred: cred, Path: path, Refs: refs, Txn: id},
 		pathSize(path)+64*int64(len(refs)), 16)
 	return err
 }
@@ -368,36 +386,24 @@ func (c *Client) CreateRefs(p *sim.Proc, cred authn.Credential, path string, ref
 // until then — which is how Rebuild re-homes a metadata mirror atomically
 // with writing its replacement. Only the entry owner may change refs.
 func (c *Client) SetRefs(p *sim.Proc, cred authn.Credential, path string, refs []storage.ObjRef, id txn.ID) error {
-	_, err := c.caller.Call(p, c.server, Portal,
-		setRefsReq{Cred: cred, Path: path, Refs: refs, Txn: id},
+	_, err := portals.Invoke(c.caller, p, c.server, Portal, opSetRefs,
+		&setRefsReq{Cred: cred, Path: path, Refs: refs, Txn: id},
 		pathSize(path)+64*int64(len(refs)), 16)
 	return err
 }
 
 // Lookup resolves path to its entry.
 func (c *Client) Lookup(p *sim.Proc, cred authn.Credential, path string) (Entry, error) {
-	v, err := c.caller.Call(p, c.server, Portal, lookupReq{Cred: cred, Path: path}, pathSize(path), 160)
-	if err != nil {
-		return Entry{}, err
-	}
-	return v.(Entry), nil
+	return portals.Invoke(c.caller, p, c.server, Portal, opLookup, &lookupReq{Cred: cred, Path: path}, pathSize(path), 160)
 }
 
 // Remove unlinks path (files, or empty directories) and returns the removed
 // entry so callers can release the underlying objects.
 func (c *Client) Remove(p *sim.Proc, cred authn.Credential, path string) (Entry, error) {
-	v, err := c.caller.Call(p, c.server, Portal, removeReq{Cred: cred, Path: path}, pathSize(path), 160)
-	if err != nil {
-		return Entry{}, err
-	}
-	return v.(Entry), nil
+	return portals.Invoke(c.caller, p, c.server, Portal, opRemove, &removeReq{Cred: cred, Path: path}, pathSize(path), 160)
 }
 
 // List returns the names in a directory, sorted.
 func (c *Client) List(p *sim.Proc, cred authn.Credential, path string) ([]string, error) {
-	v, err := c.caller.Call(p, c.server, Portal, listReq{Cred: cred, Path: path}, pathSize(path), 1024)
-	if err != nil {
-		return nil, err
-	}
-	return v.([]string), nil
+	return portals.Invoke(c.caller, p, c.server, Portal, opList, &listReq{Cred: cred, Path: path}, pathSize(path), 1024)
 }

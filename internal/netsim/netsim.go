@@ -178,6 +178,7 @@ type Network struct {
 	nodes   []*Node
 	trace   func(at sim.Time, m Message, event string)
 	fault   func(m Message) bool
+	onDrop  func(m Message) // see OnDrop
 	rules   []*Fault
 	rng     *sim.Rand
 	reg     *metrics.Registry
@@ -248,6 +249,11 @@ func (t *xfer) ingressDone() {
 // happen before egress, so the sender pays nothing — appropriate for
 // modeling partitions, where packets vanish in the fabric.
 func (n *Network) SetFault(f func(m Message) bool) { n.fault = f }
+
+// OnDrop installs f to run, in the sender's context, on every message a
+// fault drops, so the protocol layer can reclaim the body the message
+// carried: nothing else will ever see it.
+func (n *Network) OnDrop(f func(m Message)) { n.onDrop = f }
 
 // Metrics returns the network's instrument registry — the cluster-wide
 // observability surface every service hanging off this network registers
@@ -351,6 +357,9 @@ func (n *Network) Send(m Message) {
 	drop, extra := n.applyFaults(m)
 	if drop {
 		n.dropped.Inc()
+		if n.onDrop != nil {
+			n.onDrop(m)
+		}
 		return
 	}
 	src.sent.Inc()

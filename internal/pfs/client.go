@@ -55,21 +55,19 @@ type File struct {
 // Create makes a new file striped over `stripes` OSTs (0 = all) — one
 // centralized-MDS round trip, the Figure 10b bottleneck.
 func (c *Client) Create(p *sim.Proc, path string, stripes int) (*File, error) {
-	v, err := c.caller.Call(p, c.mds, MDSPortal, mdsCreateReq{Path: path, Stripes: stripes}, pfsReqSize, 256)
+	l, err := portals.Invoke(c.caller, p, c.mds, MDSPortal, opMDSCreate, &mdsCreateReq{Path: path, Stripes: stripes}, pfsReqSize, 256)
 	if err != nil {
 		return nil, err
 	}
-	l := v.(Layout)
 	return &File{c: c, path: path, layout: l}, nil
 }
 
 // Open opens an existing file (an MDS round trip).
 func (c *Client) Open(p *sim.Proc, path string) (*File, error) {
-	v, err := c.caller.Call(p, c.mds, MDSPortal, mdsOpenReq{Path: path}, pfsReqSize, 256)
+	l, err := portals.Invoke(c.caller, p, c.mds, MDSPortal, opMDSOpen, &mdsOpenReq{Path: path}, pfsReqSize, 256)
 	if err != nil {
 		return nil, err
 	}
-	l := v.(Layout)
 	return &File{c: c, path: path, layout: l, size: l.Size}, nil
 }
 
@@ -118,7 +116,7 @@ func (f *File) Write(p *sim.Proc, off int64, payload netsim.Payload) (int64, err
 		bits := portals.MatchBits(ep.NextToken())
 		slot := ep.Expose(clientDataPortal, bits, rq.Gather(off, payload))
 		defer slot.Close()
-		v, err := f.c.caller.Call(q, obj.Node, obj.Port, ostWriteReq{
+		n, err := portals.Invoke(f.c.caller, q, obj.Node, obj.Port, opOSTWrite, &ostWriteReq{
 			Obj:        obj.ID,
 			Off:        rq.Off,
 			Len:        rq.Len,
@@ -129,7 +127,7 @@ func (f *File) Write(p *sim.Proc, off int64, payload netsim.Payload) (int64, err
 		if err != nil {
 			return err
 		}
-		written += v.(int64)
+		written += n
 		return nil
 	})
 	if end := off + payload.Size; end > f.size {
@@ -142,7 +140,7 @@ func (f *File) Write(p *sim.Proc, off int64, payload netsim.Payload) (int64, err
 func (f *File) Sync(p *sim.Proc) error {
 	return stripe.FanOut(p, "pfs/sync", len(f.layout.OSTs), writeParallelism, func(q *sim.Proc, i int) error {
 		t := f.layout.OSTs[i]
-		_, err := f.c.caller.Call(q, t.Node, t.Port, ostSyncReq{}, pfsReqSize, pfsRespSize)
+		_, err := portals.Invoke(f.c.caller, q, t.Node, t.Port, opOSTSync, &ostSyncReq{}, pfsReqSize, pfsRespSize)
 		return err
 	})
 }
@@ -150,6 +148,6 @@ func (f *File) Sync(p *sim.Proc) error {
 // Close reports the file size to the MDS (size is MDS metadata in this
 // baseline, as in Lustre 1.x close-time size updates).
 func (f *File) Close(p *sim.Proc) error {
-	_, err := f.c.caller.Call(p, f.c.mds, MDSPortal, mdsSetSizeReq{Path: f.path, Size: f.size}, pfsReqSize, pfsRespSize)
+	_, err := portals.Invoke(f.c.caller, p, f.c.mds, MDSPortal, opMDSSetSize, &mdsSetSizeReq{Path: f.path, Size: f.size}, pfsReqSize, pfsRespSize)
 	return err
 }

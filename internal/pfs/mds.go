@@ -49,57 +49,67 @@ func StartMDS(ep *portals.Endpoint, osts []storage.Target) *MDS {
 	md := ep.Metrics().Scope("pfs").Scope("mds")
 	m.creates = md.Counter("creates")
 	m.opens = md.Counter("opens")
-	portals.Serve(ep, MDSPortal, "mds", mdsThreads, m.handle)
+	portals.ServeOps(ep, MDSPortal, "mds", mdsThreads, mdsOps, m)
 	return m
 }
 
-func (m *MDS) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	switch r := req.(type) {
-	case mdsCreateReq:
-		// Namespace mutation: exclusive, full service cost under the lock.
-		m.nsLock.Acquire(p, 1)
-		p.Sleep(mdsOpCost)
-		defer m.nsLock.Release(1)
-		if _, ok := m.files[r.Path]; ok {
-			return nil, fmt.Errorf("%w: %s", ErrExists, r.Path)
-		}
-		stripes := r.Stripes
-		if stripes <= 0 || stripes > len(m.osts) {
-			stripes = len(m.osts)
-		}
-		m.nextIno++
-		// Every layout shares the roster, which nobody modifies: the
-		// capacity bound keeps an append from writing into it.
-		l := &Layout{
-			Inode:      m.nextIno,
-			StripeUnit: stripeUnit,
-			OSTs:       m.osts[:stripes:stripes],
-		}
-		m.files[r.Path] = l
-		m.creates.Inc()
-		return *l, nil
+// The MDS's operations, and its handler table.
+var (
+	opMDSCreate  = portals.NewOp[mdsCreateReq, Layout]()
+	opMDSOpen    = portals.NewOp[mdsOpenReq, Layout]()
+	opMDSSetSize = portals.NewOp[mdsSetSizeReq, struct{}]()
 
-	case mdsOpenReq:
-		p.Sleep(mdsOpCost)
-		l, ok := m.files[r.Path]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, r.Path)
-		}
-		m.opens.Inc()
-		return *l, nil
+	mdsOps = portals.NewOps(
+		portals.Handle(opMDSCreate, (*MDS).create),
+		portals.Handle(opMDSOpen, (*MDS).open),
+		portals.Handle(opMDSSetSize, (*MDS).setSize),
+	)
+)
 
-	case mdsSetSizeReq:
-		p.Sleep(mdsOpCost / 2)
-		l, ok := m.files[r.Path]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, r.Path)
-		}
-		if r.Size > l.Size {
-			l.Size = r.Size
-		}
-		return nil, nil
-
-	default:
-		return nil, fmt.Errorf("pfs: unknown MDS request %T", req)
+// create is a namespace mutation: exclusive, full service cost under the
+// lock.
+func (m *MDS) create(p *sim.Proc, _ netsim.NodeID, r *mdsCreateReq) (Layout, error) {
+	m.nsLock.Acquire(p, 1)
+	p.Sleep(mdsOpCost)
+	defer m.nsLock.Release(1)
+	if _, ok := m.files[r.Path]; ok {
+		return Layout{}, fmt.Errorf("%w: %s", ErrExists, r.Path)
 	}
+	stripes := r.Stripes
+	if stripes <= 0 || stripes > len(m.osts) {
+		stripes = len(m.osts)
+	}
+	m.nextIno++
+	// Every layout shares the roster, which nobody modifies: the
+	// capacity bound keeps an append from writing into it.
+	l := &Layout{
+		Inode:      m.nextIno,
+		StripeUnit: stripeUnit,
+		OSTs:       m.osts[:stripes:stripes],
+	}
+	m.files[r.Path] = l
+	m.creates.Inc()
+	return *l, nil
+}
+
+func (m *MDS) open(p *sim.Proc, _ netsim.NodeID, r *mdsOpenReq) (Layout, error) {
+	p.Sleep(mdsOpCost)
+	l, ok := m.files[r.Path]
+	if !ok {
+		return Layout{}, fmt.Errorf("%w: %s", ErrNotFound, r.Path)
+	}
+	m.opens.Inc()
+	return *l, nil
+}
+
+func (m *MDS) setSize(p *sim.Proc, _ netsim.NodeID, r *mdsSetSizeReq) (struct{}, error) {
+	p.Sleep(mdsOpCost / 2)
+	l, ok := m.files[r.Path]
+	if !ok {
+		return struct{}{}, fmt.Errorf("%w: %s", ErrNotFound, r.Path)
+	}
+	if r.Size > l.Size {
+		l.Size = r.Size
+	}
+	return struct{}{}, nil
 }

@@ -56,7 +56,7 @@ func TestSharedWriteAllocatesPerUnitOnlyItsRPC(t *testing.T) {
 		rpc = mallocsPer(t, func() error {
 			obj := l.Objs[i%len(l.Objs)]
 			i++
-			_, err := c.caller.Call(p, obj.Node, obj.Port, ostWriteReq{
+			_, err := portals.Invoke(c.caller, p, obj.Node, obj.Port, opOSTWrite, &ostWriteReq{
 				Obj: obj.ID, Len: stripeUnit, Bits: bits, DataPortal: clientDataPortal, ClientID: c.id,
 			}, pfsReqSize, pfsRespSize)
 			return err

@@ -63,7 +63,7 @@ func StartOST(ep *portals.Endpoint, dev *osd.Device, port portals.Index, cfg sto
 	po := ep.Metrics().Scope("pfs").Scope(dev.Name())
 	o.lockSwitches = po.Counter("lock_switches")
 	o.writesServed = po.Counter("writes_served")
-	portals.Serve(ep, port, dev.Name(), cfg.Threads, o.handle)
+	portals.ServeOps(ep, port, dev.Name(), cfg.Threads, ostOps, o)
 	return o
 }
 
@@ -97,17 +97,19 @@ func (o *OST) lockOf(id osd.ObjectID) *ostLock {
 	return l
 }
 
-func (o *OST) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	switch r := req.(type) {
-	case ostWriteReq:
-		return o.write(p, from, r)
-	case ostSyncReq:
-		o.dev.Sync(p)
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("pfs: unknown OST request %T", req)
-	}
-}
+// The OST's operations, and its handler table.
+var (
+	opOSTWrite = portals.NewOp[ostWriteReq, int64]()
+	opOSTSync  = portals.NewOp[ostSyncReq, struct{}]()
+
+	ostOps = portals.NewOps(
+		portals.Handle(opOSTWrite, (*OST).write),
+		portals.Handle(opOSTSync, func(o *OST, p *sim.Proc, _ netsim.NodeID, _ *ostSyncReq) (struct{}, error) {
+			o.dev.Sync(p)
+			return struct{}{}, nil
+		}),
+	)
+)
 
 // write services one striped write under the DLM discipline. For a
 // single-writer object the lock is a formality (same holder, no contention,
@@ -116,12 +118,12 @@ func (o *OST) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interfac
 // and charges a revocation callback whenever the writing client changes.
 // A byte range storage.CheckRange refuses is answered before the object
 // or its lock is touched.
-func (o *OST) write(p *sim.Proc, from netsim.NodeID, r ostWriteReq) (interface{}, error) {
+func (o *OST) write(p *sim.Proc, from netsim.NodeID, r *ostWriteReq) (int64, error) {
 	if err := storage.CheckRange(r.Off, r.Len); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if err := o.ensureObject(p, r.Obj); err != nil {
-		return nil, err
+		return 0, err
 	}
 	l := o.lockOf(r.Obj)
 	l.res.Acquire(p, 1)

@@ -26,7 +26,7 @@ func TestOSTRefusesNegativeOffset(t *testing.T) {
 		slot := ep.Expose(clientDataPortal, bits, netsim.SyntheticPayload(4096))
 		defer slot.Close()
 		tgt := o.Target()
-		_, err := r.Caller(2).Call(p, tgt.Node, tgt.Port, ostWriteReq{
+		_, err := portals.Invoke(r.Caller(2), p, tgt.Node, tgt.Port, opOSTWrite, &ostWriteReq{
 			Obj: 7, Off: -4096, Len: 4096, Bits: bits, DataPortal: clientDataPortal, ClientID: 1,
 		}, pfsReqSize, pfsRespSize)
 		if !errors.Is(err, fs.ErrInvalid) {

@@ -3,10 +3,11 @@ package portals
 import "fmt"
 
 // DescribeBody renders a wire-message body for protocol traces. One-sided
-// puts are unwrapped to show the protocol-level header they carry — an RPC
-// request's or response's inner body type — instead of the transport
-// record, so a trace of a write reads "put[storage.writeReq]" rather than
-// a wall of "*portals.Event". Unknown bodies fall back to their Go type.
+// puts are unwrapped, cell and all, to show the type of the protocol-level
+// header they carry — an RPC request's or reply's value, or a Put header —
+// instead of the transport record, so a trace of a write reads
+// "put[storage.writeReq]" rather than a wall of "*portals.Event". An error
+// reply reads "put[<nil> err]". Unknown bodies fall back to their Go type.
 // The body is a record its receiver recycles: describe it while the trace
 // hook runs and keep the string, never the body.
 func DescribeBody(body interface{}) string {
@@ -16,12 +17,12 @@ func DescribeBody(body interface{}) string {
 	}
 	switch ev.kind {
 	case wireRequest:
-		return fmt.Sprintf("put[%T]", ev.req.Body)
+		return "put[" + describeCell(ev.req.Body) + "]"
 	case wireResponse:
 		if ev.resp.Err != nil {
-			return fmt.Sprintf("put[%T err]", ev.resp.Body)
+			return "put[<nil> err]"
 		}
-		return fmt.Sprintf("put[%T]", ev.resp.Body)
+		return "put[" + describeCell(ev.resp.Body) + "]"
 	case wireGet:
 		return "get"
 	case wireGetReply:
@@ -29,8 +30,16 @@ func DescribeBody(body interface{}) string {
 	case wireFreed:
 		return "released"
 	}
-	if ev.Hdr == nil {
+	if ev.hdr == nil {
 		return "put[data]"
 	}
-	return fmt.Sprintf("put[%T]", ev.Hdr)
+	return "put[" + describeCell(ev.hdr) + "]"
+}
+
+// describeCell names the type of the value a cell holds; no cell is <nil>.
+func describeCell(b body) string {
+	if b == nil {
+		return "<nil>"
+	}
+	return b.typeName()
 }

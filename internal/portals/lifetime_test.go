@@ -254,7 +254,7 @@ func TestLateRepliesNeverReachAnotherCall(t *testing.T) {
 			r.k.Spawn(fmt.Sprintf("caller%d", i), func(p *sim.Proc) {
 				for j := 0; j < each; j++ {
 					n := i*each + j
-					v, err := c.CallTimeout(p, r.eps[1].Node(), 10, n, 64, 64, 5*time.Millisecond)
+					v, err := callTimeout(c, p, r.eps[1].Node(), 10, n, 5*time.Millisecond)
 					switch {
 					case n%10 == 3:
 						if !errors.Is(err, ErrRPCTimeout) {
@@ -297,7 +297,7 @@ func TestReplyInTheInstantOfTheTimeoutIsNotTheNextReply(t *testing.T) {
 			return
 		}
 		rtt := p.Now().Sub(start) // the net is idle: every such call takes exactly this
-		if v, err := c.CallTimeout(p, r.eps[1].Node(), 10, "stale", 64, 64, rtt); !errors.Is(err, ErrRPCTimeout) {
+		if v, err := callTimeout(c, p, r.eps[1].Node(), 10, "stale", rtt); !errors.Is(err, ErrRPCTimeout) {
 			t.Errorf("call with timeout = round trip: %v, %v, want a timeout", v, err)
 		}
 		if n := r.eps[0].dropped.Value(); n != 0 {

@@ -42,10 +42,10 @@ const HeaderSize = 64
 type Event struct {
 	Initiator netsim.NodeID
 	Bits      MatchBits
-	Hdr       interface{}    // out-of-band header data carried by a Put
 	Payload   netsim.Payload // data deposited by a Put
 
 	// Read by the wire path only.
+	hdr    body // a Put's header (Header.Of), or nil
 	pt     Index
 	kind   wireKind
 	req    rpcRequest  // wireRequest
@@ -62,9 +62,9 @@ type Event struct {
 type wireKind uint8
 
 const (
-	wirePut      wireKind = iota // a Put; Hdr is whatever the sender passed
-	wireRequest                  // a Put whose header is req, unboxed
-	wireResponse                 // a Put whose header is resp, unboxed
+	wirePut      wireKind = iota // a Put; hdr is its header's cell, if any
+	wireRequest                  // a Put whose header is req
+	wireResponse                 // a Put whose header is resp
 	wireGet                      // a Get request
 	wireGetReply                 // a Get's answer: Payload or err
 	wireFreed                    // released; nobody may touch it again
@@ -77,6 +77,8 @@ const (
 type pool struct {
 	events *Event
 	slots  *Slot
+	cells  []any // by kind (ops.go): the head *cell[T] of each free list
+	out    int   // cells taken and not yet released
 }
 
 // live panics on a released record: a use after Release, or a second one.
@@ -87,12 +89,17 @@ func (ev *Event) live() *Event {
 	return ev
 }
 
-// Release hands the record back for reuse. Only the receiver the sender
-// addressed may call it, once, after copying out what it keeps; the record
-// is poisoned so a later touch is caught (and, under the race detector,
-// never reused — see recycle).
+// Release hands the record back for reuse, with the cell it still holds.
+// Only the receiver the sender addressed may call it, once, after copying
+// out what it keeps; the record is poisoned so a later touch is caught (and,
+// under the race detector, never reused — see recycle).
 func (ev *Event) Release() {
 	pl := ev.live().home
+	for _, b := range [...]body{ev.hdr, ev.req.Body, ev.resp.Body} {
+		if b != nil {
+			b.release()
+		}
+	}
 	*ev = Event{pt: -1, Bits: ^MatchBits(0), kind: wireFreed, home: pl}
 	if recycle {
 		ev.next, pl.events = pl.events, ev
@@ -221,6 +228,11 @@ func NewEndpoint(net *netsim.Network, node *netsim.Node) *Endpoint {
 	if pl == nil {
 		pl = &pool{}
 		net.SetAttachment(pl)
+		net.OnDrop(func(m netsim.Message) {
+			if ev, ok := m.Body.(*Event); ok {
+				ev.Release() // a record the fabric lost, and its cell
+			}
+		})
 	}
 	ep := &Endpoint{
 		net:       net,
@@ -425,15 +437,6 @@ func (ep *Endpoint) record(pt Index, bits MatchBits, payload netsim.Payload) *Ev
 // from here the record belongs to whoever receives it at target.
 func (ep *Endpoint) send(target netsim.NodeID, ev *Event) {
 	ep.net.Send(netsim.Message{From: ep.node.ID, To: target, Size: HeaderSize + ev.Payload.Size, Body: ev})
-}
-
-// Put initiates a one-sided put of payload (plus hdr, which travels in the
-// message header) into the match entry at (target, pt, bits). It is
-// asynchronous: the caller continues immediately.
-func (ep *Endpoint) Put(target netsim.NodeID, pt Index, bits MatchBits, hdr interface{}, payload netsim.Payload) {
-	ev := ep.record(pt, bits, payload)
-	ev.Hdr = hdr
-	ep.send(target, ev)
 }
 
 // getReplyPortal is the reserved portal index where Get replies land,

@@ -34,6 +34,18 @@ func newRig(t *testing.T, nodes int, bw float64) *rig {
 	return r
 }
 
+// testHdr is the Put header these tests send.
+var testHdr = NewHeader[string]()
+
+func put(ep *Endpoint, target netsim.NodeID, pt Index, bits MatchBits, hdr string, payload netsim.Payload) {
+	testHdr.Put(ep, target, pt, bits, &hdr, payload)
+}
+
+// callTimeout is an untyped Call with a deadline and one attempt.
+func callTimeout(c *Caller, p *sim.Proc, target netsim.NodeID, pt Index, req any, timeout time.Duration) (any, error) {
+	return InvokeTimeout(c, p, target, pt, anyOp, &req, 64, 64, timeout)
+}
+
 func TestPutDeliversEvent(t *testing.T) {
 	r := newRig(t, 2, 100*mb)
 	eq := sim.NewMailbox(r.k, "eq")
@@ -41,12 +53,12 @@ func TestPutDeliversEvent(t *testing.T) {
 	var got *Event
 	r.k.Spawn("recv", func(p *sim.Proc) { got = eq.Recv(p).(*Event) })
 	r.k.Spawn("send", func(p *sim.Proc) {
-		r.eps[0].Put(r.eps[1].Node(), 7, 42, "hdr", netsim.BytesPayload([]byte("payload")))
+		put(r.eps[0], r.eps[1].Node(), 7, 42, "hdr", netsim.BytesPayload([]byte("payload")))
 	})
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || got.Hdr.(string) != "hdr" ||
+	if got == nil || *testHdr.Of(got) != "hdr" ||
 		string(got.Payload.Data) != "payload" || got.Initiator != r.eps[0].Node() {
 		t.Fatalf("event = %+v", got)
 	}
@@ -54,7 +66,7 @@ func TestPutDeliversEvent(t *testing.T) {
 
 func TestPutNoMatchDropped(t *testing.T) {
 	r := newRig(t, 2, 100*mb)
-	r.eps[0].Put(r.eps[1].Node(), 9, 1, nil, netsim.SyntheticPayload(10))
+	put(r.eps[0], r.eps[1].Node(), 9, 1, "", netsim.SyntheticPayload(10))
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +82,8 @@ func TestMatchBitsAndIgnore(t *testing.T) {
 	// Entry A matches exactly bits 5; entry B matches anything (ignore all).
 	r.eps[1].Attach(3, 5, 0, &MD{EQ: eqA})
 	r.eps[1].Attach(3, 0, ^MatchBits(0), &MD{EQ: eqB})
-	r.eps[0].Put(r.eps[1].Node(), 3, 5, nil, netsim.SyntheticPayload(1))
-	r.eps[0].Put(r.eps[1].Node(), 3, 6, nil, netsim.SyntheticPayload(1))
+	put(r.eps[0], r.eps[1].Node(), 3, 5, "", netsim.SyntheticPayload(1))
+	put(r.eps[0], r.eps[1].Node(), 3, 6, "", netsim.SyntheticPayload(1))
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +95,8 @@ func TestMatchBitsAndIgnore(t *testing.T) {
 func TestAttachOnceUnlinksAfterFirstMatch(t *testing.T) {
 	r := newRig(t, 2, 100*mb)
 	slot := r.eps[1].Post(3, 5, true) // a use-once entry
-	r.eps[0].Put(r.eps[1].Node(), 3, 5, nil, netsim.SyntheticPayload(1))
-	r.eps[0].Put(r.eps[1].Node(), 3, 5, nil, netsim.SyntheticPayload(1))
+	put(r.eps[0], r.eps[1].Node(), 3, 5, "", netsim.SyntheticPayload(1))
+	put(r.eps[0], r.eps[1].Node(), 3, 5, "", netsim.SyntheticPayload(1))
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +295,7 @@ func TestRPCTimeout(t *testing.T) {
 	var elapsed time.Duration
 	r.k.Spawn("client", func(p *sim.Proc) {
 		start := p.Now()
-		_, err = c.CallTimeout(p, r.eps[1].Node(), 10, nil, 64, 64, time.Second)
+		_, err = callTimeout(c, p, r.eps[1].Node(), 10, nil, time.Second)
 		elapsed = p.Now().Sub(start)
 	})
 	// The sleeping worker keeps an event pending until the hour passes;
@@ -302,7 +314,7 @@ func TestUnlinkRemovesEntry(t *testing.T) {
 	me := r.eps[1].Attach(3, 5, 0, &MD{EQ: eq})
 	me.Unlink()
 	me.Unlink() // idempotent
-	r.eps[0].Put(r.eps[1].Node(), 3, 5, nil, netsim.SyntheticPayload(1))
+	put(r.eps[0], r.eps[1].Node(), 3, 5, "", netsim.SyntheticPayload(1))
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestLateReplyAfterCallTimeoutIsCountedNotDelivered(t *testing.T) {
 	r.k.Spawn("client", func(p *sim.Proc) {
 		// Times out at 5ms; its reply arrives ~50ms, long after the next
 		// call is in flight.
-		first, err1 = c.CallTimeout(p, r.eps[1].Node(), 5, "slow", 64, 64, 5*time.Millisecond)
+		first, err1 = callTimeout(c, p, r.eps[1].Node(), 5, "slow", 5*time.Millisecond)
 		second, err2 = c.Call(p, r.eps[1].Node(), 5, "fast", 64, 64)
 		// Park past the late reply's arrival so the drop is observable.
 		p.Sleep(100 * time.Millisecond)
@@ -181,7 +181,7 @@ func TestCrashSuppressesInFlightReply(t *testing.T) {
 	c := NewCaller(r.eps[0])
 	var err error
 	r.k.Spawn("client", func(p *sim.Proc) {
-		_, err = c.CallTimeout(p, r.eps[1].Node(), 5, "x", 64, 64, 30*time.Millisecond)
+		_, err = callTimeout(c, p, r.eps[1].Node(), 5, "x", 30*time.Millisecond)
 	})
 	if e := r.k.Run(sim.MaxTime); e != nil {
 		t.Fatal(e)
@@ -254,7 +254,8 @@ func rawRetry(r *rig) (put func(tok, reqID, ack uint64, body string), replies *s
 	me := r.eps[0].Node()
 	return func(tok, reqID, ack uint64, body string) {
 		out := r.eps[0].record(5, 0, netsim.SyntheticPayload(64))
-		out.kind, out.req = wireRequest, rpcRequest{Token: tok, ReqID: reqID, AckLag: uint32(reqID - ack), From: me, Body: body}
+		v := any(body)
+		out.kind, out.req = wireRequest, rpcRequest{Token: tok, ReqID: reqID, AckLag: uint32(reqID - ack), From: me, Op: anyOp.id, Body: newCell(r.eps[0].pool, anyOp.req, &v)}
 		r.eps[0].send(r.eps[1].Node(), out)
 	}, replies
 }
@@ -401,7 +402,7 @@ func TestCrashFreesAWaitingDuplicate(t *testing.T) {
 	r.k.Spawn("listener", func(p *sim.Proc) {
 		for len(answers) < 3 {
 			ev := replies.Recv(p).(*Event)
-			answers = append(answers, ev.resp.Body.(string))
+			answers = append(answers, (*ev.resp.Body.(*cell[any]).get()).(string))
 			at = append(at, time.Duration(p.Now()))
 			ev.Release()
 		}

@@ -31,14 +31,16 @@ type rpcRequest struct {
 	ReqID    uint64 // nonzero for retryable calls; servers dedup on (From, ReqID)
 	From     netsim.NodeID
 	Class    uint8  // scheduling class (Caller.SetClass); 0 = foreground
+	Op       uint16 // the operation (Op.id) Body is a request of
 	AckLag   uint32 // ReqID minus the sender's ack watermark (rpcRequest.ack)
-	Body     interface{}
+	Body     body
 	RespSize int64 // wire size the response should occupy (0 => header only)
 }
 
 // ack is the sender's ack watermark: every retryable call From made below it
-// has returned. It travels as a lag behind ReqID, in the padding after Class,
-// so the request, and every wire record carrying one, stays its old size.
+// has returned. It travels as a lag behind ReqID, in the padding after Class
+// (with Op), so the request, and every wire record carrying one, stays its
+// old size.
 func (r *rpcRequest) ack() uint64 { return r.ReqID - uint64(r.AckLag) }
 
 // rpcResponse is the header of an RPC response message. Err travels as an
@@ -47,13 +49,14 @@ func (r *rpcRequest) ack() uint64 { return r.ReqID - uint64(r.AckLag) }
 // packages' sentinel errors) costs nothing and makes the client API honest.
 type rpcResponse struct {
 	Token uint64
-	Body  interface{}
+	Body  body // nil for an empty Resp
 	Err   error
 }
 
-// Handler processes one RPC request on a service process. It may block
-// (sleep for service time, do disk I/O, issue portals Gets). The returned
-// body travels back to the caller.
+// Handler is the untyped form of a handler (Serve): it processes one
+// request on a service process, may block (sleep for service time, do disk
+// I/O, issue portals Gets), and its returned body travels back to the
+// caller.
 type Handler func(p *sim.Proc, from netsim.NodeID, req interface{}) (resp interface{}, err error)
 
 // ErrOverload is the explicit shed verdict: an admission-controlled server
@@ -77,10 +80,16 @@ var ErrCircuitOpen = fmt.Errorf("portals: circuit open (fast-fail): %w", ErrRPCT
 type Delivery struct {
 	From  netsim.NodeID
 	Class uint8
-	Body  interface{}
+	Body  interface{} // the request value's address, in its cell
 
-	req   rpcRequest
-	valid bool
+	req rpcRequest // the zero value for a Delivery the Server did not make
+}
+
+// Discard releases the request of a delivery a Dispatcher drops unserved.
+func (d Delivery) Discard() {
+	if d.req.Body != nil {
+		d.req.Body.release()
+	}
 }
 
 // Dispatcher is a pluggable queue discipline between request arrival and the
@@ -91,7 +100,8 @@ type Delivery struct {
 // and that thread calls Next: the dispatcher picks which queued delivery it
 // gets (fair-share, priority), and answers with the zero Delivery when the
 // queue was cleared in the meantime. Len reports queued deliveries; Clear
-// discards them all (server crash) and returns how many were dropped.
+// discards them all (server crash, Delivery.Discard) and returns how many
+// were dropped.
 type Dispatcher interface {
 	Submit(d Delivery) error
 	Next(p *sim.Proc) Delivery
@@ -100,15 +110,30 @@ type Dispatcher interface {
 }
 
 // dedupEntry is one retryable request a server has started for a sender: in
-// flight until done, then its response, kept for a retransmission until the
-// sender's ack watermark passes it. wait is made only by a duplicate that
-// finds the original still in flight.
+// flight until done, then its response, kept (the table's own cell) for a
+// retransmission until the sender's ack watermark passes it. wait is made
+// only by a duplicate that finds the original still in flight.
 type dedupEntry struct {
 	reqID uint64
 	done  bool
-	body  interface{}
+	body  body
 	err   error
-	wait  *sim.Future
+	wait  *flight
+}
+
+// flight is an execution duplicates wait on: done completes with a copy of
+// its reply, which each waiter copies again but the last, who takes it.
+type flight struct {
+	done    *sim.Future
+	waiters int
+}
+
+// cloneBody copies a reply for another owner.
+func cloneBody(b body) body {
+	if b == nil {
+		return nil
+	}
+	return b.clone()
 }
 
 // sender is a server's dedup state for one sender node: the highest ack
@@ -140,6 +165,8 @@ func (sn *sender) acked(ack uint64) {
 	for _, e := range sn.reqs {
 		if !e.done || e.reqID >= ack {
 			kept = append(kept, e)
+		} else if e.body != nil {
+			e.body.release()
 		}
 	}
 	clear(sn.reqs[len(kept):])
@@ -149,16 +176,36 @@ func (sn *sender) acked(ack uint64) {
 // finish records the response of the execution of reqID for its
 // retransmissions and hands it to the duplicates waiting on it; an entry the
 // watermark passed while it ran is dropped instead.
-func (sn *sender) finish(reqID uint64, body interface{}, err error) {
+func (sn *sender) finish(reqID uint64, b body, err error) {
 	i := sn.find(reqID)
-	if w := sn.reqs[i].wait; w != nil {
-		w.Complete(body, err)
+	if f := sn.reqs[i].wait; f != nil {
+		f.done.Complete(cloneBody(b), err)
 	}
 	if reqID < sn.ack {
 		sn.reqs = slices.Delete(sn.reqs, i, i+1)
 		return
 	}
-	sn.reqs[i] = dedupEntry{reqID: reqID, done: true, body: body, err: err}
+	sn.reqs[i] = dedupEntry{reqID: reqID, done: true, body: cloneBody(b), err: err}
+}
+
+// duplicate answers a retransmission of e's request: a copy of the reply e
+// keeps or, while the original still runs, of the reply it will give.
+func duplicate(p *sim.Proc, e *dedupEntry) (body, error) {
+	if e.done {
+		return cloneBody(e.body), e.err
+	}
+	f := e.wait
+	if f == nil {
+		f = &flight{done: sim.NewFuture()}
+		e.wait = f
+	}
+	f.waiters++
+	v, err := f.done.Wait(p)
+	b, _ := v.(body)
+	if f.waiters--; f.waiters > 0 {
+		return cloneBody(b), err
+	}
+	return b, err
 }
 
 // Server dispatches RPC requests arriving at one portal index to a pool of
@@ -182,11 +229,12 @@ func (sn *sender) finish(reqID uint64, body interface{}, err error) {
 // the table holds only what the senders' outstanding calls may still
 // retransmit.
 type Server struct {
-	ep      *Endpoint
-	pt      Index
-	name    string
-	q       *sim.Mailbox
-	handler Handler
+	ep   *Endpoint
+	pt   Index
+	name string
+	q    *sim.Mailbox
+	fns  []serveFn // the service's Ops, by Op id
+	recv any       // the receiver they run on
 
 	threads int          // service concurrency: the most workers ever started
 	started int          // workers started so far
@@ -220,11 +268,17 @@ type Server struct {
 // "osd0.0/txn" registers under "rpc.osd0.0.txn.*".
 func metricName(name string) string { return strings.ReplaceAll(name, "/", ".") }
 
-// Serve attaches an RPC server at (ep, pt) served by up to threads service
-// processes. The server registers `rpc.<name>.served|deduped|discarded`
-// counters and a `rpc.<name>.queue_depth` gauge in the network's metrics
-// registry.
+// Serve is ServeOps for an untyped handler: it answers every request as one
+// Op[any, any], which is how Caller.Call sends.
 func Serve(ep *Endpoint, pt Index, name string, threads int, handler Handler) *Server {
+	return ServeOps(ep, pt, name, threads, anyOps, handler)
+}
+
+// ServeOps attaches an RPC server at (ep, pt) that answers ops's operations
+// on recv, served by up to threads service processes. The server registers
+// `rpc.<name>.served|deduped|discarded` counters and a
+// `rpc.<name>.queue_depth` gauge in the network's metrics registry.
+func ServeOps[S any](ep *Endpoint, pt Index, name string, threads int, ops *Ops[S], recv S) *Server {
 	if threads <= 0 {
 		panic(fmt.Sprintf("portals: server %q: need at least one thread", name))
 	}
@@ -233,7 +287,8 @@ func Serve(ep *Endpoint, pt Index, name string, threads int, handler Handler) *S
 	s := &Server{
 		ep: ep, pt: pt, name: name,
 		q:         sim.NewMailbox(k, name+"/rpcq"),
-		handler:   handler,
+		fns:       ops.fns,
+		recv:      recv,
 		threads:   threads,
 		served:    scope.Counter("served"),
 		deduped:   scope.Counter("deduped"),
@@ -299,9 +354,10 @@ func (s *Server) runIntake(p *sim.Proc) {
 		}
 		if s.down {
 			s.discarded.Inc()
+			req.Body.release()
 			continue
 		}
-		if err := s.disp.Submit(Delivery{From: req.From, Class: req.Class, Body: req.Body, req: req, valid: true}); err != nil {
+		if err := s.disp.Submit(Delivery{From: req.From, Class: req.Class, Body: req.Body.view(), req: req}); err != nil {
 			s.shedReply(s.epoch, req, err)
 			continue
 		}
@@ -312,6 +368,7 @@ func (s *Server) runIntake(p *sim.Proc) {
 // shedReply answers a rejected request with err and no payload. Sheds are
 // counted separately from served: the handler never ran.
 func (s *Server) shedReply(epoch uint64, req rpcRequest, err error) {
+	req.Body.release()
 	if s.down || epoch != s.epoch {
 		return
 	}
@@ -319,21 +376,23 @@ func (s *Server) shedReply(epoch uint64, req rpcRequest, err error) {
 	s.respond(req, nil, err, 0)
 }
 
-// takeRequest copies the request out of the record that carried it and
-// releases the record; ok is false for any other Put, which the caller
-// drops.
+// takeRequest moves the request, with its cell, out of the record that
+// carried it and releases the record; ok is false for any other Put, which
+// the caller drops.
 func takeRequest(ev *Event) (req rpcRequest, ok bool) {
 	if ev.live().kind == wireRequest {
 		req, ok = ev.req, true
+		ev.req.Body = nil
 	}
 	ev.Release()
 	return req, ok
 }
 
-// respond puts the response to req, occupying size payload bytes, on the wire.
-func (s *Server) respond(req rpcRequest, body interface{}, err error, size int64) {
+// respond puts the response to req, occupying size payload bytes, on the
+// wire; the caller takes b.
+func (s *Server) respond(req rpcRequest, b body, err error, size int64) {
 	ev := s.ep.record(replyPortal, MatchBits(req.Token), netsim.SyntheticPayload(size))
-	ev.kind, ev.resp = wireResponse, rpcResponse{Token: req.Token, Body: body, Err: err}
+	ev.kind, ev.resp = wireResponse, rpcResponse{Token: req.Token, Body: b, Err: err}
 	s.ep.send(req.From, ev)
 }
 
@@ -342,7 +401,8 @@ func (s *Server) Down() bool { return s.down }
 
 // SetDown crashes (true) or restarts (false) the server. Crashing discards
 // queued requests, frees the workers whose duplicates wait on an execution,
-// forgets the volatile dedup table, and suppresses replies from handler
+// forgets the volatile dedup table (releasing the replies it kept), and
+// suppresses replies from handler
 // executions already underway; the RPC port itself stays bound,
 // modeling a machine that is unreachable at the process level rather than
 // the NIC level. Durable state recovery is the owner's job (storage servers
@@ -353,8 +413,11 @@ func (s *Server) SetDown(down bool) {
 		// Wake in a fixed order: each wake schedules a process.
 		for _, from := range slices.Sorted(maps.Keys(s.senders)) {
 			for _, e := range s.senders[from].reqs {
+				if e.body != nil {
+					e.body.release()
+				}
 				if e.wait != nil {
-					e.wait.Complete(nil, nil) // the epoch suppresses its reply
+					e.wait.done.Complete(nil, nil) // the epoch suppresses its reply
 				}
 			}
 		}
@@ -368,12 +431,27 @@ func (s *Server) SetDown(down bool) {
 	s.down = down
 }
 
-func (s *Server) reply(epoch uint64, req rpcRequest, body interface{}, err error) {
+// reply sends b, or releases it if the server crashed (or crashed and
+// restarted) since this execution began.
+func (s *Server) reply(epoch uint64, req rpcRequest, b body, err error) {
 	if s.down || epoch != s.epoch {
-		return // crashed (or crashed+restarted) since this execution began
+		if b != nil {
+			b.release()
+		}
+		return
 	}
 	s.served.Inc()
-	s.respond(req, body, err, req.RespSize)
+	s.respond(req, b, err, req.RespSize)
+}
+
+// handle runs req's handler, which takes the request's cell; an op the
+// table lacks is answered errNoOp.
+func (s *Server) handle(p *sim.Proc, req rpcRequest) (body, error) {
+	if int(req.Op) < len(s.fns) && s.fns[req.Op] != nil {
+		return s.fns[req.Op](s.recv, p, req.From, req.Body)
+	}
+	req.Body.release()
+	return nil, errNoOp
 }
 
 func (s *Server) worker(p *sim.Proc) {
@@ -382,7 +460,7 @@ func (s *Server) worker(p *sim.Proc) {
 		if s.disp != nil {
 			s.work.Recv(p)
 			del := s.disp.Next(p)
-			if !del.valid {
+			if del.req.Body == nil {
 				continue // the token outlived a Clear (SetDown raced a woken worker)
 			}
 			req = del.req
@@ -394,41 +472,37 @@ func (s *Server) worker(p *sim.Proc) {
 		}
 		if s.down {
 			s.discarded.Inc()
+			req.Body.release()
 			continue
 		}
 		epoch := s.epoch
 		if req.ReqID == 0 {
-			body, err := s.handler(p, req.From, req.Body)
-			s.reply(epoch, req, body, err)
+			b, err := s.handle(p, req)
+			s.reply(epoch, req, b, err)
 			continue
 		}
 		sn := s.sender(req.From)
 		sn.acked(req.ack())
 		if req.ReqID < sn.ack {
 			s.discarded.Inc() // a retransmission whose caller has returned
+			req.Body.release()
 			continue
 		}
 		if i := sn.find(req.ReqID); i >= 0 {
 			// Retry of a request we have seen: read (or wait for) the
 			// original execution's result and answer at this reply token.
 			s.deduped.Inc()
-			e := &sn.reqs[i]
-			body, err := e.body, e.err
-			if !e.done {
-				if e.wait == nil {
-					e.wait = sim.NewFuture()
-				}
-				body, err = e.wait.Wait(p)
-			}
-			s.reply(epoch, req, body, err)
+			req.Body.release()
+			b, err := duplicate(p, &sn.reqs[i])
+			s.reply(epoch, req, b, err)
 			continue
 		}
 		sn.reqs = append(sn.reqs, dedupEntry{reqID: req.ReqID})
-		body, err := s.handler(p, req.From, req.Body)
+		b, err := s.handle(p, req)
 		if epoch == s.epoch { // else a crash forgot sn and woke its waiters
-			sn.finish(req.ReqID, body, err)
+			sn.finish(req.ReqID, b, err)
 		}
-		s.reply(epoch, req, body, err)
+		s.reply(epoch, req, b, err)
 	}
 }
 
@@ -446,7 +520,7 @@ func (s *Server) sender(from netsim.NodeID) *sender {
 	return sn
 }
 
-// ErrRPCTimeout is returned by CallTimeout when the deadline passes.
+// ErrRPCTimeout is returned by an attempt whose deadline passed.
 var ErrRPCTimeout = errors.New("portals: rpc timeout")
 
 // FailStop is the failover rule's one classifier: it reports whether err is
@@ -523,29 +597,29 @@ func (c *Caller) SetClass(class uint8) { c.class = class }
 // SetBreaker arms the caller with a circuit breaker. nil disarms.
 func (c *Caller) SetBreaker(b Breaker) { c.breaker = b }
 
-// Call sends req (occupying reqSize bytes on the wire, in addition to the
-// portals header) to the server at (target, pt) and blocks p for the
-// response. respSize tells the server how large its answer is on the wire.
-// With a retry policy armed (SetRetry), lost requests or responses are
-// retried under a per-attempt timeout with exponential backoff; the server
-// deduplicates re-executions, so retried calls stay exactly-once. Every
-// attempt carries the request ID and the endpoint's ack watermark: the lowest
-// request ID of the node's retryable calls still outstanding, this one
-// included, so every such call below it has returned (an implicit
-// acknowledgement, as in Birrell and Nelson's RPC).
+// Call is Invoke for an untyped request, which Serve's handlers answer.
 func (c *Caller) Call(p *sim.Proc, target netsim.NodeID, pt Index, req interface{}, reqSize, respSize int64) (interface{}, error) {
-	if !c.retry.Enabled() {
-		return c.call(p, target, pt, req, reqSize, respSize, 0, 0)
-	}
+	return Invoke(c, p, target, pt, anyOp, &req, reqSize, respSize)
+}
+
+// retried is Invoke's attempt loop under a retry policy: lost requests or
+// responses are retried under a per-attempt timeout with exponential
+// backoff, each attempt sending its own copy of req (retried releases req);
+// the server deduplicates re-executions, so retried calls stay exactly-once.
+// Every attempt carries the request ID and the endpoint's ack watermark: the
+// lowest request ID of the node's retryable calls still outstanding, this
+// one included, so every such call below it has returned (an implicit
+// acknowledgement, as in Birrell and Nelson's RPC).
+func (c *Caller) retried(p *sim.Proc, target netsim.NodeID, pt Index, op uint16, req body, reqSize, respSize int64) (body, error) {
 	reqID := c.ep.openCall()
-	var v interface{}
+	var b body
 	var err error
 	for a := 0; a < c.retry.MaxAttempts; a++ {
 		if a > 0 {
 			c.retries.Inc()
 			p.Sleep(c.retry.Pause(a-1, c.rng))
 		}
-		v, err = c.call(p, target, pt, req, reqSize, respSize, c.retry.Timeout, reqID)
+		b, err = c.call(p, target, pt, op, req.clone(), reqSize, respSize, c.retry.Timeout, reqID)
 		// Only a lost message is retried. ErrCircuitOpen is a fast-fail:
 		// retrying would just spin on the open breaker (it wraps
 		// ErrRPCTimeout so the caller's failover logic still reads it as
@@ -554,27 +628,22 @@ func (c *Caller) Call(p *sim.Proc, target netsim.NodeID, pt Index, req interface
 			break
 		}
 	}
+	req.release()
 	c.ep.closeCall(reqID)
-	return v, err
+	return b, err
 }
 
-// CallTimeout is Call with a deadline and exactly one attempt; it returns
-// ErrRPCTimeout if no response arrives in time. A response that arrives
-// later is dropped at the reply portal and counted (late_replies) — reply
-// tokens are never reused, so a late response can never satisfy a
-// different call.
-func (c *Caller) CallTimeout(p *sim.Proc, target netsim.NodeID, pt Index, req interface{}, reqSize, respSize int64, timeout time.Duration) (interface{}, error) {
-	return c.call(p, target, pt, req, reqSize, respSize, timeout, 0)
-}
-
-func (c *Caller) call(p *sim.Proc, target netsim.NodeID, pt Index, req interface{}, reqSize, respSize int64, timeout time.Duration, reqID uint64) (interface{}, error) {
+// call is one attempt: it sends req, which the server takes, and returns the
+// reply's cell, which the caller takes.
+func (c *Caller) call(p *sim.Proc, target netsim.NodeID, pt Index, op uint16, req body, reqSize, respSize int64, timeout time.Duration, reqID uint64) (body, error) {
 	if c.breaker != nil && !c.breaker.Allow(target, pt) {
+		req.release()
 		return nil, ErrCircuitOpen
 	}
 	token := c.ep.nextTok()
 	slot := c.ep.Post(replyPortal, MatchBits(token), true)
 	out := c.ep.record(pt, 0, netsim.SyntheticPayload(reqSize))
-	out.kind, out.req = wireRequest, rpcRequest{Token: token, ReqID: reqID, From: c.ep.Node(), Class: c.class, AckLag: c.ep.ackLag(reqID), Body: req, RespSize: respSize}
+	out.kind, out.req = wireRequest, rpcRequest{Token: token, ReqID: reqID, From: c.ep.Node(), Class: c.class, Op: op, AckLag: c.ep.ackLag(reqID), Body: req, RespSize: respSize}
 	c.ep.send(target, out)
 
 	ev, ok := slot.Wait(p, timeout)
@@ -593,6 +662,7 @@ func (c *Caller) call(p *sim.Proc, target netsim.NodeID, pt Index, req interface
 		panic(fmt.Sprintf("portals: reply slot of token %d received a record of kind %d", token, ev.kind))
 	}
 	resp := ev.resp
+	ev.resp.Body = nil
 	ev.Release()
 	slot.Close()
 	if c.breaker != nil {

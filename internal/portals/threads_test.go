@@ -17,7 +17,14 @@ type fifoDispatcher struct{ q []Delivery }
 
 func (d *fifoDispatcher) Submit(del Delivery) error { d.q = append(d.q, del); return nil }
 func (d *fifoDispatcher) Len() int                  { return len(d.q) }
-func (d *fifoDispatcher) Clear() int                { n := len(d.q); d.q = nil; return n }
+func (d *fifoDispatcher) Clear() int {
+	for _, del := range d.q {
+		del.Discard()
+	}
+	n := len(d.q)
+	d.q = nil
+	return n
+}
 func (d *fifoDispatcher) Next(*sim.Proc) Delivery {
 	if len(d.q) == 0 {
 		return Delivery{}
@@ -152,7 +159,7 @@ func TestSetDownKeepsStartedWorkers(t *testing.T) {
 		for i := range errs {
 			i := i
 			r.k.Spawn(fmt.Sprintf("c%d", i), func(p *sim.Proc) {
-				_, errs[i] = c.CallTimeout(p, r.eps[0].Node(), 10, nil, 64, 64, 50*time.Millisecond)
+				_, errs[i] = callTimeout(c, p, r.eps[0].Node(), 10, nil, 50*time.Millisecond)
 			})
 		}
 		r.k.After(5*time.Millisecond, func() { srv.SetDown(true) })

@@ -258,13 +258,16 @@ func (b *band) rotate() {
 func (a *Admission) Len() int { return a.queued }
 
 // Clear implements portals.Dispatcher: drop everything queued (server
-// crash) and report how many were dropped.
+// crash), discarding each delivery, and report how many were dropped.
 func (a *Admission) Clear() int {
 	n := a.queued
 	for i := range a.bands {
 		// Empty the dropped queues in place: their queue_depth gauges
 		// stay registered until the tenant reappears.
 		for _, q := range a.bands[i].tenants {
+			for _, e := range q.q {
+				e.d.Discard()
+			}
 			q.q = nil
 		}
 		a.bands[i] = &band{tenants: make(map[Tenant]*tq)}

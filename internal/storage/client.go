@@ -69,11 +69,7 @@ func (c *Client) Create(p *sim.Proc, t Target, cap authz.Capability, cid authz.C
 // removed again if the transaction aborts. The caller must also enlist the
 // server's TxnEndpoint with the coordinator.
 func (c *Client) CreateTxn(p *sim.Proc, t Target, cap authz.Capability, cid authz.ContainerID, id txn.ID) (ObjRef, error) {
-	v, err := c.ep.Call(p, t.Node, t.Port, createReq{Cap: cap, Container: cid, Txn: id}, reqWireSize, respWireSize)
-	if err != nil {
-		return ObjRef{}, err
-	}
-	return v.(ObjRef), nil
+	return portals.Invoke(c.ep, p, t.Node, t.Port, opCreate, &createReq{Cap: cap, Container: cid, Txn: id}, reqWireSize, respWireSize)
 }
 
 // Write stores payload at offset off of the referenced object using the
@@ -83,7 +79,7 @@ func (c *Client) Write(p *sim.Proc, ref ObjRef, cap authz.Capability, off int64,
 	bits := c.bits()
 	slot := c.ep.Endpoint().Expose(ClientDataPortal, bits, payload)
 	defer slot.Close()
-	v, err := c.ep.Call(p, ref.Node, ref.Port, writeReq{
+	return portals.Invoke(c.ep, p, ref.Node, ref.Port, opWrite, &writeReq{
 		Cap:        cap,
 		ID:         ref.ID,
 		Off:        off,
@@ -91,13 +87,6 @@ func (c *Client) Write(p *sim.Proc, ref ObjRef, cap authz.Capability, off int64,
 		Bits:       bits,
 		DataPortal: ClientDataPortal,
 	}, reqWireSize, respWireSize)
-	if err != nil {
-		if n, ok := v.(int64); ok {
-			return n, err
-		}
-		return 0, err
-	}
-	return v.(int64), nil
 }
 
 // Read fetches [off, off+length) of the referenced object. The server
@@ -111,7 +100,7 @@ func (c *Client) Write(p *sim.Proc, ref ObjRef, cap authz.Capability, off int64,
 // chunks), and each attempt needs fresh match bits so stale chunks from a
 // timed-out attempt can never land in the new attempt's buffer. So when the
 // caller has a retry policy, Read runs its own attempt loop over
-// single-shot CallTimeout instead of the caller's dedup-backed retry.
+// single-shot InvokeTimeout instead of the caller's dedup-backed retry.
 func (c *Client) Read(p *sim.Proc, ref ObjRef, cap authz.Capability, off, length int64) (netsim.Payload, error) {
 	pol := c.ep.Retry()
 	if !pol.Enabled() {
@@ -138,25 +127,19 @@ func (c *Client) readOnce(p *sim.Proc, ref ObjRef, cap authz.Capability, off, le
 	bits := c.bits()
 	data := c.ep.Endpoint().Post(ClientDataPortal, bits, false)
 	defer data.Close()
-	req := readReq{
+	// One attempt: without a retry policy (timeout 0) that is all Invoke
+	// would make.
+	resp, err := portals.InvokeTimeout(c.ep, p, ref.Node, ref.Port, opRead, &readReq{
 		Cap:        cap,
 		ID:         ref.ID,
 		Off:        off,
 		Len:        length,
 		Bits:       bits,
 		DataPortal: ClientDataPortal,
-	}
-	var v interface{}
-	var err error
-	if timeout > 0 {
-		v, err = c.ep.CallTimeout(p, ref.Node, ref.Port, req, reqWireSize, respWireSize, timeout)
-	} else {
-		v, err = c.ep.Call(p, ref.Node, ref.Port, req, reqWireSize, respWireSize)
-	}
+	}, reqWireSize, respWireSize, timeout)
 	if err != nil {
 		return netsim.Payload{}, err
 	}
-	resp := v.(readResp)
 	// All data Puts preceded the response through the same FIFO network
 	// path, so exactly resp.Chunks events are already queued — unless fault
 	// injection dropped one, which the retry loop treats as retryable.
@@ -178,7 +161,7 @@ func assemble(p *sim.Proc, data *portals.Slot, resp readResp) netsim.Payload {
 	var buf []byte
 	for i := 0; i < resp.Chunks; i++ {
 		ev, _ := data.Wait(p, 0)
-		chunk, at, joined := ev.Payload, ev.Hdr.(int64), false
+		chunk, at, joined := ev.Payload, *chunkAt.Of(ev), false
 		if buf == nil && at == run.Size {
 			run, joined = run.Append(chunk)
 		}
@@ -203,55 +186,43 @@ func assemble(p *sim.Proc, data *portals.Slot, resp readResp) netsim.Payload {
 
 // Truncate sets the object's logical size. Requires an OpWrite capability.
 func (c *Client) Truncate(p *sim.Proc, ref ObjRef, cap authz.Capability, size int64) error {
-	_, err := c.ep.Call(p, ref.Node, ref.Port, truncateReq{Cap: cap, ID: ref.ID, Size: size}, reqWireSize, respWireSize)
+	_, err := portals.Invoke(c.ep, p, ref.Node, ref.Port, opTruncate, &truncateReq{Cap: cap, ID: ref.ID, Size: size}, reqWireSize, respWireSize)
 	return err
 }
 
 // Remove deletes the referenced object. Requires an OpRemove capability.
 func (c *Client) Remove(p *sim.Proc, ref ObjRef, cap authz.Capability) error {
-	_, err := c.ep.Call(p, ref.Node, ref.Port, removeReq{Cap: cap, ID: ref.ID}, reqWireSize, respWireSize)
+	_, err := portals.Invoke(c.ep, p, ref.Node, ref.Port, opRemove, &removeReq{Cap: cap, ID: ref.ID}, reqWireSize, respWireSize)
 	return err
 }
 
 // Stat returns object metadata. Requires an OpRead or OpList capability.
 func (c *Client) Stat(p *sim.Proc, ref ObjRef, cap authz.Capability) (osd.Stat, error) {
-	v, err := c.ep.Call(p, ref.Node, ref.Port, statReq{Cap: cap, ID: ref.ID}, reqWireSize, respWireSize)
-	if err != nil {
-		return osd.Stat{}, err
-	}
-	return v.(osd.Stat), nil
+	return portals.Invoke(c.ep, p, ref.Node, ref.Port, opStat, &statReq{Cap: cap, ID: ref.ID}, reqWireSize, respWireSize)
 }
 
 // List enumerates the objects of container cid on the target server.
 // Requires an OpList capability.
 func (c *Client) List(p *sim.Proc, t Target, cap authz.Capability, cid authz.ContainerID) ([]osd.ObjectID, error) {
-	v, err := c.ep.Call(p, t.Node, t.Port, listReq{Cap: cap, Container: cid}, reqWireSize, 1024)
-	if err != nil {
-		return nil, err
-	}
-	return v.([]osd.ObjectID), nil
+	return portals.Invoke(c.ep, p, t.Node, t.Port, opList, &listReq{Cap: cap, Container: cid}, reqWireSize, 1024)
 }
 
 // Sync flushes the target server's device; when it returns, every previous
 // write on that server is durable. Any valid capability authorizes it.
 func (c *Client) Sync(p *sim.Proc, t Target, cap authz.Capability) error {
-	_, err := c.ep.Call(p, t.Node, t.Port, syncReq{Cap: cap}, reqWireSize, respWireSize)
+	_, err := portals.Invoke(c.ep, p, t.Node, t.Port, opSync, &syncReq{Cap: cap}, reqWireSize, respWireSize)
 	return err
 }
 
 // SetAttr sets a named attribute on an object. Requires OpWrite.
 func (c *Client) SetAttr(p *sim.Proc, ref ObjRef, cap authz.Capability, key, value string) error {
-	_, err := c.ep.Call(p, ref.Node, ref.Port, setAttrReq{Cap: cap, ID: ref.ID, Key: key, Value: value},
+	_, err := portals.Invoke(c.ep, p, ref.Node, ref.Port, opSetAttr, &setAttrReq{Cap: cap, ID: ref.ID, Key: key, Value: value},
 		reqWireSize+int64(len(key)+len(value)), respWireSize)
 	return err
 }
 
 // GetAttr reads a named attribute. Requires OpRead.
 func (c *Client) GetAttr(p *sim.Proc, ref ObjRef, cap authz.Capability, key string) (string, error) {
-	v, err := c.ep.Call(p, ref.Node, ref.Port, getAttrReq{Cap: cap, ID: ref.ID, Key: key},
+	return portals.Invoke(c.ep, p, ref.Node, ref.Port, opGetAttr, &getAttrReq{Cap: cap, ID: ref.ID, Key: key},
 		reqWireSize+int64(len(key)), 256)
-	if err != nil {
-		return "", err
-	}
-	return v.(string), nil
 }

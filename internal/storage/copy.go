@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"cmp"
+
 	"lwfs/internal/authz"
+	"lwfs/internal/netsim"
 	"lwfs/internal/osd"
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
@@ -31,12 +34,17 @@ type copyReq struct {
 	Len    int64
 }
 
-// serveCopy handles a third-party transfer on the destination server. The
-// write capability was already checked by the dispatcher; the source
-// server checks the read capability when we call it. The remote read of
-// chunk i+1 overlaps the local disk write of chunk i (double buffering),
-// so the copy runs at the slower of the two disks, not their sum.
-func (s *Server) serveCopy(p *sim.Proc, r copyReq) (interface{}, error) {
+// serveCopy handles a third-party transfer on the destination server. It
+// checks the write capability; the source server checks the read capability
+// when we call it. The remote read of chunk i+1 overlaps the local disk write
+// of chunk i (double buffering), so the copy runs at the slower of the two
+// disks, not their sum. Its readers are done with r once their last chunk is
+// sent, before serveCopy returns.
+func (s *Server) serveCopy(p *sim.Proc, _ netsim.NodeID, r *copyReq) (int64, error) {
+	bad := cmp.Or(CheckRange(r.DstOff, r.Len), CheckRange(r.SrcOff, r.Len))
+	if err := s.admitObj(p, &r.DstCap, authz.OpWrite, r.DstID, bad); err != nil {
+		return 0, err
+	}
 	// The server acts as a storage client of the source server, reusing
 	// the node's endpoint (and the server-directed read path: the source
 	// pushes chunks straight into this node).
@@ -103,15 +111,8 @@ func (s *Server) serveCopy(p *sim.Proc, r copyReq) (interface{}, error) {
 // the bytes copied (short if the source range runs past EOF).
 func (c *Client) Copy(p *sim.Proc, dst ObjRef, dstCap authz.Capability, dstOff int64,
 	src ObjRef, srcCap authz.Capability, srcOff, length int64) (int64, error) {
-	v, err := c.ep.Call(p, dst.Node, dst.Port, copyReq{
+	return portals.Invoke(c.ep, p, dst.Node, dst.Port, opCopy, &copyReq{
 		DstCap: dstCap, DstID: dst.ID, DstOff: dstOff,
 		Src: src, SrcCap: srcCap, SrcOff: srcOff, Len: length,
 	}, reqWireSize+authz.CapWireSize, respWireSize)
-	if err != nil {
-		if n, ok := v.(int64); ok {
-			return n, err
-		}
-		return 0, err
-	}
-	return v.(int64), nil
 }

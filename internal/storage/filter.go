@@ -8,6 +8,7 @@ import (
 	"lwfs/internal/authz"
 	"lwfs/internal/netsim"
 	"lwfs/internal/osd"
+	"lwfs/internal/portals"
 	"lwfs/internal/sim"
 )
 
@@ -59,7 +60,10 @@ const FilterCPUBps = 400e6
 
 // runFilter streams [off, off+len) of the object from disk through the
 // filter, charging disk and CPU time, and returns the final accumulator.
-func (s *Server) runFilter(p *sim.Proc, r filterReq) (interface{}, error) {
+func (s *Server) runFilter(p *sim.Proc, _ netsim.NodeID, r *filterReq) ([]byte, error) {
+	if err := s.admitObj(p, &r.Cap, authz.OpRead, r.ID, CheckRange(r.Off, r.Len)); err != nil {
+		return nil, err
+	}
 	fn, ok := s.filters[r.Name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoFilter, r.Name)
@@ -86,14 +90,7 @@ func (s *Server) runFilter(p *sim.Proc, r filterReq) (interface{}, error) {
 // capability (a filter is a read that happens to summarize). maxResult
 // bounds the reply's wire size.
 func (c *Client) Filter(p *sim.Proc, ref ObjRef, cap authz.Capability, off, length int64, name, args string, maxResult int64) ([]byte, error) {
-	v, err := c.ep.Call(p, ref.Node, ref.Port, filterReq{
+	return portals.Invoke(c.ep, p, ref.Node, ref.Port, opFilter, &filterReq{
 		Cap: cap, ID: ref.ID, Off: off, Len: length, Name: name, Args: args,
 	}, reqWireSize+int64(len(name)+len(args)), maxResult)
-	if err != nil {
-		return nil, err
-	}
-	if v == nil {
-		return nil, nil
-	}
-	return v.([]byte), nil
 }

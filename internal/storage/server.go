@@ -21,7 +21,6 @@
 package storage
 
 import (
-	"cmp"
 	"fmt"
 	"io/fs"
 	"math"
@@ -121,7 +120,7 @@ func Start(ep *portals.Endpoint, dev *osd.Device, az *authz.Client, rpcPort port
 		bufPool: sim.NewResource(ep.Kernel(), fmt.Sprintf("%s/pinned", dev.Name()), cfg.PinnedBuffer),
 		puller:  portals.NewPuller(ep, dev.Name(), cfg.ChunkSize),
 	}
-	s.rpc = portals.Serve(ep, s.rpcPort, dev.Name(), cfg.Threads, s.handle) //qos:admitted
+	s.rpc = portals.ServeOps(ep, s.rpcPort, dev.Name(), cfg.Threads, serverOps, s) //qos:admitted
 	if cfg.QoS != nil {
 		s.adm = qos.NewAdmission(ep.Kernel(), ep.Metrics().Scope("qos").Scope(metricName(dev.Name())), *cfg.QoS)
 		s.rpc.SetDispatcher(s.adm)
@@ -294,113 +293,145 @@ func CheckRange(off, n int64) error {
 	return nil
 }
 
-// admission names what a request needs: its capability, the operation, and
-// the container it touches — the one it names, or its object's, looked up
-// here so that a request for a missing object answers osd.ErrNoObject. A
-// byte range or truncate size CheckRange refuses is answered first. It
-// returns before the capability is checked, so its frame is off the stack
-// while Admit parks the service thread.
-func (s *Server) admission(req interface{}) (c authz.Capability, op authz.Op, cid authz.ContainerID, err error) {
-	var id osd.ObjectID
-	switch r := req.(type) {
-	case createReq:
-		return r.Cap, authz.OpCreate, r.Container, nil
-	case listReq:
-		return r.Cap, authz.OpList, r.Container, nil
-	case syncReq:
-		// Any valid capability for any operation entitles the holder to
-		// flush the device (sync has no container scope).
-		return r.Cap, r.Cap.Op, r.Cap.Container, nil
-	case writeReq:
-		c, op, id, err = r.Cap, authz.OpWrite, r.ID, CheckRange(r.Off, r.Len)
-	case readReq:
-		c, op, id, err = r.Cap, authz.OpRead, r.ID, CheckRange(r.Off, r.Len)
-	case removeReq:
-		c, op, id = r.Cap, authz.OpRemove, r.ID
-	case truncateReq:
-		c, op, id, err = r.Cap, authz.OpWrite, r.ID, CheckRange(r.Size, 0)
-	case statReq:
-		// A read or list capability suffices for metadata; any other is
-		// refused as the wrong operation before it costs a verification.
-		c, op, id = r.Cap, authz.OpRead, r.ID
-		if r.Cap.Op == authz.OpList {
-			op = authz.OpList
-		}
-	case setAttrReq:
-		c, op, id = r.Cap, authz.OpWrite, r.ID
-	case getAttrReq:
-		c, op, id = r.Cap, authz.OpRead, r.ID
-	case copyReq:
-		c, op, id, err = r.DstCap, authz.OpWrite, r.DstID, cmp.Or(CheckRange(r.DstOff, r.Len), CheckRange(r.SrcOff, r.Len))
-	case filterReq:
-		c, op, id, err = r.Cap, authz.OpRead, r.ID, CheckRange(r.Off, r.Len)
-	default:
-		return c, 0, 0, fmt.Errorf("storage: unknown request %T", req)
-	}
-	if err != nil {
-		return c, 0, 0, fmt.Errorf("storage: %w", err)
-	}
-	st, err := s.dev.Stat(id)
-	return c, op, authz.ContainerID(st.Container), err
+// The storage service's operations, and its handler table.
+var (
+	opCreate   = portals.NewOp[createReq, ObjRef]()
+	opWrite    = portals.NewOp[writeReq, int64]()
+	opRead     = portals.NewOp[readReq, readResp]()
+	opRemove   = portals.NewOp[removeReq, struct{}]()
+	opTruncate = portals.NewOp[truncateReq, struct{}]()
+	opStat     = portals.NewOp[statReq, osd.Stat]()
+	opList     = portals.NewOp[listReq, []osd.ObjectID]()
+	opSync     = portals.NewOp[syncReq, struct{}]()
+	opSetAttr  = portals.NewOp[setAttrReq, struct{}]()
+	opGetAttr  = portals.NewOp[getAttrReq, string]()
+	opCopy     = portals.NewOp[copyReq, int64]()
+	opFilter   = portals.NewOp[filterReq, []byte]()
+
+	serverOps = portals.NewOps(
+		portals.Handle(opCreate, (*Server).create),
+		portals.Handle(opWrite, (*Server).pullWrite),
+		portals.Handle(opRead, (*Server).pushRead),
+		portals.Handle(opRemove, (*Server).remove),
+		portals.Handle(opTruncate, (*Server).truncate),
+		portals.Handle(opStat, (*Server).stat),
+		portals.Handle(opList, (*Server).list),
+		portals.Handle(opSync, (*Server).sync),
+		portals.Handle(opSetAttr, (*Server).setAttr),
+		portals.Handle(opGetAttr, (*Server).getAttr),
+		portals.Handle(opCopy, (*Server).serveCopy),
+		portals.Handle(opFilter, (*Server).runFilter),
+	)
+)
+
+// admit is the admission rule of a request that names its container: its
+// parse cost, then the capability check.
+func (s *Server) admit(p *sim.Proc, c *authz.Capability, op authz.Op, cid authz.ContainerID) error {
+	p.Sleep(OpCost)
+	return s.caps.Admit(p, c, op, cid)
 }
 
-func (s *Server) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
+// admitObj is admit for a request on object id, checked against the
+// object's container, looked up here so that a request for a missing object
+// answers osd.ErrNoObject. A byte range or truncate size CheckRange refused
+// (bad) is answered first, so it reaches neither a lookup nor a
+// verification.
+func (s *Server) admitObj(p *sim.Proc, c *authz.Capability, op authz.Op, id osd.ObjectID, bad error) error {
 	p.Sleep(OpCost)
-	c, op, cid, err := s.admission(req)
+	if bad != nil {
+		return fmt.Errorf("storage: %w", bad)
+	}
+	st, err := s.dev.Stat(id)
 	if err != nil {
+		return err
+	}
+	return s.caps.Admit(p, c, op, authz.ContainerID(st.Container))
+}
+
+func (s *Server) create(p *sim.Proc, _ netsim.NodeID, r *createReq) (ObjRef, error) {
+	if err := s.admit(p, &r.Cap, authz.OpCreate, r.Container); err != nil {
+		return ObjRef{}, err
+	}
+	if r.Txn != 0 {
+		// Write-ahead: log the intent before allocating, so recovery
+		// after a crash can resolve the create via the journal.
+		if err := s.part.Log(p, txn.JournalRecord{Txn: r.Txn, Kind: "create",
+			Detail: fmt.Sprintf("container=%d", r.Container)}); err != nil {
+			return ObjRef{}, err
+		}
+	}
+	obj := s.dev.Create(p, osd.ContainerID(r.Container))
+	if r.Txn != 0 {
+		id := obj.ID
+		// Second journal record binds the allocated ID to the
+		// transaction, so crash recovery can find the orphan.
+		if err := s.part.Log(p, txn.JournalRecord{Txn: r.Txn, Kind: "created",
+			Detail: fmt.Sprintf("obj=%d", uint64(id))}); err != nil {
+			return ObjRef{}, err
+		}
+		s.part.OnAbort(r.Txn, func(q *sim.Proc) {
+			s.dev.Remove(q, id) //nolint:errcheck // already gone is fine
+		})
+	}
+	return s.Ref(obj.ID), nil
+}
+
+func (s *Server) remove(p *sim.Proc, _ netsim.NodeID, r *removeReq) (struct{}, error) {
+	if err := s.admitObj(p, &r.Cap, authz.OpRemove, r.ID, nil); err != nil {
+		return struct{}{}, err
+	}
+	return struct{}{}, s.dev.Remove(p, r.ID)
+}
+
+func (s *Server) truncate(p *sim.Proc, _ netsim.NodeID, r *truncateReq) (struct{}, error) {
+	if err := s.admitObj(p, &r.Cap, authz.OpWrite, r.ID, CheckRange(r.Size, 0)); err != nil {
+		return struct{}{}, err
+	}
+	return struct{}{}, s.dev.Truncate(p, r.ID, r.Size)
+}
+
+// stat needs a read or list capability; any other is refused as the wrong
+// operation before it costs a verification.
+func (s *Server) stat(p *sim.Proc, _ netsim.NodeID, r *statReq) (osd.Stat, error) {
+	op := authz.OpRead
+	if r.Cap.Op == authz.OpList {
+		op = authz.OpList
+	}
+	if err := s.admitObj(p, &r.Cap, op, r.ID, nil); err != nil {
+		return osd.Stat{}, err
+	}
+	return s.dev.Stat(r.ID)
+}
+
+func (s *Server) list(p *sim.Proc, _ netsim.NodeID, r *listReq) ([]osd.ObjectID, error) {
+	if err := s.admit(p, &r.Cap, authz.OpList, r.Container); err != nil {
 		return nil, err
 	}
-	if err := s.caps.Admit(p, &c, op, cid); err != nil {
-		return nil, err
+	return s.dev.ListContainer(osd.ContainerID(r.Container)), nil
+}
+
+// sync has no container scope: any valid capability for any operation
+// entitles the holder to flush the device.
+func (s *Server) sync(p *sim.Proc, _ netsim.NodeID, r *syncReq) (struct{}, error) {
+	if err := s.admit(p, &r.Cap, r.Cap.Op, r.Cap.Container); err != nil {
+		return struct{}{}, err
 	}
-	switch r := req.(type) {
-	case createReq:
-		if r.Txn != 0 {
-			// Write-ahead: log the intent before allocating, so recovery
-			// after a crash can resolve the create via the journal.
-			if err := s.part.Log(p, txn.JournalRecord{Txn: r.Txn, Kind: "create",
-				Detail: fmt.Sprintf("container=%d", r.Container)}); err != nil {
-				return nil, err
-			}
-		}
-		obj := s.dev.Create(p, osd.ContainerID(r.Container))
-		if r.Txn != 0 {
-			id := obj.ID
-			// Second journal record binds the allocated ID to the
-			// transaction, so crash recovery can find the orphan.
-			if err := s.part.Log(p, txn.JournalRecord{Txn: r.Txn, Kind: "created",
-				Detail: fmt.Sprintf("obj=%d", uint64(id))}); err != nil {
-				return nil, err
-			}
-			s.part.OnAbort(r.Txn, func(q *sim.Proc) {
-				s.dev.Remove(q, id) //nolint:errcheck // already gone is fine
-			})
-		}
-		return s.Ref(obj.ID), nil
-	case writeReq:
-		return s.pullWrite(p, from, r)
-	case readReq:
-		return s.pushRead(p, from, r)
-	case removeReq:
-		return nil, s.dev.Remove(p, r.ID)
-	case truncateReq:
-		return nil, s.dev.Truncate(p, r.ID, r.Size)
-	case statReq:
-		return s.dev.Stat(r.ID)
-	case listReq:
-		return s.dev.ListContainer(osd.ContainerID(r.Container)), nil
-	case syncReq:
-		s.dev.Sync(p)
-		return nil, nil
-	case setAttrReq:
-		return nil, s.dev.SetAttr(p, r.ID, r.Key, r.Value)
-	case getAttrReq:
-		return s.dev.GetAttr(r.ID, r.Key)
-	case copyReq:
-		return s.serveCopy(p, r)
-	default: // filterReq: admission let no other type through
-		return s.runFilter(p, req.(filterReq))
+	s.dev.Sync(p)
+	return struct{}{}, nil
+}
+
+func (s *Server) setAttr(p *sim.Proc, _ netsim.NodeID, r *setAttrReq) (struct{}, error) {
+	if err := s.admitObj(p, &r.Cap, authz.OpWrite, r.ID, nil); err != nil {
+		return struct{}{}, err
 	}
+	return struct{}{}, s.dev.SetAttr(p, r.ID, r.Key, r.Value)
+}
+
+func (s *Server) getAttr(p *sim.Proc, _ netsim.NodeID, r *getAttrReq) (string, error) {
+	if err := s.admitObj(p, &r.Cap, authz.OpRead, r.ID, nil); err != nil {
+		return "", err
+	}
+	return s.dev.GetAttr(r.ID, r.Key)
 }
 
 // pulledChunk is one chunk of a third-party copy in flight (copy.go).
@@ -414,26 +445,34 @@ type pulledChunk struct {
 // pulls the client's data in ChunkSize pieces, double-buffered against the
 // pinned pool so the network pull of chunk i+1 overlaps the disk write of
 // chunk i. The loop is portals.Puller.Pull, shared with burst and pfs.
-func (s *Server) pullWrite(p *sim.Proc, from netsim.NodeID, r writeReq) (interface{}, error) {
-	written, err := s.puller.Pull(p, from, r.DataPortal, r.Bits, r.Len, s.bufPool,
+func (s *Server) pullWrite(p *sim.Proc, from netsim.NodeID, r *writeReq) (int64, error) {
+	if err := s.admitObj(p, &r.Cap, authz.OpWrite, r.ID, CheckRange(r.Off, r.Len)); err != nil {
+		return 0, err
+	}
+	return s.puller.Pull(p, from, r.DataPortal, r.Bits, r.Len, s.bufPool,
 		func(q *sim.Proc, off int64, chunk netsim.Payload) error {
 			return s.dev.Write(q, r.ID, r.Off+off, chunk)
 		})
-	return written, err
 }
+
+// chunkAt is the header of a pushed read chunk: its offset in the reply.
+var chunkAt = portals.NewHeader[int64]()
 
 // pushRead implements the server-directed read: the server reads the disk
 // chunk by chunk and pushes each chunk into the client's posted buffer with
 // a one-sided Put. The RPC response follows the last Put through the same
 // FIFO path, so when the client sees the response, all data has landed.
-func (s *Server) pushRead(p *sim.Proc, from netsim.NodeID, r readReq) (interface{}, error) {
+func (s *Server) pushRead(p *sim.Proc, from netsim.NodeID, r *readReq) (readResp, error) {
+	if err := s.admitObj(p, &r.Cap, authz.OpRead, r.ID, CheckRange(r.Off, r.Len)); err != nil {
+		return readResp{}, err
+	}
 	chunksSent := 0
 	length, err := s.readChunks(p, r.ID, r.Off, r.Len, func(at int64, chunk netsim.Payload) {
-		s.ep.Put(from, r.DataPortal, r.Bits, at, chunk)
+		chunkAt.Put(s.ep, from, r.DataPortal, r.Bits, &at, chunk)
 		chunksSent++
 	})
 	if err != nil {
-		return nil, err
+		return readResp{}, err
 	}
 	return readResp{Len: length, Chunks: chunksSent}, nil
 }

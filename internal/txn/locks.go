@@ -110,7 +110,7 @@ func StartLockServer(ep *portals.Endpoint) *LockServer {
 		for {
 			ev := eq.Recv(p).(*portals.Event)
 			p.Sleep(lockOpCost)
-			ls.dispatch(ev.Initiator, ev.Hdr)
+			ls.dispatch(ev.Initiator, lockReq.Of(ev))
 			ev.Release()
 		}
 	})
@@ -119,9 +119,8 @@ func StartLockServer(ep *portals.Endpoint) *LockServer {
 
 // dispatch serves one request. It takes what it needs of the event by value:
 // a queued waiter's reply runs long after the record is released.
-func (ls *LockServer) dispatch(from netsim.NodeID, hdr interface{}) {
-	req, ok := hdr.(lockRPC)
-	if !ok {
+func (ls *LockServer) dispatch(from netsim.NodeID, req *lockRPC) {
+	if req == nil {
 		return
 	}
 	to := addressee{node: from, port: req.replyPort, token: req.token}
@@ -134,8 +133,8 @@ func (ls *LockServer) dispatch(from netsim.NodeID, hdr interface{}) {
 
 // reply answers the request addressed by to.
 func (ls *LockServer) reply(to addressee, gen uint64, err error) {
-	ls.ep.Put(to.node, to.port, portals.MatchBits(to.token),
-		lockReply{token: to.token, gen: gen, err: err}, netsim.SyntheticPayload(16))
+	lockAns.Put(ls.ep, to.node, to.port, portals.MatchBits(to.token),
+		&lockReply{token: to.token, gen: gen, err: err}, netsim.SyntheticPayload(16))
 }
 
 // compatible reports whether a request can be granted given current holders.
@@ -146,7 +145,7 @@ func (st *lockState) compatible(mode LockMode) bool {
 	return st.mode == Shared && mode == Shared
 }
 
-func (ls *LockServer) lock(r lockRPC, to addressee) {
+func (ls *LockServer) lock(r *lockRPC, to addressee) {
 	st, ok := ls.locks[r.name]
 	if !ok {
 		st = &lockState{holders: make(map[Owner]int)}
@@ -167,7 +166,7 @@ func (ls *LockServer) lock(r lockRPC, to addressee) {
 	st.queue = append(st.queue, lockWaiter{owner: r.owner, mode: r.mode, to: to})
 }
 
-func (ls *LockServer) unlock(r lockRPC) error {
+func (ls *LockServer) unlock(r *lockRPC) error {
 	st, ok := ls.locks[r.name]
 	if !ok {
 		return ErrNotHeld
@@ -203,8 +202,7 @@ func (ls *LockServer) promote(st *lockState) {
 // lock client plumbing: the lock server speaks its own tiny protocol
 // (not portals.Serve) so that blocked requests do not pin service threads.
 
-// lockRPC is a lock or unlock request, flat: the event's header boxes it
-// once.
+// lockRPC is a lock or unlock request, flat: one Put header.
 type lockRPC struct {
 	token     uint64
 	replyPort portals.Index
@@ -219,6 +217,12 @@ type lockReply struct {
 	gen   uint64
 	err   error
 }
+
+// The lock protocol's two Put headers.
+var (
+	lockReq = portals.NewHeader[lockRPC]()
+	lockAns = portals.NewHeader[lockReply]()
+)
 
 const lockReplyPortal portals.Index = 1021
 
@@ -238,9 +242,9 @@ func NewLockClient(ep *portals.Endpoint, server netsim.NodeID, tag uint64) *Lock
 func (lc *LockClient) call(p *sim.Proc, req lockRPC) (uint64, error) {
 	req.token, req.replyPort, req.owner = lc.ep.NextToken(), lockReplyPortal, lc.owner
 	slot := lc.ep.Post(lockReplyPortal, portals.MatchBits(req.token), true)
-	lc.ep.Put(lc.server, LockPortal, 0, req, netsim.SyntheticPayload(96))
+	lockReq.Put(lc.ep, lc.server, LockPortal, 0, &req, netsim.SyntheticPayload(96))
 	ev, _ := slot.Wait(p, 0)
-	r := ev.Hdr.(lockReply)
+	r := *lockAns.Of(ev)
 	ev.Release()
 	slot.Close()
 	return r.gen, r.err

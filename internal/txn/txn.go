@@ -153,7 +153,7 @@ func NewParticipant(ep *portals.Endpoint, dev *osd.Device, port portals.Index) *
 	pt.prepares = tx.Counter("prepares")
 	pt.commits = tx.Counter("commits")
 	pt.aborts = tx.Counter("aborts")
-	pt.rpc = portals.Serve(ep, port, dev.Name()+"/txn", 2, pt.handle)
+	pt.rpc = portals.ServeOps(ep, port, dev.Name()+"/txn", 2, participantOps, pt)
 	return pt
 }
 
@@ -233,18 +233,24 @@ func (pt *Participant) OnAbort(id ID, fn func(p *sim.Proc)) {
 	pt.ensure(id).onAbort = append(pt.ensure(id).onAbort, fn)
 }
 
-func (pt *Participant) handle(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {
-	switch r := req.(type) {
-	case prepareReq:
-		return nil, pt.prepare(p, r.Txn)
-	case commitReq:
-		return nil, pt.commit(p, r.Txn)
-	case abortReq:
-		return nil, pt.abort(p, r.Txn)
-	default:
-		return nil, fmt.Errorf("txn: unknown request %T", req)
-	}
-}
+// The participant's operations, and its handler table.
+var (
+	opPrepare = portals.NewOp[prepareReq, struct{}]()
+	opCommit  = portals.NewOp[commitReq, struct{}]()
+	opAbort   = portals.NewOp[abortReq, struct{}]()
+
+	participantOps = portals.NewOps(
+		portals.Handle(opPrepare, func(pt *Participant, p *sim.Proc, _ netsim.NodeID, r *prepareReq) (struct{}, error) {
+			return struct{}{}, pt.prepare(p, r.Txn)
+		}),
+		portals.Handle(opCommit, func(pt *Participant, p *sim.Proc, _ netsim.NodeID, r *commitReq) (struct{}, error) {
+			return struct{}{}, pt.commit(p, r.Txn)
+		}),
+		portals.Handle(opAbort, func(pt *Participant, p *sim.Proc, _ netsim.NodeID, r *abortReq) (struct{}, error) {
+			return struct{}{}, pt.abort(p, r.Txn)
+		}),
+	)
+)
 
 // prepare flushes the journal and votes. A yes vote is a durable promise:
 // after it, only the coordinator's decision determines the outcome.
@@ -445,13 +451,13 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	}
 	t.done = true
 	for _, e := range t.participants {
-		if _, err := t.c.caller.Call(p, e.Node, e.Port, prepareReq{Txn: t.ID}, txnReqSize, 16); err != nil {
+		if _, err := portals.Invoke(t.c.caller, p, e.Node, e.Port, opPrepare, &prepareReq{Txn: t.ID}, txnReqSize, 16); err != nil {
 			t.abortAll(p)
 			return fmt.Errorf("%w: prepare at node %d: %v", ErrAborted, e.Node, err)
 		}
 	}
 	for _, e := range t.participants {
-		if _, err := t.c.caller.Call(p, e.Node, e.Port, commitReq{Txn: t.ID}, txnReqSize, 16); err != nil {
+		if _, err := portals.Invoke(t.c.caller, p, e.Node, e.Port, opCommit, &commitReq{Txn: t.ID}, txnReqSize, 16); err != nil {
 			// A prepared participant that errors on commit is a protocol
 			// violation in this fail-stop model; surface it loudly.
 			return fmt.Errorf("txn: commit at node %d after successful prepare: %v", e.Node, err)
@@ -482,7 +488,7 @@ func (t *Txn) abortAll(p *sim.Proc) {
 		wg.Add(1)
 		k.Spawn(fmt.Sprintf("%v/abort", t.ID), func(q *sim.Proc) {
 			defer wg.Done()
-			t.c.caller.CallTimeout(q, e.Node, e.Port, abortReq{Txn: t.ID}, txnReqSize, 16, time.Second) //nolint:errcheck
+			portals.InvokeTimeout(t.c.caller, q, e.Node, e.Port, opAbort, &abortReq{Txn: t.ID}, txnReqSize, 16, time.Second) //nolint:errcheck
 		})
 	}
 	wg.Wait(p)

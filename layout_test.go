@@ -167,6 +167,12 @@ func moduleDecls(t *testing.T) map[string]map[string]bool {
 				if star, ok := recv.(*ast.StarExpr); ok {
 					recv = star.X
 				}
+				switch generic := recv.(type) { // a generic type's receiver names its parameters
+				case *ast.IndexExpr:
+					recv = generic.X
+				case *ast.IndexListExpr:
+					recv = generic.X
+				}
 				names[recv.(*ast.Ident).Name+"."+decl.Name.Name] = true
 				names["*."+decl.Name.Name] = true
 			case *ast.GenDecl:

@@ -1,12 +1,13 @@
 package lwfs_test
 
 // The QoS gate: keep the data-path servers behind admission control. Every
-// portals.Serve call site in the storage and burst tiers must be annotated,
-// on its own line or the line above: `//qos:admitted` if the handler routes
-// through the qos.Admission dispatcher (Server.SetDispatcher), `//qos:exempt`
-// with a rationale if it deliberately stays FIFO (control-plane ports like
-// drain-wait parking, which must not queue behind tenant data). A bare Serve
-// call means someone added an RPC surface that bypasses per-tenant fair share.
+// portals.Serve or portals.ServeOps call site in the storage and burst tiers
+// must be annotated, on its own line or the line above: `//qos:admitted` if
+// the handler routes through the qos.Admission dispatcher
+// (Server.SetDispatcher), `//qos:exempt` with a rationale if it deliberately
+// stays FIFO (control-plane ports like drain-wait parking, which must not
+// queue behind tenant data). A bare call means someone added an RPC surface
+// that bypasses per-tenant fair share.
 
 import (
 	"go/ast"
@@ -50,7 +51,7 @@ func TestQoSGate(t *testing.T) {
 					return true
 				}
 				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Serve" {
+				if !ok || (sel.Sel.Name != "Serve" && sel.Sel.Name != "ServeOps") {
 					return true
 				}
 				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "portals" {
@@ -58,13 +59,13 @@ func TestQoSGate(t *testing.T) {
 				}
 				sites++
 				if line := fset.Position(call.Pos()).Line; !marked[line] && !marked[line-1] {
-					t.Errorf("%s: portals.Serve in a data tier without a qos annotation: route the handler through qos.Admission (//qos:admitted) or mark it //qos:exempt with a rationale (see internal/qos)", fset.Position(call.Pos()))
+					t.Errorf("%s: portals.%s in a data tier without a qos annotation: route the handler through qos.Admission (//qos:admitted) or mark it //qos:exempt with a rationale (see internal/qos)", fset.Position(call.Pos()), sel.Sel.Name)
 				}
 				return true
 			})
 		}
 	}
 	if sites == 0 {
-		t.Error("found no portals.Serve call in internal/storage or internal/burst: the gate is looking in the wrong place")
+		t.Error("found no portals.Serve or ServeOps call in internal/storage or internal/burst: the gate is looking in the wrong place")
 	}
 }
