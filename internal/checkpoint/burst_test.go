@@ -10,6 +10,7 @@ import (
 	"lwfs/internal/cluster"
 	"lwfs/internal/sim"
 	"lwfs/internal/testrig"
+	"lwfs/internal/trace"
 )
 
 // burstSpec builds a small cluster with a staging tier: 2 storage servers on
@@ -88,7 +89,7 @@ func runBurstCheckpoint(t *testing.T, spec cluster.Spec, cfg checkpoint.Config, 
 				t.Errorf("rank %d read: %v", rank, err)
 				return
 			}
-			out.data[rank] = payload.Data
+			out.data[rank] = payload.Bytes()
 		}
 	})
 	if err := cl.Run(); err != nil {
@@ -131,7 +132,7 @@ func TestBurstApparentBelowDurable(t *testing.T) {
 		t.Fatalf("without a tier, durable %v should equal elapsed %v", direct.Durable, direct.Elapsed)
 	}
 	for rank, got := range out.data {
-		if !bytes.Equal(got, checkpoint.PatternFor(rank, out.manifest.BytesPerProc)) {
+		if !bytes.Equal(got, trace.DataFor(uint64(rank)+1, out.manifest.BytesPerProc)) {
 			t.Fatalf("rank %d restored data differs from pattern", rank)
 		}
 	}
@@ -169,7 +170,7 @@ func TestBurstBackpressureDegradesToPassthrough(t *testing.T) {
 		t.Fatalf("nothing staged — scenario should mix staged and pass-through writes")
 	}
 	for rank, got := range out.data {
-		if !bytes.Equal(got, checkpoint.PatternFor(rank, out.manifest.BytesPerProc)) {
+		if !bytes.Equal(got, trace.DataFor(uint64(rank)+1, out.manifest.BytesPerProc)) {
 			t.Fatalf("rank %d restored data differs from pattern", rank)
 		}
 	}

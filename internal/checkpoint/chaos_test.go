@@ -13,6 +13,7 @@ import (
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
 	"lwfs/internal/testrig"
+	"lwfs/internal/trace"
 )
 
 // chaosSpec builds a 2-server cluster with one server per storage node, so
@@ -153,7 +154,7 @@ func runChaosScript(t *testing.T, sc chaosParams) chaosOutcome {
 				t.Errorf("rank %d read: %v", rank, err)
 				return
 			}
-			out.data[rank] = payload.Data
+			out.data[rank] = payload.Bytes()
 		}
 	})
 	if err := cl.Run(); err != nil {
@@ -201,7 +202,7 @@ func TestCheckpointSurvivesServerCrash(t *testing.T) {
 	}
 	// Bit-exact restore: each rank's bytes match its deterministic pattern.
 	for rank, got := range out.data {
-		want := checkpoint.PatternFor(rank, out.manifest.BytesPerProc)
+		want := trace.DataFor(uint64(rank)+1, out.manifest.BytesPerProc)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("rank %d restored data differs from pattern", rank)
 		}
@@ -258,7 +259,7 @@ func TestCompletedDumpOnCrashedServerIsRehomed(t *testing.T) {
 	}
 	// The decisive assertion: the re-homed rank's data restores bit-exactly.
 	for rank, got := range out.data {
-		want := checkpoint.PatternFor(rank, out.manifest.BytesPerProc)
+		want := trace.DataFor(uint64(rank)+1, out.manifest.BytesPerProc)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("rank %d restored data differs from pattern", rank)
 		}

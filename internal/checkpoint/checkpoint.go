@@ -29,7 +29,6 @@ import (
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
 	"lwfs/internal/storage"
-	"lwfs/internal/trace"
 )
 
 // Config parameterizes one checkpoint run.
@@ -45,11 +44,12 @@ type Config struct {
 	// of hanging the job. Timeout must comfortably cover one BytesPerProc
 	// write, or healthy writes will be misread as failures.
 	Retry portals.RetryPolicy
-	// PatternData dumps PatternFor(rank, BytesPerProc) bytes instead of
-	// metadata-only synthetic payloads, so a Restore pass can verify the
-	// checkpoint content bit-exactly — even for objects that failover
-	// redirected to a different server. Costs real allocation per rank;
-	// leave it off for large performance sweeps.
+	// PatternData dumps rank's seeded run, the module's one content stream
+	// (trace.DataFor) keyed by rank+1, instead of a metadata-only synthetic
+	// payload, so a Restore pass can verify the checkpoint content
+	// bit-exactly — even for objects that failover redirected to a different
+	// server. A seed travels and is stored as arithmetic, so it costs no
+	// bytes until a reader asks for them.
 	PatternData bool
 	// DrainTimeout bounds the commit tail's per-buffer drain wait (0 =
 	// 5 s default, negative = wait forever). A crashed buffer surfaces as
@@ -100,13 +100,6 @@ func (c Config) drainTimeout() time.Duration {
 		return 5 * time.Second
 	}
 	return c.DrainTimeout
-}
-
-// PatternFor returns rank's checkpoint payload: the module's one seeded
-// byte stream (trace.DataFor) keyed by rank. Tests and restore verification
-// regenerate it to check content bit-exactly.
-func PatternFor(rank int, n int64) []byte {
-	return trace.DataFor(uint64(rank)+1, n)
 }
 
 func (c Config) jitter() time.Duration {
@@ -563,10 +556,10 @@ func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placeme
 }
 
 // payloadFor builds rank's dump payload per the config: the verifiable
-// deterministic pattern, or a metadata-only synthetic buffer.
+// seeded run, or a metadata-only synthetic buffer.
 func payloadFor(rank int, cfg *Config) netsim.Payload {
 	if cfg.PatternData {
-		return netsim.BytesPayload(PatternFor(rank, cfg.BytesPerProc))
+		return netsim.SeededPayload(uint64(rank)+1, cfg.BytesPerProc)
 	}
 	return netsim.SyntheticPayload(cfg.BytesPerProc)
 }

@@ -12,6 +12,7 @@ import (
 	"lwfs/internal/osd"
 	"lwfs/internal/sim"
 	"lwfs/internal/testrig"
+	"lwfs/internal/trace"
 )
 
 // crashRestartSchedule is the shared chaos script for the recovery tests:
@@ -67,7 +68,7 @@ func TestJournaledBufferCrashRecoversDump(t *testing.T) {
 	}
 	t.Logf("apparent %v, durable %v (recovery inside the tail)", out.res.Elapsed, out.res.Durable)
 	for rank, got := range out.data {
-		if !bytes.Equal(got, checkpoint.PatternFor(rank, out.manifest.BytesPerProc)) {
+		if !bytes.Equal(got, trace.DataFor(uint64(rank)+1, out.manifest.BytesPerProc)) {
 			t.Fatalf("rank %d restored data differs from pattern", rank)
 		}
 	}

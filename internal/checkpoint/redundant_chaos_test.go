@@ -8,13 +8,13 @@ import (
 	"time"
 
 	"lwfs/internal/authz"
-	"lwfs/internal/checkpoint"
 	"lwfs/internal/cluster"
 	"lwfs/internal/lwfspfs"
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
 	"lwfs/internal/stripe"
 	"lwfs/internal/testrig"
+	"lwfs/internal/trace"
 )
 
 // redundantChaosSpec: four single-server storage nodes, so one crash takes
@@ -93,7 +93,7 @@ func runRedundantChaos(t *testing.T, seed int64, opts lwfspfs.Options) rankFiles
 				t.Errorf("rank %d create: %v", rank, err)
 				return
 			}
-			if _, err := f.WriteAt(p, 0, netsim.BytesPayload(checkpoint.PatternFor(rank, 2*mb))); err != nil {
+			if _, err := f.WriteAt(p, 0, netsim.BytesPayload(trace.DataFor(uint64(rank)+1, 2*mb))); err != nil {
 				out.errs[rank] = fmt.Errorf("write: %w", err)
 				return
 			}
@@ -139,8 +139,8 @@ func runRedundantChaos(t *testing.T, seed int64, opts lwfspfs.Options) rankFiles
 				out.errs[rank] = cmp.Or(out.errs[rank], fmt.Errorf("read: %w", err))
 				continue
 			}
-			if acked[rank] && !bytes.Equal(got.Data, checkpoint.PatternFor(rank, 2*mb)) {
-				t.Errorf("rank %d: acknowledged dump read back wrong (%d bytes) without an error", rank, len(got.Data))
+			if acked[rank] && !bytes.Equal(got.Bytes(), trace.DataFor(uint64(rank)+1, 2*mb)) {
+				t.Errorf("rank %d: acknowledged dump read back wrong (%d bytes) without an error", rank, got.Size)
 			}
 		}
 	})

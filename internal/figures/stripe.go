@@ -119,7 +119,7 @@ func stripeRun(pt *StripePoint, trial int, bytes int64, serial bool) error {
 		if serial {
 			// The serial baseline, the one-request-per-unit strawman list I/O
 			// is measured against: a core.Client Write or Read per stripe
-			// unit, in file order (stripe.Layout.Units). Like File.WriteAt
+			// unit, in file order (stripe.Layout.UnitAt). Like File.WriteAt
 			// and ReadAt it takes one lock round trip per call, so the
 			// columns differ only in how bytes move.
 			caps, err := c.GetCaps(p, fs.Container(), authz.OpWrite, authz.OpRead)
@@ -132,7 +132,8 @@ func stripeRun(pt *StripePoint, trial int, bytes int64, serial bool) error {
 					return err
 				}
 				defer locks.Unlock(p, name) //nolint:errcheck
-				for _, rq := range l.Units(0, bytes) {
+				for i := range int((bytes-1)/l.Unit) + 1 {
+					rq := l.UnitAt(0, bytes, i)
 					var err error
 					if mode == txn.Exclusive {
 						_, err = c.Write(p, l.Objs[rq.Obj], caps, rq.Off, rq.Gather(0, payload))

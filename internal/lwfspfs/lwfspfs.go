@@ -516,15 +516,31 @@ func (fs *FS) readRecord(p *sim.Proc, path string, refs []storage.ObjRef) (strip
 // time, and never flushes a record that drops the other client's objects,
 // shrinks its size or undoes a Rebuild. The handle's own fills, which the
 // record may not name yet, stay.
+//
+// When another handle held the lock since this handle's own last access, the
+// mirror set too comes from the naming entry, walked as Open walks it: a
+// Rebuild may have re-homed a mirror whose old server has since restarted,
+// and a flush to the handle's old set would leave the new mirror with the
+// record of rebuild time. A handle Open just made read the entry already
+// (genUnknown), so its first locked access costs no lookup.
 func (f *File) refresh(p *sim.Proc) error {
-	l, n, skipped, err := f.fs.readRecord(p, f.path, f.mdRefs)
+	refs := f.mdRefs
+	if f.gen != genUnknown {
+		e, err := f.fs.c.Lookup(p, f.fs.full(f.path))
+		if err != nil {
+			return err
+		}
+		start := f.fs.mirrorStart(len(e.Refs))
+		refs = slices.Concat(e.Refs[start:], e.Refs[:start])
+	}
+	l, n, skipped, err := f.fs.readRecord(p, f.path, refs)
 	if err != nil {
 		return err
 	}
 	// The mirrors the read walked past leave the handle, as in Open. A short
 	// handle demotes again: another handle's Rebuild may have re-homed a
 	// mirror that this handle's flushes would leave with an old record.
-	f.mdRefs = f.mdRefs[skipped:]
+	f.mdRefs = refs[skipped:]
 	f.demote = f.demote || len(f.mdRefs) < f.fs.opts.MetaCopies
 	if len(l.Objs) != len(f.l.Objs) {
 		return fmt.Errorf("lwfspfs: %s: layout record changed shape: %w", f.path, ErrBadLayout)

@@ -39,14 +39,18 @@ func openDegraded(p *sim.Proc, cl *cluster.Cluster, fs *lwfspfs.FS, path string)
 	return f, cl.Metrics().Snapshot().Sum("pfs.meta.degraded_opens") != before, err
 }
 
-// crashTarget kills the storage server serving the given target.
-func crashTarget(l *cluster.LWFS, dead storage.Target) {
+// serverAt returns the storage server serving the given target.
+func serverAt(l *cluster.LWFS, t storage.Target) *storage.Server {
 	for _, srv := range l.Servers {
-		if (storage.Target{Node: srv.Node(), Port: srv.RPCPort()}) == dead {
-			srv.Crash()
+		if (storage.Target{Node: srv.Node(), Port: srv.RPCPort()}) == t {
+			return srv
 		}
 	}
+	return nil
 }
+
+// crashTarget kills the storage server serving the given target.
+func crashTarget(l *cluster.LWFS, dead storage.Target) { serverAt(l, dead).Crash() }
 
 // TestMetaMirrorCrashMidWorkload is the acceptance scenario for replicated
 // metadata: the server hosting a redundant file's primary metadata mirror
@@ -420,6 +424,82 @@ func TestShortHandleDemotesRehomedMirror(t *testing.T) {
 	for i := 1; i <= 2; i++ { // odd and even node ids: both walk starts
 		rc := cl.NewClient(l, i)
 		rc.SetRetry(pfsRetry, int64(67+i))
+		cl.Spawn("reader", func(p *sim.Proc) {
+			cid := cids.Recv(p).(authz.ContainerID)
+			if err := rc.Login(p, "alice", "pa"); err != nil {
+				t.Fatalf("reader %d login: %v", i, err)
+			}
+			rfs, err := lwfspfs.Mount(p, rc, "/vol0", cid)
+			if err != nil {
+				t.Fatalf("reader %d mount: %v", i, err)
+			}
+			mounted.Send(true)
+			grown.Recv(p)
+			g, err := rfs.Open(p, "/data.bin")
+			if err != nil {
+				t.Fatalf("reader %d open: %v", i, err)
+			}
+			if g.Size() != 256<<10 {
+				t.Errorf("reader %d opened size %d, want %d", i, g.Size(), 256<<10)
+			}
+		})
+	}
+	run(t, cl)
+}
+
+// A handle that kept its full mirror set follows another handle's Rebuild:
+// after the mirror's server restarts, the handle's next flush writes the
+// re-homed mirror the naming entry now lists, not the restarted one it had,
+// or a client whose walk starts at the re-homed mirror opens the file short.
+func TestFullHandleFollowsRehomedMirror(t *testing.T) {
+	cl, l := metaCluster()
+	c := cl.NewClient(l, 0)
+	c.SetRetry(pfsRetry, 73)
+	// The readers mount before the crash: the superblock may sit on the
+	// victim.
+	cids, mounted, grown := sim.NewMailbox(cl.K, "cid"), sim.NewMailbox(cl.K, "mounted"), sim.NewMailbox(cl.K, "grown")
+	cl.Spawn("app", func(p *sim.Proc) {
+		if err := c.Login(p, "alice", "pa"); err != nil {
+			t.Fatalf("login: %v", err)
+		}
+		fs, err := lwfspfs.Format(p, c, "/vol0",
+			lwfspfs.Options{StripeUnit: 64 << 10, Scheme: stripe.Replica})
+		if err != nil {
+			t.Fatalf("format: %v", err)
+		}
+		f, err := fs.Create(p, "/data.bin")
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		if _, err := f.WriteAt(p, 0, synthetic(128<<10)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		cids.Send(fs.Container())
+		cids.Send(fs.Container())
+		mounted.Recv(p)
+		mounted.Recv(p)
+		dead := storage.TargetOf(f.MetaRefs()[1])
+		crashTarget(l, dead)
+		if err := fs.Rebuild(p, "/data.bin", dead); err != nil {
+			t.Fatalf("rebuild: %v", err)
+		}
+		if _, err := serverAt(l, dead).Restart(p); err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		if _, err := f.WriteAt(p, 128<<10, synthetic(128<<10)); err != nil {
+			t.Fatalf("write after rebuild: %v", err)
+		}
+		for _, ref := range f.MetaRefs() {
+			if storage.TargetOf(ref) == dead {
+				t.Errorf("the handle still writes the mirror on the restarted server")
+			}
+		}
+		grown.Send(true)
+		grown.Send(true)
+	})
+	for i := 1; i <= 2; i++ { // odd and even node ids: both walk starts
+		rc := cl.NewClient(l, i)
+		rc.SetRetry(pfsRetry, int64(73+i))
 		cl.Spawn("reader", func(p *sim.Proc) {
 			cid := cids.Recv(p).(authz.ContainerID)
 			if err := rc.Login(p, "alice", "pa"); err != nil {

@@ -26,6 +26,7 @@ var (
 	opDouble = NewOp[cellReq, cellResp]()
 	opNone   = NewOp[cellReq, struct{}]()
 	testAt   = NewHeader[int64]()
+	hdrReq   = NewHeader[cellReq]() // a Put header of a request's type
 )
 
 // cellSrv doubles N after sleeping slow; Tag "fail" answers an error.
@@ -115,6 +116,23 @@ func TestDescribeBodyUnwrapsCells(t *testing.T) {
 	settled(t, r)
 }
 
+// Of reads only a Put's header: a request's cell of the same Go type is not
+// one.
+func TestHeaderOfReadsOnlyPuts(t *testing.T) {
+	r, _, _ := cellRig(t, 0)
+	ev := r.eps[0].record(5, 0, netsim.Payload{})
+	ev.kind, ev.body = wireRequest, newCell(r.eps[0].pool, opDouble.req, &cellReq{N: 7})
+	if h := hdrReq.Of(ev); h != nil {
+		t.Errorf("Of read a request's cell as a Put header: %+v", *h)
+	}
+	ev.kind = wirePut
+	if h := hdrReq.Of(ev); h == nil || h.N != 7 {
+		t.Errorf("Of of a Put = %v, want its header", h)
+	}
+	ev.Release()
+	settled(t, r)
+}
+
 // A warm typed RPC allocates nothing, with or without a retry policy, on
 // both server paths: its request and reply cells come off the network's
 // free lists like the records that carry them.
@@ -201,8 +219,8 @@ func TestWatermarkDiscardReleasesTypedCells(t *testing.T) {
 	r.eps[0].Attach(replyPortal, 0, ^MatchBits(0), &MD{EQ: replies})
 	send := func(tok, reqID, ack uint64, n int64) {
 		out := r.eps[0].record(5, 0, netsim.SyntheticPayload(64))
-		out.kind, out.req = wireRequest, rpcRequest{Token: tok, ReqID: reqID, AckLag: uint32(reqID - ack),
-			From: r.eps[0].Node(), Op: opDouble.id, Body: newCell(r.eps[0].pool, opDouble.req, &cellReq{N: n})}
+		out.kind, out.token, out.body = wireRequest, tok, newCell(r.eps[0].pool, opDouble.req, &cellReq{N: n})
+		out.rpc = rpcHead{ReqID: reqID, AckLag: uint32(reqID - ack), Op: opDouble.id}
 		r.eps[0].send(r.eps[1].Node(), out)
 	}
 	var got []int64
@@ -213,8 +231,8 @@ func TestWatermarkDiscardReleasesTypedCells(t *testing.T) {
 		p.Sleep(time.Millisecond)
 		for replies.Len() > 0 {
 			ev := replies.Recv(p).(*Event)
-			got = append(got, take[cellResp](ev.resp.Body).N)
-			ev.resp.Body = nil
+			got = append(got, take[cellResp](ev.body).N)
+			ev.body = nil
 			ev.Release()
 		}
 	})

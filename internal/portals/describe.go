@@ -17,12 +17,12 @@ func DescribeBody(body interface{}) string {
 	}
 	switch ev.kind {
 	case wireRequest:
-		return "put[" + describeCell(ev.req.Body) + "]"
+		return "put[" + describeCell(ev.body) + "]"
 	case wireResponse:
-		if ev.resp.Err != nil {
+		if ev.err != nil {
 			return "put[<nil> err]"
 		}
-		return "put[" + describeCell(ev.resp.Body) + "]"
+		return "put[" + describeCell(ev.body) + "]"
 	case wireGet:
 		return "get"
 	case wireGetReply:
@@ -30,10 +30,10 @@ func DescribeBody(body interface{}) string {
 	case wireFreed:
 		return "released"
 	}
-	if ev.hdr == nil {
+	if ev.body == nil {
 		return "put[data]"
 	}
-	return "put[" + describeCell(ev.hdr) + "]"
+	return "put[" + describeCell(ev.body) + "]"
 }
 
 // describeCell names the type of the value a cell holds; no cell is <nil>.

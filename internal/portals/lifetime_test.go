@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
@@ -23,6 +24,25 @@ func echoServer(r *rig, threads int, install func(*Server)) *Server {
 	})
 	install(srv)
 	return srv
+}
+
+// Every wire record is one Event, whatever it carries, and every parked
+// request one Delivery: they stay in the 176- and 96-byte size classes, the
+// request a Delivery holds in the 64-byte one. The record says each thing
+// once — one body cell, one reply token, one error — or it would not fit.
+func TestWireRecordsKeepTheirSizeClasses(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		size, class uintptr
+	}{
+		{"Event", unsafe.Sizeof(Event{}), 176},
+		{"Delivery", unsafe.Sizeof(Delivery{}), 96},
+		{"rpcRequest", unsafe.Sizeof(rpcRequest{}), 64},
+	} {
+		if c.size > c.class {
+			t.Errorf("%s is %d bytes, past its %d-byte size class", c.name, c.size, c.class)
+		}
+	}
 }
 
 // mallocsPer runs warm-up rounds of op, then n more, inside one kernel run on

@@ -216,14 +216,15 @@ func NewHeader[T any]() *Header[T] { return &Header[T]{kind: newKind()} }
 // the match entry at (target, pt, bits). It is asynchronous.
 func (h *Header[T]) Put(ep *Endpoint, target netsim.NodeID, pt Index, bits MatchBits, hdr *T, payload netsim.Payload) {
 	ev := ep.record(pt, bits, payload)
-	ev.hdr = newCell(ep.pool, h.kind, hdr)
+	ev.body = newCell(ep.pool, h.kind, hdr)
 	ep.send(target, ev)
 }
 
 // Of returns the header of ev, a Put made through h (nil for another Put).
-// It points into ev: read it before ev is released.
+// It points into ev: read it before ev is released. The kind is checked
+// first: an RPC request's or reply's cell may hold the same type.
 func (h *Header[T]) Of(ev *Event) *T {
-	if c, ok := ev.live().hdr.(*cell[T]); ok {
+	if c, ok := ev.live().body.(*cell[T]); ok && ev.kind == wirePut {
 		return c.get()
 	}
 	return nil

@@ -44,16 +44,16 @@ type Event struct {
 	Bits      MatchBits
 	Payload   netsim.Payload // data deposited by a Put
 
-	// Read by the wire path only.
-	hdr    body // a Put's header (Header.Of), or nil
+	// The wire header, one for every kind; each kind reads only its own
+	// fields. Read by the wire path only.
 	pt     Index
 	kind   wireKind
-	req    rpcRequest  // wireRequest
-	resp   rpcResponse // wireResponse
-	offset int64       // wireGet: the range read
+	body   body    // a Put's header, a request's or a reply's value: its cell, or nil
+	token  uint64  // wireRequest, wireGet: the match bits the reply goes to
+	err    error   // wireResponse, wireGetReply
+	rpc    rpcHead // wireRequest
+	offset int64   // wireGet: the range read
 	length int64
-	token  uint64 // wireGet: the reply's match bits at getReplyPortal
-	err    error  // wireGetReply
 	home   *pool
 	next   *Event // free-list link
 }
@@ -62,9 +62,9 @@ type Event struct {
 type wireKind uint8
 
 const (
-	wirePut      wireKind = iota // a Put; hdr is its header's cell, if any
-	wireRequest                  // a Put whose header is req
-	wireResponse                 // a Put whose header is resp
+	wirePut      wireKind = iota // a Put; body is its header's cell, if any
+	wireRequest                  // an RPC request: body, token, rpc
+	wireResponse                 // an RPC reply: body and err
 	wireGet                      // a Get request
 	wireGetReply                 // a Get's answer: Payload or err
 	wireFreed                    // released; nobody may touch it again
@@ -95,10 +95,8 @@ func (ev *Event) live() *Event {
 // under the race detector, never reused — see recycle).
 func (ev *Event) Release() {
 	pl := ev.live().home
-	for _, b := range [...]body{ev.hdr, ev.req.Body, ev.resp.Body} {
-		if b != nil {
-			b.release()
-		}
+	if ev.body != nil {
+		ev.body.release()
 	}
 	*ev = Event{pt: -1, Bits: ^MatchBits(0), kind: wireFreed, home: pl}
 	if recycle {
@@ -577,24 +575,4 @@ func (ep *Endpoint) serveGet(req *Event) {
 	to := req.Initiator
 	req.Release()
 	ep.send(to, reply)
-}
-
-// Echo measures a small-message round trip to target's echo responder; it
-// is used by the Table 2 microbenchmarks. The target must have called
-// ServeEcho.
-func (ep *Endpoint) Echo(p *sim.Proc, target netsim.NodeID) (time.Duration, error) {
-	start := p.Now()
-	_, err := ep.Get(p, target, echoPortal, 0, 0, 1)
-	if err != nil {
-		return 0, err
-	}
-	return p.Now().Sub(start), nil
-}
-
-// echoPortal is a reserved portal index for Echo.
-const echoPortal Index = 1023
-
-// ServeEcho attaches a one-byte echo responder used by Echo.
-func (ep *Endpoint) ServeEcho() {
-	ep.Attach(echoPortal, 0, ^MatchBits(0), &MD{Payload: netsim.SyntheticPayload(1)})
 }

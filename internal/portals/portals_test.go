@@ -193,26 +193,6 @@ func TestGetBoundsError(t *testing.T) {
 	}
 }
 
-func TestEcho(t *testing.T) {
-	r := newRig(t, 2, 1000*mb)
-	r.eps[1].ServeEcho()
-	var rtt time.Duration
-	r.k.Spawn("pinger", func(p *sim.Proc) {
-		var err error
-		rtt, err = r.eps[0].Echo(p, r.eps[1].Node())
-		if err != nil {
-			t.Errorf("echo: %v", err)
-		}
-	})
-	if err := r.k.Run(sim.MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	// RTT at least 2x latency.
-	if rtt < 10*time.Microsecond || rtt > 100*time.Microsecond {
-		t.Fatalf("rtt = %v", rtt)
-	}
-}
-
 func TestRPCRoundTrip(t *testing.T) {
 	r := newRig(t, 2, 100*mb)
 	Serve(r.eps[1], 10, "adder", 1, func(p *sim.Proc, from netsim.NodeID, req interface{}) (interface{}, error) {

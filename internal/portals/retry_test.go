@@ -251,11 +251,11 @@ func TestPauseUncappedBackoffGrows(t *testing.T) {
 func rawRetry(r *rig) (put func(tok, reqID, ack uint64, body string), replies *sim.Mailbox) {
 	replies = sim.NewMailbox(r.k, "replies")
 	r.eps[0].Attach(replyPortal, 0, ^MatchBits(0), &MD{EQ: replies})
-	me := r.eps[0].Node()
 	return func(tok, reqID, ack uint64, body string) {
 		out := r.eps[0].record(5, 0, netsim.SyntheticPayload(64))
 		v := any(body)
-		out.kind, out.req = wireRequest, rpcRequest{Token: tok, ReqID: reqID, AckLag: uint32(reqID - ack), From: me, Op: anyOp.id, Body: newCell(r.eps[0].pool, anyOp.req, &v)}
+		out.kind, out.token, out.body = wireRequest, tok, newCell(r.eps[0].pool, anyOp.req, &v)
+		out.rpc = rpcHead{ReqID: reqID, AckLag: uint32(reqID - ack), Op: anyOp.id}
 		r.eps[0].send(r.eps[1].Node(), out)
 	}, replies
 }
@@ -402,7 +402,7 @@ func TestCrashFreesAWaitingDuplicate(t *testing.T) {
 	r.k.Spawn("listener", func(p *sim.Proc) {
 		for len(answers) < 3 {
 			ev := replies.Recv(p).(*Event)
-			answers = append(answers, (*ev.resp.Body.(*cell[any]).get()).(string))
+			answers = append(answers, (*ev.body.(*cell[any]).get()).(string))
 			at = append(at, time.Duration(p.Now()))
 			ev.Release()
 		}

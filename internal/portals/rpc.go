@@ -25,33 +25,33 @@ import (
 // replyPortal is the reserved portal index where all RPC responses land.
 const replyPortal Index = 1022
 
-// rpcRequest is the header of an RPC request message.
-type rpcRequest struct {
-	Token    uint64
+// rpcHead is what a request's wire header says beyond its body and the
+// reply token.
+type rpcHead struct {
 	ReqID    uint64 // nonzero for retryable calls; servers dedup on (From, ReqID)
-	From     netsim.NodeID
 	Class    uint8  // scheduling class (Caller.SetClass); 0 = foreground
 	Op       uint16 // the operation (Op.id) Body is a request of
 	AckLag   uint32 // ReqID minus the sender's ack watermark (rpcRequest.ack)
-	Body     body
-	RespSize int64 // wire size the response should occupy (0 => header only)
+	RespSize int64  // wire size the response should occupy (0 => header only)
+}
+
+// rpcRequest is an RPC request as the server holds it, out of its record:
+// the header, the sender, the reply token and the body's cell. A reply
+// travels back as a wireResponse record: its body's cell and an error value.
+// Errors keep their identity (errors.Is against the service packages'
+// sentinel errors): message bodies are in-memory values throughout the
+// simulated network, so that costs nothing and makes the client API honest.
+type rpcRequest struct {
+	rpcHead
+	Token uint64
+	From  netsim.NodeID
+	Body  body
 }
 
 // ack is the sender's ack watermark: every retryable call From made below it
 // has returned. It travels as a lag behind ReqID, in the padding after Class
-// (with Op), so the request, and every wire record carrying one, stays its
-// old size.
+// (with Op), so the header stays three words.
 func (r *rpcRequest) ack() uint64 { return r.ReqID - uint64(r.AckLag) }
-
-// rpcResponse is the header of an RPC response message. Err travels as an
-// error value: message bodies are in-memory values throughout the simulated
-// network, so preserving error identity (errors.Is against the service
-// packages' sentinel errors) costs nothing and makes the client API honest.
-type rpcResponse struct {
-	Token uint64
-	Body  body // nil for an empty Resp
-	Err   error
-}
 
 // Handler is the untyped form of a handler (Serve): it processes one
 // request on a service process, may block (sleep for service time, do disk
@@ -381,8 +381,8 @@ func (s *Server) shedReply(epoch uint64, req rpcRequest, err error) {
 // the caller drops.
 func takeRequest(ev *Event) (req rpcRequest, ok bool) {
 	if ev.live().kind == wireRequest {
-		req, ok = ev.req, true
-		ev.req.Body = nil
+		req, ok = rpcRequest{rpcHead: ev.rpc, Token: ev.token, From: ev.Initiator, Body: ev.body}, true
+		ev.body = nil
 	}
 	ev.Release()
 	return req, ok
@@ -392,7 +392,7 @@ func takeRequest(ev *Event) (req rpcRequest, ok bool) {
 // wire; the caller takes b.
 func (s *Server) respond(req rpcRequest, b body, err error, size int64) {
 	ev := s.ep.record(replyPortal, MatchBits(req.Token), netsim.SyntheticPayload(size))
-	ev.kind, ev.resp = wireResponse, rpcResponse{Token: req.Token, Body: b, Err: err}
+	ev.kind, ev.body, ev.err = wireResponse, b, err
 	s.ep.send(req.From, ev)
 }
 
@@ -643,7 +643,8 @@ func (c *Caller) call(p *sim.Proc, target netsim.NodeID, pt Index, op uint16, re
 	token := c.ep.nextTok()
 	slot := c.ep.Post(replyPortal, MatchBits(token), true)
 	out := c.ep.record(pt, 0, netsim.SyntheticPayload(reqSize))
-	out.kind, out.req = wireRequest, rpcRequest{Token: token, ReqID: reqID, From: c.ep.Node(), Class: c.class, Op: op, AckLag: c.ep.ackLag(reqID), Body: req, RespSize: respSize}
+	out.kind, out.body, out.token = wireRequest, req, token
+	out.rpc = rpcHead{ReqID: reqID, Class: c.class, Op: op, AckLag: c.ep.ackLag(reqID), RespSize: respSize}
 	c.ep.send(target, out)
 
 	ev, ok := slot.Wait(p, timeout)
@@ -661,12 +662,12 @@ func (c *Caller) call(p *sim.Proc, target netsim.NodeID, pt Index, op uint16, re
 	if ev.live().kind != wireResponse {
 		panic(fmt.Sprintf("portals: reply slot of token %d received a record of kind %d", token, ev.kind))
 	}
-	resp := ev.resp
-	ev.resp.Body = nil
+	b, err := ev.body, ev.err
+	ev.body = nil
 	ev.Release()
 	slot.Close()
 	if c.breaker != nil {
-		c.breaker.Record(target, pt, resp.Err)
+		c.breaker.Record(target, pt, err)
 	}
-	return resp.Body, resp.Err
+	return b, err
 }

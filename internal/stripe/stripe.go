@@ -473,23 +473,11 @@ func (l Layout) appendPlan(dst []Request, off, length int64) []Request {
 	return dst
 }
 
-// Units maps [off, off+length) like Plan but coalesces nothing: one
-// single-piece Request per stripe unit touched, in file order. It is the plan
-// of a writer that may not merge units — a Lustre shared-file writer under
-// per-unit extent locks, or lwfspfs's serial arm (E17's baseline).
-func (l Layout) Units(off, length int64) []Request {
-	if length <= 0 || l.Unit <= 0 || l.Width() <= 0 {
-		return nil
-	}
-	reqs := make([]Request, (off+length-1)/l.Unit-off/l.Unit+1)
-	for i := range reqs {
-		reqs[i] = l.UnitAt(off, length, i)
-	}
-	return reqs
-}
-
-// UnitAt is Units(off, length)[i], computed from i alone: a writer that fans
-// out one request per unit needs no plan to index.
+// UnitAt maps the i-th stripe unit [off, off+length) touches, in file order,
+// like Plan but coalescing nothing: one single-piece Request, computed from i
+// alone. It is the plan of a writer that may not merge units — a Lustre
+// shared-file writer under per-unit extent locks, or E17's serial baseline
+// over lwfspfs — which fans out one request per unit with no plan to index.
 func (l Layout) UnitAt(off, length int64, i int) Request {
 	u := l.Unit
 	fo := max(off, (off/u+int64(i))*u)

@@ -126,18 +126,25 @@ func TestPlanGuardAtMostOneRequestPerObject(t *testing.T) {
 	}
 }
 
-// Guard test (CI): Units issues one single-piece request per stripe unit
-// touched, in file order, and its pieces are exactly Plan's — the two plans
+// unitsOf lists UnitAt's requests for every stripe unit [off, off+length)
+// touches, in file order.
+func unitsOf(l stripe.Layout, off, length int64) []stripe.Request {
+	var units []stripe.Request
+	for i := range int((off+length-1)/l.Unit - off/l.Unit + 1) {
+		units = append(units, l.UnitAt(off, length, i))
+	}
+	return units
+}
+
+// Guard test (CI): UnitAt gives one single-piece request per stripe unit
+// touched, in file order, and their pieces are exactly Plan's — the two plans
 // differ only in coalescing.
-func TestUnitsOnePiecePerUnitInFileOrder(t *testing.T) {
+func TestUnitAtOnePiecePerUnitInFileOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
 		l := testLayout(1+rng.Intn(7), int64(1+rng.Intn(2048)))
 		off, length := int64(rng.Intn(50_000)), int64(1+rng.Intn(60_000))
-		units := l.Units(off, length)
-		if want := (off+length-1)/l.Unit - off/l.Unit + 1; int64(len(units)) != want {
-			t.Fatalf("m=%d u=%d off=%d len=%d: %d requests for %d units", l.Width(), l.Unit, off, length, len(units), want)
-		}
+		units := unitsOf(l, off, length)
 		var got []stripe.Piece
 		next := off
 		for _, r := range units {
@@ -155,11 +162,8 @@ func TestUnitsOnePiecePerUnitInFileOrder(t *testing.T) {
 		}
 		slices.SortFunc(want, func(a, b stripe.Piece) int { return cmp.Compare(a.FileOff, b.FileOff) })
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("m=%d u=%d off=%d len=%d: Units pieces differ from Plan's", l.Width(), l.Unit, off, length)
+			t.Fatalf("m=%d u=%d off=%d len=%d: UnitAt pieces differ from Plan's", l.Width(), l.Unit, off, length)
 		}
-	}
-	if reqs := testLayout(2, 1024).Units(10, 0); reqs != nil {
-		t.Fatalf("zero-length units: %v", reqs)
 	}
 }
 
@@ -426,9 +430,9 @@ func TestPlanMatchesReference(t *testing.T) {
 	}
 }
 
-// Plan and Units make one allocation whatever the width and however many
-// units the range spans: a request describes its pieces, it does not list
-// them.
+// Plan makes one allocation whatever the width and however many units the
+// range spans, and UnitAt none: a request describes its pieces, it does not
+// list them.
 func TestPlanAllocatesPerCallNotPerColumn(t *testing.T) {
 	for _, m := range []int{1, 4, 64} {
 		l := testLayout(m, 1024)
@@ -436,8 +440,8 @@ func TestPlanAllocatesPerCallNotPerColumn(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { l.Plan(512, length) }); n > 1 {
 			t.Errorf("width %d: Plan makes %.0f allocations, want 1", m, n)
 		}
-		if n := testing.AllocsPerRun(100, func() { l.Units(512, length) }); n > 1 {
-			t.Errorf("width %d: Units makes %.0f allocations, want 1", m, n)
+		if n := testing.AllocsPerRun(100, func() { l.UnitAt(512, length, 3*m) }); n != 0 {
+			t.Errorf("width %d: UnitAt makes %.0f allocations, want 0", m, n)
 		}
 	}
 	reqs := testLayout(4, 1024).Plan(0, 16*1024)
