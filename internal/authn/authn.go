@@ -17,6 +17,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
 	"time"
 
 	"lwfs/internal/metrics"
@@ -96,7 +97,7 @@ type credRecord struct {
 type Service struct {
 	k     *sim.Kernel
 	realm *Realm
-	key   []byte
+	mac   MAC
 	creds map[[32]byte]*credRecord
 	nonce uint64
 
@@ -120,7 +121,7 @@ func Start(ep *portals.Endpoint, realm *Realm) *Service {
 	s := &Service{
 		k:     ep.Kernel(),
 		realm: realm,
-		key:   []byte("authn-service-instance-key"),
+		mac:   NewMAC([]byte("authn-service-instance-key")),
 		creds: make(map[[32]byte]*credRecord),
 	}
 	an := ep.Metrics().Scope("authn")
@@ -171,16 +172,31 @@ func (s *Service) login(p *sim.Proc, _ netsim.NodeID, r *loginReq) (Credential, 
 	}
 	s.logins.Inc()
 	s.nonce++
-	mac := hmac.New(sha256.New, s.key)
-	mac.Write([]byte(r.User))
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], s.nonce)
-	mac.Write(buf[:])
-	var tok [32]byte
-	copy(tok[:], mac.Sum(nil))
+	s.mac.Msg = binary.BigEndian.AppendUint64(append(s.mac.Msg[:0], r.User...), s.nonce)
+	tok := s.mac.Sum()
 	cred := Credential{Token: tok, Expires: p.Now().Add(credLifetime)}
 	s.creds[tok] = &credRecord{user: r.User, expires: cred.Expires}
 	return cred, nil
+}
+
+// MAC is a service's one keyed HMAC-SHA256, reset for each message in Msg
+// (append to Msg[:0], then Sum): it allocates nothing once warm, and as
+// signing never parks, one serves every process of the kernel.
+type MAC struct {
+	h   hash.Hash
+	Msg []byte
+	out [sha256.Size]byte
+}
+
+// NewMAC keys a MAC.
+func NewMAC(key []byte) MAC { return MAC{h: hmac.New(sha256.New, key)} }
+
+// Sum returns the HMAC of Msg.
+func (m *MAC) Sum() [sha256.Size]byte {
+	m.h.Reset()
+	m.h.Write(m.Msg)
+	m.h.Sum(m.out[:0])
+	return m.out
 }
 
 // check validates a credential against the service's records. Only the

@@ -23,8 +23,6 @@
 package authz
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -138,7 +136,7 @@ type Service struct {
 	k      *sim.Kernel
 	creds  *authn.CredCache
 	caller *portals.Caller
-	key    []byte
+	mac    authn.MAC
 
 	containers map[ContainerID]*containerPolicy
 	nextCID    ContainerID
@@ -189,7 +187,7 @@ func Start(ep *portals.Endpoint, ac *authn.Client) *Service {
 		k:          ep.Kernel(),
 		creds:      authn.NewCredCache(ac),
 		caller:     portals.NewCaller(ep),
-		key:        []byte("authz-service-instance-key"),
+		mac:        authn.NewMAC([]byte("authz-service-instance-key")),
 		containers: make(map[ContainerID]*containerPolicy),
 		issued:     make(map[uint64]*capRecord),
 	}
@@ -297,18 +295,12 @@ func (s *Service) mint(cid ContainerID, op Op) Capability {
 // sign computes the HMAC that makes a capability unforgeable. The key never
 // leaves the authorization service.
 func (s *Service) sign(c Capability) [32]byte {
-	mac := hmac.New(sha256.New, s.key)
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(c.Container))
-	mac.Write(buf[:])
-	mac.Write([]byte{byte(c.Op)})
-	binary.BigEndian.PutUint64(buf[:], c.ID)
-	mac.Write(buf[:])
-	binary.BigEndian.PutUint64(buf[:], uint64(c.Expires))
-	mac.Write(buf[:])
-	var sig [32]byte
-	copy(sig[:], mac.Sum(nil))
-	return sig
+	m := &s.mac
+	m.Msg = binary.BigEndian.AppendUint64(m.Msg[:0], uint64(c.Container))
+	m.Msg = append(m.Msg, byte(c.Op))
+	m.Msg = binary.BigEndian.AppendUint64(m.Msg, c.ID)
+	m.Msg = binary.BigEndian.AppendUint64(m.Msg, uint64(c.Expires))
+	return m.Sum()
 }
 
 // checkCap validates one capability without side effects.

@@ -25,6 +25,7 @@ import (
 	"lwfs/internal/burst"
 	"lwfs/internal/cluster"
 	"lwfs/internal/core"
+	"lwfs/internal/metrics"
 	"lwfs/internal/netsim"
 	"lwfs/internal/portals"
 	"lwfs/internal/sim"
@@ -211,153 +212,186 @@ func SetupLWFS(cl *cluster.Cluster, l *cluster.LWFS, cfg Config) (*Result, error
 	// dumps that committed, dumps rolled back, dumps that rode out a
 	// buffer crash, and the committed volume.
 	ck := cl.Metrics().Scope("checkpoint")
-	mDumps := ck.Counter("dumps")
-	mAborted := ck.Counter("aborted")
-	mRecovered := ck.Counter("recovered")
-	mBytes := ck.Counter("committed_bytes")
-
-	clients := make([]*core.Client, cfg.Procs)
-	bclients := make([]*burst.Client, cfg.Procs)
-	for i := range clients {
-		clients[i] = cl.NewClient(l, i)
+	j := &job{
+		cfg:        &cfg,
+		res:        &res,
+		clients:    make([]*core.Client, cfg.Procs),
+		bclients:   make([]*burst.Client, cfg.Procs),
+		mDumps:     ck.Counter("dumps"),
+		mAborted:   ck.Counter("aborted"),
+		mRecovered: ck.Counter("recovered"),
+		mBytes:     ck.Counter("committed_bytes"),
+	}
+	for i := range j.clients {
+		j.clients[i] = cl.NewClient(l, i)
 		if cfg.Retry.Enabled() {
 			// Per-rank jitter seeds keep chaos runs deterministic while
 			// decorrelating the ranks' backoff schedules.
-			clients[i].SetRetry(cfg.Retry, cfg.Seed+int64(i+1)*1000003)
+			j.clients[i].SetRetry(cfg.Retry, cfg.Seed+int64(i+1)*1000003)
 		}
 		if len(buffers) > 0 {
 			// Shares the core client's caller, so staging rides the same
 			// retry policy (and the buffer's dedup keeps it exactly-once).
-			bclients[i] = burst.NewClient(clients[i].Caller())
+			j.bclients[i] = burst.NewClient(j.clients[i].Caller())
 		}
 	}
-	// route names the buffer each rank stages through (nil without a burst
-	// tier).
-	var route *burstRoute
 	if len(buffers) > 0 {
 		nodes := make([]netsim.NodeID, cfg.Procs)
-		for i, c := range clients {
+		for i, c := range j.clients {
 			nodes[i] = c.Node()
 		}
-		route = &burstRoute{buffers: buffers, assign: BufferAssignment(nodes, buffers)}
+		j.route = &burstRoute{buffers: buffers, assign: BufferAssignment(nodes, buffers)}
 	}
-	// Gather channel for the metadata phase (rank 0 collects ObjRefs).
-	gather := sim.NewMailbox(cl.K, "ckpt/gather")
-
-	// Rank 0: acquire credentials and capabilities once, scatter, then act
-	// as an ordinary writer plus the metadata/naming/commit tail.
-	placement := rng.Intn(1024) // rotate object placement per trial
-	jitters := make([]time.Duration, cfg.Procs)
-	for i := range jitters {
-		jitters[i] = time.Duration(rng.Int63n(int64(cfg.jitter())))
+	j.gather = sim.NewMailbox(cl.K, "ckpt/gather")
+	j.placement = rng.Intn(1024) // rotate object placement per trial
+	j.jitters = make([]time.Duration, cfg.Procs)
+	for i := range j.jitters {
+		j.jitters[i] = time.Duration(rng.Int63n(int64(cfg.jitter())))
 	}
-
-	type share struct {
-		caps core.CapSet
-		pl   *core.Placement
-	}
-	shared := sim.NewMailbox(cl.K, "ckpt/share")
-
-	rank0 := func(p *sim.Proc) {
-		c := clients[0]
-		if err := c.Login(p, "app", "s3cret"); err != nil {
-			panic(fmt.Sprintf("login: %v", err))
-		}
-		cid, err := c.CreateContainer(p)
-		if err != nil {
-			panic(fmt.Sprintf("container: %v", err))
-		}
-		caps, err := c.GetCaps(p, cid, authz.AllOps...)
-		if err != nil {
-			panic(fmt.Sprintf("getcaps: %v", err))
-		}
-		var peers []core.ProcAddr
-		for i := 1; i < cfg.Procs; i++ {
-			peers = append(peers, clients[i].Addr())
-		}
-		// One transaction for the whole checkpoint (BEGINTXN), shared by the
-		// ranks as a real MPI job would share its ID, with the capabilities.
-		pl := &core.Placement{Tx: c.BeginTxn()}
-		for i := 1; i < cfg.Procs; i++ {
-			shared.Send(share{caps: caps, pl: pl})
-		}
-		if len(peers) > 0 {
-			c.ScatterCaps(p, caps, peers)
-		}
-
-		start := p.Now()
-		p.Sleep(jitters[0])
-		t := dumpRank(p, c, bclients[0], caps, pl, 0, placement, route, &cfg)
-
-		// Metadata gather: collect every rank's ObjRef, write the metadata
-		// object, create the name, commit (the Figure 8 tail).
-		tailStart := p.Now()
-		refs := make([]storage.ObjRef, cfg.Procs)
-		refs[0] = t.ref
-		for i := 1; i < cfg.Procs; i++ {
-			m := gather.Recv(p).(gatherMsg)
-			refs[m.rank] = m.ref
-		}
-		// Burst mode: the commit only ever covers drained data. Wait for
-		// every buffer to vouch for its extents; if one cannot (crashed and
-		// lost staged state, drain gave up, or it stopped answering past any
-		// recovery window), roll the whole checkpoint back — the provisional
-		// creates are removed by the participants' abort path, so a restore
-		// never sees a manifest over partially drained objects.
-		recovered, err := waitDrains(p, bclients[0], refs, route, &cfg)
-		res.Recovered = recovered
-		if recovered {
-			mRecovered.Inc()
-		}
-		if err != nil {
-			if aerr := pl.Abort(p); aerr != nil {
-				panic(fmt.Sprintf("abort after %v: %v", err, aerr))
-			}
-			res.Aborted = true
-			mAborted.Inc()
-		} else {
-			// Ranks that finished on a server a later rank saw die must be
-			// re-homed before the manifest is written: a failed server's journal
-			// replay deletes its provisional creates by presumed abort.
-			var mdT ProcTimes
-			if err := rehomeFailed(p, c, caps, pl, refs, placement, &cfg, &mdT); err != nil {
-				panic(fmt.Sprintf("re-home: %v", err))
-			}
-			publishManifest(p, c, caps, pl, placement, EncodeMetadata(refs, cfg.BytesPerProc), refs, &mdT)
-			mDumps.Inc()
-			mBytes.Add(res.Bytes)
-		}
-		t.t.Close = p.Now().Sub(tailStart)
-		if route != nil {
-			// Apparent time: the application resumes computing at the ack,
-			// not at the commit — the tail is what the tier hides.
-			t.t.Total = tailStart.Sub(start)
-		} else {
-			t.t.Total = p.Now().Sub(start)
-		}
-		res.Durable = max(res.Durable, p.Now().Sub(start))
-		res.fold(t.t)
-	}
-
+	j.shared = sim.NewMailbox(cl.K, "ckpt/share")
 	spawnRanks(cl, cfg.Procs, func(i int) func(*sim.Proc) {
-		if i == 0 {
-			return rank0
-		}
-		return func(p *sim.Proc) {
-			c := clients[i]
-			sh := shared.Recv(p).(share)
-			if _, err := c.WaitCaps(p); err != nil {
-				panic(fmt.Sprintf("rank %d caps: %v", i, err))
-			}
-			start := p.Now()
-			p.Sleep(jitters[i])
-			t := dumpRank(p, c, bclients[i], sh.caps, sh.pl, i, placement, route, &cfg)
-			gather.Send(gatherMsg{rank: i, ref: t.ref})
-			t.t.Total = p.Now().Sub(start)
-			res.fold(t.t)
-		}
+		return func(p *sim.Proc) { j.rank(p, i) }
 	})
 	return &res, nil
+}
+
+// job is what the ranks of one SetupLWFS run share.
+type job struct {
+	cfg       *Config
+	res       *Result
+	clients   []*core.Client
+	bclients  []*burst.Client
+	route     *burstRoute // nil without a burst tier
+	placement int
+	jitters   []time.Duration
+	shared    *sim.Mailbox // rank 0 → the others: the capabilities and the placement
+	gather    *sim.Mailbox // the others → rank 0: the object each dumped into
+
+	mDumps, mAborted, mRecovered, mBytes *metrics.Counter
+}
+
+// share is what rank 0 hands the other ranks: the capabilities and one
+// transaction for the whole checkpoint (BEGINTXN), as an MPI job shares its ID.
+type share struct {
+	caps core.CapSet
+	pl   *core.Placement
+}
+
+// rank runs rank i (Figure 8): rank 0 acquires and scatters the
+// capabilities (lead); every rank dumps, through the burst tier when there
+// is one, else CREATEOBJ + DUMPSTATE + sync at the storage servers with
+// failover; rank 0 ends with the commit tail. The dump runs in this frame,
+// so a rank parked in it fits one 4 KiB stack.
+func (j *job) rank(p *sim.Proc, i int) {
+	c := j.clients[i]
+	var sh share
+	if i == 0 {
+		sh = j.lead(p, c)
+	} else {
+		sh = j.shared.Recv(p).(share)
+		if _, err := c.WaitCaps(p); err != nil {
+			rankFailed(i, "caps", err)
+		}
+	}
+	start := p.Now()
+	p.Sleep(j.jitters[i])
+	var t dumpOut
+	if j.route != nil {
+		dumpViaBurst(p, c, j.bclients[i], sh.caps, sh.pl, i, j.placement, j.route, j.cfg, &t)
+	} else {
+		var err error
+		payload := payloadFor(i, j.cfg)
+		if t.ref, err = placeCopies(p, c, sh.caps, sh.pl, i+j.placement, &payload, true, &t.t); err != nil {
+			rankFailed(i, "dump", err)
+		}
+	}
+	if i == 0 {
+		j.commit(p, c, sh, &t, start)
+		return
+	}
+	j.gather.Send(gatherMsg{rank: i, ref: t.ref})
+	t.t.Total = p.Now().Sub(start)
+	j.res.fold(t.t)
+}
+
+// lead is rank 0's head: log in, create the container, acquire every
+// capability and hand them out with the transaction.
+func (j *job) lead(p *sim.Proc, c *core.Client) share {
+	if err := c.Login(p, "app", "s3cret"); err != nil {
+		panic(fmt.Sprintf("login: %v", err))
+	}
+	cid, err := c.CreateContainer(p)
+	if err != nil {
+		panic(fmt.Sprintf("container: %v", err))
+	}
+	caps, err := c.GetCaps(p, cid, authz.AllOps...)
+	if err != nil {
+		panic(fmt.Sprintf("getcaps: %v", err))
+	}
+	var peers []core.ProcAddr
+	for i := 1; i < j.cfg.Procs; i++ {
+		peers = append(peers, j.clients[i].Addr())
+	}
+	sh := share{caps: caps, pl: &core.Placement{Tx: c.BeginTxn()}}
+	for i := 1; i < j.cfg.Procs; i++ {
+		j.shared.Send(sh)
+	}
+	if len(peers) > 0 {
+		c.ScatterCaps(p, caps, peers)
+	}
+	return sh
+}
+
+// commit is rank 0's tail after its dump t (started at start): gather every
+// rank's ObjRef, write the metadata object, create the name, commit.
+func (j *job) commit(p *sim.Proc, c *core.Client, sh share, t *dumpOut, start sim.Time) {
+	cfg, res, caps, pl := j.cfg, j.res, sh.caps, sh.pl
+	tailStart := p.Now()
+	refs := make([]storage.ObjRef, cfg.Procs)
+	refs[0] = t.ref
+	for i := 1; i < cfg.Procs; i++ {
+		m := j.gather.Recv(p).(gatherMsg)
+		refs[m.rank] = m.ref
+	}
+	// Burst mode: the commit only ever covers drained data. Wait for
+	// every buffer to vouch for its extents; if one cannot (crashed and
+	// lost staged state, drain gave up, or it stopped answering past any
+	// recovery window), roll the whole checkpoint back — the provisional
+	// creates are removed by the participants' abort path, so a restore
+	// never sees a manifest over partially drained objects.
+	recovered, err := waitDrains(p, j.bclients[0], refs, j.route, cfg)
+	res.Recovered = recovered
+	if recovered {
+		j.mRecovered.Inc()
+	}
+	if err != nil {
+		if aerr := pl.Abort(p); aerr != nil {
+			panic(fmt.Sprintf("abort after %v: %v", err, aerr))
+		}
+		res.Aborted = true
+		j.mAborted.Inc()
+	} else {
+		// Ranks that finished on a server a later rank saw die must be
+		// re-homed before the manifest is written: a failed server's journal
+		// replay deletes its provisional creates by presumed abort.
+		var mdT ProcTimes
+		if err := rehomeFailed(p, c, caps, pl, refs, j.placement, cfg, &mdT); err != nil {
+			panic(fmt.Sprintf("re-home: %v", err))
+		}
+		publishManifest(p, c, caps, pl, j.placement, EncodeMetadata(refs, cfg.BytesPerProc), refs, &mdT)
+		j.mDumps.Inc()
+		j.mBytes.Add(res.Bytes)
+	}
+	t.t.Close = p.Now().Sub(tailStart)
+	if j.route != nil {
+		// Apparent time: the application resumes computing at the ack,
+		// not at the commit — the tail is what the tier hides.
+		t.t.Total = tailStart.Sub(start)
+	} else {
+		t.t.Total = p.Now().Sub(start)
+	}
+	res.Durable = max(res.Durable, p.Now().Sub(start))
+	res.fold(t.t)
 }
 
 type gatherMsg struct {
@@ -377,25 +411,12 @@ type burstRoute struct {
 	assign  []int
 }
 
-// dumpRank runs one rank's dump: through the burst tier when route is
-// non-nil, otherwise the CHECKPOINT body CREATEOBJ + DUMPSTATE + sync straight
-// at the storage servers, failing over when the object's server dies
-// mid-dump.
-func dumpRank(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, pl *core.Placement, rank, placement int, route *burstRoute, cfg *Config) dumpOut {
-	if route != nil {
-		return dumpViaBurst(p, c, bc, caps, pl, rank, placement, route, cfg)
-	}
-	return dumpDirect(p, c, caps, pl, rank, placement, cfg)
-}
-
-// dumpDirect is dumpRank without a burst tier. Its payload and timings stay
-// out of dumpRank's frame, which is under every rank parked in a stage.
-func dumpDirect(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placement, rank, placement int, cfg *Config) (out dumpOut) {
-	var err error
-	if out.ref, err = placeCopies(p, c, caps, pl, rank+placement, payloadFor(rank, cfg), true, &out.t); err != nil {
-		panic(fmt.Sprintf("rank %d dump: %v", rank, err))
-	}
-	return out
+// rankFailed panics with what a rank failed at, out of line: its
+// formatting takes no room in the frames under every parked rank.
+//
+//go:noinline
+func rankFailed(rank int, what string, err error) {
+	panic(fmt.Sprintf("rank %d %s: %v", rank, what, err))
 }
 
 // dumpViaBurst is the write-behind CHECKPOINT body: the object is still
@@ -405,24 +426,22 @@ func dumpDirect(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placemen
 // drain's job, and the commit tail refuses to seal the manifest until every
 // buffer vouches for it. Under backpressure (full staging window) the
 // buffer degrades to a synchronous relay and the ack time simply grows.
-func dumpViaBurst(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, pl *core.Placement, rank, placement int, route *burstRoute, cfg *Config) dumpOut {
-	var out dumpOut
+func dumpViaBurst(p *sim.Proc, c *core.Client, bc *burst.Client, caps core.CapSet, pl *core.Placement, rank, placement int, route *burstRoute, cfg *Config, out *dumpOut) {
 	t0 := p.Now()
 	tgt := c.Server(rank + placement)
 	ref, err := c.CreateObjectTxn(p, tgt, caps, pl.Tx)
 	if err != nil {
-		panic(fmt.Sprintf("rank %d create: %v", rank, err))
+		rankFailed(rank, "create", err)
 	}
 	out.t.Create = p.Now().Sub(t0)
 
 	t1 := p.Now()
 	bt := route.buffers[route.assign[rank]]
 	if _, err := bc.StageWrite(p, bt, ref, caps.Get(authz.OpWrite), 0, payloadFor(rank, cfg)); err != nil {
-		panic(fmt.Sprintf("rank %d stage: %v", rank, err))
+		rankFailed(rank, "stage", err)
 	}
 	out.t.Write = p.Now().Sub(t1)
 	out.ref = ref
-	return out
 }
 
 // recoveryPoll paces the commit tail's re-issued drain waits while a
@@ -523,7 +542,7 @@ func dist(a, b netsim.NodeID) int {
 // (core.Placement.Walk) to the next server when one stops responding.
 // Without a retry policy there are no timeouts, so the walk degenerates to
 // the plain happy path.
-func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placement, prefer int, payload netsim.Payload, doSync bool, t *ProcTimes) (storage.ObjRef, error) {
+func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placement, prefer int, payload *netsim.Payload, doSync bool, t *ProcTimes) (storage.ObjRef, error) {
 	var ref storage.ObjRef // each try's create; the last one landed if Walk succeeds
 	err := pl.Walk(c.Servers(), prefer, 1, nil, nil,
 		func(tgt storage.Target) (err error) {
@@ -536,7 +555,7 @@ func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placeme
 			// A server that accepted the create can still die before the
 			// dump is durable; the walk gives up on it all the same.
 			t1 := p.Now()
-			if _, err := c.Write(p, ref, caps, 0, payload); err != nil {
+			if _, err := c.Write(p, ref, caps, 0, *payload); err != nil {
 				return err
 			}
 			t.Write += p.Now().Sub(t1)
@@ -550,10 +569,15 @@ func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placeme
 			return nil
 		})
 	if err != nil {
-		return storage.ObjRef{}, fmt.Errorf("checkpoint: placing a copy: %w", err)
+		return storage.ObjRef{}, placingFailed(err)
 	}
 	return ref, nil
 }
+
+// placingFailed wraps placeCopies' error, out of line like rankFailed.
+//
+//go:noinline
+func placingFailed(err error) error { return fmt.Errorf("checkpoint: placing a copy: %w", err) }
 
 // payloadFor builds rank's dump payload per the config: the verifiable
 // seeded run, or a metadata-only synthetic buffer.
@@ -579,7 +603,8 @@ func rehomeFailed(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placem
 			if !pl.Dead(storage.TargetOf(ref)) {
 				continue
 			}
-			nref, err := placeCopies(p, c, caps, pl, rank+placement, payloadFor(rank, cfg), true, t)
+			payload := payloadFor(rank, cfg)
+			nref, err := placeCopies(p, c, caps, pl, rank+placement, &payload, true, t)
 			if err != nil {
 				return fmt.Errorf("re-homing rank %d: %w", rank, err)
 			}
@@ -596,7 +621,8 @@ func rehomeFailed(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placem
 // refs and the manifest. A mid-commit crash of the manifest's server aborts
 // the transaction — never a half-published manifest.
 func publishManifest(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placement, placement int, manifest []byte, refs []storage.ObjRef, t *ProcTimes) {
-	mdRef, err := placeCopies(p, c, caps, pl, placement, netsim.BytesPayload(manifest), false, t)
+	payload := netsim.BytesPayload(manifest)
+	mdRef, err := placeCopies(p, c, caps, pl, placement, &payload, false, t)
 	if err != nil {
 		panic(fmt.Sprintf("md object: %v", err))
 	}

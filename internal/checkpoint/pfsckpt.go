@@ -23,7 +23,7 @@ func RunPFSFilePerProcess(spec cluster.Spec, cfg Config) (Result, error) {
 	return runPFS(cl, cfg, func(p *sim.Proc, c *pfs.Client, rank int) (*pfs.File, int64) {
 		file, err := c.Create(p, fmt.Sprintf("/ckpt/rank-%d", rank), 0)
 		if err != nil {
-			panic(fmt.Sprintf("rank %d create: %v", rank, err))
+			rankFailed(rank, "create", err)
 		}
 		return file, 0
 	})
@@ -51,7 +51,7 @@ func RunPFSShared(spec cluster.Spec, cfg Config) (Result, error) {
 			created.Recv(p)
 			file, err = c.Open(p, "/ckpt/shared")
 			if err != nil {
-				panic(fmt.Sprintf("rank %d open: %v", rank, err))
+				rankFailed(rank, "open", err)
 			}
 		}
 		file.SetShared(cfg.Procs > 1)
@@ -85,19 +85,19 @@ func runPFS(cl *cluster.Cluster, cfg Config, open func(p *sim.Proc, c *pfs.Clien
 
 			t1 := p.Now()
 			if _, err := file.Write(p, off, netsim.SyntheticPayload(size)); err != nil {
-				panic(fmt.Sprintf("rank %d write: %v", i, err))
+				rankFailed(i, "write", err)
 			}
 			t.Write = p.Now().Sub(t1)
 
 			t2 := p.Now()
 			if err := file.Sync(p); err != nil {
-				panic(fmt.Sprintf("rank %d sync: %v", i, err))
+				rankFailed(i, "sync", err)
 			}
 			t.Sync = p.Now().Sub(t2)
 
 			t3 := p.Now()
 			if err := file.Close(p); err != nil {
-				panic(fmt.Sprintf("rank %d close: %v", i, err))
+				rankFailed(i, "close", err)
 			}
 			t.Close = p.Now().Sub(t3)
 			t.Total = p.Now().Sub(start)
@@ -222,7 +222,7 @@ func runCreateOnly(cl *cluster.Cluster, procs, opsPerProc int, rank func(i int) 
 			}
 			for op := 0; op < opsPerProc; op++ {
 				if err := r.create(p, op); err != nil {
-					panic(fmt.Sprintf("rank %d create: %v", i, err))
+					rankFailed(i, "create", err)
 				}
 			}
 			if p.Now() > last {

@@ -64,18 +64,38 @@ type Client struct {
 	ep     *portals.Endpoint
 	sys    System
 	caller *portals.Caller
-
-	authn *authn.Client
-	authz *authz.Client
-	nc    *naming.Client
-	sc    *storage.Client
-	co    *txn.Coordinator
-	lc    *txn.LockClient
+	sc     storage.Client
+	svc    *services // nil until first used
 
 	cred    authn.Credential
 	scatter *sim.Mailbox
 	addr    ProcAddr
 	breaker *qos.Breaker
+}
+
+// services are the clients of the admin node's services and the
+// transaction coordinator. A checkpoint rank other than 0 only writes, so
+// they are built on first use: none of them reserves a token or a match
+// entry, so building them late sends nothing differently.
+type services struct {
+	authn authn.Client
+	authz authz.Client
+	nc    naming.Client
+	co    txn.Coordinator
+	lc    txn.LockClient
+}
+
+func (c *Client) services() *services {
+	if c.svc == nil {
+		c.svc = &services{
+			authn: *authn.NewClient(c.caller, c.sys.Admin),
+			authz: *authz.NewClient(c.caller, c.sys.Admin),
+			nc:    *naming.NewClient(c.caller, c.sys.Admin),
+			co:    *txn.NewCoordinator(c.caller),
+			lc:    *txn.NewLockClient(c.ep, c.sys.Admin, uint64(c.ep.Node())),
+		}
+	}
+	return c.svc
 }
 
 // ProcAddr addresses one client *process* for capability scatter: several
@@ -93,12 +113,7 @@ func NewClient(ep *portals.Endpoint, sys System) *Client {
 		ep:     ep,
 		sys:    sys,
 		caller: caller,
-		authn:  authn.NewClient(caller, sys.Admin),
-		authz:  authz.NewClient(caller, sys.Admin),
-		nc:     naming.NewClient(caller, sys.Admin),
-		sc:     storage.NewClient(caller),
-		co:     txn.NewCoordinator(caller),
-		lc:     txn.NewLockClient(ep, sys.Admin, uint64(ep.Node())),
+		sc:     *storage.NewClient(caller),
 	}
 	c.scatter = sim.NewMailbox(ep.Kernel(), fmt.Sprintf("client%d/caps", ep.Node()))
 	c.addr = ProcAddr{Node: ep.Node(), Bits: portals.MatchBits(ep.NextToken())}
@@ -168,11 +183,11 @@ func mod(i, n int) int {
 }
 
 // Locks returns the lock client (nil if the system has no lock service).
-func (c *Client) Locks() *txn.LockClient { return c.lc }
+func (c *Client) Locks() *txn.LockClient { return &c.services().lc }
 
 // Login authenticates and stores the credential (GETCREDS).
 func (c *Client) Login(p *sim.Proc, user authn.Principal, secret string) error {
-	cred, err := c.authn.Login(p, user, secret)
+	cred, err := c.services().authn.Login(p, user, secret)
 	if err != nil {
 		return err
 	}
@@ -193,7 +208,7 @@ func (c *Client) Logout(p *sim.Proc) error {
 	if c.cred.Zero() {
 		return ErrNotLoggedIn
 	}
-	err := c.authn.Revoke(p, c.cred)
+	err := c.services().authn.Revoke(p, c.cred)
 	c.cred = authn.Credential{}
 	return err
 }
@@ -203,7 +218,7 @@ func (c *Client) CreateContainer(p *sim.Proc) (authz.ContainerID, error) {
 	if c.cred.Zero() {
 		return 0, ErrNotLoggedIn
 	}
-	return c.authz.CreateContainer(p, c.cred)
+	return c.services().authz.CreateContainer(p, c.cred)
 }
 
 // GetCaps acquires capabilities for ops on a container (GETCAPS).
@@ -211,7 +226,7 @@ func (c *Client) GetCaps(p *sim.Proc, cid authz.ContainerID, ops ...authz.Op) (C
 	if c.cred.Zero() {
 		return CapSet{}, ErrNotLoggedIn
 	}
-	caps, err := c.authz.GetCaps(p, c.cred, cid, ops...)
+	caps, err := c.services().authz.GetCaps(p, c.cred, cid, ops...)
 	if err != nil {
 		return CapSet{}, err
 	}
@@ -223,7 +238,7 @@ func (c *Client) GetCaps(p *sim.Proc, cid authz.ContainerID, ops ...authz.Op) (C
 }
 
 // RenewCaps re-acquires the same operations on the same container; data
-// operations renew on their own (withRenew).
+// operations renew on their own (renewed).
 func (c *Client) RenewCaps(p *sim.Proc, caps CapSet) (CapSet, error) {
 	ops := make([]authz.Op, 0, len(caps.Caps))
 	for _, op := range authz.AllOps {
@@ -234,21 +249,21 @@ func (c *Client) RenewCaps(p *sim.Proc, caps CapSet) (CapSet, error) {
 	return c.GetCaps(p, caps.Container, ops...)
 }
 
-// withRenew is transparent capability renewal: if fn fails on an expired
-// capability, it re-acquires the same set and retries once. NASD instead
-// makes the application re-acquire everything itself — painful for
-// checkpoints with long gaps between accesses (§5). A revoked capability
-// still fails.
-func (c *Client) withRenew(p *sim.Proc, caps CapSet, fn func(CapSet) error) error {
-	err := fn(caps)
+// renewed is transparent capability renewal: after a data operation's
+// first try failed with err on an expired capability, it re-acquires the
+// set into *caps, and the operation tries once more. NASD makes the
+// application re-acquire everything itself — painful for checkpoints with
+// long gaps between accesses (§5). A revoked capability still fails.
+func (c *Client) renewed(p *sim.Proc, caps *CapSet, err error) bool {
 	if err == nil || !errors.Is(err, authz.ErrExpiredCap) {
-		return err
+		return false
 	}
-	fresh, rerr := c.RenewCaps(p, caps)
+	fresh, rerr := c.RenewCaps(p, *caps)
 	if rerr != nil {
-		return err
+		return false
 	}
-	return fn(fresh)
+	*caps = fresh
+	return true
 }
 
 // Revoke invalidates outstanding capabilities for ops on the container.
@@ -256,7 +271,7 @@ func (c *Client) Revoke(p *sim.Proc, cid authz.ContainerID, ops ...authz.Op) err
 	if c.cred.Zero() {
 		return ErrNotLoggedIn
 	}
-	return c.authz.Revoke(p, c.cred, cid, ops...)
+	return c.services().authz.Revoke(p, c.cred, cid, ops...)
 }
 
 // SetACL grants or removes another principal's access to a container.
@@ -264,7 +279,7 @@ func (c *Client) SetACL(p *sim.Proc, cid authz.ContainerID, op authz.Op, user au
 	if c.cred.Zero() {
 		return ErrNotLoggedIn
 	}
-	return c.authz.SetACL(p, c.cred, cid, op, user, allow)
+	return c.services().authz.SetACL(p, c.cred, cid, op, user, allow)
 }
 
 // CreateObject allocates an object on the target server (CREATEOBJ).
@@ -285,24 +300,20 @@ func (c *Client) CreateObjectTxn(p *sim.Proc, t storage.Target, caps CapSet, tx 
 }
 
 // Write stores payload at off in the object (server-directed pull).
-func (c *Client) Write(p *sim.Proc, ref storage.ObjRef, caps CapSet, off int64, payload netsim.Payload) (int64, error) {
-	var n int64
-	err := c.withRenew(p, caps, func(cs CapSet) error {
-		var werr error
-		n, werr = c.sc.Write(p, ref, cs.Get(authz.OpWrite), off, payload)
-		return werr
-	})
+func (c *Client) Write(p *sim.Proc, ref storage.ObjRef, caps CapSet, off int64, payload netsim.Payload) (n int64, err error) {
+	n, err = c.sc.Write(p, ref, caps.Get(authz.OpWrite), off, payload)
+	if c.renewed(p, &caps, err) {
+		n, err = c.sc.Write(p, ref, caps.Get(authz.OpWrite), off, payload)
+	}
 	return n, err
 }
 
 // Read fetches [off, off+length) of the object (server-directed push).
-func (c *Client) Read(p *sim.Proc, ref storage.ObjRef, caps CapSet, off, length int64) (netsim.Payload, error) {
-	var out netsim.Payload
-	err := c.withRenew(p, caps, func(cs CapSet) error {
-		var rerr error
-		out, rerr = c.sc.Read(p, ref, cs.Get(authz.OpRead), off, length)
-		return rerr
-	})
+func (c *Client) Read(p *sim.Proc, ref storage.ObjRef, caps CapSet, off, length int64) (out netsim.Payload, err error) {
+	out, err = c.sc.Read(p, ref, caps.Get(authz.OpRead), off, length)
+	if c.renewed(p, &caps, err) {
+		out, err = c.sc.Read(p, ref, caps.Get(authz.OpRead), off, length)
+	}
 	return out, err
 }
 
@@ -310,13 +321,11 @@ func (c *Client) Read(p *sim.Proc, ref storage.ObjRef, caps CapSet, off, length 
 // returns its (small) result — the §6 "remote processing" extension: the
 // scan happens next to the disk; only the answer crosses the network.
 // Requires an OpRead capability.
-func (c *Client) Filter(p *sim.Proc, ref storage.ObjRef, caps CapSet, off, length int64, name, args string, maxResult int64) ([]byte, error) {
-	var out []byte
-	err := c.withRenew(p, caps, func(cs CapSet) error {
-		var ferr error
-		out, ferr = c.sc.Filter(p, ref, cs.Get(authz.OpRead), off, length, name, args, maxResult)
-		return ferr
-	})
+func (c *Client) Filter(p *sim.Proc, ref storage.ObjRef, caps CapSet, off, length int64, name, args string, maxResult int64) (out []byte, err error) {
+	out, err = c.sc.Filter(p, ref, caps.Get(authz.OpRead), off, length, name, args, maxResult)
+	if c.renewed(p, &caps, err) {
+		out, err = c.sc.Filter(p, ref, caps.Get(authz.OpRead), off, length, name, args, maxResult)
+	}
 	return out, err
 }
 
@@ -337,9 +346,12 @@ func (c *Client) Remove(p *sim.Proc, ref storage.ObjRef, caps CapSet) error {
 
 // Truncate sets the object's logical size.
 func (c *Client) Truncate(p *sim.Proc, ref storage.ObjRef, caps CapSet, size int64) error {
-	return c.withRenew(p, caps, func(cs CapSet) error {
-		return c.sc.Truncate(p, ref, cs.Get(authz.OpWrite), size)
-	})
+	var err error
+	err = c.sc.Truncate(p, ref, caps.Get(authz.OpWrite), size)
+	if c.renewed(p, &caps, err) {
+		err = c.sc.Truncate(p, ref, caps.Get(authz.OpWrite), size)
+	}
+	return err
 }
 
 // Stat returns object metadata.
@@ -377,11 +389,11 @@ func (c *Client) GetAttr(p *sim.Proc, ref storage.ObjRef, caps CapSet, key strin
 }
 
 // BeginTxn starts a distributed transaction (BEGINTXN).
-func (c *Client) BeginTxn() *txn.Txn { return c.co.Begin() }
+func (c *Client) BeginTxn() *txn.Txn { return c.services().co.Begin() }
 
 // EnlistNaming adds the naming service to a transaction.
 func (c *Client) EnlistNaming(tx *txn.Txn) {
-	tx.Enlist(c.nc.TxnEndpoint())
+	tx.Enlist(c.services().nc.TxnEndpoint())
 }
 
 // CreateName binds a path to an object reference, optionally inside a
@@ -401,7 +413,7 @@ func (c *Client) CreateNameRefs(p *sim.Proc, path string, refs []storage.ObjRef,
 		c.EnlistNaming(tx)
 		id = tx.ID
 	}
-	return c.nc.CreateRefs(p, c.cred, path, refs, id)
+	return c.services().nc.CreateRefs(p, c.cred, path, refs, id)
 }
 
 // SetNameRefs replaces the mirror set of an existing file entry. With a
@@ -416,7 +428,7 @@ func (c *Client) SetNameRefs(p *sim.Proc, path string, refs []storage.ObjRef, tx
 		c.EnlistNaming(tx)
 		id = tx.ID
 	}
-	return c.nc.SetRefs(p, c.cred, path, refs, id)
+	return c.services().nc.SetRefs(p, c.cred, path, refs, id)
 }
 
 // Lookup resolves a path.
@@ -424,7 +436,7 @@ func (c *Client) Lookup(p *sim.Proc, path string) (naming.Entry, error) {
 	if c.cred.Zero() {
 		return naming.Entry{}, ErrNotLoggedIn
 	}
-	return c.nc.Lookup(p, c.cred, path)
+	return c.services().nc.Lookup(p, c.cred, path)
 }
 
 // Mkdir creates a namespace directory.
@@ -432,7 +444,7 @@ func (c *Client) Mkdir(p *sim.Proc, path string) error {
 	if c.cred.Zero() {
 		return ErrNotLoggedIn
 	}
-	return c.nc.Mkdir(p, c.cred, path)
+	return c.services().nc.Mkdir(p, c.cred, path)
 }
 
 // RemoveName unlinks a path and returns the entry it held.
@@ -440,7 +452,7 @@ func (c *Client) RemoveName(p *sim.Proc, path string) (naming.Entry, error) {
 	if c.cred.Zero() {
 		return naming.Entry{}, ErrNotLoggedIn
 	}
-	return c.nc.Remove(p, c.cred, path)
+	return c.services().nc.Remove(p, c.cred, path)
 }
 
 // ListNames lists a namespace directory.
@@ -448,7 +460,7 @@ func (c *Client) ListNames(p *sim.Proc, path string) ([]string, error) {
 	if c.cred.Zero() {
 		return nil, ErrNotLoggedIn
 	}
-	return c.nc.List(p, c.cred, path)
+	return c.services().nc.List(p, c.cred, path)
 }
 
 // scatterMsg carries credentials + capabilities down the scatter tree, as

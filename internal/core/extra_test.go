@@ -105,7 +105,7 @@ func TestAccessorsExposed(t *testing.T) {
 }
 
 func TestWriteErrorsSurfaceThroughRenewWrapper(t *testing.T) {
-	// Non-expiry errors must pass through withRenew untouched.
+	// Non-expiry errors must pass through renewal untouched.
 	cl, l := smallCluster()
 	c := cl.NewClient(l, 0)
 	cl.K.Spawn("app", func(p *sim.Proc) {

@@ -55,18 +55,21 @@ func Candidates[T any](cands []T, start int, excluded, avoided func(T) bool) ite
 }
 
 // Walk tries candidates in Candidates order from start until k of them
-// succeeded. A candidate whose try fails fail-stop (portals.FailStop) is
-// reported to failed (nil = nobody to tell) and never offered again; any
-// other error stops the walk and is returned untouched, with nothing tried
-// after it. Running out of candidates first returns an error wrapping
-// ErrRanOut.
-func Walk[T comparable](cands []T, start, k int, excluded, avoided func(T) bool, try func(T) error, failed func(T)) error {
+// succeeded. A candidate in *dead is never offered; one whose try fails
+// fail-stop (portals.FailStop) joins *dead (nil dead: a list of the walk's
+// own), and any other error stops the walk and is returned untouched, with
+// nothing tried after it. Running out of candidates first returns an error
+// wrapping ErrRanOut.
+func Walk[T comparable](cands []T, start, k int, excluded, avoided func(T) bool, try func(T) error, dead *[]T) error {
 	if k <= 0 {
 		return nil
 	}
-	var dead []T // a slice: a handful at most, and the healthy walk allocates nothing
+	var own []T // a slice: a handful at most, and the healthy walk allocates nothing
+	if dead == nil {
+		dead = &own
+	}
 	var lastErr error
-	skip := func(c T) bool { return slices.Contains(dead, c) || (excluded != nil && excluded(c)) }
+	skip := func(c T) bool { return slices.Contains(*dead, c) || (excluded != nil && excluded(c)) }
 	for _, c := range Candidates(cands, start, skip, avoided) {
 		err := try(c)
 		switch {
@@ -75,15 +78,20 @@ func Walk[T comparable](cands []T, start, k int, excluded, avoided func(T) bool,
 				return nil
 			}
 		case portals.FailStop(err):
-			dead = append(dead, c)
+			*dead = append(*dead, c)
 			lastErr = err
-			if failed != nil {
-				failed(c)
-			}
 		default:
 			return err
 		}
 	}
+	return ranOut(lastErr)
+}
+
+// ranOut is Walk's error when the candidates ran out, out of line so its
+// formatting is not in the frame under every try.
+//
+//go:noinline
+func ranOut(lastErr error) error {
 	if lastErr == nil {
 		return ErrRanOut
 	}
@@ -96,13 +104,13 @@ func Walk[T comparable](cands []T, start, k int, excluded, avoided func(T) bool,
 // replaceable, while a hard error says something about the record itself.
 // skipped is how many unreachable mirrors preceded the one that answered.
 func ReadMirror(refs []storage.ObjRef, read func(storage.ObjRef) (netsim.Payload, error)) (pl netsim.Payload, skipped int, err error) {
+	var dead []storage.ObjRef
 	err = Walk(refs, 0, 1, nil, nil,
 		func(ref storage.ObjRef) (rerr error) {
 			pl, rerr = read(ref)
 			return rerr
-		},
-		func(storage.ObjRef) { skipped++ })
-	return pl, skipped, err
+		}, &dead)
+	return pl, len(dead), err
 }
 
 // Placement is one transaction's object creation by failover walks: Tx, the
@@ -123,11 +131,12 @@ type Placement struct {
 }
 
 // Walk is core.Walk over the placement: dead targets are excluded beside
-// excluded, and a target that fails fail-stop joins them.
+// excluded, and a target that fails fail-stop joins them. Inlined into
+// another package, its generic call would be taken to leak try.
+//
+//go:noinline
 func (pl *Placement) Walk(cands []storage.Target, start, k int, excluded, avoided func(storage.Target) bool, try func(storage.Target) error) error {
-	return Walk(cands, start, k,
-		func(t storage.Target) bool { return pl.Dead(t) || excluded != nil && excluded(t) },
-		avoided, try, func(t storage.Target) { pl.dead = append(pl.dead, t) })
+	return Walk(cands, start, k, excluded, avoided, try, &pl.dead)
 }
 
 // Dead reports whether a walk of the placement gave up on t.

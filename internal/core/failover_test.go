@@ -236,8 +236,7 @@ func TestFailoverWalk(t *testing.T) {
 				func(c string) error {
 					tried = append(tried, c)
 					return tc.outcome[c]
-				},
-				func(c string) { failed = append(failed, c) })
+				}, &failed)
 			if !reflect.DeepEqual(tried, tc.wantTried) {
 				t.Errorf("tried %v, want %v", tried, tc.wantTried)
 			}

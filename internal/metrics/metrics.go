@@ -33,7 +33,10 @@
 //
 // A registry costs almost nothing until it is read: registering allocates
 // no name and no map entry of the instrument's own (see record), and full
-// names are built by the first Snapshot, Sum or MergedHist and kept.
+// names are built by the first Snapshot, Sum or MergedHist and kept. A
+// node's own counters (net.<node>.*, portals.<node>.*, rpc.client.<node>.*)
+// cost no registration: they are fields of their owners, read through one
+// Family per network (AddFamily).
 //
 // Snapshot captures every instrument with the simulation's *virtual*
 // timestamp; Diff of two snapshots yields per-instrument deltas and rates
@@ -201,14 +204,77 @@ type Registry struct {
 	free    []record           // the current block's unused records
 	n       int                // records registered
 	unsized int                // bytes of the names not yet built
-	sorted  []entry            // records 0 to len(sorted)-1 in name order; replaced, never modified
+	named   int                // records 0 to named-1 are in sorted
+	fams    []*family
+	sorted  []entry // every named instrument in name order; replaced, never modified
 	nextID  atomic.Int64
 }
 
-// entry is a record and its full name.
+// entry is an instrument and its full name: a record or a family counter.
 type entry struct {
 	name string
 	rec  *record
+	c    *Counter
+}
+
+func (e entry) kind() Kind {
+	if e.c != nil {
+		return KindCounter
+	}
+	return e.rec.kind
+}
+
+func (e entry) value() float64 {
+	if e.c != nil {
+		return float64(e.c.Value())
+	}
+	return e.rec.value()
+}
+
+// A Family is an append-only list of owners (a network's nodes, say), each
+// holding a counter per leaf, read as the counters <prefix>.<owner>.<leaf>.
+// The registry reads it when it is read, as it samples a GaugeFunc.
+type Family interface {
+	Len() int                     // owners so far
+	Name(i int) string            // owner i's instance name
+	Counter(i, leaf int) *Counter // owner i's counter for the leaf-th leaf
+}
+
+// family is one AddFamily; owners 0 to named-1 are in sorted.
+type family struct {
+	prefix string
+	leaves []string
+	f      Family
+	named  int
+}
+
+// AddFamily adds f's counters, named prefix.<owner>.<leaf>, to the registry
+// before f's first owner: they read as registered counters, and a Counter
+// of such a name returns the owner's (another kind panics).
+func (r *Registry) AddFamily(prefix string, leaves []string, f Family) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.fams = append(r.fams, &family{prefix: prefix, leaves: leaves, f: f})
+}
+
+// member returns the family counter named scope() + "." + leaf, or nil,
+// by a scan of the owners; scope is built only for a family's leaf. The
+// caller holds mu.
+func (r *Registry) member(scope func() string, leaf string) *Counter {
+	for _, fam := range r.fams {
+		if j := slices.Index(fam.leaves, leaf); j >= 0 {
+			inst, ok := strings.CutPrefix(scope(), fam.prefix+".")
+			for i := 0; ok && i < fam.f.Len(); i++ {
+				if fam.f.Name(i) == inst {
+					return fam.f.Counter(i, j)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // NewRegistry creates a registry whose snapshots are stamped by now —
@@ -238,12 +304,13 @@ func (r *Registry) NextID() int64 {
 
 // lookup returns the record named prefix + "." + metric (metric alone when
 // prefix is empty), registering it with kind if it is new; a name held by
-// another kind panics. A dot inside metric moves the record into a deeper
+// another kind panics. A name a family member holds returns that counter
+// instead of a record. A dot inside metric moves the record into a deeper
 // scope, so every spelling of one name finds one record. The scope's key is
 // assembled on the stack, and a string is made of it only for a new scope; a
 // record joins an existing scope behind its first, so the map entry stays.
 // The caller holds mu.
-func (r *Registry) lookup(prefix, metric string, kind Kind) *record {
+func (r *Registry) lookup(prefix, metric string, kind Kind) (*record, *Counter) {
 	leaf, sub := metric, ""
 	dot := strings.LastIndexByte(metric, '.')
 	if dot >= 0 {
@@ -270,11 +337,16 @@ func (r *Registry) lookup(prefix, metric string, kind Kind) *record {
 	for rec := head; rec != nil; rec = rec.next {
 		if rec.leaf == leaf {
 			if rec.kind != kind {
-				panic(fmt.Sprintf("metrics: %q already registered as %v, requested %v",
-					Scope{prefix: prefix}.Name(metric), rec.kind, kind))
+				panic(clash(prefix, metric, rec.kind, kind))
 			}
-			return rec
+			return rec, nil
 		}
+	}
+	if c := r.member(func() string { return strings.TrimSuffix(Scope{prefix: prefix}.Name(sub), ".") }, leaf); c != nil {
+		if kind != KindCounter {
+			panic(clash(prefix, metric, KindCounter, kind))
+		}
+		return nil, c
 	}
 
 	if len(r.free) == 0 {
@@ -301,11 +373,16 @@ func (r *Registry) lookup(prefix, metric string, kind Kind) *record {
 	default:
 		r.scopes[scope] = rec
 	}
-	return rec
+	return rec, nil
+}
+
+func clash(prefix, metric string, held, asked Kind) string {
+	return fmt.Sprintf("metrics: %q already registered as %v, requested %v",
+		Scope{prefix: prefix}.Name(metric), held, asked)
 }
 
 // register is lookup under the lock.
-func (r *Registry) register(prefix, metric string, kind Kind) *record {
+func (r *Registry) register(prefix, metric string, kind Kind) (*record, *Counter) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.lookup(prefix, metric, kind)
@@ -348,7 +425,11 @@ func (s Scope) Counter(metric string) *Counter {
 	if s.r == nil {
 		return &Counter{}
 	}
-	return &s.r.register(s.prefix, metric, KindCounter).g.v
+	rec, c := s.r.register(s.prefix, metric, KindCounter)
+	if c != nil {
+		return c
+	}
+	return &rec.g.v
 }
 
 // Gauge registers a settable gauge under the scoped name.
@@ -356,7 +437,8 @@ func (s Scope) Gauge(metric string) *Gauge {
 	if s.r == nil {
 		return &Gauge{}
 	}
-	return &s.r.register(s.prefix, metric, KindGauge).g
+	rec, _ := s.r.register(s.prefix, metric, KindGauge)
+	return &rec.g
 }
 
 // GaugeFunc registers a function-backed gauge under the scoped name.
@@ -366,7 +448,8 @@ func (s Scope) GaugeFunc(metric string, fn func() int64) {
 	}
 	s.r.mu.Lock()
 	defer s.r.mu.Unlock()
-	s.r.lookup(s.prefix, metric, KindGauge).g.fn = fn
+	rec, _ := s.r.lookup(s.prefix, metric, KindGauge)
+	rec.g.fn = fn
 }
 
 // Histogram registers a histogram under the scoped name.
@@ -374,20 +457,26 @@ func (s Scope) Histogram(metric string) *Histogram {
 	if s.r == nil {
 		return &Histogram{}
 	}
-	return s.r.register(s.prefix, metric, KindHistogram).h
+	rec, _ := s.r.register(s.prefix, metric, KindHistogram)
+	return rec.h
 }
 
-// entries returns every record with its name, in name order. The records
-// registered since the last call are named — their names built into one
-// string they share — and sorted in behind the ones already in order.
+// entries returns every instrument with its name, in name order. The
+// records registered and the family owners added since the last call are
+// named — their names built into one string they share — and sorted in
+// behind the ones already in order.
 func (r *Registry) entries() []entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.sorted
-	if len(old) == r.n {
+	old, total := r.sorted, r.n
+	for _, fam := range r.fams {
+		total += fam.f.Len() * len(fam.leaves)
+	}
+	if len(old) == total {
 		return old
 	}
-	isNew := func(rec *record) bool { return int(rec.idx) >= len(old) }
+	named := r.named
+	isNew := func(rec *record) bool { return int(rec.idx) >= named }
 	byName := func(a, b entry) int { return strings.Compare(a.name, b.name) }
 	// The new records are named scope by scope in key order, each scope's
 	// names sorted among themselves, so they arrive nearly sorted: a
@@ -406,10 +495,18 @@ func (r *Registry) entries() []entry {
 	slices.Sort(keys)
 	// Strings taken from a Builder stay valid as it grows, and this one
 	// grows no further than the names' size, counted as they registered.
+	size := r.unsized
+	for _, fam := range r.fams {
+		for i, n := fam.named, fam.f.Len(); i < n; i++ {
+			for _, leaf := range fam.leaves {
+				size += len(fam.prefix) + len(fam.f.Name(i)) + len(leaf) + 2
+			}
+		}
+	}
 	var b strings.Builder
-	b.Grow(r.unsized)
-	r.unsized = 0
-	all := append(make([]entry, 0, r.n), old...)
+	b.Grow(size)
+	r.unsized, r.named = 0, r.n
+	all := append(make([]entry, 0, total), old...)
 	for _, scope := range keys {
 		from := len(all)
 		for rec := r.scopes[scope]; rec != nil; rec = rec.next {
@@ -418,14 +515,27 @@ func (r *Registry) entries() []entry {
 				b.WriteString(scope)
 				b.WriteByte('.')
 				b.WriteString(rec.leaf)
-				all = append(all, entry{b.String()[start:], rec})
+				all = append(all, entry{name: b.String()[start:], rec: rec})
 			}
 		}
 		slices.SortFunc(all[from:], byName)
 	}
 	for rec := r.root; rec != nil; rec = rec.next {
 		if isNew(rec) {
-			all = append(all, entry{rec.leaf, rec})
+			all = append(all, entry{name: rec.leaf, rec: rec})
+		}
+	}
+	for _, fam := range r.fams {
+		for n := fam.f.Len(); fam.named < n; fam.named++ {
+			for j, leaf := range fam.leaves {
+				start := b.Len()
+				b.WriteString(fam.prefix)
+				b.WriteByte('.')
+				b.WriteString(fam.f.Name(fam.named))
+				b.WriteByte('.')
+				b.WriteString(leaf)
+				all = append(all, entry{name: b.String()[start:], c: fam.f.Counter(fam.named, j)})
+			}
 		}
 	}
 	slices.SortStableFunc(all, byName)
@@ -445,12 +555,12 @@ func (r *Registry) Snapshot() Snapshot {
 	ents := r.entries()
 	snap := Snapshot{At: r.Now(), Values: make([]Value, len(ents))}
 	for i, e := range ents {
-		v := Value{Name: e.name, Kind: e.rec.kind}
-		if e.rec.kind == KindHistogram {
+		v := Value{Name: e.name, Kind: e.kind()}
+		if v.Kind == KindHistogram {
 			v.Hist = e.rec.h.Sample()
 			v.Value = float64(v.Hist.N())
 		} else {
-			v.Value = e.rec.value()
+			v.Value = e.value()
 		}
 		snap.Values[i] = v
 	}
@@ -468,17 +578,17 @@ func (r *Registry) Sum(pattern string) float64 {
 	}
 	if !wildcard(pattern) {
 		r.mu.Lock()
-		rec := r.find(pattern)
+		e := r.find(pattern)
 		r.mu.Unlock()
-		if rec == nil {
+		if e.rec == nil && e.c == nil {
 			return 0
 		}
-		return rec.value()
+		return e.value()
 	}
 	total := 0.0
 	for _, e := range r.entries() {
 		if MatchName(pattern, e.name) {
-			total += e.rec.value()
+			total += e.value()
 		}
 	}
 	return total
@@ -493,7 +603,7 @@ func (r *Registry) MergedHist(pattern string) *stats.Sample {
 		return out
 	}
 	for _, e := range r.entries() {
-		if e.rec.kind == KindHistogram && MatchName(pattern, e.name) {
+		if e.kind() == KindHistogram && MatchName(pattern, e.name) {
 			e.rec.h.mu.Lock()
 			out.Merge(&e.rec.h.s)
 			e.rec.h.mu.Unlock()
@@ -502,18 +612,20 @@ func (r *Registry) MergedHist(pattern string) *stats.Sample {
 	return out
 }
 
-// find returns the record named name, or nil. The caller holds mu.
-func (r *Registry) find(name string) *record {
+// find returns the instrument named name (its name left out), or the zero
+// entry. The caller holds mu.
+func (r *Registry) find(name string) entry {
 	head, leaf := r.root, name
-	if dot := strings.LastIndexByte(name, '.'); dot >= 0 {
+	dot := strings.LastIndexByte(name, '.')
+	if dot >= 0 {
 		head, leaf = r.scopes[name[:dot]], name[dot+1:]
 	}
 	for rec := head; rec != nil; rec = rec.next {
 		if rec.leaf == leaf {
-			return rec
+			return entry{rec: rec}
 		}
 	}
-	return nil
+	return entry{c: r.member(func() string { return name[:max(dot, 0)] }, leaf)}
 }
 
 // wildcard reports whether a pattern has a "*" segment.

@@ -153,11 +153,12 @@ type Config struct {
 	SWOverhead time.Duration // per-message receive processing (interrupt, demux)
 }
 
-// Node is one endpoint of the network. Its counters live in the network's
-// metrics registry under `net.<name>.*`: these are *link-level* message
-// counts — every portals Put/Get, data chunk, ack and RPC header crossing
-// the NIC — not to be confused with `rpc.<server>.served`, which counts
-// completed RPC requests (one served request typically moves several
+// Node is one endpoint of the network. Its counters are its own, and the
+// network's metrics registry reads them as `net.<name>.*` (one family for
+// every node, so a node costs the registry nothing): these are *link-level*
+// message counts — every portals Put/Get, data chunk, ack and RPC header
+// crossing the NIC — not to be confused with `rpc.<server>.served`, which
+// counts completed RPC requests (one served request typically moves several
 // net-level messages).
 type Node struct {
 	ID      NodeID
@@ -167,8 +168,21 @@ type Node struct {
 	cfg     Config
 	handler Handler
 
-	sent, received           *metrics.Counter
-	bytesSent, bytesReceived *metrics.Counter
+	sent, received           metrics.Counter
+	bytesSent, bytesReceived metrics.Counter
+}
+
+// nodeFamily is a network read as the registry's family of node counters,
+// net.<name>.<nodeLeaves[i]>.
+type nodeFamily Network
+
+var nodeLeaves = []string{"msgs_sent", "msgs_received", "bytes_sent", "bytes_received"}
+
+func (f *nodeFamily) Len() int          { return len(f.nodes) }
+func (f *nodeFamily) Name(i int) string { return f.nodes[i].Name }
+func (f *nodeFamily) Counter(i, leaf int) *metrics.Counter {
+	nd := f.nodes[i]
+	return [...]*metrics.Counter{&nd.sent, &nd.received, &nd.bytesSent, &nd.bytesReceived}[leaf]
 }
 
 // Network is a full crossbar of nodes with uniform latency.
@@ -294,7 +308,9 @@ func New(k *sim.Kernel, latency time.Duration) *Network {
 	reg.GaugeFunc("sim.events_dispatched", func() int64 { return int64(k.EventsDispatched()) })
 	reg.GaugeFunc("sim.events_canceled", func() int64 { return int64(k.EventsCanceled()) })
 	reg.GaugeFunc("sim.event_pool", func() int64 { return int64(k.EventPoolSize()) })
-	return &Network{k: k, latency: latency, reg: reg, dropped: reg.Counter("net.dropped")}
+	n := &Network{k: k, latency: latency, reg: reg, dropped: reg.Counter("net.dropped")}
+	reg.AddFamily("net", nodeLeaves, (*nodeFamily)(n))
+	return n
 }
 
 // Kernel returns the simulation kernel the network runs on.
@@ -309,17 +325,12 @@ func (n *Network) AddNode(name string, cfg Config) *Node {
 		panic(fmt.Sprintf("netsim: node %q: non-positive bandwidth", name))
 	}
 	id := NodeID(len(n.nodes))
-	scope := n.reg.Scope("net").Scope(name)
 	nd := &Node{
-		ID:            id,
-		Name:          name,
-		egress:        sim.NewFIFOServer(n.k, name+"/egress"),
-		ingress:       sim.NewFIFOServer(n.k, name+"/ingress"),
-		cfg:           cfg,
-		sent:          scope.Counter("msgs_sent"),
-		received:      scope.Counter("msgs_received"),
-		bytesSent:     scope.Counter("bytes_sent"),
-		bytesReceived: scope.Counter("bytes_received"),
+		ID:      id,
+		Name:    name,
+		egress:  sim.NewFIFOServer(n.k, name+"/egress"),
+		ingress: sim.NewFIFOServer(n.k, name+"/ingress"),
+		cfg:     cfg,
 	}
 	n.nodes = append(n.nodes, nd)
 	return nd

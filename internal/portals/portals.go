@@ -79,6 +79,25 @@ type pool struct {
 	slots  *Slot
 	cells  []any // by kind (ops.go): the head *cell[T] of each free list
 	out    int   // cells taken and not yet released
+
+	eps     endpoints // every endpoint: portals.<node>.*
+	callers endpoints // those with a Caller: rpc.client.<node>.*
+}
+
+// endpoints is a metrics family of a network's endpoints.
+type endpoints struct {
+	list   []*Endpoint
+	client bool
+}
+
+func (f *endpoints) Len() int          { return len(f.list) }
+func (f *endpoints) Name(i int) string { return f.list[i].node.Name }
+func (f *endpoints) Counter(i, leaf int) *metrics.Counter {
+	ep := f.list[i]
+	if f.client {
+		return [...]*metrics.Counter{&ep.lateReplies, &ep.retries}[leaf]
+	}
+	return [...]*metrics.Counter{&ep.lateDrops, &ep.dropped}[leaf]
 }
 
 // live panics on a released record: a use after Release, or a second one.
@@ -129,10 +148,10 @@ func (me *ME) Unlink() {
 		return
 	}
 	me.gone = true
-	list := me.ep.tables[me.pt]
-	for i, x := range list {
+	list := me.ep.table(me.pt)
+	for i, x := range *list {
 		if x == me {
-			me.ep.tables[me.pt] = append(list[:i], list[i+1:]...)
+			*list = append((*list)[:i], (*list)[i+1:]...)
 			return
 		}
 	}
@@ -150,7 +169,7 @@ type lateKey struct {
 type Endpoint struct {
 	net    *netsim.Network
 	node   *netsim.Node
-	tables map[Index][]*ME
+	tables []portal // the portals with entries, in first-attach order
 
 	pool      *pool
 	nextToken uint64 // Get reply tokens (their own portal, so their own space)
@@ -163,8 +182,10 @@ type Endpoint struct {
 	lateWatch map[lateKey]func()
 	lateOrder []lateKey // FIFO eviction when a watched reply never arrives
 
-	dropped   *metrics.Counter
-	lateDrops *metrics.Counter
+	// portals.<node>.no_match_drops|late_drops, and from the node's first
+	// Caller on rpc.client.<node>.late_replies|retries (calls).
+	dropped, lateDrops, lateReplies, retries metrics.Counter
+	calls                                    bool
 }
 
 // NextToken allocates an endpoint-unique token. All users of shared reply
@@ -219,27 +240,26 @@ var ErrBounds = errors.New("portals: get outside memory descriptor bounds")
 var ErrGetTimeout = errors.New("portals: get timeout")
 
 // NewEndpoint creates the portals endpoint for node and installs it as the
-// node's network handler.
+// node's network handler. A node has one endpoint.
 func NewEndpoint(net *netsim.Network, node *netsim.Node) *Endpoint {
-	scope := net.Metrics().Scope("portals").Scope(node.Name)
 	pl, _ := net.Attachment().(*pool)
 	if pl == nil {
-		pl = &pool{}
+		pl = &pool{callers: endpoints{client: true}}
 		net.SetAttachment(pl)
 		net.OnDrop(func(m netsim.Message) {
 			if ev, ok := m.Body.(*Event); ok {
 				ev.Release() // a record the fabric lost, and its cell
 			}
 		})
+		net.Metrics().AddFamily("portals", []string{"late_drops", "no_match_drops"}, &pl.eps)
+		net.Metrics().AddFamily("rpc.client", []string{"late_replies", "retries"}, &pl.callers)
 	}
 	ep := &Endpoint{
-		net:       net,
-		node:      node,
-		tables:    make(map[Index][]*ME),
-		pool:      pl,
-		dropped:   scope.Counter("no_match_drops"),
-		lateDrops: scope.Counter("late_drops"),
+		net:  net,
+		node: node,
+		pool: pl,
 	}
+	pl.eps.list = append(pl.eps.list, ep)
 	node.SetHandler(ep.deliver)
 	return ep
 }
@@ -307,7 +327,8 @@ func (ep *Endpoint) dropNoMatch(pt Index, bits MatchBits) {
 // attach order; the first match wins.
 func (ep *Endpoint) Attach(pt Index, bits, ignore MatchBits, md *MD) *ME {
 	me := &ME{bits: bits, ignore: ignore, md: md, ep: ep, pt: pt}
-	ep.tables[pt] = append(ep.tables[pt], me)
+	list := ep.table(pt)
+	*list = append(*list, me)
 	return me
 }
 
@@ -336,7 +357,8 @@ func (ep *Endpoint) Post(pt Index, bits MatchBits, once bool) *Slot {
 		ep.pool.slots, s.next = s.next, nil
 	}
 	s.me = ME{bits: bits, md: &s.md, once: once, ep: ep, pt: pt}
-	ep.tables[pt] = append(ep.tables[pt], &s.me)
+	list := ep.table(pt)
+	*list = append(*list, &s.me)
 	return s
 }
 
@@ -344,10 +366,13 @@ func (ep *Endpoint) Post(pt Index, bits MatchBits, once bool) *Slot {
 // until the caller Closes the slot. While exposed the slot has no event
 // queue: a Put landing on it is dropped. Bits must be fresh (NextToken): a
 // Get still in flight for an earlier exposure of the recycled slot carries
-// that exposure's bits and finds no match.
+// that exposure's bits and finds no match. It stays out of line, off the
+// stack of every server-directed write.
+//
+//go:noinline
 func (ep *Endpoint) Expose(pt Index, bits MatchBits, payload netsim.Payload) *Slot {
 	s := ep.Post(pt, bits, false)
-	s.md = MD{Payload: payload}
+	s.md.Payload, s.md.EQ = payload, nil
 	return s
 }
 
@@ -409,12 +434,39 @@ func drain(m *sim.Mailbox) (n int) {
 }
 
 func (ep *Endpoint) match(pt Index, bits MatchBits) *ME {
-	for _, me := range ep.tables[pt] {
-		if (bits &^ me.ignore) == (me.bits &^ me.ignore) {
-			return me
+	for i := range ep.tables {
+		if ep.tables[i].pt != pt {
+			continue
 		}
+		for _, me := range ep.tables[i].entries {
+			if (bits &^ me.ignore) == (me.bits &^ me.ignore) {
+				return me
+			}
+		}
+		return nil
 	}
 	return nil
+}
+
+// portal is one portal index's match entries, in attach order. An endpoint
+// uses a handful of indices: a scanned list costs less than a map.
+type portal struct {
+	pt      Index
+	entries []*ME
+}
+
+// table returns pt's entry list, adding an empty one for a new index.
+func (ep *Endpoint) table(pt Index) *[]*ME {
+	for i := range ep.tables {
+		if ep.tables[i].pt == pt {
+			return &ep.tables[i].entries
+		}
+	}
+	if ep.tables == nil {
+		ep.tables = make([]portal, 0, 4) // a compute node uses 3
+	}
+	ep.tables = append(ep.tables, portal{pt: pt})
+	return &ep.tables[len(ep.tables)-1].entries
 }
 
 // record takes a wire record off the network's free list (or makes one) and

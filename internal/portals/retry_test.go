@@ -44,7 +44,7 @@ func TestCallRetriesThroughDropWindow(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("handler ran %d times", calls)
 	}
-	if c.retries.Value() == 0 {
+	if c.ep.retries.Value() == 0 {
 		t.Fatal("expected at least one retry")
 	}
 }
@@ -102,8 +102,8 @@ func TestServerDedupsSlowRequestRetries(t *testing.T) {
 	}
 	// The first two attempts' replies eventually landed after their
 	// timeouts: dropped and counted, never delivered to a live call.
-	if c.lateReplies.Value() != 2 {
-		t.Fatalf("late replies = %d, want 2", c.lateReplies.Value())
+	if c.ep.lateReplies.Value() != 2 {
+		t.Fatalf("late replies = %d, want 2", c.ep.lateReplies.Value())
 	}
 }
 
@@ -135,8 +135,8 @@ func TestLateReplyAfterCallTimeoutIsCountedNotDelivered(t *testing.T) {
 	if err2 != nil || second.(string) != "resp:fast" {
 		t.Fatalf("second call corrupted by late reply: %v, %v", second, err2)
 	}
-	if c.lateReplies.Value() != 1 {
-		t.Fatalf("late replies = %d, want 1", c.lateReplies.Value())
+	if c.ep.lateReplies.Value() != 1 {
+		t.Fatalf("late replies = %d, want 1", c.ep.lateReplies.Value())
 	}
 	if r.eps[0].lateDrops.Value() != 1 {
 		t.Fatalf("endpoint late drops = %d, want 1", r.eps[0].lateDrops.Value())

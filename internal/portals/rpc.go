@@ -553,24 +553,18 @@ type Caller struct {
 
 	class   uint8   // stamped on every outgoing request (qos scheduling class)
 	breaker Breaker // optional fast-fail gate, consulted per attempt
-
-	// The node-wide `rpc.client.<node>.late_replies|retries` counters,
-	// shared by every caller on the node. A late reply is a response that
-	// arrived after its attempt timed out: dropped at the reply portal,
-	// never delivered to another call. Retries are re-sent attempts (each
-	// call's first attempt excluded).
-	lateReplies *metrics.Counter
-	retries     *metrics.Counter
 }
 
-// NewCaller creates a caller on ep.
+// NewCaller creates a caller on ep. The callers on a node count into its
+// endpoint's rpc.client.<node>.late_replies (responses that arrived after
+// their attempt timed out, dropped at the reply portal) and retries
+// (re-sent attempts).
 func NewCaller(ep *Endpoint) *Caller {
-	scope := ep.Metrics().Scope("rpc").Scope("client").Scope(ep.NodeName())
-	return &Caller{
-		ep:          ep,
-		lateReplies: scope.Counter("late_replies"),
-		retries:     scope.Counter("retries"),
+	if !ep.calls {
+		ep.calls = true
+		ep.pool.callers.list = append(ep.pool.callers.list, ep)
 	}
+	return &Caller{ep: ep}
 }
 
 // Endpoint returns the caller's endpoint.
@@ -616,7 +610,7 @@ func (c *Caller) retried(p *sim.Proc, target netsim.NodeID, pt Index, op uint16,
 	var err error
 	for a := 0; a < c.retry.MaxAttempts; a++ {
 		if a > 0 {
-			c.retries.Inc()
+			c.ep.retries.Inc()
 			p.Sleep(c.retry.Pause(a-1, c.rng))
 		}
 		b, err = c.call(p, target, pt, op, req.clone(), reqSize, respSize, c.retry.Timeout, reqID)
@@ -635,6 +629,26 @@ func (c *Caller) retried(p *sim.Proc, target netsim.NodeID, pt Index, op uint16,
 
 // call is one attempt: it sends req, which the server takes, and returns the
 // reply's cell, which the caller takes.
+// timedOut is call's attempt without a reply: a merely late reply is
+// counted when it lands. It and badReply stay out of line, off the frame
+// under every process parked in an RPC.
+//
+//go:noinline
+func (c *Caller) timedOut(target netsim.NodeID, pt Index, token uint64) error {
+	c.ep.watchLate(replyPortal, MatchBits(token), func() {
+		c.ep.lateReplies.Inc()
+	})
+	if c.breaker != nil {
+		c.breaker.Record(target, pt, ErrRPCTimeout)
+	}
+	return ErrRPCTimeout
+}
+
+//go:noinline
+func badReply(token uint64, kind wireKind) {
+	panic(fmt.Sprintf("portals: reply slot of token %d received a record of kind %d", token, kind))
+}
+
 func (c *Caller) call(p *sim.Proc, target netsim.NodeID, pt Index, op uint16, req body, reqSize, respSize int64, timeout time.Duration, reqID uint64) (body, error) {
 	if c.breaker != nil && !c.breaker.Allow(target, pt) {
 		req.release()
@@ -649,18 +663,10 @@ func (c *Caller) call(p *sim.Proc, target netsim.NodeID, pt Index, op uint16, re
 
 	ev, ok := slot.Wait(p, timeout)
 	if !ok {
-		// If the response is merely late (not lost), count it when it
-		// finally lands instead of mistaking it for a stray message.
-		c.ep.watchLate(replyPortal, MatchBits(token), func() {
-			c.lateReplies.Inc()
-		})
-		if c.breaker != nil {
-			c.breaker.Record(target, pt, ErrRPCTimeout)
-		}
-		return nil, ErrRPCTimeout
+		return nil, c.timedOut(target, pt, token)
 	}
 	if ev.live().kind != wireResponse {
-		panic(fmt.Sprintf("portals: reply slot of token %d received a record of kind %d", token, ev.kind))
+		badReply(token, ev.kind)
 	}
 	b, err := ev.body, ev.err
 	ev.body = nil
