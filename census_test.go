@@ -40,7 +40,6 @@ var defaultsFunc = regexp.MustCompile(`^(defaults|withDefaults|Default.*)$`)
 // size a test shrinks, or a surface the frozen bench/ harness sets. A
 // calibration value no caller varies is a package constant, not a field.
 var censusKept = map[string]string{
-	"checkpoint.Config.PatternData":  "restore tests dump each rank's seeded run, which they read back and check, instead of a length",
 	"checkpoint.Config.JitterMax":    "chaos tests widen start jitter to move crash windows",
 	"storage.Config.ChunkSize":       "tests and the root ablation benchmark vary them",
 	"storage.Config.PinnedBuffer":    "tests and the root ablation benchmark vary them",

@@ -113,8 +113,8 @@ func TestManyProcsPerNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Per) != 12 {
-		t.Fatalf("only %d procs reported", len(res.Per))
+	if res.Reported != 12 {
+		t.Fatalf("only %d procs reported", res.Reported)
 	}
 }
 

@@ -357,18 +357,10 @@ func (s *Server) handle(p *sim.Proc, from netsim.NodeID, r *stageReq) (stageResp
 func (s *Server) stage(p *sim.Proc, from netsim.NodeID, r *stageReq) (stageResp, error) {
 	epoch := s.epoch
 	s.stageAvail.Add(-r.Len)
-	var buf []byte
-	synthetic := false
+	staging := netsim.Joiner{Size: r.Len}
 	_, err := s.puller.Pull(p, from, r.DataPortal, r.Bits, r.Len, s.bufPool,
 		func(q *sim.Proc, off int64, chunk netsim.Payload) error {
-			if chunk.Synthetic() {
-				synthetic = true
-				return nil
-			}
-			if buf == nil {
-				buf = make([]byte, r.Len)
-			}
-			chunk.CopyTo(buf[off:])
+			staging.Add(off, chunk)
 			return nil
 		})
 	if epoch != s.epoch {
@@ -381,10 +373,7 @@ func (s *Server) stage(p *sim.Proc, from netsim.NodeID, r *stageReq) (stageResp,
 		s.stageAvail.Add(r.Len)
 		return stageResp{}, err
 	}
-	staged := netsim.Payload{Size: r.Len, Data: buf}
-	if synthetic {
-		staged.Data = nil
-	}
+	staged := staging.Payload()
 	var seq uint64
 	if s.jdev != nil {
 		seq, err = s.journalStage(p, r, staged)

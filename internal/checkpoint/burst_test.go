@@ -57,9 +57,9 @@ func runBurstCheckpoint(t *testing.T, spec cluster.Spec, cfg checkpoint.Config, 
 	restarter := cl.NewClient(l, 0)
 	gate := sim.NewMailbox(cl.K, "burst/gate")
 	cl.Spawn("gate", func(p *sim.Proc) {
-		// rank 0 folds its result only after the commit (or abort), so a full
-		// Per slice means the checkpoint's fate is decided.
-		for len(res.Per) < cfg.Procs {
+		// rank 0 folds its result only after the commit (or abort), so once
+		// every rank reported the checkpoint's fate is decided.
+		for res.Reported < cfg.Procs {
 			p.Sleep(50 * time.Millisecond)
 		}
 		p.Sleep(100 * time.Millisecond)
@@ -104,7 +104,7 @@ func runBurstCheckpoint(t *testing.T, spec cluster.Spec, cfg checkpoint.Config, 
 // a direct (no-tier) run of the same job — and the drained data still
 // restores bit-exactly.
 func TestBurstApparentBelowDurable(t *testing.T) {
-	cfg := checkpoint.Config{Procs: 4, BytesPerProc: 4 * mb, PatternData: true}
+	cfg := checkpoint.Config{Procs: 4, BytesPerProc: 4 * mb}
 	out := runBurstCheckpoint(t, burstSpec(2), cfg, nil)
 	if out.res.Aborted {
 		t.Fatalf("healthy burst checkpoint aborted")
@@ -149,7 +149,6 @@ func TestBurstBackpressureDegradesToPassthrough(t *testing.T) {
 	cfg := checkpoint.Config{
 		Procs:        4,
 		BytesPerProc: 2 * mb,
-		PatternData:  true,
 		DrainTimeout: 10 * time.Second,
 	}
 	out := runBurstCheckpoint(t, spec, cfg, nil)
@@ -187,7 +186,6 @@ func TestBurstBufferCrashAbortsDump(t *testing.T) {
 	cfg := checkpoint.Config{
 		Procs:        4,
 		BytesPerProc: 2 * mb,
-		PatternData:  true,
 		DrainTimeout: 300 * time.Millisecond,
 	}
 	out := runBurstCheckpoint(t, spec, cfg, func(l *cluster.LWFS) []testrig.ChaosEvent {

@@ -82,7 +82,6 @@ func runChaosScript(t *testing.T, sc chaosParams) chaosOutcome {
 		Seed:         sc.seed,
 		JitterMax:    sc.jitterMax,
 		Retry:        chaosRetry,
-		PatternData:  true,
 	}
 
 	out := chaosOutcome{}
@@ -124,7 +123,7 @@ func runChaosScript(t *testing.T, sc chaosParams) chaosOutcome {
 	restarter.SetRetry(restoreRetry, sc.seed+99)
 	gate := sim.NewMailbox(cl.K, "chaos/gate")
 	cl.Spawn("gate", func(p *sim.Proc) {
-		for len(res.Per) < cfg.Procs {
+		for res.Reported < cfg.Procs {
 			p.Sleep(50 * time.Millisecond)
 		}
 		p.Sleep(300 * time.Millisecond) // past the scripted restart

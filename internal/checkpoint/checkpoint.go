@@ -45,13 +45,6 @@ type Config struct {
 	// of hanging the job. Timeout must comfortably cover one BytesPerProc
 	// write, or healthy writes will be misread as failures.
 	Retry portals.RetryPolicy
-	// PatternData dumps rank's seeded run, the module's one content stream
-	// (trace.DataFor) keyed by rank+1, instead of a metadata-only synthetic
-	// payload, so a Restore pass can verify the checkpoint content
-	// bit-exactly — even for objects that failover redirected to a different
-	// server. A seed travels and is stored as arithmetic, so it costs no
-	// bytes until a reader asks for them.
-	PatternData bool
 	// DrainTimeout bounds the commit tail's per-buffer drain wait (0 =
 	// 5 s default, negative = wait forever). A crashed buffer surfaces as
 	// a timeout after this long, turning into a detectable abort.
@@ -121,13 +114,13 @@ type ProcTimes struct {
 
 // Result is one checkpoint run's outcome. Elapsed and Durable cover the
 // whole job, shadow ranks included in sampled mode (Config.TotalRanks);
-// Procs, Bytes, MaxTimes and Per count the exact ranks only.
+// Procs, Bytes, MaxTimes and Reported count the exact ranks only.
 type Result struct {
 	Procs    int
 	Bytes    int64         // total data across processes
 	Elapsed  time.Duration // max process total (the paper's metric)
 	MaxTimes ProcTimes     // max per phase across processes
-	Per      []ProcTimes
+	Reported int           // processes whose times are folded in so far
 	// Durable is the full commit-inclusive time as seen by rank 0: through
 	// the metadata tail, any burst-tier drains, and the transaction commit.
 	// Without a burst tier it tracks rank 0's total; with one, the gap
@@ -158,7 +151,7 @@ func (r Result) ThroughputMBs() float64 {
 }
 
 func (r *Result) fold(t ProcTimes) {
-	r.Per = append(r.Per, t)
+	r.Reported++
 	r.MaxTimes.Create = max(r.MaxTimes.Create, t.Create)
 	r.MaxTimes.Write = max(r.MaxTimes.Write, t.Write)
 	r.MaxTimes.Sync = max(r.MaxTimes.Sync, t.Sync)
@@ -579,20 +572,20 @@ func placeCopies(p *sim.Proc, c *core.Client, caps core.CapSet, pl *core.Placeme
 //go:noinline
 func placingFailed(err error) error { return fmt.Errorf("checkpoint: placing a copy: %w", err) }
 
-// payloadFor builds rank's dump payload per the config: the verifiable
-// seeded run, or a metadata-only synthetic buffer.
+// payloadFor is rank's dump: its seeded run, the module's one content
+// stream (trace.DataFor) keyed by rank+1, so a Restore pass can verify the
+// checkpoint bit-exactly, even an object failover redirected to another
+// server. A seed travels and is stored as arithmetic, so it costs no bytes
+// until a reader asks for them.
 func payloadFor(rank int, cfg *Config) netsim.Payload {
-	if cfg.PatternData {
-		return netsim.SeededPayload(uint64(rank)+1, cfg.BytesPerProc)
-	}
-	return netsim.SyntheticPayload(cfg.BytesPerProc)
+	return netsim.SeededPayload(uint64(rank)+1, cfg.BytesPerProc)
 }
 
 // rehomeFailed re-dumps every rank whose checkpoint object sits on a server
 // some walk gave up on after the dump landed there: if such a server
 // crashed, its journal replay resolves the shared transaction by presumed
 // abort and deletes the object, so the manifest must not reference it. The
-// payloads are regenerable (deterministic pattern or synthetic), so rank 0
+// payloads are regenerable (each rank's seeded run), so rank 0
 // redoes the dumps itself at the commit tail, updating refs in place. A
 // re-dump can itself discover new failures, so the scan repeats until every
 // reference sits on a healthy server.

@@ -21,7 +21,7 @@ func TestLWFSCheckpointCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Procs != 8 || len(res.Per) != 8 {
+	if res.Procs != 8 || res.Reported != 8 {
 		t.Fatalf("result: %+v", res)
 	}
 	if res.ThroughputMBs() < 100 {

@@ -39,7 +39,6 @@ func recoveryConfig() checkpoint.Config {
 		Procs:           4,
 		BytesPerProc:    2 * mb,
 		Seed:            testrig.SeedFromEnv(3), // shifts jitter/placement per CI matrix seed
-		PatternData:     true,
 		DrainTimeout:    300 * time.Millisecond,
 		RecoveryTimeout: 30 * time.Second,
 	}

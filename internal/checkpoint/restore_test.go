@@ -28,7 +28,7 @@ func TestRestoreFindsEveryRank(t *testing.T) {
 	cl.Spawn("gate", func(p *sim.Proc) {
 		// Wait until every rank (including rank 0's commit tail) folded
 		// its result, then wake the restart.
-		for len(res.Per) < cfg.Procs {
+		for res.Reported < cfg.Procs {
 			p.Sleep(50 * 1e6) // 50ms
 		}
 		started.Send("go")

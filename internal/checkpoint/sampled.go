@@ -49,7 +49,7 @@ import (
 
 // shadowPortalBase is where shadow sinks attach on storage/burst node
 // endpoints: well above the service portals (storage at 20+4i, burst at
-// burst.Portal) and below the reserved reply portal (1022).
+// burst.Portal) and below portals.ReplyPortal (1022).
 const shadowPortalBase portals.Index = 900
 
 // shadowAckSize is the wire size of a shadow staging/drain ack.

@@ -68,8 +68,8 @@ func TestSampledDirect(t *testing.T) {
 	}
 	res, snap := runShadowed(t, spec, cfg)
 	checkShadowBytes(t, snap, 224*cfg.BytesPerProc)
-	if res.Procs != 32 || len(res.Per) != 32 || res.Bytes != 32*cfg.BytesPerProc {
-		t.Fatalf("Procs %d, %d Per, Bytes %d: want the 32 exact ranks only", res.Procs, len(res.Per), res.Bytes)
+	if res.Procs != 32 || res.Reported != 32 || res.Bytes != 32*cfg.BytesPerProc {
+		t.Fatalf("Procs %d, %d reported, Bytes %d: want the 32 exact ranks only", res.Procs, res.Reported, res.Bytes)
 	}
 	// Direct mode: the sink writes (and finally syncs) before acking, so
 	// durability precedes the last ack.

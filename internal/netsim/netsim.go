@@ -103,6 +103,49 @@ func (p Payload) Append(q Payload) (Payload, bool) {
 	return p, ok
 }
 
+// Joiner puts a payload of Size bytes back together from pieces that arrive
+// at their offsets: the chunks of a pull or of a pushed read. While the
+// pieces continue one seeded run it stays that run (Append) and makes no
+// bytes; the first piece that does not turns it into a buffer, the run so
+// far copied in. A synthetic piece adds no bytes.
+type Joiner struct {
+	Size int64
+	run  Payload
+	buf  []byte
+}
+
+// Add places piece at offset at.
+func (j *Joiner) Add(at int64, piece Payload) {
+	if j.buf == nil && at == j.run.Size {
+		var joined bool
+		if j.run, joined = j.run.Append(piece); joined {
+			return
+		}
+	}
+	if piece.Synthetic() {
+		return
+	}
+	if j.buf == nil {
+		j.buf = make([]byte, j.Size)
+		j.run.CopyTo(j.buf)
+	}
+	piece.CopyTo(j.buf[at:])
+}
+
+// Payload is what the pieces made: their seeded run when it covers Size,
+// else a buffer of their bytes, or a synthetic payload when none had
+// content.
+func (j *Joiner) Payload() Payload {
+	if j.buf == nil && j.run.Seeded() {
+		if j.run.Size == j.Size {
+			return j.run
+		}
+		j.buf = make([]byte, j.Size)
+		j.run.CopyTo(j.buf)
+	}
+	return Payload{Size: j.Size, Data: j.buf}
+}
+
 // Bytes is p's content as bytes: Data itself, a seeded run's bytes
 // generated into a fresh buffer, or nil for a synthetic payload.
 func (p Payload) Bytes() []byte {

@@ -216,7 +216,7 @@ func TestRetryCellsDiscardedByADownServer(t *testing.T) {
 func TestWatermarkDiscardReleasesTypedCells(t *testing.T) {
 	r, srv, cs := cellRig(t, 0)
 	replies := sim.NewMailbox(r.k, "replies")
-	r.eps[0].Attach(replyPortal, 0, ^MatchBits(0), &MD{EQ: replies})
+	r.eps[0].Attach(ReplyPortal, 0, ^MatchBits(0), &MD{EQ: replies})
 	send := func(tok, reqID, ack uint64, n int64) {
 		out := r.eps[0].record(5, 0, netsim.SyntheticPayload(64))
 		out.kind, out.token, out.body = wireRequest, tok, newCell(r.eps[0].pool, opDouble.req, &cellReq{N: n})

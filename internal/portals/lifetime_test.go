@@ -226,8 +226,9 @@ func TestReleasedRecordPanicsOnTouch(t *testing.T) {
 	}
 }
 
-// A slot whose wait timed out is unlinked and never handed out again.
-func TestTimedOutSlotIsNeverReused(t *testing.T) {
+// A wait that times out closes its slot: unlinked, drained and back on the
+// free list, where the next Post takes it under its own bits.
+func TestTimedOutSlotIsClosedAndBackOnTheFreeList(t *testing.T) {
 	r := newRig(t, 1, mb)
 	ep := r.eps[0]
 	r.k.Spawn("waiter", func(p *sim.Proc) {
@@ -238,13 +239,15 @@ func TestTimedOutSlotIsNeverReused(t *testing.T) {
 		if ep.match(7, 1) != nil {
 			t.Error("timed-out slot is still linked")
 		}
-		for i := 0; i < 8; i++ {
-			s := ep.Post(7, 1, true)
-			if s == lost {
-				t.Fatal("timed-out slot was handed out again")
-			}
-			s.Close()
+		if ep.pool.slots != lost || lost.me.ep != nil {
+			t.Fatal("timed-out slot is not back on the free list")
 		}
+		freeLists(t, ep)
+		s := ep.Post(7, 2, true)
+		if s != lost || ep.match(7, 2) != &s.me || ep.match(7, 1) != nil {
+			t.Fatal("the next Post did not take the timed-out slot under its own bits")
+		}
+		s.Close()
 	})
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
@@ -292,11 +295,11 @@ func TestLateRepliesNeverReachAnotherCall(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.k.Shutdown()
-		lateCounted := int64(r.net.Metrics().Snapshot().Value("rpc.client.n0.late_replies"))
+		lateCounted := r.count("rpc.client.n0.late_replies")
 		if late != callers*each/10 || lateCounted != late {
 			t.Errorf("%d calls timed out and %d late replies were counted, want %d of each", late, lateCounted, callers*each/10)
 		}
-		if got := r.eps[0].lateDrops.Value(); got != late {
+		if got := r.count("portals.n0.late_drops"); got != late {
 			t.Errorf("reply portal dropped %d late replies, want %d", got, late)
 		}
 		freeLists(t, r.eps[0])
@@ -304,8 +307,9 @@ func TestLateRepliesNeverReachAnotherCall(t *testing.T) {
 }
 
 // A reply delivered in the very instant its call times out lands in the
-// slot's queue after the timeout fired and before the caller runs. The slot
-// is abandoned with it; the caller's next call must not read it as its own.
+// slot's queue after the timeout fired and before the caller runs. Closing
+// the slot releases it with its cell, so the caller's next call, which may
+// take the same slot, never reads it as its own.
 func TestReplyInTheInstantOfTheTimeoutIsNotTheNextReply(t *testing.T) {
 	r := newRig(t, 2, 1000*mb)
 	echoServer(r, 2, func(*Server) {})
@@ -331,6 +335,48 @@ func TestReplyInTheInstantOfTheTimeoutIsNotTheNextReply(t *testing.T) {
 	})
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
+	}
+	if out := r.eps[0].pool.out; out != 0 {
+		t.Errorf("%d cells still out: the reply of the instant was stranded in its slot", out)
+	}
+	freeLists(t, r.eps[0])
+}
+
+// A late reply is counted where it lands, however many calls timed out
+// unanswered before it: one slow call, then 5 000 calls to a portal nobody
+// serves, each timing out, and only then the slow call's reply.
+func TestLateReplyIsCountedAfterManyUnansweredTimeouts(t *testing.T) {
+	r := newRig(t, 2, 1000*mb)
+	Serve(r.eps[1], 10, "slow", 1, func(p *sim.Proc, _ netsim.NodeID, req interface{}) (interface{}, error) {
+		p.Sleep(time.Second)
+		return req, nil
+	})
+	c := NewCaller(r.eps[0])
+	const unanswered = 5000
+	r.k.Spawn("caller", func(p *sim.Proc) {
+		if _, err := callTimeout(c, p, r.eps[1].Node(), 10, "slow", 10*time.Microsecond); !errors.Is(err, ErrRPCTimeout) {
+			t.Errorf("slow call: %v, want a timeout", err)
+		}
+		for i := 0; i < unanswered; i++ {
+			if _, err := callTimeout(c, p, r.eps[1].Node(), 11, i, 10*time.Microsecond); !errors.Is(err, ErrRPCTimeout) {
+				t.Fatalf("call %d to an unserved portal: %v, want a timeout", i, err)
+			}
+		}
+		if p.Now() >= sim.Time(time.Second) {
+			t.Error("the unanswered calls outlasted the slow reply: test is vacuous")
+		}
+	})
+	if err := r.k.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.count("rpc.client.n0.late_replies"); n != 1 {
+		t.Errorf("late_replies = %d after %d unanswered timeouts, want 1", n, unanswered)
+	}
+	if n, drops := r.count("portals.n0.late_drops"), r.count("portals.n0.no_match_drops"); n != 1 || drops != 1 {
+		t.Errorf("late_drops = %d, no_match_drops = %d, want 1 and 1", n, drops)
+	}
+	if out := r.eps[0].pool.out; out != 0 {
+		t.Errorf("%d cells still out", out)
 	}
 	freeLists(t, r.eps[0])
 }

@@ -198,9 +198,9 @@ func Invoke[Req, Resp any](c *Caller, p *sim.Proc, target netsim.NodeID, pt Inde
 
 // InvokeTimeout is Invoke with a deadline and exactly one attempt, whatever
 // retry policy the caller has; it returns ErrRPCTimeout if no reply arrives
-// in time (timeout 0 waits for ever). A later reply is dropped at the reply
-// portal and counted (late_replies): reply tokens are never reused, so it
-// can never satisfy a different call.
+// in time (timeout 0 waits for ever). A later reply is dropped at
+// ReplyPortal and counted (late_replies): reply tokens are never reused, so
+// it can never satisfy a different call.
 func InvokeTimeout[Req, Resp any](c *Caller, p *sim.Proc, target netsim.NodeID, pt Index, op *Op[Req, Resp], req *Req, reqSize, respSize int64, timeout time.Duration) (Resp, error) {
 	b, err := c.call(p, target, pt, op.id, newCell(c.ep.pool, op.req, req), reqSize, respSize, timeout, 0)
 	return take[Resp](b), err

@@ -95,9 +95,9 @@ func (f *endpoints) Name(i int) string { return f.list[i].node.Name }
 func (f *endpoints) Counter(i, leaf int) *metrics.Counter {
 	ep := f.list[i]
 	if f.client {
-		return [...]*metrics.Counter{&ep.lateReplies, &ep.retries}[leaf]
+		return [...]*metrics.Counter{&ep.late, &ep.retries}[leaf]
 	}
-	return [...]*metrics.Counter{&ep.lateDrops, &ep.dropped}[leaf]
+	return [...]*metrics.Counter{&ep.late, &ep.dropped}[leaf]
 }
 
 // live panics on a released record: a use after Release, or a second one.
@@ -157,13 +157,6 @@ func (me *ME) Unlink() {
 	}
 }
 
-// lateKey identifies an expected late message: a portal index and match
-// bits whose match entry was unlinked by a timeout.
-type lateKey struct {
-	pt   Index
-	bits MatchBits
-}
-
 // Endpoint is a node's portals interface. At most one endpoint may exist
 // per node; services on the node share it, distinguished by portal index.
 type Endpoint struct {
@@ -171,27 +164,26 @@ type Endpoint struct {
 	node   *netsim.Node
 	tables []portal // the portals with entries, in first-attach order
 
-	pool      *pool
-	nextToken uint64 // Get reply tokens (their own portal, so their own space)
-	tokSeq    uint64
-	open      []uint64 // ReqIDs of the node's retryable Calls not yet returned, ascending
+	pool   *pool
+	tokSeq uint64   // the last token NextToken handed out
+	open   []uint64 // ReqIDs of the node's retryable Calls not yet returned, ascending
 
 	getRetry *RetryPolicy // nil until SetGetRetry; a pointer keeps Endpoint in its size class
 	getRNG   *sim.Rand
 
-	lateWatch map[lateKey]func()
-	lateOrder []lateKey // FIFO eviction when a watched reply never arrives
-
 	// portals.<node>.no_match_drops|late_drops, and from the node's first
-	// Caller on rpc.client.<node>.late_replies|retries (calls).
-	dropped, lateDrops, lateReplies, retries metrics.Counter
-	calls                                    bool
+	// Caller on rpc.client.<node>.retries (calls); late is read as
+	// late_drops and as rpc.client.<node>.late_replies, one count.
+	dropped, late, retries metrics.Counter
+	calls                  bool
 }
 
-// NextToken allocates an endpoint-unique token. All users of shared reply
-// portals (RPC callers, data-transfer match bits, lock clients) draw from
-// this one space so co-located client processes never collide.
-func (ep *Endpoint) nextTok() uint64 {
+// NextToken allocates an endpoint-unique token, the one space every reply
+// and exposure on the node draws from: RPC reply tokens and request IDs, Get
+// reply tokens, lock grants, data-transfer match bits. Every reply lands on
+// ReplyPortal, so co-located users never collide, and a reply whose wait
+// timed out matches no later one.
+func (ep *Endpoint) NextToken() uint64 {
 	ep.tokSeq++
 	return ep.tokSeq
 }
@@ -204,7 +196,7 @@ func (ep *Endpoint) nextTok() uint64 {
 //
 //go:noinline
 func (ep *Endpoint) openCall() uint64 {
-	id := ep.nextTok()
+	id := ep.NextToken()
 	ep.open = append(ep.open, id)
 	return id
 }
@@ -224,9 +216,6 @@ func (ep *Endpoint) ackLag(reqID uint64) uint32 {
 	}
 	return uint32(min(reqID-ep.open[0], math.MaxUint32))
 }
-
-// NextToken is the exported form of the endpoint token allocator.
-func (ep *Endpoint) NextToken() uint64 { return ep.nextTok() }
 
 // ErrNoMatch is reported when a Get targets a portal index / match bits with
 // no attached match entry.
@@ -294,30 +283,12 @@ func (ep *Endpoint) SetGetRetry(pol RetryPolicy, rng *sim.Rand) {
 	ep.getRetry, ep.getRNG = &pol, rng
 }
 
-// lateWatchCap bounds the late-reply watch table (entries whose reply was
-// lost outright, not late, would otherwise accumulate forever).
-const lateWatchCap = 4096
-
-// watchLate registers fn to run if a message lands at (pt, bits) after its
-// match entry was unlinked by a timeout. One-shot.
-func (ep *Endpoint) watchLate(pt Index, bits MatchBits, fn func()) {
-	if ep.lateWatch == nil {
-		ep.lateWatch = make(map[lateKey]func())
-	}
-	k := lateKey{pt: pt, bits: bits}
-	ep.lateWatch[k] = fn
-	ep.lateOrder = append(ep.lateOrder, k)
-	if len(ep.lateOrder) > lateWatchCap {
-		delete(ep.lateWatch, ep.lateOrder[0])
-		ep.lateOrder = ep.lateOrder[1:]
-	}
-}
-
-func (ep *Endpoint) dropNoMatch(pt Index, bits MatchBits) {
-	if fn, ok := ep.lateWatch[lateKey{pt: pt, bits: bits}]; ok {
-		delete(ep.lateWatch, lateKey{pt: pt, bits: bits})
-		ep.lateDrops.Inc()
-		fn()
+// dropNoMatch counts a message of kind that no match entry took. An RPC
+// reply that finds no slot is a late one: its call timed out, which closed
+// the slot, and its token is never drawn again.
+func (ep *Endpoint) dropNoMatch(kind wireKind) {
+	if kind == wireResponse {
+		ep.late.Inc()
 	}
 	ep.dropped.Inc()
 }
@@ -380,10 +351,9 @@ func (ep *Endpoint) Expose(pt Index, bits MatchBits, payload netsim.Payload) *Sl
 func (s *Slot) Len() int { return s.eq.Len() }
 
 // Wait blocks p until an event lands in the slot and returns it; the caller
-// Releases it. With timeout > 0 it gives up after that long and reports
-// false, and the slot is then unlinked and abandoned to the collector,
-// never reused: a message that landed in the very instant of the timeout
-// sits in its queue, and the next user of the slot would read it as its own.
+// Releases it. With timeout > 0 it gives up after that long, reports false
+// and closes the slot: a message that landed in the very instant of the
+// timeout is released with it, and a later one finds no match.
 func (s *Slot) Wait(p *sim.Proc, timeout time.Duration) (*Event, bool) {
 	if timeout <= 0 {
 		return s.eq.Recv(p).(*Event), true
@@ -391,13 +361,12 @@ func (s *Slot) Wait(p *sim.Proc, timeout time.Duration) (*Event, bool) {
 	return s.landed(s.eq.RecvTimeout(p, timeout))
 }
 
-// landed turns a slot wait's outcome into Wait's, abandoning the slot after a
+// landed turns a slot wait's outcome into Wait's, closing the slot after a
 // timeout. A continuation waits with s.eq.RecvCont and takes its result as
 // s.landed(c.Msg()).
 func (s *Slot) landed(v interface{}, ok bool) (*Event, bool) {
 	if !ok {
-		s.me.Unlink()
-		s.me.ep = nil
+		s.Close()
 		return nil, false
 	}
 	return v.(*Event), true
@@ -405,7 +374,7 @@ func (s *Slot) landed(v interface{}, ok bool) (*Event, bool) {
 
 // Close unlinks the slot, releases the events nobody took, drops an exposed
 // payload and returns the slot to the free list as a receive. Closing twice,
-// or after Wait timed out, is a bug.
+// or after Wait timed out (which closed it), is a bug.
 func (s *Slot) Close() {
 	ep := s.me.ep
 	if ep == nil {
@@ -489,9 +458,9 @@ func (ep *Endpoint) send(target netsim.NodeID, ev *Event) {
 	ep.net.Send(netsim.Message{From: ep.node.ID, To: target, Size: HeaderSize + ev.Payload.Size, Body: ev})
 }
 
-// getReplyPortal is the reserved portal index where Get replies land,
-// matched by the request's token.
-const getReplyPortal Index = 1020
+// ReplyPortal is the reserved portal index where every reply lands — an RPC
+// reply, a Get reply, a lock grant — matched by a token from NextToken.
+const ReplyPortal Index = 1022
 
 // Get performs a one-sided read of [offset, offset+length) from the match
 // entry at (target, pt, bits), blocking p until the data arrives. The
@@ -512,8 +481,8 @@ func (ep *Endpoint) Get(p *sim.Proc, target netsim.NodeID, pt Index, bits MatchB
 
 // getOp is one Get's attempt loop, written once as the steps between its
 // waits: post the reply slot and send the request (send), wait on the slot
-// for timeout(), then take the reply or, on a timeout, abandon the slot and
-// either pause before the next attempt or give up with ErrGetTimeout (settle).
+// for timeout(), then take the reply or, on a timeout (the wait closed the
+// slot), either pause before the next attempt or give up with ErrGetTimeout (settle).
 // Get runs it in a parked process; the puller runs it as a continuation,
 // reusing one getOp for every chunk of a transfer.
 type getOp struct {
@@ -544,15 +513,15 @@ func (g *getOp) timeout() time.Duration {
 func (g *getOp) send() {
 	ep := g.ep
 	g.made++
-	ep.nextToken++
-	g.slot = ep.Post(getReplyPortal, MatchBits(ep.nextToken), true)
+	token := ep.NextToken()
+	g.slot = ep.Post(ReplyPortal, MatchBits(token), true)
 	req := ep.record(g.pt, g.bits, netsim.Payload{})
-	req.kind, req.offset, req.length, req.token = wireGet, g.offset, g.length, ep.nextToken
+	req.kind, req.offset, req.length, req.token = wireGet, g.offset, g.length, token
 	ep.send(g.target, req)
 }
 
 // settle takes the outcome of the slot wait — the reply, or ok false after a
-// timeout (the wait has abandoned the slot) — and reports whether another
+// timeout (the wait has closed the slot) — and reports whether another
 // attempt follows and the pause before it. Otherwise the Get is over and
 // g.payload, g.err hold its result.
 func (g *getOp) settle(reply *Event, ok bool) (retry bool, pause time.Duration) {
@@ -591,7 +560,7 @@ func (ep *Endpoint) deliver(m netsim.Message) {
 	}
 	me := ep.match(ev.pt, ev.Bits)
 	if me == nil {
-		ep.dropNoMatch(ev.pt, ev.Bits)
+		ep.dropNoMatch(ev.kind)
 		ev.Release()
 		return
 	}
@@ -608,10 +577,10 @@ func (ep *Endpoint) deliver(m netsim.Message) {
 // serveGet answers a Get request "in the NIC": it reads the matched entry's
 // payload into a reply record and releases the request record.
 func (ep *Endpoint) serveGet(req *Event) {
-	reply := ep.record(getReplyPortal, MatchBits(req.token), netsim.Payload{})
+	reply := ep.record(ReplyPortal, MatchBits(req.token), netsim.Payload{})
 	reply.kind = wireGetReply
 	if me := ep.match(req.pt, req.Bits); me == nil {
-		ep.dropNoMatch(req.pt, req.Bits)
+		ep.dropNoMatch(wireGet)
 		reply.err = ErrNoMatch
 	} else {
 		src, end := me.md.Payload, req.offset+req.length

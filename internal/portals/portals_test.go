@@ -41,6 +41,10 @@ func put(ep *Endpoint, target netsim.NodeID, pt Index, bits MatchBits, hdr strin
 	testHdr.Put(ep, target, pt, bits, &hdr, payload)
 }
 
+// count reads the named counter of r's registry: a node's late replies are
+// portals.<node>.late_drops and rpc.client.<node>.late_replies.
+func (r *rig) count(name string) int64 { return int64(r.net.Metrics().Sum(name)) }
+
 // callTimeout is an untyped Call with a deadline and one attempt.
 func callTimeout(c *Caller, p *sim.Proc, target netsim.NodeID, pt Index, req any, timeout time.Duration) (any, error) {
 	return InvokeTimeout(c, p, target, pt, anyOp, &req, 64, 64, timeout)

@@ -102,8 +102,8 @@ func TestServerDedupsSlowRequestRetries(t *testing.T) {
 	}
 	// The first two attempts' replies eventually landed after their
 	// timeouts: dropped and counted, never delivered to a live call.
-	if c.ep.lateReplies.Value() != 2 {
-		t.Fatalf("late replies = %d, want 2", c.ep.lateReplies.Value())
+	if n := r.count("rpc.client.n0.late_replies"); n != 2 {
+		t.Fatalf("late replies = %d, want 2", n)
 	}
 }
 
@@ -135,11 +135,11 @@ func TestLateReplyAfterCallTimeoutIsCountedNotDelivered(t *testing.T) {
 	if err2 != nil || second.(string) != "resp:fast" {
 		t.Fatalf("second call corrupted by late reply: %v, %v", second, err2)
 	}
-	if c.ep.lateReplies.Value() != 1 {
-		t.Fatalf("late replies = %d, want 1", c.ep.lateReplies.Value())
+	if n := r.count("rpc.client.n0.late_replies"); n != 1 {
+		t.Fatalf("late replies = %d, want 1", n)
 	}
-	if r.eps[0].lateDrops.Value() != 1 {
-		t.Fatalf("endpoint late drops = %d, want 1", r.eps[0].lateDrops.Value())
+	if n := r.count("portals.n0.late_drops"); n != 1 {
+		t.Fatalf("endpoint late drops = %d, want 1", n)
 	}
 }
 
@@ -250,7 +250,7 @@ func TestPauseUncappedBackoffGrows(t *testing.T) {
 // replies land in the returned mailbox.
 func rawRetry(r *rig) (put func(tok, reqID, ack uint64, body string), replies *sim.Mailbox) {
 	replies = sim.NewMailbox(r.k, "replies")
-	r.eps[0].Attach(replyPortal, 0, ^MatchBits(0), &MD{EQ: replies})
+	r.eps[0].Attach(ReplyPortal, 0, ^MatchBits(0), &MD{EQ: replies})
 	return func(tok, reqID, ack uint64, body string) {
 		out := r.eps[0].record(5, 0, netsim.SyntheticPayload(64))
 		v := any(body)

@@ -17,13 +17,10 @@ import (
 // This file provides a small request/response convention over portals, used
 // by every LWFS and PFS control protocol: the client Puts a small request to
 // the service's portal index, carrying a reply token; the service Puts the
-// response back to the client's reply portal matched by that token.
+// response back to the client's ReplyPortal matched by that token.
 //
 // Bulk data never rides on RPC — it moves via one-sided Get/Put against the
 // memory descriptors named inside request headers (server-directed I/O).
-
-// replyPortal is the reserved portal index where all RPC responses land.
-const replyPortal Index = 1022
 
 // rpcHead is what a request's wire header says beyond its body and the
 // reply token.
@@ -391,7 +388,7 @@ func takeRequest(ev *Event) (req rpcRequest, ok bool) {
 // respond puts the response to req, occupying size payload bytes, on the
 // wire; the caller takes b.
 func (s *Server) respond(req rpcRequest, b body, err error, size int64) {
-	ev := s.ep.record(replyPortal, MatchBits(req.Token), netsim.SyntheticPayload(size))
+	ev := s.ep.record(ReplyPortal, MatchBits(req.Token), netsim.SyntheticPayload(size))
 	ev.kind, ev.body, ev.err = wireResponse, b, err
 	s.ep.send(req.From, ev)
 }
@@ -557,8 +554,8 @@ type Caller struct {
 
 // NewCaller creates a caller on ep. The callers on a node count into its
 // endpoint's rpc.client.<node>.late_replies (responses that arrived after
-// their attempt timed out, dropped at the reply portal) and retries
-// (re-sent attempts).
+// their attempt timed out, dropped at ReplyPortal; the same count as
+// portals.<node>.late_drops) and retries (re-sent attempts).
 func NewCaller(ep *Endpoint) *Caller {
 	if !ep.calls {
 		ep.calls = true
@@ -627,17 +624,13 @@ func (c *Caller) retried(p *sim.Proc, target netsim.NodeID, pt Index, op uint16,
 	return b, err
 }
 
-// call is one attempt: it sends req, which the server takes, and returns the
-// reply's cell, which the caller takes.
-// timedOut is call's attempt without a reply: a merely late reply is
-// counted when it lands. It and badReply stay out of line, off the frame
-// under every process parked in an RPC.
+// timedOut is call's attempt without a reply. The wait closed the slot, so
+// a merely late reply finds no match and is counted where it drops
+// (dropNoMatch). It and badReply stay out of line, off the frame under every
+// process parked in an RPC.
 //
 //go:noinline
-func (c *Caller) timedOut(target netsim.NodeID, pt Index, token uint64) error {
-	c.ep.watchLate(replyPortal, MatchBits(token), func() {
-		c.ep.lateReplies.Inc()
-	})
+func (c *Caller) timedOut(target netsim.NodeID, pt Index) error {
 	if c.breaker != nil {
 		c.breaker.Record(target, pt, ErrRPCTimeout)
 	}
@@ -649,13 +642,15 @@ func badReply(token uint64, kind wireKind) {
 	panic(fmt.Sprintf("portals: reply slot of token %d received a record of kind %d", token, kind))
 }
 
+// call is one attempt: it sends req, which the server takes, and returns the
+// reply's cell, which the caller takes.
 func (c *Caller) call(p *sim.Proc, target netsim.NodeID, pt Index, op uint16, req body, reqSize, respSize int64, timeout time.Duration, reqID uint64) (body, error) {
 	if c.breaker != nil && !c.breaker.Allow(target, pt) {
 		req.release()
 		return nil, ErrCircuitOpen
 	}
-	token := c.ep.nextTok()
-	slot := c.ep.Post(replyPortal, MatchBits(token), true)
+	token := c.ep.NextToken()
+	slot := c.ep.Post(ReplyPortal, MatchBits(token), true)
 	out := c.ep.record(pt, 0, netsim.SyntheticPayload(reqSize))
 	out.kind, out.body, out.token = wireRequest, req, token
 	out.rpc = rpcHead{ReqID: reqID, Class: c.class, Op: op, AckLag: c.ep.ackLag(reqID), RespSize: respSize}
@@ -663,7 +658,7 @@ func (c *Caller) call(p *sim.Proc, target netsim.NodeID, pt Index, op uint16, re
 
 	ev, ok := slot.Wait(p, timeout)
 	if !ok {
-		return nil, c.timedOut(target, pt, token)
+		return nil, c.timedOut(target, pt)
 	}
 	if ev.live().kind != wireResponse {
 		badReply(token, ev.kind)

@@ -149,39 +149,20 @@ func (c *Client) readOnce(p *sim.Proc, ref ObjRef, cap authz.Capability, off, le
 	return assemble(p, data, resp), nil
 }
 
-// assemble reads a reply's chunks off its slot into one payload: the run
-// they make when they are consecutive parts of one seeded run, else a
-// buffer of their bytes, or a synthetic payload when none has content. It
-// stays out of line, so that its payload temporaries stay off the stack of
-// every reader parked in its call.
+// assemble reads a reply's chunks off its slot and joins them into one
+// payload (netsim.Joiner): their seeded run, a buffer of their bytes, or a
+// synthetic payload. It stays out of line, so that its payload temporaries
+// stay off the stack of every reader parked in its call.
 //
 //go:noinline
 func assemble(p *sim.Proc, data *portals.Slot, resp readResp) netsim.Payload {
-	var run netsim.Payload // the chunks so far, while they are one seeded run
-	var buf []byte
+	j := netsim.Joiner{Size: resp.Len}
 	for i := 0; i < resp.Chunks; i++ {
 		ev, _ := data.Wait(p, 0)
-		chunk, at, joined := ev.Payload, *chunkAt.Of(ev), false
-		if buf == nil && at == run.Size {
-			run, joined = run.Append(chunk)
-		}
-		if !joined && !chunk.Synthetic() {
-			if buf == nil {
-				buf = make([]byte, resp.Len)
-				run.CopyTo(buf)
-			}
-			chunk.CopyTo(buf[at:])
-		}
+		j.Add(*chunkAt.Of(ev), ev.Payload)
 		ev.Release()
 	}
-	if buf == nil && run.Seeded() {
-		if run.Size == resp.Len {
-			return run
-		}
-		buf = make([]byte, resp.Len)
-		run.CopyTo(buf)
-	}
-	return netsim.Payload{Size: resp.Len, Data: buf}
+	return j.Payload()
 }
 
 // Truncate sets the object's logical size. Requires an OpWrite capability.

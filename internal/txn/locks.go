@@ -54,12 +54,11 @@ type lockWaiter struct {
 	to    addressee
 }
 
-// addressee is where a lock request's reply goes: the requester's node,
-// reply portal and token, copied out of the request record, so a queued
-// waiter's reply needs nothing the released record held.
+// addressee is where a lock request's reply goes: the requester's node and
+// token, copied out of the request record, so a queued waiter's reply needs
+// nothing the released record held.
 type addressee struct {
 	node  netsim.NodeID
-	port  portals.Index
 	token uint64
 }
 
@@ -123,7 +122,7 @@ func (ls *LockServer) dispatch(from netsim.NodeID, req *lockRPC) {
 	if req == nil {
 		return
 	}
-	to := addressee{node: from, port: req.replyPort, token: req.token}
+	to := addressee{node: from, token: req.token}
 	if req.unlock {
 		ls.reply(to, 0, ls.unlock(req))
 	} else {
@@ -133,8 +132,8 @@ func (ls *LockServer) dispatch(from netsim.NodeID, req *lockRPC) {
 
 // reply answers the request addressed by to.
 func (ls *LockServer) reply(to addressee, gen uint64, err error) {
-	lockAns.Put(ls.ep, to.node, to.port, portals.MatchBits(to.token),
-		&lockReply{token: to.token, gen: gen, err: err}, netsim.SyntheticPayload(16))
+	lockAns.Put(ls.ep, to.node, portals.ReplyPortal, portals.MatchBits(to.token),
+		&lockReply{gen: gen, err: err}, netsim.SyntheticPayload(16))
 }
 
 // compatible reports whether a request can be granted given current holders.
@@ -204,18 +203,17 @@ func (ls *LockServer) promote(st *lockState) {
 
 // lockRPC is a lock or unlock request, flat: one Put header.
 type lockRPC struct {
-	token     uint64
-	replyPort portals.Index
-	unlock    bool
-	name      string
-	mode      LockMode // a lock's
-	owner     Owner
+	token  uint64 // the requester's reply token, on portals.ReplyPortal
+	unlock bool
+	name   string
+	mode   LockMode // a lock's
+	owner  Owner
 }
 
+// lockReply is a grant or an unlock's answer; its match bits are the token.
 type lockReply struct {
-	token uint64
-	gen   uint64
-	err   error
+	gen uint64
+	err error
 }
 
 // The lock protocol's two Put headers.
@@ -223,8 +221,6 @@ var (
 	lockReq = portals.NewHeader[lockRPC]()
 	lockAns = portals.NewHeader[lockReply]()
 )
-
-const lockReplyPortal portals.Index = 1021
 
 // LockClient acquires and releases locks from one client process.
 type LockClient struct {
@@ -240,8 +236,8 @@ func NewLockClient(ep *portals.Endpoint, server netsim.NodeID, tag uint64) *Lock
 }
 
 func (lc *LockClient) call(p *sim.Proc, req lockRPC) (uint64, error) {
-	req.token, req.replyPort, req.owner = lc.ep.NextToken(), lockReplyPortal, lc.owner
-	slot := lc.ep.Post(lockReplyPortal, portals.MatchBits(req.token), true)
+	req.token, req.owner = lc.ep.NextToken(), lc.owner
+	slot := lc.ep.Post(portals.ReplyPortal, portals.MatchBits(req.token), true)
 	lockReq.Put(lc.ep, lc.server, LockPortal, 0, &req, netsim.SyntheticPayload(96))
 	ev, _ := slot.Wait(p, 0)
 	r := *lockAns.Of(ev)
