@@ -506,12 +506,12 @@ var exportsKept = map[string]string{
 	"mpi.Rank.ID":                "accessor: every mpi test body asks which rank it runs as",
 	"mpi.Rank.MessagesSent":      "accessor: mpi.TestBcastIsLogarithmic",
 	"osd.Device.NumObjects":      "accessor: stripe.TestRebuildFailureRemovesOrphans, storage.TestRecoveryWithCleanJournal",
+	"osd.Device.Syncs":           "accessor: lwfspfs.TestCreateDecidesAtTheNamingSiteInOneAppend counts naming's flush barriers",
 	"sim.Resource.Available":     "accessor: portals.TestPullFailureLeavesThePoolWholeAndTheRecordReusable",
 	"storage.Server.Admission":   "accessor: qos.TestQoSOverloadShedRPC checks the queue drained",
 	"storage.Server.Down":        "accessor: storage.TestCrashRestartReplaysJournal",
 	"storage.Server.Participant": "accessor: core.TestFailedPrepareRollsBackWholeCheckpoint injects a failing prepare through it",
 	"storage.Server.TxnEndpoint": "accessor: storage.TestCrashRecoveryCleansOrphans enlists the server by hand",
-	"txn.Participant.Status":     "accessor: txn.TestVoteNoAbortsEverywhere and the other two-phase tests",
 }
 
 // export is one exported function or method declared under internal/.

@@ -198,13 +198,17 @@ func New(spec Spec) *Cluster {
 // LWFS is a deployed LWFS-core: services plus the System descriptor clients
 // connect with.
 type LWFS struct {
-	Authn   *authn.Service
-	Authz   *authz.Service
-	Naming  *naming.Service
-	Locks   *txn.LockServer
-	Servers []*storage.Server
-	Burst   []*burst.Server // staging tier, one per burst node (may be empty)
-	Sys     core.System
+	Authn  *authn.Service
+	Authz  *authz.Service
+	Naming *naming.Service
+	// The naming service's journal device and transaction participant,
+	// which tests count and aim faults at.
+	NamingDev *osd.Device
+	NamingTxn *txn.Participant
+	Locks     *txn.LockServer
+	Servers   []*storage.Server
+	Burst     []*burst.Server // staging tier, one per burst node (may be empty)
+	Sys       core.System
 }
 
 // BurstTargets returns the staging tier's RPC targets in node order, nil
@@ -231,9 +235,9 @@ func (c *Cluster) DeployLWFS() *LWFS {
 	adminAC := authn.NewClient(portals.NewCaller(c.Admin), c.Admin.Node())
 	l.Authz = authz.Start(c.Admin, adminAC)
 
-	namingDev := osd.NewDevice(c.K, "naming-dev", c.Spec.Disk)
-	namingPart := txn.NewParticipant(c.Admin, namingDev, naming.TxnPortal)
-	l.Naming = naming.Start(c.Admin, adminAC, namingPart)
+	l.NamingDev = osd.NewDevice(c.K, "naming-dev", c.Spec.Disk)
+	l.NamingTxn = txn.NewParticipant(c.Admin, l.NamingDev, naming.TxnPortal)
+	l.Naming = naming.Start(c.Admin, adminAC, l.NamingTxn)
 	l.Locks = txn.StartLockServer(c.Admin)
 
 	sys := core.System{Admin: c.Admin.Node()}

@@ -122,8 +122,9 @@ func ReadMirror(refs []storage.ObjRef, read func(storage.ObjRef) (netsim.Payload
 // transaction is decided (Commit, Abort): then every dead target that holds
 // none of Kept is delisted, so its vote cannot veto the commit and its
 // provisional objects resolve by presumed abort. A dead target that holds a
-// kept object stays enlisted, and its failed prepare aborts the transaction
-// loudly instead of committing a ref the abort removes.
+// kept object stays enlisted and is prepared first, never the decision site
+// while another participant is enlisted: its failed prepare aborts the
+// transaction loudly instead of committing a ref the abort removes.
 type Placement struct {
 	Tx   *txn.Txn
 	Kept []storage.ObjRef
@@ -158,6 +159,8 @@ func (pl *Placement) delist() {
 	for _, t := range pl.dead {
 		if !storage.Holds(pl.Kept, t) {
 			pl.Tx.Delist(storage.TxnEndpointOf(t))
+		} else {
+			pl.Tx.PrepareFirst(storage.TxnEndpointOf(t))
 		}
 	}
 }

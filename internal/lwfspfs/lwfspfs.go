@@ -743,14 +743,16 @@ const allocTries = 2
 // the caller's exclusive lock, with a layout WriteAt made current: one
 // transaction creates every missing object of those columns — all copies —
 // through placeHoles. A commit that fails (a target that died after its
-// create) aborts the transaction, and the allocation runs again without the
-// targets found dead so far.
+// create) aborts the transaction, or leaves it in doubt when the target was
+// its decision site, and the allocation runs again without the targets
+// found dead so far.
 //
 // The committed objects enter f.l and mark it dirty; WriteAt's flush names
 // them in the layout record only after the data write. A record therefore
 // never names an object an abort could remove. A client that crashes between
-// the commit and the flush leaves committed objects no record names: leaked
-// space, never a dangling ref.
+// the commit and the flush, or a try in doubt that the site had committed,
+// leaves committed objects no record names: leaked space, never a dangling
+// ref.
 func (f *File) fill(p *sim.Proc, off, n int64) error {
 	idxs := f.l.Missing(off, n)
 	pl := &core.Placement{}

@@ -205,7 +205,10 @@ func (s *Service) create(p *sim.Proc, _ netsim.NodeID, r *createReq) (struct{}, 
 		return struct{}{}, err
 	}
 	if r.Txn != 0 && s.part != nil {
-		if err := s.part.Log(p, txn.JournalRecord{Txn: r.Txn, Kind: "name", Detail: nd.entry.Path}); err != nil {
+		// The namespace is volatile, so the record need not be on disk
+		// before the vote: it rides the vote's one append (Defer).
+		if err := s.part.Defer(txn.JournalRecord{Txn: r.Txn, Kind: "name", Detail: nd.entry.Path}); err != nil {
+			s.unlink(nd.entry.Path) //nolint:errcheck // just inserted
 			return struct{}{}, err
 		}
 		s.part.OnCommit(r.Txn, func(q *sim.Proc) { nd.pending = false })
@@ -238,7 +241,7 @@ func (s *Service) setRefs(p *sim.Proc, _ netsim.NodeID, r *setRefsReq) (struct{}
 		// The old refs stay visible until the transaction commits, so
 		// an aborted re-home never dangles the entry at objects the
 		// abort is about to delete.
-		if err := s.part.Log(p, txn.JournalRecord{Txn: r.Txn, Kind: "setrefs", Detail: nd.entry.Path}); err != nil {
+		if err := s.part.Defer(txn.JournalRecord{Txn: r.Txn, Kind: "setrefs", Detail: nd.entry.Path}); err != nil {
 			return struct{}{}, err
 		}
 		s.part.OnCommit(r.Txn, func(q *sim.Proc) { nd.entry.Refs = refs })

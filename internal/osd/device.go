@@ -98,8 +98,8 @@ type Device struct {
 	merged        int64 // appends that joined the tail, paying no positioning cost
 	shared        int64 // Syncs that joined a barrier not yet started
 
-	creates, removes, reads, writes int64
-	bytesRead, bytesWritten         int64
+	creates, removes, reads, writes, syncs int64
+	bytesRead, bytesWritten                int64
 }
 
 // diskJob is the device's note of one job it queued on its disk.
@@ -143,6 +143,10 @@ func (d *Device) NumObjects() int { return len(d.objects) }
 func (d *Device) Counters() (creates, removes, reads, writes, bytesRead, bytesWritten int64) {
 	return d.creates, d.removes, d.reads, d.writes, d.bytesRead, d.bytesWritten
 }
+
+// Syncs reports the flush barriers callers asked for, a shared one counted
+// once per caller.
+func (d *Device) Syncs() int64 { return d.syncs }
 
 // DiskBusy reports accumulated disk service time (for utilization reports).
 func (d *Device) DiskBusy() time.Duration { return d.disk.BusyTime() }
@@ -347,6 +351,7 @@ func (d *Device) Stat(id ObjectID) (Stat, error) {
 // barrier starts — and Sync joins it, returning when it ends. Otherwise it
 // queues its own.
 func (d *Device) Sync(p *sim.Proc) {
+	d.syncs++
 	if b := &d.barrier; b.kind == jobBarrier && b.start >= d.k.Now() {
 		d.shared++
 		p.Sleep(b.finish.Sub(d.k.Now()))

@@ -327,6 +327,9 @@ func TestReplyInTheInstantOfTheTimeoutIsNotTheNextReply(t *testing.T) {
 		if n := r.eps[0].dropped.Value(); n != 0 {
 			t.Errorf("the reply was dropped (%d), so it did not race the timeout: test is vacuous", n)
 		}
+		if n := r.count("rpc.client.n0.late_replies"); n != 1 {
+			t.Errorf("late_replies = %d after a reply in the instant of its timeout, want 1", n)
+		}
 		for i := 0; i < 3; i++ {
 			if v, err := c.Call(p, r.eps[1].Node(), 10, i, 64, 64); err != nil || v != i {
 				t.Errorf("call %d after the race got %v, %v", i, v, err)

@@ -353,7 +353,8 @@ func (s *Slot) Len() int { return s.eq.Len() }
 // Wait blocks p until an event lands in the slot and returns it; the caller
 // Releases it. With timeout > 0 it gives up after that long, reports false
 // and closes the slot: a message that landed in the very instant of the
-// timeout is released with it, and a later one finds no match.
+// timeout is released with it (an RPC reply counted late, as one that finds
+// no match is), and a later one finds no match.
 func (s *Slot) Wait(p *sim.Proc, timeout time.Duration) (*Event, bool) {
 	if timeout <= 0 {
 		return s.eq.Recv(p).(*Event), true
@@ -366,10 +367,31 @@ func (s *Slot) Wait(p *sim.Proc, timeout time.Duration) (*Event, bool) {
 // s.landed(c.Msg()).
 func (s *Slot) landed(v interface{}, ok bool) (*Event, bool) {
 	if !ok {
-		s.Close()
+		s.timedOut()
 		return nil, false
 	}
 	return v.(*Event), true
+}
+
+// timedOut closes a slot whose wait timed out, counting an RPC reply that
+// landed in the very instant of the timeout as late: its call gave up on it
+// as surely as on one that finds no match (dropNoMatch). It stays out of
+// line, off the frame under every process parked in a slot wait.
+//
+//go:noinline
+func (s *Slot) timedOut() {
+	for {
+		v, ok := s.eq.TryRecv()
+		if !ok {
+			break
+		}
+		ev := v.(*Event)
+		if ev.kind == wireResponse {
+			s.me.ep.late.Inc()
+		}
+		ev.Release()
+	}
+	s.Close()
 }
 
 // Close unlinks the slot, releases the events nobody took, drops an exposed

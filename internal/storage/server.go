@@ -172,28 +172,47 @@ func (s *Server) TxnEndpoint() txn.Endpoint {
 // Participant exposes the server's transaction participant (tests, recovery).
 func (s *Server) Participant() *txn.Participant { return s.part }
 
-// Recover replays the device's transaction journal after a crash/restart:
-// transactions without a commit record presume abort, and the objects their
-// "created" records name are removed. It returns the number of orphaned
-// objects cleaned up. Call it from a service process before serving.
+// Recover replays the device's transaction journal after a crash/restart
+// (txn.Participant.Recover): the objects that the "created" records of
+// aborted transactions name are removed. A transaction still in doubt —
+// prepared, its decision site unreachable — keeps its objects until the
+// site answers, and is removed then if it aborted. It returns the number of
+// orphaned objects cleaned up. Call it from a service process before
+// serving.
 func (s *Server) Recover(p *sim.Proc) (removed int, err error) {
 	recs, outcomes, err := s.part.Recover(p)
 	if err != nil {
 		return 0, err
 	}
+	// Register the in-doubt undos before anything blocks, so the
+	// participant's daemon cannot resolve a transaction ahead of them.
 	for _, rec := range recs {
-		if rec.Kind != "created" || outcomes[rec.Txn] != txn.StatusAborted {
-			continue
+		if id, ok := createdObj(rec); ok && outcomes[rec.Txn] == txn.StatusPrepared {
+			s.part.OnAbort(rec.Txn, func(q *sim.Proc) {
+				s.dev.Remove(q, id) //nolint:errcheck // already gone is fine
+			})
 		}
-		var id uint64
-		if _, err := fmt.Sscanf(rec.Detail, "obj=%d", &id); err != nil {
-			continue
-		}
-		if err := s.dev.Remove(p, osd.ObjectID(id)); err == nil {
-			removed++
+	}
+	for _, rec := range recs {
+		if id, ok := createdObj(rec); ok && outcomes[rec.Txn] == txn.StatusAborted {
+			if err := s.dev.Remove(p, id); err == nil {
+				removed++
+			}
 		}
 	}
 	return removed, nil
+}
+
+// createdObj is the object a "created" journal record names.
+func createdObj(rec txn.JournalRecord) (osd.ObjectID, bool) {
+	var id uint64
+	if rec.Kind != "created" {
+		return 0, false
+	}
+	if _, err := fmt.Sscanf(rec.Detail, "obj=%d", &id); err != nil {
+		return 0, false
+	}
+	return osd.ObjectID(id), true
 }
 
 // Node returns the node the server runs on.

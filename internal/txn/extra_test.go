@@ -178,15 +178,17 @@ func TestOutcomesProperty(t *testing.T) {
 func TestCommitTimeoutUnderRealPartition(t *testing.T) {
 	// A participant that is alive but unreachable (network partition, not
 	// a missing service) must also resolve through the timeout + abort
-	// path, and the reachable participant must end aborted.
+	// path, and the reachable participant must end aborted. The partitioned
+	// one is enlisted first, so it is prepared rather than the decision site
+	// (TestPartitionedSiteResolvesAfterHeal covers a partitioned site).
 	r := testrig.New(4)
 	pt1, _ := bootParticipant(r, 1)
 	pt2, _ := bootParticipant(r, 2)
 	co := txn.NewCoordinator(impatientCaller(r, 3))
 	r.Go("client", func(p *sim.Proc) {
 		tx := co.Begin()
-		tx.Enlist(endpoint(r, 1))
 		tx.Enlist(endpoint(r, 2))
+		tx.Enlist(endpoint(r, 1))
 		// Cut node 2 off from the coordinator (but not from node 1).
 		r.Net.Partition(
 			[]netsim.NodeID{r.Eps[2].Node()},

@@ -20,7 +20,7 @@ func preparePool(t *testing.T, pt *Participant, p *sim.Proc, first ID, n int) (w
 		wg.Add(1)
 		p.Kernel().Spawn("prepare", func(q *sim.Proc) {
 			defer wg.Done()
-			if err := pt.prepare(q, id); err != nil {
+			if err := pt.prepare(q, id, Endpoint{}); err != nil {
 				t.Error(err)
 				return
 			}

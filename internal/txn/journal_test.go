@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -66,16 +67,33 @@ func TestParseJournalSkipsMalformedLines(t *testing.T) {
 	}
 }
 
-// FuzzParseJournal: parsing never panics, whatever the bytes, and every
-// record whose Kind is non-empty and holds no space or newline and whose
-// Detail holds no newline comes back from its own line unchanged.
+// FuzzParseJournal: parsing never panics, whatever the bytes; Outcomes
+// never reports aborted for a transaction with a prepare naming its site and
+// no decision (only the site knows); and every record whose Kind is
+// non-empty and holds no space or newline and whose Detail holds no newline
+// comes back from its own line unchanged.
 func FuzzParseJournal(f *testing.F) {
 	f.Add([]byte("7 create a\nnot-a-number create b\n\n8\n9 commit \n10 abort"), uint64(1), "name", "/runs/my run/step 3.dat")
 	f.Add([]byte("18446744073709551615 setrefs  x \n"), uint64(1<<64-1), "setrefs", " leading and trailing ")
 	f.Add([]byte("5 name /x\n77 commit forged\n"), uint64(5), "name", "/x\n77 commit forged")
 	f.Add([]byte{}, uint64(0), "prepare", "")
+	// A prepare naming its site, with and without the decision after it.
+	f.Add([]byte("4 create obj=9\n4 created obj=9\n4 prepare site=3:13\n5 prepare site=3:13\n5 abort \n"), uint64(4), "prepare", "site=3:13")
+	// A site's decide append: its deferred name and setrefs lines, then commit.
+	f.Add([]byte("6 name /runs/a b\n6 setrefs /runs/a b\n6 commit \n"), uint64(6), "name", "/runs/a b")
+	f.Add([]byte("8 prepare site=0:0\n8 prepare site=x:1\n8 prepare site=4294967296:2\n"), uint64(8), "prepare", "site=1:")
 	f.Fuzz(func(t *testing.T, data []byte, id uint64, kind, detail string) {
-		parseJournal(data)
+		recs := parseJournal(data)
+		out := Outcomes(recs)
+		decided := map[ID]bool{}
+		for _, r := range recs {
+			decided[r.Txn] = decided[r.Txn] || r.Kind == "commit" || r.Kind == "abort"
+		}
+		for i := range recs {
+			if _, ok := siteOf(&recs[i]); ok && !decided[recs[i].Txn] && out[recs[i].Txn] != StatusPrepared {
+				t.Fatalf("%v names its site and has no decision, but resolves to %v", recs[i].Txn, out[recs[i].Txn])
+			}
+		}
 		if kind == "" || strings.ContainsAny(kind, " \n") || strings.Contains(detail, "\n") {
 			return
 		}
@@ -223,7 +241,7 @@ func TestTerminalTransactionDropsCallbacks(t *testing.T) {
 		pt.OnAbort(id, func(*sim.Proc) { ran++ })
 	}
 	run(func(p *sim.Proc) {
-		if err := pt.prepare(p, committed); err != nil {
+		if err := pt.prepare(p, committed, Endpoint{}); err != nil {
 			t.Error(err)
 		}
 		if err := pt.commit(p, committed); err != nil {
@@ -295,4 +313,97 @@ func BenchmarkJournalAppend(b *testing.B) {
 			run(func(p *sim.Proc) { logN(b, pt, p, b.N) })
 		})
 	}
+}
+
+// A deferred record is not written when it is deferred: it rides the vote.
+// As a prepared participant its lines and the prepare naming the site are
+// one append under one barrier; as the site, its lines and the commit are.
+func TestDeferredRecordsRideTheVote(t *testing.T) {
+	pt, run := soloParticipant(t)
+	site := Endpoint{Node: 3, Port: 13}
+	run(func(p *sim.Proc) {
+		logN(t, pt, p, 1) // the journal exists: no vote pays its create
+		for _, c := range []struct {
+			id   ID
+			vote func() error
+			want string
+		}{
+			{2, func() error { return pt.prepare(p, 2, site) }, "2 name /a b\n2 setrefs /a b\n2 prepare site=3:13\n"},
+			{3, func() error { return pt.decide(p, 3) }, "3 name /a b\n3 setrefs /a b\n3 commit \n"},
+		} {
+			before := contents(t, pt.dev, p)
+			for _, kind := range []string{"name", "setrefs"} {
+				if err := pt.Defer(JournalRecord{Txn: c.id, Kind: kind, Detail: "/a b"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, _, writes, _, _ := pt.dev.Counters()
+			syncs := pt.dev.Syncs()
+			if got := contents(t, pt.dev, p); got != before {
+				t.Fatalf("Defer wrote %q", got[len(before):])
+			}
+			if err := c.vote(); err != nil {
+				t.Fatal(err)
+			}
+			_, _, _, w, _, _ := pt.dev.Counters()
+			if w != writes+1 || pt.dev.Syncs() != syncs+1 {
+				t.Errorf("%v's vote took %d appends and %d syncs, want 1 and 1", c.id, w-writes, pt.dev.Syncs()-syncs)
+			}
+			if got := contents(t, pt.dev, p)[len(before):]; got != c.want {
+				t.Errorf("%v's vote wrote %q, want %q", c.id, got, c.want)
+			}
+		}
+		if err := pt.Defer(JournalRecord{Txn: 3, Kind: "name", Detail: "/late"}); !errors.Is(err, ErrTerminal) {
+			t.Errorf("Defer after the decision = %v, want ErrTerminal", err)
+		}
+	})
+}
+
+// A site asked about a transaction it has not decided aborts it, the abort
+// record written before the answer, and refuses a decide that comes later:
+// the answer it gave stands.
+func TestSiteAskedBeforeDecidingRefusesALateDecide(t *testing.T) {
+	pt, run := soloParticipant(t)
+	undone := false
+	run(func(p *sim.Proc) {
+		pt.OnAbort(1, func(*sim.Proc) { undone = true })
+		if st, err := pt.status(p, 1); err != nil || st != StatusAborted {
+			t.Fatalf("status of an undecided transaction = %v, %v; want aborted", st, err)
+		}
+		if err := pt.decide(p, 1); !errors.Is(err, ErrTerminal) {
+			t.Errorf("late decide = %v, want ErrTerminal", err)
+		}
+		if got := contents(t, pt.dev, p); got != "1 abort \n" {
+			t.Errorf("journal = %q, want the abort alone", got)
+		}
+	})
+	if !undone {
+		t.Error("the abort did not undo the provisional work")
+	}
+}
+
+// A status ask that arrives while the site's decision is being written waits
+// for it and answers committed, instead of aborting under it.
+func TestSiteStatusWaitsForADecisionInFlight(t *testing.T) {
+	pt, run := soloParticipant(t)
+	run(func(p *sim.Proc) {
+		var st Status
+		var wg sim.WaitGroup
+		wg.Add(1)
+		p.Kernel().Spawn("decide", func(q *sim.Proc) {
+			defer wg.Done()
+			if err := pt.decide(q, 1); err != nil {
+				t.Error(err)
+			}
+		})
+		p.Sleep(time.Microsecond) // the decide's append is on the disk
+		st, err := pt.status(p, 1)
+		wg.Wait(p)
+		if err != nil || st != StatusCommitted {
+			t.Errorf("status during the decision = %v, %v; want committed", st, err)
+		}
+		if got := contents(t, pt.dev, p); got != "1 commit \n" {
+			t.Errorf("journal = %q, want the commit alone", got)
+		}
+	})
 }

@@ -51,7 +51,9 @@ func TestCommitRunsCallbacksAndJournals(t *testing.T) {
 		for _, rec := range recs {
 			kinds += rec.Kind + ";"
 		}
-		if kinds != "create;prepare;commit;" {
+		// The one participant is the decision site: its vote and the
+		// decision are one commit record, with no prepare before it.
+		if kinds != "create;commit;" {
 			t.Errorf("journal = %q", kinds)
 		}
 	})
@@ -213,12 +215,13 @@ func impatientCaller(r *testrig.Rig, idx int) *portals.Caller {
 func TestPartitionedParticipantTimesOutAndAborts(t *testing.T) {
 	r := testrig.New(4)
 	pt1, _ := bootParticipant(r, 1)
-	// Node 2 has NO participant: prepare there gets no reply (dropped).
+	// Node 2 has NO participant: prepare there gets no reply (dropped). It
+	// is enlisted first, so it is prepared rather than the decision site.
 	co := txn.NewCoordinator(impatientCaller(r, 3))
 	r.Go("client", func(p *sim.Proc) {
 		tx := co.Begin()
-		tx.Enlist(endpoint(r, 1))
 		tx.Enlist(txn.Endpoint{Node: r.Eps[2].Node(), Port: txnPort})
+		tx.Enlist(endpoint(r, 1))
 		err := tx.Commit(p)
 		if !errors.Is(err, txn.ErrAborted) {
 			t.Fatalf("commit with partitioned participant: %v", err)
