@@ -29,12 +29,12 @@ func countExtremes(acc []byte, chunk lwfs.Payload) []byte {
 	if len(acc) == 8 {
 		n = binary.BigEndian.Uint64(acc)
 	}
-	for _, b := range chunk.Data {
+	for _, b := range chunk.Bytes() {
 		if b > 250 {
 			n++
 		}
 	}
-	if chunk.Data == nil {
+	if chunk.Synthetic() {
 		n += uint64(chunk.Size / 256) // synthetic stand-in: fixed density
 	}
 	out := make([]byte, 8)

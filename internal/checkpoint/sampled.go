@@ -69,15 +69,12 @@ const shadowSources = 8
 // data-plane concurrency per target.
 const shadowStreams = 2
 
-// shadowChunkSize is the shadow wire chunk: the storage tier's default
-// transfer granularity.
-const shadowChunkSize int64 = 1 << 20
-
 // shadowLoad is the shadow ranks' share of a run: what has been acked and
 // written so far (the shadow.* gauges), and the job-wide Result their
 // instants fold into, which holds their byte count.
 type shadowLoad struct {
 	res     *Result
+	chunk   int64 // the shadow wire chunk: the storage tier's ChunkSize
 	acked   int64 // bytes acknowledged to an injector (staged, in burst mode)
 	drained int64 // bytes written to a storage disk
 }
@@ -157,7 +154,7 @@ func deployShadow(cl *cluster.Cluster, l *cluster.LWFS, cfg *Config, res *Result
 		return
 	}
 	res.shadowBytes = int64(shadow) * cfg.BytesPerProc
-	sl := &shadowLoad{res: res}
+	sl := &shadowLoad{res: res, chunk: cl.Spec.Storage.ChunkSize}
 	k := cl.K
 	reg := cl.Metrics()
 	reg.GaugeFunc("shadow.bytes_acked", func() int64 { return sl.acked })
@@ -180,12 +177,12 @@ func deployShadow(cl *cluster.Cluster, l *cluster.LWFS, cfg *Config, res *Result
 
 	// Injector targets: buffers in burst mode, storage servers otherwise.
 	targets := storTargets
-	nchunksPerRank := int((cfg.BytesPerProc + shadowChunkSize - 1) / shadowChunkSize)
+	nchunksPerRank := int((cfg.BytesPerProc + sl.chunk - 1) / sl.chunk)
 	if len(l.Burst) > 0 {
 		// Staged-but-undrained shadow bytes per buffer are bounded like the
 		// real tier's, by the stage capacity; past it the staging ack
 		// backpressures.
-		window := max(cl.Spec.Burst.StageCapacity, shadowChunkSize)
+		window := max(cl.Spec.Burst.StageCapacity, sl.chunk)
 		targets = make([]storage.Target, len(l.Burst))
 		nbuf := len(l.Burst)
 		for bi, bs := range l.Burst {
@@ -260,7 +257,7 @@ func deployShadow(cl *cluster.Cluster, l *cluster.LWFS, cfg *Config, res *Result
 				p.Sleep(delay)
 				for r := 0; r < myRanks; r++ {
 					for rem := size; rem > 0; {
-						n := min(rem, shadowChunkSize)
+						n := min(rem, sl.chunk)
 						if _, err := portals.InvokeTimeout(caller, p, tgt.Node, tgt.Port, opShadowChunk, &shadowChunk{Size: n}, n, shadowAckSize, 0); err != nil {
 							panic(err) // the process name says which shadow stream
 						}

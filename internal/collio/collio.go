@@ -21,7 +21,6 @@ package collio
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"lwfs/internal/core"
@@ -214,26 +213,26 @@ func (r *Rank) CollectiveWrite(p *sim.Proc, d Dataset, frags []Fragment) error {
 	return opErr
 }
 
-// coalesce merges adjacent fragments into maximal contiguous runs.
-// Overlapping fragments are illegal in collective writes (ranks own
-// disjoint pieces); later fragments win if it happens anyway.
+// coalesce merges adjacent fragments of one class, size-only or with
+// content, into maximal contiguous runs; a run with content is its
+// fragments joined (netsim.Joiner). Overlapping fragments are illegal in
+// collective writes (ranks own disjoint pieces); later fragments win if it
+// happens anyway.
 func coalesce(frags []Fragment) []Fragment {
 	sort.Slice(frags, func(i, k int) bool { return frags[i].Off < frags[k].Off })
 	var out []Fragment
-	for _, f := range frags {
-		n := len(out)
-		if n == 0 || f.Off != out[n-1].Off+out[n-1].Payload.Size || (f.Payload.Data != nil) != (out[n-1].Payload.Data != nil) {
-			if f.Payload.Data != nil {
-				f.Payload = netsim.BytesPayload(slices.Clone(f.Payload.Data)) // the run's own buffer, grown below
-			}
-			out = append(out, f)
-			continue
+	for i := 0; i < len(frags); {
+		first, end := frags[i], frags[i].Off+frags[i].Payload.Size
+		k := i + 1
+		for ; k < len(frags) && frags[k].Off == end && frags[k].Payload.Synthetic() == first.Payload.Synthetic(); k++ {
+			end += frags[k].Payload.Size
 		}
-		last := &out[n-1].Payload
-		last.Size += f.Payload.Size
-		if last.Data != nil {
-			last.Data = append(last.Data, f.Payload.Data...)
+		j := netsim.Joiner{Size: end - first.Off}
+		for _, f := range frags[i:k] {
+			j.Add(f.Off-first.Off, f.Payload)
 		}
+		out = append(out, Fragment{Off: first.Off, Payload: j.Payload()})
+		i = k
 	}
 	return out
 }

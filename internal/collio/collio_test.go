@@ -1,6 +1,7 @@
 package collio_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"lwfs/internal/core"
 	"lwfs/internal/netsim"
 	"lwfs/internal/sim"
+	"lwfs/internal/trace"
 )
 
 const kb = 1 << 10
@@ -115,6 +117,56 @@ func TestCollectiveWriteAssemblesGlobalArray(t *testing.T) {
 					return
 				}
 			}
+		}
+	})
+	if err := r.cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Records that are seeded runs, each of its own seed, keep their own
+// content through the aggregators: adjacent fragments of different runs
+// join into bytes, not into one run of the first record's seed.
+func TestCollectiveWriteKeepsSeededRecords(t *testing.T) {
+	const ranks, records = 4, 16
+	const recSize = 4 * kb
+	seedOf := func(rec int) uint64 { return uint64(1000 + 7*rec) }
+	r := newRig(t, ranks, 2, func(r *rig, p *sim.Proc) {
+		job := collio.NewJob(r.clients, r.caps, 0)
+		d, err := job.CreateDataset(p, records*recSize)
+		if err != nil {
+			t.Errorf("dataset: %v", err)
+			return
+		}
+		var wg sim.WaitGroup
+		wg.Add(ranks)
+		for i := 0; i < ranks; i++ {
+			var frags []collio.Fragment
+			for rec := i; rec < records; rec += ranks {
+				frags = append(frags, collio.Fragment{Off: int64(rec) * recSize, Payload: netsim.SeededPayload(seedOf(rec), recSize)})
+			}
+			p.Kernel().Spawn(fmt.Sprintf("rank%d", i), func(q *sim.Proc) {
+				defer wg.Done()
+				if err := job.Rank(i).CollectiveWrite(q, d, frags); err != nil {
+					t.Errorf("rank %d: %v", i, err)
+				}
+			})
+		}
+		wg.Wait(p)
+		var wrong []int
+		for rec := 0; rec < records; rec++ {
+			off := int64(rec) * recSize
+			got, err := r.clients[0].Read(p, d.Objects[off/d.AggSize], r.caps, off%d.AggSize, recSize)
+			if err != nil {
+				t.Errorf("read record %d: %v", rec, err)
+				return
+			}
+			if have := make([]byte, recSize); got.CopyTo(have) != recSize || !bytes.Equal(have, trace.DataFor(seedOf(rec), recSize)) {
+				wrong = append(wrong, rec)
+			}
+		}
+		if len(wrong) > 0 {
+			t.Errorf("records %v of %d read back other than their seed's bytes", wrong, records)
 		}
 	})
 	if err := r.cl.Run(); err != nil {

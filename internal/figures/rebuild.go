@@ -3,6 +3,7 @@ package figures
 import (
 	"fmt"
 	"io"
+	"slices"
 	"text/tabwriter"
 	"time"
 
@@ -174,7 +175,9 @@ func rebuildWriteTrial(pt *RebuildWritePoint, trial int, _ bool) ([]MetricsCaptu
 }
 
 // rebuildReadTrial measures one full read healthy, then crashes the server
-// behind the layout's second object and measures the degraded read.
+// behind the layout's second object and measures the degraded read. A parity
+// layout is written with a seeded run, so its degraded read XORs real bytes,
+// and the trial fails unless they are the run's.
 func rebuildReadTrial(pt *RebuildReadPoint, trial int, keep bool) ([]MetricsCapture, error) {
 	r := newRig(onePerNode(rebuildServers), keep)
 	const bytes = rebuildDataMB << 20
@@ -188,7 +191,11 @@ func rebuildReadTrial(pt *RebuildReadPoint, trial int, keep bool) ([]MetricsCapt
 			return err
 		}
 		eng := stripe.NewEngine(c, caps, 0)
-		if _, err := eng.WriteAt(p, l, 0, netsim.SyntheticPayload(bytes)); err != nil {
+		data := netsim.SyntheticPayload(bytes)
+		if l.Scheme == stripe.Parity {
+			data = netsim.SeededPayload(uint64(trial)+1, bytes)
+		}
+		if _, err := eng.WriteAt(p, l, 0, data); err != nil {
 			return err
 		}
 		t0 := p.Now()
@@ -198,8 +205,12 @@ func rebuildReadTrial(pt *RebuildReadPoint, trial int, keep bool) ([]MetricsCapt
 		healthy := p.Now().Sub(t0)
 		crashServer(r.l, storage.TargetOf(l.Objs[1]))
 		t0 = p.Now()
-		if _, err := eng.ReadAt(p, l, 0, bytes); err != nil {
+		got, err := eng.ReadAt(p, l, 0, bytes)
+		if err != nil {
 			return fmt.Errorf("degraded read: %w", err)
+		}
+		if !slices.Equal(got.Bytes(), data.Bytes()) {
+			return fmt.Errorf("degraded read: the bytes differ from the ones written")
 		}
 		pt.HealthyMs.Add(ms(healthy))
 		pt.DegradedMs.Add(ms(p.Now().Sub(t0)))

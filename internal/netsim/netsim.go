@@ -104,26 +104,31 @@ func (p Payload) Append(q Payload) (Payload, bool) {
 }
 
 // Joiner puts a payload of Size bytes back together from pieces that arrive
-// at their offsets: the chunks of a pull or of a pushed read. While the
-// pieces continue one seeded run it stays that run (Append) and makes no
-// bytes; the first piece that does not turns it into a buffer, the run so
-// far copied in. A synthetic piece adds no bytes.
+// at their offsets: the chunks of a pull or of a pushed read, the pieces of
+// a striped read or of a gathered write, an aggregator's fragments. It is
+// the one rule for what a joined payload is: the pieces' seeded run when
+// they continue one run from offset 0 and cover Size, else a buffer of
+// their bytes (zero where no piece has content), else, when no piece has
+// content, a synthetic payload. While the pieces continue one run it makes
+// no bytes; the first that does not turns it into a buffer, the run so far
+// copied in. A synthetic or empty piece adds nothing, and a piece's bytes
+// are copied, never kept.
 type Joiner struct {
 	Size int64
 	run  Payload
 	buf  []byte
 }
 
-// Add places piece at offset at.
+// Add places piece at offset at; it must end by Size.
 func (j *Joiner) Add(at int64, piece Payload) {
+	if piece.Size == 0 || piece.Synthetic() {
+		return
+	}
 	if j.buf == nil && at == j.run.Size {
 		var joined bool
 		if j.run, joined = j.run.Append(piece); joined {
 			return
 		}
-	}
-	if piece.Synthetic() {
-		return
 	}
 	if j.buf == nil {
 		j.buf = make([]byte, j.Size)
@@ -132,9 +137,7 @@ func (j *Joiner) Add(at int64, piece Payload) {
 	piece.CopyTo(j.buf[at:])
 }
 
-// Payload is what the pieces made: their seeded run when it covers Size,
-// else a buffer of their bytes, or a synthetic payload when none had
-// content.
+// Payload is what the pieces made.
 func (j *Joiner) Payload() Payload {
 	if j.buf == nil && j.run.Seeded() {
 		if j.run.Size == j.Size {

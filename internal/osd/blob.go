@@ -168,35 +168,33 @@ func newExtent(off int64, pl netsim.Payload) extent {
 	return extent{off: off, pl: netsim.BytesPayload(slices.Clone(pl.Data))}
 }
 
-// Read returns [off, off+length). If the blob holds any real or seeded
-// bytes in the range (or anywhere — callers treat a real blob as fully
-// materializable), the result carries content with zero-filled holes;
-// otherwise it is a synthetic payload of the requested length. Reading past
-// the logical size zero-fills (like reading a sparse file's hole); callers
-// that care check Size first. A range inside one seeded extent comes back
-// as a seeded run, without bytes; any other range is a fresh copy.
+// Read returns [off, off+length), the extents it overlaps joined
+// (netsim.Joiner): a cut of one seeded run when they continue one from off
+// with no hole, else a fresh copy with zero-filled holes. Reading past the
+// logical size zero-fills (like reading a sparse file's hole); callers that
+// care check Size first.
 func (b *Blob) Read(off, length int64) netsim.Payload {
 	if off < 0 || length < 0 {
 		panic("osd: negative read range")
 	}
-	if len(b.extents) == 0 {
-		return netsim.SyntheticPayload(length)
-	}
-	end, first := off+length, b.firstEndingAfter(off)
-	if first < len(b.extents) {
-		if x := &b.extents[first]; x.pl.Seeded() && length > 0 && x.off <= off && end <= x.end() {
-			return x.pl.Slice(off-x.off, length)
-		}
-	}
-	out := make([]byte, length)
-	for _, x := range b.extents[first:] {
+	j := netsim.Joiner{Size: length}
+	end := off + length
+	for _, x := range b.extents[b.firstEndingAfter(off):] {
 		if x.off >= end {
 			break
 		}
 		lo, hi := max(x.off, off), min(x.end(), end)
-		x.pl.Slice(lo-x.off, hi-lo).CopyTo(out[lo-off:])
+		j.Add(lo-off, x.pl.Slice(lo-x.off, hi-lo))
 	}
-	return netsim.BytesPayload(out)
+	pl := j.Payload()
+	// The blob's one rule beyond the join: a blob that holds any extent is
+	// real, so a range without content reads as zeroed bytes (callers
+	// treat a real blob as materializable); one without extents reads as
+	// synthetic.
+	if pl.Synthetic() && len(b.extents) > 0 {
+		return netsim.BytesPayload(make([]byte, length))
+	}
+	return pl
 }
 
 // Truncate sets the logical size, discarding real data past it.

@@ -91,8 +91,9 @@ const (
 // cases are: adjacency, exact overlap, a write inside an extent followed by
 // an append where its head ends, and a truncate into an extent. After every
 // operation a read of the last write's range must show the model's bytes, as
-// a seeded run when it lies inside one seeded extent, and the bytes earlier
-// reads returned must not have changed.
+// a seeded run exactly when the extents covering it continue one run from
+// its start with no hole, and the bytes earlier reads returned must not have
+// changed.
 func runBlobOps(t testing.TB, prog []byte) {
 	const span = 200 << 10 // offsets stay below this; a few chunks' worth
 	var b Blob
@@ -147,9 +148,8 @@ func runBlobOps(t testing.TB, prog []byte) {
 			return
 		}
 		v := b.Read(lastOff, lastLen)
-		i := b.firstEndingAfter(lastOff)
-		if inRun := i < len(b.extents) && b.extents[i].pl.Seeded() && b.extents[i].off <= lastOff && lastOff+lastLen <= b.extents[i].end(); lastLen > 0 && v.Seeded() != inRun {
-			t.Fatalf("%s: a read inside one seeded extent is seeded %v, want %v", step, v.Seeded(), inRun)
+		if inRun := continuesOneRun(&b, lastOff, lastLen); lastLen > 0 && v.Seeded() != inRun {
+			t.Fatalf("%s: a read is seeded %v, want %v (its extents continue one run from its start with no hole)", step, v.Seeded(), inRun)
 		}
 		got := make([]byte, lastLen)
 		v.CopyTo(got)
@@ -209,6 +209,25 @@ func runBlobOps(t testing.TB, prog []byte) {
 		}
 		check(fmt.Sprintf("op %d (kind %d)", step, kind))
 	}
+}
+
+// continuesOneRun reports whether the extents covering [off, off+n) are
+// seeded runs that continue one run from off with no hole between them.
+func continuesOneRun(b *Blob, off, n int64) bool {
+	var run netsim.Payload
+	at, end := off, off+n
+	for _, x := range b.extents[b.firstEndingAfter(off):] {
+		if at == end || x.off > at {
+			break
+		}
+		hi := min(x.end(), end)
+		var ok bool
+		if run, ok = run.Append(x.pl.Slice(at-x.off, hi-at)); !ok {
+			return false
+		}
+		at = hi
+	}
+	return at == end
 }
 
 func TestBlobOpMixMatchesModel(t *testing.T) {
@@ -273,6 +292,42 @@ func TestSeededExtentReadIsASeededView(t *testing.T) {
 			if !bytes.Equal(have[:hi-r.off], want[r.off-1000:hi-1000]) {
 				t.Errorf("read [%d, +%d) differs from the seed's bytes", r.off, r.n)
 			}
+		}
+	}
+}
+
+// Adjacent extents the blob keeps apart, because the middle one was written
+// last, read back as the one run they continue; a hole between two runs, or
+// a run cut from another place in the stream, makes the read a copy.
+func TestAdjacentExtentsReadBackAsTheirRun(t *testing.T) {
+	const seed, n = 9, 4 << 10
+	want := trace.DataFor(seed, 3*n)
+	run := netsim.SeededPayload(seed, 3*n)
+	var b Blob
+	b.Write(0, run.Slice(0, n))
+	b.Write(2*n, run.Slice(2*n, n))
+	b.Write(n, run.Slice(n, n))
+	b.Write(5*n, run.Slice(n, n))
+	if len(b.extents) != 4 {
+		t.Fatalf("%d extents, want 4", len(b.extents))
+	}
+	for _, r := range []struct {
+		off, n int64
+		seeded bool
+	}{
+		{0, 3 * n, true},
+		{n / 2, 2 * n, true},
+		{2 * n, 4 * n, false}, // a hole, then a run from elsewhere in the stream
+		{3 * n, 3 * n, false},
+	} {
+		got := b.Read(r.off, r.n)
+		if got.Seeded() != r.seeded || (r.seeded && got.Data != nil) {
+			t.Errorf("read [%d, +%d): seeded %v with %d bytes, want seeded %v", r.off, r.n, got.Seeded(), len(got.Data), r.seeded)
+		}
+		have := make([]byte, r.n)
+		got.CopyTo(have)
+		if hi := min(r.off+r.n, 3*n); !bytes.Equal(have[:hi-r.off], want[r.off:hi]) {
+			t.Errorf("read [%d, +%d) differs from the seed's bytes", r.off, r.n)
 		}
 	}
 }

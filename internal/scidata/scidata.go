@@ -417,26 +417,23 @@ func (d *Dataset) WriteSlab(p *sim.Proc, start, count []int64, payload netsim.Pa
 	return nil
 }
 
-// ReadSlab reads a hyperslab into a payload (real bytes when any chunk
-// holds real data).
+// ReadSlab reads a hyperslab into a payload, its row runs joined in slab
+// order (netsim.Joiner): a slab that continues one seeded run is that run.
 func (d *Dataset) ReadSlab(p *sim.Proc, start, count []int64) (netsim.Payload, error) {
 	runs, total, err := d.slabRuns(start, count)
 	if err != nil {
 		return netsim.Payload{}, err
 	}
 	l := d.layout()
-	var buf []byte
+	j := netsim.Joiner{Size: total}
 	for _, run := range runs {
 		for _, rq := range l.Plan(run.off, run.n) {
 			got, err := d.f.c.Read(p, l.Objs[rq.Obj], d.f.caps, rq.Off, rq.Len)
 			if err != nil {
 				return netsim.Payload{}, err
 			}
-			if !got.Synthetic() && buf == nil {
-				buf = make([]byte, total)
-			}
-			rq.Scatter(run.base, buf, got)
+			rq.Scatter(&j, run.base, got)
 		}
 	}
-	return netsim.Payload{Size: total, Data: buf}, nil
+	return j.Payload(), nil
 }

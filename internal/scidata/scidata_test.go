@@ -16,6 +16,7 @@ import (
 	"lwfs/internal/netsim"
 	"lwfs/internal/scidata"
 	"lwfs/internal/sim"
+	"lwfs/internal/trace"
 )
 
 type rig struct {
@@ -96,6 +97,51 @@ func TestDatasetRoundTrip2D(t *testing.T) {
 		}
 		if !bytes.Equal(got.Data, floatBytes(want)) {
 			t.Error("sub-slab mismatch")
+		}
+	})
+	run(t, r)
+}
+
+// A slab written as one seeded run reads back as that run wherever the
+// slab is contiguous in the dataset, across chunks; a slab of partial rows
+// reads back as the same bytes, copied.
+func TestSeededSlabReadsBackAsItsRun(t *testing.T) {
+	const seed = 77
+	r := boot(t, func(r *rig, p *sim.Proc) {
+		f, err := scidata.Create(p, r.c, "/seeded")
+		if err != nil {
+			t.Errorf("create file: %v", err)
+			return
+		}
+		ds, err := f.CreateDataset(p, "field", scidata.Float64, []int64{16, 8}, scidata.Options{})
+		if err != nil {
+			t.Errorf("create dataset: %v", err)
+			return
+		}
+		want := trace.DataFor(seed, 16*8*8)
+		if err := ds.WriteSlab(p, []int64{0, 0}, []int64{16, 8}, netsim.SeededPayload(seed, 16*8*8)); err != nil {
+			t.Errorf("write slab: %v", err)
+			return
+		}
+		rows, err := ds.ReadSlab(p, []int64{2, 0}, []int64{10, 8}) // rows 2..12: three chunks
+		if err != nil {
+			t.Errorf("read rows: %v", err)
+			return
+		}
+		if !rows.Seeded() || !bytes.Equal(rows.Bytes(), want[2*64:12*64]) {
+			t.Errorf("full rows 2..12: seeded %v, bytes match %v; want the seed's run", rows.Seeded(), bytes.Equal(rows.Bytes(), want[2*64:12*64]))
+		}
+		cols, err := ds.ReadSlab(p, []int64{2, 3}, []int64{10, 3})
+		if err != nil {
+			t.Errorf("read sub-slab: %v", err)
+			return
+		}
+		var sub []byte
+		for row := 2; row < 12; row++ {
+			sub = append(sub, want[row*64+3*8:row*64+6*8]...)
+		}
+		if cols.Seeded() || !bytes.Equal(cols.Data, sub) {
+			t.Errorf("sub-slab: seeded %v, bytes match %v; want a copy of the seed's bytes", cols.Seeded(), bytes.Equal(cols.Data, sub))
 		}
 	})
 	run(t, r)

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io/fs"
 	"math"
-	"strings"
 	"time"
 
 	"lwfs/internal/authz"
@@ -122,7 +121,7 @@ func Start(ep *portals.Endpoint, dev *osd.Device, az *authz.Client, rpcPort port
 	}
 	s.rpc = portals.ServeOps(ep, s.rpcPort, dev.Name(), cfg.Threads, serverOps, s) //qos:admitted
 	if cfg.QoS != nil {
-		s.adm = qos.NewAdmission(ep.Kernel(), ep.Metrics().Scope("qos").Scope(metricName(dev.Name())), *cfg.QoS)
+		s.adm = qos.NewAdmission(ep.Kernel(), ep.Metrics().Scope("qos").Scope(dev.Name()), *cfg.QoS)
 		s.rpc.SetDispatcher(s.adm)
 	}
 	s.caps.Serve(ep, az, rpcPort+1, dev.Name(),
@@ -130,10 +129,6 @@ func Start(ep *portals.Endpoint, dev *osd.Device, az *authz.Client, rpcPort port
 	s.part = txn.NewParticipant(ep, dev, TxnEndpointOf(Target{Node: ep.Node(), Port: rpcPort}).Port)
 	return s
 }
-
-// metricName flattens a server name for a registry segment (mirrors the rpc
-// scope convention).
-func metricName(name string) string { return strings.ReplaceAll(name, "/", ".") }
 
 // Admission exposes the server's admission controller (nil without
 // Config.QoS) — tests inspect its queue through it.

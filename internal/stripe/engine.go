@@ -399,17 +399,17 @@ func (e *Engine) reconstructExtent(p *sim.Proc, l Layout, idx int, objOff, n int
 	if err := joinIndexed("stripe/reconstruct", t.errs); err != nil {
 		return netsim.Payload{}, fmt.Errorf("stripe/reconstruct[%d]: %w: %v", idx, ErrUnrecoverable, err)
 	}
-	out := netsim.Payload{Size: n}
+	var xor []byte
 	for _, g := range t.ios {
 		if g.pl.Synthetic() {
 			continue
 		}
-		if out.Data == nil {
-			out.Data = make([]byte, n)
+		if xor == nil {
+			xor = make([]byte, n)
 		}
-		xorInto(out.Data, g.pl.Bytes())
+		xorInto(xor, g.pl.Bytes())
 	}
-	return out, nil
+	return netsim.Payload{Size: n, Data: xor}, nil
 }
 
 // xorInto XORs src into dst over their common prefix, a word at a time.
@@ -429,7 +429,7 @@ func (s *targetSet) add(t storage.Target) {
 }
 
 // ReadAt reads [off, off+length) under the layout with the same plan/fan-out
-// as WriteAt, scattering each object's extent back into file order. Callers
+// as WriteAt, joining each object's extent back in file order. Callers
 // clamp length to the logical size first (the layout does not know EOF);
 // reads past the end of short objects return the bytes present.
 //
@@ -438,8 +438,9 @@ func (s *targetSet) add(t storage.Target) {
 // XOR-reconstructed from the other columns and parity, transparently to the
 // caller (counted by the degraded_reads / reconstructed_bytes instruments).
 // RAID-0 reads fail exactly as before. A hole column issues no request and
-// reads as an empty object. A read whose requests are each one piece and
-// bring back consecutive parts of one seeded run returns that run.
+// reads as an empty object. The pieces join as netsim.Joiner joins them: a
+// read whose pieces bring back consecutive parts of one seeded run returns
+// that run.
 func (e *Engine) ReadAt(p *sim.Proc, l Layout, off, length int64) (netsim.Payload, error) {
 	t := e.take()
 	defer e.put(t)
@@ -478,21 +479,11 @@ func (e *Engine) ReadAt(p *sim.Proc, l Layout, off, length int64) (netsim.Payloa
 			return out, derr
 		}
 	}
-	if run, ok := t.run(); ok {
-		return run, nil
+	j := netsim.Joiner{Size: length}
+	for i, rq := range t.reqs {
+		rq.Scatter(&j, off, t.ios[i].pl)
 	}
-	var buf []byte
-	for i, req := range t.reqs {
-		if t.ios[i].pl.Synthetic() {
-			continue
-		}
-		if buf == nil {
-			buf = make([]byte, length)
-		}
-		req.Scatter(off, buf, t.ios[i].pl)
-	}
-	out.Data = buf
-	return out, nil
+	return j.Payload(), nil
 }
 
 // readDegraded serves one planned request after its primary object timed
@@ -595,19 +586,6 @@ func (t *transfer) moved() int64 {
 		n += io.moved
 	}
 	return n
-}
-
-// run joins what the last read fan-out returned into one seeded run, when
-// every request is one piece (the plan lists them in file order then) and
-// each brought back the next part of one run.
-func (t *transfer) run() (run netsim.Payload, ok bool) {
-	ok = len(t.reqs) > 0
-	for i, rq := range t.reqs {
-		if ok = ok && rq.FileOff%rq.unit+rq.Len <= rq.unit && t.ios[i].pl.Size == rq.Len; ok {
-			run, ok = run.Append(t.ios[i].pl)
-		}
-	}
-	return run, ok
 }
 
 // FanOut runs fn(i) for each i in [0, n) on concurrently scheduled simulated

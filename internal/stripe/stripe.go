@@ -504,23 +504,24 @@ func (r Request) Pieces(yield func(Piece) bool) {
 // starting at file offset off. A request of one piece is already contiguous
 // in the file, so it is a slice of the caller's payload: a sub-slice of its
 // bytes, which servers copy on store, a cut of its seeded run, or synthetic.
-// A longer one is assembled piece by piece into object order, in a fresh
-// buffer, unless the payload is synthetic.
+// A longer one joins its pieces in object order (netsim.Joiner), unless the
+// payload is synthetic.
 func (r Request) Gather(off int64, payload netsim.Payload) netsim.Payload {
 	if r.FileOff%r.unit+r.Len <= r.unit || payload.Synthetic() {
 		return payload.Slice(r.FileOff-off, r.Len)
 	}
-	buf := make([]byte, r.Len)
+	j := netsim.Joiner{Size: r.Len}
 	for pc := range r.Pieces {
-		payload.Slice(pc.FileOff-off, pc.Len).CopyTo(buf[pc.ObjOff-r.Off:])
+		j.Add(pc.ObjOff-r.Off, payload.Slice(pc.FileOff-off, pc.Len))
 	}
-	return netsim.BytesPayload(buf)
+	return j.Payload()
 }
 
-// Scatter distributes one read request's result into the file buffer buf
-// (which covers file offsets [off, off+len(buf))). Short object reads —
-// end-of-object inside the extent — fill only the bytes that arrived.
-func (r Request) Scatter(off int64, buf []byte, got netsim.Payload) {
+// Scatter adds one read request's result to j, which joins file offsets
+// from base on, piece by piece in file order. A short object read (the
+// object ends inside the extent) adds only the bytes that arrived, and a
+// synthetic one adds nothing.
+func (r Request) Scatter(j *netsim.Joiner, base int64, got netsim.Payload) {
 	if got.Synthetic() {
 		return
 	}
@@ -529,6 +530,6 @@ func (r Request) Scatter(off int64, buf []byte, got netsim.Payload) {
 		if at >= got.Size {
 			return
 		}
-		got.Slice(at, min(pc.Len, got.Size-at)).CopyTo(buf[pc.FileOff-off:])
+		j.Add(pc.FileOff-base, got.Slice(at, min(pc.Len, got.Size-at)))
 	}
 }

@@ -1,6 +1,7 @@
 package stripe_test
 
 import (
+	"bytes"
 	"cmp"
 	"math/rand"
 	"reflect"
@@ -244,15 +245,15 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 	reqs := l.Plan(off, int64(len(data)))
 
 	// Gather each request, then scatter everything back: identity.
-	out := make([]byte, len(data))
+	j := netsim.Joiner{Size: int64(len(data))}
 	for _, r := range reqs {
 		got := r.Gather(off, payload)
 		if got.Size != r.Len || int64(len(got.Data)) != r.Len {
 			t.Fatalf("gather size %d/%d, want %d", got.Size, len(got.Data), r.Len)
 		}
-		r.Scatter(off, out, got)
+		r.Scatter(&j, off, got)
 	}
-	if !reflect.DeepEqual(out, data) {
+	if out := j.Payload().Data; !reflect.DeepEqual(out, data) {
 		t.Fatal("gather→scatter did not round-trip")
 	}
 
@@ -293,18 +294,17 @@ func TestGatherSinglePieceDoesNotCopy(t *testing.T) {
 func TestScatterShortObjectRead(t *testing.T) {
 	l := testLayout(2, 100)
 	reqs := l.Plan(0, 400) // two units per object
-	out := make([]byte, 400)
-	for i := range out {
-		out[i] = 0xEE
-	}
+	j := netsim.Joiner{Size: 400}
+	j.Add(0, netsim.BytesPayload(bytes.Repeat([]byte{0xEE}, 400)))
 	for _, r := range reqs {
 		// The object returned only half the extent (EOF mid-request).
 		short := make([]byte, r.Len/2)
 		for i := range short {
 			short[i] = byte(r.Obj + 1)
 		}
-		r.Scatter(0, out, netsim.BytesPayload(short))
+		r.Scatter(&j, 0, netsim.BytesPayload(short))
 	}
+	out := j.Payload().Data
 	// First unit of each object arrived, second did not.
 	for i := 0; i < 100; i++ {
 		if out[i] != 1 || out[100+i] != 2 {
@@ -446,7 +446,9 @@ func TestPlanAllocatesPerCallNotPerColumn(t *testing.T) {
 	}
 	reqs := testLayout(4, 1024).Plan(0, 16*1024)
 	buf := make([]byte, 16*1024)
-	if n := testing.AllocsPerRun(100, func() { reqs[1].Scatter(0, buf, netsim.BytesPayload(buf[:4096])) }); n != 0 {
+	j := netsim.Joiner{Size: int64(len(buf))}
+	j.Add(0, netsim.BytesPayload(buf[:1])) // the joiner's buffer, made once
+	if n := testing.AllocsPerRun(100, func() { reqs[1].Scatter(&j, 0, netsim.BytesPayload(buf[:4096])) }); n != 0 {
 		t.Errorf("Scatter makes %.0f allocations, want 0", n)
 	}
 }

@@ -54,7 +54,7 @@ func TestReadmeLayout(t *testing.T) {
 // designLineBudget is the most lines DESIGN.md may have. A change that
 // adds to it makes room by cutting what no longer earns its place; lower
 // the budget when the file shrinks.
-const designLineBudget = 1517
+const designLineBudget = 1515
 
 // TestDesignLineBudget keeps DESIGN.md within designLineBudget lines.
 func TestDesignLineBudget(t *testing.T) {
